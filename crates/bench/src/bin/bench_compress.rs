@@ -16,6 +16,15 @@
 //!    writes. This is the speedup mechanism of the paper's design and
 //!    shows up even on a single core.
 //!
+//! On top of the file-level writes, the binary measures the **serial
+//! compress-stage split** of one whole-field szlite stream, from public
+//! calls only: the LZSS stage is the lossless on/off delta of
+//! `compress_into`, Huffman emission is a standalone
+//! `HuffmanEncoder::encode` over the emitted code stream, and the fused
+//! predict + quantize kernel (table build and framing included) is the
+//! remainder — the write-side mirror of `bench_decompress`'s entropy
+//! split.
+//!
 //! Writes machine-readable results to `BENCH_compress.json` (override
 //! with `BENCH_OUT`), and asserts the pipelined files stay
 //! byte-identical to serial output.
@@ -64,6 +73,79 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Per-stage serial compress timings over one whole-field stream.
+struct StageBreakdown {
+    n_points: usize,
+    total_secs: f64,
+    lzss_secs: f64,
+    huffman_encode_secs: f64,
+    kernel_secs: f64,
+}
+
+/// Time the compress stages of a single szlite stream covering the
+/// whole field. Small fields are looped so every timed sample covers a
+/// few million points — the smoke run at side 16 stays noise-proof.
+fn stage_breakdown(data: &[f32], side: usize, reps: usize) -> StageBreakdown {
+    use szlite::huffman::{HuffmanDecoder, HuffmanEncoder};
+    use szlite::stream::{get_varint, BitReader, BitWriter};
+
+    let dims = szlite::Dims::d3(side, side, side);
+    let cfg = szlite::Config::rel(1e-3);
+    let n_points = data.len();
+    let iters = (4_000_000 / n_points).max(1);
+    let mut scratch = szlite::Scratch::new();
+    let mut out = Vec::new();
+    let mut timed = |cfg: &szlite::Config, out: &mut Vec<u8>| {
+        best_of(reps, || {
+            for _ in 0..iters {
+                szlite::compress_into(data, &dims, cfg, &mut scratch, out).unwrap();
+            }
+        }) / iters as f64
+    };
+    let total_secs = timed(&cfg, &mut out);
+    let plain_secs = timed(&cfg.clone().with_lossless(false), &mut out);
+
+    // `out` now holds the lossless-off stream, whose payload is the
+    // Huffman table followed by the code stream: recover the symbols
+    // and re-emit them through a standalone encoder.
+    let info = szlite::stream_info(&out).unwrap();
+    let payload = &out[info.payload_offset..info.payload_offset + info.payload_len];
+    let mut pos = 0usize;
+    let dec = HuffmanDecoder::deserialize(payload, &mut pos).unwrap();
+    let n_codes = get_varint(payload, &mut pos).unwrap() as usize;
+    let code_len = get_varint(payload, &mut pos).unwrap() as usize;
+    let code_bytes = &payload[pos..pos + code_len];
+    let mut codes = Vec::new();
+    dec.decode_into(&mut BitReader::new(code_bytes), n_codes, &mut codes)
+        .unwrap();
+    let enc = HuffmanEncoder::from_symbols(&codes, 2 * info.radius as usize);
+    let mut bits = Vec::new();
+    let huffman_encode_secs = best_of(reps, || {
+        for _ in 0..iters {
+            let mut w = BitWriter::with_buffer(std::mem::take(&mut bits));
+            enc.encode(&codes, &mut w);
+            bits = w.finish();
+        }
+    }) / iters as f64;
+    assert_eq!(bits, code_bytes, "standalone encode diverged from stream");
+
+    let lzss_secs = (total_secs - plain_secs).max(0.0);
+    let kernel_secs = (plain_secs - huffman_encode_secs).max(0.0);
+    println!(
+        "serial stage split       : kernel {kernel_secs:.4} s  huffman encode {huffman_encode_secs:.4} s \
+         ({:.0} Msym/s)  lzss {lzss_secs:.4} s  total {total_secs:.4} s ({:.1} MB/s)",
+        n_points as f64 / huffman_encode_secs / 1e6,
+        n_points as f64 * 4.0 / total_secs / 1e6,
+    );
+    StageBreakdown {
+        n_points,
+        total_secs,
+        lzss_secs,
+        huffman_encode_secs,
+        kernel_secs,
+    }
 }
 
 struct Setup {
@@ -121,6 +203,7 @@ fn main() {
     let bytes: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
     let raw_bytes = bytes.len();
     let mb = raw_bytes as f64 / 1e6;
+    let stages = stage_breakdown(&field.data, side, reps);
     let s = side as u64;
     let c = chunk as u64;
     let setup = Setup {
@@ -299,6 +382,28 @@ fn main() {
         );
     }
     let _ = writeln!(json, "    ]");
+    let _ = writeln!(json, "  }},");
+    let st = &stages;
+    let _ = writeln!(json, "  \"stages\": {{");
+    let _ = writeln!(json, "    \"n_points\": {},", st.n_points);
+    let _ = writeln!(json, "    \"total_secs\": {:.6},", st.total_secs);
+    let _ = writeln!(json, "    \"kernel_secs\": {:.6},", st.kernel_secs);
+    let _ = writeln!(
+        json,
+        "    \"huffman_encode_secs\": {:.6},",
+        st.huffman_encode_secs
+    );
+    let _ = writeln!(json, "    \"lzss_secs\": {:.6},", st.lzss_secs);
+    let _ = writeln!(
+        json,
+        "    \"serial_mb_per_s\": {:.3},",
+        st.n_points as f64 * 4.0 / st.total_secs / 1e6
+    );
+    let _ = writeln!(
+        json,
+        "    \"huffman_encode_msym_per_s\": {:.3}",
+        st.n_points as f64 / st.huffman_encode_secs / 1e6
+    );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"overlap_async\": {{");
     let _ = writeln!(json, "    \"n_write_queues\": {n_queues},");

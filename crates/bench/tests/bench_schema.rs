@@ -236,6 +236,44 @@ fn decompress_artifact_has_the_entropy_schema() {
     }
 }
 
+#[test]
+fn compress_artifact_has_the_stage_schema() {
+    let files = bench_files();
+    let (name, json) = files
+        .iter()
+        .find(|(n, _)| n == "BENCH_compress.json")
+        .expect("BENCH_compress.json is committed");
+    assert_eq!(json.get("byte_identical"), Some(&Json::Bool(true)));
+    let st = json
+        .get("stages")
+        .unwrap_or_else(|| panic!("{name}: missing compress stage breakdown"));
+    for key in [
+        "n_points",
+        "total_secs",
+        "kernel_secs",
+        "huffman_encode_secs",
+        "lzss_secs",
+        "serial_mb_per_s",
+        "huffman_encode_msym_per_s",
+    ] {
+        let v = st
+            .num(key)
+            .unwrap_or_else(|| panic!("{name}: missing stage key {key}"));
+        assert!(v.is_finite() && v >= 0.0, "{name}: bad {key} = {v}");
+    }
+    // LZSS is the lossless on/off delta and the kernel the remainder
+    // of the lossless-off run, so the stages can only undershoot the
+    // measured total through clamping and rounding.
+    let sum = st.num("kernel_secs").unwrap()
+        + st.num("huffman_encode_secs").unwrap()
+        + st.num("lzss_secs").unwrap();
+    let total = st.num("total_secs").unwrap();
+    assert!(
+        sum <= total * 1.05 + 1e-6,
+        "{name}: stage sum {sum} exceeds total {total}"
+    );
+}
+
 // (Malformed-JSON rejection is covered by the parser's own unit tests
 // in `obs::json` now that the parser lives there.)
 

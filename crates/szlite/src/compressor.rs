@@ -1,22 +1,25 @@
 //! The compression pipeline: Lorenzo prediction → error-bounded
 //! quantization → canonical Huffman → LZSS.
 //!
-//! The hot path is a fused row kernel: one pass over the data performs
-//! prediction, quantization *and* Huffman frequency counting, with the
-//! boundary branches of the Lorenzo stencil replaced by reads from a
-//! zero row so the inner loop is uniform over `x`. Each pipeline worker
-//! carries its own [`Scratch`] — frequency counts are accumulated
-//! per-worker and merged into the Huffman build in a single sparse
-//! rebuild, so no stage shares mutable state across workers. The
-//! produced stream is byte-identical to the scalar reference
-//! implementation ([`compress_reference`]) on every input.
+//! The hot path is a fused row-block kernel ([`quantize_rows`]): one
+//! pass over the data performs prediction, quantization *and* Huffman
+//! frequency counting, with the boundary branches of the Lorenzo
+//! stencil replaced by reads from a zero row so the inner loop is
+//! uniform over `x`, and with several rows of a plane in flight at once
+//! so the per-point dependency chain of one row hides behind its
+//! neighbors'. Each pipeline worker carries its own [`Scratch`] —
+//! frequency counts are accumulated per-worker and merged into the
+//! Huffman build in a single sparse rebuild, so no stage shares mutable
+//! state across workers. The produced stream is byte-identical to the
+//! scalar reference implementation ([`compress_reference`]) on every
+//! input.
 
 use crate::config::{Config, Dims};
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
-use crate::predictor::Lorenzo;
+use crate::predictor::{Lorenzo, Planes};
 use crate::quantizer::{Quantizer, UNPREDICTABLE};
 use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
@@ -58,8 +61,9 @@ impl CompressStats {
 }
 
 /// Reusable compressor workspace: quantization codes, literal bytes,
-/// the reconstruction grid, Huffman frequency counts, the serialized
-/// payload, the bit-stream backing buffer and the LZSS matcher state.
+/// two rolling reconstruction planes, Huffman frequency counts, the
+/// serialized payload, the bit-stream backing buffer and the LZSS
+/// matcher state.
 ///
 /// The per-chunk hot path allocates all of this state afresh when
 /// going through [`compress_with_stats`]; a worker that compresses
@@ -71,7 +75,7 @@ impl CompressStats {
 pub struct Scratch {
     codes: Vec<u32>,
     literals: Vec<u8>,
-    recon: Vec<f64>,
+    planes: Planes,
     /// Frequency histogram over the full alphabet. Invariant: all-zero
     /// between calls — entries touched by a run are re-zeroed through
     /// `present` on the way out, so the (large) array is never memset.
@@ -81,7 +85,6 @@ pub struct Scratch {
     present: Vec<u32>,
     payload: Vec<u8>,
     bits: Vec<u8>,
-    zero_row: Vec<f64>,
     enc: HuffmanEncoder,
     enc_ws: EncoderWorkspace,
     lz: lossless::LzScratch,
@@ -112,33 +115,48 @@ pub fn compress_with_stats<T: Element>(
     Ok((out, stats))
 }
 
-/// Fused prediction + quantization + frequency-count kernel over one
-/// grid row.
+/// Rows of a plane a full block advances together (see
+/// [`quantize_rows`]); shared with the decoder's mirror kernel.
+pub(crate) const LANES: usize = 4;
+
+/// Fused prediction + quantization + frequency-count kernel over a
+/// block of `L` consecutive rows of one plane.
 ///
-/// `cur` is the reconstruction row being produced; `py`, `pz`, `pzy`
-/// are the neighbor rows at `y-1`, `z-1` and `(z-1, y-1)` — the caller
-/// substitutes an all-zero row for rows outside the grid, which makes
-/// the Lorenzo stencil uniform over the whole row (adding `+0.0` for an
-/// absent neighbor is bit-exact because the accumulator can never be
-/// `-0.0` mid-chain: it starts at `+0.0` and IEEE-754 round-to-nearest
-/// only yields `-0.0` from sums of two negative zeros).
+/// A single row is a serial recurrence: every point waits on the
+/// previous point's reconstruction through the whole
+/// predict → divide → round → reconstruct → storage-round-trip chain,
+/// so one row alone is latency-bound. The block therefore advances its
+/// rows together with a one-element lag — in iteration `t`, lane `j`
+/// (row `y + j`) handles `x = t − j`. Lane `j` at `x` needs lane `j − 1`
+/// at `x` and `x − 1`, both finished by iteration `t − 1`, so the loop
+/// body carries `L` independent dependency chains. `L = 1` is the plain
+/// row kernel (leftover rows, 1-D data).
 ///
-/// The loop carries `x-1` neighbors in registers, keeps the residual →
-/// code mapping branch-free (validity folds into one predicate; the
-/// code/reconstruction writes are select-based), and escapes to the
-/// literal lane only on the rare unpredictable point. The floating
-/// operation order matches [`compress_reference`] exactly — division by
-/// `2·eb` stays a division, the stencil accumulates in the fixed
-/// `+x +y +z −xy −xz −yz +xyz` order — so emitted codes, literals and
-/// reconstructions are bit-identical.
+/// `data` and `codes` hold the block's `L` rows of `nx` points;
+/// `above`, `rows` (the reconstructions produced), `zp` and `zs` are
+/// the block's [`Planes::block`] views — lane `j` reads rows `j` and
+/// `j + 1` of `zp`. Rows outside the grid are zero rows, which keeps
+/// the Lorenzo stencil uniform: adding `+0.0` for an absent neighbor is
+/// bit-exact because the accumulator can never be `-0.0` mid-chain (it
+/// starts at `+0.0` and IEEE-754 round-to-nearest only yields `-0.0`
+/// from sums of two negative zeros).
+///
+/// Every point executes the expression of [`compress_reference`] on the
+/// same operands whatever `L` is — division by `2·eb` stays a division,
+/// the stencil accumulates in the fixed `+x +y +z −xy −xz −yz +xyz`
+/// order, validity folds into one predicate with select-based writes —
+/// so codes, literals and reconstructions are bit-identical. Literals
+/// of the block's escapes are appended after the sweep, in row-major
+/// order, so the literal stream does not see the lane schedule.
+/// Returns the number of escapes.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn quantize_row<T: Element>(
+fn quantize_rows<T: Element, const L: usize>(
     data: &[T],
-    cur: &mut [f64],
-    py: &[f64],
-    pz: &[f64],
-    pzy: &[f64],
+    nx: usize,
+    above: &[f64],
+    rows: &mut [f64],
+    zp: &[f64],
+    zs: usize,
     eb: f64,
     twice_eb: f64,
     radius: i64,
@@ -146,63 +164,78 @@ fn quantize_row<T: Element>(
     literals: &mut Vec<u8>,
     freqs: &mut [u64],
     present: &mut Vec<u32>,
-    n_unpred: &mut usize,
-) {
-    let nx = data.len();
-    debug_assert!(cur.len() == nx && py.len() >= nx && pz.len() >= nx && pzy.len() >= nx);
-    debug_assert!(codes.len() == nx);
+) -> usize {
+    debug_assert!(data.len() == L * nx && rows.len() == L * nx && codes.len() == L * nx);
+    debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
     let radius_f = radius as f64;
-    // Running x-1 neighbors: current row, y-1 row, z-1 row, corner.
-    let mut cx = 0.0f64;
-    let mut pyx = 0.0f64;
-    let mut pzx = 0.0f64;
-    let mut pzyx = 0.0f64;
-    for x in 0..nx {
-        let ry = py[x];
-        let rz = pz[x];
-        let rzy = pzy[x];
-        let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-        let xv = data[x].to_f64();
-        let d = xv - pred;
-        let q = (d / twice_eb).round();
-        // Branch-free validity: all comparisons are false on NaN, so a
-        // non-finite value or prediction lands in the escape lane.
-        let in_range = q.is_finite() & (q.abs() < radius_f);
-        let qi = if in_range { q as i64 } else { 0 };
-        let r64 = pred + qi as f64 * twice_eb;
-        // Round through the storage type so the decoder (which emits T)
-        // sees exactly this value.
-        let rt = T::from_f64(r64).to_f64();
-        let ok = in_range & ((xv - r64).abs() <= eb) & ((xv - rt).abs() <= eb);
-        let code = if ok {
-            (qi + radius) as u32
-        } else {
-            UNPREDICTABLE
-        };
-        let rv = if ok {
-            rt
-        } else if xv.is_finite() {
-            xv
-        } else {
-            0.0
-        };
-        codes[x] = code;
-        cur[x] = rv;
-        let f = freqs[code as usize];
-        if f == 0 {
-            present.push(code);
+    // Per-lane running x-1 neighbors: own row, y-1 row, z-1 row, corner.
+    let mut cx = [0.0f64; L];
+    let mut pyx = [0.0f64; L];
+    let mut pzx = [0.0f64; L];
+    let mut pzyx = [0.0f64; L];
+    let mut n_escapes = 0usize;
+    for t in 0..nx + L - 1 {
+        // Descending: lane j reads lane j-1's reconstruction at x
+        // (`cx[j - 1]`) before lane j-1 overwrites it with x + 1.
+        for j in (0..L).rev() {
+            let x = t.wrapping_sub(j);
+            if x >= nx {
+                continue;
+            }
+            let i = j * nx + x;
+            let ry = if j == 0 { above[x] } else { cx[j - 1] };
+            let rz = zp[(j + 1) * zs + x];
+            let rzy = zp[j * zs + x];
+            let pred = ((((((0.0 + cx[j]) + ry) + rz) - pyx[j]) - pzx[j]) - rzy) + pzyx[j];
+            let xv = data[i].to_f64();
+            let d = xv - pred;
+            let q = (d / twice_eb).round();
+            // Branch-free validity: all comparisons are false on NaN, so
+            // a non-finite value or prediction lands in the escape lane.
+            let in_range = q.is_finite() & (q.abs() < radius_f);
+            let qi = if in_range { q as i64 } else { 0 };
+            let r64 = pred + qi as f64 * twice_eb;
+            // Round through the storage type so the decoder (which
+            // emits T) sees exactly this value.
+            let rt = T::from_f64(r64).to_f64();
+            let ok = in_range & ((xv - r64).abs() <= eb) & ((xv - rt).abs() <= eb);
+            let code = if ok {
+                (qi + radius) as u32
+            } else {
+                UNPREDICTABLE
+            };
+            let rv = if ok {
+                rt
+            } else if xv.is_finite() {
+                xv
+            } else {
+                0.0
+            };
+            codes[i] = code;
+            rows[i] = rv;
+            let f = freqs[code as usize];
+            if f == 0 {
+                present.push(code);
+            }
+            freqs[code as usize] = f + 1;
+            n_escapes += usize::from(!ok);
+            cx[j] = rv;
+            pyx[j] = ry;
+            pzx[j] = rz;
+            pzyx[j] = rzy;
         }
-        freqs[code as usize] = f + 1;
-        if !ok {
-            // Rare unpredictable-escape lane.
-            data[x].write_le(literals);
-            *n_unpred += 1;
-        }
-        cx = rv;
-        pyx = ry;
-        pzx = rz;
-        pzyx = rzy;
     }
+    if n_escapes > 0 {
+        // Rare unpredictable-escape lane.
+        for (v, _) in data
+            .iter()
+            .zip(&*codes)
+            .filter(|(_, &c)| c == UNPREDICTABLE)
+        {
+            v.write_le(literals);
+        }
+    }
+    n_escapes
 }
 
 /// Compress `data`, writing the stream into `out` (cleared first) and
@@ -241,24 +274,22 @@ pub fn compress_into<T: Element>(
     let Scratch {
         codes,
         literals,
-        recon,
+        planes,
         freqs,
         present,
         payload,
         bits,
-        zero_row,
         enc,
         enc_ws,
         lz,
         lz_out,
     } = scratch;
-    codes.clear();
+    // Every element of `codes` is written before it is read, so the
+    // buffer is not cleared: `resize` only fills what a longer input
+    // adds.
     codes.resize(n, 0);
     literals.clear();
-    recon.clear();
-    recon.resize(n, 0.0);
-    zero_row.clear();
-    zero_row.resize(nx, 0.0);
+    planes.reset(nz, ny, nx);
     let alphabet = quant.alphabet();
     if freqs.len() < alphabet {
         freqs.resize(alphabet, 0);
@@ -269,40 +300,36 @@ pub fn compress_into<T: Element>(
     let radius = i64::from(cfg.radius.max(2));
     let twice_eb = 2.0 * eb;
     for z in 0..nz {
-        for y in 0..ny {
+        if z > 0 {
+            planes.next_plane();
+        }
+        let mut y = 0;
+        while y < ny {
+            let lanes = if ny - y >= LANES { LANES } else { 1 };
+            let kernel = if lanes == LANES {
+                quantize_rows::<T, LANES>
+            } else {
+                quantize_rows::<T, 1>
+            };
             let base = z * plane + y * nx;
-            let (head, tail) = recon.split_at_mut(base);
-            let cur = &mut tail[..nx];
-            let py: &[f64] = if y > 0 {
-                &head[base - nx..base]
-            } else {
-                zero_row
-            };
-            let pz: &[f64] = if z > 0 {
-                &head[base - plane..base - plane + nx]
-            } else {
-                zero_row
-            };
-            let pzy: &[f64] = if z > 0 && y > 0 {
-                &head[base - plane - nx..base - plane]
-            } else {
-                zero_row
-            };
-            quantize_row(
-                &data[base..base + nx],
-                cur,
-                py,
-                pz,
-                pzy,
+            let block = base..base + lanes * nx;
+            let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
+            n_unpred += kernel(
+                &data[block.clone()],
+                nx,
+                above,
+                rows,
+                zp,
+                zs,
                 eb,
                 twice_eb,
                 radius,
-                &mut codes[base..base + nx],
+                &mut codes[block],
                 literals,
                 &mut freqs[..alphabet],
                 present,
-                &mut n_unpred,
             );
+            y += lanes;
         }
     }
 

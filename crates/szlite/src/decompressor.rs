@@ -7,20 +7,25 @@
 //! [`BitReader`]; the LZSS stage expands through the chunked copy
 //! loops in [`lossless::decompress_into`].
 //!
+//! The recurrence replays on the compressor's row-block schedule
+//! ([`decode_rows`]): escape-free blocks of [`LANES`] rows advance
+//! together with a one-element lag, everything else goes row by row.
+//!
 //! The decode path mirrors the compressor's scratch discipline: a
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
-//! code/literal staging buffers, and the reconstruction grid alive
-//! across calls, so a per-chunk decode loop ([`decompress_into`])
-//! allocates nothing at steady state. [`decompress`] and the typed
-//! wrappers remain the allocating convenience entry points.
+//! code/literal staging buffers, and the two rolling reconstruction
+//! planes alive across calls, so a per-chunk decode loop
+//! ([`decompress_into`]) allocates nothing at steady state.
+//! [`decompress`] and the typed wrappers remain the allocating
+//! convenience entry points.
 
-use crate::compressor::{MAGIC, VERSION};
+use crate::compressor::{LANES, MAGIC, VERSION};
 use crate::config::Dims;
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
-use crate::predictor::Lorenzo;
+use crate::predictor::{Lorenzo, Planes};
 use crate::quantizer::{Quantizer, UNPREDICTABLE};
 use crate::stream::{get_f64, get_u32, get_varint, BitReader};
 
@@ -115,7 +120,7 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
 
 /// Reusable decompressor workspace: the LZSS output buffer, the
 /// Huffman table (with its LUT and sparse rebuild scratch), decoded
-/// quantization codes, and the reconstruction grid.
+/// quantization codes, and the two rolling reconstruction planes.
 ///
 /// Mirrors the compressor's [`Scratch`](crate::Scratch): the per-chunk
 /// hot path allocates all of this afresh when going through
@@ -128,8 +133,7 @@ pub struct DecompressScratch {
     payload: Vec<u8>,
     huffman: HuffmanDecoder,
     codes: Vec<u32>,
-    recon: Vec<f64>,
-    zero_row: Vec<f64>,
+    planes: Planes,
 }
 
 impl DecompressScratch {
@@ -150,15 +154,26 @@ pub fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
     Ok((out, dims))
 }
 
-/// Decompress a stream into `out` (cleared first), reusing `scratch`
-/// for all transient decoder state. Returns the grid shape.
+/// Decompress a stream into `out`, reusing `scratch` for all transient
+/// decoder state. Returns the grid shape; on error `out` is left empty.
 pub fn decompress_into<T: Element>(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
     out: &mut Vec<T>,
 ) -> Result<Dims> {
     let _span = obs::span_arg("sz.decompress", bytes.len() as u64);
-    out.clear();
+    let decoded = decode_stream(bytes, scratch, out);
+    if decoded.is_err() {
+        out.clear();
+    }
+    decoded
+}
+
+fn decode_stream<T: Element>(
+    bytes: &[u8],
+    scratch: &mut DecompressScratch,
+    out: &mut Vec<T>,
+) -> Result<Dims> {
     let info = stream_info(bytes)?;
     if info.dtype != T::DTYPE {
         return Err(SzError::Corrupt("element type mismatch"));
@@ -167,8 +182,7 @@ pub fn decompress_into<T: Element>(
         payload,
         huffman,
         codes,
-        recon,
-        zero_row,
+        planes,
     } = scratch;
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
     let payload_ref: &[u8] = if info.lossless {
@@ -216,140 +230,121 @@ pub fn decompress_into<T: Element>(
     }
 
     let quant = Quantizer::new(info.eb, info.radius);
+    let alphabet = quant.alphabet();
     let lorenzo = Lorenzo::new(&info.dims);
     let st = *lorenzo.strides();
-
-    let n = info.dims.len();
-    out.reserve(n);
-    recon.clear();
-    recon.resize(n, 0.0);
     let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
     let plane = ny * nx;
-    zero_row.clear();
-    zero_row.resize(nx, 0.0);
+
+    // Every element of `out` is written before it is read, so the
+    // buffer is not cleared: `resize` only fills what a longer stream
+    // adds.
+    out.resize(info.dims.len(), T::from_f64(0.0));
+    planes.reset(nz, ny, nx);
     let mut lit_pos = 0usize;
-    // Row-kernel replay of the compressor's recurrence: absent neighbor
-    // rows read from a zero row, `x-1` neighbors carried in registers.
-    // Values are identical to the per-point branchy replay — same
-    // argument as the compressor's fused kernel.
     for z in 0..nz {
-        for y in 0..ny {
+        if z > 0 {
+            planes.next_plane();
+        }
+        let mut y = 0;
+        while y < ny {
+            // Lag-pipelining reorders points across the rows of a
+            // block, so it is reserved for blocks whose every code is a
+            // plain in-alphabet symbol; a block with an escape or a bad
+            // symbol replays row by row, which keeps literal order and
+            // the first error reported those of the per-point replay.
             let base = z * plane + y * nx;
-            let (head, tail) = recon.split_at_mut(base);
-            let cur = &mut tail[..nx];
-            let py: &[f64] = if y > 0 {
-                &head[base - nx..base]
+            let wide = ny - y >= LANES
+                && codes[base..base + LANES * nx]
+                    .iter()
+                    .all(|&c| c != UNPREDICTABLE && (c as usize) < alphabet);
+            let lanes = if wide { LANES } else { 1 };
+            let kernel = if wide {
+                decode_rows::<T, LANES>
             } else {
-                zero_row
+                decode_rows::<T, 1>
             };
-            let pz: &[f64] = if z > 0 {
-                &head[base - plane..base - plane + nx]
-            } else {
-                zero_row
-            };
-            let pzy: &[f64] = if z > 0 && y > 0 {
-                &head[base - plane - nx..base - plane]
-            } else {
-                zero_row
-            };
-            decode_row(
-                &codes[base..base + nx],
-                cur,
-                py,
-                pz,
-                pzy,
+            let block = base..base + lanes * nx;
+            let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
+            kernel(
+                &codes[block.clone()],
+                nx,
+                above,
+                rows,
+                zp,
+                zs,
                 &quant,
                 lit_bytes,
                 &mut lit_pos,
-                out,
+                &mut out[block],
             )?;
+            y += lanes;
         }
     }
     Ok(info.dims)
 }
 
-/// Decode one grid row: invert the quantizer against the row-kernel
-/// Lorenzo prediction, pulling literals for escape codes.
+/// Decode a block of `L` consecutive rows of one plane: invert the
+/// quantizer against the Lorenzo prediction, pulling literals for
+/// escape codes.
+///
+/// Mirror of the compressor's `quantize_rows` — same arguments, same
+/// one-element-lag schedule over the lanes, the same prediction
+/// expression on the same operands, so the replayed values are
+/// bit-identical to the per-point replay whatever `L` is. Literals are
+/// consumed in visit order, which is stream order only for `L = 1`:
+/// the caller runs `L > 1` on escape-free blocks only.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn decode_row<T: Element>(
+fn decode_rows<T: Element, const L: usize>(
     codes: &[u32],
-    cur: &mut [f64],
-    py: &[f64],
-    pz: &[f64],
-    pzy: &[f64],
+    nx: usize,
+    above: &[f64],
+    rows: &mut [f64],
+    zp: &[f64],
+    zs: usize,
     quant: &Quantizer,
     lit_bytes: &[u8],
     lit_pos: &mut usize,
-    out: &mut Vec<T>,
+    out: &mut [T],
 ) -> Result<()> {
-    let nx = codes.len();
-    debug_assert!(cur.len() == nx && py.len() >= nx && pz.len() >= nx && pzy.len() >= nx);
+    debug_assert!(codes.len() == L * nx && rows.len() == L * nx && out.len() == L * nx);
+    debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
+    debug_assert!(L == 1 || !codes.contains(&UNPREDICTABLE));
     let alphabet = quant.alphabet();
-    let mut cx = 0.0f64;
-    let mut pyx = 0.0f64;
-    let mut pzx = 0.0f64;
-    let mut pzyx = 0.0f64;
-    // Escape-free rows — the overwhelmingly common case — take a
-    // branch-light kernel: validate the whole row up front, then
-    // reconstruct with no per-point literal or alphabet branches. The
-    // prediction expression is textually identical to the general
-    // loop's, so the replayed values (and thus the output) are
-    // bit-identical; on a validation failure the general loop below
-    // reports the same typed error.
-    if codes
-        .iter()
-        .all(|&c| c != UNPREDICTABLE && (c as usize) < alphabet)
-    {
-        let rows = cur
-            .iter_mut()
-            .zip(codes)
-            .zip(py[..nx].iter().zip(&pz[..nx]).zip(&pzy[..nx]));
-        for ((c, &code), ((&ry, &rz), &rzy)) in rows {
-            let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-            let r64 = quant.reconstruct(code, pred);
-            let v = T::from_f64(r64);
-            let rv = v.to_f64();
-            *c = rv;
-            out.push(v);
-            cx = rv;
-            pyx = ry;
-            pzx = rz;
-            pzyx = rzy;
-        }
-        return Ok(());
-    }
-    for x in 0..nx {
-        let ry = py[x];
-        let rz = pz[x];
-        let rzy = pzy[x];
-        let pred = ((((((0.0 + cx) + ry) + rz) - pyx) - pzx) - rzy) + pzyx;
-        let code = codes[x];
-        let rv: f64;
-        let value: T;
-        if code == UNPREDICTABLE {
-            let v = T::read_le(lit_bytes, lit_pos)?;
-            rv = if v.to_f64().is_finite() {
-                v.to_f64()
-            } else {
-                0.0
-            };
-            value = v;
-        } else {
-            if code as usize >= alphabet {
-                return Err(SzError::Corrupt("symbol out of alphabet"));
+    let mut cx = [0.0f64; L];
+    let mut pyx = [0.0f64; L];
+    let mut pzx = [0.0f64; L];
+    let mut pzyx = [0.0f64; L];
+    for t in 0..nx + L - 1 {
+        for j in (0..L).rev() {
+            let x = t.wrapping_sub(j);
+            if x >= nx {
+                continue;
             }
-            let r64 = quant.reconstruct(code, pred);
-            let v = T::from_f64(r64);
-            rv = v.to_f64();
-            value = v;
+            let i = j * nx + x;
+            let ry = if j == 0 { above[x] } else { cx[j - 1] };
+            let rz = zp[(j + 1) * zs + x];
+            let rzy = zp[j * zs + x];
+            let pred = ((((((0.0 + cx[j]) + ry) + rz) - pyx[j]) - pzx[j]) - rzy) + pzyx[j];
+            let code = codes[i];
+            let (value, rv) = if code == UNPREDICTABLE {
+                let v = T::read_le(lit_bytes, lit_pos)?;
+                let r = v.to_f64();
+                (v, if r.is_finite() { r } else { 0.0 })
+            } else {
+                if code as usize >= alphabet {
+                    return Err(SzError::Corrupt("symbol out of alphabet"));
+                }
+                let v = T::from_f64(quant.reconstruct(code, pred));
+                (v, v.to_f64())
+            };
+            out[i] = value;
+            rows[i] = rv;
+            cx[j] = rv;
+            pyx[j] = ry;
+            pzx[j] = rz;
+            pzyx[j] = rzy;
         }
-        cur[x] = rv;
-        out.push(value);
-        cx = rv;
-        pyx = ry;
-        pzx = rz;
-        pzyx = rzy;
     }
     Ok(())
 }

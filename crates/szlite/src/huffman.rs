@@ -329,13 +329,14 @@ impl HuffmanEncoder {
         }
     }
 
-    /// Encode `symbols` appending to the writer.
+    /// Encode `symbols` appending to the writer, through its
+    /// word-at-a-time batch entry.
     pub fn encode(&self, symbols: &[u32], w: &mut BitWriter) {
-        for &s in symbols {
+        w.write_codes(symbols.iter().map(|&s| {
             let (code, len) = self.codes[s as usize];
             debug_assert!(len > 0, "encoding absent symbol {s}");
-            w.write_bits(u64::from(code), len);
-        }
+            (code, len)
+        }));
     }
 
     /// Table size when serialized, in bytes (used by the ratio model).

@@ -107,6 +107,60 @@ impl Lorenzo {
     }
 }
 
+/// Rolling reconstruction state of the row-block kernels: the plane
+/// being produced and the one before it — a block reads nothing older.
+///
+/// Each plane is `(ny + 1) × nx`: row 0 stays all-zero and stands in
+/// for neighbors outside the grid, data row `y` is row `y + 1`. On the
+/// first plane the `z − 1` neighbors are `cur`'s own zero row, so 1-D
+/// and 2-D data never allocate `prev`. Every row below row 0 is written
+/// before it is read, so nothing but the zero rows is ever cleared.
+#[derive(Debug, Default)]
+pub(crate) struct Planes {
+    cur: Vec<f64>,
+    prev: Vec<f64>,
+    nx: usize,
+}
+
+impl Planes {
+    /// Size the planes for an `nz × ny × nx` grid (`resize` only fills
+    /// what a shape change adds) and restore the zero rows.
+    pub(crate) fn reset(&mut self, nz: usize, ny: usize, nx: usize) {
+        let len = (ny + 1) * nx;
+        self.nx = nx;
+        self.cur.resize(len, 0.0);
+        self.prev.resize(if nz > 1 { len } else { 0 }, 0.0);
+        for plane in [&mut self.cur, &mut self.prev] {
+            plane.iter_mut().take(nx).for_each(|v| *v = 0.0);
+        }
+    }
+
+    /// The finished plane becomes `z − 1`; its predecessor is recycled.
+    pub(crate) fn next_plane(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.prev);
+    }
+
+    /// Views for the block of `lanes` rows starting at data row `y`:
+    /// the reconstruction row over the block, the block's own rows, and
+    /// the `z − 1` plane from the row over the block down with its row
+    /// stride — on the first plane a single zero row with stride 0.
+    pub(crate) fn block(
+        &mut self,
+        first_plane: bool,
+        y: usize,
+        lanes: usize,
+    ) -> (&[f64], &mut [f64], &[f64], usize) {
+        let nx = self.nx;
+        let (head, tail) = self.cur.split_at_mut((y + 1) * nx);
+        let (zp, zs) = if first_plane {
+            (&head[..nx], 0)
+        } else {
+            (&self.prev[y * nx..(y + lanes + 1) * nx], nx)
+        };
+        (&head[y * nx..], &mut tail[..lanes * nx], zp, zs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,11 +3,14 @@
 //!
 //! Instead of compressing the full partition, we quantize a small
 //! fraction of it — whole blocks, to preserve spatial locality — and
-//! collect the quantization-code histogram. Prediction uses the
-//! *original* neighbor values (not reconstructions), which differs
-//! from real compression by at most `eb` per neighbor; empirically the
-//! histogram is near-identical, which is what makes the <10 % overhead
-//! prediction of \[25\] possible.
+//! collect the quantization-code histogram. Inside a sampled block the
+//! quantizer recurrence is replayed exactly — prediction from the
+//! block's own *reconstructed* values — and only neighbors across the
+//! block boundary, which the sample never reconstructs, are read as
+//! *original* values (at most `eb` per neighbor away from what real
+//! compression sees). Empirically the histogram is near-identical,
+//! which is what makes the <10 % overhead prediction of \[25\]
+//! possible.
 
 use crate::config::{Config, Dims};
 use crate::element::Element;
@@ -100,12 +103,11 @@ const BLOCK: usize = 8;
 /// partitions are large enough for it to cover this many points.
 pub const MIN_SAMPLE_POINTS: usize = 8192;
 
-// Within each sampled block the quantizer recurrence is replayed
-// exactly (prediction from *reconstructed* in-block neighbors, original
-// values across block boundaries). This keeps the sampled histogram
-// faithful at loose bounds, where reconstruction noise feeds back into
-// the residual distribution and widens it — the effect that makes
-// original-value-only sampling underestimate compressed size.
+// Replaying the recurrence inside each block (see the module header)
+// keeps the sampled histogram faithful at loose bounds, where
+// reconstruction noise feeds back into the residual distribution and
+// widens it — the effect that makes original-value-only sampling
+// underestimate compressed size.
 
 /// Quantize a sampled subset of `data` and return the code histogram.
 ///

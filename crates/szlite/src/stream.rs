@@ -76,10 +76,11 @@ pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
 
 /// MSB-first bit writer over a growable byte vector.
 ///
-/// Bits accumulate in a 64-bit word and flush to the byte vector a
-/// whole byte at a time, so a multi-bit code costs a couple of shifts
-/// rather than a per-bit loop. The backing buffer can be recycled
-/// across streams via [`BitWriter::with_buffer`].
+/// Bits accumulate in a 64-bit word: [`BitWriter::write_bits`] flushes
+/// it a whole byte at a time, the batch entry
+/// [`BitWriter::write_codes`] four bytes at a time; the two can be
+/// interleaved freely. The backing buffer can be recycled across
+/// streams via [`BitWriter::with_buffer`].
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -123,6 +124,39 @@ impl BitWriter {
             self.nbits -= 8;
             self.bytes.push((self.acc >> self.nbits) as u8);
         }
+    }
+
+    /// Batch entry: write every `(code, len)` pair of `codes` (low
+    /// `len` bits of `code`, MSB first, `len <= 32`), exactly as the
+    /// same sequence of [`BitWriter::write_bits`] calls would.
+    ///
+    /// The accumulator lives in registers for the whole batch and
+    /// drains four bytes at a time, so a short code costs a shift, an
+    /// or and one well-predicted branch instead of a per-byte push.
+    pub fn write_codes(&mut self, codes: impl IntoIterator<Item = (u32, u8)>) {
+        let codes = codes.into_iter();
+        // Every code is at least one bit; the recycled backing buffer
+        // usually has the capacity already.
+        self.bytes.reserve(codes.size_hint().0 / 8 + 8);
+        let (mut acc, mut nbits) = (self.acc, self.nbits);
+        for (code, len) in codes {
+            debug_assert!(len <= 32);
+            // nbits < 32 between codes, so nbits + len <= 63 fits.
+            acc = (acc << len) | (u64::from(code) & ((1u64 << len) - 1));
+            nbits += u32::from(len);
+            if nbits >= 32 {
+                nbits -= 32;
+                self.bytes
+                    .extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+            }
+        }
+        // Back to the `nbits < 8` invariant `write_bits` relies on.
+        while nbits >= 8 {
+            nbits -= 8;
+            self.bytes.push((acc >> nbits) as u8);
+        }
+        self.acc = acc;
+        self.nbits = nbits;
     }
 
     /// Number of whole bits written so far.

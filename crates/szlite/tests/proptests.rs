@@ -2,11 +2,14 @@
 
 use proptest::prelude::*;
 use szlite::{
-    compress_f32, compress_f64, compress_with_stats, decompress_f32, decompress_f64,
+    compress_f32, compress_f64, compress_into, compress_reference, compress_with_stats,
+    decompress_f32, decompress_f64, decompress_into,
     huffman::{HuffmanDecoder, HuffmanEncoder},
     lossless,
-    stream::{BitReader, BitWriter},
-    Config, Dims,
+    predictor::Lorenzo,
+    quantizer::{Quantizer, UNPREDICTABLE},
+    stream::{get_varint, BitReader, BitWriter},
+    stream_info, Config, DecompressScratch, Dims, Element, Scratch,
 };
 
 /// Arbitrary small 1-3D shapes with matching data lengths.
@@ -25,8 +28,209 @@ fn shape_and_data() -> impl Strategy<Value = (Vec<usize>, Vec<f32>)> {
     })
 }
 
+/// Shapes that stress the row-block schedule: 1-D, 2-D and 3-D
+/// (including a single plane) with `ny` and `nx` on both sides of the
+/// lane count, so blocks, leftover rows and rows shorter than the lag
+/// ramp all occur.
+fn schedule_shape() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        (1usize..=40).prop_map(|n| vec![n]),
+        ((1usize..=9), (1usize..=9)).prop_map(|(a, b)| vec![a, b]),
+        ((1usize..=4), (1usize..=9), (1usize..=9)).prop_map(|(a, b, c)| vec![a, b, c]),
+    ]
+}
+
+/// A smooth field with escapes planted by `density`: 0 none, 1 sparse
+/// random, 2 every point of some anti-diagonals `(x + y) % 3 == c` —
+/// the lanes of a block visit `x + y = const` in one iteration, so
+/// several of them escape together — 3 both. Escapes cycle through
+/// NaN, ±Inf and spikes far outside the quantizer radius.
+fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
+    let nx = *dims.last().unwrap();
+    let ny = if dims.len() >= 2 {
+        dims[dims.len() - 2]
+    } else {
+        1
+    };
+    let mut rng = seed | 1;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let diagonal = next() % 3;
+    (0..dims.iter().product::<usize>())
+        .map(|i| {
+            let (x, y) = (i % nx, (i / nx) % ny);
+            let r = next();
+            let smooth = (i as f64 * 0.37).sin() + (r % 1000) as f64 * 1e-4;
+            let sparse = density & 1 != 0 && r % 11 == 0;
+            let striped = density & 2 != 0 && (x + y) as u64 % 3 == diagonal;
+            T::from_f64(if sparse || striped {
+                match (r >> 20) % 5 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => 1e9,
+                    _ => -1e9,
+                }
+            } else {
+                smooth
+            })
+        })
+        .collect()
+}
+
+/// Per-point replay of a stream from public pieces only: bit-at-a-time
+/// Huffman walk, branchy [`Lorenzo::predict`] over a full-grid
+/// reconstruction, literals pulled in raster order.
+fn replay_per_point<T: Element>(bytes: &[u8]) -> Vec<T> {
+    let info = stream_info(bytes).unwrap();
+    let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
+    let payload = if info.lossless {
+        lossless::decompress(body).unwrap()
+    } else {
+        body.to_vec()
+    };
+    let mut pos = 0;
+    let dec = HuffmanDecoder::deserialize(&payload, &mut pos).unwrap();
+    let n = get_varint(&payload, &mut pos).unwrap() as usize;
+    let code_len = get_varint(&payload, &mut pos).unwrap() as usize;
+    let mut bits = BitReader::new(&payload[pos..pos + code_len]);
+    pos += code_len;
+    let _n_literals = get_varint(&payload, &mut pos).unwrap();
+    let quant = Quantizer::new(info.eb, info.radius);
+    let lorenzo = Lorenzo::new(&info.dims);
+    let [nz, ny, nx] = lorenzo.strides().ext;
+    let mut recon = vec![0.0f64; n];
+    let mut out = Vec::with_capacity(n);
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                let pred = lorenzo.predict(&recon, z, y, x);
+                let code = dec.decode_one_reference(&mut bits).unwrap();
+                let (v, r) = if code == UNPREDICTABLE {
+                    let v = T::read_le(&payload, &mut pos).unwrap();
+                    (v, Some(v.to_f64()).filter(|r| r.is_finite()).unwrap_or(0.0))
+                } else {
+                    let v = T::from_f64(quant.reconstruct(code, pred));
+                    (v, v.to_f64())
+                };
+                recon[out.len()] = r;
+                out.push(v);
+            }
+        }
+    }
+    out
+}
+
+fn le_bytes<T: Element>(values: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &v in values {
+        v.write_le(&mut out);
+    }
+    out
+}
+
+/// The fused row-block compressor must emit exactly the reference
+/// stream and the row-block decoder exactly the per-point replay, with
+/// scratches and output buffers left dirty by a differently shaped run.
+fn assert_schedule_equivalence<T: Element>(
+    dims: &[usize],
+    seed: u64,
+    density: u8,
+    lossless: bool,
+) -> Result<(), TestCaseError> {
+    let data: Vec<T> = escape_field(dims, seed, density);
+    let d = Dims::from_slice(dims).unwrap();
+    // A small radius turns the ±1e9 spikes (and their neighbors'
+    // predictions) into escapes.
+    let cfg = Config::abs(1e-2).with_radius(64).with_lossless(lossless);
+    let mut scratch = Scratch::new();
+    let mut dscratch = DecompressScratch::new();
+    let mut fused = vec![0xAAu8; 5];
+    let mut decoded: Vec<T> = Vec::new();
+    let dirty: Vec<T> = escape_field(&[3, 7, 5], seed ^ 0x9E37, 1);
+    compress_into(&dirty, &Dims::d3(3, 7, 5), &cfg, &mut scratch, &mut fused).unwrap();
+    decompress_into(&fused, &mut dscratch, &mut decoded).unwrap();
+
+    let reference = compress_reference(&data, &d, &cfg).unwrap();
+    let stats = compress_into(&data, &d, &cfg, &mut scratch, &mut fused).unwrap();
+    prop_assert_eq!(&fused, &reference, "stream diverged, dims {:?}", dims);
+    let rdims = decompress_into(&fused, &mut dscratch, &mut decoded).unwrap();
+    prop_assert_eq!(rdims, d);
+    let replayed: Vec<T> = replay_per_point(&fused);
+    prop_assert_eq!(
+        le_bytes(&decoded),
+        le_bytes(&replayed),
+        "decode diverged, dims {:?}",
+        dims
+    );
+    // Escapes round-trip bit-exactly, in place.
+    let escaped = data.iter().filter(|v| !v.to_f64().is_finite()).count();
+    prop_assert!(stats.n_unpredictable >= escaped);
+    for (a, b) in data.iter().zip(&decoded) {
+        if !a.to_f64().is_finite() {
+            prop_assert_eq!(le_bytes(&[*a]), le_bytes(&[*b]));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(64, 0x52_1173) /* pinned: deterministic CI */)]
+
+    #[test]
+    fn row_block_schedule_matches_oracles_f32(
+        dims in schedule_shape(),
+        seed in any::<u64>(),
+        density in 0u8..4,
+        lossless in any::<bool>(),
+    ) {
+        assert_schedule_equivalence::<f32>(&dims, seed, density, lossless)?;
+    }
+
+    #[test]
+    fn row_block_schedule_matches_oracles_f64(
+        dims in schedule_shape(),
+        seed in any::<u64>(),
+        density in 0u8..4,
+        lossless in any::<bool>(),
+    ) {
+        assert_schedule_equivalence::<f64>(&dims, seed, density, lossless)?;
+    }
+
+    #[test]
+    fn bit_writer_batch_matches_bit_at_a_time(
+        ops in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec((any::<u32>(), 1u8..=32), 0..12)),
+            0..24,
+        ),
+    ) {
+        // Batches interleaved with single `write_bits` calls against an
+        // oracle that appends one bit at a time.
+        let mut w = BitWriter::new();
+        let mut oracle: Vec<bool> = Vec::new();
+        for (batch, codes) in &ops {
+            for &(code, len) in codes {
+                oracle.extend((0..len).rev().map(|b| code >> b & 1 == 1));
+            }
+            if *batch {
+                w.write_codes(codes.iter().copied());
+            } else {
+                for &(code, len) in codes {
+                    w.write_bits(u64::from(code), len);
+                }
+            }
+            prop_assert_eq!(w.bit_len(), oracle.len());
+        }
+        let packed: Vec<u8> = oracle
+            .chunks(8)
+            .map(|c| c.iter().enumerate().fold(0u8, |a, (i, &b)| a | u8::from(b) << (7 - i)))
+            .collect();
+        prop_assert_eq!(w.finish(), packed);
+    }
 
     #[test]
     fn error_bound_invariant_abs((dims, data) in shape_and_data(), eb in 1e-4f64..10.0) {
