@@ -17,13 +17,15 @@
 //!    shows up even on a single core.
 //!
 //! On top of the file-level writes, the binary measures the **serial
-//! compress-stage split** of one whole-field szlite stream, from public
-//! calls only: the LZSS stage is the lossless on/off delta of
-//! `compress_into`, Huffman emission is a standalone
-//! `HuffmanEncoder::encode` over the emitted code stream, and the fused
-//! predict + quantize kernel (table build and framing included) is the
-//! remainder — the write-side mirror of `bench_decompress`'s entropy
-//! split.
+//! compress-stage split** over one whole-field szlite stream per field
+//! of the snapshot, from public calls only: the LZSS stage is the
+//! lossless on/off delta of `compress_into`, Huffman emission is a
+//! standalone `HuffmanEncoder::encode` over the emitted code stream,
+//! and the fused predict + quantize kernel (table build and framing
+//! included) is the remainder — the write-side mirror of
+//! `bench_decompress`'s entropy split. Next to what LZSS costs it
+//! records what LZSS returns: how many of the streams ended stored and
+//! the bytes the stage saved over all of them.
 //!
 //! Writes machine-readable results to `BENCH_compress.json` (override
 //! with `BENCH_OUT`), and asserts the pipelined files stay
@@ -75,77 +77,100 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Per-stage serial compress timings over one whole-field stream.
+/// Per-stage serial compress timings, summed over one whole-field
+/// stream per field, and what the LZSS stage returned for its time.
+#[derive(Default)]
 struct StageBreakdown {
+    streams: usize,
     n_points: usize,
     total_secs: f64,
     lzss_secs: f64,
     huffman_encode_secs: f64,
     kernel_secs: f64,
+    /// Streams whose lossless stage ended in stored mode.
+    lzss_streams_stored: usize,
+    /// Bytes by which the lossless stage shrank the streams, over all
+    /// of them (negative: the mode bytes of stored streams outweigh
+    /// the savings).
+    lzss_saved_bytes: i64,
 }
 
-/// Time the compress stages of a single szlite stream covering the
-/// whole field. Small fields are looped so every timed sample covers a
-/// few million points — the smoke run at side 16 stays noise-proof.
-fn stage_breakdown(data: &[f32], side: usize, reps: usize) -> StageBreakdown {
+/// Time the compress stages of one szlite stream per field, each
+/// covering its whole field. Small fields are looped so every timed
+/// sample covers a few million points — the smoke run at side 16 stays
+/// noise-proof.
+fn stage_breakdown(fields: &[workloads::Field], reps: usize) -> StageBreakdown {
     use szlite::huffman::{HuffmanDecoder, HuffmanEncoder};
     use szlite::stream::{get_varint, BitReader, BitWriter};
 
-    let dims = szlite::Dims::d3(side, side, side);
     let cfg = szlite::Config::rel(1e-3);
-    let n_points = data.len();
-    let iters = (4_000_000 / n_points).max(1);
+    let mut st = StageBreakdown::default();
     let mut scratch = szlite::Scratch::new();
     let mut out = Vec::new();
-    let mut timed = |cfg: &szlite::Config, out: &mut Vec<u8>| {
-        best_of(reps, || {
+    for field in fields {
+        let data = &field.data[..];
+        let dims = szlite::Dims::from_slice(&field.dims).unwrap();
+        let iters = (4_000_000 / data.len()).max(1);
+        let mut timed = |cfg: &szlite::Config, out: &mut Vec<u8>| {
+            best_of(reps, || {
+                for _ in 0..iters {
+                    szlite::compress_into(data, &dims, cfg, &mut scratch, out).unwrap();
+                }
+            }) / iters as f64
+        };
+        let total_secs = timed(&cfg, &mut out);
+        let lossless_len = out.len();
+        let plain_secs = timed(&cfg.clone().with_lossless(false), &mut out);
+        // A kept token stream is smaller than the payload it replaces;
+        // a stored one adds its mode byte.
+        st.lzss_streams_stored += usize::from(lossless_len > out.len());
+        st.lzss_saved_bytes += out.len() as i64 - lossless_len as i64;
+
+        // `out` now holds the lossless-off stream, whose payload is the
+        // Huffman table followed by the code stream: recover the
+        // symbols and re-emit them through a standalone encoder.
+        let info = szlite::stream_info(&out).unwrap();
+        let payload = &out[info.payload_offset..info.payload_offset + info.payload_len];
+        let mut pos = 0usize;
+        let dec = HuffmanDecoder::deserialize(payload, &mut pos).unwrap();
+        let n_codes = get_varint(payload, &mut pos).unwrap() as usize;
+        let code_len = get_varint(payload, &mut pos).unwrap() as usize;
+        let code_bytes = &payload[pos..pos + code_len];
+        let mut codes = Vec::new();
+        dec.decode_into(&mut BitReader::new(code_bytes), n_codes, &mut codes)
+            .unwrap();
+        let enc = HuffmanEncoder::from_symbols(&codes, 2 * info.radius as usize);
+        let mut bits = Vec::new();
+        let huffman_encode_secs = best_of(reps, || {
             for _ in 0..iters {
-                szlite::compress_into(data, &dims, cfg, &mut scratch, out).unwrap();
+                let mut w = BitWriter::with_buffer(std::mem::take(&mut bits));
+                enc.encode(&codes, &mut w);
+                bits = w.finish();
             }
-        }) / iters as f64
-    };
-    let total_secs = timed(&cfg, &mut out);
-    let plain_secs = timed(&cfg.clone().with_lossless(false), &mut out);
+        }) / iters as f64;
+        assert_eq!(bits, code_bytes, "standalone encode diverged from stream");
 
-    // `out` now holds the lossless-off stream, whose payload is the
-    // Huffman table followed by the code stream: recover the symbols
-    // and re-emit them through a standalone encoder.
-    let info = szlite::stream_info(&out).unwrap();
-    let payload = &out[info.payload_offset..info.payload_offset + info.payload_len];
-    let mut pos = 0usize;
-    let dec = HuffmanDecoder::deserialize(payload, &mut pos).unwrap();
-    let n_codes = get_varint(payload, &mut pos).unwrap() as usize;
-    let code_len = get_varint(payload, &mut pos).unwrap() as usize;
-    let code_bytes = &payload[pos..pos + code_len];
-    let mut codes = Vec::new();
-    dec.decode_into(&mut BitReader::new(code_bytes), n_codes, &mut codes)
-        .unwrap();
-    let enc = HuffmanEncoder::from_symbols(&codes, 2 * info.radius as usize);
-    let mut bits = Vec::new();
-    let huffman_encode_secs = best_of(reps, || {
-        for _ in 0..iters {
-            let mut w = BitWriter::with_buffer(std::mem::take(&mut bits));
-            enc.encode(&codes, &mut w);
-            bits = w.finish();
-        }
-    }) / iters as f64;
-    assert_eq!(bits, code_bytes, "standalone encode diverged from stream");
-
-    let lzss_secs = (total_secs - plain_secs).max(0.0);
-    let kernel_secs = (plain_secs - huffman_encode_secs).max(0.0);
-    println!(
-        "serial stage split       : kernel {kernel_secs:.4} s  huffman encode {huffman_encode_secs:.4} s \
-         ({:.0} Msym/s)  lzss {lzss_secs:.4} s  total {total_secs:.4} s ({:.1} MB/s)",
-        n_points as f64 / huffman_encode_secs / 1e6,
-        n_points as f64 * 4.0 / total_secs / 1e6,
-    );
-    StageBreakdown {
-        n_points,
-        total_secs,
-        lzss_secs,
-        huffman_encode_secs,
-        kernel_secs,
+        st.streams += 1;
+        st.n_points += data.len();
+        st.total_secs += total_secs;
+        st.lzss_secs += (total_secs - plain_secs).max(0.0);
+        st.huffman_encode_secs += huffman_encode_secs;
+        st.kernel_secs += (plain_secs - huffman_encode_secs).max(0.0);
     }
+    println!(
+        "serial stage split ({} streams): kernel {:.4} s  huffman encode {:.4} s ({:.0} Msym/s)  \
+         lzss {:.4} s ({} stored, {} B saved)  total {:.4} s ({:.1} MB/s)",
+        st.streams,
+        st.kernel_secs,
+        st.huffman_encode_secs,
+        st.n_points as f64 / st.huffman_encode_secs / 1e6,
+        st.lzss_secs,
+        st.lzss_streams_stored,
+        st.lzss_saved_bytes,
+        st.total_secs,
+        st.n_points as f64 * 4.0 / st.total_secs / 1e6,
+    );
+    st
 }
 
 struct Setup {
@@ -203,7 +228,7 @@ fn main() {
     let bytes: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
     let raw_bytes = bytes.len();
     let mb = raw_bytes as f64 / 1e6;
-    let stages = stage_breakdown(&field.data, side, reps);
+    let stages = stage_breakdown(&ds.fields, reps);
     let s = side as u64;
     let c = chunk as u64;
     let setup = Setup {
@@ -385,6 +410,7 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let st = &stages;
     let _ = writeln!(json, "  \"stages\": {{");
+    let _ = writeln!(json, "    \"streams\": {},", st.streams);
     let _ = writeln!(json, "    \"n_points\": {},", st.n_points);
     let _ = writeln!(json, "    \"total_secs\": {:.6},", st.total_secs);
     let _ = writeln!(json, "    \"kernel_secs\": {:.6},", st.kernel_secs);
@@ -394,6 +420,12 @@ fn main() {
         st.huffman_encode_secs
     );
     let _ = writeln!(json, "    \"lzss_secs\": {:.6},", st.lzss_secs);
+    let _ = writeln!(
+        json,
+        "    \"lzss_streams_stored\": {},",
+        st.lzss_streams_stored
+    );
+    let _ = writeln!(json, "    \"lzss_saved_bytes\": {},", st.lzss_saved_bytes);
     let _ = writeln!(
         json,
         "    \"serial_mb_per_s\": {:.3},",

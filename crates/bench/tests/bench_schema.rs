@@ -248,11 +248,13 @@ fn compress_artifact_has_the_stage_schema() {
         .get("stages")
         .unwrap_or_else(|| panic!("{name}: missing compress stage breakdown"));
     for key in [
+        "streams",
         "n_points",
         "total_secs",
         "kernel_secs",
         "huffman_encode_secs",
         "lzss_secs",
+        "lzss_streams_stored",
         "serial_mb_per_s",
         "huffman_encode_msym_per_s",
     ] {
@@ -261,6 +263,14 @@ fn compress_artifact_has_the_stage_schema() {
             .unwrap_or_else(|| panic!("{name}: missing stage key {key}"));
         assert!(v.is_finite() && v >= 0.0, "{name}: bad {key} = {v}");
     }
+    // What LZSS returned for `lzss_secs`: stored streams each cost
+    // their mode byte, so the total may be negative.
+    let stored = st.num("lzss_streams_stored").unwrap();
+    assert!(stored <= st.num("streams").unwrap());
+    let saved = st
+        .num("lzss_saved_bytes")
+        .unwrap_or_else(|| panic!("{name}: missing stage key lzss_saved_bytes"));
+    assert!(saved.is_finite() && saved >= -stored, "{name}: {saved}");
     // LZSS is the lossless on/off delta and the kernel the remainder
     // of the lossless-off run, so the stages can only undershoot the
     // measured total through clamping and rounding.

@@ -28,16 +28,19 @@ pub const LZSS_FILTER_ID: u32 = 1;
 /// compressor workspace (quantization codes, Huffman frequency tables,
 /// bit buffer), the mirror decompressor workspace (Huffman table with
 /// its primary decode LUT and sparse-rebuild scratch, code/literal
-/// staging, reconstruction grid), the byte↔float staging buffer, and
-/// the inter-stage ping-pong buffer all persist across chunks — so
-/// per-chunk decode pays only for the symbols a chunk actually uses,
-/// never for the full quantizer alphabet.
+/// staging, reconstruction grid), the byte↔float staging buffer, the
+/// LZSS filter's matcher tables, and the inter-stage ping-pong buffer
+/// all persist across chunks — so per-chunk decode pays only for the
+/// symbols a chunk actually uses, never for the full quantizer
+/// alphabet.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// szlite compressor workspace.
     pub sz: szlite::Scratch,
     /// szlite decompressor workspace (the decode mirror of `sz`).
     pub dsz: szlite::DecompressScratch,
+    /// LZSS filter matcher state.
+    lz: szlite::lossless::LzScratch,
     /// f32 staging for the SZ filter's byte↔float conversions.
     floats: Vec<f32>,
     /// Recycled intermediate buffer for multi-stage chains.
@@ -261,7 +264,13 @@ impl Filter for ShuffleFilter {
     }
 }
 
-/// LZSS lossless filter.
+/// LZSS lossless filter: szlite's trailing lossless stage on its own,
+/// with that stage's bytes contract (see [`szlite::lossless`]): a chunk
+/// that stops repeating for a whole 16 KiB window past its first is
+/// stored raw, whatever follows. After [`ShuffleFilter`] the noisy low
+/// mantissa bytes of little-endian floats come first, so keep such
+/// chunks within a few windows (≤ 64 KiB) if the exponent planes are to
+/// be compressed.
 pub struct LzssFilter;
 
 impl Filter for LzssFilter {
@@ -274,9 +283,9 @@ impl Filter for LzssFilter {
         data: &[u8],
         _params: &[u8],
         out: &mut Vec<u8>,
-        _scratch: &mut FilterScratch,
+        scratch: &mut FilterScratch,
     ) -> Result<()> {
-        out.extend_from_slice(&szlite::lossless::compress(data));
+        szlite::lossless::compress_into(data, out, &mut scratch.lz);
         Ok(())
     }
 

@@ -19,8 +19,8 @@ use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
-use crate::predictor::{Lorenzo, Planes};
-use crate::quantizer::{Quantizer, UNPREDICTABLE};
+use crate::predictor::{stencil, stencil_order, Lorenzo, Planes};
+use crate::quantizer::{round_within, Quantizer, UNPREDICTABLE};
 use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
 /// Stream magic: "SZL1".
@@ -136,21 +136,20 @@ pub(crate) const LANES: usize = 4;
 /// `above`, `rows` (the reconstructions produced), `zp` and `zs` are
 /// the block's [`Planes::block`] views — lane `j` reads rows `j` and
 /// `j + 1` of `zp`. Rows outside the grid are zero rows, which keeps
-/// the Lorenzo stencil uniform: adding `+0.0` for an absent neighbor is
-/// bit-exact because the accumulator can never be `-0.0` mid-chain (it
-/// starts at `+0.0` and IEEE-754 round-to-nearest only yields `-0.0`
-/// from sums of two negative zeros).
+/// the Lorenzo stencil uniform, and `D` is the lowest [`stencil`] order
+/// that is exact where the block sits ([`stencil_order`]), which keeps
+/// terms that can only be zero out of the serial chain.
 ///
 /// Every point executes the expression of [`compress_reference`] on the
-/// same operands whatever `L` is — division by `2·eb` stays a division,
-/// the stencil accumulates in the fixed `+x +y +z −xy −xz −yz +xyz`
-/// order, validity folds into one predicate with select-based writes —
-/// so codes, literals and reconstructions are bit-identical. Literals
-/// of the block's escapes are appended after the sweep, in row-major
-/// order, so the literal stream does not see the lane schedule.
-/// Returns the number of escapes.
+/// same operands whatever `L` and `D` are — division by `2·eb` stays a
+/// division, the stencil accumulates in the reference order, rounding
+/// goes through [`round_within`], validity folds into one predicate
+/// with select-based writes — so codes, literals and reconstructions
+/// are bit-identical. Literals of the block's escapes are appended after
+/// the sweep, in row-major order, so the literal stream does not see
+/// the lane schedule. Returns the number of escapes.
 #[allow(clippy::too_many_arguments)]
-fn quantize_rows<T: Element, const L: usize>(
+fn quantize_rows<T: Element, const L: usize, const D: usize>(
     data: &[T],
     nx: usize,
     above: &[f64],
@@ -167,7 +166,7 @@ fn quantize_rows<T: Element, const L: usize>(
 ) -> usize {
     debug_assert!(data.len() == L * nx && rows.len() == L * nx && codes.len() == L * nx);
     debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
-    let radius_f = radius as f64;
+    debug_assert!(D == 3 || zs == 0);
     // Per-lane running x-1 neighbors: own row, y-1 row, z-1 row, corner.
     let mut cx = [0.0f64; L];
     let mut pyx = [0.0f64; L];
@@ -184,16 +183,19 @@ fn quantize_rows<T: Element, const L: usize>(
             }
             let i = j * nx + x;
             let ry = if j == 0 { above[x] } else { cx[j - 1] };
-            let rz = zp[(j + 1) * zs + x];
-            let rzy = zp[j * zs + x];
-            let pred = ((((((0.0 + cx[j]) + ry) + rz) - pyx[j]) - pzx[j]) - rzy) + pzyx[j];
+            let (rz, rzy) = if D == 3 {
+                (zp[(j + 1) * zs + x], zp[j * zs + x])
+            } else {
+                (0.0, 0.0)
+            };
+            let pred = stencil::<D>(cx[j], ry, rz, pyx[j], pzx[j], rzy, pzyx[j]);
             let xv = data[i].to_f64();
             let d = xv - pred;
-            let q = (d / twice_eb).round();
-            // Branch-free validity: all comparisons are false on NaN, so
-            // a non-finite value or prediction lands in the escape lane.
-            let in_range = q.is_finite() & (q.abs() < radius_f);
-            let qi = if in_range { q as i64 } else { 0 };
+            // Branch-free validity: a non-finite value or prediction
+            // rounds to `None` and lands in the escape lane.
+            let q = round_within(d / twice_eb, radius);
+            let in_range = q.is_some();
+            let qi = q.unwrap_or(0);
             let r64 = pred + qi as f64 * twice_eb;
             // Round through the storage type so the decoder (which
             // emits T) sees exactly this value.
@@ -306,10 +308,12 @@ pub fn compress_into<T: Element>(
         let mut y = 0;
         while y < ny {
             let lanes = if ny - y >= LANES { LANES } else { 1 };
-            let kernel = if lanes == LANES {
-                quantize_rows::<T, LANES>
-            } else {
-                quantize_rows::<T, 1>
+            let kernel = match (lanes == LANES, stencil_order(z, ny)) {
+                (true, 3) => quantize_rows::<T, LANES, 3>,
+                (true, _) => quantize_rows::<T, LANES, 2>,
+                (false, 3) => quantize_rows::<T, 1, 3>,
+                (false, 2) => quantize_rows::<T, 1, 2>,
+                (false, _) => quantize_rows::<T, 1, 1>,
             };
             let base = z * plane + y * nx;
             let block = base..base + lanes * nx;

@@ -25,7 +25,7 @@ use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
-use crate::predictor::{Lorenzo, Planes};
+use crate::predictor::{stencil, stencil_order, Lorenzo, Planes};
 use crate::quantizer::{Quantizer, UNPREDICTABLE};
 use crate::stream::{get_f64, get_u32, get_varint, BitReader};
 
@@ -259,10 +259,12 @@ fn decode_stream<T: Element>(
                     .iter()
                     .all(|&c| c != UNPREDICTABLE && (c as usize) < alphabet);
             let lanes = if wide { LANES } else { 1 };
-            let kernel = if wide {
-                decode_rows::<T, LANES>
-            } else {
-                decode_rows::<T, 1>
+            let kernel = match (wide, stencil_order(z, ny)) {
+                (true, 3) => decode_rows::<T, LANES, 3>,
+                (true, _) => decode_rows::<T, LANES, 2>,
+                (false, 3) => decode_rows::<T, 1, 3>,
+                (false, 2) => decode_rows::<T, 1, 2>,
+                (false, _) => decode_rows::<T, 1, 1>,
             };
             let block = base..base + lanes * nx;
             let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
@@ -290,12 +292,13 @@ fn decode_stream<T: Element>(
 ///
 /// Mirror of the compressor's `quantize_rows` — same arguments, same
 /// one-element-lag schedule over the lanes, the same prediction
-/// expression on the same operands, so the replayed values are
-/// bit-identical to the per-point replay whatever `L` is. Literals are
-/// consumed in visit order, which is stream order only for `L = 1`:
-/// the caller runs `L > 1` on escape-free blocks only.
+/// expression (of stencil order `D`) on the same operands, so the
+/// replayed values are bit-identical to the per-point replay whatever
+/// `L` and `D` are. Literals are consumed in visit order, which is
+/// stream order only for `L = 1`: the caller runs `L > 1` on
+/// escape-free blocks only.
 #[allow(clippy::too_many_arguments)]
-fn decode_rows<T: Element, const L: usize>(
+fn decode_rows<T: Element, const L: usize, const D: usize>(
     codes: &[u32],
     nx: usize,
     above: &[f64],
@@ -310,6 +313,7 @@ fn decode_rows<T: Element, const L: usize>(
     debug_assert!(codes.len() == L * nx && rows.len() == L * nx && out.len() == L * nx);
     debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
     debug_assert!(L == 1 || !codes.contains(&UNPREDICTABLE));
+    debug_assert!(D == 3 || zs == 0);
     let alphabet = quant.alphabet();
     let mut cx = [0.0f64; L];
     let mut pyx = [0.0f64; L];
@@ -323,9 +327,12 @@ fn decode_rows<T: Element, const L: usize>(
             }
             let i = j * nx + x;
             let ry = if j == 0 { above[x] } else { cx[j - 1] };
-            let rz = zp[(j + 1) * zs + x];
-            let rzy = zp[j * zs + x];
-            let pred = ((((((0.0 + cx[j]) + ry) + rz) - pyx[j]) - pzx[j]) - rzy) + pzyx[j];
+            let (rz, rzy) = if D == 3 {
+                (zp[(j + 1) * zs + x], zp[j * zs + x])
+            } else {
+                (0.0, 0.0)
+            };
+            let pred = stencil::<D>(cx[j], ry, rz, pyx[j], pzx[j], rzy, pzyx[j]);
             let code = codes[i];
             let (value, rv) = if code == UNPREDICTABLE {
                 let v = T::read_le(lit_bytes, lit_pos)?;

@@ -6,6 +6,29 @@
 //! regions → long zero-code runs) and falls back to a raw copy when the
 //! Huffman output is effectively random (the paper's low-ratio regime,
 //! §III-D factor 3).
+//!
+//! The stage is built to cost what it returns:
+//!
+//! * the matcher works through two fixed, cache-sized `u32` tables
+//!   ([`LzScratch`]: a 256 KiB hash head and a 256 KiB ring of chain
+//!   links), whatever the input length;
+//! * it *gives up* on input that does not repeat: once a whole 16 KiB
+//!   window of input past the first has cost 1.10× its size or more in
+//!   output (all literals cost 1.125×), the stream is stored raw —
+//!   exactly what a finished token stream that is not smaller than its
+//!   input ends as, minus the time spent finding that out. Window and
+//!   threshold are private constants set from the measured
+//!   distribution quoted on them; there is no knob.
+//!
+//! # Bytes contract
+//!
+//! The output is a pure function of the input bytes. Against the
+//! exhaustive matcher (every position searched to the end, the
+//! behaviour before the give-up existed) a stream differs only if a
+//! repeat-free stretch of at least one window is followed by enough
+//! compressible input to have paid for it — or if the input is too long
+//! for 32-bit positions (≈ 4 GiB) — and then it is the stored input
+//! plus the mode byte, so never larger than skipping the stage + 1.
 
 use crate::error::{Result, SzError};
 use crate::stream::{get_varint, put_varint};
@@ -15,6 +38,31 @@ const MAX_MATCH: usize = 255 + MIN_MATCH;
 const WINDOW: usize = 65535;
 const HASH_BITS: u32 = 16;
 const MAX_CHAIN: usize = 48;
+/// Slots of the chain-link ring: the smallest power of two above
+/// [`WINDOW`], so an in-window position never shares a slot with a
+/// later one that has already been inserted.
+const RING: usize = WINDOW + 1;
+/// First epoch base: past the window, so the empty marker 0 fails the
+/// window check like any stale entry.
+const FIRST_BASE: u32 = WINDOW as u32 + 1;
+
+/// Input bytes per give-up decision.
+///
+/// Measured on the payloads of the paper's workloads (Nyx 48×96×96 × 6
+/// fields, VPIC 2^18 × 8 fields, RTM 64×128×128; relative bound 1e-3,
+/// seven generator seeds, 1368 windows past the first), output bytes
+/// per input byte of a 16 KiB window are sharply bimodal: windows of
+/// incompressible Huffman output cost 1.122–1.125 (all literals plus
+/// one flag bit each), windows of the two compressible Nyx density
+/// fields 0.87–1.04, and nothing lands in between — except a stream's
+/// *first* window, which holds the serialized Huffman table and reads
+/// anything from 0.79 to 1.125. Hence: never judge the first window,
+/// and put the threshold in the gap.
+const GIVE_UP_WINDOW: usize = 16 << 10;
+/// A window past the first that emits at least this percentage of its
+/// input ends the search (see [`GIVE_UP_WINDOW`] for the measured gap
+/// it sits in).
+const GIVE_UP_PERCENT: usize = 110;
 
 /// Stage tag: payload stored raw (incompressible input).
 const MODE_RAW: u8 = 0;
@@ -22,24 +70,34 @@ const MODE_RAW: u8 = 0;
 const MODE_LZSS: u8 = 1;
 
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+fn load4(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]])
+}
+
+#[inline]
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Reusable LZSS matcher state: the hash-head table and chain links.
+/// Reusable LZSS matcher state: the hash-head table (2^16 × `u32`,
+/// 256 KiB) and the ring of chain links (2^16 × `u32`, 256 KiB),
+/// allocated on first use and never resized — the matcher's working
+/// set is half a megabyte however long the input is.
 ///
-/// The head table stores *epoch-offset* positions: each compressed
-/// buffer advances `base` by at least `len + WINDOW + 1`, so entries
-/// left over from a previous buffer automatically fail the window
-/// check. That turns the 512 KiB per-call head-table reset (the old
-/// `vec![usize::MAX; 1 << HASH_BITS]`) into a one-time allocation —
-/// the dominant LZSS cost for small per-chunk payloads.
+/// Both tables store *epoch-offset* positions `base + i`: every
+/// compressed buffer advances `base` by `len + WINDOW + 1`, so entries
+/// left over from a previous buffer (and the empty marker 0) fail the
+/// window check like any other out-of-window position and the head
+/// table is not cleared between calls. It is zeroed only when `base`
+/// would pass `u32::MAX`, once per ≈ 4 GiB compressed. A link is read
+/// only from the slot of an in-window candidate of the current buffer,
+/// and that slot cannot have been reused: position `cand + 2^16` lies
+/// ahead of the position being matched.
 #[derive(Debug, Default)]
 pub struct LzScratch {
-    head: Vec<u64>,
-    prev: Vec<u64>,
-    base: u64,
+    head: Vec<u32>,
+    links: Vec<u32>,
+    base: u32,
 }
 
 /// Compress `input`, always producing a self-describing stream
@@ -55,10 +113,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn compress_into(input: &[u8], out: &mut Vec<u8>, scratch: &mut LzScratch) {
     out.clear();
     out.push(MODE_LZSS);
-    lzss_compress_into(input, out, scratch);
-    if out.len() >= input.len() {
-        // Incompressible: store raw (same cutoff as before — LZSS is
-        // kept only when mode byte + tokens is smaller than the input).
+    if !lzss_compress_into(input, out, scratch, true) || out.len() >= input.len() {
+        // Incompressible: store raw. LZSS is kept only when mode byte +
+        // tokens is smaller than the input.
         out.clear();
         out.push(MODE_RAW);
         out.extend_from_slice(input);
@@ -111,33 +168,60 @@ fn match_len(input: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     l
 }
 
-fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch) {
-    put_varint(out, input.len() as u64);
-    if input.is_empty() {
-        return;
-    }
+/// Link position `i` (epoch-offset `gi`, hash `h`) in front of its
+/// hash chain.
+#[inline]
+fn insert(head: &mut [u32; 1 << HASH_BITS], links: &mut [u32; RING], h: usize, i: usize, gi: u32) {
+    links[i % RING] = head[h];
+    head[h] = gi;
+}
 
+/// Append the LZSS token stream of `input` to `out`.
+///
+/// Returns `false` when the search was abandoned and `out` holds only a
+/// useless prefix: `give_up` is set and a window past the first cost
+/// [`GIVE_UP_PERCENT`] of its input or more, or the input is too long
+/// for 32-bit positions. `give_up` is `true` everywhere but in the
+/// tests that compare token streams against the exhaustive matcher.
+fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch, give_up: bool) -> bool {
+    put_varint(out, input.len() as u64);
+    let n = input.len();
+    if n == 0 {
+        return true;
+    }
+    if n > (u32::MAX - 2 * FIRST_BASE) as usize {
+        return false;
+    }
+    // Positions this buffer takes out of the epoch: its own, plus the
+    // gap that puts them out of the next buffer's window.
+    let span = n as u32 + FIRST_BASE;
     if s.head.is_empty() {
-        s.head = vec![0u64; 1 << HASH_BITS];
-        // Positions are stored as `base + i` with 0 meaning "empty";
-        // starting past the window makes the empty marker fail the
-        // window check like any stale entry.
-        s.base = WINDOW as u64 + 1;
+        s.head = vec![0; 1 << HASH_BITS];
+        s.links = vec![0; RING];
+        s.base = FIRST_BASE;
+    } else if span > u32::MAX - s.base {
+        s.head.fill(0);
+        s.base = FIRST_BASE;
     }
     let base = s.base;
-    // Next call's positions are unreachable from this one through the
-    // window check, so the head table never needs resetting.
-    s.base = base + input.len() as u64 + WINDOW as u64 + 1;
-    s.prev.clear();
-    s.prev.resize(input.len(), 0);
-    let head = &mut s.head[..];
-    let prev = &mut s.prev[..];
+    s.base = base + span;
+    // Fixed-size views: indices derived from a 16-bit hash or a
+    // position modulo `RING` need no bounds check.
+    let head: &mut [u32; 1 << HASH_BITS] = (&mut s.head[..]).try_into().expect("head size");
+    let links: &mut [u32; RING] = (&mut s.links[..]).try_into().expect("ring size");
+    // Positions below this have `MIN_MATCH` bytes ahead of them: they
+    // are hashed, inserted and searched; the last few are not.
+    let hashable = n.saturating_sub(MIN_MATCH - 1);
 
     let mut i = 0usize;
     // Token group: flag byte position + bit count.
     let mut flag_pos = out.len();
     out.push(0);
     let mut flag_bits = 0u8;
+    // Give-up window: where it began in the input and in the output,
+    // and the input position that completes it.
+    let (mut win_in, mut win_out) = (0usize, 0usize);
+    let mut win_end = if give_up { GIVE_UP_WINDOW } else { usize::MAX };
 
     macro_rules! push_flag {
         ($bit:expr) => {
@@ -153,23 +237,38 @@ fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch) {
         };
     }
 
-    while i < input.len() {
+    while i < n {
+        if i >= win_end {
+            // The first window (`win_in == 0`) holds the Huffman table
+            // and is never judged.
+            if win_in > 0 && (out.len() - win_out) * 100 >= (i - win_in) * GIVE_UP_PERCENT {
+                return false;
+            }
+            win_in = i;
+            win_out = out.len();
+            win_end = i + GIVE_UP_WINDOW;
+        }
+
+        let gi = base + i as u32;
+        let mut h = 0usize;
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= input.len() {
-            let h = hash4(input, i);
-            let gi = base + i as u64;
+        if i < hashable {
+            let v = load4(input, i);
+            h = hash4(v);
+            let max_len = (n - i).min(MAX_MATCH);
             let mut g = head[h];
             let mut chain = 0;
-            let max_len = (input.len() - i).min(MAX_MATCH);
-            while gi - g <= WINDOW as u64 && chain < MAX_CHAIN {
+            while gi.wrapping_sub(g) <= WINDOW as u32 && chain < MAX_CHAIN {
                 let cand = (g - base) as usize;
-                // A candidate can only beat `best_len` if it also
-                // matches at offset `best_len`; skipping the scan
-                // otherwise never changes which match wins.
-                if best_len == 0
-                    || (best_len < max_len && input[cand + best_len] == input[i + best_len])
-                {
+                // One 4-byte compare rejects a candidate shorter than
+                // `MIN_MATCH`: it can never be the emitted match, and
+                // ignoring it never changes which longer one wins (the
+                // first in chain order to reach the maximum length).
+                // Past that, a candidate can only beat `best_len` if it
+                // also matches at offset `best_len` (< `max_len`, or
+                // the walk would have stopped).
+                if load4(input, cand) == v && input[cand + best_len] == input[i + best_len] {
                     let l = match_len(input, cand, i, max_len);
                     if l > best_len {
                         best_len = l;
@@ -179,7 +278,7 @@ fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch) {
                         }
                     }
                 }
-                g = prev[cand];
+                g = links[cand % RING];
                 chain += 1;
             }
         }
@@ -188,26 +287,23 @@ fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch) {
             push_flag!(true);
             out.extend_from_slice(&(best_dist as u16).to_le_bytes());
             out.push((best_len - MIN_MATCH) as u8);
-            // Insert hash entries for the covered span (sparsely for speed).
+            // Insert hash entries for the covered span.
+            insert(head, links, h, i, gi);
             let end = i + best_len;
-            while i < end && i + MIN_MATCH <= input.len() {
-                let h = hash4(input, i);
-                prev[i] = head[h];
-                head[h] = base + i as u64;
-                i += 1;
+            for p in i + 1..end.min(hashable) {
+                insert(head, links, hash4(load4(input, p)), p, base + p as u32);
             }
             i = end;
         } else {
             push_flag!(false);
             out.push(input[i]);
-            if i + MIN_MATCH <= input.len() {
-                let h = hash4(input, i);
-                prev[i] = head[h];
-                head[h] = base + i as u64;
+            if i < hashable {
+                insert(head, links, h, i, gi);
             }
             i += 1;
         }
     }
+    true
 }
 
 fn lzss_decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
@@ -286,8 +382,35 @@ fn lzss_decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
+impl LzScratch {
+    /// Move the epoch forward, as if `base` positions had been
+    /// compressed through this scratch.
+    fn set_base(&mut self, base: u32) {
+        assert!(!self.head.is_empty() && base >= self.base);
+        self.base = base;
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Pseudo-random (incompressible) bytes.
+    fn xorshift_bytes(seed: u32, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 8) as u8
+            })
+            .collect()
+    }
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
@@ -323,16 +446,7 @@ mod tests {
 
     #[test]
     fn incompressible_falls_back_to_raw() {
-        // xorshift-style pseudo-random bytes
-        let mut x = 0x12345678u32;
-        let data: Vec<u8> = (0..10_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                (x & 0xff) as u8
-            })
-            .collect();
+        let data = xorshift_bytes(0x12345678, 10_000);
         let c = compress(&data);
         assert!(c.len() <= data.len() + 1);
         roundtrip(&data);
@@ -369,24 +483,13 @@ mod tests {
         // overlapping self-copies, tiny, empty) must emit exactly the
         // stream a fresh scratch does: stale head entries may never
         // surface as match candidates.
-        let mut x = 0xdeadbeefu32;
-        let mut rnd = |n: usize| -> Vec<u8> {
-            (0..n)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 17;
-                    x ^= x << 5;
-                    (x & 0xff) as u8
-                })
-                .collect()
-        };
         let buffers: Vec<Vec<u8>> = vec![
             b"abcabcabcabc".repeat(64),
-            rnd(10_000),
+            xorshift_bytes(0xdeadbeef, 10_000),
             vec![b'a'; 1000],
             b"abcabcabcabc".repeat(64), // repeat of an earlier input
             Vec::new(),
-            rnd(3),
+            xorshift_bytes(77, 3),
             vec![0u8; 100_000],
         ];
         let mut s = LzScratch::default();
@@ -572,5 +675,177 @@ mod tests {
         buf.extend_from_slice(&100u16.to_le_bytes());
         buf.push(0);
         assert!(decompress(&buf).is_err());
+    }
+
+    /// Length varint + token groups of the exhaustive oracle.
+    fn oracle_stream(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, input.len() as u64);
+        oracle::tokens(input, &mut out);
+        out
+    }
+
+    /// Token stream of the matcher under test; `None` when it gave up.
+    fn token_stream(input: &[u8], s: &mut LzScratch, give_up: bool) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        lzss_compress_into(input, &mut out, s, give_up).then_some(out)
+    }
+
+    /// One stretch of a generated input: `(kind, len, seed, period)`.
+    type Segment = (u8, usize, u32, usize);
+
+    /// Inputs up to ~200 KiB from a small recipe, so a failure shrinks
+    /// and prints as a handful of integers.
+    fn build(segments: &[Segment]) -> Vec<u8> {
+        let mut data: Vec<u8> = Vec::new();
+        for &(kind, len, seed, period) in segments {
+            let noise = xorshift_bytes(seed, len);
+            match kind {
+                // Incompressible.
+                0 => data.extend(noise),
+                // Periodic, period 1..=300.
+                1 => data.extend(noise[..period.min(len)].iter().cycle().take(len)),
+                // A constant run.
+                2 => data.extend(std::iter::repeat_n(seed as u8, len)),
+                // Four-symbol alphabet: hash chains deeper than
+                // `MAX_CHAIN`, matches of every length.
+                3 => data.extend(noise.iter().map(|b| b & 3)),
+                // Payload-like: a replay of earlier bytes (possibly
+                // from beyond the window) with sparse mutations.
+                _ => {
+                    let from = seed as usize % (data.len() + 1);
+                    let copy: Vec<u8> = data[from..].iter().copied().take(len).collect();
+                    data.extend(
+                        copy.iter()
+                            .zip(&noise)
+                            .map(|(&b, &r)| if r < 4 { b ^ r } else { b }),
+                    );
+                }
+            }
+        }
+        data
+    }
+
+    thread_local! {
+        /// One scratch for every proptest case, dirty from the last.
+        static DIRTY: std::cell::RefCell<LzScratch> = std::cell::RefCell::default();
+    }
+
+    proptest! {
+        // Sized for the unoptimised tier-1 run (~10 ms a case there);
+        // CI's release step of this crate runs the larger count.
+        #![proptest_config(ProptestConfig::with_cases_and_seed(
+            if cfg!(debug_assertions) { 48 } else { 256 },
+            0x15_1255,
+        ) /* pinned: deterministic CI */)]
+
+        #[test]
+        fn tokens_equal_the_exhaustive_oracle(
+            segments in proptest::collection::vec(
+                (0u8..5, 0usize..=40 << 10, any::<u32>(), 1usize..=300),
+                0..=5,
+            ),
+        ) {
+            let data = build(&segments);
+            let expect = oracle_stream(&data);
+            let got = DIRTY.with_borrow_mut(|s| token_stream(&data, s, false));
+            prop_assert!(got.as_ref() == Some(&expect), "len {}", data.len());
+            prop_assert_eq!(naive_expand(&expect).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn epoch_reset_keeps_tokens() {
+        // Drive `base` to the end of the u32 epoch: a buffer that just
+        // fits runs on the dirty head, the next one zeroes it and
+        // starts over; both must match the oracle, as must buffers
+        // compressed after the reset.
+        let a = build(&[(3, 9000, 7, 1), (1, 5000, 9, 37)]);
+        let b = build(&[(1, 70_000, 11, 300), (0, 100, 3, 1), (4, 8000, 500, 1)]);
+        let mut s = LzScratch::default();
+        assert!(token_stream(&a, &mut s, false) == Some(oracle_stream(&a)));
+        let span = b.len() as u32 + FIRST_BASE;
+        s.set_base(u32::MAX - span);
+        assert!(token_stream(&b, &mut s, false) == Some(oracle_stream(&b)));
+        assert_eq!(s.base, u32::MAX, "the buffer fits exactly");
+        assert!(token_stream(&a, &mut s, false) == Some(oracle_stream(&a)));
+        assert_eq!(s.base, FIRST_BASE + a.len() as u32 + FIRST_BASE, "reset");
+        s.set_base(u32::MAX - span + 1);
+        assert!(token_stream(&b, &mut s, false) == Some(oracle_stream(&b)));
+        assert_eq!(s.base, FIRST_BASE + span, "one position short: reset");
+        assert!(token_stream(&a, &mut s, false) == Some(oracle_stream(&a)));
+    }
+
+    #[test]
+    fn noise_gives_up_and_is_stored() {
+        let data = xorshift_bytes(0x1234_5678, 64 << 10);
+        let mut s = LzScratch::default();
+        assert!(token_stream(&data, &mut s, true).is_none());
+        let c = compress(&data);
+        assert_eq!(c[0], MODE_RAW);
+        assert_eq!(c.len(), data.len() + 1);
+        roundtrip(&data);
+    }
+
+    #[test]
+    fn flat_histogram_periodic_data_still_compresses() {
+        // Every byte value equally often — a histogram gate would call
+        // this incompressible — but the sequence repeats.
+        let mut perm: Vec<u8> = (0..=255).collect();
+        for (i, r) in xorshift_bytes(99, 256).into_iter().enumerate() {
+            perm.swap(i, r as usize);
+        }
+        let data: Vec<u8> = perm.iter().copied().cycle().take(128 << 10).collect();
+        let c = compress(&data);
+        assert_eq!(c[0], MODE_LZSS);
+        assert!(c.len() < data.len() / 20, "{} of {}", c.len(), data.len());
+        roundtrip(&data);
+    }
+
+    #[test]
+    fn give_up_judges_whole_windows_past_the_first() {
+        let noise = xorshift_bytes(5, 64 << 10);
+        let mut s = LzScratch::default();
+
+        // Below two windows nothing is judged: noise runs to the end
+        // and ends stored by the size check, exactly as before.
+        for len in [GIVE_UP_WINDOW, 2 * GIVE_UP_WINDOW - 1, 2 * GIVE_UP_WINDOW] {
+            let got = token_stream(&noise[..len], &mut s, true);
+            assert!(got == Some(oracle_stream(&noise[..len])), "len {len}");
+            assert_eq!(compress(&noise[..len])[0], MODE_RAW);
+            roundtrip(&noise[..len]);
+        }
+        // One byte into the third window, the second has been judged.
+        let len = 2 * GIVE_UP_WINDOW + 1;
+        assert!(token_stream(&noise[..len], &mut s, true).is_none());
+
+        // A compressible first window does not excuse the noise after
+        // it, although here the finished stream would have been kept.
+        let mut data = vec![0u8; GIVE_UP_WINDOW];
+        data.extend_from_slice(&noise);
+        assert!(1 + oracle_stream(&data).len() < data.len());
+        assert!(token_stream(&data, &mut s, true).is_none());
+        assert_eq!(compress(&data)[0], MODE_RAW);
+        roundtrip(&data);
+
+        // The contract's worst case: noise first, then input the
+        // exhaustive matcher would have shrunk 20-fold — stored,
+        // `len + 1`.
+        let mut data = noise[..2 * GIVE_UP_WINDOW].to_vec();
+        data.resize(1 << 20, 0);
+        assert!(oracle_stream(&data).len() < data.len() / 20);
+        let c = compress(&data);
+        assert_eq!((c[0], c.len()), (MODE_RAW, data.len() + 1));
+        roundtrip(&data);
+
+        // An incompressible stretch of three quarters of a window does
+        // not end the search, inside one window or across two.
+        for at in [GIVE_UP_WINDOW + 100, 2 * GIVE_UP_WINDOW - 6000] {
+            let stretch = GIVE_UP_WINDOW * 3 / 4;
+            let mut data = vec![7u8; 4 * GIVE_UP_WINDOW];
+            data[at..at + stretch].copy_from_slice(&noise[..stretch]);
+            assert!(token_stream(&data, &mut s, true) == Some(oracle_stream(&data)));
+            roundtrip(&data);
+        }
     }
 }

@@ -107,6 +107,47 @@ impl Lorenzo {
     }
 }
 
+/// Lowest Lorenzo order that is exact for a row block of plane `z` in a
+/// grid of `ny` rows (the `D` of [`stencil`]): the first plane has no
+/// `z − 1` neighbors, and with a single row per plane no `y − 1`
+/// neighbors either.
+pub(crate) fn stencil_order(z: usize, ny: usize) -> usize {
+    match (z, ny) {
+        (0, 1) => 1,
+        (0, _) => 2,
+        _ => 3,
+    }
+}
+
+/// The prediction of the row-block kernels from the reconstructions at
+/// `x−1`, `y−1`, `z−1` and the four corners, accumulated in the fixed
+/// `+x +y +z −xy −xz −yz +xyz` order of [`Lorenzo::predict`].
+///
+/// The kernels read zero rows where `predict` branches. Adding `+0.0`
+/// for an absent neighbor is bit-exact because the accumulator can
+/// never be `-0.0` mid-chain (it starts at `+0.0`, and IEEE-754
+/// round-to-nearest only yields `-0.0` from sums of two negative
+/// zeros) — and by the same argument the terms that can only be zero
+/// rows may be left out of the serial chain altogether: order `D = 2`
+/// evaluates `+x +y −xy`, `D = 1` only `+x`, for blocks where
+/// [`stencil_order`] says the rest is zero.
+#[inline(always)]
+pub(crate) fn stencil<const D: usize>(
+    x: f64,
+    y: f64,
+    z: f64,
+    xy: f64,
+    xz: f64,
+    yz: f64,
+    xyz: f64,
+) -> f64 {
+    match D {
+        1 => 0.0 + x,
+        2 => ((0.0 + x) + y) - xy,
+        _ => ((((((0.0 + x) + y) + z) - xy) - xz) - yz) + xyz,
+    }
+}
+
 /// Rolling reconstruction state of the row-block kernels: the plane
 /// being produced and the one before it — a block reads nothing older.
 ///

@@ -18,6 +18,34 @@ pub struct Quantizer {
 /// Symbol reserved for unpredictable (literal) points.
 pub const UNPREDICTABLE: u32 = 0;
 
+/// `u.round()` as an integer when it lies strictly inside `±radius`,
+/// `None` otherwise — the range test and rounding of
+/// [`Quantizer::quantize`] without `f64::round`, which is a libm call
+/// on baseline x86-64 and spills every live register of the row
+/// kernels around it.
+///
+/// Same answer as `q = u.round(); q.is_finite() && q.abs() < radius`
+/// then `q as i64`, for every `u` and `2 ≤ radius ≤ 2^32`:
+///
+/// * `round` is half-away-from-zero, so `|round(u)| = ⌊|u| + ½⌋`, which
+///   is below the integer `radius` exactly when `|u| < radius − ½`; that
+///   bound is representable, and the comparison is false for NaN and
+///   ±∞ just as `is_finite` is.
+/// * Inside the range `|u| < 2^32`: `t = u as i64` is the exact
+///   truncation, `t as f64` and the fraction `u − t` are exact, and
+///   half-away-from-zero moves `t` one step outward exactly when the
+///   fraction reaches ±½ (`-0.0` has fraction `-0.0` and stays 0).
+#[inline]
+pub(crate) fn round_within(u: f64, radius: i64) -> Option<i64> {
+    if u.abs() < radius as f64 - 0.5 {
+        let t = u as i64;
+        let fr = u - t as f64;
+        Some(t + i64::from(fr >= 0.5) - i64::from(fr <= -0.5))
+    } else {
+        None
+    }
+}
+
 impl Quantizer {
     /// Create a quantizer for absolute bound `eb` (> 0) and codebook
     /// half-size `radius` (≥ 2).
@@ -107,6 +135,63 @@ mod tests {
                 assert!(code > 0);
             }
         }
+    }
+
+    /// The range test and rounding `round_within` replaces.
+    fn round_reference(u: f64, radius: i64) -> Option<i64> {
+        let q = u.round();
+        (q.is_finite() && q.abs() < radius as f64).then_some(q as i64)
+    }
+
+    #[test]
+    fn round_within_matches_f64_round() {
+        for radius in [2i64, 3, 64, 32768, 1 << 31, i64::from(u32::MAX)] {
+            let edge = radius as f64 - 0.5;
+            let mut probes = vec![
+                0.0,
+                5e-324,
+                f64::MIN_POSITIVE,
+                (1u64 << 52) as f64,
+                (1u64 << 52) as f64 + 1.0,
+                (1u64 << 53) as f64,
+                1e300,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            // Ties, the range edge and the integers around it, each
+            // with both neighbors one ulp away.
+            for center in [
+                0.5,
+                1.5,
+                2.5,
+                edge - 1.0,
+                edge,
+                radius as f64 - 1.0,
+                radius as f64,
+            ] {
+                probes.extend([center.next_down(), center, center.next_up()]);
+            }
+            for p in probes {
+                for u in [p, -p] {
+                    assert_eq!(
+                        round_within(u, radius),
+                        round_reference(u, radius),
+                        "u = {u:e}, radius {radius}"
+                    );
+                }
+            }
+        }
+        // Every quarter step across a small range, and its neighbors.
+        for k in -300i32..=300 {
+            let c = f64::from(k) * 0.25;
+            for u in [c.next_down(), c, c.next_up()] {
+                assert_eq!(round_within(u, 64), round_reference(u, 64), "u = {u:e}");
+            }
+        }
+        assert_eq!(round_within(-0.0, 2), Some(0));
+        assert_eq!(round_within(1.5, 2), None);
+        assert_eq!(round_within(1.5f64.next_down(), 2), Some(1));
+        assert_eq!(round_within(-2.5, 64), Some(-3));
     }
 
     #[test]

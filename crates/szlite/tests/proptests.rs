@@ -44,7 +44,8 @@ fn schedule_shape() -> impl Strategy<Value = Vec<usize>> {
 /// random, 2 every point of some anti-diagonals `(x + y) % 3 == c` —
 /// the lanes of a block visit `x + y = const` in one iteration, so
 /// several of them escape together — 3 both. Escapes cycle through
-/// NaN, ±Inf and spikes far outside the quantizer radius.
+/// NaN, ±Inf, spikes far outside the quantizer radius and `-0.0` (which
+/// escapes, and then *is* a reconstruction, next to a spike).
 fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
     let nx = *dims.last().unwrap();
     let ny = if dims.len() >= 2 {
@@ -68,12 +69,13 @@ fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
             let sparse = density & 1 != 0 && r % 11 == 0;
             let striped = density & 2 != 0 && (x + y) as u64 % 3 == diagonal;
             T::from_f64(if sparse || striped {
-                match (r >> 20) % 5 {
+                match (r >> 20) % 6 {
                     0 => f64::NAN,
                     1 => f64::INFINITY,
                     2 => f64::NEG_INFINITY,
                     3 => 1e9,
-                    _ => -1e9,
+                    4 => -1e9,
+                    _ => -0.0,
                 }
             } else {
                 smooth
@@ -136,17 +138,29 @@ fn le_bytes<T: Element>(values: &[T]) -> Vec<u8> {
 /// The fused row-block compressor must emit exactly the reference
 /// stream and the row-block decoder exactly the per-point replay, with
 /// scratches and output buffers left dirty by a differently shaped run.
+///
+/// With `ties` the bound is a power of two and every finite value a
+/// multiple of it, so reconstructions stay multiples of `2·eb`, every
+/// other quotient is an exact `k + ½` tie and its reconstruction sits
+/// exactly on the bound.
 fn assert_schedule_equivalence<T: Element>(
     dims: &[usize],
     seed: u64,
     density: u8,
     lossless: bool,
+    ties: bool,
 ) -> Result<(), TestCaseError> {
-    let data: Vec<T> = escape_field(dims, seed, density);
+    let mut data: Vec<T> = escape_field(dims, seed, density);
     let d = Dims::from_slice(dims).unwrap();
+    let eb = if ties { 1.0 / 64.0 } else { 1e-2 };
+    if ties {
+        for v in &mut data {
+            *v = T::from_f64((v.to_f64() / eb).round() * eb);
+        }
+    }
     // A small radius turns the ±1e9 spikes (and their neighbors'
     // predictions) into escapes.
-    let cfg = Config::abs(1e-2).with_radius(64).with_lossless(lossless);
+    let cfg = Config::abs(eb).with_radius(64).with_lossless(lossless);
     let mut scratch = Scratch::new();
     let mut dscratch = DecompressScratch::new();
     let mut fused = vec![0xAAu8; 5];
@@ -178,6 +192,40 @@ fn assert_schedule_equivalence<T: Element>(
     Ok(())
 }
 
+/// The reduced stencils (1-D: `+x` only; first plane: `+x +y −xy`)
+/// on every shape class that selects them — rows, single columns,
+/// planes with and without full lane blocks, single-row volumes whose
+/// later planes go back to the full stencil — with `-0.0`, NaN, ±Inf
+/// and spike inputs at every density, plain and at exact ties.
+#[test]
+fn low_order_stencils_match_oracles() {
+    let shapes: [&[usize]; 14] = [
+        &[1],
+        &[2],
+        &[5],
+        &[64],
+        &[1000],
+        &[1, 7],
+        &[13, 1],
+        &[2, 5],
+        &[4, 4],
+        &[5, 9],
+        &[9, 33],
+        &[1, 1, 12],
+        &[3, 1, 9],
+        &[2, 6, 5],
+    ];
+    for (k, dims) in shapes.into_iter().enumerate() {
+        for density in 0..4 {
+            for ties in [false, true] {
+                let seed = 0x5EED ^ ((k as u64) << 8 | u64::from(density));
+                assert_schedule_equivalence::<f32>(dims, seed, density, ties, ties).unwrap();
+                assert_schedule_equivalence::<f64>(dims, seed, density, !ties, ties).unwrap();
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(64, 0x52_1173) /* pinned: deterministic CI */)]
 
@@ -187,8 +235,9 @@ proptest! {
         seed in any::<u64>(),
         density in 0u8..4,
         lossless in any::<bool>(),
+        ties in any::<bool>(),
     ) {
-        assert_schedule_equivalence::<f32>(&dims, seed, density, lossless)?;
+        assert_schedule_equivalence::<f32>(&dims, seed, density, lossless, ties)?;
     }
 
     #[test]
@@ -197,8 +246,9 @@ proptest! {
         seed in any::<u64>(),
         density in 0u8..4,
         lossless in any::<bool>(),
+        ties in any::<bool>(),
     ) {
-        assert_schedule_equivalence::<f64>(&dims, seed, density, lossless)?;
+        assert_schedule_equivalence::<f64>(&dims, seed, density, lossless, ties)?;
     }
 
     #[test]
