@@ -40,7 +40,10 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     }
-    let scale = ExperimentScale::from_env();
+    let scale = match std::env::var("REPRO_SCALE").as_deref() {
+        Ok("full") => ExperimentScale::Full,
+        _ => ExperimentScale::Quick,
+    };
     println!("(scale: {scale:?}; set REPRO_SCALE=full for larger grids)\n");
     for a in &args {
         match a.as_str() {

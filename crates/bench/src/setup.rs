@@ -36,7 +36,7 @@ pub fn demo_real_config(
         policy: ExtraSpacePolicy::default(),
         bandwidth: BandwidthModel::tiny_for_tests(),
         throttle_scale,
-        sz_threads: 0, // honor SZ_THREADS, default serial
+        sz_threads: 1,
         verify,
         path,
         reservation: predwrite::ReservationTopology::Flat,
@@ -55,14 +55,6 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// From the `REPRO_SCALE` environment variable (`full` | `quick`).
-    pub fn from_env() -> Self {
-        match std::env::var("REPRO_SCALE").as_deref() {
-            Ok("full") => ExperimentScale::Full,
-            _ => ExperimentScale::Quick,
-        }
-    }
-
     /// Nyx cube side for measured (non-replicated) profiles.
     pub fn nyx_side(&self) -> usize {
         match self {

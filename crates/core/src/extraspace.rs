@@ -57,6 +57,24 @@ impl ExtraSpacePolicy {
     pub fn reserve_bytes(&self, predicted_bytes: u64, predicted_ratio: f64) -> u64 {
         ((predicted_bytes as f64) * self.effective(predicted_ratio)).ceil() as u64
     }
+
+    /// The reservation rule both engines apply: a per-partition
+    /// `headroom` multiplier (from an adaptive prediction source) wins
+    /// when it is positive — `ceil(bytes · h)` — and anything else
+    /// (`None`, or the non-positive / NaN values that encode `None` on
+    /// the reservation wire) falls back to
+    /// [`ExtraSpacePolicy::reserve_bytes`].
+    pub fn reserve_for(
+        &self,
+        predicted_bytes: u64,
+        predicted_ratio: f64,
+        headroom: Option<f64>,
+    ) -> u64 {
+        match headroom {
+            Some(h) if h > 0.0 => (predicted_bytes as f64 * h).ceil() as u64,
+            _ => self.reserve_bytes(predicted_bytes, predicted_ratio),
+        }
+    }
 }
 
 /// The paper's Fig. 9 mapping: a user weight trading write performance
@@ -102,6 +120,16 @@ mod tests {
         let p = ExtraSpacePolicy::new(1.25);
         assert_eq!(p.reserve_bytes(100, 10.0), 125);
         assert_eq!(p.reserve_bytes(101, 10.0), 127); // 126.25 → 127
+    }
+
+    #[test]
+    fn headroom_overrides_policy_only_when_positive() {
+        let p = ExtraSpacePolicy::new(1.25);
+        assert_eq!(p.reserve_for(100, 10.0, Some(1.5)), 150);
+        assert_eq!(p.reserve_for(101, 10.0, Some(1.05)), 107); // 106.05 → 107
+        for none in [None, Some(0.0), Some(-1.0), Some(f64::NAN)] {
+            assert_eq!(p.reserve_for(100, 10.0, none), 125, "{none:?}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod sim;
 pub mod verify;
 
 pub use extraspace::{weight_to_rspace, ExtraSpacePolicy, RSPACE_MAX, RSPACE_MIN};
-pub use metrics::{Breakdown, Method, RunResult};
+pub use metrics::{mean_rel_size_err, Breakdown, Method, RunResult};
 pub use plan::{
     build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, FitSplit,
     PartitionPrediction, PartitionSlot, RankPlanView, WritePlan,

@@ -35,6 +35,26 @@ impl Method {
     }
 }
 
+/// Mean relative size error `|predicted − actual| / actual` of one
+/// step's partitions, over those with a non-empty actual stream (0
+/// when there are none) — the per-step prediction-error figure both
+/// the simulated and the real stream report.
+pub fn mean_rel_size_err(pairs: impl IntoIterator<Item = (u64, u64)>) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for (predicted, actual) in pairs {
+        if actual > 0 {
+            sum += (predicted as f64 - actual as f64).abs() / actual as f64;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
 /// Per-phase time breakdown (the stacked bars of Fig. 16/17).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Breakdown {

@@ -22,8 +22,8 @@ use crate::plan::{
 use crate::scheduler::{identity_order, optimize_order};
 use commsim::World;
 use h5lite::{
-    crc32c, ordered_fanout, workers_from_env_or, AttrValue, BufferPool, DatasetSpec, Dtype,
-    EventSet, FilterSpec, H5File, SzFilterParams, SZLITE_FILTER_ID,
+    ordered_fanout, AttrValue, BufferPool, DatasetSpec, Dtype, EventSet, FilterSpec, H5File,
+    SzFilterParams, SZLITE_FILTER_ID,
 };
 use pfsim::{BandwidthModel, FaultFs, Throttle};
 use ratiomodel::Models;
@@ -136,9 +136,10 @@ pub struct RealConfig {
     /// scales so wall-clock stays short while contention is real).
     pub throttle_scale: f64,
     /// Compression worker threads *per rank* for the overlap methods
-    /// (the parallel chunk-compression pipeline). `0` reads the
-    /// `SZ_THREADS` environment variable, defaulting to 1 — the
-    /// serial per-rank compression of the paper's baseline overlap.
+    /// (the parallel chunk-compression pipeline); 1 is the serial
+    /// per-rank compression of the paper's baseline overlap, run
+    /// inline on the rank thread. Ranks are already threads, so this
+    /// is a count the caller states, never the machine's parallelism.
     /// Also the decode worker count of the verification phase.
     pub sz_threads: usize,
     /// Opt-in read-back verification: after the file closes, re-open
@@ -157,38 +158,117 @@ pub struct RealConfig {
     pub path: PathBuf,
 }
 
-/// Resolve [`RealConfig::sz_threads`]: explicit value, else
-/// `SZ_THREADS`, else 1 (ranks are already threads, so the engine
-/// never defaults to the machine's full parallelism per rank).
-fn resolve_sz_threads(cfg: &RealConfig) -> usize {
-    if cfg.sz_threads > 0 {
-        cfg.sz_threads
-    } else {
-        workers_from_env_or(1)
-    }
+/// Error from the real engine (and the timeline/recovery layers that
+/// drive it).
+#[derive(Debug)]
+pub enum RealError {
+    /// The input's shape (ranks, fields, partition sizes, configs,
+    /// resumed state) does not fit the run it was handed to.
+    Shape(String),
+    /// The container layer failed: a write, the async queue, close,
+    /// or a read-back.
+    H5(h5lite::H5Error),
+    /// Sampling or compression failed.
+    Sz(szlite::SzError),
+    /// Filesystem failure outside the container layer.
+    Io(std::io::Error),
+    /// A collective aborted because another rank failed first — a
+    /// symptom; the run reports that rank's error when it has one.
+    PeerFailed,
+    /// Read-back verification decoded a field outside its bound.
+    Verification {
+        /// Dataset path of the offending field.
+        field: String,
+        /// Worst observed absolute error.
+        max_abs_err: f64,
+        /// Largest resolved bound the field was checked against.
+        max_bound: f64,
+    },
+    /// `source` happened while doing `context` (which step, which
+    /// file) — how the timeline and recovery layers say where.
+    Context {
+        /// What was being attempted.
+        context: String,
+        /// What went wrong.
+        source: Box<RealError>,
+    },
 }
 
-/// Error from the real engine.
-#[derive(Debug)]
-pub struct RealError(pub String);
+impl RealError {
+    /// Wrap `source` with the operation it interrupted.
+    pub fn context(context: impl Into<String>, source: impl Into<RealError>) -> Self {
+        RealError::Context {
+            context: context.into(),
+            source: Box::new(source.into()),
+        }
+    }
+
+    /// The message without the "real engine:" prefix, so nested
+    /// contexts print it once.
+    fn describe(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RealError::Shape(m) => f.write_str(m),
+            RealError::H5(e) => write!(f, "{e}"),
+            RealError::Sz(e) => write!(f, "{e}"),
+            RealError::Io(e) => write!(f, "{e}"),
+            RealError::PeerFailed => write!(f, "{}", commsim::WorldPoisoned),
+            RealError::Verification {
+                field,
+                max_abs_err,
+                max_bound,
+            } => write!(
+                f,
+                "verification failed: field {field} exceeds its bound \
+                 (max err {max_abs_err:.3e} > {max_bound:.3e})"
+            ),
+            RealError::Context { context, source } => {
+                write!(f, "{context}: ")?;
+                source.describe(f)
+            }
+        }
+    }
+}
 
 impl std::fmt::Display for RealError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "real engine: {}", self.0)
+        f.write_str("real engine: ")?;
+        self.describe(f)
     }
 }
 
-impl std::error::Error for RealError {}
+impl std::error::Error for RealError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RealError::H5(e) => Some(e),
+            RealError::Sz(e) => Some(e),
+            RealError::Io(e) => Some(e),
+            RealError::Context { source, .. } => Some(source.as_ref()),
+            _ => None,
+        }
+    }
+}
 
 impl From<h5lite::H5Error> for RealError {
     fn from(e: h5lite::H5Error) -> Self {
-        RealError(e.to_string())
+        RealError::H5(e)
     }
 }
 
 impl From<szlite::SzError> for RealError {
     fn from(e: szlite::SzError) -> Self {
-        RealError(e.to_string())
+        RealError::Sz(e)
+    }
+}
+
+impl From<std::io::Error> for RealError {
+    fn from(e: std::io::Error) -> Self {
+        RealError::Io(e)
+    }
+}
+
+impl From<commsim::WorldPoisoned> for RealError {
+    fn from(_: commsim::WorldPoisoned) -> Self {
+        RealError::PeerFailed
     }
 }
 
@@ -237,7 +317,7 @@ pub trait PredictionSource: Sync {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
-    ) -> Result<SourceEstimate, String>;
+    ) -> Result<SourceEstimate, RealError>;
 }
 
 /// Default source: the offline-fitted [`Models`] with the engine-wide
@@ -255,9 +335,8 @@ impl PredictionSource for ModelSource<'_> {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
-    ) -> Result<SourceEstimate, String> {
-        let est = ratiomodel::estimate_partition(data, dims, cfg, self.models)
-            .map_err(|e| e.to_string())?;
+    ) -> Result<SourceEstimate, RealError> {
+        let est = ratiomodel::estimate_partition(data, dims, cfg, self.models)?;
         Ok(SourceEstimate {
             bytes: est.bytes,
             ratio: est.ratio,
@@ -330,23 +409,25 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
 ) -> Result<(RunResult, RunObservations), RealError> {
     let nranks = data.len();
     if nranks == 0 {
-        return Err(RealError("no ranks".into()));
+        return Err(RealError::Shape("no ranks".into()));
     }
     let nfields = data[0].len();
     if nfields == 0 || data.iter().any(|r| r.len() != nfields) {
-        return Err(RealError("all ranks need the same field list".into()));
+        return Err(RealError::Shape(
+            "all ranks need the same field list".into(),
+        ));
     }
     for f in 0..nfields {
         let n0 = data[0][f].data.len();
         if data.iter().any(|r| r[f].data.len() != n0) {
-            return Err(RealError(
+            return Err(RealError::Shape(
                 "per-field partition sizes must be uniform".into(),
             ));
         }
     }
     let compressed = cfg.method != Method::NoCompression;
     if compressed && cfg.configs.len() != nfields {
-        return Err(RealError("need one Config per field".into()));
+        return Err(RealError::Shape("need one Config per field".into()));
     }
 
     // Create the shared file and one chunked dataset per field. The
@@ -388,7 +469,6 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         cfg.throttle_scale,
     ));
 
-    let sz_threads = resolve_sz_threads(cfg);
     let world = World::new(nranks);
     let base = file.tail(); // after the superblock
 
@@ -398,10 +478,10 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
     // partition.
     let pool = Arc::new(BufferPool::new());
 
-    let outcomes: Vec<Result<RankOutcome, String>> = world.run(|rk| {
+    let outcomes: Vec<Result<RankOutcome, RealError>> = world.run(|rk| {
         let r = rk.rank();
         let _rank_span = obs::span_arg("real.rank", r as u64);
-        let run = || -> Result<RankOutcome, String> {
+        let run = || -> Result<RankOutcome, RealError> {
             let mut out = RankOutcome {
                 fields: vec![FieldObservation::default(); nfields],
                 ..RankOutcome::default()
@@ -422,32 +502,23 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         })
                         .collect();
                     let plan = WritePlan::build(&sizes, &ExtraSpacePolicy::new(1.0), base);
-                    let es = EventSet::from_env();
+                    let es = EventSet::new(1);
                     for f in 0..nfields {
                         let mut bytes = pool.take();
                         for v in &data[r][f].data {
                             bytes.extend_from_slice(&v.to_le_bytes());
                         }
                         let len = bytes.len() as u64;
-                        let crc = crc32c(&bytes);
-                        es.write_at_recycled(
-                            file.shared_file(),
+                        file.write_chunk_at_async(
+                            dataset_ids[f],
+                            r as u64,
                             plan.slots[r][f].offset,
                             bytes,
+                            len,
+                            &es,
                             Some(Arc::clone(&throttle)),
                             Arc::clone(&pool),
-                        );
-                        file.record_chunk(
-                            dataset_ids[f],
-                            h5lite::ChunkInfo {
-                                index: r as u64,
-                                offset: plan.slots[r][f].offset,
-                                stored: len,
-                                raw: len,
-                                crc,
-                            },
-                        )
-                        .map_err(|e| e.to_string())?;
+                        )?;
                         out.compressed_bytes += len;
                         out.fields[f] = FieldObservation {
                             predicted: len,
@@ -457,7 +528,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             overflow: 0,
                         };
                     }
-                    es.wait().map_err(|e| e.to_string())?;
+                    es.wait()?;
                     out.write = t0.elapsed().as_secs_f64();
                 }
                 Method::FilterCollective => {
@@ -474,15 +545,14 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             &cfg.configs[f],
                             &mut scratch,
                             &mut s,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        )?;
                         streams.push(s);
                     }
                     out.compress = tc.elapsed().as_secs_f64();
                     // All-gather the actual sizes.
                     let ta = Instant::now();
                     let my_sizes: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-                    let all_sizes = rk.try_all_gather(my_sizes).map_err(|e| e.to_string())?;
+                    let all_sizes = rk.try_all_gather(my_sizes)?;
                     out.allgather = ta.elapsed().as_secs_f64();
                     let preds: Vec<Vec<PartitionPrediction>> = all_sizes
                         .iter()
@@ -499,23 +569,16 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // Collective write: one synchronized round per field.
                     let tw = Instant::now();
                     for f in 0..nfields {
-                        rk.try_barrier().map_err(|e| e.to_string())?;
+                        rk.try_barrier()?;
                         throttle.acquire(streams[f].len() as u64);
-                        file.shared_file()
-                            .write_at(plan.slots[r][f].offset, &streams[f])
-                            .map_err(|e| e.to_string())?;
-                        file.record_chunk(
+                        file.write_chunk_at(
                             dataset_ids[f],
-                            h5lite::ChunkInfo {
-                                index: r as u64,
-                                offset: plan.slots[r][f].offset,
-                                stored: streams[f].len() as u64,
-                                raw: (data[r][f].data.len() * 4) as u64,
-                                crc: crc32c(&streams[f]),
-                            },
-                        )
-                        .map_err(|e| e.to_string())?;
-                        rk.try_barrier().map_err(|e| e.to_string())?;
+                            r as u64,
+                            plan.slots[r][f].offset,
+                            &streams[f],
+                            (data[r][f].data.len() * 4) as u64,
+                        )?;
+                        rk.try_barrier()?;
                         let len = streams[f].len() as u64;
                         out.fields[f] = FieldObservation {
                             predicted: len,
@@ -568,18 +631,14 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         |row: &[(u64, f64, f64)]| -> (Vec<PartitionPrediction>, Vec<u64>) {
                             row.iter()
                                 .map(|&(bytes, ratio, h)| {
-                                    let reserve = if h > 0.0 {
-                                        (bytes as f64 * h).ceil() as u64
-                                    } else {
-                                        cfg.policy.reserve_bytes(bytes, ratio)
-                                    };
+                                    let reserve = cfg.policy.reserve_for(bytes, ratio, Some(h));
                                     (PartitionPrediction { bytes, ratio }, reserve)
                                 })
                                 .unzip()
                         };
                     let view: RankPlanView = match cfg.reservation.effective_group_size(nranks) {
                         None => {
-                            let gathered = rk.try_all_gather(wire).map_err(|e| e.to_string())?;
+                            let gathered = rk.try_all_gather(wire)?;
                             // Phase 3 (flat): identical full layout
                             // on every rank, then project this
                             // rank's row.
@@ -588,16 +647,15 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             WritePlan::build_reserved(&preds, &reserves, base).rank_view(r)
                         }
                         Some(gs) => {
-                            let group = rk.split(r / gs).map_err(|e| e.to_string())?;
-                            let local = group.try_all_gather(wire).map_err(|e| e.to_string())?;
+                            let group = rk.split(r / gs)?;
+                            let local = group.try_all_gather(wire)?;
                             let (member_preds, member_reserves): (Vec<_>, Vec<_>) =
                                 local.iter().map(|row| resolve(row)).unzip();
                             let totals: Vec<u64> = (0..nfields)
                                 .map(|f| member_reserves.iter().map(|m: &Vec<u64>| m[f]).sum())
                                 .collect();
-                            let group_totals = group
-                                .try_exchange(group.is_leader().then(|| totals.clone()))
-                                .map_err(|e| e.to_string())?;
+                            let group_totals =
+                                group.try_exchange(group.is_leader().then(|| totals.clone()))?;
                             // Phase 3 (sharded): offsets from
                             // whole-group totals + the local
                             // prefix, no full matrix anywhere.
@@ -642,13 +700,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // field k+1 overlaps the write of field k, and at
                     // sz_threads = 1 this runs inline, matching the
                     // paper's single-threaded overlap exactly.
-                    let es = EventSet::from_env();
+                    let es = EventSet::new(1);
                     let mut overflow_parts: Vec<(usize, Vec<u8>)> = Vec::new();
                     let tc = Instant::now();
                     let mut comp_total = 0.0;
-                    ordered_fanout::<_, _, String, _, _, _>(
+                    ordered_fanout::<_, _, RealError, _, _, _>(
                         order.len() as u64,
-                        sz_threads,
+                        cfg.sz_threads,
                         Scratch::new,
                         |scratch, pos| {
                             let f = order[pos as usize];
@@ -661,8 +719,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                                 &cfg.configs[f],
                                 scratch,
                                 &mut stream,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            )?;
                             Ok((stream, t1.elapsed().as_secs_f64()))
                         },
                         |pos, (mut stream, secs): (Vec<u8>, f64)| {
@@ -674,29 +731,16 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             out.fields[f].reserved = slot.reserved;
                             let split = fit_split(stream.len() as u64, slot.reserved);
                             let tail = stream.split_off(split.in_slot as usize);
-                            // Checksum before the async queue takes the
-                            // buffer: the recorded CRC reflects the
-                            // intended bytes, so anything injected en
-                            // route is detectable on read.
-                            let crc = crc32c(&stream);
-                            es.write_at_recycled(
-                                file.shared_file(),
+                            file.write_chunk_at_async(
+                                dataset_ids[f],
+                                r as u64,
                                 slot.offset,
                                 stream,
+                                (data[r][f].data.len() * 4) as u64,
+                                &es,
                                 Some(Arc::clone(&throttle)),
                                 Arc::clone(&pool),
-                            );
-                            file.record_chunk(
-                                dataset_ids[f],
-                                h5lite::ChunkInfo {
-                                    index: r as u64,
-                                    offset: slot.offset,
-                                    stored: split.in_slot,
-                                    raw: (data[r][f].data.len() * 4) as u64,
-                                    crc,
-                                },
-                            )
-                            .map_err(|e| e.to_string())?;
+                            )?;
                             if !tail.is_empty() {
                                 out.n_overflow += 1;
                                 out.overflow_bytes += tail.len() as u64;
@@ -711,7 +755,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // numbers at sz_threads = 1, where comp_total is
                     // always within the span).
                     out.compress = comp_total.min(tc.elapsed().as_secs_f64());
-                    es.wait().map_err(|e| e.to_string())?;
+                    es.wait()?;
                     // Extra write time beyond the compression span.
                     out.write = (tc.elapsed().as_secs_f64() - out.compress).max(0.0);
 
@@ -723,35 +767,28 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         my_ovf[*f] = bytes.len() as u64;
                         out.fields[*f].overflow = bytes.len() as u64;
                     }
-                    let all_ovf = rk.try_all_gather(my_ovf).map_err(|e| e.to_string())?;
+                    let all_ovf = rk.try_all_gather(my_ovf)?;
                     let any_overflow = all_ovf.iter().flatten().any(|&b| b > 0);
                     if any_overflow {
                         let offsets = plan_overflow(&all_ovf, view.data_end);
                         for (f, bytes) in overflow_parts {
                             throttle.acquire(bytes.len() as u64);
-                            file.shared_file()
-                                .write_at(offsets[r][f], &bytes)
-                                .map_err(|e| e.to_string())?;
-                            file.record_chunk(
+                            file.write_chunk_at(
                                 dataset_ids[f],
-                                h5lite::ChunkInfo {
-                                    index: r as u64,
-                                    offset: offsets[r][f],
-                                    stored: bytes.len() as u64,
-                                    raw: 0,
-                                    crc: crc32c(&bytes),
-                                },
-                            )
-                            .map_err(|e| e.to_string())?;
+                                r as u64,
+                                offsets[r][f],
+                                &bytes,
+                                0,
+                            )?;
                             pool.put(bytes);
                         }
                     }
-                    rk.try_barrier().map_err(|e| e.to_string())?;
+                    rk.try_barrier()?;
                     out.overflow = to.elapsed().as_secs_f64();
                     if r == 0 {
                         file.shared_file()
                             .advance_tail_to(view.data_end)
-                            .map_err(|e| e.to_string())?;
+                            .map_err(std::io::Error::from)?;
                     }
                 }
             }
@@ -771,30 +808,32 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
 
     // A poisoned collective is a symptom; report the rank error that
     // caused it when one exists.
-    if outcomes.iter().any(|o| o.is_err()) {
-        let errs: Vec<&String> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
-        let peer_failed = commsim::WorldPoisoned.to_string();
-        let root = errs
-            .iter()
-            .find(|e| !e.contains(&peer_failed))
-            .unwrap_or(&errs[0]);
-        return Err(RealError((*root).clone()));
-    }
-
     let mut agg = RankOutcome::default();
     let mut observations: RunObservations = Vec::with_capacity(nranks);
+    let mut failed: Option<RealError> = None;
     for o in outcomes {
-        let o = o.map_err(RealError)?;
-        agg.predict = agg.predict.max(o.predict);
-        agg.allgather = agg.allgather.max(o.allgather);
-        agg.compress = agg.compress.max(o.compress);
-        agg.write = agg.write.max(o.write);
-        agg.overflow = agg.overflow.max(o.overflow);
-        agg.total = agg.total.max(o.total);
-        agg.compressed_bytes += o.compressed_bytes;
-        agg.overflow_bytes += o.overflow_bytes;
-        agg.n_overflow += o.n_overflow;
-        observations.push(o.fields);
+        match o {
+            Ok(o) => {
+                agg.predict = agg.predict.max(o.predict);
+                agg.allgather = agg.allgather.max(o.allgather);
+                agg.compress = agg.compress.max(o.compress);
+                agg.write = agg.write.max(o.write);
+                agg.overflow = agg.overflow.max(o.overflow);
+                agg.total = agg.total.max(o.total);
+                agg.compressed_bytes += o.compressed_bytes;
+                agg.overflow_bytes += o.overflow_bytes;
+                agg.n_overflow += o.n_overflow;
+                observations.push(o.fields);
+            }
+            Err(e) => {
+                if matches!(failed, None | Some(RealError::PeerFailed)) {
+                    failed = Some(e);
+                }
+            }
+        }
+    }
+    if let Some(e) = failed {
+        return Err(e);
     }
 
     // Metadata: record run parameters as attributes, then close.
@@ -818,13 +857,14 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         let tv = Instant::now();
         let _verify_span = obs::span("real.verify");
         let configs = compressed.then_some(cfg.configs.as_slice());
-        let report = crate::verify::verify_file(&cfg.path, data, configs, sz_threads)?;
+        let report = crate::verify::verify_file(&cfg.path, data, configs, cfg.sz_threads)?;
         verify_secs = tv.elapsed().as_secs_f64();
         if let Some(bad) = report.fields.iter().find(|f| !f.ok) {
-            return Err(RealError(format!(
-                "verification failed: field {} exceeds its bound (max err {:.3e} > {:.3e})",
-                bad.name, bad.max_abs_err, bad.max_bound
-            )));
+            return Err(RealError::Verification {
+                field: bad.name.clone(),
+                max_abs_err: bad.max_abs_err,
+                max_bound: bad.max_bound,
+            });
         }
     }
 
@@ -833,7 +873,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         .flatten()
         .map(|fd| (fd.data.len() * 4) as u64)
         .sum();
-    let file_bytes = std::fs::metadata(&cfg.path).map(|m| m.len()).unwrap_or(0);
+    let file_bytes = std::fs::metadata(&cfg.path)?.len();
     Ok((
         RunResult {
             method: cfg.method,

@@ -6,7 +6,7 @@
 //! discrete-event pipeline simulator of `pfsim`.
 
 use crate::extraspace::ExtraSpacePolicy;
-use crate::metrics::{Breakdown, Method, RunResult};
+use crate::metrics::{mean_rel_size_err, Breakdown, Method, RunResult};
 use crate::plan::{
     build_rank_view, fit_split, reservation_wire_bytes, PartitionPrediction, WritePlan,
 };
@@ -17,7 +17,7 @@ use pfsim::{
     collective_write_time, simulate, simulate_concurrent_writes, BandwidthModel, PipelineTask,
     RankPipeline,
 };
-use ratiomodel::{BandScope, OnlinePredictor};
+use ratiomodel::OnlinePredictor;
 use std::time::Instant;
 
 /// Simulation parameters beyond the bandwidth model.
@@ -396,7 +396,8 @@ impl StreamSimReport {
 /// [`OnlinePredictor`] through the stream exactly like the real-I/O
 /// timeline engine: per-partition bias correction plus adaptive
 /// headroom (collective per-field bands under
-/// [`BandScope::Field`]), fed back from each step's actual sizes.
+/// [`ratiomodel::BandScope::Field`]), fed back from each step's actual
+/// sizes.
 ///
 /// The reservation topology changes *costs*, never *bytes*: the
 /// sharded layout is byte-identical to flat (pinned by tests), but the
@@ -426,13 +427,10 @@ where
         let gsize = cfg.reservation.effective_group_size(nranks);
         collective_bytes_per_rank = reservation_wire_bytes(nranks, nfields, gsize);
 
-        // Predictions + reserves for this step, per mode. Mirrors the
-        // real engine's wire semantics: adaptive headroom `h > 0`
-        // reserves `ceil(bytes · h)`, warm-up falls back to the policy.
+        // Predictions + reserves for this step, per mode, resolved by
+        // the same rule as the real engine's reservation wire.
         let mut preds = vec![Vec::with_capacity(nfields); nranks];
         let mut reserves = vec![Vec::with_capacity(nfields); nranks];
-        let mut err_sum = 0.0;
-        let mut err_n = 0usize;
         for (r, fields) in profiles.iter().enumerate() {
             for (f, p) in fields.iter().enumerate() {
                 let (bytes, ratio, headroom) = match (&cfg.mode, &online) {
@@ -443,16 +441,8 @@ where
                     }
                     _ => (p.pred_bytes, p.pred_ratio, None),
                 };
-                let reserve = match headroom {
-                    Some(h) if h > 0.0 => (bytes as f64 * h).ceil() as u64,
-                    _ => cfg.params.policy.reserve_bytes(bytes, ratio),
-                };
-                if p.actual_bytes > 0 {
-                    err_sum += (bytes as f64 - p.actual_bytes as f64).abs() / p.actual_bytes as f64;
-                    err_n += 1;
-                }
                 preds[r].push(PartitionPrediction { bytes, ratio });
-                reserves[r].push(reserve);
+                reserves[r].push(cfg.params.policy.reserve_for(bytes, ratio, headroom));
             }
         }
 
@@ -501,21 +491,19 @@ where
             waste_bytes: result.file_bytes.saturating_sub(result.compressed_bytes),
             overflow_bytes: result.overflow_bytes,
             n_overflow: result.n_overflow,
-            mean_rel_err: if err_n == 0 {
-                0.0
-            } else {
-                err_sum / err_n as f64
-            },
+            mean_rel_err: mean_rel_size_err(
+                preds
+                    .iter()
+                    .flatten()
+                    .zip(profiles.iter().flatten())
+                    .map(|(pred, p)| (pred.bytes, p.actual_bytes)),
+            ),
         });
 
         // Feed the step's actual sizes back into the predictor.
         if let AdaptMode::Adaptive(ocfg) = &cfg.mode {
-            let pred = online.get_or_insert_with(|| match ocfg.band_scope {
-                BandScope::Partition => OnlinePredictor::new(nranks * nfields, *ocfg),
-                BandScope::Field => {
-                    OnlinePredictor::with_band_groups(nranks * nfields, nfields, *ocfg)
-                }
-            });
+            let pred =
+                online.get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, *ocfg));
             for (r, fields) in profiles.iter().enumerate() {
                 for (f, p) in fields.iter().enumerate() {
                     let cell = r * nfields + f;

@@ -65,7 +65,7 @@ impl VerifyReport {
 fn resolve_bound(cfg: &Config, data: &[f32]) -> Result<f64, RealError> {
     cfg.error_bound
         .resolve_for(data)
-        .map_err(|e| RealError(format!("verify: {e}")))
+        .map_err(|e| RealError::context("verify", e))
 }
 
 /// Verify one element against its bound. Non-finite originals must
@@ -101,7 +101,7 @@ pub fn verify_file(
     // validation: reject ragged shapes up front instead of panicking.
     for (r, rank_fields) in data.iter().enumerate() {
         if rank_fields.len() != nfields {
-            return Err(RealError(format!(
+            return Err(RealError::Shape(format!(
                 "verify: rank {r} has {} fields, expected {nfields}",
                 rank_fields.len()
             )));
@@ -109,7 +109,7 @@ pub fn verify_file(
     }
     if let Some(cfgs) = configs {
         if cfgs.len() != nfields {
-            return Err(RealError(format!(
+            return Err(RealError::Shape(format!(
                 "verify: {} configs for {nfields} fields",
                 cfgs.len()
             )));
@@ -120,10 +120,10 @@ pub fn verify_file(
         let name = &data[0][f].name;
         let restored = reader
             .read_pipelined::<f32>(name, workers)
-            .map_err(|e| RealError(format!("verify {name}: {e}")))?;
+            .map_err(|e| RealError::context(format!("verify {name}"), e))?;
         let part_len = data[0][f].data.len();
         if restored.len() != part_len * nranks {
-            return Err(RealError(format!(
+            return Err(RealError::Shape(format!(
                 "verify {name}: decoded {} points, expected {}",
                 restored.len(),
                 part_len * nranks
@@ -135,7 +135,7 @@ pub fn verify_file(
         for (r, rank_fields) in data.iter().enumerate() {
             let orig = &rank_fields[f].data;
             if orig.len() != part_len {
-                return Err(RealError(format!(
+                return Err(RealError::Shape(format!(
                     "verify {name}: rank {r} partition has {} points, expected {part_len}",
                     orig.len()
                 )));

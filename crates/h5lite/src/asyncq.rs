@@ -106,19 +106,6 @@ impl EventSet {
         }
     }
 
-    /// Create an event set sized from the `ES_WORKERS` environment
-    /// variable: unset or invalid falls back to 1, the async VOL's
-    /// single background thread; larger values emulate multiple
-    /// hardware queues.
-    pub fn from_env() -> Self {
-        let n = std::env::var("ES_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
     /// Enqueue an asynchronous positioned write. Returns immediately.
     pub fn write_at(
         &self,

@@ -93,17 +93,10 @@ fn main() -> ExitCode {
 
     if !json {
         match &report.container {
-            ContainerState::Ok => {
-                let label = if report.verified {
-                    "verified"
-                } else {
-                    "v1, bounds-checked only"
-                };
-                println!(
-                    "{path}: container ok ({label}), {} chunk record(s)",
-                    report.chunks.len()
-                );
-            }
+            ContainerState::Ok => println!(
+                "{path}: container ok (verified), {} chunk record(s)",
+                report.chunks.len()
+            ),
             state => println!("{path}: container damaged: {state:?}"),
         }
         for c in report.damaged() {
@@ -167,12 +160,11 @@ fn main() -> ExitCode {
                 })
                 .collect();
             println!(
-                "{{\"path\": \"{}\", \"container\": \"{}\", \"verified\": {}, \
+                "{{\"path\": \"{}\", \"container\": \"{}\", \
                  \"chunk_records\": {}, \"damaged\": [{}], \"quarantined_to\": {}, \
                  \"repair\": {}, \"flight\": {}, \"flight_bad_lines\": {}, \"exit\": {exit}}}",
                 escape(&path),
                 escape(&classification),
-                report.verified,
                 report.chunks.len(),
                 damaged.join(", "),
                 match quarantined_to {

@@ -5,15 +5,24 @@
 //! end of the file and rewrites the superblock to point at it. Clones
 //! of a writer share state, so rank threads in a parallel write all
 //! hold the same file — mirroring parallel HDF5's shared-file model.
+//!
+//! Every operation has one body. A dataset write tiles, filters and
+//! emits through [`compress_chunks`] at whatever worker count the
+//! caller names ([`H5File::write_full`] is the 1-worker, synchronous
+//! instance of [`H5File::write_full_pipelined`]); a chunk reaches the
+//! file through [`H5File::write_chunk_at`] or its queued sibling
+//! [`H5File::write_chunk_at_async`], which are the only places a
+//! checksum is taken and a chunk recorded; a dataset read verifies,
+//! inverts and scatters through [`H5Reader::read_full_pipelined`]
+//! ([`H5Reader::read_raw`] is its 1-worker instance).
 
 use crate::asyncq::EventSet;
-use crate::chunk::{gather_tile_into, scatter_tile};
+use crate::chunk::scatter_tile;
 use crate::crc::crc32c;
 use crate::error::{H5Error, Result};
 use crate::filter::{FilterRegistry, FilterScratch};
 use crate::meta::{
-    deserialize_table, deserialize_table_v1, serialize_table, AttrValue, ChunkInfo, DatasetMeta,
-    Dtype, FilterSpec,
+    deserialize_table, serialize_table, AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec,
 };
 use crate::pipeline::{compress_chunks, ordered_fanout};
 use crate::pool::BufferPool;
@@ -26,35 +35,24 @@ use szlite::Element;
 
 /// File magic "H5LT".
 pub const MAGIC: u32 = 0x544C3548;
-/// Format version written by this crate. Version 1 files (no
-/// checksums) still open; their reads go unverified.
+/// The one format version this crate writes and reads.
 pub const VERSION: u8 = 2;
-/// Oldest format version this crate still reads.
-pub const MIN_VERSION: u8 = 1;
-/// Superblock flag bit: chunk records carry CRC32C checksums.
+/// Superblock flag bit: chunk records carry CRC32C checksums. Always
+/// set; a superblock without it does not open.
 pub const FLAG_CHUNK_CRC: u8 = 1;
 /// Reserved superblock size at offset 0.
 pub const SUPERBLOCK: u64 = 32;
 
-/// Parsed v2 superblock fields shared by the reader and the scrub
-/// pass.
+/// Where a validated superblock says the metadata table lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Superblock {
-    pub version: u8,
-    pub flags: u8,
     pub table_offset: u64,
     pub table_len: u64,
-    /// CRC32C of the metadata table (v2; 0 in v1 files).
     pub table_crc: u32,
 }
 
 impl Superblock {
-    /// True when chunk records carry verified checksums.
-    pub fn checksummed(&self) -> bool {
-        self.version >= 2 && self.flags & FLAG_CHUNK_CRC != 0
-    }
-
-    /// Parse and self-validate a raw superblock. The v2 trailer CRC
+    /// Parse and self-validate a raw superblock. The trailer CRC
     /// covers bytes 0..28, so a torn superblock rewrite is caught
     /// here rather than as a garbage table offset.
     pub fn parse(sb: &[u8; SUPERBLOCK as usize]) -> Result<Self> {
@@ -62,38 +60,33 @@ impl Superblock {
         if magic != MAGIC {
             return Err(H5Error::BadMagic);
         }
-        let version = sb[4];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(H5Error::UnsupportedVersion(version));
+        if sb[4] != VERSION {
+            return Err(H5Error::UnsupportedVersion(sb[4]));
         }
-        let flags = sb[5];
-        let table_offset = u64::from_le_bytes(sb[8..16].try_into().unwrap());
-        let table_len = u64::from_le_bytes(sb[16..24].try_into().unwrap());
-        let mut table_crc = 0;
-        if version >= 2 {
-            table_crc = u32::from_le_bytes(sb[24..28].try_into().unwrap());
-            let recorded = u32::from_le_bytes(sb[28..32].try_into().unwrap());
-            let actual = crc32c(&sb[0..28]);
-            if recorded != actual {
-                return Err(H5Error::ChecksumMismatch {
-                    context: "superblock",
-                    offset: 0,
-                    expected: recorded,
-                    actual,
-                });
-            }
+        let recorded = u32::from_le_bytes(sb[28..32].try_into().unwrap());
+        let actual = crc32c(&sb[0..28]);
+        if recorded != actual {
+            return Err(H5Error::ChecksumMismatch {
+                context: "superblock",
+                offset: 0,
+                expected: recorded,
+                actual,
+            });
+        }
+        // Readers verify every chunk against its record's CRC, so a
+        // header that claims there are none is not this format.
+        if sb[5] != FLAG_CHUNK_CRC {
+            return Err(H5Error::Corrupt("superblock flags"));
         }
         Ok(Superblock {
-            version,
-            flags,
-            table_offset,
-            table_len,
-            table_crc,
+            table_offset: u64::from_le_bytes(sb[8..16].try_into().unwrap()),
+            table_len: u64::from_le_bytes(sb[16..24].try_into().unwrap()),
+            table_crc: u32::from_le_bytes(sb[24..28].try_into().unwrap()),
         })
     }
 
-    /// Encode a v2 superblock (with trailer CRC) for `close()`.
-    pub fn encode_v2(table_offset: u64, table_len: u64, table_crc: u32) -> Vec<u8> {
+    /// Encode a superblock (with trailer CRC) for `close()`.
+    pub fn encode(table_offset: u64, table_len: u64, table_crc: u32) -> Vec<u8> {
         let mut sb = Vec::with_capacity(SUPERBLOCK as usize);
         sb.extend_from_slice(&MAGIC.to_le_bytes());
         sb.push(VERSION);
@@ -106,6 +99,31 @@ impl Superblock {
         sb.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(sb.len() as u64, SUPERBLOCK);
         sb
+    }
+
+    /// Read the metadata table this superblock points at from a file
+    /// of `flen` bytes: extent, checksum, then structure — shared by
+    /// [`H5Reader::open`] and the scrub pass.
+    pub fn read_table(&self, file: &SharedFile, flen: u64) -> Result<Vec<DatasetMeta>> {
+        if self
+            .table_offset
+            .checked_add(self.table_len)
+            .is_none_or(|end| end > flen)
+        {
+            return Err(H5Error::Truncated("metadata table"));
+        }
+        let mut table = vec![0u8; self.table_len as usize];
+        file.read_at(self.table_offset, &mut table)?;
+        let actual = crc32c(&table);
+        if actual != self.table_crc {
+            return Err(H5Error::ChecksumMismatch {
+                context: "metadata table",
+                offset: self.table_offset,
+                expected: self.table_crc,
+                actual,
+            });
+        }
+        deserialize_table(&table)
     }
 }
 
@@ -172,19 +190,7 @@ pub struct H5File {
 impl H5File {
     /// Create a new container at `path` (truncates).
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        let file = SharedFile::create(path)?;
-        file.write_at(0, &[0u8; SUPERBLOCK as usize])?;
-        file.advance_tail_to(SUPERBLOCK)
-            .map_err(std::io::Error::from)?;
-        Ok(H5File {
-            inner: Arc::new(Inner {
-                file,
-                datasets: Mutex::new(Vec::new()),
-                registry: FilterRegistry::default(),
-                closed: AtomicBool::new(false),
-                pool: Arc::new(BufferPool::new()),
-            }),
-        })
+        Self::from_shared(SharedFile::create(path)?)
     }
 
     /// Wrap an existing [`SharedFile`] (already superblock-initialized
@@ -265,99 +271,14 @@ impl H5File {
         Ok(())
     }
 
-    /// Write a full dataset serially: tile into chunks, run the filter
-    /// pipeline, append each chunk, record its location.
-    pub fn write_full(&self, id: DatasetId, data: &[u8]) -> Result<()> {
-        self.check_open()?;
-        let (dims, chunk_dims, filters, elem, expected) = {
-            let ds = self.inner.datasets.lock();
-            let d = ds.get(id.0).ok_or(H5Error::Corrupt("dataset id"))?;
-            (
-                d.dims.clone(),
-                d.chunk_dims.clone(),
-                d.filters.clone(),
-                d.dtype.size(),
-                d.raw_bytes(),
-            )
-        };
-        if data.len() as u64 != expected {
-            return Err(H5Error::ShapeMismatch {
-                expected,
-                actual: data.len() as u64,
-            });
-        }
-        let mut scratch = FilterScratch::new();
-        let mut stored = self.inner.pool.take();
-        let res = (|| {
-            match chunk_dims {
-                None => {
-                    self.inner
-                        .registry
-                        .apply_into(&filters, data, &mut scratch, &mut stored)?;
-                    let offset = self.inner.file.reserve(stored.len() as u64);
-                    self.inner.file.write_at(offset, &stored)?;
-                    self.record_chunk(
-                        id,
-                        ChunkInfo {
-                            index: 0,
-                            offset,
-                            stored: stored.len() as u64,
-                            raw: data.len() as u64,
-                            crc: crc32c(&stored),
-                        },
-                    )?;
-                }
-                Some(cd) => {
-                    let n_chunks: u64 =
-                        dims.iter().zip(&cd).map(|(&d, &c)| d.div_ceil(c)).product();
-                    let mut tile = Vec::new();
-                    // The one stored buffer cycles through every chunk:
-                    // the serial path allocates nothing per chunk.
-                    for c in 0..n_chunks {
-                        gather_tile_into(data, &dims, elem, &cd, c, &mut tile)?;
-                        let raw = tile.len() as u64;
-                        self.inner.registry.apply_into(
-                            &filters,
-                            &tile,
-                            &mut scratch,
-                            &mut stored,
-                        )?;
-                        let offset = self.inner.file.reserve(stored.len() as u64);
-                        self.inner.file.write_at(offset, &stored)?;
-                        self.record_chunk(
-                            id,
-                            ChunkInfo {
-                                index: c,
-                                offset,
-                                stored: stored.len() as u64,
-                                raw,
-                                crc: crc32c(&stored),
-                            },
-                        )?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        self.inner.pool.put(stored);
-        res
-    }
-
-    /// Write a full dataset through the parallel compression pipeline:
-    /// chunk tiles fan out to `workers` compression threads and every
-    /// compressed chunk streams straight into the `events` async write
-    /// queue — compression of chunk *k+1* overlaps the write of chunk
-    /// *k*. Chunks are reserved and recorded in chunk-index order, so
-    /// the produced file is byte-identical to [`H5File::write_full`]
-    /// at any worker count. Call `events.wait()` before `close()`.
-    pub fn write_full_pipelined(
-        &self,
-        id: DatasetId,
-        data: &[u8],
-        workers: usize,
-        events: &EventSet,
-        throttle: Option<Arc<Throttle>>,
-    ) -> Result<()> {
+    /// The one dataset-write body: check `data` against the dataset's
+    /// extents, tile it, run the filter chain on `workers` threads and
+    /// hand each stored chunk to `emit(chunk_index, stored, raw_len)`
+    /// in chunk-index order.
+    fn write_tiles<S>(&self, id: DatasetId, data: &[u8], workers: usize, emit: S) -> Result<()>
+    where
+        S: FnMut(u64, Vec<u8>, u64) -> Result<()>,
+    {
         self.check_open()?;
         let (dims, chunk_dims, filters, elem, expected) = {
             let ds = self.inner.datasets.lock();
@@ -387,38 +308,59 @@ impl H5File {
             &cd,
             workers,
             &self.inner.pool,
-            |c, stored, raw| {
-                let len = stored.len() as u64;
-                // Checksum before the buffer is handed to the async
-                // queue: the recorded CRC always reflects the bytes
-                // the writer intended, so a fault between here and the
-                // platter is detectable on read.
-                let crc = crc32c(&stored);
-                let offset = self.inner.file.reserve(len);
-                events.write_at_recycled(
-                    &self.inner.file,
-                    offset,
-                    stored,
-                    throttle.clone(),
-                    Arc::clone(&self.inner.pool),
-                );
-                self.record_chunk(
-                    id,
-                    ChunkInfo {
-                        index: c,
-                        offset,
-                        stored: len,
-                        raw,
-                        crc,
-                    },
-                )
-            },
+            emit,
         )
     }
 
+    /// Write a full dataset on the calling thread: tile into chunks,
+    /// run the filter pipeline, append each chunk synchronously. The
+    /// 1-worker instance of [`H5File::write_full_pipelined`] with the
+    /// write queue replaced by a direct write; the one stored buffer
+    /// cycles through the pool, so nothing is allocated per chunk.
+    pub fn write_full(&self, id: DatasetId, data: &[u8]) -> Result<()> {
+        self.write_tiles(id, data, 1, |c, stored, raw| {
+            let offset = self.inner.file.reserve(stored.len() as u64);
+            let res = self.write_chunk_at(id, c, offset, &stored, raw);
+            self.inner.pool.put(stored);
+            res
+        })
+    }
+
+    /// Write a full dataset through the parallel compression pipeline:
+    /// chunk tiles fan out to `workers` compression threads and every
+    /// compressed chunk streams straight into the `events` async write
+    /// queue — compression of chunk *k+1* overlaps the write of chunk
+    /// *k*. Chunks are reserved and recorded in chunk-index order, so
+    /// the produced file is byte-identical at any worker count (and to
+    /// [`H5File::write_full`]). Call `events.wait()` before `close()`.
+    pub fn write_full_pipelined(
+        &self,
+        id: DatasetId,
+        data: &[u8],
+        workers: usize,
+        events: &EventSet,
+        throttle: Option<Arc<Throttle>>,
+    ) -> Result<()> {
+        self.write_tiles(id, data, workers, |c, stored, raw| {
+            let offset = self.inner.file.reserve(stored.len() as u64);
+            self.write_chunk_at_async(
+                id,
+                c,
+                offset,
+                stored,
+                raw,
+                events,
+                throttle.clone(),
+                Arc::clone(&self.inner.pool),
+            )
+        })
+    }
+
     /// Write pre-filtered chunk bytes at an explicit offset and record
-    /// the chunk — the parallel-write path, where offsets were computed
-    /// collectively beforehand (the paper's pre-computed layout).
+    /// the chunk with their CRC32C — the synchronous emission
+    /// primitive, also the parallel-write path where offsets were
+    /// computed collectively beforehand (the paper's pre-computed
+    /// layout).
     pub fn write_chunk_at(
         &self,
         id: DatasetId,
@@ -439,6 +381,36 @@ impl H5File {
                 crc: crc32c(stored),
             },
         )
+    }
+
+    /// [`H5File::write_chunk_at`] through an [`EventSet`]: the write is
+    /// queued (optionally throttled) and `stored` returns to `pool`
+    /// once it lands. The checksum is taken before the queue owns the
+    /// buffer, so the recorded CRC always reflects the bytes the
+    /// writer intended and a fault between here and the platter is
+    /// detectable on read. Write failures surface at `events.wait()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_chunk_at_async(
+        &self,
+        id: DatasetId,
+        chunk_index: u64,
+        offset: u64,
+        stored: Vec<u8>,
+        raw_len: u64,
+        events: &EventSet,
+        throttle: Option<Arc<Throttle>>,
+        pool: Arc<BufferPool>,
+    ) -> Result<()> {
+        self.check_open()?;
+        let info = ChunkInfo {
+            index: chunk_index,
+            offset,
+            stored: stored.len() as u64,
+            raw: raw_len,
+            crc: crc32c(&stored),
+        };
+        events.write_at_recycled(&self.inner.file, offset, stored, throttle, pool);
+        self.record_chunk(id, info)
     }
 
     /// Record a chunk that was written externally (e.g. via async ops).
@@ -479,7 +451,7 @@ impl H5File {
         // superblock in place, which recovery classifies as a torn
         // step rather than trusting a pointer to unsynced bytes.
         self.inner.file.sync()?;
-        let sb = Superblock::encode_v2(table_offset, table.len() as u64, crc32c(&table));
+        let sb = Superblock::encode(table_offset, table.len() as u64, crc32c(&table));
         self.inner.file.write_at(0, &sb)?;
         self.inner.file.sync()?;
         Ok(())
@@ -487,10 +459,11 @@ impl H5File {
 }
 
 /// The stored `(offset, len, crc)` extents of one chunk, in record
-/// order (`crc` is 0 for unchecksummed v1 files).
+/// order.
 type ChunkSegments = Vec<(u64, u64, u32)>;
 
-/// Read-only h5lite container.
+/// Read-only h5lite container. Every byte it returns has passed the
+/// CRC32C recorded for its chunk.
 pub struct H5Reader {
     file: SharedFile,
     datasets: Vec<DatasetMeta>,
@@ -498,9 +471,6 @@ pub struct H5Reader {
     /// Recycles decoded-tile buffers between the reader worker pool
     /// and the reassembly sink, across every read of the file.
     pool: BufferPool,
-    /// Chunk records carry CRC32C checksums verified on every read
-    /// (format v2 with [`FLAG_CHUNK_CRC`]).
-    checksummed: bool,
     /// Physical file length at open, for cheap truncation checks.
     flen: u64,
 }
@@ -512,44 +482,15 @@ impl H5Reader {
         let mut sb = [0u8; SUPERBLOCK as usize];
         file.read_at(0, &mut sb)
             .map_err(|_| H5Error::Truncated("superblock"))?;
-        let sb = Superblock::parse(&sb)?;
         let flen = file.len()?;
-        if sb.table_offset.checked_add(sb.table_len).is_none()
-            || sb.table_offset + sb.table_len > flen
-        {
-            return Err(H5Error::Truncated("metadata table"));
-        }
-        let mut table = vec![0u8; sb.table_len as usize];
-        file.read_at(sb.table_offset, &mut table)?;
-        if sb.version >= 2 {
-            let actual = crc32c(&table);
-            if actual != sb.table_crc {
-                return Err(H5Error::ChecksumMismatch {
-                    context: "metadata table",
-                    offset: sb.table_offset,
-                    expected: sb.table_crc,
-                    actual,
-                });
-            }
-        }
-        let datasets = if sb.version >= 2 {
-            deserialize_table(&table)?
-        } else {
-            deserialize_table_v1(&table)?
-        };
+        let datasets = Superblock::parse(&sb)?.read_table(&file, flen)?;
         Ok(H5Reader {
             file,
             datasets,
             registry: FilterRegistry::default(),
             pool: BufferPool::new(),
-            checksummed: sb.checksummed(),
             flen,
         })
-    }
-
-    /// Whether reads verify per-chunk CRC32C checksums (v2 files).
-    pub fn checksummed(&self) -> bool {
-        self.checksummed
     }
 
     /// Underlying shared file (e.g. to attach fault injection in
@@ -586,88 +527,67 @@ impl H5Reader {
                 .or_default()
                 .push((c.offset, c.stored, c.crc));
         }
-        let expected = match &d.chunk_dims {
-            None => 1,
-            Some(_) => d.n_chunks(),
-        };
-        if by_index.len() as u64 != expected {
+        if by_index.len() as u64 != d.n_chunks() {
             return Err(H5Error::Corrupt("incomplete chunk set"));
         }
         Ok(by_index.into_iter().collect())
     }
 
     /// Read one chunk's concatenated stored bytes into `stored`,
-    /// verifying each segment's CRC32C for checksummed (v2) files —
-    /// corrupt bytes are never handed to a decoder. Shared by the
-    /// serial and pipelined read paths.
+    /// verifying each segment's CRC32C — corrupt bytes are never
+    /// handed to a decoder.
     fn read_segments(&self, segments: &[(u64, u64, u32)], stored: &mut Vec<u8>) -> Result<()> {
+        // The table's lengths are outside input: every extent must lie
+        // inside the file, and together they cannot hold more than the
+        // file does, before any of them sizes the buffer.
+        let mut total = 0u64;
+        for &(offset, len, _) in segments {
+            let in_file = offset.checked_add(len).is_some_and(|end| end <= self.flen);
+            total = total.saturating_add(len);
+            if !in_file || total > self.flen {
+                return Err(H5Error::Truncated("chunk"));
+            }
+        }
         stored.clear();
-        let total: u64 = segments.iter().map(|&(_, len, _)| len).sum();
         stored.resize(total as usize, 0);
         let mut at = 0usize;
         for &(offset, len, crc) in segments {
-            if offset.checked_add(len).is_none() || offset + len > self.flen {
-                return Err(H5Error::Truncated("chunk"));
-            }
             let end = at + len as usize;
             self.file.read_at(offset, &mut stored[at..end])?;
-            if self.checksummed {
-                let actual = crc32c(&stored[at..end]);
-                if actual != crc {
-                    return Err(H5Error::ChecksumMismatch {
-                        context: "chunk",
-                        offset,
-                        expected: crc,
-                        actual,
-                    });
-                }
+            let actual = crc32c(&stored[at..end]);
+            if actual != crc {
+                return Err(H5Error::ChecksumMismatch {
+                    context: "chunk",
+                    offset,
+                    expected: crc,
+                    actual,
+                });
             }
             at = end;
         }
         Ok(())
     }
 
-    /// Read and de-filter a full dataset into its raw byte buffer.
+    /// Read and de-filter a full dataset into its raw byte buffer on
+    /// the calling thread: [`H5Reader::read_full_pipelined`] at one
+    /// worker.
     pub fn read_raw(&self, name: &str) -> Result<Vec<u8>> {
-        let d = self.meta(name)?;
-        let elem = d.dtype.size();
-        let mut out = vec![0u8; d.raw_bytes() as usize];
-        // The serial path reuses one scratch plus one stored-bytes and
-        // one decoded-tile buffer across all chunks, mirroring
-        // `write_full`: nothing is allocated per chunk.
-        let mut scratch = FilterScratch::new();
-        let mut stored = Vec::new();
-        let mut raw = self.pool.take();
-        // Contiguous datasets decode as a single tile spanning the
-        // extents (scatter with chunk = dims is the identity).
-        let cd = d.chunk_dims.clone().unwrap_or_else(|| d.dims.clone());
-        for (index, segments) in Self::chunk_segments(d)? {
-            self.read_segments(&segments, &mut stored)?;
-            // Unfiltered chunks scatter straight from the read buffer;
-            // no copy through the filter chain.
-            if d.filters.is_empty() {
-                scatter_tile(&mut out, &d.dims, elem, &cd, index, &stored)?;
-            } else {
-                self.registry
-                    .invert_into(&d.filters, &stored, &mut scratch, &mut raw)?;
-                scatter_tile(&mut out, &d.dims, elem, &cd, index, &raw)?;
-            }
-        }
-        self.pool.put(raw);
-        Ok(out)
+        self.read_full_pipelined(name, 1)
     }
 
-    /// Read and de-filter a full dataset through the parallel decode
-    /// pipeline: chunk reads + filter inversion fan out to `workers`
-    /// threads (each reusing one [`FilterScratch`] across its chunks)
-    /// and tiles are reassembled in chunk-index order, so the result
-    /// is value-identical to [`H5Reader::read_raw`] at any worker
-    /// count — the read-side mirror of
+    /// Read and de-filter a full dataset: chunk reads, CRC checks and
+    /// filter inversion fan out to `workers` threads (each reusing one
+    /// [`FilterScratch`] and one read buffer across its chunks; one
+    /// worker runs inline on the caller's thread) and tiles are
+    /// reassembled in chunk-index order, so the result is
+    /// value-identical at any worker count — the read-side mirror of
     /// [`H5File::write_full_pipelined`].
     pub fn read_full_pipelined(&self, name: &str, workers: usize) -> Result<Vec<u8>> {
         let d = self.meta(name)?;
         let elem = d.dtype.size();
         let mut out = vec![0u8; d.raw_bytes() as usize];
+        // Contiguous datasets decode as a single tile spanning the
+        // extents (scatter with chunk = dims is the identity).
         let cd = d.chunk_dims.clone().unwrap_or_else(|| d.dims.clone());
         let chunks = Self::chunk_segments(d)?;
         ordered_fanout(
@@ -677,19 +597,17 @@ impl H5Reader {
             |(scratch, stored): &mut (FilterScratch, Vec<u8>), i| {
                 let (_, segments) = &chunks[i as usize];
                 self.read_segments(segments, stored)?;
+                let mut tile = self.pool.take();
                 if d.filters.is_empty() {
                     // The sink needs an owned tile; swapping the read
-                    // buffer with a pooled one moves it out without a
-                    // copy or a fresh allocation.
-                    let mut tile = self.pool.take();
+                    // buffer with the pooled one moves it out without
+                    // a copy or a fresh allocation.
                     std::mem::swap(stored, &mut tile);
-                    Ok(tile)
                 } else {
-                    let mut tile = self.pool.take();
                     self.registry
                         .invert_into(&d.filters, stored, scratch, &mut tile)?;
-                    Ok(tile)
                 }
+                Ok(tile)
             },
             |i, raw| {
                 let (index, _) = chunks[i as usize];
@@ -726,14 +644,11 @@ impl H5Reader {
 
     /// Read a dataset as typed values (`f32` or `f64`).
     pub fn read<T: Element>(&self, name: &str) -> Result<Vec<T>> {
-        let d = self.meta(name)?;
-        Self::check_dtype::<T>(d)?;
-        Self::elems_from_raw(&self.read_raw(name)?)
+        self.read_pipelined(name, 1)
     }
 
     /// Read a dataset as typed values through the parallel decode
-    /// pipeline; value-identical to [`H5Reader::read`] at any worker
-    /// count.
+    /// pipeline; value-identical at any worker count.
     pub fn read_pipelined<T: Element>(&self, name: &str, workers: usize) -> Result<Vec<T>> {
         let d = self.meta(name)?;
         Self::check_dtype::<T>(d)?;
@@ -965,9 +880,9 @@ mod tests {
 
     #[test]
     fn pipelined_contiguous_write_matches_serial() {
-        // The chunk_dims = None branch treats the dataset as a single
-        // tile spanning the extents; its file must match write_full's
-        // dedicated contiguous path byte for byte.
+        // A contiguous dataset is a single tile spanning the extents;
+        // the synchronous and the queued emission must produce the
+        // same file byte for byte.
         let data = vec![9u8; 6000];
         let spec = || {
             DatasetSpec::new("c", Dtype::U8, &[6000]).with_filter(FilterSpec {
@@ -998,7 +913,7 @@ mod tests {
     fn pipelined_read_matches_serial_reader() {
         // Chunked + sz-filtered dataset read back through the worker
         // pool at several widths; every result must be value-identical
-        // to the serial reader (and to each other).
+        // to the inline 1-worker read (and to each other).
         let path = tmp("rpipe");
         let f = H5File::create(&path).unwrap();
         let data: Vec<f32> = (0..24 * 20 * 16).map(|i| (i as f32 * 0.01).sin()).collect();
@@ -1096,49 +1011,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Write a one-dataset v1 container by hand (no checksums
-    /// anywhere) — the compatibility fixture for pre-v2 files.
-    fn write_v1_file(path: &std::path::Path, payload: &[u8]) {
-        use szlite::stream::{put_u32, put_u64, put_varint};
-        let mut table = Vec::new();
-        put_varint(&mut table, 1); // one dataset
-        put_varint(&mut table, 1); // name len
-        table.push(b'x');
-        table.push(2); // U8 dtype tag
-        put_varint(&mut table, 1); // rank 1
-        put_varint(&mut table, payload.len() as u64);
-        table.push(0); // contiguous
-        put_varint(&mut table, 0); // no filters
-        put_varint(&mut table, 1); // one chunk, v1 record: no crc
-        put_varint(&mut table, 0);
-        put_u64(&mut table, SUPERBLOCK);
-        put_varint(&mut table, payload.len() as u64);
-        put_varint(&mut table, payload.len() as u64);
-        put_varint(&mut table, 0); // no attrs
-        let table_offset = SUPERBLOCK + payload.len() as u64;
-        let mut sb = Vec::new();
-        put_u32(&mut sb, MAGIC);
-        sb.push(1); // version 1
-        sb.extend_from_slice(&[0u8; 3]);
-        put_u64(&mut sb, table_offset);
-        put_u64(&mut sb, table.len() as u64);
-        sb.resize(SUPERBLOCK as usize, 0);
-        let mut bytes = sb;
-        bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(&table);
-        std::fs::write(path, bytes).unwrap();
-    }
-
-    #[test]
-    fn v1_file_still_reads_unverified() {
-        let path = tmp("v1");
-        write_v1_file(&path, &[5, 6, 7, 8]);
-        let r = H5Reader::open(&path).unwrap();
-        assert!(!r.checksummed());
-        assert_eq!(r.read_raw("x").unwrap(), vec![5, 6, 7, 8]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn corrupt_chunk_detected_on_both_read_paths() {
         let path = tmp("crc-chunk");
@@ -1157,7 +1029,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let r = H5Reader::open(&path).unwrap();
-        assert!(r.checksummed());
         assert!(matches!(
             r.read_raw("v"),
             Err(H5Error::ChecksumMismatch {
@@ -1221,27 +1092,49 @@ mod tests {
             .unwrap();
         f.write_full(id, &[3u8; 4096]).unwrap();
         f.close().unwrap();
-        // Forge a container whose (valid, checksummed) table points a
-        // chunk past EOF — the reader must report truncation before
-        // ever attempting the read.
+        // Forge containers whose (valid, checksummed) table points a
+        // chunk past EOF, or claims more stored bytes than any file
+        // holds — the reader must report truncation before ever sizing
+        // a buffer from the record or attempting the read.
         let r = H5Reader::open(&path).unwrap();
         let c = r.meta("v").unwrap().chunks[0];
         drop(r);
-        let f2 = H5File::create(&path).unwrap();
-        let id2 = f2
-            .create_dataset(DatasetSpec::new("v", Dtype::U8, &[4096]))
-            .unwrap();
-        f2.record_chunk(
-            id2,
+        let forged = [
             ChunkInfo {
                 offset: c.offset + (1 << 20),
                 ..c
             },
-        )
-        .unwrap();
-        f2.close().unwrap();
-        let r = H5Reader::open(&path).unwrap();
-        assert!(matches!(r.read_raw("v"), Err(H5Error::Truncated("chunk"))));
+            ChunkInfo {
+                stored: 1 << 50,
+                ..c
+            },
+            ChunkInfo {
+                offset: u64::MAX - 8,
+                ..c
+            },
+        ];
+        for bad in forged {
+            let f2 = H5File::create(&path).unwrap();
+            let id2 = f2
+                .create_dataset(DatasetSpec::new("v", Dtype::U8, &[4096]))
+                .unwrap();
+            f2.record_chunk(id2, bad).unwrap();
+            f2.close().unwrap();
+            let r = H5Reader::open(&path).unwrap();
+            assert!(
+                matches!(r.read_raw("v"), Err(H5Error::Truncated("chunk"))),
+                "{bad:?}"
+            );
+            for workers in [1usize, 2, 8] {
+                assert!(
+                    matches!(
+                        r.read_full_pipelined("v", workers),
+                        Err(H5Error::Truncated("chunk"))
+                    ),
+                    "{bad:?} workers={workers}"
+                );
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,9 +2,9 @@
 //!
 //! HDF5 compresses chunks through a chain of registered filters; the
 //! paper's baseline is the H5Z-SZ filter (id 32017). We register an
-//! szlite-backed equivalent under the same id, plus the classic
-//! shuffle and an LZSS "deflate-like" filter, and apply chains in
-//! declaration order on write / reverse order on read.
+//! szlite-backed equivalent under the same id, plus an LZSS
+//! "deflate-like" filter, and apply chains in declaration order on
+//! write / reverse order on read.
 
 use crate::error::{H5Error, Result};
 use crate::meta::FilterSpec;
@@ -15,8 +15,6 @@ use szlite::{Config, Dims, ErrorBound};
 
 /// Filter id used by H5Z-SZ (kept for fidelity).
 pub const SZLITE_FILTER_ID: u32 = 32017;
-/// Byte-shuffle filter id (HDF5's builtin shuffle is 2).
-pub const SHUFFLE_FILTER_ID: u32 = 2;
 /// LZSS lossless filter id (stand-in for deflate, HDF5 id 1).
 pub const LZSS_FILTER_ID: u32 = 1;
 
@@ -195,82 +193,8 @@ impl Filter for SzliteFilter {
     }
 }
 
-/// Byte-shuffle filter: groups the i-th byte of every element together
-/// (improves downstream lossless compression of floats).
-pub struct ShuffleFilter;
-
-impl ShuffleFilter {
-    fn elem_size(params: &[u8]) -> Result<usize> {
-        match params.first() {
-            Some(&s) if s > 0 && usize::from(s) <= 16 => Ok(usize::from(s)),
-            _ => Err(H5Error::Corrupt("shuffle element size")),
-        }
-    }
-}
-
-impl Filter for ShuffleFilter {
-    fn id(&self) -> u32 {
-        SHUFFLE_FILTER_ID
-    }
-
-    fn encode(
-        &self,
-        data: &[u8],
-        params: &[u8],
-        out: &mut Vec<u8>,
-        _scratch: &mut FilterScratch,
-    ) -> Result<()> {
-        let es = Self::elem_size(params)?;
-        if !data.len().is_multiple_of(es) {
-            return Err(H5Error::Filter(
-                "shuffle: length not multiple of element".into(),
-            ));
-        }
-        let n = data.len() / es;
-        let base = out.len();
-        out.resize(base + data.len(), 0);
-        let dst = &mut out[base..];
-        for i in 0..n {
-            for b in 0..es {
-                dst[b * n + i] = data[i * es + b];
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(
-        &self,
-        data: &[u8],
-        params: &[u8],
-        out: &mut Vec<u8>,
-        _scratch: &mut FilterScratch,
-    ) -> Result<()> {
-        let es = Self::elem_size(params)?;
-        if !data.len().is_multiple_of(es) {
-            return Err(H5Error::Filter(
-                "shuffle: length not multiple of element".into(),
-            ));
-        }
-        let n = data.len() / es;
-        let base = out.len();
-        out.resize(base + data.len(), 0);
-        let dst = &mut out[base..];
-        for i in 0..n {
-            for b in 0..es {
-                dst[i * es + b] = data[b * n + i];
-            }
-        }
-        Ok(())
-    }
-}
-
 /// LZSS lossless filter: szlite's trailing lossless stage on its own,
-/// with that stage's bytes contract (see [`szlite::lossless`]): a chunk
-/// that stops repeating for a whole 16 KiB window past its first is
-/// stored raw, whatever follows. After [`ShuffleFilter`] the noisy low
-/// mantissa bytes of little-endian floats come first, so keep such
-/// chunks within a few windows (≤ 64 KiB) if the exponent planes are to
-/// be compressed.
+/// with that stage's bytes contract (see [`szlite::lossless`]).
 pub struct LzssFilter;
 
 impl Filter for LzssFilter {
@@ -313,7 +237,6 @@ impl Default for FilterRegistry {
             filters: HashMap::new(),
         };
         r.register(Arc::new(SzliteFilter));
-        r.register(Arc::new(ShuffleFilter));
         r.register(Arc::new(LzssFilter));
         r
     }
@@ -500,15 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_roundtrip() {
-        let data: Vec<u8> = (0..64).collect();
-        let f = ShuffleFilter;
-        let enc = enc(&f, &data, &[4]).unwrap();
-        assert_ne!(enc, data);
-        assert_eq!(dec(&f, &enc, &[4]).unwrap(), data);
-    }
-
-    #[test]
     fn lzss_filter_roundtrip() {
         let data = vec![7u8; 10_000];
         let f = LzssFilter;
@@ -520,11 +434,20 @@ mod tests {
     #[test]
     fn pipeline_order_and_inverse() {
         let reg = FilterRegistry::default();
-        let data: Vec<u8> = (0..255u8).cycle().take(4096).collect();
+        // szlite → LZSS: two stages through the inter-stage ping-pong
+        // buffer whose inverse only works in reverse order (LZSS bytes
+        // are not an szlite stream).
+        let vals: Vec<f32> = (0..1024).map(|i| (i / 7) as f32).collect();
+        let data = f32s_to_bytes(&vals);
         let specs = vec![
             FilterSpec {
-                id: SHUFFLE_FILTER_ID,
-                params: vec![4],
+                id: SZLITE_FILTER_ID,
+                params: SzFilterParams {
+                    absolute: true,
+                    bound: 1e-3,
+                    dims: vec![1024],
+                }
+                .to_bytes(),
             },
             FilterSpec {
                 id: LZSS_FILTER_ID,
@@ -534,7 +457,11 @@ mod tests {
         let mut scratch = FilterScratch::new();
         let enc = reg.apply(&specs, &data, &mut scratch).unwrap();
         let dec = reg.invert(&specs, &enc, &mut scratch).unwrap();
-        assert_eq!(dec, data);
+        assert_eq!(dec.len(), data.len());
+        for (v, b) in vals.iter().zip(dec.chunks_exact(4)) {
+            let y = f32::from_le_bytes(b.try_into().unwrap());
+            assert!((v - y).abs() <= 1e-3);
+        }
 
         // A dirty scratch reused on the same input yields identical
         // bytes in both directions — the determinism guarantee the
@@ -547,7 +474,7 @@ mod tests {
             .invert(&specs, &fresh, &mut FilterScratch::new())
             .unwrap();
         assert_eq!(dec2, dec_fresh);
-        assert_eq!(dec2, data);
+        assert_eq!(dec2, dec);
     }
 
     #[test]

@@ -6,22 +6,27 @@
 //! the subset the system needs, with the same structural roles:
 //!
 //! * a **self-describing file format** (superblock → chunk data →
-//!   metadata table), path-named datasets, attributes ([`meta`],
-//!   [`mod@file`]);
+//!   metadata table; one version, every chunk, the table and the
+//!   superblock CRC32C-checked on every read), path-named datasets,
+//!   attributes ([`meta`], [`mod@file`]);
 //! * **contiguous and chunked layouts** with tile gather/scatter on
 //!   read/write ([`chunk`]);
 //! * an **H5Z-like filter pipeline** with the szlite lossy filter
-//!   registered under H5Z-SZ's id 32017, plus shuffle and LZSS
-//!   ([`filter`]);
+//!   registered under H5Z-SZ's id 32017, plus LZSS ([`filter`]);
 //! * **event-set asynchronous writes** on background threads — the
 //!   async-VOL capability the paper's overlap design builds on
 //!   ([`asyncq`]);
-//! * a **parallel chunk-compression pipeline** ([`pipeline`]): chunk
-//!   tiles fan out to a scratch-reusing worker pool and stream into
-//!   the async write queue in chunk order, so compression overlaps
-//!   writes while keeping files byte-identical to the serial path;
+//! * a **chunk-compression pipeline** ([`pipeline`]) every dataset
+//!   write and read runs through: chunk tiles fan out to a
+//!   scratch-reusing worker pool and arrive in chunk order, so
+//!   compression overlaps the async write queue and files are
+//!   byte-identical at any worker count — one worker is a plain loop
+//!   on the calling thread;
 //! * **parallel shared-file writes** at pre-computed offsets via
-//!   [`H5File::write_chunk_at`] from many rank threads.
+//!   [`H5File::write_chunk_at`] (synchronous) and
+//!   [`H5File::write_chunk_at_async`] (event-set queued) from many
+//!   rank threads — the two places a chunk is checksummed, written
+//!   and recorded.
 //!
 //! Files round-trip: anything written can be re-opened with
 //! [`H5Reader`] and decoded back through the inverse filter chain.
@@ -41,13 +46,11 @@ pub use asyncq::EventSet;
 pub use crc::{crc32c, Crc32c};
 pub use error::{AsyncWriteFailure, H5Error, Result};
 pub use file::{
-    DatasetId, DatasetSpec, H5File, H5Reader, FLAG_CHUNK_CRC, MAGIC, MIN_VERSION, SUPERBLOCK,
-    VERSION,
+    DatasetId, DatasetSpec, H5File, H5Reader, FLAG_CHUNK_CRC, MAGIC, SUPERBLOCK, VERSION,
 };
 pub use filter::{
-    Filter, FilterRegistry, FilterScratch, SzFilterParams, LZSS_FILTER_ID, SHUFFLE_FILTER_ID,
-    SZLITE_FILTER_ID,
+    Filter, FilterRegistry, FilterScratch, SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
 };
 pub use meta::{AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec};
-pub use pipeline::{compress_chunks, ordered_fanout, workers_from_env, workers_from_env_or};
+pub use pipeline::{compress_chunks, ordered_fanout};
 pub use pool::BufferPool;

@@ -91,8 +91,8 @@ pub struct ChunkInfo {
     pub stored: u64,
     /// Unfiltered length in bytes.
     pub raw: u64,
-    /// CRC32C of the stored bytes (see [`crate::crc`]); `0` in files
-    /// written before format v2, where reads go unverified.
+    /// CRC32C of the stored bytes (see [`crate::crc`]), checked on
+    /// every read.
     pub crc: u32,
 }
 
@@ -171,8 +171,7 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
 }
 
 /// Serialize a metadata table (all datasets in a file). Chunk records
-/// carry their CRC32C — the v2 on-disk encoding; v1 files (no
-/// checksums) are read via [`deserialize_table_v1`].
+/// carry their CRC32C.
 pub fn serialize_table(datasets: &[DatasetMeta]) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, datasets.len() as u64);
@@ -229,18 +228,8 @@ pub fn serialize_table(datasets: &[DatasetMeta]) -> Vec<u8> {
     out
 }
 
-/// Parse a v2 metadata table (chunk records carry a CRC32C).
+/// Parse a metadata table written by [`serialize_table`].
 pub fn deserialize_table(buf: &[u8]) -> Result<Vec<DatasetMeta>> {
-    deserialize_table_with(buf, true)
-}
-
-/// Parse a v1 metadata table (pre-checksum chunk records; every
-/// [`ChunkInfo::crc`] comes back `0` and reads go unverified).
-pub fn deserialize_table_v1(buf: &[u8]) -> Result<Vec<DatasetMeta>> {
-    deserialize_table_with(buf, false)
-}
-
-fn deserialize_table_with(buf: &[u8], with_crc: bool) -> Result<Vec<DatasetMeta>> {
     let mut pos = 0usize;
     let n = get_varint(buf, &mut pos)? as usize;
     if n > 1_000_000 {
@@ -298,11 +287,7 @@ fn deserialize_table_with(buf: &[u8], with_crc: bool) -> Result<Vec<DatasetMeta>
             let offset = get_u64(buf, &mut pos).map_err(|_| H5Error::Truncated("chunk"))?;
             let stored = get_varint(buf, &mut pos)?;
             let raw = get_varint(buf, &mut pos)?;
-            let crc = if with_crc {
-                get_u32(buf, &mut pos).map_err(|_| H5Error::Truncated("chunk crc"))?
-            } else {
-                0
-            };
+            let crc = get_u32(buf, &mut pos).map_err(|_| H5Error::Truncated("chunk crc"))?;
             chunks.push(ChunkInfo {
                 index,
                 offset,
@@ -403,50 +388,6 @@ mod tests {
         let bytes = serialize_table(&metas);
         let parsed = deserialize_table(&bytes).unwrap();
         assert_eq!(parsed, metas);
-    }
-
-    #[test]
-    fn v1_table_reads_without_chunk_crcs() {
-        // Hand-encode a v1 chunk record (no trailing crc u32) and make
-        // sure the v1 parser accepts it with crc = 0 — the pre-v2
-        // compatibility contract.
-        let mut meta = sample_meta();
-        meta.chunks.truncate(1);
-        let mut v2 = serialize_table(&[meta.clone()]);
-        // The crc u32 is the last chunk field before the attr section;
-        // rebuild the table without it by re-encoding manually.
-        v2.clear();
-        let out = &mut v2;
-        put_varint(out, 1); // one dataset
-        put_varint(out, meta.name.len() as u64);
-        out.extend_from_slice(meta.name.as_bytes());
-        out.push(0); // F32 tag
-        put_varint(out, 3);
-        for &d in &meta.dims {
-            put_varint(out, d);
-        }
-        out.push(1);
-        put_varint(out, 3);
-        for &c in meta.chunk_dims.as_ref().unwrap() {
-            put_varint(out, c);
-        }
-        put_varint(out, meta.filters.len() as u64);
-        for f in &meta.filters {
-            put_u32(out, f.id);
-            put_varint(out, f.params.len() as u64);
-            out.extend_from_slice(&f.params);
-        }
-        put_varint(out, 1);
-        let c = meta.chunks[0];
-        put_varint(out, c.index);
-        put_u64(out, c.offset);
-        put_varint(out, c.stored);
-        put_varint(out, c.raw);
-        put_varint(out, 0); // no attrs
-        let parsed = deserialize_table_v1(&v2).unwrap();
-        assert_eq!(parsed[0].chunks[0].crc, 0);
-        assert_eq!(parsed[0].chunks[0].offset, c.offset);
-        assert_eq!(parsed[0].name, meta.name);
     }
 
     #[test]

@@ -4,27 +4,29 @@
 //! of every chunk write; the paper's design (§II-A) instead overlaps
 //! compression with the asynchronous VOL so chunk *k+1* compresses
 //! while chunk *k* is still in flight. This module provides that
-//! overlap for the write path:
+//! overlap:
 //!
 //! * [`ordered_fanout`] — a generic worker pool (crossbeam channels,
 //!   scoped threads) that runs jobs out of order but delivers results
-//!   to a sink *in index order*;
+//!   to a sink *in index order*; at one worker it is a plain loop on
+//!   the calling thread;
 //! * [`compress_chunks`] — chunk tiles fanned out to compression
-//!   workers, each reusing a [`FilterScratch`] across its chunks;
-//! * [`H5File::write_full_pipelined`](crate::H5File::write_full_pipelined)
-//!   — streams each compressed chunk straight into an
-//!   [`EventSet`](crate::EventSet) write queue.
+//!   workers, each reusing a [`FilterScratch`] across its chunks. Every
+//!   dataset write of [`H5File`](crate::H5File) runs through it; the
+//!   sink decides whether a chunk is written synchronously
+//!   ([`write_full`](crate::H5File::write_full)) or streams into an
+//!   [`EventSet`](crate::EventSet) write queue
+//!   ([`write_full_pipelined`](crate::H5File::write_full_pipelined)).
 //!
 //! Because file offsets are reserved in chunk-index order by the
-//! single sink thread, the produced file is **byte-identical** to the
-//! serial `write_full` path at any worker count.
+//! single sink thread, the produced file is **byte-identical** at any
+//! worker count.
 //!
-//! The read side mirrors this through the same [`ordered_fanout`]
-//! pool:
+//! The read side runs through the same [`ordered_fanout`] pool:
 //! [`H5Reader::read_full_pipelined`](crate::H5Reader::read_full_pipelined)
 //! fans chunk reads + filter inversion out to scratch-reusing workers
 //! and reassembles tiles in chunk-index order, so decoded data is
-//! **value-identical** to the serial reader at any worker count.
+//! **value-identical** at any worker count.
 
 use crate::chunk::gather_tile_into;
 use crate::error::{H5Error, Result};
@@ -34,27 +36,6 @@ use crate::pool::BufferPool;
 use crossbeam::channel::unbounded;
 use std::collections::BTreeMap;
 
-/// Resolve the pipeline worker count: `SZ_THREADS` when set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn workers_from_env() -> usize {
-    workers_from_env_or(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    )
-}
-
-/// Like [`workers_from_env`] but with an explicit fallback — the real
-/// engine passes 1 (rank threads already provide parallelism), while
-/// standalone writers default to the machine's parallelism.
-pub fn workers_from_env_or(default: usize) -> usize {
-    std::env::var("SZ_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 /// Run `job(worker_state, i)` for every `i in 0..n` on a pool of
 /// `workers` threads, delivering each result to `sink` in ascending
 /// `i` order (a small reorder buffer holds out-of-order completions).
@@ -62,8 +43,7 @@ pub fn workers_from_env_or(default: usize) -> usize {
 /// `make_worker` builds one state value per worker thread — scratch
 /// buffers live there and are reused across that worker's jobs. With
 /// `workers <= 1` everything runs inline on the calling thread, with
-/// no channels or spawns: the serial path and the pool path execute
-/// the same job code.
+/// no channels or spawns — same job, same sink, same order.
 ///
 /// The first error (from a job or from the sink) wins and is returned
 /// after the pool drains; later results are discarded.
@@ -262,12 +242,5 @@ mod tests {
             },
         )
         .unwrap();
-    }
-
-    #[test]
-    fn workers_env_parsing() {
-        // Only asserts the fallback contract, not the env (tests run
-        // in parallel; mutating the process env would race).
-        assert!(workers_from_env() >= 1);
     }
 }

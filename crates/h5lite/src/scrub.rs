@@ -11,14 +11,14 @@
 use crate::crc::crc32c;
 use crate::error::{H5Error, Result};
 use crate::file::{Superblock, SUPERBLOCK};
-use crate::meta::{deserialize_table, deserialize_table_v1, DatasetMeta};
+use crate::meta::DatasetMeta;
 use pfsim::SharedFile;
 use std::path::{Path, PathBuf};
 
 /// Verdict on one stored chunk record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkState {
-    /// Bytes present and (for v2 files) CRC-verified.
+    /// Bytes present and CRC-verified.
     Ok,
     /// Bytes present but failing their recorded CRC32C.
     Corrupt {
@@ -52,7 +52,7 @@ pub struct ChunkReport {
 /// Container-level verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContainerState {
-    /// Superblock, table, and (v2) their checksums are intact.
+    /// Superblock, table, and their checksums are intact.
     Ok,
     /// The superblock is still the zeroed create-time placeholder (or
     /// the file is shorter than a superblock): the writer crashed
@@ -76,9 +76,6 @@ pub struct ScrubReport {
     pub container: ContainerState,
     /// Per-chunk-record verdicts.
     pub chunks: Vec<ChunkReport>,
-    /// False for v1 files: chunks were only bounds-checked, not
-    /// checksum-verified (v1 records carry no CRC).
-    pub verified: bool,
 }
 
 impl ScrubReport {
@@ -112,9 +109,7 @@ impl ScrubReport {
 
 /// Parse superblock + table without failing on damage; the error
 /// string goes into the [`ContainerState`].
-fn load_meta(
-    file: &SharedFile,
-) -> Result<std::result::Result<(Vec<DatasetMeta>, bool), ContainerState>> {
+fn load_meta(file: &SharedFile) -> Result<std::result::Result<Vec<DatasetMeta>, ContainerState>> {
     let flen = file.len().map_err(H5Error::Io)?;
     if flen < SUPERBLOCK {
         return Ok(Err(ContainerState::Torn));
@@ -129,31 +124,9 @@ fn load_meta(
         Ok(sb) => sb,
         Err(e) => return Ok(Err(ContainerState::CorruptSuperblock(e.to_string()))),
     };
-    if sb.table_offset.checked_add(sb.table_len).is_none() || sb.table_offset + sb.table_len > flen
-    {
-        return Ok(Err(ContainerState::CorruptTable(
-            "table extent past end of file".into(),
-        )));
-    }
-    let mut table = vec![0u8; sb.table_len as usize];
-    file.read_at(sb.table_offset, &mut table)
-        .map_err(H5Error::Io)?;
-    if sb.version >= 2 {
-        let actual = crc32c(&table);
-        if actual != sb.table_crc {
-            return Ok(Err(ContainerState::CorruptTable(format!(
-                "table checksum mismatch: recorded {:#010x}, read {actual:#010x}",
-                sb.table_crc
-            ))));
-        }
-    }
-    let parsed = if sb.version >= 2 {
-        deserialize_table(&table)
-    } else {
-        deserialize_table_v1(&table)
-    };
-    match parsed {
-        Ok(datasets) => Ok(Ok((datasets, sb.checksummed()))),
+    match sb.read_table(file, flen) {
+        Ok(datasets) => Ok(Ok(datasets)),
+        Err(H5Error::Io(e)) => Err(H5Error::Io(e)),
         Err(e) => Ok(Err(ContainerState::CorruptTable(e.to_string()))),
     }
 }
@@ -165,14 +138,13 @@ fn load_meta(
 pub fn scrub(path: impl AsRef<Path>) -> Result<ScrubReport> {
     let path = path.as_ref().to_path_buf();
     let file = SharedFile::open(&path).map_err(H5Error::Io)?;
-    let (datasets, checksummed) = match load_meta(&file)? {
-        Ok(ok) => ok,
+    let datasets = match load_meta(&file)? {
+        Ok(datasets) => datasets,
         Err(state) => {
             return Ok(ScrubReport {
                 path,
                 container: state,
                 chunks: Vec::new(),
-                verified: false,
             })
         }
     };
@@ -181,9 +153,13 @@ pub fn scrub(path: impl AsRef<Path>) -> Result<ScrubReport> {
     let mut buf = Vec::new();
     for d in &datasets {
         for (record, c) in d.chunks.iter().enumerate() {
-            let state = if c.offset.checked_add(c.stored).is_none() || c.offset + c.stored > flen {
+            let in_file = c
+                .offset
+                .checked_add(c.stored)
+                .is_some_and(|end| end <= flen);
+            let state = if !in_file {
                 ChunkState::Truncated
-            } else if checksummed {
+            } else {
                 buf.clear();
                 buf.resize(c.stored as usize, 0);
                 file.read_at(c.offset, &mut buf).map_err(H5Error::Io)?;
@@ -196,9 +172,6 @@ pub fn scrub(path: impl AsRef<Path>) -> Result<ScrubReport> {
                         actual,
                     }
                 }
-            } else {
-                // v1: present, but nothing to verify against.
-                ChunkState::Ok
             };
             chunks.push(ChunkReport {
                 dataset: d.name.clone(),
@@ -214,7 +187,6 @@ pub fn scrub(path: impl AsRef<Path>) -> Result<ScrubReport> {
         path,
         container: ContainerState::Ok,
         chunks,
-        verified: checksummed,
     })
 }
 
@@ -254,7 +226,7 @@ pub fn repair_from_replica(
     let target = SharedFile::open(path.as_ref()).map_err(H5Error::Io)?;
     let replica_file = SharedFile::open(replica.as_ref()).map_err(H5Error::Io)?;
     let replica_meta = match load_meta(&replica_file)? {
-        Ok((datasets, _)) => datasets,
+        Ok(datasets) => datasets,
         Err(_) => {
             // A damaged replica heals nothing.
             out.unrepairable = report.damaged().count();
@@ -262,7 +234,7 @@ pub fn repair_from_replica(
         }
     };
     let target_meta = match load_meta(&target)? {
-        Ok((datasets, _)) => datasets,
+        Ok(datasets) => datasets,
         Err(_) => unreachable!("scrub above verified the container"),
     };
     let rlen = replica_file.len().map_err(H5Error::Io)?;
@@ -345,7 +317,6 @@ mod tests {
         write_container(&path, 0);
         let r = scrub(&path).unwrap();
         assert!(r.is_clean());
-        assert!(r.verified);
         assert_eq!(r.chunks.len(), 4);
         std::fs::remove_file(&path).unwrap();
     }
@@ -430,6 +401,77 @@ mod tests {
         assert!(dest.exists());
         assert!(dest.to_string_lossy().ends_with(".quarantined"));
         std::fs::remove_file(&dest).unwrap();
+    }
+
+    #[test]
+    fn every_superblock_byte_mutation_is_a_typed_error() {
+        // Exhaustive: no single-byte value change anywhere in the 32
+        // superblock bytes yields a container that opens or scrubs Ok.
+        // There is one format; a header cannot talk a reader out of
+        // checking it.
+        let path = tmp("sb-mutate");
+        write_container(&path, 0);
+        let clean = std::fs::read(&path).unwrap();
+        for pos in 0..SUPERBLOCK as usize {
+            for val in 0..=255u8 {
+                if val == clean[pos] {
+                    continue;
+                }
+                let mut bytes = clean.clone();
+                bytes[pos] = val;
+                std::fs::write(&path, &bytes).unwrap();
+                let err = match crate::H5Reader::open(&path) {
+                    Ok(_) => panic!("byte {pos} = {val:#04x} still opens"),
+                    Err(e) => e,
+                };
+                match pos {
+                    0..=3 => assert!(matches!(err, H5Error::BadMagic), "{pos}: {err}"),
+                    4 => assert!(
+                        matches!(err, H5Error::UnsupportedVersion(v) if v == val),
+                        "{pos}: {err}"
+                    ),
+                    _ => assert!(
+                        matches!(
+                            err,
+                            H5Error::ChecksumMismatch {
+                                context: "superblock",
+                                ..
+                            }
+                        ),
+                        "{pos}: {err}"
+                    ),
+                }
+                let r = scrub(&path).unwrap();
+                assert!(
+                    matches!(r.container, ContainerState::CorruptSuperblock(_)),
+                    "byte {pos} = {val:#04x} scrubs as {:?}",
+                    r.container
+                );
+                assert!(!r.is_clean());
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn superblock_without_chunk_crc_flag_does_not_open() {
+        // A self-consistent superblock (valid trailer CRC) that clears
+        // FLAG_CHUNK_CRC is still refused: no header bit switches
+        // chunk verification off.
+        let path = tmp("sb-noflag");
+        write_container(&path, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[5] = 0;
+        let crc = crc32c(&bytes[0..28]);
+        bytes[28..32].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            crate::H5Reader::open(&path),
+            Err(H5Error::Corrupt("superblock flags"))
+        ));
+        let r = scrub(&path).unwrap();
+        assert!(matches!(r.container, ContainerState::CorruptSuperblock(_)));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

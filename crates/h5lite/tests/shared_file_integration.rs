@@ -2,7 +2,7 @@
 //! async event-set writes feeding recorded chunks — the exact
 //! composition the predictive write engine uses.
 
-use h5lite::{crc32c, DatasetSpec, Dtype, EventSet, H5File, H5Reader};
+use h5lite::{crc32c, BufferPool, DatasetSpec, Dtype, EventSet, H5File, H5Reader};
 use pfsim::SharedFile;
 use testutil::TempPath;
 
@@ -30,9 +30,9 @@ fn from_shared_wraps_fresh_file() {
 
 #[test]
 fn async_chunk_writes_then_close() {
-    // Chunks written via the event set at pre-reserved offsets, with
-    // chunk records added as each write is enqueued (the overlap
-    // engine's pattern), must produce a valid readable file.
+    // Chunks queued on the event set at pre-reserved offsets through
+    // the async emission primitive (the overlap engine's pattern) must
+    // produce a valid readable file.
     let guard = tmp("async");
     let path = guard.path().to_path_buf();
     let file = H5File::create(&path).unwrap();
@@ -44,27 +44,19 @@ fn async_chunk_writes_then_close() {
         )
         .unwrap();
     let es = EventSet::new(2);
+    let pool = std::sync::Arc::new(BufferPool::new());
     let chunk_bytes = chunk_elems * 4;
     let base = file.reserve(n_chunks * chunk_bytes);
     for c in 0..n_chunks {
         let vals: Vec<f32> = (0..chunk_elems).map(|i| (c * 100 + i) as f32).collect();
         let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let crc = crc32c(&bytes);
-        es.write_at(file.shared_file(), base + c * chunk_bytes, bytes, None);
-        file.record_chunk(
-            id,
-            h5lite::ChunkInfo {
-                index: c,
-                offset: base + c * chunk_bytes,
-                stored: chunk_bytes,
-                raw: chunk_bytes,
-                crc,
-            },
-        )
-        .unwrap();
+        let offset = base + c * chunk_bytes;
+        file.write_chunk_at_async(id, c, offset, bytes, chunk_bytes, &es, None, pool.clone())
+            .unwrap();
     }
     es.wait().unwrap();
     file.close().unwrap();
+    assert!(!pool.is_empty(), "landed buffers return to the pool");
 
     let r = H5Reader::open(&path).unwrap();
     let vals = r.read_f32("d").unwrap();

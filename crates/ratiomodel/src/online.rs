@@ -37,12 +37,10 @@ pub enum BandScope {
     /// behavior).
     #[default]
     Partition,
-    /// Cells are pooled into groups (callers with `rank·nfields+field`
-    /// cell indexing group by `cell % nfields`, i.e. per field); each
-    /// group's band is the running mean of its members' EWMA errors.
-    /// Consumed by constructors that know the group count, e.g.
-    /// `timeline`'s `OnlineSource` via
-    /// [`OnlinePredictor::with_band_groups`].
+    /// Cells are pooled per field (with `rank·nfields+field` cell
+    /// indexing, by `cell % nfields`); each field's band is the running
+    /// mean of its members' EWMA errors. Consumed by
+    /// [`OnlinePredictor::for_stream`], which knows the field count.
     Field,
 }
 
@@ -156,8 +154,6 @@ pub struct OnlinePrediction {
 }
 
 /// Version byte of [`OnlinePredictor::to_state_bytes`]'s encoding.
-/// v1 (PR 4) has no band groups; v2 appends the group-band section.
-/// Both versions load.
 const STATE_VERSION: u8 = 2;
 
 /// Collective error-band accumulator of one cell group.
@@ -195,18 +191,29 @@ impl OnlinePredictor {
         }
     }
 
+    /// Predictor for a stream of `nranks × nfields` partitions, cells
+    /// indexed `rank · nfields + field`, with the band scope
+    /// `cfg.band_scope` asks for: per-cell bands
+    /// ([`BandScope::Partition`], identical to
+    /// [`OnlinePredictor::new`]) or one collective band per field
+    /// pooled across its ranks ([`BandScope::Field`]). The one place
+    /// the scope is turned into a layout — the simulated and the
+    /// real-I/O stream both construct through it.
+    pub fn for_stream(nranks: usize, nfields: usize, cfg: OnlineConfig) -> Self {
+        let band_groups = match cfg.band_scope {
+            BandScope::Partition => 0,
+            BandScope::Field => nfields,
+        };
+        Self::with_band_groups(nranks * nfields, band_groups, cfg)
+    }
+
     /// Predictor with **collective** error bands: cells are pooled
     /// into `band_groups` groups by `cell % band_groups`, and each
     /// group's band derives from the running mean of its members' EWMA
-    /// errors instead of each cell's own. With the conventional
-    /// `rank · nfields + field` cell indexing, `band_groups = nfields`
-    /// gives one shared band per field across all ranks
-    /// ([`BandScope::Field`]). Bias corrections, warm-up gates and the
-    /// last-observed reservation floor stay per-cell.
-    ///
-    /// `band_groups = 0` is per-cell banding, identical to
-    /// [`OnlinePredictor::new`].
-    pub fn with_band_groups(n_cells: usize, band_groups: usize, cfg: OnlineConfig) -> Self {
+    /// errors instead of each cell's own. Bias corrections, warm-up
+    /// gates and the last-observed reservation floor stay per-cell.
+    /// `band_groups = 0` is per-cell banding.
+    fn with_band_groups(n_cells: usize, band_groups: usize, cfg: OnlineConfig) -> Self {
         OnlinePredictor {
             cfg: cfg.sanitized(),
             cells: vec![Cell::default(); n_cells],
@@ -356,17 +363,14 @@ impl OnlinePredictor {
     }
 
     /// Rebuild a predictor from [`OnlinePredictor::to_state_bytes`]
-    /// output. Reads the current v2 encoding and the v1 sidecars
-    /// written before collective bands existed (those come up with
-    /// per-cell bands, exactly the behavior that produced them). The
-    /// config is re-sanitized on load, so a state written by a future
-    /// version with wider ranges still comes up safe.
+    /// output. The config is re-sanitized on load, so a state written
+    /// with wider ranges still comes up safe.
     pub fn from_state_bytes(bytes: &[u8]) -> Result<Self, String> {
         use szlite::stream::{get_f64, get_varint};
         let err = |what: &str| format!("online predictor state: truncated {what}");
         let mut pos = 0usize;
         let version = *bytes.first().ok_or_else(|| err("header"))?;
-        if version != 1 && version != STATE_VERSION {
+        if version != STATE_VERSION {
             return Err(format!(
                 "online predictor state: unsupported version {version}"
             ));
@@ -377,21 +381,15 @@ impl OnlinePredictor {
         let err_margin = get_f64(bytes, &mut pos).map_err(|_| err("err_margin"))?;
         let min_headroom = get_f64(bytes, &mut pos).map_err(|_| err("min_headroom"))?;
         let max_headroom = get_f64(bytes, &mut pos).map_err(|_| err("max_headroom"))?;
-        let band_scope = if version >= 2 {
-            match bytes.get(pos) {
-                Some(0) => BandScope::Partition,
-                Some(1) => BandScope::Field,
-                Some(b) => {
-                    return Err(format!("online predictor state: unknown band scope {b}"));
-                }
-                None => return Err(err("band scope")),
+        let band_scope = match bytes.get(pos) {
+            Some(0) => BandScope::Partition,
+            Some(1) => BandScope::Field,
+            Some(b) => {
+                return Err(format!("online predictor state: unknown band scope {b}"));
             }
-        } else {
-            BandScope::Partition
+            None => return Err(err("band scope")),
         };
-        if version >= 2 {
-            pos += 1;
-        }
+        pos += 1;
         let n = get_varint(bytes, &mut pos).map_err(|_| err("cell count"))? as usize;
         if n > 100_000_000 {
             return Err("online predictor state: implausible cell count".into());
@@ -412,20 +410,18 @@ impl OnlinePredictor {
                 n_obs,
             });
         }
+        let ng = get_varint(bytes, &mut pos).map_err(|_| err("group count"))? as usize;
+        if ng > n.max(1) {
+            return Err("online predictor state: more groups than cells".into());
+        }
         let mut groups = Vec::new();
-        if version >= 2 {
-            let ng = get_varint(bytes, &mut pos).map_err(|_| err("group count"))? as usize;
-            if ng > n.max(1) {
-                return Err("online predictor state: more groups than cells".into());
+        for _ in 0..ng {
+            let err_sum = get_f64(bytes, &mut pos).map_err(|_| err("group"))?;
+            let n_active = get_varint(bytes, &mut pos).map_err(|_| err("group"))?;
+            if !err_sum.is_finite() || n_active > n as u64 {
+                return Err("online predictor state: invalid group".into());
             }
-            for _ in 0..ng {
-                let err_sum = get_f64(bytes, &mut pos).map_err(|_| err("group"))?;
-                let n_active = get_varint(bytes, &mut pos).map_err(|_| err("group"))?;
-                if !err_sum.is_finite() || n_active > n as u64 {
-                    return Err("online predictor state: invalid group".into());
-                }
-                groups.push(BandGroup { err_sum, n_active });
-            }
+            groups.push(BandGroup { err_sum, n_active });
         }
         if pos != bytes.len() {
             return Err("online predictor state: trailing bytes".into());
@@ -692,33 +688,6 @@ mod tests {
             assert_eq!(q.stats(cell), p.stats(cell));
             assert_eq!(q.predict(cell, 4321), p.predict(cell, 4321), "cell {cell}");
         }
-    }
-
-    #[test]
-    fn v1_state_still_loads() {
-        // Hand-encode the PR 4 (version 1) layout: cfg without band
-        // scope, cells, no group section. Old sidecars must load with
-        // per-cell bands.
-        use szlite::stream::{put_f64, put_varint};
-        let mut bytes = vec![1u8];
-        put_f64(&mut bytes, 0.5);
-        put_varint(&mut bytes, 2);
-        put_f64(&mut bytes, 4.0);
-        put_f64(&mut bytes, 1.05);
-        put_f64(&mut bytes, 1.43);
-        put_varint(&mut bytes, 2); // two cells
-        for i in 0..2u64 {
-            put_f64(&mut bytes, 1.2);
-            put_f64(&mut bytes, 0.1);
-            put_varint(&mut bytes, 900 + i);
-            put_varint(&mut bytes, 5);
-        }
-        let p = OnlinePredictor::from_state_bytes(&bytes).unwrap();
-        assert_eq!(p.n_cells(), 2);
-        assert_eq!(p.band_groups(), 0, "v1 state has per-cell bands");
-        assert_eq!(p.config().band_scope, BandScope::Partition);
-        assert_eq!(p.stats(1).last_observed, 901);
-        assert!(p.predict(0, 1000).headroom.is_some());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! step; between steps the timeline engine feeds the step's
 //! [`RunObservations`] back via [`OnlineSource::observe_run`].
 
-use predwrite::{PredictionSource, RunObservations, SourceEstimate};
-use ratiomodel::{BandScope, Models, OnlineConfig, OnlinePredictor};
+use predwrite::{PredictionSource, RealError, RunObservations, SourceEstimate};
+use ratiomodel::{Models, OnlineConfig, OnlinePredictor};
 use szlite::{Config, Dims};
 
 /// Streaming prediction source: one online cell per (rank, field).
@@ -22,21 +22,12 @@ pub struct OnlineSource {
 }
 
 impl OnlineSource {
-    /// Source tracking `nranks × nfields` partitions. Under
-    /// [`BandScope::Field`] the error bands are collective — one per
-    /// field, pooled across all its ranks — instead of per-partition
-    /// (bias corrections and reservation floors stay per-partition
-    /// either way).
+    /// Source tracking `nranks × nfields` partitions, banded per
+    /// `cfg.band_scope` (see [`OnlinePredictor::for_stream`]).
     pub fn new(nranks: usize, nfields: usize, models: Models, cfg: OnlineConfig) -> Self {
-        let online = match cfg.band_scope {
-            BandScope::Partition => OnlinePredictor::new(nranks * nfields, cfg),
-            // Cells are indexed rank·nfields + field, so grouping by
-            // cell % nfields pools exactly the ranks of one field.
-            BandScope::Field => OnlinePredictor::with_band_groups(nranks * nfields, nfields, cfg),
-        };
         OnlineSource {
             models,
-            online,
+            online: OnlinePredictor::for_stream(nranks, nfields, cfg),
             nranks,
             nfields,
         }
@@ -106,9 +97,8 @@ impl PredictionSource for OnlineSource {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
-    ) -> Result<SourceEstimate, String> {
-        let est = ratiomodel::estimate_partition(data, dims, cfg, &self.models)
-            .map_err(|e| e.to_string())?;
+    ) -> Result<SourceEstimate, RealError> {
+        let est = ratiomodel::estimate_partition(data, dims, cfg, &self.models)?;
         let p = self.online.predict(self.cell(rank, field), est.bytes);
         let raw_bytes = (data.len() * 4) as f64;
         // The blend rescales the predicted size; write time scales
@@ -130,6 +120,7 @@ impl PredictionSource for OnlineSource {
 mod tests {
     use super::*;
     use predwrite::FieldObservation;
+    use ratiomodel::BandScope;
 
     #[test]
     fn observations_feed_the_right_cells() {

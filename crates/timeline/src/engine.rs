@@ -15,8 +15,8 @@ use crate::adaptive::OnlineSource;
 use crate::metrics::{StepMetrics, TimelineReport};
 use pfsim::{BandwidthModel, FaultFs};
 use predwrite::{
-    run_real_with, ExtraSpacePolicy, Method, ModelSource, RankFieldData, RealConfig, RealError,
-    ReservationTopology,
+    mean_rel_size_err, run_real_with, ExtraSpacePolicy, Method, ModelSource, RankFieldData,
+    RealConfig, RealError, ReservationTopology,
 };
 use ratiomodel::Models;
 use std::path::PathBuf;
@@ -169,10 +169,10 @@ where
     D: std::borrow::Borrow<Vec<Vec<RankFieldData>>>,
 {
     std::fs::create_dir_all(&cfg.dir)
-        .map_err(|e| RealError(format!("timeline: create {}: {e}", cfg.dir.display())))?;
+        .map_err(|e| RealError::context(format!("timeline: create {}", cfg.dir.display()), e))?;
     let mut online: Option<OnlineSource> = initial_online;
     if let (AdaptMode::Static, Some(_)) = (&cfg.mode, &online) {
-        return Err(RealError(
+        return Err(RealError::Shape(
             "timeline: online state supplied for a static-mode stream".into(),
         ));
     }
@@ -220,7 +220,7 @@ where
                 }
                 let src = online.as_mut().expect("just initialized");
                 if src.nranks() != nranks || src.nfields() != nfields {
-                    return Err(RealError(format!(
+                    return Err(RealError::Shape(format!(
                         "timeline: step {step} changed shape to {nranks}×{nfields} \
                          (stream started at {}×{})",
                         src.nranks(),
@@ -235,7 +235,9 @@ where
         drop(step_span);
         let mean_rel_err = match (&cfg.mode, &online) {
             (AdaptMode::Adaptive(_), Some(src)) => src.predictor().mean_rel_err(),
-            _ => step_mean_rel_err(&obs),
+            // The static mode has no EWMA: report the step's
+            // instantaneous error.
+            _ => mean_rel_size_err(obs.iter().flatten().map(|o| (o.predicted, o.actual))),
         };
         let m = StepMetrics::collect(step, result, &obs, mean_rel_err);
         if cfg.keep_files {
@@ -249,21 +251,21 @@ where
                     src.nfields(),
                     src.predictor(),
                 )
-                .map_err(|e| RealError(format!("timeline: step {step} sidecar: {e}")))?;
+                .map_err(|e| RealError::context(format!("timeline: step {step} sidecar"), e))?;
             }
             // Flight record beside the sidecar: byte fields mirror
             // StepMetrics exactly, counters are per-step deltas, so a
             // post-crash reader sees what this step was doing.
             let rec = step_flight(&m, &metrics_before);
-            obs::flight::write_step(&obs::flight::flight_path(&rc.path), &rec)
-                .map_err(|e| RealError(format!("timeline: step {step} flight record: {e}")))?;
+            obs::flight::write_step(&obs::flight::flight_path(&rc.path), &rec).map_err(|e| {
+                RealError::context(format!("timeline: step {step} flight record"), e)
+            })?;
         } else {
             let _ = std::fs::remove_file(&rc.path);
         }
         steps.push(m);
     }
-    obs::trace::export_env()
-        .map_err(|e| RealError(format!("timeline: chrome-trace export: {e}")))?;
+    obs::trace::export_env().map_err(|e| RealError::context("timeline: chrome-trace export", e))?;
     Ok(TimelineReport {
         mode: cfg.mode.label().to_string(),
         steps,
@@ -302,24 +304,6 @@ fn step_flight(m: &StepMetrics, before: &obs::Snapshot) -> obs::StepFlight {
         escalations: after.counter_delta(before, "pfsim.faults.escalations"),
         mean_rel_err: m.mean_rel_err,
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
-    }
-}
-
-/// Mean relative prediction error of one step's partitions (the
-/// static mode has no EWMA, so report the instantaneous error).
-fn step_mean_rel_err(obs: &predwrite::RunObservations) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for o in obs.iter().flatten() {
-        if o.actual > 0 {
-            sum += (o.predicted as f64 - o.actual as f64).abs() / o.actual as f64;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
     }
 }
 

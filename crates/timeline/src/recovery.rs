@@ -21,7 +21,7 @@ use crate::adaptive::OnlineSource;
 use crate::engine::{run_timeline_resumed, AdaptMode, TimelineConfig};
 use crate::metrics::TimelineReport;
 use crate::sidecar;
-use h5lite::scrub::{quarantine, scrub, ContainerState};
+use h5lite::scrub::{quarantine, scrub};
 use predwrite::{verify_file, RankFieldData, RealError};
 use std::path::PathBuf;
 
@@ -87,11 +87,11 @@ where
             continue;
         }
         let report = scrub(&path)
-            .map_err(|e| RealError(format!("resume: scrub {}: {e}", path.display())))?;
-        let clean = report.container == ContainerState::Ok && report.is_clean();
-        if !clean {
-            let dest = quarantine(&path)
-                .map_err(|e| RealError(format!("resume: quarantine {}: {e}", path.display())))?;
+            .map_err(|e| RealError::context(format!("resume: scrub {}", path.display()), e))?;
+        if !report.is_clean() {
+            let dest = quarantine(&path).map_err(|e| {
+                RealError::context(format!("resume: quarantine {}", path.display()), e)
+            })?;
             quarantined.push(dest);
             resume_from = resume_from.min(step);
             continue;
@@ -121,8 +121,9 @@ where
             .map(|r| r.ok())
             .unwrap_or(false);
             if !ok {
-                let dest = quarantine(cfg.step_path(step))
-                    .map_err(|e| RealError(format!("resume: quarantine step {step}: {e}")))?;
+                let dest = quarantine(cfg.step_path(step)).map_err(|e| {
+                    RealError::context(format!("resume: quarantine step {step}"), e)
+                })?;
                 quarantined.push(dest);
                 verified_up_to = i;
                 break;

@@ -7,8 +7,7 @@
 //! ```
 
 use repro_suite::h5lite::{
-    workers_from_env, DatasetSpec, Dtype, EventSet, FilterSpec, H5File, H5Reader, SzFilterParams,
-    SZLITE_FILTER_ID,
+    DatasetSpec, Dtype, EventSet, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
 };
 use repro_suite::szlite::{compress_with_stats, decompress_f32, stats, Config, Dims};
 use repro_suite::workloads::{nyx, NyxParams};
@@ -69,11 +68,12 @@ fn main() {
         )
         .unwrap();
     let bytes: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    // The parallel compression pipeline: SZ_THREADS compression
-    // workers streaming into ES_WORKERS async write threads; output is
-    // byte-identical to the serial `write_full` at any worker count.
-    let events = EventSet::from_env();
-    file.write_full_pipelined(id, &bytes, workers_from_env(), &events, None)
+    // The parallel compression pipeline: one compression worker per
+    // core streaming into one async write thread; output is
+    // byte-identical at any worker count.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let events = EventSet::new(1);
+    file.write_full_pipelined(id, &bytes, workers, &events, None)
         .unwrap();
     events.wait().unwrap();
     file.close().unwrap();

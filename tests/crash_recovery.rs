@@ -177,6 +177,39 @@ fn crash_matrix_sidecar_missing() {
 }
 
 #[test]
+fn downgraded_superblock_version_is_quarantined_not_trusted() {
+    // There is one container format. A step whose superblock claims
+    // version 1 — the header that used to mean "no checksums, read
+    // unverified" — is a typed open error and damage to recovery,
+    // never a surviving step.
+    let stream = SnapshotStream::nyx(16);
+    let nranks = 8;
+    let steps = 3;
+    let dir = TempDir::new("sb-downgrade");
+    let cfg = config(&stream, steps, dir.0.clone());
+    let data = |s: usize| partition_stream_step(&stream, s, nranks);
+    run_timeline(&cfg, data).unwrap();
+
+    let mut bytes = std::fs::read(cfg.step_path(1)).unwrap();
+    assert_eq!(bytes[4], 2, "superblock byte 4 is the format version");
+    bytes[4] = 1;
+    std::fs::write(cfg.step_path(1), &bytes).unwrap();
+    assert!(matches!(
+        repro_suite::h5lite::H5Reader::open(cfg.step_path(1)),
+        Err(repro_suite::h5lite::H5Error::UnsupportedVersion(1))
+    ));
+
+    let res = resume_timeline(&cfg, data).unwrap();
+    assert_eq!(res.surviving, vec![0]);
+    assert_eq!(res.resume_from, 1);
+    assert_eq!(res.quarantined.len(), 1);
+    for s in 0..steps {
+        let rep = verify_file(&cfg.step_path(s), &data(s), Some(&cfg.configs), 1).unwrap();
+        assert!(rep.ok(), "step {s} out of bound after recovery");
+    }
+}
+
+#[test]
 fn seeded_fault_schedule_recovers_and_reconverges() {
     // The acceptance scenario: one stream suffers a torn write at
     // step k plus at least one transient EIO (retried) and one silent

@@ -3,17 +3,17 @@
 //! The read-side contract mirrors the write side's determinism pin:
 //! fanning chunk reads + filter inversion out to a worker pool and
 //! reassembling tiles in chunk-index order never changes the decoded
-//! bytes — `H5Reader::read_full_pipelined` is **value-identical** to
-//! the serial `read_raw` at any worker count. These tests pin that on
-//! real-ish workload tiles (Nyx, VPIC, RTM) across worker counts, and
-//! a seeded property test pushes random grids through the full
-//! pipelined round trip (pipelined compress → pipelined read → error
-//! bound holds).
+//! bytes — `H5Reader::read_full_pipelined` is **value-identical** at
+//! any worker count (`read_raw` is its 1-worker instance). These tests
+//! pin that on real-ish workload tiles (Nyx, VPIC, RTM) across worker
+//! counts, and a seeded property test pushes random grids through the
+//! full pipelined round trip (pipelined compress → pipelined read →
+//! error bound holds).
 
 use proptest::prelude::*;
 use repro_suite::h5lite::{
     DatasetSpec, Dtype, EventSet, FilterSpec, H5File, H5Reader, SzFilterParams, LZSS_FILTER_ID,
-    SHUFFLE_FILTER_ID, SZLITE_FILTER_ID,
+    SZLITE_FILTER_ID,
 };
 use repro_suite::workloads::{nyx, rtm, vpic, NyxParams, RtmParams, VpicParams};
 use testutil::TempPath;
@@ -81,14 +81,14 @@ fn rtm_reads_value_identical_across_worker_counts() {
 
 #[test]
 fn multi_stage_chain_reads_value_identical() {
-    // Shuffle → LZSS decoded in reverse order through the worker pool,
-    // on a ragged chunk grid (the last tile is clipped).
+    // LZSS → LZSS (exact) decoded stage by stage through the worker
+    // pool, on a ragged chunk grid (the last tile is clipped).
     let data: Vec<f32> = (0..4000).map(|i| (i / 7) as f32).collect();
     let spec = DatasetSpec::new("chain", Dtype::F32, &[4000])
         .chunked(&[512])
         .with_filter(FilterSpec {
-            id: SHUFFLE_FILTER_ID,
-            params: vec![4],
+            id: LZSS_FILTER_ID,
+            params: vec![],
         })
         .with_filter(FilterSpec {
             id: LZSS_FILTER_ID,
