@@ -3,7 +3,7 @@
 //! design depends on (Jin et al. [25]).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use szlite::{compress_f32, sample_quantization, Config, Dims};
+use szlite::{compress_f32, sample_quantization_into, Config, Dims, SampleScratch};
 use workloads::{nyx, NyxParams};
 
 fn bench_prediction(c: &mut Criterion) {
@@ -16,8 +16,9 @@ fn bench_prediction(c: &mut Criterion) {
     let mut g = c.benchmark_group("prediction-vs-compression");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(raw));
+    let mut scratch = SampleScratch::new();
     g.bench_function("sample-5pct", |b| {
-        b.iter(|| sample_quantization(&f.data, &dims, &cfg, 0.05).unwrap())
+        b.iter(|| sample_quantization_into(&f.data, &dims, &cfg, 0.05, &mut scratch).unwrap())
     });
     g.bench_function("full-compression", |b| {
         b.iter(|| compress_f32(&f.data, &dims, &cfg).unwrap())

@@ -11,9 +11,12 @@ use predwrite::{
     simulate_all, simulate_method, weight_to_rspace, ExtraSpacePolicy, Method, PartitionProfile,
     RunResult, SimParams,
 };
-use ratiomodel::{calibrate, observe, paper_bound_sweep, Models, ThroughputModel};
+use ratiomodel::{
+    calibrate, estimate_partition_with, observe, paper_bound_sweep, EstimateScratch, Models,
+    ThroughputModel,
+};
 use std::time::Instant;
-use szlite::{compress_with_stats, sample_quantization, Config, Dims};
+use szlite::{compress_with_stats, Config, Dims};
 use workloads::{nyx, rtm, Decomposition, NyxParams, RtmParams};
 
 /// Fit the write-time model the way the paper does (§IV-B): offline
@@ -323,14 +326,20 @@ fn comp_time_accuracy(side: usize, nranks: usize, transferred: Option<Throughput
     let bd = dec.block;
     let dims = Dims::d3(bd[0], bd[1], bd[2]);
     let cfg = Config::rel(1e-3);
+    // Eq. (1) with the fitted constants; 5 % sampling, default gain.
+    let models = Models {
+        throughput: model,
+        ..Models::with_cthr(1.0)
+    };
+    let mut scratch = EstimateScratch::new();
     let mut t = Table::new(&["field", "rank", "bit-rate", "predicted", "actual", "err"]);
     let mut errs = Vec::new();
     for (fi, f) in ds.fields.iter().enumerate() {
         for r in 0..nranks {
             let blk = dec.extract(f, r);
-            let s = sample_quantization(&blk, &dims, &cfg, 0.05).unwrap();
-            let pred = ratiomodel::predict_default(&s, 32);
-            let pred_t = model.compression_time((blk.len() * 4) as f64, pred.bits_per_point);
+            let pred_t = estimate_partition_with(&blk, &dims, &cfg, &models, &mut scratch)
+                .unwrap()
+                .comp_time;
             let t0 = Instant::now();
             let (_, st) = compress_with_stats(&blk, &dims, &cfg).unwrap();
             let actual_t = t0.elapsed().as_secs_f64();

@@ -7,10 +7,10 @@
 
 use pfsim::BandwidthModel;
 use predwrite::{
-    profile_partition, replicate_profiles, ExtraSpacePolicy, Method, PartitionProfile, RealConfig,
+    profile_partition_with, replicate_profiles, ExtraSpacePolicy, Method, PartitionProfile,
+    RealConfig,
 };
-use ratiomodel::Models;
-use ratiomodel::ThroughputModel;
+use ratiomodel::{EstimateScratch, Models, ThroughputModel};
 use std::path::PathBuf;
 use szlite::{compress_with_stats, Config, Dims};
 pub use timeline::{partition_1d, partition_3d, partition_stream_step};
@@ -202,6 +202,7 @@ pub fn nyx_profiles_with(
             Config::abs((rel * f64::from(mx - mn)).max(1e-30))
         })
         .collect();
+    let mut scratch = EstimateScratch::new();
     let base: Vec<Vec<PartitionProfile>> = (0..measured_ranks)
         .map(|r| {
             ds.fields
@@ -209,7 +210,8 @@ pub fn nyx_profiles_with(
                 .zip(&field_cfgs)
                 .map(|(f, cfg)| {
                     let blk = dec.extract(f, r);
-                    profile_partition(&blk, &dims, cfg, models).expect("profiling failed")
+                    profile_partition_with(&blk, &dims, cfg, models, &mut scratch)
+                        .expect("profiling failed")
                 })
                 .collect()
         })
@@ -250,6 +252,7 @@ pub fn vpic_profiles(
             .iter()
             .map(|f| workloads::split_1d(f, measured_ranks))
             .collect();
+        let mut scratch = EstimateScratch::new();
         (0..measured_ranks)
             .map(|r| {
                 splits
@@ -257,7 +260,7 @@ pub fn vpic_profiles(
                     .zip(&field_cfgs)
                     .map(|(per_field, cfg)| {
                         let blk = &per_field[r];
-                        profile_partition(blk, &Dims::d1(blk.len()), cfg, models)
+                        profile_partition_with(blk, &Dims::d1(blk.len()), cfg, models, &mut scratch)
                             .expect("profiling failed")
                     })
                     .collect()

@@ -52,7 +52,9 @@ pub use plan::{
     build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, FitSplit,
     PartitionPrediction, PartitionSlot, RankPlanView, WritePlan,
 };
-pub use profile::{profile_partition, replicate_profiles, PartitionProfile};
+pub use profile::{
+    profile_partition, profile_partition_with, replicate_profiles, PartitionProfile,
+};
 pub use real::{
     run_real, run_real_with, AdaptMode, FieldObservation, ModelSource, PredictionSource,
     RankFieldData, RealConfig, RealError, ReservationTopology, RunObservations, SourceEstimate,

@@ -7,7 +7,7 @@
 //! sweeps to 4096 ranks replay measured distributions instead of
 //! holding 4096 ranks of live data (DESIGN.md substitution 5).
 
-use ratiomodel::Models;
+use ratiomodel::{EstimateScratch, Models};
 use szlite::{compress_with_stats, Config, Dims, Result};
 
 /// Everything known about one (rank, field) partition.
@@ -45,14 +45,16 @@ impl PartitionProfile {
 }
 
 /// Build a profile by running the prediction phase and a real
-/// compression over `data`.
-pub fn profile_partition(
+/// compression over `data`; a caller profiling many partitions hands
+/// every call the same `scratch`.
+pub fn profile_partition_with(
     data: &[f32],
     dims: &Dims,
     cfg: &Config,
     models: &Models,
+    scratch: &mut EstimateScratch,
 ) -> Result<PartitionProfile> {
-    let est = ratiomodel::estimate_partition(data, dims, cfg, models)?;
+    let est = ratiomodel::estimate_partition_with(data, dims, cfg, models, scratch)?;
     let (_, st) = compress_with_stats(data, dims, cfg)?;
     let raw_bytes = (data.len() * 4) as u64;
     let actual_bits = st.compressed_bytes as f64 * 8.0 / data.len() as f64;
@@ -68,6 +70,16 @@ pub fn profile_partition(
             .throughput
             .compression_time(raw_bytes as f64, actual_bits),
     })
+}
+
+/// [`profile_partition_with`] through a fresh scratch.
+pub fn profile_partition(
+    data: &[f32],
+    dims: &Dims,
+    cfg: &Config,
+    models: &Models,
+) -> Result<PartitionProfile> {
+    profile_partition_with(data, dims, cfg, models, &mut EstimateScratch::new())
 }
 
 /// Extend measured profiles (`base[rank][field]`) to `target_ranks`

@@ -26,7 +26,7 @@ use h5lite::{
     SzFilterParams, SZLITE_FILTER_ID,
 };
 use pfsim::{BandwidthModel, FaultFs, Throttle};
-use ratiomodel::Models;
+use ratiomodel::{EstimateScratch, Models};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -309,7 +309,8 @@ pub struct SourceEstimate {
 /// step's source, closing the predict → observe loop the paper's
 /// checkpoint workloads enable.
 pub trait PredictionSource: Sync {
-    /// Estimate one rank's partition of one field.
+    /// Estimate one rank's partition of one field. `scratch` is the
+    /// calling rank's, handed to every field of its step in turn.
     fn estimate(
         &self,
         rank: usize,
@@ -317,6 +318,7 @@ pub trait PredictionSource: Sync {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
+        scratch: &mut EstimateScratch,
     ) -> Result<SourceEstimate, RealError>;
 }
 
@@ -335,8 +337,9 @@ impl PredictionSource for ModelSource<'_> {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
+        scratch: &mut EstimateScratch,
     ) -> Result<SourceEstimate, RealError> {
-        let est = ratiomodel::estimate_partition(data, dims, cfg, self.models)?;
+        let est = ratiomodel::estimate_partition_with(data, dims, cfg, self.models, scratch)?;
         Ok(SourceEstimate {
             bytes: est.bytes,
             ratio: est.ratio,
@@ -596,6 +599,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     let tp = Instant::now();
                     let predict_span = obs::span("real.predict");
                     let mut my_preds = Vec::with_capacity(nfields);
+                    let mut est_scratch = EstimateScratch::new();
                     for f in 0..nfields {
                         let est = source.estimate(
                             r,
@@ -603,6 +607,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             &data[r][f].data,
                             &data[r][f].dims,
                             &cfg.configs[f],
+                            &mut est_scratch,
                         )?;
                         my_preds.push(est);
                         out.fields[f].predicted = est.bytes;

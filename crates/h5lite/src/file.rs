@@ -533,6 +533,23 @@ impl H5Reader {
         Ok(by_index.into_iter().collect())
     }
 
+    /// Logical byte size of dataset `d`, for sizing the output buffer.
+    ///
+    /// The table's extents are outside input: their product must not
+    /// wrap, must be what the chunk records say they decode to (a
+    /// chunk's first extent records the tile's unfiltered length, an
+    /// overflow tail records 0) and must be a length a `Vec` can have
+    /// on this platform before it sizes anything.
+    fn checked_raw_len(d: &DatasetMeta) -> Result<usize> {
+        let extents = (d.dims.iter()).try_fold(d.dtype.size() as u64, |n, &e| n.checked_mul(e));
+        let recorded = (d.chunks.iter()).try_fold(0u64, |n, c| n.checked_add(c.raw));
+        extents
+            .filter(|&bytes| recorded == Some(bytes))
+            .and_then(|bytes| isize::try_from(bytes).ok())
+            .map(|bytes| bytes as usize)
+            .ok_or(H5Error::Corrupt("dataset extents"))
+    }
+
     /// Read one chunk's concatenated stored bytes into `stored`,
     /// verifying each segment's CRC32C — corrupt bytes are never
     /// handed to a decoder.
@@ -585,7 +602,7 @@ impl H5Reader {
     pub fn read_full_pipelined(&self, name: &str, workers: usize) -> Result<Vec<u8>> {
         let d = self.meta(name)?;
         let elem = d.dtype.size();
-        let mut out = vec![0u8; d.raw_bytes() as usize];
+        let mut out = vec![0u8; Self::checked_raw_len(d)?];
         // Contiguous datasets decode as a single tile spanning the
         // extents (scatter with chunk = dims is the identity).
         let cd = d.chunk_dims.clone().unwrap_or_else(|| d.dims.clone());
@@ -1134,6 +1151,49 @@ mod tests {
                     "{bad:?} workers={workers}"
                 );
             }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn forged_extents_rejected_before_sizing_the_output() {
+        let path = tmp("forged-extents");
+        let f = H5File::create(&path).unwrap();
+        let id = f
+            .create_dataset(DatasetSpec::new("v", Dtype::U8, &[4096]))
+            .unwrap();
+        f.write_full(id, &[3u8; 4096]).unwrap();
+        f.close().unwrap();
+        let c = H5Reader::open(&path).unwrap().meta("v").unwrap().chunks[0];
+        // Containers whose (valid, checksummed) table claims extents
+        // the chunk records do not account for, a product that wraps
+        // u64, or a record inflated to match: nothing may be allocated
+        // from them.
+        let huge = ChunkInfo { raw: 1 << 62, ..c };
+        let forged: [(&[u64], &[ChunkInfo]); 5] = [
+            (&[1 << 40], &[c]),
+            (&[1 << 40, 1 << 40], &[c]),
+            (&[4096], &[huge]),
+            (&[1 << 63], &[huge, huge]),
+            (&[4096], &[c, c]),
+        ];
+        for (dims, records) in forged {
+            let f2 = H5File::create(&path).unwrap();
+            let id2 = f2
+                .create_dataset(DatasetSpec::new("v", Dtype::U8, dims))
+                .unwrap();
+            for &record in records {
+                f2.record_chunk(id2, record).unwrap();
+            }
+            f2.close().unwrap();
+            let r = H5Reader::open(&path).unwrap();
+            let is_rejected =
+                |res: Result<Vec<u8>>| matches!(res, Err(H5Error::Corrupt("dataset extents")));
+            assert!(is_rejected(r.read_raw("v")), "{dims:?}");
+            for workers in [1usize, 2, 8] {
+                assert!(is_rejected(r.read_full_pipelined("v", workers)), "{dims:?}");
+            }
+            assert!(r.read::<f32>("v").is_err());
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -5,7 +5,7 @@
 
 use crate::throughput::{fit as fit_throughput, ThroughputModel};
 use std::time::Instant;
-use szlite::{compress_with_stats, Config, Dims, ErrorBound};
+use szlite::{compress_into, Config, Dims, ErrorBound, Scratch};
 
 /// One offline compression observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +24,7 @@ pub struct Observation {
 /// throughput. Returns the observations (for plotting, e.g. Fig. 5).
 pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observation> {
     let raw_bytes = (data.len() * 4) as f64;
+    let (mut scratch, mut stream) = (Scratch::new(), Vec::new());
     bounds
         .iter()
         .filter_map(|&eb| {
@@ -32,7 +33,7 @@ pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observat
                 ..Config::default()
             };
             let start = Instant::now();
-            let (_, st) = compress_with_stats(data, dims, &cfg).ok()?;
+            let st = compress_into(data, dims, &cfg, &mut scratch, &mut stream).ok()?;
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             Some(Observation {
                 eb: st.eb,

@@ -15,7 +15,7 @@
 //!   per-partition EWMA bias correction over observed ratios, blended
 //!   with the offline model, plus error-band-driven headroom.
 //!
-//! [`estimate_partition`] bundles all three into the per-partition
+//! [`estimate_partition_with`] bundles all three into the per-partition
 //! triple the scheduler consumes: predicted size, compression time,
 //! and write time.
 
@@ -31,7 +31,8 @@ pub use ratio::{predict, predict_default, LosslessGain, RatioPrediction};
 pub use throughput::{fit as fit_throughput, ThroughputModel};
 pub use writetime::{fit as fit_writetime, WriteTimeModel};
 
-use szlite::{sample_quantization, Config, Dims, Element, Result};
+use szlite::huffman::{EncoderWorkspace, HuffmanEncoder};
+use szlite::{sample_quantization_into, Config, Dims, Element, Result, SampleScratch};
 
 /// Bundle of fitted models used for every partition estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,16 +83,44 @@ pub struct PartitionEstimate {
     pub write_time: f64,
 }
 
+/// Reusable state of the prediction phase: the sampler's count table
+/// and the Huffman build of the size model. A rank estimating many
+/// partitions keeps one and calls [`estimate_partition_with`]; from
+/// the second partition of a shape on, the phase allocates nothing.
+/// The scratch never changes an estimate.
+#[derive(Debug, Default)]
+pub struct EstimateScratch {
+    sample: SampleScratch,
+    enc: HuffmanEncoder,
+    ws: EncoderWorkspace,
+}
+
+impl EstimateScratch {
+    /// Empty scratch; buffers grow to steady state on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Run the full prediction phase on one partition: sample, predict the
 /// ratio, then derive compression and write times.
-pub fn estimate_partition<T: Element>(
+pub fn estimate_partition_with<T: Element>(
     data: &[T],
     dims: &Dims,
     cfg: &Config,
     models: &Models,
+    scratch: &mut EstimateScratch,
 ) -> Result<PartitionEstimate> {
-    let s = sample_quantization(data, dims, cfg, models.sample_fraction)?;
-    let p = predict(&s, T::BITS, &models.gain);
+    let EstimateScratch { sample, enc, ws } = scratch;
+    sample_quantization_into(data, dims, cfg, models.sample_fraction, sample)?;
+    let p = ratio::predict_sparse(
+        sample.sample(),
+        sample.used(),
+        T::BITS,
+        &models.gain,
+        enc,
+        ws,
+    );
     let raw_bytes = (data.len() * T::BYTES) as f64;
     Ok(PartitionEstimate {
         bytes: p.bytes,
@@ -102,6 +131,16 @@ pub fn estimate_partition<T: Element>(
             .compression_time(raw_bytes, p.bits_per_point),
         write_time: models.write.write_time(p.bits_per_point, data.len()),
     })
+}
+
+/// [`estimate_partition_with`] through a fresh scratch.
+pub fn estimate_partition<T: Element>(
+    data: &[T],
+    dims: &Dims,
+    cfg: &Config,
+    models: &Models,
+) -> Result<PartitionEstimate> {
+    estimate_partition_with(data, dims, cfg, models, &mut EstimateScratch::new())
 }
 
 #[cfg(test)]

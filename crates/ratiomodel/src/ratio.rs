@@ -16,7 +16,7 @@
 //!    streams do not (the paper notes the model degrades above ratio
 //!    32× for exactly this reason, §III-D).
 
-use szlite::huffman::HuffmanEncoder;
+use szlite::huffman::{EncoderWorkspace, HuffmanEncoder};
 use szlite::SampleCodes;
 
 /// Tunable constants of the lossless-stage correction.
@@ -71,11 +71,30 @@ const STREAM_OVERHEAD: u64 = 64;
 /// Predict the compressed size of a partition of `n_total` elements of
 /// width `elem_bits` from its sampled code statistics.
 pub fn predict(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
+    let used: Vec<u32> = (0..s.histogram.len() as u32)
+        .filter(|&c| s.histogram[c as usize] > 0)
+        .collect();
+    let (mut enc, mut ws) = (HuffmanEncoder::default(), EncoderWorkspace::default());
+    predict_sparse(s, &used, elem_bits, gain, &mut enc, &mut ws)
+}
+
+/// [`predict`] given the codes `used` by the histogram (ascending), as
+/// [`szlite::SampleScratch::used`] lists them: nothing here is
+/// proportional to the alphabet, and with a resident `enc` and `ws`
+/// nothing allocates.
+pub(crate) fn predict_sparse(
+    s: &SampleCodes,
+    used: &[u32],
+    elem_bits: u32,
+    gain: &LosslessGain,
+    enc: &mut HuffmanEncoder,
+    ws: &mut EncoderWorkspace,
+) -> RatioPrediction {
     let n_total = s.n_total as f64;
 
     // Huffman expected code length over the sampled histogram.
-    let enc = HuffmanEncoder::from_freqs(&s.histogram);
-    let sampled: u64 = s.histogram.iter().sum();
+    enc.rebuild_sparse(s.histogram.len(), &s.histogram, used, ws);
+    let sampled: u64 = used.iter().map(|&c| s.histogram[c as usize]).sum();
     let huff_bits = if sampled == 0 {
         0.0
     } else {
@@ -115,7 +134,145 @@ pub fn predict_default(s: &SampleCodes, elem_bits: u32) -> RatioPrediction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use szlite::{sample_quantization, Config, Dims};
+    use crate::{estimate_partition, estimate_partition_with, EstimateScratch, Models};
+    use proptest::prelude::*;
+    use szlite::{sample_quantization, Config, Dims, Element, ErrorBound};
+
+    /// [`predict`] as it was when it built a dense table per call:
+    /// every Huffman quantity taken over the whole alphabet — code
+    /// lengths summed symbol by symbol, the table measured by
+    /// serialising it.
+    fn predict_dense(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
+        let n_total = s.n_total as f64;
+        let enc = HuffmanEncoder::from_freqs(&s.histogram);
+        let sampled: u64 = s.histogram.iter().sum();
+        let coded: u64 = (s.histogram.iter().zip(0..))
+            .map(|(&f, c)| f * u64::from(enc.len_of(c)))
+            .sum();
+        let huff_bits = if sampled == 0 {
+            0.0
+        } else {
+            coded as f64 / sampled as f64
+        };
+        let mut table = Vec::new();
+        enc.serialize(&mut table);
+        let table_bits = table.len() as f64 * 8.0 * 1.5 / n_total;
+        let unpred = s.unpredictable_fraction();
+        let literal_bits = unpred * f64::from(elem_bits);
+        let lz = gain.factor(s.mean_run_length());
+        let bits_pp = huff_bits * lz + literal_bits + table_bits;
+        let bytes = ((bits_pp * n_total / 8.0).ceil() as u64 + STREAM_OVERHEAD).max(1);
+        let ratio = (n_total * f64::from(elem_bits) / 8.0) / bytes as f64;
+        RatioPrediction {
+            bits_per_point: bytes as f64 * 8.0 / n_total,
+            bytes,
+            ratio,
+            huffman_bits_per_point: huff_bits,
+            unpredictable_fraction: unpred,
+        }
+    }
+
+    /// The integer and, bit for bit, every float of a prediction.
+    fn bits(p: &RatioPrediction) -> [u64; 5] {
+        [
+            p.bytes,
+            p.bits_per_point.to_bits(),
+            p.ratio.to_bits(),
+            p.huffman_bits_per_point.to_bits(),
+            p.unpredictable_fraction.to_bits(),
+        ]
+    }
+
+    /// Smooth, noisy or constant values with a sprinkle of NaN and
+    /// out-of-radius spikes.
+    fn field<T: Element>(n: usize, seed: u64, texture: u8) -> Vec<T> {
+        let mut rng = seed | 1;
+        (0..n)
+            .map(|i| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                T::from_f64(match (texture, rng % 97) {
+                    (_, 0) => f64::NAN,
+                    (_, 1) => 1e12,
+                    (0, _) => (i as f64 * 0.01).sin() * 40.0,
+                    (1, r) => (i as f64 * 0.3).cos() + r as f64 * 0.11,
+                    _ => -7.5,
+                })
+            })
+            .collect()
+    }
+
+    thread_local! {
+        /// One scratch for every proptest case, dirty from the last.
+        static DIRTY: std::cell::RefCell<EstimateScratch> = std::cell::RefCell::default();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_and_seed(
+            if cfg!(debug_assertions) { 96 } else { 768 },
+            0x5_1ce0,
+        ) /* pinned: deterministic CI */)]
+
+        #[test]
+        fn sparse_size_model_equals_the_dense_one(
+            dims in prop_oneof![
+                (1usize..=30_000).prop_map(|n| vec![n]),
+                ((1usize..=150), (1usize..=150)).prop_map(|(a, b)| vec![a, b]),
+                ((1usize..=28), (1usize..=28), (1usize..=28)).prop_map(|(a, b, c)| vec![a, b, c]),
+            ],
+            seed in any::<u64>(),
+            texture in 0u8..3,
+            bound in prop_oneof![
+                (1u32..=6).prop_map(|e| ErrorBound::Rel(10f64.powi(-(e as i32)))),
+                (0u32..=5).prop_map(|e| ErrorBound::Abs(50.0 * 10f64.powi(-(e as i32)))),
+            ],
+            radius in prop_oneof![Just(2u32), Just(64), Just(32768)],
+            fraction in prop_oneof![Just(1.0), Just(0.05), Just(1e-4)],
+            wide in any::<bool>(),
+        ) {
+            fn check<T: Element>(
+                data: &[T],
+                dims: &Dims,
+                cfg: &Config,
+                models: &Models,
+            ) -> Result<(), String> {
+                let s = sample_quantization(data, dims, cfg, models.sample_fraction).unwrap();
+                let want = predict_dense(&s, T::BITS, &models.gain);
+                let compat = predict(&s, T::BITS, &models.gain);
+                if bits(&compat) != bits(&want) {
+                    return Err(format!("predict {compat:?}, dense {want:?}"));
+                }
+                let fresh = estimate_partition(data, dims, cfg, models).unwrap();
+                let reused = DIRTY.with_borrow_mut(|scratch| {
+                    estimate_partition_with(data, dims, cfg, models, scratch).unwrap()
+                });
+                let raw_bytes = (data.len() * T::BYTES) as f64;
+                let comp_time = models.throughput.compression_time(raw_bytes, want.bits_per_point);
+                let write_time = models.write.write_time(want.bits_per_point, data.len());
+                for est in [fresh, reused] {
+                    let same = est.bytes == want.bytes
+                        && est.bits_per_point.to_bits() == want.bits_per_point.to_bits()
+                        && est.ratio.to_bits() == want.ratio.to_bits()
+                        && est.comp_time.to_bits() == comp_time.to_bits()
+                        && est.write_time.to_bits() == write_time.to_bits();
+                    if !same {
+                        return Err(format!("estimate {est:?}, dense {want:?}"));
+                    }
+                }
+                Ok(())
+            }
+            let cfg = Config { error_bound: bound, radius, ..Config::default() };
+            let models = Models { sample_fraction: fraction, ..Models::with_cthr(80e6) };
+            let d = Dims::from_slice(&dims).unwrap();
+            let checked = if wide {
+                check(&field::<f64>(d.len(), seed, texture), &d, &cfg, &models)
+            } else {
+                check(&field::<f32>(d.len(), seed, texture), &d, &cfg, &models)
+            };
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
 
     fn sample(data: &[f32], eb: f64) -> SampleCodes {
         sample_quantization(data, &Dims::d1(data.len()), &Config::abs(eb), 1.0).unwrap()

@@ -9,7 +9,7 @@
 //! pairs only; both sides reconstruct identical codes.
 
 use crate::error::{Result, SzError};
-use crate::stream::{get_varint, put_varint, BitReader, BitWriter};
+use crate::stream::{get_varint, put_varint, varint_len, BitReader, BitWriter};
 use std::collections::BinaryHeap;
 
 /// Maximum admissible code length. Rebuilt with flattened frequencies
@@ -188,68 +188,26 @@ fn code_lengths_sparse(freqs: &[u64], used: &[u32], ws: &mut EncoderWorkspace) {
     }
 }
 
-/// Compute code lengths for `freqs` (index = symbol), returning a vector
-/// of lengths. Zero-frequency symbols get length 0.
-fn code_lengths(freqs: &[u64]) -> Vec<u8> {
-    let used: Vec<u32> = (0..freqs.len() as u32)
-        .filter(|&s| freqs[s as usize] > 0)
-        .collect();
-    let mut ws = EncoderWorkspace::default();
-    code_lengths_sparse(freqs, &used, &mut ws);
-    let mut lens = vec![0u8; freqs.len()];
-    for (i, &s) in used.iter().enumerate() {
-        lens[s as usize] = ws.lens[i];
-    }
-    lens
-}
-
-/// Assign canonical codes given lengths. Returns `(code, len)` per symbol.
-fn canonical_codes(lens: &[u8]) -> Vec<(u32, u8)> {
-    let mut by_len: Vec<(u8, u32)> = lens
-        .iter()
-        .enumerate()
-        .filter(|(_, &l)| l > 0)
-        .map(|(s, &l)| (l, s as u32))
-        .collect();
-    by_len.sort_unstable();
-    let mut codes = vec![(0u32, 0u8); lens.len()];
-    let mut code: u64 = 0;
-    let mut prev_len = 0u8;
-    for &(len, sym) in &by_len {
-        code <<= len - prev_len;
-        codes[sym as usize] = (code as u32, len);
-        code += 1;
-        prev_len = len;
-    }
-    codes
-}
-
 impl HuffmanEncoder {
     /// Build an encoder from symbol frequencies (`freqs[s]` = count of
-    /// symbol `s`).
+    /// symbol `s`): one scan for the used symbols, then the build
+    /// [`Self::rebuild_sparse`] does.
     pub fn from_freqs(freqs: &[u64]) -> Self {
-        let lens = code_lengths(freqs);
-        let present: Vec<u32> = lens
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l > 0)
-            .map(|(s, _)| s as u32)
+        let used: Vec<u32> = (0..freqs.len() as u32)
+            .filter(|&s| freqs[s as usize] > 0)
             .collect();
-        HuffmanEncoder {
-            codes: canonical_codes(&lens),
-            present,
-        }
+        let mut enc = HuffmanEncoder::default();
+        enc.rebuild_sparse(freqs.len(), freqs, &used, &mut EncoderWorkspace::default());
+        enc
     }
 
     /// Rebuild this encoder in place from sparse frequency data,
     /// recycling its table allocation and the caller's workspace.
     ///
     /// `used` must list the symbols with `freqs[s] > 0` in ascending
-    /// order. The resulting table — codes, serialized bytes, encoded
-    /// stream — is byte-identical to
-    /// `HuffmanEncoder::from_freqs(&freqs[..alphabet])`, but the only
-    /// alphabet-proportional work is the (amortized) table resize: the
-    /// tree build touches `used.len()` entries, not the alphabet.
+    /// order. The only alphabet-proportional work is the (amortized)
+    /// table resize: the tree build touches `used.len()` entries, not
+    /// the alphabet.
     pub fn rebuild_sparse(
         &mut self,
         alphabet: usize,
@@ -267,8 +225,7 @@ impl HuffmanEncoder {
         self.codes.resize(alphabet, (0, 0));
 
         code_lengths_sparse(freqs, used, ws);
-        // Canonical assignment in (len, symbol) order, as in
-        // `canonical_codes`.
+        // Canonical assignment in (len, symbol) order.
         ws.by_len.clear();
         ws.by_len.extend(
             used.iter()
@@ -303,12 +260,15 @@ impl HuffmanEncoder {
         self.codes.get(sym as usize).map_or(0, |&(_, l)| l)
     }
 
-    /// Total encoded bit length of a stream with the given frequencies.
+    /// Total encoded bit length of a stream with the given frequencies
+    /// (symbols without a code, or beyond `freqs`, count for nothing).
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
+        self.present
             .iter()
-            .enumerate()
-            .map(|(s, &f)| f * u64::from(self.len_of(s as u32)))
+            .map(|&s| {
+                let f = freqs.get(s as usize).copied().unwrap_or(0);
+                f * u64::from(self.codes[s as usize].1)
+            })
             .sum()
     }
 
@@ -339,11 +299,17 @@ impl HuffmanEncoder {
         }));
     }
 
-    /// Table size when serialized, in bytes (used by the ratio model).
+    /// Table size when serialized, in bytes (used by the ratio model):
+    /// the length of what [`Self::serialize`] appends, without
+    /// producing it.
     pub fn table_bytes(&self) -> usize {
-        let mut v = Vec::with_capacity(20 + self.present.len() * 6);
-        self.serialize(&mut v);
-        v.len()
+        let mut n = varint_len(self.codes.len() as u64) + varint_len(self.present.len() as u64);
+        let mut prev = 0u32;
+        for &sym in &self.present {
+            n += varint_len(u64::from(sym - prev)) + 1;
+            prev = sym;
+        }
+        n
     }
 }
 
@@ -575,6 +541,141 @@ impl HuffmanDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `HuffmanEncoder::from_freqs` as it was before it went through
+    /// [`HuffmanEncoder::rebuild_sparse`]: length, code and presence
+    /// tables built densely over the whole alphabet.
+    fn from_freqs_dense(freqs: &[u64]) -> HuffmanEncoder {
+        let used: Vec<u32> = (0..freqs.len() as u32)
+            .filter(|&s| freqs[s as usize] > 0)
+            .collect();
+        let mut ws = EncoderWorkspace::default();
+        code_lengths_sparse(freqs, &used, &mut ws);
+        let mut lens = vec![0u8; freqs.len()];
+        for (i, &s) in used.iter().enumerate() {
+            lens[s as usize] = ws.lens[i];
+        }
+        let mut by_len: Vec<(u8, u32)> = lens
+            .iter()
+            .enumerate()
+            .filter(|(_, &l)| l > 0)
+            .map(|(s, &l)| (l, s as u32))
+            .collect();
+        by_len.sort_unstable();
+        let mut codes = vec![(0u32, 0u8); lens.len()];
+        let mut code: u64 = 0;
+        let mut prev_len = 0u8;
+        for &(len, sym) in &by_len {
+            code <<= len - prev_len;
+            codes[sym as usize] = (code as u32, len);
+            code += 1;
+            prev_len = len;
+        }
+        let present = lens
+            .iter()
+            .enumerate()
+            .filter(|(_, &l)| l > 0)
+            .map(|(s, _)| s as u32)
+            .collect();
+        HuffmanEncoder { codes, present }
+    }
+
+    /// `counts` spread over an alphabet: `count[i]` goes to symbol
+    /// `i · stride + offset`.
+    fn spread(counts: &[u64], stride: usize, offset: usize) -> Vec<u64> {
+        let mut freqs = vec![0u64; (counts.len().max(1) - 1) * stride + offset + 1];
+        for (i, &c) in counts.iter().enumerate() {
+            freqs[i * stride + offset] = c;
+        }
+        freqs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_and_seed(
+            if cfg!(debug_assertions) { 128 } else { 1024 },
+            0x4ca_f7ab,
+        ) /* pinned: deterministic CI */)]
+
+        #[test]
+        fn from_freqs_and_size_queries_equal_their_dense_forms(
+            // 0 random counts; the rest sit on the edges of the Kraft
+            // sum: 1 Fibonacci (the deepest tree a total allows — past
+            // 33 symbols the build flattens and retries), 2 powers of
+            // two (a complete tree with one maximal-length pair),
+            // 3 all equal, 4 one dominant symbol over a flat tail.
+            profile in 0u8..5,
+            n_used in 0usize..=70,
+            noise in proptest::collection::vec(1u64..1_000_000, 70..=70),
+            stride in 1usize..=950,
+            offset in 0usize..40,
+        ) {
+            let counts: Vec<u64> = (0..n_used)
+                .map(|i| match profile {
+                    0 => noise[i],
+                    1 => (0..i).fold((1u64, 1u64), |(a, b), _| (b, a + b)).0,
+                    2 => 1u64 << i.saturating_sub(1).min(40),
+                    3 => noise[0],
+                    _ => if i == 0 { 1 << 50 } else { 1 + noise[i] % 2 },
+                })
+                .collect();
+            let freqs = spread(&counts, stride, offset);
+            let enc = HuffmanEncoder::from_freqs(&freqs);
+            let dense = from_freqs_dense(&freqs);
+            prop_assert!(enc.codes == dense.codes, "codes differ");
+            prop_assert_eq!(&enc.present, &dense.present);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            enc.serialize(&mut a);
+            dense.serialize(&mut b);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(enc.table_bytes(), b.len());
+            // Bits over the build's own counts, over counts with
+            // symbols the table lacks, and over a shorter table.
+            let mut other = freqs.clone();
+            other.push(9);
+            other[0] += 1;
+            for f in [&freqs[..], &other[..], &freqs[..freqs.len() / 2]] {
+                let dense_bits: u64 = f
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &c)| c * u64::from(dense.len_of(s as u32)))
+                    .sum();
+                prop_assert_eq!(enc.encoded_bits(f), dense_bits);
+            }
+        }
+    }
+
+    #[test]
+    fn table_bytes_counts_every_varint_width() {
+        // Symbol deltas on both sides of the 7-bit boundaries, up to
+        // four-byte ones.
+        let mut freqs = vec![0u64; 1 << 22];
+        let mut sym = 0;
+        for delta in [0usize, 127, 128, 16383, 16384, 1 << 21] {
+            sym += delta;
+            freqs[sym] = sym as u64 + 1;
+        }
+        let enc = HuffmanEncoder::from_freqs(&freqs);
+        let mut table = Vec::new();
+        enc.serialize(&mut table);
+        assert_eq!(enc.table_bytes(), table.len());
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            16383,
+            16384,
+            (1 << 56) - 1,
+            1 << 56,
+            1 << 63,
+            u64::MAX,
+        ] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
+    }
 
     fn roundtrip(symbols: &[u32], alphabet: usize) {
         let enc = HuffmanEncoder::from_symbols(symbols, alphabet);

@@ -66,7 +66,9 @@ pub use decompressor::{
 };
 pub use element::Element;
 pub use error::{Result, SzError};
-pub use sampling::{sample_quantization, SampleCodes, MIN_SAMPLE_POINTS};
+pub use sampling::{
+    sample_quantization, sample_quantization_into, SampleCodes, SampleScratch, MIN_SAMPLE_POINTS,
+};
 
 #[cfg(test)]
 mod tests {

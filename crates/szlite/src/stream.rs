@@ -17,6 +17,11 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] appends for `v`: one per started 7 bits.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Read a LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v: u64 = 0;

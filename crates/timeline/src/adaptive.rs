@@ -9,7 +9,7 @@
 //! [`RunObservations`] back via [`OnlineSource::observe_run`].
 
 use predwrite::{PredictionSource, RealError, RunObservations, SourceEstimate};
-use ratiomodel::{Models, OnlineConfig, OnlinePredictor};
+use ratiomodel::{EstimateScratch, Models, OnlineConfig, OnlinePredictor};
 use szlite::{Config, Dims};
 
 /// Streaming prediction source: one online cell per (rank, field).
@@ -97,8 +97,9 @@ impl PredictionSource for OnlineSource {
         data: &[f32],
         dims: &Dims,
         cfg: &Config,
+        scratch: &mut EstimateScratch,
     ) -> Result<SourceEstimate, RealError> {
-        let est = ratiomodel::estimate_partition(data, dims, cfg, &self.models)?;
+        let est = ratiomodel::estimate_partition_with(data, dims, cfg, &self.models, scratch)?;
         let p = self.online.predict(self.cell(rank, field), est.bytes);
         let raw_bytes = (data.len() * 4) as f64;
         // The blend rescales the predicted size; write time scales

@@ -9,10 +9,10 @@
 use bench::partition_3d;
 use repro_suite::pfsim::BandwidthModel;
 use repro_suite::predwrite::{
-    profile_partition, replicate_profiles, simulate_method, weight_to_rspace, ExtraSpacePolicy,
-    Method, SimParams,
+    profile_partition_with, replicate_profiles, simulate_method, weight_to_rspace,
+    ExtraSpacePolicy, Method, SimParams,
 };
-use repro_suite::ratiomodel::Models;
+use repro_suite::ratiomodel::{EstimateScratch, Models};
 use repro_suite::szlite::Config;
 use repro_suite::workloads::{nyx, NyxParams};
 
@@ -29,13 +29,15 @@ fn main() {
     let bw = BandwidthModel::summit();
     let models = Models::with_cthr(bw.stable_cthr(nranks));
     let ds = nyx::snapshot(NyxParams::with_side(side));
+    let mut scratch = EstimateScratch::new();
     let base: Vec<Vec<_>> = partition_3d(&ds, measured)
         .iter()
         .map(|rank_fields| {
             rank_fields
                 .iter()
                 .map(|fd| {
-                    profile_partition(&fd.data, &fd.dims, &Config::rel(1e-3), &models).unwrap()
+                    let cfg = Config::rel(1e-3);
+                    profile_partition_with(&fd.data, &fd.dims, &cfg, &models, &mut scratch).unwrap()
                 })
                 .collect()
         })
