@@ -21,30 +21,16 @@
 //! `BENCH_PARTICLES` (default 4096), `BENCH_RANKS` (default 8),
 //! `BENCH_SEED` (default 0xF0CC), `BENCH_OUT`.
 
+use bench::artifact::{env_count, env_or, obj, write_artifact};
 use bench::partition_stream_step;
+use obs::Json;
 use pfsim::{Fault, FaultFs, FaultPlan, SplitMix64};
 use predwrite::verify_file;
 use ratiomodel::OnlineConfig;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use timeline::{resume_timeline, run_timeline, AdaptMode, StepFaults, TimelineConfig};
 use workloads::SnapshotStream;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Outcome {
     workload: &'static str,
@@ -173,12 +159,11 @@ fn run_one(stream: &SnapshotStream, nranks: usize, steps: usize, seed: u64) -> O
 }
 
 fn main() {
-    let steps = env_usize("BENCH_STEPS", 8).max(6);
-    let side = env_usize("BENCH_SIDE", 16);
-    let particles = env_usize("BENCH_PARTICLES", 4096);
-    let nranks = env_usize("BENCH_RANKS", 8);
-    let seed = env_u64("BENCH_SEED", 0xF0CC);
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_faults.json".to_string());
+    let steps = env_count("BENCH_STEPS", 8).max(6);
+    let side = env_count("BENCH_SIDE", 16);
+    let particles = env_count("BENCH_PARTICLES", 4096);
+    let nranks = env_count("BENCH_RANKS", 8);
+    let seed: u64 = env_or("BENCH_SEED", 0xF0CC);
 
     let streams = [
         SnapshotStream::nyx(side),
@@ -190,7 +175,7 @@ fn main() {
         "{:<8} {:>6} {:>6} {:>6} {:>8} {:>11} {:>8} {:>9}",
         "workload", "crash", "flip", "resume", "retries", "quarantined", "decoded", "rec-secs"
     );
-    let mut blocks = Vec::new();
+    let mut workloads = Vec::new();
     for stream in &streams {
         let o = run_one(stream, nranks, steps, seed);
         println!(
@@ -204,38 +189,29 @@ fn main() {
             o.verified_steps,
             o.recovery_secs
         );
-        let mut b = String::new();
-        let _ = writeln!(b, "  {{");
-        let _ = writeln!(b, "    \"workload\": \"{}\",", o.workload);
-        let _ = writeln!(b, "    \"steps\": {steps},");
-        let _ = writeln!(b, "    \"crash_step\": {},", o.crash_step);
-        let _ = writeln!(b, "    \"transient_step\": {},", o.transient_step);
-        let _ = writeln!(b, "    \"flip_step\": {},", o.flip_step);
-        let _ = writeln!(b, "    \"resume_from\": {},", o.resume_from);
-        let _ = writeln!(b, "    \"quarantined\": {},", o.quarantined);
-        let _ = writeln!(b, "    \"surviving\": {},", o.surviving);
-        let _ = writeln!(b, "    \"retries\": {},", o.retries);
-        let _ = writeln!(b, "    \"escalations\": {},", o.escalations);
-        let _ = writeln!(b, "    \"verified_steps\": {},", o.verified_steps);
-        let _ = writeln!(b, "    \"recovered\": true,");
-        let _ = writeln!(b, "    \"recovery_secs\": {:.6}", o.recovery_secs);
-        let _ = write!(b, "  }}");
-        blocks.push(b);
+        workloads.push(obj([
+            ("workload", Json::Str(o.workload.into())),
+            ("steps", Json::Num(steps as f64)),
+            ("crash_step", Json::Num(o.crash_step as f64)),
+            ("transient_step", Json::Num(o.transient_step as f64)),
+            ("flip_step", Json::Num(o.flip_step as f64)),
+            ("resume_from", Json::Num(o.resume_from as f64)),
+            ("quarantined", Json::Num(o.quarantined as f64)),
+            ("surviving", Json::Num(o.surviving as f64)),
+            ("retries", Json::Num(o.retries as f64)),
+            ("escalations", Json::Num(o.escalations as f64)),
+            ("verified_steps", Json::Num(o.verified_steps as f64)),
+            ("recovered", Json::Bool(true)),
+            ("recovery_secs", Json::Num(o.recovery_secs)),
+        ]));
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+    write_artifact(
+        "BENCH_faults.json",
+        obj([
+            ("seed", Json::Num(seed as f64)),
+            ("ranks", Json::Num(nranks as f64)),
+            ("workloads", Json::Arr(workloads)),
+        ]),
     );
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"ranks\": {nranks},");
-    let _ = writeln!(json, "  \"workloads\": [");
-    let _ = writeln!(json, "{}", blocks.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap();
-    println!("\nwrote {out_path}");
 }

@@ -38,32 +38,25 @@
 //! (default 6), `BENCH_REPS` (planner-timing repetitions, default 3),
 //! `BENCH_OUT`.
 
+use bench::artifact::{env_count, env_or, obj, write_artifact};
+use obs::Json;
 use predwrite::{
     simulate_stream, AdaptMode, PartitionProfile, ReservationTopology, SimParams, StreamSimConfig,
     StreamSimReport,
 };
 use ratiomodel::{OnlineConfig, ThroughputModel};
-use std::fmt::Write as _;
+use timeline::TimelineReport;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
+/// `BENCH_RANKS_LIST`: comma-separated positive rank counts; the
+/// default sweep when none parses.
+fn env_ranks_list() -> Vec<usize> {
+    let parsed: Vec<usize> = env_or("BENCH_RANKS_LIST", String::new())
+        .split(',')
+        .filter_map(|t| t.trim().parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_ranks_list(default: &[usize]) -> Vec<usize> {
-    let parsed: Vec<usize> = std::env::var("BENCH_RANKS_LIST")
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect()
-        })
-        .unwrap_or_default();
+        .collect();
     if parsed.is_empty() {
-        default.to_vec()
+        vec![8, 64, 512, 2048, 4096]
     } else {
         parsed
     }
@@ -108,10 +101,14 @@ fn synth_step(nranks: usize, nfields: usize, step: usize) -> Vec<Vec<PartitionPr
         .collect()
 }
 
+/// One configuration's outcome. The simulated stream's steps are the
+/// real stream's record, so they are summed where the real stream's
+/// are: in a [`TimelineReport`].
 struct ConfigRun {
-    mode: &'static str,
-    topology: &'static str,
-    report: StreamSimReport,
+    topology: String,
+    steps: TimelineReport,
+    planner_seconds: f64,
+    collective_bytes_per_rank: u64,
 }
 
 /// Run one configuration `reps` times; the per-step stats are
@@ -122,7 +119,7 @@ fn run_config(
     reservation: ReservationTopology,
     steps: &[Vec<Vec<PartitionProfile>>],
     reps: usize,
-) -> StreamSimReport {
+) -> ConfigRun {
     let cfg = StreamSimConfig {
         params: SimParams::new(pfsim::BandwidthModel::summit()),
         mode,
@@ -142,61 +139,54 @@ fn run_config(
             None => r,
         });
     }
-    best.expect("reps >= 1")
+    let best = best.expect("reps >= 1");
+    ConfigRun {
+        topology: best.reservation,
+        steps: TimelineReport {
+            mode: best.mode,
+            steps: best.steps,
+        },
+        planner_seconds: best.planner_seconds,
+        collective_bytes_per_rank: best.collective_bytes_per_rank,
+    }
 }
 
-fn config_json(c: &ConfigRun) -> String {
-    let r = &c.report;
-    let last_err = r.steps.last().map_or(0.0, |s| s.mean_rel_err);
-    let mut j = String::new();
-    let _ = writeln!(j, "        {{");
-    let _ = writeln!(j, "          \"mode\": \"{}\",", c.mode);
-    let _ = writeln!(j, "          \"topology\": \"{}\",", c.topology);
-    let _ = writeln!(j, "          \"planner_secs\": {:.9},", r.planner_seconds);
-    let _ = writeln!(
-        j,
-        "          \"collective_bytes_per_rank\": {},",
-        r.collective_bytes_per_rank
-    );
-    let _ = writeln!(
-        j,
-        "          \"file_bytes\": {},",
-        r.steps.iter().map(|s| s.file_bytes).sum::<u64>()
-    );
-    let _ = writeln!(
-        j,
-        "          \"compressed_bytes\": {},",
-        r.steps.iter().map(|s| s.compressed_bytes).sum::<u64>()
-    );
-    let _ = writeln!(j, "          \"waste_bytes\": {},", r.total_waste_bytes());
-    let _ = writeln!(
-        j,
-        "          \"overflow_bytes\": {},",
-        r.total_overflow_bytes()
-    );
-    let _ = writeln!(
-        j,
-        "          \"overflow_partitions\": {},",
-        r.total_overflow_partitions()
-    );
-    let _ = writeln!(
-        j,
-        "          \"mean_step_secs\": {:.6},",
-        r.mean_step_time()
-    );
-    let _ = writeln!(j, "          \"final_rel_err\": {last_err:.6}");
-    let _ = write!(j, "        }}");
-    j
+fn config_json(c: &ConfigRun) -> Json {
+    let r = &c.steps;
+    obj([
+        ("mode", Json::Str(r.mode.clone())),
+        ("topology", Json::Str(c.topology.clone())),
+        ("planner_secs", Json::Num(c.planner_seconds)),
+        (
+            "collective_bytes_per_rank",
+            Json::Num(c.collective_bytes_per_rank as f64),
+        ),
+        ("file_bytes", Json::Num(r.total_file_bytes() as f64)),
+        (
+            "compressed_bytes",
+            Json::Num(r.total_compressed_bytes() as f64),
+        ),
+        ("waste_bytes", Json::Num(r.total_waste() as f64)),
+        ("overflow_bytes", Json::Num(r.total_overflow_bytes() as f64)),
+        ("overflow_partitions", Json::Num(r.total_overflows() as f64)),
+        (
+            "mean_step_secs",
+            Json::Num(r.total_time() / r.steps.len().max(1) as f64),
+        ),
+        (
+            "final_rel_err",
+            Json::Num(r.steps.last().map_or(0.0, |s| s.mean_rel_err)),
+        ),
+    ])
 }
 
 fn main() {
-    let ranks_list = env_ranks_list(&[8, 64, 512, 2048, 4096]);
-    let steps = env_usize("BENCH_STEPS", 12);
-    let nfields = env_usize("BENCH_FIELDS", 6);
-    let reps = env_usize("BENCH_REPS", 3);
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
+    let ranks_list = env_ranks_list();
+    let steps = env_count("BENCH_STEPS", 12);
+    let nfields = env_count("BENCH_FIELDS", 6);
+    let reps = env_count("BENCH_REPS", 3);
 
-    let mut blocks = Vec::new();
+    let mut sweeps = Vec::new();
     // (ranks, sharded planner secs, sharded wire bytes) per sweep, for
     // the cross-sweep sub-linearity assertions.
     let mut scaling = Vec::new();
@@ -211,40 +201,28 @@ fn main() {
 
         let sharded = ReservationTopology::Sharded { group_size: 0 };
         let runs = [
-            ConfigRun {
-                mode: "static",
-                topology: "flat",
-                report: run_config(AdaptMode::Static, ReservationTopology::Flat, &data, reps),
-            },
-            ConfigRun {
-                mode: "static",
-                topology: "sharded",
-                report: run_config(AdaptMode::Static, sharded, &data, reps),
-            },
-            ConfigRun {
-                mode: "adaptive",
-                topology: "sharded",
-                report: run_config(
-                    AdaptMode::Adaptive(OnlineConfig::default()),
-                    sharded,
-                    &data,
-                    reps,
-                ),
-            },
+            run_config(AdaptMode::Static, ReservationTopology::Flat, &data, reps),
+            run_config(AdaptMode::Static, sharded, &data, reps),
+            run_config(
+                AdaptMode::Adaptive(OnlineConfig::default()),
+                sharded,
+                &data,
+                reps,
+            ),
         ];
 
         // 1. Layout invariance: the sharded collective must reproduce
         // the flat stream byte for byte, step for step. (Simulated
         // times legitimately differ — the two-level collective has a
         // different latency — so compare the byte-level fields only.)
-        for (a, b) in runs[0].report.steps.iter().zip(&runs[1].report.steps) {
-            let bytes = |s: &predwrite::StreamStepStats| {
+        for (a, b) in runs[0].steps.steps.iter().zip(&runs[1].steps.steps) {
+            let bytes = |s: &predwrite::StepMetrics| {
                 (
-                    s.file_bytes,
-                    s.compressed_bytes,
+                    s.result.file_bytes,
+                    s.result.compressed_bytes,
                     s.waste_bytes,
-                    s.overflow_bytes,
-                    s.n_overflow,
+                    s.result.overflow_bytes,
+                    s.result.n_overflow,
                 )
             };
             assert_eq!(
@@ -262,13 +240,13 @@ fn main() {
         for c in &runs {
             println!(
                 "{:<10} {:<8} {:>12.6} {:>12} {:>12} {:>10} {:>12}",
-                c.mode,
+                c.steps.mode,
                 c.topology,
-                c.report.planner_seconds,
-                c.report.collective_bytes_per_rank,
-                c.report.total_waste_bytes(),
-                c.report.total_overflow_partitions(),
-                c.report.total_overflow_bytes()
+                c.planner_seconds,
+                c.collective_bytes_per_rank,
+                c.steps.total_waste(),
+                c.steps.total_overflows(),
+                c.steps.total_overflow_bytes()
             );
         }
 
@@ -277,21 +255,21 @@ fn main() {
         // group and the per-group totals.
         if nranks >= 512 {
             assert!(
-                runs[1].report.planner_seconds < runs[0].report.planner_seconds,
+                runs[1].planner_seconds < runs[0].planner_seconds,
                 "{nranks} ranks: sharded planner {}s not below flat {}s",
-                runs[1].report.planner_seconds,
-                runs[0].report.planner_seconds
+                runs[1].planner_seconds,
+                runs[0].planner_seconds
             );
         }
 
         // 4. Adaptive beats static on both space metrics at 512+.
         if nranks >= 512 {
-            let (s, a) = (&runs[1].report, &runs[2].report);
+            let (s, a) = (&runs[1].steps, &runs[2].steps);
             assert!(
-                a.total_waste_bytes() < s.total_waste_bytes(),
+                a.total_waste() < s.total_waste(),
                 "{nranks} ranks: adaptive waste {} not below static {}",
-                a.total_waste_bytes(),
-                s.total_waste_bytes()
+                a.total_waste(),
+                s.total_waste()
             );
             assert!(
                 a.total_overflow_bytes() < s.total_overflow_bytes(),
@@ -300,29 +278,24 @@ fn main() {
                 s.total_overflow_bytes()
             );
             assert!(
-                a.total_overflow_partitions() < s.total_overflow_partitions(),
+                a.total_overflows() < s.total_overflows(),
                 "{nranks} ranks: adaptive overflow events {} not below static {}",
-                a.total_overflow_partitions(),
-                s.total_overflow_partitions()
+                a.total_overflows(),
+                s.total_overflows()
             );
         }
 
         scaling.push((
             nranks,
-            runs[1].report.planner_seconds,
-            runs[1].report.collective_bytes_per_rank,
+            runs[1].planner_seconds,
+            runs[1].collective_bytes_per_rank,
         ));
 
-        let mut b = String::new();
-        let _ = writeln!(b, "    {{");
-        let _ = writeln!(b, "      \"ranks\": {nranks},");
-        let _ = writeln!(b, "      \"group_size\": {gs},");
-        let _ = writeln!(b, "      \"configs\": [");
-        let parts: Vec<String> = runs.iter().map(config_json).collect();
-        let _ = writeln!(b, "{}", parts.join(",\n"));
-        let _ = writeln!(b, "      ]");
-        let _ = write!(b, "    }}");
-        blocks.push(b);
+        sweeps.push(obj([
+            ("ranks", Json::Num(nranks as f64)),
+            ("group_size", Json::Num(gs as f64)),
+            ("configs", Json::Arr(runs.iter().map(config_json).collect())),
+        ]));
     }
 
     // 2 + 3a. Sub-linear growth across the sweep: compare the smallest
@@ -347,17 +320,12 @@ fn main() {
         );
     }
 
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"host_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"multi_core_host\": {},", parallelism > 1);
-    let _ = writeln!(json, "  \"steps\": {steps},");
-    let _ = writeln!(json, "  \"fields\": {nfields},");
-    let _ = writeln!(json, "  \"sweeps\": [");
-    let _ = writeln!(json, "{}", blocks.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap();
-    println!("wrote {out_path}");
+    write_artifact(
+        "BENCH_scale.json",
+        obj([
+            ("steps", Json::Num(steps as f64)),
+            ("fields", Json::Num(nfields as f64)),
+            ("sweeps", Json::Arr(sweeps)),
+        ]),
+    );
 }

@@ -24,20 +24,13 @@
 //! `szlite::sampling::MIN_SAMPLE_POINTS`), `BENCH_RANKS` (default 8),
 //! `BENCH_OUT`.
 
+use bench::artifact::{env_count, obj, write_artifact};
 use bench::partition_stream_step;
+use obs::Json;
 use predwrite::RankFieldData;
 use ratiomodel::OnlineConfig;
-use std::fmt::Write as _;
 use timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
 use workloads::SnapshotStream;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn run_mode(
     stream: &SnapshotStream,
@@ -59,48 +52,36 @@ fn run_mode(
     report
 }
 
-fn mode_json(r: &TimelineReport) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "      {{");
-    let _ = writeln!(j, "        \"mode\": \"{}\",", r.mode);
-    let _ = writeln!(j, "        \"total_secs\": {:.6},", r.total_time());
-    let _ = writeln!(j, "        \"file_bytes\": {},", r.total_file_bytes());
-    let _ = writeln!(
-        j,
-        "        \"compressed_bytes\": {},",
-        r.total_compressed_bytes()
-    );
-    let _ = writeln!(j, "        \"waste_bytes\": {},", r.total_waste());
-    let _ = writeln!(j, "        \"overflows\": {},", r.total_overflows());
-    let _ = writeln!(
-        j,
-        "        \"overflow_bytes\": {},",
-        r.total_overflow_bytes()
-    );
-    let _ = writeln!(j, "        \"per_step\": [");
-    for (i, s) in r.steps.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "          {{\"step\": {}, \"secs\": {:.6}, \"waste_bytes\": {}, \"overflows\": {}, \"rel_err\": {:.6}}}{}",
-            s.step,
-            s.result.total_time,
-            s.waste_bytes,
-            s.result.n_overflow,
-            s.mean_rel_err,
-            if i + 1 < r.steps.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(j, "        ]");
-    let _ = write!(j, "      }}");
-    j
+fn mode_json(r: &TimelineReport) -> Json {
+    let per_step = r.steps.iter().map(|s| {
+        obj([
+            ("step", Json::Num(s.step as f64)),
+            ("secs", Json::Num(s.result.total_time)),
+            ("waste_bytes", Json::Num(s.waste_bytes as f64)),
+            ("overflows", Json::Num(s.result.n_overflow as f64)),
+            ("rel_err", Json::Num(s.mean_rel_err)),
+        ])
+    });
+    obj([
+        ("mode", Json::Str(r.mode.clone())),
+        ("total_secs", Json::Num(r.total_time())),
+        ("file_bytes", Json::Num(r.total_file_bytes() as f64)),
+        (
+            "compressed_bytes",
+            Json::Num(r.total_compressed_bytes() as f64),
+        ),
+        ("waste_bytes", Json::Num(r.total_waste() as f64)),
+        ("overflows", Json::Num(r.total_overflows() as f64)),
+        ("overflow_bytes", Json::Num(r.total_overflow_bytes() as f64)),
+        ("per_step", Json::Arr(per_step.collect())),
+    ])
 }
 
 fn main() {
-    let steps = env_usize("BENCH_STEPS", 24).max(20);
-    let side = env_usize("BENCH_SIDE", 32);
-    let particles = env_usize("BENCH_PARTICLES", 1 << 16);
-    let nranks = env_usize("BENCH_RANKS", 8);
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_timeline.json".to_string());
+    let steps = env_count("BENCH_STEPS", 24).max(20);
+    let side = env_count("BENCH_SIDE", 32);
+    let particles = env_count("BENCH_PARTICLES", 1 << 16);
+    let nranks = env_count("BENCH_RANKS", 8);
 
     let streams = [
         SnapshotStream::nyx(side),
@@ -108,7 +89,7 @@ fn main() {
         SnapshotStream::rtm(side),
     ];
 
-    let mut blocks = Vec::new();
+    let mut workloads = Vec::new();
     for stream in &streams {
         println!(
             "\n=== {} ({} steps, {} ranks) ===",
@@ -163,30 +144,16 @@ fn main() {
             stat.total_overflows()
         );
 
-        let mut b = String::new();
-        let _ = writeln!(b, "  {{");
-        let _ = writeln!(b, "    \"workload\": \"{}\",", stream.label());
-        let _ = writeln!(b, "    \"steps\": {steps},");
-        let _ = writeln!(b, "    \"ranks\": {nranks},");
-        let _ = writeln!(b, "    \"modes\": [");
-        let _ = writeln!(b, "{},", mode_json(&stat));
-        let _ = writeln!(b, "{}", mode_json(&adap));
-        let _ = writeln!(b, "    ]");
-        let _ = write!(b, "  }}");
-        blocks.push(b);
+        workloads.push(obj([
+            ("workload", Json::Str(stream.label().into())),
+            ("steps", Json::Num(steps as f64)),
+            ("ranks", Json::Num(nranks as f64)),
+            ("modes", Json::Arr(vec![mode_json(&stat), mode_json(&adap)])),
+        ]));
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+    write_artifact(
+        "BENCH_timeline.json",
+        obj([("workloads", Json::Arr(workloads))]),
     );
-    let _ = writeln!(json, "  \"workloads\": [");
-    let _ = writeln!(json, "{}", blocks.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap();
-    println!("\nwrote {out_path}");
 }

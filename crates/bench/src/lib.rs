@@ -1,12 +1,14 @@
 //! # bench — experiment harness shared by the `repro` binary and the
-//! Criterion benches.
+//! `bench_scale` / `bench_faults` / `bench_timeline` binaries.
 //!
 //! Each paper table/figure has a corresponding experiment function in
 //! [`experiments`]; shared workload/profile construction lives in
-//! [`setup`]. Everything is deterministic (seeded generators +
+//! [`setup`], and the bench binaries' knob parsing and artifact
+//! writing in [`artifact`]. Everything is deterministic (seeded generators +
 //! discrete-event simulation), so repeated runs print identical
 //! numbers apart from the wall-clock throughput measurements.
 
+pub mod artifact;
 pub mod experiments;
 pub mod setup;
 pub mod table;

@@ -1,5 +1,8 @@
 //! Result records shared by the real and simulated engines.
 
+use crate::real::RunObservations;
+use ratiomodel::OnlinePredictor;
+
 /// The four parallel-write methods of the paper's Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
@@ -80,6 +83,17 @@ impl Breakdown {
     pub fn total(&self) -> f64 {
         self.predict + self.allgather + self.compress + self.write + self.overflow + self.verify
     }
+
+    /// Phase-wise maximum: a run's breakdown is the slowest rank's
+    /// figure in each phase.
+    pub(crate) fn max_merge(&mut self, other: &Breakdown) {
+        self.predict = self.predict.max(other.predict);
+        self.allgather = self.allgather.max(other.allgather);
+        self.compress = self.compress.max(other.compress);
+        self.write = self.write.max(other.write);
+        self.overflow = self.overflow.max(other.overflow);
+        self.verify = self.verify.max(other.verify);
+    }
 }
 
 /// Outcome of one parallel-write run.
@@ -134,9 +148,82 @@ impl RunResult {
     }
 }
 
+/// What one streamed checkpoint cost — the one per-step record of
+/// both stream engines (`timeline::run_timeline` over real threads and
+/// real I/O, [`crate::sim::simulate_stream`] over partition profiles).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepMetrics {
+    /// Timestep index.
+    pub step: usize,
+    /// The underlying engine result (timings, file size, overflows).
+    pub result: RunResult,
+    /// Bytes reserved across all partitions.
+    pub reserved_bytes: u64,
+    /// Reserved bytes left unused — the extra-space waste the
+    /// adaptive headroom exists to shrink.
+    pub waste_bytes: u64,
+    /// Sum of predicted compressed sizes.
+    pub predicted_bytes: u64,
+    /// Sum of actual compressed sizes.
+    pub actual_bytes: u64,
+    /// Mean relative prediction error. The real stream reports the
+    /// EWMA-tracked error after feedback in adaptive mode and the
+    /// step's instantaneous error ([`mean_rel_size_err`]) in static
+    /// mode; the simulated stream reports the instantaneous error in
+    /// both.
+    pub mean_rel_err: f64,
+}
+
+impl StepMetrics {
+    /// Derive one step's metrics from the engine output.
+    pub fn collect(
+        step: usize,
+        result: RunResult,
+        obs: &RunObservations,
+        mean_rel_err: f64,
+    ) -> Self {
+        let mut reserved = 0u64;
+        let mut waste = 0u64;
+        let mut predicted = 0u64;
+        let mut actual = 0u64;
+        for o in obs.iter().flatten() {
+            reserved += o.reserved;
+            // Bytes of the reservation the partition did not fill (an
+            // overflowing partition fills it exactly).
+            let in_slot = o.actual - o.overflow;
+            waste += o.reserved.saturating_sub(in_slot);
+            predicted += o.predicted;
+            actual += o.actual;
+        }
+        StepMetrics {
+            step,
+            result,
+            reserved_bytes: reserved,
+            waste_bytes: waste,
+            predicted_bytes: predicted,
+            actual_bytes: actual,
+            mean_rel_err,
+        }
+    }
+}
+
+/// Fold one completed step's observations into `online`, cell
+/// `rank · nfields + field` per partition — the feedback half of the
+/// predict → observe loop, shared by the real stream
+/// (`timeline::OnlineSource::observe_run`) and the simulated one.
+pub fn fold_observations(online: &mut OnlinePredictor, obs: &RunObservations) {
+    let nfields = obs.first().map_or(0, Vec::len);
+    for (r, row) in obs.iter().enumerate() {
+        for (f, o) in row.iter().enumerate() {
+            online.observe(r * nfields + f, o.model_bytes, o.predicted, o.actual);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::real::FieldObservation;
 
     fn rr(total: f64, raw: u64, comp: u64, file: u64) -> RunResult {
         RunResult {
@@ -178,6 +265,35 @@ mod tests {
             verify: 6.0,
         };
         assert_eq!(b.total(), 21.0);
+    }
+
+    #[test]
+    fn waste_counts_unused_reservation_only() {
+        let obs: RunObservations = vec![vec![
+            // Fits with 50 spare.
+            FieldObservation {
+                predicted: 100,
+                model_bytes: 100,
+                reserved: 150,
+                actual: 100,
+                overflow: 0,
+            },
+            // Overflows: slot filled exactly, zero waste.
+            FieldObservation {
+                predicted: 100,
+                model_bytes: 100,
+                reserved: 120,
+                actual: 200,
+                overflow: 80,
+            },
+        ]];
+        let mut result = rr(1.0, 4000, 300, 500);
+        (result.n_overflow, result.overflow_bytes) = (1, 80);
+        let m = StepMetrics::collect(0, result, &obs, 0.25);
+        assert_eq!(m.reserved_bytes, 270);
+        assert_eq!(m.waste_bytes, 50);
+        assert_eq!(m.predicted_bytes, 200);
+        assert_eq!(m.actual_bytes, 300);
     }
 
     #[test]

@@ -373,11 +373,7 @@ pub type RunObservations = Vec<Vec<FieldObservation>>;
 
 #[derive(Debug, Default, Clone)]
 struct RankOutcome {
-    predict: f64,
-    allgather: f64,
-    compress: f64,
-    write: f64,
-    overflow: f64,
+    phases: Breakdown,
     total: f64,
     compressed_bytes: u64,
     overflow_bytes: u64,
@@ -532,7 +528,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         };
                     }
                     es.wait()?;
-                    out.write = t0.elapsed().as_secs_f64();
+                    out.phases.write = t0.elapsed().as_secs_f64();
                 }
                 Method::FilterCollective => {
                     // Compress everything first (the filter model),
@@ -551,12 +547,12 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         )?;
                         streams.push(s);
                     }
-                    out.compress = tc.elapsed().as_secs_f64();
+                    out.phases.compress = tc.elapsed().as_secs_f64();
                     // All-gather the actual sizes.
                     let ta = Instant::now();
                     let my_sizes: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
                     let all_sizes = rk.try_all_gather(my_sizes)?;
-                    out.allgather = ta.elapsed().as_secs_f64();
+                    out.phases.allgather = ta.elapsed().as_secs_f64();
                     let preds: Vec<Vec<PartitionPrediction>> = all_sizes
                         .iter()
                         .map(|row| {
@@ -591,7 +587,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             overflow: 0,
                         };
                     }
-                    out.write = tw.elapsed().as_secs_f64();
+                    out.phases.write = tw.elapsed().as_secs_f64();
                     out.compressed_bytes = streams.iter().map(|s| s.len() as u64).sum();
                 }
                 Method::Overlap | Method::OverlapReorder => {
@@ -614,7 +610,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         out.fields[f].model_bytes = est.model_bytes;
                     }
                     drop(predict_span);
-                    out.predict = tp.elapsed().as_secs_f64();
+                    out.phases.predict = tp.elapsed().as_secs_f64();
 
                     // Phase 2: gather predicted sizes (plus any
                     // per-partition headroom override; ≤ 0 encodes
@@ -686,7 +682,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         );
                         obs::counter("real.reservation_wire_bytes").add(per_rank * nranks as u64);
                     }
-                    out.allgather = ta.elapsed().as_secs_f64();
+                    out.phases.allgather = ta.elapsed().as_secs_f64();
 
                     // Phase 4: compression order.
                     let order = if cfg.method == Method::OverlapReorder {
@@ -759,10 +755,10 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // span so the breakdown stays additive (identical
                     // numbers at sz_threads = 1, where comp_total is
                     // always within the span).
-                    out.compress = comp_total.min(tc.elapsed().as_secs_f64());
+                    out.phases.compress = comp_total.min(tc.elapsed().as_secs_f64());
                     es.wait()?;
                     // Extra write time beyond the compression span.
-                    out.write = (tc.elapsed().as_secs_f64() - out.compress).max(0.0);
+                    out.phases.write = (tc.elapsed().as_secs_f64() - out.phases.compress).max(0.0);
 
                     // Phase 6: overflow redirection.
                     let to = Instant::now();
@@ -789,7 +785,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         }
                     }
                     rk.try_barrier()?;
-                    out.overflow = to.elapsed().as_secs_f64();
+                    out.phases.overflow = to.elapsed().as_secs_f64();
                     if r == 0 {
                         file.shared_file()
                             .advance_tail_to(view.data_end)
@@ -819,11 +815,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
     for o in outcomes {
         match o {
             Ok(o) => {
-                agg.predict = agg.predict.max(o.predict);
-                agg.allgather = agg.allgather.max(o.allgather);
-                agg.compress = agg.compress.max(o.compress);
-                agg.write = agg.write.max(o.write);
-                agg.overflow = agg.overflow.max(o.overflow);
+                agg.phases.max_merge(&o.phases);
                 agg.total = agg.total.max(o.total);
                 agg.compressed_bytes += o.compressed_bytes;
                 agg.overflow_bytes += o.overflow_bytes;
@@ -857,13 +849,12 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
     // Opt-in phase 7: read-back verification through the pipelined
     // reader — the decode mirror of the write pipeline, timed as its
     // own breakdown phase.
-    let mut verify_secs = 0.0;
     if cfg.verify {
         let tv = Instant::now();
         let _verify_span = obs::span("real.verify");
         let configs = compressed.then_some(cfg.configs.as_slice());
         let report = crate::verify::verify_file(&cfg.path, data, configs, cfg.sz_threads)?;
-        verify_secs = tv.elapsed().as_secs_f64();
+        agg.phases.verify = tv.elapsed().as_secs_f64();
         if let Some(bad) = report.fields.iter().find(|f| !f.ok) {
             return Err(RealError::Verification {
                 field: bad.name.clone(),
@@ -883,14 +874,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         RunResult {
             method: cfg.method,
             total_time: agg.total,
-            breakdown: Breakdown {
-                predict: agg.predict,
-                allgather: agg.allgather,
-                compress: agg.compress,
-                write: agg.write,
-                overflow: agg.overflow,
-                verify: verify_secs,
-            },
+            breakdown: agg.phases,
             raw_bytes,
             compressed_bytes: agg.compressed_bytes,
             file_bytes,

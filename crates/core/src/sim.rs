@@ -6,12 +6,14 @@
 //! discrete-event pipeline simulator of `pfsim`.
 
 use crate::extraspace::ExtraSpacePolicy;
-use crate::metrics::{mean_rel_size_err, Breakdown, Method, RunResult};
+use crate::metrics::{
+    fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics,
+};
 use crate::plan::{
     build_rank_view, fit_split, reservation_wire_bytes, PartitionPrediction, WritePlan,
 };
 use crate::profile::PartitionProfile;
-use crate::real::{AdaptMode, ReservationTopology};
+use crate::real::{AdaptMode, FieldObservation, ReservationTopology, RunObservations};
 use crate::scheduler::{identity_order, optimize_order};
 use pfsim::{
     collective_write_time, simulate, simulate_concurrent_writes, BandwidthModel, PipelineTask,
@@ -192,20 +194,22 @@ fn sim_overlap(profiles: &[Vec<PartitionProfile>], params: &SimParams, reorder: 
         &plan,
         params.allgather_time(nranks),
     )
+    .0
 }
 
 /// The execution half of the overlap simulation, with the layout (and
 /// the reservation-collective latency) supplied by the caller — shared
 /// by [`sim_overlap`] (uniform policy, flat collective) and
 /// [`simulate_stream`] (adaptive per-partition reserves, flat or
-/// sharded collective).
+/// sharded collective). Returns what [`crate::real::run_real_with`]
+/// returns: the aggregate result plus what happened to each partition.
 fn sim_overlap_planned(
     profiles: &[Vec<PartitionProfile>],
     params: &SimParams,
     reorder: bool,
     plan: &WritePlan,
     ag: f64,
-) -> RunResult {
+) -> (RunResult, RunObservations) {
     let nranks = profiles.len();
 
     // Phase 1: prediction (sampling) on every rank, then the
@@ -220,6 +224,10 @@ fn sim_overlap_planned(
     let mut n_overflow = 0usize;
     let mut overflow_bytes = 0u64;
     let mut rank_overflow = vec![0u64; nranks];
+    let mut observations: RunObservations = profiles
+        .iter()
+        .map(|fields| vec![FieldObservation::default(); fields.len()])
+        .collect();
     let ranks: Vec<RankPipeline> = profiles
         .iter()
         .enumerate()
@@ -235,7 +243,15 @@ fn sim_overlap_planned(
                 .iter()
                 .map(|&f| {
                     let p = &fields[f];
-                    let split = fit_split(p.actual_bytes, plan.slots[r][f].reserved);
+                    let slot = plan.slots[r][f];
+                    let split = fit_split(p.actual_bytes, slot.reserved);
+                    observations[r][f] = FieldObservation {
+                        predicted: slot.predicted,
+                        model_bytes: p.pred_bytes,
+                        reserved: slot.reserved,
+                        actual: p.actual_bytes,
+                        overflow: split.overflow,
+                    };
                     if split.overflow > 0 {
                         n_overflow += 1;
                         overflow_bytes += split.overflow;
@@ -271,7 +287,7 @@ fn sim_overlap_planned(
     // File: everything reserved stays allocated; overflow appends past
     // the end (in-slot bytes within reservations are not reclaimed).
     let file_bytes = plan.reserved_total() + overflow_bytes;
-    RunResult {
+    let result = RunResult {
         method: if reorder {
             Method::OverlapReorder
         } else {
@@ -291,7 +307,8 @@ fn sim_overlap_planned(
         file_bytes,
         n_overflow,
         overflow_bytes,
-    }
+    };
+    (result, observations)
 }
 
 /// Configuration of a simulated checkpoint stream — the scale-out
@@ -314,27 +331,6 @@ pub struct StreamSimConfig {
     pub reorder: bool,
 }
 
-/// Per-step outcome of a simulated stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamStepStats {
-    /// Step index.
-    pub step: usize,
-    /// Simulated wall-clock of the step, seconds.
-    pub total_time: f64,
-    /// Bytes the step's file occupies (reservations + overflow).
-    pub file_bytes: u64,
-    /// Actual compressed payload of the step.
-    pub compressed_bytes: u64,
-    /// Reserved-but-unused bytes (`file_bytes − compressed_bytes`).
-    pub waste_bytes: u64,
-    /// Bytes redirected to the overflow region.
-    pub overflow_bytes: u64,
-    /// Partitions that overflowed their reservation.
-    pub n_overflow: usize,
-    /// Mean relative size-prediction error over the step's partitions.
-    pub mean_rel_err: f64,
-}
-
 /// Full report of a simulated stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSimReport {
@@ -346,8 +342,10 @@ pub struct StreamSimReport {
     pub nranks: usize,
     /// Fields per rank.
     pub nfields: usize,
-    /// Per-step outcomes, in step order.
-    pub steps: Vec<StreamStepStats>,
+    /// Per-step outcomes, in step order — the record the real stream
+    /// reports (`timeline::TimelineReport::steps`), so every sum over
+    /// a stream is `TimelineReport`'s.
+    pub steps: Vec<StepMetrics>,
     /// Measured wall-clock of the representative rank's planner work,
     /// summed over steps (layout derivation only, not the simulated
     /// pipeline). Flat topology times the full
@@ -359,32 +357,6 @@ pub struct StreamSimReport {
     /// Modeled reservation-collective traffic per rank per step, bytes
     /// (see [`reservation_wire_bytes`]).
     pub collective_bytes_per_rank: u64,
-}
-
-impl StreamSimReport {
-    /// Total reserved-but-unused bytes across the stream.
-    pub fn total_waste_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.waste_bytes).sum()
-    }
-
-    /// Total overflow bytes across the stream.
-    pub fn total_overflow_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.overflow_bytes).sum()
-    }
-
-    /// Total overflowed partitions across the stream.
-    pub fn total_overflow_partitions(&self) -> usize {
-        self.steps.iter().map(|s| s.n_overflow).sum()
-    }
-
-    /// Mean simulated step time, seconds.
-    pub fn mean_step_time(&self) -> f64 {
-        if self.steps.is_empty() {
-            0.0
-        } else {
-            self.steps.iter().map(|s| s.total_time).sum::<f64>() / self.steps.len() as f64
-        }
-    }
 }
 
 /// Stream `cfg.steps` simulated checkpoints over
@@ -482,34 +454,15 @@ where
         };
 
         let ag = cfg.params.reservation_collective_time(nranks, gsize);
-        let result = sim_overlap_planned(profiles, &cfg.params, cfg.reorder, &plan, ag);
-        steps.push(StreamStepStats {
-            step,
-            total_time: result.total_time,
-            file_bytes: result.file_bytes,
-            compressed_bytes: result.compressed_bytes,
-            waste_bytes: result.file_bytes.saturating_sub(result.compressed_bytes),
-            overflow_bytes: result.overflow_bytes,
-            n_overflow: result.n_overflow,
-            mean_rel_err: mean_rel_size_err(
-                preds
-                    .iter()
-                    .flatten()
-                    .zip(profiles.iter().flatten())
-                    .map(|(pred, p)| (pred.bytes, p.actual_bytes)),
-            ),
-        });
+        let (result, obs) = sim_overlap_planned(profiles, &cfg.params, cfg.reorder, &plan, ag);
+        let mean_rel_err = mean_rel_size_err(obs.iter().flatten().map(|o| (o.predicted, o.actual)));
+        steps.push(StepMetrics::collect(step, result, &obs, mean_rel_err));
 
         // Feed the step's actual sizes back into the predictor.
         if let AdaptMode::Adaptive(ocfg) = &cfg.mode {
             let pred =
                 online.get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, *ocfg));
-            for (r, fields) in profiles.iter().enumerate() {
-                for (f, p) in fields.iter().enumerate() {
-                    let cell = r * nfields + f;
-                    pred.observe(cell, p.pred_bytes, preds[r][f].bytes, p.actual_bytes);
-                }
-            }
+            fold_observations(pred, &obs);
         }
     }
 
@@ -714,6 +667,17 @@ mod tests {
         AdaptMode::Adaptive(ratiomodel::OnlineConfig::default())
     }
 
+    /// Stream-wide (waste bytes, overflow bytes, overflowed partitions).
+    fn stream_sums(r: &StreamSimReport) -> (u64, u64, usize) {
+        r.steps.iter().fold((0, 0, 0), |(w, b, n), s| {
+            (
+                w + s.waste_bytes,
+                b + s.result.overflow_bytes,
+                n + s.result.n_overflow,
+            )
+        })
+    }
+
     #[test]
     fn adaptive_stream_cures_systematic_underprediction() {
         // The offline model under-predicts by 0.7× every step; the
@@ -728,12 +692,12 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        assert!(stat.total_overflow_partitions() > 0, "static must overflow");
+        let (_, stat_ovf_bytes, stat_ovf_parts) = stream_sums(&stat);
+        let (_, adap_ovf_bytes, _) = stream_sums(&adap);
+        assert!(stat_ovf_parts > 0, "static must overflow");
         assert!(
-            adap.total_overflow_bytes() < stat.total_overflow_bytes() / 2,
-            "adaptive {} vs static {}",
-            adap.total_overflow_bytes(),
-            stat.total_overflow_bytes()
+            adap_ovf_bytes < stat_ovf_bytes / 2,
+            "adaptive {adap_ovf_bytes} vs static {stat_ovf_bytes}"
         );
         // Error collapses once the bias correction kicks in.
         assert!(adap.steps.last().unwrap().mean_rel_err < adap.steps[0].mean_rel_err / 2.0);
@@ -741,7 +705,7 @@ mod tests {
         assert!(stat
             .steps
             .iter()
-            .all(|s| s.n_overflow == stat.steps[0].n_overflow));
+            .all(|s| s.result.n_overflow == stat.steps[0].result.n_overflow));
     }
 
     #[test]
@@ -758,16 +722,12 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        assert_eq!(
-            adap.total_overflow_bytes(),
-            0,
-            "stable history must not overflow"
-        );
+        let (stat_waste, _, _) = stream_sums(&stat);
+        let (adap_waste, adap_ovf_bytes, _) = stream_sums(&adap);
+        assert_eq!(adap_ovf_bytes, 0, "stable history must not overflow");
         assert!(
-            adap.total_waste_bytes() < stat.total_waste_bytes(),
-            "adaptive {} vs static {}",
-            adap.total_waste_bytes(),
-            stat.total_waste_bytes()
+            adap_waste < stat_waste,
+            "adaptive {adap_waste} vs static {stat_waste}"
         );
     }
 
@@ -788,11 +748,11 @@ mod tests {
                 |_| &profiles,
             );
             for (a, b) in flat.steps.iter().zip(&shard.steps) {
-                assert_eq!(a.file_bytes, b.file_bytes);
-                assert_eq!(a.compressed_bytes, b.compressed_bytes);
+                assert_eq!(a.result.file_bytes, b.result.file_bytes);
+                assert_eq!(a.result.compressed_bytes, b.result.compressed_bytes);
                 assert_eq!(a.waste_bytes, b.waste_bytes);
-                assert_eq!(a.overflow_bytes, b.overflow_bytes);
-                assert_eq!(a.n_overflow, b.n_overflow);
+                assert_eq!(a.result.overflow_bytes, b.result.overflow_bytes);
+                assert_eq!(a.result.n_overflow, b.result.n_overflow);
                 assert_eq!(a.mean_rel_err, b.mean_rel_err);
             }
             // Sharding shrinks the per-rank reservation wire traffic.
@@ -813,7 +773,9 @@ mod tests {
         );
         // Collective bands adapt too — the bias fix dominates either
         // way, so the field-scoped stream also stops overflowing.
-        assert!(r.steps.last().unwrap().overflow_bytes < r.steps[0].overflow_bytes / 2);
+        assert!(
+            r.steps.last().unwrap().result.overflow_bytes < r.steps[0].result.overflow_bytes / 2
+        );
     }
 
     #[test]

@@ -117,22 +117,11 @@ impl EventSet {
         self.enqueue(file, offset, data, throttle, None);
     }
 
-    /// Like [`EventSet::write_at`], but once the write completes the
-    /// buffer is returned to `pool` instead of dropped — callers taking
-    /// their buffers from the same pool stream without per-chunk
-    /// allocation.
-    pub fn write_at_recycled(
-        &self,
-        file: &SharedFile,
-        offset: u64,
-        data: Vec<u8>,
-        throttle: Option<Arc<Throttle>>,
-        pool: Arc<BufferPool>,
-    ) {
-        self.enqueue(file, offset, data, throttle, Some(pool));
-    }
-
-    fn enqueue(
+    /// [`EventSet::write_at`] with the buffer's destination stated:
+    /// once the write completes `data` goes back to `recycle` instead
+    /// of being dropped, so a caller taking its buffers from the same
+    /// pool streams without per-chunk allocation.
+    pub(crate) fn enqueue(
         &self,
         file: &SharedFile,
         offset: u64,

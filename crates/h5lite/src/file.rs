@@ -409,7 +409,7 @@ impl H5File {
             raw: raw_len,
             crc: crc32c(&stored),
         };
-        events.write_at_recycled(&self.inner.file, offset, stored, throttle, pool);
+        events.enqueue(&self.inner.file, offset, stored, throttle, Some(pool));
         self.record_chunk(id, info)
     }
 

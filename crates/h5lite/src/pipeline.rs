@@ -125,9 +125,10 @@ where
 /// one [`FilterScratch`] plus one tile buffer across all its chunks.
 ///
 /// Stored-chunk buffers are taken from `pool`; the sink keeps
-/// ownership and should return them there once consumed (e.g. via
-/// [`EventSet::write_at_recycled`](crate::EventSet::write_at_recycled)),
-/// after which steady-state streaming allocates nothing per chunk.
+/// ownership and should return them there once consumed (as
+/// [`H5File::write_chunk_at_async`](crate::H5File::write_chunk_at_async)
+/// does when the write lands), after which steady-state streaming
+/// allocates nothing per chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn compress_chunks<S>(
     registry: &FilterRegistry,

@@ -17,7 +17,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::{self, Json};
+use crate::json::{self, finite, Json};
 
 /// Extension of flight-recorder files (`step-0000.h5l` →
 /// `step-0000.obs.jsonl`).
@@ -166,17 +166,6 @@ impl StepFlight {
             mean_rel_err: num("mean_rel_err")?,
             host_parallelism: uns("host_parallelism")?,
         })
-    }
-}
-
-// f64 Display writes bare `inf`/`NaN`, which the strict parser (and
-// JSON itself) rejects; clamp non-finite timings to 0 so one
-// pathological value can't poison the whole record.
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
     }
 }
 

@@ -1,13 +1,16 @@
-//! Minimal strict JSON: a recursive-descent parser plus a string
-//! escaper for hand-written output.
+//! Minimal strict JSON: a recursive-descent parser, its inverse
+//! (`Display` for [`Json`]) and a string escaper for the writers that
+//! stream one record at a time.
 //!
 //! This is the workspace's one JSON implementation (no serde in the
 //! tree). It started life inside `bench`'s schema tests and moved here
-//! so the flight recorder, the trace validator, and the `scrub --json`
-//! CLI all share a single strict dialect: no trailing garbage, no
-//! trailing commas, no unquoted keys, no bare `inf`/`nan` tokens.
+//! so the flight recorder, the trace validator, the bench artifacts
+//! and the `scrub --json` CLI all share a single strict dialect: no
+//! trailing garbage, no trailing commas, no unquoted keys, no bare
+//! `inf`/`nan` tokens.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Minimal JSON value — just enough to validate and read artifacts.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +79,79 @@ impl Json {
             _ => {}
         }
     }
+}
+
+// f64 Display writes bare `inf`/`NaN`, which the strict parser (and
+// JSON itself) rejects; clamp non-finite values to 0 so one
+// pathological timing can't poison the whole document.
+pub(crate) fn finite(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// Writes the document [`parse`] reads back: numbers in their shortest
+/// round-trip form (non-finite ones clamped to 0), strings through
+/// [`escape`], object keys sorted. A container of scalars is one line;
+/// a container holding containers puts each member on its own line,
+/// indented two spaces per level.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl Json {
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => write!(f, "{}", finite(*n)),
+            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Arr(items) => {
+                write_members(f, indent, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(map) => write_members(
+                f,
+                indent,
+                ['{', '}'],
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
+}
+
+fn write_members<'a>(
+    f: &mut fmt::Formatter<'_>,
+    indent: usize,
+    [open, close]: [char; 2],
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) -> fmt::Result {
+    let nested = members
+        .clone()
+        .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let last = members.len().saturating_sub(1);
+    f.write_char(open)?;
+    for (i, (key, value)) in members.enumerate() {
+        if nested {
+            write!(f, "\n{:1$}", "", indent + 2)?;
+        } else if i > 0 {
+            f.write_char(' ')?;
+        }
+        if let Some(key) = key {
+            write!(f, "\"{}\": ", escape(key))?;
+        }
+        value.write(f, indent + 2)?;
+        if i < last {
+            f.write_char(',')?;
+        }
+    }
+    if nested {
+        write!(f, "\n{:1$}", "", indent)?;
+    }
+    f.write_char(close)
 }
 
 /// Parse `text` as one strict JSON document.
@@ -318,6 +394,38 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));
         let v = parse(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
         assert_eq!(v.str_of("k"), Some(nasty));
+    }
+
+    #[test]
+    fn display_is_the_inverse_of_parse() {
+        let doc = Json::Obj(BTreeMap::from([
+            ("name".to_string(), Json::Str("a\"b\\c\nd\u{1}".into())),
+            ("empty".to_string(), Json::Arr(Vec::new())),
+            ("flag".to_string(), Json::Bool(true)),
+            ("none".to_string(), Json::Null),
+            (
+                "rows".to_string(),
+                Json::Arr(vec![
+                    Json::Obj(BTreeMap::from([
+                        ("secs".to_string(), Json::Num(1.25e-7)),
+                        ("bytes".to_string(), Json::Num(9_007_199_254_740_991.0)),
+                    ])),
+                    Json::Arr(vec![Json::Num(-0.5), Json::Num(3.0)]),
+                ]),
+            ),
+        ]));
+        let text = doc.to_string();
+        assert_eq!(parse(&text).as_ref(), Ok(&doc), "{text}");
+        // Scalars-only containers stay on one line, nesting indents.
+        assert!(text.contains("\n    [-0.5, 3]\n"), "{text}");
+        assert!(
+            text.contains("{\"bytes\": 9007199254740991, \"secs\": 0.000000125}"),
+            "{text}"
+        );
+
+        // inf/NaN are not JSON: clamped, so the document still parses.
+        let bad = Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::NEG_INFINITY)]);
+        assert_eq!(bad.to_string(), "[0, 0]");
     }
 
     #[test]

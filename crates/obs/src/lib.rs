@@ -17,8 +17,8 @@
 //!   after a crash with typed per-line errors.
 //!
 //! [`json`] is the workspace's shared strict mini JSON parser /
-//! escaper backing the flight recorder, the trace validator in the
-//! bench suite, and `scrub --json`.
+//! writer / escaper backing the flight recorder, the trace validator
+//! in the tests, the `BENCH_*.json` artifacts and `scrub --json`.
 
 pub mod flight;
 pub mod json;

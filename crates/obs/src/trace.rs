@@ -10,8 +10,8 @@
 //!
 //! Tracing is compiled in but disabled by default: the guard
 //! constructor is one relaxed atomic load and a branch when off (the
-//! overhead is measured and asserted < 2% of the serial-compress floor
-//! by `bench_obs`). Setting the [`TRACE_ENV`] environment variable
+//! overhead is asserted < 2% of the serial-compress floor by
+//! `tests/observability.rs`). Setting the [`TRACE_ENV`] environment variable
 //! (`OBS_TRACE=trace.json`) enables recording at first use, and
 //! [`export_env`] writes the accumulated trace to that path.
 

@@ -908,6 +908,64 @@ mod tests {
         }
     }
 
+    /// The table-driven decoder exists to be faster than the walk it
+    /// is pinned against; optimised builds only, where the comparison
+    /// means something.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn lut_decode_is_no_slower_than_the_reference_walk() {
+        // 1 Mi quantization codes as szlite emits them: two-sided
+        // geometric around the radius, a few long-code outliers.
+        let radius = 32_768u32;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let syms: Vec<u32> = (0..1 << 20)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let magnitude = (state >> 33).trailing_ones();
+                let spread = (state >> 20) as u32 % 3;
+                let offset = magnitude * 3 + spread;
+                if state & 1 == 0 {
+                    radius + offset
+                } else {
+                    radius - offset
+                }
+            })
+            .collect();
+        let enc = HuffmanEncoder::from_symbols(&syms, 2 * radius as usize);
+        let mut table = Vec::new();
+        enc.serialize(&mut table);
+        let mut w = BitWriter::new();
+        enc.encode(&syms, &mut w);
+        let bits = w.finish();
+        let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
+
+        let mut out = Vec::new();
+        let mut best_of_7 = |decode: &mut dyn FnMut(&mut BitReader<'_>, &mut Vec<u32>)| {
+            (0..7)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    decode(&mut BitReader::new(&bits), &mut out);
+                    let secs = t0.elapsed().as_secs_f64();
+                    assert_eq!(out, syms);
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let lut = best_of_7(&mut |r, out| dec.decode_into(r, syms.len(), out).unwrap());
+        let reference = best_of_7(&mut |r, out| {
+            out.clear();
+            for _ in 0..syms.len() {
+                out.push(dec.decode_one_reference(r).unwrap());
+            }
+        });
+        assert!(
+            lut <= reference,
+            "LUT decode {lut:.6} s slower than the reference walk {reference:.6} s"
+        );
+    }
+
     #[test]
     fn oversubscribed_table_decodes_identically_on_both_paths() {
         // `from_lens` accepts Kraft-oversubscribed length sets (corrupt

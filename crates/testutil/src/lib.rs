@@ -3,7 +3,8 @@
 //! The integration suites create container files in the OS temp dir;
 //! when an assertion fails before the trailing `remove_file`, the file
 //! leaks. [`TempPath`] is an RAII guard that deletes the file on drop
-//! (including on panic/unwind), so failed runs leave nothing behind.
+//! (including on panic/unwind), so failed runs leave nothing behind;
+//! [`TempDir`] is the same guard for a directory of step files.
 
 use std::path::{Path, PathBuf};
 
@@ -50,6 +51,36 @@ impl Drop for TempPath {
 impl AsRef<Path> for TempPath {
     fn as_ref(&self) -> &Path {
         &self.path
+    }
+}
+
+/// RAII guard around a temp-dir directory path (a checkpoint
+/// stream's step files): the directory and everything in it is removed
+/// when the guard is dropped, even if the test panicked. The directory
+/// itself is not created.
+#[derive(Debug)]
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// A unique path in the OS temp dir, namespaced by process id;
+    /// `name` should be unique within the calling test binary.
+    pub fn new(name: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("suite-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        TempDir { path }
+    }
+
+    /// The guarded path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 

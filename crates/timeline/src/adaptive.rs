@@ -8,7 +8,7 @@
 //! step; between steps the timeline engine feeds the step's
 //! [`RunObservations`] back via [`OnlineSource::observe_run`].
 
-use predwrite::{PredictionSource, RealError, RunObservations, SourceEstimate};
+use predwrite::{fold_observations, PredictionSource, RealError, RunObservations, SourceEstimate};
 use ratiomodel::{EstimateScratch, Models, OnlineConfig, OnlinePredictor};
 use szlite::{Config, Dims};
 
@@ -79,13 +79,11 @@ impl OnlineSource {
     /// Fold one completed step's observations into every cell.
     pub fn observe_run(&mut self, obs: &RunObservations) {
         assert_eq!(obs.len(), self.nranks, "observation rank count changed");
-        for (r, row) in obs.iter().enumerate() {
-            assert_eq!(row.len(), self.nfields, "observation field count changed");
-            for (f, o) in row.iter().enumerate() {
-                self.online
-                    .observe(self.cell(r, f), o.model_bytes, o.predicted, o.actual);
-            }
-        }
+        assert!(
+            obs.iter().all(|row| row.len() == self.nfields),
+            "observation field count changed"
+        );
+        fold_observations(&mut self.online, obs);
     }
 }
 

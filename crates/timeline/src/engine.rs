@@ -170,12 +170,35 @@ where
 {
     std::fs::create_dir_all(&cfg.dir)
         .map_err(|e| RealError::context(format!("timeline: create {}", cfg.dir.display()), e))?;
-    let mut online: Option<OnlineSource> = initial_online;
-    if let (AdaptMode::Static, Some(_)) = (&cfg.mode, &online) {
+    if let (AdaptMode::Static, Some(_)) = (&cfg.mode, &initial_online) {
         return Err(RealError::Shape(
             "timeline: online state supplied for a static-mode stream".into(),
         ));
     }
+    // The run's Chrome trace is written however the step loop ends —
+    // a failed step is exactly when it is wanted — and the step's
+    // error outranks an export error.
+    let steps = run_steps(cfg, start_step, initial_online, &mut step_data);
+    let exported = obs::trace::export_env();
+    let steps = steps?;
+    exported.map_err(|e| RealError::context("timeline: chrome-trace export", e))?;
+    Ok(TimelineReport {
+        mode: cfg.mode.label().to_string(),
+        steps,
+    })
+}
+
+/// The step loop of [`run_timeline_resumed`].
+fn run_steps<F, D>(
+    cfg: &TimelineConfig,
+    start_step: usize,
+    mut online: Option<OnlineSource>,
+    step_data: &mut F,
+) -> Result<Vec<StepMetrics>, RealError>
+where
+    F: FnMut(usize) -> D,
+    D: std::borrow::Borrow<Vec<Vec<RankFieldData>>>,
+{
     let mut steps = Vec::with_capacity(cfg.steps.saturating_sub(start_step));
     // One engine config serves the whole stream; only the output path
     // changes per step, so the per-field Config list is cloned once,
@@ -265,11 +288,7 @@ where
         }
         steps.push(m);
     }
-    obs::trace::export_env().map_err(|e| RealError::context("timeline: chrome-trace export", e))?;
-    Ok(TimelineReport {
-        mode: cfg.mode.label().to_string(),
-        steps,
-    })
+    Ok(steps)
 }
 
 /// Assemble one step's flight record from its collected metrics and

@@ -1,61 +1,7 @@
-//! Per-step and per-run accounting of a timeline stream.
+//! Per-run accounting of a timeline stream, over the per-step record
+//! ([`StepMetrics`]) the real and the simulated stream share.
 
-use predwrite::{RunObservations, RunResult};
-
-/// What one streamed checkpoint cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepMetrics {
-    /// Timestep index.
-    pub step: usize,
-    /// The underlying engine result (timings, file size, overflows).
-    pub result: RunResult,
-    /// Bytes reserved across all partitions.
-    pub reserved_bytes: u64,
-    /// Reserved bytes left unused — the extra-space waste the
-    /// adaptive headroom exists to shrink.
-    pub waste_bytes: u64,
-    /// Sum of predicted compressed sizes.
-    pub predicted_bytes: u64,
-    /// Sum of actual compressed sizes.
-    pub actual_bytes: u64,
-    /// Mean relative prediction error: the EWMA-tracked error after
-    /// feedback in adaptive mode, the step's instantaneous error in
-    /// static mode.
-    pub mean_rel_err: f64,
-}
-
-impl StepMetrics {
-    /// Derive one step's metrics from the engine output.
-    pub fn collect(
-        step: usize,
-        result: RunResult,
-        obs: &RunObservations,
-        mean_rel_err: f64,
-    ) -> Self {
-        let mut reserved = 0u64;
-        let mut waste = 0u64;
-        let mut predicted = 0u64;
-        let mut actual = 0u64;
-        for o in obs.iter().flatten() {
-            reserved += o.reserved;
-            // Bytes of the reservation the partition did not fill (an
-            // overflowing partition fills it exactly).
-            let in_slot = o.actual - o.overflow;
-            waste += o.reserved.saturating_sub(in_slot);
-            predicted += o.predicted;
-            actual += o.actual;
-        }
-        StepMetrics {
-            step,
-            result,
-            reserved_bytes: reserved,
-            waste_bytes: waste,
-            predicted_bytes: predicted,
-            actual_bytes: actual,
-            mean_rel_err,
-        }
-    }
-}
+pub use predwrite::StepMetrics;
 
 /// Aggregate outcome of one timeline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +47,7 @@ impl TimelineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predwrite::{Breakdown, FieldObservation, Method};
+    use predwrite::{Breakdown, FieldObservation, Method, RunObservations, RunResult};
 
     fn result(n_overflow: usize, overflow_bytes: u64, file_bytes: u64) -> RunResult {
         RunResult {
@@ -114,33 +60,6 @@ mod tests {
             n_overflow,
             overflow_bytes,
         }
-    }
-
-    #[test]
-    fn waste_counts_unused_reservation_only() {
-        let obs: RunObservations = vec![vec![
-            // Fits with 50 spare.
-            FieldObservation {
-                predicted: 100,
-                model_bytes: 100,
-                reserved: 150,
-                actual: 100,
-                overflow: 0,
-            },
-            // Overflows: slot filled exactly, zero waste.
-            FieldObservation {
-                predicted: 100,
-                model_bytes: 100,
-                reserved: 120,
-                actual: 200,
-                overflow: 80,
-            },
-        ]];
-        let m = StepMetrics::collect(0, result(1, 80, 500), &obs, 0.25);
-        assert_eq!(m.reserved_bytes, 270);
-        assert_eq!(m.waste_bytes, 50);
-        assert_eq!(m.predicted_bytes, 200);
-        assert_eq!(m.actual_bytes, 300);
     }
 
     #[test]

@@ -17,22 +17,7 @@ use repro_suite::timeline::{resume_timeline, run_timeline, AdaptMode, StepFaults
 use repro_suite::workloads::SnapshotStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        let p = std::env::temp_dir().join(format!("crash-rec-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use testutil::TempDir;
 
 fn streams() -> [(SnapshotStream, usize); 3] {
     [
@@ -80,7 +65,7 @@ impl CrashPhase {
 fn crash_and_recover(stream: &SnapshotStream, nranks: usize, k: usize, phase: CrashPhase) {
     let steps = k + 3;
     let dir = TempDir::new(&format!("{}-{}", stream.label(), phase.label()));
-    let mut cfg = config(stream, steps, dir.0.clone());
+    let mut cfg = config(stream, steps, dir.path().to_path_buf());
     let data = |s: usize| partition_stream_step(stream, s, nranks);
 
     match phase {
@@ -186,7 +171,7 @@ fn downgraded_superblock_version_is_quarantined_not_trusted() {
     let nranks = 8;
     let steps = 3;
     let dir = TempDir::new("sb-downgrade");
-    let cfg = config(&stream, steps, dir.0.clone());
+    let cfg = config(&stream, steps, dir.path().to_path_buf());
     let data = |s: usize| partition_stream_step(&stream, s, nranks);
     run_timeline(&cfg, data).unwrap();
 
@@ -225,11 +210,11 @@ fn seeded_fault_schedule_recovers_and_reconverges() {
 
     // Reference: the same stream, never interrupted.
     let ref_dir = TempDir::new("seeded-ref");
-    let ref_cfg = config(&stream, steps, ref_dir.0.clone());
+    let ref_cfg = config(&stream, steps, ref_dir.path().to_path_buf());
     let reference = run_timeline(&ref_cfg, |s| partition_stream_step(&stream, s, nranks)).unwrap();
 
     let dir = TempDir::new("seeded-faulty");
-    let mut cfg = config(&stream, steps, dir.0.clone());
+    let mut cfg = config(&stream, steps, dir.path().to_path_buf());
     let data = |s: usize| partition_stream_step(&stream, s, nranks);
 
     // Step 1: a transient EIO, absorbed by bounded retry.

@@ -1,0 +1,179 @@
+//! The observability contract, end to end: what a disabled span costs,
+//! what an exported trace looks like, that a step's flight record is
+//! its `StepMetrics`, and that a failed run still leaves its trace.
+//!
+//! One `#[test]`, scenarios in sequence: `obs`'s enable flag, its
+//! trace buffers and `OBS_TRACE` are process globals, and this file is
+//! its own test binary so nothing else shares them.
+
+use bench::partition_stream_step;
+use repro_suite::obs::{self, Json};
+use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
+use repro_suite::predwrite::RealError;
+use repro_suite::ratiomodel::OnlineConfig;
+use repro_suite::szlite;
+use repro_suite::timeline::{run_timeline, AdaptMode, StepFaults, TimelineConfig};
+use repro_suite::workloads::SnapshotStream;
+use std::path::Path;
+use std::time::Instant;
+use testutil::{TempDir, TempPath};
+
+/// Structural check of an exported Chrome trace: parseable strict
+/// JSON, complete events only, and depth-nesting containment per
+/// thread. Returns the events and the maximum depth.
+fn validate_trace(path: &Path) -> (Vec<Json>, u64) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let v = obs::json::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let Json::Arr(items) = v else {
+        panic!("{path:?}: trace is not a JSON array");
+    };
+    assert!(!items.is_empty(), "{path:?}: empty trace");
+    let mut spans: Vec<(u64, u64, f64, f64)> = Vec::new(); // (tid, depth, ts, end)
+    for it in &items {
+        assert_eq!(it.str_of("ph"), Some("X"), "non-complete event");
+        assert_eq!(it.str_of("cat"), Some("obs"));
+        let ts = it.num("ts").expect("ts");
+        let dur = it.num("dur").expect("dur");
+        let tid = it.num("tid").expect("tid") as u64;
+        let depth = it
+            .get("args")
+            .and_then(|a| a.num("depth"))
+            .expect("args.depth") as u64;
+        assert!(ts >= 0.0 && dur >= 0.0);
+        spans.push((tid, depth, ts, ts + dur));
+    }
+    // Every nested span sits inside some shallower span of its thread
+    // (µs rounding in the export grants a small tolerance).
+    let eps = 0.002;
+    for &(tid, depth, ts, end) in &spans {
+        if depth == 0 {
+            continue;
+        }
+        let contained = spans.iter().any(|&(t2, d2, ts2, end2)| {
+            t2 == tid && d2 < depth && ts2 <= ts + eps && end2 + eps >= end
+        });
+        assert!(
+            contained,
+            "span at tid {tid} depth {depth} [{ts}, {end}] has no enclosing span"
+        );
+    }
+    let max_depth = spans.iter().map(|s| s.1).max().unwrap_or(0);
+    (items, max_depth)
+}
+
+#[test]
+fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
+    let stream = SnapshotStream::nyx(16);
+    let nranks = 2;
+    let data: Vec<_> = (0..4)
+        .map(|s| partition_stream_step(&stream, s, nranks))
+        .collect();
+    let nfields = data[0][0].len();
+    let adaptive = AdaptMode::Adaptive(OnlineConfig::default());
+
+    // 1. The disabled fast path: one guard per compress call is what
+    // an instrumented hot loop pays, so a guard (timed over 2 M of
+    // them) must cost under 2 % of one serial compress of a field.
+    obs::set_enabled(false);
+    let field = &data[0][0][0];
+    let cfgc = szlite::Config::rel(1e-3);
+    let mut scratch = szlite::Scratch::new();
+    let mut out = Vec::new();
+    let mut compress = || {
+        let t0 = Instant::now();
+        szlite::compress_into(&field.data, &field.dims, &cfgc, &mut scratch, &mut out).unwrap();
+        t0.elapsed().as_secs_f64()
+    };
+    compress(); // warm-up
+    let mut times: Vec<f64> = (0..5).map(|_| compress()).collect();
+    times.sort_by(f64::total_cmp);
+    let compress_secs = times[times.len() / 2];
+    let n = 2_000_000u64;
+    let t0 = Instant::now();
+    for i in 0..n {
+        std::hint::black_box(&obs::span_arg("test.disabled", i));
+    }
+    let span_secs = t0.elapsed().as_secs_f64() / n as f64;
+    assert!(
+        span_secs < 0.02 * compress_secs,
+        "a disabled span costs {:.1} ns, ≥ 2 % of a {:.1} µs serial compress",
+        span_secs * 1e9,
+        compress_secs * 1e6
+    );
+    assert!(obs::trace::drain().is_empty(), "disabled spans recorded");
+
+    // 2. A step that fails still leaves the run's trace: the typed
+    // error comes back, and the file named by OBS_TRACE holds the
+    // failing step's span. (First traced scenario, so the only
+    // `timeline.step` spans in the file are this run's.)
+    let failing_step = 2u64;
+    let crash_trace = TempPath::new("obs-crash-trace", "json");
+    std::env::set_var(obs::trace::TRACE_ENV, crash_trace.path());
+    obs::set_enabled(true);
+    let dir = TempDir::new("crash");
+    let mut cfg = TimelineConfig::quick(4, nfields, adaptive, dir.path().to_path_buf());
+    let torn = FaultFs::new(FaultPlan::new().on_write(1, Fault::TornWrite { keep: 64 }));
+    cfg.step_faults = Some(StepFaults::only_step(failing_step as usize, torn.clone()));
+    let err = run_timeline(&cfg, |s| &data[s]).expect_err("the torn write must abort the stream");
+    assert!(torn.crashed());
+    assert!(matches!(err, RealError::H5(_)), "{err:?}");
+    let (events, _) = validate_trace(crash_trace.path());
+    let step_args: Vec<u64> = events
+        .iter()
+        .filter(|e| e.str_of("name") == Some("timeline.step"))
+        .map(|e| e.get("args").and_then(|a| a.num("arg")).expect("step arg") as u64)
+        .collect();
+    assert_eq!(
+        step_args,
+        [0, 1, failing_step],
+        "steps traced: {step_args:?}"
+    );
+
+    // 3. A traced adaptive keep-files stream: the exported trace is
+    // well formed and nests, and every step's flight record mirrors
+    // the engine's own report.
+    let trace = TempPath::new("obs-trace", "json");
+    std::env::set_var(obs::trace::TRACE_ENV, trace.path());
+    let dir = TempDir::new("stream");
+    let mut cfg = TimelineConfig::quick(4, nfields, adaptive, dir.path().to_path_buf());
+    cfg.keep_files = true; // flight records live beside the containers
+    let report = run_timeline(&cfg, |s| &data[s]).expect("timeline run");
+    obs::set_enabled(false);
+    std::env::remove_var(obs::trace::TRACE_ENV);
+    let (_, max_depth) = validate_trace(trace.path());
+    assert!(max_depth >= 1, "no nested spans recorded");
+
+    assert_eq!(report.steps.len(), 4);
+    for m in &report.steps {
+        let fpath = obs::flight_path(&cfg.step_path(m.step));
+        let scan = obs::read_flight(&fpath).unwrap_or_else(|e| panic!("read {fpath:?}: {e}"));
+        assert!(scan.errors.is_empty(), "flight errors: {:?}", scan.errors);
+        let rec = scan.records.last().expect("one record per step");
+        // Byte fields mirror StepMetrics exactly.
+        assert_eq!(rec.step, m.step as u64);
+        assert_eq!(rec.reserved_bytes, m.reserved_bytes);
+        assert_eq!(rec.waste_bytes, m.waste_bytes);
+        assert_eq!(rec.predicted_bytes, m.predicted_bytes);
+        assert_eq!(rec.actual_bytes, m.actual_bytes);
+        assert_eq!(rec.overflow_bytes, m.result.overflow_bytes);
+        assert_eq!(rec.overflow_parts, m.result.n_overflow as u64);
+        assert_eq!(rec.file_bytes, m.result.file_bytes);
+        // Timings and derived figures survive the JSON round trip as
+        // finite numbers, and provenance is recorded.
+        for v in [
+            rec.predict_secs,
+            rec.planner_secs,
+            rec.compress_secs,
+            rec.write_secs,
+            rec.overflow_secs,
+            rec.verify_secs,
+            rec.total_secs,
+            rec.mean_rel_err,
+        ] {
+            assert!(v.is_finite() && v >= 0.0, "bad timing {v}");
+        }
+        assert!(rec.host_parallelism >= 1);
+        // Every step exchanges reservation sizes over the wire.
+        assert!(rec.collective_wire_bytes > 0);
+    }
+}

@@ -1,0 +1,124 @@
+//! Sim-vs-real conformance: the discrete-event stream simulator and
+//! the real stream engine report the same `StepMetrics`, so for inputs
+//! both can run they must agree on every byte the planner decides —
+//! reservations, waste, predictions, actual sizes and overflow — step
+//! for step, in both adaptation modes and both reservation topologies.
+
+use bench::partition_stream_step;
+use repro_suite::predwrite::{
+    profile_partition_with, simulate_stream, AdaptMode, PartitionProfile, RankFieldData,
+    ReservationTopology, SimParams, StreamSimConfig,
+};
+use repro_suite::ratiomodel::{EstimateScratch, OnlineConfig};
+use repro_suite::timeline::{run_timeline, TimelineConfig};
+use repro_suite::workloads::SnapshotStream;
+use testutil::TempDir;
+
+const STEPS: usize = 3;
+
+/// Run `cfg` through both engines and compare the reports step for
+/// step; returns how many partitions overflowed.
+fn assert_streams_agree(
+    cfg: &TimelineConfig,
+    data: &[Vec<Vec<RankFieldData>>],
+    profiles: &[Vec<Vec<PartitionProfile>>],
+    what: &str,
+) -> usize {
+    let real = run_timeline(cfg, |s| &data[s]).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let sim = simulate_stream(
+        &StreamSimConfig {
+            params: SimParams::new(cfg.bandwidth).with_policy(cfg.policy),
+            mode: cfg.mode,
+            reservation: cfg.reservation,
+            steps: STEPS,
+            reorder: false,
+        },
+        |s| &profiles[s],
+    );
+    assert_eq!(real.steps.len(), STEPS, "{what}");
+    assert_eq!(sim.steps.len(), STEPS, "{what}");
+    for (r, s) in real.steps.iter().zip(&sim.steps) {
+        let what = format!("{what}, step {}", r.step);
+        assert_eq!(r.step, s.step, "{what}");
+        assert_eq!(r.reserved_bytes, s.reserved_bytes, "{what}: reserved");
+        assert_eq!(r.waste_bytes, s.waste_bytes, "{what}: waste");
+        assert_eq!(r.predicted_bytes, s.predicted_bytes, "{what}: predicted");
+        assert_eq!(r.actual_bytes, s.actual_bytes, "{what}: actual");
+        let (r, s) = (&r.result, &s.result);
+        assert_eq!(r.overflow_bytes, s.overflow_bytes, "{what}: overflow bytes");
+        assert_eq!(r.n_overflow, s.n_overflow, "{what}: overflows");
+        assert_eq!(r.compressed_bytes, s.compressed_bytes, "{what}: compressed");
+        // `file_bytes` is left out on purpose: the simulated file is
+        // reservations + overflow, the real one also holds the
+        // superblock and the chunk table.
+        assert!(r.file_bytes > s.file_bytes, "{what}");
+    }
+    real.total_overflows()
+}
+
+#[test]
+fn simulated_and_real_streams_agree_on_every_planned_byte() {
+    let dir = TempDir::new("sim-vs-real");
+    let mut overflows = 0;
+    // 3-D and 1-D partitions. The Nyx ones are large enough to be
+    // sampled, not scanned, by the ratio model, so some are
+    // under-predicted past their extra space and overflow.
+    for stream in [SnapshotStream::nyx(32), SnapshotStream::vpic(8192)] {
+        for nranks in [2, 4] {
+            let data: Vec<_> = (0..STEPS)
+                .map(|s| partition_stream_step(&stream, s, nranks))
+                .collect();
+            let nfields = data[0][0].len();
+            let mut cfg =
+                TimelineConfig::quick(STEPS, nfields, AdaptMode::Static, dir.path().to_path_buf());
+            cfg.verify = false; // bytes are compared, not decoded
+
+            // The simulator's input, from the very data the real
+            // engine writes: the same estimate, the same compressor.
+            let mut scratch = EstimateScratch::new();
+            let mut profile = |fd: &RankFieldData, f: usize| {
+                profile_partition_with(
+                    &fd.data,
+                    &fd.dims,
+                    &cfg.configs[f],
+                    &cfg.models,
+                    &mut scratch,
+                )
+                .unwrap()
+            };
+            let profiles: Vec<Vec<Vec<PartitionProfile>>> = data
+                .iter()
+                .map(|step| {
+                    step.iter()
+                        .map(|rank| {
+                            rank.iter()
+                                .enumerate()
+                                .map(|(f, fd)| profile(fd, f))
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+
+            for mode in [
+                AdaptMode::Static,
+                AdaptMode::Adaptive(OnlineConfig::default()),
+            ] {
+                for reservation in [
+                    ReservationTopology::Flat,
+                    ReservationTopology::Sharded { group_size: 0 },
+                ] {
+                    (cfg.mode, cfg.reservation) = (mode, reservation);
+                    let what = format!(
+                        "{} × {nranks} ranks, {}, {}",
+                        stream.label(),
+                        mode.label(),
+                        reservation.label()
+                    );
+                    overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
+                }
+            }
+        }
+    }
+    assert!(overflows > 0, "the overflow path was never exercised");
+}

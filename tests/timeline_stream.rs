@@ -13,24 +13,7 @@ use repro_suite::predwrite::RankFieldData;
 use repro_suite::ratiomodel::OnlineConfig;
 use repro_suite::timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
 use repro_suite::workloads::SnapshotStream;
-use std::path::PathBuf;
-
-/// RAII guard deleting a whole step-file directory on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        let p = std::env::temp_dir().join(format!("timeline-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        TempDir(p)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use testutil::TempDir;
 
 fn small_streams() -> [(SnapshotStream, usize); 3] {
     // Small grids keep the 20-step debug-mode runs quick; 8 ranks give
@@ -55,7 +38,7 @@ fn adaptive_stream_decodes_every_step_on_all_workloads() {
             20,
             nfields,
             AdaptMode::Adaptive(OnlineConfig::default()),
-            dir.0.clone(),
+            dir.path().to_path_buf(),
         );
         assert!(cfg.verify, "quick config must verify every step");
         let report = run_timeline(&cfg, |s| partition_stream_step(&stream, s, nranks))
@@ -83,7 +66,7 @@ fn adaptive_beats_static_on_waste_at_no_more_overflows() {
         .collect();
     let run = |mode: AdaptMode, tag: &str| -> TimelineReport {
         let dir = TempDir::new(&format!("compare-{tag}"));
-        let mut cfg = TimelineConfig::quick(steps, 6, mode, dir.0.clone());
+        let mut cfg = TimelineConfig::quick(steps, 6, mode, dir.path().to_path_buf());
         cfg.verify = false; // covered by the decode test above
         run_timeline(&cfg, |s| &data[s]).unwrap()
     };
@@ -123,7 +106,7 @@ fn stream_is_deterministic_across_worker_counts() {
             steps,
             6,
             AdaptMode::Adaptive(OnlineConfig::default()),
-            dir.0.clone(),
+            dir.path().to_path_buf(),
         );
         cfg.sz_threads = workers;
         cfg.verify = false;
@@ -167,7 +150,7 @@ fn adaptive_prediction_error_shrinks_with_history() {
         .collect();
     let run = |mode: AdaptMode, tag: &str| -> TimelineReport {
         let dir = TempDir::new(&format!("err-{tag}"));
-        let mut cfg = TimelineConfig::quick(steps, 1, mode, dir.0.clone());
+        let mut cfg = TimelineConfig::quick(steps, 1, mode, dir.path().to_path_buf());
         cfg.verify = false;
         run_timeline(&cfg, |s| &data[s]).unwrap()
     };
