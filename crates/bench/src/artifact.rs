@@ -3,6 +3,7 @@
 //! as an [`obs::Json`] value through its `Display`, so every artifact
 //! is in the dialect `tests/bench_schema.rs` parses.
 
+pub use obs::json::obj;
 use obs::Json;
 use std::str::FromStr;
 
@@ -22,16 +23,6 @@ pub fn env_count(name: &str, default: usize) -> usize {
         0 => default,
         n => n,
     }
-}
-
-/// An object from `(key, value)` pairs.
-pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 /// Write `doc` (an object) to the path in `BENCH_OUT`, or to

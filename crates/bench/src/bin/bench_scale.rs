@@ -45,7 +45,6 @@ use predwrite::{
     StreamSimReport,
 };
 use ratiomodel::{OnlineConfig, ThroughputModel};
-use timeline::TimelineReport;
 
 /// `BENCH_RANKS_LIST`: comma-separated positive rank counts; the
 /// default sweep when none parses.
@@ -101,16 +100,6 @@ fn synth_step(nranks: usize, nfields: usize, step: usize) -> Vec<Vec<PartitionPr
         .collect()
 }
 
-/// One configuration's outcome. The simulated stream's steps are the
-/// real stream's record, so they are summed where the real stream's
-/// are: in a [`TimelineReport`].
-struct ConfigRun {
-    topology: String,
-    steps: TimelineReport,
-    planner_seconds: f64,
-    collective_bytes_per_rank: u64,
-}
-
 /// Run one configuration `reps` times; the per-step stats are
 /// deterministic, so keep the first report and take the minimum
 /// planner wall-clock across repetitions to suppress timer noise.
@@ -119,7 +108,7 @@ fn run_config(
     reservation: ReservationTopology,
     steps: &[Vec<Vec<PartitionProfile>>],
     reps: usize,
-) -> ConfigRun {
+) -> StreamSimReport {
     let cfg = StreamSimConfig {
         params: SimParams::new(pfsim::BandwidthModel::summit()),
         mode,
@@ -132,30 +121,21 @@ fn run_config(
         let r = simulate_stream(&cfg, |s| &steps[s]);
         best = Some(match best.take() {
             Some(mut b) => {
-                assert_eq!(b.steps, r.steps, "simulated stream must be deterministic");
+                assert_eq!(b.report, r.report, "simulated stream must be deterministic");
                 b.planner_seconds = b.planner_seconds.min(r.planner_seconds);
                 b
             }
             None => r,
         });
     }
-    let best = best.expect("reps >= 1");
-    ConfigRun {
-        topology: best.reservation,
-        steps: TimelineReport {
-            mode: best.mode,
-            steps: best.steps,
-        },
-        planner_seconds: best.planner_seconds,
-        collective_bytes_per_rank: best.collective_bytes_per_rank,
-    }
+    best.expect("reps >= 1")
 }
 
-fn config_json(c: &ConfigRun) -> Json {
-    let r = &c.steps;
+fn config_json(c: &StreamSimReport) -> Json {
+    let r = &c.report;
     obj([
         ("mode", Json::Str(r.mode.clone())),
-        ("topology", Json::Str(c.topology.clone())),
+        ("topology", Json::Str(c.reservation.clone())),
         ("planner_secs", Json::Num(c.planner_seconds)),
         (
             "collective_bytes_per_rank",
@@ -215,7 +195,7 @@ fn main() {
         // the flat stream byte for byte, step for step. (Simulated
         // times legitimately differ — the two-level collective has a
         // different latency — so compare the byte-level fields only.)
-        for (a, b) in runs[0].steps.steps.iter().zip(&runs[1].steps.steps) {
+        for (a, b) in runs[0].report.steps.iter().zip(&runs[1].report.steps) {
             let bytes = |s: &predwrite::StepMetrics| {
                 (
                     s.result.file_bytes,
@@ -240,13 +220,13 @@ fn main() {
         for c in &runs {
             println!(
                 "{:<10} {:<8} {:>12.6} {:>12} {:>12} {:>10} {:>12}",
-                c.steps.mode,
-                c.topology,
+                c.report.mode,
+                c.reservation,
                 c.planner_seconds,
                 c.collective_bytes_per_rank,
-                c.steps.total_waste(),
-                c.steps.total_overflows(),
-                c.steps.total_overflow_bytes()
+                c.report.total_waste(),
+                c.report.total_overflows(),
+                c.report.total_overflow_bytes()
             );
         }
 
@@ -264,7 +244,7 @@ fn main() {
 
         // 4. Adaptive beats static on both space metrics at 512+.
         if nranks >= 512 {
-            let (s, a) = (&runs[1].steps, &runs[2].steps);
+            let (s, a) = (&runs[1].report, &runs[2].report);
             assert!(
                 a.total_waste() < s.total_waste(),
                 "{nranks} ranks: adaptive waste {} not below static {}",

@@ -1,10 +1,11 @@
 //! Threads-as-ranks communicator with MPI-style collectives.
 //!
 //! A [`World`] spawns `n` OS threads, each holding a [`Rank`] handle.
-//! Collectives (barrier, all-gather, broadcast, gather, all-reduce)
-//! are implemented over a shared slot table guarded by two barrier
-//! phases: write → barrier → assemble → barrier → read. Point-to-point
-//! messages use per-rank queues with tag matching.
+//! Collectives (barrier, all-gather) are implemented over a shared
+//! slot table guarded by two barrier phases: write → barrier →
+//! assemble → barrier → read. Every collective is fallible
+//! (`try_*`): a rank that fails [`Rank::poison`]s the world and its
+//! peers unwind with [`WorldPoisoned`] instead of waiting for it.
 //!
 //! All-gather results are delivered as a shared `Arc<[T]>`: the world
 //! vector is assembled exactly once (by the lowest participating rank)
@@ -28,7 +29,6 @@
 use crate::barrier::{Barrier, BarrierPoisoned};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 type Payload = Box<dyn Any + Send>;
@@ -51,13 +51,6 @@ impl From<BarrierPoisoned> for WorldPoisoned {
     fn from(_: BarrierPoisoned) -> Self {
         WorldPoisoned
     }
-}
-
-/// A tagged point-to-point message.
-struct Message {
-    from: usize,
-    tag: u64,
-    payload: Payload,
 }
 
 /// Slot table + single-assembly result cell shared by one communicator
@@ -123,10 +116,6 @@ struct Shared {
     /// Barriers of every subgroup split off this world, so a poison
     /// reaches ranks blocked in group-local collectives too.
     subgroups: Mutex<Vec<Arc<Barrier>>>,
-    /// Per-rank inbound message queues.
-    inboxes: Vec<Mutex<VecDeque<Message>>>,
-    /// Per-rank condvars to park receivers.
-    inbox_cv: Vec<parking_lot::Condvar>,
 }
 
 /// A communicator world of `n` ranks.
@@ -149,8 +138,6 @@ impl World {
             barrier: Barrier::new(n),
             table: SlotTable::new(n),
             subgroups: Mutex::new(Vec::new()),
-            inboxes: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            inbox_cv: (0..n).map(|_| parking_lot::Condvar::new()).collect(),
         });
         World { shared }
     }
@@ -327,29 +314,6 @@ impl Group {
         self.world.barrier.wait_checked()?;
         Ok(self.split.inter.shared_result::<T>())
     }
-
-    /// Two-level all-reduce: fold within the group (group-local rank
-    /// order), exchange the group results, fold across groups (dense
-    /// group-id order). Every rank receives the world-level reduction.
-    ///
-    /// For an associative, commutative `fold` (sums, min/max over
-    /// integers) the result equals the flat
-    /// `Rank::all_reduce`/all-gather reduction, at per-rank collective
-    /// cost O(group_size + n_groups) instead of O(ranks).
-    pub fn try_reduce_groups<T, F>(&self, value: T, fold: F) -> Result<T, WorldPoisoned>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let local = self.try_all_gather(value)?;
-        let mut it = local.iter().cloned();
-        let first = it.next().expect("non-empty group");
-        let group_total = it.fold(first, &fold);
-        let merged = self.try_exchange(self.is_leader().then(|| group_total.clone()))?;
-        let mut it = merged.iter().cloned();
-        let first = it.next().expect("non-empty split");
-        Ok(it.fold(first, &fold))
-    }
 }
 
 impl Rank {
@@ -363,16 +327,10 @@ impl Rank {
         self.shared.n
     }
 
-    /// Synchronize all ranks.
-    pub fn barrier(&self) {
-        self.shared.barrier.wait();
-    }
-
     /// Mark this world as failed: every rank currently blocked in a
     /// collective — world-level or in any subgroup split off this
-    /// world — and every future collective attempt through the `try_*`
-    /// variants unblocks with [`WorldPoisoned`] instead of waiting
-    /// forever for this rank. Call before abandoning the rank closure
+    /// world — and every future collective attempt unblocks with
+    /// [`WorldPoisoned`] instead of waiting forever for this rank. Call before abandoning the rank closure
     /// on an error path. Idempotent.
     pub fn poison(&self) {
         self.shared.barrier.poison();
@@ -386,8 +344,8 @@ impl Rank {
         self.shared.barrier.is_poisoned()
     }
 
-    /// Fallible [`Rank::barrier`]: unblocks with [`WorldPoisoned`] if
-    /// a peer poisons the world instead of arriving.
+    /// Synchronize all ranks; unblocks with [`WorldPoisoned`] if a
+    /// peer poisons the world instead of arriving.
     pub fn try_barrier(&self) -> Result<(), WorldPoisoned> {
         self.shared.barrier.wait_checked()?;
         Ok(())
@@ -463,8 +421,13 @@ impl Rank {
         })
     }
 
-    /// Fallible [`Rank::all_gather`]: unblocks with [`WorldPoisoned`]
-    /// if a peer poisons the world instead of contributing.
+    /// All-gather: every rank contributes `value`; returns the values
+    /// of all ranks in rank order as one shared vector — assembled
+    /// once, handed to every rank by reference, so collective memory
+    /// is O(ranks · payload) however many ranks receive it. (The
+    /// paper's phase-2 step: gathering predicted compression ratios of
+    /// every partition.) Unblocks with [`WorldPoisoned`] if a peer
+    /// poisons the world instead of contributing.
     pub fn try_all_gather<T: Clone + Send + Sync + 'static>(
         &self,
         value: T,
@@ -476,115 +439,6 @@ impl Rank {
         }
         self.shared.barrier.wait_checked()?;
         Ok(self.shared.table.shared_result::<T>())
-    }
-
-    /// All-gather: every rank contributes `value`; returns the values
-    /// of all ranks in rank order as one shared vector — assembled
-    /// once, handed to every rank by reference, so collective memory
-    /// is O(ranks · payload) however many ranks receive it. (The
-    /// paper's phase-2 step: gathering predicted compression ratios of
-    /// every partition.)
-    pub fn all_gather<T: Clone + Send + Sync + 'static>(&self, value: T) -> Arc<[T]> {
-        *self.shared.table.slots[self.rank].lock() = Some(Box::new(value));
-        self.shared.barrier.wait();
-        if self.rank == 0 {
-            self.shared.table.assemble::<T>();
-        }
-        self.shared.barrier.wait();
-        self.shared.table.shared_result::<T>()
-    }
-
-    /// Broadcast `value` from `root` to all ranks.
-    pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        if self.rank == root {
-            *self.shared.table.slots[root].lock() =
-                Some(Box::new(value.expect("root must supply a value")));
-        }
-        self.shared.barrier.wait();
-        let out = {
-            let slot = self.shared.table.slots[root].lock();
-            slot.as_ref()
-                .expect("root slot empty")
-                .downcast_ref::<T>()
-                .expect("type mismatch in broadcast")
-                .clone()
-        };
-        self.shared.barrier.wait();
-        out
-    }
-
-    /// Gather values at `root`; non-root ranks receive `None`.
-    pub fn gather<T: Clone + Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        *self.shared.table.slots[self.rank].lock() = Some(Box::new(value));
-        self.shared.barrier.wait();
-        let out = if self.rank == root {
-            Some(
-                (0..self.shared.n)
-                    .map(|r| {
-                        let slot = self.shared.table.slots[r].lock();
-                        slot.as_ref()
-                            .expect("missing contribution")
-                            .downcast_ref::<T>()
-                            .expect("type mismatch in gather")
-                            .clone()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        self.shared.barrier.wait();
-        out
-    }
-
-    /// All-reduce with a binary fold.
-    pub fn all_reduce<T, F>(&self, value: T, fold: F) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let all = self.all_gather(value);
-        let mut it = all.iter().cloned();
-        let first = it.next().expect("non-empty world");
-        it.fold(first, fold)
-    }
-
-    /// Send `value` to rank `to` with `tag` (non-blocking, unbounded).
-    pub fn send<T: Send + 'static>(&self, to: usize, tag: u64, value: T) {
-        let msg = Message {
-            from: self.rank,
-            tag,
-            payload: Box::new(value),
-        };
-        self.shared.inboxes[to].lock().push_back(msg);
-        self.shared.inbox_cv[to].notify_all();
-    }
-
-    /// Receive a message matching `from`/`tag` (blocking).
-    pub fn recv<T: Send + 'static>(&self, from: usize, tag: u64) -> T {
-        let mut inbox = self.shared.inboxes[self.rank].lock();
-        loop {
-            if let Some(pos) = inbox.iter().position(|m| m.from == from && m.tag == tag) {
-                let msg = inbox.remove(pos).unwrap();
-                return *msg
-                    .payload
-                    .downcast::<T>()
-                    .unwrap_or_else(|_| panic!("type mismatch in recv tag {tag}"));
-            }
-            self.shared.inbox_cv[self.rank].wait(&mut inbox);
-        }
-    }
-
-    /// Non-blocking receive; `None` when no matching message is queued.
-    pub fn try_recv<T: Send + 'static>(&self, from: usize, tag: u64) -> Option<T> {
-        let mut inbox = self.shared.inboxes[self.rank].lock();
-        let pos = inbox.iter().position(|m| m.from == from && m.tag == tag)?;
-        let msg = inbox.remove(pos).unwrap();
-        Some(
-            *msg.payload
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("type mismatch in try_recv tag {tag}")),
-        )
     }
 }
 
@@ -629,7 +483,7 @@ mod tests {
     #[test]
     fn all_gather_orders_by_rank() {
         let out = run_world(6, |rk| {
-            let v = rk.all_gather(rk.rank() * 10);
+            let v = rk.try_all_gather(rk.rank() * 10).unwrap();
             assert_eq!(&v[..], &[0, 10, 20, 30, 40, 50]);
             v[rk.rank()]
         });
@@ -642,9 +496,9 @@ mod tests {
         // not a per-rank clone: every rank's handle points at the same
         // slice.
         let ptrs = run_world(4, |rk| {
-            let v = rk.all_gather(rk.rank() as u64);
+            let v = rk.try_all_gather(rk.rank() as u64).unwrap();
             let p = v.as_ptr() as usize;
-            rk.barrier(); // keep every handle alive until all read ptr
+            rk.try_barrier().unwrap(); // keep every handle alive until all read ptr
             p
         });
         assert!(ptrs.iter().all(|&p| p == ptrs[0]), "ptrs {ptrs:?}");
@@ -654,7 +508,7 @@ mod tests {
     fn repeated_collectives_do_not_cross_talk() {
         run_world(4, |rk| {
             for round in 0..20usize {
-                let v = rk.all_gather(rk.rank() + round * 100);
+                let v = rk.try_all_gather(rk.rank() + round * 100).unwrap();
                 for (r, &x) in v.iter().enumerate() {
                     assert_eq!(x, r + round * 100);
                 }
@@ -663,79 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        run_world(5, |rk| {
-            let got = rk.broadcast(3, (rk.rank() == 3).then(|| "hello".to_string()));
-            assert_eq!(got, "hello");
-        });
-    }
-
-    #[test]
-    fn gather_only_at_root() {
-        run_world(4, |rk| {
-            let got = rk.gather(0, rk.rank() as u64);
-            if rk.rank() == 0 {
-                assert_eq!(got.unwrap(), vec![0, 1, 2, 3]);
-            } else {
-                assert!(got.is_none());
-            }
-        });
-    }
-
-    #[test]
     fn all_reduce_sum() {
+        // An all-reduce is a fold over the shared gathered vector.
         run_world(8, |rk| {
-            let s = rk.all_reduce(rk.rank() as u64 + 1, |a, b| a + b);
-            assert_eq!(s, 36);
+            let all = rk.try_all_gather(rk.rank() as u64 + 1).unwrap();
+            assert_eq!(all.iter().sum::<u64>(), 36);
         });
-    }
-
-    #[test]
-    fn send_recv_tagged() {
-        run_world(2, |rk| {
-            if rk.rank() == 0 {
-                rk.send(1, 7, vec![1u8, 2, 3]);
-                rk.send(1, 8, 99u32);
-            } else {
-                // Receive out of order: tag 8 first.
-                let b: u32 = rk.recv(0, 8);
-                assert_eq!(b, 99);
-                let a: Vec<u8> = rk.recv(0, 7);
-                assert_eq!(a, vec![1, 2, 3]);
-            }
-        });
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        run_world(2, |rk| {
-            if rk.rank() == 1 {
-                assert!(rk.try_recv::<u32>(0, 1).is_none());
-            }
-            rk.barrier();
-            if rk.rank() == 0 {
-                rk.send(1, 1, 5u32);
-            }
-            rk.barrier();
-            if rk.rank() == 1 {
-                assert_eq!(rk.try_recv::<u32>(0, 1), Some(5));
-            }
-        });
-    }
-
-    #[test]
-    fn ring_pass() {
-        let n = 6;
-        let out = run_world(n, |rk| {
-            let next = (rk.rank() + 1) % n;
-            let prev = (rk.rank() + n - 1) % n;
-            rk.send(next, 0, rk.rank());
-            let got: usize = rk.recv(prev, 0);
-            got
-        });
-        for (r, &got) in out.iter().enumerate() {
-            assert_eq!(got, (r + n - 1) % n);
-        }
     }
 
     #[test]
@@ -743,7 +530,7 @@ mod tests {
         // 64 threads exchanging collectives repeatedly.
         run_world(64, |rk| {
             for _ in 0..5 {
-                let v = rk.all_gather(1u64);
+                let v = rk.try_all_gather(1u64).unwrap();
                 assert_eq!(v.iter().sum::<u64>(), 64);
             }
         });
@@ -794,12 +581,17 @@ mod tests {
 
     #[test]
     fn reduce_groups_matches_flat_reduction() {
+        // The two-level reduction the sharded reservation performs:
+        // fold within the group, exchange the leaders' results, fold
+        // across groups.
         run_world(9, |rk| {
             let g = rk.split(rk.rank() / 2).unwrap();
-            let two_level = g
-                .try_reduce_groups(rk.rank() as u64 + 1, |a, b| a + b)
+            let local = g.try_all_gather(rk.rank() as u64 + 1).unwrap();
+            let group_total: u64 = local.iter().sum();
+            let merged = g
+                .try_exchange(g.is_leader().then_some(group_total))
                 .unwrap();
-            assert_eq!(two_level, (1..=9).sum::<u64>());
+            assert_eq!(merged.iter().sum::<u64>(), (1..=9).sum::<u64>());
         });
     }
 

@@ -11,10 +11,10 @@
 //! use commsim::run_world;
 //!
 //! let sums = run_world(4, |rk| {
-//!     let all = rk.all_gather(rk.rank() as u64);
-//!     all.iter().sum::<u64>()
+//!     let all = rk.try_all_gather(rk.rank() as u64)?;
+//!     Ok::<u64, commsim::WorldPoisoned>(all.iter().sum())
 //! });
-//! assert_eq!(sums, vec![6, 6, 6, 6]);
+//! assert_eq!(sums, vec![Ok(6); 4]);
 //! ```
 
 pub mod barrier;

@@ -1,7 +1,22 @@
 //! Property and failure tests for subgroup communicators.
 
-use commsim::{run_world, WorldPoisoned};
+use commsim::{run_world, Group, WorldPoisoned};
 use proptest::prelude::*;
+
+/// Two-level all-reduce out of the two group collectives, as the
+/// sharded reservation composes them: fold within the group, exchange
+/// the leaders' results, fold across groups.
+fn reduce_groups<T, F>(g: &Group, value: T, fold: F) -> Result<T, WorldPoisoned>
+where
+    T: Clone + Send + Sync + 'static,
+    F: Fn(T, T) -> T,
+{
+    let reduce = |all: &[T]| all.iter().cloned().reduce(&fold).expect("non-empty");
+    let group_total = reduce(&g.try_all_gather(value)?);
+    Ok(reduce(
+        &g.try_exchange(g.is_leader().then_some(group_total))?,
+    ))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(24, 0x6_2011) /* pinned: deterministic CI */)]
@@ -20,8 +35,8 @@ proptest! {
         let flat_max = *values.iter().max().unwrap();
         let out = run_world(n, move |rk| {
             let g = rk.split(colors[rk.rank()])?;
-            let sum = g.try_reduce_groups(values[rk.rank()], |a, b| a.wrapping_add(b))?;
-            let max = g.try_reduce_groups(values[rk.rank()], |a, b| a.max(b))?;
+            let sum = reduce_groups(&g, values[rk.rank()], |a, b| a.wrapping_add(b))?;
+            let max = reduce_groups(&g, values[rk.rank()], |a, b| a.max(b))?;
             // The flat path on the same world, for an in-run cross-check.
             let all = rk.try_all_gather(values[rk.rank()])?;
             let flat = all.iter().fold(0u64, |a, &b| a.wrapping_add(b));
@@ -48,7 +63,7 @@ proptest! {
             let mine: Vec<u64> = (0..nfields)
                 .map(|f| (rk.rank() * 31 + f * 7 + 1) as u64)
                 .collect();
-            g.try_reduce_groups(mine, |a, b| {
+            reduce_groups(&g, mine, |a, b| {
                 a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
             })
         });

@@ -28,14 +28,20 @@
 //! Two engines execute the pipeline: [`real`] (threads-as-ranks, real
 //! compression, real throttled file I/O; used up to 64 ranks) and
 //! [`sim`] (discrete-event replay of partition profiles; used for the
-//! 256–4096-rank sweeps of Fig. 16–18). Both share the planner code.
+//! 256–4096-rank sweeps of Fig. 16–18). They differ only in how a step
+//! is *executed*: the planner ([`plan`], [`scheduler`],
+//! [`extraspace`]) and everything between its functions — estimate →
+//! reservation → order → observation → run and step record, and the
+//! step loop of a stream with its online predictor — is [`step`],
+//! called by both, so they agree on every planned byte by construction.
 //!
 //! The real engine's predict phase is pluggable
 //! ([`real::PredictionSource`]): [`real::run_real_with`] swaps the
 //! prediction source, accepts per-partition extra-space headroom, and
-//! returns per-partition [`real::FieldObservation`]s — the hooks the
-//! `timeline` checkpoint-stream engine uses to adapt predictions and
-//! headroom from step to step.
+//! returns per-partition [`real::FieldObservation`]s.
+//! [`real::StreamSource`] is the source a checkpoint stream predicts
+//! with; [`step::StreamState`] carries its history from step to step,
+//! for `timeline` (real I/O) and [`sim::simulate_stream`] alike.
 
 pub mod extraspace;
 pub mod metrics;
@@ -44,11 +50,12 @@ pub mod profile;
 pub mod real;
 pub mod scheduler;
 pub mod sim;
+pub mod step;
 pub mod verify;
 
 pub use extraspace::{weight_to_rspace, ExtraSpacePolicy, RSPACE_MAX, RSPACE_MIN};
 pub use metrics::{
-    fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics,
+    fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics, TimelineReport,
 };
 pub use plan::{
     build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, FitSplit,
@@ -60,9 +67,11 @@ pub use profile::{
 pub use real::{
     run_real, run_real_with, AdaptMode, FieldObservation, ModelSource, PredictionSource,
     RankFieldData, RealConfig, RealError, ReservationTopology, RunObservations, SourceEstimate,
+    StreamSource,
 };
 pub use scheduler::{identity_order, optimize_order, queue_time};
 pub use sim::{
     simulate_all, simulate_method, simulate_stream, SimParams, StreamSimConfig, StreamSimReport,
 };
+pub use step::StreamState;
 pub use verify::{verify_file, FieldReport, VerifyReport};

@@ -150,7 +150,8 @@ impl RunResult {
 
 /// What one streamed checkpoint cost — the one per-step record of
 /// both stream engines (`timeline::run_timeline` over real threads and
-/// real I/O, [`crate::sim::simulate_stream`] over partition profiles).
+/// real I/O, [`crate::sim::simulate_stream`] over partition profiles),
+/// filled by [`crate::step::StreamState::step`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepMetrics {
     /// Timestep index.
@@ -166,11 +167,10 @@ pub struct StepMetrics {
     pub predicted_bytes: u64,
     /// Sum of actual compressed sizes.
     pub actual_bytes: u64,
-    /// Mean relative prediction error. The real stream reports the
-    /// EWMA-tracked error after feedback in adaptive mode and the
-    /// step's instantaneous error ([`mean_rel_size_err`]) in static
-    /// mode; the simulated stream reports the instantaneous error in
-    /// both.
+    /// Mean relative prediction error: in adaptive mode the
+    /// predictor's EWMA-tracked error after this step's feedback
+    /// ([`OnlinePredictor::mean_rel_err`]), in static mode (no EWMA)
+    /// the step's instantaneous error ([`mean_rel_size_err`]).
     pub mean_rel_err: f64,
 }
 
@@ -190,8 +190,7 @@ impl StepMetrics {
             reserved += o.reserved;
             // Bytes of the reservation the partition did not fill (an
             // overflowing partition fills it exactly).
-            let in_slot = o.actual - o.overflow;
-            waste += o.reserved.saturating_sub(in_slot);
+            waste += o.reserved.saturating_sub(o.in_slot());
             predicted += o.predicted;
             actual += o.actual;
         }
@@ -207,10 +206,51 @@ impl StepMetrics {
     }
 }
 
+/// Aggregate outcome of one checkpoint stream, real or simulated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimelineReport {
+    /// [`crate::AdaptMode::label`] of the run.
+    pub mode: String,
+    /// One entry per streamed step, in step order.
+    pub steps: Vec<StepMetrics>,
+}
+
+impl TimelineReport {
+    /// Cumulative extra-space waste across the stream.
+    pub fn total_waste(&self) -> u64 {
+        self.steps.iter().map(|s| s.waste_bytes).sum()
+    }
+
+    /// Total overflow-redirection events across the stream.
+    pub fn total_overflows(&self) -> usize {
+        self.steps.iter().map(|s| s.result.n_overflow).sum()
+    }
+
+    /// Total bytes redirected to overflow regions.
+    pub fn total_overflow_bytes(&self) -> u64 {
+        self.steps.iter().map(|s| s.result.overflow_bytes).sum()
+    }
+
+    /// Total container-file bytes written.
+    pub fn total_file_bytes(&self) -> u64 {
+        self.steps.iter().map(|s| s.result.file_bytes).sum()
+    }
+
+    /// Total actual compressed bytes.
+    pub fn total_compressed_bytes(&self) -> u64 {
+        self.steps.iter().map(|s| s.result.compressed_bytes).sum()
+    }
+
+    /// Sum of per-step wall clocks (slowest rank each step).
+    pub fn total_time(&self) -> f64 {
+        self.steps.iter().map(|s| s.result.total_time).sum()
+    }
+}
+
 /// Fold one completed step's observations into `online`, cell
 /// `rank · nfields + field` per partition — the feedback half of the
-/// predict → observe loop, shared by the real stream
-/// (`timeline::OnlineSource::observe_run`) and the simulated one.
+/// predict → observe loop of every stream
+/// ([`crate::step::StreamState::step`]).
 pub fn fold_observations(online: &mut OnlinePredictor, obs: &RunObservations) {
     let nfields = obs.first().map_or(0, Vec::len);
     for (r, row) in obs.iter().enumerate() {
@@ -294,6 +334,32 @@ mod tests {
         assert_eq!(m.waste_bytes, 50);
         assert_eq!(m.predicted_bytes, 200);
         assert_eq!(m.actual_bytes, 300);
+    }
+
+    #[test]
+    fn report_totals_sum_over_steps() {
+        let obs: RunObservations = vec![vec![FieldObservation {
+            predicted: 100,
+            model_bytes: 100,
+            reserved: 130,
+            actual: 100,
+            overflow: 0,
+        }]];
+        let mut overflowed = rr(1.0, 4000, 1000, 450);
+        (overflowed.n_overflow, overflowed.overflow_bytes) = (2, 60);
+        let rep = TimelineReport {
+            mode: "static".into(),
+            steps: vec![
+                StepMetrics::collect(0, rr(1.0, 4000, 1000, 400), &obs, 0.0),
+                StepMetrics::collect(1, overflowed, &obs, 0.0),
+            ],
+        };
+        assert_eq!(rep.total_waste(), 60);
+        assert_eq!(rep.total_overflows(), 2);
+        assert_eq!(rep.total_overflow_bytes(), 60);
+        assert_eq!(rep.total_file_bytes(), 850);
+        assert_eq!(rep.total_compressed_bytes(), 2000);
+        assert!((rep.total_time() - 2.0).abs() < 1e-12);
     }
 
     #[test]

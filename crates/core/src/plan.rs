@@ -109,6 +109,18 @@ impl WritePlan {
         }
     }
 
+    /// Layout of partitions whose sizes are known
+    /// (`sizes[rank][field]`): every slot is exactly its partition's
+    /// size — the methods that do not predict.
+    pub fn exact(sizes: &[Vec<u64>], base: u64) -> WritePlan {
+        let known = |&bytes: &u64| PartitionPrediction { bytes, ratio: 1.0 };
+        let predictions: Vec<Vec<_>> = sizes
+            .iter()
+            .map(|row| row.iter().map(known).collect())
+            .collect();
+        WritePlan::build_reserved(&predictions, sizes, base)
+    }
+
     /// Total reserved bytes.
     pub fn reserved_total(&self) -> u64 {
         self.data_end - self.base
@@ -228,14 +240,15 @@ pub fn build_rank_view(
 
 /// Per-rank reservation-collective wire cost, bytes received per step.
 ///
-/// The flat path all-gathers one `(u64, f64, f64)` triple per
+/// The flat path all-gathers one `(bytes, ratio, headroom)` triple —
+/// what the layout needs of a `SourceEstimate` — per
 /// (rank, field) to every rank; the sharded path gathers triples only
 /// within a group of `s` ranks plus one `u64` total per (group, field)
 /// from the inter-group exchange. Used by the scale simulator and the
 /// bench to assert sub-linear growth (at `s = √ranks` the cost is
 /// O(√ranks · fields) per rank instead of O(ranks · fields)).
 pub fn reservation_wire_bytes(nranks: usize, nfields: usize, group_size: Option<usize>) -> u64 {
-    const TRIPLE: u64 = 24; // (u64, f64, f64)
+    const TRIPLE: u64 = 24; // (u64, f64, Option<f64> as f64)
     const TOTAL: u64 = 8; // u64 per-field group total
     match group_size {
         None => (nranks * nfields) as u64 * TRIPLE,

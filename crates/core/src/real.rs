@@ -16,17 +16,16 @@
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{Breakdown, Method, RunResult};
 use crate::plan::{
-    build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, PartitionPrediction,
-    RankPlanView, WritePlan,
+    build_rank_view, plan_overflow, reservation_wire_bytes, RankPlanView, WritePlan,
 };
-use crate::scheduler::{identity_order, optimize_order};
+use crate::step::{compression_order, reservations};
 use commsim::World;
 use h5lite::{
     ordered_fanout, AttrValue, BufferPool, DatasetSpec, Dtype, EventSet, FilterSpec, H5File,
     SzFilterParams, SZLITE_FILTER_ID,
 };
 use pfsim::{BandwidthModel, FaultFs, Throttle};
-use ratiomodel::{EstimateScratch, Models};
+use ratiomodel::{EstimateScratch, Models, OnlinePredictor};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -293,8 +292,7 @@ pub struct SourceEstimate {
     /// Per-partition extra-space multiplier override. `None` applies
     /// the engine-wide [`ExtraSpacePolicy`]; `Some(h)` with `h > 0`
     /// reserves `ceil(bytes · h)` for this partition. A non-positive
-    /// or non-finite `h` is treated like `None` (it shares the `None`
-    /// encoding on the all-gather wire), so sources wanting a minimal
+    /// or NaN `h` is treated like `None`, so sources wanting a minimal
     /// reservation should return a small positive multiplier, not 0.
     pub headroom: Option<f64>,
 }
@@ -351,6 +349,39 @@ impl PredictionSource for ModelSource<'_> {
     }
 }
 
+/// The source of a checkpoint stream's step: the offline [`Models`],
+/// blended per partition with the stream's online history when it has
+/// one ([`SourceEstimate::for_cell`], cell `rank · nfields + field`) —
+/// per-partition bias correction plus adaptive headroom. The rank
+/// threads read the predictor during the step; the stream
+/// ([`crate::step::StreamState`]) feeds the observations back after it.
+pub struct StreamSource<'a> {
+    /// The fitted models to sample-predict with.
+    pub models: &'a Models,
+    /// The adaptive stream's predictor; `None` predicts like
+    /// [`ModelSource`].
+    pub online: Option<&'a OnlinePredictor>,
+    /// Fields per rank (the predictor's cell stride).
+    pub nfields: usize,
+}
+
+impl PredictionSource for StreamSource<'_> {
+    fn estimate(
+        &self,
+        rank: usize,
+        field: usize,
+        data: &[f32],
+        dims: &Dims,
+        cfg: &Config,
+        scratch: &mut EstimateScratch,
+    ) -> Result<SourceEstimate, RealError> {
+        let models = self.models;
+        let model = ModelSource { models }.estimate(rank, field, data, dims, cfg, scratch)?;
+        let cell = rank * self.nfields + field;
+        Ok(model.for_cell((data.len() * 4) as u64, self.online, cell))
+    }
+}
+
 /// What actually happened to one (rank, field) partition — the
 /// feedback half of the streaming loop.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -375,9 +406,6 @@ pub type RunObservations = Vec<Vec<FieldObservation>>;
 struct RankOutcome {
     phases: Breakdown,
     total: f64,
-    compressed_bytes: u64,
-    overflow_bytes: u64,
-    n_overflow: usize,
     fields: Vec<FieldObservation>,
 }
 
@@ -460,13 +488,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         dataset_ids.push(file.create_dataset(spec)?);
     }
 
-    let throttle = Arc::new(Throttle::from_model(
-        &BandwidthModel {
-            aggregate_cap: cfg.bandwidth.aggregate_cap,
-            ..cfg.bandwidth
-        },
-        cfg.throttle_scale,
-    ));
+    let throttle = Arc::new(Throttle::from_model(&cfg.bandwidth, cfg.throttle_scale));
 
     let world = World::new(nranks);
     let base = file.tail(); // after the superblock
@@ -490,17 +512,11 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                 Method::NoCompression => {
                     // Offsets are known from raw sizes; independent
                     // async writes of every field.
-                    let sizes: Vec<Vec<PartitionPrediction>> = (0..nranks)
-                        .map(|rr| {
-                            (0..nfields)
-                                .map(|f| PartitionPrediction {
-                                    bytes: (data[rr][f].data.len() * 4) as u64,
-                                    ratio: 1.0,
-                                })
-                                .collect()
-                        })
+                    let sizes: Vec<Vec<u64>> = data
+                        .iter()
+                        .map(|row| row.iter().map(|fd| (fd.data.len() * 4) as u64).collect())
                         .collect();
-                    let plan = WritePlan::build(&sizes, &ExtraSpacePolicy::new(1.0), base);
+                    let plan = WritePlan::exact(&sizes, base);
                     let es = EventSet::new(1);
                     for f in 0..nfields {
                         let mut bytes = pool.take();
@@ -518,14 +534,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             Some(Arc::clone(&throttle)),
                             Arc::clone(&pool),
                         )?;
-                        out.compressed_bytes += len;
-                        out.fields[f] = FieldObservation {
-                            predicted: len,
-                            model_bytes: len,
-                            reserved: len,
-                            actual: len,
-                            overflow: 0,
-                        };
+                        out.fields[f] = FieldObservation::exact(len);
                     }
                     es.wait()?;
                     out.phases.write = t0.elapsed().as_secs_f64();
@@ -553,18 +562,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     let my_sizes: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
                     let all_sizes = rk.try_all_gather(my_sizes)?;
                     out.phases.allgather = ta.elapsed().as_secs_f64();
-                    let preds: Vec<Vec<PartitionPrediction>> = all_sizes
-                        .iter()
-                        .map(|row| {
-                            row.iter()
-                                .map(|&b| PartitionPrediction {
-                                    bytes: b,
-                                    ratio: 1.0,
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    let plan = WritePlan::build(&preds, &ExtraSpacePolicy::new(1.0), base);
+                    let plan = WritePlan::exact(&all_sizes, base);
                     // Collective write: one synchronized round per field.
                     let tw = Instant::now();
                     for f in 0..nfields {
@@ -578,85 +576,57 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             (data[r][f].data.len() * 4) as u64,
                         )?;
                         rk.try_barrier()?;
-                        let len = streams[f].len() as u64;
-                        out.fields[f] = FieldObservation {
-                            predicted: len,
-                            model_bytes: len,
-                            reserved: len,
-                            actual: len,
-                            overflow: 0,
-                        };
+                        out.fields[f] = FieldObservation::exact(streams[f].len() as u64);
                     }
                     out.phases.write = tw.elapsed().as_secs_f64();
-                    out.compressed_bytes = streams.iter().map(|s| s.len() as u64).sum();
                 }
                 Method::Overlap | Method::OverlapReorder => {
                     // Phase 1: prediction (pluggable source).
                     let tp = Instant::now();
                     let predict_span = obs::span("real.predict");
-                    let mut my_preds = Vec::with_capacity(nfields);
+                    let mut my_ests = Vec::with_capacity(nfields);
                     let mut est_scratch = EstimateScratch::new();
                     for f in 0..nfields {
-                        let est = source.estimate(
+                        my_ests.push(source.estimate(
                             r,
                             f,
                             &data[r][f].data,
                             &data[r][f].dims,
                             &cfg.configs[f],
                             &mut est_scratch,
-                        )?;
-                        my_preds.push(est);
-                        out.fields[f].predicted = est.bytes;
-                        out.fields[f].model_bytes = est.model_bytes;
+                        )?);
                     }
                     drop(predict_span);
                     out.phases.predict = tp.elapsed().as_secs_f64();
 
-                    // Phase 2: gather predicted sizes (plus any
-                    // per-partition headroom override; ≤ 0 encodes
-                    // "use the engine policy" on the wire) and derive
-                    // this rank's layout. The flat topology
-                    // all-gathers every triple to every rank; the
-                    // sharded topology gathers within a contiguous
-                    // rank group and exchanges only per-field reserved
-                    // totals across groups. Both resolve reservations
-                    // with the same exact u64 arithmetic, so the
-                    // resulting offsets are byte-identical.
+                    // Phase 2: gather the estimates and derive this
+                    // rank's layout. The flat topology all-gathers
+                    // every rank's row to every rank; the sharded
+                    // topology gathers within a contiguous rank group
+                    // and exchanges only per-field reserved totals
+                    // across groups. Both resolve reservations with
+                    // the same exact u64 arithmetic, so the resulting
+                    // offsets are byte-identical.
                     let ta = Instant::now();
                     let allgather_span = obs::span("real.allgather");
-                    let wire: Vec<(u64, f64, f64)> = my_preds
-                        .iter()
-                        .map(|e| (e.bytes, e.ratio, e.headroom.unwrap_or(-1.0)))
-                        .collect();
-                    let resolve =
-                        |row: &[(u64, f64, f64)]| -> (Vec<PartitionPrediction>, Vec<u64>) {
-                            row.iter()
-                                .map(|&(bytes, ratio, h)| {
-                                    let reserve = cfg.policy.reserve_for(bytes, ratio, Some(h));
-                                    (PartitionPrediction { bytes, ratio }, reserve)
-                                })
-                                .unzip()
-                        };
                     let view: RankPlanView = match cfg.reservation.effective_group_size(nranks) {
                         None => {
-                            let gathered = rk.try_all_gather(wire)?;
+                            let gathered = rk.try_all_gather(my_ests.clone())?;
                             // Phase 3 (flat): identical full layout
                             // on every rank, then project this
                             // rank's row.
-                            let (preds, reserves): (Vec<_>, Vec<_>) =
-                                gathered.iter().map(|row| resolve(row)).unzip();
+                            let (preds, reserves) = reservations(&gathered, &cfg.policy);
                             WritePlan::build_reserved(&preds, &reserves, base).rank_view(r)
                         }
                         Some(gs) => {
                             let group = rk.split(r / gs)?;
-                            let local = group.try_all_gather(wire)?;
-                            let (member_preds, member_reserves): (Vec<_>, Vec<_>) =
-                                local.iter().map(|row| resolve(row)).unzip();
+                            let local = group.try_all_gather(my_ests.clone())?;
+                            let (member_preds, member_reserves) = reservations(&local, &cfg.policy);
                             let totals: Vec<u64> = (0..nfields)
-                                .map(|f| member_reserves.iter().map(|m: &Vec<u64>| m[f]).sum())
+                                .map(|f| member_reserves.iter().map(|m| m[f]).sum())
                                 .collect();
                             let group_totals =
-                                group.try_exchange(group.is_leader().then(|| totals.clone()))?;
+                                group.try_exchange(group.is_leader().then_some(totals))?;
                             // Phase 3 (sharded): offsets from
                             // whole-group totals + the local
                             // prefix, no full matrix anywhere.
@@ -685,13 +655,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     out.phases.allgather = ta.elapsed().as_secs_f64();
 
                     // Phase 4: compression order.
-                    let order = if cfg.method == Method::OverlapReorder {
-                        let pc: Vec<f64> = my_preds.iter().map(|e| e.comp_time).collect();
-                        let pw: Vec<f64> = my_preds.iter().map(|e| e.write_time).collect();
-                        optimize_order(&pc, &pw)
-                    } else {
-                        identity_order(nfields)
-                    };
+                    let order = compression_order(cfg.method == Method::OverlapReorder, &my_ests);
 
                     // Phase 5: pipelined compress + async write. Field
                     // compression fans out to `sz_threads` workers
@@ -726,12 +690,11 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         |pos, (mut stream, secs): (Vec<u8>, f64)| {
                             let f = order[pos as usize];
                             comp_total += secs;
-                            out.compressed_bytes += stream.len() as u64;
                             let slot = view.slots[f];
-                            out.fields[f].actual = stream.len() as u64;
-                            out.fields[f].reserved = slot.reserved;
-                            let split = fit_split(stream.len() as u64, slot.reserved);
-                            let tail = stream.split_off(split.in_slot as usize);
+                            let settled =
+                                FieldObservation::settle(&my_ests[f], slot, stream.len() as u64);
+                            let tail = stream.split_off(settled.in_slot() as usize);
+                            out.fields[f] = settled;
                             file.write_chunk_at_async(
                                 dataset_ids[f],
                                 r as u64,
@@ -743,8 +706,6 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                                 Arc::clone(&pool),
                             )?;
                             if !tail.is_empty() {
-                                out.n_overflow += 1;
-                                out.overflow_bytes += tail.len() as u64;
                                 overflow_parts.push((f, tail));
                             }
                             Ok(())
@@ -763,11 +724,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // Phase 6: overflow redirection.
                     let to = Instant::now();
                     let _overflow_span = obs::span("real.overflow");
-                    let mut my_ovf = vec![0u64; nfields];
-                    for (f, bytes) in &overflow_parts {
-                        my_ovf[*f] = bytes.len() as u64;
-                        out.fields[*f].overflow = bytes.len() as u64;
-                    }
+                    let my_ovf: Vec<u64> = out.fields.iter().map(|o| o.overflow).collect();
                     let all_ovf = rk.try_all_gather(my_ovf)?;
                     let any_overflow = all_ovf.iter().flatten().any(|&b| b > 0);
                     if any_overflow {
@@ -817,9 +774,6 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
             Ok(o) => {
                 agg.phases.max_merge(&o.phases);
                 agg.total = agg.total.max(o.total);
-                agg.compressed_bytes += o.compressed_bytes;
-                agg.overflow_bytes += o.overflow_bytes;
-                agg.n_overflow += o.n_overflow;
                 observations.push(o.fields);
             }
             Err(e) => {
@@ -870,17 +824,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         .map(|fd| (fd.data.len() * 4) as u64)
         .sum();
     let file_bytes = std::fs::metadata(&cfg.path)?.len();
-    Ok((
-        RunResult {
-            method: cfg.method,
-            total_time: agg.total,
-            breakdown: agg.phases,
-            raw_bytes,
-            compressed_bytes: agg.compressed_bytes,
-            file_bytes,
-            n_overflow: agg.n_overflow,
-            overflow_bytes: agg.overflow_bytes,
-        },
-        observations,
-    ))
+    let result = RunResult::collect(
+        cfg.method,
+        agg.total,
+        agg.phases,
+        raw_bytes,
+        file_bytes,
+        &observations,
+    );
+    Ok((result, observations))
 }

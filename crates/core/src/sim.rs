@@ -6,15 +6,13 @@
 //! discrete-event pipeline simulator of `pfsim`.
 
 use crate::extraspace::ExtraSpacePolicy;
-use crate::metrics::{
-    fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics,
-};
-use crate::plan::{
-    build_rank_view, fit_split, reservation_wire_bytes, PartitionPrediction, WritePlan,
-};
+use crate::metrics::{Breakdown, Method, RunResult, TimelineReport};
+use crate::plan::{build_rank_view, reservation_wire_bytes, WritePlan};
 use crate::profile::PartitionProfile;
-use crate::real::{AdaptMode, FieldObservation, ReservationTopology, RunObservations};
-use crate::scheduler::{identity_order, optimize_order};
+use crate::real::{
+    AdaptMode, FieldObservation, ReservationTopology, RunObservations, SourceEstimate,
+};
+use crate::step::{compression_order, reservations, StreamState};
 use pfsim::{
     collective_write_time, simulate, simulate_concurrent_writes, BandwidthModel, PipelineTask,
     RankPipeline,
@@ -172,45 +170,65 @@ fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
 }
 
 fn sim_overlap(profiles: &[Vec<PartitionProfile>], params: &SimParams, reorder: bool) -> RunResult {
+    // Offline estimates, one world-wide all-gather.
+    sim_overlap_step(profiles, None, params, None, reorder).0
+}
+
+/// One simulated overlap step: estimates from what the profiles
+/// recorded (blended with `online`'s history when the stream adapts),
+/// reservations and layout from the estimates, then the per-rank
+/// compress→write pipelines and the overflow round. `group_size`
+/// shapes the reservation collective ([`ReservationTopology`]) — its
+/// latency and whose planner work is timed, never the layout. Returns
+/// what [`crate::real::run_real_with`] returns (the aggregate result
+/// plus what happened to each partition) and the representative rank's
+/// planner wall-clock.
+fn sim_overlap_step(
+    profiles: &[Vec<PartitionProfile>],
+    online: Option<&OnlinePredictor>,
+    params: &SimParams,
+    group_size: Option<usize>,
+    reorder: bool,
+) -> (RunResult, RunObservations, f64) {
     let nranks = profiles.len();
-    // Layout from *predicted* sizes, reserves from the uniform policy.
-    let predictions: Vec<Vec<PartitionPrediction>> = profiles
+    let nfields = profiles.first().map_or(0, Vec::len);
+    let estimates: Vec<Vec<SourceEstimate>> = profiles
         .iter()
-        .map(|fields| {
+        .enumerate()
+        .map(|(r, fields)| {
             fields
                 .iter()
-                .map(|p| PartitionPrediction {
-                    bytes: p.pred_bytes,
-                    ratio: p.pred_ratio,
+                .enumerate()
+                .map(|(f, p)| {
+                    SourceEstimate::from(p).for_cell(p.raw_bytes, online, r * nfields + f)
                 })
                 .collect()
         })
         .collect();
-    let plan = WritePlan::build(&predictions, &params.policy, 0);
-    sim_overlap_planned(
-        profiles,
-        params,
-        reorder,
-        &plan,
-        params.allgather_time(nranks),
-    )
-    .0
-}
+    let (preds, reserves) = reservations(&estimates, &params.policy);
 
-/// The execution half of the overlap simulation, with the layout (and
-/// the reservation-collective latency) supplied by the caller — shared
-/// by [`sim_overlap`] (uniform policy, flat collective) and
-/// [`simulate_stream`] (adaptive per-partition reserves, flat or
-/// sharded collective). Returns what [`crate::real::run_real_with`]
-/// returns: the aggregate result plus what happened to each partition.
-fn sim_overlap_planned(
-    profiles: &[Vec<PartitionProfile>],
-    params: &SimParams,
-    reorder: bool,
-    plan: &WritePlan,
-    ag: f64,
-) -> (RunResult, RunObservations) {
-    let nranks = profiles.len();
+    // Plan the layout, timing only the representative rank's critical
+    // path. Flat: every rank derives the whole matrix. Sharded: a rank
+    // sums its own group per field and projects its view from the
+    // exchanged totals; other groups' sums happen on their own leaders
+    // in parallel, so they stay untimed here.
+    let t0 = Instant::now();
+    let plan = WritePlan::build_reserved(&preds, &reserves, 0);
+    let mut planner_seconds = t0.elapsed().as_secs_f64();
+    if let Some(s) = group_size {
+        let field_totals = |members: &[Vec<u64>]| -> Vec<u64> {
+            (0..nfields)
+                .map(|f| members.iter().map(|m| m[f]).sum())
+                .collect()
+        };
+        let mut group_totals: Vec<Vec<u64>> = reserves.chunks(s).map(field_totals).collect();
+        let head = s.min(nranks);
+        let t0 = Instant::now();
+        group_totals[0] = field_totals(&reserves[..head]);
+        let view = build_rank_view(&group_totals, 0, &preds[..head], &reserves[..head], 0, 0);
+        planner_seconds = t0.elapsed().as_secs_f64();
+        debug_assert_eq!(view, plan.rank_view(0), "sharded view diverged from flat");
+    }
 
     // Phase 1: prediction (sampling) on every rank, then the
     // reservation collective synchronizes everyone at max(predict) + ag.
@@ -218,52 +236,35 @@ fn sim_overlap_planned(
         .iter()
         .map(|fields| fields.iter().map(|p| p.comp_time).sum::<f64>() * params.predict_frac)
         .fold(0.0, f64::max);
+    let ag = params.reservation_collective_time(nranks, group_size);
     let release = predict + ag;
 
     // Phase 3: per-rank ordered compress→write pipelines.
-    let mut n_overflow = 0usize;
-    let mut overflow_bytes = 0u64;
-    let mut rank_overflow = vec![0u64; nranks];
-    let mut observations: RunObservations = profiles
+    let observations: RunObservations = profiles
         .iter()
-        .map(|fields| vec![FieldObservation::default(); fields.len()])
+        .enumerate()
+        .map(|(r, fields)| {
+            fields
+                .iter()
+                .enumerate()
+                .map(|(f, p)| {
+                    FieldObservation::settle(&estimates[r][f], plan.slots[r][f], p.actual_bytes)
+                })
+                .collect()
+        })
         .collect();
     let ranks: Vec<RankPipeline> = profiles
         .iter()
         .enumerate()
-        .map(|(r, fields)| {
-            let order = if reorder {
-                let pc: Vec<f64> = fields.iter().map(|p| p.pred_comp_time).collect();
-                let pw: Vec<f64> = fields.iter().map(|p| p.pred_write_time).collect();
-                optimize_order(&pc, &pw)
-            } else {
-                identity_order(fields.len())
-            };
-            let tasks = order
-                .iter()
-                .map(|&f| {
-                    let p = &fields[f];
-                    let slot = plan.slots[r][f];
-                    let split = fit_split(p.actual_bytes, slot.reserved);
-                    observations[r][f] = FieldObservation {
-                        predicted: slot.predicted,
-                        model_bytes: p.pred_bytes,
-                        reserved: slot.reserved,
-                        actual: p.actual_bytes,
-                        overflow: split.overflow,
-                    };
-                    if split.overflow > 0 {
-                        n_overflow += 1;
-                        overflow_bytes += split.overflow;
-                        rank_overflow[r] += split.overflow;
-                    }
-                    PipelineTask {
-                        compute: p.comp_time,
-                        write_bytes: split.in_slot as f64,
-                    }
+        .map(|(r, fields)| RankPipeline {
+            release,
+            tasks: compression_order(reorder, &estimates[r])
+                .into_iter()
+                .map(|f| PipelineTask {
+                    compute: fields[f].comp_time,
+                    write_bytes: observations[r][f].in_slot() as f64,
                 })
-                .collect();
-            RankPipeline { release, tasks }
+                .collect(),
         })
         .collect();
     let out = simulate(&ranks, &params.bandwidth);
@@ -272,29 +273,25 @@ fn sim_overlap_planned(
 
     // Phase 4: overflow — a second all-gather of overflow sizes, then
     // the affected ranks append concurrently.
+    let rank_overflow: Vec<f64> = observations
+        .iter()
+        .map(|row| row.iter().map(|o| o.overflow).sum::<u64>() as f64)
+        .filter(|&b| b > 0.0)
+        .collect();
     let mut overflow_time = 0.0;
-    if overflow_bytes > 0 {
-        let sizes: Vec<f64> = rank_overflow
-            .iter()
-            .filter(|&&b| b > 0)
-            .map(|&b| b as f64)
-            .collect();
-        let (_, round) = simulate_concurrent_writes(&sizes, &params.bandwidth);
+    if !rank_overflow.is_empty() {
+        let (_, round) = simulate_concurrent_writes(&rank_overflow, &params.bandwidth);
         overflow_time = params.allgather_time(nranks) + round;
     }
 
-    let (raw, comp) = totals(profiles);
-    // File: everything reserved stays allocated; overflow appends past
-    // the end (in-slot bytes within reservations are not reclaimed).
-    let file_bytes = plan.reserved_total() + overflow_bytes;
-    let result = RunResult {
-        method: if reorder {
+    let mut result = RunResult::collect(
+        if reorder {
             Method::OverlapReorder
         } else {
             Method::Overlap
         },
-        total_time: makespan + overflow_time,
-        breakdown: Breakdown {
+        makespan + overflow_time,
+        Breakdown {
             predict,
             allgather: ag,
             compress: compress_end - release,
@@ -302,13 +299,14 @@ fn sim_overlap_planned(
             overflow: overflow_time,
             ..Default::default()
         },
-        raw_bytes: raw,
-        compressed_bytes: comp,
-        file_bytes,
-        n_overflow,
-        overflow_bytes,
-    };
-    (result, observations)
+        profiles.iter().flatten().map(|p| p.raw_bytes).sum(),
+        0,
+        &observations,
+    );
+    // File: everything reserved stays allocated; overflow appends past
+    // the end (in-slot bytes within reservations are not reclaimed).
+    result.file_bytes = plan.reserved_total() + result.overflow_bytes;
+    (result, observations, planner_seconds)
 }
 
 /// Configuration of a simulated checkpoint stream — the scale-out
@@ -334,18 +332,11 @@ pub struct StreamSimConfig {
 /// Full report of a simulated stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSimReport {
-    /// [`AdaptMode::label`] of the run.
-    pub mode: String,
+    /// Mode and per-step outcomes — the report the real stream
+    /// returns, so every sum over a stream is [`TimelineReport`]'s.
+    pub report: TimelineReport,
     /// [`ReservationTopology::label`] of the run.
     pub reservation: String,
-    /// Stream shape.
-    pub nranks: usize,
-    /// Fields per rank.
-    pub nfields: usize,
-    /// Per-step outcomes, in step order — the record the real stream
-    /// reports (`timeline::TimelineReport::steps`), so every sum over
-    /// a stream is `TimelineReport`'s.
-    pub steps: Vec<StepMetrics>,
     /// Measured wall-clock of the representative rank's planner work,
     /// summed over steps (layout derivation only, not the simulated
     /// pipeline). Flat topology times the full
@@ -360,119 +351,59 @@ pub struct StreamSimReport {
 }
 
 /// Stream `cfg.steps` simulated checkpoints over
-/// `step_profiles(step)[rank][field]` (shape must be uniform across
-/// steps; the callback may return owned or borrowed profile sets).
+/// `step_profiles(step)[rank][field]` (the callback may return owned
+/// or borrowed profile sets).
 ///
-/// Static mode replays the offline predictions with the engine-wide
-/// extra-space policy every step. Adaptive mode threads an
-/// [`OnlinePredictor`] through the stream exactly like the real-I/O
-/// timeline engine: per-partition bias correction plus adaptive
-/// headroom (collective per-field bands under
-/// [`ratiomodel::BandScope::Field`]), fed back from each step's actual
-/// sizes.
+/// The stream is the real-I/O timeline engine's
+/// ([`StreamState`]): static mode replays the offline predictions with
+/// the engine-wide extra-space policy every step; adaptive mode
+/// threads an [`OnlinePredictor`] through the steps — per-partition
+/// bias correction plus adaptive headroom (collective per-field bands
+/// under [`ratiomodel::BandScope::Field`]), fed back from each step's
+/// actual sizes.
 ///
 /// The reservation topology changes *costs*, never *bytes*: the
 /// sharded layout is byte-identical to flat (pinned by tests), but the
 /// collective latency, per-rank wire traffic, and the representative
 /// rank's planner wall-clock all shrink — those are what the report
 /// exposes for the scale sweeps.
+///
+/// # Panics
+///
+/// When a step's shape differs from the first step's.
 pub fn simulate_stream<F, D>(cfg: &StreamSimConfig, mut step_profiles: F) -> StreamSimReport
 where
     F: FnMut(usize) -> D,
     D: std::borrow::Borrow<Vec<Vec<PartitionProfile>>>,
 {
-    let mut online: Option<OnlinePredictor> = None;
-    let mut shape: Option<(usize, usize)> = None;
+    let mut state = StreamState::new(cfg.mode, None).expect("no resumed history to reject");
     let mut steps = Vec::with_capacity(cfg.steps);
     let mut planner_seconds = 0.0;
-    let mut collective_bytes_per_rank = 0u64;
+    let mut collective_bytes_per_rank = 0;
 
     for step in 0..cfg.steps {
         let profiles = step_profiles(step);
         let profiles = profiles.borrow();
         let nranks = profiles.len();
         let nfields = profiles.first().map_or(0, Vec::len);
-        match shape {
-            None => shape = Some((nranks, nfields)),
-            Some(s) => assert_eq!(s, (nranks, nfields), "step {step} changed the stream shape"),
-        }
         let gsize = cfg.reservation.effective_group_size(nranks);
         collective_bytes_per_rank = reservation_wire_bytes(nranks, nfields, gsize);
-
-        // Predictions + reserves for this step, per mode, resolved by
-        // the same rule as the real engine's reservation wire.
-        let mut preds = vec![Vec::with_capacity(nfields); nranks];
-        let mut reserves = vec![Vec::with_capacity(nfields); nranks];
-        for (r, fields) in profiles.iter().enumerate() {
-            for (f, p) in fields.iter().enumerate() {
-                let (bytes, ratio, headroom) = match (&cfg.mode, &online) {
-                    (AdaptMode::Adaptive(_), Some(pred)) => {
-                        let est = pred.predict(r * nfields + f, p.pred_bytes);
-                        let ratio = p.raw_bytes as f64 / est.bytes.max(1) as f64;
-                        (est.bytes, ratio, est.headroom)
-                    }
-                    _ => (p.pred_bytes, p.pred_ratio, None),
-                };
-                preds[r].push(PartitionPrediction { bytes, ratio });
-                reserves[r].push(cfg.params.policy.reserve_for(bytes, ratio, headroom));
-            }
-        }
-
-        // Plan the layout, timing only the representative rank's
-        // critical path. Flat: every rank derives the whole matrix.
-        // Sharded: a rank sums its own group per field and projects its
-        // view from the exchanged totals; other groups' sums happen on
-        // their own leaders in parallel, so they stay untimed here.
-        let plan = match gsize {
-            None => {
-                let t0 = Instant::now();
-                let plan = WritePlan::build_reserved(&preds, &reserves, 0);
-                planner_seconds += t0.elapsed().as_secs_f64();
-                plan
-            }
-            Some(s) => {
-                let n_groups = nranks.div_ceil(s);
-                let head = s.min(nranks);
-                let mut group_totals: Vec<Vec<u64>> = vec![Vec::new(); n_groups];
-                for (g, totals) in group_totals.iter_mut().enumerate().skip(1) {
-                    let members = &reserves[g * s..((g + 1) * s).min(nranks)];
-                    *totals = (0..nfields)
-                        .map(|f| members.iter().map(|m| m[f]).sum())
-                        .collect();
-                }
-                let t0 = Instant::now();
-                group_totals[0] = (0..nfields)
-                    .map(|f| reserves[..head].iter().map(|m| m[f]).sum())
-                    .collect();
-                let view =
-                    build_rank_view(&group_totals, 0, &preds[..head], &reserves[..head], 0, 0);
-                planner_seconds += t0.elapsed().as_secs_f64();
-                let plan = WritePlan::build_reserved(&preds, &reserves, 0);
-                debug_assert_eq!(view, plan.rank_view(0), "sharded view diverged from flat");
-                plan
-            }
+        let run = |online: Option<&OnlinePredictor>| {
+            let (result, observations, seconds) =
+                sim_overlap_step(profiles, online, &cfg.params, gsize, cfg.reorder);
+            planner_seconds += seconds;
+            Ok((result, observations))
         };
-
-        let ag = cfg.params.reservation_collective_time(nranks, gsize);
-        let (result, obs) = sim_overlap_planned(profiles, &cfg.params, cfg.reorder, &plan, ag);
-        let mean_rel_err = mean_rel_size_err(obs.iter().flatten().map(|o| (o.predicted, o.actual)));
-        steps.push(StepMetrics::collect(step, result, &obs, mean_rel_err));
-
-        // Feed the step's actual sizes back into the predictor.
-        if let AdaptMode::Adaptive(ocfg) = &cfg.mode {
-            let pred =
-                online.get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, *ocfg));
-            fold_observations(pred, &obs);
-        }
+        let metrics = state.step(step, nranks, nfields, run);
+        steps.push(metrics.unwrap_or_else(|e| panic!("{e}")));
     }
 
-    let (nranks, nfields) = shape.unwrap_or((0, 0));
     StreamSimReport {
-        mode: cfg.mode.label().to_string(),
+        report: TimelineReport {
+            mode: cfg.mode.label().to_string(),
+            steps,
+        },
         reservation: cfg.reservation.label().to_string(),
-        nranks,
-        nfields,
-        steps,
         planner_seconds,
         collective_bytes_per_rank,
     }
@@ -667,17 +598,6 @@ mod tests {
         AdaptMode::Adaptive(ratiomodel::OnlineConfig::default())
     }
 
-    /// Stream-wide (waste bytes, overflow bytes, overflowed partitions).
-    fn stream_sums(r: &StreamSimReport) -> (u64, u64, usize) {
-        r.steps.iter().fold((0, 0, 0), |(w, b, n), s| {
-            (
-                w + s.waste_bytes,
-                b + s.result.overflow_bytes,
-                n + s.result.n_overflow,
-            )
-        })
-    }
-
     #[test]
     fn adaptive_stream_cures_systematic_underprediction() {
         // The offline model under-predicts by 0.7× every step; the
@@ -692,20 +612,24 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        let (_, stat_ovf_bytes, stat_ovf_parts) = stream_sums(&stat);
-        let (_, adap_ovf_bytes, _) = stream_sums(&adap);
-        assert!(stat_ovf_parts > 0, "static must overflow");
+        let stat_ovf_bytes = stat.report.total_overflow_bytes();
+        let adap_ovf_bytes = adap.report.total_overflow_bytes();
+        assert!(stat.report.total_overflows() > 0, "static must overflow");
         assert!(
             adap_ovf_bytes < stat_ovf_bytes / 2,
             "adaptive {adap_ovf_bytes} vs static {stat_ovf_bytes}"
         );
         // Error collapses once the bias correction kicks in.
-        assert!(adap.steps.last().unwrap().mean_rel_err < adap.steps[0].mean_rel_err / 2.0);
+        assert!(
+            adap.report.steps.last().unwrap().mean_rel_err
+                < adap.report.steps[0].mean_rel_err / 2.0
+        );
         // Static replays the same step forever.
         assert!(stat
+            .report
             .steps
             .iter()
-            .all(|s| s.result.n_overflow == stat.steps[0].result.n_overflow));
+            .all(|s| s.result.n_overflow == stat.report.steps[0].result.n_overflow));
     }
 
     #[test]
@@ -722,9 +646,12 @@ mod tests {
             &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
             |_| &profiles,
         );
-        let (stat_waste, _, _) = stream_sums(&stat);
-        let (adap_waste, adap_ovf_bytes, _) = stream_sums(&adap);
-        assert_eq!(adap_ovf_bytes, 0, "stable history must not overflow");
+        let (stat_waste, adap_waste) = (stat.report.total_waste(), adap.report.total_waste());
+        assert_eq!(
+            adap.report.total_overflow_bytes(),
+            0,
+            "stable history must not overflow"
+        );
         assert!(
             adap_waste < stat_waste,
             "adaptive {adap_waste} vs static {stat_waste}"
@@ -747,7 +674,7 @@ mod tests {
                 &stream_cfg(mode, ReservationTopology::Sharded { group_size: 5 }, 4),
                 |_| &profiles,
             );
-            for (a, b) in flat.steps.iter().zip(&shard.steps) {
+            for (a, b) in flat.report.steps.iter().zip(&shard.report.steps) {
                 assert_eq!(a.result.file_bytes, b.result.file_bytes);
                 assert_eq!(a.result.compressed_bytes, b.result.compressed_bytes);
                 assert_eq!(a.waste_bytes, b.waste_bytes);
@@ -774,7 +701,8 @@ mod tests {
         // Collective bands adapt too — the bias fix dominates either
         // way, so the field-scoped stream also stops overflowing.
         assert!(
-            r.steps.last().unwrap().result.overflow_bytes < r.steps[0].result.overflow_bytes / 2
+            r.report.steps.last().unwrap().result.overflow_bytes
+                < r.report.steps[0].result.overflow_bytes / 2
         );
     }
 
@@ -789,8 +717,7 @@ mod tests {
             ),
             |_| &profiles,
         );
-        assert_eq!((r.nranks, r.nfields), (512, 4));
-        assert_eq!(r.steps.len(), 3);
+        assert_eq!(r.report.steps.len(), 3);
         assert_eq!(r.reservation, "sharded");
         assert!(r.planner_seconds > 0.0 && r.planner_seconds.is_finite());
         // √512 → 23-rank groups: far less wire than the 512-rank gather.

@@ -11,16 +11,21 @@
 //! renames a container with container-level damage (torn or corrupt
 //! superblock/table) to `<name>.quarantined`.
 //!
-//! `--json` emits one machine-readable JSON object on stdout instead
-//! of the human damage map: container classification, per-chunk
+//! `--json` emits one machine-readable JSON document on stdout (an
+//! [`obs::Json`] object, read back by [`obs::json::parse`]) instead of
+//! the human damage map: container classification, per-chunk
 //! verdicts, repair/quarantine outcomes, and — when a flight-recorder
 //! file (`<stem>.obs.jsonl`) sits beside the container — the newest
 //! readable flight record, so the post-mortem of a torn step includes
 //! what the dying run was doing (fault retries, queue depth, stage
-//! timings). Exit codes are identical in both modes.
+//! timings). A failed operation is `{"path", "error", "exit": 2}`.
+//! Exit codes are identical in both modes.
 
-use h5lite::scrub::{quarantine, repair_from_replica, scrub, ChunkState, ContainerState};
-use obs::json::escape;
+use h5lite::scrub::{
+    quarantine, repair_from_replica, scrub, ChunkReport, ChunkState, ContainerState,
+};
+use obs::json::obj;
+use obs::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -29,17 +34,26 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The newest readable flight record beside `container`, as a raw
-/// JSON object string, plus the count of unreadable lines.
-fn flight_summary(container: &str) -> (Option<String>, usize) {
-    let fpath = obs::flight_path(Path::new(container));
-    match obs::read_flight(&fpath) {
-        Ok(scan) => (
-            scan.records.last().map(|r| r.to_json_line()),
-            scan.errors.len(),
-        ),
-        Err(_) => (None, 0),
-    }
+/// One damaged chunk record of the `--json` document.
+fn chunk_json(c: &ChunkReport) -> Json {
+    let mut members = vec![
+        ("dataset", Json::Str(c.dataset.clone())),
+        ("index", Json::Num(c.index as f64)),
+        ("record", Json::Num(c.record as f64)),
+        ("offset", Json::Num(c.offset as f64)),
+        ("stored", Json::Num(c.stored as f64)),
+    ];
+    let state = match c.state {
+        ChunkState::Corrupt { expected, actual } => {
+            members.push(("expected_crc", Json::Num(expected as f64)));
+            members.push(("actual_crc", Json::Num(actual as f64)));
+            "corrupt"
+        }
+        ChunkState::Truncated => "truncated",
+        ChunkState::Ok => "ok",
+    };
+    members.push(("state", Json::Str(state.into())));
+    obj(members)
 }
 
 fn main() -> ExitCode {
@@ -67,20 +81,24 @@ fn main() -> ExitCode {
     }
     let Some(path) = path else { return usage() };
 
+    // The one way out of a failed operation, in either mode.
+    let fail = |op: &str, e: &dyn std::fmt::Display| {
+        if json {
+            let doc = obj([
+                ("path", Json::Str(path.clone())),
+                ("error", Json::Str(format!("{op}: {e}"))),
+                ("exit", Json::Num(2.0)),
+            ]);
+            println!("{doc}");
+        } else {
+            eprintln!("{op} {path}: {e}");
+        }
+        ExitCode::from(2)
+    };
+
     let report = match scrub(&path) {
         Ok(r) => r,
-        Err(e) => {
-            if json {
-                println!(
-                    "{{\"path\": \"{}\", \"error\": \"{}\", \"exit\": 2}}",
-                    escape(&path),
-                    escape(&e.to_string())
-                );
-            } else {
-                eprintln!("scrub {path}: {e}");
-            }
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail("scrub", &e),
     };
 
     let classification = match &report.container {
@@ -89,7 +107,12 @@ fn main() -> ExitCode {
         ContainerState::CorruptSuperblock(d) => format!("corrupt_superblock: {d}"),
         ContainerState::CorruptTable(d) => format!("corrupt_table: {d}"),
     };
-    let (flight, flight_bad_lines) = flight_summary(&path);
+    // The newest readable flight record beside the container, and how
+    // many lines of the file were unreadable.
+    let (flight, flight_bad_lines) = match obs::read_flight(&obs::flight_path(Path::new(&path))) {
+        Ok(mut scan) => (scan.records.pop(), scan.errors.len()),
+        Err(_) => (None, 0),
+    };
 
     if !json {
         match &report.container {
@@ -112,11 +135,7 @@ fn main() -> ExitCode {
                 ChunkState::Ok => {}
             }
         }
-        if let Some(rec) = flight.as_deref().and_then(|l| {
-            obs::json::parse(l)
-                .ok()
-                .and_then(|v| obs::StepFlight::from_json(&v).ok())
-        }) {
+        if let Some(rec) = &flight {
             println!(
                 "  flight: step {} — {} retries, {} transient fault(s), {} escalation(s), \
                  queue depth max {}, {:.4}s total",
@@ -131,50 +150,30 @@ fn main() -> ExitCode {
     }
 
     // From here on the human path prints as it goes; the JSON path
-    // collects outcome fields and emits one object at each exit.
-    let mut quarantined_to: Option<String> = None;
-    let mut repair_json = "null".to_string();
+    // collects outcome fields and emits one document at each exit.
+    let mut quarantined_to = Json::Null;
+    let mut repair = Json::Null;
 
-    let emit = |exit: u8, quarantined_to: &Option<String>, repair_json: &str| {
+    let emit = |exit: u8, quarantined_to: Json, repair: Json| {
         if json {
-            let damaged: Vec<String> = report
-                .damaged()
-                .map(|c| {
-                    let (state, detail) = match c.state {
-                        ChunkState::Corrupt { expected, actual } => (
-                            "corrupt",
-                            format!(", \"expected_crc\": {expected}, \"actual_crc\": {actual}"),
-                        ),
-                        ChunkState::Truncated => ("truncated", String::new()),
-                        ChunkState::Ok => ("ok", String::new()),
-                    };
-                    format!(
-                        "{{\"dataset\": \"{}\", \"index\": {}, \"record\": {}, \
-                         \"offset\": {}, \"stored\": {}, \"state\": \"{state}\"{detail}}}",
-                        escape(&c.dataset),
-                        c.index,
-                        c.record,
-                        c.offset,
-                        c.stored
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"path\": \"{}\", \"container\": \"{}\", \
-                 \"chunk_records\": {}, \"damaged\": [{}], \"quarantined_to\": {}, \
-                 \"repair\": {}, \"flight\": {}, \"flight_bad_lines\": {}, \"exit\": {exit}}}",
-                escape(&path),
-                escape(&classification),
-                report.chunks.len(),
-                damaged.join(", "),
-                match quarantined_to {
-                    Some(q) => format!("\"{}\"", escape(q)),
-                    None => "null".into(),
-                },
-                repair_json,
-                flight.as_deref().unwrap_or("null"),
-                flight_bad_lines,
-            );
+            let flight = flight
+                .as_ref()
+                .and_then(|rec| obs::json::parse(&rec.to_json_line()).ok());
+            let doc = obj([
+                ("path", Json::Str(path.clone())),
+                ("container", Json::Str(classification.clone())),
+                ("chunk_records", Json::Num(report.chunks.len() as f64)),
+                (
+                    "damaged",
+                    Json::Arr(report.damaged().map(chunk_json).collect()),
+                ),
+                ("quarantined_to", quarantined_to),
+                ("repair", repair),
+                ("flight", flight.unwrap_or(Json::Null)),
+                ("flight_bad_lines", Json::Num(flight_bad_lines as f64)),
+                ("exit", Json::Num(exit.into())),
+            ]);
+            println!("{doc}");
         }
         ExitCode::from(exit)
     };
@@ -186,27 +185,16 @@ fn main() -> ExitCode {
                     if !json {
                         println!("quarantined to {}", dest.display());
                     }
-                    quarantined_to = Some(dest.display().to_string());
+                    quarantined_to = Json::Str(dest.display().to_string());
                 }
-                Err(e) => {
-                    if json {
-                        println!(
-                            "{{\"path\": \"{}\", \"error\": \"quarantine: {}\", \"exit\": 2}}",
-                            escape(&path),
-                            escape(&e.to_string())
-                        );
-                    } else {
-                        eprintln!("quarantine {path}: {e}");
-                    }
-                    return ExitCode::from(2);
-                }
+                Err(e) => return fail("quarantine", &e),
             }
         }
-        return emit(1, &quarantined_to, &repair_json);
+        return emit(1, quarantined_to, repair);
     }
 
     if report.is_clean() {
-        return emit(0, &quarantined_to, &repair_json);
+        return emit(0, quarantined_to, repair);
     }
 
     if let Some(replica) = replica {
@@ -218,29 +206,17 @@ fn main() -> ExitCode {
                         rep.repaired, rep.unrepairable
                     );
                 }
-                repair_json = format!(
-                    "{{\"replica\": \"{}\", \"repaired\": {}, \"unrepairable\": {}}}",
-                    escape(&replica),
-                    rep.repaired,
-                    rep.unrepairable
-                );
+                repair = obj([
+                    ("replica", Json::Str(replica)),
+                    ("repaired", Json::Num(rep.repaired as f64)),
+                    ("unrepairable", Json::Num(rep.unrepairable as f64)),
+                ]);
                 if rep.unrepairable == 0 {
-                    return emit(0, &quarantined_to, &repair_json);
+                    return emit(0, quarantined_to, repair);
                 }
             }
-            Err(e) => {
-                if json {
-                    println!(
-                        "{{\"path\": \"{}\", \"error\": \"repair: {}\", \"exit\": 2}}",
-                        escape(&path),
-                        escape(&e.to_string())
-                    );
-                } else {
-                    eprintln!("repair {path}: {e}");
-                }
-                return ExitCode::from(2);
-            }
+            Err(e) => return fail("repair", &e),
         }
     }
-    emit(1, &quarantined_to, &repair_json)
+    emit(1, quarantined_to, repair)
 }

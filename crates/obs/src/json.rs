@@ -81,6 +81,16 @@ impl Json {
     }
 }
 
+/// An object from `(key, value)` pairs.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
 // f64 Display writes bare `inf`/`NaN`, which the strict parser (and
 // JSON itself) rejects; clamp non-finite values to 0 so one
 // pathological timing can't poison the whole document.

@@ -5,20 +5,20 @@
 //! [`predwrite::run_real_with`]. In [`AdaptMode::Static`] every step
 //! predicts with the offline models and the engine-wide extra-space
 //! policy — the paper's single-shot configuration replayed per step.
-//! In [`AdaptMode::Adaptive`] an [`OnlineSource`] blends the offline
-//! model with the ratios observed in prior steps and adapts each
-//! partition's headroom from its prediction-error band; the step's
-//! observed chunk sizes are fed back afterwards, so prediction
-//! sharpens (and reservations tighten) as history accumulates.
+//! In [`AdaptMode::Adaptive`] the stream's [`OnlinePredictor`] blends
+//! the offline model with the ratios observed in prior steps and
+//! adapts each partition's headroom from its prediction-error band
+//! ([`StreamSource`]); the step's observed chunk sizes are fed back
+//! afterwards, so prediction sharpens (and reservations tighten) as
+//! history accumulates. The loop that does this is
+//! [`predwrite::StreamState`] — the simulated stream's too.
 
-use crate::adaptive::OnlineSource;
-use crate::metrics::{StepMetrics, TimelineReport};
 use pfsim::{BandwidthModel, FaultFs};
 use predwrite::{
-    mean_rel_size_err, run_real_with, ExtraSpacePolicy, Method, ModelSource, RankFieldData,
-    RealConfig, RealError, ReservationTopology,
+    run_real_with, ExtraSpacePolicy, Method, RankFieldData, RealConfig, RealError,
+    ReservationTopology, StepMetrics, StreamSource, StreamState, TimelineReport,
 };
-use ratiomodel::Models;
+use ratiomodel::{Models, OnlinePredictor};
 use std::path::PathBuf;
 use std::sync::Arc;
 use szlite::Config;
@@ -52,9 +52,6 @@ impl std::fmt::Debug for StepFaults {
     }
 }
 
-// Historically defined here; now shared with the discrete-event scale
-// simulator (`predwrite::sim::simulate_stream`), which accepts the
-// same mode without this crate's real-I/O machinery.
 pub use predwrite::AdaptMode;
 
 /// Configuration of a timeline run.
@@ -161,7 +158,7 @@ where
 pub fn run_timeline_resumed<F, D>(
     cfg: &TimelineConfig,
     start_step: usize,
-    initial_online: Option<OnlineSource>,
+    initial_online: Option<OnlinePredictor>,
     mut step_data: F,
 ) -> Result<TimelineReport, RealError>
 where
@@ -170,15 +167,11 @@ where
 {
     std::fs::create_dir_all(&cfg.dir)
         .map_err(|e| RealError::context(format!("timeline: create {}", cfg.dir.display()), e))?;
-    if let (AdaptMode::Static, Some(_)) = (&cfg.mode, &initial_online) {
-        return Err(RealError::Shape(
-            "timeline: online state supplied for a static-mode stream".into(),
-        ));
-    }
+    let state = StreamState::new(cfg.mode, initial_online)?;
     // The run's Chrome trace is written however the step loop ends —
     // a failed step is exactly when it is wanted — and the step's
     // error outranks an export error.
-    let steps = run_steps(cfg, start_step, initial_online, &mut step_data);
+    let steps = run_steps(cfg, start_step, state, &mut step_data);
     let exported = obs::trace::export_env();
     let steps = steps?;
     exported.map_err(|e| RealError::context("timeline: chrome-trace export", e))?;
@@ -192,7 +185,7 @@ where
 fn run_steps<F, D>(
     cfg: &TimelineConfig,
     start_step: usize,
-    mut online: Option<OnlineSource>,
+    mut state: StreamState,
     step_data: &mut F,
 ) -> Result<Vec<StepMetrics>, RealError>
 where
@@ -229,52 +222,22 @@ where
         let metrics_before = obs::snapshot();
         obs::gauge("h5.asyncq.depth").reset_high_water();
         let step_span = obs::span_arg("timeline.step", step as u64);
-        let (result, obs) = match &cfg.mode {
-            AdaptMode::Static => run_real_with(
-                data,
-                &rc,
-                &ModelSource {
-                    models: &cfg.models,
-                },
-            )?,
-            AdaptMode::Adaptive(ocfg) => {
-                if online.is_none() {
-                    online = Some(OnlineSource::new(nranks, nfields, cfg.models, *ocfg));
-                }
-                let src = online.as_mut().expect("just initialized");
-                if src.nranks() != nranks || src.nfields() != nfields {
-                    return Err(RealError::Shape(format!(
-                        "timeline: step {step} changed shape to {nranks}×{nfields} \
-                         (stream started at {}×{})",
-                        src.nranks(),
-                        src.nfields()
-                    )));
-                }
-                let out = run_real_with(data, &rc, &*src)?;
-                src.observe_run(&out.1);
-                out
-            }
-        };
+        let m = state.step(step, nranks, nfields, |online| {
+            let source = StreamSource {
+                models: &cfg.models,
+                online,
+                nfields,
+            };
+            run_real_with(data, &rc, &source)
+        })?;
         drop(step_span);
-        let mean_rel_err = match (&cfg.mode, &online) {
-            (AdaptMode::Adaptive(_), Some(src)) => src.predictor().mean_rel_err(),
-            // The static mode has no EWMA: report the step's
-            // instantaneous error.
-            _ => mean_rel_size_err(obs.iter().flatten().map(|o| (o.predicted, o.actual))),
-        };
-        let m = StepMetrics::collect(step, result, &obs, mean_rel_err);
         if cfg.keep_files {
             // Persist the post-step adaptation state beside the
             // container: a restart after this step resumes prediction
             // with the same history the uninterrupted stream has.
-            if let Some(src) = &online {
-                crate::sidecar::save_sidecar(
-                    &cfg.sidecar_path(step),
-                    src.nranks(),
-                    src.nfields(),
-                    src.predictor(),
-                )
-                .map_err(|e| RealError::context(format!("timeline: step {step} sidecar"), e))?;
+            if let Some(online) = state.online() {
+                crate::sidecar::save_sidecar(&cfg.sidecar_path(step), nranks, nfields, online)
+                    .map_err(|e| RealError::context(format!("timeline: step {step} sidecar"), e))?;
             }
             // Flight record beside the sidecar: byte fields mirror
             // StepMetrics exactly, counters are per-step deltas, so a

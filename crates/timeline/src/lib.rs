@@ -13,17 +13,23 @@
 //!   container file per checkpoint; [`run_stream`] feeds it from a
 //!   [`workloads::SnapshotStream`] (deterministically evolving
 //!   Nyx/VPIC/RTM snapshots).
-//! * [`adaptive`] — [`OnlineSource`] plugs
+//!   In [`AdaptMode::Adaptive`] each step predicts through
+//!   [`predwrite::StreamSource`], which plugs the stream's
 //!   [`ratiomodel::OnlinePredictor`] into the engine's predict phase:
 //!   per-partition EWMA bias correction over observed ratios, plus
 //!   error-band-driven extra-space headroom (tight when history is
 //!   stable, wide after drift, floored at the last observed size so a
-//!   misprediction is recovered from on the very next step).
-//! * [`metrics`] — per-step and cumulative accounting: reserved vs.
-//!   wasted bytes, overflow-redirection events, prediction error,
-//!   wall time. The `bench_timeline` binary compares
-//!   [`AdaptMode::Static`] against [`AdaptMode::Adaptive`] on all
-//!   three workloads with these numbers.
+//!   misprediction is recovered from on the very next step). The step
+//!   loop itself — shape check, predictor, feedback, step record — is
+//!   [`predwrite::StreamState`], shared with the simulated stream.
+//! * [`StepMetrics`] / [`TimelineReport`] (from `predwrite`) — per-step
+//!   and cumulative accounting: reserved vs. wasted bytes,
+//!   overflow-redirection events, prediction error, wall time. The
+//!   `bench_timeline` binary compares [`AdaptMode::Static`] against
+//!   [`AdaptMode::Adaptive`] on all three workloads with these numbers.
+//! * [`sidecar`] / [`recovery`] — the predictor state persisted beside
+//!   each kept step, and [`resume_timeline`] restarting a crashed
+//!   stream from what survives on disk.
 //! * [`data`] — snapshot → `data[rank][field]` partitioning shared by
 //!   the engine, benches and examples.
 //!
@@ -31,18 +37,15 @@
 //! engine inherits the write pipeline's determinism, so streams replay
 //! byte-identically at any `sz_threads` worker count.
 
-pub mod adaptive;
 pub mod data;
 pub mod engine;
-pub mod metrics;
 pub mod recovery;
 pub mod sidecar;
 
-pub use adaptive::OnlineSource;
 pub use data::{partition_1d, partition_3d, partition_stream_step};
 pub use engine::{
     run_stream, run_timeline, run_timeline_resumed, AdaptMode, StepFaults, TimelineConfig,
 };
-pub use metrics::{StepMetrics, TimelineReport};
+pub use predwrite::{StepMetrics, TimelineReport};
 pub use recovery::{newest_flight, resume_timeline, ResumeReport};
 pub use sidecar::{load_sidecar, save_sidecar, sidecar_path};

@@ -17,12 +17,10 @@
 //! every surviving step is additionally decoded and bound-checked
 //! against the original data before it is allowed to stand.
 
-use crate::adaptive::OnlineSource;
 use crate::engine::{run_timeline_resumed, AdaptMode, TimelineConfig};
-use crate::metrics::TimelineReport;
 use crate::sidecar;
 use h5lite::scrub::{quarantine, scrub};
-use predwrite::{verify_file, RankFieldData, RealError};
+use predwrite::{verify_file, RankFieldData, RealError, TimelineReport};
 use std::path::PathBuf;
 
 /// What [`resume_timeline`] found and did.
@@ -139,25 +137,15 @@ where
     // the surviving steps. A missing or damaged sidecar just falls
     // back to the next-older one, and finally to a cold start — the
     // predictor re-converges within a couple of steps either way.
-    let mut sidecar_step = None;
-    let mut online = None;
-    if matches!(cfg.mode, AdaptMode::Adaptive(_)) {
-        for &step in surviving.iter().rev() {
-            match sidecar::load_sidecar(&cfg.sidecar_path(step)) {
-                Ok((nranks, nfields, predictor)) => {
-                    match OnlineSource::with_predictor(nranks, nfields, cfg.models, predictor) {
-                        Ok(src) => {
-                            sidecar_step = Some(step);
-                            online = Some(src);
-                            break;
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                Err(_) => continue,
-            }
-        }
-    }
+    let (sidecar_step, online) = surviving
+        .iter()
+        .rev()
+        .filter(|_| matches!(cfg.mode, AdaptMode::Adaptive(_)))
+        .find_map(|&step| {
+            let (_, _, predictor) = sidecar::load_sidecar(&cfg.sidecar_path(step)).ok()?;
+            Some((step, predictor))
+        })
+        .unzip();
 
     // Capture the black box before the resumed tail overwrites it.
     let last_flight = newest_flight(cfg);

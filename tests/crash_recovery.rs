@@ -11,9 +11,11 @@
 
 use bench::partition_stream_step;
 use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
-use repro_suite::predwrite::verify_file;
-use repro_suite::ratiomodel::OnlineConfig;
-use repro_suite::timeline::{resume_timeline, run_timeline, AdaptMode, StepFaults, TimelineConfig};
+use repro_suite::predwrite::{verify_file, RealError};
+use repro_suite::ratiomodel::{OnlineConfig, OnlinePredictor};
+use repro_suite::timeline::{
+    resume_timeline, run_timeline, save_sidecar, AdaptMode, StepFaults, TimelineConfig,
+};
 use repro_suite::workloads::SnapshotStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -191,6 +193,27 @@ fn downgraded_superblock_version_is_quarantined_not_trusted() {
     for s in 0..steps {
         let rep = verify_file(&cfg.step_path(s), &data(s), Some(&cfg.configs), 1).unwrap();
         assert!(rep.ok(), "step {s} out of bound after recovery");
+    }
+}
+
+#[test]
+fn sidecar_of_another_stream_is_a_shape_error() {
+    // A sidecar that is intact but tracks another number of cells (a
+    // different stream's, copied into place) cannot seed this stream's
+    // predictor: the resumed tail refuses to run, with the typed error.
+    let stream = SnapshotStream::nyx(16);
+    let nranks = 8;
+    let dir = TempDir::new("sidecar-shape");
+    let mut cfg = config(&stream, 1, dir.path().to_path_buf());
+    let data = |s: usize| partition_stream_step(&stream, s, nranks);
+    run_timeline(&cfg, data).unwrap();
+
+    let foreign = OnlinePredictor::new(3, OnlineConfig::default());
+    save_sidecar(&cfg.sidecar_path(0), 3, 1, &foreign).unwrap();
+    cfg.steps = 2;
+    match resume_timeline(&cfg, data) {
+        Err(RealError::Shape(m)) => assert!(m.contains("tracks 3 cells"), "{m}"),
+        other => panic!("expected a shape error, got {other:?}"),
     }
 }
 

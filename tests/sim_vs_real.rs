@@ -1,12 +1,14 @@
 //! Sim-vs-real conformance: the discrete-event stream simulator and
 //! the real stream engine report the same `StepMetrics`, so for inputs
 //! both can run they must agree on every byte the planner decides —
-//! reservations, waste, predictions, actual sizes and overflow — step
-//! for step, in both adaptation modes and both reservation topologies.
+//! reservations, waste, predictions, actual sizes and overflow — and on
+//! the prediction error they report, step for step, in both adaptation
+//! modes and both reservation topologies, with and without Algorithm 1
+//! reordering.
 
 use bench::partition_stream_step;
 use repro_suite::predwrite::{
-    profile_partition_with, simulate_stream, AdaptMode, PartitionProfile, RankFieldData,
+    profile_partition_with, simulate_stream, AdaptMode, Method, PartitionProfile, RankFieldData,
     ReservationTopology, SimParams, StreamSimConfig,
 };
 use repro_suite::ratiomodel::{EstimateScratch, OnlineConfig};
@@ -31,19 +33,20 @@ fn assert_streams_agree(
             mode: cfg.mode,
             reservation: cfg.reservation,
             steps: STEPS,
-            reorder: false,
+            reorder: cfg.method == Method::OverlapReorder,
         },
         |s| &profiles[s],
     );
     assert_eq!(real.steps.len(), STEPS, "{what}");
-    assert_eq!(sim.steps.len(), STEPS, "{what}");
-    for (r, s) in real.steps.iter().zip(&sim.steps) {
+    assert_eq!(sim.report.steps.len(), STEPS, "{what}");
+    for (r, s) in real.steps.iter().zip(&sim.report.steps) {
         let what = format!("{what}, step {}", r.step);
         assert_eq!(r.step, s.step, "{what}");
         assert_eq!(r.reserved_bytes, s.reserved_bytes, "{what}: reserved");
         assert_eq!(r.waste_bytes, s.waste_bytes, "{what}: waste");
         assert_eq!(r.predicted_bytes, s.predicted_bytes, "{what}: predicted");
         assert_eq!(r.actual_bytes, s.actual_bytes, "{what}: actual");
+        assert_eq!(r.mean_rel_err, s.mean_rel_err, "{what}: mean_rel_err");
         let (r, s) = (&r.result, &s.result);
         assert_eq!(r.overflow_bytes, s.overflow_bytes, "{what}: overflow bytes");
         assert_eq!(r.n_overflow, s.n_overflow, "{what}: overflows");
@@ -118,6 +121,11 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
                     overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
                 }
             }
+            // Algorithm 1 changes each rank's compression order from
+            // the estimates both engines share; no byte may move.
+            cfg.method = Method::OverlapReorder;
+            let what = format!("{} × {nranks} ranks, reordered", stream.label());
+            overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
         }
     }
     assert!(overflows > 0, "the overflow path was never exercised");
