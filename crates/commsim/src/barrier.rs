@@ -6,16 +6,6 @@
 //! primitives in one auditable place.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Wait-time histogram shared by every barrier in the process; the
-/// handle is cached so the record path stays two clock reads plus a
-/// few relaxed atomics.
-fn wait_hist() -> &'static obs::Histogram {
-    static H: OnceLock<&'static obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| obs::histogram("comm.barrier_wait_ns"))
-}
 
 /// A collective was abandoned because a participant poisoned the
 /// barrier (it hit a fatal error and can never arrive). Waiters must
@@ -80,13 +70,6 @@ impl Barrier {
     /// A generation that completed before the poison still reports
     /// `Ok`: every participant arrived, so the exchanged data is whole.
     pub fn wait_checked(&self) -> Result<u64, BarrierPoisoned> {
-        let t0 = Instant::now();
-        let out = self.wait_checked_inner();
-        wait_hist().record(t0.elapsed().as_nanos() as u64);
-        out
-    }
-
-    fn wait_checked_inner(&self) -> Result<u64, BarrierPoisoned> {
         let mut st = self.state.lock();
         if st.poisoned {
             return Err(BarrierPoisoned);

@@ -115,6 +115,14 @@ pub struct RunResult {
     pub n_overflow: usize,
     /// Total overflow bytes redirected.
     pub overflow_bytes: u64,
+    /// Bytes the reservation collective moved, summed over ranks
+    /// ([`crate::plan::reservation_wire_bytes`] × ranks); 0 for the
+    /// methods that reserve nothing.
+    pub reservation_wire_bytes: u64,
+    /// Peak depth of one rank's async write queue
+    /// ([`h5lite::EventSet::high_water`]), maximum over ranks; 0 where
+    /// no queue ran (collective writes, simulated runs).
+    pub queue_depth_max: u64,
 }
 
 impl RunResult {
@@ -275,6 +283,8 @@ mod tests {
             file_bytes: file,
             n_overflow: 0,
             overflow_bytes: 0,
+            reservation_wire_bytes: 0,
+            queue_depth_max: 0,
         }
     }
 

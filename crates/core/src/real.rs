@@ -28,7 +28,6 @@ use pfsim::{BandwidthModel, FaultFs, Throttle};
 use ratiomodel::{EstimateScratch, Models, OnlinePredictor};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 use szlite::{compress_into, Config, Dims, ErrorBound, Scratch};
 
 /// One rank's slice of one field.
@@ -406,6 +405,8 @@ pub type RunObservations = Vec<Vec<FieldObservation>>;
 struct RankOutcome {
     phases: Breakdown,
     total: f64,
+    /// Peak depth of this rank's async write queue.
+    queue_depth_max: usize,
     fields: Vec<FieldObservation>,
 }
 
@@ -501,17 +502,17 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
 
     let outcomes: Vec<Result<RankOutcome, RealError>> = world.run(|rk| {
         let r = rk.rank();
-        let _rank_span = obs::span_arg("real.rank", r as u64);
         let run = || -> Result<RankOutcome, RealError> {
+            let total = obs::timed_arg("real.rank", r as u64);
             let mut out = RankOutcome {
                 fields: vec![FieldObservation::default(); nfields],
                 ..RankOutcome::default()
             };
-            let t0 = Instant::now();
             match cfg.method {
                 Method::NoCompression => {
                     // Offsets are known from raw sizes; independent
                     // async writes of every field.
+                    let write = obs::timed("real.write");
                     let sizes: Vec<Vec<u64>> = data
                         .iter()
                         .map(|row| row.iter().map(|fd| (fd.data.len() * 4) as u64).collect())
@@ -537,12 +538,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         out.fields[f] = FieldObservation::exact(len);
                     }
                     es.wait()?;
-                    out.phases.write = t0.elapsed().as_secs_f64();
+                    out.queue_depth_max = es.high_water();
+                    out.phases.write = write.stop();
                 }
                 Method::FilterCollective => {
                     // Compress everything first (the filter model),
                     // serially but with a rank-local reused scratch.
-                    let tc = Instant::now();
+                    let compress = obs::timed("real.compress");
                     let mut scratch = Scratch::new();
                     let mut streams = Vec::with_capacity(nfields);
                     for f in 0..nfields {
@@ -556,15 +558,15 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         )?;
                         streams.push(s);
                     }
-                    out.phases.compress = tc.elapsed().as_secs_f64();
+                    out.phases.compress = compress.stop();
                     // All-gather the actual sizes.
-                    let ta = Instant::now();
+                    let allgather = obs::timed("real.allgather");
                     let my_sizes: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
                     let all_sizes = rk.try_all_gather(my_sizes)?;
-                    out.phases.allgather = ta.elapsed().as_secs_f64();
+                    out.phases.allgather = allgather.stop();
                     let plan = WritePlan::exact(&all_sizes, base);
                     // Collective write: one synchronized round per field.
-                    let tw = Instant::now();
+                    let write = obs::timed("real.write");
                     for f in 0..nfields {
                         rk.try_barrier()?;
                         throttle.acquire(streams[f].len() as u64);
@@ -578,12 +580,11 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         rk.try_barrier()?;
                         out.fields[f] = FieldObservation::exact(streams[f].len() as u64);
                     }
-                    out.phases.write = tw.elapsed().as_secs_f64();
+                    out.phases.write = write.stop();
                 }
                 Method::Overlap | Method::OverlapReorder => {
                     // Phase 1: prediction (pluggable source).
-                    let tp = Instant::now();
-                    let predict_span = obs::span("real.predict");
+                    let predict = obs::timed("real.predict");
                     let mut my_ests = Vec::with_capacity(nfields);
                     let mut est_scratch = EstimateScratch::new();
                     for f in 0..nfields {
@@ -596,8 +597,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             &mut est_scratch,
                         )?);
                     }
-                    drop(predict_span);
-                    out.phases.predict = tp.elapsed().as_secs_f64();
+                    out.phases.predict = predict.stop();
 
                     // Phase 2: gather the estimates and derive this
                     // rank's layout. The flat topology all-gathers
@@ -607,8 +607,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // across groups. Both resolve reservations with
                     // the same exact u64 arithmetic, so the resulting
                     // offsets are byte-identical.
-                    let ta = Instant::now();
-                    let allgather_span = obs::span("real.allgather");
+                    let allgather = obs::timed("real.allgather");
                     let view: RankPlanView = match cfg.reservation.effective_group_size(nranks) {
                         None => {
                             let gathered = rk.try_all_gather(my_ests.clone())?;
@@ -640,19 +639,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             )
                         }
                     };
-                    drop(allgather_span);
-                    if r == 0 {
-                        // Per-rank received bytes × world size = the
-                        // collective's aggregate wire traffic for this
-                        // step's reservation exchange.
-                        let per_rank = reservation_wire_bytes(
-                            nranks,
-                            nfields,
-                            cfg.reservation.effective_group_size(nranks),
-                        );
-                        obs::counter("real.reservation_wire_bytes").add(per_rank * nranks as u64);
-                    }
-                    out.phases.allgather = ta.elapsed().as_secs_f64();
+                    out.phases.allgather = allgather.stop();
 
                     // Phase 4: compression order.
                     let order = compression_order(cfg.method == Method::OverlapReorder, &my_ests);
@@ -667,7 +654,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // paper's single-threaded overlap exactly.
                     let es = EventSet::new(1);
                     let mut overflow_parts: Vec<(usize, Vec<u8>)> = Vec::new();
-                    let tc = Instant::now();
+                    let fanout = obs::timed("real.compress");
                     let mut comp_total = 0.0;
                     ordered_fanout::<_, _, RealError, _, _, _>(
                         order.len() as u64,
@@ -675,8 +662,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         Scratch::new,
                         |scratch, pos| {
                             let f = order[pos as usize];
-                            let _span = obs::span_arg("real.compress_field", f as u64);
-                            let t1 = Instant::now();
+                            let field = obs::timed_arg("real.compress_field", f as u64);
                             let mut stream = pool.take();
                             compress_into(
                                 &data[r][f].data,
@@ -685,7 +671,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                                 scratch,
                                 &mut stream,
                             )?;
-                            Ok((stream, t1.elapsed().as_secs_f64()))
+                            Ok((stream, field.stop()))
                         },
                         |pos, (mut stream, secs): (Vec<u8>, f64)| {
                             let f = order[pos as usize];
@@ -716,14 +702,18 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // span so the breakdown stays additive (identical
                     // numbers at sz_threads = 1, where comp_total is
                     // always within the span).
-                    out.phases.compress = comp_total.min(tc.elapsed().as_secs_f64());
+                    let fanout_secs = fanout.stop();
+                    out.phases.compress = comp_total.min(fanout_secs);
+                    // Extra write time beyond the compression: what of
+                    // the fan-out span was not compressing, plus the
+                    // wait for the queue to drain.
+                    let drain = obs::timed("real.write");
                     es.wait()?;
-                    // Extra write time beyond the compression span.
-                    out.phases.write = (tc.elapsed().as_secs_f64() - out.phases.compress).max(0.0);
+                    out.queue_depth_max = es.high_water();
+                    out.phases.write = fanout_secs - out.phases.compress + drain.stop();
 
                     // Phase 6: overflow redirection.
-                    let to = Instant::now();
-                    let _overflow_span = obs::span("real.overflow");
+                    let overflow = obs::timed("real.overflow");
                     let my_ovf: Vec<u64> = out.fields.iter().map(|o| o.overflow).collect();
                     let all_ovf = rk.try_all_gather(my_ovf)?;
                     let any_overflow = all_ovf.iter().flatten().any(|&b| b > 0);
@@ -742,7 +732,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         }
                     }
                     rk.try_barrier()?;
-                    out.phases.overflow = to.elapsed().as_secs_f64();
+                    out.phases.overflow = overflow.stop();
                     if r == 0 {
                         file.shared_file()
                             .advance_tail_to(view.data_end)
@@ -750,7 +740,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     }
                 }
             }
-            out.total = t0.elapsed().as_secs_f64();
+            out.total = total.stop();
             Ok(out)
         };
         let res = run();
@@ -774,6 +764,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
             Ok(o) => {
                 agg.phases.max_merge(&o.phases);
                 agg.total = agg.total.max(o.total);
+                agg.queue_depth_max = agg.queue_depth_max.max(o.queue_depth_max);
                 observations.push(o.fields);
             }
             Err(e) => {
@@ -804,11 +795,10 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
     // reader — the decode mirror of the write pipeline, timed as its
     // own breakdown phase.
     if cfg.verify {
-        let tv = Instant::now();
-        let _verify_span = obs::span("real.verify");
+        let verify = obs::timed("real.verify");
         let configs = compressed.then_some(cfg.configs.as_slice());
         let report = crate::verify::verify_file(&cfg.path, data, configs, cfg.sz_threads)?;
-        agg.phases.verify = tv.elapsed().as_secs_f64();
+        agg.phases.verify = verify.stop();
         if let Some(bad) = report.fields.iter().find(|f| !f.ok) {
             return Err(RealError::Verification {
                 field: bad.name.clone(),
@@ -824,7 +814,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         .map(|fd| (fd.data.len() * 4) as u64)
         .sum();
     let file_bytes = std::fs::metadata(&cfg.path)?.len();
-    let result = RunResult::collect(
+    let mut result = RunResult::collect(
         cfg.method,
         agg.total,
         agg.phases,
@@ -832,5 +822,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
         file_bytes,
         &observations,
     );
+    result.queue_depth_max = agg.queue_depth_max as u64;
+    if matches!(cfg.method, Method::Overlap | Method::OverlapReorder) {
+        // Per-rank received bytes × world size: the aggregate wire
+        // traffic of this step's reservation exchange.
+        let group = cfg.reservation.effective_group_size(nranks);
+        result.reservation_wire_bytes =
+            reservation_wire_bytes(nranks, nfields, group) * nranks as u64;
+    }
     Ok((result, observations))
 }

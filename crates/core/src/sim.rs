@@ -131,6 +131,8 @@ fn sim_nocomp(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
         file_bytes: raw,
         n_overflow: 0,
         overflow_bytes: 0,
+        reservation_wire_bytes: 0,
+        queue_depth_max: 0,
     }
 }
 
@@ -166,6 +168,8 @@ fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
         file_bytes: comp,
         n_overflow: 0,
         overflow_bytes: 0,
+        reservation_wire_bytes: 0,
+        queue_depth_max: 0,
     }
 }
 
@@ -306,6 +310,8 @@ fn sim_overlap_step(
     // File: everything reserved stays allocated; overflow appends past
     // the end (in-slot bytes within reservations are not reclaimed).
     result.file_bytes = plan.reserved_total() + result.overflow_bytes;
+    result.reservation_wire_bytes =
+        reservation_wire_bytes(nranks, nfields, group_size) * nranks as u64;
     (result, observations, planner_seconds)
 }
 
@@ -722,6 +728,12 @@ mod tests {
         assert!(r.planner_seconds > 0.0 && r.planner_seconds.is_finite());
         // √512 → 23-rank groups: far less wire than the 512-rank gather.
         assert!(r.collective_bytes_per_rank < reservation_wire_bytes(512, 4, None) / 4);
+        // Each step's record carries the same figure, over all ranks.
+        assert!(r
+            .report
+            .steps
+            .iter()
+            .all(|s| s.result.reservation_wire_bytes == r.collective_bytes_per_rank * 512));
     }
 
     #[test]

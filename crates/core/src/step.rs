@@ -140,6 +140,9 @@ impl FieldObservation {
 impl RunResult {
     /// A run's record: compressed bytes and the overflow tallies are
     /// sums over `observations`, so no engine counts them by hand.
+    /// What only the engine knows beyond its arguments — the
+    /// reservation collective's wire bytes, the write queues' peak
+    /// depth — starts at 0 for it to fill.
     pub fn collect(
         method: Method,
         total_time: f64,
@@ -157,6 +160,8 @@ impl RunResult {
             file_bytes,
             n_overflow: 0,
             overflow_bytes: 0,
+            reservation_wire_bytes: 0,
+            queue_depth_max: 0,
         };
         for o in observations.iter().flatten() {
             result.compressed_bytes += o.actual;

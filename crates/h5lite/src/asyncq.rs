@@ -12,15 +12,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use pfsim::{SharedFile, Throttle};
 use std::sync::Arc;
-use std::sync::OnceLock;
 use std::thread::JoinHandle;
-
-/// Queue-depth gauge shared by every event set in the process; the
-/// per-step high-water mark lands in the flight recorder.
-fn depth_gauge() -> &'static obs::Gauge {
-    static G: OnceLock<&'static obs::Gauge> = OnceLock::new();
-    G.get_or_init(|| obs::gauge("h5.asyncq.depth"))
-}
 
 struct Op {
     file: SharedFile,
@@ -31,13 +23,32 @@ struct Op {
     recycle: Option<Arc<BufferPool>>,
 }
 
+/// Operations enqueued and not yet completed, and the most that
+/// number has been.
+#[derive(Default)]
+struct Depth {
+    now: usize,
+    peak: usize,
+}
+
 struct Pending {
-    count: Mutex<usize>,
+    depth: Mutex<Depth>,
     cv: Condvar,
     /// Failed writes, typed; drained by [`EventSet::wait`]. A failure
     /// never panics the worker — the queue keeps draining so `wait()`
     /// cannot hang on a poisoned pipeline.
     errors: Mutex<Vec<AsyncWriteFailure>>,
+}
+
+impl Pending {
+    /// One operation finished (or could not be queued).
+    fn done(&self) {
+        let mut d = self.depth.lock();
+        d.now -= 1;
+        if d.now == 0 {
+            self.cv.notify_all();
+        }
+    }
 }
 
 /// An asynchronous write queue backed by worker threads.
@@ -56,7 +67,7 @@ impl EventSet {
     pub fn new(n_workers: usize) -> Self {
         let (tx, rx) = unbounded::<Op>();
         let pending = Arc::new(Pending {
-            count: Mutex::new(0),
+            depth: Mutex::new(Depth::default()),
             cv: Condvar::new(),
             errors: Mutex::new(Vec::new()),
         });
@@ -85,15 +96,10 @@ impl EventSet {
                             });
                         }
                         drop(span);
-                        depth_gauge().add(-1);
                         if let Some(pool) = recycle {
                             pool.put(data);
                         }
-                        let mut c = pending.count.lock();
-                        *c -= 1;
-                        if *c == 0 {
-                            pending.cv.notify_all();
-                        }
+                        pending.done();
                     }
                     obs::trace::flush_thread();
                 })
@@ -129,8 +135,11 @@ impl EventSet {
         throttle: Option<Arc<Throttle>>,
         recycle: Option<Arc<BufferPool>>,
     ) {
-        *self.pending.count.lock() += 1;
-        depth_gauge().add(1);
+        {
+            let mut d = self.pending.depth.lock();
+            d.now += 1;
+            d.peak = d.peak.max(d.now);
+        }
         let send = self.tx.as_ref().expect("event set shut down").send(Op {
             file: file.clone(),
             offset,
@@ -151,18 +160,19 @@ impl EventSet {
             if let Some(pool) = op.recycle {
                 pool.put(op.data);
             }
-            depth_gauge().add(-1);
-            let mut c = self.pending.count.lock();
-            *c -= 1;
-            if *c == 0 {
-                self.pending.cv.notify_all();
-            }
+            self.pending.done();
         }
     }
 
     /// Number of operations not yet completed.
     pub fn in_flight(&self) -> usize {
-        *self.pending.count.lock()
+        self.pending.depth.lock().now
+    }
+
+    /// The most operations that were ever in flight at once — the
+    /// queue's peak depth over the set's lifetime.
+    pub fn high_water(&self) -> usize {
+        self.pending.depth.lock().peak
     }
 
     /// Block until all enqueued operations complete (H5ESwait).
@@ -170,11 +180,11 @@ impl EventSet {
     /// with each op's offset/length — the flush/close point is where
     /// HDF5's async VOL reports errors too.
     pub fn wait(&self) -> Result<()> {
-        let mut c = self.pending.count.lock();
-        while *c > 0 {
-            self.pending.cv.wait(&mut c);
+        let mut d = self.pending.depth.lock();
+        while d.now > 0 {
+            self.pending.cv.wait(&mut d);
         }
-        drop(c);
+        drop(d);
         let errs = std::mem::take(&mut *self.pending.errors.lock());
         if errs.is_empty() {
             Ok(())
@@ -217,6 +227,7 @@ mod tests {
         }
         es.wait().unwrap();
         assert_eq!(es.in_flight(), 0);
+        assert!((1..=16).contains(&es.high_water()), "{}", es.high_water());
         for i in 0..16u64 {
             let mut buf = vec![0u8; 100];
             f.read_at(i * 100, &mut buf).unwrap();

@@ -16,9 +16,10 @@
 //! the human damage map: container classification, per-chunk
 //! verdicts, repair/quarantine outcomes, and — when a flight-recorder
 //! file (`<stem>.obs.jsonl`) sits beside the container — the newest
-//! readable flight record, so the post-mortem of a torn step includes
-//! what the dying run was doing (fault retries, queue depth, stage
-//! timings). A failed operation is `{"path", "error", "exit": 2}`.
+//! readable record in it: what that step, once completed, reported
+//! about itself (fault retries, queue depth, stage timings). A step
+//! that died mid-write left none. A failed operation is
+//! `{"path", "error", "exit": 2}`.
 //! Exit codes are identical in both modes.
 
 use h5lite::scrub::{
@@ -156,9 +157,7 @@ fn main() -> ExitCode {
 
     let emit = |exit: u8, quarantined_to: Json, repair: Json| {
         if json {
-            let flight = flight
-                .as_ref()
-                .and_then(|rec| obs::json::parse(&rec.to_json_line()).ok());
+            let flight = flight.as_ref().map(obs::StepFlight::to_json);
             let doc = obj([
                 ("path", Json::Str(path.clone())),
                 ("container", Json::Str(classification.clone())),

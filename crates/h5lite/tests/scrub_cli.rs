@@ -72,6 +72,28 @@ fn json_mode_reports_clean_torn_and_missing() {
         assert_eq!(doc.get("flight"), Some(&Json::Null));
     }
 
+    // With a flight record beside the container, `flight` is that
+    // record: `kind` plus all 23 fields, decoding to what was written.
+    let flight = TempPath::new("h5lite-int-scrub-cli-clean", obs::flight::FLIGHT_EXT);
+    assert_eq!(flight.path(), obs::flight_path(clean.path()));
+    let rec = obs::StepFlight {
+        step: 3,
+        retries: 2,
+        total_secs: 0.25,
+        ..Default::default()
+    };
+    obs::flight::write_step(flight.path(), &rec).unwrap();
+    let (code, doc) = scrub_json(clean.path());
+    assert_eq!(code, 0);
+    let embedded = doc.get("flight").expect("flight");
+    let Json::Obj(members) = embedded else {
+        panic!("flight is not an object: {doc}")
+    };
+    assert_eq!(members.len(), 24, "{doc}");
+    assert_eq!(embedded.str_of("kind"), Some("step"));
+    assert_eq!(obs::StepFlight::from_json(embedded), Ok(rec));
+    assert_eq!(doc.num("flight_bad_lines"), Some(0.0));
+
     let missing = TempPath::new("h5lite-int-scrub-cli-missing", "h5l");
     let (code, doc) = scrub_json(missing.path());
     assert_eq!(code, 2);

@@ -4,20 +4,23 @@
 //! step's `.pred` sidecar: a single JSON object per line recording
 //! where that step's bytes and time went (reservation/waste/overflow,
 //! collective wire bytes, planner wall-clock, queue depth, fault
-//! retries, stage timings). The file is written *during* the run, so
-//! after a crash the newest readable record says what the dying run
-//! was doing — `resume_timeline` and `scrub --json` surface it.
+//! retries, stage timings). A step's record is written once the step
+//! has completed, so after a crash the newest readable record is the
+//! newest *completed* step's — the step that died left none —
+//! and `resume_timeline` and `scrub --json` surface it.
 //!
 //! Reading is deliberately forgiving: a torn or garbage line (the
 //! recorder does not rename-atomically — it is the flight recorder,
 //! not the black box data itself) is reported as a typed
 //! [`FlightError`], never a panic, and surrounding records survive.
+//! The reader goes by key, not by position: records written before
+//! keys were sorted decode the same.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::{self, finite, Json};
+use crate::json::{self, Json};
 
 /// Extension of flight-recorder files (`step-0000.h5l` →
 /// `step-0000.obs.jsonl`).
@@ -28,145 +31,139 @@ pub fn flight_path(container: &Path) -> PathBuf {
     container.with_extension(FLIGHT_EXT)
 }
 
-/// One step's flight record. Byte fields mirror the timeline's
-/// `StepMetrics` exactly (the bench asserts they byte-match); second
-/// fields mirror the engine's `Breakdown`; the fault/queue/wire
-/// fields are per-step deltas of the global obs metrics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StepFlight {
-    /// Step index within the timeline.
-    pub step: u64,
-    /// Bytes reserved for compressed output this step.
-    pub reserved_bytes: u64,
-    /// Reserved bytes left unused (extra-space waste).
-    pub waste_bytes: u64,
-    /// Model-predicted compressed bytes.
-    pub predicted_bytes: u64,
-    /// Actual compressed bytes produced.
-    pub actual_bytes: u64,
-    /// Bytes redirected to the overflow region.
-    pub overflow_bytes: u64,
-    /// Partitions that overflowed their reservation.
-    pub overflow_parts: u64,
-    /// Uncompressed input bytes.
-    pub raw_bytes: u64,
-    /// Bytes occupied in the step's container file.
-    pub file_bytes: u64,
-    /// Reservation-collective wire bytes this step (obs counter delta).
-    pub collective_wire_bytes: u64,
-    /// Prediction/sampling phase, seconds.
-    pub predict_secs: f64,
-    /// Reservation planner (all-gather) phase, seconds.
-    pub planner_secs: f64,
-    /// Compression phase, seconds.
-    pub compress_secs: f64,
-    /// Write phase (post-compression remainder for overlap), seconds.
-    pub write_secs: f64,
-    /// Overflow handling phase, seconds.
-    pub overflow_secs: f64,
-    /// Read-back verification phase, seconds (0 when disabled).
-    pub verify_secs: f64,
-    /// End-to-end step time (slowest rank), seconds.
-    pub total_secs: f64,
-    /// High-water async write-queue depth during the step.
-    pub queue_depth_max: u64,
-    /// Fault-injection retry count this step (obs counter delta).
-    pub retries: u64,
-    /// Injected transient-EIO count this step (obs counter delta).
-    pub transient_faults: u64,
-    /// Bounded-retry escalations this step (obs counter delta).
-    pub escalations: u64,
-    /// Mean relative ratio-model error after this step.
-    pub mean_rel_err: f64,
-    /// `std::thread::available_parallelism` of the recording host.
-    pub host_parallelism: u64,
+/// A number a flight record can hold: how it is written as a JSON
+/// number and checked when read back.
+trait FlightNum: Sized {
+    fn to_f64(&self) -> f64;
+    fn from_f64(x: f64) -> Result<Self, &'static str>;
 }
 
-impl StepFlight {
-    /// Serialize as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"kind\": \"step\", \"step\": {}, \"reserved_bytes\": {}, \
-             \"waste_bytes\": {}, \"predicted_bytes\": {}, \"actual_bytes\": {}, \
-             \"overflow_bytes\": {}, \"overflow_parts\": {}, \"raw_bytes\": {}, \
-             \"file_bytes\": {}, \"collective_wire_bytes\": {}, \
-             \"predict_secs\": {}, \"planner_secs\": {}, \"compress_secs\": {}, \
-             \"write_secs\": {}, \"overflow_secs\": {}, \"verify_secs\": {}, \
-             \"total_secs\": {}, \"queue_depth_max\": {}, \"retries\": {}, \
-             \"transient_faults\": {}, \"escalations\": {}, \"mean_rel_err\": {}, \
-             \"host_parallelism\": {}}}",
-            self.step,
-            self.reserved_bytes,
-            self.waste_bytes,
-            self.predicted_bytes,
-            self.actual_bytes,
-            self.overflow_bytes,
-            self.overflow_parts,
-            self.raw_bytes,
-            self.file_bytes,
-            self.collective_wire_bytes,
-            finite(self.predict_secs),
-            finite(self.planner_secs),
-            finite(self.compress_secs),
-            finite(self.write_secs),
-            finite(self.overflow_secs),
-            finite(self.verify_secs),
-            finite(self.total_secs),
-            self.queue_depth_max,
-            self.retries,
-            self.transient_faults,
-            self.escalations,
-            finite(self.mean_rel_err),
-            self.host_parallelism,
-        )
+impl FlightNum for f64 {
+    fn to_f64(&self) -> f64 {
+        *self
     }
+    fn from_f64(x: f64) -> Result<Self, &'static str> {
+        Ok(x)
+    }
+}
 
-    /// Decode from a parsed JSON object; every field is required,
-    /// numeric, and finite.
-    pub fn from_json(v: &Json) -> Result<StepFlight, String> {
-        if v.str_of("kind") != Some("step") {
-            return Err("not a step record (kind != \"step\")".into());
-        }
-        let num = |k: &str| -> Result<f64, String> {
-            let x = v.num(k).ok_or_else(|| format!("missing field {k}"))?;
-            if !x.is_finite() {
-                return Err(format!("non-finite field {k}"));
-            }
-            Ok(x)
-        };
-        let uns = |k: &str| -> Result<u64, String> {
-            let x = num(k)?;
-            if x < 0.0 {
-                return Err(format!("negative field {k}"));
-            }
-            Ok(x as u64)
-        };
-        Ok(StepFlight {
-            step: uns("step")?,
-            reserved_bytes: uns("reserved_bytes")?,
-            waste_bytes: uns("waste_bytes")?,
-            predicted_bytes: uns("predicted_bytes")?,
-            actual_bytes: uns("actual_bytes")?,
-            overflow_bytes: uns("overflow_bytes")?,
-            overflow_parts: uns("overflow_parts")?,
-            raw_bytes: uns("raw_bytes")?,
-            file_bytes: uns("file_bytes")?,
-            collective_wire_bytes: uns("collective_wire_bytes")?,
-            predict_secs: num("predict_secs")?,
-            planner_secs: num("planner_secs")?,
-            compress_secs: num("compress_secs")?,
-            write_secs: num("write_secs")?,
-            overflow_secs: num("overflow_secs")?,
-            verify_secs: num("verify_secs")?,
-            total_secs: num("total_secs")?,
-            queue_depth_max: uns("queue_depth_max")?,
-            retries: uns("retries")?,
-            transient_faults: uns("transient_faults")?,
-            escalations: uns("escalations")?,
-            mean_rel_err: num("mean_rel_err")?,
-            host_parallelism: uns("host_parallelism")?,
-        })
+impl FlightNum for u64 {
+    fn to_f64(&self) -> f64 {
+        *self as f64
     }
+    fn from_f64(x: f64) -> Result<Self, &'static str> {
+        if x < 0.0 {
+            return Err("negative");
+        }
+        Ok(x as u64)
+    }
+}
+
+/// Field `k` of a record object: required, numeric, finite.
+fn field<T: FlightNum>(v: &Json, k: &str) -> Result<T, String> {
+    let x = v.num(k).ok_or_else(|| format!("missing field {k}"))?;
+    if !x.is_finite() {
+        return Err(format!("non-finite field {k}"));
+    }
+    T::from_f64(x).map_err(|why| format!("{why} field {k}"))
+}
+
+/// The record's field table: each name is declared here once, and
+/// the struct, its JSON writer and its JSON reader are generated from
+/// it.
+macro_rules! step_flight {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty,)*) => {
+        /// One step's flight record — a view of the step's own
+        /// `StepMetrics`: the byte fields are its tallies, the second
+        /// fields its `Breakdown`, the wire bytes and queue depth
+        /// what its run returned, and the fault counts what that
+        /// step's fault harness (if any) counted while it ran.
+        /// Nothing in it is read from process-wide state, so records
+        /// of streams sharing a process do not mix.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct StepFlight {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl StepFlight {
+            /// Serialize as one JSON line (no trailing newline), keys
+            /// sorted.
+            pub fn to_json_line(&self) -> String {
+                self.to_json().to_string()
+            }
+
+            /// The record as a JSON object: `"kind": "step"` plus one
+            /// number per field.
+            pub fn to_json(&self) -> Json {
+                json::obj([
+                    ("kind", Json::Str("step".into())),
+                    $((stringify!($name), Json::Num(self.$name.to_f64())),)*
+                ])
+            }
+
+            /// Decode from a parsed JSON object; every field is
+            /// required, numeric, and finite.
+            pub fn from_json(v: &Json) -> Result<StepFlight, String> {
+                if v.str_of("kind") != Some("step") {
+                    return Err("not a step record (kind != \"step\")".into());
+                }
+                Ok(StepFlight {
+                    $($name: field(v, stringify!($name))?,)*
+                })
+            }
+        }
+    };
+}
+
+step_flight! {
+    /// Step index within the timeline.
+    step: u64,
+    /// Bytes reserved for compressed output this step.
+    reserved_bytes: u64,
+    /// Reserved bytes left unused (extra-space waste).
+    waste_bytes: u64,
+    /// Model-predicted compressed bytes.
+    predicted_bytes: u64,
+    /// Actual compressed bytes produced.
+    actual_bytes: u64,
+    /// Bytes redirected to the overflow region.
+    overflow_bytes: u64,
+    /// Partitions that overflowed their reservation.
+    overflow_parts: u64,
+    /// Uncompressed input bytes.
+    raw_bytes: u64,
+    /// Bytes occupied in the step's container file.
+    file_bytes: u64,
+    /// Bytes the step's reservation collective moved, summed over
+    /// ranks.
+    collective_wire_bytes: u64,
+    /// Prediction/sampling phase, seconds.
+    predict_secs: f64,
+    /// Reservation planner (all-gather) phase, seconds.
+    planner_secs: f64,
+    /// Compression phase, seconds.
+    compress_secs: f64,
+    /// Write phase (post-compression remainder for overlap), seconds.
+    write_secs: f64,
+    /// Overflow handling phase, seconds.
+    overflow_secs: f64,
+    /// Read-back verification phase, seconds (0 when disabled).
+    verify_secs: f64,
+    /// End-to-end step time (slowest rank), seconds.
+    total_secs: f64,
+    /// Peak depth of one rank's async write queue during the step,
+    /// maximum over ranks (a rank queues at most one write per field).
+    queue_depth_max: u64,
+    /// Retries after injected transient faults this step.
+    retries: u64,
+    /// Injected transient-EIO count this step.
+    transient_faults: u64,
+    /// Bounded-retry escalations this step.
+    escalations: u64,
+    /// Mean relative ratio-model error after this step.
+    mean_rel_err: f64,
+    /// `std::thread::available_parallelism` of the recording host.
+    host_parallelism: u64,
 }
 
 /// Why a flight-recorder line or file could not be read.
@@ -273,8 +270,39 @@ mod tests {
     #[test]
     fn record_round_trips_exactly() {
         let rec = sample(7);
-        let v = json::parse(&rec.to_json_line()).unwrap();
+        let line = rec.to_json_line();
+        assert!(!line.contains('\n'), "{line}");
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v, rec.to_json());
         assert_eq!(StepFlight::from_json(&v).unwrap(), rec);
+        let Json::Obj(members) = &v else {
+            panic!("not an object: {v}")
+        };
+        assert_eq!(members.len(), 24, "23 fields + kind: {line}");
+    }
+
+    #[test]
+    fn a_line_in_the_old_key_order_still_decodes() {
+        // As written before keys were sorted: `kind` first, fields in
+        // declaration order.
+        let line = "{\"kind\": \"step\", \"step\": 7, \"reserved_bytes\": 4096, \
+            \"waste_bytes\": 512, \"predicted_bytes\": 3500, \"actual_bytes\": 3584, \
+            \"overflow_bytes\": 84, \"overflow_parts\": 1, \"raw_bytes\": 65536, \
+            \"file_bytes\": 4180, \"collective_wire_bytes\": 576, \
+            \"predict_secs\": 0.001, \"planner_secs\": 0.0005, \"compress_secs\": 0.01, \
+            \"write_secs\": 0.002, \"overflow_secs\": 0.0001, \"verify_secs\": 0, \
+            \"total_secs\": 0.015, \"queue_depth_max\": 3, \"retries\": 2, \
+            \"transient_faults\": 1, \"escalations\": 0, \"mean_rel_err\": 0.04, \
+            \"host_parallelism\": 1}";
+        let v = json::parse(line).unwrap();
+        assert_eq!(StepFlight::from_json(&v).unwrap(), sample(7));
+        // A negative count and a missing field are schema errors.
+        let bad = line.replace("\"retries\": 2", "\"retries\": -2");
+        let err = StepFlight::from_json(&json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(err, "negative field retries");
+        let bad = line.replace("\"retries\": 2, ", "");
+        let err = StepFlight::from_json(&json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(err, "missing field retries");
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
 // f64 Display writes bare `inf`/`NaN`, which the strict parser (and
 // JSON itself) rejects; clamp non-finite values to 0 so one
 // pathological timing can't poison the whole document.
-pub(crate) fn finite(x: f64) -> f64 {
+fn finite(x: f64) -> f64 {
     if x.is_finite() {
         x
     } else {

@@ -8,6 +8,10 @@
 //! export as Chrome trace-event JSON, which opens directly in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
+//! [`timed`] is the same guard for a phase whose seconds the caller
+//! also accounts ([`Timed::stop`] returns them), so a phase is
+//! recorded once whether tracing is on or off.
+//!
 //! Tracing is compiled in but disabled by default: the guard
 //! constructor is one relaxed atomic load and a branch when off (the
 //! overhead is asserted < 2% of the serial-compress floor by
@@ -192,6 +196,50 @@ impl Drop for Span {
     }
 }
 
+/// A phase recorded once: the span, when tracing is on, and the
+/// wall-clock seconds the caller accounts the phase with either way.
+/// With tracing off it costs the two clock reads of an `Instant` pair
+/// and the disabled span's one relaxed load.
+#[must_use = "a timed phase measures up to its stop()"]
+#[derive(Debug)]
+pub struct Timed {
+    start: Instant,
+    span: Span,
+}
+
+/// Start timing the phase `name` on this thread.
+#[inline]
+pub fn timed(name: &'static str) -> Timed {
+    timed_inner(name, None)
+}
+
+/// [`timed`] whose span carries a numeric payload.
+#[inline]
+pub fn timed_arg(name: &'static str, arg: u64) -> Timed {
+    timed_inner(name, Some(arg))
+}
+
+#[inline]
+fn timed_inner(name: &'static str, arg: Option<u64>) -> Timed {
+    Timed {
+        span: span_inner(name, arg),
+        start: Instant::now(),
+    }
+}
+
+impl Timed {
+    /// End the phase: its seconds, and (tracing on) its span. A guard
+    /// dropped without `stop` — an early `?` return — still closes
+    /// the span.
+    #[inline]
+    pub fn stop(self) -> f64 {
+        let Timed { start, span } = self;
+        let secs = start.elapsed().as_secs_f64();
+        drop(span);
+        secs
+    }
+}
+
 /// Retire the calling thread's buffered events into the global list
 /// without waiting for thread exit. Worker threads should call this
 /// before returning: `thread::scope` (and pool join protocols) can
@@ -277,9 +325,20 @@ mod tests {
         {
             let _a = span("test.disabled");
         }
+        assert!(timed("test.disabled").stop() >= 0.0);
         assert!(drain().is_empty(), "disabled mode must record nothing");
 
         set_enabled(true);
+        // A timed phase is one recording: its seconds and its span.
+        let secs = timed_arg("test.timed", 3).stop();
+        let timed_events = drain();
+        assert_eq!(timed_events.len(), 1);
+        assert_eq!(timed_events[0].name, "test.timed");
+        assert_eq!(timed_events[0].arg, Some(3));
+        assert!((0.0..1.0).contains(&secs), "{secs}");
+        // Dropped without stop() — an early return — the span closes.
+        drop(timed("test.dropped"));
+        assert_eq!(drain()[0].name, "test.dropped");
         {
             let _outer = span_arg("test.outer", 7);
             {

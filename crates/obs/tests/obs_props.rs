@@ -1,61 +1,17 @@
 //! Property and concurrency tests of the obs internals.
 //!
-//! 1. The log-bucketed histogram's nearest-rank percentiles track an
-//!    exact sorted oracle within the bucket-width bound (`exact/4 + 1`,
-//!    typically ≤ 12.5%) on arbitrary sample sets.
-//! 2. Per-thread span buffers interleave without loss: N threads each
+//! 1. Per-thread span buffers interleave without loss: N threads each
 //!    record K nested spans concurrently and every event survives the
 //!    drain with consistent per-thread nesting.
-//! 3. Random garbage prepended/appended to a valid flight-recorder
+//! 2. Random garbage prepended/appended to a valid flight-recorder
 //!    file never panics the reader and never loses the valid record.
 
 use proptest::prelude::*;
 
-use obs::metrics::Histogram;
 use obs::trace;
-
-/// Exact nearest-rank percentile over a sorted copy of the samples —
-/// the oracle the histogram estimate is checked against.
-fn exact_percentile(samples: &mut [u64], p: f64) -> u64 {
-    samples.sort_unstable();
-    let n = samples.len() as u64;
-    let k = ((p * n as f64).ceil() as u64).clamp(1, n);
-    samples[(k - 1) as usize]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(64, 0x0B5E_2026) /* pinned: deterministic CI */)]
-
-    #[test]
-    fn histogram_percentiles_match_sorted_oracle_within_bucket_error(
-        samples in proptest::collection::vec(0u64..=1u64 << 40, 1..400),
-        p in 0.01f64..1.0,
-    ) {
-        let h = Histogram::default();
-        for &v in &samples {
-            h.record(v);
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.sum(), samples.iter().sum::<u64>());
-        let mut sorted = samples.clone();
-        let exact = exact_percentile(&mut sorted, p);
-        let est = h.percentile(p);
-        // The estimate is the midpoint of the bucket holding the exact
-        // nearest-rank sample; a bucket is at most 1/4 of its lower
-        // bound wide (+1 absorbs the exact unit buckets at 0).
-        let bound = exact / 4 + 1;
-        let err = est.abs_diff(exact);
-        prop_assert!(
-            err <= bound,
-            "p={p}: est {est} vs exact {exact} (err {err} > bound {bound})"
-        );
-        // p100 never exceeds the true maximum and stays within the
-        // same bucket-width bound of it.
-        let max = *sorted.last().unwrap();
-        let p100 = h.percentile(1.0);
-        prop_assert!(p100 <= max);
-        prop_assert!(max - p100 <= max / 4 + 1, "p100 {p100} vs max {max}");
-    }
 
     #[test]
     fn flight_reader_survives_arbitrary_garbage_lines(

@@ -200,31 +200,6 @@ pub struct FaultStats {
     escalations: AtomicU64,
 }
 
-/// Process-wide mirrors of the per-`FaultFs` counters. A `FaultFs`
-/// dies with its run; the obs registry survives, so the flight
-/// recorder and `scrub --json` can report per-step fault deltas even
-/// after the harness is gone.
-struct ObsFaultCounters {
-    transient: &'static obs::Counter,
-    bit_flips: &'static obs::Counter,
-    torn_writes: &'static obs::Counter,
-    short_reads: &'static obs::Counter,
-    retries: &'static obs::Counter,
-    escalations: &'static obs::Counter,
-}
-
-fn obs_counters() -> &'static ObsFaultCounters {
-    static C: std::sync::OnceLock<ObsFaultCounters> = std::sync::OnceLock::new();
-    C.get_or_init(|| ObsFaultCounters {
-        transient: obs::counter("pfsim.faults.transient"),
-        bit_flips: obs::counter("pfsim.faults.bit_flips"),
-        torn_writes: obs::counter("pfsim.faults.torn_writes"),
-        short_reads: obs::counter("pfsim.faults.short_reads"),
-        retries: obs::counter("pfsim.faults.retries"),
-        escalations: obs::counter("pfsim.faults.escalations"),
-    })
-}
-
 /// Point-in-time copy of [`FaultStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStatsSnapshot {
@@ -319,12 +294,10 @@ impl FaultFs {
             None => WriteOutcome::Proceed,
             Some(Fault::Transient) | Some(Fault::ShortRead { .. }) => {
                 self.stats.transient.fetch_add(1, Ordering::Relaxed);
-                obs_counters().transient.incr();
                 WriteOutcome::Fail(Self::transient_err(op))
             }
             Some(Fault::BitFlip { byte, mask }) => {
                 self.stats.bit_flips.fetch_add(1, Ordering::Relaxed);
-                obs_counters().bit_flips.incr();
                 let mut bad = data.to_vec();
                 if !bad.is_empty() {
                     let at = (*byte % bad.len() as u64) as usize;
@@ -334,7 +307,6 @@ impl FaultFs {
             }
             Some(Fault::TornWrite { keep }) => {
                 self.stats.torn_writes.fetch_add(1, Ordering::SeqCst);
-                obs_counters().torn_writes.incr();
                 self.crashed.store(true, Ordering::SeqCst);
                 let keep = (*keep as usize).min(data.len());
                 WriteOutcome::TornThenCrash {
@@ -355,12 +327,10 @@ impl FaultFs {
             None => ReadOutcome::Proceed,
             Some(Fault::ShortRead { .. }) => {
                 self.stats.short_reads.fetch_add(1, Ordering::Relaxed);
-                obs_counters().short_reads.incr();
                 ReadOutcome::Fail(Self::transient_err(op))
             }
             Some(_) => {
                 self.stats.transient.fetch_add(1, Ordering::Relaxed);
-                obs_counters().transient.incr();
                 ReadOutcome::Fail(Self::transient_err(op))
             }
         }
@@ -369,13 +339,11 @@ impl FaultFs {
     /// Count one retry performed by the I/O layer.
     pub fn count_retry(&self) {
         self.stats.retries.fetch_add(1, Ordering::Relaxed);
-        obs_counters().retries.incr();
     }
 
     /// Count one transient→permanent escalation.
     pub fn count_escalation(&self) {
         self.stats.escalations.fetch_add(1, Ordering::Relaxed);
-        obs_counters().escalations.incr();
     }
 
     /// Snapshot the counters.

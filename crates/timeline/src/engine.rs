@@ -13,7 +13,7 @@
 //! history accumulates. The loop that does this is
 //! [`predwrite::StreamState`] — the simulated stream's too.
 
-use pfsim::{BandwidthModel, FaultFs};
+use pfsim::{BandwidthModel, FaultFs, FaultStatsSnapshot};
 use predwrite::{
     run_real_with, ExtraSpacePolicy, Method, RankFieldData, RealConfig, RealError,
     ReservationTopology, StepMetrics, StreamSource, StreamState, TimelineReport,
@@ -216,11 +216,9 @@ where
         let nfields = data.first().map_or(0, Vec::len);
         rc.path = cfg.step_path(step);
         rc.faults = cfg.step_faults.as_ref().and_then(|h| (h.0)(step));
-        // Flight-recorder baseline: per-step figures are deltas of the
-        // process-global obs metrics, and the queue gauge's high-water
-        // mark restarts so it reports this step's maximum only.
-        let metrics_before = obs::snapshot();
-        obs::gauge("h5.asyncq.depth").reset_high_water();
+        // A fault harness may serve several steps: what it counted
+        // before this one is not this step's.
+        let faults_before = fault_counts(rc.faults.as_deref());
         let step_span = obs::span_arg("timeline.step", step as u64);
         let m = state.step(step, nranks, nfields, |online| {
             let source = StreamSource {
@@ -239,10 +237,10 @@ where
                 crate::sidecar::save_sidecar(&cfg.sidecar_path(step), nranks, nfields, online)
                     .map_err(|e| RealError::context(format!("timeline: step {step} sidecar"), e))?;
             }
-            // Flight record beside the sidecar: byte fields mirror
-            // StepMetrics exactly, counters are per-step deltas, so a
-            // post-crash reader sees what this step was doing.
-            let rec = step_flight(&m, &metrics_before);
+            // Flight record beside the sidecar, now that the step has
+            // completed: a post-crash reader sees how the stream was
+            // doing up to its last whole step.
+            let rec = step_flight(&m, faults_before, fault_counts(rc.faults.as_deref()));
             obs::flight::write_step(&obs::flight::flight_path(&rc.path), &rec).map_err(|e| {
                 RealError::context(format!("timeline: step {step} flight record"), e)
             })?;
@@ -254,14 +252,19 @@ where
     Ok(steps)
 }
 
-/// Assemble one step's flight record from its collected metrics and
-/// the obs-metrics snapshot taken before the step ran.
-fn step_flight(m: &StepMetrics, before: &obs::Snapshot) -> obs::StepFlight {
-    let after = obs::snapshot();
-    let queue_hwm = after
-        .gauges
-        .get("h5.asyncq.depth")
-        .map_or(0, |&(_, hwm)| hwm.max(0)) as u64;
+/// What the step's fault harness has counted so far (zeros without
+/// one).
+fn fault_counts(faults: Option<&FaultFs>) -> FaultStatsSnapshot {
+    faults.map(FaultFs::stats).unwrap_or_default()
+}
+
+/// One step's flight record: its collected metrics, and what its fault
+/// harness counted between `before` and `after`.
+fn step_flight(
+    m: &StepMetrics,
+    before: FaultStatsSnapshot,
+    after: FaultStatsSnapshot,
+) -> obs::StepFlight {
     obs::StepFlight {
         step: m.step as u64,
         reserved_bytes: m.reserved_bytes,
@@ -272,7 +275,7 @@ fn step_flight(m: &StepMetrics, before: &obs::Snapshot) -> obs::StepFlight {
         overflow_parts: m.result.n_overflow as u64,
         raw_bytes: m.result.raw_bytes,
         file_bytes: m.result.file_bytes,
-        collective_wire_bytes: after.counter_delta(before, "real.reservation_wire_bytes"),
+        collective_wire_bytes: m.result.reservation_wire_bytes,
         predict_secs: m.result.breakdown.predict,
         planner_secs: m.result.breakdown.allgather,
         compress_secs: m.result.breakdown.compress,
@@ -280,10 +283,10 @@ fn step_flight(m: &StepMetrics, before: &obs::Snapshot) -> obs::StepFlight {
         overflow_secs: m.result.breakdown.overflow,
         verify_secs: m.result.breakdown.verify,
         total_secs: m.result.total_time,
-        queue_depth_max: queue_hwm,
-        retries: after.counter_delta(before, "pfsim.faults.retries"),
-        transient_faults: after.counter_delta(before, "pfsim.faults.transient"),
-        escalations: after.counter_delta(before, "pfsim.faults.escalations"),
+        queue_depth_max: m.result.queue_depth_max,
+        retries: after.retries - before.retries,
+        transient_faults: after.transient - before.transient,
+        escalations: after.escalations - before.escalations,
         mean_rel_err: m.mean_rel_err,
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
     }

@@ -37,10 +37,11 @@ pub struct ResumeReport {
     /// static mode, no usable sidecar, or nothing survived).
     pub sidecar_step: Option<usize>,
     /// Newest readable flight-recorder record found on disk before the
-    /// resume — what the dying run was doing (`None` when no step left
-    /// a readable `*.obs.jsonl`). Flight records of quarantined steps
-    /// still count: the container may be torn while its recorder line
-    /// is intact, and that is exactly the post-mortem signal.
+    /// resume — the newest *completed* step's: a record is written
+    /// once its step has succeeded, so the step that died left none
+    /// (`None` when no step left a readable `*.obs.jsonl`). Records of
+    /// quarantined steps still count: a container damaged after its
+    /// step completed keeps its intact recorder line.
     pub last_flight: Option<obs::StepFlight>,
     /// Metrics of the resumed tail (`steps[0]` is `resume_from`).
     pub report: TimelineReport,
@@ -48,8 +49,8 @@ pub struct ResumeReport {
 
 /// Newest readable flight record among steps `0..steps` of a run
 /// directory — scanned newest-first so the answer is what the most
-/// recent (possibly dying) step recorded. Unreadable or missing files
-/// are skipped; torn lines inside a file are tolerated by the reader.
+/// recent completed step recorded. Unreadable or missing files are
+/// skipped; torn lines inside a file are tolerated by the reader.
 pub fn newest_flight(cfg: &TimelineConfig) -> Option<obs::StepFlight> {
     (0..cfg.steps).rev().find_map(|step| {
         let path = obs::flight_path(&cfg.step_path(step));

@@ -7,8 +7,7 @@
 //! ```
 
 use bench::{demo_real_config, partition_1d};
-use repro_suite::h5lite::H5Reader;
-use repro_suite::predwrite::{run_real, Method};
+use repro_suite::predwrite::{run_real, verify_file, Method};
 use repro_suite::workloads::{vpic, VpicParams};
 
 fn main() {
@@ -23,7 +22,6 @@ fn main() {
     // Equal 1-D splits per field (the helper truncates the remainder
     // so chunks are uniform, as the chunked layout requires).
     let data = partition_1d(&ds, nranks);
-    let per_rank = data[0][0].data.len();
 
     let path = std::env::temp_dir().join("vpic-particles.h5l");
     // Balanced bandwidth (scale 0.5); engine-level read-back check of
@@ -49,28 +47,14 @@ fn main() {
         res.breakdown.verify
     );
 
-    // Validate each field against the written file.
-    let reader = H5Reader::open(&path).unwrap();
-    for f in 0..data[0].len() {
-        let name = &data[0][f].name;
-        let stored = reader.read_f32(name).unwrap();
-        let mut worst = 0.0f64;
-        for (r, rank_fields) in data.iter().enumerate() {
-            let orig = &rank_fields[f].data;
-            let chunk = &stored[r * per_rank..(r + 1) * per_rank];
-            let (mn, mx) = orig
-                .iter()
-                .fold((f32::MAX, f32::MIN), |(a, b), &v| (a.min(v), b.max(v)));
-            let eb = 1e-3 * f64::from(mx - mn);
-            for (&a, &b) in orig.iter().zip(chunk) {
-                let e = (f64::from(a) - f64::from(b)).abs();
-                assert!(e <= eb + 1e-30, "{name}: {a} vs {b}");
-                worst = worst.max(if eb > 0.0 { e / eb } else { 0.0 });
-            }
-        }
+    // Validate each field against the written file with the engine's
+    // public checker (every element against its resolved bound).
+    let report = verify_file(&path, &data, Some(&cfg.configs), cfg.sz_threads).unwrap();
+    for f in &report.fields {
+        assert!(f.ok, "{}: {} > {}", f.name, f.max_abs_err, f.max_bound);
         println!(
-            "  {name:8} verified (worst error {:.0}% of bound)",
-            worst * 100.0
+            "  {:8} verified (worst error {:.2e}, bound {:.2e})",
+            f.name, f.max_abs_err, f.max_bound
         );
     }
     std::fs::remove_file(&path).ok();

@@ -14,7 +14,7 @@
 //! * [`timeline`] — timestep-streaming checkpoint engine with online
 //!   ratio-model adaptation
 //! * [`obs`] — flight-recorder observability: span tracing with
-//!   Chrome-trace export, metrics registry, per-step JSONL records
+//!   Chrome-trace export, per-step JSONL records
 
 pub use commsim;
 pub use h5lite;

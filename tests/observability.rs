@@ -1,19 +1,21 @@
 //! The observability contract, end to end: what a disabled span costs,
-//! what an exported trace looks like, that a step's flight record is
+//! what an exported trace looks like (every accounted phase a span on
+//! its rank's thread, for all methods), that a step's flight record is
 //! its `StepMetrics`, and that a failed run still leaves its trace.
 //!
 //! One `#[test]`, scenarios in sequence: `obs`'s enable flag, its
 //! trace buffers and `OBS_TRACE` are process globals, and this file is
 //! its own test binary so nothing else shares them.
 
-use bench::partition_stream_step;
+use bench::{demo_real_config, partition_stream_step};
 use repro_suite::obs::{self, Json};
 use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
-use repro_suite::predwrite::RealError;
+use repro_suite::predwrite::{reservation_wire_bytes, run_real, Method, RealError};
 use repro_suite::ratiomodel::OnlineConfig;
 use repro_suite::szlite;
 use repro_suite::timeline::{run_timeline, AdaptMode, StepFaults, TimelineConfig};
 use repro_suite::workloads::SnapshotStream;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 use testutil::{TempDir, TempPath};
@@ -117,8 +119,8 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
     let err = run_timeline(&cfg, |s| &data[s]).expect_err("the torn write must abort the stream");
     assert!(torn.crashed());
     assert!(matches!(err, RealError::H5(_)), "{err:?}");
-    let (events, _) = validate_trace(crash_trace.path());
-    let step_args: Vec<u64> = events
+    let (crashed_run_events, _) = validate_trace(crash_trace.path());
+    let step_args: Vec<u64> = crashed_run_events
         .iter()
         .filter(|e| e.str_of("name") == Some("timeline.step"))
         .map(|e| e.get("args").and_then(|a| a.num("arg")).expect("step arg") as u64)
@@ -140,8 +142,31 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
     let report = run_timeline(&cfg, |s| &data[s]).expect("timeline run");
     obs::set_enabled(false);
     std::env::remove_var(obs::trace::TRACE_ENV);
-    let (_, max_depth) = validate_trace(trace.path());
+    let (events, max_depth) = validate_trace(trace.path());
     assert!(max_depth >= 1, "no nested spans recorded");
+    // Every phase the engine accounts in `Breakdown` is a span on the
+    // thread of the rank that spent it (verification runs once, on the
+    // caller's thread). The export accumulates, and thread ids only
+    // grow: this stream's threads are those past the crashed run's.
+    let tid = |e: &Json| e.num("tid").expect("tid") as u64;
+    let crashed_run_tids = crashed_run_events.iter().map(tid).max();
+    assert_phase_spans(
+        events
+            .iter()
+            .filter(|e| Some(tid(e)) > crashed_run_tids)
+            .map(|e| (tid(e), e.str_of("name").expect("name"))),
+        &[
+            "real.predict",
+            "real.allgather",
+            "real.compress",
+            "real.write",
+            "real.overflow",
+        ],
+        nranks * report.steps.len(),
+    );
+    assert!(events
+        .iter()
+        .any(|e| e.str_of("name") == Some("real.verify")));
 
     assert_eq!(report.steps.len(), 4);
     for m in &report.steps {
@@ -173,7 +198,61 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
             assert!(v.is_finite() && v >= 0.0, "bad timing {v}");
         }
         assert!(rec.host_parallelism >= 1);
-        // Every step exchanges reservation sizes over the wire.
-        assert!(rec.collective_wire_bytes > 0);
+        // What the step's run returned, exactly: the flat reservation
+        // exchange's bytes over all ranks, no fault (none was
+        // injected), and a write queue no deeper than a rank's fields.
+        assert_eq!(
+            rec.collective_wire_bytes,
+            reservation_wire_bytes(nranks, nfields, None) * nranks as u64
+        );
+        assert_eq!(rec.collective_wire_bytes, m.result.reservation_wire_bytes);
+        assert_eq!(
+            (rec.retries, rec.transient_faults, rec.escalations),
+            (0, 0, 0)
+        );
+        assert!(
+            (1..=nfields as u64).contains(&rec.queue_depth_max),
+            "queue depth {}",
+            rec.queue_depth_max
+        );
+    }
+
+    // 4. The two baseline methods account their phases through the
+    // same guards, so they trace them too.
+    for (method, phases) in [
+        (Method::NoCompression, &["real.write"][..]),
+        (
+            Method::FilterCollective,
+            &["real.compress", "real.allgather", "real.write"][..],
+        ),
+    ] {
+        let path = TempPath::new("obs-baseline", "h5l");
+        let rc = demo_real_config(method, nfields, 1.0, false, path.path().to_path_buf());
+        obs::set_enabled(true);
+        let res = run_real(&data[0], &rc).expect("baseline run");
+        obs::set_enabled(false);
+        let events = obs::trace::drain();
+        assert_phase_spans(events.iter().map(|e| (e.tid, e.name)), phases, nranks);
+        assert_eq!(res.reservation_wire_bytes, 0, "{method:?} reserves nothing");
+    }
+}
+
+/// Each of `phases` was recorded on every thread that ran a rank
+/// (`real.rank`), and `ranks` rank runs were traced.
+fn assert_phase_spans<'a>(
+    spans: impl Iterator<Item = (u64, &'a str)>,
+    phases: &[&str],
+    ranks: usize,
+) {
+    let mut by_thread: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    for (tid, name) in spans {
+        by_thread.entry(tid).or_default().push(name);
+    }
+    by_thread.retain(|_, names| names.contains(&"real.rank"));
+    assert_eq!(by_thread.len(), ranks, "rank threads traced");
+    for (tid, names) in &by_thread {
+        for phase in phases {
+            assert!(names.contains(phase), "tid {tid}: no {phase} in {names:?}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Sim-vs-real conformance: the discrete-event stream simulator and
 //! the real stream engine report the same `StepMetrics`, so for inputs
 //! both can run they must agree on every byte the planner decides —
-//! reservations, waste, predictions, actual sizes and overflow — and on
+//! reservations, waste, predictions, actual sizes, overflow and the
+//! reservation collective's wire bytes — and on
 //! the prediction error they report, step for step, in both adaptation
 //! modes and both reservation topologies, with and without Algorithm 1
 //! reordering.
@@ -51,6 +52,11 @@ fn assert_streams_agree(
         assert_eq!(r.overflow_bytes, s.overflow_bytes, "{what}: overflow bytes");
         assert_eq!(r.n_overflow, s.n_overflow, "{what}: overflows");
         assert_eq!(r.compressed_bytes, s.compressed_bytes, "{what}: compressed");
+        assert!(r.reservation_wire_bytes > 0, "{what}");
+        assert_eq!(
+            r.reservation_wire_bytes, s.reservation_wire_bytes,
+            "{what}: reservation wire bytes"
+        );
         // `file_bytes` is left out on purpose: the simulated file is
         // reservations + overflow, the real one also holds the
         // superblock and the chunk table.

@@ -6,13 +6,18 @@
 //! wastes less cumulative extra space than the static policy at
 //! equal-or-fewer overflow events; and per-step output is
 //! deterministic — byte-identical files — at 1/2/8 compression
-//! workers.
+//! workers; and a step's flight record holds that step's figures only,
+//! whatever else runs in the process.
 
 use bench::partition_stream_step;
+use repro_suite::obs;
+use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
 use repro_suite::predwrite::RankFieldData;
 use repro_suite::ratiomodel::OnlineConfig;
-use repro_suite::timeline::{run_timeline, AdaptMode, TimelineConfig, TimelineReport};
+use repro_suite::timeline::{run_timeline, AdaptMode, StepFaults, TimelineConfig, TimelineReport};
 use repro_suite::workloads::SnapshotStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use testutil::TempDir;
 
 fn small_streams() -> [(SnapshotStream, usize); 3] {
@@ -162,4 +167,79 @@ fn adaptive_prediction_error_shrinks_with_history() {
         adaptive_err < static_err,
         "adaptive err {adaptive_err:.4} must undercut static {static_err:.4}"
     );
+}
+
+#[test]
+fn flight_records_of_streams_sharing_a_process_do_not_mix() {
+    // A healthy stream beside a neighbour that keeps writing one-step
+    // streams through an injected transient EIO (one retry each): the
+    // healthy stream's records must show no fault and no deeper write
+    // queue than one rank can have, the neighbour's must show its own.
+    let stream = SnapshotStream::nyx(16);
+    let (nranks, steps) = (2, 6);
+    let data: Vec<Vec<Vec<RankFieldData>>> = (0..steps)
+        .map(|s| partition_stream_step(&stream, s, nranks))
+        .collect();
+    let nfields = data[0][0].len();
+    let kept = |steps: usize, dir: &TempDir| {
+        let mut cfg =
+            TimelineConfig::quick(steps, nfields, AdaptMode::Static, dir.path().to_path_buf());
+        cfg.keep_files = true; // flight records live beside the containers
+        cfg
+    };
+    let flight = |cfg: &TimelineConfig, step: usize| {
+        let path = obs::flight_path(&cfg.step_path(step));
+        let scan = obs::read_flight(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        assert!(scan.errors.is_empty(), "{:?}", scan.errors);
+        scan.records
+            .into_iter()
+            .next()
+            .expect("one record per step")
+    };
+
+    let healthy_dir = TempDir::new("flight-healthy");
+    let healthy = kept(steps, &healthy_dir);
+    let stop = AtomicBool::new(false);
+    let (faulted_tx, faulted_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        let (data, stop, kept, flight) = (&data, &stop, &kept, &flight);
+        let neighbour = s.spawn(move || {
+            let dir = TempDir::new("flight-neighbour");
+            let mut cfg = kept(1, &dir);
+            while !stop.load(Ordering::SeqCst) {
+                let faults = FaultFs::new(FaultPlan::new().on_write(1, Fault::Transient));
+                cfg.step_faults = Some(StepFaults::only_step(0, faults));
+                run_timeline(&cfg, |_| &data[0]).expect("a transient fault is retried");
+                let rec = flight(&cfg, 0);
+                assert!(rec.retries >= 1 && rec.transient_faults >= 1, "{rec:?}");
+                assert_eq!(rec.escalations, 0, "{rec:?}");
+                // The first fault has been injected and counted: the
+                // healthy stream may start.
+                let _ = faulted_tx.send(());
+            }
+        });
+        faulted_rx
+            .recv()
+            .expect("the neighbour died before its first run");
+        // No panic between here and the stop flag, or the neighbour
+        // would loop forever.
+        let report = run_timeline(&healthy, |s| &data[s]);
+        stop.store(true, Ordering::SeqCst);
+        neighbour.join().expect("neighbour panicked");
+        report.expect("healthy stream");
+    });
+
+    for step in 0..steps {
+        let rec = flight(&healthy, step);
+        assert_eq!(
+            (rec.retries, rec.transient_faults, rec.escalations),
+            (0, 0, 0),
+            "step {step} recorded a neighbour's faults: {rec:?}"
+        );
+        assert!(
+            (1..=nfields as u64).contains(&rec.queue_depth_max),
+            "step {step}: queue depth {} with {nfields} fields per rank",
+            rec.queue_depth_max
+        );
+    }
 }
