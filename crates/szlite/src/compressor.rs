@@ -1,19 +1,22 @@
 //! The compression pipeline: Lorenzo prediction → error-bounded
 //! quantization → canonical Huffman → LZSS.
 //!
-//! The hot path is a fused row-block kernel ([`quantize_rows`]): one
-//! pass over the data performs prediction, quantization *and* Huffman
-//! frequency counting, with the boundary branches of the Lorenzo
-//! stencil replaced by reads from a zero row so the inner loop is
-//! uniform over `x`, and with several rows of a plane in flight at once
-//! so the per-point dependency chain of one row hides behind its
-//! neighbors'. Each pipeline worker carries its own [`Scratch`] —
+//! The hot path is a fused row-block kernel ([`sweep`]): one pass over
+//! the data performs prediction, quantization *and* Huffman frequency
+//! counting, with the boundary branches of the Lorenzo stencil replaced
+//! by reads from a zero row so the inner loop is uniform over `x`, and
+//! with several rows of a plane in flight at once so the per-point
+//! dependency chain of one row hides behind its neighbors' — four
+//! scalar lanes, or, where [`compress_into`]'s dispatch finds AVX2 and
+//! a block of 8 rows, two 4-lane vectors ([`crate::avx2`]). Each
+//! pipeline worker carries its own [`Scratch`] —
 //! frequency counts are accumulated per-worker and merged into the
 //! Huffman build in a single sparse rebuild, so no stage shares mutable
 //! state across workers. The produced stream is byte-identical to the
 //! scalar reference implementation ([`compress_reference`]) on every
 //! input.
 
+use crate::avx2::{self, Avx2};
 use crate::config::{Config, Dims};
 use crate::element::Element;
 use crate::error::{Result, SzError};
@@ -115,12 +118,77 @@ pub fn compress_with_stats<T: Element>(
     Ok((out, stats))
 }
 
-/// Rows of a plane a full block advances together (see
-/// [`quantize_rows`]); shared with the decoder's mirror kernel.
+/// Rows of a plane a full scalar block advances together (see
+/// [`sweep`]); shared with the decoder's mirror kernel.
 pub(crate) const LANES: usize = 4;
 
-/// Fused prediction + quantization + frequency-count kernel over a
-/// block of `L` consecutive rows of one plane.
+/// What one compress call quantizes against: the resolved bound, the
+/// quantization step `2·eb` and the codebook half-size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Steps {
+    pub(crate) eb: f64,
+    pub(crate) twice_eb: f64,
+    pub(crate) radius: i64,
+}
+
+/// A block of consecutive rows of one plane, as its kernel sees it.
+///
+/// `data` and `codes` hold the block's rows of `nx` points; `above`,
+/// `rows` (the reconstructions produced), `zp` and `zs` are the block's
+/// [`Planes::block`] views — lane `j` reads rows `j` and `j + 1` of
+/// `zp`. Rows outside the grid are zero rows, which keeps the Lorenzo
+/// stencil uniform.
+pub(crate) struct Block<'a, T> {
+    pub(crate) data: &'a [T],
+    pub(crate) nx: usize,
+    pub(crate) above: &'a [f64],
+    pub(crate) rows: &'a mut [f64],
+    pub(crate) zp: &'a [f64],
+    pub(crate) zs: usize,
+    pub(crate) codes: &'a mut [u32],
+}
+
+/// The run's code counts: the alphabet-wide table and the list of
+/// codes it has seen (see [`Scratch`]).
+pub(crate) struct Counts<'a> {
+    freqs: &'a mut [u64],
+    present: &'a mut Vec<u32>,
+}
+
+impl Counts<'_> {
+    #[inline(always)]
+    pub(crate) fn add(&mut self, code: u32) {
+        let f = self.freqs[code as usize];
+        if f == 0 {
+            self.present.push(code);
+        }
+        self.freqs[code as usize] = f + 1;
+    }
+}
+
+/// Per-lane running `x − 1` neighbors of a block sweep: own row, `y − 1`
+/// row, `z − 1` row, corner. All zero left of the grid.
+pub(crate) struct Wave<const L: usize> {
+    pub(crate) cx: [f64; L],
+    pub(crate) pyx: [f64; L],
+    pub(crate) pzx: [f64; L],
+    pub(crate) pzyx: [f64; L],
+}
+
+impl<const L: usize> Wave<L> {
+    pub(crate) fn new() -> Self {
+        Wave {
+            cx: [0.0; L],
+            pyx: [0.0; L],
+            pzx: [0.0; L],
+            pzyx: [0.0; L],
+        }
+    }
+}
+
+/// Iterations `ts` of the fused prediction + quantization +
+/// frequency-count sweep over a block of `L` rows — the one scalar
+/// per-point body of the compressor. Returns the number of escapes.
 ///
 /// A single row is a serial recurrence: every point waits on the
 /// previous point's reconstruction through the whole
@@ -130,50 +198,35 @@ pub(crate) const LANES: usize = 4;
 /// (row `y + j`) handles `x = t − j`. Lane `j` at `x` needs lane `j − 1`
 /// at `x` and `x − 1`, both finished by iteration `t − 1`, so the loop
 /// body carries `L` independent dependency chains. `L = 1` is the plain
-/// row kernel (leftover rows, 1-D data).
+/// row kernel (leftover rows, 1-D data). A whole block is
+/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`quantize_rows`]); the
+/// vector kernel ([`crate::avx2`]) runs only the iterations in which
+/// some lane is outside its row through here and carries `w` across.
 ///
-/// `data` and `codes` hold the block's `L` rows of `nx` points;
-/// `above`, `rows` (the reconstructions produced), `zp` and `zs` are
-/// the block's [`Planes::block`] views — lane `j` reads rows `j` and
-/// `j + 1` of `zp`. Rows outside the grid are zero rows, which keeps
-/// the Lorenzo stencil uniform, and `D` is the lowest [`stencil`] order
-/// that is exact where the block sits ([`stencil_order`]), which keeps
-/// terms that can only be zero out of the serial chain.
+/// `D` is the lowest [`stencil`] order that is exact where the block
+/// sits ([`stencil_order`]), which keeps terms that can only be zero
+/// out of the serial chain (`D < 3` requires `zs == 0`).
 ///
 /// Every point executes the expression of [`compress_reference`] on the
 /// same operands whatever `L` and `D` are — division by `2·eb` stays a
 /// division, the stencil accumulates in the reference order, rounding
 /// goes through [`round_within`], validity folds into one predicate
-/// with select-based writes — so codes, literals and reconstructions
-/// are bit-identical. Literals of the block's escapes are appended after
-/// the sweep, in row-major order, so the literal stream does not see
-/// the lane schedule. Returns the number of escapes.
-#[allow(clippy::too_many_arguments)]
-fn quantize_rows<T: Element, const L: usize, const D: usize>(
-    data: &[T],
-    nx: usize,
-    above: &[f64],
-    rows: &mut [f64],
-    zp: &[f64],
-    zs: usize,
-    eb: f64,
-    twice_eb: f64,
-    radius: i64,
-    codes: &mut [u32],
-    literals: &mut Vec<u8>,
-    freqs: &mut [u64],
-    present: &mut Vec<u32>,
+/// with select-based writes — so codes and reconstructions are
+/// bit-identical.
+#[inline(always)]
+pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
+    ts: std::ops::Range<usize>,
+    w: &mut Wave<L>,
+    b: &mut Block<'_, T>,
+    q: Steps,
+    counts: &mut Counts<'_>,
 ) -> usize {
-    debug_assert!(data.len() == L * nx && rows.len() == L * nx && codes.len() == L * nx);
-    debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
-    debug_assert!(D == 3 || zs == 0);
-    // Per-lane running x-1 neighbors: own row, y-1 row, z-1 row, corner.
-    let mut cx = [0.0f64; L];
-    let mut pyx = [0.0f64; L];
-    let mut pzx = [0.0f64; L];
-    let mut pzyx = [0.0f64; L];
+    let nx = b.nx;
+    debug_assert!(b.data.len() == L * nx && b.rows.len() == L * nx && b.codes.len() == L * nx);
+    debug_assert!(b.above.len() == nx && b.zp.len() == L * b.zs + nx);
+    debug_assert!(D == 3 || b.zs == 0);
     let mut n_escapes = 0usize;
-    for t in 0..nx + L - 1 {
+    for t in ts {
         // Descending: lane j reads lane j-1's reconstruction at x
         // (`cx[j - 1]`) before lane j-1 overwrites it with x + 1.
         for j in (0..L).rev() {
@@ -182,27 +235,27 @@ fn quantize_rows<T: Element, const L: usize, const D: usize>(
                 continue;
             }
             let i = j * nx + x;
-            let ry = if j == 0 { above[x] } else { cx[j - 1] };
+            let ry = if j == 0 { b.above[x] } else { w.cx[j - 1] };
             let (rz, rzy) = if D == 3 {
-                (zp[(j + 1) * zs + x], zp[j * zs + x])
+                (b.zp[(j + 1) * b.zs + x], b.zp[j * b.zs + x])
             } else {
                 (0.0, 0.0)
             };
-            let pred = stencil::<D>(cx[j], ry, rz, pyx[j], pzx[j], rzy, pzyx[j]);
-            let xv = data[i].to_f64();
+            let pred = stencil::<D>(w.cx[j], ry, rz, w.pyx[j], w.pzx[j], rzy, w.pzyx[j]);
+            let xv = b.data[i].to_f64();
             let d = xv - pred;
             // Branch-free validity: a non-finite value or prediction
             // rounds to `None` and lands in the escape lane.
-            let q = round_within(d / twice_eb, radius);
-            let in_range = q.is_some();
-            let qi = q.unwrap_or(0);
-            let r64 = pred + qi as f64 * twice_eb;
+            let r = round_within(d / q.twice_eb, q.radius);
+            let in_range = r.is_some();
+            let qi = r.unwrap_or(0);
+            let r64 = pred + qi as f64 * q.twice_eb;
             // Round through the storage type so the decoder (which
             // emits T) sees exactly this value.
             let rt = T::from_f64(r64).to_f64();
-            let ok = in_range & ((xv - r64).abs() <= eb) & ((xv - rt).abs() <= eb);
+            let ok = in_range & ((xv - r64).abs() <= q.eb) & ((xv - rt).abs() <= q.eb);
             let code = if ok {
-                (qi + radius) as u32
+                (qi + q.radius) as u32
             } else {
                 UNPREDICTABLE
             };
@@ -213,36 +266,56 @@ fn quantize_rows<T: Element, const L: usize, const D: usize>(
             } else {
                 0.0
             };
-            codes[i] = code;
-            rows[i] = rv;
-            let f = freqs[code as usize];
-            if f == 0 {
-                present.push(code);
-            }
-            freqs[code as usize] = f + 1;
+            b.codes[i] = code;
+            b.rows[i] = rv;
+            counts.add(code);
             n_escapes += usize::from(!ok);
-            cx[j] = rv;
-            pyx[j] = ry;
-            pzx[j] = rz;
-            pzyx[j] = rzy;
-        }
-    }
-    if n_escapes > 0 {
-        // Rare unpredictable-escape lane.
-        for (v, _) in data
-            .iter()
-            .zip(&*codes)
-            .filter(|(_, &c)| c == UNPREDICTABLE)
-        {
-            v.write_le(literals);
+            w.cx[j] = rv;
+            w.pyx[j] = ry;
+            w.pzx[j] = rz;
+            w.pzyx[j] = rzy;
         }
     }
     n_escapes
 }
 
+/// A whole block of `L` rows through [`sweep`].
+fn quantize_rows<T: Element, const L: usize, const D: usize>(
+    b: &mut Block<'_, T>,
+    q: Steps,
+    counts: &mut Counts<'_>,
+) -> usize {
+    sweep::<T, L, D>(0..b.nx + L - 1, &mut Wave::new(), b, q, counts)
+}
+
 /// Compress `data`, writing the stream into `out` (cleared first) and
 /// reusing `scratch` for all transient compressor state.
 pub fn compress_into<T: Element>(
+    data: &[T],
+    dims: &Dims,
+    cfg: &Config,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) -> Result<CompressStats> {
+    compress_on(true, data, dims, cfg, scratch, out)
+}
+
+/// [`compress_into`] with every block on the scalar kernels whatever
+/// the CPU is — the arm a host without AVX2 runs, for the tests that
+/// pin both arms to the same bytes.
+#[cfg(test)]
+pub(crate) fn compress_into_scalar<T: Element>(
+    data: &[T],
+    dims: &Dims,
+    cfg: &Config,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) -> Result<CompressStats> {
+    compress_on(false, data, dims, cfg, scratch, out)
+}
+
+fn compress_on<T: Element>(
+    may_vectorize: bool,
     data: &[T],
     dims: &Dims,
     cfg: &Config,
@@ -260,12 +333,18 @@ pub fn compress_into<T: Element>(
             actual: data.len(),
         });
     }
+    // Before anything is sized by it: the count table is `2·radius`
+    // entries.
+    let radius = cfg.checked_radius()?;
 
     // Resolve the error bound. Only range-relative bounds scan for
     // min/max inside resolve_for; with an absolute bound the
     // prediction pass below is the single data traversal.
+    let range_span = obs::span("sz.range");
     let eb = cfg.error_bound.resolve_for(data)?;
+    drop(range_span);
 
+    let quantize_span = obs::span("sz.quantize");
     let quant = Quantizer::new(eb, cfg.radius);
     let lorenzo = Lorenzo::new(dims);
     let st = *lorenzo.strides();
@@ -299,46 +378,76 @@ pub fn compress_into<T: Element>(
     present.clear();
     let mut n_unpred = 0usize;
 
-    let radius = i64::from(cfg.radius.max(2));
-    let twice_eb = 2.0 * eb;
+    let steps = Steps {
+        eb,
+        twice_eb: 2.0 * eb,
+        radius,
+    };
+    let mut counts = Counts {
+        freqs: &mut freqs[..alphabet],
+        present: &mut *present,
+    };
+    // The one place a block's kernel is chosen, from what the host and
+    // the input are (see the crate docs): the vector kernel where the
+    // CPU, the element type and the radius allow it and the block has
+    // its 8 rows and a `y − 1` neighbor; otherwise 4 scalar lanes, or
+    // one for leftover rows and 1-D data.
+    let vector = Avx2::select::<T>(radius).filter(|_| may_vectorize);
     for z in 0..nz {
         if z > 0 {
             planes.next_plane();
         }
         let mut y = 0;
         while y < ny {
-            let lanes = if ny - y >= LANES { LANES } else { 1 };
-            let kernel = match (lanes == LANES, stencil_order(z, ny)) {
-                (true, 3) => quantize_rows::<T, LANES, 3>,
-                (true, _) => quantize_rows::<T, LANES, 2>,
-                (false, 3) => quantize_rows::<T, 1, 3>,
-                (false, 2) => quantize_rows::<T, 1, 2>,
-                (false, _) => quantize_rows::<T, 1, 1>,
+            let order = stencil_order(z, ny);
+            let wide = vector.filter(|_| ny - y >= avx2::ROWS && order >= 2);
+            let lanes = match wide {
+                Some(_) => avx2::ROWS,
+                None if ny - y >= LANES => LANES,
+                None => 1,
             };
             let base = z * plane + y * nx;
-            let block = base..base + lanes * nx;
+            let at = base..base + lanes * nx;
             let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
-            n_unpred += kernel(
-                &data[block.clone()],
+            let mut block = Block {
+                data: &data[at.clone()],
                 nx,
                 above,
                 rows,
                 zp,
                 zs,
-                eb,
-                twice_eb,
-                radius,
-                &mut codes[block],
-                literals,
-                &mut freqs[..alphabet],
-                present,
-            );
+                codes: &mut codes[at.clone()],
+            };
+            let escapes = match (wide, lanes, order) {
+                (Some(v), _, 3) => v.quantize_rows::<T, 3>(&mut block, steps, &mut counts),
+                (Some(v), _, _) => v.quantize_rows::<T, 2>(&mut block, steps, &mut counts),
+                (None, LANES, 3) => quantize_rows::<T, LANES, 3>(&mut block, steps, &mut counts),
+                (None, LANES, _) => quantize_rows::<T, LANES, 2>(&mut block, steps, &mut counts),
+                (None, _, 3) => quantize_rows::<T, 1, 3>(&mut block, steps, &mut counts),
+                (None, _, 2) => quantize_rows::<T, 1, 2>(&mut block, steps, &mut counts),
+                (None, _, _) => quantize_rows::<T, 1, 1>(&mut block, steps, &mut counts),
+            };
+            if escapes > 0 {
+                // Rare unpredictable-escape lane: the block's literals
+                // in row-major order, after the sweep, so the literal
+                // stream does not see the lane schedule.
+                for (v, _) in data[at.clone()]
+                    .iter()
+                    .zip(&codes[at])
+                    .filter(|(_, &c)| c == UNPREDICTABLE)
+                {
+                    v.write_le(literals);
+                }
+                n_unpred += escapes;
+            }
             y += lanes;
         }
     }
+    drop(quantize_span);
 
     // Huffman stage: the per-worker frequency counts fused into the
     // pass above merge into one sparse in-place table rebuild.
+    let huffman_span = obs::span("sz.huffman");
     present.sort_unstable();
     enc.rebuild_sparse(alphabet, &freqs[..alphabet], present, enc_ws);
     payload.clear();
@@ -361,14 +470,17 @@ pub fn compress_into<T: Element>(
     for &s in present.iter() {
         freqs[s as usize] = 0;
     }
+    drop(huffman_span);
 
     // Lossless stage.
+    let lzss_span = obs::span("sz.lzss");
     let (mode, body): (u8, &[u8]) = if cfg.lossless {
         lossless::compress_into(payload, lz_out, lz);
         (1u8, lz_out)
     } else {
         (0u8, payload)
     };
+    drop(lzss_span);
 
     // Header.
     out.reserve(body.len() + 64);

@@ -106,25 +106,73 @@ impl ErrorBound {
         match self {
             ErrorBound::Abs(_) => self.resolve(0.0, 0.0),
             ErrorBound::Rel(_) => {
-                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in data {
-                    let v = v.to_f64();
-                    if v.is_finite() {
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                }
-                if !min.is_finite() {
-                    // All-NaN/Inf input: still valid, everything
-                    // becomes a literal.
-                    min = 0.0;
-                    max = 0.0;
-                }
+                let (min, max) = finite_range(data, 1);
                 self.resolve(min, max)
             }
         }
     }
 }
+
+/// Finite min/max over every `stride`-th value; `(0, 0)` when none is
+/// finite (all-NaN/Inf input is still valid: everything becomes a
+/// literal, under the constant-array rule of [`ErrorBound::resolve`]).
+///
+/// The scan touches every cache line of the partition; eight
+/// accumulators keep a serial `min`/`max` chain from making it
+/// latency-bound on top, and they compare in the element's own type —
+/// widening to `f64` is monotone, so only the eight survivors are
+/// widened. The comparisons skip NaN by themselves; skipping ±∞ costs
+/// two more per value, which made the loop several times slower, so
+/// that is left to a second scan when the first one's extremes show an
+/// infinity took part. (Which of `±0.0` wins a tie depends on the
+/// accumulator; the bound resolved from the range does not.)
+pub(crate) fn finite_range<T: Element>(data: &[T], stride: usize) -> (f64, f64) {
+    const ACC: usize = 8;
+    let (below, above) = (T::from_f64(f64::NEG_INFINITY), T::from_f64(f64::INFINITY));
+    let scan = |skip_infinite: bool| {
+        let mut min = [above; ACC];
+        let mut max = [below; ACC];
+        let mut fold = |k: usize, v: T| {
+            let (lo, hi) = if skip_infinite {
+                (
+                    if v > below { v } else { above },
+                    if v < above { v } else { below },
+                )
+            } else {
+                (v, v)
+            };
+            min[k] = if lo < min[k] { lo } else { min[k] };
+            max[k] = if hi > max[k] { hi } else { max[k] };
+        };
+        let mut groups = data.chunks_exact(ACC * stride);
+        for group in &mut groups {
+            for k in 0..ACC {
+                fold(k, group[k * stride]);
+            }
+        }
+        for (k, &v) in groups.remainder().iter().step_by(stride).enumerate() {
+            fold(k, v);
+        }
+        (
+            min.iter().fold(f64::INFINITY, |m, v| m.min(v.to_f64())),
+            max.iter().fold(f64::NEG_INFINITY, |m, v| m.max(v.to_f64())),
+        )
+    };
+    let (mut min, mut max) = scan(false);
+    if min == f64::NEG_INFINITY || max == f64::INFINITY {
+        (min, max) = scan(true);
+    }
+    if min.is_finite() {
+        (min, max)
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// Largest accepted [`Config::radius`]: every code `q + radius` then
+/// fits an `i32`, which the vector kernel converts through and the
+/// scalar kernels' `as u32` relies on.
+pub const MAX_RADIUS: u32 = 1 << 30;
 
 /// Full compressor configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,6 +228,16 @@ impl Config {
         self.lossless = on;
         self
     }
+
+    /// The radius the quantizer runs with (floored at 2), or the typed
+    /// error for one above [`MAX_RADIUS`] — `radius` is a public field,
+    /// and past 2^31 codes would wrap silently.
+    pub(crate) fn checked_radius(&self) -> Result<i64> {
+        if self.radius > MAX_RADIUS {
+            return Err(SzError::RadiusTooLarge(self.radius));
+        }
+        Ok(i64::from(self.radius.max(2)))
+    }
 }
 
 #[cfg(test)]
@@ -222,5 +280,95 @@ mod tests {
     #[test]
     fn radius_floor() {
         assert_eq!(Config::abs(1.0).with_radius(0).radius, 2);
+    }
+
+    #[test]
+    fn radius_above_the_maximum_is_a_typed_error() {
+        let mut cfg = Config::abs(1.0);
+        for (radius, want) in [
+            (0, Ok(2)),
+            (MAX_RADIUS, Ok(i64::from(MAX_RADIUS))),
+            (MAX_RADIUS + 1, Err(SzError::RadiusTooLarge(MAX_RADIUS + 1))),
+            (u32::MAX, Err(SzError::RadiusTooLarge(u32::MAX))),
+        ] {
+            cfg.radius = radius;
+            assert_eq!(cfg.checked_radius(), want);
+        }
+    }
+
+    /// The bound `resolve_for` resolved from a one-accumulator serial
+    /// fold, which is what the eight-accumulator scan replaced.
+    fn serial_bound<T: Element>(bound: ErrorBound, data: &[T]) -> Result<f64> {
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for v in data.iter().map(|v| v.to_f64()).filter(|v| v.is_finite()) {
+            min = min.min(v);
+            max = max.max(v);
+        }
+        if !min.is_finite() {
+            (min, max) = (0.0, 0.0);
+        }
+        bound.resolve(min, max)
+    }
+
+    fn bound_equals_the_serial_fold<T: Element>() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let wave = |n: usize| (0..n).map(|i| (i as f64 * 0.7).sin() * 40.0 - 3.0);
+        let mut inputs: Vec<Vec<f64>> = vec![
+            // Shorter than the accumulator count, and around it.
+            vec![2.5],
+            vec![-1.0, 4.0, 0.5],
+            wave(7).collect(),
+            wave(8).collect(),
+            wave(9).collect(),
+            wave(1000).collect(),
+            // Nothing finite; nothing but zeros of both signs.
+            vec![nan; 20],
+            vec![inf, -inf, nan, inf],
+            vec![-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+            vec![0.0, -0.0],
+            // Constant, and constant but for non-finite values.
+            vec![7.0; 33],
+            vec![7.0, nan, 7.0, inf, 7.0, -inf, 7.0, 7.0, 7.0, nan],
+        ];
+        // Each non-finite value in every accumulator slot of a wave,
+        // alone and together, with the extremes next to them.
+        for slot in 0..8 {
+            for planted in [&[nan][..], &[inf], &[-inf], &[nan, inf, -inf]] {
+                let mut v: Vec<f64> = wave(100).collect();
+                for (i, &p) in planted.iter().enumerate() {
+                    v[16 + slot + 8 * i] = p;
+                }
+                v[17 + slot] = -1e3;
+                v[40 + slot] = 1e3;
+                inputs.push(v);
+            }
+        }
+        for input in &inputs {
+            let data: Vec<T> = input.iter().map(|&v| T::from_f64(v)).collect();
+            for bound in [ErrorBound::Rel(1e-3), ErrorBound::Rel(0.5)] {
+                let got = bound.resolve_for(&data).map(f64::to_bits);
+                let want = serial_bound(bound, &data).map(f64::to_bits);
+                assert_eq!(got, want, "{bound:?} over {input:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn resolved_bound_equals_the_serial_fold_bit_for_bit() {
+        bound_equals_the_serial_fold::<f32>();
+        bound_equals_the_serial_fold::<f64>();
+    }
+
+    #[test]
+    fn strided_scan_sees_exactly_the_visited_values() {
+        // Extremes and infinities on and off the stride.
+        let mut data: Vec<f32> = (0..1000).map(|i| (i % 17) as f32).collect();
+        data[300] = -50.0; // visited by stride 3
+        data[301] = -99.0; // not visited
+        data[900] = f32::INFINITY; // visited: forces the second scan
+        data[902] = 1e9; // not visited
+        assert_eq!(finite_range(&data, 3), (-50.0, 16.0));
+        assert_eq!(finite_range(&data, 1), (-99.0, 1e9));
+        assert_eq!(finite_range(&[f64::NAN, f64::NEG_INFINITY], 1), (0.0, 0.0));
     }
 }

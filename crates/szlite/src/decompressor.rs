@@ -20,7 +20,7 @@
 //! convenience entry points.
 
 use crate::compressor::{LANES, MAGIC, VERSION};
-use crate::config::Dims;
+use crate::config::{Dims, MAX_RADIUS};
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
@@ -92,7 +92,7 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
         return Err(SzError::Corrupt("header eb"));
     }
     let radius = get_u32(bytes, &mut pos)?;
-    if radius < 2 {
+    if !(2..=MAX_RADIUS).contains(&radius) {
         return Err(SzError::Corrupt("header radius"));
     }
     let mode = *bytes.get(pos).ok_or(SzError::Truncated("lossless mode"))?;
@@ -482,6 +482,29 @@ mod tests {
             stream_info(&b),
             Err(SzError::Corrupt("dims overflow"))
         ));
+
+        // Radius outside what the compressor accepts: magic(4) +
+        // version + dtype + ndims + three one-byte dims + eb(8), then
+        // the radius, little-endian.
+        let at = 4 + 3 + 3 + 8;
+        for (radius, ok) in [
+            (1u32, false),
+            (2, true),
+            (MAX_RADIUS, true),
+            (MAX_RADIUS + 1, false),
+            (u32::MAX, false),
+        ] {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&radius.to_le_bytes());
+            match stream_info(&b) {
+                Ok(info) => assert!(ok && info.radius == radius, "radius {radius} accepted"),
+                Err(e) => {
+                    assert!(!ok, "radius {radius} rejected");
+                    assert_eq!(e, SzError::Corrupt("header radius"));
+                    assert_eq!(decompress_f32(&b), Err(e));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! which is what makes the <10 % overhead prediction of \[25\]
 //! possible.
 
-use crate::config::{Config, Dims, ErrorBound};
+use crate::config::{finite_range, Config, Dims, ErrorBound};
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::predictor::{stencil, stencil_order, Strides};
@@ -191,43 +191,6 @@ impl SampleScratch {
             }
         }
         s.n_sampled += ext[0] * ext[1] * ext[2];
-    }
-}
-
-/// Finite min/max over every `stride`-th value, `(0, 0)` when none is
-/// finite. The scan touches every cache line of the partition; eight
-/// accumulators keep a serial `min`/`max` chain from making it
-/// latency-bound on top. (Which of `±0.0` wins a tie depends on the
-/// accumulator; the bound resolved from the range does not.)
-fn strided_range<T: Element>(data: &[T], stride: usize) -> (f64, f64) {
-    const ACC: usize = 8;
-    let mut min = [f64::INFINITY; ACC];
-    let mut max = [f64::NEG_INFINITY; ACC];
-    let mut fold = |k: usize, v: T| {
-        let v = v.to_f64();
-        let (lo, hi) = if v.is_finite() {
-            (v, v)
-        } else {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        };
-        min[k] = if lo < min[k] { lo } else { min[k] };
-        max[k] = if hi > max[k] { hi } else { max[k] };
-    };
-    let mut groups = data.chunks_exact(ACC * stride);
-    for group in &mut groups {
-        for k in 0..ACC {
-            fold(k, group[k * stride]);
-        }
-    }
-    for (k, &v) in groups.remainder().iter().step_by(stride).enumerate() {
-        fold(k, v);
-    }
-    let min = min.into_iter().fold(f64::INFINITY, f64::min);
-    let max = max.into_iter().fold(f64::NEG_INFINITY, f64::max);
-    if min.is_finite() {
-        (min, max)
-    } else {
-        (0.0, 0.0)
     }
 }
 
@@ -421,9 +384,11 @@ pub fn sample_quantization_into<T: Element>(
     // arrays; an absolute bound does not look at the range.
     let (min, max) = match cfg.error_bound {
         ErrorBound::Abs(_) => (0.0, 0.0),
-        ErrorBound::Rel(_) => strided_range(data, (data.len() / 65536).max(1)),
+        ErrorBound::Rel(_) => finite_range(data, (data.len() / 65536).max(1)),
     };
     let eb = cfg.error_bound.resolve(min, max)?;
+    // Before the count table is sized by it.
+    let radius = cfg.checked_radius()?;
     let alphabet = Quantizer::new(eb, cfg.radius).alphabet();
     let st = Strides::new(dims);
     let s = &mut scratch.sample;
@@ -439,15 +404,7 @@ pub fn sample_quantization_into<T: Element>(
         2 => sample_blocks::<T, 2>,
         _ => sample_blocks::<T, 3>,
     };
-    sample(
-        data,
-        &st,
-        nb,
-        step,
-        eb,
-        i64::from(cfg.radius.max(2)),
-        scratch,
-    );
+    sample(data, &st, nb, step, eb, radius, scratch);
 
     scratch.used.sort_unstable();
     // Code 0 is the escape, and only escapes get it.

@@ -235,6 +235,46 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
         assert_phase_spans(events.iter().map(|e| (e.tid, e.name)), phases, nranks);
         assert_eq!(res.reservation_wire_bytes, 0, "{method:?} reserves nothing");
     }
+
+    // 5. A compress call decomposes into its four stages: each is one
+    // child span inside `sz.compress`, in pipeline order, and together
+    // they take no longer than their parent.
+    obs::set_enabled(true);
+    szlite::compress_into(&field.data, &field.dims, &cfgc, &mut scratch, &mut out).unwrap();
+    obs::set_enabled(false);
+    let events = obs::trace::drain();
+    let [parent] = events
+        .iter()
+        .filter(|e| e.name == "sz.compress")
+        .collect::<Vec<_>>()[..]
+    else {
+        panic!("one sz.compress span expected: {events:?}");
+    };
+    let mut stages: Vec<_> = events.iter().filter(|e| e.name != "sz.compress").collect();
+    stages.sort_by_key(|e| e.start_ns);
+    let names: Vec<&str> = stages.iter().map(|e| e.name).collect();
+    assert_eq!(
+        names,
+        ["sz.range", "sz.quantize", "sz.huffman", "sz.lzss"],
+        "{events:?}"
+    );
+    let parent_end = parent.start_ns + parent.dur_ns;
+    for (i, e) in stages.iter().enumerate() {
+        assert_eq!((e.tid, e.depth), (parent.tid, parent.depth + 1), "{e:?}");
+        assert!(
+            e.start_ns >= parent.start_ns && e.start_ns + e.dur_ns <= parent_end,
+            "{e:?} outside {parent:?}"
+        );
+        if let Some(prev) = i.checked_sub(1).map(|p| stages[p]) {
+            assert!(prev.start_ns + prev.dur_ns <= e.start_ns, "stages overlap");
+        }
+    }
+    let staged: u64 = stages.iter().map(|e| e.dur_ns).sum();
+    assert!(
+        staged <= parent.dur_ns,
+        "stages take {staged} ns of a {} ns compress",
+        parent.dur_ns
+    );
 }
 
 /// Each of `phases` was recorded on every thread that ran a rank
