@@ -32,21 +32,9 @@ use std::time::Instant;
 use timeline::{resume_timeline, run_timeline, AdaptMode, StepFaults, TimelineConfig};
 use workloads::SnapshotStream;
 
-struct Outcome {
-    workload: &'static str,
-    crash_step: usize,
-    transient_step: usize,
-    flip_step: usize,
-    resume_from: usize,
-    quarantined: usize,
-    surviving: usize,
-    retries: u64,
-    escalations: u64,
-    verified_steps: usize,
-    recovery_secs: f64,
-}
-
-fn run_one(stream: &SnapshotStream, nranks: usize, steps: usize, seed: u64) -> Outcome {
+/// One workload through the fault schedule and the recovery: its
+/// record in `BENCH_faults.json`.
+fn run_one(stream: &SnapshotStream, nranks: usize, steps: usize, seed: u64) -> Json {
     let mut rng = SplitMix64::new(seed);
     // Distinct fault steps: transient and flip in the first half,
     // crash in the second, so every class fires before the crash.
@@ -143,19 +131,24 @@ fn run_one(stream: &SnapshotStream, nranks: usize, steps: usize, seed: u64) -> O
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    Outcome {
-        workload: stream.label(),
-        crash_step,
-        transient_step,
-        flip_step,
-        resume_from: res.resume_from,
-        quarantined: res.quarantined.len(),
-        surviving: res.surviving.len(),
-        retries: transient.stats().retries,
-        escalations: transient.stats().escalations,
-        verified_steps,
-        recovery_secs,
-    }
+    obj([
+        ("workload", Json::Str(stream.label().into())),
+        ("steps", Json::Num(steps as f64)),
+        ("crash_step", Json::Num(crash_step as f64)),
+        ("transient_step", Json::Num(transient_step as f64)),
+        ("flip_step", Json::Num(flip_step as f64)),
+        ("resume_from", Json::Num(res.resume_from as f64)),
+        ("quarantined", Json::Num(res.quarantined.len() as f64)),
+        ("surviving", Json::Num(res.surviving.len() as f64)),
+        ("retries", Json::Num(transient.stats().retries as f64)),
+        (
+            "escalations",
+            Json::Num(transient.stats().escalations as f64),
+        ),
+        ("verified_steps", Json::Num(verified_steps as f64)),
+        ("recovered", Json::Bool(true)),
+        ("recovery_secs", Json::Num(recovery_secs)),
+    ])
 }
 
 fn main() {
@@ -171,39 +164,11 @@ fn main() {
         SnapshotStream::rtm(side),
     ];
 
-    println!(
-        "{:<8} {:>6} {:>6} {:>6} {:>8} {:>11} {:>8} {:>9}",
-        "workload", "crash", "flip", "resume", "retries", "quarantined", "decoded", "rec-secs"
-    );
     let mut workloads = Vec::new();
     for stream in &streams {
-        let o = run_one(stream, nranks, steps, seed);
-        println!(
-            "{:<8} {:>6} {:>6} {:>6} {:>8} {:>11} {:>8} {:>8.2}s",
-            o.workload,
-            o.crash_step,
-            o.flip_step,
-            o.resume_from,
-            o.retries,
-            o.quarantined,
-            o.verified_steps,
-            o.recovery_secs
-        );
-        workloads.push(obj([
-            ("workload", Json::Str(o.workload.into())),
-            ("steps", Json::Num(steps as f64)),
-            ("crash_step", Json::Num(o.crash_step as f64)),
-            ("transient_step", Json::Num(o.transient_step as f64)),
-            ("flip_step", Json::Num(o.flip_step as f64)),
-            ("resume_from", Json::Num(o.resume_from as f64)),
-            ("quarantined", Json::Num(o.quarantined as f64)),
-            ("surviving", Json::Num(o.surviving as f64)),
-            ("retries", Json::Num(o.retries as f64)),
-            ("escalations", Json::Num(o.escalations as f64)),
-            ("verified_steps", Json::Num(o.verified_steps as f64)),
-            ("recovered", Json::Bool(true)),
-            ("recovery_secs", Json::Num(o.recovery_secs)),
-        ]));
+        let record = run_one(stream, nranks, steps, seed);
+        println!("{record}");
+        workloads.push(record);
     }
 
     write_artifact(

@@ -131,7 +131,14 @@ fn run_config(
     best.expect("reps >= 1")
 }
 
-fn config_json(c: &StreamSimReport) -> Json {
+/// Bytes one rank moves in one step's reservation collective: the
+/// step record carries the sum over ranks.
+fn wire_bytes_per_rank(c: &StreamSimReport, nranks: usize) -> u64 {
+    let step = c.report.steps.last().expect("at least one step");
+    step.result.reservation_wire_bytes / nranks as u64
+}
+
+fn config_json(c: &StreamSimReport, nranks: usize) -> Json {
     let r = &c.report;
     obj([
         ("mode", Json::Str(r.mode.clone())),
@@ -139,7 +146,7 @@ fn config_json(c: &StreamSimReport) -> Json {
         ("planner_secs", Json::Num(c.planner_seconds)),
         (
             "collective_bytes_per_rank",
-            Json::Num(c.collective_bytes_per_rank as f64),
+            Json::Num(wire_bytes_per_rank(c, nranks) as f64),
         ),
         ("file_bytes", Json::Num(r.total_file_bytes() as f64)),
         (
@@ -213,22 +220,8 @@ fn main() {
             );
         }
 
-        println!(
-            "{:<10} {:<8} {:>12} {:>12} {:>12} {:>10} {:>12}",
-            "mode", "topo", "planner-s", "wire-B/rank", "waste", "overflows", "overflow-B"
-        );
-        for c in &runs {
-            println!(
-                "{:<10} {:<8} {:>12.6} {:>12} {:>12} {:>10} {:>12}",
-                c.report.mode,
-                c.reservation,
-                c.planner_seconds,
-                c.collective_bytes_per_rank,
-                c.report.total_waste(),
-                c.report.total_overflows(),
-                c.report.total_overflow_bytes()
-            );
-        }
+        let configs: Vec<Json> = runs.iter().map(|c| config_json(c, nranks)).collect();
+        configs.iter().for_each(|c| println!("{c}"));
 
         // 3b. At scale the flat planner materializes the full
         // O(ranks·fields) matrix; the sharded path touches only its
@@ -268,13 +261,13 @@ fn main() {
         scaling.push((
             nranks,
             runs[1].planner_seconds,
-            runs[1].collective_bytes_per_rank,
+            wire_bytes_per_rank(&runs[1], nranks),
         ));
 
         sweeps.push(obj([
             ("ranks", Json::Num(nranks as f64)),
             ("group_size", Json::Num(gs as f64)),
-            ("configs", Json::Arr(runs.iter().map(config_json).collect())),
+            ("configs", Json::Arr(configs)),
         ]));
     }
 

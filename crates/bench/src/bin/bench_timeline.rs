@@ -110,25 +110,6 @@ fn main() {
             &data,
         );
 
-        println!(
-            "{:<10} {:>12} {:>12} {:>10} {:>10}",
-            "mode", "file-bytes", "waste", "overflows", "secs"
-        );
-        for r in [&stat, &adap] {
-            println!(
-                "{:<10} {:>12} {:>12} {:>10} {:>9.2}s",
-                r.mode,
-                r.total_file_bytes(),
-                r.total_waste(),
-                r.total_overflows(),
-                r.total_time()
-            );
-        }
-        let saved = stat.total_waste().saturating_sub(adap.total_waste());
-        println!(
-            "adaptive saves {saved} waste bytes ({:.1}% of static waste)",
-            100.0 * saved as f64 / stat.total_waste().max(1) as f64
-        );
         assert!(
             adap.total_waste() < stat.total_waste(),
             "{}: adaptive waste {} not below static {}",

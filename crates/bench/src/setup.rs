@@ -1,20 +1,21 @@
-//! Shared workload/profile construction for the experiments.
-//!
-//! Also the home of the boilerplate the runnable examples share:
+//! What the claims and the examples share: the scenarios every paper
+//! artifact is measured on — built once per `repro` run, whichever
+//! claims read them — and the boilerplate of the runnable examples:
 //! snapshot → per-rank partitioning (re-exported from
-//! [`timeline::data`]) and the demo [`RealConfig`] the real-engine
-//! examples run with.
+//! [`timeline`]) and the demo [`RealConfig`].
 
-use pfsim::BandwidthModel;
+use pfsim::{simulate_concurrent_writes, BandwidthModel};
 use predwrite::{
-    profile_partition_with, replicate_profiles, ExtraSpacePolicy, Method, PartitionProfile,
-    RealConfig,
+    profile_partition_with, replicate_profiles, simulate_all, ExtraSpacePolicy, Method,
+    PartitionProfile, RealConfig, RunResult, SimParams,
 };
-use ratiomodel::{EstimateScratch, Models, ThroughputModel};
+use ratiomodel::{EstimateScratch, Models};
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 use szlite::{compress_with_stats, Config, Dims};
 pub use timeline::{partition_1d, partition_3d, partition_stream_step};
-use workloads::{nyx, vpic, Decomposition, NyxParams, VpicParams};
+use workloads::{nyx, vpic, Dataset, NyxParams, VpicParams};
 
 /// The demo [`RealConfig`] shared by the real-engine examples: one
 /// relative bound of 1e-3 per field, paper-reference models with a
@@ -44,49 +45,49 @@ pub fn demo_real_config(
     }
 }
 
-/// Experiment scale knob: `quick` finishes in seconds, `full` in a few
-/// minutes. Both exercise the full pipeline; only grid sizes differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExperimentScale {
-    /// Small grids for CI / fast iteration.
-    Quick,
-    /// Larger grids closer to the paper's measured regime.
-    Full,
-}
+/// `profiles[rank][field]`, the simulator's input.
+pub type Profiles = Vec<Vec<PartitionProfile>>;
 
-impl ExperimentScale {
-    /// Nyx cube side for measured (non-replicated) profiles.
-    pub fn nyx_side(&self) -> usize {
-        match self {
-            ExperimentScale::Quick => 64,
-            ExperimentScale::Full => 128,
-        }
-    }
+/// Nyx cube side of the measured snapshots.
+pub const NYX_SIDE: usize = 64;
+/// Ranks whose partitions are measured (32³ points each: smaller
+/// partitions are dominated by stream overheads and would distort the
+/// scaled-up profiles); larger runs replay them.
+pub const MEASURED_RANKS: usize = 8;
+/// The paper's weak-scaling unit: 256³ points per rank-field.
+const PAPER_POINTS_PER_RANK: usize = 1 << 24;
+const VPIC_PARTICLES: usize = 1 << 18;
 
-    /// Ranks whose profiles are measured directly. Kept low enough
-    /// that measured partitions are ≥ 32³ points — small partitions
-    /// are dominated by stream overheads and would distort the
-    /// scaled-up profiles.
-    pub fn measured_ranks(&self) -> usize {
-        match self {
-            ExperimentScale::Quick => 8,
-            ExperimentScale::Full => 64,
-        }
-    }
+/// Per-field multipliers of the target mean bit-rate. The paper's
+/// bounds come from post-hoc quality requirements and give fields very
+/// different compressed bit-rates; these reproduce that heterogeneity
+/// (densities compress hardest, velocities least; sorted positions and
+/// weights far better than momenta and energy) — without it the
+/// reordering optimizer has nothing to exploit.
+const NYX_BITS_MULT: [f64; 6] = [0.4, 0.25, 1.0, 1.6, 1.6, 1.6];
+const VPIC_BITS_MULT: [f64; 8] = [0.4, 0.6, 0.4, 1.8, 1.8, 1.8, 1.4, 0.2];
 
-    /// VPIC particles.
-    pub fn vpic_particles(&self) -> usize {
-        match self {
-            ExperimentScale::Quick => 1 << 18,
-            ExperimentScale::Full => 1 << 22,
-        }
-    }
+/// A measured dataset at a target mean bit-rate (the paper states
+/// bit-rates, e.g. 2 bits/value, rather than bounds).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Data {
+    /// The Nyx snapshot at a red shift (2.0 is the generator default).
+    Nyx {
+        /// Evolution stage of the snapshot.
+        redshift: f64,
+        /// Target mean bits/value.
+        bits: f64,
+    },
+    /// The VPIC particle snapshot.
+    Vpic {
+        /// Target mean bits/value.
+        bits: f64,
+    },
 }
 
 /// Find a value-range-relative error bound achieving roughly
-/// `target_bits` bits/value on `data`, by bisection (the paper states
-/// target bit-rates, e.g. 2 bits/value, rather than bounds).
-pub fn eb_for_bitrate(data: &[f32], dims: &Dims, target_bits: f64) -> f64 {
+/// `target_bits` bits/value on `data`, by bisection.
+pub(crate) fn eb_for_bitrate(data: &[f32], dims: &Dims, target_bits: f64) -> f64 {
     let mut lo = 1e-9f64; // tight → high bit-rate
     let mut hi = 0.5f64; // loose → low bit-rate
     for _ in 0..18 {
@@ -102,181 +103,142 @@ pub fn eb_for_bitrate(data: &[f32], dims: &Dims, target_bits: f64) -> f64 {
     (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp()
 }
 
-/// The paper's weak-scaling unit: 256³ points per rank-field.
-pub const PAPER_POINTS_PER_RANK: usize = 1 << 24;
-
-/// Rescale measured profiles so each partition represents
-/// `target_points` points at the *measured bit-rate*: sizes scale
-/// linearly, times are re-derived from Eq. (1)/(2). This maps small
-/// measured grids onto the paper's per-rank data volumes
-/// (DESIGN.md substitution 5).
-pub fn scale_to_partition_points(
-    profiles: &[Vec<PartitionProfile>],
-    target_points: usize,
-    models: &Models,
-) -> Vec<Vec<PartitionProfile>> {
-    profiles
+/// Profile every (rank, field) partition of `ds` split over `nranks`:
+/// sampled ratio prediction and real compressed size, under one
+/// absolute bound per field that lands the whole field near
+/// `target_bits · mults[field]` bits/value.
+fn measure(ds: &Dataset, mults: &[f64], target_bits: f64, nranks: usize) -> Profiles {
+    let cfgs: Vec<Config> = ds
+        .fields
+        .iter()
+        .zip(mults)
+        .map(|(f, m)| {
+            let full = Dims::from_slice(&f.dims).expect("generated extents");
+            let (mn, mx) = f
+                .data
+                .iter()
+                .fold((f32::MAX, f32::MIN), |(a, b), &v| (a.min(v), b.max(v)));
+            let rel = eb_for_bitrate(&f.data, &full, target_bits * m);
+            Config::abs((rel * f64::from(mx - mn)).max(1e-30))
+        })
+        .collect();
+    let parts = match ds.fields[0].dims.len() {
+        1 => partition_1d(ds, nranks),
+        _ => partition_3d(ds, nranks),
+    };
+    // The time fields are re-derived per system by `at_paper_scale`.
+    let models = Models::with_cthr(1.0);
+    let mut scratch = EstimateScratch::new();
+    parts
         .iter()
         .map(|fields| {
             fields
                 .iter()
-                .map(|p| {
-                    let k = target_points as f64 / p.n_points as f64;
-                    let raw = (p.raw_bytes as f64 * k) as u64;
-                    let actual = ((p.actual_bytes as f64 * k) as u64).max(1);
-                    let pred = ((p.pred_bytes as f64 * k) as u64).max(1);
-                    let bits = actual as f64 * 8.0 / target_points as f64;
-                    let pred_bits = pred as f64 * 8.0 / target_points as f64;
-                    let tm: &ThroughputModel = &models.throughput;
-                    PartitionProfile {
-                        n_points: target_points,
-                        raw_bytes: raw,
-                        pred_bytes: pred,
-                        pred_ratio: raw as f64 / pred as f64,
-                        pred_comp_time: tm.compression_time(raw as f64, pred_bits),
-                        pred_write_time: models.write.write_time(pred_bits, target_points),
-                        actual_bytes: actual,
-                        comp_time: tm.compression_time(raw as f64, bits),
-                    }
+                .zip(&cfgs)
+                .map(|(p, cfg)| {
+                    profile_partition_with(&p.data, &p.dims, cfg, &models, &mut scratch)
+                        .expect("profiling failed")
                 })
                 .collect()
         })
         .collect()
 }
 
-/// Measured per-rank Nyx profiles at a target mean bit-rate.
-///
-/// Generates a `side³` snapshot, decomposes it into `measured_ranks`
-/// blocks, and profiles every (rank, field) partition: sampled ratio
-/// prediction, Eq. 1/2 time predictions, real compressed size. Ranks
-/// beyond `measured_ranks` (for scale sweeps) replay the measured
-/// distribution via [`replicate_profiles`].
-pub fn nyx_profiles(
-    side: usize,
-    measured_ranks: usize,
-    target_ranks: usize,
-    target_bits: f64,
-    models: &Models,
-) -> Vec<Vec<PartitionProfile>> {
-    nyx_profiles_with(
-        NyxParams::with_side(side),
-        measured_ranks,
-        target_ranks,
-        target_bits,
-        models,
-    )
-}
-
-/// [`nyx_profiles`] with explicit snapshot parameters (seed/red shift),
-/// used by the time-step consistency experiment (Fig. 15).
-pub fn nyx_profiles_with(
-    params: NyxParams,
-    measured_ranks: usize,
-    target_ranks: usize,
-    target_bits: f64,
-    models: &Models,
-) -> Vec<Vec<PartitionProfile>> {
-    let side = params.side;
-    let ds = nyx::snapshot(params);
-    let dec = Decomposition::new(measured_ranks, [side, side, side]);
-    let bd = dec.block;
-    let dims = Dims::d3(bd[0], bd[1], bd[2]);
-    // One absolute bound per field. The paper's bounds come from
-    // post-hoc quality requirements and give fields very different
-    // compressed bit-rates; the multipliers below reproduce that
-    // heterogeneity around the requested mean (densities compress
-    // hardest, velocities least) — without it, the reordering
-    // optimizer has nothing to exploit.
-    const NYX_BITS_MULT: [f64; 6] = [0.4, 0.25, 1.0, 1.6, 1.6, 1.6];
-    let field_cfgs: Vec<Config> = ds
-        .fields
-        .iter()
-        .zip(NYX_BITS_MULT)
-        .map(|(f, m)| {
-            let full = Dims::d3(side, side, side);
-            let (mn, mx) = f
-                .data
-                .iter()
-                .fold((f32::MAX, f32::MIN), |(a, b), &v| (a.min(v), b.max(v)));
-            let rel = eb_for_bitrate(&f.data, &full, target_bits * m);
-            Config::abs((rel * f64::from(mx - mn)).max(1e-30))
-        })
-        .collect();
-    let mut scratch = EstimateScratch::new();
-    let base: Vec<Vec<PartitionProfile>> = (0..measured_ranks)
-        .map(|r| {
-            ds.fields
-                .iter()
-                .zip(&field_cfgs)
-                .map(|(f, cfg)| {
-                    let blk = dec.extract(f, r);
-                    profile_partition_with(&blk, &dims, cfg, models, &mut scratch)
-                        .expect("profiling failed")
-                })
-                .collect()
-        })
-        .collect();
-    let scaled = scale_to_partition_points(&base, PAPER_POINTS_PER_RANK, models);
-    replicate_profiles(&scaled, target_ranks)
-}
-
-/// Measured per-rank VPIC profiles (8 particle fields, 1-D splits).
-pub fn vpic_profiles(
-    n_particles: usize,
-    measured_ranks: usize,
-    target_ranks: usize,
-    target_bits: f64,
-    models: &Models,
-) -> Vec<Vec<PartitionProfile>> {
-    let ds = vpic::snapshot(VpicParams::with_particles(n_particles));
-    // Positions (sorted) and weights compress far better than momenta
-    // and energy; spread per-field targets around the requested mean.
-    const VPIC_BITS_MULT: [f64; 8] = [0.4, 0.6, 0.4, 1.8, 1.8, 1.8, 1.4, 0.2];
-    let field_cfgs: Vec<Config> = ds
-        .fields
-        .iter()
-        .zip(VPIC_BITS_MULT)
-        .map(|(f, m)| {
-            let full = Dims::d1(f.data.len());
-            let (mn, mx) = f
-                .data
-                .iter()
-                .fold((f32::MAX, f32::MIN), |(a, b), &v| (a.min(v), b.max(v)));
-            let rel = eb_for_bitrate(&f.data, &full, target_bits * m);
-            Config::abs((rel * f64::from(mx - mn)).max(1e-30))
-        })
-        .collect();
-    let base: Vec<Vec<PartitionProfile>> = {
-        let splits: Vec<Vec<Vec<f32>>> = ds
-            .fields
-            .iter()
-            .map(|f| workloads::split_1d(f, measured_ranks))
-            .collect();
-        let mut scratch = EstimateScratch::new();
-        (0..measured_ranks)
-            .map(|r| {
-                splits
-                    .iter()
-                    .zip(&field_cfgs)
-                    .map(|(per_field, cfg)| {
-                        let blk = &per_field[r];
-                        profile_partition_with(blk, &Dims::d1(blk.len()), cfg, models, &mut scratch)
-                            .expect("profiling failed")
-                    })
-                    .collect()
-            })
-            .collect()
+/// Rescale measured profiles so each partition holds the paper's
+/// per-rank volume at the *measured bit-rate*: sizes scale linearly,
+/// times are re-derived from Eq. (1)/(2) under `models`.
+fn at_paper_scale(measured: &Profiles, models: &Models) -> Profiles {
+    let points = PAPER_POINTS_PER_RANK;
+    let scale = |p: &PartitionProfile| {
+        let k = points as f64 / p.n_points as f64;
+        let raw = (p.raw_bytes as f64 * k) as u64;
+        let actual = ((p.actual_bytes as f64 * k) as u64).max(1);
+        let pred = ((p.pred_bytes as f64 * k) as u64).max(1);
+        let bits = actual as f64 * 8.0 / points as f64;
+        let pred_bits = pred as f64 * 8.0 / points as f64;
+        PartitionProfile {
+            n_points: points,
+            raw_bytes: raw,
+            pred_bytes: pred,
+            pred_ratio: raw as f64 / pred as f64,
+            pred_comp_time: models.throughput.compression_time(raw as f64, pred_bits),
+            pred_write_time: models.write.write_time(pred_bits, points),
+            actual_bytes: actual,
+            comp_time: models.throughput.compression_time(raw as f64, bits),
+        }
     };
-    // The paper's VPIC runs hold ~39 M particles per process.
-    let scaled = scale_to_partition_points(&base, PAPER_POINTS_PER_RANK, models);
-    replicate_profiles(&scaled, target_ranks)
+    measured
+        .iter()
+        .map(|fields| fields.iter().map(scale).collect())
+        .collect()
 }
 
-/// Relative error bound that lands Nyx near a target mean bit-rate,
-/// calibrated on the baryon-density field.
-pub fn nyx_eb_for_bitrate(side: usize, target_bits: f64) -> f64 {
-    let f = nyx::single_field(NyxParams::with_side(side), "baryon_density");
-    eb_for_bitrate(&f.data, &Dims::d3(side, side, side), target_bits)
+/// The prediction models of a run on `system`, with the write-time
+/// model fitted the way the paper does (§IV-B): offline writes of
+/// several request sizes from 128 processes — here through the
+/// discrete-event engine — then the plateau throughput.
+pub fn models_for(system: &BandwidthModel) -> Models {
+    let measurements: Vec<(f64, f64)> = [5e6, 10e6, 20e6, 50e6, 100e6]
+        .iter()
+        .map(|&s| (s, simulate_concurrent_writes(&vec![s; 128], system).0[0]))
+        .collect();
+    Models {
+        write: ratiomodel::fit_writetime(&measurements),
+        ..Models::with_cthr(1.0)
+    }
+}
+
+/// Values built on first use and kept for the rest of the run.
+type Memo<K, V> = RefCell<Vec<(K, Rc<V>)>>;
+
+/// The entry of `memo` under `key`, built now if this is its first use.
+fn memo<K: PartialEq, V>(memo: &Memo<K, V>, key: K, build: impl FnOnce() -> V) -> Rc<V> {
+    if let Some((_, value)) = memo.borrow().iter().find(|(k, _)| *k == key) {
+        return Rc::clone(value);
+    }
+    // No borrow is held while building: a run reads the profiles.
+    let value = Rc::new(build());
+    memo.borrow_mut().push((key, Rc::clone(&value)));
+    value
+}
+
+/// The measured datasets and the four-method simulations the claims
+/// read, each built once however many claims ask for it.
+#[derive(Default)]
+pub struct Scenarios {
+    measured: Memo<Data, Profiles>,
+    runs: Memo<(Data, usize), Vec<RunResult>>,
+}
+
+impl Scenarios {
+    /// `data` measured on [`MEASURED_RANKS`] ranks, scaled to the
+    /// paper's per-rank volume under `system`'s models and replayed
+    /// on `nranks` ranks.
+    pub fn profiles(&self, data: Data, system: &BandwidthModel, nranks: usize) -> Profiles {
+        let measured = memo(&self.measured, data, || match data {
+            Data::Nyx { redshift, bits } => {
+                let ds = nyx::snapshot(NyxParams::with_side(NYX_SIDE).redshift(redshift));
+                measure(&ds, &NYX_BITS_MULT, bits, MEASURED_RANKS)
+            }
+            Data::Vpic { bits } => {
+                let ds = vpic::snapshot(VpicParams::with_particles(VPIC_PARTICLES));
+                measure(&ds, &VPIC_BITS_MULT, bits, MEASURED_RANKS)
+            }
+        });
+        replicate_profiles(&at_paper_scale(&measured, &models_for(system)), nranks)
+    }
+
+    /// All four methods ([`Method::ALL`] order) over `data` on
+    /// `nranks` ranks of the Summit model.
+    pub fn runs(&self, data: Data, nranks: usize) -> Rc<Vec<RunResult>> {
+        memo(&self.runs, (data, nranks), || {
+            let summit = BandwidthModel::summit();
+            simulate_all(
+                &self.profiles(data, &summit, nranks),
+                &SimParams::new(summit),
+            )
+        })
+    }
 }
 
 #[cfg(test)]
@@ -301,18 +263,34 @@ mod tests {
 
     #[test]
     fn nyx_profiles_shape() {
-        let models = Models::with_cthr(40e6);
-        let p = nyx_profiles(32, 8, 16, 1e-3, &models);
+        let ds = nyx::snapshot(NyxParams::with_side(32));
+        let measured = measure(&ds, &NYX_BITS_MULT, 2.0, 8);
+        let p = replicate_profiles(&at_paper_scale(&measured, &Models::with_cthr(40e6)), 16);
         assert_eq!(p.len(), 16);
         assert!(p.iter().all(|r| r.len() == 6));
         assert!(p[0][0].actual_bytes > 0);
+        assert_eq!(p[0][0].n_points, PAPER_POINTS_PER_RANK);
     }
 
     #[test]
     fn vpic_profiles_shape() {
-        let models = Models::with_cthr(40e6);
-        let p = vpic_profiles(1 << 14, 4, 4, 1e-3, &models);
+        let ds = vpic::snapshot(VpicParams::with_particles(1 << 14));
+        let p = measure(&ds, &VPIC_BITS_MULT, 2.0, 4);
         assert_eq!(p.len(), 4);
         assert!(p.iter().all(|r| r.len() == 8));
+    }
+
+    #[test]
+    fn a_scenario_is_built_once() {
+        let built = RefCell::new(Vec::new());
+        let mut builds = 0;
+        for key in [1, 2, 1, 1] {
+            let v = memo(&built, key, || {
+                builds += 1;
+                key * 10
+            });
+            assert_eq!(*v, key * 10);
+        }
+        assert_eq!(builds, 2);
     }
 }

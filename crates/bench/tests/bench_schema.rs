@@ -1,22 +1,25 @@
-//! Schema validation of the committed `BENCH_*.json` artifacts.
+//! Schema validation of the committed `BENCH_*.json` artifacts and of
+//! `REPRO.json`, the golden file of the `repro` binary's claims.
 //!
 //! The bench binaries build their artifact as an [`obs::Json`] value
 //! and print it once, but nothing else guarantees the *committed*
 //! artifacts keep the keys the CI jobs and downstream tooling grep
 //! for. This test walks the repository root, parses every
-//! `BENCH_*.json` with the workspace's strict JSON parser
-//! ([`obs::json`], which also backs the flight recorder and
+//! `BENCH_*.json` and `REPRO*.json` with the workspace's strict JSON
+//! parser ([`obs::json`], which also backs the flight recorder and
 //! `scrub --json`), and checks:
 //!
-//! - exactly the three surviving artifacts are there (the end-to-end
-//!   and per-layer numbers live in `benchmark/`, not in more files),
+//! - exactly the three surviving artifacts and the one golden file are
+//!   there (the end-to-end and per-layer numbers live in `benchmark/`,
+//!   not in more files),
 //! - the file is valid JSON and a non-empty object,
 //! - every number is finite,
 //! - `host_parallelism` is present at the top level and ≥ 1 — the
 //!   record of whether the numbers came from a multi-core or a 1-core
 //!   host,
 //! - per-file required keys exist with the right shapes (sweeps,
-//!   workloads, per-config metrics).
+//!   workloads, per-config metrics; per claim its text, verdict and
+//!   value).
 
 use obs::{json, Json};
 use std::path::{Path, PathBuf};
@@ -34,7 +37,8 @@ fn bench_files() -> Vec<(String, Json)> {
     for entry in std::fs::read_dir(repo_root()).expect("read repo root") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
+        let committed = name.starts_with("BENCH_") || name.starts_with("REPRO");
+        if committed && name.ends_with(".json") {
             let text = std::fs::read_to_string(entry.path()).expect("read artifact");
             let json = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             found.push((name, json));
@@ -53,7 +57,8 @@ fn every_committed_bench_artifact_is_valid() {
         [
             "BENCH_faults.json",
             "BENCH_scale.json",
-            "BENCH_timeline.json"
+            "BENCH_timeline.json",
+            "REPRO.json"
         ]
     );
     for (name, json) in &files {
@@ -213,4 +218,35 @@ fn workload_artifacts_keep_their_required_keys() {
         ];
         assert_nums(w, &keys, name);
     }
+}
+
+#[test]
+fn the_golden_file_holds_every_claim_with_its_verdict_and_value() {
+    let files = bench_files();
+    let (_, golden) = files.iter().find(|(n, _)| n == "REPRO.json").unwrap();
+    let Some(Json::Obj(artifacts)) = golden.get("artifacts") else {
+        panic!("REPRO.json: no artifacts object");
+    };
+    let names: Vec<&str> = artifacts.keys().map(String::as_str).collect();
+    let mut table: Vec<&str> = bench::claims::CLAIMS.iter().map(|c| c.name).collect();
+    table.sort_unstable();
+    assert_eq!(names, table, "one entry per row of the claims table");
+    for claim in &bench::claims::CLAIMS {
+        let entry = &artifacts[claim.name];
+        assert_eq!(entry.str_of("claim"), Some(claim.claim), "{}", claim.name);
+        assert!(entry.bool_of("holds").is_some(), "{}: verdict", claim.name);
+        assert!(
+            matches!(entry.get("value"), Some(Json::Obj(v)) if !v.is_empty()),
+            "{}: value",
+            claim.name
+        );
+    }
+    // What the README lists as not reproduced, and nothing else.
+    let not_reproduced: Vec<&str> = (artifacts.iter())
+        .filter(|(_, entry)| entry.bool_of("holds") == Some(false))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(not_reproduced, ["fig17cd", "fig18a"]);
+    let inversion = artifacts["fig17cd"].get("value").unwrap();
+    assert_eq!(inversion.num("first_inverted_ranks"), Some(4096.0));
 }

@@ -54,18 +54,9 @@ impl Barrier {
         }
     }
 
-    /// Block until all `n` participants have called `wait`.
-    /// Returns the generation index that was completed.
-    ///
-    /// Panics if the barrier is (or becomes) poisoned; callers that
-    /// can observe a poisoned world should use [`Barrier::wait_checked`].
-    pub fn wait(&self) -> u64 {
-        self.wait_checked()
-            .expect("collective on a poisoned world; use wait_checked on fallible paths")
-    }
-
     /// Block until all `n` participants have called `wait_checked`, or
     /// until the barrier is poisoned — whichever happens first.
+    /// Returns the generation index that was completed.
     ///
     /// A generation that completed before the poison still reports
     /// `Ok`: every participant arrived, so the exchanged data is whole.
@@ -108,11 +99,6 @@ impl Barrier {
     pub fn is_poisoned(&self) -> bool {
         self.state.lock().poisoned
     }
-
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -124,8 +110,8 @@ mod tests {
     #[test]
     fn single_participant_never_blocks() {
         let b = Barrier::new(1);
-        assert_eq!(b.wait(), 0);
-        assert_eq!(b.wait(), 1);
+        assert_eq!(b.wait_checked(), Ok(0));
+        assert_eq!(b.wait_checked(), Ok(1));
     }
 
     #[test]
@@ -140,11 +126,11 @@ mod tests {
                 s.spawn(move || {
                     for phase in 0..50usize {
                         c.fetch_add(1, Ordering::SeqCst);
-                        b.wait();
+                        b.wait_checked().unwrap();
                         // After the barrier every increment of this
                         // phase must be visible.
                         assert!(c.load(Ordering::SeqCst) >= (phase + 1) * n);
-                        b.wait();
+                        b.wait_checked().unwrap();
                     }
                 });
             }
@@ -184,24 +170,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "poisoned")]
-    fn infallible_wait_panics_on_poison() {
-        let b = Barrier::new(2);
-        b.poison();
-        b.wait();
-    }
-
-    #[test]
     fn generations_advance() {
         let b = Arc::new(Barrier::new(2));
         std::thread::scope(|s| {
             let b2 = Arc::clone(&b);
             s.spawn(move || {
-                assert_eq!(b2.wait(), 0);
-                assert_eq!(b2.wait(), 1);
+                assert_eq!(b2.wait_checked(), Ok(0));
+                assert_eq!(b2.wait_checked(), Ok(1));
             });
-            assert_eq!(b.wait(), 0);
-            assert_eq!(b.wait(), 1);
+            assert_eq!(b.wait_checked(), Ok(0));
+            assert_eq!(b.wait_checked(), Ok(1));
         });
     }
 }

@@ -182,15 +182,6 @@ impl World {
     }
 }
 
-/// Run `f` over a fresh world of `n` ranks (convenience).
-pub fn run_world<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Rank) -> T + Sync,
-{
-    World::new(n).run(f)
-}
-
 /// Shared state of one subgroup produced by [`Rank::split`].
 struct GroupShared {
     /// World ranks of the members, ascending (index = group-local rank).
@@ -246,19 +237,9 @@ impl Group {
         self.gid
     }
 
-    /// Number of groups in the split.
-    pub fn n_groups(&self) -> usize {
-        self.split.groups.len()
-    }
-
     /// World ranks of the members, ascending.
     pub fn members(&self) -> &[usize] {
         &self.shared.members
-    }
-
-    /// This rank's world id.
-    pub fn world_rank(&self) -> usize {
-        self.world_rank
     }
 
     /// Whether this rank is the group's leader (group-local rank 0,
@@ -448,7 +429,7 @@ mod tests {
 
     #[test]
     fn poisoned_world_unblocks_collectives() {
-        let out = run_world(4, |rk| {
+        let out = World::new(4).run(|rk| {
             if rk.rank() == 3 {
                 // Simulate a rank dying before its collective: give
                 // the peers time to park, then poison and bail.
@@ -472,7 +453,7 @@ mod tests {
 
     #[test]
     fn try_collectives_match_infallible_on_healthy_world() {
-        run_world(4, |rk| {
+        World::new(4).run(|rk| {
             let v = rk.try_all_gather(rk.rank() * 2).unwrap();
             assert_eq!(&v[..], &[0, 2, 4, 6]);
             rk.try_barrier().unwrap();
@@ -482,7 +463,7 @@ mod tests {
 
     #[test]
     fn all_gather_orders_by_rank() {
-        let out = run_world(6, |rk| {
+        let out = World::new(6).run(|rk| {
             let v = rk.try_all_gather(rk.rank() * 10).unwrap();
             assert_eq!(&v[..], &[0, 10, 20, 30, 40, 50]);
             v[rk.rank()]
@@ -495,7 +476,7 @@ mod tests {
         // The delivered world vector must be one shared allocation,
         // not a per-rank clone: every rank's handle points at the same
         // slice.
-        let ptrs = run_world(4, |rk| {
+        let ptrs = World::new(4).run(|rk| {
             let v = rk.try_all_gather(rk.rank() as u64).unwrap();
             let p = v.as_ptr() as usize;
             rk.try_barrier().unwrap(); // keep every handle alive until all read ptr
@@ -506,7 +487,7 @@ mod tests {
 
     #[test]
     fn repeated_collectives_do_not_cross_talk() {
-        run_world(4, |rk| {
+        World::new(4).run(|rk| {
             for round in 0..20usize {
                 let v = rk.try_all_gather(rk.rank() + round * 100).unwrap();
                 for (r, &x) in v.iter().enumerate() {
@@ -519,7 +500,7 @@ mod tests {
     #[test]
     fn all_reduce_sum() {
         // An all-reduce is a fold over the shared gathered vector.
-        run_world(8, |rk| {
+        World::new(8).run(|rk| {
             let all = rk.try_all_gather(rk.rank() as u64 + 1).unwrap();
             assert_eq!(all.iter().sum::<u64>(), 36);
         });
@@ -528,7 +509,7 @@ mod tests {
     #[test]
     fn many_ranks_stress() {
         // 64 threads exchanging collectives repeatedly.
-        run_world(64, |rk| {
+        World::new(64).run(|rk| {
             for _ in 0..5 {
                 let v = rk.try_all_gather(1u64).unwrap();
                 assert_eq!(v.iter().sum::<u64>(), 64);
@@ -538,9 +519,9 @@ mod tests {
 
     #[test]
     fn split_contiguous_groups() {
-        run_world(8, |rk| {
+        World::new(8).run(|rk| {
             let g = rk.split(rk.rank() / 3).unwrap(); // groups {0,1,2} {3,4,5} {6,7}
-            assert_eq!(g.n_groups(), 3);
+            assert_eq!(g.split.groups.len(), 3);
             assert_eq!(g.group_id(), rk.rank() / 3);
             assert_eq!(g.rank_in_group(), rk.rank() % 3);
             assert_eq!(g.size(), if rk.rank() < 6 { 3 } else { 2 });
@@ -556,10 +537,10 @@ mod tests {
     fn split_non_contiguous_colors() {
         // Odd/even split with arbitrary (non-dense) colors: dense ids
         // follow ascending color order.
-        run_world(6, |rk| {
+        World::new(6).run(|rk| {
             let color = if rk.rank() % 2 == 0 { 77 } else { 13 };
             let g = rk.split(color).unwrap();
-            assert_eq!(g.n_groups(), 2);
+            assert_eq!(g.split.groups.len(), 2);
             // Color 13 (odd ranks) gets dense id 0.
             let want_gid = if rk.rank() % 2 == 0 { 1 } else { 0 };
             assert_eq!(g.group_id(), want_gid);
@@ -571,7 +552,7 @@ mod tests {
 
     #[test]
     fn exchange_delivers_group_leader_values() {
-        run_world(8, |rk| {
+        World::new(8).run(|rk| {
             let g = rk.split(rk.rank() / 4).unwrap();
             let leader_value = g.is_leader().then(|| g.group_id() as u64 * 100);
             let merged = g.try_exchange(leader_value).unwrap();
@@ -584,7 +565,7 @@ mod tests {
         // The two-level reduction the sharded reservation performs:
         // fold within the group, exchange the leaders' results, fold
         // across groups.
-        run_world(9, |rk| {
+        World::new(9).run(|rk| {
             let g = rk.split(rk.rank() / 2).unwrap();
             let local = g.try_all_gather(rk.rank() as u64 + 1).unwrap();
             let group_total: u64 = local.iter().sum();
@@ -597,7 +578,7 @@ mod tests {
 
     #[test]
     fn groups_interleave_with_world_collectives() {
-        run_world(8, |rk| {
+        World::new(8).run(|rk| {
             let g = rk.split(rk.rank() % 2).unwrap();
             for round in 0..5u64 {
                 let local = g.try_all_gather(round).unwrap();
@@ -614,7 +595,7 @@ mod tests {
         // One rank of one group fails; members of *other* groups
         // blocked in their group-local collectives must unblock with
         // the typed error, not deadlock.
-        let out = run_world(6, |rk| {
+        let out = World::new(6).run(|rk| {
             let g = rk.split(rk.rank() / 3).map_err(|e| e.to_string())?;
             if rk.rank() == 5 {
                 std::thread::sleep(std::time::Duration::from_millis(20));

@@ -8,9 +8,9 @@
 //! would under real MPI.
 //!
 //! ```
-//! use commsim::run_world;
+//! use commsim::World;
 //!
-//! let sums = run_world(4, |rk| {
+//! let sums = World::new(4).run(|rk| {
 //!     let all = rk.try_all_gather(rk.rank() as u64)?;
 //!     Ok::<u64, commsim::WorldPoisoned>(all.iter().sum())
 //! });
@@ -21,4 +21,4 @@ pub mod barrier;
 pub mod communicator;
 
 pub use barrier::{Barrier, BarrierPoisoned};
-pub use communicator::{run_world, Group, Rank, World, WorldPoisoned};
+pub use communicator::{Group, Rank, World, WorldPoisoned};

@@ -1,6 +1,6 @@
 //! Property and failure tests for subgroup communicators.
 
-use commsim::{run_world, Group, WorldPoisoned};
+use commsim::{Group, World, WorldPoisoned};
 use proptest::prelude::*;
 
 /// Two-level all-reduce out of the two group collectives, as the
@@ -33,7 +33,7 @@ proptest! {
         let colors: Vec<usize> = spec.iter().map(|&(_, c)| c).collect();
         let flat_sum = values.iter().fold(0u64, |a, &b| a.wrapping_add(b));
         let flat_max = *values.iter().max().unwrap();
-        let out = run_world(n, move |rk| {
+        let out = World::new(n).run(move |rk| {
             let g = rk.split(colors[rk.rank()])?;
             let sum = reduce_groups(&g, values[rk.rank()], |a, b| a.wrapping_add(b))?;
             let max = reduce_groups(&g, values[rk.rank()], |a, b| a.max(b))?;
@@ -58,7 +58,7 @@ proptest! {
         nfields in 1usize..5,
     ) {
         let n = colors.len();
-        let out = run_world(n, move |rk| {
+        let out = World::new(n).run(move |rk| {
             let g = rk.split(colors[rk.rank()])?;
             let mine: Vec<u64> = (0..nfields)
                 .map(|f| (rk.rank() * 31 + f * 7 + 1) as u64)
@@ -83,7 +83,7 @@ proptest! {
 #[test]
 fn poison_in_one_subgroup_unblocks_whole_world() {
     let n = 9;
-    let out = run_world(n, |rk| {
+    let out = World::new(n).run(|rk| {
         let g = rk.split(rk.rank() / 3).map_err(|e| e.to_string())?;
         if rk.rank() == 4 {
             // Middle rank of the middle group dies before
@@ -116,7 +116,7 @@ fn poison_in_one_subgroup_unblocks_whole_world() {
 /// barrier itself (not a gather) must also release them.
 #[test]
 fn poison_releases_group_barrier_waiters() {
-    let out = run_world(6, |rk| {
+    let out = World::new(6).run(|rk| {
         let g = rk.split(rk.rank() % 2).map_err(|_| "split".to_string())?;
         if rk.rank() == 0 {
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -142,7 +142,7 @@ fn poison_releases_group_barrier_waiters() {
 /// A split performed *after* the world is poisoned fails cleanly.
 #[test]
 fn split_after_poison_errors() {
-    let out = run_world(4, |rk| {
+    let out = World::new(4).run(|rk| {
         if rk.rank() == 2 {
             rk.poison();
             return Err(WorldPoisoned);

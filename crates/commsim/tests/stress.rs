@@ -1,6 +1,6 @@
 //! Stress and property tests for the threads-as-ranks communicator.
 
-use commsim::{run_world, World, WorldPoisoned};
+use commsim::{World, WorldPoisoned};
 use proptest::prelude::*;
 
 #[test]
@@ -10,23 +10,24 @@ fn mixed_collectives_interleave_correctly() {
     // second all-gather (the overflow round) and a barrier, repeated
     // for several "fields".
     let n = 12;
-    run_world(n, |rk| {
-        for field in 0..6u64 {
-            let sizes = rk.try_all_gather(rk.rank() as u64 * 100 + field)?;
-            assert_eq!(sizes.len(), n);
-            for (r, &s) in sizes.iter().enumerate() {
-                assert_eq!(s, r as u64 * 100 + field);
+    World::new(n)
+        .run(|rk| {
+            for field in 0..6u64 {
+                let sizes = rk.try_all_gather(rk.rank() as u64 * 100 + field)?;
+                assert_eq!(sizes.len(), n);
+                for (r, &s) in sizes.iter().enumerate() {
+                    assert_eq!(s, r as u64 * 100 + field);
+                }
+                let total: u64 = sizes.iter().sum();
+                let decisions = rk.try_all_gather(total)?;
+                let want = (0..n as u64).map(|r| r * 100 + field).sum::<u64>();
+                assert!(decisions.iter().all(|&d| d == want));
+                rk.try_barrier()?;
             }
-            let total: u64 = sizes.iter().sum();
-            let decisions = rk.try_all_gather(total)?;
-            let want = (0..n as u64).map(|r| r * 100 + field).sum::<u64>();
-            assert!(decisions.iter().all(|&d| d == want));
-            rk.try_barrier()?;
-        }
-        Ok::<(), WorldPoisoned>(())
-    })
-    .into_iter()
-    .for_each(|r| r.unwrap());
+            Ok::<(), WorldPoisoned>(())
+        })
+        .into_iter()
+        .for_each(|r| r.unwrap());
 }
 
 #[test]
@@ -44,7 +45,7 @@ proptest! {
     fn all_gather_arbitrary_payloads(values in proptest::collection::vec(any::<i64>(), 2..10)) {
         let n = values.len();
         let vals = values.clone();
-        let out = run_world(n, move |rk| {
+        let out = World::new(n).run(move |rk| {
             let gathered = rk.try_all_gather(vals[rk.rank()]).unwrap();
             assert_eq!(&gathered[..], &vals[..]);
             gathered[rk.rank()]
@@ -57,7 +58,7 @@ proptest! {
         let n = values.len();
         let vals = values.clone();
         let expect = *values.iter().max().unwrap();
-        let out = run_world(n, move |rk| {
+        let out = World::new(n).run(move |rk| {
             rk.try_all_gather(vals[rk.rank()]).map(|all| all.iter().copied().max())
         });
         prop_assert!(out.into_iter().all(|v| v == Ok(Some(expect))));

@@ -22,11 +22,11 @@ pub struct ExtraSpacePolicy {
 }
 
 /// The paper's supported band.
-pub const RSPACE_MIN: f64 = 1.1;
+const RSPACE_MIN: f64 = 1.1;
 /// Upper end of the paper's supported band.
 pub const RSPACE_MAX: f64 = 1.43;
 /// Predicted-ratio threshold above which Eq. (3) widens the reserve.
-pub const HIGH_RATIO_THRESHOLD: f64 = 32.0;
+const HIGH_RATIO_THRESHOLD: f64 = 32.0;
 
 impl Default for ExtraSpacePolicy {
     fn default() -> Self {

@@ -28,7 +28,8 @@
 //! Two engines execute the pipeline: [`real`] (threads-as-ranks, real
 //! compression, real throttled file I/O; used up to 64 ranks) and
 //! [`sim`] (discrete-event replay of partition profiles; used for the
-//! 256–4096-rank sweeps of Fig. 16–18). They differ only in how a step
+//! 256–4096-rank sweeps of Fig. 16–18, whose claims the `repro` binary
+//! checks against `REPRO.json`). They differ only in how a step
 //! is *executed*: the planner ([`plan`], [`scheduler`],
 //! [`extraspace`]) and everything between its functions — estimate →
 //! reservation → order → observation → run and step record, and the
@@ -53,7 +54,7 @@ pub mod sim;
 pub mod step;
 pub mod verify;
 
-pub use extraspace::{weight_to_rspace, ExtraSpacePolicy, RSPACE_MAX, RSPACE_MIN};
+pub use extraspace::{weight_to_rspace, ExtraSpacePolicy, RSPACE_MAX};
 pub use metrics::{
     fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics, TimelineReport,
 };

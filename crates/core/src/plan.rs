@@ -6,8 +6,6 @@
 //! communication). The layout places each field's partitions
 //! consecutively in rank order, each padded by the extra-space policy.
 
-use crate::extraspace::ExtraSpacePolicy;
-
 /// Prediction for one partition as distributed by the all-gather.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionPrediction {
@@ -42,33 +40,13 @@ pub struct WritePlan {
 
 impl WritePlan {
     /// Build the layout from gathered predictions
-    /// (`predictions[rank][field]`), starting at `base`.
+    /// (`predictions[rank][field]`) and per-partition reservations
+    /// (`reserved[rank][field]`), starting at `base`.
     ///
     /// Field-major placement: all ranks' partitions of field 0, then
     /// field 1, … — matching one HDF5 dataset per field with one chunk
-    /// per rank.
-    pub fn build(
-        predictions: &[Vec<PartitionPrediction>],
-        policy: &ExtraSpacePolicy,
-        base: u64,
-    ) -> WritePlan {
-        let reserved: Vec<Vec<u64>> = predictions
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|p| policy.reserve_bytes(p.bytes, p.ratio))
-                    .collect()
-            })
-            .collect();
-        WritePlan::build_reserved(predictions, &reserved, base)
-    }
-
-    /// Build the layout with explicit per-partition reservations
-    /// (`reserved[rank][field]`), e.g. from an adaptive per-field
-    /// headroom policy. [`WritePlan::build`] is the uniform-policy
-    /// specialization. Like `build`, the result is a pure function of
-    /// its inputs, so every rank derives the identical layout from the
-    /// gathered predictions.
+    /// per rank. The result is a pure function of its inputs, so every
+    /// rank derives the identical layout from the gathered predictions.
     pub fn build_reserved(
         predictions: &[Vec<PartitionPrediction>],
         reserved: &[Vec<u64>],
@@ -305,6 +283,17 @@ pub fn plan_overflow(overflow: &[Vec<u64>], data_end: u64) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extraspace::ExtraSpacePolicy;
+
+    /// The layout of `p` with every partition reserved under `policy`.
+    fn planned(p: &[Vec<PartitionPrediction>], policy: &ExtraSpacePolicy, base: u64) -> WritePlan {
+        let reserve = |q: &PartitionPrediction| policy.reserve_bytes(q.bytes, q.ratio);
+        let reserved: Vec<Vec<u64>> = p
+            .iter()
+            .map(|row| row.iter().map(reserve).collect())
+            .collect();
+        WritePlan::build_reserved(p, &reserved, base)
+    }
 
     fn preds(vals: &[&[u64]]) -> Vec<Vec<PartitionPrediction>> {
         vals.iter()
@@ -322,7 +311,7 @@ mod tests {
     #[test]
     fn layout_is_field_major_and_disjoint() {
         let p = preds(&[&[100, 200], &[50, 80]]);
-        let plan = WritePlan::build(&p, &ExtraSpacePolicy::new(1.0), 32);
+        let plan = planned(&p, &ExtraSpacePolicy::new(1.0), 32);
         assert!(plan.is_disjoint());
         // field 0: rank0 @32 len100, rank1 @132 len50; field 1 follows.
         assert_eq!(plan.slots[0][0].offset, 32);
@@ -336,7 +325,7 @@ mod tests {
     #[test]
     fn extra_space_inflates_slots() {
         let p = preds(&[&[100]]);
-        let plan = WritePlan::build(&p, &ExtraSpacePolicy::new(1.25), 0);
+        let plan = planned(&p, &ExtraSpacePolicy::new(1.25), 0);
         assert_eq!(plan.slots[0][0].reserved, 125);
     }
 
@@ -352,7 +341,7 @@ mod tests {
                 ratio: 50.0,
             },
         ]];
-        let plan = WritePlan::build(&p, &ExtraSpacePolicy::new(1.25), 0);
+        let plan = planned(&p, &ExtraSpacePolicy::new(1.25), 0);
         assert_eq!(plan.slots[0][0].reserved, 125);
         assert_eq!(plan.slots[0][1].reserved, 200); // widened by Eq. 3
     }
@@ -375,28 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_build_reserved_with_policy_reserves() {
-        let p = preds(&[&[100, 200], &[50, 80]]);
-        let policy = ExtraSpacePolicy::new(1.25);
-        let reserved: Vec<Vec<u64>> = p
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|q| policy.reserve_bytes(q.bytes, q.ratio))
-                    .collect()
-            })
-            .collect();
-        assert_eq!(
-            WritePlan::build(&p, &policy, 64),
-            WritePlan::build_reserved(&p, &reserved, 64)
-        );
-    }
-
-    #[test]
     fn deterministic_rebuild() {
         let p = preds(&[&[10, 20, 30], &[5, 15, 25], &[7, 7, 7]]);
-        let a = WritePlan::build(&p, &ExtraSpacePolicy::default(), 64);
-        let b = WritePlan::build(&p, &ExtraSpacePolicy::default(), 64);
+        let a = planned(&p, &ExtraSpacePolicy::default(), 64);
+        let b = planned(&p, &ExtraSpacePolicy::default(), 64);
         assert_eq!(a, b);
     }
 
@@ -491,7 +462,7 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let plan = WritePlan::build(&[], &ExtraSpacePolicy::default(), 0);
+        let plan = planned(&[], &ExtraSpacePolicy::default(), 0);
         assert_eq!(plan.data_end, 0);
         assert!(plan.is_disjoint());
     }

@@ -37,11 +37,6 @@ impl PartitionProfile {
     pub fn actual_bit_rate(&self) -> f64 {
         self.actual_bytes as f64 * 8.0 / self.n_points as f64
     }
-
-    /// Prediction error (signed, relative to actual).
-    pub fn prediction_error(&self) -> f64 {
-        (self.pred_bytes as f64 - self.actual_bytes as f64) / self.actual_bytes as f64
-    }
 }
 
 /// Build a profile by running the prediction phase and a real
@@ -143,7 +138,8 @@ mod tests {
         assert_eq!(p.raw_bytes, 16384);
         assert!(p.actual_bytes > 0 && p.actual_bytes < p.raw_bytes);
         assert!(p.comp_time > 0.0);
-        assert!(p.prediction_error().abs() < 0.5);
+        let err = (p.pred_bytes as f64 - p.actual_bytes as f64) / p.actual_bytes as f64;
+        assert!(err.abs() < 0.5);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl SimParams {
     /// flat path is one world-sized all-gather; the sharded path is a
     /// group-sized all-gather plus the inter-group exchange of leader
     /// totals (two small collectives instead of one large one).
-    pub fn reservation_collective_time(&self, nranks: usize, group_size: Option<usize>) -> f64 {
+    fn reservation_collective_time(&self, nranks: usize, group_size: Option<usize>) -> f64 {
         match group_size {
             None => self.allgather_time(nranks),
             Some(s) => {
@@ -325,7 +325,7 @@ pub struct StreamSimConfig {
     /// Bandwidth model, extra-space policy, collective latency model.
     pub params: SimParams,
     /// Prediction/headroom mode (adaptive mode carries its
-    /// [`ratiomodel::OnlineConfig`], including the band scope).
+    /// [`ratiomodel::OnlineConfig`]).
     pub mode: AdaptMode,
     /// Shape of the per-step reservation collective.
     pub reservation: ReservationTopology,
@@ -351,9 +351,6 @@ pub struct StreamSimReport {
     /// computed by their own leaders concurrently in a real run, so
     /// they are excluded.
     pub planner_seconds: f64,
-    /// Modeled reservation-collective traffic per rank per step, bytes
-    /// (see [`reservation_wire_bytes`]).
-    pub collective_bytes_per_rank: u64,
 }
 
 /// Stream `cfg.steps` simulated checkpoints over
@@ -364,8 +361,7 @@ pub struct StreamSimReport {
 /// ([`StreamState`]): static mode replays the offline predictions with
 /// the engine-wide extra-space policy every step; adaptive mode
 /// threads an [`OnlinePredictor`] through the steps — per-partition
-/// bias correction plus adaptive headroom (collective per-field bands
-/// under [`ratiomodel::BandScope::Field`]), fed back from each step's
+/// bias correction plus adaptive headroom, fed back from each step's
 /// actual sizes.
 ///
 /// The reservation topology changes *costs*, never *bytes*: the
@@ -385,7 +381,6 @@ where
     let mut state = StreamState::new(cfg.mode, None).expect("no resumed history to reject");
     let mut steps = Vec::with_capacity(cfg.steps);
     let mut planner_seconds = 0.0;
-    let mut collective_bytes_per_rank = 0;
 
     for step in 0..cfg.steps {
         let profiles = step_profiles(step);
@@ -393,7 +388,6 @@ where
         let nranks = profiles.len();
         let nfields = profiles.first().map_or(0, Vec::len);
         let gsize = cfg.reservation.effective_group_size(nranks);
-        collective_bytes_per_rank = reservation_wire_bytes(nranks, nfields, gsize);
         let run = |online: Option<&OnlinePredictor>| {
             let (result, observations, seconds) =
                 sim_overlap_step(profiles, online, &cfg.params, gsize, cfg.reorder);
@@ -411,7 +405,6 @@ where
         },
         reservation: cfg.reservation.label().to_string(),
         planner_seconds,
-        collective_bytes_per_rank,
     }
 }
 
@@ -688,28 +681,10 @@ mod tests {
                 assert_eq!(a.result.n_overflow, b.result.n_overflow);
                 assert_eq!(a.mean_rel_err, b.mean_rel_err);
             }
-            // Sharding shrinks the per-rank reservation wire traffic.
-            assert!(shard.collective_bytes_per_rank < flat.collective_bytes_per_rank);
+            // Sharding shrinks the reservation wire traffic.
+            let wire = |r: &StreamSimReport| r.report.steps[0].result.reservation_wire_bytes;
+            assert!(wire(&shard) < wire(&flat));
         }
-    }
-
-    #[test]
-    fn field_scope_bands_flow_through_stream() {
-        let cfg = ratiomodel::OnlineConfig {
-            band_scope: ratiomodel::BandScope::Field,
-            ..ratiomodel::OnlineConfig::default()
-        };
-        let profiles = synth(16, 4, 16.0, false);
-        let r = simulate_stream(
-            &stream_cfg(AdaptMode::Adaptive(cfg), ReservationTopology::Flat, 8),
-            |_| &profiles,
-        );
-        // Collective bands adapt too — the bias fix dominates either
-        // way, so the field-scoped stream also stops overflowing.
-        assert!(
-            r.report.steps.last().unwrap().result.overflow_bytes
-                < r.report.steps[0].result.overflow_bytes / 2
-        );
     }
 
     #[test]
@@ -726,14 +701,14 @@ mod tests {
         assert_eq!(r.report.steps.len(), 3);
         assert_eq!(r.reservation, "sharded");
         assert!(r.planner_seconds > 0.0 && r.planner_seconds.is_finite());
-        // √512 → 23-rank groups: far less wire than the 512-rank gather.
-        assert!(r.collective_bytes_per_rank < reservation_wire_bytes(512, 4, None) / 4);
-        // Each step's record carries the same figure, over all ranks.
+        // √512 → 23-rank groups: far less wire than the 512-rank
+        // gather, in every step's record (summed over ranks).
+        let flat = reservation_wire_bytes(512, 4, None) * 512;
         assert!(r
             .report
             .steps
             .iter()
-            .all(|s| s.result.reservation_wire_bytes == r.collective_bytes_per_rank * 512));
+            .all(|s| s.result.reservation_wire_bytes < flat / 4));
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl StreamState {
         if let AdaptMode::Adaptive(cfg) = self.mode {
             let online = self
                 .online
-                .get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, cfg));
+                .get_or_insert_with(|| OnlinePredictor::new(nranks * nfields, cfg));
             if online.n_cells() != nranks * nfields {
                 return Err(RealError::Shape(format!(
                     "online state tracks {} cells, stream shape is {nranks}×{nfields}",
@@ -267,7 +267,7 @@ impl StreamState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratiomodel::{BandScope, OnlineConfig};
+    use ratiomodel::OnlineConfig;
 
     fn estimate(bytes: u64) -> SourceEstimate {
         SourceEstimate {
@@ -423,21 +423,6 @@ mod tests {
         let m = fixed.step(0, 2, 3, |_| ran(2, 3)).unwrap();
         assert_eq!(m.mean_rel_err, 0.0);
         assert!(fixed.online().is_none());
-    }
-
-    #[test]
-    fn field_scope_creates_one_band_group_per_field() {
-        let cfg = OnlineConfig {
-            band_scope: BandScope::Field,
-            ..OnlineConfig::default()
-        };
-        let mut state = StreamState::new(AdaptMode::Adaptive(cfg), None).unwrap();
-        state.step(0, 4, 3, |_| ran(4, 3)).unwrap();
-        let online = state.online().unwrap();
-        assert_eq!((online.band_groups(), online.n_cells()), (3, 12));
-        let mut per_cell = StreamState::new(adaptive(), None).unwrap();
-        per_cell.step(0, 4, 3, |_| ran(4, 3)).unwrap();
-        assert_eq!(per_cell.online().unwrap().band_groups(), 0);
     }
 
     #[test]

@@ -164,11 +164,6 @@ impl EventSet {
         }
     }
 
-    /// Number of operations not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.pending.depth.lock().now
-    }
-
     /// The most operations that were ever in flight at once — the
     /// queue's peak depth over the set's lifetime.
     pub fn high_water(&self) -> usize {
@@ -226,7 +221,7 @@ mod tests {
             es.write_at(&f, i * 100, vec![i as u8; 100], None);
         }
         es.wait().unwrap();
-        assert_eq!(es.in_flight(), 0);
+        assert_eq!(es.pending.depth.lock().now, 0);
         assert!((1..=16).contains(&es.high_water()), "{}", es.high_water());
         for i in 0..16u64 {
             let mut buf = vec![0u8; 100];
@@ -297,7 +292,7 @@ mod tests {
             }
             other => panic!("expected AsyncWrites, got {other:?}"),
         }
-        assert_eq!(es.in_flight(), 0);
+        assert_eq!(es.pending.depth.lock().now, 0);
         // The queue stays usable: errors were drained, and with the
         // harness detached a later write round succeeds.
         f.set_faults(None);

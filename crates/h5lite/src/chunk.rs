@@ -16,27 +16,22 @@ fn pad3(dims: &[u64]) -> [u64; 3] {
 
 /// Geometry of one chunk within a chunked dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileGeom {
+struct TileGeom {
     /// Start coordinates (z, y, x).
-    pub start: [u64; 3],
+    start: [u64; 3],
     /// Tile extents, clipped at dataset edges.
-    pub extent: [u64; 3],
+    extent: [u64; 3],
 }
 
 impl TileGeom {
     /// Elements in the tile.
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         self.extent.iter().product()
-    }
-
-    /// True when the tile is empty (never for valid indices).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 /// Compute the geometry of chunk `chunk_idx` (row-major chunk grid).
-pub fn tile_geom(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<TileGeom> {
+fn tile_geom(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<TileGeom> {
     if dims.len() != chunk_dims.len() || dims.is_empty() || dims.len() > 3 {
         return Err(H5Error::Corrupt("tile rank"));
     }

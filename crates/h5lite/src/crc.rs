@@ -49,22 +49,16 @@ const fn build_tables() -> [[u32; 256]; 8] {
 /// Incremental CRC32C state — feed bytes with [`Crc32c::update`],
 /// finish with [`Crc32c::finalize`].
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32c(u32);
-
-impl Default for Crc32c {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+struct Crc32c(u32);
 
 impl Crc32c {
     /// Fresh state.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Crc32c(!0)
     }
 
     /// Fold `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
+    fn update(&mut self, data: &[u8]) {
         let mut crc = self.0;
         let mut chunks = data.chunks_exact(8);
         for w in &mut chunks {
@@ -86,7 +80,7 @@ impl Crc32c {
     }
 
     /// Final checksum value.
-    pub fn finalize(self) -> u32 {
+    fn finalize(self) -> u32 {
         !self.0
     }
 }

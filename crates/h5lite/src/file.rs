@@ -39,7 +39,7 @@ pub const MAGIC: u32 = 0x544C3548;
 pub const VERSION: u8 = 2;
 /// Superblock flag bit: chunk records carry CRC32C checksums. Always
 /// set; a superblock without it does not open.
-pub const FLAG_CHUNK_CRC: u8 = 1;
+const FLAG_CHUNK_CRC: u8 = 1;
 /// Reserved superblock size at offset 0.
 pub const SUPERBLOCK: u64 = 32;
 
@@ -676,11 +676,6 @@ impl H5Reader {
     pub fn read_f32(&self, name: &str) -> Result<Vec<f32>> {
         self.read::<f32>(name)
     }
-
-    /// Read a dataset as `f64` values.
-    pub fn read_f64(&self, name: &str) -> Result<Vec<f64>> {
-        self.read::<f64>(name)
-    }
 }
 
 #[cfg(test)]
@@ -785,8 +780,11 @@ mod tests {
 
         let r = H5Reader::open(&path).unwrap();
         let m = r.meta("x").unwrap();
-        assert_eq!(m.attr("eb"), Some(&AttrValue::F64(0.5)));
-        assert_eq!(m.attr("step"), Some(&AttrValue::I64(8)));
+        let written = [
+            ("eb".to_string(), AttrValue::F64(0.5)),
+            ("step".to_string(), AttrValue::I64(8)),
+        ];
+        assert_eq!(m.attrs, written);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1002,7 +1000,6 @@ mod tests {
         f.close().unwrap();
         let r = H5Reader::open(&path).unwrap();
         assert!(r.read::<f64>("x").is_err());
-        assert!(r.read_f64("x").is_err());
         assert_eq!(r.read::<f32>("x").unwrap(), data);
         std::fs::remove_file(&path).unwrap();
     }

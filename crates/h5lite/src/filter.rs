@@ -107,7 +107,7 @@ impl SzFilterParams {
     }
 
     /// Decode from parameter bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
+    fn from_bytes(buf: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
         let absolute = match buf.first() {
             Some(0) => false,
@@ -243,8 +243,7 @@ impl Default for FilterRegistry {
 }
 
 impl FilterRegistry {
-    /// Register (or replace) a filter implementation.
-    pub fn register(&mut self, f: Arc<dyn Filter>) {
+    fn register(&mut self, f: Arc<dyn Filter>) {
         self.filters.insert(f.id(), f);
     }
 
@@ -322,20 +321,6 @@ impl FilterRegistry {
         self.run_chain(specs.iter(), specs.len(), data, scratch, out, true)
     }
 
-    /// Apply a pipeline in declaration order, returning an owned
-    /// buffer. Allocating convenience over
-    /// [`FilterRegistry::apply_into`].
-    pub fn apply(
-        &self,
-        specs: &[FilterSpec],
-        data: &[u8],
-        scratch: &mut FilterScratch,
-    ) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.apply_into(specs, data, scratch, &mut out)?;
-        Ok(out)
-    }
-
     /// Invert a pipeline in reverse order (read path), appending the
     /// de-filtered bytes to `out` (cleared first) — the mirror image of
     /// [`FilterRegistry::apply_into`].
@@ -352,19 +337,6 @@ impl FilterRegistry {
             return Ok(());
         }
         self.run_chain(specs.iter().rev(), specs.len(), data, scratch, out, false)
-    }
-
-    /// Invert a pipeline in reverse order, returning an owned buffer.
-    /// Allocating convenience over [`FilterRegistry::invert_into`].
-    pub fn invert(
-        &self,
-        specs: &[FilterSpec],
-        data: &[u8],
-        scratch: &mut FilterScratch,
-    ) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.invert_into(specs, data, scratch, &mut out)?;
-        Ok(out)
     }
 }
 
@@ -454,9 +426,19 @@ mod tests {
                 params: vec![],
             },
         ];
+        let apply = |data: &[u8], scratch: &mut FilterScratch| {
+            let mut out = Vec::new();
+            reg.apply_into(&specs, data, scratch, &mut out).unwrap();
+            out
+        };
+        let invert = |data: &[u8], scratch: &mut FilterScratch| {
+            let mut out = Vec::new();
+            reg.invert_into(&specs, data, scratch, &mut out).unwrap();
+            out
+        };
         let mut scratch = FilterScratch::new();
-        let enc = reg.apply(&specs, &data, &mut scratch).unwrap();
-        let dec = reg.invert(&specs, &enc, &mut scratch).unwrap();
+        let enc = apply(&data, &mut scratch);
+        let dec = invert(&enc, &mut scratch);
         assert_eq!(dec.len(), data.len());
         for (v, b) in vals.iter().zip(dec.chunks_exact(4)) {
             let y = f32::from_le_bytes(b.try_into().unwrap());
@@ -466,13 +448,11 @@ mod tests {
         // A dirty scratch reused on the same input yields identical
         // bytes in both directions — the determinism guarantee the
         // pipelines rely on.
-        let enc2 = reg.apply(&specs, &data, &mut scratch).unwrap();
-        let fresh = reg.apply(&specs, &data, &mut FilterScratch::new()).unwrap();
+        let enc2 = apply(&data, &mut scratch);
+        let fresh = apply(&data, &mut FilterScratch::new());
         assert_eq!(enc2, fresh);
-        let dec2 = reg.invert(&specs, &enc2, &mut scratch).unwrap();
-        let dec_fresh = reg
-            .invert(&specs, &fresh, &mut FilterScratch::new())
-            .unwrap();
+        let dec2 = invert(&enc2, &mut scratch);
+        let dec_fresh = invert(&fresh, &mut FilterScratch::new());
         assert_eq!(dec2, dec_fresh);
         assert_eq!(dec2, dec);
     }
@@ -485,7 +465,12 @@ mod tests {
             params: vec![],
         }];
         assert!(matches!(
-            reg.apply(&specs, &[1, 2, 3], &mut FilterScratch::new()),
+            reg.apply_into(
+                &specs,
+                &[1, 2, 3],
+                &mut FilterScratch::new(),
+                &mut Vec::new()
+            ),
             Err(H5Error::UnknownFilter(999))
         ));
     }

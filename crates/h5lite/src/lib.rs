@@ -43,11 +43,9 @@ pub mod pool;
 pub mod scrub;
 
 pub use asyncq::EventSet;
-pub use crc::{crc32c, Crc32c};
+pub use crc::crc32c;
 pub use error::{AsyncWriteFailure, H5Error, Result};
-pub use file::{
-    DatasetId, DatasetSpec, H5File, H5Reader, FLAG_CHUNK_CRC, MAGIC, SUPERBLOCK, VERSION,
-};
+pub use file::{DatasetId, DatasetSpec, H5File, H5Reader, MAGIC, SUPERBLOCK, VERSION};
 pub use filter::{
     Filter, FilterRegistry, FilterScratch, SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
 };

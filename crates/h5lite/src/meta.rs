@@ -117,7 +117,7 @@ pub struct DatasetMeta {
 
 impl DatasetMeta {
     /// Number of logical elements.
-    pub fn n_elements(&self) -> u64 {
+    fn n_elements(&self) -> u64 {
         self.dims.iter().product()
     }
 
@@ -132,7 +132,7 @@ impl DatasetMeta {
     }
 
     /// Chunk-grid extents (ceil-division of dims by chunk dims).
-    pub fn chunk_grid(&self) -> Vec<u64> {
+    fn chunk_grid(&self) -> Vec<u64> {
         match &self.chunk_dims {
             None => vec![1],
             Some(cd) => self
@@ -147,11 +147,6 @@ impl DatasetMeta {
     /// Total number of chunks in the grid.
     pub fn n_chunks(&self) -> u64 {
         self.chunk_grid().iter().product()
-    }
-
-    /// Look up an attribute by name.
-    pub fn attr(&self, name: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 }
 
@@ -403,8 +398,9 @@ mod tests {
     #[test]
     fn attr_lookup() {
         let m = sample_meta();
-        assert_eq!(m.attr("timestep"), Some(&AttrValue::I64(42)));
-        assert!(m.attr("missing").is_none());
+        let attr = |name: &str| m.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        assert_eq!(attr("timestep"), Some(&AttrValue::I64(42)));
+        assert!(attr("missing").is_none());
     }
 
     #[test]

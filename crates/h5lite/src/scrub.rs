@@ -93,14 +93,6 @@ impl ScrubReport {
             .count()
     }
 
-    /// Number of truncated chunk records.
-    pub fn n_truncated(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| c.state == ChunkState::Truncated)
-            .count()
-    }
-
     /// Damaged chunk records (corrupt or truncated).
     pub fn damaged(&self) -> impl Iterator<Item = &ChunkReport> {
         self.chunks.iter().filter(|c| c.state != ChunkState::Ok)
@@ -336,7 +328,7 @@ mod tests {
         let r = scrub(&path).unwrap();
         assert!(!r.is_clean());
         assert_eq!(r.n_corrupt(), 1);
-        assert_eq!(r.n_truncated(), 0);
+        assert!(r.chunks.iter().all(|c| c.state != ChunkState::Truncated));
         let bad = r.damaged().next().unwrap();
         assert_eq!(bad.dataset, "v");
         assert_eq!(bad.index, 2);

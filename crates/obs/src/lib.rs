@@ -25,5 +25,5 @@ pub mod trace;
 pub use flight::{flight_path, read_flight, FlightError, FlightScan, StepFlight};
 pub use json::Json;
 pub use trace::{
-    enabled, export_env, set_enabled, span, span_arg, timed, timed_arg, Span, SpanEvent, Timed,
+    export_env, set_enabled, span, span_arg, timed, timed_arg, Span, SpanEvent, Timed,
 };

@@ -59,7 +59,7 @@ static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 /// the tri-state from [`TRACE_ENV`]; the hot path afterwards is one
 /// relaxed load and a branch.
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         STATE_ON => true,
         STATE_OFF => false,

@@ -84,7 +84,9 @@ impl BandwidthModel {
         self.per_proc_peak * bytes / (bytes + self.half_size)
     }
 
-    /// Uncontended time (s) to write `bytes` from one process.
+    /// Uncontended time (s) to write `bytes` from one process. Read by
+    /// `tests/proptest_invariants.rs`, which pins that the event engine
+    /// on one rank is Algorithm 1's recurrence over these write times.
     pub fn solo_write_time(&self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
             return self.latency;

@@ -87,7 +87,9 @@ impl std::error::Error for FaultError {}
 
 impl FaultError {
     /// Extract a `FaultError` from an [`io::Error`] produced by fault
-    /// injection, if that is what it wraps.
+    /// injection, if that is what it wraps. Read by h5lite's async-queue
+    /// tests, which pin that a torn write surfaces at `wait` as typed
+    /// `Crashed` failures instead of a hang.
     pub fn from_io(e: &io::Error) -> Option<&FaultError> {
         e.get_ref().and_then(|inner| inner.downcast_ref())
     }

@@ -3,7 +3,6 @@
 //! one field of one snapshot across error bounds, fit `Cmin`, `Cmax`,
 //! `a`, then reuse the model everywhere).
 
-use crate::throughput::{fit as fit_throughput, ThroughputModel};
 use std::time::Instant;
 use szlite::{compress_into, Config, Dims, ErrorBound, Scratch};
 
@@ -21,7 +20,10 @@ pub struct Observation {
 }
 
 /// Compress `data` once per error bound, measuring wall-clock
-/// throughput. Returns the observations (for plotting, e.g. Fig. 5).
+/// throughput: the observations Eq. (1) is fitted to
+/// ([`crate::fit_throughput`]). The paper calibrates on one field
+/// (baryon density, rel bounds 1e-1…1e-8) and reuses the fitted
+/// `(Cmin, Cmax, a)` for every other field and snapshot.
 pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observation> {
     let raw_bytes = (data.len() * 4) as f64;
     let (mut scratch, mut stream) = (Scratch::new(), Vec::new());
@@ -45,25 +47,6 @@ pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observat
         .collect()
 }
 
-/// Full offline calibration: observe across `bounds` and fit Eq. (1).
-///
-/// Mirrors the paper's procedure of calibrating on one field (baryon
-/// density of the 512³ snapshot, rel bounds 1e-1…1e-8) and reusing the
-/// fitted `(Cmin, Cmax, a)` for every other field and snapshot.
-pub fn calibrate(
-    data: &[f32],
-    dims: &Dims,
-    bounds: &[ErrorBound],
-) -> (ThroughputModel, Vec<Observation>) {
-    let obs = observe(data, dims, bounds);
-    assert!(
-        obs.len() >= 2,
-        "calibration needs at least two successful runs"
-    );
-    let samples: Vec<(f64, f64)> = obs.iter().map(|o| (o.bit_rate, o.throughput)).collect();
-    (fit_throughput(&samples), obs)
-}
-
 /// The paper's calibration bound sweep: value-range-relative bounds
 /// from 1e-1 down to 1e-8.
 pub fn paper_bound_sweep() -> Vec<ErrorBound> {
@@ -73,6 +56,7 @@ pub fn paper_bound_sweep() -> Vec<ErrorBound> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit_throughput;
 
     fn field() -> (Vec<f32>, Dims) {
         let n = 32;
@@ -107,7 +91,9 @@ mod tests {
     #[test]
     fn calibrate_produces_sane_model() {
         let (data, dims) = field();
-        let (m, obs) = calibrate(&data, &dims, &paper_bound_sweep());
+        let obs = observe(&data, &dims, &paper_bound_sweep());
+        let samples: Vec<(f64, f64)> = obs.iter().map(|o| (o.bit_rate, o.throughput)).collect();
+        let m = fit_throughput(&samples);
         assert!(m.cmin > 0.0 && m.cmax >= m.cmin);
         assert!(m.a < 0.0, "a = {}", m.a);
         assert!(obs.len() >= 6);

@@ -25,8 +25,8 @@ pub mod ratio;
 pub mod throughput;
 pub mod writetime;
 
-pub use fit::{calibrate, observe, paper_bound_sweep, Observation};
-pub use online::{BandScope, CellStats, OnlineConfig, OnlinePrediction, OnlinePredictor};
+pub use fit::{observe, paper_bound_sweep, Observation};
+pub use online::{CellStats, OnlineConfig, OnlinePrediction, OnlinePredictor};
 pub use ratio::{predict, predict_default, LosslessGain, RatioPrediction};
 pub use throughput::{fit as fit_throughput, ThroughputModel};
 pub use writetime::{fit as fit_writetime, WriteTimeModel};

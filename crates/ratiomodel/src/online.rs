@@ -22,28 +22,6 @@
 //! The state is a pure fold over the observation sequence, so
 //! streaming runs replay deterministically at any worker count.
 
-/// Scope of the error band the adaptive headroom derives from.
-///
-/// The bias correction is always per-partition; the *band* (how much
-/// cushion the error history justifies) can be shared. At thousands of
-/// ranks a field's partitions compress near-identically, so pooling
-/// their error statistics into one collective band per field converges
-/// with far fewer per-cell observations and keeps headroom uniform
-/// across a field's ranks — one outlier partition widens every
-/// member's cushion instead of silently overflowing alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BandScope {
-    /// Each cell derives its band from its own EWMA error (the PR 4
-    /// behavior).
-    #[default]
-    Partition,
-    /// Cells are pooled per field (with `rank·nfields+field` cell
-    /// indexing, by `cell % nfields`); each field's band is the running
-    /// mean of its members' EWMA errors. Consumed by
-    /// [`OnlinePredictor::for_stream`], which knows the field count.
-    Field,
-}
-
 /// Tunables of the online blend and adaptive headroom.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
@@ -62,8 +40,6 @@ pub struct OnlineConfig {
     /// floor may exceed it — recovery from a misprediction takes
     /// precedence over the cap).
     pub max_headroom: f64,
-    /// Whether bands are per-partition or pooled per group.
-    pub band_scope: BandScope,
 }
 
 impl Default for OnlineConfig {
@@ -74,7 +50,6 @@ impl Default for OnlineConfig {
             err_margin: 4.0,
             min_headroom: 1.05,
             max_headroom: 1.43,
-            band_scope: BandScope::Partition,
         }
     }
 }
@@ -97,7 +72,6 @@ impl OnlineConfig {
             },
             min_headroom: min,
             max_headroom: self.max_headroom.max(min),
-            band_scope: self.band_scope,
         }
     }
 }
@@ -154,19 +128,7 @@ pub struct OnlinePrediction {
 }
 
 /// Version byte of [`OnlinePredictor::to_state_bytes`]'s encoding.
-const STATE_VERSION: u8 = 2;
-
-/// Collective error-band accumulator of one cell group.
-#[derive(Debug, Clone, Copy, Default)]
-struct BandGroup {
-    /// Running sum of the member cells' current EWMA errors (only
-    /// members with history contribute; maintained incrementally on
-    /// every observation and serialized verbatim, so restored
-    /// predictors reproduce bit-identical bands).
-    err_sum: f64,
-    /// Members with at least one observation.
-    n_active: u64,
-}
+const STATE_VERSION: u8 = 3;
 
 /// Streaming per-partition predictor: offline model × online
 /// bias correction, with adaptive extra-space headroom.
@@ -174,77 +136,22 @@ struct BandGroup {
 pub struct OnlinePredictor {
     cfg: OnlineConfig,
     cells: Vec<Cell>,
-    /// Collective band accumulators; empty = per-cell bands. Cell
-    /// `c` belongs to group `c % groups.len()`.
-    groups: Vec<BandGroup>,
 }
 
 impl OnlinePredictor {
     /// Predictor tracking `n_cells` partitions (callers index cells
-    /// however they like, e.g. `rank · nfields + field`) with
-    /// per-partition error bands.
+    /// however they like, e.g. `rank · nfields + field`), each with
+    /// its own error band.
     pub fn new(n_cells: usize, cfg: OnlineConfig) -> Self {
         OnlinePredictor {
             cfg: cfg.sanitized(),
             cells: vec![Cell::default(); n_cells],
-            groups: Vec::new(),
-        }
-    }
-
-    /// Predictor for a stream of `nranks × nfields` partitions, cells
-    /// indexed `rank · nfields + field`, with the band scope
-    /// `cfg.band_scope` asks for: per-cell bands
-    /// ([`BandScope::Partition`], identical to
-    /// [`OnlinePredictor::new`]) or one collective band per field
-    /// pooled across its ranks ([`BandScope::Field`]). The one place
-    /// the scope is turned into a layout — the simulated and the
-    /// real-I/O stream both construct through it.
-    pub fn for_stream(nranks: usize, nfields: usize, cfg: OnlineConfig) -> Self {
-        let band_groups = match cfg.band_scope {
-            BandScope::Partition => 0,
-            BandScope::Field => nfields,
-        };
-        Self::with_band_groups(nranks * nfields, band_groups, cfg)
-    }
-
-    /// Predictor with **collective** error bands: cells are pooled
-    /// into `band_groups` groups by `cell % band_groups`, and each
-    /// group's band derives from the running mean of its members' EWMA
-    /// errors instead of each cell's own. Bias corrections, warm-up
-    /// gates and the last-observed reservation floor stay per-cell.
-    /// `band_groups = 0` is per-cell banding.
-    fn with_band_groups(n_cells: usize, band_groups: usize, cfg: OnlineConfig) -> Self {
-        OnlinePredictor {
-            cfg: cfg.sanitized(),
-            cells: vec![Cell::default(); n_cells],
-            groups: vec![BandGroup::default(); band_groups],
         }
     }
 
     /// Number of tracked cells.
     pub fn n_cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of collective band groups (0 = per-cell bands).
-    pub fn band_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The EWMA error feeding `cell`'s band: the cell's own error, or
-    /// its group's running mean under collective banding.
-    fn band_err(&self, cell: usize) -> f64 {
-        if self.groups.is_empty() {
-            return self.cells[cell].err;
-        }
-        let g = &self.groups[cell % self.groups.len()];
-        if g.n_active == 0 {
-            self.cells[cell].err
-        } else {
-            // The incremental sum can round a hair below zero once
-            // members' errors shrink; the band is a cushion, clamp it.
-            (g.err_sum / g.n_active as f64).max(0.0)
-        }
     }
 
     /// The (sanitized) configuration in effect.
@@ -261,8 +168,8 @@ impl OnlinePredictor {
         let w = (c.n_obs as f64 / self.cfg.warmup as f64).min(1.0);
         let corr = 1.0 + w * (c.correction - 1.0);
         let bytes = ((model as f64 * corr).ceil() as u64).max(1);
-        let band = (1.0 + self.cfg.err_margin * self.band_err(cell))
-            .clamp(self.cfg.min_headroom, self.cfg.max_headroom);
+        let band =
+            (1.0 + self.cfg.err_margin * c.err).clamp(self.cfg.min_headroom, self.cfg.max_headroom);
         let headroom =
             (c.n_obs >= self.cfg.warmup).then(|| band.max(c.last_observed as f64 / bytes as f64));
         OnlinePrediction {
@@ -282,8 +189,7 @@ impl OnlinePredictor {
         predicted_bytes: u64,
         observed_bytes: u64,
     ) {
-        let old = self.cells[cell];
-        let mut c = old;
+        let mut c = self.cells[cell];
         let obs = observed_bytes.max(1) as f64;
         // Clamps keep a degenerate observation (corrupt sizes, zero
         // model) from poisoning the EWMA with inf/NaN.
@@ -299,19 +205,6 @@ impl OnlinePredictor {
         }
         c.last_observed = observed_bytes;
         c.n_obs += 1;
-        if !self.groups.is_empty() {
-            // Keep the group's running Σ(member EWMA errors) in sync:
-            // replace this cell's previous contribution with its new
-            // one (first observation also activates the member).
-            let gi = cell % self.groups.len();
-            let grp = &mut self.groups[gi];
-            if old.n_obs == 0 {
-                grp.n_active += 1;
-                grp.err_sum += c.err;
-            } else {
-                grp.err_sum += c.err - old.err;
-            }
-        }
         self.cells[cell] = c;
     }
 
@@ -333,31 +226,19 @@ impl OnlinePredictor {
     /// caller's job.
     pub fn to_state_bytes(&self) -> Vec<u8> {
         use szlite::stream::{put_f64, put_varint};
-        let mut out = Vec::with_capacity(24 + self.cells.len() * 24 + self.groups.len() * 10);
+        let mut out = Vec::with_capacity(40 + self.cells.len() * 24);
         out.push(STATE_VERSION);
         put_f64(&mut out, self.cfg.alpha);
         put_varint(&mut out, self.cfg.warmup);
         put_f64(&mut out, self.cfg.err_margin);
         put_f64(&mut out, self.cfg.min_headroom);
         put_f64(&mut out, self.cfg.max_headroom);
-        out.push(match self.cfg.band_scope {
-            BandScope::Partition => 0,
-            BandScope::Field => 1,
-        });
         put_varint(&mut out, self.cells.len() as u64);
         for c in &self.cells {
             put_f64(&mut out, c.correction);
             put_f64(&mut out, c.err);
             put_varint(&mut out, c.last_observed);
             put_varint(&mut out, c.n_obs);
-        }
-        // Group sums are stored verbatim (not re-derived from cells on
-        // load): the incremental f64 accumulation order is part of the
-        // state, so a resumed stream reproduces bit-identical bands.
-        put_varint(&mut out, self.groups.len() as u64);
-        for g in &self.groups {
-            put_f64(&mut out, g.err_sum);
-            put_varint(&mut out, g.n_active);
         }
         out
     }
@@ -381,15 +262,6 @@ impl OnlinePredictor {
         let err_margin = get_f64(bytes, &mut pos).map_err(|_| err("err_margin"))?;
         let min_headroom = get_f64(bytes, &mut pos).map_err(|_| err("min_headroom"))?;
         let max_headroom = get_f64(bytes, &mut pos).map_err(|_| err("max_headroom"))?;
-        let band_scope = match bytes.get(pos) {
-            Some(0) => BandScope::Partition,
-            Some(1) => BandScope::Field,
-            Some(b) => {
-                return Err(format!("online predictor state: unknown band scope {b}"));
-            }
-            None => return Err(err("band scope")),
-        };
-        pos += 1;
         let n = get_varint(bytes, &mut pos).map_err(|_| err("cell count"))? as usize;
         if n > 100_000_000 {
             return Err("online predictor state: implausible cell count".into());
@@ -410,19 +282,6 @@ impl OnlinePredictor {
                 n_obs,
             });
         }
-        let ng = get_varint(bytes, &mut pos).map_err(|_| err("group count"))? as usize;
-        if ng > n.max(1) {
-            return Err("online predictor state: more groups than cells".into());
-        }
-        let mut groups = Vec::new();
-        for _ in 0..ng {
-            let err_sum = get_f64(bytes, &mut pos).map_err(|_| err("group"))?;
-            let n_active = get_varint(bytes, &mut pos).map_err(|_| err("group"))?;
-            if !err_sum.is_finite() || n_active > n as u64 {
-                return Err("online predictor state: invalid group".into());
-            }
-            groups.push(BandGroup { err_sum, n_active });
-        }
         if pos != bytes.len() {
             return Err("online predictor state: trailing bytes".into());
         }
@@ -433,11 +292,9 @@ impl OnlinePredictor {
                 err_margin,
                 min_headroom,
                 max_headroom,
-                band_scope,
             }
             .sanitized(),
             cells,
-            groups,
         })
     }
 
@@ -524,7 +381,6 @@ mod tests {
                 err_margin: f64::INFINITY,
                 min_headroom: 0.0,
                 max_headroom: 0.0,
-                band_scope: BandScope::Partition,
             },
         );
         p.observe(0, 0, 0, 0);
@@ -572,122 +428,25 @@ mod tests {
     }
 
     #[test]
-    fn collective_band_pools_member_errors() {
-        // 3 ranks × 2 fields, grouped per field. Field 0's ranks see
-        // erratic sizes, field 1's are rock-stable; under collective
-        // banding every rank of field 0 gets the widened band —
-        // including rank 2, whose own history happens to be clean —
-        // while field 1 stays at the floor.
-        let nranks = 3;
-        let nfields = 2;
-        let mut p =
-            OnlinePredictor::with_band_groups(nranks * nfields, nfields, OnlineConfig::default());
-        assert_eq!(p.band_groups(), nfields);
-        for step in 0..4u64 {
-            for r in 0..nranks {
-                // Field 0: ranks 0 and 1 oscillate ±40 %; rank 2 is
-                // stable (its own error would justify a tight band).
-                let f0_obs = if r < 2 {
-                    if step % 2 == 0 {
-                        1400
-                    } else {
-                        600
-                    }
-                } else {
-                    1000
-                };
-                let cell0 = r * nfields;
-                let pr = p.predict(cell0, 1000);
-                p.observe(cell0, 1000, pr.bytes, f0_obs);
-                // Field 1: perfectly stable everywhere.
-                let cell1 = r * nfields + 1;
-                let pr = p.predict(cell1, 2000);
-                p.observe(cell1, 2000, pr.bytes, 2000);
-            }
-        }
-        let stable_rank_f0 = p.predict(2 * nfields, 1000);
-        let f1 = p.predict(2 * nfields + 1, 2000);
-        assert!(
-            stable_rank_f0.band > f1.band,
-            "field 0's collective band {} must exceed stable field 1's {}",
-            stable_rank_f0.band,
-            f1.band
-        );
-        assert!(
-            f1.band <= 1.06,
-            "stable field must sit at the floor, got {}",
-            f1.band
-        );
-        // Per-cell banding on the same history would give rank 2 of
-        // field 0 a tight band — the pooled one must be wider.
-        let mut q = OnlinePredictor::new(nranks * nfields, OnlineConfig::default());
-        for step in 0..4u64 {
-            for r in 0..nranks {
-                let f0_obs = if r < 2 {
-                    if step % 2 == 0 {
-                        1400
-                    } else {
-                        600
-                    }
-                } else {
-                    1000
-                };
-                let cell0 = r * nfields;
-                let pr = q.predict(cell0, 1000);
-                q.observe(cell0, 1000, pr.bytes, f0_obs);
-            }
-        }
-        assert!(
-            stable_rank_f0.band > q.predict(2 * nfields, 1000).band,
-            "collective band must widen the stable member beyond its own"
-        );
-    }
-
-    #[test]
-    fn collective_band_keeps_per_cell_floor_and_warmup() {
-        let mut p = OnlinePredictor::with_band_groups(4, 2, OnlineConfig::default());
+    fn warmup_and_floor_are_per_cell() {
+        let mut p = OnlinePredictor::new(4, OnlineConfig::default());
         // Only cell 0 has history: cells still in warm-up must keep
-        // reporting no headroom even though their group has a band.
+        // reporting no headroom.
         p.observe(0, 1000, 1000, 1500);
         p.observe(0, 1000, 1000, 1500);
         assert!(p.predict(0, 1000).headroom.is_some());
         assert!(
             p.predict(2, 1000).headroom.is_none(),
-            "cell 2 is unwarmed; the group band must not unlock it"
+            "cell 2 is unwarmed; cell 0's history must not unlock it"
         );
-        // The last-observed floor stays per-cell: cell 0's reserve
-        // covers its own spike regardless of the pooled band.
+        // So is the last-observed floor: cell 0's reserve covers its
+        // own spike whatever the model now says.
         let pr = p.predict(0, 100);
         let h = pr.headroom.unwrap();
         assert!(
             (pr.bytes as f64 * h).ceil() as u64 >= 1500,
             "reserve must cover cell 0's last observed size"
         );
-    }
-
-    #[test]
-    fn grouped_state_roundtrips_exactly() {
-        let mut p = OnlinePredictor::with_band_groups(
-            6,
-            3,
-            OnlineConfig {
-                band_scope: BandScope::Field,
-                ..OnlineConfig::default()
-            },
-        );
-        for step in 0..5u64 {
-            for cell in 0..6 {
-                let pr = p.predict(cell, 1000 + cell as u64 * 31);
-                p.observe(cell, 1000, pr.bytes, 800 + step * 90 + cell as u64 * 13);
-            }
-        }
-        let q = OnlinePredictor::from_state_bytes(&p.to_state_bytes()).unwrap();
-        assert_eq!(q.band_groups(), 3);
-        assert_eq!(q.config(), p.config());
-        for cell in 0..6 {
-            assert_eq!(q.stats(cell), p.stats(cell));
-            assert_eq!(q.predict(cell, 4321), p.predict(cell, 4321), "cell {cell}");
-        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Default for LosslessGain {
 
 impl LosslessGain {
     /// Multiplicative factor applied to the Huffman-stage bits.
-    pub fn factor(&self, mean_run_length: f64) -> f64 {
+    fn factor(&self, mean_run_length: f64) -> f64 {
         let r = mean_run_length.max(1.0) - 1.0;
         // 1.0 at r = 0, approaching `floor` as r → ∞.
         self.floor + (1.0 - self.floor) / (1.0 + r / self.half_run)

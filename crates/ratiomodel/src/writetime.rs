@@ -26,11 +26,6 @@ impl WriteTimeModel {
     pub fn write_time(&self, b: f64, n: usize) -> f64 {
         (b * n as f64 / 8.0) / self.cthr
     }
-
-    /// Predicted write time for an absolute byte count.
-    pub fn write_time_bytes(&self, bytes: f64) -> f64 {
-        bytes / self.cthr
-    }
 }
 
 /// Fit `Cthr` from offline `(request_bytes, seconds)` measurements:
@@ -86,7 +81,7 @@ mod tests {
     #[test]
     fn write_time_linear_in_bytes() {
         let m = WriteTimeModel::new(50e6);
-        assert!((m.write_time_bytes(100e6) - 2.0).abs() < 1e-12);
+        assert!((m.write_time(8.0, 100_000_000) - 2.0).abs() < 1e-12);
     }
 
     #[test]

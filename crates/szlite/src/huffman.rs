@@ -20,7 +20,7 @@ const MAX_CODE_LEN: u8 = 32;
 /// resolves every code of length ≤ `LUT_BITS` in a single table hit
 /// (2^11 × 4 bytes = 8 KiB, resident in L1); longer codes fall back to
 /// the canonical first_code/first_index walk.
-pub const LUT_BITS: u32 = 11;
+const LUT_BITS: u32 = 11;
 const LUT_SIZE: usize = 1 << LUT_BITS;
 /// Primary-table entries pack `(symbol << LUT_LEN_BITS) | code_len`;
 /// a zero entry means "no short code with this prefix" (fall back).
@@ -55,7 +55,7 @@ pub struct EncoderWorkspace {
 /// and primary-LUT allocations, so a per-chunk decode loop builds no
 /// fresh tables.
 ///
-/// Decoding is two-level: an [`LUT_BITS`]-bit prefix peeked from the
+/// Decoding is two-level: an 11-bit (`LUT_BITS`) prefix peeked from the
 /// word-buffered [`BitReader`] indexes the primary table directly to
 /// `(symbol, code_len)` for short codes; longer (or invalid) prefixes
 /// fall back to [`HuffmanDecoder::decode_one_reference`], the retained
@@ -255,7 +255,9 @@ impl HuffmanEncoder {
         Self::from_freqs(&freqs)
     }
 
-    /// Code length in bits for a symbol (0 if absent).
+    /// Code length in bits for a symbol (0 if absent). Read by
+    /// ratiomodel's dense reference of the size model, which pins the
+    /// sparse prediction to the same bits.
     pub fn len_of(&self, sym: u32) -> u8 {
         self.codes.get(sym as usize).map_or(0, |&(_, l)| l)
     }
@@ -464,7 +466,7 @@ impl HuffmanDecoder {
     }
 
     /// Decode one symbol from the reader: primary-table hit for codes
-    /// up to [`LUT_BITS`] long, canonical-walk fallback for longer or
+    /// up to `LUT_BITS` long, canonical-walk fallback for longer or
     /// invalid prefixes. Byte- and error-equivalent to
     /// [`HuffmanDecoder::decode_one_reference`] on every stream.
     #[inline]
@@ -527,7 +529,7 @@ impl HuffmanDecoder {
     /// The batch loop drives the LUT fast path through the buffered
     /// reader with peek/consume — no per-symbol `Option` plumbing; the
     /// canonical walk is entered only for codes longer than
-    /// [`LUT_BITS`] or invalid prefixes.
+    /// `LUT_BITS` or invalid prefixes.
     pub fn decode_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
         out.clear();
         out.reserve(n);

@@ -45,28 +45,6 @@ impl SampleCodes {
         self.n_sampled as f64 / self.n_total as f64
     }
 
-    /// Shannon entropy of the sampled code distribution, bits/point.
-    pub fn entropy_bits(&self) -> f64 {
-        let total: u64 = self.histogram.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let t = total as f64;
-        self.histogram
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let p = c as f64 / t;
-                -p * p.log2()
-            })
-            .sum()
-    }
-
-    /// Number of distinct codes observed.
-    pub fn distinct_codes(&self) -> usize {
-        self.histogram.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Fraction of sampled points that fell outside the codebook.
     pub fn unpredictable_fraction(&self) -> f64 {
         if self.n_sampled == 0 {
@@ -482,8 +460,10 @@ mod tests {
     fn smooth_data_low_entropy() {
         let data = ramp(10_000);
         let s = sample_quantization(&data, &Dims::d1(10_000), &Config::abs(0.5), 1.0).unwrap();
-        // A linear ramp is perfectly predicted: entropy near zero.
-        assert!(s.entropy_bits() < 0.5, "entropy {}", s.entropy_bits());
+        // A linear ramp is perfectly predicted: one code takes nearly
+        // every point (entropy near zero).
+        let top = *s.histogram.iter().max().unwrap();
+        assert!(top * 10 > s.n_sampled as u64 * 9, "top code {top}");
         assert_eq!(s.n_unpredictable, 0);
     }
 
@@ -500,7 +480,12 @@ mod tests {
             })
             .collect();
         let s = sample_quantization(&data, &Dims::d1(10_000), &Config::abs(0.01), 1.0).unwrap();
-        assert!(s.entropy_bits() > 5.0, "entropy {}", s.entropy_bits());
+        // More than 5 bits of entropy: no code dominates, and far more
+        // than 2^5 of them occur.
+        let top = *s.histogram.iter().max().unwrap();
+        let distinct = s.histogram.iter().filter(|&&c| c > 0).count();
+        assert!(top * 8 < s.n_sampled as u64, "top code {top}");
+        assert!(distinct > 64, "{distinct} distinct codes");
     }
 
     #[test]

@@ -35,23 +35,6 @@ pub fn max_abs_err(orig: &[f32], recon: &[f32]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Value range (max − min) of a slice, ignoring non-finite entries.
-pub fn value_range(data: &[f32]) -> f64 {
-    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in data {
-        let v = f64::from(v);
-        if v.is_finite() {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    if min.is_finite() {
-        max - min
-    } else {
-        0.0
-    }
-}
-
 /// Compression ratio given sizes in bytes.
 pub fn ratio(raw_bytes: usize, compressed_bytes: usize) -> f64 {
     raw_bytes as f64 / compressed_bytes as f64
@@ -85,12 +68,6 @@ mod tests {
         let a = vec![0.0f32, 1.0];
         let b = vec![0.5f32, 1.25];
         assert!((max_abs_err(&a, &b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn range_ignores_nan() {
-        let a = vec![1.0f32, f32::NAN, 3.0];
-        assert!((value_range(&a) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -181,18 +181,16 @@ impl BitWriter {
 /// Largest `n` accepted by [`BitReader::peek_bits`]: one refill always
 /// tops the accumulator up to at least this many bits while the stream
 /// has them.
-pub const MAX_PEEK_BITS: u32 = 56;
+const MAX_PEEK_BITS: u32 = 56;
 
 /// MSB-first bit reader over a byte slice, buffered through a 64-bit
 /// accumulator that refills from whole words.
 ///
 /// Two access styles share the same position:
 ///
-/// - the byte-exact API ([`BitReader::read_bit`] /
-///   [`BitReader::read_bits`]), which returns `None` once the slice is
-///   exhausted — semantics identical to the historical bit-at-a-time
-///   reader, except that a failing `read_bits` no longer consumes the
-///   bits it managed to read (failure is position-stable);
+/// - the byte-exact API ([`BitReader::read_bit`]), which returns
+///   `None` once the slice is exhausted — semantics identical to the
+///   historical bit-at-a-time reader;
 /// - the decode-loop API ([`BitReader::peek_bits`] /
 ///   [`BitReader::consume`]), which lets a table-driven decoder look at
 ///   the next prefix without committing to a length. `peek_bits`
@@ -299,13 +297,18 @@ impl<'a> BitReader<'a> {
         self.avail -= 1;
         Some(bit)
     }
+}
 
+/// The inverse of [`BitWriter::write_bits`], which the tests read
+/// streams back through; decoders peek and consume.
+#[cfg(test)]
+impl BitReader<'_> {
     /// Read `len` bits MSB-first into a `u64` (`len ≤ 64`).
     ///
     /// Failure is position-stable: if fewer than `len` bits remain the
     /// reader returns `None` without consuming anything, so the
     /// remaining bits can still be read afterwards.
-    pub fn read_bits(&mut self, len: u8) -> Option<u64> {
+    fn read_bits(&mut self, len: u8) -> Option<u64> {
         debug_assert!(len <= 64);
         if len == 0 {
             return Some(0);

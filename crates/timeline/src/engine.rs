@@ -291,16 +291,3 @@ fn step_flight(
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
     }
 }
-
-/// [`run_timeline`] over a [`workloads::SnapshotStream`]: generates
-/// and partitions each step's snapshot (3-D decomposition for grid
-/// streams, uniform 1-D splits for particle streams).
-pub fn run_stream(
-    cfg: &TimelineConfig,
-    stream: &workloads::SnapshotStream,
-    nranks: usize,
-) -> Result<TimelineReport, RealError> {
-    run_timeline(cfg, |step| {
-        crate::data::partition_stream_step(stream, step, nranks)
-    })
-}

@@ -10,9 +10,7 @@
 //!
 //! * [`engine`] — [`run_timeline`] drives
 //!   [`predwrite::run_real_with`] across a step sequence, writing one
-//!   container file per checkpoint; [`run_stream`] feeds it from a
-//!   [`workloads::SnapshotStream`] (deterministically evolving
-//!   Nyx/VPIC/RTM snapshots).
+//!   container file per checkpoint.
 //!   In [`AdaptMode::Adaptive`] each step predicts through
 //!   [`predwrite::StreamSource`], which plugs the stream's
 //!   [`ratiomodel::OnlinePredictor`] into the engine's predict phase:
@@ -43,9 +41,7 @@ pub mod recovery;
 pub mod sidecar;
 
 pub use data::{partition_1d, partition_3d, partition_stream_step};
-pub use engine::{
-    run_stream, run_timeline, run_timeline_resumed, AdaptMode, StepFaults, TimelineConfig,
-};
+pub use engine::{run_timeline, run_timeline_resumed, AdaptMode, StepFaults, TimelineConfig};
 pub use predwrite::{StepMetrics, TimelineReport};
-pub use recovery::{newest_flight, resume_timeline, ResumeReport};
+pub use recovery::{resume_timeline, ResumeReport};
 pub use sidecar::{load_sidecar, save_sidecar, sidecar_path};

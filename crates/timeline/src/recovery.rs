@@ -51,7 +51,7 @@ pub struct ResumeReport {
 /// directory — scanned newest-first so the answer is what the most
 /// recent completed step recorded. Unreadable or missing files are
 /// skipped; torn lines inside a file are tolerated by the reader.
-pub fn newest_flight(cfg: &TimelineConfig) -> Option<obs::StepFlight> {
+fn newest_flight(cfg: &TimelineConfig) -> Option<obs::StepFlight> {
     (0..cfg.steps).rev().find_map(|step| {
         let path = obs::flight_path(&cfg.step_path(step));
         obs::read_flight(&path)

@@ -58,11 +58,6 @@ impl Dataset {
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
     }
-
-    /// Field names in order.
-    pub fn field_names(&self) -> Vec<&str> {
-        self.fields.iter().map(|f| f.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@ pub mod stream;
 pub mod vpic;
 
 pub use field::{Dataset, Field};
-pub use nyx::{NyxParams, NYX_FIELDS};
+pub use nyx::NyxParams;
 pub use partition::{factor3, split_1d, Decomposition};
 pub use rtm::RtmParams;
 pub use stream::{SnapshotStream, StreamKind};
-pub use vpic::{VpicParams, VPIC_FIELDS};
+pub use vpic::VpicParams;
 
 #[cfg(test)]
 mod tests {

@@ -73,7 +73,7 @@ impl NyxParams {
 }
 
 /// Field names in the order Nyx dumps them (the paper's six fields).
-pub const NYX_FIELDS: [&str; 6] = [
+const NYX_FIELDS: [&str; 6] = [
     "baryon_density",
     "dark_matter_density",
     "temperature",
@@ -169,7 +169,7 @@ pub fn single_field(p: NyxParams, name: &str) -> Field {
 }
 
 /// Generate only the named fields.
-pub fn snapshot_subset(p: NyxParams, names: &[&str]) -> Dataset {
+fn snapshot_subset(p: NyxParams, names: &[&str]) -> Dataset {
     let full = snapshot(p);
     let fields: Vec<Field> = full
         .fields
@@ -181,14 +181,6 @@ pub fn snapshot_subset(p: NyxParams, names: &[&str]) -> Dataset {
         name: full.name,
         fields,
     }
-}
-
-/// A time series of snapshots with decreasing red shift (Fig. 15).
-pub fn time_series(p: NyxParams, redshifts: &[f64]) -> Vec<Dataset> {
-    redshifts
-        .iter()
-        .map(|&z| snapshot(NyxParams { redshift: z, ..p }))
-        .collect()
 }
 
 #[cfg(test)]

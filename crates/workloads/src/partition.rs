@@ -49,12 +49,12 @@ impl Decomposition {
     }
 
     /// Points per block.
-    pub fn block_len(&self) -> usize {
+    fn block_len(&self) -> usize {
         self.block.iter().product()
     }
 
     /// Block coordinates of `rank` in the process grid.
-    pub fn coords(&self, rank: usize) -> [usize; 3] {
+    fn coords(&self, rank: usize) -> [usize; 3] {
         let pyx = self.grid[1] * self.grid[2];
         [
             rank / pyx,

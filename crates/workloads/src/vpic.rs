@@ -61,7 +61,7 @@ impl VpicParams {
 }
 
 /// The eight per-particle fields, in dump order.
-pub const VPIC_FIELDS: [&str; 8] = [
+const VPIC_FIELDS: [&str; 8] = [
     "pos_x", "pos_y", "pos_z", "mom_x", "mom_y", "mom_z", "energy", "weight",
 ];
 

@@ -194,8 +194,15 @@ fn sim_and_real_planners_agree_on_layout() {
         ],
     ];
     let policy = ExtraSpacePolicy::new(1.25);
-    let a = WritePlan::build(&preds, &policy, 32);
-    let b = WritePlan::build(&preds, &policy, 32);
+    let plan = || {
+        let reserve = |p: &PartitionPrediction| policy.reserve_bytes(p.bytes, p.ratio);
+        let reserved: Vec<Vec<u64>> = preds
+            .iter()
+            .map(|row| row.iter().map(reserve).collect())
+            .collect();
+        WritePlan::build_reserved(&preds, &reserved, 32)
+    };
+    let (a, b) = (plan(), plan());
     assert_eq!(a, b);
     assert!(a.is_disjoint());
     // Eq. 3 applied to the ratio > 32 slots.

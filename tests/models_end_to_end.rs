@@ -1,41 +1,13 @@
-//! Cross-crate integration of the prediction models: calibration on
-//! one field transfers across fields and datasets (the paper's §IV-B
-//! claim), and prediction overhead stays below the 10 % budget.
+//! Cross-crate integration of the prediction models: the ratio model
+//! transfers across datasets, Eq. 1's shape holds on the real
+//! compressor, and prediction overhead stays below the 10 % budget.
+//! (That a calibration on one field transfers across fields — the
+//! paper's §IV-B claim — is `repro fig11` / `fig12`.)
 
-use repro_suite::ratiomodel::{calibrate, paper_bound_sweep, predict_default};
+use repro_suite::ratiomodel::predict_default;
 use repro_suite::szlite::{compress_with_stats, sample_quantization, Config, Dims};
 use repro_suite::workloads::{nyx, rtm, NyxParams, RtmParams};
 use std::time::Instant;
-
-#[test]
-fn calibration_transfers_across_fields() {
-    let side = 32;
-    let ds = nyx::snapshot(NyxParams::with_side(side));
-    let dims = Dims::d3(side, side, side);
-    let (model, _) = calibrate(
-        &ds.field("baryon_density").unwrap().data,
-        &dims,
-        &paper_bound_sweep(),
-    );
-    // Apply to different fields; prediction should track within 2x for
-    // mid-band bit-rates (wall-clock tests must stay loose).
-    for name in ["temperature", "velocity_x"] {
-        let f = ds.field(name).unwrap();
-        let cfg = Config::rel(1e-4);
-        let raw = (f.data.len() * 4) as f64;
-        let s = sample_quantization(&f.data, &dims, &cfg, 0.1).unwrap();
-        let pred_bits = predict_default(&s, 32).bits_per_point;
-        let pred_t = model.compression_time(raw, pred_bits);
-        let t0 = Instant::now();
-        let _ = compress_with_stats(&f.data, &dims, &cfg).unwrap();
-        let actual_t = t0.elapsed().as_secs_f64();
-        let ratio = pred_t / actual_t;
-        assert!(
-            (0.3..3.0).contains(&ratio),
-            "{name}: pred {pred_t:.4}s vs actual {actual_t:.4}s"
-        );
-    }
-}
 
 #[test]
 fn prediction_overhead_below_budget() {

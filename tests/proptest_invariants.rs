@@ -1,6 +1,7 @@
 //! Cross-crate property tests on the planner and pipeline invariants.
 
 use proptest::prelude::*;
+use repro_suite::pfsim::{simulate, BandwidthModel, PipelineTask, RankPipeline};
 use repro_suite::predwrite::{
     fit_split, optimize_order, plan_overflow, queue_time, ExtraSpacePolicy, PartitionPrediction,
     WritePlan,
@@ -25,7 +26,12 @@ proptest! {
 
     #[test]
     fn plans_are_always_disjoint(preds in predictions(), rs in 1.0f64..2.0, base in 0u64..1_000_000) {
-        let plan = WritePlan::build(&preds, &ExtraSpacePolicy::new(rs), base);
+        let policy = ExtraSpacePolicy::new(rs);
+        let reserved: Vec<Vec<u64>> = preds
+            .iter()
+            .map(|row| row.iter().map(|p| policy.reserve_bytes(p.bytes, p.ratio)).collect())
+            .collect();
+        let plan = WritePlan::build_reserved(&preds, &reserved, base);
         prop_assert!(plan.is_disjoint());
         prop_assert!(plan.data_end >= base);
         // Every slot holds at least its prediction.
@@ -100,5 +106,33 @@ proptest! {
         for i in 0..pc.len() {
             prop_assert!(t >= pc[i] + pw[i] - 1e-9);
         }
+    }
+
+    /// One cost model: Algorithm 1's recurrence `tw <- Pw + max(tc, tw)`
+    /// and the event engine agree on a single rank — whose writes
+    /// nothing contends with — for any `(pc, pw)` in any order. The
+    /// engine generalizes the recurrence to a shared pool; it must not
+    /// be a second opinion where the recurrence applies.
+    #[test]
+    fn queue_time_is_the_event_engine_on_one_rank(
+        times in proptest::collection::vec(((0.001f64..10.0), (0.02f64..10.0)), 1..10),
+        seed in any::<u64>(),
+    ) {
+        let pc: Vec<f64> = times.iter().map(|t| t.0).collect();
+        let pw: Vec<f64> = times.iter().map(|t| t.1).collect();
+        let mut order: Vec<usize> = (0..pc.len()).collect();
+        order.sort_by_key(|&i| (i as u64 + 1).wrapping_mul(seed | 1));
+        // Bytes whose solo write takes `pw` (one writer never reaches
+        // the aggregate cap): latency + (bytes + half_size) / peak.
+        let solo = BandwidthModel::tiny_for_tests();
+        let mut rank = RankPipeline::default();
+        for &l in &order {
+            let write_bytes = (pw[l] - solo.latency) * solo.per_proc_peak - solo.half_size;
+            prop_assert!((solo.solo_write_time(write_bytes) - pw[l]).abs() <= 1e-9 * pw[l]);
+            rank.tasks.push(PipelineTask { compute: pc[l], write_bytes });
+        }
+        let expected = queue_time(&order, &pc, &pw);
+        let finish = simulate(&[rank], &solo).makespan;
+        prop_assert!((finish - expected).abs() <= 1e-9 * expected, "{finish} vs {expected}");
     }
 }
