@@ -21,4 +21,4 @@ pub mod barrier;
 pub mod communicator;
 
 pub use barrier::{Barrier, BarrierPoisoned};
-pub use communicator::{Group, Rank, World, WorldPoisoned};
+pub use communicator::{Rank, World, WorldPoisoned};

@@ -59,8 +59,8 @@ pub use metrics::{
     fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics, TimelineReport,
 };
 pub use plan::{
-    build_rank_view, fit_split, plan_overflow, reservation_wire_bytes, FitSplit,
-    PartitionPrediction, PartitionSlot, RankPlanView, WritePlan,
+    fit_split, plan_overflow, reservation_wire_bytes, FitSplit, PartitionPrediction, PartitionSlot,
+    RankPlanView, WritePlan,
 };
 pub use profile::{
     profile_partition, profile_partition_with, replicate_profiles, PartitionProfile,
@@ -71,8 +71,6 @@ pub use real::{
     StreamSource,
 };
 pub use scheduler::{identity_order, optimize_order, queue_time};
-pub use sim::{
-    simulate_all, simulate_method, simulate_stream, SimParams, StreamSimConfig, StreamSimReport,
-};
+pub use sim::{simulate_all, simulate_method, simulate_stream, SimParams, StreamSimConfig};
 pub use step::StreamState;
 pub use verify::{verify_file, FieldReport, VerifyReport};

@@ -6,6 +6,8 @@
 //! communication). The layout places each field's partitions
 //! consecutively in rank order, each padded by the extra-space policy.
 
+use std::convert::Infallible;
+
 /// Prediction for one partition as distributed by the all-gather.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionPrediction {
@@ -106,10 +108,7 @@ impl WritePlan {
 
     /// One rank's view of the layout — everything the write engine
     /// actually consumes for rank `rank` (its own slot row plus the
-    /// shared overflow base). The sharded reservation path builds this
-    /// view directly without materializing the full `slots` matrix;
-    /// [`WritePlan::rank_view`] is the flat path's equivalent
-    /// projection, pinned equal by tests.
+    /// shared overflow base).
     pub fn rank_view(&self, rank: usize) -> RankPlanView {
         RankPlanView {
             slots: self.slots[rank].clone(),
@@ -145,97 +144,18 @@ pub struct RankPlanView {
     pub data_end: u64,
 }
 
-/// Build one rank's layout view from a two-level (sharded) reservation
-/// collective, without any rank ever holding the full
-/// `reserved[rank][field]` matrix.
+/// Per-rank reservation-collective wire cost, bytes received per step:
+/// the all-gather delivers one `(bytes, ratio, headroom)` triple —
+/// what the layout needs of a `SourceEstimate` — per (rank, field) to
+/// every rank.
 ///
-/// Ranks are partitioned into contiguous groups in ascending rank
-/// order (group `g` holds ranks `[g·s, (g+1)·s)` for group size `s`,
-/// the last group possibly short). Each rank knows:
-///
-/// - `group_totals[g][f]`: every group's summed reservation per field
-///   (from the small inter-group exchange of leader totals),
-/// - `member_preds[m][f]` / `member_reserves[m][f]`: the per-member
-///   predictions and reservations of **its own** group only (from the
-///   group-local all-gather), with `m` the group-local rank,
-/// - its own position: `my_group`, `my_member`.
-///
-/// Because the flat layout is field-major with ranks ascending, a
-/// rank's offset decomposes exactly into whole-field totals + whole
-/// preceding groups + the local prefix within its group:
-///
-/// ```text
-/// offset(f) = base + Σ_{f'<f} Σ_g group_totals[g][f']      (fields before)
-///                  + Σ_{g<my_group} group_totals[g][f]      (groups before, this field)
-///                  + Σ_{m<my_member} member_reserves[m][f]  (members before, this group)
-/// ```
-///
-/// All sums are exact `u64` adds — the same adds [`WritePlan::build_reserved`]
-/// performs in a different order — so the view is **byte-identical**
-/// to the flat path's [`WritePlan::rank_view`] (pinned by tests and
-/// the CI smoke). Per-rank collective cost drops from O(ranks·fields)
-/// to O(group·fields + n_groups·fields).
-pub fn build_rank_view(
-    group_totals: &[Vec<u64>],
-    my_group: usize,
-    member_preds: &[Vec<PartitionPrediction>],
-    member_reserves: &[Vec<u64>],
-    my_member: usize,
-    base: u64,
-) -> RankPlanView {
-    let nfields = member_preds.first().map_or(0, Vec::len);
-    debug_assert!(group_totals.iter().all(|g| g.len() == nfields));
-    debug_assert_eq!(member_preds.len(), member_reserves.len());
-    debug_assert!(my_group < group_totals.len());
-    debug_assert!(my_member < member_preds.len());
-    debug_assert_eq!(
-        group_totals[my_group],
-        (0..nfields)
-            .map(|f| member_reserves.iter().map(|m| m[f]).sum::<u64>())
-            .collect::<Vec<u64>>(),
-        "exchanged total of own group disagrees with the local gather"
-    );
-
-    let mut slots = Vec::with_capacity(nfields);
-    let mut field_start = base;
-    for f in 0..nfields {
-        let field_total: u64 = group_totals.iter().map(|g| g[f]).sum();
-        let groups_before: u64 = group_totals[..my_group].iter().map(|g| g[f]).sum();
-        let members_before: u64 = member_reserves[..my_member].iter().map(|m| m[f]).sum();
-        slots.push(PartitionSlot {
-            offset: field_start + groups_before + members_before,
-            reserved: member_reserves[my_member][f],
-            predicted: member_preds[my_member][f].bytes,
-        });
-        field_start += field_total;
-    }
-    RankPlanView {
-        slots,
-        base,
-        data_end: field_start,
-    }
-}
-
-/// Per-rank reservation-collective wire cost, bytes received per step.
-///
-/// The flat path all-gathers one `(bytes, ratio, headroom)` triple —
-/// what the layout needs of a `SourceEstimate` — per
-/// (rank, field) to every rank; the sharded path gathers triples only
-/// within a group of `s` ranks plus one `u64` total per (group, field)
-/// from the inter-group exchange. Used by the scale simulator and the
-/// bench to assert sub-linear growth (at `s = √ranks` the cost is
-/// O(√ranks · fields) per rank instead of O(ranks · fields)).
-pub fn reservation_wire_bytes(nranks: usize, nfields: usize, group_size: Option<usize>) -> u64 {
+/// The third parameter is uninhabited beyond `None`: it is kept only
+/// because `benchmark/API.md` pins the call
+/// `reservation_wire_bytes(nranks, nfields, None)` (ROADMAP item 1's
+/// benchmark-only PR removes it).
+pub fn reservation_wire_bytes(nranks: usize, nfields: usize, _group: Option<Infallible>) -> u64 {
     const TRIPLE: u64 = 24; // (u64, f64, Option<f64> as f64)
-    const TOTAL: u64 = 8; // u64 per-field group total
-    match group_size {
-        None => (nranks * nfields) as u64 * TRIPLE,
-        Some(s) => {
-            let s = s.clamp(1, nranks);
-            let n_groups = nranks.div_ceil(s);
-            (s * nfields) as u64 * TRIPLE + (n_groups * nfields) as u64 * TOTAL
-        }
-    }
+    (nranks * nfields) as u64 * TRIPLE
 }
 
 /// Outcome of one partition's compression vs. its reservation: the
@@ -467,87 +387,9 @@ mod tests {
         assert!(plan.is_disjoint());
     }
 
-    /// Emulate the sharded collective for one rank: slice out its
-    /// group's rows and the per-group totals, exactly as the engine's
-    /// group gather + inter-group exchange deliver them.
-    fn sharded_view_of(
-        preds: &[Vec<PartitionPrediction>],
-        reserved: &[Vec<u64>],
-        group_size: usize,
-        rank: usize,
-        base: u64,
-    ) -> RankPlanView {
-        let nranks = preds.len();
-        let nfields = preds[0].len();
-        let n_groups = nranks.div_ceil(group_size);
-        let group_totals: Vec<Vec<u64>> = (0..n_groups)
-            .map(|g| {
-                let members = (g * group_size)..((g + 1) * group_size).min(nranks);
-                (0..nfields)
-                    .map(|f| members.clone().map(|r| reserved[r][f]).sum())
-                    .collect()
-            })
-            .collect();
-        let g = rank / group_size;
-        let members = (g * group_size)..((g + 1) * group_size).min(nranks);
-        let member_preds: Vec<Vec<PartitionPrediction>> =
-            members.clone().map(|r| preds[r].clone()).collect();
-        let member_reserves: Vec<Vec<u64>> = members.map(|r| reserved[r].clone()).collect();
-        build_rank_view(
-            &group_totals,
-            g,
-            &member_preds,
-            &member_reserves,
-            rank % group_size,
-            base,
-        )
-    }
-
     #[test]
-    fn sharded_view_equals_flat_view_every_rank_every_group_size() {
-        // 7 ranks × 3 fields with irregular sizes; every group size
-        // from 1 (all-singleton groups) to 7 (one group = flat) must
-        // reproduce the flat plan's per-rank view exactly.
-        let preds = preds(&[
-            &[100, 7, 31],
-            &[50, 900, 2],
-            &[0, 13, 13],
-            &[1, 1, 1],
-            &[77, 0, 5],
-            &[12, 64, 800],
-            &[3, 3, 3],
-        ]);
-        let reserved: Vec<Vec<u64>> = preds
-            .iter()
-            .enumerate()
-            .map(|(r, row)| row.iter().map(|p| p.bytes + r as u64 * 3).collect())
-            .collect();
-        let flat = WritePlan::build_reserved(&preds, &reserved, 4096);
-        for gs in 1..=7 {
-            for r in 0..7 {
-                let view = sharded_view_of(&preds, &reserved, gs, r, 4096);
-                assert_eq!(view, flat.rank_view(r), "rank {r} group_size {gs}");
-            }
-        }
-    }
-
-    #[test]
-    fn wire_bytes_flat_vs_sharded() {
-        // Flat at 4096 ranks × 4 fields: 4096·4·24 bytes per rank.
+    fn wire_bytes_flat() {
+        // 4096 ranks × 4 fields: 4096·4·24 bytes per rank.
         assert_eq!(reservation_wire_bytes(4096, 4, None), 4096 * 4 * 24);
-        // Sharded at √4096 = 64: 64·4·24 + 64·4·8 — 21× less wire.
-        assert_eq!(
-            reservation_wire_bytes(4096, 4, Some(64)),
-            64 * 4 * 24 + 64 * 4 * 8
-        );
-        // Degenerate sizes clamp instead of dividing by zero.
-        assert_eq!(
-            reservation_wire_bytes(8, 2, Some(0)),
-            reservation_wire_bytes(8, 2, Some(1))
-        );
-        assert_eq!(
-            reservation_wire_bytes(8, 2, Some(99)),
-            reservation_wire_bytes(8, 2, Some(8))
-        );
     }
 }

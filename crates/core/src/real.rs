@@ -15,9 +15,7 @@
 
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{Breakdown, Method, RunResult};
-use crate::plan::{
-    build_rank_view, plan_overflow, reservation_wire_bytes, RankPlanView, WritePlan,
-};
+use crate::plan::{plan_overflow, reservation_wire_bytes, WritePlan};
 use crate::step::{compression_order, reservations};
 use commsim::World;
 use h5lite::{
@@ -64,56 +62,19 @@ impl AdaptMode {
     }
 }
 
-/// Topology of the phase-2 reservation collective.
+/// Topology of the phase-2 reservation collective: one world-wide
+/// all-gather of per-partition triples (the paper's).
 ///
-/// Both topologies produce **byte-identical layouts** (the sums are
-/// exact `u64` arithmetic either way, pinned by tests); they differ
-/// only in communication shape. The flat all-gather moves
-/// O(ranks · fields) triples to every rank; the sharded topology
-/// splits ranks into contiguous groups that gather locally and
-/// exchange only per-field totals across groups —
-/// O(group + n_groups) per rank, O(√ranks) at the default group size.
+/// A one-variant enum because `benchmark/API.md` pins
+/// `ReservationTopology::Flat` and the `reservation` field of
+/// [`RealConfig`], `TimelineConfig` and `StreamSimConfig`; nothing
+/// reads the value (ROADMAP item 1's benchmark-only PR removes all
+/// four).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReservationTopology {
-    /// One world-wide all-gather of per-partition triples (the
-    /// paper's baseline; right answer at tens of ranks).
+    /// One world-wide all-gather.
     #[default]
     Flat,
-    /// Two-level collective over contiguous rank groups of
-    /// `group_size` ranks (the last group may be short).
-    /// `group_size = 0` picks `ceil(√ranks)`, which minimizes the
-    /// per-rank wire cost.
-    Sharded {
-        /// Ranks per group; 0 = automatic `ceil(√ranks)`.
-        group_size: usize,
-    },
-}
-
-impl ReservationTopology {
-    /// The group size actually used at `nranks`, or `None` for the
-    /// flat topology. Clamped to `[1, nranks]`; `0` resolves to
-    /// `ceil(√nranks)`.
-    pub fn effective_group_size(&self, nranks: usize) -> Option<usize> {
-        match *self {
-            ReservationTopology::Flat => None,
-            ReservationTopology::Sharded { group_size } => {
-                let gs = if group_size == 0 {
-                    (nranks as f64).sqrt().ceil() as usize
-                } else {
-                    group_size
-                };
-                Some(gs.clamp(1, nranks.max(1)))
-            }
-        }
-    }
-
-    /// Short label for tables and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReservationTopology::Flat => "flat",
-            ReservationTopology::Sharded { .. } => "sharded",
-        }
-    }
 }
 
 /// Configuration of a real run.
@@ -146,8 +107,7 @@ pub struct RealConfig {
     /// timed separately ([`Breakdown::verify`]) and a violation fails
     /// the run.
     pub verify: bool,
-    /// Shape of the reservation collective (flat all-gather vs
-    /// two-level sharded; identical layouts, different wire cost).
+    /// Pinned by `benchmark/API.md`; see [`ReservationTopology`].
     pub reservation: ReservationTopology,
     /// Fault-injection harness attached to the output file for the
     /// whole run (crash-recovery tests/benches); `None` in production.
@@ -599,46 +559,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     }
                     out.phases.predict = predict.stop();
 
-                    // Phase 2: gather the estimates and derive this
-                    // rank's layout. The flat topology all-gathers
-                    // every rank's row to every rank; the sharded
-                    // topology gathers within a contiguous rank group
-                    // and exchanges only per-field reserved totals
-                    // across groups. Both resolve reservations with
-                    // the same exact u64 arithmetic, so the resulting
-                    // offsets are byte-identical.
+                    // Phases 2–3: all-gather every rank's row, derive
+                    // the identical full layout on every rank, project
+                    // this rank's row.
                     let allgather = obs::timed("real.allgather");
-                    let view: RankPlanView = match cfg.reservation.effective_group_size(nranks) {
-                        None => {
-                            let gathered = rk.try_all_gather(my_ests.clone())?;
-                            // Phase 3 (flat): identical full layout
-                            // on every rank, then project this
-                            // rank's row.
-                            let (preds, reserves) = reservations(&gathered, &cfg.policy);
-                            WritePlan::build_reserved(&preds, &reserves, base).rank_view(r)
-                        }
-                        Some(gs) => {
-                            let group = rk.split(r / gs)?;
-                            let local = group.try_all_gather(my_ests.clone())?;
-                            let (member_preds, member_reserves) = reservations(&local, &cfg.policy);
-                            let totals: Vec<u64> = (0..nfields)
-                                .map(|f| member_reserves.iter().map(|m| m[f]).sum())
-                                .collect();
-                            let group_totals =
-                                group.try_exchange(group.is_leader().then_some(totals))?;
-                            // Phase 3 (sharded): offsets from
-                            // whole-group totals + the local
-                            // prefix, no full matrix anywhere.
-                            build_rank_view(
-                                &group_totals,
-                                group.group_id(),
-                                &member_preds,
-                                &member_reserves,
-                                group.rank_in_group(),
-                                base,
-                            )
-                        }
-                    };
+                    let gathered = rk.try_all_gather(my_ests.clone())?;
+                    let (preds, reserves) = reservations(&gathered, &cfg.policy);
+                    let view = WritePlan::build_reserved(&preds, &reserves, base).rank_view(r);
                     out.phases.allgather = allgather.stop();
 
                     // Phase 4: compression order.
@@ -826,9 +753,8 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
     if matches!(cfg.method, Method::Overlap | Method::OverlapReorder) {
         // Per-rank received bytes × world size: the aggregate wire
         // traffic of this step's reservation exchange.
-        let group = cfg.reservation.effective_group_size(nranks);
         result.reservation_wire_bytes =
-            reservation_wire_bytes(nranks, nfields, group) * nranks as u64;
+            reservation_wire_bytes(nranks, nfields, None) * nranks as u64;
     }
     Ok((result, observations))
 }

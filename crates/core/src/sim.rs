@@ -7,7 +7,7 @@
 
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{Breakdown, Method, RunResult, TimelineReport};
-use crate::plan::{build_rank_view, reservation_wire_bytes, WritePlan};
+use crate::plan::{reservation_wire_bytes, WritePlan};
 use crate::profile::PartitionProfile;
 use crate::real::{
     AdaptMode, FieldObservation, ReservationTopology, RunObservations, SourceEstimate,
@@ -18,7 +18,6 @@ use pfsim::{
     RankPipeline,
 };
 use ratiomodel::OnlinePredictor;
-use std::time::Instant;
 
 /// Simulation parameters beyond the bandwidth model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,21 +56,6 @@ impl SimParams {
 
     fn allgather_time(&self, nranks: usize) -> f64 {
         self.allgather_alpha + self.allgather_beta * nranks as f64
-    }
-
-    /// Latency of the reservation collective under a topology: the
-    /// flat path is one world-sized all-gather; the sharded path is a
-    /// group-sized all-gather plus the inter-group exchange of leader
-    /// totals (two small collectives instead of one large one).
-    fn reservation_collective_time(&self, nranks: usize, group_size: Option<usize>) -> f64 {
-        match group_size {
-            None => self.allgather_time(nranks),
-            Some(s) => {
-                let s = s.clamp(1, nranks.max(1));
-                let n_groups = nranks.div_ceil(s);
-                self.allgather_time(s) + self.allgather_time(n_groups)
-            }
-        }
     }
 }
 
@@ -175,25 +159,21 @@ fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
 
 fn sim_overlap(profiles: &[Vec<PartitionProfile>], params: &SimParams, reorder: bool) -> RunResult {
     // Offline estimates, one world-wide all-gather.
-    sim_overlap_step(profiles, None, params, None, reorder).0
+    sim_overlap_step(profiles, None, params, reorder).0
 }
 
 /// One simulated overlap step: estimates from what the profiles
 /// recorded (blended with `online`'s history when the stream adapts),
 /// reservations and layout from the estimates, then the per-rank
-/// compress→write pipelines and the overflow round. `group_size`
-/// shapes the reservation collective ([`ReservationTopology`]) — its
-/// latency and whose planner work is timed, never the layout. Returns
-/// what [`crate::real::run_real_with`] returns (the aggregate result
-/// plus what happened to each partition) and the representative rank's
-/// planner wall-clock.
+/// compress→write pipelines and the overflow round. Returns what
+/// [`crate::real::run_real_with`] returns: the aggregate result plus
+/// what happened to each partition.
 fn sim_overlap_step(
     profiles: &[Vec<PartitionProfile>],
     online: Option<&OnlinePredictor>,
     params: &SimParams,
-    group_size: Option<usize>,
     reorder: bool,
-) -> (RunResult, RunObservations, f64) {
+) -> (RunResult, RunObservations) {
     let nranks = profiles.len();
     let nfields = profiles.first().map_or(0, Vec::len);
     let estimates: Vec<Vec<SourceEstimate>> = profiles
@@ -211,28 +191,7 @@ fn sim_overlap_step(
         .collect();
     let (preds, reserves) = reservations(&estimates, &params.policy);
 
-    // Plan the layout, timing only the representative rank's critical
-    // path. Flat: every rank derives the whole matrix. Sharded: a rank
-    // sums its own group per field and projects its view from the
-    // exchanged totals; other groups' sums happen on their own leaders
-    // in parallel, so they stay untimed here.
-    let t0 = Instant::now();
     let plan = WritePlan::build_reserved(&preds, &reserves, 0);
-    let mut planner_seconds = t0.elapsed().as_secs_f64();
-    if let Some(s) = group_size {
-        let field_totals = |members: &[Vec<u64>]| -> Vec<u64> {
-            (0..nfields)
-                .map(|f| members.iter().map(|m| m[f]).sum())
-                .collect()
-        };
-        let mut group_totals: Vec<Vec<u64>> = reserves.chunks(s).map(field_totals).collect();
-        let head = s.min(nranks);
-        let t0 = Instant::now();
-        group_totals[0] = field_totals(&reserves[..head]);
-        let view = build_rank_view(&group_totals, 0, &preds[..head], &reserves[..head], 0, 0);
-        planner_seconds = t0.elapsed().as_secs_f64();
-        debug_assert_eq!(view, plan.rank_view(0), "sharded view diverged from flat");
-    }
 
     // Phase 1: prediction (sampling) on every rank, then the
     // reservation collective synchronizes everyone at max(predict) + ag.
@@ -240,7 +199,7 @@ fn sim_overlap_step(
         .iter()
         .map(|fields| fields.iter().map(|p| p.comp_time).sum::<f64>() * params.predict_frac)
         .fold(0.0, f64::max);
-    let ag = params.reservation_collective_time(nranks, group_size);
+    let ag = params.allgather_time(nranks);
     let release = predict + ag;
 
     // Phase 3: per-rank ordered compress→write pipelines.
@@ -310,16 +269,14 @@ fn sim_overlap_step(
     // File: everything reserved stays allocated; overflow appends past
     // the end (in-slot bytes within reservations are not reclaimed).
     result.file_bytes = plan.reserved_total() + result.overflow_bytes;
-    result.reservation_wire_bytes =
-        reservation_wire_bytes(nranks, nfields, group_size) * nranks as u64;
-    (result, observations, planner_seconds)
+    result.reservation_wire_bytes = reservation_wire_bytes(nranks, nfields, None) * nranks as u64;
+    (result, observations)
 }
 
 /// Configuration of a simulated checkpoint stream — the scale-out
-/// counterpart of `timeline::TimelineConfig`: same [`AdaptMode`] and
-/// [`ReservationTopology`], but steps execute through the
-/// discrete-event simulator instead of real threads and real I/O, so
-/// thousands of ranks stream in milliseconds.
+/// counterpart of `timeline::TimelineConfig`: same [`AdaptMode`], but
+/// steps execute through the discrete-event simulator instead of real
+/// threads and real I/O, so thousands of ranks stream in milliseconds.
 #[derive(Debug, Clone)]
 pub struct StreamSimConfig {
     /// Bandwidth model, extra-space policy, collective latency model.
@@ -327,30 +284,12 @@ pub struct StreamSimConfig {
     /// Prediction/headroom mode (adaptive mode carries its
     /// [`ratiomodel::OnlineConfig`]).
     pub mode: AdaptMode,
-    /// Shape of the per-step reservation collective.
+    /// Pinned by `benchmark/API.md`; see [`ReservationTopology`].
     pub reservation: ReservationTopology,
     /// Timesteps to stream.
     pub steps: usize,
     /// Apply Algorithm 1 queue reordering per rank.
     pub reorder: bool,
-}
-
-/// Full report of a simulated stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamSimReport {
-    /// Mode and per-step outcomes — the report the real stream
-    /// returns, so every sum over a stream is [`TimelineReport`]'s.
-    pub report: TimelineReport,
-    /// [`ReservationTopology::label`] of the run.
-    pub reservation: String,
-    /// Measured wall-clock of the representative rank's planner work,
-    /// summed over steps (layout derivation only, not the simulated
-    /// pipeline). Flat topology times the full
-    /// [`WritePlan::build_reserved`]; sharded times the group-local
-    /// sums plus [`build_rank_view`] — the other groups' totals are
-    /// computed by their own leaders concurrently in a real run, so
-    /// they are excluded.
-    pub planner_seconds: f64,
 }
 
 /// Stream `cfg.steps` simulated checkpoints over
@@ -364,47 +303,35 @@ pub struct StreamSimReport {
 /// bias correction plus adaptive headroom, fed back from each step's
 /// actual sizes.
 ///
-/// The reservation topology changes *costs*, never *bytes*: the
-/// sharded layout is byte-identical to flat (pinned by tests), but the
-/// collective latency, per-rank wire traffic, and the representative
-/// rank's planner wall-clock all shrink — those are what the report
-/// exposes for the scale sweeps.
+/// Returns the report the real stream returns, so every sum over a
+/// stream is [`TimelineReport`]'s.
 ///
 /// # Panics
 ///
 /// When a step's shape differs from the first step's.
-pub fn simulate_stream<F, D>(cfg: &StreamSimConfig, mut step_profiles: F) -> StreamSimReport
+pub fn simulate_stream<F, D>(cfg: &StreamSimConfig, mut step_profiles: F) -> TimelineReport
 where
     F: FnMut(usize) -> D,
     D: std::borrow::Borrow<Vec<Vec<PartitionProfile>>>,
 {
     let mut state = StreamState::new(cfg.mode, None).expect("no resumed history to reject");
     let mut steps = Vec::with_capacity(cfg.steps);
-    let mut planner_seconds = 0.0;
 
     for step in 0..cfg.steps {
         let profiles = step_profiles(step);
         let profiles = profiles.borrow();
         let nranks = profiles.len();
         let nfields = profiles.first().map_or(0, Vec::len);
-        let gsize = cfg.reservation.effective_group_size(nranks);
         let run = |online: Option<&OnlinePredictor>| {
-            let (result, observations, seconds) =
-                sim_overlap_step(profiles, online, &cfg.params, gsize, cfg.reorder);
-            planner_seconds += seconds;
-            Ok((result, observations))
+            Ok(sim_overlap_step(profiles, online, &cfg.params, cfg.reorder))
         };
         let metrics = state.step(step, nranks, nfields, run);
         steps.push(metrics.unwrap_or_else(|e| panic!("{e}")));
     }
 
-    StreamSimReport {
-        report: TimelineReport {
-            mode: cfg.mode.label().to_string(),
-            steps,
-        },
-        reservation: cfg.reservation.label().to_string(),
-        planner_seconds,
+    TimelineReport {
+        mode: cfg.mode.label().to_string(),
+        steps,
     }
 }
 
@@ -579,15 +506,11 @@ mod tests {
         }
     }
 
-    fn stream_cfg(
-        mode: AdaptMode,
-        reservation: ReservationTopology,
-        steps: usize,
-    ) -> StreamSimConfig {
+    fn stream_cfg(mode: AdaptMode, steps: usize) -> StreamSimConfig {
         StreamSimConfig {
             params: params(),
             mode,
-            reservation,
+            reservation: ReservationTopology::Flat,
             steps,
             reorder: false,
         }
@@ -603,32 +526,22 @@ mod tests {
         // static stream overflows forever, the adaptive stream learns
         // the bias within a few steps and stops overflowing.
         let profiles = synth(16, 4, 16.0, false);
-        let stat = simulate_stream(
-            &stream_cfg(AdaptMode::Static, ReservationTopology::Flat, 8),
-            |_| &profiles,
-        );
-        let adap = simulate_stream(
-            &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
-            |_| &profiles,
-        );
-        let stat_ovf_bytes = stat.report.total_overflow_bytes();
-        let adap_ovf_bytes = adap.report.total_overflow_bytes();
-        assert!(stat.report.total_overflows() > 0, "static must overflow");
+        let stat = simulate_stream(&stream_cfg(AdaptMode::Static, 8), |_| &profiles);
+        let adap = simulate_stream(&stream_cfg(adaptive(), 8), |_| &profiles);
+        let stat_ovf_bytes = stat.total_overflow_bytes();
+        let adap_ovf_bytes = adap.total_overflow_bytes();
+        assert!(stat.total_overflows() > 0, "static must overflow");
         assert!(
             adap_ovf_bytes < stat_ovf_bytes / 2,
             "adaptive {adap_ovf_bytes} vs static {stat_ovf_bytes}"
         );
         // Error collapses once the bias correction kicks in.
-        assert!(
-            adap.report.steps.last().unwrap().mean_rel_err
-                < adap.report.steps[0].mean_rel_err / 2.0
-        );
+        assert!(adap.steps.last().unwrap().mean_rel_err < adap.steps[0].mean_rel_err / 2.0);
         // Static replays the same step forever.
         assert!(stat
-            .report
             .steps
             .iter()
-            .all(|s| s.result.n_overflow == stat.report.steps[0].result.n_overflow));
+            .all(|s| s.result.n_overflow == stat.steps[0].result.n_overflow));
     }
 
     #[test]
@@ -637,17 +550,11 @@ mod tests {
         // reservation by rspace − 1; adaptive headroom tightens toward
         // the observed error band and wastes less space.
         let profiles = synth(16, 4, 16.0, true);
-        let stat = simulate_stream(
-            &stream_cfg(AdaptMode::Static, ReservationTopology::Flat, 8),
-            |_| &profiles,
-        );
-        let adap = simulate_stream(
-            &stream_cfg(adaptive(), ReservationTopology::Flat, 8),
-            |_| &profiles,
-        );
-        let (stat_waste, adap_waste) = (stat.report.total_waste(), adap.report.total_waste());
+        let stat = simulate_stream(&stream_cfg(AdaptMode::Static, 8), |_| &profiles);
+        let adap = simulate_stream(&stream_cfg(adaptive(), 8), |_| &profiles);
+        let (stat_waste, adap_waste) = (stat.total_waste(), adap.total_waste());
         assert_eq!(
-            adap.report.total_overflow_bytes(),
+            adap.total_overflow_bytes(),
             0,
             "stable history must not overflow"
         );
@@ -658,63 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stream_steps_identical_to_flat() {
-        // Topology changes costs, not bytes: every per-step stat except
-        // the collective-latency contribution to total_time must match.
-        // With equal allgather terms the times match too, so compare at
-        // a group size whose two-level latency happens to differ and
-        // assert the byte-level fields are equal.
-        let profiles = synth(24, 3, 16.0, false);
-        for mode in [AdaptMode::Static, adaptive()] {
-            let flat = simulate_stream(&stream_cfg(mode, ReservationTopology::Flat, 4), |_| {
-                &profiles
-            });
-            let shard = simulate_stream(
-                &stream_cfg(mode, ReservationTopology::Sharded { group_size: 5 }, 4),
-                |_| &profiles,
-            );
-            for (a, b) in flat.report.steps.iter().zip(&shard.report.steps) {
-                assert_eq!(a.result.file_bytes, b.result.file_bytes);
-                assert_eq!(a.result.compressed_bytes, b.result.compressed_bytes);
-                assert_eq!(a.waste_bytes, b.waste_bytes);
-                assert_eq!(a.result.overflow_bytes, b.result.overflow_bytes);
-                assert_eq!(a.result.n_overflow, b.result.n_overflow);
-                assert_eq!(a.mean_rel_err, b.mean_rel_err);
-            }
-            // Sharding shrinks the reservation wire traffic.
-            let wire = |r: &StreamSimReport| r.report.steps[0].result.reservation_wire_bytes;
-            assert!(wire(&shard) < wire(&flat));
-        }
-    }
-
-    #[test]
-    fn stream_report_shape_and_planner_cost() {
+    fn stream_report_shape() {
         let profiles = synth(512, 4, 16.0, true);
-        let r = simulate_stream(
-            &stream_cfg(
-                AdaptMode::Static,
-                ReservationTopology::Sharded { group_size: 0 },
-                3,
-            ),
-            |_| &profiles,
-        );
-        assert_eq!(r.report.steps.len(), 3);
-        assert_eq!(r.reservation, "sharded");
-        assert!(r.planner_seconds > 0.0 && r.planner_seconds.is_finite());
-        // √512 → 23-rank groups: far less wire than the 512-rank
-        // gather, in every step's record (summed over ranks).
-        let flat = reservation_wire_bytes(512, 4, None) * 512;
+        let r = simulate_stream(&stream_cfg(AdaptMode::Static, 3), |_| &profiles);
+        assert_eq!(r.steps.len(), 3);
+        assert_eq!(r.mode, "static");
+        // One (bytes, ratio, headroom) triple per partition to every
+        // rank, in every step's record (summed over ranks).
+        let wire = reservation_wire_bytes(512, 4, None) * 512;
         assert!(r
-            .report
             .steps
             .iter()
-            .all(|s| s.result.reservation_wire_bytes < flat / 4));
+            .all(|s| s.result.reservation_wire_bytes == wire));
     }
 
     #[test]
     #[should_panic(expected = "changed the stream shape")]
     fn stream_rejects_shape_change() {
-        let cfg = stream_cfg(AdaptMode::Static, ReservationTopology::Flat, 2);
+        let cfg = stream_cfg(AdaptMode::Static, 2);
         let mut n = 0usize;
         simulate_stream(&cfg, |_| {
             n += 1;

@@ -278,53 +278,3 @@ fn rejects_mismatched_inputs() {
     let path = guard.path().to_path_buf();
     assert!(run_real(&data, &config(Method::Overlap, path)).is_err());
 }
-
-#[test]
-fn sharded_reservation_file_byte_identical_to_flat() {
-    // The acceptance pin of the scale-out path: at 8 ranks the
-    // two-level reservation collective must produce a byte-for-byte
-    // identical container to the flat all-gather — same offsets, same
-    // reservations, same data_end — for every group size, including
-    // ones that leave a short last group.
-    let (data, _) = nyx_rank_data(16, 8);
-    let guard_flat = tmp("topo-flat");
-    let flat_path = guard_flat.path().to_path_buf();
-    run_real(&data, &config(Method::Overlap, flat_path.clone())).unwrap();
-    let flat_bytes = std::fs::read(&flat_path).unwrap();
-    for group_size in [0, 1, 2, 3, 8] {
-        let guard = tmp(&format!("topo-sharded-{group_size}"));
-        let path = guard.path().to_path_buf();
-        let mut cfg = config(Method::Overlap, path.clone());
-        cfg.reservation = ReservationTopology::Sharded { group_size };
-        run_real(&data, &cfg).unwrap();
-        let sharded_bytes = std::fs::read(&path).unwrap();
-        assert!(
-            flat_bytes == sharded_bytes,
-            "group_size {group_size}: sharded container differs from flat \
-             ({} vs {} bytes)",
-            sharded_bytes.len(),
-            flat_bytes.len()
-        );
-    }
-}
-
-#[test]
-fn sharded_reservation_survives_overflow_and_verifies() {
-    // Under-predicted sizes overflow past data_end; the sharded
-    // planner's data_end must agree with the flat one or the overflow
-    // region would land elsewhere and verification would fail.
-    let (data, _) = nyx_rank_data(16, 8);
-    let guard = tmp("topo-overflow");
-    let path = guard.path().to_path_buf();
-    let mut cfg = config(Method::OverlapReorder, path.clone());
-    cfg.policy = ExtraSpacePolicy::new(1.0);
-    cfg.models.gain = ratiomodel::LosslessGain {
-        floor: 0.02,
-        half_run: 0.05,
-    };
-    cfg.reservation = ReservationTopology::Sharded { group_size: 3 };
-    cfg.verify = true;
-    let res = run_real(&data, &cfg).unwrap();
-    assert!(res.n_overflow > 0, "setup must force overflow");
-    verify_within_bound(&path, &data, 1e-3, true);
-}

@@ -5,12 +5,15 @@
 //! the paper leverages to overlap compression with writes (§II-A).
 //! [`EventSet`] mirrors the H5ES API: operations are enqueued, execute
 //! on worker threads, and `wait()` blocks until everything completes.
+//! The queue is FIFO: workers take operations in enqueue order, so
+//! with one worker writes land in the order they were issued — the
+//! order Algorithm 1 chose and `pfsim::engine` models.
 
 use crate::error::{AsyncWriteFailure, H5Error, Result};
 use crate::pool::BufferPool;
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use pfsim::{SharedFile, Throttle};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -55,7 +58,7 @@ impl Pending {
 pub struct EventSet {
     /// `Some` until drop: closing the channel (rather than sending a
     /// poison message) is the shutdown signal, so workers drain every
-    /// queued write before exiting regardless of delivery order.
+    /// queued write before exiting.
     tx: Option<Sender<Op>>,
     pending: Arc<Pending>,
     workers: Vec<JoinHandle<()>>,
@@ -65,7 +68,10 @@ impl EventSet {
     /// Create an event set with `n_workers` background I/O threads
     /// (HDF5's async VOL uses one; more emulate multiple HW queues).
     pub fn new(n_workers: usize) -> Self {
-        let (tx, rx) = unbounded::<Op>();
+        let (tx, rx) = channel::<Op>();
+        // One receiver shared by the workers: whoever holds the lock
+        // takes the oldest queued operation.
+        let rx = Arc::new(Mutex::new(rx));
         let pending = Arc::new(Pending {
             depth: Mutex::new(Depth::default()),
             cv: Condvar::new(),
@@ -73,10 +79,13 @@ impl EventSet {
         });
         let workers = (0..n_workers.max(1))
             .map(|_| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let pending = Arc::clone(&pending);
                 std::thread::spawn(move || {
-                    while let Ok(op) = rx.recv() {
+                    // A call of its own: the lock is released before
+                    // the write starts.
+                    let take = || rx.lock().recv();
+                    while let Ok(op) = take() {
                         let Op {
                             file,
                             offset,
@@ -151,7 +160,7 @@ impl EventSet {
             // Workers are gone (all panicked/joined): record a typed
             // failure instead of panicking the producer, and undo the
             // pending count so wait() still terminates.
-            let op = e.into_inner();
+            let op = e.0;
             self.pending.errors.lock().push(AsyncWriteFailure {
                 offset: op.offset,
                 len: op.data.len() as u64,
@@ -259,6 +268,31 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_lands_writes_in_enqueue_order() {
+        // Ten writes of distinct, shrinking lengths to the same
+        // offset, the first held on a throttle while the other nine
+        // queue up behind it. Each byte ends up holding the id of the
+        // last write to cover it; a write that lands before a longer,
+        // earlier one is erased by it. So the file reads 9, 8, …, 0
+        // exactly when the writes landed in enqueue order.
+        const BLOCK: usize = 10_000;
+        let path = tmp("fifo");
+        let f = SharedFile::create(&path).unwrap();
+        let es = EventSet::new(1);
+        let throttle = Arc::new(Throttle::new(5e6, std::time::Duration::ZERO));
+        for k in 0..10usize {
+            let hold = (k == 0).then(|| Arc::clone(&throttle));
+            es.write_at(&f, 0, vec![k as u8; (10 - k) * BLOCK], hold);
+        }
+        es.wait().unwrap();
+        let mut landed = vec![0u8; 10 * BLOCK];
+        f.read_at(0, &mut landed).unwrap();
+        landed.dedup();
+        assert_eq!(landed, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn injected_write_failures_surface_at_wait_without_hanging() {
         use pfsim::{Fault, FaultFs, FaultPlan};
         // A torn write crashes the simulated process: the op it hits
@@ -278,8 +312,7 @@ mod tests {
         match err {
             H5Error::AsyncWrites(fails) => {
                 // Ops 0 and 1 land, op 2 is torn, ops 3..6 observe the
-                // crash: 4 typed failures (delivery order of the
-                // channel decides *which* offsets those are).
+                // crash: 4 typed failures.
                 assert_eq!(fails.len(), 4, "{fails:?}");
                 assert!(fails.iter().all(|w| w.len == 8));
                 assert!(

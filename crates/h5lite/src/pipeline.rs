@@ -6,10 +6,11 @@
 //! while chunk *k* is still in flight. This module provides that
 //! overlap:
 //!
-//! * [`ordered_fanout`] — a generic worker pool (crossbeam channels,
-//!   scoped threads) that runs jobs out of order but delivers results
-//!   to a sink *in index order*; at one worker it is a plain loop on
-//!   the calling thread;
+//! * [`ordered_fanout`] — a generic worker pool (scoped threads
+//!   claiming ascending job indices from one counter) that starts jobs
+//!   in index order, lets them finish in any order and delivers
+//!   results to a sink *in index order*; at one worker it is a plain
+//!   loop on the calling thread;
 //! * [`compress_chunks`] — chunk tiles fanned out to compression
 //!   workers, each reusing a [`FilterScratch`] across its chunks. Every
 //!   dataset write of [`H5File`](crate::H5File) runs through it; the
@@ -33,12 +34,15 @@ use crate::error::{H5Error, Result};
 use crate::filter::{FilterRegistry, FilterScratch};
 use crate::meta::FilterSpec;
 use crate::pool::BufferPool;
-use crossbeam::channel::unbounded;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 /// Run `job(worker_state, i)` for every `i in 0..n` on a pool of
 /// `workers` threads, delivering each result to `sink` in ascending
 /// `i` order (a small reorder buffer holds out-of-order completions).
+/// Workers claim indices in ascending order too, so the sink's next
+/// result is always among the `workers` oldest jobs in progress.
 ///
 /// `make_worker` builds one state value per worker thread — scratch
 /// buffers live there and are reused across that worker's jobs. With
@@ -70,24 +74,20 @@ where
     }
 
     let nw = workers.min(n as usize);
-    let (job_tx, job_rx) = unbounded::<u64>();
-    let (res_tx, res_rx) = unbounded::<(u64, std::result::Result<T, E>)>();
-    for i in 0..n {
-        let _ = job_tx.send(i);
-    }
-    // Workers exit once the pre-filled queue is drained.
-    drop(job_tx);
+    let next_job = AtomicU64::new(0);
+    let (res_tx, res_rx) = mpsc::channel::<(u64, std::result::Result<T, E>)>();
 
     std::thread::scope(|s| {
         for _ in 0..nw {
-            let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
-            let make_worker = &make_worker;
-            let job = &job;
+            let (make_worker, job, next_job) = (&make_worker, &job, &next_job);
             s.spawn(move || {
                 let mut w = make_worker();
-                while let Ok(i) = job_rx.recv() {
-                    if res_tx.send((i, job(&mut w, i))).is_err() {
+                loop {
+                    // Relaxed: the counter hands out indices and
+                    // publishes no other data.
+                    let i = next_job.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || res_tx.send((i, job(&mut w, i))).is_err() {
                         break;
                     }
                 }
@@ -170,11 +170,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex};
 
     #[test]
     fn fanout_delivers_in_order() {
-        for workers in [1, 2, 5, 16] {
+        for workers in [1, 2, 5, 8, 16] {
             let mut seen = Vec::new();
             ordered_fanout::<_, _, (), _, _, _>(
                 100,
@@ -189,6 +190,38 @@ mod tests {
             )
             .unwrap();
             assert_eq!(seen, (0..100).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn fanout_starts_jobs_in_index_order() {
+        // The in-order sink can only emit job 0's result once job 0
+        // has run, so the overlap the pipeline exists for needs jobs
+        // to *start* in index order. A barrier per round of `workers`
+        // jobs pins the interleaving: every worker records one start,
+        // then all proceed — job i's start lands in round i / workers.
+        for workers in [2usize, 8] {
+            let started = Mutex::new(Vec::new());
+            let round = Barrier::new(workers);
+            ordered_fanout::<_, _, (), _, _, _>(
+                64,
+                workers,
+                || (),
+                |_, i| {
+                    started.lock().unwrap().push(i);
+                    round.wait();
+                    Ok(())
+                },
+                |_, ()| Ok(()),
+            )
+            .unwrap();
+            let started = started.into_inner().unwrap();
+            for (pos, &i) in started.iter().enumerate() {
+                assert!(
+                    pos.abs_diff(i as usize) < workers,
+                    "{workers} workers: job {i} started {pos}th of {started:?}"
+                );
+            }
         }
     }
 

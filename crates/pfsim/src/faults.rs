@@ -6,11 +6,10 @@
 //! (media corruption below the checksum), short reads and transient
 //! `EIO`s (contended OSTs, flaky interconnect). Faults are scheduled
 //! by **operation index** — the k-th write attempt, the k-th read
-//! attempt — from a seeded plan, so a given seed replays the same
-//! failure sequence every run. Transient faults consume their op
-//! index: the retry is the *next* op, which (unless also scheduled)
-//! succeeds — exactly the contract a bounded-retry loop needs for a
-//! deterministic test.
+//! attempt — so a given plan replays the same failure sequence every
+//! run. Transient faults consume their op index: the retry is the
+//! *next* op, which (unless also scheduled) succeeds — exactly the
+//! contract a bounded-retry loop needs for a deterministic test.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -121,51 +120,6 @@ impl FaultPlan {
     pub fn on_read(mut self, op: u64, fault: Fault) -> Self {
         self.read.insert(op, fault);
         self
-    }
-
-    /// Deterministic pseudo-random plan from a seed: `n_transient`
-    /// transient write errors and `n_bitflips` silent bit flips at
-    /// distinct op indices below `horizon`, plus an optional torn
-    /// write at `torn_at`. The same seed always yields the same plan.
-    pub fn seeded(
-        seed: u64,
-        horizon: u64,
-        n_transient: usize,
-        n_bitflips: usize,
-        torn_at: Option<u64>,
-    ) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let mut plan = FaultPlan::new();
-        if let Some(op) = torn_at {
-            plan.write.insert(
-                op,
-                Fault::TornWrite {
-                    keep: rng.next_u64() % 4096,
-                },
-            );
-        }
-        let horizon = horizon.max(1);
-        let mut placed = 0;
-        while placed < n_transient {
-            let op = rng.next_u64() % horizon;
-            if let std::collections::btree_map::Entry::Vacant(e) = plan.write.entry(op) {
-                e.insert(Fault::Transient);
-                placed += 1;
-            }
-        }
-        let mut placed = 0;
-        while placed < n_bitflips {
-            let op = rng.next_u64() % horizon;
-            if let std::collections::btree_map::Entry::Vacant(e) = plan.write.entry(op) {
-                let mask = (rng.next_u64() % 255 + 1) as u8;
-                e.insert(Fault::BitFlip {
-                    byte: rng.next_u64(),
-                    mask,
-                });
-                placed += 1;
-            }
-        }
-        plan
     }
 }
 
@@ -364,17 +318,6 @@ impl FaultFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let a = FaultPlan::seeded(42, 100, 3, 2, Some(7));
-        let b = FaultPlan::seeded(42, 100, 3, 2, Some(7));
-        assert_eq!(a.write, b.write);
-        let c = FaultPlan::seeded(43, 100, 3, 2, Some(7));
-        assert_ne!(a.write, c.write);
-        assert_eq!(a.write.len(), 6); // torn + 3 transient + 2 flips
-        assert!(matches!(a.write.get(&7), Some(Fault::TornWrite { .. })));
-    }
 
     #[test]
     fn transient_fault_consumes_its_op_index() {

@@ -78,8 +78,7 @@ pub struct TimelineConfig {
     pub sz_threads: usize,
     /// Prediction/headroom mode.
     pub mode: AdaptMode,
-    /// Shape of each step's reservation collective (see
-    /// [`ReservationTopology`]; layouts are identical either way).
+    /// Pinned by `benchmark/API.md`; see [`ReservationTopology`].
     pub reservation: ReservationTopology,
     /// Read back and bound-check every step's file (the step fails on
     /// a violation).

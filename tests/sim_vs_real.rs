@@ -4,13 +4,12 @@
 //! reservations, waste, predictions, actual sizes, overflow and the
 //! reservation collective's wire bytes — and on
 //! the prediction error they report, step for step, in both adaptation
-//! modes and both reservation topologies, with and without Algorithm 1
-//! reordering.
+//! modes, with and without Algorithm 1 reordering.
 
 use bench::partition_stream_step;
 use repro_suite::predwrite::{
     profile_partition_with, simulate_stream, AdaptMode, Method, PartitionProfile, RankFieldData,
-    ReservationTopology, SimParams, StreamSimConfig,
+    SimParams, StreamSimConfig,
 };
 use repro_suite::ratiomodel::{EstimateScratch, OnlineConfig};
 use repro_suite::timeline::{run_timeline, TimelineConfig};
@@ -39,8 +38,8 @@ fn assert_streams_agree(
         |s| &profiles[s],
     );
     assert_eq!(real.steps.len(), STEPS, "{what}");
-    assert_eq!(sim.report.steps.len(), STEPS, "{what}");
-    for (r, s) in real.steps.iter().zip(&sim.report.steps) {
+    assert_eq!(sim.steps.len(), STEPS, "{what}");
+    for (r, s) in real.steps.iter().zip(&sim.steps) {
         let what = format!("{what}, step {}", r.step);
         assert_eq!(r.step, s.step, "{what}");
         assert_eq!(r.reserved_bytes, s.reserved_bytes, "{what}: reserved");
@@ -113,19 +112,9 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
                 AdaptMode::Static,
                 AdaptMode::Adaptive(OnlineConfig::default()),
             ] {
-                for reservation in [
-                    ReservationTopology::Flat,
-                    ReservationTopology::Sharded { group_size: 0 },
-                ] {
-                    (cfg.mode, cfg.reservation) = (mode, reservation);
-                    let what = format!(
-                        "{} × {nranks} ranks, {}, {}",
-                        stream.label(),
-                        mode.label(),
-                        reservation.label()
-                    );
-                    overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
-                }
+                cfg.mode = mode;
+                let what = format!("{} × {nranks} ranks, {}", stream.label(), mode.label());
+                overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
             }
             // Algorithm 1 changes each rank's compression order from
             // the estimates both engines share; no byte may move.
