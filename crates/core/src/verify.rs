@@ -4,7 +4,8 @@
 //! decodes back within the configured error bound. This module
 //! re-opens the file produced by [`run_real`](crate::real::run_real),
 //! decompresses every field through the *pipelined* reader
-//! ([`h5lite::H5Reader::read_full_pipelined`]) and checks each element
+//! ([`h5lite::H5Reader::read_pipelined`], each rank's slab decoded by
+//! its worker straight into the one `Vec<f32>`) and checks each element
 //! against its partition's resolved bound — the same resolution rule
 //! the compressor used (value-range-relative bounds resolve against
 //! each rank's finite min/max). Each worker decodes through szlite's

@@ -30,14 +30,21 @@ impl TileGeom {
     }
 }
 
-/// Compute the geometry of chunk `chunk_idx` (row-major chunk grid).
-fn tile_geom(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<TileGeom> {
+/// A chunk grid this module can address: rank 1..=3 on both sides, no
+/// empty chunk. Extents come from the metadata table, outside input.
+fn check_grid(dims: &[u64], chunk_dims: &[u64]) -> Result<()> {
     if dims.len() != chunk_dims.len() || dims.is_empty() || dims.len() > 3 {
         return Err(H5Error::Corrupt("tile rank"));
     }
     if chunk_dims.contains(&0) {
         return Err(H5Error::Corrupt("zero chunk extent"));
     }
+    Ok(())
+}
+
+/// Compute the geometry of chunk `chunk_idx` (row-major chunk grid).
+fn tile_geom(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<TileGeom> {
+    check_grid(dims, chunk_dims)?;
     let d = pad3(dims);
     let c = pad3(chunk_dims);
     let grid = [
@@ -108,17 +115,38 @@ pub fn gather_tile_into(
     Ok(())
 }
 
-/// Insert a tile back into the full row-major `out` buffer.
-pub fn scatter_tile(
-    out: &mut [u8],
+/// Points in chunk `chunk_idx`'s tile, clipped at the dataset's edges.
+pub(crate) fn tile_points(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<usize> {
+    Ok(tile_geom(dims, chunk_dims, chunk_idx)?.len() as usize)
+}
+
+/// Points per chunk when every chunk is one contiguous run of the
+/// row-major dataset — every chunk extent but the slowest spans the
+/// dataset's, so chunk `i` is the `i`-th run of that many points (the
+/// last one possibly short). `None` when tiles interleave rows.
+pub(crate) fn slab_points(dims: &[u64], chunk_dims: &[u64]) -> Result<Option<usize>> {
+    check_grid(dims, chunk_dims)?;
+    let (d, c) = (pad3(dims), pad3(chunk_dims));
+    // The slowest axis with more than one row is the one chunks may
+    // split; every faster axis has to be whole.
+    let k = d.iter().position(|&e| e > 1).unwrap_or(2);
+    let whole_rows = (k + 1..3).all(|j| c[j] >= d[j]);
+    Ok(whole_rows.then(|| (c[k].min(d[k]) * d[k + 1..].iter().product::<u64>()) as usize))
+}
+
+/// Insert a tile back into the full row-major `out` buffer. `elem` is
+/// the number of `T`s one dataset point takes: its byte size for byte
+/// buffers, 1 for typed ones.
+pub fn scatter_tile<T: Copy>(
+    out: &mut [T],
     dims: &[u64],
     elem: usize,
     chunk_dims: &[u64],
     chunk_idx: u64,
-    tile: &[u8],
+    tile: &[T],
 ) -> Result<()> {
-    let d = pad3(dims);
     let g = tile_geom(dims, chunk_dims, chunk_idx)?;
+    let d = pad3(dims);
     let expected = d.iter().product::<u64>() as usize * elem;
     if out.len() != expected {
         return Err(H5Error::ShapeMismatch {
@@ -133,15 +161,15 @@ pub fn scatter_tile(
             actual: tile.len() as u64,
         });
     }
-    let row_bytes = g.extent[2] as usize * elem;
+    let row_len = g.extent[2] as usize * elem;
     let mut src = 0usize;
     for z in 0..g.extent[0] {
         for y in 0..g.extent[1] {
             let gz = g.start[0] + z;
             let gy = g.start[1] + y;
             let off = ((gz * d[1] + gy) * d[2] + g.start[2]) as usize * elem;
-            out[off..off + row_bytes].copy_from_slice(&tile[src..src + row_bytes]);
-            src += row_bytes;
+            out[off..off + row_len].copy_from_slice(&tile[src..src + row_len]);
+            src += row_len;
         }
     }
     Ok(())
@@ -200,6 +228,28 @@ mod tests {
             scatter_tile(&mut rebuilt, &dims, 4, &chunk, c, &tile).unwrap();
         }
         assert_eq!(rebuilt, data);
+    }
+
+    #[test]
+    fn slabs_are_runs_and_tiles_are_not() {
+        // One slab per rank, short last slab, a chunk wider than the
+        // dataset, every 1-D layout, a contiguous dataset.
+        assert_eq!(slab_points(&[10, 4, 6], &[4, 4, 6]).unwrap(), Some(96));
+        assert_eq!(slab_points(&[10, 4, 6], &[4, 9, 6]).unwrap(), Some(96));
+        assert_eq!(slab_points(&[10], &[4]).unwrap(), Some(4));
+        assert_eq!(slab_points(&[5, 7], &[5, 7]).unwrap(), Some(35));
+        assert_eq!(slab_points(&[5, 7], &[9, 9]).unwrap(), Some(35));
+        // Tiles that split a faster axis interleave rows.
+        assert_eq!(slab_points(&[8, 8, 8], &[4, 4, 8]).unwrap(), None);
+        assert_eq!(slab_points(&[8, 8], &[8, 4]).unwrap(), None);
+        // A leading extent of one is no axis at all.
+        assert_eq!(slab_points(&[1, 8, 8], &[1, 4, 8]).unwrap(), Some(32));
+        assert_eq!(slab_points(&[1, 8, 8], &[1, 4, 4]).unwrap(), None);
+        assert_eq!(tile_points(&[10, 4, 6], &[4, 4, 6], 2).unwrap(), 48);
+        assert_eq!(tile_points(&[5, 5], &[2, 2], 8).unwrap(), 1);
+        assert!(slab_points(&[4, 4], &[2, 0]).is_err());
+        assert!(slab_points(&[4, 4, 4, 4], &[2, 2, 2, 2]).is_err());
+        assert!(tile_points(&[4, 4], &[2, 2], 4).is_err());
     }
 
     #[test]

@@ -12,15 +12,18 @@
 //! instance of [`H5File::write_full_pipelined`]); a chunk reaches the
 //! file through [`H5File::write_chunk_at`] or its queued sibling
 //! [`H5File::write_chunk_at_async`], which are the only places a
-//! checksum is taken and a chunk recorded; a dataset read verifies,
-//! inverts and scatters through [`H5Reader::read_full_pipelined`]
-//! ([`H5Reader::read_raw`] is its 1-worker instance).
+//! checksum is taken and a chunk recorded; a dataset read verifies
+//! and inverts every chunk through [`H5Reader::read_pipelined`],
+//! generic over what the dataset is restored as — each worker writes a
+//! restored value once, into its place in the one output buffer
+//! ([`H5Reader::read_full_pipelined`] is its byte instance and
+//! [`H5Reader::read_raw`] that at one worker).
 
 use crate::asyncq::EventSet;
-use crate::chunk::scatter_tile;
+use crate::chunk::{scatter_tile, slab_points, tile_points};
 use crate::crc::crc32c;
 use crate::error::{H5Error, Result};
-use crate::filter::{FilterRegistry, FilterScratch};
+use crate::filter::{FilterRegistry, FilterScratch, ReadElement};
 use crate::meta::{
     deserialize_table, serialize_table, AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec,
 };
@@ -31,7 +34,6 @@ use pfsim::{SharedFile, Throttle};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use szlite::Element;
 
 /// File magic "H5LT".
 pub const MAGIC: u32 = 0x544C3548;
@@ -280,14 +282,14 @@ impl H5File {
         S: FnMut(u64, Vec<u8>, u64) -> Result<()>,
     {
         self.check_open()?;
-        let (dims, chunk_dims, filters, elem, expected) = {
+        let (dims, chunk_dims, filters, dtype, expected) = {
             let ds = self.inner.datasets.lock();
             let d = ds.get(id.0).ok_or(H5Error::Corrupt("dataset id"))?;
             (
                 d.dims.clone(),
                 d.chunk_dims.clone(),
                 d.filters.clone(),
-                d.dtype.size(),
+                d.dtype,
                 d.raw_bytes(),
             )
         };
@@ -304,7 +306,7 @@ impl H5File {
             &filters,
             data,
             &dims,
-            elem,
+            dtype,
             &cd,
             workers,
             &self.inner.pool,
@@ -458,19 +460,12 @@ impl H5File {
     }
 }
 
-/// The stored `(offset, len, crc)` extents of one chunk, in record
-/// order.
-type ChunkSegments = Vec<(u64, u64, u32)>;
-
 /// Read-only h5lite container. Every byte it returns has passed the
 /// CRC32C recorded for its chunk.
 pub struct H5Reader {
     file: SharedFile,
     datasets: Vec<DatasetMeta>,
     registry: FilterRegistry,
-    /// Recycles decoded-tile buffers between the reader worker pool
-    /// and the reassembly sink, across every read of the file.
-    pool: BufferPool,
     /// Physical file length at open, for cheap truncation checks.
     flen: u64,
 }
@@ -488,7 +483,6 @@ impl H5Reader {
             file,
             datasets,
             registry: FilterRegistry::default(),
-            pool: BufferPool::new(),
             flen,
         })
     }
@@ -512,25 +506,37 @@ impl H5Reader {
             .ok_or_else(|| H5Error::NoSuchDataset(name.to_string()))
     }
 
-    /// Collect each chunk's stored extents in chunk-index order.
+    /// The dataset's chunk records grouped by chunk: chunk `i`'s stored
+    /// extents are `records[starts[i]..starts[i + 1]]`.
     ///
     /// A chunk may be stored as several extents with the same index
     /// (reserved-slot prefix + overflow tail, the paper's overflow
-    /// redirection); segments are listed in record order so reading
-    /// them back-to-back reconstitutes the filtered stream.
-    fn chunk_segments(d: &DatasetMeta) -> Result<Vec<(u64, ChunkSegments)>> {
-        let mut by_index: std::collections::BTreeMap<u64, ChunkSegments> =
-            std::collections::BTreeMap::new();
-        for c in &d.chunks {
-            by_index
-                .entry(c.index)
-                .or_default()
-                .push((c.offset, c.stored, c.crc));
+    /// redirection); they stay in record order, so reading them
+    /// back-to-back reconstitutes the filtered stream. The indices are
+    /// outside input: together they must name every chunk of the grid
+    /// and nothing else. Two allocations, whatever the chunk count.
+    fn chunk_segments(d: &DatasetMeta) -> Result<(Vec<ChunkInfo>, Vec<usize>)> {
+        let mut records = d.chunks.clone();
+        records.sort_by_key(|c| c.index);
+        let n_chunks = d.n_chunks();
+        let mut starts = Vec::with_capacity(records.len() + 1);
+        for (at, c) in records.iter().enumerate() {
+            if at > 0 && c.index == records[at - 1].index {
+                continue;
+            }
+            if c.index >= n_chunks {
+                return Err(H5Error::Corrupt("chunk index out of grid"));
+            }
+            if c.index != starts.len() as u64 {
+                return Err(H5Error::Corrupt("incomplete chunk set"));
+            }
+            starts.push(at);
         }
-        if by_index.len() as u64 != d.n_chunks() {
+        if starts.len() as u64 != n_chunks {
             return Err(H5Error::Corrupt("incomplete chunk set"));
         }
-        Ok(by_index.into_iter().collect())
+        starts.push(records.len());
+        Ok((records, starts))
     }
 
     /// Logical byte size of dataset `d`, for sizing the output buffer.
@@ -553,14 +559,14 @@ impl H5Reader {
     /// Read one chunk's concatenated stored bytes into `stored`,
     /// verifying each segment's CRC32C — corrupt bytes are never
     /// handed to a decoder.
-    fn read_segments(&self, segments: &[(u64, u64, u32)], stored: &mut Vec<u8>) -> Result<()> {
+    fn read_segments(&self, segments: &[ChunkInfo], stored: &mut Vec<u8>) -> Result<()> {
         // The table's lengths are outside input: every extent must lie
         // inside the file, and together they cannot hold more than the
         // file does, before any of them sizes the buffer.
         let mut total = 0u64;
-        for &(offset, len, _) in segments {
-            let in_file = offset.checked_add(len).is_some_and(|end| end <= self.flen);
-            total = total.saturating_add(len);
+        for c in segments {
+            let in_file = (c.offset.checked_add(c.stored)).is_some_and(|end| end <= self.flen);
+            total = total.saturating_add(c.stored);
             if !in_file || total > self.flen {
                 return Err(H5Error::Truncated("chunk"));
             }
@@ -568,15 +574,15 @@ impl H5Reader {
         stored.clear();
         stored.resize(total as usize, 0);
         let mut at = 0usize;
-        for &(offset, len, crc) in segments {
-            let end = at + len as usize;
-            self.file.read_at(offset, &mut stored[at..end])?;
+        for c in segments {
+            let end = at + c.stored as usize;
+            self.file.read_at(c.offset, &mut stored[at..end])?;
             let actual = crc32c(&stored[at..end]);
-            if actual != crc {
+            if actual != c.crc {
                 return Err(H5Error::ChecksumMismatch {
                     context: "chunk",
-                    offset,
-                    expected: crc,
+                    offset: c.offset,
+                    expected: c.crc,
                     actual,
                 });
             }
@@ -592,89 +598,88 @@ impl H5Reader {
         self.read_full_pipelined(name, 1)
     }
 
-    /// Read and de-filter a full dataset: chunk reads, CRC checks and
-    /// filter inversion fan out to `workers` threads (each reusing one
-    /// [`FilterScratch`] and one read buffer across its chunks; one
-    /// worker runs inline on the caller's thread) and tiles are
-    /// reassembled in chunk-index order, so the result is
-    /// value-identical at any worker count — the read-side mirror of
-    /// [`H5File::write_full_pipelined`].
+    /// Read and de-filter a full dataset as its raw little-endian
+    /// bytes, whatever its element type: the `u8` instance of
+    /// [`H5Reader::read_pipelined`].
     pub fn read_full_pipelined(&self, name: &str, workers: usize) -> Result<Vec<u8>> {
-        let d = self.meta(name)?;
-        let elem = d.dtype.size();
-        let mut out = vec![0u8; Self::checked_raw_len(d)?];
-        // Contiguous datasets decode as a single tile spanning the
-        // extents (scatter with chunk = dims is the identity).
-        let cd = d.chunk_dims.clone().unwrap_or_else(|| d.dims.clone());
-        let chunks = Self::chunk_segments(d)?;
-        ordered_fanout(
-            chunks.len() as u64,
-            workers,
-            || (FilterScratch::new(), Vec::new()),
-            |(scratch, stored): &mut (FilterScratch, Vec<u8>), i| {
-                let (_, segments) = &chunks[i as usize];
-                self.read_segments(segments, stored)?;
-                let mut tile = self.pool.take();
-                if d.filters.is_empty() {
-                    // The sink needs an owned tile; swapping the read
-                    // buffer with the pooled one moves it out without
-                    // a copy or a fresh allocation.
-                    std::mem::swap(stored, &mut tile);
-                } else {
-                    self.registry
-                        .invert_into(&d.filters, stored, scratch, &mut tile)?;
-                }
-                Ok(tile)
-            },
-            |i, raw| {
-                let (index, _) = chunks[i as usize];
-                let res = scatter_tile(&mut out, &d.dims, elem, &cd, index, &raw);
-                self.pool.put(raw);
-                res
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// Check that dataset `d` stores elements of type `T`.
-    fn check_dtype<T: Element>(d: &DatasetMeta) -> Result<()> {
-        let (want, msg) = match T::DTYPE {
-            szlite::element::DTYPE_F32 => (Dtype::F32, "dataset is not f32"),
-            szlite::element::DTYPE_F64 => (Dtype::F64, "dataset is not f64"),
-            _ => return Err(H5Error::Corrupt("unsupported element type")),
-        };
-        if d.dtype != want {
-            return Err(H5Error::Corrupt(msg));
-        }
-        Ok(())
-    }
-
-    /// Decode a raw little-endian byte buffer into typed elements.
-    fn elems_from_raw<T: Element>(raw: &[u8]) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(raw.len() / T::BYTES);
-        let mut pos = 0usize;
-        while pos < raw.len() {
-            out.push(T::read_le(raw, &mut pos).map_err(H5Error::from)?);
-        }
-        Ok(out)
+        self.read_pipelined(name, workers)
     }
 
     /// Read a dataset as typed values (`f32` or `f64`).
-    pub fn read<T: Element>(&self, name: &str) -> Result<Vec<T>> {
+    pub fn read<T: ReadElement>(&self, name: &str) -> Result<Vec<T>> {
         self.read_pipelined(name, 1)
-    }
-
-    /// Read a dataset as typed values through the parallel decode
-    /// pipeline; value-identical at any worker count.
-    pub fn read_pipelined<T: Element>(&self, name: &str, workers: usize) -> Result<Vec<T>> {
-        let d = self.meta(name)?;
-        Self::check_dtype::<T>(d)?;
-        Self::elems_from_raw(&self.read_full_pipelined(name, workers)?)
     }
 
     /// Read a dataset as `f32` values.
     pub fn read_f32(&self, name: &str) -> Result<Vec<f32>> {
         self.read::<f32>(name)
+    }
+
+    /// The one dataset-read body — the read-side mirror of
+    /// [`H5File::write_full_pipelined`], generic over what the dataset
+    /// is restored as (its values, or `u8` for its raw bytes).
+    ///
+    /// Chunk reads, CRC checks and filter inversion fan out to
+    /// `workers` threads (each reusing one [`FilterScratch`] and one
+    /// read buffer across its chunks; one worker runs inline on the
+    /// caller's thread). The output is allocated once and every
+    /// restored value is written to it once. Where each chunk is one
+    /// contiguous run of the dataset (one slab per rank, any 1-D or
+    /// contiguous dataset) the output is handed out as disjoint
+    /// sub-slices and a worker decodes straight into its chunk's;
+    /// tiles that interleave rows are decoded into a buffer the worker
+    /// keeps and scattered from there. Either way the result is
+    /// value-identical at any worker count.
+    pub fn read_pipelined<T: ReadElement>(&self, name: &str, workers: usize) -> Result<Vec<T>> {
+        let d = self.meta(name)?;
+        T::check_dtype(d.dtype)?;
+        let raw_len = Self::checked_raw_len(d)?;
+        let _span = obs::span_arg("h5.read", raw_len as u64);
+        // Contiguous datasets decode as a single chunk spanning the
+        // extents.
+        let cd = d.chunk_dims.as_deref().unwrap_or(&d.dims);
+        let slab = slab_points(&d.dims, cd)?;
+        let (records, starts) = Self::chunk_segments(d)?;
+        let n = starts.len() as u64 - 1;
+        // `T`s per dataset point: 1 for a typed read, the element's
+        // byte size for the byte view.
+        let per = d.dtype.size() / std::mem::size_of::<T>();
+        let mut out = vec![T::default(); raw_len / std::mem::size_of::<T>()];
+        if n == 0 {
+            return Ok(out);
+        }
+        // Extent bounds and CRC32C before a decoder sees a byte, then
+        // the inverse chain into exactly the chunk's destination.
+        let decode = |scratch: &mut FilterScratch, stored: &mut Vec<u8>, i: u64, dst: &mut [T]| {
+            let _span = obs::span_arg("h5.chunk_decode", i);
+            let i = i as usize;
+            self.read_segments(&records[starts[i]..starts[i + 1]], stored)?;
+            self.registry
+                .invert_to(&d.filters, d.dtype, stored, scratch, dst)
+        };
+        // The output as disjoint parts, one lock each: a slab per chunk
+        // where chunks are runs (taken once, by the one worker that
+        // claimed the index — what makes the hand-out safe, not a point
+        // of contention), else the whole, held only for a tile's row
+        // copies after the worker decoded into its own tile buffer.
+        let part = slab.map_or(out.len(), |points| points * per);
+        let parts: Vec<Mutex<&mut [T]>> = out.chunks_mut(part).map(Mutex::new).collect();
+        ordered_fanout(
+            n,
+            workers,
+            || (FilterScratch::new(), Vec::new(), Vec::new()),
+            |(scratch, stored, tile), i| match slab {
+                Some(_) => decode(scratch, stored, i, &mut parts[i as usize].lock()),
+                None => {
+                    tile.resize(tile_points(&d.dims, cd, i)? * per, T::default());
+                    decode(scratch, stored, i, tile)?;
+                    scatter_tile(&mut parts[0].lock(), &d.dims, per, cd, i, tile)
+                }
+            },
+            |_, ()| Ok(()),
+        )?;
+        drop(parts); // the locks borrow `out`
+        Ok(out)
     }
 }
 

@@ -1,13 +1,22 @@
 //! H5Z-like dynamically registered filter pipeline.
 //!
 //! HDF5 compresses chunks through a chain of registered filters; the
-//! paper's baseline is the H5Z-SZ filter (id 32017). We register an
+//! paper's baseline is the H5Z-SZ filter (id 32017). We keep an
 //! szlite-backed equivalent under the same id, plus an LZSS
 //! "deflate-like" filter, and apply chains in declaration order on
 //! write / reverse order on read.
+//!
+//! The chain has one *typed* stage and any number of byte stages. The
+//! szlite filter consumes and restores the dataset's elements (`f32`
+//! or `f64`, by the dataset's [`Dtype`]), so it is only meaningful as
+//! the first-declared stage; every [`Filter`] after it maps bytes to
+//! bytes. On read, [`FilterRegistry::invert_to`] inverts the byte
+//! stages through the scratch's ping-pong buffers and lets the typed
+//! stage write each restored value once, straight into the caller's
+//! destination ([`ReadElement`]).
 
 use crate::error::{H5Error, Result};
-use crate::meta::FilterSpec;
+use crate::meta::{Dtype, FilterSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
 use szlite::stream::{get_f64, get_varint, put_f64, put_varint};
@@ -26,8 +35,8 @@ pub const LZSS_FILTER_ID: u32 = 1;
 /// compressor workspace (quantization codes, Huffman frequency tables,
 /// bit buffer), the mirror decompressor workspace (Huffman table with
 /// its primary decode LUT and sparse-rebuild scratch, code/literal
-/// staging, reconstruction grid), the byte↔float staging buffer, the
-/// LZSS filter's matcher tables, and the inter-stage ping-pong buffer
+/// staging, reconstruction grid), the byte↔float staging buffers, the
+/// LZSS filter's matcher tables, and the inter-stage ping-pong buffers
 /// all persist across chunks — so per-chunk decode pays only for the
 /// symbols a chunk actually uses, never for the full quantizer
 /// alphabet.
@@ -41,8 +50,13 @@ pub struct FilterScratch {
     lz: szlite::lossless::LzScratch,
     /// f32 staging for the SZ filter's byte↔float conversions.
     floats: Vec<f32>,
+    /// f64 staging, for datasets of [`Dtype::F64`].
+    doubles: Vec<f64>,
     /// Recycled intermediate buffer for multi-stage chains.
     stage: Vec<u8>,
+    /// Where the read path's byte stages leave their output for the
+    /// typed stage to consume.
+    bytes: Vec<u8>,
 }
 
 impl FilterScratch {
@@ -52,7 +66,7 @@ impl FilterScratch {
     }
 }
 
-/// A chunk filter: bytes → bytes, invertible.
+/// A byte stage of a filter chain: bytes → bytes, invertible.
 ///
 /// The trait is symmetric: both directions borrow their input, append
 /// to a caller-cleared output buffer, and reuse [`FilterScratch`]
@@ -145,52 +159,161 @@ impl SzFilterParams {
     }
 }
 
-/// The szlite lossy filter (H5Z-SZ analog, f32 chunks).
-pub struct SzliteFilter;
+fn not_float() -> H5Error {
+    H5Error::Filter("sz filter requires f32 or f64 data".into())
+}
 
-impl Filter for SzliteFilter {
-    fn id(&self) -> u32 {
-        SZLITE_FILTER_ID
-    }
-
-    fn encode(
-        &self,
+/// Forward pass of the szlite stage (H5Z-SZ analog): `data` holds the
+/// little-endian elements of a `dtype` chunk.
+fn sz_encode(
+    data: &[u8],
+    params: &[u8],
+    dtype: Dtype,
+    out: &mut Vec<u8>,
+    scratch: &mut FilterScratch,
+) -> Result<()> {
+    fn encode_as<T: szlite::Element + ReadElement>(
         data: &[u8],
-        params: &[u8],
+        p: &SzFilterParams,
+        staging: &mut Vec<T>,
+        sz: &mut szlite::Scratch,
         out: &mut Vec<u8>,
-        scratch: &mut FilterScratch,
     ) -> Result<()> {
-        let p = SzFilterParams::from_bytes(params)?;
-        if !data.len().is_multiple_of(4) {
-            return Err(H5Error::Filter("sz filter requires f32 data".into()));
+        if !data.len().is_multiple_of(T::BYTES) {
+            return Err(not_float());
         }
-        scratch.floats.clear();
-        scratch.floats.extend(
-            data.chunks_exact(4)
-                .map(|b| f32::from_le_bytes(b.try_into().unwrap())),
-        );
+        staging.clear();
+        staging.extend(data.chunks_exact(T::BYTES).map(T::from_le));
         let dims = Dims::from_slice(&p.dims)?;
-        szlite::compress_into(&scratch.floats, &dims, &p.config(), &mut scratch.sz, out)?;
+        szlite::compress_into(staging, &dims, &p.config(), sz, out)?;
+        Ok(())
+    }
+    let p = SzFilterParams::from_bytes(params)?;
+    match dtype {
+        Dtype::F32 => encode_as(data, &p, &mut scratch.floats, &mut scratch.sz, out),
+        Dtype::F64 => encode_as(data, &p, &mut scratch.doubles, &mut scratch.sz, out),
+        _ => Err(not_float()),
+    }
+}
+
+/// An element type a dataset can be restored as: `u8` is the raw
+/// little-endian byte view of any dataset, `f32` / `f64` the values of
+/// a dataset of that [`Dtype`].
+pub trait ReadElement: Copy + Default + Send + Sync + 'static {
+    /// Whether a dataset of `dtype` restores as `Self`.
+    fn check_dtype(dtype: Dtype) -> Result<()>;
+    /// One value from its `size_of::<Self>()` little-endian bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+    /// Inverse pass of the szlite stage: decode a stream of `dtype`
+    /// elements into `out`, which must hold exactly the chunk.
+    fn decode_sz(
+        stream: &[u8],
+        dtype: Dtype,
+        scratch: &mut FilterScratch,
+        out: &mut [Self],
+    ) -> Result<()>;
+}
+
+macro_rules! float_read_element {
+    ($t:ty, $dtype:path, $mismatch:literal) => {
+        impl ReadElement for $t {
+            fn check_dtype(dtype: Dtype) -> Result<()> {
+                if dtype == $dtype {
+                    Ok(())
+                } else {
+                    Err(H5Error::Corrupt($mismatch))
+                }
+            }
+
+            #[inline]
+            fn from_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+            }
+
+            /// Straight into the destination; a stream of the other
+            /// float type is szlite's "element type mismatch".
+            fn decode_sz(
+                stream: &[u8],
+                _dtype: Dtype,
+                scratch: &mut FilterScratch,
+                out: &mut [Self],
+            ) -> Result<()> {
+                szlite::decompress_to_slice(stream, &mut scratch.dsz, out)?;
+                Ok(())
+            }
+        }
+    };
+}
+float_read_element!(f32, Dtype::F32, "dataset is not f32");
+float_read_element!(f64, Dtype::F64, "dataset is not f64");
+
+impl ReadElement for u8 {
+    fn check_dtype(_dtype: Dtype) -> Result<()> {
         Ok(())
     }
 
-    fn decode(
-        &self,
-        data: &[u8],
-        _params: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut FilterScratch,
-    ) -> Result<()> {
-        szlite::decompress_into::<f32>(data, &mut scratch.dsz, &mut scratch.floats)?;
-        // Bulk float→byte conversion: resize-then-fill lets the copy
-        // vectorize instead of growing the vec 4 bytes at a time.
-        let base = out.len();
-        out.resize(base + scratch.floats.len() * 4, 0);
-        for (dst, f) in out[base..].chunks_exact_mut(4).zip(&scratch.floats) {
-            dst.copy_from_slice(&f.to_le_bytes());
-        }
-        Ok(())
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        bytes[0]
     }
+
+    /// Through the float staging of the dataset's element type: the
+    /// values are decoded typed, their bytes land in `out`.
+    fn decode_sz(
+        stream: &[u8],
+        dtype: Dtype,
+        scratch: &mut FilterScratch,
+        out: &mut [u8],
+    ) -> Result<()> {
+        fn staged<T: szlite::Element, const N: usize>(
+            stream: &[u8],
+            dsz: &mut szlite::DecompressScratch,
+            staging: &mut Vec<T>,
+            to_le: impl Fn(T) -> [u8; N],
+            out: &mut [u8],
+        ) -> Result<()> {
+            szlite::decompress_into(stream, dsz, staging)?;
+            if out.len() != staging.len() * N {
+                return Err(H5Error::ShapeMismatch {
+                    expected: out.len() as u64,
+                    actual: (staging.len() * N) as u64,
+                });
+            }
+            for (dst, &v) in out.chunks_exact_mut(N).zip(staging.iter()) {
+                dst.copy_from_slice(&to_le(v));
+            }
+            Ok(())
+        }
+        let FilterScratch {
+            dsz,
+            floats,
+            doubles,
+            ..
+        } = scratch;
+        match dtype {
+            Dtype::F32 => staged(stream, dsz, floats, f32::to_le_bytes, out),
+            Dtype::F64 => staged(stream, dsz, doubles, f64::to_le_bytes, out),
+            _ => Err(not_float()),
+        }
+    }
+}
+
+/// Convert a chunk's little-endian bytes into the destination's
+/// elements — the typed stage of a chain without the szlite filter.
+fn copy_from_le<T: ReadElement>(src: &[u8], out: &mut [T]) -> Result<()> {
+    if src.len() != std::mem::size_of_val(out) {
+        return Err(H5Error::ShapeMismatch {
+            expected: std::mem::size_of_val(out) as u64,
+            actual: src.len() as u64,
+        });
+    }
+    for (dst, b) in out
+        .iter_mut()
+        .zip(src.chunks_exact(std::mem::size_of::<T>()))
+    {
+        *dst = T::from_le(b);
+    }
+    Ok(())
 }
 
 /// LZSS lossless filter: szlite's trailing lossless stage on its own,
@@ -225,7 +348,8 @@ impl Filter for LzssFilter {
     }
 }
 
-/// Registry of filter implementations by id.
+/// Registry of byte-stage implementations by id, and the one place
+/// that knows the szlite stage is typed.
 #[derive(Clone)]
 pub struct FilterRegistry {
     filters: HashMap<u32, Arc<dyn Filter>>,
@@ -236,7 +360,6 @@ impl Default for FilterRegistry {
         let mut r = FilterRegistry {
             filters: HashMap::new(),
         };
-        r.register(Arc::new(SzliteFilter));
         r.register(Arc::new(LzssFilter));
         r
     }
@@ -247,26 +370,33 @@ impl FilterRegistry {
         self.filters.insert(f.id(), f);
     }
 
-    /// Look up a filter by id.
+    /// Look up a byte stage by id. The szlite filter is not one: past
+    /// the first-declared position its input is no longer the
+    /// dataset's elements.
     pub fn get(&self, id: u32) -> Result<&Arc<dyn Filter>> {
+        if id == SZLITE_FILTER_ID {
+            return Err(H5Error::Filter(
+                "the sz filter must be a chain's first stage".into(),
+            ));
+        }
         self.filters.get(&id).ok_or(H5Error::UnknownFilter(id))
     }
 
-    /// Run a pipeline chain, ping-ponging between `out` and the
+    /// Run `n` stages over `data`, ping-ponging between `out` and the
     /// scratch stage buffer so the final stage always lands in `out`
-    /// and nothing is allocated.
-    fn run_chain<'a, I>(
+    /// and nothing is allocated. Forward, a first stage that is the
+    /// szlite filter is the typed one and takes `dtype` elements.
+    #[allow(clippy::too_many_arguments)]
+    fn run_chain<'a>(
         &self,
-        stages: I,
+        stages: impl Iterator<Item = &'a FilterSpec>,
         n: usize,
+        dtype: Dtype,
         data: &[u8],
         scratch: &mut FilterScratch,
         out: &mut Vec<u8>,
         forward: bool,
-    ) -> Result<()>
-    where
-        I: Iterator<Item = &'a FilterSpec>,
-    {
+    ) -> Result<()> {
         // The stage buffer lives outside `scratch` for the duration so
         // the codec can borrow `scratch` mutably alongside it.
         let mut stage = std::mem::take(&mut scratch.stage);
@@ -282,13 +412,17 @@ impl FilterRegistry {
                 (&mut stage, if first { data } else { out })
             };
             dst.clear();
-            res = self.get(s.id).and_then(|f| {
-                if forward {
-                    f.encode(src, &s.params, dst, scratch)
-                } else {
-                    f.decode(src, &s.params, dst, scratch)
-                }
-            });
+            res = if forward && first && s.id == SZLITE_FILTER_ID {
+                sz_encode(src, &s.params, dtype, dst, scratch)
+            } else {
+                self.get(s.id).and_then(|f| {
+                    if forward {
+                        f.encode(src, &s.params, dst, scratch)
+                    } else {
+                        f.decode(src, &s.params, dst, scratch)
+                    }
+                })
+            };
             if res.is_err() {
                 break;
             }
@@ -299,8 +433,9 @@ impl FilterRegistry {
         res
     }
 
-    /// Apply a pipeline in declaration order (write path), appending
-    /// the final stage's output to `out` (cleared first).
+    /// Apply a pipeline in declaration order (write path) to a chunk
+    /// of `dtype` elements, appending the final stage's output to
+    /// `out` (cleared first).
     ///
     /// The input is borrowed and `scratch` supplies every intermediate
     /// buffer, so a caller recycling `out` (e.g. through a
@@ -309,6 +444,7 @@ impl FilterRegistry {
     pub fn apply_into(
         &self,
         specs: &[FilterSpec],
+        dtype: Dtype,
         data: &[u8],
         scratch: &mut FilterScratch,
         out: &mut Vec<u8>,
@@ -318,25 +454,43 @@ impl FilterRegistry {
             out.extend_from_slice(data);
             return Ok(());
         }
-        self.run_chain(specs.iter(), specs.len(), data, scratch, out, true)
+        self.run_chain(specs.iter(), specs.len(), dtype, data, scratch, out, true)
     }
 
-    /// Invert a pipeline in reverse order (read path), appending the
-    /// de-filtered bytes to `out` (cleared first) — the mirror image of
-    /// [`FilterRegistry::apply_into`].
-    pub fn invert_into(
+    /// Invert a pipeline in reverse order (read path) into `out`, which
+    /// must hold exactly the chunk — the mirror image of
+    /// [`FilterRegistry::apply_into`], generic over what the dataset is
+    /// restored as. The byte stages run through the scratch's buffers;
+    /// the last step writes every element of `out` once: the szlite
+    /// stage decodes into it, any other chain's bytes are converted
+    /// into it.
+    pub fn invert_to<T: ReadElement>(
         &self,
         specs: &[FilterSpec],
+        dtype: Dtype,
         data: &[u8],
         scratch: &mut FilterScratch,
-        out: &mut Vec<u8>,
+        out: &mut [T],
     ) -> Result<()> {
-        out.clear();
-        if specs.is_empty() {
-            out.extend_from_slice(data);
-            return Ok(());
-        }
-        self.run_chain(specs.iter().rev(), specs.len(), data, scratch, out, false)
+        let typed = specs.first().is_some_and(|s| s.id == SZLITE_FILTER_ID);
+        let bytes = &specs[usize::from(typed)..];
+        let mut unfiltered = std::mem::take(&mut scratch.bytes);
+        let res = (|| {
+            let src = if bytes.is_empty() {
+                data
+            } else {
+                let (stages, n) = (bytes.iter().rev(), bytes.len());
+                self.run_chain(stages, n, dtype, data, scratch, &mut unfiltered, false)?;
+                &unfiltered
+            };
+            if typed {
+                T::decode_sz(src, dtype, scratch, out)
+            } else {
+                copy_from_le(src, out)
+            }
+        })();
+        scratch.bytes = unfiltered;
+        res
     }
 }
 
@@ -348,17 +502,41 @@ mod tests {
         v.iter().flat_map(|f| f.to_le_bytes()).collect()
     }
 
-    fn enc(f: &dyn Filter, data: &[u8], params: &[u8]) -> Result<Vec<u8>> {
+    fn sz_spec(bound: f64, dims: &[usize]) -> FilterSpec {
+        FilterSpec {
+            id: SZLITE_FILTER_ID,
+            params: SzFilterParams {
+                absolute: true,
+                bound,
+                dims: dims.to_vec(),
+            }
+            .to_bytes(),
+        }
+    }
+
+    fn lzss_spec() -> FilterSpec {
+        FilterSpec {
+            id: LZSS_FILTER_ID,
+            params: vec![],
+        }
+    }
+
+    fn apply(specs: &[FilterSpec], dtype: Dtype, data: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        let mut scratch = FilterScratch::new();
-        f.encode(data, params, &mut out, &mut scratch)?;
+        let reg = FilterRegistry::default();
+        reg.apply_into(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
         Ok(out)
     }
 
-    fn dec(f: &dyn Filter, data: &[u8], params: &[u8]) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut scratch = FilterScratch::new();
-        f.decode(data, params, &mut out, &mut scratch)?;
+    fn invert<T: ReadElement>(
+        specs: &[FilterSpec],
+        dtype: Dtype,
+        data: &[u8],
+        n: usize,
+    ) -> Result<Vec<T>> {
+        let mut out = vec![T::default(); n];
+        let reg = FilterRegistry::default();
+        reg.invert_to(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -376,31 +554,81 @@ mod tests {
     fn sz_filter_roundtrip_within_bound() {
         let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
         let bytes = f32s_to_bytes(&data);
-        let params = SzFilterParams {
-            absolute: true,
-            bound: 1e-3,
-            dims: vec![16, 16, 16],
-        }
-        .to_bytes();
-        let f = SzliteFilter;
-        let enc = enc(&f, &bytes, &params).unwrap();
+        let specs = [sz_spec(1e-3, &[16, 16, 16])];
+        let enc = apply(&specs, Dtype::F32, &bytes).unwrap();
         assert!(enc.len() < bytes.len());
-        let dec = dec(&f, &enc, &params).unwrap();
-        assert_eq!(dec.len(), bytes.len());
-        for (a, b) in bytes.chunks_exact(4).zip(dec.chunks_exact(4)) {
-            let x = f32::from_le_bytes(a.try_into().unwrap());
-            let y = f32::from_le_bytes(b.try_into().unwrap());
+        let typed = invert::<f32>(&specs, Dtype::F32, &enc, data.len()).unwrap();
+        for (x, y) in data.iter().zip(&typed) {
             assert!((x - y).abs() <= 1e-3);
+        }
+        // The byte view is the typed values' little-endian bytes.
+        let raw = invert::<u8>(&specs, Dtype::F32, &enc, bytes.len()).unwrap();
+        assert_eq!(raw, f32s_to_bytes(&typed));
+    }
+
+    #[test]
+    fn sz_stage_is_typed_by_the_dataset() {
+        // 1024 doubles whose bytes also parse as 2048 floats matching
+        // the declared extents: only the dtype tells them apart.
+        let data: Vec<f64> = (0..1024)
+            .map(|i| 1000.0 + (i as f64 * 0.01).sin())
+            .collect();
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert!(matches!(
+            apply(&[sz_spec(1e-3, &[2048])], Dtype::F64, &bytes),
+            Err(H5Error::Filter(_))
+        ));
+        let specs = [sz_spec(1e-3, &[1024])];
+        let enc = apply(&specs, Dtype::F64, &bytes).unwrap();
+        let typed = invert::<f64>(&specs, Dtype::F64, &enc, data.len()).unwrap();
+        for (x, y) in data.iter().zip(&typed) {
+            assert!((x - y).abs() <= 1e-3);
+        }
+        let raw = invert::<u8>(&specs, Dtype::F64, &enc, bytes.len()).unwrap();
+        let typed_bytes: Vec<u8> = typed.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(raw, typed_bytes);
+        // A stream of the other float type is corrupt for the dataset;
+        // a dataset that stores no floats has no szlite stage.
+        let msg = |r: Result<Vec<f32>>| match r {
+            Err(H5Error::Filter(m)) => m,
+            other => panic!("{other:?}"),
+        };
+        let as_f32 = invert::<f32>(&specs, Dtype::F32, &enc, data.len());
+        assert!(msg(as_f32).contains("element type mismatch"));
+        assert!(invert::<u8>(&specs, Dtype::F32, &enc, bytes.len() / 2).is_err());
+        assert!(invert::<u8>(&specs, Dtype::U8, &enc, bytes.len()).is_err());
+        assert!(apply(&specs, Dtype::I64, &bytes).is_err());
+    }
+
+    #[test]
+    fn destination_of_the_wrong_length_is_typed() {
+        let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
+        let bytes = f32s_to_bytes(&vals);
+        for specs in [
+            vec![],
+            vec![lzss_spec()],
+            vec![sz_spec(1e-3, &[256])],
+            vec![sz_spec(1e-3, &[256]), lzss_spec()],
+        ] {
+            let enc = apply(&specs, Dtype::F32, &bytes).unwrap();
+            assert_eq!(
+                invert::<f32>(&specs, Dtype::F32, &enc, 256).unwrap().len(),
+                256
+            );
+            for n in [0, 255, 257] {
+                assert!(invert::<f32>(&specs, Dtype::F32, &enc, n).is_err());
+                assert!(invert::<u8>(&specs, Dtype::F32, &enc, n * 4).is_err());
+            }
         }
     }
 
     #[test]
     fn lzss_filter_roundtrip() {
         let data = vec![7u8; 10_000];
-        let f = LzssFilter;
-        let enc = enc(&f, &data, &[]).unwrap();
+        let specs = [lzss_spec()];
+        let enc = apply(&specs, Dtype::U8, &data).unwrap();
         assert!(enc.len() < 200);
-        assert_eq!(dec(&f, &enc, &[]).unwrap(), data);
+        assert_eq!(invert::<u8>(&specs, Dtype::U8, &enc, 10_000).unwrap(), data);
     }
 
     #[test]
@@ -411,37 +639,23 @@ mod tests {
         // are not an szlite stream).
         let vals: Vec<f32> = (0..1024).map(|i| (i / 7) as f32).collect();
         let data = f32s_to_bytes(&vals);
-        let specs = vec![
-            FilterSpec {
-                id: SZLITE_FILTER_ID,
-                params: SzFilterParams {
-                    absolute: true,
-                    bound: 1e-3,
-                    dims: vec![1024],
-                }
-                .to_bytes(),
-            },
-            FilterSpec {
-                id: LZSS_FILTER_ID,
-                params: vec![],
-            },
-        ];
+        let specs = vec![sz_spec(1e-3, &[1024]), lzss_spec()];
         let apply = |data: &[u8], scratch: &mut FilterScratch| {
             let mut out = Vec::new();
-            reg.apply_into(&specs, data, scratch, &mut out).unwrap();
+            reg.apply_into(&specs, Dtype::F32, data, scratch, &mut out)
+                .unwrap();
             out
         };
         let invert = |data: &[u8], scratch: &mut FilterScratch| {
-            let mut out = Vec::new();
-            reg.invert_into(&specs, data, scratch, &mut out).unwrap();
+            let mut out = vec![0.0f32; vals.len()];
+            reg.invert_to(&specs, Dtype::F32, data, scratch, &mut out)
+                .unwrap();
             out
         };
         let mut scratch = FilterScratch::new();
         let enc = apply(&data, &mut scratch);
         let dec = invert(&enc, &mut scratch);
-        assert_eq!(dec.len(), data.len());
-        for (v, b) in vals.iter().zip(dec.chunks_exact(4)) {
-            let y = f32::from_le_bytes(b.try_into().unwrap());
+        for (v, y) in vals.iter().zip(&dec) {
             assert!((v - y).abs() <= 1e-3);
         }
 
@@ -459,31 +673,39 @@ mod tests {
 
     #[test]
     fn unknown_filter_rejected() {
-        let reg = FilterRegistry::default();
-        let specs = vec![FilterSpec {
+        let specs = [FilterSpec {
             id: 999,
             params: vec![],
         }];
         assert!(matches!(
-            reg.apply_into(
-                &specs,
-                &[1, 2, 3],
-                &mut FilterScratch::new(),
-                &mut Vec::new()
-            ),
+            apply(&specs, Dtype::U8, &[1, 2, 3]),
+            Err(H5Error::UnknownFilter(999))
+        ));
+        assert!(matches!(
+            invert::<u8>(&specs, Dtype::U8, &[1, 2, 3], 3),
             Err(H5Error::UnknownFilter(999))
         ));
     }
 
     #[test]
+    fn sz_filter_past_the_first_stage_is_rejected() {
+        // Behind another stage its input is not the dataset's elements
+        // any more: a typed error on write and on read, never a lossy
+        // pass over compressed bytes.
+        let bytes = f32s_to_bytes(&[1.0; 64]);
+        let specs = [lzss_spec(), sz_spec(1e-3, &[64])];
+        assert!(matches!(
+            apply(&specs, Dtype::F32, &bytes),
+            Err(H5Error::Filter(_))
+        ));
+        assert!(matches!(
+            invert::<f32>(&specs, Dtype::F32, &bytes, 64),
+            Err(H5Error::Filter(_))
+        ));
+    }
+
+    #[test]
     fn sz_filter_rejects_unaligned() {
-        let f = SzliteFilter;
-        let params = SzFilterParams {
-            absolute: true,
-            bound: 0.1,
-            dims: vec![3],
-        }
-        .to_bytes();
-        assert!(enc(&f, &[1, 2, 3], &params).is_err());
+        assert!(apply(&[sz_spec(0.1, &[3])], Dtype::F32, &[1, 2, 3]).is_err());
     }
 }

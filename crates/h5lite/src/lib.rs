@@ -12,7 +12,8 @@
 //! * **contiguous and chunked layouts** with tile gather/scatter on
 //!   read/write ([`chunk`]);
 //! * an **H5Z-like filter pipeline** with the szlite lossy filter
-//!   registered under H5Z-SZ's id 32017, plus LZSS ([`filter`]);
+//!   under H5Z-SZ's id 32017 as its typed first stage (`f32` or `f64`,
+//!   by the dataset's element type), plus LZSS ([`filter`]);
 //! * **event-set asynchronous writes** on background threads — the
 //!   async-VOL capability the paper's overlap design builds on
 //!   ([`asyncq`]);
@@ -21,7 +22,9 @@
 //!   scratch-reusing worker pool and arrive in chunk order, so
 //!   compression overlaps the async write queue and files are
 //!   byte-identical at any worker count — one worker is a plain loop
-//!   on the calling thread;
+//!   on the calling thread; a read ([`H5Reader::read_pipelined`],
+//!   generic over values or raw bytes) allocates its output once and
+//!   every worker writes a restored value once, into its final place;
 //! * **parallel shared-file writes** at pre-computed offsets via
 //!   [`H5File::write_chunk_at`] (synchronous) and
 //!   [`H5File::write_chunk_at_async`] (event-set queued) from many
@@ -47,7 +50,8 @@ pub use crc::crc32c;
 pub use error::{AsyncWriteFailure, H5Error, Result};
 pub use file::{DatasetId, DatasetSpec, H5File, H5Reader, MAGIC, SUPERBLOCK, VERSION};
 pub use filter::{
-    Filter, FilterRegistry, FilterScratch, SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
+    Filter, FilterRegistry, FilterScratch, ReadElement, SzFilterParams, LZSS_FILTER_ID,
+    SZLITE_FILTER_ID,
 };
 pub use meta::{AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec};
 pub use pipeline::{compress_chunks, ordered_fanout};

@@ -24,15 +24,17 @@
 //! worker count.
 //!
 //! The read side runs through the same [`ordered_fanout`] pool:
-//! [`H5Reader::read_full_pipelined`](crate::H5Reader::read_full_pipelined)
-//! fans chunk reads + filter inversion out to scratch-reusing workers
-//! and reassembles tiles in chunk-index order, so decoded data is
-//! **value-identical** at any worker count.
+//! [`H5Reader::read_pipelined`](crate::H5Reader::read_pipelined) fans
+//! chunk reads + filter inversion out to scratch-reusing workers that
+//! write into disjoint parts of the one output buffer (nothing is left
+//! for the sink to do), so decoded data is **value-identical** at any
+//! worker count. The first failed chunk closes the index counter: the
+//! rest of the dataset is not decoded before the error is reported.
 
 use crate::chunk::gather_tile_into;
 use crate::error::{H5Error, Result};
 use crate::filter::{FilterRegistry, FilterScratch};
-use crate::meta::FilterSpec;
+use crate::meta::{Dtype, FilterSpec};
 use crate::pool::BufferPool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,8 +51,9 @@ use std::sync::mpsc;
 /// `workers <= 1` everything runs inline on the calling thread, with
 /// no channels or spawns — same job, same sink, same order.
 ///
-/// The first error (from a job or from the sink) wins and is returned
-/// after the pool drains; later results are discarded.
+/// The first error (from a job or from the sink) wins: it closes the
+/// index counter, so every worker stops after the job it is running,
+/// and is returned once they have.
 pub fn ordered_fanout<W, T, E, Mk, J, S>(
     n: u64,
     workers: usize,
@@ -87,7 +90,16 @@ where
                     // Relaxed: the counter hands out indices and
                     // publishes no other data.
                     let i = next_job.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || res_tx.send((i, job(&mut w, i))).is_err() {
+                    if i >= n {
+                        break;
+                    }
+                    let r = job(&mut w, i);
+                    if r.is_err() {
+                        // Closed before the error is sent: no index
+                        // is claimed after a failure.
+                        next_job.store(n, Ordering::Relaxed);
+                    }
+                    if res_tx.send((i, r)).is_err() {
                         break;
                     }
                 }
@@ -101,24 +113,31 @@ where
 
         let mut next = 0u64;
         let mut held: BTreeMap<u64, T> = BTreeMap::new();
-        for _ in 0..n {
-            let Ok((i, r)) = res_rx.recv() else {
-                // All workers gone without a result: only reachable if
-                // a job panicked; the scope re-raises that panic.
-                break;
-            };
-            held.insert(i, r?);
-            while let Some(t) = held.remove(&next) {
-                sink(next, t)?;
-                next += 1;
+        let mut deliver = || {
+            for _ in 0..n {
+                let Ok((i, r)) = res_rx.recv() else {
+                    // All workers gone without a result: only reachable
+                    // if a job panicked; the scope re-raises that panic.
+                    break;
+                };
+                held.insert(i, r?);
+                while let Some(t) = held.remove(&next) {
+                    sink(next, t)?;
+                    next += 1;
+                }
             }
+            Ok(())
+        };
+        let delivered = deliver();
+        if delivered.is_err() {
+            next_job.store(n, Ordering::Relaxed);
         }
-        Ok(())
+        delivered
     })
 }
 
-/// Compress every chunk of a chunked dataset through the registry's
-/// filter chain on `workers` threads, delivering
+/// Compress every chunk of a chunked dataset of `dtype` elements
+/// through the registry's filter chain on `workers` threads, delivering
 /// `(chunk_index, stored_bytes, raw_len)` to `sink` in ascending chunk
 /// order. Each worker gathers its own tiles from the shared `data`
 /// buffer (no per-chunk input copies on the caller side) and reuses
@@ -135,7 +154,7 @@ pub fn compress_chunks<S>(
     filters: &[FilterSpec],
     data: &[u8],
     dims: &[u64],
-    elem: usize,
+    dtype: Dtype,
     chunk_dims: &[u64],
     workers: usize,
     pool: &BufferPool,
@@ -158,9 +177,9 @@ where
         || (FilterScratch::new(), Vec::new()),
         |(scratch, tile): &mut (FilterScratch, Vec<u8>), c| {
             let _span = obs::span_arg("h5.chunk_compress", c);
-            gather_tile_into(data, dims, elem, chunk_dims, c, tile)?;
+            gather_tile_into(data, dims, dtype.size(), chunk_dims, c, tile)?;
             let mut stored = pool.take();
-            registry.apply_into(filters, tile, scratch, &mut stored)?;
+            registry.apply_into(filters, dtype, tile, scratch, &mut stored)?;
             Ok((stored, tile.len() as u64))
         },
         |c, (stored, raw)| sink(c, stored, raw),
@@ -171,7 +190,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::{Barrier, Mutex};
+    use std::sync::{Barrier, Condvar, Mutex};
 
     #[test]
     fn fanout_delivers_in_order() {
@@ -222,6 +241,57 @@ mod tests {
                     "{workers} workers: job {i} started {pos}th of {started:?}"
                 );
             }
+        }
+    }
+
+    /// Worker state that opens a gate when its worker exits.
+    struct OpensOnExit<'a>(&'a (Mutex<bool>, Condvar));
+
+    impl Drop for OpensOnExit<'_> {
+        fn drop(&mut self) {
+            *self.0 .0.lock().unwrap() = true;
+            self.0 .1.notify_all();
+        }
+    }
+
+    #[test]
+    fn fanout_stops_claiming_after_the_first_error() {
+        // Job 3 fails. The barrier pins every round up to its own (all
+        // `workers` jobs of a round have started before any returns),
+        // and the other jobs of its round then hold their workers
+        // until some worker has exited — which the failing one does
+        // only after closing the counter. So exactly the pinned rounds
+        // ever start; without the early stop the failing job's worker
+        // runs the remaining 990 jobs before it exits.
+        for workers in [2usize, 8] {
+            let pinned = (3 / workers + 1) * workers;
+            let started = AtomicUsize::new(0);
+            let round = Barrier::new(workers);
+            let exited = (Mutex::new(false), Condvar::new());
+            let r = ordered_fanout::<_, u64, String, _, _, _>(
+                1000,
+                workers,
+                || OpensOnExit(&exited),
+                |_, i| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    if (i as usize) < pinned {
+                        round.wait();
+                    }
+                    if i == 3 {
+                        return Err(format!("job {i}"));
+                    }
+                    if (pinned - workers..pinned).contains(&(i as usize)) {
+                        let open = exited.0.lock().unwrap();
+                        drop(exited.1.wait_while(open, |open| !*open).unwrap());
+                    }
+                    Ok(i)
+                },
+                |_, _| Ok(()),
+            );
+            assert_eq!(r, Err("job 3".to_string()));
+            let started = started.into_inner();
+            assert_eq!(started, pinned, "{workers} workers");
+            assert!(started < 3 + 2 * workers);
         }
     }
 

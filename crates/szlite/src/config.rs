@@ -8,23 +8,44 @@ use crate::error::{Result, SzError};
 /// szlite understands 1-D, 2-D and 3-D arrays laid out in row-major
 /// (C) order; the *last* dimension is the fastest varying, matching the
 /// conventions of Nyx/VPIC field dumps.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Dims(Vec<usize>);
+///
+/// Held inline (unused trailing slots are zero), so parsing a stream
+/// header allocates nothing.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Dims {
+    ext: [usize; 3],
+    nd: usize,
+}
+
+impl std::fmt::Debug for Dims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Dims").field(&self.extents()).finish()
+    }
+}
 
 impl Dims {
     /// A 1-D array of `n` points.
     pub fn d1(n: usize) -> Self {
-        Dims(vec![n])
+        Dims {
+            ext: [n, 0, 0],
+            nd: 1,
+        }
     }
 
     /// A 2-D array with `ny` rows of `nx` points.
     pub fn d2(ny: usize, nx: usize) -> Self {
-        Dims(vec![ny, nx])
+        Dims {
+            ext: [ny, nx, 0],
+            nd: 2,
+        }
     }
 
     /// A 3-D array of `nz` planes, `ny` rows, `nx` points.
     pub fn d3(nz: usize, ny: usize, nx: usize) -> Self {
-        Dims(vec![nz, ny, nx])
+        Dims {
+            ext: [nz, ny, nx],
+            nd: 3,
+        }
     }
 
     /// Build from a slice (1..=3 entries, all non-zero).
@@ -35,17 +56,22 @@ impl Dims {
         if dims.contains(&0) {
             return Err(SzError::Corrupt("zero dimension"));
         }
-        Ok(Dims(dims.to_vec()))
+        let mut ext = [0; 3];
+        ext[..dims.len()].copy_from_slice(dims);
+        Ok(Dims {
+            ext,
+            nd: dims.len(),
+        })
     }
 
     /// Number of dimensions (1..=3).
     pub fn ndims(&self) -> usize {
-        self.0.len()
+        self.nd
     }
 
     /// Total number of points.
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.extents().iter().product()
     }
 
     /// True when the array holds no points (never constructible via the
@@ -56,7 +82,7 @@ impl Dims {
 
     /// Raw dimension extents, slowest-varying first.
     pub fn extents(&self) -> &[usize] {
-        &self.0
+        &self.ext[..self.nd]
     }
 }
 

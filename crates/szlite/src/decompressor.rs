@@ -15,7 +15,8 @@
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
 //! code/literal staging buffers, and the two rolling reconstruction
 //! planes alive across calls, so a per-chunk decode loop
-//! ([`decompress_into`]) allocates nothing at steady state.
+//! ([`decompress_into`], or [`decompress_to_slice`] when the caller
+//! owns the destination) allocates nothing at steady state.
 //! [`decompress`] and the typed wrappers remain the allocating
 //! convenience entry points.
 
@@ -76,17 +77,17 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     if ndims == 0 || ndims > 3 {
         return Err(SzError::Corrupt("ndims"));
     }
-    let mut ext = Vec::with_capacity(ndims);
+    let mut ext = [0usize; 3];
     let mut points = 1u64;
-    for _ in 0..ndims {
+    for e in &mut ext[..ndims] {
         let d = get_varint(bytes, &mut pos)?;
         points = points
             .checked_mul(d)
             .filter(|&p| p <= MAX_POINTS)
             .ok_or(SzError::Corrupt("dims overflow"))?;
-        ext.push(d as usize);
+        *e = d as usize;
     }
-    let dims = Dims::from_slice(&ext)?;
+    let dims = Dims::from_slice(&ext[..ndims])?;
     let eb = get_f64(bytes, &mut pos)?;
     if !(eb.is_finite() && eb > 0.0) {
         return Err(SzError::Corrupt("header eb"));
@@ -125,9 +126,10 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
 /// Mirrors the compressor's [`Scratch`](crate::Scratch): the per-chunk
 /// hot path allocates all of this afresh when going through
 /// [`decompress`]; a worker that decodes many chunks keeps one
-/// `DecompressScratch` and calls [`decompress_into`] so the buffers are
-/// recycled. The scratch never changes the decoded values — output is
-/// value-identical either way.
+/// `DecompressScratch` and calls [`decompress_into`] or
+/// [`decompress_to_slice`] so the buffers are recycled. The scratch
+/// never changes the decoded values — output is value-identical either
+/// way.
 #[derive(Debug, Default)]
 pub struct DecompressScratch {
     payload: Vec<u8>,
@@ -161,19 +163,51 @@ pub fn decompress_into<T: Element>(
     scratch: &mut DecompressScratch,
     out: &mut Vec<T>,
 ) -> Result<Dims> {
-    let _span = obs::span_arg("sz.decompress", bytes.len() as u64);
-    let decoded = decode_stream(bytes, scratch, out);
+    // Every element of `out` is written before it is read, so the
+    // buffer is not cleared: `resize` only fills what a longer stream
+    // adds.
+    let dst = &mut *out;
+    let decoded = decode_stream(bytes, scratch, move |n| {
+        dst.resize(n, T::from_f64(0.0));
+        Ok(&mut dst[..])
+    });
     if decoded.is_err() {
         out.clear();
     }
     decoded
 }
 
-fn decode_stream<T: Element>(
+/// Decompress a stream straight into a caller-owned destination: every
+/// restored value is written once, in its final place. `out` must hold
+/// exactly the header's point count — any other length is
+/// [`SzError::DimMismatch`] with `out` untouched. A later error (a
+/// corrupt symbol, short literals) leaves `out` partly written.
+pub fn decompress_to_slice<T: Element>(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    out: &mut Vec<T>,
+    out: &mut [T],
 ) -> Result<Dims> {
+    decode_stream(bytes, scratch, move |n| {
+        if out.len() == n {
+            Ok(out)
+        } else {
+            Err(SzError::DimMismatch {
+                expected: n,
+                actual: out.len(),
+            })
+        }
+    })
+}
+
+/// The one decode body. `dest` is asked for the destination of the
+/// header's point count once every stream check short of the replay
+/// itself has passed, and before any element is written.
+fn decode_stream<'o, T: Element>(
+    bytes: &[u8],
+    scratch: &mut DecompressScratch,
+    dest: impl FnOnce(usize) -> Result<&'o mut [T]>,
+) -> Result<Dims> {
+    let _span = obs::span_arg("sz.decompress", bytes.len() as u64);
     let info = stream_info(bytes)?;
     if info.dtype != T::DTYPE {
         return Err(SzError::Corrupt("element type mismatch"));
@@ -236,10 +270,7 @@ fn decode_stream<T: Element>(
     let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
     let plane = ny * nx;
 
-    // Every element of `out` is written before it is read, so the
-    // buffer is not cleared: `resize` only fills what a longer stream
-    // adds.
-    out.resize(info.dims.len(), T::from_f64(0.0));
+    let out = dest(info.dims.len())?;
     planes.reset(nz, ny, nx);
     let mut lit_pos = 0usize;
     for z in 0..nz {
@@ -373,6 +404,28 @@ mod tests {
     use crate::config::Config;
     use crate::stream::put_varint;
 
+    /// Decode through the `Vec` entry point and through the slice entry
+    /// point (destination sized from the header when it parses — the
+    /// tests here forge no extents — empty otherwise): same values or
+    /// the same error.
+    fn decode_both<T: Element + std::fmt::Debug>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
+        let by_vec = decompress::<T>(bytes);
+        let n = stream_info(bytes).map_or(0, |info| info.dims.len());
+        let mut dst = vec![T::from_f64(0.0); n];
+        let by_slice = decompress_to_slice(bytes, &mut DecompressScratch::new(), &mut dst);
+        match (&by_vec, by_slice) {
+            (Ok((values, dims)), Ok(slice_dims)) => {
+                assert_eq!(*dims, slice_dims);
+                // Bit for bit: a corrupted stream may decode to NaN.
+                let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(values), bits(&dst));
+            }
+            (Err(e), Err(slice_e)) => assert_eq!(*e, slice_e),
+            (v, s) => panic!("entry points disagree: vec {v:?}, slice {s:?}"),
+        }
+        by_vec
+    }
+
     fn sample_stream(lossless: bool) -> (Vec<f32>, Dims, Vec<u8>) {
         let dims = Dims::d3(6, 5, 4);
         let data: Vec<f32> = (0..120).map(|i| (i as f32 * 0.13).sin()).collect();
@@ -401,7 +454,7 @@ mod tests {
         for cut in 0..info.payload_offset {
             let err = stream_info(&bytes[..cut]);
             assert!(err.is_err(), "header cut at {cut} accepted");
-            let err = decompress_f32(&bytes[..cut]);
+            let err = decode_both::<f32>(&bytes[..cut]);
             assert!(err.is_err(), "decode of header cut at {cut} accepted");
         }
         // Inside the payload: stream_info and decompress both reject.
@@ -410,7 +463,10 @@ mod tests {
                 stream_info(&bytes[..cut]),
                 Err(SzError::Truncated(_))
             ));
-            assert!(decompress_f32(&bytes[..cut]).is_err(), "payload cut {cut}");
+            assert!(
+                decode_both::<f32>(&bytes[..cut]).is_err(),
+                "payload cut {cut}"
+            );
         }
     }
 
@@ -425,7 +481,7 @@ mod tests {
         for cut in 0..info.payload_offset {
             assert!(stream_info(&bytes[..cut]).is_err(), "header cut at {cut}");
             assert!(
-                decompress_f64(&bytes[..cut]).is_err(),
+                decode_both::<f64>(&bytes[..cut]).is_err(),
                 "decode of header cut at {cut} accepted"
             );
         }
@@ -434,7 +490,10 @@ mod tests {
                 stream_info(&bytes[..cut]),
                 Err(SzError::Truncated(_))
             ));
-            assert!(decompress_f64(&bytes[..cut]).is_err(), "payload cut {cut}");
+            assert!(
+                decode_both::<f64>(&bytes[..cut]).is_err(),
+                "payload cut {cut}"
+            );
         }
     }
 
@@ -448,7 +507,7 @@ mod tests {
         for i in info.payload_offset..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xFF;
-            let _ = decompress_f64(&b); // must not panic
+            let _ = decode_both::<f64>(&b); // must not panic
         }
     }
 
@@ -501,7 +560,7 @@ mod tests {
                 Err(e) => {
                     assert!(!ok, "radius {radius} rejected");
                     assert_eq!(e, SzError::Corrupt("header radius"));
-                    assert_eq!(decompress_f32(&b), Err(e));
+                    assert_eq!(decode_both::<f32>(&b), Err(e));
                 }
             }
         }
@@ -531,7 +590,7 @@ mod tests {
         put_varint(&mut forged, u64::MAX);
         forged.extend_from_slice(&bytes[info.payload_offset..]);
         assert!(stream_info(&forged).is_err());
-        assert!(decompress_f32(&forged).is_err());
+        assert!(decode_both::<f32>(&forged).is_err());
     }
 
     #[test]
@@ -543,8 +602,38 @@ mod tests {
         for i in info.payload_offset..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xFF;
-            let _ = decompress_f32(&b); // must not panic
+            let _ = decode_both::<f32>(&b); // must not panic
         }
+    }
+
+    #[test]
+    fn slice_destination_of_the_wrong_length_is_typed_and_untouched() {
+        let (_, dims, bytes) = sample_stream(true);
+        let n = dims.len();
+        let mut scratch = DecompressScratch::new();
+        for len in [0, n - 1, n + 1, 2 * n] {
+            let mut dst = vec![7.5f32; len];
+            assert_eq!(
+                decompress_to_slice(&bytes, &mut scratch, &mut dst),
+                Err(SzError::DimMismatch {
+                    expected: n,
+                    actual: len
+                })
+            );
+            assert!(dst.iter().all(|&v| v == 7.5), "len {len} written to");
+        }
+        // The right length after the wrong ones, on the same scratch.
+        let mut dst = vec![7.5f32; n];
+        assert_eq!(
+            decompress_to_slice(&bytes, &mut scratch, &mut dst),
+            Ok(dims)
+        );
+        assert_eq!(dst, decompress_f32(&bytes).unwrap().0);
+        // The destination's type is checked like the `Vec`'s.
+        assert_eq!(
+            decompress_to_slice(&bytes, &mut scratch, &mut vec![0.0f64; n]),
+            Err(SzError::Corrupt("element type mismatch"))
+        );
     }
 
     #[test]

@@ -4,15 +4,14 @@
 use crate::error::{Result, SzError};
 
 /// Stream-header type tag for `f32` elements.
-pub const DTYPE_F32: u8 = 0;
+const DTYPE_F32: u8 = 0;
 /// Stream-header type tag for `f64` elements.
-pub const DTYPE_F64: u8 = 1;
+const DTYPE_F64: u8 = 1;
 
 /// A floating-point storage element szlite can compress.
 pub trait Element: Copy + PartialOrd + Send + Sync + 'static {
-    /// Type tag stored in the stream header ([`DTYPE_F32`] or
-    /// [`DTYPE_F64`]); containers embedding szlite streams match on
-    /// these named tags rather than magic numbers.
+    /// Type tag stored in the stream header (0 = `f32`, 1 = `f64`); a
+    /// stream decodes only into the element type it was made from.
     const DTYPE: u8;
     /// Size in bytes.
     const BYTES: usize;

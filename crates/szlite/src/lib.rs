@@ -95,8 +95,8 @@ pub use compressor::{
 };
 pub use config::{Config, Dims, ErrorBound};
 pub use decompressor::{
-    decompress, decompress_f32, decompress_f64, decompress_into, stream_info, DecompressScratch,
-    StreamInfo,
+    decompress, decompress_f32, decompress_f64, decompress_into, decompress_to_slice, stream_info,
+    DecompressScratch, StreamInfo,
 };
 pub use element::Element;
 pub use error::{Result, SzError};

@@ -1,8 +1,13 @@
-//! Heap-allocation counts of the predict phase, under a counting
-//! global allocator: the estimate pass must stay allocation-free once
-//! its scratch is warm, and a step's predict phase must allocate per
-//! field, never per sampled block.
+//! Heap-allocation counts under a counting global allocator. The
+//! predict phase: the estimate pass must stay allocation-free once its
+//! scratch is warm, and a step's predict phase must allocate per
+//! field, never per sampled block. The read path: a typed dataset read
+//! allocates its output once and no second buffer of that size, and
+//! nothing per tile.
 
+use repro_suite::h5lite::{
+    DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
+};
 use repro_suite::pfsim::BandwidthModel;
 use repro_suite::predwrite::{
     run_real_with, ExtraSpacePolicy, Method, ModelSource, PredictionSource, RankFieldData,
@@ -15,6 +20,7 @@ use repro_suite::workloads::SnapshotStream;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use testutil::TempPath;
 
 thread_local! {
@@ -22,22 +28,40 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations made and bytes asked for by every thread of the
+/// process: what a call that fans out to workers costs. Only
+/// meaningful while [`SERIAL`] is held.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALL_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test of this file, so that the process-wide counters
+/// see one test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn count(bytes: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
 struct Counting;
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a const-initialised thread-local `Cell` without a destructor, so
-// touching it neither allocates nor runs after its own teardown.
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are a const-initialised thread-local `Cell` without a destructor and
+// two atomics, so touching them neither allocates nor runs after their
+// own teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        // The whole new size: a grown buffer is charged again in full.
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -54,6 +78,7 @@ fn allocs_here() -> u64 {
 
 #[test]
 fn warm_estimate_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
     let models = Models::with_cthr(50e6);
     let cfg = Config::rel(1e-3);
     let nyx = partition_3d(&SnapshotStream::nyx(32).seed(3).snapshot(0), 2);
@@ -97,6 +122,7 @@ impl PredictionSource for CountedSource<'_> {
 
 #[test]
 fn predict_phase_allocates_per_field_not_per_block() {
+    let _serial = SERIAL.lock().unwrap();
     // 2 ranks × 8 fields of 2^17 particles: 5 % of 16 Ki blocks is
     // ≈ 820 sampled blocks a field, 13 000 over the step.
     let data: Vec<Vec<RankFieldData>> =
@@ -132,4 +158,77 @@ fn predict_phase_allocates_per_field_not_per_block() {
         allocs <= bound,
         "{allocs} allocations in the predict phase of {nranks} ranks x {nfields} fields (bound {bound})"
     );
+}
+
+/// Write `data` (96^3 points) as a `dims` dataset of `chunk` tiles
+/// through the szlite filter and return what the second read of one
+/// reader allocates at each worker count: (allocations, bytes).
+fn warm_read_costs(data: &[f32], dims: &[u64], chunk: &[u64]) -> [(u64, u64); 2] {
+    let spec = DatasetSpec::new("v", Dtype::F32, dims)
+        .chunked(chunk)
+        .with_filter(FilterSpec {
+            id: SZLITE_FILTER_ID,
+            params: SzFilterParams {
+                absolute: false,
+                bound: 1e-3,
+                dims: chunk.iter().map(|&c| c as usize).collect(),
+            }
+            .to_bytes(),
+        });
+    let path = TempPath::new("alloc-count-read", "h5l");
+    let f = H5File::create(path.path()).unwrap();
+    let id = f.create_dataset(spec).unwrap();
+    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    f.write_full(id, &bytes).unwrap();
+    f.close().unwrap();
+    let r = H5Reader::open(path.path()).unwrap();
+    [1usize, 2].map(|workers| {
+        let first = r.read_pipelined::<f32>("v", workers).unwrap();
+        let (allocs, asked) = (
+            ALL_ALLOCS.load(Ordering::Relaxed),
+            ALL_BYTES.load(Ordering::Relaxed),
+        );
+        let second = r.read_pipelined::<f32>("v", workers).unwrap();
+        let cost = (
+            ALL_ALLOCS.load(Ordering::Relaxed) - allocs,
+            ALL_BYTES.load(Ordering::Relaxed) - asked,
+        );
+        assert!(first == second && second.len() == data.len());
+        cost
+    })
+}
+
+#[test]
+fn typed_read_allocates_its_output_once_and_nothing_per_tile() {
+    let _serial = SERIAL.lock().unwrap();
+    let field = &SnapshotStream::rtm(96).seed(7).snapshot(0).fields[0];
+    let output = (field.data.len() * 4) as f64;
+    // 8 and 64 chunks of the same points: cubes, which the reader
+    // scatters from a tile buffer, and slabs of whole planes, which it
+    // decodes in place.
+    let arms = [
+        ("tiles", [96u64, 96, 96], [48u64, 48, 48], [24u64, 24, 24]),
+        ("slabs", [192, 48, 96], [24, 48, 96], [3, 48, 96]),
+    ];
+    for (arm, dims, chunk_8, chunk_64) in arms {
+        let few = warm_read_costs(&field.data, &dims, &chunk_8);
+        let many = warm_read_costs(&field.data, &dims, &chunk_64);
+        for (workers, ((allocs_8, _), (allocs_64, asked))) in (1..).zip(few.into_iter().zip(many)) {
+            // Beside the output: per worker one decode scratch (Huffman
+            // tables, code list, two planes), one read buffer and, on
+            // the tile arm, one tile. The reader before this one (a
+            // byte buffer of the output's size, then the typed copy,
+            // and a pool of byte tiles) asked for more than 2 x.
+            let ratio = asked as f64 / output;
+            println!("typed read allocated {ratio:.2} x output ({workers} workers, {arm})");
+            assert!(ratio < 1.25, "{asked} bytes for a {output}-byte output");
+            // Buffers are sized by the first chunk a worker meets and
+            // at most grown by a later, less compressible one: a few
+            // reallocations either way, never one per chunk.
+            assert!(
+                allocs_64.abs_diff(allocs_8) <= 16,
+                "{arm}, {workers} workers: {allocs_8} allocations for 8 chunks, {allocs_64} for 64"
+            );
+        }
+    }
 }

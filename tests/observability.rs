@@ -1,13 +1,17 @@
 //! The observability contract, end to end: what a disabled span costs,
 //! what an exported trace looks like (every accounted phase a span on
 //! its rank's thread, for all methods), that a step's flight record is
-//! its `StepMetrics`, and that a failed run still leaves its trace.
+//! its `StepMetrics`, that a failed run still leaves its trace, and
+//! that a dataset read shows its chunks on the workers' threads.
 //!
 //! One `#[test]`, scenarios in sequence: `obs`'s enable flag, its
 //! trace buffers and `OBS_TRACE` are process globals, and this file is
 //! its own test binary so nothing else shares them.
 
 use bench::{demo_real_config, partition_stream_step};
+use repro_suite::h5lite::{
+    DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
+};
 use repro_suite::obs::{self, Json};
 use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
 use repro_suite::predwrite::{reservation_wire_bytes, run_real, Method, RealError};
@@ -275,6 +279,74 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
         "stages take {staged} ns of a {} ns compress",
         parent.dur_ns
     );
+
+    // 6. The restart path: one `h5.read` (arg: the dataset's raw
+    // bytes) on the caller's thread around a dataset read, one
+    // `h5.chunk_decode` (arg: chunk index) per chunk on the thread of
+    // the worker that decoded it, `sz.decompress` nested inside it.
+    // 16 chunks of 64 Ki points keep either worker busy for far longer
+    // than the other takes to start, so both decode some.
+    let (n_chunks, chunk_points) = (16u64, 1u64 << 16);
+    let values: Vec<f32> = (0..n_chunks * chunk_points)
+        .map(|i| (i as f32 * 1e-3).sin())
+        .collect();
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let path = TempPath::new("obs-read", "h5l");
+    let file = H5File::create(path.path()).unwrap();
+    let id = file
+        .create_dataset(
+            DatasetSpec::new("v", Dtype::F32, &[n_chunks * chunk_points])
+                .chunked(&[chunk_points])
+                .with_filter(FilterSpec {
+                    id: SZLITE_FILTER_ID,
+                    params: SzFilterParams {
+                        absolute: true,
+                        bound: 1e-3,
+                        dims: vec![chunk_points as usize],
+                    }
+                    .to_bytes(),
+                }),
+        )
+        .unwrap();
+    file.write_full(id, &bytes).unwrap();
+    file.close().unwrap();
+    let reader = H5Reader::open(path.path()).unwrap();
+    obs::set_enabled(true);
+    let restored = reader.read_pipelined::<f32>("v", 2).unwrap();
+    obs::set_enabled(false);
+    assert_eq!(restored.len(), values.len());
+    let events = obs::trace::drain();
+    let named = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
+    let [read] = named("h5.read")[..] else {
+        panic!("one h5.read span expected: {events:?}");
+    };
+    assert_eq!((read.depth, read.arg), (0, Some(bytes.len() as u64)));
+    let chunks = named("h5.chunk_decode");
+    let mut indices: Vec<u64> = chunks.iter().map(|e| e.arg.expect("chunk index")).collect();
+    indices.sort_unstable();
+    assert_eq!(indices, (0..n_chunks).collect::<Vec<_>>());
+    let inside = |inner: &obs::trace::SpanEvent, outer: &obs::trace::SpanEvent| {
+        inner.start_ns >= outer.start_ns
+            && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
+    };
+    let mut worker_tids: Vec<u64> = chunks.iter().map(|e| e.tid).collect();
+    worker_tids.sort_unstable();
+    worker_tids.dedup();
+    assert_eq!(worker_tids.len(), 2, "chunk spans on {worker_tids:?}");
+    assert!(!worker_tids.contains(&read.tid));
+    for chunk in &chunks {
+        assert!(chunk.depth == 0 && inside(chunk, read), "{chunk:?}");
+    }
+    let decompresses = named("sz.decompress");
+    assert_eq!(decompresses.len(), chunks.len());
+    for sz in decompresses {
+        assert!(
+            chunks
+                .iter()
+                .any(|c| c.tid == sz.tid && c.depth + 1 == sz.depth && inside(sz, c)),
+            "{sz:?} under no chunk span"
+        );
+    }
 }
 
 /// Each of `phases` was recorded on every thread that ran a rank

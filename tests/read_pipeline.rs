@@ -1,20 +1,26 @@
 //! Value-identity of the parallel decode pipeline.
 //!
 //! The read-side contract mirrors the write side's determinism pin:
-//! fanning chunk reads + filter inversion out to a worker pool and
-//! reassembling tiles in chunk-index order never changes the decoded
-//! bytes — `H5Reader::read_full_pipelined` is **value-identical** at
-//! any worker count (`read_raw` is its 1-worker instance). These tests
-//! pin that on real-ish workload tiles (Nyx, VPIC, RTM) across worker
-//! counts, and a seeded property test pushes random grids through the
-//! full pipelined round trip (pipelined compress → pipelined read →
-//! error bound holds).
+//! fanning chunk reads + filter inversion out to a worker pool never
+//! changes the decoded bytes — `H5Reader::read_pipelined` is
+//! **value-identical** at any worker count, whatever it restores the
+//! dataset as (`read_full_pipelined` is its byte instance, `read_raw`
+//! that at one worker). These tests pin that on real-ish workload
+//! tiles (Nyx, VPIC, RTM) across worker counts; a matrix over layouts
+//! × filter chains × element types × worker counts requires the typed
+//! read to equal the byte read folded element by element, and forged
+//! containers to end in typed errors on both of the reader's arms; a
+//! seeded property test pushes random grids through the full
+//! pipelined round trip (pipelined compress → pipelined read → error
+//! bound holds).
 
 use proptest::prelude::*;
+use repro_suite::h5lite::chunk::gather_tile;
 use repro_suite::h5lite::{
-    DatasetSpec, Dtype, EventSet, FilterSpec, H5File, H5Reader, SzFilterParams, LZSS_FILTER_ID,
-    SZLITE_FILTER_ID,
+    DatasetSpec, Dtype, EventSet, FilterSpec, H5Error, H5File, H5Reader, ReadElement,
+    SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
 };
+use repro_suite::szlite::{self, Config, Dims, Element};
 use repro_suite::workloads::{nyx, rtm, vpic, NyxParams, RtmParams, VpicParams};
 use testutil::TempPath;
 
@@ -114,6 +120,431 @@ fn typed_pipelined_read_matches_serial_typed_read() {
             r.read_pipelined::<f32>("nyx/temperature", workers).unwrap(),
             serial
         );
+    }
+}
+
+/// The four chains of the matrix: (szlite first, LZSS after).
+const CHAINS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+const BOUND: f64 = 1e-3;
+
+/// An element type of the matrix.
+trait Float: Element + ReadElement + std::fmt::Debug {
+    const H5_DTYPE: Dtype;
+    const WRONG_TYPE: &'static str;
+}
+impl Float for f32 {
+    const H5_DTYPE: Dtype = Dtype::F32;
+    const WRONG_TYPE: &'static str = "dataset is not f32";
+}
+impl Float for f64 {
+    const H5_DTYPE: Dtype = Dtype::F64;
+    const WRONG_TYPE: &'static str = "dataset is not f64";
+}
+
+fn le_bytes<T: Float>(v: &[T]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(v.len() * T::BYTES);
+    v.iter().for_each(|x| x.write_le(&mut out));
+    out
+}
+
+/// The conversion the reader used to run over the whole byte buffer,
+/// kept as the reference the typed read is held to.
+fn fold_le<T: Float>(raw: &[u8]) -> Vec<T> {
+    let mut out = Vec::with_capacity(raw.len() / T::BYTES);
+    let mut pos = 0usize;
+    while pos < raw.len() {
+        out.push(T::read_le(raw, &mut pos).unwrap());
+    }
+    out
+}
+
+fn wave<T: Float>(n: usize) -> Vec<T> {
+    (0..n)
+        .map(|i| T::from_f64(1000.0 + (i as f64 * 0.07).sin() * 3.0 + (i / 13) as f64 * 0.01))
+        .collect()
+}
+
+/// What a forged container gets wrong.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Forge {
+    Nothing,
+    /// Every chunk is stored as a reserved-slot prefix plus a tail
+    /// segment elsewhere in the file (the overflow layout).
+    Overflow,
+    /// The last chunk holds one point fewer than its tile.
+    ShortLastChunk,
+    /// The last chunk is recorded under an index outside the grid.
+    IndexOutOfGrid,
+}
+
+/// Write `data` chunk by chunk the way the engine does — the tile
+/// filtered by hand, the stored bytes placed with `write_chunk_at` —
+/// so ragged tiles can carry szlite streams of their own shape and a
+/// container can be forged with valid checksums.
+fn write_chunks<T: Float>(
+    path: &std::path::Path,
+    dims: &[u64],
+    chunk: Option<&[u64]>,
+    (sz, lzss): (bool, bool),
+    data: &[T],
+    forge: Forge,
+) {
+    let f = H5File::create(path).unwrap();
+    let mut spec = DatasetSpec::new("m", T::H5_DTYPE, dims);
+    if let Some(c) = chunk {
+        spec = spec.chunked(c);
+    }
+    if sz {
+        spec = spec.with_filter(FilterSpec {
+            id: SZLITE_FILTER_ID,
+            params: SzFilterParams {
+                absolute: true,
+                bound: BOUND,
+                dims: vec![1],
+            }
+            .to_bytes(),
+        });
+    }
+    if lzss {
+        spec = spec.with_filter(FilterSpec {
+            id: LZSS_FILTER_ID,
+            params: vec![],
+        });
+    }
+    let id = f.create_dataset(spec).unwrap();
+    let bytes = le_bytes(data);
+    let cd = chunk.unwrap_or(dims);
+    let full_tile: usize = cd.iter().product::<u64>() as usize;
+    let n_chunks: u64 = dims.iter().zip(cd).map(|(d, c)| d.div_ceil(*c)).product();
+    for c in 0..n_chunks {
+        let last = c + 1 == n_chunks;
+        let mut tile: Vec<T> = fold_le(&gather_tile(&bytes, dims, T::BYTES, cd, c).unwrap());
+        let raw_len = (tile.len() * T::BYTES) as u64;
+        if last && forge == Forge::ShortLastChunk {
+            tile.pop();
+        }
+        let mut stored = if sz {
+            // A full tile keeps its shape (the 3-D kernels run); a
+            // clipped one is a 1-D run of what is left of it.
+            let shape: Vec<usize> = cd.iter().map(|&e| e as usize).collect();
+            let tile_dims = if tile.len() == full_tile {
+                Dims::from_slice(&shape).unwrap()
+            } else {
+                Dims::d1(tile.len())
+            };
+            let mut out = Vec::new();
+            let cfg = Config::abs(BOUND).with_lossless(false);
+            szlite::compress_into(
+                &tile,
+                &tile_dims,
+                &cfg,
+                &mut szlite::Scratch::new(),
+                &mut out,
+            )
+            .unwrap();
+            out
+        } else {
+            le_bytes(&tile)
+        };
+        if lzss {
+            stored = szlite::lossless::compress(&stored);
+        }
+        let index = if last && forge == Forge::IndexOutOfGrid {
+            n_chunks + 5
+        } else {
+            c
+        };
+        if forge == Forge::Overflow {
+            let cut = stored.len() / 3;
+            let slot = f.reserve(cut as u64);
+            // Something else lands between the slot and the tail.
+            f.reserve(17);
+            let tail = f.reserve((stored.len() - cut) as u64);
+            f.write_chunk_at(id, index, slot, &stored[..cut], raw_len)
+                .unwrap();
+            f.write_chunk_at(id, index, tail, &stored[cut..], 0)
+                .unwrap();
+        } else {
+            let at = f.reserve(stored.len() as u64);
+            f.write_chunk_at(id, index, at, &stored, raw_len).unwrap();
+        }
+    }
+    f.close().unwrap();
+}
+
+/// A layout of the matrix: name, dims, chunk dims.
+type Layout = (&'static str, &'static [u64], Option<&'static [u64]>);
+
+/// The first six decode in place (every chunk is one run of the
+/// dataset), the rest through the tile arm.
+const LAYOUTS: [Layout; 9] = [
+    ("contiguous-1d", &[4000], None),
+    ("contiguous-3d", &[12, 10, 8], None),
+    ("two-slabs", &[2 * 1536], Some(&[1536])),
+    ("three-slabs-last-short", &[2 * 1536 + 700], Some(&[1536])),
+    ("slabs-3d-last-short", &[11, 12, 8], Some(&[4, 12, 8])),
+    ("ragged-1d", &[1000], Some(&[96])),
+    ("cubes", &[16, 16, 16], Some(&[8, 8, 8])),
+    ("ragged-2d", &[37, 29], Some(&[8, 12])),
+    ("ragged-3d", &[9, 10, 11], Some(&[4, 4, 4])),
+];
+
+fn typed_read_equals_folded_byte_read<T: Float>() {
+    for (layout, dims, chunk) in LAYOUTS {
+        let n: usize = dims.iter().product::<u64>() as usize;
+        let data = wave::<T>(n);
+        for chain in CHAINS {
+            let tag = format!("{layout} chain {chain:?} {:?}", T::H5_DTYPE);
+            let t = TempPath::new(&format!("read-matrix-{}", T::BYTES), "h5l");
+            write_chunks(t.path(), dims, chunk, chain, &data, Forge::Nothing);
+            let r = H5Reader::open(t.path()).unwrap();
+            let reference: Vec<T> = fold_le(&r.read_raw("m").unwrap());
+            assert_eq!(reference.len(), n, "{tag}");
+            for (a, b) in data.iter().zip(&reference) {
+                let err = (a.to_f64() - b.to_f64()).abs();
+                assert!(
+                    if chain.0 { err <= BOUND } else { err == 0.0 },
+                    "{tag}: {a:?} -> {b:?}"
+                );
+            }
+            let bits = |v: &[T]| le_bytes(v);
+            for workers in [1usize, 2, 8] {
+                let typed = r.read_pipelined::<T>("m", workers).unwrap();
+                assert_eq!(bits(&typed), bits(&reference), "{tag} workers={workers}");
+                let raw = r.read_full_pipelined("m", workers).unwrap();
+                assert_eq!(raw, bits(&reference), "{tag} workers={workers} (bytes)");
+            }
+        }
+    }
+}
+
+#[test]
+fn typed_read_equals_folded_byte_read_f32() {
+    typed_read_equals_folded_byte_read::<f32>();
+    // The other element type is refused before anything is read.
+    let t = TempPath::new("read-wrong-type-f32", "h5l");
+    write_chunks(
+        t.path(),
+        &[64],
+        None,
+        (true, false),
+        &wave::<f32>(64),
+        Forge::Nothing,
+    );
+    let r = H5Reader::open(t.path()).unwrap();
+    for workers in [1usize, 2] {
+        assert!(matches!(
+            r.read_pipelined::<f64>("m", workers),
+            Err(H5Error::Corrupt(<f64 as Float>::WRONG_TYPE))
+        ));
+    }
+}
+
+#[test]
+fn typed_read_equals_folded_byte_read_f64() {
+    typed_read_equals_folded_byte_read::<f64>();
+    let t = TempPath::new("read-wrong-type-f64", "h5l");
+    write_chunks(
+        t.path(),
+        &[64],
+        None,
+        (true, false),
+        &wave::<f64>(64),
+        Forge::Nothing,
+    );
+    let r = H5Reader::open(t.path()).unwrap();
+    for workers in [1usize, 2] {
+        assert!(matches!(
+            r.read_pipelined::<f32>("m", workers),
+            Err(H5Error::Corrupt(<f32 as Float>::WRONG_TYPE))
+        ));
+    }
+}
+
+#[test]
+fn overflow_segments_read_through_the_slab_arm() {
+    // One slab per rank, every chunk split into a reserved-slot prefix
+    // and a tail elsewhere in the file: the segments are checked and
+    // concatenated before the chunk decodes into its sub-slice.
+    let dims = [3 * 2048 + 100u64];
+    let data = wave::<f32>(dims[0] as usize);
+    let whole = TempPath::new("read-overflow-whole", "h5l");
+    let split = TempPath::new("read-overflow-split", "h5l");
+    for chain in CHAINS {
+        write_chunks(
+            whole.path(),
+            &dims,
+            Some(&[2048]),
+            chain,
+            &data,
+            Forge::Nothing,
+        );
+        write_chunks(
+            split.path(),
+            &dims,
+            Some(&[2048]),
+            chain,
+            &data,
+            Forge::Overflow,
+        );
+        let expected = H5Reader::open(whole.path()).unwrap().read_f32("m").unwrap();
+        let r = H5Reader::open(split.path()).unwrap();
+        assert_eq!(r.meta("m").unwrap().chunks.len(), 8, "two records a chunk");
+        for workers in [1usize, 2, 8] {
+            let got = r.read_pipelined::<f32>("m", workers).unwrap();
+            assert_eq!(
+                le_bytes(&got),
+                le_bytes(&expected),
+                "{chain:?} workers={workers}"
+            );
+        }
+    }
+}
+
+#[test]
+fn forged_containers_end_in_typed_errors_on_both_arms() {
+    // (dims, chunk): the slab arm, then the tile arm.
+    let arms: [(&[u64], &[u64]); 2] = [(&[4 * 512], &[512]), (&[16, 16], &[8, 8])];
+    for (dims, chunk) in arms {
+        let n: usize = dims.iter().product::<u64>() as usize;
+        let data = wave::<f32>(n);
+        for chain in CHAINS {
+            let tag = format!("{dims:?} chain {chain:?}");
+            let t = TempPath::new("read-forged", "h5l");
+            let every_read_fails = |check: &dyn Fn(H5Error)| {
+                let r = H5Reader::open(t.path()).unwrap();
+                for workers in [1usize, 2, 8] {
+                    check(r.read_pipelined::<f32>("m", workers).expect_err(&tag));
+                    check(r.read_full_pipelined("m", workers).expect_err(&tag));
+                }
+            };
+
+            // A flipped stored byte, in the last chunk so that every
+            // other chunk has decoded by the time it is found.
+            write_chunks(t.path(), dims, Some(chunk), chain, &data, Forge::Nothing);
+            let last = *H5Reader::open(t.path())
+                .unwrap()
+                .meta("m")
+                .unwrap()
+                .chunks
+                .last()
+                .unwrap();
+            let mut file = std::fs::read(t.path()).unwrap();
+            file[(last.offset + last.stored / 2) as usize] ^= 0x20;
+            std::fs::write(t.path(), &file).unwrap();
+            every_read_fails(&|e| {
+                assert!(
+                    matches!(e, H5Error::ChecksumMismatch { context: "chunk", offset, .. } if offset == last.offset),
+                    "{tag}: {e:?}"
+                )
+            });
+
+            // A well-checksummed chunk that holds fewer points than
+            // its tile: the chain's last step refuses the destination.
+            write_chunks(
+                t.path(),
+                dims,
+                Some(chunk),
+                chain,
+                &data,
+                Forge::ShortLastChunk,
+            );
+            every_read_fails(&|e| {
+                assert!(
+                    matches!(e, H5Error::Filter(_) | H5Error::ShapeMismatch { .. }),
+                    "{tag}: {e:?}"
+                )
+            });
+
+            // A table naming a chunk the grid does not have.
+            write_chunks(
+                t.path(),
+                dims,
+                Some(chunk),
+                chain,
+                &data,
+                Forge::IndexOutOfGrid,
+            );
+            every_read_fails(&|e| {
+                assert!(
+                    matches!(e, H5Error::Corrupt("chunk index out of grid")),
+                    "{tag}: {e:?}"
+                )
+            });
+        }
+    }
+}
+
+#[test]
+fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
+    // 4096 doubles around 1000.0 in chunks of 1024: the filter's
+    // extents must describe 1024 points. Extents of 2048 match the
+    // chunk's bytes read as floats — a chunk written that way used to
+    // come back `Ok` and off by more than 1.0.
+    let data: Vec<f64> = (0..4096)
+        .map(|i| 1000.0 + (i as f64 * 0.01).sin())
+        .collect();
+    let bytes = le_bytes(&data);
+    let spec = |sz_dims: usize| {
+        DatasetSpec::new("d", Dtype::F64, &[4096])
+            .chunked(&[1024])
+            .with_filter(FilterSpec {
+                id: SZLITE_FILTER_ID,
+                params: SzFilterParams {
+                    absolute: true,
+                    bound: BOUND,
+                    dims: vec![sz_dims],
+                }
+                .to_bytes(),
+            })
+    };
+    let t = TempPath::new("read-f64-sz", "h5l");
+    let f = H5File::create(t.path()).unwrap();
+    let id = f.create_dataset(spec(2048)).unwrap();
+    assert!(matches!(f.write_full(id, &bytes), Err(H5Error::Filter(_))));
+
+    let f = H5File::create(t.path()).unwrap();
+    let id = f.create_dataset(spec(1024)).unwrap();
+    f.write_full(id, &bytes).unwrap();
+    f.close().unwrap();
+    let r = H5Reader::open(t.path()).unwrap();
+    let restored = r.read::<f64>("d").unwrap();
+    assert_eq!(restored.len(), data.len());
+    for (a, b) in data.iter().zip(&restored) {
+        assert!((a - b).abs() <= BOUND, "{a} -> {b}");
+    }
+    assert_eq!(r.read_raw("d").unwrap(), le_bytes(&restored));
+
+    // A chunk whose stream holds the other float type is corrupt for
+    // the dataset, whatever its length works out to.
+    let floats = wave::<f32>(1024);
+    let mut stream = Vec::new();
+    szlite::compress_into(
+        &floats,
+        &Dims::d1(1024),
+        &Config::abs(BOUND),
+        &mut szlite::Scratch::new(),
+        &mut stream,
+    )
+    .unwrap();
+    let f = H5File::create(t.path()).unwrap();
+    let id = f
+        .create_dataset(
+            DatasetSpec::new("d", Dtype::F64, &[1024]).with_filter(FilterSpec {
+                id: SZLITE_FILTER_ID,
+                params: vec![],
+            }),
+        )
+        .unwrap();
+    let at = f.reserve(stream.len() as u64);
+    f.write_chunk_at(id, 0, at, &stream, 8 * 1024).unwrap();
+    f.close().unwrap();
+    let r = H5Reader::open(t.path()).unwrap();
+    for res in [r.read::<f64>("d").map(|_| ()), r.read_raw("d").map(|_| ())] {
+        match res {
+            Err(H5Error::Filter(msg)) => assert!(msg.contains("element type mismatch"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 }
 
