@@ -1,5 +1,5 @@
-//! `repro` — re-measure the paper's artifacts and check each claim
-//! against the committed `REPRO.json`.
+//! `repro` — re-measure the paper's artifacts and this repository's
+//! extensions, and check each claim against the committed `REPRO.json`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin repro -- <artifact>... | all
@@ -11,9 +11,9 @@
 //! simulator-deterministic number departs from what was committed;
 //! 2 on a usage error.
 
-use bench::artifact::{obj, write_artifact};
 use bench::claims::{difference, Claim, CLAIMS};
 use bench::setup::Scenarios;
+use obs::json::obj;
 use obs::Json;
 
 const GOLDEN: &str = "REPRO.json";
@@ -57,7 +57,17 @@ fn main() {
         let against = departs.map_or("as committed".into(), |d| format!("DEPARTS at {d}"));
         println!("-> {} {verdict}, {against}\n", claim.name);
     }
-    write_artifact(GOLDEN, obj([("artifacts", Json::Obj(artifacts))]));
+    // Stamped with the parallelism of the host the wall-clock entries
+    // were taken on.
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let doc = obj([
+        ("artifacts", Json::Obj(artifacts)),
+        ("host_parallelism", Json::Num(parallelism as f64)),
+        ("multi_core_host", Json::Bool(parallelism > 1)),
+    ]);
+    let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| GOLDEN.into());
+    std::fs::write(&path, format!("{doc}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
     if departures > 0 {
         eprintln!("{departures} artifact(s) depart from the committed {GOLDEN}");
         std::process::exit(1);

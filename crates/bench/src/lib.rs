@@ -1,17 +1,17 @@
-//! # bench — the paper's evaluation as checked claims, and what the
-//! `bench_scale` / `bench_faults` / `bench_timeline` binaries share.
+//! # bench — the paper's evaluation, and this repository's extensions
+//! of it, as checked claims.
 //!
 //! [`claims`] is the table the `repro` binary dispatches on: one row
-//! per surviving paper artifact, each a measurement over the shared
-//! [`setup::Scenarios`] (built once per run) and a predicate that is
-//! the paper's sentence about the figure. `REPRO.json` at the
-//! repository root holds every row's value and verdict; `repro` exits
-//! non-zero when a fresh run departs from it. [`artifact`] holds the
-//! bench binaries' knob parsing and artifact writing. Everything but
-//! the two wall-clock artifacts (Fig. 11/12) is deterministic: seeded
-//! generators, real compressed sizes, discrete-event simulation.
+//! per surviving paper artifact plus two extension rows (the
+//! online-adaptive reservation in a simulated scale-out stream and in a
+//! real one), each a measurement over the shared [`setup::Scenarios`]
+//! (built once per run) and a predicate that is the claim's sentence.
+//! `REPRO.json` at the repository root holds every row's value and
+//! verdict; `repro` exits non-zero when a fresh run departs from it.
+//! Everything but the two wall-clock artifacts (Fig. 11/12) is
+//! deterministic: seeded generators, real compressed sizes,
+//! discrete-event simulation.
 
-pub mod artifact;
 pub mod claims;
 pub mod setup;
 

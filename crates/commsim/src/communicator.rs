@@ -45,22 +45,18 @@ impl From<BarrierPoisoned> for WorldPoisoned {
     }
 }
 
-/// Slot table + single-assembly result cell of the world's collectives.
-struct SlotTable {
+/// Shared state of a world of ranks: its barrier, and the slot table +
+/// single-assembly result cell of its collectives.
+struct Shared {
+    n: usize,
+    barrier: Barrier,
     /// One slot per participant for collective exchanges.
     slots: Vec<Mutex<Option<Payload>>>,
     /// The assembled world vector of the in-flight collective.
     result: Mutex<Option<Payload>>,
 }
 
-impl SlotTable {
-    fn new(n: usize) -> Self {
-        SlotTable {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            result: Mutex::new(None),
-        }
-    }
-
+impl Shared {
     /// Assembler side of a gather: move every participant's payload
     /// out of its slot into one shared `Arc<[T]>` stored in `result`.
     /// Exactly one participant calls this, between the write barrier
@@ -83,7 +79,7 @@ impl SlotTable {
     }
 
     /// Reader side: clone the shared handle assembled by
-    /// [`SlotTable::assemble`]. Called by every participant after the
+    /// [`Shared::assemble`]. Called by every participant after the
     /// read barrier; a later collective only overwrites `result` after
     /// all participants passed its own write barrier, which they can
     /// only do once they have taken this handle.
@@ -97,13 +93,6 @@ impl SlotTable {
                 .expect("type mismatch in all_gather result"),
         )
     }
-}
-
-/// Shared state of a world of ranks.
-struct Shared {
-    n: usize,
-    barrier: Barrier,
-    table: SlotTable,
 }
 
 /// A communicator world of `n` ranks.
@@ -124,7 +113,8 @@ impl World {
         let shared = Arc::new(Shared {
             n,
             barrier: Barrier::new(n),
-            table: SlotTable::new(n),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            result: Mutex::new(None),
         });
         World { shared }
     }
@@ -212,13 +202,13 @@ impl Rank {
         &self,
         value: T,
     ) -> Result<Arc<[T]>, WorldPoisoned> {
-        *self.shared.table.slots[self.rank].lock() = Some(Box::new(value));
+        *self.shared.slots[self.rank].lock() = Some(Box::new(value));
         self.shared.barrier.wait_checked()?;
         if self.rank == 0 {
-            self.shared.table.assemble::<T>();
+            self.shared.assemble::<T>();
         }
         self.shared.barrier.wait_checked()?;
-        Ok(self.shared.table.shared_result::<T>())
+        Ok(self.shared.shared_result::<T>())
     }
 }
 

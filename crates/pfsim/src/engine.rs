@@ -117,42 +117,28 @@ pub fn simulate(ranks: &[RankPipeline], model: &BandwidthModel) -> SimOutcome {
     };
 
     loop {
-        // Start queued writes on idle per-rank write streams.
+        // Start queued writes on idle per-rank write streams. A
+        // zero-byte write completes instantly and leaves the stream
+        // idle for the next one.
         for r in 0..n {
-            if writing[r].is_none() {
-                if let Some(task) = write_queue[r].pop_front() {
-                    let bytes = ranks[r].tasks[task].write_bytes;
-                    if bytes <= 0.0 {
-                        tasks[r][task].write_done = tasks[r][task].compute_done.max(now);
-                        // Zero-byte write completes instantly; try next.
-                        // (Loop again via queue since stream stays idle.)
-                        while let Some(t2) = write_queue[r].pop_front() {
-                            let b2 = ranks[r].tasks[t2].write_bytes;
-                            if b2 <= 0.0 {
-                                tasks[r][t2].write_done = tasks[r][t2].compute_done.max(now);
-                            } else {
-                                active.push(ActiveWrite {
-                                    rank: r,
-                                    task: t2,
-                                    remaining: b2,
-                                    total: b2,
-                                    latency_left: model.latency,
-                                });
-                                writing[r] = Some(active.len() - 1);
-                                break;
-                            }
-                        }
-                    } else {
-                        active.push(ActiveWrite {
-                            rank: r,
-                            task,
-                            remaining: bytes,
-                            total: bytes,
-                            latency_left: model.latency,
-                        });
-                        writing[r] = Some(active.len() - 1);
-                    }
+            if writing[r].is_some() {
+                continue;
+            }
+            while let Some(task) = write_queue[r].pop_front() {
+                let bytes = ranks[r].tasks[task].write_bytes;
+                if bytes <= 0.0 {
+                    tasks[r][task].write_done = tasks[r][task].compute_done.max(now);
+                    continue;
                 }
+                active.push(ActiveWrite {
+                    rank: r,
+                    task,
+                    remaining: bytes,
+                    total: bytes,
+                    latency_left: model.latency,
+                });
+                writing[r] = Some(active.len() - 1);
+                break;
             }
         }
 
@@ -181,17 +167,24 @@ pub fn simulate(ranks: &[RankPipeline], model: &BandwidthModel) -> SimOutcome {
             break;
         }
 
-        if next_comp_t <= next_write_t {
-            // Advance active writes to next_comp_t.
-            let dt = next_comp_t - now;
-            for w in active.iter_mut() {
-                let burn = w.latency_left.min(dt);
-                w.latency_left -= burn;
-                let move_t = dt - burn;
-                let rate = model.contended_rate(w.total, n_active).max(1.0);
-                w.remaining -= rate * move_t;
-            }
-            now = next_comp_t;
+        // Advance active writes to the next event.
+        let compute_first = next_comp_t <= next_write_t;
+        let next_t = if compute_first {
+            next_comp_t
+        } else {
+            next_write_t
+        };
+        let dt = next_t - now;
+        for w in active.iter_mut() {
+            let burn = w.latency_left.min(dt);
+            w.latency_left -= burn;
+            let move_t = dt - burn;
+            let rate = rate_of(w, n_active, model);
+            w.remaining -= rate * move_t;
+        }
+        now = next_t;
+
+        if compute_first {
             // Complete the compute.
             let r = next_comp_rank;
             let t_idx = next_compute[r];
@@ -204,16 +197,7 @@ pub fn simulate(ranks: &[RankPipeline], model: &BandwidthModel) -> SimOutcome {
                 compute_done_at[r] = f64::INFINITY;
             }
         } else {
-            // Advance to the write completion.
-            let dt = next_write_t - now;
-            for w in active.iter_mut() {
-                let burn = w.latency_left.min(dt);
-                w.latency_left -= burn;
-                let move_t = dt - burn;
-                let rate = model.contended_rate(w.total, n_active).max(1.0);
-                w.remaining -= rate * move_t;
-            }
-            now = next_write_t;
+            // Complete the write.
             let w = active.swap_remove(next_write_i);
             tasks[w.rank][w.task].write_done = now;
             writing[w.rank] = None;

@@ -23,8 +23,9 @@
 //! * [`StepMetrics`] / [`TimelineReport`] (from `predwrite`) — per-step
 //!   and cumulative accounting: reserved vs. wasted bytes,
 //!   overflow-redirection events, prediction error, wall time. The
-//!   `bench_timeline` binary compares [`AdaptMode::Static`] against
-//!   [`AdaptMode::Adaptive`] on all three workloads with these numbers.
+//!   `timeline` claim of the `repro` binary compares
+//!   [`AdaptMode::Static`] against [`AdaptMode::Adaptive`] on all three
+//!   workloads with these numbers.
 //! * [`sidecar`] / [`recovery`] — the predictor state persisted beside
 //!   each kept step, and [`resume_timeline`] restarting a crashed
 //!   stream from what survives on disk.

@@ -76,7 +76,7 @@ fn main() {
     );
     println!(
         "every step was read back and bound-checked (TimelineConfig::quick \
-         sets verify = true); see BENCH_timeline.json from bench_timeline \
-         for the full three-workload comparison"
+         sets verify = true); `repro timeline` runs the full three-workload \
+         comparison and checks it against REPRO.json"
     );
 }

@@ -217,28 +217,25 @@ fn sidecar_of_another_stream_is_a_shape_error() {
     }
 }
 
-#[test]
-fn seeded_fault_schedule_recovers_and_reconverges() {
-    // The acceptance scenario: one stream suffers a torn write at
-    // step k plus at least one transient EIO (retried) and one silent
-    // bit flip (caught by checksum) at other steps. Recovery must
-    // quarantine exactly the damaged steps, every corrupted chunk must
-    // be *detected* rather than silently decoded, and the resumed
-    // predictor must reserve like the uninterrupted run within two
-    // steps.
-    let stream = SnapshotStream::nyx(16);
-    let nranks = 8;
+/// The seeded schedule on one workload: a transient EIO (retried) at
+/// step 1, a silent bit flip (caught by checksum) at step 2 and a torn
+/// write at step 4. Recovery must quarantine exactly the damaged steps,
+/// every corrupted chunk must be *detected* rather than silently
+/// decoded, and the resumed predictor must reserve like the
+/// uninterrupted run within two steps.
+fn fault_schedule_and_recover(stream: &SnapshotStream, nranks: usize) {
+    let name = stream.label();
     let steps = 8;
     let k = 4;
+    let data = |s: usize| partition_stream_step(stream, s, nranks);
 
     // Reference: the same stream, never interrupted.
-    let ref_dir = TempDir::new("seeded-ref");
-    let ref_cfg = config(&stream, steps, ref_dir.path().to_path_buf());
-    let reference = run_timeline(&ref_cfg, |s| partition_stream_step(&stream, s, nranks)).unwrap();
+    let ref_dir = TempDir::new(&format!("seeded-ref-{name}"));
+    let ref_cfg = config(stream, steps, ref_dir.path().to_path_buf());
+    let reference = run_timeline(&ref_cfg, data).unwrap();
 
-    let dir = TempDir::new("seeded-faulty");
-    let mut cfg = config(&stream, steps, dir.path().to_path_buf());
-    let data = |s: usize| partition_stream_step(&stream, s, nranks);
+    let dir = TempDir::new(&format!("seeded-faulty-{name}"));
+    let mut cfg = config(stream, steps, dir.path().to_path_buf());
 
     // Step 1: a transient EIO, absorbed by bounded retry.
     let transient = FaultFs::new(FaultPlan::new().on_write(3, Fault::Transient));
@@ -267,20 +264,24 @@ fn seeded_fault_schedule_recovers_and_reconverges() {
     // corruption stays latent until recovery, like real media decay.
     cfg.verify = false;
     let err = run_timeline(&cfg, data).unwrap_err();
-    assert!(format!("{err}").contains("crash"), "{err}");
-    assert!(torn.crashed());
-    assert_eq!(transient.stats().transient, 1, "transient must have fired");
-    assert!(transient.stats().retries >= 1, "and been retried");
-    assert_eq!(flip.stats().bit_flips, 1, "bit flip must have fired");
+    assert!(format!("{err}").contains("crash"), "{name}: {err}");
+    assert!(torn.crashed(), "{name}");
+    assert_eq!(
+        transient.stats().transient,
+        1,
+        "{name}: transient must fire"
+    );
+    assert!(transient.stats().retries >= 1, "{name}: and be retried");
+    assert_eq!(flip.stats().bit_flips, 1, "{name}: bit flip must fire");
 
     // The flipped chunk is detectable by scrub — and never readable.
     let scrubbed = repro_suite::h5lite::scrub::scrub(cfg.step_path(2)).unwrap();
-    assert_eq!(scrubbed.n_corrupt(), 1, "exactly one corrupt chunk");
+    assert_eq!(scrubbed.n_corrupt(), 1, "{name}: exactly one corrupt chunk");
     let reader = repro_suite::h5lite::H5Reader::open(cfg.step_path(2)).unwrap();
     let bad = &scrubbed.damaged().next().unwrap().dataset;
     match reader.read_raw(bad) {
         Err(repro_suite::h5lite::H5Error::ChecksumMismatch { .. }) => {}
-        other => panic!("corrupt chunk must fail the checksum, got {other:?}"),
+        other => panic!("{name}: corrupt chunk must fail the checksum, got {other:?}"),
     }
     drop(reader);
 
@@ -290,10 +291,10 @@ fn seeded_fault_schedule_recovers_and_reconverges() {
     let res = resume_timeline(&cfg, data).unwrap();
     // Step 2 (flipped) and step k (torn) are both damaged; recovery
     // restarts from the earliest, step 2.
-    assert_eq!(res.resume_from, 2);
-    assert_eq!(res.quarantined.len(), 2);
-    assert_eq!(res.surviving, vec![0, 1]);
-    assert_eq!(res.sidecar_step, Some(1));
+    assert_eq!(res.resume_from, 2, "{name}");
+    assert_eq!(res.quarantined.len(), 2, "{name}");
+    assert_eq!(res.surviving, vec![0, 1], "{name}");
+    assert_eq!(res.sidecar_step, Some(1), "{name}");
 
     // Reservations reconverge immediately: the resumed predictor
     // carries the same history the uninterrupted run had at step 2, so
@@ -307,7 +308,7 @@ fn seeded_fault_schedule_recovers_and_reconverges() {
         let r = &reference.steps[s.step];
         assert_eq!(
             s.reserved_bytes, r.reserved_bytes,
-            "step {}: resumed run must reserve like the uninterrupted run",
+            "{name} step {}: resumed run must reserve like the uninterrupted run",
             s.step
         );
     }
@@ -316,6 +317,13 @@ fn seeded_fault_schedule_recovers_and_reconverges() {
     for s in 0..steps {
         let d = data(s);
         let rep = verify_file(&cfg.step_path(s), &d, Some(&cfg.configs), 1).unwrap();
-        assert!(rep.ok(), "step {s} out of bound after recovery");
+        assert!(rep.ok(), "{name} step {s} out of bound after recovery");
+    }
+}
+
+#[test]
+fn seeded_fault_schedule_recovers_and_reconverges() {
+    for (stream, nranks) in streams() {
+        fault_schedule_and_recover(&stream, nranks);
     }
 }

@@ -59,8 +59,8 @@ fn adaptive_stream_decodes_every_step_on_all_workloads() {
 
 #[test]
 fn adaptive_beats_static_on_waste_at_no_more_overflows() {
-    // The headline property (also asserted by bench_timeline on all
-    // three workloads at larger sizes): with identical per-step data,
+    // The headline property (also the `timeline` claim of `repro`, on
+    // all three workloads at larger sizes): with identical per-step data,
     // the adaptive policy ends the stream having wasted less reserved
     // space, without paying for it in overflow events.
     let stream = SnapshotStream::nyx(16);
