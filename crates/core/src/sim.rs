@@ -19,6 +19,19 @@ use pfsim::{
 };
 use ratiomodel::OnlinePredictor;
 
+/// All-gather latency: `ALLGATHER_ALPHA + ALLGATHER_BETA · nranks`
+/// seconds. The paper notes this term grows with scale (§IV-D).
+const ALLGATHER_ALPHA: f64 = 200e-6;
+/// Per-rank all-gather cost, seconds.
+const ALLGATHER_BETA: f64 = 1.5e-6;
+/// Prediction overhead as a fraction of compression time (< 0.1 per
+/// Jin et al. \[25\]).
+const PREDICT_FRAC: f64 = 0.05;
+
+fn allgather_time(nranks: usize) -> f64 {
+    ALLGATHER_ALPHA + ALLGATHER_BETA * nranks as f64
+}
+
 /// Simulation parameters beyond the bandwidth model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
@@ -26,14 +39,6 @@ pub struct SimParams {
     pub bandwidth: BandwidthModel,
     /// Extra-space policy for the predictive methods.
     pub policy: ExtraSpacePolicy,
-    /// All-gather latency: `alpha + beta · nranks` seconds. The paper
-    /// notes this term grows with scale (§IV-D).
-    pub allgather_alpha: f64,
-    /// Per-rank all-gather cost.
-    pub allgather_beta: f64,
-    /// Prediction overhead as a fraction of compression time (< 0.1
-    /// per Jin et al. \[25\]).
-    pub predict_frac: f64,
 }
 
 impl SimParams {
@@ -42,9 +47,6 @@ impl SimParams {
         SimParams {
             bandwidth,
             policy: ExtraSpacePolicy::default(),
-            allgather_alpha: 200e-6,
-            allgather_beta: 1.5e-6,
-            predict_frac: 0.05,
         }
     }
 
@@ -52,10 +54,6 @@ impl SimParams {
     pub fn with_policy(mut self, policy: ExtraSpacePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    fn allgather_time(&self, nranks: usize) -> f64 {
-        self.allgather_alpha + self.allgather_beta * nranks as f64
     }
 }
 
@@ -129,7 +127,7 @@ fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
         .map(|fields| fields.iter().map(|p| p.comp_time).sum::<f64>())
         .fold(0.0, f64::max);
     // Phase 2: all-gather of actual sizes.
-    let ag = params.allgather_time(nranks);
+    let ag = allgather_time(nranks);
     // Phase 3: one collective round per field (filters force collective
     // writes; every rank participates in every round).
     let mut write = 0.0;
@@ -197,9 +195,9 @@ fn sim_overlap_step(
     // reservation collective synchronizes everyone at max(predict) + ag.
     let predict = profiles
         .iter()
-        .map(|fields| fields.iter().map(|p| p.comp_time).sum::<f64>() * params.predict_frac)
+        .map(|fields| fields.iter().map(|p| p.comp_time).sum::<f64>() * PREDICT_FRAC)
         .fold(0.0, f64::max);
-    let ag = params.allgather_time(nranks);
+    let ag = allgather_time(nranks);
     let release = predict + ag;
 
     // Phase 3: per-rank ordered compress→write pipelines.
@@ -244,7 +242,7 @@ fn sim_overlap_step(
     let mut overflow_time = 0.0;
     if !rank_overflow.is_empty() {
         let (_, round) = simulate_concurrent_writes(&rank_overflow, &params.bandwidth);
-        overflow_time = params.allgather_time(nranks) + round;
+        overflow_time = allgather_time(nranks) + round;
     }
 
     let mut result = RunResult::collect(

@@ -48,9 +48,9 @@ pub const SUPERBLOCK: u64 = 32;
 /// Where a validated superblock says the metadata table lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Superblock {
-    pub table_offset: u64,
-    pub table_len: u64,
-    pub table_crc: u32,
+    table_offset: u64,
+    table_len: u64,
+    table_crc: u32,
 }
 
 impl Superblock {

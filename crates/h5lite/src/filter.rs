@@ -45,7 +45,7 @@ pub struct FilterScratch {
     /// szlite compressor workspace.
     pub sz: szlite::Scratch,
     /// szlite decompressor workspace (the decode mirror of `sz`).
-    pub dsz: szlite::DecompressScratch,
+    dsz: szlite::DecompressScratch,
     /// LZSS filter matcher state.
     lz: szlite::lossless::LzScratch,
     /// f32 staging for the SZ filter's byte↔float conversions.

@@ -15,22 +15,33 @@ fn arb_dtype() -> impl Strategy<Value = Dtype> {
     ]
 }
 
+/// Strings whose length is drawn from `len` and whose characters are
+/// drawn uniformly from `chars`.
+fn text(
+    chars: impl IntoIterator<Item = char>,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = String> {
+    let chars: Vec<char> = chars.into_iter().collect();
+    proptest::collection::vec(0..chars.len(), len)
+        .prop_map(move |picks| picks.iter().map(|&i| chars[i]).collect())
+}
+
 fn arb_attr() -> impl Strategy<Value = (String, AttrValue)> {
     (
-        "[a-z]{1,12}",
+        text('a'..='z', 1..13),
         prop_oneof![
             any::<f64>()
                 .prop_filter("finite", |v| v.is_finite())
                 .prop_map(AttrValue::F64),
             any::<i64>().prop_map(AttrValue::I64),
-            "[ -~]{0,24}".prop_map(AttrValue::Str),
+            text(' '..='~', 0..25).prop_map(AttrValue::Str),
         ],
     )
 }
 
 fn arb_meta() -> impl Strategy<Value = DatasetMeta> {
     (
-        "[a-z/]{1,20}",
+        text(('a'..='z').chain(['/']), 1..21),
         arb_dtype(),
         proptest::collection::vec(1u64..64, 1..4),
         proptest::collection::vec(

@@ -3,13 +3,14 @@
 //! [`FaultFs`] sits between [`SharedFile`](crate::SharedFile) and the
 //! OS and injects the failure classes a burst buffer or PFS exhibits
 //! at scale: torn tail writes (a crash mid-`pwrite`), silent bit flips
-//! (media corruption below the checksum), short reads and transient
-//! `EIO`s (contended OSTs, flaky interconnect). Faults are scheduled
-//! by **operation index** — the k-th write attempt, the k-th read
-//! attempt — so a given plan replays the same failure sequence every
-//! run. Transient faults consume their op index: the retry is the
-//! *next* op, which (unless also scheduled) succeeds — exactly the
-//! contract a bounded-retry loop needs for a deterministic test.
+//! (media corruption below the checksum) and transient `EIO`s
+//! (contended OSTs, flaky interconnect). Faults are scheduled by
+//! **write-operation index** — the k-th write attempt — so a given
+//! plan replays the same failure sequence every run. Transient faults
+//! consume their op index: the retry is the *next* op, which (unless
+//! also scheduled) succeeds — exactly the contract a bounded-retry
+//! loop needs for a deterministic test. Reads are not scheduled; they
+//! only fail once a torn write has crashed the simulated process.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,12 +41,6 @@ pub enum Fault {
     /// [`io::ErrorKind::Interrupted`]; a bounded retry is expected to
     /// succeed (the retry consumes the next op index).
     Transient,
-    /// A read that returns fewer bytes than asked — surfaced like a
-    /// transient fault so exact-read semantics hold after retry.
-    ShortRead {
-        /// Bytes the kernel "returned" before giving up.
-        keep: u64,
-    },
 }
 
 /// Why an injected fault failed an operation — the typed payload
@@ -94,14 +89,11 @@ impl FaultError {
     }
 }
 
-/// Scheduled faults keyed by operation index, write and read planes
-/// kept separate.
+/// Scheduled faults keyed by write-operation index.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Write-op index → fault.
     pub write: BTreeMap<u64, Fault>,
-    /// Read-op index → fault.
-    pub read: BTreeMap<u64, Fault>,
 }
 
 impl FaultPlan {
@@ -113,12 +105,6 @@ impl FaultPlan {
     /// Schedule a fault on the `op`-th write attempt.
     pub fn on_write(mut self, op: u64, fault: Fault) -> Self {
         self.write.insert(op, fault);
-        self
-    }
-
-    /// Schedule a fault on the `op`-th read attempt.
-    pub fn on_read(mut self, op: u64, fault: Fault) -> Self {
-        self.read.insert(op, fault);
         self
     }
 }
@@ -151,7 +137,6 @@ pub struct FaultStats {
     transient: AtomicU64,
     bit_flips: AtomicU64,
     torn_writes: AtomicU64,
-    short_reads: AtomicU64,
     retries: AtomicU64,
     escalations: AtomicU64,
 }
@@ -159,14 +144,12 @@ pub struct FaultStats {
 /// Point-in-time copy of [`FaultStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStatsSnapshot {
-    /// Transient errors injected (write + read planes).
+    /// Transient errors injected.
     pub transient: u64,
     /// Silent bit flips injected.
     pub bit_flips: u64,
     /// Torn writes injected (0 or 1 per `FaultFs`).
-    pub torn_writes: u64,
-    /// Short reads injected.
-    pub short_reads: u64,
+    pub(crate) torn_writes: u64,
     /// Retries performed by the I/O layer after transient faults.
     pub retries: u64,
     /// Transient faults escalated to permanent after bounded retry.
@@ -193,23 +176,12 @@ pub enum WriteOutcome {
     Fail(io::Error),
 }
 
-/// What the I/O layer should do with one read attempt.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// Perform the read normally.
-    Proceed,
-    /// Fail the attempt without reading.
-    Fail(io::Error),
-}
-
 /// The fault-injection harness itself; attach with
 /// [`SharedFile::set_faults`](crate::SharedFile::set_faults).
 #[derive(Debug)]
 pub struct FaultFs {
     write_plan: BTreeMap<u64, Fault>,
-    read_plan: BTreeMap<u64, Fault>,
     write_ops: AtomicU64,
-    read_ops: AtomicU64,
     crashed: AtomicBool,
     stats: FaultStats,
 }
@@ -219,9 +191,7 @@ impl FaultFs {
     pub fn new(plan: FaultPlan) -> Arc<Self> {
         Arc::new(FaultFs {
             write_plan: plan.write,
-            read_plan: plan.read,
             write_ops: AtomicU64::new(0),
-            read_ops: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
             stats: FaultStats::default(),
         })
@@ -248,7 +218,7 @@ impl FaultFs {
         }
         match self.write_plan.get(&op) {
             None => WriteOutcome::Proceed,
-            Some(Fault::Transient) | Some(Fault::ShortRead { .. }) => {
+            Some(Fault::Transient) => {
                 self.stats.transient.fetch_add(1, Ordering::Relaxed);
                 WriteOutcome::Fail(Self::transient_err(op))
             }
@@ -273,23 +243,14 @@ impl FaultFs {
         }
     }
 
-    /// Consult the schedule for the next read attempt.
-    pub fn on_read(&self) -> ReadOutcome {
-        let op = self.read_ops.fetch_add(1, Ordering::SeqCst);
+    /// Gate one read attempt: a typed `Crashed` error (carrying the
+    /// next write-op index) once a torn write has crashed the simulated
+    /// process, `Ok` otherwise.
+    pub fn on_read(&self) -> io::Result<()> {
         if self.crashed() {
-            return ReadOutcome::Fail(Self::crashed_err(op));
+            return Err(Self::crashed_err(self.write_ops.load(Ordering::SeqCst)));
         }
-        match self.read_plan.get(&op) {
-            None => ReadOutcome::Proceed,
-            Some(Fault::ShortRead { .. }) => {
-                self.stats.short_reads.fetch_add(1, Ordering::Relaxed);
-                ReadOutcome::Fail(Self::transient_err(op))
-            }
-            Some(_) => {
-                self.stats.transient.fetch_add(1, Ordering::Relaxed);
-                ReadOutcome::Fail(Self::transient_err(op))
-            }
-        }
+        Ok(())
     }
 
     /// Count one retry performed by the I/O layer.
@@ -308,7 +269,6 @@ impl FaultFs {
             transient: self.stats.transient.load(Ordering::Relaxed),
             bit_flips: self.stats.bit_flips.load(Ordering::Relaxed),
             torn_writes: self.stats.torn_writes.load(Ordering::Relaxed),
-            short_reads: self.stats.short_reads.load(Ordering::Relaxed),
             retries: self.stats.retries.load(Ordering::Relaxed),
             escalations: self.stats.escalations.load(Ordering::Relaxed),
         }
@@ -350,7 +310,7 @@ mod tests {
         }
         assert!(fs.crashed());
         assert!(matches!(fs.on_write(b"x"), WriteOutcome::Fail(_)));
-        assert!(matches!(fs.on_read(), ReadOutcome::Fail(_)));
+        assert!(fs.on_read().is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   simulated shape.
 //! * [`faults`] — a deterministic fault-injection harness
 //!   ([`faults::FaultFs`]) that attaches to a [`SharedFile`] and
-//!   replays scheduled torn writes, bit flips, short reads, and
+//!   replays scheduled torn writes, bit flips and
 //!   transient `EIO`s, for crash-recovery testing.
 
 pub mod bandwidth;

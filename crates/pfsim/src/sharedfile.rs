@@ -7,7 +7,7 @@
 //! the paper's overflow handling (appending excess data past the
 //! reserved region after an all-gather of overflow sizes).
 
-use crate::faults::{FaultError, FaultFs, ReadOutcome, WriteOutcome};
+use crate::faults::{FaultError, FaultFs, WriteOutcome};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -121,7 +121,7 @@ impl SharedFile {
     }
 
     /// Attach (or detach, with `None`) a fault-injection harness. All
-    /// subsequent `write_at`/`read_at` calls consult its schedule.
+    /// subsequent `write_at`/`read_at` calls consult it.
     pub fn set_faults(&self, faults: Option<Arc<FaultFs>>) {
         *self.inner.faults.lock() = faults;
     }
@@ -148,8 +148,14 @@ impl SharedFile {
         Ok(())
     }
 
-    /// Raw positioned exact read, below fault injection.
-    fn read_at_raw(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+    /// Read exactly `buf.len()` bytes at `offset`. With a fault harness
+    /// attached, a read after its simulated crash fails with a typed
+    /// `Crashed` error.
+    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let faults = self.inner.faults.lock().clone();
+        if let Some(fs) = faults {
+            fs.on_read()?;
+        }
         #[cfg(unix)]
         {
             self.inner.file.read_exact_at(buf, offset)
@@ -221,33 +227,6 @@ impl SharedFile {
         let end = offset + data.len() as u64;
         self.inner.tail.fetch_max(end, Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Read exactly `buf.len()` bytes at `offset`, with the same
-    /// bounded-retry policy as [`SharedFile::write_at`] when a fault
-    /// harness is attached.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let faults = self.inner.faults.lock().clone();
-        match faults {
-            None => self.read_at_raw(offset, buf),
-            Some(fs) => {
-                let mut attempt = 0u32;
-                loop {
-                    match fs.on_read() {
-                        ReadOutcome::Proceed => return self.read_at_raw(offset, buf),
-                        ReadOutcome::Fail(e) if e.kind() == io::ErrorKind::Interrupted => {
-                            if attempt >= MAX_RETRIES {
-                                return Err(Self::escalate(&fs));
-                            }
-                            attempt += 1;
-                            fs.count_retry();
-                            Self::backoff(attempt);
-                        }
-                        ReadOutcome::Fail(e) => return Err(e),
-                    }
-                }
-            }
-        }
     }
 
     /// Atomically reserve `len` bytes at the current tail, returning

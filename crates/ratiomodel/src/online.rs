@@ -36,11 +36,12 @@ pub struct OnlineConfig {
     /// Floor on the adapted headroom (keeps a minimum cushion even on
     /// perfectly stable history).
     pub min_headroom: f64,
-    /// Cap on the error-band part of the headroom (the last-observed
-    /// floor may exceed it — recovery from a misprediction takes
-    /// precedence over the cap).
-    pub max_headroom: f64,
 }
+
+/// Cap on the error-band part of the headroom, unless `min_headroom`
+/// is higher (the last-observed floor may exceed it — recovery from a
+/// misprediction takes precedence over the cap).
+const MAX_HEADROOM: f64 = 1.43;
 
 impl Default for OnlineConfig {
     fn default() -> Self {
@@ -49,7 +50,6 @@ impl Default for OnlineConfig {
             warmup: 2,
             err_margin: 4.0,
             min_headroom: 1.05,
-            max_headroom: 1.43,
         }
     }
 }
@@ -57,7 +57,6 @@ impl Default for OnlineConfig {
 impl OnlineConfig {
     /// Copy with every field forced into its supported range.
     fn sanitized(self) -> Self {
-        let min = self.min_headroom.max(1.0);
         OnlineConfig {
             alpha: if self.alpha.is_finite() {
                 self.alpha.clamp(1e-3, 1.0)
@@ -70,8 +69,7 @@ impl OnlineConfig {
             } else {
                 4.0
             },
-            min_headroom: min,
-            max_headroom: self.max_headroom.max(min),
+            min_headroom: self.min_headroom.max(1.0),
         }
     }
 }
@@ -128,7 +126,7 @@ pub struct OnlinePrediction {
 }
 
 /// Version byte of [`OnlinePredictor::to_state_bytes`]'s encoding.
-const STATE_VERSION: u8 = 3;
+const STATE_VERSION: u8 = 4;
 
 /// Streaming per-partition predictor: offline model × online
 /// bias correction, with adaptive extra-space headroom.
@@ -168,8 +166,9 @@ impl OnlinePredictor {
         let w = (c.n_obs as f64 / self.cfg.warmup as f64).min(1.0);
         let corr = 1.0 + w * (c.correction - 1.0);
         let bytes = ((model as f64 * corr).ceil() as u64).max(1);
-        let band =
-            (1.0 + self.cfg.err_margin * c.err).clamp(self.cfg.min_headroom, self.cfg.max_headroom);
+        let band = (1.0 + self.cfg.err_margin * c.err)
+            .min(MAX_HEADROOM)
+            .max(self.cfg.min_headroom);
         let headroom =
             (c.n_obs >= self.cfg.warmup).then(|| band.max(c.last_observed as f64 / bytes as f64));
         OnlinePrediction {
@@ -232,7 +231,6 @@ impl OnlinePredictor {
         put_varint(&mut out, self.cfg.warmup);
         put_f64(&mut out, self.cfg.err_margin);
         put_f64(&mut out, self.cfg.min_headroom);
-        put_f64(&mut out, self.cfg.max_headroom);
         put_varint(&mut out, self.cells.len() as u64);
         for c in &self.cells {
             put_f64(&mut out, c.correction);
@@ -261,7 +259,6 @@ impl OnlinePredictor {
         let warmup = get_varint(bytes, &mut pos).map_err(|_| err("warmup"))?;
         let err_margin = get_f64(bytes, &mut pos).map_err(|_| err("err_margin"))?;
         let min_headroom = get_f64(bytes, &mut pos).map_err(|_| err("min_headroom"))?;
-        let max_headroom = get_f64(bytes, &mut pos).map_err(|_| err("max_headroom"))?;
         let n = get_varint(bytes, &mut pos).map_err(|_| err("cell count"))? as usize;
         if n > 100_000_000 {
             return Err("online predictor state: implausible cell count".into());
@@ -291,7 +288,6 @@ impl OnlinePredictor {
                 warmup,
                 err_margin,
                 min_headroom,
-                max_headroom,
             }
             .sanitized(),
             cells,
@@ -380,7 +376,6 @@ mod tests {
                 warmup: 0,
                 err_margin: f64::INFINITY,
                 min_headroom: 0.0,
-                max_headroom: 0.0,
             },
         );
         p.observe(0, 0, 0, 0);

@@ -59,8 +59,6 @@ pub struct RatioPrediction {
     pub bytes: u64,
     /// Predicted compression ratio vs. the original element width.
     pub ratio: f64,
-    /// The Huffman-stage estimate before the lossless correction.
-    pub huffman_bits_per_point: f64,
     /// Estimated unpredictable (literal) fraction.
     pub unpredictable_fraction: f64,
 }
@@ -121,7 +119,6 @@ pub(crate) fn predict_sparse(
         bits_per_point: bytes as f64 * 8.0 / n_total,
         bytes,
         ratio,
-        huffman_bits_per_point: huff_bits,
         unpredictable_fraction: unpred,
     }
 }
@@ -167,18 +164,16 @@ mod tests {
             bits_per_point: bytes as f64 * 8.0 / n_total,
             bytes,
             ratio,
-            huffman_bits_per_point: huff_bits,
             unpredictable_fraction: unpred,
         }
     }
 
     /// The integer and, bit for bit, every float of a prediction.
-    fn bits(p: &RatioPrediction) -> [u64; 5] {
+    fn bits(p: &RatioPrediction) -> [u64; 4] {
         [
             p.bytes,
             p.bits_per_point.to_bits(),
             p.ratio.to_bits(),
-            p.huffman_bits_per_point.to_bits(),
             p.unpredictable_fraction.to_bits(),
         ]
     }

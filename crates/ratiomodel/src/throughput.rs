@@ -19,9 +19,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputModel {
     /// Minimum sustained throughput, bytes/s (`Cmin`).
-    pub cmin: f64,
+    pub(crate) cmin: f64,
     /// Maximum sustained throughput, bytes/s (`Cmax`).
-    pub cmax: f64,
+    pub(crate) cmax: f64,
     /// Power-law exponent (`a` < 0; more negative = more curved).
     pub a: f64,
 }

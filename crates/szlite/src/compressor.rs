@@ -43,10 +43,6 @@ pub struct CompressStats {
     pub compressed_bytes: usize,
     /// Points stored as raw literals (outside the codebook).
     pub n_unpredictable: usize,
-    /// Serialized Huffman table size in bytes.
-    pub huffman_table_bytes: usize,
-    /// Bits used by the Huffman-coded symbol stream.
-    pub code_bits: u64,
     /// Resolved absolute error bound.
     pub eb: f64,
 }
@@ -452,10 +448,8 @@ fn compress_on<T: Element>(
     enc.rebuild_sparse(alphabet, &freqs[..alphabet], present, enc_ws);
     payload.clear();
     enc.serialize(payload);
-    let table_bytes = payload.len();
     let mut bw = BitWriter::with_buffer(std::mem::take(bits));
     enc.encode(codes, &mut bw);
-    let code_bits = bw.bit_len() as u64;
     let code_bytes = bw.finish();
     put_varint(payload, codes.len() as u64);
     put_varint(payload, code_bytes.len() as u64);
@@ -502,8 +496,6 @@ fn compress_on<T: Element>(
         raw_bytes: n * T::BYTES,
         compressed_bytes: out.len(),
         n_unpredictable: n_unpred,
-        huffman_table_bytes: table_bytes,
-        code_bits,
         eb,
     };
     Ok(stats)
@@ -610,14 +602,4 @@ pub fn compress_reference<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> 
     put_varint(&mut out, body.len() as u64);
     out.extend_from_slice(body);
     Ok(out)
-}
-
-/// Convenience wrapper: compress an `f32` array.
-pub fn compress_f32(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
-    compress(data, dims, cfg)
-}
-
-/// Convenience wrapper: compress an `f64` array.
-pub fn compress_f64(data: &[f64], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
-    compress(data, dims, cfg)
 }

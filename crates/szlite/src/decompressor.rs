@@ -387,20 +387,10 @@ fn decode_rows<T: Element, const L: usize, const D: usize>(
     Ok(())
 }
 
-/// Convenience wrapper: decompress an `f32` stream.
-pub fn decompress_f32(bytes: &[u8]) -> Result<(Vec<f32>, Dims)> {
-    decompress(bytes)
-}
-
-/// Convenience wrapper: decompress an `f64` stream.
-pub fn decompress_f64(bytes: &[u8]) -> Result<(Vec<f64>, Dims)> {
-    decompress(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::{compress_f32, compress_f64};
+    use crate::compressor::compress;
     use crate::config::Config;
     use crate::stream::put_varint;
 
@@ -430,7 +420,7 @@ mod tests {
         let dims = Dims::d3(6, 5, 4);
         let data: Vec<f32> = (0..120).map(|i| (i as f32 * 0.13).sin()).collect();
         let cfg = Config::abs(1e-3).with_lossless(lossless);
-        let bytes = compress_f32(&data, &dims, &cfg).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &cfg).unwrap();
         (data, dims, bytes)
     }
 
@@ -438,7 +428,7 @@ mod tests {
         let dims = Dims::d3(6, 5, 4);
         let data: Vec<f64> = (0..120).map(|i| (i as f64 * 0.13).sin()).collect();
         let cfg = Config::abs(1e-9).with_lossless(lossless);
-        let bytes = compress_f64(&data, &dims, &cfg).unwrap();
+        let bytes = compress::<f64>(&data, &dims, &cfg).unwrap();
         (data, dims, bytes)
     }
 
@@ -628,7 +618,7 @@ mod tests {
             decompress_to_slice(&bytes, &mut scratch, &mut dst),
             Ok(dims)
         );
-        assert_eq!(dst, decompress_f32(&bytes).unwrap().0);
+        assert_eq!(dst, decompress::<f32>(&bytes).unwrap().0);
         // The destination's type is checked like the `Vec`'s.
         assert_eq!(
             decompress_to_slice(&bytes, &mut scratch, &mut vec![0.0f64; n]),
@@ -662,8 +652,8 @@ mod tests {
             (vec![3.25; 27], Dims::d3(3, 3, 3), Config::rel(1e-3)),
         ];
         for (data, dims, cfg) in &cases {
-            let bytes = compress_f32(data, dims, cfg).unwrap();
-            let (fresh, fresh_dims) = decompress_f32(&bytes).unwrap();
+            let bytes = compress::<f32>(data, dims, cfg).unwrap();
+            let (fresh, fresh_dims) = decompress::<f32>(&bytes).unwrap();
             let rdims = decompress_into(&bytes, &mut scratch, &mut out32).unwrap();
             assert_eq!(rdims, fresh_dims);
             assert_eq!(out32, fresh);

@@ -61,13 +61,13 @@
 //! ## Example
 //!
 //! ```
-//! use szlite::{compress_f32, decompress_f32, Config, Dims};
+//! use szlite::{compress, decompress, Config, Dims};
 //!
 //! let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
 //! let dims = Dims::d3(16, 16, 16);
-//! let bytes = compress_f32(&data, &dims, &Config::abs(1e-3)).unwrap();
+//! let bytes = compress::<f32>(&data, &dims, &Config::abs(1e-3)).unwrap();
 //! assert!(bytes.len() < 4096 * 4);
-//! let (restored, rdims) = decompress_f32(&bytes).unwrap();
+//! let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
 //! assert_eq!(rdims, dims);
 //! for (a, b) in data.iter().zip(&restored) {
 //!     assert!((a - b).abs() <= 1e-3);
@@ -90,13 +90,11 @@ mod compressor;
 mod decompressor;
 
 pub use compressor::{
-    compress, compress_f32, compress_f64, compress_into, compress_reference, compress_with_stats,
-    CompressStats, Scratch,
+    compress, compress_into, compress_reference, compress_with_stats, CompressStats, Scratch,
 };
 pub use config::{Config, Dims, ErrorBound};
 pub use decompressor::{
-    decompress, decompress_f32, decompress_f64, decompress_into, decompress_to_slice, stream_info,
-    DecompressScratch, StreamInfo,
+    decompress, decompress_into, decompress_to_slice, stream_info, DecompressScratch, StreamInfo,
 };
 pub use element::Element;
 pub use error::{Result, SzError};
@@ -127,8 +125,8 @@ mod tests {
         let dims = Dims::d3(12, 10, 14);
         let data = wave3d(12, 10, 14);
         let eb = 1e-3;
-        let bytes = compress_f32(&data, &dims, &Config::abs(eb)).unwrap();
-        let (restored, rdims) = decompress_f32(&bytes).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &Config::abs(eb)).unwrap();
+        let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
         assert_eq!(rdims, dims);
         assert!(stats::max_abs_err(&data, &restored) <= eb);
     }
@@ -137,8 +135,8 @@ mod tests {
     fn roundtrip_f64() {
         let dims = Dims::d2(32, 32);
         let data: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.03).sin() * 100.0).collect();
-        let bytes = compress_f64(&data, &dims, &Config::abs(1e-6)).unwrap();
-        let (restored, _) = decompress_f64(&bytes).unwrap();
+        let bytes = compress::<f64>(&data, &dims, &Config::abs(1e-6)).unwrap();
+        let (restored, _) = decompress::<f64>(&bytes).unwrap();
         for (a, b) in data.iter().zip(&restored) {
             assert!((a - b).abs() <= 1e-6);
         }
@@ -167,8 +165,8 @@ mod tests {
         let mut data: Vec<f32> = (0..16).map(|i| i as f32).collect();
         data[5] = f32::NAN;
         data[9] = f32::INFINITY;
-        let bytes = compress_f32(&data, &dims, &Config::abs(0.1)).unwrap();
-        let (restored, _) = decompress_f32(&bytes).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.1)).unwrap();
+        let (restored, _) = decompress::<f32>(&bytes).unwrap();
         assert!(restored[5].is_nan());
         assert_eq!(restored[9], f32::INFINITY);
         assert!((restored[0] - 0.0).abs() <= 0.1);
@@ -178,20 +176,20 @@ mod tests {
     fn type_mismatch_rejected() {
         let dims = Dims::d1(8);
         let data: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        let bytes = compress_f32(&data, &dims, &Config::abs(0.1)).unwrap();
-        assert!(decompress_f64(&bytes).is_err());
+        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.1)).unwrap();
+        assert!(decompress::<f64>(&bytes).is_err());
     }
 
     #[test]
     fn empty_input_rejected() {
-        assert!(compress_f32(&[], &Dims::d1(1), &Config::abs(0.1)).is_err());
+        assert!(compress::<f32>(&[], &Dims::d1(1), &Config::abs(0.1)).is_err());
     }
 
     #[test]
     fn dim_mismatch_rejected() {
         let data = vec![0.0f32; 10];
         assert!(matches!(
-            compress_f32(&data, &Dims::d1(11), &Config::abs(0.1)),
+            compress::<f32>(&data, &Dims::d1(11), &Config::abs(0.1)),
             Err(SzError::DimMismatch { .. })
         ));
     }
@@ -224,7 +222,7 @@ mod tests {
     fn stream_info_reports_header() {
         let dims = Dims::d3(4, 5, 6);
         let data = wave3d(4, 5, 6);
-        let bytes = compress_f32(&data, &dims, &Config::abs(0.25)).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.25)).unwrap();
         let info = stream_info(&bytes).unwrap();
         assert_eq!(info.dims, dims);
         assert_eq!(info.dtype, 0);
@@ -236,17 +234,17 @@ mod tests {
     fn truncated_stream_rejected() {
         let dims = Dims::d1(256);
         let data: Vec<f32> = (0..256).map(|i| (i as f32).sin()).collect();
-        let bytes = compress_f32(&data, &dims, &Config::abs(1e-3)).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &Config::abs(1e-3)).unwrap();
         for cut in [0, 3, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decompress_f32(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(decompress::<f32>(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(decompress_f32(&[0u8; 64]).is_err());
+        assert!(decompress::<f32>(&[0u8; 64]).is_err());
         assert!(matches!(
-            decompress_f32(b"not a stream at all"),
+            decompress::<f32>(b"not a stream at all"),
             Err(SzError::BadMagic)
         ));
     }
@@ -257,7 +255,7 @@ mod tests {
         let data = vec![42.0f32; 4096];
         let (bytes, st) = compress_with_stats(&data, &dims, &Config::rel(1e-3)).unwrap();
         assert!(st.ratio() > 50.0, "ratio {}", st.ratio());
-        let (restored, _) = decompress_f32(&bytes).unwrap();
+        let (restored, _) = decompress::<f32>(&bytes).unwrap();
         assert!(restored.iter().all(|&v| (v - 42.0).abs() < 1e-2));
     }
 
@@ -291,10 +289,10 @@ mod tests {
         let dims = Dims::d1(512);
         let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.1).cos()).collect();
         let cfg = Config::abs(1e-3).with_lossless(false);
-        let bytes = compress_f32(&data, &dims, &cfg).unwrap();
+        let bytes = compress::<f32>(&data, &dims, &cfg).unwrap();
         let info = stream_info(&bytes).unwrap();
         assert!(!info.lossless);
-        let (restored, _) = decompress_f32(&bytes).unwrap();
+        let (restored, _) = decompress::<f32>(&bytes).unwrap();
         assert!(stats::max_abs_err(&data, &restored) <= 1e-3);
     }
 }

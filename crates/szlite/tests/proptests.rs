@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use szlite::{
-    compress_f32, compress_f64, compress_into, compress_reference, compress_with_stats,
-    decompress_f32, decompress_f64, decompress_into,
+    compress, compress_into, compress_reference, compress_with_stats, decompress, decompress_into,
     huffman::{HuffmanDecoder, HuffmanEncoder},
     lossless,
     predictor::Lorenzo,
@@ -285,8 +284,8 @@ proptest! {
     #[test]
     fn error_bound_invariant_abs((dims, data) in shape_and_data(), eb in 1e-4f64..10.0) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress_f32(&data, &d, &Config::abs(eb)).unwrap();
-        let (restored, rdims) = decompress_f32(&bytes).unwrap();
+        let bytes = compress::<f32>(&data, &d, &Config::abs(eb)).unwrap();
+        let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
         prop_assert_eq!(rdims, d);
         prop_assert_eq!(restored.len(), data.len());
         for (i, (&a, &b)) in data.iter().zip(&restored).enumerate() {
@@ -300,9 +299,9 @@ proptest! {
     #[test]
     fn error_bound_invariant_rel((dims, data) in shape_and_data(), r in 1e-5f64..1e-1) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress_f32(&data, &d, &Config::rel(r)).unwrap();
+        let bytes = compress::<f32>(&data, &d, &Config::rel(r)).unwrap();
         let info = szlite::stream_info(&bytes).unwrap();
-        let (restored, _) = decompress_f32(&bytes).unwrap();
+        let (restored, _) = decompress::<f32>(&bytes).unwrap();
         for (&a, &b) in data.iter().zip(&restored) {
             prop_assert!((f64::from(a) - f64::from(b)).abs() <= info.eb);
         }
@@ -311,8 +310,8 @@ proptest! {
     #[test]
     fn f64_roundtrip_bound(data in proptest::collection::vec(-1e12f64..1e12, 1..500), eb in 1e-6f64..1e3) {
         let d = Dims::d1(data.len());
-        let bytes = compress_f64(&data, &d, &Config::abs(eb)).unwrap();
-        let (restored, _) = decompress_f64(&bytes).unwrap();
+        let bytes = compress::<f64>(&data, &d, &Config::abs(eb)).unwrap();
+        let (restored, _) = decompress::<f64>(&bytes).unwrap();
         for (&a, &b) in data.iter().zip(&restored) {
             prop_assert!((a - b).abs() <= eb);
         }
@@ -410,14 +409,14 @@ proptest! {
     #[test]
     fn decompressor_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Must return an error or a valid result, never panic.
-        let _ = decompress_f32(&data);
+        let _ = decompress::<f32>(&data);
     }
 
     #[test]
     fn truncation_never_panics((dims, data) in shape_and_data(), frac in 0.0f64..1.0) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress_f32(&data, &d, &Config::rel(1e-3)).unwrap();
+        let bytes = compress::<f32>(&data, &d, &Config::rel(1e-3)).unwrap();
         let cut = ((bytes.len() as f64) * frac) as usize;
-        let _ = decompress_f32(&bytes[..cut.min(bytes.len().saturating_sub(1))]);
+        let _ = decompress::<f32>(&bytes[..cut.min(bytes.len().saturating_sub(1))]);
     }
 }

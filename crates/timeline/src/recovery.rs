@@ -36,28 +36,8 @@ pub struct ResumeReport {
     /// Step whose sidecar seeded the resumed predictor (`None` =
     /// static mode, no usable sidecar, or nothing survived).
     pub sidecar_step: Option<usize>,
-    /// Newest readable flight-recorder record found on disk before the
-    /// resume — the newest *completed* step's: a record is written
-    /// once its step has succeeded, so the step that died left none
-    /// (`None` when no step left a readable `*.obs.jsonl`). Records of
-    /// quarantined steps still count: a container damaged after its
-    /// step completed keeps its intact recorder line.
-    pub last_flight: Option<obs::StepFlight>,
     /// Metrics of the resumed tail (`steps[0]` is `resume_from`).
     pub report: TimelineReport,
-}
-
-/// Newest readable flight record among steps `0..steps` of a run
-/// directory — scanned newest-first so the answer is what the most
-/// recent completed step recorded. Unreadable or missing files are
-/// skipped; torn lines inside a file are tolerated by the reader.
-fn newest_flight(cfg: &TimelineConfig) -> Option<obs::StepFlight> {
-    (0..cfg.steps).rev().find_map(|step| {
-        let path = obs::flight_path(&cfg.step_path(step));
-        obs::read_flight(&path)
-            .ok()
-            .and_then(|scan| scan.records.into_iter().last())
-    })
 }
 
 /// Scan `cfg.dir`, quarantine damaged step containers, and resume the
@@ -148,16 +128,12 @@ where
         })
         .unzip();
 
-    // Capture the black box before the resumed tail overwrites it.
-    let last_flight = newest_flight(cfg);
-
     let report = run_timeline_resumed(cfg, resume_from, online, step_data)?;
     Ok(ResumeReport {
         surviving,
         quarantined,
         resume_from,
         sidecar_step,
-        last_flight,
         report,
     })
 }

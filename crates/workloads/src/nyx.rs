@@ -29,8 +29,6 @@ pub struct NyxParams {
     /// Red shift: large values = early universe = smoother fields.
     /// The paper's Fig. 15 sweeps this; sensible range ~ [0, 10].
     pub redshift: f64,
-    /// Base feature wavelength in grid cells.
-    pub feature_scale: f64,
     /// Grid-cell offsets added to the (x, y, z) sample coordinates:
     /// advection of the cosmic web past the grid. Timestep streams
     /// advance this per step so consecutive snapshots are strongly
@@ -44,7 +42,6 @@ impl Default for NyxParams {
             side: 64,
             seed: 0x4E59,
             redshift: 2.0,
-            feature_scale: 24.0,
             drift: [0.0; 3],
         }
     }
@@ -82,6 +79,9 @@ const NYX_FIELDS: [&str; 6] = [
     "velocity_z",
 ];
 
+/// Base feature wavelength in grid cells.
+const FEATURE_SCALE: f64 = 24.0;
+
 /// Clustering contrast grows as red shift decreases (structure forms).
 fn contrast(redshift: f64) -> f64 {
     2.4 / (1.0 + 0.35 * redshift.max(0.0))
@@ -106,7 +106,7 @@ fn gen_grid(side: usize, drift: [f64; 3], f: impl Fn(f64, f64, f64) -> f64 + Syn
 /// Generate a full snapshot with the six standard fields.
 pub fn snapshot(p: NyxParams) -> Dataset {
     let dims = vec![p.side, p.side, p.side];
-    let s = p.feature_scale.max(2.0);
+    let s = FEATURE_SCALE;
     let c = contrast(p.redshift);
     let seed = p.seed;
 

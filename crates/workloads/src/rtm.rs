@@ -17,10 +17,6 @@ pub struct RtmParams {
     pub side: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Number of point sources.
-    pub n_sources: usize,
-    /// Dominant wavelength in grid cells.
-    pub wavelength: f64,
     /// Propagation time in grid cells travelled (unit phase speed):
     /// wavefronts radiate outward as `time` advances, so snapshots at
     /// nearby times are strongly correlated; `0.0` is the static field.
@@ -32,8 +28,6 @@ impl Default for RtmParams {
         RtmParams {
             side: 64,
             seed: 0x52_54_4D,
-            n_sources: 6,
-            wavelength: 12.0,
             time: 0.0,
         }
     }
@@ -49,12 +43,17 @@ impl RtmParams {
     }
 }
 
+/// Number of point sources.
+const N_SOURCES: u64 = 6;
+/// Dominant wavelength in grid cells.
+const WAVELENGTH: f64 = 12.0;
+
 /// Generate a single-field wavefield snapshot (`pressure`).
 pub fn snapshot(p: RtmParams) -> Dataset {
     let n = p.side;
-    let k = 2.0 * std::f64::consts::PI / p.wavelength.max(2.0);
+    let k = 2.0 * std::f64::consts::PI / WAVELENGTH;
     // Random source positions and phases.
-    let sources: Vec<(f64, f64, f64, f64)> = (0..p.n_sources as u64)
+    let sources: Vec<(f64, f64, f64, f64)> = (0..N_SOURCES)
         .map(|i| {
             (
                 uniform01(i, p.seed) * n as f64,

@@ -19,12 +19,6 @@ pub struct VpicParams {
     pub n_particles: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Box size (arbitrary units) in x/z; the sheet normal is y.
-    pub box_size: f64,
-    /// Thermal spread of the Maxwellian momentum components.
-    pub thermal: f64,
-    /// Beam (reconnection outflow) speed near the current sheet.
-    pub beam: f64,
     /// Simulation time. Particles advect with their momenta (periodic
     /// in x/z) and momenta wobble slowly, so snapshots at nearby times
     /// are strongly correlated; `0.0` reproduces the static dump.
@@ -36,9 +30,6 @@ impl Default for VpicParams {
         VpicParams {
             n_particles: 1 << 16,
             seed: 0x5649_4350,
-            box_size: 100.0,
-            thermal: 0.3,
-            beam: 1.2,
             time: 0.0,
         }
     }
@@ -59,6 +50,13 @@ impl VpicParams {
         self
     }
 }
+
+/// Box size (arbitrary units) in x/z; the sheet normal is y.
+const BOX_SIZE: f64 = 100.0;
+/// Thermal spread of the Maxwellian momentum components.
+const THERMAL: f64 = 0.3;
+/// Beam (reconnection outflow) speed near the current sheet.
+const BEAM: f64 = 1.2;
 
 /// The eight per-particle fields, in dump order.
 const VPIC_FIELDS: [&str; 8] = [
@@ -82,8 +80,8 @@ pub fn snapshot(p: VpicParams) -> Dataset {
     for i in 0..n as u64 {
         // Positions: x,z uniform; y concentrated near the sheet (y=0)
         // with a Harris-sheet-like profile (tanh-distributed).
-        let x0 = uniform01(i, s) * p.box_size;
-        let z0 = uniform01(i, s ^ 0x33) * p.box_size;
+        let x0 = uniform01(i, s) * BOX_SIZE;
+        let z0 = uniform01(i, s ^ 0x33) * BOX_SIZE;
         let u = uniform01(i, s ^ 0x44) * 2.0 - 1.0;
         let y0 = (u.clamp(-0.999_999, 0.999_999)).atanh() * 2.0; // heavy center, long tails
 
@@ -95,19 +93,19 @@ pub fn snapshot(p: VpicParams) -> Dataset {
         // static dump is unchanged.
         let wob = |axis: u64| {
             let phase = uniform01(i, s ^ axis) * 2.0 * std::f64::consts::PI;
-            0.25 * p.thermal * ((0.35 * t + phase).sin() - phase.sin())
+            0.25 * THERMAL * ((0.35 * t + phase).sin() - phase.sin())
         };
-        let ux = normal(i, s ^ 0x55) * p.thermal + p.beam * prox + wob(0x9A);
-        let uy = normal(i, s ^ 0x66) * p.thermal * (1.0 + prox) + wob(0x9B);
-        let uz = normal(i, s ^ 0x77) * p.thermal + wob(0x9C);
+        let ux = normal(i, s ^ 0x55) * THERMAL + BEAM * prox + wob(0x9A);
+        let uy = normal(i, s ^ 0x66) * THERMAL * (1.0 + prox) + wob(0x9B);
+        let uz = normal(i, s ^ 0x77) * THERMAL + wob(0x9C);
         let e = 0.5 * (ux * ux + uy * uy + uz * uz);
         // Weights: quantized macro-particle weights (highly compressible).
         let w = 1.0 + (uniform01(i, s ^ 0x88) * 4.0).floor() * 0.25;
 
         // Advect with the (base) momenta: periodic in x/z, slow y
         // drift that preserves the sheet clustering.
-        let x = (x0 + ux * t).rem_euclid(p.box_size);
-        let z = (z0 + uz * t).rem_euclid(p.box_size);
+        let x = (x0 + ux * t).rem_euclid(BOX_SIZE);
+        let z = (z0 + uz * t).rem_euclid(BOX_SIZE);
         let y = y0 + uy * 0.15 * t;
 
         pos_x.push(x as f32);

@@ -9,7 +9,7 @@
 use repro_suite::h5lite::{
     DatasetSpec, Dtype, EventSet, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
 };
-use repro_suite::szlite::{compress_with_stats, decompress_f32, stats, Config, Dims};
+use repro_suite::szlite::{compress_with_stats, decompress, stats, Config, Dims};
 use repro_suite::workloads::{nyx, NyxParams};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // 3. Verify the point-wise error bound.
-    let (restored, _) = decompress_f32(&stream).unwrap();
+    let (restored, _) = decompress::<f32>(&stream).unwrap();
     let max_err = stats::max_abs_err(&field.data, &restored);
     let psnr = stats::psnr(&field.data, &restored);
     println!(

@@ -1,26 +1,18 @@
-//! `any::<T>()` — full-domain strategies for the primitive types.
+//! `any::<T>()` — full-domain strategies for the primitive types the
+//! suites draw.
 
 use crate::rng::TestRng;
-use crate::strategy::{SampleResult, Strategy};
-use std::fmt::Debug;
+use crate::strategy::{shrink_int, SampleResult, Strategy};
 use std::marker::PhantomData;
 
-pub trait Arbitrary: Sized + Debug {
-    type Strategy: Strategy<Value = Self>;
-    fn arbitrary() -> Self::Strategy;
-}
-
-pub fn any<A: Arbitrary>() -> A::Strategy {
-    A::arbitrary()
-}
-
-/// Marker strategy for "any value of T, bits chosen uniformly".
+/// Strategy for "any value of T, bits chosen uniformly".
 pub struct Any<T>(PhantomData<fn() -> T>);
 
-impl<T> Any<T> {
-    fn new() -> Self {
-        Any(PhantomData)
-    }
+pub fn any<T>() -> Any<T>
+where
+    Any<T>: Strategy<Value = T>,
+{
+    Any(PhantomData)
 }
 
 macro_rules! arbitrary_ints {
@@ -31,23 +23,16 @@ macro_rules! arbitrary_ints {
                 Ok(rng.next_u64() as $t)
             }
             fn shrink(&self, v: &$t) -> Vec<$t> {
-                crate::strategy::shrink_int_toward_zero(*v as i128)
-                    .into_iter()
-                    .map(|c| c as $t)
-                    .collect()
-            }
-        }
-
-        impl Arbitrary for $t {
-            type Strategy = Any<$t>;
-            fn arbitrary() -> Any<$t> {
-                Any::new()
+                // Toward zero, mirrored so negative values approach it
+                // from below.
+                let v = *v as i128;
+                shrink_int(v.abs(), 0).into_iter().map(|c| (c * v.signum()) as $t).collect()
             }
         }
     )+};
 }
 
-arbitrary_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+arbitrary_ints!(u8, u32, u64, i64);
 
 // Floats sample raw bit patterns, so NaN and infinities occur — the
 // same contract as real proptest's `any::<f64>()`; pair with
@@ -56,27 +41,6 @@ impl Strategy for Any<f64> {
     type Value = f64;
     fn sample(&self, rng: &mut TestRng) -> SampleResult<f64> {
         Ok(f64::from_bits(rng.next_u64()))
-    }
-}
-
-impl Arbitrary for f64 {
-    type Strategy = Any<f64>;
-    fn arbitrary() -> Any<f64> {
-        Any::new()
-    }
-}
-
-impl Strategy for Any<f32> {
-    type Value = f32;
-    fn sample(&self, rng: &mut TestRng) -> SampleResult<f32> {
-        Ok(f32::from_bits(rng.next_u32()))
-    }
-}
-
-impl Arbitrary for f32 {
-    type Strategy = Any<f32>;
-    fn arbitrary() -> Any<f32> {
-        Any::new()
     }
 }
 
@@ -91,13 +55,6 @@ impl Strategy for Any<bool> {
         } else {
             Vec::new()
         }
-    }
-}
-
-impl Arbitrary for bool {
-    type Strategy = Any<bool>;
-    fn arbitrary() -> Any<bool> {
-        Any::new()
     }
 }
 

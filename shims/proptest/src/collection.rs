@@ -5,50 +5,32 @@ use crate::strategy::{SampleResult, Strategy};
 use std::ops::{Range, RangeInclusive};
 
 /// Inclusive length bounds, converted from the range forms suites use.
-#[derive(Debug, Clone, Copy)]
-pub struct SizeRange {
-    lo: usize,
-    hi: usize,
-}
-
-impl From<usize> for SizeRange {
-    fn from(n: usize) -> Self {
-        SizeRange { lo: n, hi: n }
-    }
-}
+pub struct SizeRange(RangeInclusive<usize>);
 
 impl From<Range<usize>> for SizeRange {
     fn from(r: Range<usize>) -> Self {
         assert!(r.start < r.end, "empty vec size range");
-        SizeRange {
-            lo: r.start,
-            hi: r.end - 1,
-        }
+        SizeRange(r.start..=r.end - 1)
     }
 }
 
 impl From<RangeInclusive<usize>> for SizeRange {
     fn from(r: RangeInclusive<usize>) -> Self {
         assert!(r.start() <= r.end(), "empty vec size range");
-        SizeRange {
-            lo: *r.start(),
-            hi: *r.end(),
-        }
+        SizeRange(r)
     }
 }
 
 pub struct VecStrategy<S> {
     element: S,
-    size: SizeRange,
+    size: RangeInclusive<usize>,
 }
 
 /// A `Vec` whose length is uniform in `size` and whose elements are
 /// drawn independently from `element`.
 pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-    VecStrategy {
-        element,
-        size: size.into(),
-    }
+    let size = size.into().0;
+    VecStrategy { element, size }
 }
 
 /// At most this many positions get per-element candidates per shrink
@@ -58,14 +40,13 @@ const ELEMENT_SHRINK_POSITIONS: usize = 64;
 impl<S: Strategy> Strategy for VecStrategy<S> {
     type Value = Vec<S::Value>;
     fn sample(&self, rng: &mut TestRng) -> SampleResult<Vec<S::Value>> {
-        let span = self.size.hi - self.size.lo + 1;
-        let len = self.size.lo + rng.usize_below(span);
+        let len = self.size.sample(rng)?;
         (0..len).map(|_| self.element.sample(rng)).collect()
     }
 
     fn shrink(&self, v: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
         let mut out = Vec::new();
-        let lo = self.size.lo;
+        let lo = *self.size.start();
         // Shorter vectors first: truncate hard to the minimum length,
         // bisect, then drop each single element — removing an interior
         // element peels passengers off a failing suffix, which plain
@@ -77,9 +58,8 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
                 out.push(v[..half].to_vec());
             }
             for i in 0..v.len().min(ELEMENT_SHRINK_POSITIONS) {
-                let mut w = Vec::with_capacity(v.len() - 1);
-                w.extend_from_slice(&v[..i]);
-                w.extend_from_slice(&v[i + 1..]);
+                let mut w = v.clone();
+                w.remove(i);
                 out.push(w);
             }
         }
@@ -103,7 +83,7 @@ mod tests {
     fn length_bounds_hold_for_all_forms() {
         let mut rng = TestRng::new(3);
         for _ in 0..200 {
-            assert_eq!(vec(0u8..10, 4usize).sample(&mut rng).unwrap().len(), 4);
+            assert_eq!(vec(0u8..10, 4..=4).sample(&mut rng).unwrap().len(), 4);
             let a = vec(0u8..10, 1usize..5).sample(&mut rng).unwrap();
             assert!((1..5).contains(&a.len()));
             let b = vec(0u8..10, 2usize..=6).sample(&mut rng).unwrap();

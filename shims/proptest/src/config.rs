@@ -1,67 +1,23 @@
-//! Run configuration: case counts and the deterministic seed.
+//! Run configuration: case count and the deterministic seed.
 
 /// Subset of proptest's `ProptestConfig` plus an explicit RNG seed so
 /// suites are reproducible by construction.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
-    /// Number of successful cases required per test (before the CI
-    /// reduction; see [`ProptestConfig::effective_cases`]).
-    pub cases: u32,
+    /// Number of successful cases required per test.
+    pub(crate) cases: u32,
     /// Base seed; each test derives its own stream by hashing its name
-    /// into this. `PROPTEST_SEED` in the environment overrides it.
-    pub rng_seed: u64,
-    /// Upper bound on `prop_assume!` / filter rejections per test.
-    pub max_global_rejects: u32,
-}
-
-/// The workspace-wide default seed: arbitrary but fixed, so every run
-/// of every suite sees identical inputs unless deliberately overridden.
-pub const DEFAULT_RNG_SEED: u64 = 0x5EED_0FC0_FFEE;
-
-impl Default for ProptestConfig {
-    fn default() -> Self {
-        ProptestConfig {
-            cases: 256,
-            rng_seed: DEFAULT_RNG_SEED,
-            max_global_rejects: 65_536,
-        }
-    }
+    /// into this.
+    rng_seed: u64,
 }
 
 impl ProptestConfig {
-    pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig {
-            cases,
-            ..Default::default()
-        }
-    }
-
-    /// Explicit seed + case count in one call (the form the workspace
-    /// suites use so their determinism is visible at the use site).
+    /// Explicit case count and seed in one call, so a suite's
+    /// determinism is visible at the use site.
     pub fn with_cases_and_seed(cases: u32, rng_seed: u64) -> Self {
         ProptestConfig {
-            cases,
+            cases: cases.max(1),
             rng_seed,
-            ..Default::default()
-        }
-    }
-
-    /// Case count after environment adjustments: `PROPTEST_CASES` wins
-    /// outright; otherwise a set `CI` variable quarters the count
-    /// (floor 8) to keep pipelines fast.
-    pub fn effective_cases(&self) -> u32 {
-        if let Ok(v) = std::env::var("PROPTEST_CASES") {
-            if let Ok(n) = v.parse::<u32>() {
-                return n.max(1);
-            }
-        }
-        let in_ci = std::env::var("CI").map(|v| !v.is_empty()).unwrap_or(false);
-        if in_ci {
-            // Quarter the count but never go below 8 (or below the
-            // configured count, whichever is smaller).
-            (self.cases / 4).max(8).min(self.cases.max(1))
-        } else {
-            self.cases.max(1)
         }
     }
 
@@ -73,10 +29,7 @@ impl ProptestConfig {
     /// name mixing): failure messages print the already-derived seed,
     /// so replaying with that exact value must reproduce the stream.
     pub fn seed_for(&self, test_name: &str) -> u64 {
-        if let Some(seed) = std::env::var("PROPTEST_SEED")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
+        if let Ok(Ok(seed)) = std::env::var("PROPTEST_SEED").map(|v| v.parse()) {
             return seed;
         }
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -94,7 +47,7 @@ mod tests {
 
     #[test]
     fn seeds_differ_per_test_but_are_stable() {
-        let c = ProptestConfig::with_cases(10);
+        let c = ProptestConfig::with_cases_and_seed(10, 7);
         assert_eq!(c.seed_for("alpha"), c.seed_for("alpha"));
         assert_ne!(c.seed_for("alpha"), c.seed_for("beta"));
     }

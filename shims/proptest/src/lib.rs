@@ -1,4 +1,4 @@
-//! Offline shim for `proptest`: the strategy/macro surface the
+//! Offline shim for `proptest`: exactly the strategy/macro surface the
 //! workspace test suites use, built on a deterministic splitmix64 RNG.
 //!
 //! Differences from real proptest, by design:
@@ -10,13 +10,13 @@
 //!   elements, tuples one component at a time. The search stops at a
 //!   local minimum or after a fixed execution budget and reports the
 //!   minimal failing inputs;
-//! * **deterministic by default** — every test derives its RNG stream
-//!   from [`config::ProptestConfig::rng_seed`] (a fixed constant unless
-//!   overridden) hashed with the test name, so reruns see identical
-//!   inputs;
-//! * **CI-aware case counts** — when the `CI` environment variable is
-//!   set, case counts are divided by four (floor eight) to keep
-//!   pipeline wall-clock down; `PROPTEST_CASES` overrides everything.
+//! * **a pinned seed per block** — every `proptest!` block names its
+//!   [`config::ProptestConfig::with_cases_and_seed`], and each test
+//!   derives its RNG stream from that seed hashed with the test name,
+//!   so every run sees identical inputs and runs exactly its cases;
+//! * **one replay value** — a failure prints `PROPTEST_SEED=<n>`, the
+//!   test's derived seed; running the test with that variable set
+//!   draws the same inputs in the same order.
 
 pub mod arbitrary;
 pub mod collection;
@@ -27,13 +27,11 @@ pub mod strategy;
 pub mod test_runner;
 
 pub mod prelude {
-    pub use crate::arbitrary::{any, Arbitrary};
+    pub use crate::arbitrary::any;
     pub use crate::config::ProptestConfig;
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
+    pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::TestCaseError;
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 }
 
 /// The entry macro: a config attribute plus `#[test]` functions whose
@@ -41,7 +39,7 @@ pub mod prelude {
 ///
 /// ```ignore
 /// proptest! {
-///     #![proptest_config(ProptestConfig::with_cases(64))]
+///     #![proptest_config(ProptestConfig::with_cases_and_seed(64, 0x5EED))]
 ///     #[test]
 ///     fn commutes(a in 0u32..10, b in 0u32..10) {
 ///         prop_assert_eq!(a + b, b + a);
@@ -50,10 +48,7 @@ pub mod prelude {
 /// ```
 #[macro_export]
 macro_rules! proptest {
-    (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
-        $crate::proptest!(@with_cfg ($cfg) $($rest)*);
-    };
-    (@with_cfg ($cfg:expr)
+    (#![proptest_config($cfg:expr)]
         $(
             $(#[$meta:meta])*
             fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block
@@ -62,16 +57,12 @@ macro_rules! proptest {
         $(
             $(#[$meta])*
             fn $name() {
-                let __config: $crate::config::ProptestConfig = $cfg;
                 // All arguments form one tuple strategy so a failing
-                // case can be shrunk component-by-component. Sampling
-                // order (and hence the RNG stream) matches the old
-                // per-argument form exactly.
-                let __strategy = ($(($strat),)+);
-                $crate::test_runner::run_shrinking(
-                    &__config,
+                // case can be shrunk component-by-component.
+                $crate::test_runner::run(
+                    &$cfg,
                     stringify!($name),
-                    &__strategy,
+                    &($(($strat),)+),
                     stringify!(($($pat),+)),
                     |($($pat,)+)| {
                         $body
@@ -80,11 +71,6 @@ macro_rules! proptest {
                 );
             }
         )*
-    };
-    ($($rest:tt)*) => {
-        $crate::proptest!(
-            @with_cfg ($crate::config::ProptestConfig::default()) $($rest)*
-        );
     };
 }
 
@@ -126,46 +112,22 @@ macro_rules! prop_assert_eq {
     };
 }
 
-/// Fail the current case if the two values compare equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {
-        match (&$left, &$right) {
-            (l, r) => {
-                $crate::prop_assert!(
-                    *l != *r,
-                    "assertion failed: {} != {}\n  both: {:?}",
-                    stringify!($left),
-                    stringify!($right),
-                    l
-                );
-            }
-        }
-    };
-}
-
 /// Discard the current case (not a failure) unless `cond` holds.
 #[macro_export]
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !$cond {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::reject(
-                concat!("assumption failed: ", stringify!($cond)),
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::Reject(
+                concat!("assumption failed: ", stringify!($cond)).into(),
             ));
         }
     };
 }
 
 /// Choose uniformly among several strategies producing the same value
-/// type. Weighted arms (`w => strat`) are accepted and the weights are
-/// honored proportionally.
+/// type.
 #[macro_export]
 macro_rules! prop_oneof {
-    ($($weight:expr => $strat:expr),+ $(,)?) => {
-        $crate::strategy::Union::weighted(vec![
-            $(($weight as u32, $crate::strategy::Strategy::boxed($strat))),+
-        ])
-    };
     ($($strat:expr),+ $(,)?) => {
         $crate::strategy::Union::new(vec![
             $($crate::strategy::Strategy::boxed($strat)),+

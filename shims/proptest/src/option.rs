@@ -16,11 +16,8 @@ pub fn of<S: Strategy>(inner: S) -> OptionStrategy<S> {
 impl<S: Strategy> Strategy for OptionStrategy<S> {
     type Value = Option<S::Value>;
     fn sample(&self, rng: &mut TestRng) -> SampleResult<Option<S::Value>> {
-        if rng.u64_below(4) == 0 {
-            Ok(None)
-        } else {
-            Ok(Some(self.inner.sample(rng)?))
-        }
+        let some = rng.u64_below(4) != 0;
+        some.then(|| self.inner.sample(rng)).transpose()
     }
 
     fn shrink(&self, v: &Option<S::Value>) -> Vec<Option<S::Value>> {

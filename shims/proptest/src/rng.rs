@@ -1,5 +1,5 @@
 //! Deterministic splitmix64 RNG — small, fast, and reproducible across
-//! platforms, which is all a non-shrinking property tester needs.
+//! platforms, which is all a value-tree-free property tester needs.
 
 /// Deterministic RNG handed to strategies.
 #[derive(Debug, Clone)]
@@ -21,19 +21,11 @@ impl TestRng {
         z ^ (z >> 31)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, n)`; `n` must be nonzero. Modulo bias is
     /// negligible for test-input generation.
     pub fn u64_below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
         self.next_u64() % n
-    }
-
-    pub fn usize_below(&mut self, n: usize) -> usize {
-        self.u64_below(n as u64) as usize
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.

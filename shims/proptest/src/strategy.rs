@@ -1,9 +1,9 @@
 //! The `Strategy` trait and the combinators / primitive strategies the
 //! workspace suites use: ranges, tuples, `Just`, unions (`prop_oneof!`),
-//! map / flat_map / filter, boxing, and a regex-subset string strategy.
+//! map / flat_map / filter and boxing.
 
 use crate::rng::TestRng;
-use crate::test_runner::Reject;
+use crate::test_runner::TestCaseError;
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 
@@ -11,7 +11,8 @@ use std::ops::{Range, RangeInclusive};
 /// whole case back to the runner.
 const FILTER_RETRIES: usize = 256;
 
-pub type SampleResult<T> = Result<T, Reject>;
+/// A sampled value, or [`TestCaseError::Reject`] when a filter gave up.
+pub type SampleResult<T> = Result<T, TestCaseError>;
 
 /// A reusable generator of values. Unlike real proptest there is no
 /// value tree: sampling is direct, and shrinking is a stateless greedy
@@ -63,12 +64,11 @@ pub trait Strategy {
     where
         Self: Sized + 'static,
     {
-        BoxedStrategy(Box::new(self))
+        Box::new(self)
     }
 }
 
 /// Always produces a clone of the wrapped value.
-#[derive(Debug, Clone)]
 pub struct Just<T>(pub T);
 
 impl<T: Clone + Debug> Strategy for Just<T> {
@@ -134,9 +134,9 @@ where
                 return Ok(v);
             }
         }
-        Err(Reject(format!(
-            "filter '{}' kept rejecting samples",
-            self.whence
+        let whence = &self.whence;
+        Err(TestCaseError::Reject(format!(
+            "filter '{whence}' kept rejecting samples"
         )))
     }
 
@@ -148,64 +148,35 @@ where
     }
 }
 
-trait DynStrategy<T> {
-    fn sample_dyn(&self, rng: &mut TestRng) -> SampleResult<T>;
-    fn shrink_dyn(&self, value: &T) -> Vec<T>;
-}
-
-impl<S: Strategy> DynStrategy<S::Value> for S {
-    fn sample_dyn(&self, rng: &mut TestRng) -> SampleResult<S::Value> {
-        self.sample(rng)
-    }
-    fn shrink_dyn(&self, value: &S::Value) -> Vec<S::Value> {
-        self.shrink(value)
-    }
-}
-
 /// Type-erased strategy, produced by [`Strategy::boxed`].
-pub struct BoxedStrategy<T>(Box<dyn DynStrategy<T>>);
+pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 
 impl<T: Debug + Clone> Strategy for BoxedStrategy<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> SampleResult<T> {
-        self.0.sample_dyn(rng)
+        (**self).sample(rng)
     }
     fn shrink(&self, value: &T) -> Vec<T> {
-        self.0.shrink_dyn(value)
+        (**self).shrink(value)
     }
 }
 
-/// Weighted choice among boxed strategies — the engine of `prop_oneof!`.
+/// Uniform choice among boxed strategies — the engine of `prop_oneof!`.
 pub struct Union<T> {
-    arms: Vec<(u32, BoxedStrategy<T>)>,
-    total_weight: u64,
+    arms: Vec<BoxedStrategy<T>>,
 }
 
 impl<T: Debug + Clone> Union<T> {
     pub fn new(arms: Vec<BoxedStrategy<T>>) -> Self {
-        Union::weighted(arms.into_iter().map(|s| (1, s)).collect())
-    }
-
-    pub fn weighted(arms: Vec<(u32, BoxedStrategy<T>)>) -> Self {
         assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
-        let total_weight = arms.iter().map(|(w, _)| u64::from(*w)).sum();
-        assert!(total_weight > 0, "prop_oneof! weights sum to zero");
-        Union { arms, total_weight }
+        Union { arms }
     }
 }
 
 impl<T: Debug + Clone> Strategy for Union<T> {
     type Value = T;
     fn sample(&self, rng: &mut TestRng) -> SampleResult<T> {
-        let mut pick = rng.u64_below(self.total_weight);
-        for (w, arm) in &self.arms {
-            let w = u64::from(*w);
-            if pick < w {
-                return arm.sample(rng);
-            }
-            pick -= w;
-        }
-        unreachable!("weight bookkeeping broken")
+        self.arms[rng.u64_below(self.arms.len() as u64) as usize].sample(rng)
     }
     // No shrink: the producing arm is unknown after the fact, and
     // another arm's candidates could leave the sampled arm's domain.
@@ -225,14 +196,10 @@ pub(crate) fn shrink_int(v: i128, lo: i128) -> Vec<i128> {
     out
 }
 
-/// Shrink ladder toward zero for full-domain integers, mirroring the
-/// ladder for negative values so candidates approach zero from below.
-pub(crate) fn shrink_int_toward_zero(v: i128) -> Vec<i128> {
-    if v >= 0 {
-        shrink_int(v, 0)
-    } else {
-        shrink_int(-v, 0).into_iter().map(|c| -c).collect()
-    }
+/// Uniform in `lo..=hi`: the arithmetic every integer range shares.
+fn sample_int(lo: i128, hi: i128, rng: &mut TestRng) -> i128 {
+    assert!(lo <= hi, "empty range strategy");
+    lo + ((rng.next_u64() as u128) % ((hi - lo + 1) as u128)) as i128
 }
 
 macro_rules! int_range_strategies {
@@ -240,39 +207,26 @@ macro_rules! int_range_strategies {
         impl Strategy for Range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> SampleResult<$t> {
-                assert!(self.start < self.end, "empty range strategy");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let off = (rng.next_u64() as u128) % span;
-                Ok((self.start as i128 + off as i128) as $t)
+                Ok(sample_int(self.start as i128, self.end as i128 - 1, rng) as $t)
             }
             fn shrink(&self, v: &$t) -> Vec<$t> {
-                shrink_int(*v as i128, self.start as i128)
-                    .into_iter()
-                    .map(|c| c as $t)
-                    .collect()
+                shrink_int(*v as i128, self.start as i128).into_iter().map(|c| c as $t).collect()
             }
         }
 
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> SampleResult<$t> {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range strategy");
-                let span = (hi as i128 - lo as i128 + 1) as u128;
-                let off = (rng.next_u64() as u128) % span;
-                Ok((lo as i128 + off as i128) as $t)
+                Ok(sample_int(*self.start() as i128, *self.end() as i128, rng) as $t)
             }
             fn shrink(&self, v: &$t) -> Vec<$t> {
-                shrink_int(*v as i128, *self.start() as i128)
-                    .into_iter()
-                    .map(|c| c as $t)
-                    .collect()
+                shrink_int(*v as i128, *self.start() as i128).into_iter().map(|c| c as $t).collect()
             }
         }
     )+};
 }
 
-int_range_strategies!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_range_strategies!(u8, u32, u64, usize, i32);
 
 macro_rules! float_range_strategies {
     ($($t:ty),+) => {$(
@@ -324,105 +278,14 @@ tuple_strategies! {
     (A 0, B 1, C 2, D 3, E 4);
     (A 0, B 1, C 2, D 3, E 4, F 5);
     (A 0, B 1, C 2, D 3, E 4, F 5, G 6);
-    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
-    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8);
-    (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7, I 8, J 9);
-}
-
-/// String literals are regex-subset strategies, like real proptest.
-/// Supported syntax: literal characters, `[...]` classes with ranges,
-/// and `{n}` / `{m,n}` quantifiers — exactly what the suites use.
-impl Strategy for &'static str {
-    type Value = String;
-    fn sample(&self, rng: &mut TestRng) -> SampleResult<String> {
-        Ok(sample_pattern(self, rng))
-    }
-}
-
-fn sample_pattern(pattern: &str, rng: &mut TestRng) -> String {
-    let chars: Vec<char> = pattern.chars().collect();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let choices: Vec<char> = match chars[i] {
-            '[' => {
-                let (class, next) = parse_class(&chars, i + 1, pattern);
-                i = next;
-                class
-            }
-            '\\' if i + 1 < chars.len() => {
-                i += 2;
-                vec![chars[i - 1]]
-            }
-            c => {
-                i += 1;
-                vec![c]
-            }
-        };
-        let (lo, hi) = if i < chars.len() && chars[i] == '{' {
-            let (lo, hi, next) = parse_quantifier(&chars, i + 1, pattern);
-            i = next;
-            (lo, hi)
-        } else {
-            (1, 1)
-        };
-        let count = lo + rng.u64_below(hi - lo + 1);
-        for _ in 0..count {
-            out.push(choices[rng.usize_below(choices.len())]);
-        }
-    }
-    out
-}
-
-/// Parse a `[...]` body starting just past the `[`; returns the
-/// expanded choice set and the index past the closing `]`.
-fn parse_class(chars: &[char], mut i: usize, pattern: &str) -> (Vec<char>, usize) {
-    let mut class = Vec::new();
-    while i < chars.len() && chars[i] != ']' {
-        if i + 2 < chars.len() && chars[i + 1] == '-' && chars[i + 2] != ']' {
-            let (lo, hi) = (chars[i] as u32, chars[i + 2] as u32);
-            assert!(lo <= hi, "bad class range in pattern strategy '{pattern}'");
-            class.extend((lo..=hi).filter_map(char::from_u32));
-            i += 3;
-        } else {
-            class.push(chars[i]);
-            i += 1;
-        }
-    }
-    assert!(
-        i < chars.len() && !class.is_empty(),
-        "unterminated or empty class in pattern strategy '{pattern}'"
-    );
-    (class, i + 1)
-}
-
-/// Parse `{n}` or `{m,n}` starting just past the `{`; returns the
-/// bounds and the index past the closing `}`.
-fn parse_quantifier(chars: &[char], i: usize, pattern: &str) -> (u64, u64, usize) {
-    let close = chars[i..]
-        .iter()
-        .position(|&c| c == '}')
-        .unwrap_or_else(|| panic!("unterminated quantifier in pattern strategy '{pattern}'"))
-        + i;
-    let body: String = chars[i..close].iter().collect();
-    let (lo, hi) = match body.split_once(',') {
-        Some((a, b)) => (a.trim().parse().unwrap(), b.trim().parse().unwrap()),
-        None => {
-            let n = body.trim().parse().unwrap();
-            (n, n)
-        }
-    };
-    assert!(lo <= hi, "bad quantifier in pattern strategy '{pattern}'");
-    (lo, hi, close + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProptestConfig;
 
     fn rng() -> TestRng {
-        TestRng::new(ProptestConfig::default().seed_for("strategy-unit"))
+        TestRng::new(0x5EED_0FC0_FFEE)
     }
 
     #[test]
@@ -452,32 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn union_honors_weights() {
+    fn union_reaches_every_arm() {
         let mut r = rng();
-        let u = Union::weighted(vec![(9, Just(0u8).boxed()), (1, Just(1u8).boxed())]);
-        let ones: usize = (0..2000).map(|_| u.sample(&mut r).unwrap() as usize).sum();
-        assert!((100..400).contains(&ones), "ones = {ones}");
-    }
-
-    #[test]
-    fn pattern_strategy_matches_subset() {
-        let mut r = rng();
-        for _ in 0..200 {
-            let s = "[a-z]{1,12}".sample(&mut r).unwrap();
-            assert!((1..=12).contains(&s.len()));
-            assert!(s.chars().all(|c| c.is_ascii_lowercase()));
-            let p = "[ -~]{0,24}".sample(&mut r).unwrap();
-            assert!(p.len() <= 24);
-            assert!(p.chars().all(|c| (' '..='~').contains(&c)));
-            let q = "[a-z/]{1,20}".sample(&mut r).unwrap();
-            assert!(q.chars().all(|c| c.is_ascii_lowercase() || c == '/'));
+        let u = Union::new(vec![Just(0u8).boxed(), Just(1).boxed(), Just(2).boxed()]);
+        let mut seen = [0usize; 3];
+        for _ in 0..300 {
+            seen[u.sample(&mut r).unwrap() as usize] += 1;
         }
-    }
-
-    #[test]
-    fn literal_and_fixed_count_patterns() {
-        let mut r = rng();
-        assert_eq!("abc".sample(&mut r).unwrap(), "abc");
-        assert_eq!("x{3}".sample(&mut r).unwrap(), "xxx");
+        assert!(seen.iter().all(|&n| n > 50), "arm counts {seen:?}");
     }
 }

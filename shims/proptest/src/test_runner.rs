@@ -5,17 +5,13 @@ use crate::config::ProptestConfig;
 use crate::rng::TestRng;
 use crate::strategy::Strategy;
 
-/// A rejected sample (filter miss or failed `prop_assume!`). Cheap and
-/// expected; the runner resamples.
-#[derive(Debug, Clone)]
-pub struct Reject(pub String);
-
 /// Outcome of one executed case, proptest-compatible in spirit.
 #[derive(Debug, Clone)]
 pub enum TestCaseError {
     /// A property was violated; aborts the whole test with this message.
     Fail(String),
-    /// The inputs did not satisfy an assumption; the case is retried.
+    /// The inputs did not satisfy an assumption or a filter; the case
+    /// is retried.
     Reject(String),
 }
 
@@ -23,28 +19,10 @@ impl TestCaseError {
     pub fn fail(msg: impl Into<String>) -> Self {
         TestCaseError::Fail(msg.into())
     }
-
-    pub fn reject(msg: impl Into<String>) -> Self {
-        TestCaseError::Reject(msg.into())
-    }
-
-    /// Attach the generated inputs to a failure message.
-    pub fn with_inputs(self, inputs: &[String]) -> Self {
-        match self {
-            TestCaseError::Fail(msg) => TestCaseError::Fail(format!(
-                "{msg}\ngenerated inputs:\n  {}",
-                inputs.join("\n  ")
-            )),
-            reject => reject,
-        }
-    }
 }
 
-impl From<Reject> for TestCaseError {
-    fn from(r: Reject) -> Self {
-        TestCaseError::Reject(r.0)
-    }
-}
+/// Upper bound on `prop_assume!` / filter rejections per test.
+const MAX_GLOBAL_REJECTS: u32 = 65_536;
 
 /// Hard cap on property re-executions during one shrink search, so a
 /// pathological candidate chain cannot stall an already-failing suite.
@@ -56,7 +34,7 @@ const SHRINK_BUDGET: usize = 2048;
 /// minimal value, the number of accepted shrink steps, and the failure
 /// message produced by the minimal case. Candidates that pass or
 /// reject (`prop_assume!`) are simply skipped.
-pub fn shrink_failure<S: Strategy>(
+fn shrink_failure<S: Strategy>(
     strat: &S,
     mut value: S::Value,
     mut msg: String,
@@ -83,58 +61,44 @@ pub fn shrink_failure<S: Strategy>(
 }
 
 /// The `proptest!` macro's engine: sample the argument tuple from
-/// `strat`, execute `case`, and on the first failure run the shrink
-/// search before reporting. `pats` is the stringified argument
-/// pattern, used to label the minimal inputs in the panic message.
-pub fn run_shrinking<S, C>(cfg: &ProptestConfig, name: &str, strat: &S, pats: &str, mut case: C)
+/// `strat` and execute `case` until `cfg`'s count of cases passed. On
+/// the first failure, run the shrink search and panic with the seed
+/// that replays the run and the minimal inputs; `pats` is the
+/// stringified argument pattern that labels them.
+pub fn run<S, C>(cfg: &ProptestConfig, name: &str, strat: &S, pats: &str, mut case: C)
 where
     S: Strategy,
     C: FnMut(S::Value) -> Result<(), TestCaseError>,
 {
-    run(cfg, name, |rng| {
-        let value = strat.sample(rng)?;
-        match case(value.clone()) {
-            Ok(()) => Ok(()),
-            Err(TestCaseError::Reject(r)) => Err(TestCaseError::Reject(r)),
-            Err(TestCaseError::Fail(msg)) => {
-                let (min, steps, msg) = shrink_failure(strat, value, msg, &mut case);
-                Err(TestCaseError::Fail(format!(
-                    "{msg}\nminimal failing input ({steps} shrink steps): {pats} = {min:?}"
-                )))
-            }
-        }
-    });
-}
-
-/// Drive `case` until `effective_cases` successes, panicking on the
-/// first failure with the failing inputs and the seed to replay them.
-pub fn run<F>(cfg: &ProptestConfig, name: &str, mut case: F)
-where
-    F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
-{
-    let target = cfg.effective_cases();
+    let target = cfg.cases;
     let seed = cfg.seed_for(name);
     let mut rng = TestRng::new(seed);
     let mut passed: u32 = 0;
     let mut rejected: u32 = 0;
     while passed < target {
-        match case(&mut rng) {
+        let sampled = strat.sample(&mut rng);
+        let outcome = sampled.and_then(|value| match case(value.clone()) {
+            Err(TestCaseError::Fail(msg)) => {
+                let (min, steps, msg) = shrink_failure(strat, value, msg, &mut case);
+                panic!(
+                    "proptest {name}: case {n} of {target} failed \
+                     (replay with PROPTEST_SEED={seed})\n{msg}\n\
+                     minimal failing input ({steps} shrink steps): {pats} = {min:?}",
+                    n = passed + 1
+                );
+            }
+            other => other,
+        });
+        match outcome {
             Ok(()) => passed += 1,
-            Err(TestCaseError::Reject(_)) => {
+            Err(_) => {
                 rejected += 1;
-                if rejected > cfg.max_global_rejects {
+                if rejected > MAX_GLOBAL_REJECTS {
                     panic!(
                         "proptest {name}: gave up after {rejected} rejected samples \
                          ({passed}/{target} cases passed)"
                     );
                 }
-            }
-            Err(TestCaseError::Fail(msg)) => {
-                panic!(
-                    "proptest {name}: case {n} of {target} failed \
-                     (replay with PROPTEST_SEED={seed})\n{msg}",
-                    n = passed + 1
-                );
             }
         }
     }
@@ -144,21 +108,24 @@ where
 mod tests {
     use super::*;
 
+    fn cfg(cases: u32) -> ProptestConfig {
+        ProptestConfig::with_cases_and_seed(cases, 0x7E57)
+    }
+
     #[test]
     fn runs_requested_cases() {
-        let cfg = ProptestConfig::with_cases(17);
         let mut n = 0;
-        run(&cfg, "count", |_| {
+        run(&cfg(17), "count", &(0u32..10,), "(v)", |_| {
             n += 1;
             Ok(())
         });
-        assert_eq!(n, cfg.effective_cases());
+        assert_eq!(n, 17);
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn failure_panics_with_message() {
-        run(&ProptestConfig::with_cases(5), "fails", |_| {
+        run(&cfg(5), "fails", &(0u32..10,), "(v)", |_| {
             Err(TestCaseError::fail("boom"))
         });
     }
@@ -166,12 +133,9 @@ mod tests {
     #[test]
     fn shrinks_int_to_failure_boundary() {
         let strat = 0u32..1000;
-        let mut case = |v: u32| {
-            if v >= 113 {
-                Err(TestCaseError::fail(format!("{v} too big")))
-            } else {
-                Ok(())
-            }
+        let mut case = |v: u32| match v {
+            0..113 => Ok(()),
+            _ => Err(TestCaseError::fail(format!("{v} too big"))),
         };
         let (min, steps, msg) = shrink_failure(&strat, 877, "877 too big".into(), &mut case);
         assert_eq!(min, 113);
@@ -182,12 +146,9 @@ mod tests {
     #[test]
     fn shrinks_vec_to_single_minimal_offender() {
         let strat = crate::collection::vec(0u8..=255, 0usize..=20);
-        let mut case = |v: Vec<u8>| {
-            if v.iter().any(|&x| x >= 10) {
-                Err(TestCaseError::fail("offender"))
-            } else {
-                Ok(())
-            }
+        let mut case = |v: Vec<u8>| match v.iter().all(|&x| x < 10) {
+            true => Ok(()),
+            false => Err(TestCaseError::fail("offender")),
         };
         let start = vec![3, 200, 7, 45];
         let (min, steps, _) = shrink_failure(&strat, start, "offender".into(), &mut case);
@@ -206,16 +167,51 @@ mod tests {
 
     #[test]
     fn rejects_are_retried() {
-        let cfg = ProptestConfig::with_cases(3);
         let mut calls = 0;
-        run(&cfg, "rejects", |_| {
+        run(&cfg(3), "rejects", &(0u32..10,), "(v)", |_| {
             calls += 1;
             if calls % 2 == 0 {
-                Err(TestCaseError::reject("skip"))
+                Err(TestCaseError::Reject("skip".into()))
             } else {
                 Ok(())
             }
         });
-        assert!(calls > cfg.effective_cases());
+        assert!(calls > 3);
+    }
+
+    /// The replay contract: the seed a failure prints is the test's
+    /// derived seed, and a fresh RNG on it draws the same failing
+    /// input at the same case index.
+    #[test]
+    fn printed_seed_replays_the_failing_case() {
+        let (name, cfg) = ("replay", cfg(256));
+        let strat = (0u32..1000,);
+        let mut first_failure = None;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(&cfg, name, &strat, "(v)", |(v,)| {
+                if v < 900 {
+                    return Ok(());
+                }
+                first_failure.get_or_insert(v);
+                Err(TestCaseError::fail("too big"))
+            })
+        }))
+        .expect_err("a property failing above 900 must fail within 256 cases");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        let field = |key: &str, end: char| -> u64 {
+            let at = msg.find(key).expect(key) + key.len();
+            msg[at..].split(end).next().unwrap().parse().unwrap()
+        };
+        let seed = field("PROPTEST_SEED=", ')');
+        let case = field(": case ", ' ');
+        assert_eq!(seed, cfg.seed_for(name));
+
+        let mut rng = TestRng::new(seed);
+        let draws: Vec<u32> = (0..case)
+            .map(|_| strat.sample(&mut rng).unwrap().0)
+            .collect();
+        let (last, earlier) = draws.split_last().unwrap();
+        assert!(earlier.iter().all(|&v| v < 900), "{draws:?}");
+        assert_eq!(Some(*last), first_failure);
     }
 }

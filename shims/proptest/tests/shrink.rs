@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases_and_seed(256, 0x5EED_0FC0_FFEE))]
     // Any sampled v ≥ 13 fails; the greedy ladder walks it down to
     // exactly 13, the smallest failing value, regardless of the start.
     #[test]
@@ -48,7 +49,7 @@ proptest! {
     // prop_assume rejections during shrinking are skipped, not
     // treated as failures: candidates below 20 are assumed away, so
     // the minimal failing input is the assumption boundary.
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases_and_seed(64, 0x5EED_0FC0_FFEE))]
     #[test]
     #[should_panic(expected = "(20,)")]
     fn assumed_away_candidates_are_not_minimal(v in 0u32..5000) {
