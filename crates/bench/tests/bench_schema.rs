@@ -4,8 +4,8 @@
 //!
 //! This test walks the repository root, parses every `BENCH_*.json`
 //! and `REPRO*.json` with the workspace's strict JSON parser
-//! ([`obs::json`], which also backs the flight recorder and
-//! `scrub --json`), and checks:
+//! ([`obs::json`], which also backs the flight recorder and the
+//! `scrub` CLI's report), and checks:
 //!
 //! - `REPRO.json` is the only such file (the end-to-end and per-layer
 //!   numbers live in `benchmark/`, every other record is a row of the

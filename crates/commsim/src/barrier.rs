@@ -94,11 +94,6 @@ impl Barrier {
         st.poisoned = true;
         self.cvar.notify_all();
     }
-
-    /// Whether the barrier has been poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,6 @@ mod tests {
                 assert_eq!(w.join().unwrap(), Err(BarrierPoisoned));
             }
         });
-        assert!(b.is_poisoned());
         // Poison is sticky: later arrivals fail immediately.
         assert_eq!(b.wait_checked(), Err(BarrierPoisoned));
     }

@@ -119,11 +119,6 @@ impl World {
         World { shared }
     }
 
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.shared.n
-    }
-
     /// Run `f` on every rank in its own thread, returning the per-rank
     /// results in rank order. Panics in any rank propagate.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
@@ -165,11 +160,6 @@ impl Rank {
         self.rank
     }
 
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.shared.n
-    }
-
     /// Mark this world as failed: every rank currently blocked in a
     /// collective and every future collective attempt unblocks with
     /// [`WorldPoisoned`] instead of waiting forever for this rank.
@@ -177,11 +167,6 @@ impl Rank {
     /// Idempotent.
     pub fn poison(&self) {
         self.shared.barrier.poison();
-    }
-
-    /// Whether some rank has poisoned the world.
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.barrier.is_poisoned()
     }
 
     /// Synchronize all ranks; unblocks with [`WorldPoisoned`] if a
@@ -246,7 +231,6 @@ mod tests {
             let v = rk.try_all_gather(rk.rank() * 2).unwrap();
             assert_eq!(&v[..], &[0, 2, 4, 6]);
             rk.try_barrier().unwrap();
-            assert!(!rk.is_poisoned());
         });
     }
 

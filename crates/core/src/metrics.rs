@@ -80,7 +80,8 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Sum of all phases.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.predict + self.allgather + self.compress + self.write + self.overflow + self.verify
     }
 

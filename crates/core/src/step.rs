@@ -42,7 +42,7 @@ impl SourceEstimate {
     /// predicted size; write time scales with it, compression time
     /// does not (it depends on the data, not on what we predict about
     /// it), and `model_bytes` stays what the model said.
-    pub fn blended(self, raw_bytes: u64, p: OnlinePrediction) -> Self {
+    fn blended(self, raw_bytes: u64, p: OnlinePrediction) -> Self {
         let scale = p.bytes as f64 / self.bytes.max(1) as f64;
         SourceEstimate {
             bytes: p.bytes,
@@ -55,8 +55,8 @@ impl SourceEstimate {
 
     /// The estimate partition `cell` of a stream plans with: this
     /// model estimate itself when the stream does not adapt (`online`
-    /// is `None`), otherwise [`SourceEstimate::blended`] with the
-    /// cell's history.
+    /// is `None`), otherwise this estimate blended with the cell's
+    /// history.
     pub fn for_cell(self, raw_bytes: u64, online: Option<&OnlinePredictor>, cell: usize) -> Self {
         match online {
             None => self,
@@ -68,7 +68,7 @@ impl SourceEstimate {
     /// reserves: the estimate's own headroom when it carries a usable
     /// one, the engine-wide `policy` (Eq. 3) otherwise — see
     /// [`ExtraSpacePolicy::reserve_for`].
-    pub fn reservation(&self, policy: &ExtraSpacePolicy) -> (PartitionPrediction, u64) {
+    fn reservation(&self, policy: &ExtraSpacePolicy) -> (PartitionPrediction, u64) {
         let prediction = PartitionPrediction {
             bytes: self.bytes,
             ratio: self.ratio,

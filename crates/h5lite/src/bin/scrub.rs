@@ -1,41 +1,35 @@
 //! Command-line container scrub.
 //!
 //! ```text
-//! scrub <container> [--repair <replica>] [--quarantine] [--json]
+//! scrub <container> [--quarantine]
 //! ```
 //!
-//! Walks the container, prints a damage map, and exits 0 when clean,
-//! 1 when damaged, 2 on usage/I/O errors. `--repair` heals damaged
-//! chunks from a replica container (bytes are verified against the
-//! target's recorded CRCs before being written). `--quarantine`
+//! Walks the container and prints one machine-readable JSON document
+//! on stdout (an [`obs::Json`] object, read back by
+//! [`obs::json::parse`]): container classification, per-chunk
+//! verdicts of the damaged records, the quarantine outcome, and — when
+//! a flight-recorder file (`<stem>.obs.jsonl`) sits beside the
+//! container — the newest readable record in it: what that step, once
+//! completed, reported about itself (fault retries, queue depth, stage
+//! timings). A step that died mid-write left none.
+//!
+//! Exits 0 when clean, 1 when damaged, 2 on usage/I/O errors; a failed
+//! operation prints `{"path", "error", "exit": 2}`. `--quarantine`
 //! renames a container with container-level damage (torn or corrupt
 //! superblock/table) to `<name>.quarantined`.
-//!
-//! `--json` emits one machine-readable JSON document on stdout (an
-//! [`obs::Json`] object, read back by [`obs::json::parse`]) instead of
-//! the human damage map: container classification, per-chunk
-//! verdicts, repair/quarantine outcomes, and — when a flight-recorder
-//! file (`<stem>.obs.jsonl`) sits beside the container — the newest
-//! readable record in it: what that step, once completed, reported
-//! about itself (fault retries, queue depth, stage timings). A step
-//! that died mid-write left none. A failed operation is
-//! `{"path", "error", "exit": 2}`.
-//! Exit codes are identical in both modes.
 
-use h5lite::scrub::{
-    quarantine, repair_from_replica, scrub, ChunkReport, ChunkState, ContainerState,
-};
+use h5lite::scrub::{quarantine, scrub, ChunkReport, ChunkState, ContainerState};
 use obs::json::obj;
 use obs::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: scrub <container> [--repair <replica>] [--quarantine] [--json]");
+    eprintln!("usage: scrub <container> [--quarantine]");
     ExitCode::from(2)
 }
 
-/// One damaged chunk record of the `--json` document.
+/// One damaged chunk record of the document.
 fn chunk_json(c: &ChunkReport) -> Json {
     let mut members = vec![
         ("dataset", Json::Str(c.dataset.clone())),
@@ -58,42 +52,25 @@ fn chunk_json(c: &ChunkReport) -> Json {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
-    let mut replica = None;
     let mut do_quarantine = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--repair" => {
-                i += 1;
-                match args.get(i) {
-                    Some(r) => replica = Some(r.clone()),
-                    None => return usage(),
-                }
-            }
+    for a in std::env::args().skip(1) {
+        match a.as_str() {
             "--quarantine" => do_quarantine = true,
-            "--json" => json = true,
-            a if path.is_none() && !a.starts_with('-') => path = Some(a.to_string()),
+            _ if path.is_none() && !a.starts_with('-') => path = Some(a),
             _ => return usage(),
         }
-        i += 1;
     }
     let Some(path) = path else { return usage() };
 
-    // The one way out of a failed operation, in either mode.
+    // The one way out of a failed operation.
     let fail = |op: &str, e: &dyn std::fmt::Display| {
-        if json {
-            let doc = obj([
-                ("path", Json::Str(path.clone())),
-                ("error", Json::Str(format!("{op}: {e}"))),
-                ("exit", Json::Num(2.0)),
-            ]);
-            println!("{doc}");
-        } else {
-            eprintln!("{op} {path}: {e}");
-        }
+        let doc = obj([
+            ("path", Json::Str(path.clone())),
+            ("error", Json::Str(format!("{op}: {e}"))),
+            ("exit", Json::Num(2.0)),
+        ]);
+        println!("{doc}");
         ExitCode::from(2)
     };
 
@@ -115,107 +92,31 @@ fn main() -> ExitCode {
         Err(_) => (None, 0),
     };
 
-    if !json {
-        match &report.container {
-            ContainerState::Ok => println!(
-                "{path}: container ok (verified), {} chunk record(s)",
-                report.chunks.len()
-            ),
-            state => println!("{path}: container damaged: {state:?}"),
-        }
-        for c in report.damaged() {
-            match c.state {
-                ChunkState::Corrupt { expected, actual } => println!(
-                    "  corrupt   {}[{}] record {} at offset {} ({} bytes): recorded {expected:#010x}, read {actual:#010x}",
-                    c.dataset, c.index, c.record, c.offset, c.stored
-                ),
-                ChunkState::Truncated => println!(
-                    "  truncated {}[{}] record {} at offset {} ({} bytes past end of file)",
-                    c.dataset, c.index, c.record, c.offset, c.stored
-                ),
-                ChunkState::Ok => {}
-            }
-        }
-        if let Some(rec) = &flight {
-            println!(
-                "  flight: step {} — {} retries, {} transient fault(s), {} escalation(s), \
-                 queue depth max {}, {:.4}s total",
-                rec.step,
-                rec.retries,
-                rec.transient_faults,
-                rec.escalations,
-                rec.queue_depth_max,
-                rec.total_secs
-            );
-        }
-    }
-
-    // From here on the human path prints as it goes; the JSON path
-    // collects outcome fields and emits one document at each exit.
     let mut quarantined_to = Json::Null;
-    let mut repair = Json::Null;
-
-    let emit = |exit: u8, quarantined_to: Json, repair: Json| {
-        if json {
-            let flight = flight.as_ref().map(obs::StepFlight::to_json);
-            let doc = obj([
-                ("path", Json::Str(path.clone())),
-                ("container", Json::Str(classification.clone())),
-                ("chunk_records", Json::Num(report.chunks.len() as f64)),
-                (
-                    "damaged",
-                    Json::Arr(report.damaged().map(chunk_json).collect()),
-                ),
-                ("quarantined_to", quarantined_to),
-                ("repair", repair),
-                ("flight", flight.unwrap_or(Json::Null)),
-                ("flight_bad_lines", Json::Num(flight_bad_lines as f64)),
-                ("exit", Json::Num(exit.into())),
-            ]);
-            println!("{doc}");
-        }
-        ExitCode::from(exit)
-    };
-
-    if report.container != ContainerState::Ok {
-        if do_quarantine {
-            match quarantine(&path) {
-                Ok(dest) => {
-                    if !json {
-                        println!("quarantined to {}", dest.display());
-                    }
-                    quarantined_to = Json::Str(dest.display().to_string());
-                }
-                Err(e) => return fail("quarantine", &e),
-            }
-        }
-        return emit(1, quarantined_to, repair);
-    }
-
-    if report.is_clean() {
-        return emit(0, quarantined_to, repair);
-    }
-
-    if let Some(replica) = replica {
-        match repair_from_replica(&path, &replica) {
-            Ok(rep) => {
-                if !json {
-                    println!(
-                        "repair from {replica}: {} repaired, {} unrepairable",
-                        rep.repaired, rep.unrepairable
-                    );
-                }
-                repair = obj([
-                    ("replica", Json::Str(replica)),
-                    ("repaired", Json::Num(rep.repaired as f64)),
-                    ("unrepairable", Json::Num(rep.unrepairable as f64)),
-                ]);
-                if rep.unrepairable == 0 {
-                    return emit(0, quarantined_to, repair);
-                }
-            }
-            Err(e) => return fail("repair", &e),
+    if report.container != ContainerState::Ok && do_quarantine {
+        match quarantine(&path) {
+            Ok(dest) => quarantined_to = Json::Str(dest.display().to_string()),
+            Err(e) => return fail("quarantine", &e),
         }
     }
-    emit(1, quarantined_to, repair)
+
+    let exit = if report.is_clean() { 0 } else { 1 };
+    let doc = obj([
+        ("path", Json::Str(path.clone())),
+        ("container", Json::Str(classification)),
+        ("chunk_records", Json::Num(report.chunks.len() as f64)),
+        (
+            "damaged",
+            Json::Arr(report.damaged().map(chunk_json).collect()),
+        ),
+        ("quarantined_to", quarantined_to),
+        (
+            "flight",
+            flight.as_ref().map_or(Json::Null, obs::StepFlight::to_json),
+        ),
+        ("flight_bad_lines", Json::Num(flight_bad_lines as f64)),
+        ("exit", Json::Num(exit.into())),
+    ]);
+    println!("{doc}");
+    ExitCode::from(exit)
 }

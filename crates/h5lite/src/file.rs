@@ -23,7 +23,7 @@ use crate::asyncq::EventSet;
 use crate::chunk::{scatter_tile, slab_points, tile_points};
 use crate::crc::crc32c;
 use crate::error::{H5Error, Result};
-use crate::filter::{FilterRegistry, FilterScratch, ReadElement};
+use crate::filter::{invert_to, FilterScratch, ReadElement};
 use crate::meta::{
     deserialize_table, serialize_table, AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec,
 };
@@ -88,7 +88,7 @@ impl Superblock {
     }
 
     /// Encode a superblock (with trailer CRC) for `close()`.
-    pub fn encode(table_offset: u64, table_len: u64, table_crc: u32) -> Vec<u8> {
+    fn encode(table_offset: u64, table_len: u64, table_crc: u32) -> Vec<u8> {
         let mut sb = Vec::with_capacity(SUPERBLOCK as usize);
         sb.extend_from_slice(&MAGIC.to_le_bytes());
         sb.push(VERSION);
@@ -176,7 +176,6 @@ impl DatasetSpec {
 struct Inner {
     file: SharedFile,
     datasets: Mutex<Vec<DatasetMeta>>,
-    registry: FilterRegistry,
     closed: AtomicBool,
     /// Recycles stored-chunk buffers between the compression pipeline
     /// and the async write queue, across every dataset of the file.
@@ -207,7 +206,6 @@ impl H5File {
             inner: Arc::new(Inner {
                 file,
                 datasets: Mutex::new(Vec::new()),
-                registry: FilterRegistry::default(),
                 closed: AtomicBool::new(false),
                 pool: Arc::new(BufferPool::new()),
             }),
@@ -217,11 +215,6 @@ impl H5File {
     /// Underlying shared file.
     pub fn shared_file(&self) -> &SharedFile {
         &self.inner.file
-    }
-
-    /// Filter registry used on the write path.
-    pub fn registry(&self) -> &FilterRegistry {
-        &self.inner.registry
     }
 
     fn check_open(&self) -> Result<()> {
@@ -302,7 +295,6 @@ impl H5File {
         // A contiguous dataset is a single tile spanning the extents.
         let cd = chunk_dims.unwrap_or_else(|| dims.clone());
         compress_chunks(
-            &self.inner.registry,
             &filters,
             data,
             &dims,
@@ -465,7 +457,6 @@ impl H5File {
 pub struct H5Reader {
     file: SharedFile,
     datasets: Vec<DatasetMeta>,
-    registry: FilterRegistry,
     /// Physical file length at open, for cheap truncation checks.
     flen: u64,
 }
@@ -482,15 +473,8 @@ impl H5Reader {
         Ok(H5Reader {
             file,
             datasets,
-            registry: FilterRegistry::default(),
             flen,
         })
-    }
-
-    /// Underlying shared file (e.g. to attach fault injection in
-    /// tests).
-    pub fn shared_file(&self) -> &SharedFile {
-        &self.file
     }
 
     /// Dataset names in creation order.
@@ -654,8 +638,7 @@ impl H5Reader {
             let _span = obs::span_arg("h5.chunk_decode", i);
             let i = i as usize;
             self.read_segments(&records[starts[i]..starts[i + 1]], stored)?;
-            self.registry
-                .invert_to(&d.filters, d.dtype, stored, scratch, dst)
+            invert_to(&d.filters, d.dtype, stored, scratch, dst)
         };
         // The output as disjoint parts, one lock each: a slab per chunk
         // where chunks are runs (taken once, by the one worker that
@@ -858,43 +841,75 @@ mod tests {
 
     #[test]
     fn pipelined_write_is_byte_identical_to_serial() {
-        let data: Vec<f32> = (0..24 * 20 * 16).map(|i| (i as f32 * 0.01).sin()).collect();
-        let bytes = f32_bytes(&data);
-        let params = SzFilterParams {
-            absolute: true,
-            bound: 1e-3,
-            dims: vec![8, 10, 16],
-        }
-        .to_bytes();
-        let spec = || {
-            DatasetSpec::new("t", Dtype::F32, &[24, 20, 16])
-                .chunked(&[8, 10, 16])
-                .with_filter(FilterSpec {
-                    id: SZLITE_FILTER_ID,
-                    params: params.clone(),
-                })
+        // Chains of one and two byte stages (the ping-pong parity of
+        // both stage counts) behind the szlite stage, on both float
+        // types, and without it on bytes.
+        let sz = FilterSpec {
+            id: SZLITE_FILTER_ID,
+            params: SzFilterParams {
+                absolute: true,
+                bound: 1e-3,
+                dims: vec![8, 10, 16],
+            }
+            .to_bytes(),
         };
+        let lzss = FilterSpec {
+            id: LZSS_FILTER_ID,
+            params: vec![],
+        };
+        let n = 24 * 20 * 16;
+        let f32s = f32_bytes(&(0..n).map(|i| (i as f32 * 0.01).sin()).collect::<Vec<_>>());
+        let f64s: Vec<u8> = (0..n)
+            .flat_map(|i| (i as f64 * 0.01).sin().to_le_bytes())
+            .collect();
+        let u8s: Vec<u8> = (0..n).map(|i| (i / 7 % 251) as u8).collect();
+        // (element type, szlite first, LZSS stages after, data)
+        let cases = [
+            (Dtype::F32, true, 0, &f32s),
+            (Dtype::F32, true, 2, &f32s),
+            (Dtype::F64, true, 2, &f64s),
+            (Dtype::U8, false, 2, &u8s),
+        ];
+        for (dtype, sz_first, n_lzss, bytes) in cases {
+            let tag = format!("{dtype:?} sz {sz_first} + {n_lzss} LZSS");
+            let mut spec = DatasetSpec::new("t", dtype, &[24, 20, 16]).chunked(&[8, 10, 16]);
+            if sz_first {
+                spec = spec.with_filter(sz.clone());
+            }
+            for _ in 0..n_lzss {
+                spec = spec.with_filter(lzss.clone());
+            }
 
-        let serial_path = tmp("pipe-serial");
-        let f = H5File::create(&serial_path).unwrap();
-        let id = f.create_dataset(spec()).unwrap();
-        f.write_full(id, &bytes).unwrap();
-        f.close().unwrap();
-        let serial = std::fs::read(&serial_path).unwrap();
-        std::fs::remove_file(&serial_path).unwrap();
-
-        for workers in [1usize, 3, 8] {
-            let path = tmp(&format!("pipe-{workers}"));
-            let f = H5File::create(&path).unwrap();
-            let id = f.create_dataset(spec()).unwrap();
-            let es = crate::EventSet::new(2);
-            f.write_full_pipelined(id, &bytes, workers, &es, None)
-                .unwrap();
-            es.wait().unwrap();
+            let serial_path = tmp("pipe-serial");
+            let f = H5File::create(&serial_path).unwrap();
+            let id = f.create_dataset(spec.clone()).unwrap();
+            f.write_full(id, bytes).unwrap();
             f.close().unwrap();
-            let parallel = std::fs::read(&path).unwrap();
-            assert_eq!(parallel, serial, "workers={workers}");
-            std::fs::remove_file(&path).unwrap();
+            let serial = std::fs::read(&serial_path).unwrap();
+            if dtype == Dtype::U8 {
+                // The float chains' read-back is tests/read_pipeline.rs's
+                // matrix; LZSS alone restores exactly.
+                let r = H5Reader::open(&serial_path).unwrap();
+                for workers in [1usize, 2, 8] {
+                    let restored = r.read_full_pipelined("t", workers).unwrap();
+                    assert_eq!(&restored, bytes, "{tag} workers={workers}");
+                }
+            }
+            std::fs::remove_file(&serial_path).unwrap();
+
+            for workers in [1usize, 2, 3, 8] {
+                let path = tmp(&format!("pipe-{workers}"));
+                let f = H5File::create(&path).unwrap();
+                let id = f.create_dataset(spec.clone()).unwrap();
+                let es = crate::EventSet::new(2);
+                f.write_full_pipelined(id, bytes, workers, &es, None)
+                    .unwrap();
+                es.wait().unwrap();
+                f.close().unwrap();
+                let parallel = std::fs::read(&path).unwrap();
+                assert_eq!(parallel, serial, "{tag} workers={workers}");
+                std::fs::remove_file(&path).unwrap();
+            }
         }
     }
 

@@ -1,24 +1,24 @@
-//! H5Z-like dynamically registered filter pipeline.
+//! H5Z-like filter pipeline over a closed set of two filters.
 //!
-//! HDF5 compresses chunks through a chain of registered filters; the
-//! paper's baseline is the H5Z-SZ filter (id 32017). We keep an
-//! szlite-backed equivalent under the same id, plus an LZSS
-//! "deflate-like" filter, and apply chains in declaration order on
-//! write / reverse order on read.
+//! HDF5 registers its filters at run time because it hosts third-party
+//! plugins; the paper's baseline is one of them, the H5Z-SZ filter
+//! (id 32017). This crate knows exactly two ids and matches on them:
+//! an szlite-backed equivalent under H5Z-SZ's id, and an LZSS
+//! "deflate-like" filter. Any other id is
+//! [`H5Error::UnknownFilter`]. Chains apply in declaration order on
+//! write and in reverse order on read.
 //!
 //! The chain has one *typed* stage and any number of byte stages. The
 //! szlite filter consumes and restores the dataset's elements (`f32`
 //! or `f64`, by the dataset's [`Dtype`]), so it is only meaningful as
-//! the first-declared stage; every [`Filter`] after it maps bytes to
-//! bytes. On read, [`FilterRegistry::invert_to`] inverts the byte
-//! stages through the scratch's ping-pong buffers and lets the typed
-//! stage write each restored value once, straight into the caller's
-//! destination ([`ReadElement`]).
+//! the first-declared stage; every LZSS stage maps bytes to bytes. On
+//! read, [`invert_to`] inverts the byte stages through the scratch's
+//! ping-pong buffers and lets the typed stage write each restored
+//! value once, straight into the caller's destination
+//! ([`ReadElement`]).
 
 use crate::error::{H5Error, Result};
 use crate::meta::{Dtype, FilterSpec};
-use std::collections::HashMap;
-use std::sync::Arc;
 use szlite::stream::{get_f64, get_varint, put_f64, put_varint};
 use szlite::{Config, Dims, ErrorBound};
 
@@ -43,7 +43,7 @@ pub const LZSS_FILTER_ID: u32 = 1;
 #[derive(Debug, Default)]
 pub struct FilterScratch {
     /// szlite compressor workspace.
-    pub sz: szlite::Scratch,
+    sz: szlite::Scratch,
     /// szlite decompressor workspace (the decode mirror of `sz`).
     dsz: szlite::DecompressScratch,
     /// LZSS filter matcher state.
@@ -64,36 +64,6 @@ impl FilterScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// A byte stage of a filter chain: bytes → bytes, invertible.
-///
-/// The trait is symmetric: both directions borrow their input, append
-/// to a caller-cleared output buffer, and reuse [`FilterScratch`]
-/// state instead of allocating per call, so worker pools on either
-/// side of the pipeline run allocation-free at steady state.
-pub trait Filter: Send + Sync {
-    /// Registered id.
-    fn id(&self) -> u32;
-    /// Forward (compress/transform) pass: encode `data`, appending the
-    /// result to `out` (cleared by the caller) and reusing `scratch`
-    /// buffers instead of allocating per call.
-    fn encode(
-        &self,
-        data: &[u8],
-        params: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut FilterScratch,
-    ) -> Result<()>;
-    /// Inverse pass: decode `data`, appending the result to `out`
-    /// (cleared by the caller) and reusing `scratch` buffers.
-    fn decode(
-        &self,
-        data: &[u8],
-        params: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut FilterScratch,
-    ) -> Result<()>;
 }
 
 /// Parameters of the szlite filter, stored in [`FilterSpec::params`].
@@ -316,182 +286,116 @@ fn copy_from_le<T: ReadElement>(src: &[u8], out: &mut [T]) -> Result<()> {
     Ok(())
 }
 
-/// LZSS lossless filter: szlite's trailing lossless stage on its own,
-/// with that stage's bytes contract (see [`szlite::lossless`]).
-pub struct LzssFilter;
-
-impl Filter for LzssFilter {
-    fn id(&self) -> u32 {
-        LZSS_FILTER_ID
-    }
-
-    fn encode(
-        &self,
-        data: &[u8],
-        _params: &[u8],
-        out: &mut Vec<u8>,
-        scratch: &mut FilterScratch,
-    ) -> Result<()> {
-        szlite::lossless::compress_into(data, out, &mut scratch.lz);
-        Ok(())
-    }
-
-    fn decode(
-        &self,
-        data: &[u8],
-        _params: &[u8],
-        out: &mut Vec<u8>,
-        _scratch: &mut FilterScratch,
-    ) -> Result<()> {
-        szlite::lossless::decompress_into(data, out)?;
-        Ok(())
-    }
-}
-
-/// Registry of byte-stage implementations by id, and the one place
-/// that knows the szlite stage is typed.
-#[derive(Clone)]
-pub struct FilterRegistry {
-    filters: HashMap<u32, Arc<dyn Filter>>,
-}
-
-impl Default for FilterRegistry {
-    fn default() -> Self {
-        let mut r = FilterRegistry {
-            filters: HashMap::new(),
+/// Run the stages of `specs` over `data` — in declaration order
+/// forward, in reverse order otherwise — ping-ponging between `out`
+/// and the scratch stage buffer so the final stage always lands in
+/// `out` and nothing is allocated. Each stage is matched on its id:
+/// forward, a first stage that is the szlite filter is the typed one
+/// and takes `dtype` elements; an LZSS stage is szlite's trailing
+/// lossless stage on its own, with that stage's bytes contract (see
+/// [`szlite::lossless`]).
+fn run_chain(
+    specs: &[FilterSpec],
+    forward: bool,
+    dtype: Dtype,
+    data: &[u8],
+    scratch: &mut FilterScratch,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    // The stage buffer lives outside `scratch` for the duration so
+    // the codec can borrow `scratch` mutably alongside it.
+    let mut stage = std::mem::take(&mut scratch.stage);
+    let n = specs.len();
+    // Parity: with an odd stage count the first output already goes
+    // to `out`, so the alternation ends there.
+    let mut into_out = n % 2 == 1;
+    let mut res = Ok(());
+    for k in 0..n {
+        let s = &specs[if forward { k } else { n - 1 - k }];
+        let first = k == 0;
+        let (dst, src): (&mut Vec<u8>, &[u8]) = if into_out {
+            (&mut *out, if first { data } else { &stage })
+        } else {
+            (&mut stage, if first { data } else { out })
         };
-        r.register(Arc::new(LzssFilter));
-        r
+        dst.clear();
+        res = match s.id {
+            SZLITE_FILTER_ID if forward && first => sz_encode(src, &s.params, dtype, dst, scratch),
+            // Past the first-declared position its input is no longer
+            // the dataset's elements.
+            SZLITE_FILTER_ID => Err(H5Error::Filter(
+                "the sz filter must be a chain's first stage".into(),
+            )),
+            LZSS_FILTER_ID if forward => {
+                szlite::lossless::compress_into(src, dst, &mut scratch.lz);
+                Ok(())
+            }
+            LZSS_FILTER_ID => szlite::lossless::decompress_into(src, dst).map_err(H5Error::from),
+            id => Err(H5Error::UnknownFilter(id)),
+        };
+        if res.is_err() {
+            break;
+        }
+        into_out = !into_out;
     }
+    scratch.stage = stage;
+    res
 }
 
-impl FilterRegistry {
-    fn register(&mut self, f: Arc<dyn Filter>) {
-        self.filters.insert(f.id(), f);
+/// Apply a pipeline in declaration order (write path) to a chunk of
+/// `dtype` elements, appending the final stage's output to `out`
+/// (cleared first).
+///
+/// The input is borrowed and `scratch` supplies every intermediate
+/// buffer, so a caller recycling `out` (e.g. through a
+/// [`BufferPool`](crate::BufferPool)) runs the whole chain without
+/// allocating.
+pub fn apply_into(
+    specs: &[FilterSpec],
+    dtype: Dtype,
+    data: &[u8],
+    scratch: &mut FilterScratch,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    out.clear();
+    if specs.is_empty() {
+        out.extend_from_slice(data);
+        return Ok(());
     }
+    run_chain(specs, true, dtype, data, scratch, out)
+}
 
-    /// Look up a byte stage by id. The szlite filter is not one: past
-    /// the first-declared position its input is no longer the
-    /// dataset's elements.
-    pub fn get(&self, id: u32) -> Result<&Arc<dyn Filter>> {
-        if id == SZLITE_FILTER_ID {
-            return Err(H5Error::Filter(
-                "the sz filter must be a chain's first stage".into(),
-            ));
+/// Invert a pipeline in reverse order (read path) into `out`, which
+/// must hold exactly the chunk — the mirror image of [`apply_into`],
+/// generic over what the dataset is restored as. The byte stages run
+/// through the scratch's buffers; the last step writes every element
+/// of `out` once: the szlite stage decodes into it, any other chain's
+/// bytes are converted into it.
+pub fn invert_to<T: ReadElement>(
+    specs: &[FilterSpec],
+    dtype: Dtype,
+    data: &[u8],
+    scratch: &mut FilterScratch,
+    out: &mut [T],
+) -> Result<()> {
+    let typed = specs.first().is_some_and(|s| s.id == SZLITE_FILTER_ID);
+    let bytes = &specs[usize::from(typed)..];
+    let mut unfiltered = std::mem::take(&mut scratch.bytes);
+    let res = (|| {
+        let src = if bytes.is_empty() {
+            data
+        } else {
+            run_chain(bytes, false, dtype, data, scratch, &mut unfiltered)?;
+            &unfiltered
+        };
+        if typed {
+            T::decode_sz(src, dtype, scratch, out)
+        } else {
+            copy_from_le(src, out)
         }
-        self.filters.get(&id).ok_or(H5Error::UnknownFilter(id))
-    }
-
-    /// Run `n` stages over `data`, ping-ponging between `out` and the
-    /// scratch stage buffer so the final stage always lands in `out`
-    /// and nothing is allocated. Forward, a first stage that is the
-    /// szlite filter is the typed one and takes `dtype` elements.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chain<'a>(
-        &self,
-        stages: impl Iterator<Item = &'a FilterSpec>,
-        n: usize,
-        dtype: Dtype,
-        data: &[u8],
-        scratch: &mut FilterScratch,
-        out: &mut Vec<u8>,
-        forward: bool,
-    ) -> Result<()> {
-        // The stage buffer lives outside `scratch` for the duration so
-        // the codec can borrow `scratch` mutably alongside it.
-        let mut stage = std::mem::take(&mut scratch.stage);
-        // Parity: with an odd stage count the first output already
-        // goes to `out`, so the alternation ends there.
-        let mut into_out = n % 2 == 1;
-        let mut first = true;
-        let mut res = Ok(());
-        for s in stages {
-            let (dst, src): (&mut Vec<u8>, &[u8]) = if into_out {
-                (&mut *out, if first { data } else { &stage })
-            } else {
-                (&mut stage, if first { data } else { out })
-            };
-            dst.clear();
-            res = if forward && first && s.id == SZLITE_FILTER_ID {
-                sz_encode(src, &s.params, dtype, dst, scratch)
-            } else {
-                self.get(s.id).and_then(|f| {
-                    if forward {
-                        f.encode(src, &s.params, dst, scratch)
-                    } else {
-                        f.decode(src, &s.params, dst, scratch)
-                    }
-                })
-            };
-            if res.is_err() {
-                break;
-            }
-            into_out = !into_out;
-            first = false;
-        }
-        scratch.stage = stage;
-        res
-    }
-
-    /// Apply a pipeline in declaration order (write path) to a chunk
-    /// of `dtype` elements, appending the final stage's output to
-    /// `out` (cleared first).
-    ///
-    /// The input is borrowed and `scratch` supplies every intermediate
-    /// buffer, so a caller recycling `out` (e.g. through a
-    /// [`BufferPool`](crate::BufferPool)) runs the whole chain without
-    /// allocating.
-    pub fn apply_into(
-        &self,
-        specs: &[FilterSpec],
-        dtype: Dtype,
-        data: &[u8],
-        scratch: &mut FilterScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        out.clear();
-        if specs.is_empty() {
-            out.extend_from_slice(data);
-            return Ok(());
-        }
-        self.run_chain(specs.iter(), specs.len(), dtype, data, scratch, out, true)
-    }
-
-    /// Invert a pipeline in reverse order (read path) into `out`, which
-    /// must hold exactly the chunk — the mirror image of
-    /// [`FilterRegistry::apply_into`], generic over what the dataset is
-    /// restored as. The byte stages run through the scratch's buffers;
-    /// the last step writes every element of `out` once: the szlite
-    /// stage decodes into it, any other chain's bytes are converted
-    /// into it.
-    pub fn invert_to<T: ReadElement>(
-        &self,
-        specs: &[FilterSpec],
-        dtype: Dtype,
-        data: &[u8],
-        scratch: &mut FilterScratch,
-        out: &mut [T],
-    ) -> Result<()> {
-        let typed = specs.first().is_some_and(|s| s.id == SZLITE_FILTER_ID);
-        let bytes = &specs[usize::from(typed)..];
-        let mut unfiltered = std::mem::take(&mut scratch.bytes);
-        let res = (|| {
-            let src = if bytes.is_empty() {
-                data
-            } else {
-                let (stages, n) = (bytes.iter().rev(), bytes.len());
-                self.run_chain(stages, n, dtype, data, scratch, &mut unfiltered, false)?;
-                &unfiltered
-            };
-            if typed {
-                T::decode_sz(src, dtype, scratch, out)
-            } else {
-                copy_from_le(src, out)
-            }
-        })();
-        scratch.bytes = unfiltered;
-        res
-    }
+    })();
+    scratch.bytes = unfiltered;
+    res
 }
 
 #[cfg(test)]
@@ -523,8 +427,7 @@ mod tests {
 
     fn apply(specs: &[FilterSpec], dtype: Dtype, data: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        let reg = FilterRegistry::default();
-        reg.apply_into(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
+        apply_into(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -535,8 +438,7 @@ mod tests {
         n: usize,
     ) -> Result<Vec<T>> {
         let mut out = vec![T::default(); n];
-        let reg = FilterRegistry::default();
-        reg.invert_to(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
+        invert_to(specs, dtype, data, &mut FilterScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -633,7 +535,6 @@ mod tests {
 
     #[test]
     fn pipeline_order_and_inverse() {
-        let reg = FilterRegistry::default();
         // szlite → LZSS: two stages through the inter-stage ping-pong
         // buffer whose inverse only works in reverse order (LZSS bytes
         // are not an szlite stream).
@@ -642,14 +543,12 @@ mod tests {
         let specs = vec![sz_spec(1e-3, &[1024]), lzss_spec()];
         let apply = |data: &[u8], scratch: &mut FilterScratch| {
             let mut out = Vec::new();
-            reg.apply_into(&specs, Dtype::F32, data, scratch, &mut out)
-                .unwrap();
+            apply_into(&specs, Dtype::F32, data, scratch, &mut out).unwrap();
             out
         };
         let invert = |data: &[u8], scratch: &mut FilterScratch| {
             let mut out = vec![0.0f32; vals.len()];
-            reg.invert_to(&specs, Dtype::F32, data, scratch, &mut out)
-                .unwrap();
+            invert_to(&specs, Dtype::F32, data, scratch, &mut out).unwrap();
             out
         };
         let mut scratch = FilterScratch::new();

@@ -11,9 +11,10 @@
 //!   attributes ([`meta`], [`mod@file`]);
 //! * **contiguous and chunked layouts** with tile gather/scatter on
 //!   read/write ([`chunk`]);
-//! * an **H5Z-like filter pipeline** with the szlite lossy filter
-//!   under H5Z-SZ's id 32017 as its typed first stage (`f32` or `f64`,
-//!   by the dataset's element type), plus LZSS ([`filter`]);
+//! * an **H5Z-like filter pipeline**, a closed match over two ids: the
+//!   szlite lossy filter under H5Z-SZ's id 32017 as its typed first
+//!   stage (`f32` or `f64`, by the dataset's element type), and LZSS
+//!   byte stages; any other id is an error ([`filter`]);
 //! * **event-set asynchronous writes** on background threads — the
 //!   async-VOL capability the paper's overlap design builds on
 //!   ([`asyncq`]);
@@ -49,10 +50,7 @@ pub use asyncq::EventSet;
 pub use crc::crc32c;
 pub use error::{AsyncWriteFailure, H5Error, Result};
 pub use file::{DatasetId, DatasetSpec, H5File, H5Reader, MAGIC, SUPERBLOCK, VERSION};
-pub use filter::{
-    Filter, FilterRegistry, FilterScratch, ReadElement, SzFilterParams, LZSS_FILTER_ID,
-    SZLITE_FILTER_ID,
-};
+pub use filter::{FilterScratch, ReadElement, SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID};
 pub use meta::{AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec};
 pub use pipeline::{compress_chunks, ordered_fanout};
 pub use pool::BufferPool;

@@ -33,7 +33,7 @@
 
 use crate::chunk::gather_tile_into;
 use crate::error::{H5Error, Result};
-use crate::filter::{FilterRegistry, FilterScratch};
+use crate::filter::{apply_into, FilterScratch};
 use crate::meta::{Dtype, FilterSpec};
 use crate::pool::BufferPool;
 use std::collections::BTreeMap;
@@ -137,7 +137,7 @@ where
 }
 
 /// Compress every chunk of a chunked dataset of `dtype` elements
-/// through the registry's filter chain on `workers` threads, delivering
+/// through the `filters` chain on `workers` threads, delivering
 /// `(chunk_index, stored_bytes, raw_len)` to `sink` in ascending chunk
 /// order. Each worker gathers its own tiles from the shared `data`
 /// buffer (no per-chunk input copies on the caller side) and reuses
@@ -150,7 +150,6 @@ where
 /// allocates nothing per chunk.
 #[allow(clippy::too_many_arguments)]
 pub fn compress_chunks<S>(
-    registry: &FilterRegistry,
     filters: &[FilterSpec],
     data: &[u8],
     dims: &[u64],
@@ -179,7 +178,7 @@ where
             let _span = obs::span_arg("h5.chunk_compress", c);
             gather_tile_into(data, dims, dtype.size(), chunk_dims, c, tile)?;
             let mut stored = pool.take();
-            registry.apply_into(filters, dtype, tile, scratch, &mut stored)?;
+            apply_into(filters, dtype, tile, scratch, &mut stored)?;
             Ok((stored, tile.len() as u64))
         },
         |c, (stored, raw)| sink(c, stored, raw),

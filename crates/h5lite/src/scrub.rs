@@ -1,11 +1,9 @@
-//! Container scrub: walk an h5lite file, classify every chunk, and
-//! optionally repair from a replica.
+//! Container scrub: walk an h5lite file and classify every chunk.
 //!
 //! Unlike [`H5Reader`](crate::H5Reader), which fails fast on the first
 //! integrity violation, the scrub pass keeps going and produces a full
 //! damage map — the input a recovery policy needs to decide between
-//! repair (a replica holds verified bytes for the damaged extents),
-//! mark-and-skip, and quarantine (the container is torn at the
+//! mark-and-skip and quarantine (the container is torn at the
 //! superblock and cannot be trusted at all).
 
 use crate::crc::crc32c;
@@ -182,89 +180,6 @@ pub fn scrub(path: impl AsRef<Path>) -> Result<ScrubReport> {
     })
 }
 
-/// Outcome of [`repair_from_replica`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Damaged records whose bytes were restored (and re-verified)
-    /// from the replica.
-    pub repaired: usize,
-    /// Damaged records the replica could not heal (replica missing
-    /// the record, size mismatch, or replica bytes failing the CRC).
-    pub unrepairable: usize,
-}
-
-/// Repair damaged chunks of `path` in place from `replica` — a
-/// container holding the same datasets (e.g. the burst-buffer copy of
-/// a checkpoint whose PFS copy rotted, or vice versa). Each damaged
-/// record is matched by (dataset, chunk index, record position); the
-/// replica's bytes must verify against the *target's* recorded CRC
-/// before they are written, so a diverged replica can never make
-/// things worse. Container-level damage (torn/corrupt superblock or
-/// table) is not repairable chunk-wise — quarantine instead.
-pub fn repair_from_replica(
-    path: impl AsRef<Path>,
-    replica: impl AsRef<Path>,
-) -> Result<RepairReport> {
-    let report = scrub(&path)?;
-    if report.container != ContainerState::Ok {
-        return Err(H5Error::InvalidState(
-            "container-level damage is not chunk-repairable; quarantine the file",
-        ));
-    }
-    let mut out = RepairReport::default();
-    if report.damaged().next().is_none() {
-        return Ok(out);
-    }
-    let target = SharedFile::open(path.as_ref()).map_err(H5Error::Io)?;
-    let replica_file = SharedFile::open(replica.as_ref()).map_err(H5Error::Io)?;
-    let replica_meta = match load_meta(&replica_file)? {
-        Ok(datasets) => datasets,
-        Err(_) => {
-            // A damaged replica heals nothing.
-            out.unrepairable = report.damaged().count();
-            return Ok(out);
-        }
-    };
-    let target_meta = match load_meta(&target)? {
-        Ok(datasets) => datasets,
-        Err(_) => unreachable!("scrub above verified the container"),
-    };
-    let rlen = replica_file.len().map_err(H5Error::Io)?;
-    let mut buf = Vec::new();
-    for damaged in report.damaged() {
-        let repaired = (|| -> Option<()> {
-            let t_ds = target_meta.iter().find(|d| d.name == damaged.dataset)?;
-            let r_ds = replica_meta.iter().find(|d| d.name == damaged.dataset)?;
-            let want = t_ds.chunks.get(damaged.record)?;
-            let have = r_ds.chunks.get(damaged.record)?;
-            if have.index != want.index || have.stored != want.stored {
-                return None;
-            }
-            if have.offset.checked_add(have.stored)? > rlen {
-                return None;
-            }
-            buf.clear();
-            buf.resize(have.stored as usize, 0);
-            replica_file.read_at(have.offset, &mut buf).ok()?;
-            // Verify against the target's recorded CRC: only bytes
-            // that restore the original content are written back.
-            if crc32c(&buf) != want.crc {
-                return None;
-            }
-            target.write_at(want.offset, &buf).ok()?;
-            Some(())
-        })()
-        .is_some();
-        if repaired {
-            out.repaired += 1;
-        } else {
-            out.unrepairable += 1;
-        }
-    }
-    target.sync().map_err(H5Error::Io)?;
-    Ok(out)
-}
-
 /// Mark-and-skip: rename a damaged container to
 /// `<name>.quarantined`, returning the new path. Recovery then
 /// re-produces the step instead of trusting damaged bytes.
@@ -292,21 +207,20 @@ mod tests {
         p
     }
 
-    fn write_container(path: &Path, seed: u8) -> Vec<u8> {
+    fn write_container(path: &Path) {
         let f = H5File::create(path).unwrap();
-        let data: Vec<u8> = (0..2048u32).map(|i| (i as u8).wrapping_add(seed)).collect();
+        let data: Vec<u8> = (0..2048u32).map(|i| i as u8).collect();
         let id = f
             .create_dataset(DatasetSpec::new("v", Dtype::U8, &[2048]).chunked(&[512]))
             .unwrap();
         f.write_full(id, &data).unwrap();
         f.close().unwrap();
-        data
     }
 
     #[test]
     fn clean_container_scrubs_clean() {
         let path = tmp("clean");
-        write_container(&path, 0);
+        write_container(&path);
         let r = scrub(&path).unwrap();
         assert!(r.is_clean());
         assert_eq!(r.chunks.len(), 4);
@@ -314,11 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_classified_corrupt_and_repaired_from_replica() {
+    fn bit_flip_classified_corrupt() {
         let path = tmp("flip");
-        let replica = tmp("flip-replica");
-        let data = write_container(&path, 0);
-        write_container(&replica, 0);
+        write_container(&path);
 
         // Flip a bit in the third chunk.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -332,45 +244,7 @@ mod tests {
         let bad = r.damaged().next().unwrap();
         assert_eq!(bad.dataset, "v");
         assert_eq!(bad.index, 2);
-
-        let rep = repair_from_replica(&path, &replica).unwrap();
-        assert_eq!(
-            rep,
-            RepairReport {
-                repaired: 1,
-                unrepairable: 0
-            }
-        );
-        assert!(scrub(&path).unwrap().is_clean());
-        let restored = crate::H5Reader::open(&path).unwrap().read_raw("v").unwrap();
-        assert_eq!(restored, data);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&replica).unwrap();
-    }
-
-    #[test]
-    fn diverged_replica_cannot_make_things_worse() {
-        let path = tmp("diverge");
-        let replica = tmp("diverge-replica");
-        write_container(&path, 0);
-        write_container(&replica, 77); // different content, same shape
-
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[SUPERBLOCK as usize + 10] ^= 0x80;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let rep = repair_from_replica(&path, &replica).unwrap();
-        assert_eq!(
-            rep,
-            RepairReport {
-                repaired: 0,
-                unrepairable: 1
-            }
-        );
-        // Still damaged, but not *differently* damaged.
-        assert_eq!(scrub(&path).unwrap().n_corrupt(), 1);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&replica).unwrap();
     }
 
     #[test]
@@ -402,7 +276,7 @@ mod tests {
         // There is one format; a header cannot talk a reader out of
         // checking it.
         let path = tmp("sb-mutate");
-        write_container(&path, 0);
+        write_container(&path);
         let clean = std::fs::read(&path).unwrap();
         for pos in 0..SUPERBLOCK as usize {
             for val in 0..=255u8 {
@@ -451,7 +325,7 @@ mod tests {
         // FLAG_CHUNK_CRC is still refused: no header bit switches
         // chunk verification off.
         let path = tmp("sb-noflag");
-        write_container(&path, 0);
+        write_container(&path);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[5] = 0;
         let crc = crc32c(&bytes[0..28]);
@@ -469,7 +343,7 @@ mod tests {
     #[test]
     fn truncated_file_classified_truncated() {
         let path = tmp("shorter");
-        write_container(&path, 0);
+        write_container(&path);
         // Chop the file *after* rewriting the superblock to keep the
         // table: instead simulate by pointing the table at a truncated
         // copy — simplest is cutting mid-table, which is CorruptTable.

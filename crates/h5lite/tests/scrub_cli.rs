@@ -1,6 +1,7 @@
-//! The `scrub` binary end to end: exit codes, and a `--json` document
-//! that `obs::json::parse` reads back with every key the mode
-//! promises, for a clean container, a torn one and a missing path.
+//! The `scrub` binary end to end: exit codes, and the one JSON document
+//! it prints, which `obs::json::parse` reads back with every key the
+//! binary promises, for a clean container, a torn one and a missing
+//! path; and the flags it no longer takes.
 
 use h5lite::{DatasetSpec, Dtype, H5File};
 use obs::Json;
@@ -8,11 +9,10 @@ use std::path::Path;
 use std::process::Command;
 use testutil::TempPath;
 
-/// Run `scrub <path> --json`; the exit code and the parsed stdout.
+/// Run `scrub <path>`; the exit code and the parsed stdout.
 fn scrub_json(path: &Path) -> (i32, Json) {
     let out = Command::new(env!("CARGO_BIN_EXE_scrub"))
         .arg(path)
-        .arg("--json")
         .output()
         .expect("spawn scrub");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
@@ -36,20 +36,19 @@ fn write_container(path: &Path, close: bool) {
     }
 }
 
-const REPORT_KEYS: [&str; 9] = [
+const REPORT_KEYS: [&str; 8] = [
     "path",
     "container",
     "chunk_records",
     "damaged",
     "quarantined_to",
-    "repair",
     "flight",
     "flight_bad_lines",
     "exit",
 ];
 
 #[test]
-fn json_mode_reports_clean_torn_and_missing() {
+fn document_reports_clean_torn_and_missing() {
     let clean = TempPath::new("h5lite-int-scrub-cli-clean", "h5l");
     write_container(clean.path(), true);
     let (code, doc) = scrub_json(clean.path());
@@ -68,6 +67,10 @@ fn json_mode_reports_clean_torn_and_missing() {
         for key in REPORT_KEYS {
             assert!(doc.get(key).is_some(), "missing {key}: {doc}");
         }
+        let Json::Obj(members) = doc else {
+            panic!("not an object: {doc}")
+        };
+        assert_eq!(members.len(), REPORT_KEYS.len(), "{doc}");
         assert_eq!(doc.get("quarantined_to"), Some(&Json::Null));
         assert_eq!(doc.get("flight"), Some(&Json::Null));
     }
@@ -104,4 +107,19 @@ fn json_mode_reports_clean_torn_and_missing() {
         panic!("not an object: {doc}")
     };
     assert_eq!(members.len(), 3, "{doc}");
+}
+
+#[test]
+fn removed_flags_are_usage_errors() {
+    let clean = TempPath::new("h5lite-int-scrub-cli-flags", "h5l");
+    write_container(clean.path(), true);
+    for extra in [&["--json"][..], &["--repair", "x"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_scrub"))
+            .arg(clean.path())
+            .args(extra)
+            .output()
+            .expect("spawn scrub");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        assert!(out.stdout.is_empty(), "{extra:?}");
+    }
 }

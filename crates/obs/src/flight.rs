@@ -7,7 +7,7 @@
 //! retries, stage timings). A step's record is written once the step
 //! has completed, so after a crash the newest readable record is the
 //! newest *completed* step's — the step that died left none —
-//! and `resume_timeline` and `scrub --json` surface it.
+//! and `resume_timeline` and the `scrub` CLI surface it.
 //!
 //! Reading is deliberately forgiving: a torn or garbage line (the
 //! recorder does not rename-atomically — it is the flight recorder,

@@ -5,7 +5,7 @@
 //! This is the workspace's one JSON implementation (no serde in the
 //! tree). It started life inside `bench`'s schema tests and moved here
 //! so the flight recorder, the trace validator, the bench artifacts
-//! and the `scrub --json` CLI all share a single strict dialect: no
+//! and the `scrub` CLI all share a single strict dialect: no
 //! trailing garbage, no trailing commas, no unquoted keys, no bare
 //! `inf`/`nan` tokens.
 

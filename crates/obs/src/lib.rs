@@ -16,7 +16,7 @@
 //!
 //! [`json`] is the workspace's shared strict mini JSON parser /
 //! writer / escaper backing the flight recorder, the trace validator
-//! in the tests, the `BENCH_*.json` artifacts and `scrub --json`.
+//! in the tests, the `BENCH_*.json` artifacts and the `scrub` CLI.
 
 pub mod flight;
 pub mod json;

@@ -9,8 +9,9 @@
 //!   throughput (Fig. 7), an aggregate bandwidth cap shared by
 //!   concurrent writers, and collective-round overhead.
 //! * [`sharedfile::SharedFile`] — a real shared file with positioned
-//!   concurrent writes and atomic tail reservations, used by the
-//!   real execution engine (threads-as-ranks writing to tmpfs).
+//!   concurrent writes (Unix `pread` / `pwrite`, so the crate is
+//!   Unix-only) and atomic tail reservations, used by the real
+//!   execution engine (threads-as-ranks writing to tmpfs).
 //! * [`engine`] — a discrete-event simulator of per-rank
 //!   compress→write pipelines over the contended model, used for
 //!   512–4096-rank sweeps that would not fit as real threads.

@@ -6,18 +6,19 @@
 //! parallel HDF5 shared file on Lustre. An atomic tail pointer supports
 //! the paper's overflow handling (appending excess data past the
 //! reserved region after an all-gather of overflow sizes).
+//!
+//! Positioned I/O is `std::os::unix::fs::FileExt` (`pread` /
+//! `pwrite`), so the crate is Unix-only.
 
 use crate::faults::{FaultError, FaultFs, WriteOutcome};
 use parking_lot::Mutex;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-#[cfg(unix)]
-use std::os::unix::fs::FileExt;
 
 /// Bounded retry budget for transient injected/OS faults
 /// (`ErrorKind::Interrupted`): attempts beyond the first.
@@ -30,9 +31,9 @@ const MAX_RETRIES: u32 = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailRewind {
     /// Offset the stale caller asked for.
-    pub requested: u64,
+    requested: u64,
     /// Previously established high-water mark.
-    pub high_water: u64,
+    high_water: u64,
 }
 
 impl fmt::Display for TailRewind {
@@ -55,7 +56,6 @@ impl From<TailRewind> for io::Error {
 
 struct Inner {
     file: File,
-    path: PathBuf,
     /// Logical end of file for reservations.
     tail: AtomicU64,
     /// High-water mark of explicit [`SharedFile::advance_tail_to`]
@@ -64,9 +64,6 @@ struct Inner {
     advance_mark: AtomicU64,
     /// Fault-injection harness, if attached (tests/benches).
     faults: Mutex<Option<Arc<FaultFs>>>,
-    /// Serializes seek-based fallback I/O on non-Unix targets.
-    #[cfg_attr(unix, allow(dead_code))]
-    meta: Mutex<()>,
 }
 
 /// A concurrently writable file handle, cheap to clone across ranks.
@@ -87,11 +84,9 @@ impl SharedFile {
         Ok(SharedFile {
             inner: Arc::new(Inner {
                 file,
-                path: path.as_ref().to_path_buf(),
                 tail: AtomicU64::new(0),
                 advance_mark: AtomicU64::new(0),
                 faults: Mutex::new(None),
-                meta: Mutex::new(()),
             }),
         })
     }
@@ -106,18 +101,11 @@ impl SharedFile {
         Ok(SharedFile {
             inner: Arc::new(Inner {
                 file,
-                path: path.as_ref().to_path_buf(),
                 tail: AtomicU64::new(len),
                 advance_mark: AtomicU64::new(0),
                 faults: Mutex::new(None),
-                meta: Mutex::new(()),
             }),
         })
-    }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.inner.path
     }
 
     /// Attach (or detach, with `None`) a fault-injection harness. All
@@ -126,26 +114,9 @@ impl SharedFile {
         *self.inner.faults.lock() = faults;
     }
 
-    /// The attached fault harness, if any.
-    pub fn faults(&self) -> Option<Arc<FaultFs>> {
-        self.inner.faults.lock().clone()
-    }
-
     /// Raw positioned write, below fault injection.
     fn write_at_raw(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            self.inner.file.write_all_at(data, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            let _g = self.inner.meta.lock();
-            use std::io::{Seek, SeekFrom, Write};
-            let mut f = &self.inner.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(data)?;
-        }
-        Ok(())
+        self.inner.file.write_all_at(data, offset)
     }
 
     /// Read exactly `buf.len()` bytes at `offset`. With a fault harness
@@ -156,18 +127,7 @@ impl SharedFile {
         if let Some(fs) = faults {
             fs.on_read()?;
         }
-        #[cfg(unix)]
-        {
-            self.inner.file.read_exact_at(buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            let _g = self.inner.meta.lock();
-            use std::io::{Read, Seek, SeekFrom};
-            let mut f = &self.inner.file;
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)
-        }
+        self.inner.file.read_exact_at(buf, offset)
     }
 
     /// Brief backoff before retry `attempt` (1-based) of a transient
@@ -281,6 +241,7 @@ impl SharedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -50,11 +50,6 @@ impl Throttle {
         )
     }
 
-    /// Aggregate rate in bytes/sec.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Block until `bytes` may pass, also sleeping the per-request
     /// latency. Returns the time spent blocked.
     pub fn acquire(&self, bytes: u64) -> Duration {

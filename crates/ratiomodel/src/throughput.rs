@@ -38,7 +38,7 @@ impl ThroughputModel {
     }
 
     /// Predicted throughput (bytes/s) at compressed bit-rate `b`.
-    pub fn throughput(&self, b: f64) -> f64 {
+    fn throughput(&self, b: f64) -> f64 {
         let b = b.max(1e-6);
         let s = (self.cmax - self.cmin) * (b / 3.0).powf(self.a) + self.cmin;
         s.clamp(self.cmin, self.cmax)

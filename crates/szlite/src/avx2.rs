@@ -436,7 +436,7 @@ mod tests {
         for ny in [1, 7, 8, 9, 15, 16, 33] {
             for nx in [1, 3, 7, 8, 96] {
                 // 2-D, and 3-D whose first plane is order 2.
-                for dims in [Dims::d2(ny, nx), Dims::d3(3, ny, nx)] {
+                for dims in [Dims::from_slice(&[ny, nx]).unwrap(), Dims::d3(3, ny, nx)] {
                     for (texture, bound) in [
                         (0, ErrorBound::Abs(1e-2)),
                         (0, ErrorBound::Rel(1e-5)),

@@ -32,14 +32,6 @@ impl Dims {
         }
     }
 
-    /// A 2-D array with `ny` rows of `nx` points.
-    pub fn d2(ny: usize, nx: usize) -> Self {
-        Dims {
-            ext: [ny, nx, 0],
-            nd: 2,
-        }
-    }
-
     /// A 3-D array of `nz` planes, `ny` rows, `nx` points.
     pub fn d3(nz: usize, ny: usize, nx: usize) -> Self {
         Dims {
@@ -273,7 +265,7 @@ mod tests {
     #[test]
     fn dims_product() {
         assert_eq!(Dims::d3(4, 5, 6).len(), 120);
-        assert_eq!(Dims::d2(7, 3).len(), 21);
+        assert_eq!(Dims::from_slice(&[7, 3]).unwrap().len(), 21);
         assert_eq!(Dims::d1(9).len(), 9);
     }
 

@@ -641,7 +641,7 @@ mod tests {
             ),
             (
                 (0..64).map(|i| i as f32).collect(),
-                Dims::d2(8, 8),
+                Dims::from_slice(&[8, 8]).unwrap(),
                 Config::rel(1e-2),
             ),
             (

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn roundtrip_f64() {
-        let dims = Dims::d2(32, 32);
+        let dims = Dims::from_slice(&[32, 32]).unwrap();
         let data: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.03).sin() * 100.0).collect();
         let bytes = compress::<f64>(&data, &dims, &Config::abs(1e-6)).unwrap();
         let (restored, _) = decompress::<f64>(&bytes).unwrap();
@@ -199,7 +199,7 @@ mod tests {
         // Past 2^31 codes would wrap, and the count table would be a
         // 16–64 GiB allocation Linux overcommits rather than refuses.
         let data = vec![1.0f32; 64];
-        let dims = Dims::d2(8, 8);
+        let dims = Dims::from_slice(&[8, 8]).unwrap();
         for radius in [config::MAX_RADIUS + 1, 1 << 31, u32::MAX] {
             let cfg = Config {
                 radius,
@@ -209,7 +209,7 @@ mod tests {
             let got = compress_into(&data, &dims, &cfg, &mut Scratch::new(), &mut out);
             assert_eq!(got, Err(SzError::RadiusTooLarge(radius)));
             assert!(out.is_empty());
-            let mut sampler = SampleScratch::new();
+            let mut sampler = SampleScratch::default();
             assert_eq!(
                 sample_quantization_into(&data, &dims, &cfg, 1.0, &mut sampler),
                 Err(SzError::RadiusTooLarge(radius))
@@ -273,7 +273,11 @@ mod tests {
                 Dims::d1(777),
                 Config::abs(1e-4).with_lossless(false),
             ),
-            (vec![3.25; 64], Dims::d2(8, 8), Config::rel(1e-3)),
+            (
+                vec![3.25; 64],
+                Dims::from_slice(&[8, 8]).unwrap(),
+                Config::rel(1e-3),
+            ),
         ];
         for (data, dims, cfg) in &cases {
             let (fresh, fresh_stats) = compress_with_stats(data, dims, cfg).unwrap();

@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn constant_field_interior_exact_2d() {
-        let dims = Dims::d2(5, 5);
+        let dims = Dims::from_slice(&[5, 5]).unwrap();
         let p = Lorenzo::new(&dims);
         let recon = vec![7.5f64; 25];
         // interior of a constant field: pred = c + c - c = c

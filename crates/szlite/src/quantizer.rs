@@ -58,11 +58,6 @@ impl Quantizer {
         }
     }
 
-    /// Absolute error bound.
-    pub fn error_bound(&self) -> f64 {
-        self.eb
-    }
-
     /// Alphabet size (number of distinct symbols including the
     /// unpredictable escape).
     pub fn alphabet(&self) -> usize {

@@ -40,11 +40,6 @@ pub struct SampleCodes {
 }
 
 impl SampleCodes {
-    /// Fraction of the partition that was sampled.
-    pub fn sample_fraction(&self) -> f64 {
-        self.n_sampled as f64 / self.n_total as f64
-    }
-
     /// Fraction of sampled points that fell outside the codebook.
     pub fn unpredictable_fraction(&self) -> f64 {
         if self.n_sampled == 0 {
@@ -111,11 +106,6 @@ pub struct SampleScratch {
 }
 
 impl SampleScratch {
-    /// Empty scratch; the count table is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The last sample taken through this scratch (empty before the
     /// first and after a failed call).
     pub fn sample(&self) -> &SampleCodes {
@@ -398,7 +388,7 @@ pub fn sample_quantization<T: Element>(
     cfg: &Config,
     sample_fraction: f64,
 ) -> Result<SampleCodes> {
-    let mut scratch = SampleScratch::new();
+    let mut scratch = SampleScratch::default();
     sample_quantization_into(data, dims, cfg, sample_fraction, &mut scratch)?;
     Ok(scratch.sample)
 }
@@ -421,7 +411,6 @@ mod tests {
         let s = sample_quantization(&data, &Dims::d1(1000), &Config::abs(0.1), 1.0).unwrap();
         assert_eq!(s.n_sampled, 1000);
         assert_eq!(s.n_total, 1000);
-        assert!((s.sample_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -491,7 +480,13 @@ mod tests {
     #[test]
     fn histogram_sums_to_sampled() {
         let data = ramp(5000);
-        let s = sample_quantization(&data, &Dims::d2(50, 100), &Config::abs(0.05), 0.3).unwrap();
+        let s = sample_quantization(
+            &data,
+            &Dims::from_slice(&[50, 100]).unwrap(),
+            &Config::abs(0.05),
+            0.3,
+        )
+        .unwrap();
         let total: u64 = s.histogram.iter().sum();
         assert_eq!(total as usize, s.n_sampled);
     }
@@ -670,7 +665,7 @@ mod tests {
         // extremes sit once on a visited index and once beside one,
         // next to values the scan must skip.
         let n = 3 * 65536 + 1234;
-        let mut scratch = SampleScratch::new();
+        let mut scratch = SampleScratch::default();
         for (lo, hi) in [(300, 3 * 8 * 1000 + 9), (301, n - 1), (n - 2, 7)] {
             let mut data = field::<f32>(&[n], 77, 1, 0);
             data[lo] = -5e4;
@@ -689,7 +684,7 @@ mod tests {
         let nothing_finite = vec![f64::NAN; 1000];
         check_against_oracle(
             &nothing_finite,
-            &Dims::d2(10, 100),
+            &Dims::from_slice(&[10, 100]).unwrap(),
             &Config::rel(1e-3),
             1.0,
             &mut scratch,

@@ -25,9 +25,9 @@ use szlite::Config;
 
 /// Per-step fault-injection hook: maps a step index to the
 /// [`FaultFs`] its container I/O runs under (`None` = healthy step).
-/// Production runs leave [`TimelineConfig::step_faults`] unset; tests
-/// and the fault bench use this to crash or degrade exactly one step
-/// of a stream.
+/// Production runs leave [`TimelineConfig::step_faults`] unset; the
+/// crash-recovery, stream and observability tests use this to crash
+/// or degrade exactly one step of a stream.
 #[derive(Clone)]
 pub struct StepFaults(pub Arc<dyn Fn(usize) -> Option<Arc<FaultFs>> + Send + Sync>);
 

@@ -56,12 +56,6 @@ impl NyxParams {
         }
     }
 
-    /// Override the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Override the red shift (evolution stage).
     pub fn redshift(mut self, z: f64) -> Self {
         self.redshift = z;
@@ -199,9 +193,13 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = snapshot(NyxParams::with_side(8).seed(1));
-        let b = snapshot(NyxParams::with_side(8).seed(1));
-        let c = snapshot(NyxParams::with_side(8).seed(2));
+        let seeded = |seed| NyxParams {
+            seed,
+            ..NyxParams::with_side(8)
+        };
+        let a = snapshot(seeded(1));
+        let b = snapshot(seeded(1));
+        let c = snapshot(seeded(2));
         assert_eq!(a.fields[0].data, b.fields[0].data);
         assert_ne!(a.fields[0].data, c.fields[0].data);
     }

@@ -43,11 +43,6 @@ impl Decomposition {
         }
     }
 
-    /// Number of ranks.
-    pub fn nprocs(&self) -> usize {
-        self.grid.iter().product()
-    }
-
     /// Points per block.
     fn block_len(&self) -> usize {
         self.block.iter().product()

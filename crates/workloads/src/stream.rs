@@ -88,18 +88,6 @@ impl SnapshotStream {
         self
     }
 
-    /// Override the per-step time advance.
-    pub fn dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-
-    /// Override the injected-noise amplitude.
-    pub fn noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Short label for tables and file names.
     pub fn label(&self) -> &'static str {
         match self.kind {
@@ -214,14 +202,20 @@ mod tests {
 
     #[test]
     fn step_zero_without_noise_matches_static_generator() {
-        let stream = SnapshotStream::nyx(8).noise(0.0);
+        let stream = SnapshotStream {
+            noise: 0.0,
+            ..SnapshotStream::nyx(8)
+        };
         let ds = stream.snapshot(0);
         let base = nyx::snapshot(NyxParams {
             redshift: 3.0,
             ..NyxParams::with_side(8)
         });
         assert_eq!(ds.fields[0].data, base.fields[0].data);
-        let stream = SnapshotStream::rtm(8).noise(0.0);
+        let stream = SnapshotStream {
+            noise: 0.0,
+            ..SnapshotStream::rtm(8)
+        };
         let base = rtm::snapshot(RtmParams::with_side(8));
         assert_eq!(stream.snapshot(0).fields[0].data, base.fields[0].data);
     }

@@ -43,12 +43,6 @@ impl VpicParams {
             ..Default::default()
         }
     }
-
-    /// Override the seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// Box size (arbitrary units) in x/z; the sheet normal is y.
@@ -164,8 +158,12 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = snapshot(VpicParams::with_particles(500).seed(9));
-        let b = snapshot(VpicParams::with_particles(500).seed(9));
+        let seeded = || VpicParams {
+            seed: 9,
+            ..VpicParams::with_particles(500)
+        };
+        let a = snapshot(seeded());
+        let b = snapshot(seeded());
         assert_eq!(a.fields[3].data, b.fields[3].data);
     }
 

@@ -123,8 +123,17 @@ fn typed_pipelined_read_matches_serial_typed_read() {
     }
 }
 
-/// The four chains of the matrix: (szlite first, LZSS after).
-const CHAINS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+/// The chains of the matrix: (szlite first, LZSS stages after). Zero,
+/// one and two byte stages take both parities of the inverse chain's
+/// ping-pong between its buffers.
+const CHAINS: [(bool, usize); 6] = [
+    (false, 0),
+    (false, 1),
+    (false, 2),
+    (true, 0),
+    (true, 1),
+    (true, 2),
+];
 const BOUND: f64 = 1e-3;
 
 /// An element type of the matrix.
@@ -185,7 +194,7 @@ fn write_chunks<T: Float>(
     path: &std::path::Path,
     dims: &[u64],
     chunk: Option<&[u64]>,
-    (sz, lzss): (bool, bool),
+    (sz, lzss): (bool, usize),
     data: &[T],
     forge: Forge,
 ) {
@@ -205,7 +214,7 @@ fn write_chunks<T: Float>(
             .to_bytes(),
         });
     }
-    if lzss {
+    for _ in 0..lzss {
         spec = spec.with_filter(FilterSpec {
             id: LZSS_FILTER_ID,
             params: vec![],
@@ -246,7 +255,7 @@ fn write_chunks<T: Float>(
         } else {
             le_bytes(&tile)
         };
-        if lzss {
+        for _ in 0..lzss {
             stored = szlite::lossless::compress(&stored);
         }
         let index = if last && forge == Forge::IndexOutOfGrid {
@@ -327,7 +336,7 @@ fn typed_read_equals_folded_byte_read_f32() {
         t.path(),
         &[64],
         None,
-        (true, false),
+        (true, 0),
         &wave::<f32>(64),
         Forge::Nothing,
     );
@@ -348,7 +357,7 @@ fn typed_read_equals_folded_byte_read_f64() {
         t.path(),
         &[64],
         None,
-        (true, false),
+        (true, 0),
         &wave::<f64>(64),
         Forge::Nothing,
     );
