@@ -5,7 +5,7 @@
 //! expose wait generations for debugging and keeps all synchronization
 //! primitives in one auditable place.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// A collective was abandoned because a participant poisoned the
 /// barrier (it hit a fatal error and can never arrive). Waiters must
@@ -61,7 +61,7 @@ impl Barrier {
     /// A generation that completed before the poison still reports
     /// `Ok`: every participant arrived, so the exchanged data is whole.
     pub fn wait_checked(&self) -> Result<u64, BarrierPoisoned> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap();
         if st.poisoned {
             return Err(BarrierPoisoned);
         }
@@ -73,9 +73,8 @@ impl Barrier {
             self.cvar.notify_all();
             Ok(gen)
         } else {
-            while st.generation == gen && !st.poisoned {
-                self.cvar.wait(&mut st);
-            }
+            let pending = |st: &mut State| st.generation == gen && !st.poisoned;
+            let st = self.cvar.wait_while(st, pending).unwrap();
             if st.generation == gen {
                 // Poisoned before the last participant arrived.
                 Err(BarrierPoisoned)
@@ -90,8 +89,7 @@ impl Barrier {
     /// participant that hit a fatal error and will never arrive again.
     /// Idempotent.
     pub fn poison(&self) {
-        let mut st = self.state.lock();
-        st.poisoned = true;
+        self.state.lock().unwrap().poisoned = true;
         self.cvar.notify_all();
     }
 }

@@ -4,7 +4,7 @@
 //! Collectives (barrier, all-gather) are implemented over a shared
 //! slot table guarded by two barrier phases: write → barrier →
 //! assemble → barrier → read. Every collective is fallible
-//! (`try_*`): a rank that fails [`Rank::poison`]s the world and its
+//! (`try_*`): a rank that fails or panics poisons the world and its
 //! peers unwind with [`WorldPoisoned`] instead of waiting for it.
 //!
 //! All-gather results are delivered as a shared `Arc<[T]>`: the world
@@ -19,9 +19,9 @@
 //! of overflow sizes) without an MPI installation.
 
 use crate::barrier::{Barrier, BarrierPoisoned};
-use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex, OnceLock};
 
 type Payload = Box<dyn Any + Send>;
 
@@ -68,6 +68,7 @@ impl Shared {
             .map(|slot| {
                 *slot
                     .lock()
+                    .unwrap()
                     .take()
                     .expect("missing contribution")
                     .downcast::<T>()
@@ -75,7 +76,7 @@ impl Shared {
             })
             .collect();
         let shared: Arc<[T]> = gathered.into();
-        *self.result.lock() = Some(Box::new(shared));
+        *self.result.lock().unwrap() = Some(Box::new(shared));
     }
 
     /// Reader side: clone the shared handle assembled by
@@ -84,7 +85,7 @@ impl Shared {
     /// all participants passed its own write barrier, which they can
     /// only do once they have taken this handle.
     fn shared_result<T: Send + Sync + 'static>(&self) -> Arc<[T]> {
-        let guard = self.result.lock();
+        let guard = self.result.lock().unwrap();
         Arc::clone(
             guard
                 .as_ref()
@@ -120,37 +121,55 @@ impl World {
     }
 
     /// Run `f` on every rank in its own thread, returning the per-rank
-    /// results in rank order. Panics in any rank propagate.
+    /// results in rank order. A rank that panics poisons the world;
+    /// once every rank has returned, the first panic is re-raised.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Rank) -> T + Sync,
     {
         let shared = &self.shared;
-        std::thread::scope(|s| {
+        let first_panic = OnceLock::new();
+        let mut joined: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..shared.n)
                 .map(|r| {
                     let rank = Rank {
                         rank: r,
                         shared: Arc::clone(shared),
                     };
-                    let f = &f;
+                    let (f, exit) = (&f, RankExit(r, shared, &first_panic));
                     s.spawn(move || {
-                        let out = f(rank);
-                        // Retire this rank's span buffer before the
-                        // scope joins: `thread::scope` can observe the
-                        // closure's completion before TLS destructors
-                        // run, which would drop the rank's trace.
-                        obs::trace::flush_thread();
-                        out
+                        let _exit = exit;
+                        f(rank)
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
-                .collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // The first rank to panic goes first: its payload is re-raised.
+        if let Some(&r) = first_panic.get() {
+            joined.swap(0, r);
+        }
+        let rethrow = |j: std::thread::Result<T>| j.unwrap_or_else(|p| resume_unwind(p));
+        joined.into_iter().map(rethrow).collect()
+    }
+}
+
+/// Held by rank thread `.0` of [`World::run`]: poisons the world `.1`
+/// if the rank unwinds, claiming `.2` for it first.
+struct RankExit<'a>(usize, &'a Shared, &'a OnceLock<usize>);
+
+impl Drop for RankExit<'_> {
+    fn drop(&mut self) {
+        // Retire this rank's span buffer before the scope joins:
+        // `thread::scope` can observe the closure's completion before
+        // TLS destructors run, which would drop the rank's trace.
+        obs::trace::flush_thread();
+        if std::thread::panicking() {
+            // Claimed before the poison: a peer failing on it is later.
+            let _ = self.2.set(self.0);
+            self.1.barrier.poison();
+        }
     }
 }
 
@@ -187,7 +206,7 @@ impl Rank {
         &self,
         value: T,
     ) -> Result<Arc<[T]>, WorldPoisoned> {
-        *self.shared.slots[self.rank].lock() = Some(Box::new(value));
+        *self.shared.slots[self.rank].lock().unwrap() = Some(Box::new(value));
         self.shared.barrier.wait_checked()?;
         if self.rank == 0 {
             self.shared.assemble::<T>();

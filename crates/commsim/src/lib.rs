@@ -7,6 +7,11 @@
 //! so the planner and write pipeline exercise the same code paths they
 //! would under real MPI.
 //!
+//! A rank that fails poisons its world rather than leave its peers
+//! parked in a collective, as an aborting MPI rank would: by
+//! [`Rank::poison`], or by panicking. A lock a panic poisoned is
+//! re-raised (`.lock().unwrap()`), never read torn.
+//!
 //! ```
 //! use commsim::World;
 //!

@@ -2,6 +2,57 @@
 
 use commsim::{World, WorldPoisoned};
 use proptest::prelude::*;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
+/// `body`'s result, or a failure if it has none within `secs`: a hang
+/// fails the test instead of stalling the suite.
+fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let t = std::thread::spawn(move || tx.send(body()));
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Disconnected) => panic::resume_unwind(t.join().unwrap_err()),
+        Err(RecvTimeoutError::Timeout) => panic!("no result within {secs} s: hung"),
+    }
+}
+
+#[test]
+fn a_panicking_rank_fails_the_run_with_its_own_message() {
+    // Rank r panics before collective k (barriers and all-gathers
+    // alternate); its peers unwrap the poisoned collective and panic
+    // too, after it. Every rank, every k, every world size: the run
+    // ends, and with the first panic's payload.
+    for n in [2usize, 4, 8] {
+        for r in 0..n {
+            for k in 0..3usize {
+                let payload = within(10, move || {
+                    panic::catch_unwind(AssertUnwindSafe(|| {
+                        World::new(n).run(|rk| {
+                            for c in 0..3 {
+                                if (rk.rank(), c) == (r, k) {
+                                    panic!("rank {r} dies before collective {k}");
+                                }
+                                if c % 2 == 0 {
+                                    rk.try_barrier().unwrap();
+                                } else {
+                                    rk.try_all_gather(c).unwrap();
+                                }
+                            }
+                        })
+                    }))
+                    .unwrap_err()
+                });
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("rank {r} dies before collective {k}").as_str()),
+                    "{n} ranks"
+                );
+            }
+        }
+    }
+}
 
 #[test]
 fn mixed_collectives_interleave_correctly() {

@@ -133,6 +133,13 @@ pub enum RealError {
     /// A collective aborted because another rank failed first — a
     /// symptom; the run reports that rank's error when it has one.
     PeerFailed,
+    /// A rank's body panicked, which poisons the world like an error.
+    RankPanicked {
+        /// The rank that panicked.
+        rank: usize,
+        /// The panic payload when it is a string, else empty.
+        message: String,
+    },
     /// Read-back verification decoded a field outside its bound.
     Verification {
         /// Dataset path of the offending field.
@@ -170,6 +177,9 @@ impl RealError {
             RealError::Sz(e) => write!(f, "{e}"),
             RealError::Io(e) => write!(f, "{e}"),
             RealError::PeerFailed => write!(f, "{}", commsim::WorldPoisoned),
+            RealError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
             RealError::Verification {
                 field,
                 max_abs_err,
@@ -670,7 +680,14 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
             out.total = total.stop();
             Ok(out)
         };
-        let res = run();
+        // The one place a panic becomes an error, reported over the
+        // `PeerFailed` it causes like any rank's.
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|p| {
+            let message = p.downcast_ref::<&str>().map(|s| s.to_string());
+            let message = message.or_else(|| p.downcast_ref::<String>().cloned());
+            let message = message.unwrap_or_default();
+            Err(RealError::RankPanicked { rank: r, message })
+        });
         if res.is_err() {
             // This rank can no longer reach its collectives; without
             // the poison, surviving ranks would block forever in

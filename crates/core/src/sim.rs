@@ -274,7 +274,7 @@ fn sim_overlap_step(
 /// Configuration of a simulated checkpoint stream — the scale-out
 /// counterpart of `timeline::TimelineConfig`: same [`AdaptMode`], but
 /// steps execute through the discrete-event simulator instead of real
-/// threads and real I/O, so thousands of ranks stream in milliseconds.
+/// threads and real I/O, so a 2048-rank stream takes seconds on one thread.
 #[derive(Debug, Clone)]
 pub struct StreamSimConfig {
     /// Bandwidth model, extra-space policy, collective latency model.

@@ -4,10 +4,14 @@
 
 use pfsim::BandwidthModel;
 use predwrite::{
-    run_real, ExtraSpacePolicy, Method, RankFieldData, RealConfig, ReservationTopology, RunResult,
+    run_real, run_real_with, ExtraSpacePolicy, Method, ModelSource, PredictionSource,
+    RankFieldData, RealConfig, RealError, ReservationTopology, RunResult, SourceEstimate,
 };
-use ratiomodel::Models;
+use ratiomodel::{EstimateScratch, Models};
+use std::panic;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 use szlite::{Config, Dims};
 use testutil::TempPath;
 use workloads::{nyx, Decomposition, NyxParams};
@@ -277,4 +281,73 @@ fn rejects_mismatched_inputs() {
     let guard = tmp("reject");
     let path = guard.path().to_path_buf();
     assert!(run_real(&data, &config(Method::Overlap, path)).is_err());
+}
+
+/// `body`'s result, or a failure if it has none within `secs`: a hang
+/// fails the test instead of stalling the suite.
+fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let t = std::thread::spawn(move || tx.send(body()));
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Disconnected) => panic::resume_unwind(t.join().unwrap_err()),
+        Err(RecvTimeoutError::Timeout) => panic!("no result within {secs} s: hung"),
+    }
+}
+
+/// The fitted models' predictions, except that rank `rank` panics.
+struct PanicsOn {
+    rank: usize,
+    models: Models,
+}
+
+impl PredictionSource for PanicsOn {
+    fn estimate(
+        &self,
+        rank: usize,
+        field: usize,
+        data: &[f32],
+        dims: &Dims,
+        cfg: &Config,
+        scratch: &mut EstimateScratch,
+    ) -> Result<SourceEstimate, RealError> {
+        if rank == self.rank {
+            panic!("source fails on rank {rank}");
+        }
+        let models = &self.models;
+        ModelSource { models }.estimate(rank, field, data, dims, cfg, scratch)
+    }
+}
+
+#[test]
+fn a_panicking_rank_ends_the_run_in_a_typed_error() {
+    // The rank panics before the first all-gather, where its peers are
+    // parked: the run must end, and name it over their PeerFailed.
+    within(60, || {
+        for nranks in [2, 4] {
+            let (data, _) = nyx_rank_data(16, nranks);
+            for method in [Method::Overlap, Method::OverlapReorder] {
+                for rank in 0..nranks {
+                    let guard = tmp(&format!("panic-{nranks}-{rank}-{}", method.label()));
+                    let cfg = config(method, guard.path().to_path_buf());
+                    let source = PanicsOn {
+                        rank,
+                        models: cfg.models,
+                    };
+                    let err = run_real_with(&data, &cfg, &source).map(drop).unwrap_err();
+                    assert_eq!(
+                        format!("{err:?}"),
+                        format!(
+                            "RankPanicked {{ rank: {rank}, message: \"source fails on rank {rank}\" }}"
+                        ),
+                        "{nranks} ranks, {method:?}"
+                    );
+                    assert_eq!(
+                        err.to_string(),
+                        format!("real engine: rank {rank} panicked: source fails on rank {rank}")
+                    );
+                }
+            }
+        }
+    });
 }

@@ -8,13 +8,15 @@
 //! The queue is FIFO: workers take operations in enqueue order, so
 //! with one worker writes land in the order they were issued — the
 //! order Algorithm 1 chose and `pfsim::engine` models.
+//! Workers are not rank threads and need no unwind guard: no section
+//! under a lock they take (receiver, pending state, throttle bucket,
+//! fault slot, pool) can panic, and a failed write is a value.
 
 use crate::error::{AsyncWriteFailure, H5Error, Result};
 use crate::pool::BufferPool;
-use parking_lot::{Condvar, Mutex};
 use pfsim::{SharedFile, Throttle};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 struct Op {
@@ -26,27 +28,27 @@ struct Op {
     recycle: Option<Arc<BufferPool>>,
 }
 
-/// Operations enqueued and not yet completed, and the most that
-/// number has been.
+/// Operations enqueued and not yet completed, the most that number
+/// has been, and the failed ones [`EventSet::wait`] has yet to report.
 #[derive(Default)]
 struct Depth {
     now: usize,
     peak: usize,
+    /// Failed writes, typed: the queue keeps draining past them.
+    errors: Vec<AsyncWriteFailure>,
 }
 
 struct Pending {
     depth: Mutex<Depth>,
     cv: Condvar,
-    /// Failed writes, typed; drained by [`EventSet::wait`]. A failure
-    /// never panics the worker — the queue keeps draining so `wait()`
-    /// cannot hang on a poisoned pipeline.
-    errors: Mutex<Vec<AsyncWriteFailure>>,
 }
 
 impl Pending {
-    /// One operation finished (or could not be queued).
-    fn done(&self) {
-        let mut d = self.depth.lock();
+    /// One operation finished (or could not be queued), with its
+    /// failure if it had one.
+    fn done(&self, failure: Option<AsyncWriteFailure>) {
+        let mut d = self.depth.lock().unwrap();
+        d.errors.extend(failure);
         d.now -= 1;
         if d.now == 0 {
             self.cv.notify_all();
@@ -75,7 +77,6 @@ impl EventSet {
         let pending = Arc::new(Pending {
             depth: Mutex::new(Depth::default()),
             cv: Condvar::new(),
-            errors: Mutex::new(Vec::new()),
         });
         let workers = (0..n_workers.max(1))
             .map(|_| {
@@ -84,7 +85,7 @@ impl EventSet {
                 std::thread::spawn(move || {
                     // A call of its own: the lock is released before
                     // the write starts.
-                    let take = || rx.lock().recv();
+                    let take = || rx.lock().unwrap().recv();
                     while let Ok(op) = take() {
                         let Op {
                             file,
@@ -93,22 +94,17 @@ impl EventSet {
                             throttle,
                             recycle,
                         } = op;
-                        let span = obs::span_arg("h5.write", data.len() as u64);
+                        let len = data.len() as u64;
+                        let span = obs::span_arg("h5.write", len);
                         if let Some(t) = &throttle {
-                            t.acquire(data.len() as u64);
+                            t.acquire(len);
                         }
-                        if let Err(e) = file.write_at(offset, &data) {
-                            pending.errors.lock().push(AsyncWriteFailure {
-                                offset,
-                                len: data.len() as u64,
-                                error: e,
-                            });
-                        }
+                        let failure = file.write_at(offset, &data).err();
                         drop(span);
                         if let Some(pool) = recycle {
                             pool.put(data);
                         }
-                        pending.done();
+                        pending.done(failure.map(|error| AsyncWriteFailure { offset, len, error }));
                     }
                     obs::trace::flush_thread();
                 })
@@ -145,7 +141,7 @@ impl EventSet {
         recycle: Option<Arc<BufferPool>>,
     ) {
         {
-            let mut d = self.pending.depth.lock();
+            let mut d = self.pending.depth.lock().unwrap();
             d.now += 1;
             d.peak = d.peak.max(d.now);
         }
@@ -161,22 +157,22 @@ impl EventSet {
             // failure instead of panicking the producer, and undo the
             // pending count so wait() still terminates.
             let op = e.0;
-            self.pending.errors.lock().push(AsyncWriteFailure {
+            let failure = AsyncWriteFailure {
                 offset: op.offset,
                 len: op.data.len() as u64,
                 error: std::io::Error::other("event set workers gone"),
-            });
+            };
             if let Some(pool) = op.recycle {
                 pool.put(op.data);
             }
-            self.pending.done();
+            self.pending.done(Some(failure));
         }
     }
 
     /// The most operations that were ever in flight at once — the
     /// queue's peak depth over the set's lifetime.
     pub fn high_water(&self) -> usize {
-        self.pending.depth.lock().peak
+        self.pending.depth.lock().unwrap().peak
     }
 
     /// Block until all enqueued operations complete (H5ESwait).
@@ -184,12 +180,9 @@ impl EventSet {
     /// with each op's offset/length — the flush/close point is where
     /// HDF5's async VOL reports errors too.
     pub fn wait(&self) -> Result<()> {
-        let mut d = self.pending.depth.lock();
-        while d.now > 0 {
-            self.pending.cv.wait(&mut d);
-        }
-        drop(d);
-        let errs = std::mem::take(&mut *self.pending.errors.lock());
+        let d = self.pending.depth.lock().unwrap();
+        let mut d = self.pending.cv.wait_while(d, |d| d.now > 0).unwrap();
+        let errs = std::mem::take(&mut d.errors);
         if errs.is_empty() {
             Ok(())
         } else {
@@ -230,7 +223,7 @@ mod tests {
             es.write_at(&f, i * 100, vec![i as u8; 100], None);
         }
         es.wait().unwrap();
-        assert_eq!(es.pending.depth.lock().now, 0);
+        assert_eq!(es.pending.depth.lock().unwrap().now, 0);
         assert!((1..=16).contains(&es.high_water()), "{}", es.high_water());
         for i in 0..16u64 {
             let mut buf = vec![0u8; 100];
@@ -325,7 +318,7 @@ mod tests {
             }
             other => panic!("expected AsyncWrites, got {other:?}"),
         }
-        assert_eq!(es.pending.depth.lock().now, 0);
+        assert_eq!(es.pending.depth.lock().unwrap().now, 0);
         // The queue stays usable: errors were drained, and with the
         // harness detached a later write round succeeds.
         f.set_faults(None);

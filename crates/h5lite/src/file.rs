@@ -29,11 +29,10 @@ use crate::meta::{
 };
 use crate::pipeline::{compress_chunks, ordered_fanout};
 use crate::pool::BufferPool;
-use parking_lot::Mutex;
 use pfsim::{SharedFile, Throttle};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// File magic "H5LT".
 pub const MAGIC: u32 = 0x544C3548;
@@ -236,7 +235,7 @@ impl H5File {
                 return Err(H5Error::Corrupt("chunk dims"));
             }
         }
-        let mut ds = self.inner.datasets.lock();
+        let mut ds = self.inner.datasets.lock().unwrap();
         if ds.iter().any(|d| d.name == spec.name) {
             return Err(H5Error::DuplicateDataset(spec.name));
         }
@@ -255,7 +254,7 @@ impl H5File {
     /// Attach an attribute to a dataset.
     pub fn set_attr(&self, id: DatasetId, name: impl Into<String>, value: AttrValue) -> Result<()> {
         self.check_open()?;
-        let mut ds = self.inner.datasets.lock();
+        let mut ds = self.inner.datasets.lock().unwrap();
         let d = ds.get_mut(id.0).ok_or(H5Error::Corrupt("dataset id"))?;
         let name = name.into();
         if let Some(slot) = d.attrs.iter_mut().find(|(n, _)| *n == name) {
@@ -276,7 +275,7 @@ impl H5File {
     {
         self.check_open()?;
         let (dims, chunk_dims, filters, dtype, expected) = {
-            let ds = self.inner.datasets.lock();
+            let ds = self.inner.datasets.lock().unwrap();
             let d = ds.get(id.0).ok_or(H5Error::Corrupt("dataset id"))?;
             (
                 d.dims.clone(),
@@ -409,7 +408,7 @@ impl H5File {
 
     /// Record a chunk that was written externally (e.g. via async ops).
     pub fn record_chunk(&self, id: DatasetId, info: ChunkInfo) -> Result<()> {
-        let mut ds = self.inner.datasets.lock();
+        let mut ds = self.inner.datasets.lock().unwrap();
         let d = ds.get_mut(id.0).ok_or(H5Error::Corrupt("dataset id"))?;
         d.chunks.push(info);
         Ok(())
@@ -432,7 +431,7 @@ impl H5File {
             return Err(H5Error::InvalidState("file already closed"));
         }
         let table = {
-            let mut ds = self.inner.datasets.lock();
+            let mut ds = self.inner.datasets.lock().unwrap();
             for d in ds.iter_mut() {
                 d.chunks.sort_by_key(|c| c.index);
             }
@@ -652,11 +651,11 @@ impl H5Reader {
             workers,
             || (FilterScratch::new(), Vec::new(), Vec::new()),
             |(scratch, stored, tile), i| match slab {
-                Some(_) => decode(scratch, stored, i, &mut parts[i as usize].lock()),
+                Some(_) => decode(scratch, stored, i, &mut parts[i as usize].lock().unwrap()),
                 None => {
                     tile.resize(tile_points(&d.dims, cd, i)? * per, T::default());
                     decode(scratch, stored, i, tile)?;
-                    scatter_tile(&mut parts[0].lock(), &d.dims, per, cd, i, tile)
+                    scatter_tile(&mut parts[0].lock().unwrap(), &d.dims, per, cd, i, tile)
                 }
             },
             |_, ()| Ok(()),

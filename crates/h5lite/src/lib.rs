@@ -34,6 +34,10 @@
 //!
 //! Files round-trip: anything written can be re-opened with
 //! [`H5Reader`] and decoded back through the inverse filter chain.
+//!
+//! A poisoned lock means a panic already happened under it (only a
+//! read's decode/scatter can): `.lock().unwrap()` re-raises it rather
+//! than continue on torn state.
 
 pub mod asyncq;
 pub mod chunk;

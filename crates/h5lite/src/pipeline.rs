@@ -53,7 +53,8 @@ use std::sync::mpsc;
 ///
 /// The first error (from a job or from the sink) wins: it closes the
 /// index counter, so every worker stops after the job it is running,
-/// and is returned once they have.
+/// and is returned once they have. So does a job's panic, re-raised
+/// with its own payload.
 pub fn ordered_fanout<W, T, E, Mk, J, S>(
     n: u64,
     workers: usize,
@@ -81,11 +82,12 @@ where
     let (res_tx, res_rx) = mpsc::channel::<(u64, std::result::Result<T, E>)>();
 
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(nw);
         for _ in 0..nw {
             let res_tx = res_tx.clone();
             let (make_worker, job, next_job) = (&make_worker, &job, &next_job);
-            s.spawn(move || {
-                let mut w = make_worker();
+            workers.push(s.spawn(move || {
+                let mut w = Worker(make_worker(), next_job, n);
                 loop {
                     // Relaxed: the counter hands out indices and
                     // publishes no other data.
@@ -93,7 +95,7 @@ where
                     if i >= n {
                         break;
                     }
-                    let r = job(&mut w, i);
+                    let r = job(&mut w.0, i);
                     if r.is_err() {
                         // Closed before the error is sent: no index
                         // is claimed after a failure.
@@ -103,11 +105,7 @@ where
                         break;
                     }
                 }
-                // Scoped-thread closures complete before TLS teardown:
-                // retire this worker's span buffer explicitly so the
-                // trace drain cannot race thread exit.
-                obs::trace::flush_thread();
-            });
+            }));
         }
         drop(res_tx);
 
@@ -117,7 +115,7 @@ where
             for _ in 0..n {
                 let Ok((i, r)) = res_rx.recv() else {
                     // All workers gone without a result: only reachable
-                    // if a job panicked; the scope re-raises that panic.
+                    // if a job panicked, which is re-raised below.
                     break;
                 };
                 held.insert(i, r?);
@@ -132,8 +130,29 @@ where
         if delivered.is_err() {
             next_job.store(n, Ordering::Relaxed);
         }
+        for w in workers {
+            w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
         delivered
     })
+}
+
+/// A worker's state `.0`, which closes the job counter `.1` (sets it
+/// to the job count `.2`) if the worker unwinds.
+struct Worker<'a, W>(W, &'a AtomicU64, u64);
+
+impl<W> Drop for Worker<'_, W> {
+    fn drop(&mut self) {
+        // A panicking job closes the counter as a failed one does, so
+        // the other workers stop after the job they are running.
+        if std::thread::panicking() {
+            self.1.store(self.2, Ordering::Relaxed);
+        }
+        // Scoped-thread closures complete before TLS teardown: retire
+        // this worker's span buffer explicitly so the trace drain
+        // cannot race thread exit.
+        obs::trace::flush_thread();
+    }
 }
 
 /// Compress every chunk of a chunked dataset of `dtype` elements
@@ -255,42 +274,55 @@ mod tests {
 
     #[test]
     fn fanout_stops_claiming_after_the_first_error() {
-        // Job 3 fails. The barrier pins every round up to its own (all
-        // `workers` jobs of a round have started before any returns),
-        // and the other jobs of its round then hold their workers
-        // until some worker has exited — which the failing one does
-        // only after closing the counter. So exactly the pinned rounds
-        // ever start; without the early stop the failing job's worker
-        // runs the remaining 990 jobs before it exits.
-        for workers in [2usize, 8] {
-            let pinned = (3 / workers + 1) * workers;
-            let started = AtomicUsize::new(0);
-            let round = Barrier::new(workers);
-            let exited = (Mutex::new(false), Condvar::new());
-            let r = ordered_fanout::<_, u64, String, _, _, _>(
-                1000,
-                workers,
-                || OpensOnExit(&exited),
-                |_, i| {
-                    started.fetch_add(1, Ordering::Relaxed);
-                    if (i as usize) < pinned {
-                        round.wait();
-                    }
-                    if i == 3 {
-                        return Err(format!("job {i}"));
-                    }
-                    if (pinned - workers..pinned).contains(&(i as usize)) {
-                        let open = exited.0.lock().unwrap();
-                        drop(exited.1.wait_while(open, |open| !*open).unwrap());
-                    }
-                    Ok(i)
-                },
-                |_, _| Ok(()),
-            );
-            assert_eq!(r, Err("job 3".to_string()));
-            let started = started.into_inner();
-            assert_eq!(started, pinned, "{workers} workers");
-            assert!(started < 3 + 2 * workers);
+        // Job 3 fails, by returning an error or by panicking. The
+        // barrier pins every round up to its own (all `workers` jobs of
+        // a round have started before any returns), and the other jobs
+        // of its round then hold their workers until some worker has
+        // exited — which the failing one does only after closing the
+        // counter. So exactly the pinned rounds ever start; without the
+        // early stop the failing job's worker (or, after a panic, the
+        // others) runs the remaining 990 jobs before the call returns.
+        for panics in [false, true] {
+            for workers in [2usize, 8] {
+                let pinned = (3 / workers + 1) * workers;
+                let started = AtomicUsize::new(0);
+                let round = Barrier::new(workers);
+                let exited = (Mutex::new(false), Condvar::new());
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ordered_fanout::<_, u64, String, _, _, _>(
+                        1000,
+                        workers,
+                        || OpensOnExit(&exited),
+                        |_, i| {
+                            started.fetch_add(1, Ordering::Relaxed);
+                            if (i as usize) < pinned {
+                                round.wait();
+                            }
+                            if i == 3 && panics {
+                                panic!("job {i}");
+                            }
+                            if i == 3 {
+                                return Err(format!("job {i}"));
+                            }
+                            if (pinned - workers..pinned).contains(&(i as usize)) {
+                                let open = exited.0.lock().unwrap();
+                                drop(exited.1.wait_while(open, |open| !*open).unwrap());
+                            }
+                            Ok(i)
+                        },
+                        |_, _| Ok(()),
+                    )
+                }));
+                let started = started.into_inner();
+                assert_eq!(started, pinned, "{workers} workers, panics: {panics}");
+                assert!(started < 3 + 2 * workers);
+                // A panic is re-raised with the job's own payload.
+                let failure = match r {
+                    Ok(r) => r.unwrap_err(),
+                    Err(payload) => *payload.downcast::<String>().unwrap(),
+                };
+                assert_eq!(failure, "job 3", "{workers} workers, panics: {panics}");
+            }
         }
     }
 

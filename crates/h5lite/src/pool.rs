@@ -9,7 +9,7 @@
 //! next chunk starts from a pre-grown buffer — steady-state streaming
 //! allocates nothing per chunk.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Upper bound on retained buffers; beyond this, returned buffers are
 /// dropped so a burst (many in-flight writes) can't pin memory forever.
@@ -33,14 +33,14 @@ impl BufferPool {
 
     /// Take a cleared buffer, reusing a pooled one when available.
     pub fn take(&self) -> Vec<u8> {
-        self.bufs.lock().pop().unwrap_or_default()
+        self.bufs.lock().unwrap().pop().unwrap_or_default()
     }
 
     /// Return a buffer for reuse; its contents are discarded (the
     /// capacity is what's recycled).
     pub fn put(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut bufs = self.bufs.lock();
+        let mut bufs = self.bufs.lock().unwrap();
         if bufs.len() < MAX_POOLED {
             bufs.push(buf);
         }
@@ -48,12 +48,12 @@ impl BufferPool {
 
     /// Number of buffers currently pooled.
     pub fn len(&self) -> usize {
-        self.bufs.lock().len()
+        self.bufs.lock().unwrap().len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.bufs.lock().is_empty()
+        self.bufs.lock().unwrap().is_empty()
     }
 }
 

@@ -22,6 +22,9 @@
 //!   ([`faults::FaultFs`]) that attaches to a [`SharedFile`] and
 //!   replays scheduled torn writes, bit flips and
 //!   transient `EIO`s, for crash-recovery testing.
+//!
+//! No section under its two locks (throttle bucket, fault slot) can
+//! panic, so `.lock().unwrap()` never meets poison.
 
 pub mod bandwidth;
 pub mod engine;

@@ -11,14 +11,13 @@
 //! `pwrite`), so the crate is Unix-only.
 
 use crate::faults::{FaultError, FaultFs, WriteOutcome};
-use parking_lot::Mutex;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Bounded retry budget for transient injected/OS faults
 /// (`ErrorKind::Interrupted`): attempts beyond the first.
@@ -111,7 +110,7 @@ impl SharedFile {
     /// Attach (or detach, with `None`) a fault-injection harness. All
     /// subsequent `write_at`/`read_at` calls consult it.
     pub fn set_faults(&self, faults: Option<Arc<FaultFs>>) {
-        *self.inner.faults.lock() = faults;
+        *self.inner.faults.lock().unwrap() = faults;
     }
 
     /// Raw positioned write, below fault injection.
@@ -123,7 +122,7 @@ impl SharedFile {
     /// attached, a read after its simulated crash fails with a typed
     /// `Crashed` error.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let faults = self.inner.faults.lock().clone();
+        let faults = self.inner.faults.lock().unwrap().clone();
         if let Some(fs) = faults {
             fs.on_read()?;
         }
@@ -149,7 +148,7 @@ impl SharedFile {
     /// faults are retried with bounded backoff; permanent ones (torn
     /// write / simulated crash) escalate as typed [`io::Error`]s.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let faults = self.inner.faults.lock().clone();
+        let faults = self.inner.faults.lock().unwrap().clone();
         match faults {
             None => self.write_at_raw(offset, data)?,
             Some(fs) => {

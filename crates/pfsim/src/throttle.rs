@@ -7,7 +7,7 @@
 //! per-process throughput, congestion across ranks).
 
 use crate::bandwidth::BandwidthModel;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 struct Bucket {
@@ -60,7 +60,7 @@ impl Throttle {
         let mut need = bytes as f64;
         loop {
             let wait = {
-                let mut b = self.bucket.lock();
+                let mut b = self.bucket.lock().unwrap();
                 let now = Instant::now();
                 let dt = now.duration_since(b.last).as_secs_f64();
                 b.last = now;
