@@ -1,5 +1,6 @@
-//! The vector form of the compressor's fused predict → quantize →
-//! re-check kernel, and the only `unsafe` in the library crates.
+//! The vector forms of the compressor's fused predict → quantize →
+//! re-check kernel and of the decoder's replay — the two kernels of
+//! this module, and still the only `unsafe` in the library crates.
 //!
 //! [`sweep`](crate::compressor::sweep) advances the rows of a block as
 //! a wavefront — in iteration `t`, lane `j` handles `x = t − j` — so
@@ -25,14 +26,29 @@
 //! reconstructions and therefore the stream are bit-identical to the
 //! scalar kernels' and to `compress_reference`.
 //!
+//! The replay ([`Avx2::decode_rows`]) is the decode mirror on the same
+//! wavefront, for blocks whose every code is a plain symbol: the
+//! stencil in the same order (`0.0 + x` first), then
+//! `Quantizer::reconstruct` — `code − radius`, exact in `f64`, times
+//! `2·eb` and added to the prediction as a separate multiply and add —
+//! and the `f32` round trip. The steady state writes the
+//! reconstructions only; the values follow from them, each narrowed
+//! back bit for bit. The ramps run through the decoder's scalar
+//! [`replay`](crate::decompressor::replay) on the same [`Wave`], so its
+//! per-point body exists once too.
+//!
 //! Whether a block runs here is decided by
-//! [`compress_into`](crate::compress_into) alone, from [`Avx2::select`]
-//! (CPU feature, element type, radius) and the block's shape; there is
+//! [`compress_into`](crate::compress_into) and by the decoder's block
+//! loop alone, from [`Avx2::select`] (CPU feature, element type,
+//! radius), the block's shape and, when decoding, its codes; there is
 //! no switch to set.
 
 use crate::compressor::{Block, Counts, Steps};
 use crate::config::MAX_RADIUS;
+use crate::decompressor::{Literals, Replay};
 use crate::element::Element;
+use crate::error::Result;
+use crate::quantizer::Quantizer;
 
 /// Rows a vector block advances together: two `__m256d` of four lanes.
 /// (Four vectors spill the sixteen `ymm` registers and measured slower.)
@@ -47,7 +63,8 @@ pub(crate) struct Avx2(());
 impl Avx2 {
     /// The token, when the CPU has AVX2, `T` is a type whose storage
     /// round trip the kernel has an instruction for (`f32`, `f64`), and
-    /// `radius ≤ 2^30`, so that `q + radius` converts through `i32`.
+    /// `radius ≤ 2^30`, so that `q + radius` converts through `i32`,
+    /// and so does a code below `2·radius` on the way back.
     pub(crate) fn select<T: Element>(radius: i64) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         if x86::has_round_trip::<T>()
@@ -83,13 +100,40 @@ impl Avx2 {
             unreachable!("select() issues no token on this architecture")
         }
     }
+
+    /// A whole block of [`ROWS`] rows with the order-`D` stencil
+    /// (`D ≥ 2`) whose every code is in `1..2·radius`: same contract
+    /// and same values as `decode_rows::<T, ROWS, D>`.
+    pub(crate) fn decode_rows<T: Element, const D: usize>(
+        self,
+        b: &mut Replay<'_, T>,
+        quant: &Quantizer,
+        lits: &mut Literals<'_>,
+    ) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: the only `Avx2` values are the ones `select`
+            // returned after `is_x86_feature_detected!("avx2")` held on
+            // this CPU, which is all the callee's `target_feature`
+            // requires.
+            unsafe { x86::decode_rows::<T, D>(b, quant, lits) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (b, quant, lits);
+            unreachable!("select() issues no token on this architecture")
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::ROWS;
     use crate::compressor::{sweep, Block, Counts, Steps, Wave};
+    use crate::decompressor::{replay, Literals, Replay};
     use crate::element::Element;
+    use crate::error::Result;
+    use crate::quantizer::Quantizer;
     use std::any::TypeId;
     use std::arch::x86_64::*;
 
@@ -116,6 +160,25 @@ mod x86 {
         edge: __m256d,
     }
 
+    impl Consts {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(q: Steps) -> Self {
+            Consts {
+                zero: _mm256_setzero_pd(),
+                half: _mm256_set1_pd(0.5),
+                neg_half: _mm256_set1_pd(-0.5),
+                one: _mm256_set1_pd(1.0),
+                sign: _mm256_set1_pd(-0.0),
+                inf: _mm256_set1_pd(f64::INFINITY),
+                eb: _mm256_set1_pd(q.eb),
+                twice_eb: _mm256_set1_pd(q.twice_eb),
+                radius: _mm256_set1_pd(q.radius as f64),
+                edge: _mm256_set1_pd(q.radius as f64 - 0.5),
+            }
+        }
+    }
+
     /// What [`point`] decides for four rows.
     struct Point {
         /// `q + radius`, or 0 (`UNPREDICTABLE`) for an escape.
@@ -132,8 +195,44 @@ mod x86 {
         _mm256_andnot_pd(k.sign, v)
     }
 
+    /// [`stencil`](crate::predictor::stencil) of order `D ≥ 2` on four
+    /// rows, in its order and with its arguments.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn predict<const D: usize>(
+        k: &Consts,
+        x: __m256d,
+        y: __m256d,
+        z: __m256d,
+        xy: __m256d,
+        xz: __m256d,
+        yz: __m256d,
+        xyz: __m256d,
+    ) -> __m256d {
+        let a = _mm256_add_pd(_mm256_add_pd(k.zero, x), y);
+        if D == 3 {
+            let a = _mm256_sub_pd(_mm256_add_pd(a, z), xy);
+            _mm256_add_pd(_mm256_sub_pd(_mm256_sub_pd(a, xz), yz), xyz)
+        } else {
+            _mm256_sub_pd(a, xy)
+        }
+    }
+
+    /// `T::from_f64(r).to_f64()` on four lanes: `vcvtpd2ps`/`vcvtps2pd`
+    /// for `f32`, nothing for `f64`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn round_trip<T: Element>(r: __m256d) -> __m256d {
+        if is::<T, f32>() {
+            _mm256_cvtps_pd(_mm256_cvtpd_ps(r))
+        } else {
+            r
+        }
+    }
+
     /// The body of [`sweep`] on four rows at once, operation for
-    /// operation; the arguments are [`stencil`](crate::predictor::stencil)'s.
+    /// operation; the arguments are [`predict`]'s.
     #[inline]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
@@ -148,13 +247,7 @@ mod x86 {
         yz: __m256d,
         xyz: __m256d,
     ) -> Point {
-        let a = _mm256_add_pd(_mm256_add_pd(k.zero, x), y);
-        let pred = if D == 3 {
-            let a = _mm256_sub_pd(_mm256_add_pd(a, z), xy);
-            _mm256_add_pd(_mm256_sub_pd(_mm256_sub_pd(a, xz), yz), xyz)
-        } else {
-            _mm256_sub_pd(a, xy)
-        };
+        let pred = predict::<D>(k, x, y, z, xy, xz, yz, xyz);
         let u = _mm256_div_pd(_mm256_sub_pd(xv, pred), k.twice_eb);
         // `round_within`: false for NaN and ±∞; inside the range the
         // truncation, the fraction and the half-step fix are exact.
@@ -168,11 +261,7 @@ mod x86 {
         let qf = _mm256_sub_pd(_mm256_add_pd(t, up), down);
         let r64 = _mm256_add_pd(pred, _mm256_mul_pd(qf, k.twice_eb));
         // Round through the storage type, as the decoder will.
-        let rt = if is::<T, f32>() {
-            _mm256_cvtps_pd(_mm256_cvtpd_ps(r64))
-        } else {
-            r64
-        };
+        let rt = round_trip::<T>(r64);
         let within = |r| _mm256_cmp_pd::<_CMP_LE_OQ>(abs(k, _mm256_sub_pd(xv, r)), k.eb);
         let ok = _mm256_and_pd(in_range, _mm256_and_pd(within(r64), within(rt)));
         let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(abs(k, xv), k.inf);
@@ -182,6 +271,29 @@ mod x86 {
         let rv = _mm256_blendv_pd(_mm256_and_pd(finite, xv), rt, ok);
         let code = _mm256_cvttpd_epi32(_mm256_and_pd(ok, _mm256_add_pd(qf, k.radius)));
         Point { code, rv, ok }
+    }
+
+    /// The body of [`replay`] on four rows of plain codes at once,
+    /// operation for operation: `Quantizer::reconstruct` (the code
+    /// minus the radius is exact in `f64`), then the storage round
+    /// trip. Returns the reconstructions.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn restore<T: Element, const D: usize>(
+        k: &Consts,
+        code: __m256d,
+        x: __m256d,
+        y: __m256d,
+        z: __m256d,
+        xy: __m256d,
+        xz: __m256d,
+        yz: __m256d,
+        xyz: __m256d,
+    ) -> __m256d {
+        let pred = predict::<D>(k, x, y, z, xy, xz, yz, xyz);
+        let q = _mm256_sub_pd(code, k.radius);
+        round_trip::<T>(_mm256_add_pd(pred, _mm256_mul_pd(q, k.twice_eb)))
     }
 
     /// `[first[0], v[0], v[1], v[2]]`: each lane's `y − 1` neighbor is
@@ -277,18 +389,7 @@ mod x86 {
         let codes = skewed_mut(&mut *b.codes, nx, m);
         let rows = skewed_mut(&mut *b.rows, nx, m);
 
-        let k = Consts {
-            zero: _mm256_setzero_pd(),
-            half: _mm256_set1_pd(0.5),
-            neg_half: _mm256_set1_pd(-0.5),
-            one: _mm256_set1_pd(1.0),
-            sign: _mm256_set1_pd(-0.0),
-            inf: _mm256_set1_pd(f64::INFINITY),
-            eb: _mm256_set1_pd(q.eb),
-            twice_eb: _mm256_set1_pd(q.twice_eb),
-            radius: _mm256_set1_pd(q.radius as f64),
-            edge: _mm256_set1_pd(q.radius as f64 - 0.5),
-        };
+        let k = Consts::new(q);
         let [mut cx0, mut cx1] = load(&w.cx);
         let [mut pyx0, mut pyx1] = load(&w.pyx);
         let [mut pzx0, mut pzx1] = load(&w.pzx);
@@ -377,13 +478,136 @@ mod x86 {
         }
         escapes + sweep::<T, ROWS, D>(steady.end..nx + ROWS - 1, &mut w, b, q, counts)
     }
+
+    /// Codes `s` of lanes `first..first + 4`, widened.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gather_codes(codes: &[&[u32]; ROWS], first: usize, s: usize) -> __m256d {
+        _mm256_cvtepi32_pd(_mm_set_epi32(
+            codes[first + 3][s] as i32,
+            codes[first + 2][s] as i32,
+            codes[first + 1][s] as i32,
+            codes[first][s] as i32,
+        ))
+    }
+
+    /// The iterations `ROWS − 1..nx` of a block's replay, continuing
+    /// from and leaving its state in `w`: the reconstructions, into
+    /// `rows` only. Requires `nx ≥ ROWS` and codes in `1..2·radius`
+    /// (which `i32` holds).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn replay_steady<T: Element, const D: usize>(
+        w: &mut Wave<ROWS>,
+        b: &mut Replay<'_, T>,
+        q: Steps,
+    ) {
+        let nx = b.nx;
+        let m = nx - (ROWS - 1);
+        let skew = |j: usize| ROWS - 1 - j;
+        let codes: [&[u32]; ROWS] = std::array::from_fn(|j| &b.codes[j * nx + skew(j)..][..m]);
+        let above = &b.above[skew(0)..][..m];
+        let (zp0, rz): (&[f64], [&[f64]; ROWS]) = if D == 3 {
+            (
+                &b.zp[skew(0)..][..m],
+                std::array::from_fn(|j| &b.zp[(j + 1) * b.zs + skew(j)..][..m]),
+            )
+        } else {
+            (&[], [&[]; ROWS])
+        };
+        let rows = skewed_mut(&mut *b.rows, nx, m);
+
+        let k = Consts::new(q);
+        let [mut cx0, mut cx1] = load(&w.cx);
+        let [mut pyx0, mut pyx1] = load(&w.pyx);
+        let [mut pzx0, mut pzx1] = load(&w.pzx);
+        let [mut pzyx0, mut pzyx1] = load(&w.pzyx);
+        for s in 0..m {
+            let ry0 = shift_in(cx0, _mm256_set1_pd(above[s]));
+            let ry1 = shift_in(cx1, last(cx0));
+            let (rz0, rz1, rzy0, rzy1) = if D == 3 {
+                (
+                    gather(&rz, 0, s),
+                    gather(&rz, 4, s),
+                    shift_in(pzx0, _mm256_set1_pd(zp0[s])),
+                    shift_in(pzx1, last(pzx0)),
+                )
+            } else {
+                (k.zero, k.zero, k.zero, k.zero)
+            };
+            let rv0 = restore::<T, D>(
+                &k,
+                gather_codes(&codes, 0, s),
+                cx0,
+                ry0,
+                rz0,
+                pyx0,
+                pzx0,
+                rzy0,
+                pzyx0,
+            );
+            let rv1 = restore::<T, D>(
+                &k,
+                gather_codes(&codes, 4, s),
+                cx1,
+                ry1,
+                rz1,
+                pyx1,
+                pzx1,
+                rzy1,
+                pzyx1,
+            );
+            for (h, rv) in [rv0, rv1].into_iter().enumerate() {
+                let rv = lanes(rv);
+                for j in 0..4 {
+                    rows[4 * h + j][s] = rv[j];
+                }
+            }
+            (cx0, pyx0, pzx0, pzyx0) = (rv0, ry0, rz0, rzy0);
+            (cx1, pyx1, pzx1, pzyx1) = (rv1, ry1, rz1, rzy1);
+        }
+        w.cx = store([cx0, cx1]);
+        w.pyx = store([pyx0, pyx1]);
+        w.pzx = store([pzx0, pzx1]);
+        w.pzyx = store([pzyx0, pzyx1]);
+    }
+
+    /// See [`Avx2::decode_rows`](super::Avx2::decode_rows).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn decode_rows<T: Element, const D: usize>(
+        b: &mut Replay<'_, T>,
+        quant: &Quantizer,
+        lits: &mut Literals<'_>,
+    ) -> Result<()> {
+        let nx = b.nx;
+        let steady = if nx >= ROWS { ROWS - 1..nx } else { 0..0 };
+        let mut w = Wave::new();
+        replay::<T, ROWS, D>(0..steady.start, &mut w, b, quant, lits)?;
+        if !steady.is_empty() {
+            replay_steady::<T, D>(&mut w, b, quant.steps());
+        }
+        replay::<T, ROWS, D>(steady.end..nx + ROWS - 1, &mut w, b, quant, lits)?;
+        // The values from their reconstructions: for a plain code the
+        // reconstruction is `T::from_f64(r).to_f64()`, which narrows
+        // back to the value bit for bit, NaN included.
+        for (v, &r) in b.out.iter_mut().zip(&*b.rows) {
+            *v = T::from_f64(r);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::{compress_into, compress_into_scalar, compress_reference, Scratch};
+    use crate::compressor::{
+        compress_into, compress_into_scalar, compress_reference, Scratch, MAGIC, VERSION,
+    };
     use crate::config::{Config, Dims, ErrorBound};
+    use crate::decompressor::{decompress_into, decompress_into_scalar, DecompressScratch};
+    use crate::error::SzError;
+    use crate::huffman::HuffmanEncoder;
+    use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
     /// True when this host runs the vector kernel (printed, so that a CI
     /// runner that only tests the scalar arm shows in its log).
@@ -396,8 +620,10 @@ mod tests {
     /// overflow the `f32` round trip), 2 a walk over multiples of ½
     /// (under `Abs(0.5)` residuals are exact rounding ties) — with every
     /// 11th value replaced by, in turn, NaN, ±Inf, `-0.0`, a subnormal
-    /// of `T`, `±1e30`.
-    fn field<T: Element>(n: usize, texture: u8) -> Vec<T> {
+    /// of `T`, `±1e30`; or, `coded_only`, by `-0.0` and the subnormal
+    /// alone, which quantize like any value, so that escape-free blocks
+    /// occur.
+    fn field<T: Element>(n: usize, texture: u8, coded_only: bool) -> Vec<T> {
         let subnormal = T::from_f64(if T::BYTES == 4 { 3e-45 } else { 5e-324 });
         let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ n as u64;
         let mut walk = 0.0f64;
@@ -408,6 +634,13 @@ mod tests {
                 rng ^= rng << 17;
                 let noise = (rng % 1000) as f64 * 1e-3;
                 walk += ((rng >> 12) % 9) as f64 * 0.5 - 2.0;
+                if i % 11 == 3 && coded_only {
+                    return if (i / 11) % 2 == 0 {
+                        T::from_f64(-0.0)
+                    } else {
+                        subnormal
+                    };
+                }
                 if i % 11 == 3 {
                     return match (i / 11) % 7 {
                         0 => T::from_f64(f64::NAN),
@@ -443,7 +676,7 @@ mod tests {
                         (1, ErrorBound::Abs(1e33)),
                         (2, ErrorBound::Abs(0.5)),
                     ] {
-                        let data = field::<T>(dims.len(), texture);
+                        let data = field::<T>(dims.len(), texture, false);
                         // Dense escapes, and the default codebook.
                         for radius in [16, 32768] {
                             let cfg = Config {
@@ -474,6 +707,124 @@ mod tests {
         let mut scratch = Scratch::new();
         let cases = pin_both_arms::<f32>(&mut scratch) + pin_both_arms::<f64>(&mut scratch);
         assert_eq!(cases, 2 * 7 * 5 * 2 * 4 * 2);
+    }
+
+    /// The decode arms on the streams of [`pin_both_arms`]'s matrix,
+    /// whose every 8-row block holds an escape (the row-by-row arm), and
+    /// on its fields with coded specials only (the vector arm wherever
+    /// a block has no escape), planes of order 2 and 3 — value for
+    /// value, bit for bit; returns the cases compared.
+    fn pin_both_decode_arms<T: Element>(scratch: &mut Scratch) -> usize {
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        let mut dscratch = DecompressScratch::new();
+        let mut cases = 0;
+        let (mut stream, mut vector, mut scalar) = (Vec::new(), Vec::new(), Vec::new());
+        for ny in [1, 7, 8, 9, 15, 16, 33] {
+            for nx in [1, 3, 7, 8, 96] {
+                for dims in [Dims::from_slice(&[ny, nx]).unwrap(), Dims::d3(3, ny, nx)] {
+                    for (texture, bound) in [
+                        (0, ErrorBound::Abs(1e-2)),
+                        (0, ErrorBound::Rel(1e-5)),
+                        (1, ErrorBound::Abs(1e33)),
+                        (2, ErrorBound::Abs(0.5)),
+                    ] {
+                        for coded_only in [false, true] {
+                            let data = field::<T>(dims.len(), texture, coded_only);
+                            for radius in [16, 32768] {
+                                let cfg = Config {
+                                    error_bound: bound,
+                                    radius,
+                                    lossless: true,
+                                };
+                                let what = format!(
+                                    "{dims:?} {bound:?} radius {radius} coded only {coded_only}"
+                                );
+                                compress_into(&data, &dims, &cfg, scratch, &mut stream)
+                                    .expect(&what);
+                                let vd = decompress_into(&stream, &mut dscratch, &mut vector);
+                                let sd =
+                                    decompress_into_scalar(&stream, &mut dscratch, &mut scalar);
+                                assert_eq!(vd, Ok(dims.clone()), "{what}");
+                                assert_eq!(sd, vd, "{what}");
+                                assert!(bits(&vector) == bits(&scalar), "arms differ: {what}");
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// An `f32` stream of a `dims` grid without the lossless stage and
+    /// without literals, whose codes are all `radius` (residual 0) but
+    /// `bad` at point `at`.
+    fn forged(dims: &Dims, radius: u32, at: usize, bad: u32) -> Vec<u8> {
+        let mut codes = vec![radius; dims.len()];
+        codes[at] = bad;
+        let enc = HuffmanEncoder::from_symbols(&codes, 2 * radius as usize + 1);
+        let mut payload = Vec::new();
+        enc.serialize(&mut payload);
+        let mut w = BitWriter::new();
+        enc.encode(&codes, &mut w);
+        let code_bytes = w.finish();
+        put_varint(&mut payload, codes.len() as u64);
+        put_varint(&mut payload, code_bytes.len() as u64);
+        payload.extend_from_slice(&code_bytes);
+        put_varint(&mut payload, 0);
+        let mut out = Vec::new();
+        put_u32(&mut out, MAGIC);
+        out.extend([VERSION, f32::DTYPE, dims.ndims() as u8]);
+        for &d in dims.extents() {
+            put_varint(&mut out, d as u64);
+        }
+        put_f64(&mut out, 1e-3);
+        put_u32(&mut out, radius);
+        out.push(0);
+        put_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    #[test]
+    fn vector_arm_equals_scalar_arm_in_the_decoder() {
+        println!("avx2 decode kernel selected: {}", detected());
+        let mut scratch = Scratch::new();
+        let cases =
+            pin_both_decode_arms::<f32>(&mut scratch) + pin_both_decode_arms::<f64>(&mut scratch);
+        assert_eq!(cases, 2 * 7 * 5 * 2 * 4 * 2 * 2);
+
+        // One symbol out of the alphabet (or an escape without its
+        // literal) inside an 8-row block of the first plane or of a
+        // later one: the same typed error from both arms.
+        let dims = Dims::d3(3, 17, 40);
+        let mut dscratch = DecompressScratch::new();
+        let (mut vector, mut scalar) = (Vec::<f32>::new(), Vec::<f32>::new());
+        for at in [
+            9 * 40 + 5,
+            17 * 40 + 3 * 40 + 39,
+            2 * 17 * 40 + 12 * 40 + 20,
+        ] {
+            for (bad, want) in [
+                (64, SzError::Corrupt("symbol out of alphabet")),
+                (0, SzError::Truncated("f32 literal")),
+            ] {
+                let stream = forged(&dims, 32, at, bad);
+                let vd = decompress_into(&stream, &mut dscratch, &mut vector);
+                let sd = decompress_into_scalar(&stream, &mut dscratch, &mut scalar);
+                assert_eq!(vd, Err(want.clone()), "symbol {bad} at {at}");
+                assert_eq!(sd, vd, "symbol {bad} at {at}");
+            }
+            // The same stream with the plain symbol decodes alike.
+            let stream = forged(&dims, 32, at, 33);
+            let vd = decompress_into(&stream, &mut dscratch, &mut vector);
+            assert_eq!(
+                vd,
+                decompress_into_scalar(&stream, &mut dscratch, &mut scalar)
+            );
+            assert!(vd.is_ok() && vector == scalar);
+        }
     }
 
     #[test]

@@ -2,14 +2,23 @@
 //! stream, and re-run the Lorenzo/quantizer recurrence.
 //!
 //! The entropy stage is table-driven end to end: the symbol stream is
-//! batch-decoded by [`HuffmanDecoder::decode_into`], whose LUT fast
-//! path resolves short codes from a single peek at the word-buffered
-//! [`BitReader`]; the LZSS stage expands through the chunked copy
-//! loops in [`lossless::decompress_into`].
+//! batch-decoded by [`HuffmanDecoder::decode_into`], whose table
+//! resolves a short code — and the code after it, when that one also
+//! ends inside the peek — from a single peek at the word-buffered
+//! [`BitReader`], and finds a longer one by a search over code lengths;
+//! the LZSS stage expands through the chunked copy loops in
+//! [`lossless::decompress_into`].
 //!
-//! The recurrence replays on the compressor's row-block schedule
-//! ([`decode_rows`]): escape-free blocks of [`LANES`] rows advance
-//! together with a one-element lag, everything else goes row by row.
+//! The recurrence replays on the compressor's row-block schedule, with
+//! the compressor's two kernels mirrored: escape-free blocks of 8 rows
+//! with a `y − 1` neighbor run the AVX2 kernel ([`crate::avx2`]) where
+//! [`Avx2::select`] issues its token, escape-free blocks of [`LANES`]
+//! rows the scalar lanes of [`replay`], and everything else — 1-D data,
+//! leftover rows, blocks with an escape or a bad symbol — goes row by
+//! row. Whether a block is escape-free takes one decision: none when
+//! the chunk's Huffman table holds no escape and no symbol outside the
+//! alphabet, one pass over the block's codes otherwise. Every arm
+//! restores the same bits.
 //!
 //! The decode path mirrors the compressor's scratch discipline: a
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
@@ -20,7 +29,8 @@
 //! [`decompress`] and the typed wrappers remain the allocating
 //! convenience entry points.
 
-use crate::compressor::{LANES, MAGIC, VERSION};
+use crate::avx2::{self, Avx2};
+use crate::compressor::{Wave, LANES, MAGIC, VERSION};
 use crate::config::{Dims, MAX_RADIUS};
 use crate::element::Element;
 use crate::error::{Result, SzError};
@@ -163,11 +173,32 @@ pub fn decompress_into<T: Element>(
     scratch: &mut DecompressScratch,
     out: &mut Vec<T>,
 ) -> Result<Dims> {
+    decompress_on(true, bytes, scratch, out)
+}
+
+/// [`decompress_into`] with every block on the scalar kernels whatever
+/// the CPU is — the arm a host without AVX2 runs, for the tests that
+/// pin both arms to the same values.
+#[cfg(test)]
+pub(crate) fn decompress_into_scalar<T: Element>(
+    bytes: &[u8],
+    scratch: &mut DecompressScratch,
+    out: &mut Vec<T>,
+) -> Result<Dims> {
+    decompress_on(false, bytes, scratch, out)
+}
+
+fn decompress_on<T: Element>(
+    may_vectorize: bool,
+    bytes: &[u8],
+    scratch: &mut DecompressScratch,
+    out: &mut Vec<T>,
+) -> Result<Dims> {
     // Every element of `out` is written before it is read, so the
     // buffer is not cleared: `resize` only fills what a longer stream
     // adds.
     let dst = &mut *out;
-    let decoded = decode_stream(bytes, scratch, move |n| {
+    let decoded = decode_stream(may_vectorize, bytes, scratch, move |n| {
         dst.resize(n, T::from_f64(0.0));
         Ok(&mut dst[..])
     });
@@ -187,7 +218,7 @@ pub fn decompress_to_slice<T: Element>(
     scratch: &mut DecompressScratch,
     out: &mut [T],
 ) -> Result<Dims> {
-    decode_stream(bytes, scratch, move |n| {
+    decode_stream(true, bytes, scratch, move |n| {
         if out.len() == n {
             Ok(out)
         } else {
@@ -202,7 +233,9 @@ pub fn decompress_to_slice<T: Element>(
 /// The one decode body. `dest` is asked for the destination of the
 /// header's point count once every stream check short of the replay
 /// itself has passed, and before any element is written.
+/// `may_vectorize` is false only for the tests' scalar arm.
 fn decode_stream<'o, T: Element>(
+    may_vectorize: bool,
     bytes: &[u8],
     scratch: &mut DecompressScratch,
     dest: impl FnOnce(usize) -> Result<&'o mut [T]>,
@@ -272,101 +305,137 @@ fn decode_stream<'o, T: Element>(
 
     let out = dest(info.dims.len())?;
     planes.reset(nz, ny, nx);
-    let mut lit_pos = 0usize;
+    let mut lits = Literals {
+        bytes: lit_bytes,
+        pos: 0,
+    };
+    // Lag-pipelining reorders points across the rows of a block, so it
+    // is reserved for blocks whose every code is a plain in-alphabet
+    // symbol; a block with an escape or a bad symbol replays row by
+    // row, which keeps literal order and the first error reported
+    // those of the per-point replay. A table that holds neither can
+    // decode neither, and then no block is scanned.
+    let plain = UNPREDICTABLE + 1..alphabet as u32;
+    let all_plain = huffman.decodes_only(plain.clone());
+    // The kernel choice mirrors `compress_into`'s: the vector kernel
+    // where the host, the element type and the radius allow it and the
+    // block has its 8 rows and a `y − 1` neighbor; otherwise 4 scalar
+    // lanes, or one for leftover rows and 1-D data.
+    let vector = Avx2::select::<T>(i64::from(info.radius)).filter(|_| may_vectorize);
     for z in 0..nz {
         if z > 0 {
             planes.next_plane();
         }
         let mut y = 0;
         while y < ny {
-            // Lag-pipelining reorders points across the rows of a
-            // block, so it is reserved for blocks whose every code is a
-            // plain in-alphabet symbol; a block with an escape or a bad
-            // symbol replays row by row, which keeps literal order and
-            // the first error reported those of the per-point replay.
-            let base = z * plane + y * nx;
-            let wide = ny - y >= LANES
-                && codes[base..base + LANES * nx]
-                    .iter()
-                    .all(|&c| c != UNPREDICTABLE && (c as usize) < alphabet);
-            let lanes = if wide { LANES } else { 1 };
-            let kernel = match (wide, stencil_order(z, ny)) {
-                (true, 3) => decode_rows::<T, LANES, 3>,
-                (true, _) => decode_rows::<T, LANES, 2>,
-                (false, 3) => decode_rows::<T, 1, 3>,
-                (false, 2) => decode_rows::<T, 1, 2>,
-                (false, _) => decode_rows::<T, 1, 1>,
+            let order = stencil_order(z, ny);
+            let mut wide = vector.filter(|_| ny - y >= avx2::ROWS && order >= 2);
+            let mut lanes = match wide {
+                Some(_) => avx2::ROWS,
+                None if ny - y >= LANES => LANES,
+                None => 1,
             };
-            let block = base..base + lanes * nx;
+            let base = z * plane + y * nx;
+            // One decision per block: a single pass without a short
+            // circuit, which vectorizes.
+            if lanes > 1
+                && !all_plain
+                && !codes[base..base + lanes * nx]
+                    .iter()
+                    .fold(true, |ok, c| ok & plain.contains(c))
+            {
+                (wide, lanes) = (None, 1);
+            }
+            let at = base..base + lanes * nx;
             let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
-            kernel(
-                &codes[block.clone()],
+            let mut block = Replay {
+                codes: &codes[at.clone()],
                 nx,
                 above,
                 rows,
                 zp,
                 zs,
-                &quant,
-                lit_bytes,
-                &mut lit_pos,
-                &mut out[block],
-            )?;
+                out: &mut out[at],
+            };
+            let (b, q, l) = (&mut block, &quant, &mut lits);
+            match (wide, lanes, order) {
+                (Some(v), _, 3) => v.decode_rows::<T, 3>(b, q, l),
+                (Some(v), _, _) => v.decode_rows::<T, 2>(b, q, l),
+                (None, LANES, 3) => decode_rows::<T, LANES, 3>(b, q, l),
+                (None, LANES, _) => decode_rows::<T, LANES, 2>(b, q, l),
+                (None, _, 3) => decode_rows::<T, 1, 3>(b, q, l),
+                (None, _, 2) => decode_rows::<T, 1, 2>(b, q, l),
+                (None, _, _) => decode_rows::<T, 1, 1>(b, q, l),
+            }?;
             y += lanes;
         }
     }
     Ok(info.dims)
 }
 
-/// Decode a block of `L` consecutive rows of one plane: invert the
-/// quantizer against the Lorenzo prediction, pulling literals for
-/// escape codes.
+/// A block of consecutive rows of one plane, as the replay sees it: the
+/// decoder's [`Block`](crate::compressor::Block), with the block's
+/// codes in and its restored values out.
+pub(crate) struct Replay<'a, T> {
+    pub(crate) codes: &'a [u32],
+    pub(crate) nx: usize,
+    pub(crate) above: &'a [f64],
+    pub(crate) rows: &'a mut [f64],
+    pub(crate) zp: &'a [f64],
+    pub(crate) zs: usize,
+    pub(crate) out: &'a mut [T],
+}
+
+/// The stream's literal bytes and the read position in them.
+pub(crate) struct Literals<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+/// Iterations `ts` of the replay of a block of `L` rows — the one
+/// scalar per-point body of the decoder: invert the quantizer against
+/// the Lorenzo prediction, pulling literals for escape codes.
 ///
-/// Mirror of the compressor's `quantize_rows` — same arguments, same
-/// one-element-lag schedule over the lanes, the same prediction
-/// expression (of stencil order `D`) on the same operands, so the
-/// replayed values are bit-identical to the per-point replay whatever
-/// `L` and `D` are. Literals are consumed in visit order, which is
-/// stream order only for `L = 1`: the caller runs `L > 1` on
-/// escape-free blocks only.
-#[allow(clippy::too_many_arguments)]
-fn decode_rows<T: Element, const L: usize, const D: usize>(
-    codes: &[u32],
-    nx: usize,
-    above: &[f64],
-    rows: &mut [f64],
-    zp: &[f64],
-    zs: usize,
+/// Mirror of the compressor's [`sweep`](crate::compressor::sweep) —
+/// same one-element-lag schedule over the lanes, same [`Wave`], the
+/// same prediction expression (of stencil order `D`) on the same
+/// operands, so the replayed values are bit-identical to the per-point
+/// replay whatever `L` and `D` are. A whole block is
+/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`decode_rows`]); the
+/// vector kernel ([`crate::avx2`]) runs only its ramps through here.
+/// Literals are consumed in visit order, which is stream order only for
+/// `L = 1`: the caller runs `L > 1` on escape-free blocks only.
+#[inline(always)]
+pub(crate) fn replay<T: Element, const L: usize, const D: usize>(
+    ts: std::ops::Range<usize>,
+    w: &mut Wave<L>,
+    b: &mut Replay<'_, T>,
     quant: &Quantizer,
-    lit_bytes: &[u8],
-    lit_pos: &mut usize,
-    out: &mut [T],
+    lits: &mut Literals<'_>,
 ) -> Result<()> {
-    debug_assert!(codes.len() == L * nx && rows.len() == L * nx && out.len() == L * nx);
-    debug_assert!(above.len() == nx && zp.len() == L * zs + nx);
-    debug_assert!(L == 1 || !codes.contains(&UNPREDICTABLE));
-    debug_assert!(D == 3 || zs == 0);
+    let nx = b.nx;
+    debug_assert!(b.codes.len() == L * nx && b.rows.len() == L * nx && b.out.len() == L * nx);
+    debug_assert!(b.above.len() == nx && b.zp.len() == L * b.zs + nx);
+    debug_assert!(L == 1 || !b.codes.contains(&UNPREDICTABLE));
+    debug_assert!(D == 3 || b.zs == 0);
     let alphabet = quant.alphabet();
-    let mut cx = [0.0f64; L];
-    let mut pyx = [0.0f64; L];
-    let mut pzx = [0.0f64; L];
-    let mut pzyx = [0.0f64; L];
-    for t in 0..nx + L - 1 {
+    for t in ts {
         for j in (0..L).rev() {
             let x = t.wrapping_sub(j);
             if x >= nx {
                 continue;
             }
             let i = j * nx + x;
-            let ry = if j == 0 { above[x] } else { cx[j - 1] };
+            let ry = if j == 0 { b.above[x] } else { w.cx[j - 1] };
             let (rz, rzy) = if D == 3 {
-                (zp[(j + 1) * zs + x], zp[j * zs + x])
+                (b.zp[(j + 1) * b.zs + x], b.zp[j * b.zs + x])
             } else {
                 (0.0, 0.0)
             };
-            let pred = stencil::<D>(cx[j], ry, rz, pyx[j], pzx[j], rzy, pzyx[j]);
-            let code = codes[i];
+            let pred = stencil::<D>(w.cx[j], ry, rz, w.pyx[j], w.pzx[j], rzy, w.pzyx[j]);
+            let code = b.codes[i];
             let (value, rv) = if code == UNPREDICTABLE {
-                let v = T::read_le(lit_bytes, lit_pos)?;
+                let v = T::read_le(lits.bytes, &mut lits.pos)?;
                 let r = v.to_f64();
                 (v, if r.is_finite() { r } else { 0.0 })
             } else {
@@ -376,15 +445,24 @@ fn decode_rows<T: Element, const L: usize, const D: usize>(
                 let v = T::from_f64(quant.reconstruct(code, pred));
                 (v, v.to_f64())
             };
-            out[i] = value;
-            rows[i] = rv;
-            cx[j] = rv;
-            pyx[j] = ry;
-            pzx[j] = rz;
-            pzyx[j] = rzy;
+            b.out[i] = value;
+            b.rows[i] = rv;
+            w.cx[j] = rv;
+            w.pyx[j] = ry;
+            w.pzx[j] = rz;
+            w.pzyx[j] = rzy;
         }
     }
     Ok(())
+}
+
+/// A whole block of `L` rows through [`replay`].
+fn decode_rows<T: Element, const L: usize, const D: usize>(
+    b: &mut Replay<'_, T>,
+    quant: &Quantizer,
+    lits: &mut Literals<'_>,
+) -> Result<()> {
+    replay::<T, L, D>(0..b.nx + L - 1, &mut Wave::new(), b, quant, lits)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! pairs only; both sides reconstruct identical codes.
 
 use crate::error::{Result, SzError};
-use crate::stream::{get_varint, put_varint, varint_len, BitReader, BitWriter};
+use crate::stream::{get_varint, put_varint, varint_len, BitReader, BitWriter, MAX_PEEK_BITS};
 use std::collections::BinaryHeap;
 
 /// Maximum admissible code length. Rebuilt with flattened frequencies
@@ -18,13 +18,34 @@ const MAX_CODE_LEN: u8 = 32;
 
 /// Width of the decoder's primary lookup table: an `LUT_BITS`-bit peek
 /// resolves every code of length ≤ `LUT_BITS` in a single table hit
-/// (2^11 × 4 bytes = 8 KiB, resident in L1); longer codes fall back to
-/// the canonical first_code/first_index walk.
+/// (2^11 × 8 bytes = 16 KiB, resident in L1), and with it the code
+/// after it when that one fits in the bits left; longer codes fall back
+/// to a search over the canonical first_code/first_index table.
 const LUT_BITS: u32 = 11;
 const LUT_SIZE: usize = 1 << LUT_BITS;
-/// Primary-table entries pack `(symbol << LUT_LEN_BITS) | code_len`;
-/// a zero entry means "no short code with this prefix" (fall back).
+/// Width of a length field of a primary-table entry. An entry packs,
+/// low bits first: the bits [`HuffmanDecoder::decode_into`] consumes
+/// for it (`LUT_LEN_BITS` wide), the symbol of the code the prefix
+/// starts with (26 bits), that code's length (`LUT_LEN_BITS`), and the
+/// symbol of the code after it (26 bits). The consumed bits are the two
+/// codes' lengths when the second one ends inside the prefix, and the
+/// first's alone otherwise; a zero entry means "no short code with this
+/// prefix" (fall back).
 const LUT_LEN_BITS: u32 = 6;
+const LUT_LEN_MASK: u64 = (1 << LUT_LEN_BITS) - 1;
+/// Where an entry's first-code length starts.
+const LUT_FIRST_LEN: u32 = 32;
+/// Where an entry's second symbol starts.
+const LUT_SECOND: u32 = LUT_FIRST_LEN + LUT_LEN_BITS;
+
+/// The first code of a primary-table entry: `(symbol, length)`.
+#[inline]
+fn lut_first(entry: u64) -> (u32, u32) {
+    (
+        (entry as u32) >> LUT_LEN_BITS,
+        (entry >> LUT_FIRST_LEN & LUT_LEN_MASK) as u32,
+    )
+}
 
 /// Encoder-side canonical Huffman table.
 #[derive(Debug, Clone, Default)]
@@ -57,9 +78,13 @@ pub struct EncoderWorkspace {
 ///
 /// Decoding is two-level: an 11-bit (`LUT_BITS`) prefix peeked from the
 /// word-buffered [`BitReader`] indexes the primary table directly to
-/// `(symbol, code_len)` for short codes; longer (or invalid) prefixes
-/// fall back to [`HuffmanDecoder::decode_one_reference`], the retained
-/// bit-at-a-time canonical walk that doubles as the equivalence oracle.
+/// `(symbol, code_len)` for short codes — for two of them when the
+/// second also ends inside the prefix, which [`HuffmanDecoder::decode_into`]
+/// emits with one `consume`; longer (or invalid) prefixes fall back to
+/// a search of the canonical table by code length, or, in
+/// [`HuffmanDecoder::decode_one`], to
+/// [`HuffmanDecoder::decode_one_reference`], the retained bit-at-a-time
+/// canonical walk that doubles as the equivalence oracle.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
     /// Symbols sorted in canonical order.
@@ -69,9 +94,13 @@ pub struct HuffmanDecoder {
     first_code: [u64; MAX_CODE_LEN as usize + 1],
     first_index: [usize; MAX_CODE_LEN as usize + 1],
     count: [usize; MAX_CODE_LEN as usize + 1],
-    /// Primary table: `LUT_BITS`-bit prefix → packed
-    /// `(symbol << LUT_LEN_BITS) | code_len`, zero = fall back.
-    lut: Vec<u32>,
+    /// Primary table: `LUT_BITS`-bit prefix → the packed code it starts
+    /// with and the one after it (see [`LUT_LEN_BITS`]).
+    lut: Vec<u64>,
+    /// Shortest code length a prefix without a primary-table entry can
+    /// still match: `LUT_BITS + 1`, or 1 when a short code was left out
+    /// of the table for its symbol's width.
+    search_from: usize,
     /// [`HuffmanDecoder::reinit`] scratch: the parsed `(len, symbol)`
     /// pairs, kept so per-chunk re-initialization does no
     /// alphabet-proportional work (the serialized table lists only the
@@ -89,6 +118,7 @@ impl Default for HuffmanDecoder {
             first_index: [0; MAX_CODE_LEN as usize + 1],
             count: [0; MAX_CODE_LEN as usize + 1],
             lut: Vec::new(),
+            search_from: LUT_BITS as usize + 1,
             pairs: Vec::new(),
         }
     }
@@ -437,6 +467,7 @@ impl HuffmanDecoder {
         // equivalent on every input.
         self.lut.clear();
         self.lut.resize(LUT_SIZE, 0);
+        self.search_from = LUT_BITS as usize + 1;
         let short_max = LUT_BITS.min(u32::from(MAX_CODE_LEN)) as usize;
         for len in (1..=short_max).rev() {
             let first = self.first_code[len];
@@ -452,15 +483,37 @@ impl HuffmanDecoder {
                 if sym >= (1 << (32 - LUT_LEN_BITS)) {
                     // Symbol too wide to pack (only reachable through
                     // `from_lens` with an absurd alphabet; `reinit`
-                    // caps at 2^24): let the reference walk handle it.
+                    // caps at 2^24): let the search handle it.
+                    self.search_from = 1;
                     continue;
                 }
                 let shift = LUT_BITS as usize - len;
                 let base = (code as usize) << shift;
-                let entry = (sym << LUT_LEN_BITS) | len as u32;
+                let len = len as u64;
+                let entry = u64::from(sym) << LUT_LEN_BITS | len << LUT_FIRST_LEN | len;
                 for e in &mut self.lut[base..base + (1 << shift)] {
                     *e = entry;
                 }
+            }
+        }
+        // The code after the first one: the first code of what follows
+        // it in the prefix (zero-filled), kept when that code ends
+        // within the prefix's real bits — a code's span covers every
+        // filling of the bits after it, so the zero fill cannot change
+        // the match. (Only the fields this pass does not write are
+        // read.)
+        for prefix in 0..LUT_SIZE {
+            let entry = self.lut[prefix];
+            let (_, len) = lut_first(entry);
+            if entry == 0 || len == LUT_BITS {
+                continue;
+            }
+            let next = self.lut[(prefix << len) & (LUT_SIZE - 1)];
+            let (symbol, next_len) = lut_first(next);
+            if next != 0 && next_len <= LUT_BITS - len {
+                self.lut[prefix] = (entry & !LUT_LEN_MASK)
+                    | u64::from(len + next_len)
+                    | u64::from(symbol) << LUT_SECOND;
             }
         }
     }
@@ -473,13 +526,13 @@ impl HuffmanDecoder {
     pub fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u32> {
         let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
         if entry != 0 {
-            let len = entry & ((1 << LUT_LEN_BITS) - 1);
+            let (symbol, len) = lut_first(entry);
             // Post-peek, `avail < len` only at the stream tail, where
             // `avail == bits_remaining()` — so this one-register test
             // is exactly the "enough bits left?" check.
             if len <= r.avail_bits() {
                 r.consume(len);
-                return Ok(entry >> LUT_LEN_BITS);
+                return Ok(symbol);
             }
             // The padded peek matched a code longer than what's left in
             // the stream — the reference walk would run out of bits.
@@ -512,6 +565,12 @@ impl HuffmanDecoder {
         Err(SzError::Corrupt("invalid huffman code"))
     }
 
+    /// True when every symbol the table holds — everything it can
+    /// decode — lies in `range`.
+    pub(crate) fn decodes_only(&self, range: std::ops::Range<u32>) -> bool {
+        self.symbols.iter().all(|s| range.contains(s))
+    }
+
     /// Decode exactly `n` symbols into a fresh vector.
     ///
     /// Allocating convenience for tests and one-off callers; hot paths
@@ -523,20 +582,119 @@ impl HuffmanDecoder {
         Ok(out)
     }
 
-    /// Decode exactly `n` symbols into `out` (cleared first), reusing
-    /// its allocation across calls.
+    /// Decode exactly `n` symbols into `out`, reusing its allocation
+    /// across calls. On success `out` holds the `n` symbols and the
+    /// reader stands where `n` calls of
+    /// [`HuffmanDecoder::decode_one_reference`] leave it; on error,
+    /// `out` holds the symbols decoded before it, and the error is the
+    /// one those calls end in.
     ///
     /// The batch loop drives the LUT fast path through the buffered
-    /// reader with peek/consume — no per-symbol `Option` plumbing; the
-    /// canonical walk is entered only for codes longer than
-    /// `LUT_BITS` or invalid prefixes.
+    /// reader with peek/consume — no per-symbol `Option` plumbing — and
+    /// takes a prefix's two codes with one `consume` when both end in
+    /// the stream's real bits. Codes longer than `LUT_BITS` and invalid
+    /// prefixes are found by a search over the code lengths.
     pub fn decode_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u32>) -> Result<()> {
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.decode_one(r)?);
+        // Not cleared: every slot up to `n` is written before the call
+        // returns it, so `resize` only fills what a longer stream adds.
+        out.resize(n, 0);
+        // The loop runs on a copy, which stays in registers.
+        let mut local = r.clone();
+        let (decoded, result) = self.decode_pairs(&mut local, out);
+        *r = local;
+        out.truncate(decoded);
+        result
+    }
+
+    /// The loop of [`Self::decode_into`]: fills `out`, returns how many
+    /// symbols it decoded and how it ended.
+    #[inline]
+    fn decode_pairs(&self, r: &mut BitReader<'_>, out: &mut [u32]) -> (usize, Result<()>) {
+        let n = out.len();
+        let mut i = 0;
+        // One refill, then as many peeks as it guarantees bits for: the
+        // peeks' own refill test then never fires, so no branch in the
+        // loop depends on the code lengths.
+        const PEEKS: usize = (MAX_PEEK_BITS / LUT_BITS) as usize;
+        'batch: while i + 2 * PEEKS <= n {
+            r.refill();
+            for _ in 0..PEEKS {
+                let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
+                if entry == 0 {
+                    match self.decode_long(r) {
+                        Ok(symbol) => out[i] = symbol,
+                        Err(e) => return (i, Err(e)),
+                    }
+                    i += 1;
+                    continue;
+                }
+                // Both codes only when the second one's bits are real
+                // stream bits (`avail` is the whole remainder at the
+                // tail).
+                let bits = (entry & LUT_LEN_MASK) as u32;
+                if bits > r.avail_bits() {
+                    break 'batch;
+                }
+                r.consume(bits);
+                let (first, len) = lut_first(entry);
+                out[i] = first;
+                out[i + 1] = (entry >> LUT_SECOND) as u32;
+                i += 1 + usize::from(bits != len);
+            }
         }
-        Ok(())
+        while i < n {
+            let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
+            let (symbol, len) = lut_first(entry);
+            if entry == 0 {
+                match self.decode_long(r) {
+                    Ok(symbol) => out[i] = symbol,
+                    Err(e) => return (i, Err(e)),
+                }
+            } else if len > r.avail_bits() {
+                return (i, Err(SzError::Truncated("huffman bits")));
+            } else {
+                r.consume(len);
+                out[i] = symbol;
+            }
+            i += 1;
+        }
+        (i, Ok(()))
+    }
+
+    /// One symbol whose prefix has no primary-table entry, through
+    /// [`Self::search`].
+    #[inline]
+    fn decode_long(&self, r: &mut BitReader<'_>) -> Result<u32> {
+        const MAX: u32 = MAX_CODE_LEN as u32;
+        let bits = r.peek_bits(MAX);
+        // After the peek, fewer than `MAX` bits available means that
+        // is all the stream has left.
+        let (symbol, len) = self.search(bits, r.avail_bits())?;
+        r.consume(len);
+        Ok(symbol)
+    }
+
+    /// The symbol and length of the code `bits` (the next
+    /// `MAX_CODE_LEN` bits, of which `avail` are real) starts with: the
+    /// first code length, from [`HuffmanDecoder::search_from`] up,
+    /// whose canonical range holds them — the match and the error of
+    /// [`HuffmanDecoder::decode_one_reference`], without reading the
+    /// bits one at a time.
+    #[cold]
+    fn search(&self, bits: u64, avail: u32) -> Result<(u32, u32)> {
+        for len in self.search_from..=MAX_CODE_LEN as usize {
+            if len as u32 > avail {
+                // Where the walk runs out of bits.
+                return Err(SzError::Truncated("huffman bits"));
+            }
+            let code = bits >> (MAX_CODE_LEN as usize - len);
+            let offset = code.wrapping_sub(self.first_code[len]);
+            if offset < self.count[len] as u64 {
+                let symbol = self.symbols[self.first_index[len] + offset as usize];
+                return Ok((symbol, len as u32));
+            }
+        }
+        Err(SzError::Corrupt("invalid huffman code"))
     }
 }
 

@@ -7,6 +7,8 @@
 //! raw value is stored verbatim (either because `|q| ≥ radius` or
 //! because rounding to the storage type would break the bound).
 
+use crate::compressor::Steps;
+
 /// Linear quantizer with a bounded codebook.
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
@@ -81,6 +83,15 @@ impl Quantizer {
             return None;
         }
         Some(((q + self.radius) as u32, recon))
+    }
+
+    /// The bound, step and radius, as the vector replay takes them.
+    pub(crate) fn steps(&self) -> Steps {
+        Steps {
+            eb: self.eb,
+            twice_eb: self.twice_eb,
+            radius: self.radius,
+        }
     }
 
     /// Invert a symbol produced by [`Self::quantize`].

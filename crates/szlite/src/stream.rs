@@ -181,7 +181,7 @@ impl BitWriter {
 /// Largest `n` accepted by [`BitReader::peek_bits`]: one refill always
 /// tops the accumulator up to at least this many bits while the stream
 /// has them.
-const MAX_PEEK_BITS: u32 = 56;
+pub(crate) const MAX_PEEK_BITS: u32 = 56;
 
 /// MSB-first bit reader over a byte slice, buffered through a 64-bit
 /// accumulator that refills from whole words.
@@ -196,7 +196,7 @@ const MAX_PEEK_BITS: u32 = 56;
 ///   the next prefix without committing to a length. `peek_bits`
 ///   zero-pads past the end of the slice; callers that consume must
 ///   first check [`BitReader::bits_remaining`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
     /// Index of the next byte not yet loaded into `acc`.
@@ -239,7 +239,7 @@ impl<'a> BitReader<'a> {
     /// stream still has). The fast path grafts whole bytes of a 64-bit
     /// word in one shot; the tail falls back to byte-at-a-time.
     #[inline]
-    fn refill(&mut self) {
+    pub(crate) fn refill(&mut self) {
         if self.avail >= MAX_PEEK_BITS {
             return;
         }

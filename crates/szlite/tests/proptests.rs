@@ -30,13 +30,64 @@ fn shape_and_data() -> impl Strategy<Value = (Vec<usize>, Vec<f32>)> {
 /// Shapes that stress the row-block schedule: 1-D, 2-D and 3-D
 /// (including a single plane) with `ny` and `nx` on both sides of the
 /// lane count, so blocks, leftover rows and rows shorter than the lag
-/// ramp all occur.
+/// ramp all occur — and planes of 8 to 24 rows of 8 to 40 points,
+/// whose 8-row blocks run many steady-state iterations of the vector
+/// kernels between their ramps.
 fn schedule_shape() -> impl Strategy<Value = Vec<usize>> {
     prop_oneof![
         (1usize..=40).prop_map(|n| vec![n]),
         ((1usize..=9), (1usize..=9)).prop_map(|(a, b)| vec![a, b]),
         ((1usize..=4), (1usize..=9), (1usize..=9)).prop_map(|(a, b, c)| vec![a, b, c]),
+        ((1usize..=3), (8usize..=24), (8usize..=40)).prop_map(|(a, b, c)| {
+            if a == 1 {
+                vec![b, c]
+            } else {
+                vec![a, b, c]
+            }
+        }),
     ]
+}
+
+/// `decode_into` of `n` symbols against `n` calls of the bit-at-a-time
+/// walk: the same symbols, the same bits left, or the same error after
+/// the same symbols.
+fn assert_batch_matches_walk(
+    dec: &HuffmanDecoder,
+    bits: &[u8],
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let mut walk = BitReader::new(bits);
+    let mut want = Vec::new();
+    let mut failed = None;
+    for _ in 0..n {
+        match dec.decode_one_reference(&mut walk) {
+            Ok(symbol) => want.push(symbol),
+            Err(e) => {
+                failed = Some(e);
+                break;
+            }
+        }
+    }
+    let mut batch = BitReader::new(bits);
+    // Dirty and longer than some `n`: nothing of it may show through.
+    let mut got = vec![u32::MAX; 5];
+    let result = dec.decode_into(&mut batch, n, &mut got);
+    prop_assert_eq!(&got, &want, "symbols of {} asked", n);
+    match failed {
+        None => {
+            prop_assert_eq!(result, Ok(()));
+            prop_assert_eq!(batch.bits_remaining(), walk.bits_remaining());
+        }
+        Some(e) => prop_assert_eq!(result, Err(e)),
+    }
+    Ok(())
+}
+
+/// Symbols whose frequencies fall off geometrically from `0`, so codes
+/// run from 1 bit (two or more per table peek) to past the table width.
+fn skewed_symbols(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(any::<u64>(), 1..max_len)
+        .prop_map(|words| words.iter().map(|w| w.trailing_zeros().min(40)).collect())
 }
 
 /// A smooth field with escapes planted by `density`: 0 none, 1 sparse
@@ -404,6 +455,72 @@ proptest! {
             }
             prop_assert_eq!(lut_r.bits_remaining(), ref_r.bits_remaining());
         }
+    }
+
+    #[test]
+    fn batch_decoder_equivalent_to_the_walk(
+        symbols in skewed_symbols(600),
+        wide in proptest::collection::vec(0u32..512, 1..300),
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+        extra in 0usize..6,
+    ) {
+        // Narrow tables (long runs of 1- to 3-bit codes: two per peek
+        // nearly always) and wide ones (codes around 9 bits: rarely),
+        // on their own streams, on every cut of those, and on garbage.
+        for (symbols, alphabet) in [(&symbols, 41), (&wide, 512)] {
+            let enc = HuffmanEncoder::from_symbols(symbols, alphabet);
+            let mut table = Vec::new();
+            enc.serialize(&mut table);
+            let mut w = BitWriter::new();
+            enc.encode(symbols, &mut w);
+            let bits = w.finish();
+            let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
+            for n in [symbols.len(), symbols.len() + extra] {
+                assert_batch_matches_walk(&dec, &bits, n)?;
+                assert_batch_matches_walk(&dec, &garbage, n)?;
+            }
+            // Every truncation: the pair's second code, or the first,
+            // falls in the zero padding of the peek.
+            for cut in 0..bits.len() {
+                assert_batch_matches_walk(&dec, &bits[..cut], symbols.len())?;
+            }
+        }
+    }
+
+    #[test]
+    fn batch_decoder_equivalent_on_long_and_single_code_tables(
+        lens in proptest::collection::vec(0u8..20, 1..300),
+        deep in 13usize..25,
+        picks in proptest::collection::vec(any::<u32>(), 1..300),
+        single in 0u32..100,
+        garbage in proptest::collection::vec(any::<u8>(), 0..128),
+        n in 0usize..400,
+    ) {
+        // A complete code of lengths 1, 2, …, deep − 1, deep − 1 (from
+        // halving frequencies) on a stream that picks every symbol
+        // alike, so most codes are past the table width, and its cuts.
+        let freqs: Vec<u64> = (0..deep).map(|s| 1 << (deep - 1 - s)).collect();
+        let enc = HuffmanEncoder::from_freqs(&freqs);
+        let symbols: Vec<u32> = picks.iter().map(|p| p % deep as u32).collect();
+        let mut table = Vec::new();
+        enc.serialize(&mut table);
+        let mut w = BitWriter::new();
+        enc.encode(&symbols, &mut w);
+        let bits = w.finish();
+        let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
+        for cut in (0..=bits.len()).rev() {
+            assert_batch_matches_walk(&dec, &bits[..cut], symbols.len())?;
+        }
+        // Arbitrary length tables, Kraft-oversubscribed ones included;
+        // and a table of one symbol (one 1-bit code), on random bits.
+        let dec = HuffmanDecoder::from_lens(&lens).unwrap();
+        assert_batch_matches_walk(&dec, &garbage, n)?;
+        let enc = HuffmanEncoder::from_symbols(&[single], 100);
+        let mut table = Vec::new();
+        enc.serialize(&mut table);
+        let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
+        assert_batch_matches_walk(&dec, &garbage, n)?;
+        assert_batch_matches_walk(&dec, &vec![0; garbage.len()], n)?;
     }
 
     #[test]

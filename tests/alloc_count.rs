@@ -1,7 +1,8 @@
 //! Heap-allocation counts under a counting global allocator. The
 //! predict phase: the estimate pass must stay allocation-free once its
 //! scratch is warm, and a step's predict phase must allocate per
-//! field, never per sampled block. The read path: a typed dataset read
+//! field, never per sampled block. The read path: a second decode on
+//! the same scratch allocates nothing, and a typed dataset read
 //! allocates its output once and no second buffer of that size, and
 //! nothing per tile.
 
@@ -14,7 +15,7 @@ use repro_suite::predwrite::{
     RealConfig, RealError, ReservationTopology, SourceEstimate,
 };
 use repro_suite::ratiomodel::{estimate_partition_with, EstimateScratch, Models};
-use repro_suite::szlite::{Config, Dims};
+use repro_suite::szlite::{compress, decompress_into, Config, DecompressScratch, Dims};
 use repro_suite::timeline::{partition_1d, partition_3d};
 use repro_suite::workloads::SnapshotStream;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,6 +93,32 @@ fn warm_estimate_allocates_nothing() {
             assert_eq!(allocs_here() - before, 0, "field {}", f.name);
             assert_eq!(first.unwrap(), second.unwrap());
         }
+    }
+}
+
+#[test]
+fn warm_decompress_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
+    let cfg = Config::rel(1e-3);
+    // A Nyx 3-D partition, whose blocks run the vector replay where the
+    // host has one, and a 2^18-point 1-D VPIC stream, whose wide codes
+    // take the long-code search.
+    let nyx = partition_3d(&SnapshotStream::nyx(64).seed(3).snapshot(0), 2);
+    let vpic = SnapshotStream::vpic(1 << 18).seed(3).snapshot(0);
+    let streams = [
+        (&nyx[0][0].data, &nyx[0][0].dims),
+        (&vpic.fields[0].data, &Dims::d1(vpic.fields[0].data.len())),
+    ];
+    for (data, dims) in streams {
+        let stream = compress::<f32>(data, dims, &cfg).unwrap();
+        let mut scratch = DecompressScratch::new();
+        let mut out = Vec::<f32>::new();
+        decompress_into(&stream, &mut scratch, &mut out).unwrap();
+        let first = out.clone();
+        let before = allocs_here();
+        decompress_into(&stream, &mut scratch, &mut out).unwrap();
+        assert_eq!(allocs_here() - before, 0, "{dims:?}");
+        assert!(first == out);
     }
 }
 
