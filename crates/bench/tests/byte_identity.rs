@@ -15,11 +15,14 @@
 //! carry exactly the body the exhaustive matcher (szlite's own test
 //! oracle, included by path) would have produced from the lossless-off
 //! payload — token stream if smaller than the payload, stored
-//! otherwise.
+//! otherwise. The same holds tile by tile at the benchmark's chunk
+//! shape, where the stage stores a payload by its can't-shrink bound
+//! without running the matcher at all.
 
+use szlite::lossless::{cannot_shrink, LzScratch, WINDOW};
 use szlite::stream::put_varint;
 use szlite::{compress_into, compress_reference, stream_info, Config, Dims, Scratch};
-use workloads::{nyx, rtm, vpic, Dataset, NyxParams, RtmParams, VpicParams};
+use workloads::{nyx, rtm, vpic, Dataset, Field, NyxParams, RtmParams, SnapshotStream, VpicParams};
 
 #[path = "../../szlite/src/lossless/oracle.rs"]
 mod lzss_oracle;
@@ -128,4 +131,96 @@ fn vpic_give_up_costs_no_bytes() {
 fn rtm_give_up_costs_no_bytes() {
     let mut scratch = Scratch::new();
     assert_give_up_is_free(&rtm::snapshot(RtmParams::with_side(64)), &mut scratch);
+}
+
+/// `T³` tiles of a cubic field, in raster order of the tile grid: what
+/// a chunked dataset's filter compresses one at a time.
+fn tiles<const T: usize>(field: &Field) -> Vec<Vec<f32>> {
+    let n = field.dims[0];
+    assert!(field.dims == [n, n, n] && n.is_multiple_of(T));
+    let mut out = Vec::new();
+    for (tz, ty, tx) in
+        (0..n / T).flat_map(|z| (0..n / T).flat_map(move |y| (0..n / T).map(move |x| (z, y, x))))
+    {
+        let mut tile = Vec::with_capacity(T * T * T);
+        for z in tz * T..(tz + 1) * T {
+            for y in ty * T..(ty + 1) * T {
+                let row = (z * n + y) * n + tx * T;
+                tile.extend_from_slice(&field.data[row..row + T]);
+            }
+        }
+        out.push(tile);
+    }
+    out
+}
+
+/// The lossless-on and lossless-off streams of one 32³ tile at `cfg`.
+fn tile_streams(tile: &[f32], cfg: &Config, scratch: &mut Scratch) -> (Vec<u8>, Vec<u8>) {
+    let dims = Dims::d3(32, 32, 32);
+    let (mut with, mut without) = (Vec::new(), Vec::new());
+    compress_into(tile, &dims, cfg, scratch, &mut with).unwrap();
+    compress_into(
+        tile,
+        &dims,
+        &cfg.clone().with_lossless(false),
+        scratch,
+        &mut without,
+    )
+    .unwrap();
+    (with, without)
+}
+
+/// The benchmark's chunk shape: every 32³ tile of an RTM 64³ field,
+/// compressed on its own at `Config::rel(1e-3)`, carries exactly the
+/// body the exhaustive matcher would have produced — and the lossless
+/// stage's can't-shrink bound, not the matcher, decided some of them.
+#[test]
+fn rtm_tiles_cost_no_bytes() {
+    let mut scratch = Scratch::new();
+    let mut lz = LzScratch::default();
+    let ds = SnapshotStream::rtm(64).seed(1).snapshot(0);
+    let cfg = Config::rel(1e-3);
+    let mut decided = 0;
+    for (t, tile) in tiles::<32>(&ds.fields[0]).iter().enumerate() {
+        let (with, without) = tile_streams(tile, &cfg, &mut scratch);
+        let payload = body(&without);
+        decided += usize::from(cannot_shrink(payload, &mut lz));
+        assert!(
+            body(&with) == exhaustive_lossless(payload),
+            "tile {t} ({} payload bytes) stored other bytes",
+            payload.len()
+        );
+    }
+    assert!(decided > 0, "the bound decided no tile");
+}
+
+/// A compressible tile payload of at most 64 KiB: a 32³ tile of a Nyx
+/// dark-matter density field, which the matcher shrinks by a few
+/// percent, to exactly the exhaustive bytes.
+#[test]
+fn nyx_density_tile_is_still_matched() {
+    let mut scratch = Scratch::new();
+    let ds = SnapshotStream::nyx(64).seed(1).snapshot(0);
+    let cfg = Config::rel(1e-3);
+    let field = ds
+        .fields
+        .iter()
+        .find(|f| f.name == "dark_matter_density")
+        .unwrap();
+    let tile = &tiles::<32>(field)[0];
+    let (with, without) = tile_streams(tile, &cfg, &mut scratch);
+    let payload = body(&without);
+    let lossless = body(&with);
+    assert!(
+        lossless == exhaustive_lossless(payload),
+        "field '{}'",
+        field.name
+    );
+    assert!(payload.len() <= WINDOW);
+    assert!(!cannot_shrink(payload, &mut LzScratch::default()));
+    assert_eq!(
+        lossless[0], 1,
+        "the matcher did not win on '{}'",
+        field.name
+    );
 }

@@ -8,7 +8,8 @@
 //! with several rows of a plane in flight at once so the per-point
 //! dependency chain of one row hides behind its neighbors' — four
 //! scalar lanes, or, where [`compress_into`]'s dispatch finds AVX2 and
-//! a block of 8 rows, two 4-lane vectors ([`crate::avx2`]). Each
+//! blocks of 8 rows, two 4-lane vectors running through all of a
+//! plane's blocks at once ([`crate::avx2`]). Each
 //! pipeline worker carries its own [`Scratch`] —
 //! frequency counts are accumulated per-worker and merged into the
 //! Huffman build in a single sparse rebuild, so no stage shares mutable
@@ -144,6 +145,29 @@ pub(crate) struct Block<'a, T> {
     pub(crate) codes: &'a mut [u32],
 }
 
+impl<T> Block<'_, T> {
+    /// Rows `first..first + n` of this block as a block of their own,
+    /// whose row above is this block's row `first − 1` (or its own row
+    /// above).
+    pub(crate) fn rows_from(&mut self, first: usize, n: usize) -> Block<'_, T> {
+        let nx = self.nx;
+        let (done, rows) = self.rows.split_at_mut(first * nx);
+        Block {
+            data: &self.data[first * nx..][..n * nx],
+            nx,
+            above: if first == 0 {
+                self.above
+            } else {
+                &done[(first - 1) * nx..]
+            },
+            rows: &mut rows[..n * nx],
+            zp: &self.zp[first * self.zs..][..n * self.zs + nx],
+            zs: self.zs,
+            codes: &mut self.codes[first * nx..][..n * nx],
+        }
+    }
+}
+
 /// The run's code counts: the alphabet-wide table and the list of
 /// codes it has seen (see [`Scratch`]).
 pub(crate) struct Counts<'a> {
@@ -159,6 +183,17 @@ impl Counts<'_> {
             self.present.push(code);
         }
         self.freqs[code as usize] = f + 1;
+    }
+
+    /// [`add`](Self::add) when `on`, else nothing — without a branch on
+    /// `on` but the rare one of a first sighting.
+    #[inline(always)]
+    pub(crate) fn add_if(&mut self, code: u32, on: bool) {
+        let f = self.freqs[code as usize];
+        if f == 0 && on {
+            self.present.push(code);
+        }
+        self.freqs[code as usize] = f + u64::from(on);
     }
 }
 
@@ -195,9 +230,9 @@ impl<const L: usize> Wave<L> {
 /// at `x` and `x − 1`, both finished by iteration `t − 1`, so the loop
 /// body carries `L` independent dependency chains. `L = 1` is the plain
 /// row kernel (leftover rows, 1-D data). A whole block is
-/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`quantize_rows`]); the
-/// vector kernel ([`crate::avx2`]) runs only the iterations in which
-/// some lane is outside its row through here and carries `w` across.
+/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`quantize_rows`]). The
+/// vector kernel ([`crate::avx2`]) runs every iteration of its blocks
+/// itself, ramps included; this body is its scalar arm and its oracle.
 ///
 /// `D` is the lowest [`stencil`] order that is exact where the block
 /// sits ([`stencil_order`]), which keeps terms that can only be zero
@@ -384,10 +419,10 @@ fn compress_on<T: Element>(
         present: &mut *present,
     };
     // The one place a block's kernel is chosen, from what the host and
-    // the input are (see the crate docs): the vector kernel where the
-    // CPU, the element type and the radius allow it and the block has
-    // its 8 rows and a `y − 1` neighbor; otherwise 4 scalar lanes, or
-    // one for leftover rows and 1-D data.
+    // the input are (see the crate docs): the vector kernel, over all
+    // the 8-row blocks a plane holds, where the CPU, the element type
+    // and the radius allow it and a block has a `y − 1` neighbor;
+    // otherwise 4 scalar lanes, or one for leftover rows and 1-D data.
     let vector = Avx2::select::<T>(radius).filter(|_| may_vectorize);
     for z in 0..nz {
         if z > 0 {
@@ -398,7 +433,7 @@ fn compress_on<T: Element>(
             let order = stencil_order(z, ny);
             let wide = vector.filter(|_| ny - y >= avx2::ROWS && order >= 2);
             let lanes = match wide {
-                Some(_) => avx2::ROWS,
+                Some(_) => (ny - y) / avx2::ROWS * avx2::ROWS,
                 None if ny - y >= LANES => LANES,
                 None => 1,
             };

@@ -12,12 +12,16 @@
 //! * the matcher works through two fixed, cache-sized `u32` tables
 //!   ([`LzScratch`]: a 256 KiB hash head and a 256 KiB ring of chain
 //!   links), whatever the input length;
-//! * it *gives up* on input that does not repeat: once a whole 16 KiB
-//!   window of input past the first has cost 1.10× its size or more in
-//!   output (all literals cost 1.125×), the stream is stored raw —
-//!   exactly what a finished token stream that is not smaller than its
-//!   input ends as, minus the time spent finding that out. Window and
-//!   threshold are private constants set from the measured
+//! * an input of at most [`WINDOW`] bytes is stored raw without running
+//!   the matcher when a count of its repeated positions proves that no
+//!   token stream can be shorter than it ([`cannot_shrink`]; the bound
+//!   is below) — a 32³ tile's Huffman output, for one;
+//! * it *gives up* on longer input that does not repeat: once a whole
+//!   16 KiB window of input past the first has cost 1.10× its size or
+//!   more in output (all literals cost 1.125×), the stream is stored
+//!   raw — exactly what a finished token stream that is not smaller
+//!   than its input ends as, minus the time spent finding that out.
+//!   Window and threshold are private constants set from the measured
 //!   distribution quoted on them; there is no knob.
 //!
 //! # Bytes contract
@@ -29,13 +33,38 @@
 //! compressible input to have paid for it — or if the input is too long
 //! for 32-bit positions (≈ 4 GiB) — and then it is the stored input
 //! plus the mode byte, so never larger than skipping the stage + 1.
+//!
+//! The bound never changes a byte. A match of length `L` costs 3 bytes
+//! and one flag bit, and covers `L − 3` positions whose 4 bytes also
+//! occur earlier in the window (those it starts at up to `L − 4` past
+//! its start). With `R` such positions in an `n`-byte input, `k`
+//! matches covering `M` bytes have `M − 3k ≤ R`, and, as `L ≥ 4`,
+//! `k ≤ M − 3k`; the stream (mode byte, length varint, flag bytes and
+//! tokens) is therefore at least
+//!
+//! `1 + varint(n) + (n − R) + ⌈(n − 3R) / 8⌉`
+//!
+//! bytes, as `n − M + 3k ≥ n − R` token bytes and `n − M + k ≥ n − 3R`
+//! tokens. It is not smaller than `n`, and the input is stored, whenever
+//! `11·R < n + 16 + 8·varint(n)`. `R` is counted with one hashed pass
+//! over 2^17 buckets: a position counts when an earlier position of the
+//! input has marked its bucket. A repeated 4-byte group always finds the
+//! bucket of its first occurrence marked, so collisions only raise the
+//! count and the bound stays exact. On the tiles of `rtm_chunked` (RTM
+//! 128³ in 32³ tiles, relative bound 1e-3; its four snapshots on seeds
+//! 1 and 2, 512 payloads of 13.1–17.2 KB) the count reads
+//! `R / n ≤ 0.066` against a limit of ≈ 0.091 — every tile is stored by
+//! the bound, where the matcher used to run to the end and keep none of
+//! them.
 
 use crate::error::{Result, SzError};
-use crate::stream::{get_varint, put_varint};
+use crate::stream::{get_varint, put_varint, varint_len};
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 255 + MIN_MATCH;
-const WINDOW: usize = 65535;
+/// Farthest a match reaches back; also the longest input
+/// [`cannot_shrink`] decides on.
+pub const WINDOW: usize = 65535;
 const HASH_BITS: u32 = 16;
 const MAX_CHAIN: usize = 48;
 /// Slots of the chain-link ring: the smallest power of two above
@@ -45,6 +74,10 @@ const RING: usize = WINDOW + 1;
 /// First epoch base: past the window, so the empty marker 0 fails the
 /// window check like any stale entry.
 const FIRST_BASE: u32 = WINDOW as u32 + 1;
+/// Hash bits of [`cannot_shrink`]'s count: one bit per bucket, in the
+/// first `2^17 / 32` slots of the matcher's ring (see [`LzScratch`]).
+const COUNT_BITS: u32 = HASH_BITS + 1;
+const MARKS: usize = (1 << COUNT_BITS) / 32;
 
 /// Input bytes per give-up decision.
 ///
@@ -58,6 +91,12 @@ const FIRST_BASE: u32 = WINDOW as u32 + 1;
 /// *first* window, which holds the serialized Huffman table and reads
 /// anything from 0.79 to 1.125. Hence: never judge the first window,
 /// and put the threshold in the gap.
+///
+/// An input of at most two windows is therefore never judged, and the
+/// matcher used to run every such input to the end: a 32³ tile's
+/// payload (13.1–17.2 KB on `rtm_chunked`) lies inside the first or
+/// just past it. Those inputs are what [`cannot_shrink`]'s bound
+/// decides on.
 const GIVE_UP_WINDOW: usize = 16 << 10;
 /// A window past the first that emits at least this percentage of its
 /// input ends the search (see [`GIVE_UP_WINDOW`] for the measured gap
@@ -74,9 +113,15 @@ fn load4(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]])
 }
 
+/// The top `bits` bits of the multiplicative hash of `v`.
+#[inline]
+fn hash(v: u32, bits: u32) -> usize {
+    (v.wrapping_mul(2654435761) >> (32 - bits)) as usize
+}
+
 #[inline]
 fn hash4(v: u32) -> usize {
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+    hash(v, HASH_BITS)
 }
 
 /// Reusable LZSS matcher state: the hash-head table (2^16 × `u32`,
@@ -93,11 +138,27 @@ fn hash4(v: u32) -> usize {
 /// only from the slot of an in-window candidate of the current buffer,
 /// and that slot cannot have been reused: position `cand + 2^16` lies
 /// ahead of the position being matched.
+///
+/// So the ring's contents between buffers mean nothing, and
+/// [`cannot_shrink`] counts in its first 4096 slots (16 KiB, a bit per
+/// bucket of a 17-bit hash — an L1-sized table where a table of
+/// positions would be 512 KiB), zeroing them first.
 #[derive(Debug, Default)]
 pub struct LzScratch {
     head: Vec<u32>,
     links: Vec<u32>,
     base: u32,
+}
+
+impl LzScratch {
+    /// Allocate the tables on first use.
+    fn reserve(&mut self) {
+        if self.head.is_empty() {
+            self.head = vec![0; 1 << HASH_BITS];
+            self.links = vec![0; RING];
+            self.base = FIRST_BASE;
+        }
+    }
 }
 
 /// Compress `input`, always producing a self-describing stream
@@ -112,14 +173,51 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// across calls. Output is byte-identical to [`compress`].
 pub fn compress_into(input: &[u8], out: &mut Vec<u8>, scratch: &mut LzScratch) {
     out.clear();
-    out.push(MODE_LZSS);
-    if !lzss_compress_into(input, out, scratch, true) || out.len() >= input.len() {
-        // Incompressible: store raw. LZSS is kept only when mode byte +
-        // tokens is smaller than the input.
+    if !cannot_shrink(input, scratch) {
+        out.push(MODE_LZSS);
+        // LZSS is kept only when mode byte + tokens is smaller than the
+        // input.
+        if lzss_compress_into(input, out, scratch, true) && out.len() < input.len() {
+            return;
+        }
         out.clear();
-        out.push(MODE_RAW);
-        out.extend_from_slice(input);
     }
+    // Incompressible: store raw.
+    out.push(MODE_RAW);
+    out.extend_from_slice(input);
+}
+
+/// True when `input` is at most [`WINDOW`] bytes and the module's
+/// bound proves that no LZSS stream of it (mode byte included) is
+/// shorter than it: [`compress_into`] then stores it without running
+/// the matcher. One hashed pass that stops as soon as the bound fails;
+/// it allocates nothing past `scratch`'s tables.
+pub fn cannot_shrink(input: &[u8], scratch: &mut LzScratch) -> bool {
+    let n = input.len();
+    if n > WINDOW {
+        return false;
+    }
+    // Stored while `11·R < limit`.
+    let limit = n + 16 + 8 * varint_len(n as u64);
+    scratch.reserve();
+    let marks: &mut [u32; MARKS] = (&mut scratch.links[..MARKS]).try_into().expect("marks");
+    marks.fill(0);
+    let mut repeats = 0usize;
+    for four in input.windows(MIN_MATCH) {
+        let h = hash(
+            u32::from_le_bytes(four.try_into().expect("4 bytes")),
+            COUNT_BITS,
+        );
+        // Every earlier position of the input is within the window
+        // (`n ≤ WINDOW`), so a marked bucket is a repeat or a collision.
+        let (word, bit) = (h / 32, 1 << (h % 32));
+        repeats += usize::from(marks[word] & bit != 0);
+        marks[word] |= bit;
+        if 11 * repeats >= limit {
+            return false;
+        }
+    }
+    true
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -195,11 +293,8 @@ fn lzss_compress_into(input: &[u8], out: &mut Vec<u8>, s: &mut LzScratch, give_u
     // Positions this buffer takes out of the epoch: its own, plus the
     // gap that puts them out of the next buffer's window.
     let span = n as u32 + FIRST_BASE;
-    if s.head.is_empty() {
-        s.head = vec![0; 1 << HASH_BITS];
-        s.links = vec![0; RING];
-        s.base = FIRST_BASE;
-    } else if span > u32::MAX - s.base {
+    s.reserve();
+    if span > u32::MAX - s.base {
         s.head.fill(0);
         s.base = FIRST_BASE;
     }
@@ -752,6 +847,84 @@ mod tests {
             prop_assert!(got.as_ref() == Some(&expect), "len {}", data.len());
             prop_assert_eq!(naive_expand(&expect).unwrap(), data);
         }
+    }
+
+    /// Positions of `input` whose 4 bytes occur earlier within the
+    /// window, counted without hashing.
+    fn exact_repeats(input: &[u8]) -> usize {
+        let mut last = std::collections::HashMap::new();
+        (0..input.len().saturating_sub(MIN_MATCH - 1))
+            .filter(|&i| {
+                let seen = last.insert(load4(input, i), i);
+                seen.is_some_and(|q| i - q <= WINDOW)
+            })
+            .count()
+    }
+
+    /// [`compress_into`] on a dirty scratch.
+    fn stage(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        DIRTY.with_borrow_mut(|s| compress_into(input, &mut out, s));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_and_seed(
+            if cfg!(debug_assertions) { 48 } else { 256 },
+            0xB0_0D,
+        ) /* pinned: deterministic CI */)]
+
+        /// The module's bound holds against the exhaustive matcher, and
+        /// storing by it never changes a byte: below two give-up
+        /// windows the stage emits exactly the exhaustive stream.
+        #[test]
+        fn the_bound_stores_only_what_no_stream_shrinks(
+            segments in proptest::collection::vec(
+                (0u8..5, 0usize..=14 << 10, any::<u32>(), 1usize..=300),
+                0..=5,
+            ),
+        ) {
+            let data = build(&segments);
+            let n = data.len();
+            let tokens = 1 + oracle_stream(&data).len();
+            let r = exact_repeats(&data);
+            let flags = n.saturating_sub(3 * r).div_ceil(8);
+            prop_assert!(tokens >= 1 + varint_len(n as u64) + n - r + flags, "len {}", n);
+            let stored = DIRTY.with_borrow_mut(|s| cannot_shrink(&data, s));
+            prop_assert!(!stored || tokens >= n, "stored a stream that shrinks, len {}", n);
+            prop_assert!(!stored || n <= WINDOW);
+            if n <= 2 * GIVE_UP_WINDOW {
+                let want = if tokens < n {
+                    [&[MODE_LZSS][..], &oracle_stream(&data)].concat()
+                } else {
+                    [&[MODE_RAW][..], &data].concat()
+                };
+                prop_assert!(stage(&data) == want, "len {}", n);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bound_decides_both_ways() {
+        // Noise is stored by the bound up to ≈ 20 KB: past that, the
+        // collisions of 2^17 buckets (≈ n² / 2^18 of them) alone reach
+        // the limit of ≈ n / 11 counted repeats.
+        let noise = xorshift_bytes(0xC0FFEE, WINDOW + 1);
+        let mut s = LzScratch::default();
+        for n in [0, 1, 3, 4, 100, 14_500, 20_000] {
+            assert!(cannot_shrink(&noise[..n], &mut s), "noise of {n}");
+            assert_eq!(stage(&noise[..n]), [&[MODE_RAW][..], &noise[..n]].concat());
+        }
+        for n in [2 * GIVE_UP_WINDOW, WINDOW, WINDOW + 1] {
+            assert!(!cannot_shrink(&noise[..n], &mut s), "noise of {n}");
+        }
+        // One planted repeat of a fifth of the input: the count exceeds
+        // the limit and the matcher runs, and wins.
+        let mut data = noise[..14_500].to_vec();
+        data.copy_within(0..2900, 7000);
+        assert!(!cannot_shrink(&data, &mut s));
+        assert_eq!(stage(&data)[0], MODE_LZSS);
+        roundtrip(&data);
     }
 
     #[test]

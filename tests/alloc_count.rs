@@ -4,7 +4,8 @@
 //! field, never per sampled block. The read path: a second decode on
 //! the same scratch allocates nothing, and a typed dataset read
 //! allocates its output once and no second buffer of that size, and
-//! nothing per tile.
+//! nothing per tile. The write path: a second compress on the same
+//! scratch and output allocates nothing.
 
 use repro_suite::h5lite::{
     DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
@@ -15,7 +16,9 @@ use repro_suite::predwrite::{
     RealConfig, RealError, ReservationTopology, SourceEstimate,
 };
 use repro_suite::ratiomodel::{estimate_partition_with, EstimateScratch, Models};
-use repro_suite::szlite::{compress, decompress_into, Config, DecompressScratch, Dims};
+use repro_suite::szlite::{
+    compress, compress_into, decompress_into, Config, DecompressScratch, Dims, Scratch,
+};
 use repro_suite::timeline::{partition_1d, partition_3d};
 use repro_suite::workloads::SnapshotStream;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,6 +120,37 @@ fn warm_decompress_allocates_nothing() {
         let first = out.clone();
         let before = allocs_here();
         decompress_into(&stream, &mut scratch, &mut out).unwrap();
+        assert_eq!(allocs_here() - before, 0, "{dims:?}");
+        assert!(first == out);
+    }
+}
+
+#[test]
+fn warm_compress_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
+    let cfg = Config::rel(1e-3);
+    // The first 32³ tile of an RTM 64³ field, the chunk the chunked
+    // write compresses (a payload the lossless stage's bound decides
+    // on), and a Nyx 48×96×96 partition, the engine's.
+    let rtm = SnapshotStream::rtm(64).seed(1).snapshot(0);
+    let tile: Vec<f32> = (0..32 * 32)
+        .flat_map(|zy| {
+            let row = (zy / 32 * 64 + zy % 32) * 64;
+            rtm.fields[0].data[row..row + 32].iter().copied()
+        })
+        .collect();
+    let nyx = partition_3d(&SnapshotStream::nyx(96).seed(1).snapshot(0), 2);
+    let inputs = [
+        (&tile, &Dims::d3(32, 32, 32)),
+        (&nyx[0][0].data, &nyx[0][0].dims),
+    ];
+    for (data, dims) in inputs {
+        let mut scratch = Scratch::new();
+        let mut out = Vec::new();
+        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+        let first = out.clone();
+        let before = allocs_here();
+        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
         assert_eq!(allocs_here() - before, 0, "{dims:?}");
         assert!(first == out);
     }
