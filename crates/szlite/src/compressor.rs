@@ -253,8 +253,8 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
     counts: &mut Counts<'_>,
 ) -> usize {
     let nx = b.nx;
-    debug_assert!(b.data.len() == L * nx && b.rows.len() == L * nx && b.codes.len() == L * nx);
-    debug_assert!(b.above.len() == nx && b.zp.len() == L * b.zs + nx);
+    debug_assert!(b.data.len() == L * nx && b.codes.len() == L * nx);
+    debug_assert!(b.rows.is_empty() || b.rows.len() == L * nx && b.zp.len() == L * b.zs + nx);
     debug_assert!(D == 3 || b.zs == 0);
     let mut n_escapes = 0usize;
     for t in ts {
@@ -266,7 +266,11 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
                 continue;
             }
             let i = j * nx + x;
-            let ry = if j == 0 { b.above[x] } else { w.cx[j - 1] };
+            let ry = match (D, j) {
+                (1, _) => 0.0,
+                (_, 0) => b.above[x],
+                _ => w.cx[j - 1],
+            };
             let (rz, rzy) = if D == 3 {
                 (b.zp[(j + 1) * b.zs + x], b.zp[j * b.zs + x])
             } else {
@@ -298,7 +302,9 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
                 0.0
             };
             b.codes[i] = code;
-            b.rows[i] = rv;
+            if let Some(row) = b.rows.get_mut(i) {
+                *row = rv;
+            }
             counts.add(code);
             n_escapes += usize::from(!ok);
             w.cx[j] = rv;

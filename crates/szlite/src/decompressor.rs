@@ -13,12 +13,14 @@
 //! the compressor's two kernels mirrored: escape-free blocks of 8 rows
 //! with a `y − 1` neighbor run the AVX2 kernel ([`crate::avx2`]) where
 //! [`Avx2::select`] issues its token, escape-free blocks of [`LANES`]
-//! rows the scalar lanes of [`replay`], and everything else — 1-D data,
-//! leftover rows, blocks with an escape or a bad symbol — goes row by
-//! row. Whether a block is escape-free takes one decision: none when
-//! the chunk's Huffman table holds no escape and no symbol outside the
-//! alphabet, one pass over the block's codes otherwise. Every arm
-//! restores the same bits.
+//! rows the scalar lanes of [`replay`], and everything else — planes of
+//! one row, leftover rows, blocks with an escape or a bad symbol — goes
+//! row by row; 1-D data replays each code as the Huffman walk decodes
+//! it, the two serial chains overlapped ([`decode_line`]). Whether a
+//! block is escape-free takes one decision: none when the chunk's
+//! Huffman table holds no escape and no symbol outside the alphabet,
+//! one pass over the block's codes otherwise. Every arm restores the
+//! same bits and reports the same first error.
 //!
 //! The decode path mirrors the compressor's scratch discipline: a
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
@@ -130,8 +132,8 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
 }
 
 /// Reusable decompressor workspace: the LZSS output buffer, the
-/// Huffman table (with its LUT and sparse rebuild scratch), decoded
-/// quantization codes, and the two rolling reconstruction planes.
+/// Huffman table (with its LUT and sparse rebuild scratch), and for 2-D
+/// and 3-D data the decoded codes and two rolling reconstruction planes.
 ///
 /// Mirrors the compressor's [`Scratch`](crate::Scratch): the per-chunk
 /// hot path allocates all of this afresh when going through
@@ -177,8 +179,8 @@ pub fn decompress_into<T: Element>(
 }
 
 /// [`decompress_into`] with every block on the scalar kernels whatever
-/// the CPU is — the arm a host without AVX2 runs, for the tests that
-/// pin both arms to the same values.
+/// the CPU is, and 1-D data in two passes: the oracle of the tests that
+/// pin the vector arm and the one-pass decode to the same values.
 #[cfg(test)]
 pub(crate) fn decompress_into_scalar<T: Element>(
     bytes: &[u8],
@@ -211,8 +213,8 @@ fn decompress_on<T: Element>(
 /// Decompress a stream straight into a caller-owned destination: every
 /// restored value is written once, in its final place. `out` must hold
 /// exactly the header's point count — any other length is
-/// [`SzError::DimMismatch`] with `out` untouched. A later error (a
-/// corrupt symbol, short literals) leaves `out` partly written.
+/// [`SzError::DimMismatch`] with `out` untouched. A later error (a bad
+/// symbol or 1-D code, short literals) leaves `out` partly written.
 pub fn decompress_to_slice<T: Element>(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
@@ -233,7 +235,7 @@ pub fn decompress_to_slice<T: Element>(
 /// The one decode body. `dest` is asked for the destination of the
 /// header's point count once every stream check short of the replay
 /// itself has passed, and before any element is written.
-/// `may_vectorize` is false only for the tests' scalar arm.
+/// `may_vectorize` is false only for the tests' scalar, two-pass arm.
 fn decode_stream<'o, T: Element>(
     may_vectorize: bool,
     bytes: &[u8],
@@ -252,11 +254,13 @@ fn decode_stream<'o, T: Element>(
         planes,
     } = scratch;
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
-    let payload_ref: &[u8] = if info.lossless {
-        lossless::decompress_into(body, payload)?;
-        payload
-    } else {
-        body
+    let payload_ref: &[u8] = match (info.lossless, body.split_first()) {
+        (false, _) => body,
+        (true, Some((&lossless::MODE_RAW, stored))) => stored,
+        (true, _) => {
+            lossless::decompress_into(body, payload)?;
+            payload
+        }
     };
 
     let mut pos = 0usize;
@@ -282,33 +286,32 @@ fn decode_stream<'o, T: Element>(
     {
         return Err(SzError::Corrupt("code count vs code bytes"));
     }
-    let mut br = BitReader::new(code_bytes);
-    huffman.decode_into(&mut br, n_codes, codes)?;
     pos = code_end;
-    let n_literals = get_varint(payload_ref, &mut pos)? as usize;
-    let lit_bytes = payload_ref
-        .get(pos..)
-        .ok_or(SzError::Truncated("literals"))?;
-    let lit_needed = n_literals
-        .checked_mul(T::BYTES)
-        .ok_or(SzError::Corrupt("literal count"))?;
-    if lit_bytes.len() < lit_needed {
-        return Err(SzError::Truncated("literal bytes"));
-    }
+    // Reported after any Huffman error, as in a decode of every code first.
+    let lits = get_varint(payload_ref, &mut pos).and_then(|n_literals| {
+        let bytes = &payload_ref[pos..];
+        let needed = (n_literals as usize)
+            .checked_mul(T::BYTES)
+            .ok_or(SzError::Corrupt("literal count"))?;
+        if bytes.len() < needed {
+            return Err(SzError::Truncated("literal bytes"));
+        }
+        Ok(Literals { bytes, pos: 0 })
+    });
 
     let quant = Quantizer::new(info.eb, info.radius);
-    let alphabet = quant.alphabet();
-    let lorenzo = Lorenzo::new(&info.dims);
-    let st = *lorenzo.strides();
+    let st = *Lorenzo::new(&info.dims).strides();
     let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
-    let plane = ny * nx;
-
-    let out = dest(info.dims.len())?;
+    let mut br = BitReader::new(code_bytes);
+    if may_vectorize && nz == 1 && ny == 1 {
+        let ready = lits.and_then(|lits| Ok((lits, dest(n_codes)?)));
+        return decode_line(huffman, &mut br, n_codes, &quant, ready).map(|()| info.dims);
+    }
+    huffman.decode_into(&mut br, n_codes, codes)?;
+    let mut lits = lits?;
+    let out = dest(n_codes)?;
     planes.reset(nz, ny, nx);
-    let mut lits = Literals {
-        bytes: lit_bytes,
-        pos: 0,
-    };
+    let (alphabet, plane) = (quant.alphabet(), ny * nx);
     // Lag-pipelining reorders points across the rows of a block, so it
     // is reserved for blocks whose every code is a plain in-alphabet
     // symbol; a block with an escape or a bad symbol replays row by
@@ -373,6 +376,38 @@ fn decode_stream<'o, T: Element>(
     Ok(info.dims)
 }
 
+/// A 1-D stream in one pass: each code is replayed as the Huffman walk
+/// decodes it, and only the destination is written. `ready` holds the
+/// literals and the destination, or the error that kept the replay from
+/// starting; after a replay error the walk goes on to `n`, so a Huffman
+/// error comes first, as in two passes. The prediction is [`stencil`]'s
+/// order-1 `0.0 + x` without the `0.0 +`, which changes only `x = −0.0`:
+/// the quantizer's `+ q·2eb` (`+0.0`, nonzero or NaN) sums alike with `±0`.
+fn decode_line<T: Element>(
+    huffman: &HuffmanDecoder,
+    br: &mut BitReader<'_>,
+    n: usize,
+    quant: &Quantizer,
+    ready: Result<(Literals<'_>, &mut [T])>,
+) -> Result<()> {
+    let (mut lits, out) = match ready {
+        Ok(ready) => ready,
+        Err(e) => return huffman.decode_each(br, n, |_| true).and(Err(e)),
+    };
+    let (mut i, mut prev, mut replayed) = (0, 0.0, Ok(()));
+    let walked = huffman.decode_each(br, n, |code| {
+        lits.restore(code, prev, quant)
+            .map(|(value, restored)| {
+                out[i] = value;
+                (i, prev) = (i + 1, restored);
+            })
+            .map_err(|e| replayed = Err(e))
+            .is_ok()
+    })?;
+    huffman.decode_each(br, n - walked, |_| true)?;
+    replayed
+}
+
 /// A block of consecutive rows of one plane, as the replay sees it: the
 /// decoder's [`Block`](crate::compressor::Block), with the block's
 /// codes in and its restored values out.
@@ -390,6 +425,25 @@ pub(crate) struct Replay<'a, T> {
 pub(crate) struct Literals<'a> {
     bytes: &'a [u8],
     pos: usize,
+}
+
+impl Literals<'_> {
+    /// The value `code` restores against prediction `pred`, and what a
+    /// later prediction reads of it: an escape's literal (0 if it is not
+    /// finite), or the quantizer's reconstruction through `T`.
+    #[inline(always)]
+    fn restore<T: Element>(&mut self, code: u32, pred: f64, q: &Quantizer) -> Result<(T, f64)> {
+        if code == UNPREDICTABLE {
+            let v = T::read_le(self.bytes, &mut self.pos)?;
+            let r = v.to_f64();
+            Ok((v, if r.is_finite() { r } else { 0.0 }))
+        } else if (code as usize) < q.alphabet() {
+            let v = T::from_f64(q.reconstruct(code, pred));
+            Ok((v, v.to_f64()))
+        } else {
+            Err(SzError::Corrupt("symbol out of alphabet"))
+        }
+    }
 }
 
 /// Iterations `ts` of the replay of a block of `L` rows — the one
@@ -414,11 +468,10 @@ pub(crate) fn replay<T: Element, const L: usize, const D: usize>(
     lits: &mut Literals<'_>,
 ) -> Result<()> {
     let nx = b.nx;
-    debug_assert!(b.codes.len() == L * nx && b.rows.len() == L * nx && b.out.len() == L * nx);
-    debug_assert!(b.above.len() == nx && b.zp.len() == L * b.zs + nx);
+    debug_assert!(b.codes.len() == L * nx && b.out.len() == L * nx);
+    debug_assert!(b.rows.is_empty() || b.rows.len() == L * nx && b.zp.len() == L * b.zs + nx);
     debug_assert!(L == 1 || !b.codes.contains(&UNPREDICTABLE));
     debug_assert!(D == 3 || b.zs == 0);
-    let alphabet = quant.alphabet();
     for t in ts {
         for j in (0..L).rev() {
             let x = t.wrapping_sub(j);
@@ -426,27 +479,22 @@ pub(crate) fn replay<T: Element, const L: usize, const D: usize>(
                 continue;
             }
             let i = j * nx + x;
-            let ry = if j == 0 { b.above[x] } else { w.cx[j - 1] };
+            let ry = match (D, j) {
+                (1, _) => 0.0,
+                (_, 0) => b.above[x],
+                _ => w.cx[j - 1],
+            };
             let (rz, rzy) = if D == 3 {
                 (b.zp[(j + 1) * b.zs + x], b.zp[j * b.zs + x])
             } else {
                 (0.0, 0.0)
             };
             let pred = stencil::<D>(w.cx[j], ry, rz, w.pyx[j], w.pzx[j], rzy, w.pzyx[j]);
-            let code = b.codes[i];
-            let (value, rv) = if code == UNPREDICTABLE {
-                let v = T::read_le(lits.bytes, &mut lits.pos)?;
-                let r = v.to_f64();
-                (v, if r.is_finite() { r } else { 0.0 })
-            } else {
-                if code as usize >= alphabet {
-                    return Err(SzError::Corrupt("symbol out of alphabet"));
-                }
-                let v = T::from_f64(quant.reconstruct(code, pred));
-                (v, v.to_f64())
-            };
+            let (value, rv) = lits.restore(b.codes[i], pred, quant)?;
             b.out[i] = value;
-            b.rows[i] = rv;
+            if let Some(row) = b.rows.get_mut(i) {
+                *row = rv;
+            }
             w.cx[j] = rv;
             w.pyx[j] = ry;
             w.pzx[j] = rz;
@@ -470,7 +518,7 @@ mod tests {
     use super::*;
     use crate::compressor::compress;
     use crate::config::Config;
-    use crate::stream::put_varint;
+    use crate::stream::{put_f64, put_u32, put_varint};
 
     /// Decode through the `Vec` entry point and through the slice entry
     /// point (destination sized from the header when it parses — the
@@ -702,6 +750,294 @@ mod tests {
             decompress_to_slice(&bytes, &mut scratch, &mut vec![0.0f64; n]),
             Err(SzError::Corrupt("element type mismatch"))
         );
+    }
+
+    /// A stream decoded by the readers' entry points ([`decode_both`],
+    /// and [`decompress_into`] on `scratch`) and by the two-pass oracle
+    /// ([`decompress_into_scalar`]): the same bits or the same typed
+    /// error. A destination one element too long gets the error the
+    /// two-pass decode reports before it asks for a destination — any
+    /// but a replay error — or the length mismatch, and is not written.
+    fn pin_one_pass<T: Element + std::fmt::Debug>(
+        bytes: &[u8],
+        scratch: &mut DecompressScratch,
+        what: &str,
+    ) -> Result<Dims> {
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        let mut oracle = Vec::new();
+        let two_pass =
+            decompress_into_scalar::<T>(bytes, &mut DecompressScratch::new(), &mut oracle);
+        let mut warm = vec![T::from_f64(1.5); 3];
+        let one_pass = decompress_into(bytes, scratch, &mut warm);
+        assert_eq!(one_pass, two_pass, "{what}: warm scratch");
+        assert!(bits(&warm) == bits(&oracle), "{what}: warm scratch values");
+        match (decode_both::<T>(bytes), &two_pass) {
+            (Ok((values, dims)), Ok(d)) => {
+                assert_eq!(dims, *d, "{what}");
+                assert!(bits(&values) == bits(&oracle), "{what}: values differ");
+            }
+            (Err(e), Err(o)) => assert_eq!(e, *o, "{what}"),
+            (f, o) => panic!("{what}: one pass {f:?}, two passes {o:?}"),
+        }
+        if let Ok(info) = stream_info(bytes) {
+            let n = info.dims.len();
+            let want = match &two_pass {
+                Err(SzError::Corrupt("symbol out of alphabet"))
+                | Err(SzError::Truncated("f32 literal" | "f64 literal"))
+                | Ok(_) => SzError::DimMismatch {
+                    expected: n,
+                    actual: n + 1,
+                },
+                Err(e) => e.clone(),
+            };
+            let mut dst = vec![T::from_f64(7.5); n + 1];
+            let got = decompress_to_slice(bytes, scratch, &mut dst);
+            assert_eq!(got, Err(want), "{what}: long destination");
+            assert!(dst.iter().all(|v| v.to_f64() == 7.5), "{what}: written");
+        }
+        two_pass
+    }
+
+    /// `n` values of texture 0 (smooth), 1 (a VPIC field: wide
+    /// alphabet, codes past the table width), 2 (escapes: every 11th
+    /// value NaN, ±Inf or a ±1e30 spike, each followed by `-0.0`, which
+    /// a spike turns into a `-0.0` literal) or 3 (smooth, with `-0.0`,
+    /// subnormals and negatives that the `f32` round trip flushes to
+    /// `-0.0` planted).
+    fn line<T: Element>(n: usize, texture: u8, vpic: &[f32]) -> Vec<T> {
+        let subnormal = if T::BYTES == 4 { 3e-45 } else { 5e-324 };
+        (0..n)
+            .map(|i| {
+                let smooth = (i as f64 * 0.37).sin() + 0.01 * (i as f64 * 1.7).cos();
+                T::from_f64(match (texture, i % 11, i / 11 % 5) {
+                    (1, ..) => f64::from(vpic[i]),
+                    (2, 3, 0) => f64::NAN,
+                    (2, 3, 1) => f64::INFINITY,
+                    (2, 3, 2) => f64::NEG_INFINITY,
+                    (2, 3, 3) => 1e30,
+                    (2, 3, _) => -1e30,
+                    (2 | 3, 4, _) => -0.0,
+                    (3, 7, _) => subnormal,
+                    (3, 9, _) => -1e-300,
+                    _ => smooth,
+                })
+            })
+            .collect()
+    }
+
+    /// A stream without the lossless stage, taken apart so that a test
+    /// can forge any field and put it back together.
+    struct Parts {
+        info: StreamInfo,
+        table: Vec<u8>,
+        n_codes: u64,
+        code: Vec<u8>,
+        n_literals: u64,
+        literals: Vec<u8>,
+    }
+
+    impl Parts {
+        fn of(bytes: &[u8]) -> Parts {
+            let info = stream_info(bytes).unwrap();
+            assert!(!info.lossless);
+            let payload = &bytes[info.payload_offset..];
+            let mut pos = 0;
+            HuffmanDecoder::deserialize(payload, &mut pos).unwrap();
+            let table = payload[..pos].to_vec();
+            let n_codes = get_varint(payload, &mut pos).unwrap();
+            let code_len = get_varint(payload, &mut pos).unwrap() as usize;
+            let code = payload[pos..pos + code_len].to_vec();
+            pos += code_len;
+            let n_literals = get_varint(payload, &mut pos).unwrap();
+            let literals = payload[pos..].to_vec();
+            Parts {
+                info,
+                table,
+                n_codes,
+                code,
+                n_literals,
+                literals,
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut payload = self.table.clone();
+            put_varint(&mut payload, self.n_codes);
+            put_varint(&mut payload, self.code.len() as u64);
+            payload.extend_from_slice(&self.code);
+            put_varint(&mut payload, self.n_literals);
+            payload.extend_from_slice(&self.literals);
+            let info = &self.info;
+            let mut out = Vec::new();
+            put_u32(&mut out, MAGIC);
+            out.extend([VERSION, info.dtype, info.dims.ndims() as u8]);
+            for &d in info.dims.extents() {
+                put_varint(&mut out, d as u64);
+            }
+            put_f64(&mut out, info.eb);
+            put_u32(&mut out, info.radius);
+            out.push(0);
+            put_varint(&mut out, payload.len() as u64);
+            out.extend_from_slice(&payload);
+            out
+        }
+    }
+
+    /// Every kind of forged 1-D stream, each with the error both paths
+    /// must agree on; returns the cases compared.
+    fn pin_forged_lines<T: Element + std::fmt::Debug>(scratch: &mut DecompressScratch) -> usize {
+        let lit_err = SzError::Truncated(if T::BYTES == 4 {
+            "f32 literal"
+        } else {
+            "f64 literal"
+        });
+        let cut_err = SzError::Truncated("huffman bits");
+        let cfg = Config::rel(1e-3).with_lossless(false);
+        let escapes = Parts::of(&compress(&line::<T>(512, 2, &[]), &Dims::d1(512), &cfg).unwrap());
+        let mut cases = Vec::new();
+        // A symbol out of the alphabet: the same codes under a radius
+        // 16 header, whose alphabet is 32 symbols.
+        let mut narrow = Parts::of(&escapes.bytes());
+        narrow.info.radius = 16;
+        cases.push((
+            narrow.bytes(),
+            Err(SzError::Corrupt("symbol out of alphabet")),
+        ));
+        // An escape whose literal is missing, and literals the count
+        // says are there and are not.
+        let mut bare = Parts::of(&escapes.bytes());
+        bare.n_literals = 0;
+        bare.literals.clear();
+        cases.push((bare.bytes(), Err(lit_err.clone())));
+        let mut short = Parts::of(&escapes.bytes());
+        short.literals.pop();
+        cases.push((short.bytes(), Err(SzError::Truncated("literal bytes"))));
+        // A bound whose step `2·eb` overflows: the codes reconstruct to
+        // ±Inf and NaN (`0·∞`), which the replay carries on.
+        let mut huge = Parts::of(&escapes.bytes());
+        huge.info.eb = f64::MAX;
+        cases.push((huge.bytes(), Ok(Dims::d1(512))));
+        // The code bytes cut at every byte, alone and behind each of
+        // the faults above, which a Huffman error outranks.
+        for base in [&escapes, &narrow, &bare, &short] {
+            for cut in 0..base.code.len() {
+                let mut p = Parts::of(&base.bytes());
+                p.code.truncate(cut);
+                let want = if 8 * cut < p.n_codes as usize {
+                    SzError::Corrupt("code count vs code bytes")
+                } else {
+                    cut_err.clone()
+                };
+                cases.push((p.bytes(), Err(want)));
+            }
+        }
+        // An invalid code: a one-symbol table (code `0`) meets a `1`,
+        // behind an out-of-alphabet symbol and without one.
+        // In the last byte fewer bits are left than any code past the
+        // table's width needs: the walk runs out of bits first.
+        let cfg = Config::abs(1e-3).with_lossless(false);
+        let zeros = Parts::of(&compress(&[T::from_f64(0.0); 200], &Dims::d1(200), &cfg).unwrap());
+        for radius in [zeros.info.radius, 16] {
+            for (byte, want) in [
+                (0, SzError::Corrupt("invalid huffman code")),
+                (7, SzError::Corrupt("invalid huffman code")),
+                (24, cut_err.clone()),
+            ] {
+                let mut p = Parts::of(&zeros.bytes());
+                p.info.radius = radius;
+                p.code[byte] = 0x08;
+                cases.push((p.bytes(), Err(want)));
+            }
+        }
+        for (i, (bytes, want)) in cases.iter().enumerate() {
+            let what = format!("forged case {i}");
+            assert_eq!(pin_one_pass::<T>(bytes, scratch, &what), *want, "{what}");
+        }
+        cases.len()
+    }
+
+    #[test]
+    fn one_pass_line_decode_equals_two_pass_bit_for_bit() {
+        // Lengths on both sides of the Huffman walk's batches and its
+        // tail; the full-size one, a rank's VPIC chunk, only optimised.
+        let mut lengths = vec![1, 2, 9, 10, 11, 12, 21, 4096];
+        if !cfg!(debug_assertions) {
+            lengths.push(1 << 18);
+        }
+        let longest = *lengths.last().unwrap();
+        let vpic = workloads::SnapshotStream::vpic(longest).seed(1).snapshot(0);
+        let mut scratch = DecompressScratch::new();
+        let mut cases = 0;
+        for n in lengths {
+            // 1-D, and the shapes that keep the two-pass path: planes
+            // of one row (the first is order 1, read by the second) and
+            // one plane of rows.
+            let mut shapes = vec![Dims::d1(n)];
+            if n <= 4096 {
+                shapes.extend([Dims::d3(3, 1, n), Dims::d3(1, 3, n)]);
+            }
+            for dims in shapes {
+                for texture in 0..4 {
+                    for field in [0, 3, 6] {
+                        if texture != 1 && field > 0 {
+                            continue;
+                        }
+                        let src = &vpic.fields[field].data;
+                        let src: Vec<f32> = src.iter().cycle().take(dims.len()).copied().collect();
+                        for radius in [16, 32768] {
+                            let cfg = Config::rel(1e-3).with_radius(radius);
+                            let what =
+                                format!("{dims:?} texture {texture} field {field} radius {radius}");
+                            let f32s = line::<f32>(dims.len(), texture, &src);
+                            let bytes = compress(&f32s, &dims, &cfg).unwrap();
+                            assert_eq!(
+                                pin_one_pass::<f32>(&bytes, &mut scratch, &what),
+                                Ok(dims.clone())
+                            );
+                            let f64s = line::<f64>(dims.len(), texture, &src);
+                            let bytes = compress(&f64s, &dims, &cfg).unwrap();
+                            assert_eq!(
+                                pin_one_pass::<f64>(&bytes, &mut scratch, &what),
+                                Ok(dims.clone())
+                            );
+                            cases += 2;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 300, "{cases} cases");
+        let forged = pin_forged_lines::<f32>(&mut scratch) + pin_forged_lines::<f64>(&mut scratch);
+        assert!(forged > 100, "{forged} forged cases");
+    }
+
+    #[test]
+    fn line_prediction_without_the_zero_add_restores_the_same_bits() {
+        // `decode_line` predicts `x` where `stencil::<1>` says `0.0 + x`:
+        // on `−0.0`, NaNs, infinities and with a step `2·eb` that
+        // overflows (`0·∞` is NaN), at every kind of code.
+        for eb in [1e-3, 5e-324, f64::MAX] {
+            let quant = Quantizer::new(eb, 32768);
+            for x in [
+                -0.0,
+                0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                -f64::INFINITY,
+                -5e-324,
+                1.5,
+            ] {
+                for code in [1, 32767, 32768, 32769, 65535] {
+                    let zero_add = stencil::<1>(x, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+                    assert_eq!(
+                        quant.reconstruct(code, x).to_bits(),
+                        quant.reconstruct(code, zero_add).to_bits(),
+                        "eb {eb:e}, x {x}, code {code}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

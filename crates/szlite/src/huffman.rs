@@ -23,6 +23,7 @@ const MAX_CODE_LEN: u8 = 32;
 /// to a search over the canonical first_code/first_index table.
 const LUT_BITS: u32 = 11;
 const LUT_SIZE: usize = 1 << LUT_BITS;
+const PEEKS: usize = (MAX_PEEK_BITS / LUT_BITS) as usize;
 /// Width of a length field of a primary-table entry. An entry packs,
 /// low bits first: the bits [`HuffmanDecoder::decode_into`] consumes
 /// for it (`LUT_LEN_BITS` wide), the symbol of the code the prefix
@@ -84,7 +85,8 @@ pub struct EncoderWorkspace {
 /// a search of the canonical table by code length, or, in
 /// [`HuffmanDecoder::decode_one`], to
 /// [`HuffmanDecoder::decode_one_reference`], the retained bit-at-a-time
-/// canonical walk that doubles as the equivalence oracle.
+/// canonical walk that doubles as the equivalence oracle. A caller that
+/// uses each symbol as it comes walks one code per peek (`decode_each`).
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
     /// Symbols sorted in canonical order.
@@ -615,7 +617,6 @@ impl HuffmanDecoder {
         // One refill, then as many peeks as it guarantees bits for: the
         // peeks' own refill test then never fires, so no branch in the
         // loop depends on the code lengths.
-        const PEEKS: usize = (MAX_PEEK_BITS / LUT_BITS) as usize;
         'batch: while i + 2 * PEEKS <= n {
             r.refill();
             for _ in 0..PEEKS {
@@ -642,23 +643,44 @@ impl HuffmanDecoder {
                 i += 1 + usize::from(bits != len);
             }
         }
-        while i < n {
-            let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
-            let (symbol, len) = lut_first(entry);
-            if entry == 0 {
-                match self.decode_long(r) {
-                    Ok(symbol) => out[i] = symbol,
-                    Err(e) => return (i, Err(e)),
-                }
-            } else if len > r.avail_bits() {
-                return (i, Err(SzError::Truncated("huffman bits")));
-            } else {
-                r.consume(len);
-                out[i] = symbol;
-            }
+        let tail = self.decode_each(r, n - i, |symbol| {
+            out[i] = symbol;
             i += 1;
+            true
+        });
+        (i, tail.map(drop))
+    }
+
+    /// Decode up to `n` symbols one code per peek (a refill per
+    /// [`PEEKS`]), handing each to `emit` as it is decoded until `emit`
+    /// returns false, and return how many were read: the symbols and the
+    /// error of [`Self::decode_into`], with no code list in between.
+    #[inline(always)]
+    pub(crate) fn decode_each(
+        &self,
+        r: &mut BitReader<'_>,
+        n: usize,
+        mut emit: impl FnMut(u32) -> bool,
+    ) -> Result<usize> {
+        for batch in (0..n).step_by(PEEKS) {
+            r.refill();
+            for i in batch..n.min(batch + PEEKS) {
+                let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
+                let (symbol, len) = lut_first(entry);
+                let symbol = if entry == 0 {
+                    self.decode_long(r)?
+                } else if len > r.avail_bits() {
+                    return Err(SzError::Truncated("huffman bits"));
+                } else {
+                    r.consume(len);
+                    symbol
+                };
+                if !emit(symbol) {
+                    return Ok(i + 1);
+                }
+            }
         }
-        (i, Ok(()))
+        Ok(n)
     }
 
     /// One symbol whose prefix has no primary-table entry, through

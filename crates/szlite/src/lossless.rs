@@ -104,7 +104,7 @@ const GIVE_UP_WINDOW: usize = 16 << 10;
 const GIVE_UP_PERCENT: usize = 110;
 
 /// Stage tag: payload stored raw (incompressible input).
-const MODE_RAW: u8 = 0;
+pub(crate) const MODE_RAW: u8 = 0;
 /// Stage tag: payload is LZSS token stream.
 const MODE_LZSS: u8 = 1;
 
@@ -229,7 +229,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>> {
 
 /// Decompress a stream produced by [`compress`] into `out` (cleared
 /// first), reusing its allocation — the per-chunk decode path calls
-/// this once per chunk per worker.
+/// this once per chunk per worker whose payload LZSS shrank.
 pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<()> {
     out.clear();
     let (&mode, rest) = input

@@ -153,9 +153,10 @@ pub(crate) fn stencil<const D: usize>(
 ///
 /// Each plane is `(ny + 1) × nx`: row 0 stays all-zero and stands in
 /// for neighbors outside the grid, data row `y` is row `y + 1`. On the
-/// first plane the `z − 1` neighbors are `cur`'s own zero row, so 1-D
-/// and 2-D data never allocate `prev`. Every row below row 0 is written
+/// first plane the `z − 1` neighbors are `cur`'s own zero row, so 2-D
+/// data never allocates `prev`. Every row below row 0 is written
 /// before it is read, so nothing but the zero rows is ever cleared.
+/// A 1-D grid keeps no plane (nothing reads its rows): empty views.
 #[derive(Debug, Default)]
 pub(crate) struct Planes {
     cur: Vec<f64>,
@@ -167,7 +168,7 @@ impl Planes {
     /// Size the planes for an `nz × ny × nx` grid (`resize` only fills
     /// what a shape change adds) and restore the zero rows.
     pub(crate) fn reset(&mut self, nz: usize, ny: usize, nx: usize) {
-        let len = (ny + 1) * nx;
+        let len = if nz == 1 && ny == 1 { 0 } else { (ny + 1) * nx };
         self.nx = nx;
         self.cur.resize(len, 0.0);
         self.prev.resize(if nz > 1 { len } else { 0 }, 0.0);
@@ -192,6 +193,9 @@ impl Planes {
         lanes: usize,
     ) -> (&[f64], &mut [f64], &[f64], usize) {
         let nx = self.nx;
+        if self.cur.is_empty() {
+            return (&[], &mut [], &[], 0);
+        }
         let (head, tail) = self.cur.split_at_mut((y + 1) * nx);
         let (zp, zs) = if first_plane {
             (&head[..nx], 0)

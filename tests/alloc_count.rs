@@ -4,8 +4,10 @@
 //! field, never per sampled block. The read path: a second decode on
 //! the same scratch allocates nothing, and a typed dataset read
 //! allocates its output once and no second buffer of that size, and
-//! nothing per tile. The write path: a second compress on the same
-//! scratch and output allocates nothing.
+//! nothing per tile; a 1-D read keeps no code list, plane or payload
+//! copy per chunk. The write path: a second compress on the same
+//! scratch and output allocates nothing, and a 1-D compress keeps no
+//! reconstruction plane.
 
 use repro_suite::h5lite::{
     DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
@@ -156,6 +158,29 @@ fn warm_compress_allocates_nothing() {
     }
 }
 
+#[test]
+fn first_compress_of_a_line_keeps_no_reconstruction_plane() {
+    let _serial = SERIAL.lock().unwrap();
+    // A rank's 2^18-point VPIC chunk on a fresh scratch: the code list,
+    // the count table, the matcher's tables and the stream, and no
+    // plane of `2·nx` reconstructions (another 4 x the input).
+    let field = &SnapshotStream::vpic(1 << 18).seed(1).snapshot(0).fields[3];
+    let input = (field.data.len() * 4) as f64;
+    let dims = Dims::d1(field.data.len());
+    let asked = ALL_BYTES.load(Ordering::Relaxed);
+    compress_into::<f32>(
+        &field.data,
+        &dims,
+        &Config::rel(1e-3),
+        &mut Scratch::new(),
+        &mut Vec::new(),
+    )
+    .unwrap();
+    let ratio = (ALL_BYTES.load(Ordering::Relaxed) - asked) as f64 / input;
+    println!("first 1-D compress allocated {ratio:.2} x input");
+    assert!(ratio < 5.0, "{ratio:.2} x input");
+}
+
 /// The static source, with the allocations its calls make on their
 /// rank threads added up.
 struct CountedSource<'a> {
@@ -221,7 +246,7 @@ fn predict_phase_allocates_per_field_not_per_block() {
     );
 }
 
-/// Write `data` (96^3 points) as a `dims` dataset of `chunk` tiles
+/// Write `data` as a `dims` dataset of `chunk` tiles
 /// through the szlite filter and return what the second read of one
 /// reader allocates at each worker count: (allocations, bytes).
 fn warm_read_costs(data: &[f32], dims: &[u64], chunk: &[u64]) -> [(u64, u64); 2] {
@@ -291,5 +316,23 @@ fn typed_read_allocates_its_output_once_and_nothing_per_tile() {
                 "{arm}, {workers} workers: {allocs_8} allocations for 8 chunks, {allocs_64} for 64"
             );
         }
+    }
+}
+
+#[test]
+fn typed_read_of_a_line_allocates_no_plane_and_no_code_list() {
+    let _serial = SERIAL.lock().unwrap();
+    // One VPIC field in the engine's layout: 2^19 points, a chunk of
+    // 2^18 per rank.
+    let field = &SnapshotStream::vpic(1 << 19).seed(1).snapshot(0).fields[3];
+    let output = (field.data.len() * 4) as f64;
+    let costs = warm_read_costs(&field.data, &[1 << 19], &[1 << 18]);
+    for (workers, (_, asked)) in (1..).zip(costs) {
+        // Beside the output: per worker the Huffman table and one read
+        // buffer. A 1-D chunk decodes in one pass, with no code list
+        // and no plane, and its stored payload is read in place.
+        let ratio = asked as f64 / output;
+        println!("typed read allocated {ratio:.2} x output ({workers} workers, 1-D)");
+        assert!(ratio < 1.5, "{asked} bytes for a {output}-byte output");
     }
 }
