@@ -43,16 +43,18 @@
 //! reconstructions and therefore the stream are bit-identical to the
 //! scalar kernels' and to `compress_reference`.
 //!
-//! The replay ([`Avx2::decode_rows`]) is the decode mirror on the same
-//! wavefront, for blocks whose every code is a plain symbol: the
-//! stencil in the same order (`0.0 + x` first), then
+//! The replay ([`Avx2::decode_plane`]) mirrors that plane wavefront for
+//! planes of rows of at least [`ROWS`] whose whole blocks hold plain
+//! codes only: the stencil in the same order (`0.0 + x` first), then
 //! `Quantizer::reconstruct` — `code − radius`, exact in `f64`, times
-//! `2·eb` and added to the prediction as a separate multiply and add —
-//! and the `f32` round trip. The steady state writes the
-//! reconstructions only; the values follow from them, each narrowed
-//! back bit for bit. The ramps run through the decoder's scalar
-//! [`replay`](crate::decompressor::replay) on the same [`Wave`], so its
-//! per-point body exists once too.
+//! `2·eb` and added as a separate multiply and add — and the `f32`
+//! round trip. Its reconstructions live in the decoder's
+//! wavefront-major layout ([`Skewed`](crate::decompressor::Skewed)),
+//! lane `j` of iteration `t` at slot `8·t + j`: an iteration loads the
+//! `z − 1` plane's 8 lanes and stores its own with two vector moves
+//! each, and reads lane 0's `y − 1` neighbor and its corner as one
+//! scalar each. Codes are read and values written in row-major order in
+//! place; masks appear only at block heads and at the plane's two ends.
 //!
 //! Whether a block runs here is decided by
 //! [`compress_into`](crate::compress_into) and by the decoder's block
@@ -62,10 +64,7 @@
 
 use crate::compressor::{Block, Counts, Steps};
 use crate::config::MAX_RADIUS;
-use crate::decompressor::{Literals, Replay};
 use crate::element::Element;
-use crate::error::Result;
-use crate::quantizer::Quantizer;
 
 /// Rows a vector block advances together: two `__m256d` of four lanes.
 /// (Four vectors spill the sixteen `ymm` registers and measured slower.)
@@ -118,39 +117,62 @@ impl Avx2 {
         }
     }
 
-    /// A whole block of [`ROWS`] rows with the order-`D` stencil
-    /// (`D ≥ 2`) whose every code is in `1..2·radius`: same contract
-    /// and same values as `decode_rows::<T, ROWS, D>`.
-    pub(crate) fn decode_rows<T: Element, const D: usize>(
+    /// The `blocks` whole blocks of [`ROWS`] rows of `nx ≥ ROWS` at the
+    /// head of a plane with the order-`D` stencil (`D ≥ 2`), every code
+    /// in `1..2·radius`, as one wavefront in the [`Skewed`] layout: the
+    /// values of `decode_rows::<T, 1, D>` on each row in turn. `zp`
+    /// holds the `z − 1` plane's reconstructions (read for `D = 3`).
+    ///
+    /// [`Skewed`]: crate::decompressor::Skewed
+    pub(crate) fn decode_plane<T: Element, const D: usize>(
         self,
-        b: &mut Replay<'_, T>,
-        quant: &Quantizer,
-        lits: &mut Literals<'_>,
-    ) -> Result<()> {
+        zp: &[f64],
+        p: Plane<'_, T>,
+        q: Steps,
+    ) {
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: the only `Avx2` values are the ones `select`
             // returned after `is_x86_feature_detected!("avx2")` held on
             // this CPU, which is all the callee's `target_feature`
             // requires.
-            unsafe { x86::decode_rows::<T, D>(b, quant, lits) }
+            unsafe { x86::decode_plane::<T, D>(zp, p, q) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (b, quant, lits);
+            let _ = (zp, p, q);
             unreachable!("select() issues no token on this architecture")
         }
     }
 }
 
+/// A plane [`Avx2::decode_plane`] decodes: the codes in and the values
+/// out of its whole blocks, in row-major order, and its reconstructions
+/// in the layout of [`Skewed`](crate::decompressor::Skewed) — slot
+/// `8·(nx + t) + j` is lane `j` of iteration `t`, for the `nx`
+/// iterations before the first, all zero (the rows above the plane),
+/// and the plane's `blocks·nx + 7`.
+pub(crate) struct Plane<'a, T> {
+    pub(crate) codes: &'a [u32],
+    pub(crate) rows: &'a mut [f64],
+    pub(crate) out: &'a mut [T],
+    pub(crate) nx: usize,
+    pub(crate) blocks: usize,
+}
+
+/// Planes [`Avx2::decode_plane`] decoded, and ramp iterations the
+/// compressor's vector arm ran, in this test process: what tells a run
+/// of the arm tests on an AVX2 host from a vacuous one.
+#[cfg(test)]
+pub(crate) static PLANES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+#[cfg(test)]
+pub(crate) static RAMPS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::ROWS;
+    use super::{Plane, ROWS};
     use crate::compressor::{Block, Counts, Steps, Wave};
-    use crate::decompressor::{replay, Literals, Replay};
     use crate::element::Element;
-    use crate::error::Result;
-    use crate::quantizer::Quantizer;
     use std::any::TypeId;
     use std::arch::x86_64::*;
     use std::ops::Range;
@@ -291,10 +313,10 @@ mod x86 {
         Point { code, rv, ok }
     }
 
-    /// The body of [`replay`] on four rows of plain codes at once,
-    /// operation for operation: `Quantizer::reconstruct` (the code
-    /// minus the radius is exact in `f64`), then the storage round
-    /// trip. Returns the reconstructions.
+    /// The body of the decoder's `replay` on four rows of plain codes at
+    /// once, operation for operation: `Quantizer::reconstruct` (the code
+    /// minus the radius is exact in `f64`), then the storage round trip.
+    /// Returns the reconstructions.
     #[inline]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
@@ -512,6 +534,8 @@ mod x86 {
         let [mut pzx0, mut pzx1] = load(&w.pzx);
         let [mut pzyx0, mut pzyx1] = load(&w.pzyx);
         let mut escapes = 0;
+        #[cfg(test)]
+        super::RAMPS.fetch_add(ts.len(), std::sync::atomic::Ordering::Relaxed);
         for t in ts {
             // Lane j is inside its row when `t − nx < j ≤ t`.
             let (after, before) = (
@@ -725,121 +749,168 @@ mod x86 {
         escapes + ramp::<T, D>(nx..end, &mut w, &mut last, q, counts)
     }
 
-    /// Codes `s` of lanes `first..first + 4`, widened.
+    /// The reconstructions a plane's replay wavefront carries from one
+    /// iteration to the next, two vectors of four lanes each: every
+    /// lane's `x − 1` neighbor in its own row, the `y − 1` one, the
+    /// `z − 1` one and the corner.
+    type Carry = [[__m256d; 2]; 4];
+
+    /// The values of lanes whose reconstructions are `rv`, which for a
+    /// plain code are `T::from_f64(r).to_f64()` and narrow back to the
+    /// value bit for bit, NaN included: `vcvtpd2ps` for `f32`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn gather_codes(codes: &[&[u32]; ROWS], first: usize, s: usize) -> __m256d {
-        _mm256_cvtepi32_pd(_mm_set_epi32(
-            codes[first + 3][s] as i32,
-            codes[first + 2][s] as i32,
-            codes[first + 1][s] as i32,
-            codes[first][s] as i32,
-        ))
+    fn values<T: Element>(rv: [__m256d; 2]) -> [T; ROWS] {
+        let mut out = [T::from_f64(0.0); ROWS];
+        // SAFETY: `out` is 8 writable `T`, and `T` is `f32` or `f64`,
+        // the only types `has_round_trip` admits.
+        unsafe {
+            if is::<T, f32>() {
+                let v = _mm256_set_m128(_mm256_cvtpd_ps(rv[1]), _mm256_cvtpd_ps(rv[0]));
+                _mm256_storeu_ps(out.as_mut_ptr().cast(), v);
+            } else {
+                _mm256_storeu_pd(out.as_mut_ptr().cast(), rv[0]);
+                _mm256_storeu_pd(out.as_mut_ptr().cast::<f64>().add(4), rv[1]);
+            }
+        }
+        out
     }
 
-    /// The iterations `ROWS − 1..nx` of a block's replay, continuing
-    /// from and leaving its state in `w`: the reconstructions, into
-    /// `rows` only. Requires `nx ≥ ROWS` and codes in `1..2·radius`
-    /// (which `i32` holds).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn replay_steady<T: Element, const D: usize>(
-        w: &mut Wave<ROWS>,
-        b: &mut Replay<'_, T>,
-        q: Steps,
-    ) {
-        let nx = b.nx;
-        let m = nx - (ROWS - 1);
-        let skew = |j: usize| ROWS - 1 - j;
-        let codes: [&[u32]; ROWS] = std::array::from_fn(|j| &b.codes[j * nx + skew(j)..][..m]);
-        let above = &b.above[skew(0)..][..m];
-        let (zp0, rz): (&[f64], [&[f64]; ROWS]) = if D == 3 {
-            (
-                &b.zp[skew(0)..][..m],
-                std::array::from_fn(|j| &b.zp[(j + 1) * b.zs + skew(j)..][..m]),
-            )
-        } else {
-            (&[], [&[]; ROWS])
-        };
-        let rows = skewed_mut(&mut *b.rows, nx, ROWS - 1..nx);
+    /// What a wavefront iteration has to mask: nothing (every lane inside
+    /// its row in block `kb`), a block head (the lanes after `t − kb·nx`
+    /// are still in block `kb − 1`, and lane `t − kb·nx` may start its
+    /// row, its carried neighbors then zero), or a head at an end of the
+    /// plane, where a lane may also be outside the blocks: such a lane
+    /// reads the first code for its own, writes no value, and before
+    /// iteration 7 produces 0.
+    const BODY: u8 = 0;
+    const HEAD: u8 = 1;
+    const EDGE: u8 = 2;
 
-        let k = Consts::new(q);
-        let [mut cx0, mut cx1] = load(&w.cx);
-        let [mut pyx0, mut pyx1] = load(&w.pyx);
-        let [mut pzx0, mut pzx1] = load(&w.pzx);
-        let [mut pzyx0, mut pzyx1] = load(&w.pzyx);
-        for s in 0..m {
-            let ry0 = shift_in(cx0, _mm256_set1_pd(above[s]));
-            let ry1 = shift_in(cx1, last(cx0));
-            let (rz0, rz1, rzy0, rzy1) = if D == 3 {
-                (
-                    gather(&rz, 0, s),
-                    gather(&rz, 4, s),
-                    shift_in(pzx0, _mm256_set1_pd(zp0[s])),
-                    shift_in(pzx1, last(pzx0)),
-                )
-            } else {
-                (k.zero, k.zero, k.zero, k.zero)
+    /// Iteration `t` of a plane's replay wavefront (see [`Plane`]), in
+    /// which lane 0 is in block `kb` (or past the last), masked as
+    /// `$MODE` says: lane `j` of block `b` is the point
+    /// `(8·b + j)·nx + t − b·nx − j` of `codes` and `out`.
+    // A macro, not a function: a `target_feature` function is not
+    // forced inline, and a call per iteration passes the carried
+    // vectors through memory.
+    macro_rules! step {
+        ($T:ty, $D:expr, $MODE:expr, $k:expr, $c:expr, ($t:expr, $kb:expr), $zp:expr, $p:expr) => {{
+            let (k, c, t, kb): (&Consts, &mut Carry, usize, usize) = ($k, $c, $t, $kb);
+            let (zp, p): (&[f64], &mut Plane<'_, $T>) = ($zp, $p);
+            let nx = p.nx;
+            // No closures handed to `map` or `from_fn`: a closure here
+            // carries the `avx2` feature, and a combinator without it
+            // cannot inline it.
+            let (mut at, mut inside) = ([0; ROWS], [true; ROWS]);
+            for j in 0..ROWS {
+                let b = if $MODE != BODY && j + kb * nx > t { kb.wrapping_sub(1) } else { kb };
+                inside[j] = $MODE != EDGE || b < p.blocks;
+                at[j] = if inside[j] { 7 * b * nx + j * (nx - 1) + t } else { 0 };
+            }
+            let slot = (nx + t) * ROWS;
+            // Lane 0's row above is lane 7's of the block before, which was
+            // at this `x` `nx − 7` iterations ago (a zero slot on the first).
+            let up = (t + ROWS - 1) * ROWS + ROWS - 1;
+            debug_assert!(at.iter().all(|&i| i < p.codes.len() && i < p.out.len()));
+            debug_assert!(slot + ROWS <= p.rows.len() && ($D == 2 || slot + ROWS <= zp.len()));
+            let (cs, rows, zs) = (p.codes.as_ptr(), p.rows.as_mut_ptr(), zp.as_ptr());
+            // SAFETY (each access through these pointers): `decode_plane`
+            // asserted that `codes` and `out` hold the blocks' points and
+            // `rows` and (order 3) `zp` `(nx + end)·8` slots; `t < end`,
+            // `up < slot`, and a lane's point is inside the blocks, or 0.
+            let code = unsafe {
+                let c = |j: usize| *cs.add(at[j]) as i32;
+                [
+                    _mm256_cvtepi32_pd(_mm_set_epi32(c(3), c(2), c(1), c(0))),
+                    _mm256_cvtepi32_pd(_mm_set_epi32(c(7), c(6), c(5), c(4))),
+                ]
             };
-            let rv0 = restore::<T, D>(
-                &k,
-                gather_codes(&codes, 0, s),
-                cx0,
-                ry0,
-                rz0,
-                pyx0,
-                pzx0,
-                rzy0,
-                pzyx0,
-            );
-            let rv1 = restore::<T, D>(
-                &k,
-                gather_codes(&codes, 4, s),
-                cx1,
-                ry1,
-                rz1,
-                pyx1,
-                pzx1,
-                rzy1,
-                pzyx1,
-            );
-            for (h, rv) in [rv0, rv1].into_iter().enumerate() {
-                let rv = lanes(rv);
-                for j in 0..4 {
-                    rows[4 * h + j][s] = rv[j];
+            let above = _mm256_set1_pd(unsafe { *rows.add(up) });
+            let ry = [shift_in(c[0][0], above), shift_in(c[0][1], last(c[0][0]))];
+            let (rz, rzy) = if $D == 3 {
+                // SAFETY: as above.
+                let (corner, rz) = unsafe {
+                    let rz = [_mm256_loadu_pd(zs.add(slot)), _mm256_loadu_pd(zs.add(slot + 4))];
+                    (_mm256_set1_pd(*zs.add(up)), rz)
+                };
+                (rz, [shift_in(c[2][0], corner), shift_in(c[2][1], last(c[2][0]))])
+            } else {
+                ([k.zero; 2], [k.zero; 2])
+            };
+            let mut own = *c;
+            let lane = lane_numbers();
+            if $MODE != BODY {
+                // Lane `t − kb·nx` (if any) starts its row in block `kb`.
+                let s = _mm256_set1_epi64x(t as i64 - (kb * nx) as i64);
+                let fresh = [
+                    _mm256_castsi256_pd(_mm256_cmpeq_epi64(lane[0], s)),
+                    _mm256_castsi256_pd(_mm256_cmpeq_epi64(lane[1], s)),
+                ];
+                for v in &mut own {
+                    *v = [_mm256_andnot_pd(fresh[0], v[0]), _mm256_andnot_pd(fresh[1], v[1])];
                 }
             }
-            (cx0, pyx0, pzx0, pzyx0) = (rv0, ry0, rz0, rzy0);
-            (cx1, pyx1, pzx1, pzyx1) = (rv1, ry1, rz1, rzy1);
-        }
-        w.cx = store([cx0, cx1]);
-        w.pyx = store([pyx0, pyx1]);
-        w.pzx = store([pzx0, pzx1]);
-        w.pzyx = store([pzyx0, pzyx1]);
+            let [x, xy, xz, xyz] = own;
+            let mut rv = [
+                restore::<$T, { $D }>(k, code[0], x[0], ry[0], rz[0], xy[0], xz[0], rzy[0], xyz[0]),
+                restore::<$T, { $D }>(k, code[1], x[1], ry[1], rz[1], xy[1], xz[1], rzy[1], xyz[1]),
+            ];
+            if $MODE == EDGE && t < ROWS - 1 {
+                let t = _mm256_set1_epi64x(t as i64);
+                for (v, j) in rv.iter_mut().zip(lane) {
+                    *v = _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(j, t)), *v);
+                }
+            }
+            let out = p.out.as_mut_ptr();
+            // SAFETY: as above.
+            unsafe {
+                _mm256_storeu_pd(rows.add(slot), rv[0]);
+                _mm256_storeu_pd(rows.add(slot + 4), rv[1]);
+                for (j, v) in values::<$T>(rv).into_iter().enumerate() {
+                    if inside[j] {
+                        *out.add(at[j]) = v;
+                    }
+                }
+            }
+            *c = [rv, ry, rz, rzy];
+        }};
     }
 
-    /// See [`Avx2::decode_rows`](super::Avx2::decode_rows).
+    /// See [`Avx2::decode_plane`](super::Avx2::decode_plane).
     #[target_feature(enable = "avx2")]
-    pub(super) fn decode_rows<T: Element, const D: usize>(
-        b: &mut Replay<'_, T>,
-        quant: &Quantizer,
-        lits: &mut Literals<'_>,
-    ) -> Result<()> {
-        let nx = b.nx;
-        let steady = if nx >= ROWS { ROWS - 1..nx } else { 0..0 };
-        let mut w = Wave::new();
-        replay::<T, ROWS, D>(0..steady.start, &mut w, b, quant, lits)?;
-        if !steady.is_empty() {
-            replay_steady::<T, D>(&mut w, b, quant.steps());
+    pub(super) fn decode_plane<T: Element, const D: usize>(
+        zp: &[f64],
+        mut p: Plane<'_, T>,
+        q: Steps,
+    ) {
+        let (nx, blocks) = (p.nx, p.blocks);
+        let end = blocks * nx + ROWS - 1;
+        let (len, points) = ((nx + end) * ROWS, blocks * ROWS * nx);
+        assert!(nx >= ROWS && blocks > 0 && p.codes.len() == points && p.out.len() == points);
+        assert!(p.rows.len() >= len && (D == 2 || zp.len() >= len));
+        let k = Consts::new(q);
+        // The carried vectors as a local, so that they stay in registers.
+        let mut c: Carry = [[k.zero; 2]; 4];
+        for t in 0..ROWS {
+            step!(T, D, EDGE, &k, &mut c, (t, 0), zp, &mut p);
         }
-        replay::<T, ROWS, D>(steady.end..nx + ROWS - 1, &mut w, b, quant, lits)?;
-        // The values from their reconstructions: for a plain code the
-        // reconstruction is `T::from_f64(r).to_f64()`, which narrows
-        // back to the value bit for bit, NaN included.
-        for (v, &r) in b.out.iter_mut().zip(&*b.rows) {
-            *v = T::from_f64(r);
+        for kb in 0..blocks {
+            let k0 = kb * nx;
+            if kb > 0 {
+                for t in k0..k0 + ROWS {
+                    step!(T, D, HEAD, &k, &mut c, (t, kb), zp, &mut p);
+                }
+            }
+            for t in k0 + ROWS..k0 + nx {
+                step!(T, D, BODY, &k, &mut c, (t, kb), zp, &mut p);
+            }
         }
-        Ok(())
+        for t in blocks * nx..end {
+            step!(T, D, EDGE, &k, &mut c, (t, blocks), zp, &mut p);
+        }
+        #[cfg(test)]
+        super::PLANES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -957,25 +1028,34 @@ mod tests {
     fn vector_arm_equals_scalar_arm_equals_reference() {
         // On a host without AVX2 the first arm is the scalar one too.
         println!("avx2 vector kernel selected: {}", detected());
-        // The vector arm runs a block's ramps too, at every row length.
-        println!("avx2 ramps vectorized: {}", detected());
         let mut scratch = Scratch::new();
         let cases = pin_both_arms::<f32>(&mut scratch) + pin_both_arms::<f64>(&mut scratch);
         assert_eq!(cases, 2 * 7 * PIN_NX.len() * 2 * 4 * 2);
+        // The vector arm runs a block's ramps too, at every row length.
+        let ramps = RAMPS.load(std::sync::atomic::Ordering::Relaxed);
+        println!("avx2 ramps vectorized: {ramps}");
+        assert_eq!(ramps > 0, detected());
     }
 
-    /// The decode arms on the streams of [`pin_both_arms`]'s matrix,
-    /// whose every 8-row block holds an escape (the row-by-row arm), and
-    /// on its fields with coded specials only (the vector arm wherever
-    /// a block has no escape), planes of order 2 and 3 — value for
-    /// value, bit for bit; returns the cases compared.
+    /// Plane heights of [`pin_both_decode_arms`]: planes of one row, of
+    /// no whole block, of one to four blocks, with and without rows
+    /// under the last block.
+    const PIN_NY: [usize; 9] = [1, 7, 8, 9, 15, 16, 24, 25, 33];
+
+    /// The decode arms on the streams of [`pin_both_arms`]'s matrix
+    /// (row lengths [`PIN_NX`], heights [`PIN_NY`]), whose every 8-row
+    /// block holds an escape (the row-by-row arm), on its fields with
+    /// coded specials only (the vector arm wherever a plane's blocks
+    /// have no escape), and on those with one NaN in the middle (a plane of the scalar
+    /// arm between two of the vector arm), planes of order 2 and 3 —
+    /// value for value, bit for bit; returns the cases compared.
     fn pin_both_decode_arms<T: Element>(scratch: &mut Scratch) -> usize {
         let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
         let mut dscratch = DecompressScratch::new();
         let mut cases = 0;
         let (mut stream, mut vector, mut scalar) = (Vec::new(), Vec::new(), Vec::new());
-        for ny in [1, 7, 8, 9, 15, 16, 33] {
-            for nx in [1, 3, 7, 8, 96] {
+        for ny in PIN_NY {
+            for nx in PIN_NX {
                 for dims in [Dims::from_slice(&[ny, nx]).unwrap(), Dims::d3(3, ny, nx)] {
                     for (texture, bound) in [
                         (0, ErrorBound::Abs(1e-2)),
@@ -983,8 +1063,11 @@ mod tests {
                         (1, ErrorBound::Abs(1e33)),
                         (2, ErrorBound::Abs(0.5)),
                     ] {
-                        for coded_only in [false, true] {
-                            let data = field::<T>(dims.len(), texture, coded_only);
+                        for (coded_only, nan) in [(false, false), (true, false), (true, true)] {
+                            let mut data = field::<T>(dims.len(), texture, coded_only);
+                            if nan {
+                                data[dims.len() / 2] = T::from_f64(f64::NAN);
+                            }
                             for radius in [16, 32768] {
                                 let cfg = Config {
                                     error_bound: bound,
@@ -992,7 +1075,7 @@ mod tests {
                                     lossless: true,
                                 };
                                 let what = format!(
-                                    "{dims:?} {bound:?} radius {radius} coded only {coded_only}"
+                                    "{dims:?} {bound:?} radius {radius} coded {coded_only} nan {nan}"
                                 );
                                 compress_into(&data, &dims, &cfg, scratch, &mut stream)
                                     .expect(&what);
@@ -1048,18 +1131,28 @@ mod tests {
         let mut scratch = Scratch::new();
         let cases =
             pin_both_decode_arms::<f32>(&mut scratch) + pin_both_decode_arms::<f64>(&mut scratch);
-        assert_eq!(cases, 2 * 7 * 5 * 2 * 4 * 2 * 2);
+        assert_eq!(cases, 2 * PIN_NY.len() * PIN_NX.len() * 2 * 4 * 3 * 2);
+        let planes = PLANES.load(std::sync::atomic::Ordering::Relaxed);
+        println!("avx2 planes decoded as one wavefront: {planes}");
+        assert_eq!(planes > 0, detected());
 
         // One symbol out of the alphabet (or an escape without its
         // literal) inside an 8-row block of the first plane or of a
-        // later one: the same typed error from both arms.
-        let dims = Dims::d3(3, 17, 40);
+        // later one — on a plane of 3 blocks, in the last block's
+        // ramp-down (lane 6 at `x = 39`) and in a transition iteration
+        // (lane 1 at `x = 1`, as lane 2 starts its row) — or in the rows
+        // under the blocks: the same typed error from both arms.
         let mut dscratch = DecompressScratch::new();
         let (mut vector, mut scalar) = (Vec::<f32>::new(), Vec::<f32>::new());
-        for at in [
-            9 * 40 + 5,
-            17 * 40 + 3 * 40 + 39,
-            2 * 17 * 40 + 12 * 40 + 20,
+        for (dims, at) in [
+            (Dims::d3(3, 17, 40), 9 * 40 + 5),
+            (Dims::d3(3, 17, 40), 17 * 40 + 3 * 40 + 39),
+            (Dims::d3(3, 17, 40), 2 * 17 * 40 + 12 * 40 + 20),
+            (Dims::d3(3, 17, 40), 2 * 17 * 40 + 16 * 40 + 7),
+            (Dims::d3(3, 24, 40), 22 * 40 + 39),
+            (Dims::d3(3, 24, 40), 24 * 40 + 22 * 40 + 39),
+            (Dims::d3(3, 24, 40), 24 * 40 + 9 * 40 + 1),
+            (Dims::d3(3, 24, 40), 2 * 24 * 40 + 9 * 40 + 1),
         ] {
             for (bad, want) in [
                 (64, SzError::Corrupt("symbol out of alphabet")),

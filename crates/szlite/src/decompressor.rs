@@ -9,18 +9,19 @@
 //! the LZSS stage expands through the chunked copy loops in
 //! [`lossless::decompress_into`].
 //!
-//! The recurrence replays on the compressor's row-block schedule, with
-//! the compressor's two kernels mirrored: escape-free blocks of 8 rows
-//! with a `y − 1` neighbor run the AVX2 kernel ([`crate::avx2`]) where
-//! [`Avx2::select`] issues its token, escape-free blocks of [`LANES`]
-//! rows the scalar lanes of [`replay`], and everything else — planes of
-//! one row, leftover rows, blocks with an escape or a bad symbol — goes
-//! row by row; 1-D data replays each code as the Huffman walk decodes
-//! it, the two serial chains overlapped ([`decode_line`]). Whether a
-//! block is escape-free takes one decision: none when the chunk's
-//! Huffman table holds no escape and no symbol outside the alphabet,
-//! one pass over the block's codes otherwise. Every arm restores the
-//! same bits and reports the same first error.
+//! The recurrence replays on the compressor's schedule, with the
+//! compressor's two kernels mirrored: where [`Avx2::select`] issues its
+//! token and rows are at least 8 long, a plane whose whole 8-row blocks
+//! hold plain codes only runs them as one wavefront ([`crate::avx2`],
+//! on the [`Skewed`] layout); everything else replays through [`replay`]
+//! — escape-free blocks of [`LANES`] rows on its scalar lanes, and planes
+//! of one row, leftover rows, blocks with an escape or a bad symbol row
+//! by row; 1-D data replays each code as the Huffman walk decodes it,
+//! the two serial chains overlapped ([`decode_line`]). Whether rows are
+//! escape-free takes one decision: none when the chunk's Huffman table
+//! holds no escape and no symbol outside the alphabet, one pass over
+//! their codes otherwise. Every arm restores the same bits and reports
+//! the same first error.
 //!
 //! The decode path mirrors the compressor's scratch discipline: a
 //! [`DecompressScratch`] keeps the Huffman table (LUT included), the
@@ -32,7 +33,7 @@
 //! convenience entry points.
 
 use crate::avx2::{self, Avx2};
-use crate::compressor::{Wave, LANES, MAGIC, VERSION};
+use crate::compressor::{Steps, Wave, LANES, MAGIC, VERSION};
 use crate::config::{Dims, MAX_RADIUS};
 use crate::element::Element;
 use crate::error::{Result, SzError};
@@ -133,7 +134,9 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
 
 /// Reusable decompressor workspace: the LZSS output buffer, the
 /// Huffman table (with its LUT and sparse rebuild scratch), and for 2-D
-/// and 3-D data the decoded codes and two rolling reconstruction planes.
+/// and 3-D data the decoded codes, two rolling row-major reconstruction
+/// planes, and the wavefront-major reconstructions of the vector replay
+/// (`Skewed`: lane `j` of wavefront iteration `t` at slot `8·t + j`).
 ///
 /// Mirrors the compressor's [`Scratch`](crate::Scratch): the per-chunk
 /// hot path allocates all of this afresh when going through
@@ -148,6 +151,7 @@ pub struct DecompressScratch {
     huffman: HuffmanDecoder,
     codes: Vec<u32>,
     planes: Planes,
+    skewed: Skewed,
 }
 
 impl DecompressScratch {
@@ -179,10 +183,11 @@ pub fn decompress_into<T: Element>(
 }
 
 /// [`decompress_into`] with every block on the scalar kernels whatever
-/// the CPU is, and 1-D data in two passes: the oracle of the tests that
-/// pin the vector arm and the one-pass decode to the same values.
-#[cfg(test)]
-pub(crate) fn decompress_into_scalar<T: Element>(
+/// the CPU is, and 1-D data in two passes: the oracle that the vector
+/// arm and the one-pass line decode are pinned to. Test support, public
+/// only for the workspace's integration tests and not part of the API.
+#[doc(hidden)]
+pub fn decompress_into_scalar<T: Element>(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
     out: &mut Vec<T>,
@@ -252,6 +257,7 @@ fn decode_stream<'o, T: Element>(
         huffman,
         codes,
         planes,
+        skewed,
     } = scratch;
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
     let payload_ref: &[u8] = match (info.lossless, body.split_first()) {
@@ -313,41 +319,53 @@ fn decode_stream<'o, T: Element>(
     planes.reset(nz, ny, nx);
     let (alphabet, plane) = (quant.alphabet(), ny * nx);
     // Lag-pipelining reorders points across the rows of a block, so it
-    // is reserved for blocks whose every code is a plain in-alphabet
+    // is reserved for rows whose every code is a plain in-alphabet
     // symbol; a block with an escape or a bad symbol replays row by
     // row, which keeps literal order and the first error reported
     // those of the per-point replay. A table that holds neither can
-    // decode neither, and then no block is scanned.
+    // decode neither, and then no code is scanned: otherwise one pass
+    // without a short circuit, which vectorizes.
     let plain = UNPREDICTABLE + 1..alphabet as u32;
     let all_plain = huffman.decodes_only(plain.clone());
+    let is_plain = |c: &[u32]| all_plain || c.iter().fold(true, |ok, c| ok & plain.contains(c));
     // The kernel choice mirrors `compress_into`'s: the vector kernel
-    // where the host, the element type and the radius allow it and the
-    // block has its 8 rows and a `y − 1` neighbor; otherwise 4 scalar
-    // lanes, or one for leftover rows and 1-D data.
-    let vector = Avx2::select::<T>(i64::from(info.radius)).filter(|_| may_vectorize);
+    // over a plane's whole 8-row blocks, as one wavefront, where the
+    // host, the element type and the radius allow it, the rows are at
+    // least 8 long and the blocks hold plain codes only; otherwise 4
+    // scalar lanes, or one for leftover rows and blocks with an escape.
+    let vector = Avx2::select::<T>(i64::from(info.radius))
+        .filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
+    let blocks = ny / avx2::ROWS;
+    let whole = blocks * avx2::ROWS * nx;
+    let wide_at = |z: usize| vector.filter(|_| is_plain(&codes[z * plane..z * plane + whole]));
+    if vector.is_some() {
+        skewed.reset(blocks, nx);
+    }
+    // Whether plane z − 1 went through the vector replay.
+    let mut prev_wide = false;
     for z in 0..nz {
         if z > 0 {
             planes.next_plane();
+            skewed.next_plane();
         }
+        let order = stencil_order(z, ny);
+        let base = z * plane;
+        let wide = wide_at(z);
         let mut y = 0;
+        if let Some(v) = wide {
+            let at = base..base + whole;
+            let (codes, out) = (&codes[at.clone()], &mut out[at]);
+            skewed.decode(v, order, prev_wide, (codes, out), planes, quant.steps());
+            y = blocks * avx2::ROWS;
+        } else if prev_wide {
+            skewed.unskew_prev(planes);
+        }
+        prev_wide = wide.is_some();
         while y < ny {
-            let order = stencil_order(z, ny);
-            let mut wide = vector.filter(|_| ny - y >= avx2::ROWS && order >= 2);
-            let mut lanes = match wide {
-                Some(_) => avx2::ROWS,
-                None if ny - y >= LANES => LANES,
-                None => 1,
-            };
-            let base = z * plane + y * nx;
-            // One decision per block: a single pass without a short
-            // circuit, which vectorizes.
-            if lanes > 1
-                && !all_plain
-                && !codes[base..base + lanes * nx]
-                    .iter()
-                    .fold(true, |ok, c| ok & plain.contains(c))
-            {
-                (wide, lanes) = (None, 1);
+            let mut lanes = if ny - y >= LANES { LANES } else { 1 };
+            let base = base + y * nx;
+            if lanes > 1 && !is_plain(&codes[base..base + lanes * nx]) {
+                lanes = 1;
             }
             let at = base..base + lanes * nx;
             let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
@@ -361,19 +379,120 @@ fn decode_stream<'o, T: Element>(
                 out: &mut out[at],
             };
             let (b, q, l) = (&mut block, &quant, &mut lits);
-            match (wide, lanes, order) {
-                (Some(v), _, 3) => v.decode_rows::<T, 3>(b, q, l),
-                (Some(v), _, _) => v.decode_rows::<T, 2>(b, q, l),
-                (None, LANES, 3) => decode_rows::<T, LANES, 3>(b, q, l),
-                (None, LANES, _) => decode_rows::<T, LANES, 2>(b, q, l),
-                (None, _, 3) => decode_rows::<T, 1, 3>(b, q, l),
-                (None, _, 2) => decode_rows::<T, 1, 2>(b, q, l),
-                (None, _, _) => decode_rows::<T, 1, 1>(b, q, l),
+            match (lanes, order) {
+                (LANES, 3) => decode_rows::<T, LANES, 3>(b, q, l),
+                (LANES, _) => decode_rows::<T, LANES, 2>(b, q, l),
+                (_, 3) => decode_rows::<T, 1, 3>(b, q, l),
+                (_, 2) => decode_rows::<T, 1, 2>(b, q, l),
+                (_, _) => decode_rows::<T, 1, 1>(b, q, l),
             }?;
             y += lanes;
         }
     }
     Ok(info.dims)
+}
+
+/// Planes `z − 1` and `z` of the vector replay ([`Avx2::decode_plane`])
+/// in its wavefront-major layout: row `j` of block `k` at column `x` is
+/// slot `(nx + k·nx + x + j)·8 + j`, lane `j` of iteration `k·nx + x + j`,
+/// so that an iteration reads and writes its 8 lanes at once. The `nx`
+/// zero iterations before the first stand for the rows above the plane.
+/// What the scalar replay reads of a plane decoded here comes through
+/// one conversion pass into [`Planes`], never a gather per point.
+#[derive(Debug, Default)]
+struct Skewed {
+    recon: [Vec<f64>; 2],
+    nx: usize,
+    blocks: usize,
+}
+
+impl Skewed {
+    /// Size for planes of `blocks` blocks of rows of `nx` (`resize` only
+    /// fills what a shape change adds) and restore the zero slots.
+    fn reset(&mut self, blocks: usize, nx: usize) {
+        let len = (nx + blocks * nx + avx2::ROWS - 1) * avx2::ROWS;
+        for plane in &mut self.recon {
+            plane.resize(len, 0.0);
+            plane[..(nx + avx2::ROWS - 1) * avx2::ROWS].fill(0.0);
+        }
+        (self.nx, self.blocks) = (nx, blocks);
+    }
+
+    /// Plane `z` becomes `z − 1`.
+    fn next_plane(&mut self) {
+        self.recon.swap(0, 1);
+    }
+
+    /// `(i, s)` for each row of the blocks: the row's first point in
+    /// row-major order and its first slot; its point `i + x` is slot
+    /// `s + 8·x`.
+    fn rows(&self) -> impl Iterator<Item = (usize, usize)> {
+        let nx = self.nx;
+        (0..self.blocks * avx2::ROWS).map(move |r| {
+            let (k, j) = (r / avx2::ROWS, r % avx2::ROWS);
+            (r * nx, ((k + 1) * nx + j) * avx2::ROWS + j)
+        })
+    }
+
+    /// Plane `z`'s blocks through the vector replay — the points of the
+    /// blocks in row-major order, codes in and values out — and their
+    /// last row into `planes`, for the rows under them. `prev_wide`
+    /// says that plane `z − 1` was decoded here too; otherwise an
+    /// order-3 plane reads it from `planes` first.
+    fn decode<T: Element>(
+        &mut self,
+        v: Avx2,
+        order: usize,
+        prev_wide: bool,
+        (codes, out): (&[u32], &mut [T]),
+        planes: &mut Planes,
+        q: Steps,
+    ) {
+        let (nx, blocks) = (self.nx, self.blocks);
+        if order == 3 && !prev_wide {
+            let (_, prev_rows) = planes.data_rows();
+            for (i, s) in self.rows() {
+                skew(&mut self.recon[0][s..], &prev_rows[i..i + nx]);
+            }
+        }
+        let [zp, rows] = &mut self.recon;
+        let p = avx2::Plane {
+            codes,
+            rows,
+            out,
+            nx,
+            blocks,
+        };
+        match order {
+            3 => v.decode_plane::<T, 3>(zp, p, q),
+            _ => v.decode_plane::<T, 2>(zp, p, q),
+        }
+        let (i, s) = self.rows().last().expect("a plane with blocks");
+        unskew(&mut planes.data_rows().0[i..i + nx], &self.recon[1][s..]);
+    }
+
+    /// Plane `z − 1`'s blocks from here into `planes`, for a plane that
+    /// the scalar replay decodes.
+    fn unskew_prev(&self, planes: &mut Planes) {
+        let (_, prev_rows) = planes.data_rows();
+        for (i, s) in self.rows() {
+            unskew(&mut prev_rows[i..i + self.nx], &self.recon[0][s..]);
+        }
+    }
+}
+
+/// A row into its slots: `row[x]` to `slots[8·x]`.
+fn skew(slots: &mut [f64], row: &[f64]) {
+    for (slot, &v) in slots.chunks_mut(avx2::ROWS).zip(row) {
+        slot[0] = v;
+    }
+}
+
+/// A row out of its slots: `slots[8·x]` to `row[x]`.
+fn unskew(row: &mut [f64], slots: &[f64]) {
+    for (v, slot) in row.iter_mut().zip(slots.chunks(avx2::ROWS)) {
+        *v = slot[0];
+    }
 }
 
 /// A 1-D stream in one pass: each code is replayed as the Huffman walk
@@ -411,18 +530,18 @@ fn decode_line<T: Element>(
 /// A block of consecutive rows of one plane, as the replay sees it: the
 /// decoder's [`Block`](crate::compressor::Block), with the block's
 /// codes in and its restored values out.
-pub(crate) struct Replay<'a, T> {
-    pub(crate) codes: &'a [u32],
-    pub(crate) nx: usize,
-    pub(crate) above: &'a [f64],
-    pub(crate) rows: &'a mut [f64],
-    pub(crate) zp: &'a [f64],
-    pub(crate) zs: usize,
-    pub(crate) out: &'a mut [T],
+struct Replay<'a, T> {
+    codes: &'a [u32],
+    nx: usize,
+    above: &'a [f64],
+    rows: &'a mut [f64],
+    zp: &'a [f64],
+    zs: usize,
+    out: &'a mut [T],
 }
 
 /// The stream's literal bytes and the read position in them.
-pub(crate) struct Literals<'a> {
+struct Literals<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -455,12 +574,12 @@ impl Literals<'_> {
 /// same prediction expression (of stencil order `D`) on the same
 /// operands, so the replayed values are bit-identical to the per-point
 /// replay whatever `L` and `D` are. A whole block is
-/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`decode_rows`]); the
-/// vector kernel ([`crate::avx2`]) runs only its ramps through here.
-/// Literals are consumed in visit order, which is stream order only for
+/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`decode_rows`]). This
+/// body is the vector replay's ([`crate::avx2`]) scalar arm and its
+/// oracle. Literals are consumed in visit order, which is stream order only for
 /// `L = 1`: the caller runs `L > 1` on escape-free blocks only.
 #[inline(always)]
-pub(crate) fn replay<T: Element, const L: usize, const D: usize>(
+fn replay<T: Element, const L: usize, const D: usize>(
     ts: std::ops::Range<usize>,
     w: &mut Wave<L>,
     b: &mut Replay<'_, T>,

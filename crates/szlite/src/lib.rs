@@ -93,6 +93,8 @@ pub use compressor::{
     compress, compress_into, compress_reference, compress_with_stats, CompressStats, Scratch,
 };
 pub use config::{Config, Dims, ErrorBound};
+#[doc(hidden)]
+pub use decompressor::decompress_into_scalar;
 pub use decompressor::{
     decompress, decompress_into, decompress_to_slice, stream_info, DecompressScratch, StreamInfo,
 };

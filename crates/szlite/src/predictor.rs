@@ -182,6 +182,14 @@ impl Planes {
         std::mem::swap(&mut self.cur, &mut self.prev);
     }
 
+    /// The data rows of the current plane and of the one before it
+    /// (empty when the grid has one plane).
+    pub(crate) fn data_rows(&mut self) -> (&mut [f64], &mut [f64]) {
+        let nx = self.nx;
+        let prev = self.prev.get_mut(nx..).unwrap_or_default();
+        (&mut self.cur[nx..], prev)
+    }
+
     /// Views for the block of `lanes` rows starting at data row `y`:
     /// the reconstruction row over the block, the block's own rows, and
     /// the `z − 1` plane from the row over the block down with its row

@@ -105,13 +105,22 @@ fn warm_estimate_allocates_nothing() {
 fn warm_decompress_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
     let cfg = Config::rel(1e-3);
-    // A Nyx 3-D partition, whose blocks run the vector replay where the
-    // host has one, and a 2^18-point 1-D VPIC stream, whose wide codes
-    // take the long-code search.
+    // A Nyx 3-D partition and the first 32³ tile of an RTM 64³ field,
+    // whose planes run the vector replay where the host has one (its
+    // wavefront buffers live in the scratch too), and a 2^18-point 1-D
+    // VPIC stream, whose wide codes take the long-code search.
     let nyx = partition_3d(&SnapshotStream::nyx(64).seed(3).snapshot(0), 2);
+    let rtm = SnapshotStream::rtm(64).seed(3).snapshot(0);
+    let tile: Vec<f32> = (0..32 * 32)
+        .flat_map(|zy| {
+            let row = (zy / 32 * 64 + zy % 32) * 64;
+            rtm.fields[0].data[row..row + 32].iter().copied()
+        })
+        .collect();
     let vpic = SnapshotStream::vpic(1 << 18).seed(3).snapshot(0);
     let streams = [
         (&nyx[0][0].data, &nyx[0][0].dims),
+        (&tile, &Dims::d3(32, 32, 32)),
         (&vpic.fields[0].data, &Dims::d1(vpic.fields[0].data.len())),
     ];
     for (data, dims) in streams {

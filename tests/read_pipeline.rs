@@ -557,6 +557,63 @@ fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
     }
 }
 
+#[test]
+fn tiles_with_a_scalar_plane_read_as_the_scalar_decoder_restores_them() {
+    // A 128³ field in 32³ tiles, NaNs planted in one plane of one tile:
+    // that plane's rows replay on the scalar arm, every other plane of
+    // the read (where the host has one) on the vector arm. Each tile
+    // must restore as the scalar reference decodes its stream.
+    let (side, tile) = (128usize, 32usize);
+    let mut data = rtm::snapshot(RtmParams::with_side(side)).fields[0]
+        .data
+        .clone();
+    for y in 0..tile {
+        for x in (3..tile).step_by(7) {
+            data[(5 * side + y) * side + x] = f32::NAN;
+        }
+    }
+    let spec = sz_spec("rtm/p", &[side as u64; 3], &[tile as u64; 3], 1e-3);
+    let t = TempPath::new("read-scalar-plane", "h5l");
+    let f = H5File::create(t.path()).unwrap();
+    let id = f.create_dataset(spec).unwrap();
+    f.write_full(id, &f32_bytes(&data)).unwrap();
+    f.close().unwrap();
+
+    let cfg = Config::abs(1e-3);
+    let dims = Dims::d3(tile, tile, tile);
+    let (mut scratch, mut restored) = (szlite::DecompressScratch::new(), Vec::<f32>::new());
+    let mut want = vec![0.0f32; data.len()];
+    let tiles = side / tile;
+    for c in 0..tiles * tiles * tiles {
+        let origin = [
+            c / tiles / tiles * tile,
+            c / tiles % tiles * tile,
+            c % tiles * tile,
+        ];
+        let mut values = Vec::with_capacity(tile * tile * tile);
+        for z in 0..tile {
+            for y in 0..tile {
+                let row = ((origin[0] + z) * side + origin[1] + y) * side + origin[2];
+                values.extend_from_slice(&data[row..row + tile]);
+            }
+        }
+        let stream = szlite::compress(&values, &dims, &cfg).unwrap();
+        szlite::decompress_into_scalar(&stream, &mut scratch, &mut restored).unwrap();
+        for z in 0..tile {
+            for y in 0..tile {
+                let row = ((origin[0] + z) * side + origin[1] + y) * side + origin[2];
+                want[row..row + tile].copy_from_slice(&restored[(z * tile + y) * tile..][..tile]);
+            }
+        }
+    }
+    let r = H5Reader::open(t.path()).unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for workers in [1usize, 2, 8] {
+        let got = r.read_pipelined::<f32>("rtm/p", workers).unwrap();
+        assert!(bits(&got) == bits(&want), "workers={workers}");
+    }
+}
+
 /// Arbitrary 1-3D shapes with chunk extents that divide the grid (the
 /// SZ filter's params carry one tile shape per dataset), plus data.
 fn grid_chunk_data() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, Vec<f32>)> {
