@@ -8,8 +8,8 @@
 //! with several rows of a plane in flight at once so the per-point
 //! dependency chain of one row hides behind its neighbors' — four
 //! scalar lanes, or, where [`compress_into`]'s dispatch finds AVX2 and
-//! blocks of 8 rows, two 4-lane vectors running through all of a
-//! plane's blocks at once ([`crate::avx2`]). Each
+//! rows of at least 8, two 4-lane vectors running through all of a
+//! plane's 8-row blocks at once ([`crate::avx2`]). Each
 //! pipeline worker carries its own [`Scratch`] —
 //! frequency counts are accumulated per-worker and merged into the
 //! Huffman build in a single sparse rebuild, so no stage shares mutable
@@ -23,7 +23,7 @@ use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
-use crate::predictor::{stencil, stencil_order, Lorenzo, Planes};
+use crate::predictor::{stencil, stencil_order, Lorenzo, Planes, Skewed};
 use crate::quantizer::{round_within, Quantizer, UNPREDICTABLE};
 use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
@@ -61,7 +61,8 @@ impl CompressStats {
 }
 
 /// Reusable compressor workspace: quantization codes, literal bytes,
-/// two rolling reconstruction planes, Huffman frequency counts, the
+/// two rolling reconstruction planes (and the vector kernel's
+/// wavefront-major copies of them), Huffman frequency counts, the
 /// serialized payload, the bit-stream backing buffer and the LZSS
 /// matcher state.
 ///
@@ -76,6 +77,7 @@ pub struct Scratch {
     codes: Vec<u32>,
     literals: Vec<u8>,
     planes: Planes,
+    skewed: Skewed,
     /// Frequency histogram over the full alphabet. Invariant: all-zero
     /// between calls — entries touched by a run are re-zeroed through
     /// `present` on the way out, so the (large) array is never memset.
@@ -145,34 +147,11 @@ pub(crate) struct Block<'a, T> {
     pub(crate) codes: &'a mut [u32],
 }
 
-impl<T> Block<'_, T> {
-    /// Rows `first..first + n` of this block as a block of their own,
-    /// whose row above is this block's row `first − 1` (or its own row
-    /// above).
-    pub(crate) fn rows_from(&mut self, first: usize, n: usize) -> Block<'_, T> {
-        let nx = self.nx;
-        let (done, rows) = self.rows.split_at_mut(first * nx);
-        Block {
-            data: &self.data[first * nx..][..n * nx],
-            nx,
-            above: if first == 0 {
-                self.above
-            } else {
-                &done[(first - 1) * nx..]
-            },
-            rows: &mut rows[..n * nx],
-            zp: &self.zp[first * self.zs..][..n * self.zs + nx],
-            zs: self.zs,
-            codes: &mut self.codes[first * nx..][..n * nx],
-        }
-    }
-}
-
 /// The run's code counts: the alphabet-wide table and the list of
 /// codes it has seen (see [`Scratch`]).
 pub(crate) struct Counts<'a> {
-    freqs: &'a mut [u64],
-    present: &'a mut Vec<u32>,
+    pub(crate) freqs: &'a mut [u64],
+    pub(crate) present: &'a mut Vec<u32>,
 }
 
 impl Counts<'_> {
@@ -183,17 +162,6 @@ impl Counts<'_> {
             self.present.push(code);
         }
         self.freqs[code as usize] = f + 1;
-    }
-
-    /// [`add`](Self::add) when `on`, else nothing — without a branch on
-    /// `on` but the rare one of a first sighting.
-    #[inline(always)]
-    pub(crate) fn add_if(&mut self, code: u32, on: bool) {
-        let f = self.freqs[code as usize];
-        if f == 0 && on {
-            self.present.push(code);
-        }
-        self.freqs[code as usize] = f + u64::from(on);
     }
 }
 
@@ -230,9 +198,9 @@ impl<const L: usize> Wave<L> {
 /// at `x` and `x − 1`, both finished by iteration `t − 1`, so the loop
 /// body carries `L` independent dependency chains. `L = 1` is the plain
 /// row kernel (leftover rows, 1-D data). A whole block is
-/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`quantize_rows`]). The
-/// vector kernel ([`crate::avx2`]) runs every iteration of its blocks
-/// itself, ramps included; this body is its scalar arm and its oracle.
+/// `ts = 0..nx + L − 1` from a fresh [`Wave`] ([`quantize_rows`]). This
+/// body is the vector kernel's ([`crate::avx2`]) scalar arm and its
+/// oracle.
 ///
 /// `D` is the lowest [`stencil`] order that is exact where the block
 /// sits ([`stencil_order`]), which keeps terms that can only be zero
@@ -393,6 +361,7 @@ fn compress_on<T: Element>(
         codes,
         literals,
         planes,
+        skewed,
         freqs,
         present,
         payload,
@@ -425,24 +394,56 @@ fn compress_on<T: Element>(
         present: &mut *present,
     };
     // The one place a block's kernel is chosen, from what the host and
-    // the input are (see the crate docs): the vector kernel, over all
-    // the 8-row blocks a plane holds, where the CPU, the element type
-    // and the radius allow it and a block has a `y − 1` neighbor;
-    // otherwise 4 scalar lanes, or one for leftover rows and 1-D data.
-    let vector = Avx2::select::<T>(radius).filter(|_| may_vectorize);
+    // the input are (see the crate docs): the vector kernel over a
+    // plane's whole 8-row blocks, as one wavefront, where the CPU, the
+    // element type and the radius allow it and the rows are at least 8
+    // long; otherwise 4 scalar lanes, or one for leftover rows and 1-D
+    // data.
+    let vector =
+        Avx2::select::<T>(radius).filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
+    let blocks = ny / avx2::ROWS;
+    let whole = blocks * avx2::ROWS * nx;
+    if vector.is_some() {
+        skewed.reset(blocks, nx);
+    }
+    // Escapes are rare: a block's literals in row-major order, after
+    // its sweep, so the literal stream does not see the lane schedule.
+    let mut literals_of = |at: std::ops::Range<usize>, codes: &[u32]| {
+        let escaped = codes[at.clone()].iter().map(|&c| c == UNPREDICTABLE);
+        for (v, _) in data[at].iter().zip(escaped).filter(|(_, e)| *e) {
+            v.write_le(literals);
+        }
+    };
     for z in 0..nz {
         if z > 0 {
             planes.next_plane();
+            skewed.next_plane();
         }
+        let order = stencil_order(z, ny);
         let mut y = 0;
-        while y < ny {
-            let order = stencil_order(z, ny);
-            let wide = vector.filter(|_| ny - y >= avx2::ROWS && order >= 2);
-            let lanes = match wide {
-                Some(_) => (ny - y) / avx2::ROWS * avx2::ROWS,
-                None if ny - y >= LANES => LANES,
-                None => 1,
+        if let Some(v) = vector {
+            let at = z * plane..z * plane + whole;
+            let (zp, rows) = skewed.planes();
+            let p = avx2::Plane {
+                input: &data[at.clone()],
+                rows,
+                output: &mut codes[at.clone()],
+                nx,
+                blocks,
             };
+            let escapes = match order {
+                3 => v.quantize_plane::<T, 3>(zp, p, steps, &mut counts),
+                _ => v.quantize_plane::<T, 2>(zp, p, steps, &mut counts),
+            };
+            skewed.unskew_last(planes);
+            if escapes > 0 {
+                literals_of(at, codes);
+                n_unpred += escapes;
+            }
+            y = blocks * avx2::ROWS;
+        }
+        while y < ny {
+            let lanes = if ny - y >= LANES { LANES } else { 1 };
             let base = z * plane + y * nx;
             let at = base..base + lanes * nx;
             let (above, rows, zp, zs) = planes.block(z == 0, y, lanes);
@@ -455,26 +456,15 @@ fn compress_on<T: Element>(
                 zs,
                 codes: &mut codes[at.clone()],
             };
-            let escapes = match (wide, lanes, order) {
-                (Some(v), _, 3) => v.quantize_rows::<T, 3>(&mut block, steps, &mut counts),
-                (Some(v), _, _) => v.quantize_rows::<T, 2>(&mut block, steps, &mut counts),
-                (None, LANES, 3) => quantize_rows::<T, LANES, 3>(&mut block, steps, &mut counts),
-                (None, LANES, _) => quantize_rows::<T, LANES, 2>(&mut block, steps, &mut counts),
-                (None, _, 3) => quantize_rows::<T, 1, 3>(&mut block, steps, &mut counts),
-                (None, _, 2) => quantize_rows::<T, 1, 2>(&mut block, steps, &mut counts),
-                (None, _, _) => quantize_rows::<T, 1, 1>(&mut block, steps, &mut counts),
+            let escapes = match (lanes, order) {
+                (LANES, 3) => quantize_rows::<T, LANES, 3>(&mut block, steps, &mut counts),
+                (LANES, _) => quantize_rows::<T, LANES, 2>(&mut block, steps, &mut counts),
+                (_, 3) => quantize_rows::<T, 1, 3>(&mut block, steps, &mut counts),
+                (_, 2) => quantize_rows::<T, 1, 2>(&mut block, steps, &mut counts),
+                (_, _) => quantize_rows::<T, 1, 1>(&mut block, steps, &mut counts),
             };
             if escapes > 0 {
-                // Rare unpredictable-escape lane: the block's literals
-                // in row-major order, after the sweep, so the literal
-                // stream does not see the lane schedule.
-                for (v, _) in data[at.clone()]
-                    .iter()
-                    .zip(&codes[at])
-                    .filter(|(_, &c)| c == UNPREDICTABLE)
-                {
-                    v.write_le(literals);
-                }
+                literals_of(at, codes);
                 n_unpred += escapes;
             }
             y += lanes;
@@ -490,7 +480,7 @@ fn compress_on<T: Element>(
     payload.clear();
     enc.serialize(payload);
     let mut bw = BitWriter::with_buffer(std::mem::take(bits));
-    enc.encode(codes, &mut bw);
+    enc.encode_sized(codes, enc.encoded_bits(&freqs[..alphabet]), &mut bw);
     let code_bytes = bw.finish();
     put_varint(payload, codes.len() as u64);
     put_varint(payload, code_bytes.len() as u64);

@@ -33,13 +33,13 @@
 //! convenience entry points.
 
 use crate::avx2::{self, Avx2};
-use crate::compressor::{Steps, Wave, LANES, MAGIC, VERSION};
+use crate::compressor::{Wave, LANES, MAGIC, VERSION};
 use crate::config::{Dims, MAX_RADIUS};
 use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
-use crate::predictor::{stencil, stencil_order, Lorenzo, Planes};
+use crate::predictor::{stencil, stencil_order, Lorenzo, Planes, Skewed};
 use crate::quantizer::{Quantizer, UNPREDICTABLE};
 use crate::stream::{get_f64, get_u32, get_varint, BitReader};
 
@@ -353,9 +353,25 @@ fn decode_stream<'o, T: Element>(
         let wide = wide_at(z);
         let mut y = 0;
         if let Some(v) = wide {
+            // An order-3 plane after one of the scalar replay reads it
+            // from `planes` first.
+            if order == 3 && !prev_wide {
+                skewed.skew_prev(planes);
+            }
             let at = base..base + whole;
-            let (codes, out) = (&codes[at.clone()], &mut out[at]);
-            skewed.decode(v, order, prev_wide, (codes, out), planes, quant.steps());
+            let (zp, rows) = skewed.planes();
+            let p = avx2::Plane {
+                input: &codes[at.clone()],
+                rows,
+                output: &mut out[at],
+                nx,
+                blocks,
+            };
+            match order {
+                3 => v.decode_plane::<T, 3>(zp, p, quant.steps()),
+                _ => v.decode_plane::<T, 2>(zp, p, quant.steps()),
+            }
+            skewed.unskew_last(planes);
             y = blocks * avx2::ROWS;
         } else if prev_wide {
             skewed.unskew_prev(planes);
@@ -390,109 +406,6 @@ fn decode_stream<'o, T: Element>(
         }
     }
     Ok(info.dims)
-}
-
-/// Planes `z − 1` and `z` of the vector replay ([`Avx2::decode_plane`])
-/// in its wavefront-major layout: row `j` of block `k` at column `x` is
-/// slot `(nx + k·nx + x + j)·8 + j`, lane `j` of iteration `k·nx + x + j`,
-/// so that an iteration reads and writes its 8 lanes at once. The `nx`
-/// zero iterations before the first stand for the rows above the plane.
-/// What the scalar replay reads of a plane decoded here comes through
-/// one conversion pass into [`Planes`], never a gather per point.
-#[derive(Debug, Default)]
-struct Skewed {
-    recon: [Vec<f64>; 2],
-    nx: usize,
-    blocks: usize,
-}
-
-impl Skewed {
-    /// Size for planes of `blocks` blocks of rows of `nx` (`resize` only
-    /// fills what a shape change adds) and restore the zero slots.
-    fn reset(&mut self, blocks: usize, nx: usize) {
-        let len = (nx + blocks * nx + avx2::ROWS - 1) * avx2::ROWS;
-        for plane in &mut self.recon {
-            plane.resize(len, 0.0);
-            plane[..(nx + avx2::ROWS - 1) * avx2::ROWS].fill(0.0);
-        }
-        (self.nx, self.blocks) = (nx, blocks);
-    }
-
-    /// Plane `z` becomes `z − 1`.
-    fn next_plane(&mut self) {
-        self.recon.swap(0, 1);
-    }
-
-    /// `(i, s)` for each row of the blocks: the row's first point in
-    /// row-major order and its first slot; its point `i + x` is slot
-    /// `s + 8·x`.
-    fn rows(&self) -> impl Iterator<Item = (usize, usize)> {
-        let nx = self.nx;
-        (0..self.blocks * avx2::ROWS).map(move |r| {
-            let (k, j) = (r / avx2::ROWS, r % avx2::ROWS);
-            (r * nx, ((k + 1) * nx + j) * avx2::ROWS + j)
-        })
-    }
-
-    /// Plane `z`'s blocks through the vector replay — the points of the
-    /// blocks in row-major order, codes in and values out — and their
-    /// last row into `planes`, for the rows under them. `prev_wide`
-    /// says that plane `z − 1` was decoded here too; otherwise an
-    /// order-3 plane reads it from `planes` first.
-    fn decode<T: Element>(
-        &mut self,
-        v: Avx2,
-        order: usize,
-        prev_wide: bool,
-        (codes, out): (&[u32], &mut [T]),
-        planes: &mut Planes,
-        q: Steps,
-    ) {
-        let (nx, blocks) = (self.nx, self.blocks);
-        if order == 3 && !prev_wide {
-            let (_, prev_rows) = planes.data_rows();
-            for (i, s) in self.rows() {
-                skew(&mut self.recon[0][s..], &prev_rows[i..i + nx]);
-            }
-        }
-        let [zp, rows] = &mut self.recon;
-        let p = avx2::Plane {
-            codes,
-            rows,
-            out,
-            nx,
-            blocks,
-        };
-        match order {
-            3 => v.decode_plane::<T, 3>(zp, p, q),
-            _ => v.decode_plane::<T, 2>(zp, p, q),
-        }
-        let (i, s) = self.rows().last().expect("a plane with blocks");
-        unskew(&mut planes.data_rows().0[i..i + nx], &self.recon[1][s..]);
-    }
-
-    /// Plane `z − 1`'s blocks from here into `planes`, for a plane that
-    /// the scalar replay decodes.
-    fn unskew_prev(&self, planes: &mut Planes) {
-        let (_, prev_rows) = planes.data_rows();
-        for (i, s) in self.rows() {
-            unskew(&mut prev_rows[i..i + self.nx], &self.recon[0][s..]);
-        }
-    }
-}
-
-/// A row into its slots: `row[x]` to `slots[8·x]`.
-fn skew(slots: &mut [f64], row: &[f64]) {
-    for (slot, &v) in slots.chunks_mut(avx2::ROWS).zip(row) {
-        slot[0] = v;
-    }
-}
-
-/// A row out of its slots: `slots[8·x]` to `row[x]`.
-fn unskew(row: &mut [f64], slots: &[f64]) {
-    for (v, slot) in row.iter_mut().zip(slots.chunks(avx2::ROWS)) {
-        *v = slot[0];
-    }
 }
 
 /// A 1-D stream in one pass: each code is replayed as the Huffman walk

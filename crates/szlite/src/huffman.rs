@@ -323,14 +323,34 @@ impl HuffmanEncoder {
         }
     }
 
-    /// Encode `symbols` appending to the writer, through its
-    /// word-at-a-time batch entry.
+    /// Encode `symbols` appending to the writer, through its batch
+    /// entry: in slices, each sized for its symbols at the table's
+    /// longest code, so that the output is never sized far past what is
+    /// written and no pass over the symbols comes first.
     pub fn encode(&self, symbols: &[u32], w: &mut BitWriter) {
-        w.write_codes(symbols.iter().map(|&s| {
-            let (code, len) = self.codes[s as usize];
-            debug_assert!(len > 0, "encoding absent symbol {s}");
-            (code, len)
-        }));
+        let longest = self.present.iter().map(|&s| self.codes[s as usize].1).max();
+        for slice in symbols.chunks(4096) {
+            let bits = slice.len() as u64 * u64::from(longest.unwrap_or(0));
+            self.encode_sized(slice, bits, w);
+        }
+    }
+
+    /// [`encode`](Self::encode) of `symbols` whose code lengths sum to
+    /// at most `bits` — exactly: their histogram's
+    /// [`encoded_bits`](Self::encoded_bits), which a caller that counted
+    /// them has without a pass.
+    pub(crate) fn encode_sized(&self, symbols: &[u32], bits: u64, w: &mut BitWriter) {
+        // The table as a local slice: the writer's byte stores could
+        // alias `self`, its fields would be reloaded per code.
+        let table = self.codes.as_slice();
+        w.write_codes(
+            bits,
+            symbols.iter().map(|&s| {
+                let (code, len) = table[s as usize];
+                debug_assert!(len > 0, "encoding absent symbol {s}");
+                (code, len)
+            }),
+        );
     }
 
     /// Table size when serialized, in bytes (used by the ratio model):

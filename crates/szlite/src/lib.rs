@@ -28,22 +28,22 @@
 //! ## Kernel dispatch
 //!
 //! Prediction, quantization, the bound re-check and code counting are
-//! one fused pass over blocks of consecutive rows. Which kernel a block
+//! one fused pass over blocks of consecutive rows. Which kernel a plane
 //! runs is decided at one place in [`compress_into`], from what the
-//! host and the input are — **CPU feature × element type × block
+//! host and the input are — **CPU feature × element type × plane
 //! shape** — and by nothing else: there is no environment variable,
 //! `Config` field or cargo feature to set.
 //!
 //! * On x86-64 with AVX2 (detected at run time), for `f32` and `f64`
-//!   elements, a block with at least 8 rows left in its plane and a
-//!   `y − 1` neighbor (any 2-D or 3-D grid with ≥ 8 rows) runs the
-//!   vector kernel: lane *j* of the row wavefront is element *j mod 4*
-//!   of a `__m256d`, two vectors per iteration. Only the iterations in
-//!   which all 8 lanes are inside their rows are vectorized; a block's
-//!   ramp-up and ramp-down run the scalar body.
-//! * Everything else — hosts without AVX2, other architectures, the
-//!   last `ny mod 8` rows of a plane, 1-D data — runs the scalar body,
-//!   4 rows at a time while a plane has them and one row otherwise.
+//!   elements, a plane of at least 8 rows of at least 8 points runs its
+//!   whole 8-row blocks through the vector kernel: lane *j* of the row
+//!   wavefront is element *j mod 4* of a `__m256d`, two vectors per
+//!   iteration, and all the blocks of the plane are one wavefront (the
+//!   decoder's replay runs the same schedule).
+//! * Everything else — hosts without AVX2, other architectures, rows
+//!   shorter than 8, the last `ny mod 8` rows of a plane, 1-D data —
+//!   runs the scalar body, 4 rows at a time while a plane has them and
+//!   one row otherwise.
 //!
 //! Four scalar lanes are not a tuning choice either: a point's
 //! predict → divide → round → reconstruct → storage-round-trip chain is
@@ -54,9 +54,8 @@
 //!
 //! Both arms evaluate the expression of [`compress_reference`] on the
 //! same operands in the same order, so the stream is byte-identical
-//! whichever runs; the scalar per-point body exists once and the vector
-//! module (the library crates' only `unsafe`: the feature-checked call)
-//! borrows it for its ramps.
+//! whichever runs; the scalar per-point body exists once and is the
+//! oracle of the vector module (the library crates' only `unsafe`).
 //!
 //! ## Example
 //!

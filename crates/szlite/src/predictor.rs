@@ -5,6 +5,7 @@
 //! lockstep and the error bound holds end-to-end). Out-of-grid
 //! neighbors contribute zero, the classic Lorenzo convention.
 
+use crate::avx2::ROWS;
 use crate::config::Dims;
 
 /// Strides for up to 3 dimensions, slowest first.
@@ -211,6 +212,95 @@ impl Planes {
             (&self.prev[y * nx..(y + lanes + 1) * nx], nx)
         };
         (&head[y * nx..], &mut tail[..lanes * nx], zp, zs)
+    }
+}
+
+/// Planes `z − 1` and `z` of the vector kernels ([`crate::avx2`]) in
+/// their wavefront-major layout: row `j` of block `k` at column `x` is
+/// slot `(nx + k·nx + x + j)·8 + j`, lane `j` of iteration `k·nx + x + j`,
+/// so that an iteration reads and writes its 8 lanes at once. The `nx`
+/// zero iterations before the first stand for the rows above the plane.
+/// What a scalar kernel reads of a plane produced here comes through
+/// one conversion pass into [`Planes`], never a gather per point.
+#[derive(Debug, Default)]
+pub(crate) struct Skewed {
+    recon: [Vec<f64>; 2],
+    nx: usize,
+    blocks: usize,
+}
+
+impl Skewed {
+    /// Size for planes of `blocks` blocks of rows of `nx` (`resize` only
+    /// fills what a shape change adds) and restore the zero slots.
+    pub(crate) fn reset(&mut self, blocks: usize, nx: usize) {
+        let len = (nx + blocks * nx + ROWS - 1) * ROWS;
+        for plane in &mut self.recon {
+            plane.resize(len, 0.0);
+            plane[..(nx + ROWS - 1) * ROWS].fill(0.0);
+        }
+        (self.nx, self.blocks) = (nx, blocks);
+    }
+
+    /// Plane `z` becomes `z − 1`.
+    pub(crate) fn next_plane(&mut self) {
+        self.recon.swap(0, 1);
+    }
+
+    /// Plane `z − 1`, to read, and plane `z`, to write.
+    pub(crate) fn planes(&mut self) -> (&[f64], &mut [f64]) {
+        let [zp, rows] = &mut self.recon;
+        (zp, rows)
+    }
+
+    /// `(i, s)` for each row of the blocks: the row's first point in
+    /// row-major order and its first slot; its point `i + x` is slot
+    /// `s + 8·x`.
+    fn rows(&self) -> impl Iterator<Item = (usize, usize)> {
+        let nx = self.nx;
+        (0..self.blocks * ROWS).map(move |r| {
+            let (k, j) = (r / ROWS, r % ROWS);
+            (r * nx, ((k + 1) * nx + j) * ROWS + j)
+        })
+    }
+
+    /// Plane `z − 1`'s blocks from `planes`, where a scalar kernel
+    /// produced them.
+    pub(crate) fn skew_prev(&mut self, planes: &mut Planes) {
+        let (_, prev_rows) = planes.data_rows();
+        for (i, s) in self.rows() {
+            skew(&mut self.recon[0][s..], &prev_rows[i..i + self.nx]);
+        }
+    }
+
+    /// Plane `z`'s last block row into `planes`, for the rows under the
+    /// blocks.
+    pub(crate) fn unskew_last(&self, planes: &mut Planes) {
+        let (i, s) = self.rows().last().expect("a plane with blocks");
+        let (rows, _) = planes.data_rows();
+        unskew(&mut rows[i..i + self.nx], &self.recon[1][s..]);
+    }
+
+    /// Plane `z − 1`'s blocks into `planes`, for a plane that a scalar
+    /// kernel produces.
+    pub(crate) fn unskew_prev(&self, planes: &mut Planes) {
+        let (_, prev_rows) = planes.data_rows();
+        for (i, s) in self.rows() {
+            unskew(&mut prev_rows[i..i + self.nx], &self.recon[0][s..]);
+        }
+    }
+}
+
+/// A row into its slots: `row[x]` to `slots[8·x]`.
+fn skew(slots: &mut [f64], row: &[f64]) {
+    for (slot, &v) in slots.chunks_mut(ROWS).zip(row) {
+        slot[0] = v;
+    }
+}
+
+/// A row out of its slots: `slots[8·x]` to `row[x]`.
+fn unskew(row: &mut [f64], slots: &[f64]) {
+    for (v, slot) in row.iter_mut().zip(slots.chunks(ROWS)) {
+        *v = slot[0];
     }
 }
 

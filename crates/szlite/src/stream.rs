@@ -83,8 +83,8 @@ pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
 ///
 /// Bits accumulate in a 64-bit word: [`BitWriter::write_bits`] flushes
 /// it a whole byte at a time, the batch entry
-/// [`BitWriter::write_codes`] four bytes at a time; the two can be
-/// interleaved freely. The backing buffer can be recycled across
+/// [`BitWriter::write_codes`] stores all of it after every code; the
+/// two can be interleaved freely. The backing buffer can be recycled across
 /// streams via [`BitWriter::with_buffer`].
 #[derive(Debug, Default)]
 pub struct BitWriter {
@@ -131,36 +131,37 @@ impl BitWriter {
         }
     }
 
-    /// Batch entry: write every `(code, len)` pair of `codes` (low
-    /// `len` bits of `code`, MSB first, `len <= 32`), exactly as the
-    /// same sequence of [`BitWriter::write_bits`] calls would.
+    /// Batch entry: write every `(code, len)` pair of `codes` (`code`
+    /// below `2^len`, MSB first, `1 <= len <= 32`), exactly as the same
+    /// sequence of [`BitWriter::write_bits`] calls would; `bits` is at
+    /// least their total length (a shorter one panics).
     ///
-    /// The accumulator lives in registers for the whole batch and
-    /// drains four bytes at a time, so a short code costs a shift, an
-    /// or and one well-predicted branch instead of a per-byte push.
-    pub fn write_codes(&mut self, codes: impl IntoIterator<Item = (u32, u8)>) {
-        let codes = codes.into_iter();
-        // Every code is at least one bit; the recycled backing buffer
-        // usually has the capacity already.
-        self.bytes.reserve(codes.size_hint().0 / 8 + 8);
+    /// The output is sized once, for `bits`. Then each code is one
+    /// 8-byte big-endian store of the pending bits, moved to the top of
+    /// the word, at the byte cursor; the cursor advances by the whole
+    /// bytes filled and fewer than 8 bits stay pending, so no code takes
+    /// a branch of its own.
+    pub fn write_codes(&mut self, bits: u64, codes: impl IntoIterator<Item = (u32, u8)>) {
+        let mut at = self.bytes.len();
+        let pending = u64::from(self.nbits);
+        self.bytes
+            .resize(at + ((bits + pending) / 8) as usize + 8, 0);
+        let out = &mut self.bytes[..];
+        // The low `nbits` bits of `acc` are pending; the bits above them
+        // were stored already, and shift out.
         let (mut acc, mut nbits) = (self.acc, self.nbits);
         for (code, len) in codes {
-            debug_assert!(len <= 32);
-            // nbits < 32 between codes, so nbits + len <= 63 fits.
-            acc = (acc << len) | (u64::from(code) & ((1u64 << len) - 1));
+            debug_assert!((1..=32).contains(&len) && u64::from(code) >> len == 0);
+            acc = acc << len | u64::from(code);
+            // nbits < 8 between codes, so 1 <= nbits + len <= 39.
             nbits += u32::from(len);
-            if nbits >= 32 {
-                nbits -= 32;
-                self.bytes
-                    .extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
-            }
+            out[at..][..8].copy_from_slice(&(acc << (64 - nbits)).to_be_bytes());
+            at += (nbits / 8) as usize;
+            nbits %= 8;
         }
-        // Back to the `nbits < 8` invariant `write_bits` relies on.
-        while nbits >= 8 {
-            nbits -= 8;
-            self.bytes.push((acc >> nbits) as u8);
-        }
-        self.acc = acc;
+        self.bytes.truncate(at);
+        // Back to the `nbits < 8` `write_bits` relies on.
+        self.acc = acc & ((1 << nbits) - 1);
         self.nbits = nbits;
     }
 
@@ -406,6 +407,28 @@ mod tests {
         let mut w3 = BitWriter::new();
         w3.write_bits(0b1010101, 7);
         assert_eq!(w2.finish(), w3.finish());
+    }
+
+    #[test]
+    fn a_batch_fits_the_output_its_bit_count_sizes() {
+        // The last store of a batch reaches furthest past its bits when
+        // bits are pending and its last code is short: every pending
+        // count, around every byte boundary, against single writes.
+        for pending in 0..8u8 {
+            for head in 1..=32u8 {
+                for last in 1..=8u8 {
+                    let codes = [((1u64 << head) - 1) as u32, 1];
+                    let mut batch = BitWriter::new();
+                    batch.write_bits(0x55, pending);
+                    batch.write_codes(u64::from(head + last), [(codes[0], head), (codes[1], last)]);
+                    let mut single = BitWriter::new();
+                    single.write_bits(0x55, pending);
+                    single.write_bits(u64::from(codes[0]), head);
+                    single.write_bits(u64::from(codes[1]), last);
+                    assert_eq!(batch.finish(), single.finish(), "{pending} {head} {last}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -306,32 +306,44 @@ proptest! {
     #[test]
     fn bit_writer_batch_matches_bit_at_a_time(
         ops in proptest::collection::vec(
-            (any::<bool>(), proptest::collection::vec((any::<u32>(), 1u8..=32), 0..12)),
-            0..24,
+            (any::<bool>(), proptest::collection::vec((any::<u32>(), 1u8..=32), 0..4096)),
+            0..8,
         ),
     ) {
-        // Batches interleaved with single `write_bits` calls against an
-        // oracle that appends one bit at a time.
-        let mut w = BitWriter::new();
+        // Batches of up to 4096 codes interleaved with single
+        // `write_bits` calls against an oracle that appends one bit at a
+        // time: on a fresh writer, then on one recycling its buffer.
+        // A batch takes codes below `2^len`; `write_bits` any.
+        let low = |len: u8| ((1u64 << len) - 1) as u32;
         let mut oracle: Vec<bool> = Vec::new();
-        for (batch, codes) in &ops {
+        for (_, codes) in &ops {
             for &(code, len) in codes {
                 oracle.extend((0..len).rev().map(|b| code >> b & 1 == 1));
             }
-            if *batch {
-                w.write_codes(codes.iter().copied());
-            } else {
-                for &(code, len) in codes {
-                    w.write_bits(u64::from(code), len);
-                }
-            }
-            prop_assert_eq!(w.bit_len(), oracle.len());
         }
         let packed: Vec<u8> = oracle
             .chunks(8)
             .map(|c| c.iter().enumerate().fold(0u8, |a, (i, &b)| a | u8::from(b) << (7 - i)))
             .collect();
-        prop_assert_eq!(w.finish(), packed);
+        let mut recycled = Vec::new();
+        for _ in 0..2 {
+            let mut w = BitWriter::with_buffer(recycled);
+            let mut written = 0;
+            for (batch, codes) in &ops {
+                if *batch {
+                    let bits = codes.iter().map(|&(_, len)| u64::from(len)).sum();
+                    w.write_codes(bits, codes.iter().map(|&(code, len)| (code & low(len), len)));
+                } else {
+                    for &(code, len) in codes {
+                        w.write_bits(u64::from(code), len);
+                    }
+                }
+                written += codes.iter().map(|&(_, len)| usize::from(len)).sum::<usize>();
+                prop_assert_eq!(w.bit_len(), written);
+            }
+            recycled = w.finish();
+            prop_assert_eq!(&recycled, &packed);
+        }
     }
 
     #[test]

@@ -155,6 +155,7 @@ fn warm_compress_allocates_nothing() {
         (&tile, &Dims::d3(32, 32, 32)),
         (&nyx[0][0].data, &nyx[0][0].dims),
     ];
+    let mut firsts = Vec::new();
     for (data, dims) in inputs {
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
@@ -164,7 +165,24 @@ fn warm_compress_allocates_nothing() {
         compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
         assert_eq!(allocs_here() - before, 0, "{dims:?}");
         assert!(first == out);
+        firsts.push(first);
     }
+    // One scratch warmed on both shapes (its planes, wavefront-major
+    // planes, codes and tables at the larger of each), then alternating
+    // between them: nothing more is allocated, and the streams are the
+    // same.
+    let (mut scratch, mut out) = (Scratch::new(), Vec::new());
+    for (data, dims) in inputs {
+        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+    }
+    let before = allocs_here();
+    for _ in 0..2 {
+        for ((data, dims), first) in inputs.iter().zip(&firsts) {
+            compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+            assert!(out == *first, "{dims:?}");
+        }
+    }
+    assert_eq!(allocs_here() - before, 0, "alternating shapes");
 }
 
 #[test]
