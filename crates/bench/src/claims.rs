@@ -650,8 +650,9 @@ fn sweep(sc: &Scenarios, points: &[(Data, usize)], bars: bool) -> Vec<Json> {
 }
 
 /// Fig. 17 c/d, and the smallest scale of the sweep at which
-/// reordering — each rank's own optimum under Algorithm 1 — loses to
-/// the original order in the shared pool (`null` when none does).
+/// reordering — each rank's exact optimum under the per-rank model,
+/// Johnson's rule over solo-rank write times — loses to the original
+/// order in the shared pool (`null` when none does).
 fn fig17cd(sc: &Scenarios) -> Json {
     let scenarios = sweep(sc, &SCALE_SWEEP, true);
     let inverted = scenarios.iter().find(|s| num(s, "reorder_gain") < 1.0);

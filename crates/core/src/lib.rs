@@ -14,7 +14,8 @@
 //!    *same* file layout independently ([`plan::WritePlan`]), each
 //!    slot padded by the extra-space policy ([`extraspace`], Eq. 3).
 //! 3. **Reorder** each rank's compression queue to maximize
-//!    compute/write overlap ([`scheduler`], Algorithm 1).
+//!    compute/write overlap ([`scheduler`], Algorithm 1): a rank's queue
+//!    is the flow shop F2‖C_max, ordered exactly by Johnson's rule (1954).
 //! 4. **Overlap**: compress each field and hand the stream to an
 //!    asynchronous write (h5lite event set) targeting the
 //!    pre-computed offset.

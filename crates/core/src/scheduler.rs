@@ -10,11 +10,15 @@
 //! tw ← Pw(ℓ) + max(tc, tw)
 //! ```
 //!
-//! Total compression time is order-invariant; ordering only changes
-//! how much write time hides under compute. The optimizer inserts each
-//! field at the position minimizing TIME — O(n²) in the field count,
-//! negligible next to compression itself (the paper measures 0.17 %
-//! overhead even at n = 100).
+//! That is the makespan of the two-machine flow shop F2‖C_max
+//! (compression is machine 1, the write stream machine 2). Total
+//! compression time is order-invariant; ordering only changes how much
+//! write time hides under compute. Where the paper inserts each field
+//! greedily at its best position, an O(n³) heuristic, the order here is
+//! exact: Johnson's rule (S. M. Johnson, "Optimal two- and three-stage
+//! production schedules with setup times included", Naval Research
+//! Logistics Quarterly, 1954), O(n log n). Under the per-rank model a
+//! reordered queue never finishes after any other order.
 
 /// Finish time of a queue under the pipeline recurrence (TIME in
 /// Algorithm 1). `queue` holds field indices into `pc`/`pw`.
@@ -28,26 +32,17 @@ pub fn queue_time(queue: &[usize], pc: &[f64], pw: &[f64]) -> f64 {
     tw
 }
 
-/// Optimize the compression order (SCHEDULING OPTIMIZATOR in
-/// Algorithm 1): greedy best-insertion of each field.
+/// The order minimizing [`queue_time`] (SCHEDULING OPTIMIZATOR in
+/// Algorithm 1) by Johnson's rule: fields with `Pc < Pw` by ascending
+/// `Pc`, then the rest by descending `Pw`; ties keep field order.
 pub fn optimize_order(pc: &[f64], pw: &[f64]) -> Vec<usize> {
     assert_eq!(pc.len(), pw.len());
-    let mut queue: Vec<usize> = Vec::with_capacity(pc.len());
-    for l in 0..pc.len() {
-        let mut best_pos = 0usize;
-        let mut best_time = f64::INFINITY;
-        for pos in 0..=queue.len() {
-            let mut candidate = queue.clone();
-            candidate.insert(pos, l);
-            let t = queue_time(&candidate, pc, pw);
-            if t < best_time {
-                best_time = t;
-                best_pos = pos;
-            }
-        }
-        queue.insert(best_pos, l);
-    }
-    queue
+    let (mut order, mut rest): (Vec<usize>, Vec<usize>) =
+        (0..pc.len()).partition(|&l| pc[l] < pw[l]);
+    order.sort_by(|&a, &b| pc[a].total_cmp(&pc[b]));
+    rest.sort_by(|&a, &b| pw[b].total_cmp(&pw[a]));
+    order.extend(rest);
+    order
 }
 
 /// Convenience: identity order (methods without reordering).
@@ -86,31 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_never_worse_than_identity() {
-        // Pseudo-random instances.
-        let mut x = 123456789u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % 1000) as f64 / 100.0 + 0.01
-        };
-        for n in [1usize, 2, 3, 5, 8, 12] {
-            for _ in 0..20 {
-                let pc: Vec<f64> = (0..n).map(|_| rng()).collect();
-                let pw: Vec<f64> = (0..n).map(|_| rng()).collect();
-                let id = queue_time(&identity_order(n), &pc, &pw);
-                let opt = queue_time(&optimize_order(&pc, &pw), &pc, &pw);
-                assert!(opt <= id + 1e-9, "n={n}: opt {opt} > id {id}");
-            }
-        }
-    }
-
-    #[test]
     fn optimizer_matches_bruteforce_small() {
         fn permutations(n: usize) -> Vec<Vec<usize>> {
-            if n == 1 {
-                return vec![vec![0]];
+            if n == 0 {
+                return vec![vec![]];
             }
             let mut out = Vec::new();
             for p in permutations(n - 1) {
@@ -123,25 +97,30 @@ mod tests {
             out
         }
         let mut x = 42u64;
-        let mut rng = move || {
+        let mut rng = move |levels: u64| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((x >> 33) % 1000) as f64 / 100.0 + 0.01
+            ((x >> 33) % levels) as f64 / 100.0 + 0.01
         };
-        for _ in 0..30 {
-            let n = 5;
-            let pc: Vec<f64> = (0..n).map(|_| rng()).collect();
-            let pw: Vec<f64> = (0..n).map(|_| rng()).collect();
-            let best = permutations(n)
-                .into_iter()
-                .map(|p| queue_time(&p, &pc, &pw))
-                .fold(f64::INFINITY, f64::min);
-            let opt = queue_time(&optimize_order(&pc, &pw), &pc, &pw);
-            // The greedy insertion heuristic is not provably optimal,
-            // but on pipeline instances it should be within a few
-            // percent of brute force.
-            assert!(opt <= best * 1.05 + 1e-9, "opt {opt} vs best {best}");
+        for n in 1..=7 {
+            let perms = permutations(n);
+            for instance in 0..150 {
+                // Every other instance draws from 4 values, so equal
+                // `Pc`, equal `Pw` and `Pc == Pw` all occur.
+                let levels = if instance % 2 == 0 { 1000 } else { 4 };
+                let pc: Vec<f64> = (0..n).map(|_| rng(levels)).collect();
+                let pw: Vec<f64> = (0..n).map(|_| rng(levels)).collect();
+                let best = perms
+                    .iter()
+                    .map(|p| queue_time(p, &pc, &pw))
+                    .fold(f64::INFINITY, f64::min);
+                let opt = queue_time(&optimize_order(&pc, &pw), &pc, &pw);
+                assert!(
+                    (opt - best).abs() <= 1e-12 * best,
+                    "n={n} pc={pc:?} pw={pw:?}: {opt} vs optimum {best}"
+                );
+            }
         }
     }
 

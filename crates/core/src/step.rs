@@ -403,6 +403,23 @@ mod tests {
         // The long write goes first so it hides under the other
         // field's compression.
         assert_eq!(compression_order(true, &ests), [1, 0]);
+        // Every field compresses slower than it writes, the regime of
+        // both reorder workloads: the largest write goes first and the
+        // smallest last, so only it is left unhidden.
+        let mut ests = [estimate(1), estimate(1), estimate(1), estimate(1)];
+        for (e, (pc, pw)) in ests
+            .iter_mut()
+            .zip([(9.0, 2.0), (6.0, 1.0), (8.0, 5.0), (7.0, 3.0)])
+        {
+            (e.comp_time, e.write_time) = (pc, pw);
+        }
+        assert_eq!(compression_order(true, &ests), [2, 3, 0, 1]);
+        // `Pc == Pw` everywhere: every order finishes at once, and
+        // field order decides.
+        for e in &mut ests {
+            (e.comp_time, e.write_time) = (1.0, 1.0);
+        }
+        assert_eq!(compression_order(true, &ests), [0, 1, 2, 3]);
     }
 
     #[test]

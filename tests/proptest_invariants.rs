@@ -21,6 +21,25 @@ fn predictions() -> impl Strategy<Value = Vec<Vec<PartitionPrediction>>> {
     })
 }
 
+/// The paper's SCHEDULING OPTIMIZATOR as it states it (each field in
+/// turn, inserted where the queue so far finishes first), kept as the
+/// reference that `optimize_order` (Johnson's rule) never finishes after.
+fn greedy_best_insertion(pc: &[f64], pw: &[f64]) -> Vec<usize> {
+    let mut queue: Vec<usize> = Vec::with_capacity(pc.len());
+    for l in 0..pc.len() {
+        let (_, best) = (0..=queue.len())
+            .map(|pos| {
+                let mut candidate = queue.clone();
+                candidate.insert(pos, l);
+                (queue_time(&candidate, pc, pw), pos)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("a queue has at least one position");
+        queue.insert(best, l);
+    }
+    queue
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(128, 0x9A_4141) /* pinned: deterministic CI */)]
 
@@ -88,9 +107,18 @@ proptest! {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..pc.len()).collect::<Vec<_>>());
-        // Never worse than identity.
+        let t = queue_time(&order, &pc, &pw);
+        let no_later = |other: &[usize]| t <= queue_time(other, &pc, &pw) * (1.0 + 1e-12);
+        // Never worse than identity, nor than the paper's greedy.
         let identity: Vec<usize> = (0..pc.len()).collect();
-        prop_assert!(queue_time(&order, &pc, &pw) <= queue_time(&identity, &pc, &pw) + 1e-9);
+        prop_assert!(no_later(&identity));
+        prop_assert!(no_later(&greedy_best_insertion(&pc, &pw)), "greedy beats {order:?}");
+        // No adjacent swap shortens it.
+        for i in 1..order.len() {
+            let mut swapped = order.clone();
+            swapped.swap(i - 1, i);
+            prop_assert!(no_later(&swapped), "swapping {} and {} shortens {order:?}", i - 1, i);
+        }
     }
 
     #[test]
