@@ -185,19 +185,14 @@ pub fn fit_split(actual: u64, reserved: u64) -> FitSplit {
 }
 
 /// Plan the overflow region: given gathered overflow sizes
-/// (`overflow[rank][field]`), assign consecutive offsets starting at
-/// `data_end`. Deterministic across ranks, like the main layout.
+/// (`overflow[rank][field]`), the slot offsets of
+/// `WritePlan::exact(overflow, data_end)` — consecutive from `data_end`
+/// in the main layout's field-major order, and like it deterministic
+/// across ranks.
 pub fn plan_overflow(overflow: &[Vec<u64>], data_end: u64) -> Vec<Vec<u64>> {
-    let mut cursor = data_end;
-    let nfields = overflow.first().map_or(0, Vec::len);
-    let mut offsets = vec![vec![0u64; nfields]; overflow.len()];
-    for f in 0..nfields {
-        for (r, rank_ovf) in overflow.iter().enumerate() {
-            offsets[r][f] = cursor;
-            cursor += rank_ovf[f];
-        }
-    }
-    offsets
+    let plan = WritePlan::exact(overflow, data_end);
+    let offsets = |row: &Vec<PartitionSlot>| row.iter().map(|s| s.offset).collect();
+    plan.slots.iter().map(offsets).collect()
 }
 
 #[cfg(test)]

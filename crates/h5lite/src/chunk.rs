@@ -68,22 +68,10 @@ fn tile_geom(dims: &[u64], chunk_dims: &[u64], chunk_idx: u64) -> Result<TileGeo
     Ok(TileGeom { start, extent })
 }
 
-/// Extract chunk `chunk_idx` from the full row-major `data` buffer.
-pub fn gather_tile(
-    data: &[u8],
-    dims: &[u64],
-    elem: usize,
-    chunk_dims: &[u64],
-    chunk_idx: u64,
-) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    gather_tile_into(data, dims, elem, chunk_dims, chunk_idx, &mut out)?;
-    Ok(out)
-}
-
-/// Extract chunk `chunk_idx` into `out` (cleared first), reusing the
-/// buffer's allocation — the per-tile path of the compression pipeline
-/// calls this once per chunk per worker.
+/// Extract chunk `chunk_idx` of the full row-major `data` buffer into
+/// `out` (cleared first), reusing the buffer's allocation — the per-tile
+/// path of the compression pipeline calls this once per chunk per
+/// worker.
 pub fn gather_tile_into(
     data: &[u8],
     dims: &[u64],
@@ -209,9 +197,9 @@ mod tests {
         let data: Vec<u8> = (0..n * 2).map(|i| (i % 251) as u8).collect(); // elem=2
         let chunk = [2u64, 3, 4];
         let n_chunks = 2 * 2 * 2;
-        let mut rebuilt = vec![0u8; data.len()];
+        let (mut rebuilt, mut tile) = (vec![0u8; data.len()], Vec::new());
         for c in 0..n_chunks {
-            let tile = gather_tile(&data, &dims, 2, &chunk, c).unwrap();
+            gather_tile_into(&data, &dims, 2, &chunk, c, &mut tile).unwrap();
             scatter_tile(&mut rebuilt, &dims, 2, &chunk, c, &tile).unwrap();
         }
         assert_eq!(rebuilt, data);
@@ -222,9 +210,9 @@ mod tests {
         let dims = [10u64];
         let data: Vec<u8> = (0..40).collect(); // f32-like elem=4
         let chunk = [4u64];
-        let mut rebuilt = vec![0u8; 40];
+        let (mut rebuilt, mut tile) = (vec![0u8; 40], Vec::new());
         for c in 0..3 {
-            let tile = gather_tile(&data, &dims, 4, &chunk, c).unwrap();
+            gather_tile_into(&data, &dims, 4, &chunk, c, &mut tile).unwrap();
             scatter_tile(&mut rebuilt, &dims, 4, &chunk, c, &tile).unwrap();
         }
         assert_eq!(rebuilt, data);
@@ -254,7 +242,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_detected() {
-        assert!(gather_tile(&[0u8; 10], &[4], 4, &[2], 0).is_err());
+        assert!(gather_tile_into(&[0u8; 10], &[4], 4, &[2], 0, &mut Vec::new()).is_err());
         let mut out = vec![0u8; 16];
         assert!(scatter_tile(&mut out, &[4], 4, &[2], 0, &[0u8; 3]).is_err());
     }

@@ -1,6 +1,6 @@
 //! Property tests for the h5lite container format.
 
-use h5lite::chunk::{gather_tile, scatter_tile};
+use h5lite::chunk::{gather_tile_into, scatter_tile};
 use h5lite::meta::{
     deserialize_table, serialize_table, AttrValue, ChunkInfo, DatasetMeta, Dtype, FilterSpec,
 };
@@ -116,9 +116,9 @@ proptest! {
         let data: Vec<u8> = (0..n as usize * elem).map(|i| (i % 251) as u8).collect();
         let n_chunks: u64 = dims.iter().zip(&chunk).map(|(&d, &c)| d.div_ceil(c)).product();
         let mut rebuilt = vec![0xFFu8; data.len()];
-        let mut total_tile_bytes = 0usize;
+        let (mut total_tile_bytes, mut tile) = (0usize, Vec::new());
         for c in 0..n_chunks {
-            let tile = gather_tile(&data, &dims, elem, &chunk, c).unwrap();
+            gather_tile_into(&data, &dims, elem, &chunk, c, &mut tile).unwrap();
             total_tile_bytes += tile.len();
             scatter_tile(&mut rebuilt, &dims, elem, &chunk, c, &tile).unwrap();
         }

@@ -3,7 +3,6 @@
 //! one field of one snapshot across error bounds, fit `Cmin`, `Cmax`,
 //! `a`, then reuse the model everywhere).
 
-use std::time::Instant;
 use szlite::{compress_into, Config, Dims, ErrorBound, Scratch};
 
 /// One offline compression observation.
@@ -34,9 +33,9 @@ pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observat
                 error_bound: eb,
                 ..Config::default()
             };
-            let start = Instant::now();
+            let timer = obs::timed("fit.observe");
             let st = compress_into(data, dims, &cfg, &mut scratch, &mut stream).ok()?;
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            let secs = timer.stop().max(1e-9);
             Some(Observation {
                 eb: st.eb,
                 bit_rate: st.bit_rate(),

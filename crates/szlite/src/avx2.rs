@@ -865,7 +865,11 @@ mod tests {
     fn forged(dims: &Dims, radius: u32, at: usize, bad: u32) -> Vec<u8> {
         let mut codes = vec![radius; dims.len()];
         codes[at] = bad;
-        let enc = HuffmanEncoder::from_symbols(&codes, 2 * radius as usize + 1);
+        let mut freqs = vec![0u64; 2 * radius as usize + 1];
+        for &code in &codes {
+            freqs[code as usize] += 1;
+        }
+        let enc = HuffmanEncoder::from_freqs(&freqs);
         let mut payload = Vec::new();
         enc.serialize(&mut payload);
         let mut w = BitWriter::new();

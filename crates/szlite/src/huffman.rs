@@ -7,6 +7,14 @@
 //!
 //! Codes are canonical so the table serializes as `(symbol, length)`
 //! pairs only; both sides reconstruct identical codes.
+//!
+//! One path each way: the encoder is built from a histogram and emits
+//! through [`BitWriter::write_codes`]; the decoder's table is set up only
+//! by [`HuffmanDecoder::reinit`] and read by two loops,
+//! [`HuffmanDecoder::decode_into`] (a prefix's two codes per peek into a
+//! code list: 2-D and 3-D restarts) and `decode_each` (one code per peek
+//! to a closure: the 1-D restart), both pinned against the bit-at-a-time
+//! walk [`HuffmanDecoder::decode_one_reference`].
 
 use crate::error::{Result, SzError};
 use crate::stream::{get_varint, put_varint, varint_len, BitReader, BitWriter, MAX_PEEK_BITS};
@@ -80,13 +88,8 @@ pub struct EncoderWorkspace {
 /// Decoding is two-level: an 11-bit (`LUT_BITS`) prefix peeked from the
 /// word-buffered [`BitReader`] indexes the primary table directly to
 /// `(symbol, code_len)` for short codes — for two of them when the
-/// second also ends inside the prefix, which [`HuffmanDecoder::decode_into`]
-/// emits with one `consume`; longer (or invalid) prefixes fall back to
-/// a search of the canonical table by code length, or, in
-/// [`HuffmanDecoder::decode_one`], to
-/// [`HuffmanDecoder::decode_one_reference`], the retained bit-at-a-time
-/// canonical walk that doubles as the equivalence oracle. A caller that
-/// uses each symbol as it comes walks one code per peek (`decode_each`).
+/// second also ends inside the prefix; longer (or invalid) prefixes
+/// fall back to a search of the canonical table by code length.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
     /// Symbols sorted in canonical order.
@@ -99,10 +102,6 @@ pub struct HuffmanDecoder {
     /// Primary table: `LUT_BITS`-bit prefix → the packed code it starts
     /// with and the one after it (see [`LUT_LEN_BITS`]).
     lut: Vec<u64>,
-    /// Shortest code length a prefix without a primary-table entry can
-    /// still match: `LUT_BITS + 1`, or 1 when a short code was left out
-    /// of the table for its symbol's width.
-    search_from: usize,
     /// [`HuffmanDecoder::reinit`] scratch: the parsed `(len, symbol)`
     /// pairs, kept so per-chunk re-initialization does no
     /// alphabet-proportional work (the serialized table lists only the
@@ -120,7 +119,6 @@ impl Default for HuffmanDecoder {
             first_index: [0; MAX_CODE_LEN as usize + 1],
             count: [0; MAX_CODE_LEN as usize + 1],
             lut: Vec::new(),
-            search_from: LUT_BITS as usize + 1,
             pairs: Vec::new(),
         }
     }
@@ -278,15 +276,6 @@ impl HuffmanEncoder {
         self.present.extend_from_slice(used);
     }
 
-    /// Build directly from a symbol stream.
-    pub fn from_symbols(symbols: &[u32], alphabet: usize) -> Self {
-        let mut freqs = vec![0u64; alphabet];
-        for &s in symbols {
-            freqs[s as usize] += 1;
-        }
-        Self::from_freqs(&freqs)
-    }
-
     /// Code length in bits for a symbol (0 if absent). Read by
     /// ratiomodel's dense reference of the size model, which pins the
     /// sparse prediction to the same bits.
@@ -432,43 +421,9 @@ impl HuffmanDecoder {
         Ok(())
     }
 
-    /// Build from code lengths.
-    pub fn from_lens(lens: &[u8]) -> Result<Self> {
-        let mut dec = HuffmanDecoder::default();
-        dec.init_from_lens(lens)?;
-        Ok(dec)
-    }
-
-    /// Populate the table in place from code lengths.
-    fn init_from_lens(&mut self, lens: &[u8]) -> Result<()> {
-        self.count = [0usize; MAX_CODE_LEN as usize + 1];
-        for &l in lens {
-            if l > MAX_CODE_LEN {
-                return Err(SzError::Corrupt("huffman code too long"));
-            }
-            if l > 0 {
-                self.count[l as usize] += 1;
-            }
-        }
-        // Canonical ordering: by (len, symbol). The extend walks
-        // symbols in ascending order, so a stable-by-key sort on length
-        // yields the same order as sorting (len, symbol) pairs.
-        self.symbols.clear();
-        self.symbols.extend(
-            lens.iter()
-                .enumerate()
-                .filter(|(_, &l)| l > 0)
-                .map(|(s, _)| s as u32),
-        );
-        self.symbols.sort_by_key(|&s| lens[s as usize]);
-        self.build_tables();
-        Ok(())
-    }
-
     /// Rebuild `first_code`/`first_index` and the primary LUT from
-    /// `count` and canonically ordered `symbols` — the shared tail of
-    /// the dense ([`HuffmanDecoder::from_lens`]) and sparse
-    /// ([`HuffmanDecoder::reinit`]) initialization paths.
+    /// `count` and canonically ordered `symbols`, as
+    /// [`HuffmanDecoder::reinit`] leaves them.
     fn build_tables(&mut self) {
         let mut code = 0u64;
         let mut index = 0usize;
@@ -489,7 +444,6 @@ impl HuffmanDecoder {
         // equivalent on every input.
         self.lut.clear();
         self.lut.resize(LUT_SIZE, 0);
-        self.search_from = LUT_BITS as usize + 1;
         let short_max = LUT_BITS.min(u32::from(MAX_CODE_LEN)) as usize;
         for len in (1..=short_max).rev() {
             let first = self.first_code[len];
@@ -502,13 +456,9 @@ impl HuffmanDecoder {
                     continue;
                 }
                 let sym = self.symbols[self.first_index[len] + i];
-                if sym >= (1 << (32 - LUT_LEN_BITS)) {
-                    // Symbol too wide to pack (only reachable through
-                    // `from_lens` with an absurd alphabet; `reinit`
-                    // caps at 2^24): let the search handle it.
-                    self.search_from = 1;
-                    continue;
-                }
+                // `reinit` admits alphabets up to 2^24, so every symbol
+                // fits the entry's 26-bit field.
+                debug_assert!(sym < 1 << (32 - LUT_LEN_BITS));
                 let shift = LUT_BITS as usize - len;
                 let base = (code as usize) << shift;
                 let len = len as u64;
@@ -540,35 +490,12 @@ impl HuffmanDecoder {
         }
     }
 
-    /// Decode one symbol from the reader: primary-table hit for codes
-    /// up to `LUT_BITS` long, canonical-walk fallback for longer or
-    /// invalid prefixes. Byte- and error-equivalent to
-    /// [`HuffmanDecoder::decode_one_reference`] on every stream.
-    #[inline]
-    pub fn decode_one(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        let entry = self.lut[r.peek_bits(LUT_BITS) as usize];
-        if entry != 0 {
-            let (symbol, len) = lut_first(entry);
-            // Post-peek, `avail < len` only at the stream tail, where
-            // `avail == bits_remaining()` — so this one-register test
-            // is exactly the "enough bits left?" check.
-            if len <= r.avail_bits() {
-                r.consume(len);
-                return Ok(symbol);
-            }
-            // The padded peek matched a code longer than what's left in
-            // the stream — the reference walk would run out of bits.
-            return Err(SzError::Truncated("huffman bits"));
-        }
-        self.decode_one_reference(r)
-    }
-
     /// Decode one symbol by the bit-at-a-time canonical walk.
     ///
-    /// This is the original decoder, retained both as the long-code
-    /// fallback of [`HuffmanDecoder::decode_one`] and as the reference
-    /// oracle the LUT path is pinned against (see the adversarial
-    /// equivalence proptest).
+    /// No restart runs it: it is the reference oracle both table-driven
+    /// loops are pinned against, symbol for symbol, error for error and
+    /// bit for bit (the unit tests for `decode_each`, the proptests for
+    /// [`HuffmanDecoder::decode_into`]).
     pub fn decode_one_reference(&self, r: &mut BitReader<'_>) -> Result<u32> {
         // Single-symbol degenerate table: consume one bit.
         let mut code = 0u64;
@@ -591,17 +518,6 @@ impl HuffmanDecoder {
     /// decode — lies in `range`.
     pub(crate) fn decodes_only(&self, range: std::ops::Range<u32>) -> bool {
         self.symbols.iter().all(|s| range.contains(s))
-    }
-
-    /// Decode exactly `n` symbols into a fresh vector.
-    ///
-    /// Allocating convenience for tests and one-off callers; hot paths
-    /// go through [`HuffmanDecoder::decode_into`] so the output buffer
-    /// is recycled across chunks.
-    pub fn decode(&self, r: &mut BitReader<'_>, n: usize) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        self.decode_into(r, n, &mut out)?;
-        Ok(out)
     }
 
     /// Decode exactly `n` symbols into `out`, reusing its allocation
@@ -717,14 +633,14 @@ impl HuffmanDecoder {
     }
 
     /// The symbol and length of the code `bits` (the next
-    /// `MAX_CODE_LEN` bits, of which `avail` are real) starts with: the
-    /// first code length, from [`HuffmanDecoder::search_from`] up,
-    /// whose canonical range holds them — the match and the error of
-    /// [`HuffmanDecoder::decode_one_reference`], without reading the
-    /// bits one at a time.
+    /// `MAX_CODE_LEN` bits, of which `avail` are real) starts with,
+    /// given that no code of `LUT_BITS` or fewer does: the first longer
+    /// code length whose canonical range holds them — the match and the
+    /// error of [`HuffmanDecoder::decode_one_reference`], without
+    /// reading the bits one at a time.
     #[cold]
     fn search(&self, bits: u64, avail: u32) -> Result<(u32, u32)> {
-        for len in self.search_from..=MAX_CODE_LEN as usize {
+        for len in LUT_BITS as usize + 1..=MAX_CODE_LEN as usize {
             if len as u32 > avail {
                 // Where the walk runs out of bits.
                 return Err(SzError::Truncated("huffman bits"));
@@ -879,19 +795,51 @@ mod tests {
         }
     }
 
-    fn roundtrip(symbols: &[u32], alphabet: usize) {
-        let enc = HuffmanEncoder::from_symbols(symbols, alphabet);
+    /// The encoder of a symbol stream: [`HuffmanEncoder::from_freqs`]
+    /// over its histogram.
+    fn encoder(symbols: &[u32], alphabet: usize) -> HuffmanEncoder {
+        let mut freqs = vec![0u64; alphabet];
+        for &s in symbols {
+            freqs[s as usize] += 1;
+        }
+        HuffmanEncoder::from_freqs(&freqs)
+    }
+
+    /// `symbols` encoded: the decoder of their table and their bits.
+    fn coded(symbols: &[u32], alphabet: usize) -> (HuffmanDecoder, Vec<u8>) {
+        let enc = encoder(symbols, alphabet);
         let mut table = Vec::new();
         enc.serialize(&mut table);
         let mut w = BitWriter::new();
         enc.encode(symbols, &mut w);
-        let bits = w.finish();
-
         let mut pos = 0;
         let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
         assert_eq!(pos, table.len());
-        let mut r = BitReader::new(&bits);
-        let decoded = dec.decode(&mut r, symbols.len()).unwrap();
+        (dec, w.finish())
+    }
+
+    /// The decoder of the serialized table that gives symbol `s` the
+    /// code length `lens[s]` (0: absent). `reinit` takes any lengths up
+    /// to `MAX_CODE_LEN`, Kraft-oversubscribed ones included.
+    fn table_of(lens: &[u8]) -> HuffmanDecoder {
+        let present: Vec<usize> = (0..lens.len()).filter(|&s| lens[s] > 0).collect();
+        let mut table = Vec::new();
+        put_varint(&mut table, lens.len() as u64);
+        put_varint(&mut table, present.len() as u64);
+        let mut prev = 0;
+        for &s in &present {
+            put_varint(&mut table, (s - prev) as u64);
+            table.push(lens[s]);
+            prev = s;
+        }
+        HuffmanDecoder::deserialize(&table, &mut 0).unwrap()
+    }
+
+    fn roundtrip(symbols: &[u32], alphabet: usize) {
+        let (dec, bits) = coded(symbols, alphabet);
+        let mut decoded = Vec::new();
+        dec.decode_into(&mut BitReader::new(&bits), symbols.len(), &mut decoded)
+            .unwrap();
         assert_eq!(decoded, symbols);
     }
 
@@ -942,7 +890,7 @@ mod tests {
         for &s in &syms {
             freqs[s as usize] += 1;
         }
-        let enc = HuffmanEncoder::from_symbols(&syms, 10);
+        let enc = HuffmanEncoder::from_freqs(&freqs);
         let mut w = BitWriter::new();
         enc.encode(&syms, &mut w);
         assert_eq!(w.bit_len() as u64, enc.encoded_bits(&freqs));
@@ -961,7 +909,7 @@ mod tests {
         let mut reused = HuffmanDecoder::default();
         let mut codes = Vec::new();
         for (syms, alphabet) in &streams {
-            let enc = HuffmanEncoder::from_symbols(syms, *alphabet);
+            let enc = encoder(syms, *alphabet);
             let mut table = Vec::new();
             enc.serialize(&mut table);
             let mut w = BitWriter::new();
@@ -975,10 +923,13 @@ mod tests {
             reused.decode_into(&mut r, syms.len(), &mut codes).unwrap();
             assert_eq!(&codes, syms);
 
-            let mut pos = 0;
-            let fresh = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
+            let fresh = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
             let mut r = BitReader::new(&bits);
-            assert_eq!(&fresh.decode(&mut r, syms.len()).unwrap(), syms);
+            let mut fresh_codes = Vec::new();
+            fresh
+                .decode_into(&mut r, syms.len(), &mut fresh_codes)
+                .unwrap();
+            assert_eq!(&fresh_codes, syms);
         }
     }
 
@@ -1020,28 +971,72 @@ mod tests {
         }
     }
 
-    /// Decode with the LUT path and the reference walk side by side;
-    /// both must agree on every symbol and on the exact terminal error.
-    fn assert_paths_equivalent(dec: &HuffmanDecoder, bits: &[u8], max_symbols: usize) {
-        let mut lut_r = BitReader::new(bits);
-        let mut ref_r = BitReader::new(bits);
-        for i in 0..max_symbols {
-            let a = dec.decode_one(&mut lut_r);
-            let b = dec.decode_one_reference(&mut ref_r);
-            assert_eq!(a, b, "symbol {i} diverged");
-            if a.is_err() {
-                return;
+    /// `decode_each` of up to `n` symbols against the bit-at-a-time
+    /// walk, run to the end and stopped by `emit` after the first, the
+    /// second, the middle and the last symbol: the same symbols, the
+    /// count it returns, the bits left after them — or, when the walk
+    /// fails first, the same symbols before the same typed error.
+    fn assert_each_matches_walk(dec: &HuffmanDecoder, bits: &[u8], n: usize) {
+        let mut walk = BitReader::new(bits);
+        let (mut want, mut left) = (Vec::new(), vec![walk.bits_remaining()]);
+        let mut failed = None;
+        while want.len() < n {
+            match dec.decode_one_reference(&mut walk) {
+                Ok(symbol) => {
+                    want.push(symbol);
+                    left.push(walk.bits_remaining());
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
-            assert_eq!(
-                lut_r.bits_remaining(),
-                ref_r.bits_remaining(),
-                "position diverged after symbol {i}"
-            );
         }
+        for stop in [usize::MAX, 1, 2, (n / 2).max(1), n.saturating_sub(1).max(1)] {
+            let mut r = BitReader::new(bits);
+            let mut got = Vec::new();
+            let result = dec.decode_each(&mut r, n, |symbol| {
+                got.push(symbol);
+                got.len() < stop
+            });
+            let end = stop.min(n);
+            if want.len() >= end {
+                assert_eq!(result, Ok(end), "stop {stop} of {n}");
+                assert_eq!(got, want[..end], "stop {stop} of {n}");
+                assert_eq!(r.bits_remaining(), left[end], "stop {stop} of {n}");
+            } else {
+                assert_eq!(result, Err(failed.clone().unwrap()), "stop {stop} of {n}");
+                assert_eq!(got, want, "stop {stop} of {n}");
+            }
+        }
+    }
+
+    /// [`assert_each_matches_walk`] on `bits` and on every cut of its
+    /// first `cuts` bytes, where the stream ends inside a code or in
+    /// the zero padding of a peek.
+    fn assert_each_matches_walk_cut(dec: &HuffmanDecoder, bits: &[u8], n: usize, cuts: usize) {
+        assert_each_matches_walk(dec, bits, n);
+        for cut in 0..bits.len().min(cuts) {
+            assert_each_matches_walk(dec, &bits[..cut], n);
+        }
+    }
+
+    /// `n` bytes of xorshift noise.
+    fn garbage(x: &mut u64, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                *x ^= *x << 13;
+                *x ^= *x >> 7;
+                *x ^= *x << 17;
+                (*x & 0xff) as u8
+            })
+            .collect()
     }
 
     #[test]
     fn lut_matches_reference_on_valid_streams() {
+        // Short and wide tables, a single-symbol and a two-symbol one,
+        // asked for more symbols than their streams hold, and cut.
         let streams: Vec<(Vec<u32>, usize)> = vec![
             (vec![1, 2, 3, 1, 1, 1, 2, 0, 0, 3], 4),
             (vec![5; 100], 8),
@@ -1049,64 +1044,53 @@ mod tests {
             (vec![0, 1, 0, 1, 1], 2),
         ];
         for (syms, alphabet) in &streams {
-            let enc = HuffmanEncoder::from_symbols(syms, *alphabet);
-            let mut table = Vec::new();
-            enc.serialize(&mut table);
-            let mut w = BitWriter::new();
-            enc.encode(syms, &mut w);
-            let bits = w.finish();
-            let mut pos = 0;
-            let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
-            assert_paths_equivalent(&dec, &bits, syms.len() + 4);
+            let (dec, bits) = coded(syms, *alphabet);
+            assert_each_matches_walk_cut(&dec, &bits, syms.len(), 256);
+            assert_each_matches_walk(&dec, &bits, syms.len() + 4);
         }
     }
 
     #[test]
     fn long_codes_fall_back_to_the_reference_walk() {
         // A geometric frequency ramp forces code lengths well past
-        // LUT_BITS, so the fallback path carries real traffic; decode
-        // must still roundtrip and match the reference exactly.
+        // LUT_BITS, so the search carries real traffic; decode must
+        // still roundtrip and match the reference exactly, and so must
+        // a short stream of every symbol alike under the same table,
+        // cut anywhere.
         let mut syms = Vec::new();
         for s in 0..24u32 {
             let reps = 1usize << (24 - s).min(16);
             syms.extend(std::iter::repeat_n(s, reps));
         }
-        let enc = HuffmanEncoder::from_symbols(&syms, 24);
+        let enc = encoder(&syms, 24);
         let long_codes = (0..24).filter(|&s| enc.len_of(s) > LUT_BITS as u8).count();
         assert!(long_codes > 0, "profile failed to produce >LUT_BITS codes");
+        let (dec, bits) = coded(&syms, 24);
+        let mut decoded = Vec::new();
+        dec.decode_into(&mut BitReader::new(&bits), syms.len(), &mut decoded)
+            .unwrap();
+        assert_eq!(decoded, syms);
+        assert_each_matches_walk(&dec, &bits, syms.len());
+
+        let mixed: Vec<u32> = (0..24).cycle().take(240).collect();
         let mut w = BitWriter::new();
-        enc.encode(&syms, &mut w);
-        let bits = w.finish();
-        let mut table = Vec::new();
-        enc.serialize(&mut table);
-        let mut pos = 0;
-        let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
-        let mut r = BitReader::new(&bits);
-        assert_eq!(dec.decode(&mut r, syms.len()).unwrap(), syms);
-        assert_paths_equivalent(&dec, &bits, syms.len());
+        enc.encode(&mixed, &mut w);
+        assert_each_matches_walk_cut(&dec, &w.finish(), mixed.len(), usize::MAX);
     }
 
     #[test]
     fn lut_matches_reference_on_garbage_bits() {
         // Corrupt bitstreams must produce identical symbols and the
-        // identical typed error from both paths.
+        // identical typed error from both paths, for a many-symbol
+        // table and a single-symbol one.
         let syms: Vec<u32> = (0..500u32).map(|i| (i * 31) % 97).collect();
-        let enc = HuffmanEncoder::from_symbols(&syms, 97);
-        let mut table = Vec::new();
-        enc.serialize(&mut table);
-        let mut pos = 0;
-        let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
+        let (dec, _) = coded(&syms, 97);
+        let (single, _) = coded(&[3], 4);
         let mut x = 0x2545F491u64;
         for len in [0usize, 1, 2, 5, 17, 64, 255] {
-            let garbage: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x & 0xff) as u8
-                })
-                .collect();
-            assert_paths_equivalent(&dec, &garbage, 200);
+            let noise = garbage(&mut x, len);
+            assert_each_matches_walk(&dec, &noise, 200);
+            assert_each_matches_walk(&single, &noise, 200);
         }
     }
 
@@ -1135,13 +1119,7 @@ mod tests {
                 }
             })
             .collect();
-        let enc = HuffmanEncoder::from_symbols(&syms, 2 * radius as usize);
-        let mut table = Vec::new();
-        enc.serialize(&mut table);
-        let mut w = BitWriter::new();
-        enc.encode(&syms, &mut w);
-        let bits = w.finish();
-        let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();
+        let (dec, bits) = coded(&syms, 2 * radius as usize);
 
         let mut out = Vec::new();
         let mut best_of_7 = |decode: &mut dyn FnMut(&mut BitReader<'_>, &mut Vec<u32>)| {
@@ -1170,22 +1148,14 @@ mod tests {
 
     #[test]
     fn oversubscribed_table_decodes_identically_on_both_paths() {
-        // `from_lens` accepts Kraft-oversubscribed length sets (corrupt
+        // `reinit` accepts Kraft-oversubscribed length sets (corrupt
         // tables); the LUT's shortest-match fill order must keep it in
-        // lockstep with the reference walk even there.
-        let lens = [1u8, 1, 1, 2, 2, 3, 12, 12, 13];
-        let dec = HuffmanDecoder::from_lens(&lens).unwrap();
+        // lockstep with the reference walk even there, codes past the
+        // table width included.
+        let dec = table_of(&[1u8, 1, 1, 2, 2, 3, 12, 12, 13]);
         let mut x = 0x9E3779B9u64;
         for len in [1usize, 3, 9, 33, 130] {
-            let garbage: Vec<u8> = (0..len)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x & 0xff) as u8
-                })
-                .collect();
-            assert_paths_equivalent(&dec, &garbage, 300);
+            assert_each_matches_walk_cut(&dec, &garbage(&mut x, len), 300, usize::MAX);
         }
     }
 
@@ -1204,15 +1174,9 @@ mod tests {
     #[test]
     fn truncated_bits_detected() {
         let syms = vec![0u32, 1, 2, 3, 0, 1, 2, 3];
-        let enc = HuffmanEncoder::from_symbols(&syms, 4);
-        let mut w = BitWriter::new();
-        enc.encode(&syms, &mut w);
-        let bits = w.finish();
-        let mut table = Vec::new();
-        enc.serialize(&mut table);
-        let mut pos = 0;
-        let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
+        let (dec, bits) = coded(&syms, 4);
         let mut r = BitReader::new(&bits[..0]);
-        assert!(dec.decode(&mut r, syms.len()).is_err());
+        let mut out = Vec::new();
+        assert!(dec.decode_into(&mut r, syms.len(), &mut out).is_err());
     }
 }

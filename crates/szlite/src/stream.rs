@@ -1,6 +1,8 @@
 //! Low-level byte/bit stream primitives used by the container format.
 //!
-//! Everything is little-endian. Varints use LEB128.
+//! Everything is little-endian. Varints use LEB128. Huffman bits are
+//! written by [`BitWriter::write_codes`] alone, and read by peek/consume
+//! (the decode loops) or [`BitReader::read_bit`] (the reference walk).
 
 use crate::error::{Result, SzError};
 
@@ -81,11 +83,10 @@ pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
 
 /// MSB-first bit writer over a growable byte vector.
 ///
-/// Bits accumulate in a 64-bit word: [`BitWriter::write_bits`] flushes
-/// it a whole byte at a time, the batch entry
-/// [`BitWriter::write_codes`] stores all of it after every code; the
-/// two can be interleaved freely. The backing buffer can be recycled across
-/// streams via [`BitWriter::with_buffer`].
+/// Bits accumulate in a 64-bit word that [`BitWriter::write_codes`]
+/// stores after every code; fewer than 8 bits stay pending between
+/// calls. The backing buffer can be recycled across streams via
+/// [`BitWriter::with_buffer`].
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -111,30 +112,9 @@ impl BitWriter {
         }
     }
 
-    /// Write the low `len` bits of `code`, MSB first. `len <= 64`.
-    pub fn write_bits(&mut self, code: u64, len: u8) {
-        debug_assert!(len <= 64);
-        if len > 32 {
-            self.write_bits(code >> 32, len - 32);
-            self.write_bits(code & 0xFFFF_FFFF, 32);
-            return;
-        }
-        if len == 0 {
-            return;
-        }
-        // nbits < 8 between calls, so nbits + len <= 39 fits in acc.
-        self.acc = (self.acc << len) | (code & ((1u64 << len) - 1));
-        self.nbits += u32::from(len);
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.bytes.push((self.acc >> self.nbits) as u8);
-        }
-    }
-
-    /// Batch entry: write every `(code, len)` pair of `codes` (`code`
-    /// below `2^len`, MSB first, `1 <= len <= 32`), exactly as the same
-    /// sequence of [`BitWriter::write_bits`] calls would; `bits` is at
-    /// least their total length (a shorter one panics).
+    /// Write every `(code, len)` pair of `codes` (`code` below `2^len`,
+    /// MSB first, `1 <= len <= 32`) after the bits already written;
+    /// `bits` is at least their total length (a shorter one panics).
     ///
     /// The output is sized once, for `bits`. Then each code is one
     /// 8-byte big-endian store of the pending bits, moved to the top of
@@ -160,7 +140,6 @@ impl BitWriter {
             nbits %= 8;
         }
         self.bytes.truncate(at);
-        // Back to the `nbits < 8` `write_bits` relies on.
         self.acc = acc & ((1 << nbits) - 1);
         self.nbits = nbits;
     }
@@ -300,8 +279,8 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// The inverse of [`BitWriter::write_bits`], which the tests read
-/// streams back through; decoders peek and consume.
+/// Fixed-width reads the tests check written streams with; decoders
+/// peek and consume.
 #[cfg(test)]
 impl BitReader<'_> {
     /// Read `len` bits MSB-first into a `u64` (`len ≤ 64`).
@@ -378,10 +357,9 @@ mod tests {
     #[test]
     fn bit_roundtrip() {
         let mut w = BitWriter::new();
-        w.write_bits(0b101, 3);
-        w.write_bits(0xffff, 16);
-        w.write_bits(0, 1);
-        w.write_bits(0b1, 1);
+        w.write_codes(19, [(0b101, 3), (0xffff, 16)]);
+        w.write_codes(1, [(0, 1)]);
+        w.write_codes(1, [(0b1, 1)]);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
@@ -392,20 +370,23 @@ mod tests {
 
     #[test]
     fn bit_writer_wide_codes_and_buffer_reuse() {
+        // Codes of the widest length, on both sides of a pending bit.
         let mut w = BitWriter::new();
-        w.write_bits(0xDEAD_BEEF_CAFE_F00D, 64);
-        w.write_bits(0b11, 2);
+        w.write_codes(1, [(1, 1)]);
+        w.write_codes(64, [(0xDEAD_BEEF, 32), (0xCAFE_F00D, 32)]);
+        w.write_codes(2, [(0b11, 2)]);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
+        assert_eq!(r.read_bits(1).unwrap(), 1);
         assert_eq!(r.read_bits(64).unwrap(), 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
 
         // A writer recycling that buffer produces the same stream as a
         // fresh one.
         let mut w2 = BitWriter::with_buffer(bytes);
-        w2.write_bits(0b1010101, 7);
+        w2.write_codes(7, [(0b1010101, 7)]);
         let mut w3 = BitWriter::new();
-        w3.write_bits(0b1010101, 7);
+        w3.write_codes(7, [(0b1010101, 7)]);
         assert_eq!(w2.finish(), w3.finish());
     }
 
@@ -413,18 +394,23 @@ mod tests {
     fn a_batch_fits_the_output_its_bit_count_sizes() {
         // The last store of a batch reaches furthest past its bits when
         // bits are pending and its last code is short: every pending
-        // count, around every byte boundary, against single writes.
+        // count, around every byte boundary, against one code per call.
+        let pend = |w: &mut BitWriter, pending: u8| {
+            if pending > 0 {
+                w.write_codes(u64::from(pending), [(0x55 >> (8 - pending), pending)]);
+            }
+        };
         for pending in 0..8u8 {
             for head in 1..=32u8 {
                 for last in 1..=8u8 {
                     let codes = [((1u64 << head) - 1) as u32, 1];
                     let mut batch = BitWriter::new();
-                    batch.write_bits(0x55, pending);
+                    pend(&mut batch, pending);
                     batch.write_codes(u64::from(head + last), [(codes[0], head), (codes[1], last)]);
                     let mut single = BitWriter::new();
-                    single.write_bits(0x55, pending);
-                    single.write_bits(u64::from(codes[0]), head);
-                    single.write_bits(u64::from(codes[1]), last);
+                    pend(&mut single, pending);
+                    single.write_codes(u64::from(head), [(codes[0], head)]);
+                    single.write_codes(u64::from(last), [(codes[1], last)]);
                     assert_eq!(batch.finish(), single.finish(), "{pending} {head} {last}");
                 }
             }

@@ -7,7 +7,7 @@ use szlite::{
     lossless,
     predictor::Lorenzo,
     quantizer::{Quantizer, UNPREDICTABLE},
-    stream::{get_varint, BitReader, BitWriter},
+    stream::{get_varint, put_varint, BitReader, BitWriter},
     stream_info, Config, DecompressScratch, Dims, Element, Scratch,
 };
 
@@ -83,6 +83,33 @@ fn assert_batch_matches_walk(
         Some(e) => prop_assert_eq!(result, Err(e)),
     }
     Ok(())
+}
+
+/// The encoder of a symbol stream: [`HuffmanEncoder::from_freqs`] over
+/// its histogram.
+fn encoder(symbols: &[u32], alphabet: usize) -> HuffmanEncoder {
+    let mut freqs = vec![0u64; alphabet];
+    for &s in symbols {
+        freqs[s as usize] += 1;
+    }
+    HuffmanEncoder::from_freqs(&freqs)
+}
+
+/// The decoder of the serialized table that gives symbol `s` the code
+/// length `lens[s]` (0: absent), through the one table initialisation
+/// there is; it takes Kraft-oversubscribed lengths too.
+fn table_of(lens: &[u8]) -> HuffmanDecoder {
+    let present: Vec<usize> = (0..lens.len()).filter(|&s| lens[s] > 0).collect();
+    let mut table = Vec::new();
+    put_varint(&mut table, lens.len() as u64);
+    put_varint(&mut table, present.len() as u64);
+    let mut prev = 0;
+    for &s in &present {
+        put_varint(&mut table, (s - prev) as u64);
+        table.push(lens[s]);
+        prev = s;
+    }
+    HuffmanDecoder::deserialize(&table, &mut 0).unwrap()
 }
 
 /// Symbols whose frequencies fall off geometrically from `0`, so codes
@@ -310,10 +337,10 @@ proptest! {
             0..8,
         ),
     ) {
-        // Batches of up to 4096 codes interleaved with single
-        // `write_bits` calls against an oracle that appends one bit at a
+        // Batches of up to 4096 codes interleaved with runs of
+        // one-code calls against an oracle that appends one bit at a
         // time: on a fresh writer, then on one recycling its buffer.
-        // A batch takes codes below `2^len`; `write_bits` any.
+        // The oracle reads the low `len` bits of a code.
         let low = |len: u8| ((1u64 << len) - 1) as u32;
         let mut oracle: Vec<bool> = Vec::new();
         for (_, codes) in &ops {
@@ -335,7 +362,7 @@ proptest! {
                     w.write_codes(bits, codes.iter().map(|&(code, len)| (code & low(len), len)));
                 } else {
                     for &(code, len) in codes {
-                        w.write_bits(u64::from(code), len);
+                        w.write_codes(u64::from(len), [(code & low(len), len)]);
                     }
                 }
                 written += codes.iter().map(|&(_, len)| usize::from(len)).sum::<usize>();
@@ -405,7 +432,7 @@ proptest! {
 
     #[test]
     fn huffman_roundtrip(symbols in proptest::collection::vec(0u32..512, 1..2000)) {
-        let enc = HuffmanEncoder::from_symbols(&symbols, 512);
+        let enc = encoder(&symbols, 512);
         let mut table = Vec::new();
         enc.serialize(&mut table);
         let mut w = BitWriter::new();
@@ -414,61 +441,9 @@ proptest! {
         let mut pos = 0;
         let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
         let mut r = BitReader::new(&bits);
-        let decoded = dec.decode(&mut r, symbols.len()).unwrap();
+        let mut decoded = Vec::new();
+        dec.decode_into(&mut r, symbols.len(), &mut decoded).unwrap();
         prop_assert_eq!(decoded, symbols);
-    }
-
-    #[test]
-    fn lut_decoder_equivalent_to_reference(
-        symbols in proptest::collection::vec(0u32..512, 1..800),
-        garbage in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        // The table-driven decode path must agree with the retained
-        // canonical-walk oracle on every symbol AND on the exact typed
-        // error, on both well-formed and corrupt bitstreams.
-        let enc = HuffmanEncoder::from_symbols(&symbols, 512);
-        let mut table = Vec::new();
-        enc.serialize(&mut table);
-        let mut w = BitWriter::new();
-        enc.encode(&symbols, &mut w);
-        let bits = w.finish();
-        let mut pos = 0;
-        let dec = HuffmanDecoder::deserialize(&table, &mut pos).unwrap();
-        for stream in [&bits[..], &garbage[..]] {
-            let mut lut_r = BitReader::new(stream);
-            let mut ref_r = BitReader::new(stream);
-            for _ in 0..symbols.len() + 8 {
-                let a = dec.decode_one(&mut lut_r);
-                let b = dec.decode_one_reference(&mut ref_r);
-                prop_assert_eq!(&a, &b, "paths diverged");
-                if a.is_err() {
-                    break;
-                }
-                prop_assert_eq!(lut_r.bits_remaining(), ref_r.bits_remaining());
-            }
-        }
-    }
-
-    #[test]
-    fn lut_decoder_equivalent_on_random_length_tables(
-        lens in proptest::collection::vec(0u8..14, 1..300),
-        garbage in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
-        // Arbitrary code-length tables — including Kraft-oversubscribed
-        // ones a corrupt stream could smuggle in — decoded over random
-        // bits: symbol-for-symbol and error-for-error equivalence.
-        let dec = HuffmanDecoder::from_lens(&lens).unwrap();
-        let mut lut_r = BitReader::new(&garbage);
-        let mut ref_r = BitReader::new(&garbage);
-        for _ in 0..400 {
-            let a = dec.decode_one(&mut lut_r);
-            let b = dec.decode_one_reference(&mut ref_r);
-            prop_assert_eq!(&a, &b, "paths diverged");
-            if a.is_err() {
-                break;
-            }
-            prop_assert_eq!(lut_r.bits_remaining(), ref_r.bits_remaining());
-        }
     }
 
     #[test]
@@ -482,7 +457,7 @@ proptest! {
         // nearly always) and wide ones (codes around 9 bits: rarely),
         // on their own streams, on every cut of those, and on garbage.
         for (symbols, alphabet) in [(&symbols, 41), (&wide, 512)] {
-            let enc = HuffmanEncoder::from_symbols(symbols, alphabet);
+            let enc = encoder(symbols, alphabet);
             let mut table = Vec::new();
             enc.serialize(&mut table);
             let mut w = BitWriter::new();
@@ -527,9 +502,9 @@ proptest! {
         }
         // Arbitrary length tables, Kraft-oversubscribed ones included;
         // and a table of one symbol (one 1-bit code), on random bits.
-        let dec = HuffmanDecoder::from_lens(&lens).unwrap();
+        let dec = table_of(&lens);
         assert_batch_matches_walk(&dec, &garbage, n)?;
-        let enc = HuffmanEncoder::from_symbols(&[single], 100);
+        let enc = encoder(&[single], 100);
         let mut table = Vec::new();
         enc.serialize(&mut table);
         let dec = HuffmanDecoder::deserialize(&table, &mut 0).unwrap();

@@ -15,7 +15,7 @@
 //! bound holds).
 
 use proptest::prelude::*;
-use repro_suite::h5lite::chunk::gather_tile;
+use repro_suite::h5lite::chunk::gather_tile_into;
 use repro_suite::h5lite::{
     DatasetSpec, Dtype, EventSet, FilterSpec, H5Error, H5File, H5Reader, ReadElement,
     SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
@@ -225,9 +225,11 @@ fn write_chunks<T: Float>(
     let cd = chunk.unwrap_or(dims);
     let full_tile: usize = cd.iter().product::<u64>() as usize;
     let n_chunks: u64 = dims.iter().zip(cd).map(|(d, c)| d.div_ceil(*c)).product();
+    let mut raw = Vec::new();
     for c in 0..n_chunks {
         let last = c + 1 == n_chunks;
-        let mut tile: Vec<T> = fold_le(&gather_tile(&bytes, dims, T::BYTES, cd, c).unwrap());
+        gather_tile_into(&bytes, dims, T::BYTES, cd, c, &mut raw).unwrap();
+        let mut tile: Vec<T> = fold_le(&raw);
         let raw_len = (tile.len() * T::BYTES) as u64;
         if last && forge == Forge::ShortLastChunk {
             tile.pop();
