@@ -9,9 +9,9 @@
 //! write and in reverse order on read.
 //!
 //! The chain has one *typed* stage and any number of byte stages. The
-//! szlite filter consumes and restores the dataset's elements (`f32`
-//! or `f64`, by the dataset's [`Dtype`]), so it is only meaningful as
-//! the first-declared stage; every LZSS stage maps bytes to bytes. On
+//! szlite filter consumes and restores the dataset's `f32` elements (a
+//! dataset of [`Dtype::F32`]), so it is only meaningful as the
+//! first-declared stage; every LZSS stage maps bytes to bytes. On
 //! read, [`invert_to`] inverts the byte stages through the scratch's
 //! ping-pong buffers and lets the typed stage write each restored
 //! value once, straight into the caller's destination
@@ -35,7 +35,7 @@ pub const LZSS_FILTER_ID: u32 = 1;
 /// compressor workspace (quantization codes, Huffman frequency tables,
 /// bit buffer), the mirror decompressor workspace (Huffman table with
 /// its primary decode LUT and sparse-rebuild scratch, code/literal
-/// staging, reconstruction grid), the byte↔float staging buffers, the
+/// staging, reconstruction grid), the byte↔float staging buffer, the
 /// LZSS filter's matcher tables, and the inter-stage ping-pong buffers
 /// all persist across chunks — so per-chunk decode pays only for the
 /// symbols a chunk actually uses, never for the full quantizer
@@ -50,8 +50,6 @@ pub struct FilterScratch {
     lz: szlite::lossless::LzScratch,
     /// f32 staging for the SZ filter's byte↔float conversions.
     floats: Vec<f32>,
-    /// f64 staging, for datasets of [`Dtype::F64`].
-    doubles: Vec<f64>,
     /// Recycled intermediate buffer for multi-stage chains.
     stage: Vec<u8>,
     /// Where the read path's byte stages leave their output for the
@@ -130,8 +128,11 @@ impl SzFilterParams {
 }
 
 fn not_float() -> H5Error {
-    H5Error::Filter("sz filter requires f32 or f64 data".into())
+    H5Error::Filter("sz filter requires f32 data".into())
 }
+
+/// Bytes of one `f32`.
+const F32_BYTES: usize = std::mem::size_of::<f32>();
 
 /// Forward pass of the szlite stage (H5Z-SZ analog): `data` holds the
 /// little-endian elements of a `dtype` chunk.
@@ -142,33 +143,21 @@ fn sz_encode(
     out: &mut Vec<u8>,
     scratch: &mut FilterScratch,
 ) -> Result<()> {
-    fn encode_as<T: szlite::Element + ReadElement>(
-        data: &[u8],
-        p: &SzFilterParams,
-        staging: &mut Vec<T>,
-        sz: &mut szlite::Scratch,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        if !data.len().is_multiple_of(T::BYTES) {
-            return Err(not_float());
-        }
-        staging.clear();
-        staging.extend(data.chunks_exact(T::BYTES).map(T::from_le));
-        let dims = Dims::from_slice(&p.dims)?;
-        szlite::compress_into(staging, &dims, &p.config(), sz, out)?;
-        Ok(())
-    }
     let p = SzFilterParams::from_bytes(params)?;
-    match dtype {
-        Dtype::F32 => encode_as(data, &p, &mut scratch.floats, &mut scratch.sz, out),
-        Dtype::F64 => encode_as(data, &p, &mut scratch.doubles, &mut scratch.sz, out),
-        _ => Err(not_float()),
+    if dtype != Dtype::F32 || !data.len().is_multiple_of(F32_BYTES) {
+        return Err(not_float());
     }
+    let FilterScratch { sz, floats, .. } = scratch;
+    floats.clear();
+    floats.extend(data.chunks_exact(F32_BYTES).map(f32::from_le));
+    let dims = Dims::from_slice(&p.dims)?;
+    szlite::compress_into(floats, &dims, &p.config(), sz, out)?;
+    Ok(())
 }
 
 /// An element type a dataset can be restored as: `u8` is the raw
-/// little-endian byte view of any dataset, `f32` / `f64` the values of
-/// a dataset of that [`Dtype`].
+/// little-endian byte view of any dataset, `f32` the values of a
+/// dataset of [`Dtype::F32`].
 pub trait ReadElement: Copy + Default + Send + Sync + 'static {
     /// Whether a dataset of `dtype` restores as `Self`.
     fn check_dtype(dtype: Dtype) -> Result<()>;
@@ -184,38 +173,31 @@ pub trait ReadElement: Copy + Default + Send + Sync + 'static {
     ) -> Result<()>;
 }
 
-macro_rules! float_read_element {
-    ($t:ty, $dtype:path, $mismatch:literal) => {
-        impl ReadElement for $t {
-            fn check_dtype(dtype: Dtype) -> Result<()> {
-                if dtype == $dtype {
-                    Ok(())
-                } else {
-                    Err(H5Error::Corrupt($mismatch))
-                }
-            }
-
-            #[inline]
-            fn from_le(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
-            }
-
-            /// Straight into the destination; a stream of the other
-            /// float type is szlite's "element type mismatch".
-            fn decode_sz(
-                stream: &[u8],
-                _dtype: Dtype,
-                scratch: &mut FilterScratch,
-                out: &mut [Self],
-            ) -> Result<()> {
-                szlite::decompress_to_slice(stream, &mut scratch.dsz, out)?;
-                Ok(())
-            }
+impl ReadElement for f32 {
+    fn check_dtype(dtype: Dtype) -> Result<()> {
+        if dtype == Dtype::F32 {
+            Ok(())
+        } else {
+            Err(H5Error::Corrupt("dataset is not f32"))
         }
-    };
+    }
+
+    #[inline]
+    fn from_le(bytes: &[u8]) -> Self {
+        f32::from_le_bytes(bytes.try_into().expect("one element's bytes"))
+    }
+
+    /// Straight into the destination.
+    fn decode_sz(
+        stream: &[u8],
+        _dtype: Dtype,
+        scratch: &mut FilterScratch,
+        out: &mut [Self],
+    ) -> Result<()> {
+        szlite::decompress_to_slice(stream, &mut scratch.dsz, out)?;
+        Ok(())
+    }
 }
-float_read_element!(f32, Dtype::F32, "dataset is not f32");
-float_read_element!(f64, Dtype::F64, "dataset is not f64");
 
 impl ReadElement for u8 {
     fn check_dtype(_dtype: Dtype) -> Result<()> {
@@ -227,44 +209,29 @@ impl ReadElement for u8 {
         bytes[0]
     }
 
-    /// Through the float staging of the dataset's element type: the
-    /// values are decoded typed, their bytes land in `out`.
+    /// Through the float staging: the values are decoded typed, their
+    /// bytes land in `out`.
     fn decode_sz(
         stream: &[u8],
         dtype: Dtype,
         scratch: &mut FilterScratch,
         out: &mut [u8],
     ) -> Result<()> {
-        fn staged<T: szlite::Element, const N: usize>(
-            stream: &[u8],
-            dsz: &mut szlite::DecompressScratch,
-            staging: &mut Vec<T>,
-            to_le: impl Fn(T) -> [u8; N],
-            out: &mut [u8],
-        ) -> Result<()> {
-            szlite::decompress_into(stream, dsz, staging)?;
-            if out.len() != staging.len() * N {
-                return Err(H5Error::ShapeMismatch {
-                    expected: out.len() as u64,
-                    actual: (staging.len() * N) as u64,
-                });
-            }
-            for (dst, &v) in out.chunks_exact_mut(N).zip(staging.iter()) {
-                dst.copy_from_slice(&to_le(v));
-            }
-            Ok(())
+        if dtype != Dtype::F32 {
+            return Err(not_float());
         }
-        let FilterScratch {
-            dsz,
-            floats,
-            doubles,
-            ..
-        } = scratch;
-        match dtype {
-            Dtype::F32 => staged(stream, dsz, floats, f32::to_le_bytes, out),
-            Dtype::F64 => staged(stream, dsz, doubles, f64::to_le_bytes, out),
-            _ => Err(not_float()),
+        let FilterScratch { dsz, floats, .. } = scratch;
+        szlite::decompress_into(stream, dsz, floats)?;
+        if out.len() != floats.len() * F32_BYTES {
+            return Err(H5Error::ShapeMismatch {
+                expected: out.len() as u64,
+                actual: (floats.len() * F32_BYTES) as u64,
+            });
         }
+        for (dst, v) in out.chunks_exact_mut(F32_BYTES).zip(floats.iter()) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        Ok(())
     }
 }
 
@@ -470,36 +437,41 @@ mod tests {
 
     #[test]
     fn sz_stage_is_typed_by_the_dataset() {
-        // 1024 doubles whose bytes also parse as 2048 floats matching
-        // the declared extents: only the dtype tells them apart.
-        let data: Vec<f64> = (0..1024)
-            .map(|i| 1000.0 + (i as f64 * 0.01).sin())
+        // 1024 floats: the stage runs on a dataset of `f32` only. A
+        // dataset that stores bytes has no szlite stage, on write or on
+        // read, whatever the bytes hold.
+        let data: Vec<f32> = (0..1024)
+            .map(|i| 1000.0 + (i as f32 * 0.01).sin())
             .collect();
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert!(matches!(
-            apply(&[sz_spec(1e-3, &[2048])], Dtype::F64, &bytes),
-            Err(H5Error::Filter(_))
-        ));
+        let bytes = f32s_to_bytes(&data);
         let specs = [sz_spec(1e-3, &[1024])];
-        let enc = apply(&specs, Dtype::F64, &bytes).unwrap();
-        let typed = invert::<f64>(&specs, Dtype::F64, &enc, data.len()).unwrap();
-        for (x, y) in data.iter().zip(&typed) {
-            assert!((x - y).abs() <= 1e-3);
-        }
-        let raw = invert::<u8>(&specs, Dtype::F64, &enc, bytes.len()).unwrap();
-        let typed_bytes: Vec<u8> = typed.iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert_eq!(raw, typed_bytes);
-        // A stream of the other float type is corrupt for the dataset;
-        // a dataset that stores no floats has no szlite stage.
-        let msg = |r: Result<Vec<f32>>| match r {
-            Err(H5Error::Filter(m)) => m,
+        let not_float = |r: Result<Vec<u8>>| match r {
+            Err(H5Error::Filter(m)) => assert_eq!(m, "sz filter requires f32 data"),
             other => panic!("{other:?}"),
         };
-        let as_f32 = invert::<f32>(&specs, Dtype::F32, &enc, data.len());
-        assert!(msg(as_f32).contains("element type mismatch"));
+        not_float(apply(&specs, Dtype::U8, &bytes));
+        let enc = apply(&specs, Dtype::F32, &bytes).unwrap();
+        not_float(invert::<u8>(&specs, Dtype::U8, &enc, bytes.len()));
+        // An `f32` view of the stream needs the dataset to be `f32`.
+        let typed = invert::<f32>(&specs, Dtype::F32, &enc, data.len()).unwrap();
+        assert_eq!(
+            invert::<u8>(&specs, Dtype::F32, &enc, bytes.len()).unwrap(),
+            f32s_to_bytes(&typed)
+        );
         assert!(invert::<u8>(&specs, Dtype::F32, &enc, bytes.len() / 2).is_err());
-        assert!(invert::<u8>(&specs, Dtype::U8, &enc, bytes.len()).is_err());
-        assert!(apply(&specs, Dtype::I64, &bytes).is_err());
+        // A stream whose header names another element type (1 was
+        // `f64`) is szlite's typed error, not values read as `f32`.
+        let mut retired = enc.clone();
+        retired[5] = 1;
+        for got in [
+            invert::<f32>(&specs, Dtype::F32, &retired, data.len()).map(|_| ()),
+            invert::<u8>(&specs, Dtype::F32, &retired, bytes.len()).map(|_| ()),
+        ] {
+            match got {
+                Err(H5Error::Filter(m)) => assert!(m.ends_with("dtype"), "{m}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

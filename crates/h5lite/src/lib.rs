@@ -13,7 +13,7 @@
 //!   read/write ([`chunk`]);
 //! * an **H5Z-like filter pipeline**, a closed match over two ids: the
 //!   szlite lossy filter under H5Z-SZ's id 32017 as its typed first
-//!   stage (`f32` or `f64`, by the dataset's element type), and LZSS
+//!   stage (on datasets of `f32`), and LZSS
 //!   byte stages; any other id is an error ([`filter`]);
 //! * **event-set asynchronous writes** on background threads — the
 //!   async-VOL capability the paper's overlap design builds on

@@ -15,18 +15,15 @@ use crate::error::{H5Error, Result};
 use szlite::stream::{
     get_f64, get_u32, get_u64, get_varint, put_f64, put_u32, put_u64, put_varint,
 };
+use szlite::SzError;
 
-/// Element type of a dataset.
+/// Type of a dataset's elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dtype {
     /// 32-bit IEEE float.
     F32,
-    /// 64-bit IEEE float.
-    F64,
     /// Raw bytes.
     U8,
-    /// 64-bit signed integer.
-    I64,
 }
 
 impl Dtype {
@@ -34,29 +31,25 @@ impl Dtype {
     pub fn size(self) -> usize {
         match self {
             Dtype::F32 => 4,
-            Dtype::F64 => 8,
             Dtype::U8 => 1,
-            Dtype::I64 => 8,
         }
     }
 
+    /// The table's tag. Tags 1 (`f64`) and 3 (`i64`) are retired:
+    /// nothing writes them, and a table that holds one is corrupt.
     fn tag(self) -> u8 {
         match self {
             Dtype::F32 => 0,
-            Dtype::F64 => 1,
             Dtype::U8 => 2,
-            Dtype::I64 => 3,
         }
     }
 
     fn from_tag(t: u8) -> Result<Self> {
-        Ok(match t {
-            0 => Dtype::F32,
-            1 => Dtype::F64,
-            2 => Dtype::U8,
-            3 => Dtype::I64,
-            _ => return Err(H5Error::Corrupt("dtype tag")),
-        })
+        match t {
+            0 => Ok(Dtype::F32),
+            2 => Ok(Dtype::U8),
+            _ => Err(H5Error::Corrupt("dtype tag")),
+        }
     }
 }
 
@@ -101,7 +94,7 @@ pub struct ChunkInfo {
 pub struct DatasetMeta {
     /// Full path name, e.g. `"fields/temperature"`.
     pub name: String,
-    /// Element type.
+    /// Type of its elements.
     pub dtype: Dtype,
     /// Logical extents (slowest first).
     pub dims: Vec<u64>,
@@ -155,8 +148,39 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A varint of the table, its truncation or overflow a table error.
+fn varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    get_varint(buf, pos).map_err(|e| match e {
+        SzError::Truncated(_) => H5Error::Truncated("table varint"),
+        _ => H5Error::Corrupt("table varint"),
+    })
+}
+
+/// The count of records that follows, each at least `min_bytes` long
+/// when encoded: a count the bytes left cannot hold is `Corrupt(what)`,
+/// so that no forged count sizes an allocation beyond the table's own
+/// length.
+fn count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &'static str) -> Result<usize> {
+    let n = varint(buf, pos)?;
+    let room = (buf.len() - *pos) / min_bytes;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= room)
+        .ok_or(H5Error::Corrupt(what))
+}
+
+/// Least encoded sizes, in bytes, of a table's records: a dataset (a
+/// one-byte name length, then dtype, rank, one extent, layout, filter,
+/// chunk and attribute counts), a filter (id and parameter length), a
+/// chunk (index, offset, stored and raw lengths, CRC) and an attribute
+/// (name length, tag and a string's length).
+const MIN_DATASET: usize = 8;
+const MIN_FILTER: usize = 4 + 1;
+const MIN_CHUNK: usize = 1 + 8 + 1 + 1 + 4;
+const MIN_ATTR: usize = 3;
+
 fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = get_varint(buf, pos)? as usize;
+    let len = varint(buf, pos)? as usize;
     let end = pos
         .checked_add(len)
         .ok_or(H5Error::Corrupt("string length"))?;
@@ -223,48 +247,46 @@ pub fn serialize_table(datasets: &[DatasetMeta]) -> Vec<u8> {
     out
 }
 
-/// Parse a metadata table written by [`serialize_table`].
+/// Parse a metadata table written by [`serialize_table`]. Never panics,
+/// and allocates in proportion to `buf`: every error is
+/// [`H5Error::Truncated`] or [`H5Error::Corrupt`].
 pub fn deserialize_table(buf: &[u8]) -> Result<Vec<DatasetMeta>> {
     let mut pos = 0usize;
-    let n = get_varint(buf, &mut pos)? as usize;
-    if n > 1_000_000 {
-        return Err(H5Error::Corrupt("implausible dataset count"));
-    }
+    let n = count(buf, &mut pos, MIN_DATASET, "dataset count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let name = get_str(buf, &mut pos)?;
         let dtype = Dtype::from_tag(*buf.get(pos).ok_or(H5Error::Truncated("dtype"))?)?;
         pos += 1;
-        let nd = get_varint(buf, &mut pos)? as usize;
+        let nd = varint(buf, &mut pos)?;
         if nd == 0 || nd > 8 {
             return Err(H5Error::Corrupt("rank"));
         }
-        let mut dims = Vec::with_capacity(nd);
+        let mut dims = Vec::with_capacity(nd as usize);
         for _ in 0..nd {
-            dims.push(get_varint(buf, &mut pos)?);
+            dims.push(varint(buf, &mut pos)?);
         }
         let has_chunks = *buf.get(pos).ok_or(H5Error::Truncated("layout tag"))?;
         pos += 1;
         let chunk_dims = match has_chunks {
             0 => None,
             1 => {
-                let ncd = get_varint(buf, &mut pos)? as usize;
-                if ncd != nd {
+                if varint(buf, &mut pos)? != nd {
                     return Err(H5Error::Corrupt("chunk rank"));
                 }
-                let mut cd = Vec::with_capacity(ncd);
-                for _ in 0..ncd {
-                    cd.push(get_varint(buf, &mut pos)?);
+                let mut cd = Vec::with_capacity(dims.len());
+                for _ in 0..nd {
+                    cd.push(varint(buf, &mut pos)?);
                 }
                 Some(cd)
             }
             _ => return Err(H5Error::Corrupt("layout tag")),
         };
-        let nf = get_varint(buf, &mut pos)? as usize;
+        let nf = count(buf, &mut pos, MIN_FILTER, "filter count")?;
         let mut filters = Vec::with_capacity(nf);
         for _ in 0..nf {
             let id = get_u32(buf, &mut pos).map_err(|_| H5Error::Truncated("filter id"))?;
-            let plen = get_varint(buf, &mut pos)? as usize;
+            let plen = varint(buf, &mut pos)? as usize;
             let end = pos
                 .checked_add(plen)
                 .ok_or(H5Error::Corrupt("filter params"))?;
@@ -275,13 +297,13 @@ pub fn deserialize_table(buf: &[u8]) -> Result<Vec<DatasetMeta>> {
             pos = end;
             filters.push(FilterSpec { id, params });
         }
-        let nc = get_varint(buf, &mut pos)? as usize;
+        let nc = count(buf, &mut pos, MIN_CHUNK, "chunk count")?;
         let mut chunks = Vec::with_capacity(nc);
         for _ in 0..nc {
-            let index = get_varint(buf, &mut pos)?;
+            let index = varint(buf, &mut pos)?;
             let offset = get_u64(buf, &mut pos).map_err(|_| H5Error::Truncated("chunk"))?;
-            let stored = get_varint(buf, &mut pos)?;
-            let raw = get_varint(buf, &mut pos)?;
+            let stored = varint(buf, &mut pos)?;
+            let raw = varint(buf, &mut pos)?;
             let crc = get_u32(buf, &mut pos).map_err(|_| H5Error::Truncated("chunk crc"))?;
             chunks.push(ChunkInfo {
                 index,
@@ -291,7 +313,7 @@ pub fn deserialize_table(buf: &[u8]) -> Result<Vec<DatasetMeta>> {
                 crc,
             });
         }
-        let na = get_varint(buf, &mut pos)? as usize;
+        let na = count(buf, &mut pos, MIN_ATTR, "attribute count")?;
         let mut attrs = Vec::with_capacity(na);
         for _ in 0..na {
             let aname = get_str(buf, &mut pos)?;
@@ -415,8 +437,35 @@ mod tests {
     fn corrupt_dtype_rejected() {
         let mut bytes = serialize_table(&[sample_meta()]);
         // dtype tag follows the name; name is "fields/temperature" (18
-        // chars) + 1 varint byte + count varint.
-        bytes[20] = 99;
-        assert!(deserialize_table(&bytes).is_err());
+        // chars) + 1 varint byte + count varint. Tags 1 (`f64`) and 3
+        // (`i64`) are retired.
+        assert_eq!(bytes[20], 0);
+        for tag in [1, 3, 99] {
+            bytes[20] = tag;
+            assert!(matches!(
+                deserialize_table(&bytes),
+                Err(H5Error::Corrupt("dtype tag"))
+            ));
+        }
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // One 1-D `f32` dataset of 4 points, contiguous, no filter, one
+        // chunk, then its attribute count. The least chunk record is 15
+        // bytes: 14 bytes after the count hold none, 15 hold one.
+        let mut t = vec![1, 1, b'd', 0, 1, 4, 0, 0, 1];
+        t.extend([0; 14]);
+        assert!(matches!(
+            deserialize_table(&t),
+            Err(H5Error::Corrupt("chunk count"))
+        ));
+        t.push(0);
+        assert!(matches!(
+            deserialize_table(&t),
+            Err(H5Error::Truncated("table varint"))
+        ));
+        t.push(0);
+        assert_eq!(deserialize_table(&t).unwrap()[0].chunks.len(), 1);
     }
 }

@@ -198,8 +198,9 @@ pub fn quarantine(path: impl AsRef<Path>) -> Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::file::{DatasetSpec, H5File};
-    use crate::meta::Dtype;
+    use crate::file::{DatasetSpec, H5File, H5Reader};
+    use crate::meta::{serialize_table, Dtype};
+    use szlite::stream::put_varint;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -215,6 +216,74 @@ mod tests {
             .unwrap();
         f.write_full(id, &data).unwrap();
         f.close().unwrap();
+    }
+
+    /// Point the superblock of the container at `path` at `table`,
+    /// appended to the file, its checksums recomputed.
+    fn swap_table(path: &Path, table: &[u8]) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let offset = bytes.len() as u64;
+        bytes.extend_from_slice(table);
+        let sb = Superblock::encode(offset, table.len() as u64, crc32c(table));
+        bytes[..SUPERBLOCK as usize].copy_from_slice(&sb);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn forged_tables_are_typed_errors_from_open_and_scrub() {
+        // Well-checksummed tables that lie: a retired element type
+        // (1 was `f64`, 3 `i64`), record counts the table cannot hold,
+        // and varints cut short or too long.
+        let path = tmp("forged-table");
+        write_container(&path);
+        let meta = H5Reader::open(&path).unwrap().meta("v").unwrap().clone();
+        let valid = serialize_table(std::slice::from_ref(&meta));
+        let mut cases = Vec::new();
+        for tag in [1, 3] {
+            let mut t = valid.clone();
+            // Dataset count, name length, "v", then the tag.
+            assert_eq!(t[3], 2, "the U8 tag");
+            t[3] = tag;
+            cases.push((t, H5Error::Corrupt("dtype tag")));
+        }
+        // No filter, chunk or attribute record after the three counts:
+        // each count is its table's last bytes.
+        let bare = DatasetMeta {
+            chunks: vec![],
+            attrs: vec![],
+            ..meta
+        };
+        let bare = serialize_table(&[bare]);
+        for (k, what) in ["filter count", "chunk count", "attribute count"]
+            .into_iter()
+            .enumerate()
+        {
+            for n in [1, 1_000_000_000_000, u64::MAX] {
+                let mut t = bare[..bare.len() - 3].to_vec();
+                for at in 0..3 {
+                    put_varint(&mut t, if at == k { n } else { 0 });
+                }
+                cases.push((t, H5Error::Corrupt(what)));
+            }
+        }
+        for n in [valid.len() as u64, u64::MAX] {
+            let mut t = Vec::new();
+            put_varint(&mut t, n);
+            t.extend_from_slice(&valid[1..]);
+            cases.push((t, H5Error::Corrupt("dataset count")));
+        }
+        cases.push((vec![0x80], H5Error::Truncated("table varint")));
+        cases.push((vec![0xFF; 11], H5Error::Corrupt("table varint")));
+        for (table, want) in cases {
+            swap_table(&path, &table);
+            let got = H5Reader::open(&path).map(|_| ()).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "{table:?}");
+            match scrub(&path).unwrap().container {
+                ContainerState::CorruptTable(msg) => assert_eq!(msg, want.to_string()),
+                other => panic!("{other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -7,12 +7,7 @@ use h5lite::meta::{
 use proptest::prelude::*;
 
 fn arb_dtype() -> impl Strategy<Value = Dtype> {
-    prop_oneof![
-        Just(Dtype::F32),
-        Just(Dtype::F64),
-        Just(Dtype::U8),
-        Just(Dtype::I64)
-    ]
+    prop_oneof![Just(Dtype::F32), Just(Dtype::U8)]
 }
 
 /// Strings whose length is drawn from `len` and whose characters are

@@ -329,6 +329,17 @@ mod tests {
         for e in &scan.errors {
             assert!(matches!(e, FlightError::BadLine { .. }), "{e}");
         }
+        // A line of 1 MiB of `[` (nesting no stack holds frames for)
+        // before a valid record: one typed error, then the record.
+        std::fs::write(&path, format!("{}\n{good}\n", "[".repeat(1 << 20))).unwrap();
+        let scan = read_flight(&path).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records[0].step, 3);
+        assert!(
+            matches!(&scan.errors[..], [FlightError::BadLine { line: 1, .. }]),
+            "{:?}",
+            scan.errors
+        );
         // Missing file: a single typed Io error, not a panic.
         assert!(matches!(
             read_flight(&dir.join("absent.obs.jsonl")),

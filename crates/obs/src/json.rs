@@ -186,11 +186,20 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Arrays and objects nested deeper than this are a parse error: the
+/// parser recurses once per level, and a line of `[`s must not overflow
+/// its stack. The documents written here nest 10 levels at most
+/// (`REPRO.json`).
+const MAX_DEPTH: usize = 128;
+
 /// Strict recursive-descent JSON parser: rejects trailing garbage,
-/// trailing commas, unquoted keys, and bare `inf`/`nan` tokens.
+/// trailing commas, unquoted keys, bare `inf`/`nan` tokens and nesting
+/// past [`MAX_DEPTH`].
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -198,6 +207,7 @@ impl<'a> Parser<'a> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -248,8 +258,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -257,6 +267,20 @@ impl<'a> Parser<'a> {
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
         }
+    }
+
+    /// An object or array one level further down.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -396,6 +420,24 @@ mod tests {
         let mut nums = Vec::new();
         ok.numbers(&mut nums);
         assert_eq!(nums.len(), 3);
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_an_error_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\": ", "}")] {
+            let deepest = parse(&nest(open, close, MAX_DEPTH)).unwrap();
+            let mut nums = Vec::new();
+            deepest.numbers(&mut nums);
+            assert_eq!(nums, [1.0]);
+            let err = parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.starts_with("nested deeper than 128 levels"), "{err}");
+        }
+        // Unclosed, and far deeper than any stack holds frames for.
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.starts_with("nested deeper than"), "{err}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use throughput::{fit as fit_throughput, ThroughputModel};
 pub use writetime::{fit as fit_writetime, WriteTimeModel};
 
 use szlite::huffman::{EncoderWorkspace, HuffmanEncoder};
-use szlite::{sample_quantization_into, Config, Dims, Element, Result, SampleScratch};
+use szlite::{sample_quantization_into, Config, Dims, Result, SampleScratch};
 
 /// Bundle of fitted models used for every partition estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,8 +104,8 @@ impl EstimateScratch {
 
 /// Run the full prediction phase on one partition: sample, predict the
 /// ratio, then derive compression and write times.
-pub fn estimate_partition_with<T: Element>(
-    data: &[T],
+pub fn estimate_partition_with(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     models: &Models,
@@ -113,15 +113,8 @@ pub fn estimate_partition_with<T: Element>(
 ) -> Result<PartitionEstimate> {
     let EstimateScratch { sample, enc, ws } = scratch;
     sample_quantization_into(data, dims, cfg, models.sample_fraction, sample)?;
-    let p = ratio::predict_sparse(
-        sample.sample(),
-        sample.used(),
-        T::BITS,
-        &models.gain,
-        enc,
-        ws,
-    );
-    let raw_bytes = (data.len() * T::BYTES) as f64;
+    let p = ratio::predict_sparse(sample.sample(), sample.used(), &models.gain, enc, ws);
+    let raw_bytes = std::mem::size_of_val(data) as f64;
     Ok(PartitionEstimate {
         bytes: p.bytes,
         bits_per_point: p.bits_per_point,
@@ -134,8 +127,8 @@ pub fn estimate_partition_with<T: Element>(
 }
 
 /// [`estimate_partition_with`] through a fresh scratch.
-pub fn estimate_partition<T: Element>(
-    data: &[T],
+pub fn estimate_partition(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     models: &Models,

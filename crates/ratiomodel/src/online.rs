@@ -259,10 +259,15 @@ impl OnlinePredictor {
         let warmup = get_varint(bytes, &mut pos).map_err(|_| err("warmup"))?;
         let err_margin = get_f64(bytes, &mut pos).map_err(|_| err("err_margin"))?;
         let min_headroom = get_f64(bytes, &mut pos).map_err(|_| err("min_headroom"))?;
-        let n = get_varint(bytes, &mut pos).map_err(|_| err("cell count"))? as usize;
-        if n > 100_000_000 {
-            return Err("online predictor state: implausible cell count".into());
-        }
+        let n = get_varint(bytes, &mut pos).map_err(|_| err("cell count"))?;
+        // A cell is at least two `f64`s and two one-byte varints: a
+        // count the bytes left cannot hold is refused before it sizes
+        // anything.
+        let room = (bytes.len() - pos) / (8 + 8 + 1 + 1);
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= room)
+            .ok_or("online predictor state: implausible cell count")?;
         let mut cells = Vec::with_capacity(n);
         for _ in 0..n {
             let correction = get_f64(bytes, &mut pos).map_err(|_| err("cell"))?;
@@ -420,6 +425,26 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(OnlinePredictor::from_state_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn forged_cell_count_is_refused_before_it_sizes_anything() {
+        // A fresh cell is 18 bytes (two `f64`s, two one-byte varints):
+        // two of them follow the count. A count the rest cannot hold is
+        // refused as such, not found truncated after a reservation of
+        // 32 bytes a cell.
+        let bytes = OnlinePredictor::new(2, OnlineConfig::default()).to_state_bytes();
+        let (head, cells) = bytes.split_at(bytes.len() - 2 * 18 - 1);
+        assert_eq!(cells[0], 2);
+        for count in [2, 3, 100_000_000, 1_000_000_000_000, u64::MAX] {
+            let mut forged = head.to_vec();
+            szlite::stream::put_varint(&mut forged, count);
+            forged.extend_from_slice(&cells[1..]);
+            match OnlinePredictor::from_state_bytes(&forged) {
+                Ok(p) => assert!(count == 2 && p.n_cells() == 2),
+                Err(e) => assert_eq!(e, "online predictor state: implausible cell count"),
+            }
+        }
     }
 
     #[test]

@@ -66,14 +66,18 @@ pub struct RatioPrediction {
 /// Fixed per-stream overhead (header + small sections), bytes.
 const STREAM_OVERHEAD: u64 = 64;
 
-/// Predict the compressed size of a partition of `n_total` elements of
-/// width `elem_bits` from its sampled code statistics.
-pub fn predict(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
+/// Bits of one element: a partition holds `f32` values (the paper's
+/// "original bit-rate").
+const ELEM_BITS: f64 = 32.0;
+
+/// Predict the compressed size of a partition of `n_total` `f32`
+/// elements from its sampled code statistics.
+pub fn predict(s: &SampleCodes, gain: &LosslessGain) -> RatioPrediction {
     let used: Vec<u32> = (0..s.histogram.len() as u32)
         .filter(|&c| s.histogram[c as usize] > 0)
         .collect();
     let (mut enc, mut ws) = (HuffmanEncoder::default(), EncoderWorkspace::default());
-    predict_sparse(s, &used, elem_bits, gain, &mut enc, &mut ws)
+    predict_sparse(s, &used, gain, &mut enc, &mut ws)
 }
 
 /// [`predict`] given the codes `used` by the histogram (ascending), as
@@ -83,7 +87,6 @@ pub fn predict(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPre
 pub(crate) fn predict_sparse(
     s: &SampleCodes,
     used: &[u32],
-    elem_bits: u32,
     gain: &LosslessGain,
     enc: &mut HuffmanEncoder,
     ws: &mut EncoderWorkspace,
@@ -106,7 +109,7 @@ pub(crate) fn predict_sparse(
 
     // Literal cost for unpredictable points.
     let unpred = s.unpredictable_fraction();
-    let literal_bits = unpred * f64::from(elem_bits);
+    let literal_bits = unpred * ELEM_BITS;
 
     // Lossless correction applies to the Huffman-coded stream only;
     // literals are near-incompressible floats.
@@ -114,7 +117,7 @@ pub(crate) fn predict_sparse(
     let bits_pp = huff_bits * lz + literal_bits + table_bits;
 
     let bytes = ((bits_pp * n_total / 8.0).ceil() as u64 + STREAM_OVERHEAD).max(1);
-    let ratio = (n_total * f64::from(elem_bits) / 8.0) / bytes as f64;
+    let ratio = (n_total * ELEM_BITS / 8.0) / bytes as f64;
     RatioPrediction {
         bits_per_point: bytes as f64 * 8.0 / n_total,
         bytes,
@@ -124,8 +127,8 @@ pub(crate) fn predict_sparse(
 }
 
 /// Convenience: predict with default lossless-gain constants.
-pub fn predict_default(s: &SampleCodes, elem_bits: u32) -> RatioPrediction {
-    predict(s, elem_bits, &LosslessGain::default())
+pub fn predict_default(s: &SampleCodes) -> RatioPrediction {
+    predict(s, &LosslessGain::default())
 }
 
 #[cfg(test)]
@@ -133,7 +136,7 @@ mod tests {
     use super::*;
     use crate::{estimate_partition, estimate_partition_with, EstimateScratch, Models};
     use proptest::prelude::*;
-    use szlite::{sample_quantization, Config, Dims, Element, ErrorBound};
+    use szlite::{sample_quantization, Config, Dims, ErrorBound};
 
     /// [`predict`] as it was when it built a dense table per call:
     /// every Huffman quantity taken over the whole alphabet — code
@@ -180,20 +183,21 @@ mod tests {
 
     /// Smooth, noisy or constant values with a sprinkle of NaN and
     /// out-of-radius spikes.
-    fn field<T: Element>(n: usize, seed: u64, texture: u8) -> Vec<T> {
+    fn field(n: usize, seed: u64, texture: u8) -> Vec<f32> {
         let mut rng = seed | 1;
         (0..n)
             .map(|i| {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
-                T::from_f64(match (texture, rng % 97) {
+                let v = match (texture, rng % 97) {
                     (_, 0) => f64::NAN,
                     (_, 1) => 1e12,
                     (0, _) => (i as f64 * 0.01).sin() * 40.0,
                     (1, r) => (i as f64 * 0.3).cos() + r as f64 * 0.11,
                     _ => -7.5,
-                })
+                };
+                v as f32
             })
             .collect()
     }
@@ -224,17 +228,16 @@ mod tests {
             ],
             radius in prop_oneof![Just(2u32), Just(64), Just(32768)],
             fraction in prop_oneof![Just(1.0), Just(0.05), Just(1e-4)],
-            wide in any::<bool>(),
         ) {
-            fn check<T: Element>(
-                data: &[T],
+            fn check(
+                data: &[f32],
                 dims: &Dims,
                 cfg: &Config,
                 models: &Models,
             ) -> Result<(), String> {
                 let s = sample_quantization(data, dims, cfg, models.sample_fraction).unwrap();
-                let want = predict_dense(&s, T::BITS, &models.gain);
-                let compat = predict(&s, T::BITS, &models.gain);
+                let want = predict_dense(&s, 32, &models.gain);
+                let compat = predict(&s, &models.gain);
                 if bits(&compat) != bits(&want) {
                     return Err(format!("predict {compat:?}, dense {want:?}"));
                 }
@@ -242,7 +245,7 @@ mod tests {
                 let reused = DIRTY.with_borrow_mut(|scratch| {
                     estimate_partition_with(data, dims, cfg, models, scratch).unwrap()
                 });
-                let raw_bytes = (data.len() * T::BYTES) as f64;
+                let raw_bytes = std::mem::size_of_val(data) as f64;
                 let comp_time = models.throughput.compression_time(raw_bytes, want.bits_per_point);
                 let write_time = models.write.write_time(want.bits_per_point, data.len());
                 for est in [fresh, reused] {
@@ -260,11 +263,7 @@ mod tests {
             let cfg = Config { error_bound: bound, radius, ..Config::default() };
             let models = Models { sample_fraction: fraction, ..Models::with_cthr(80e6) };
             let d = Dims::from_slice(&dims).unwrap();
-            let checked = if wide {
-                check(&field::<f64>(d.len(), seed, texture), &d, &cfg, &models)
-            } else {
-                check(&field::<f32>(d.len(), seed, texture), &d, &cfg, &models)
-            };
+            let checked = check(&field(d.len(), seed, texture), &d, &cfg, &models);
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn smooth_data_predicts_high_ratio() {
         let data: Vec<f32> = (0..100_000).map(|i| i as f32 * 1e-4).collect();
-        let p = predict_default(&sample(&data, 0.01), 32);
+        let p = predict_default(&sample(&data, 0.01));
         assert!(p.ratio > 20.0, "ratio {}", p.ratio);
     }
 
@@ -289,7 +288,7 @@ mod tests {
                 (x >> 8) as f32 / 1e4
             })
             .collect();
-        let p = predict_default(&sample(&data, 1e-3), 32);
+        let p = predict_default(&sample(&data, 1e-3));
         assert!(p.ratio < 4.0, "ratio {}", p.ratio);
     }
 
@@ -305,7 +304,7 @@ mod tests {
     #[test]
     fn prediction_internally_consistent() {
         let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
-        let p = predict_default(&sample(&data, 1e-3), 32);
+        let p = predict_default(&sample(&data, 1e-3));
         let implied = 10_000.0 * 32.0 / 8.0 / p.bytes as f64;
         assert!((p.ratio - implied).abs() < 1e-9);
         assert!(p.bits_per_point > 0.0);

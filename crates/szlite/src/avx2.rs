@@ -69,13 +69,11 @@
 //!
 //! Whether a plane runs here is decided by
 //! [`compress_into`](crate::compress_into) and by the decoder's plane
-//! loop alone, from [`Avx2::select`] (CPU feature, element type,
-//! radius), the plane's shape and, when decoding, its codes; there is
-//! no switch to set.
+//! loop alone, from [`Avx2::select`] (CPU feature, radius), the plane's
+//! shape and, when decoding, its codes; there is no switch to set.
 
 use crate::compressor::{Counts, Steps};
 use crate::config::MAX_RADIUS;
-use crate::element::Element;
 
 /// Rows a vector block advances together: two `__m256d` of four lanes.
 /// (Four vectors spill the sixteen `ymm` registers and measured slower.)
@@ -88,16 +86,12 @@ pub(crate) const ROWS: usize = 8;
 pub(crate) struct Avx2(());
 
 impl Avx2 {
-    /// The token, when the CPU has AVX2, `T` is a type whose storage
-    /// round trip the kernel has an instruction for (`f32`, `f64`), and
-    /// `radius ≤ 2^30`, so that `q + radius` converts through `i32`,
-    /// and so does a code below `2·radius` on the way back.
-    pub(crate) fn select<T: Element>(radius: i64) -> Option<Self> {
+    /// The token, when the CPU has AVX2 and `radius ≤ 2^30`, so that
+    /// `q + radius` converts through `i32`, and so does a code below
+    /// `2·radius` on the way back.
+    pub(crate) fn select(radius: i64) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if x86::has_round_trip::<T>()
-            && radius <= i64::from(MAX_RADIUS)
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
+        if radius <= i64::from(MAX_RADIUS) && std::arch::is_x86_feature_detected!("avx2") {
             return Some(Avx2(()));
         }
         let _ = radius;
@@ -107,15 +101,15 @@ impl Avx2 {
     /// The `blocks` whole blocks of [`ROWS`] rows of `nx ≥ ROWS` at the
     /// head of a plane with the order-`D` stencil (`D ≥ 2`), as one
     /// wavefront in the [`Skewed`] layout: the codes, counts,
-    /// reconstructions and escapes of `quantize_rows::<T, 1, D>` on each
+    /// reconstructions and escapes of `quantize_rows::<1, D>` on each
     /// row in turn; returns the escapes. `zp` holds the `z − 1` plane's
     /// reconstructions (read for `D = 3`).
     ///
     /// [`Skewed`]: crate::predictor::Skewed
-    pub(crate) fn quantize_plane<T: Element, const D: usize>(
+    pub(crate) fn quantize_plane<const D: usize>(
         self,
         zp: &[f64],
-        p: Plane<'_, T, u32>,
+        p: Plane<'_, f32, u32>,
         q: Steps,
         counts: &mut Counts<'_>,
     ) -> usize {
@@ -125,7 +119,7 @@ impl Avx2 {
             // returned after `is_x86_feature_detected!("avx2")` held on
             // this CPU, which is all the callee's `target_feature`
             // requires.
-            unsafe { x86::quantize_plane::<T, D>(zp, p, q, counts) }
+            unsafe { x86::quantize_plane::<D>(zp, p, q, counts) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -136,17 +130,12 @@ impl Avx2 {
 
     /// The blocks of [`quantize_plane`](Self::quantize_plane)'s shape,
     /// every code in `1..2·radius`: the values of
-    /// `decode_rows::<T, 1, D>` on each row in turn.
-    pub(crate) fn decode_plane<T: Element, const D: usize>(
-        self,
-        zp: &[f64],
-        p: Plane<'_, u32, T>,
-        q: Steps,
-    ) {
+    /// `decode_rows::<1, D>` on each row in turn.
+    pub(crate) fn decode_plane<const D: usize>(self, zp: &[f64], p: Plane<'_, u32, f32>, q: Steps) {
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: as in `quantize_plane`.
-            unsafe { x86::decode_plane::<T, D>(zp, p, q) }
+            unsafe { x86::decode_plane::<D>(zp, p, q) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -184,18 +173,8 @@ pub(crate) static DECODED: std::sync::atomic::AtomicUsize = std::sync::atomic::A
 mod x86 {
     use super::{Plane, ROWS};
     use crate::compressor::{Counts, Steps};
-    use crate::element::Element;
     use crate::quantizer::UNPREDICTABLE;
-    use std::any::TypeId;
     use std::arch::x86_64::*;
-
-    fn is<T: 'static, U: 'static>() -> bool {
-        TypeId::of::<T>() == TypeId::of::<U>()
-    }
-
-    pub(super) fn has_round_trip<T: Element>() -> bool {
-        is::<T, f32>() || is::<T, f64>()
-    }
 
     /// The constants of a block, broadcast once.
     struct Consts {
@@ -274,16 +253,11 @@ mod x86 {
         }
     }
 
-    /// `T::from_f64(r).to_f64()` on four lanes: `vcvtpd2ps`/`vcvtps2pd`
-    /// for `f32`, nothing for `f64`.
+    /// `f64::from(r as f32)` on four lanes: `vcvtpd2ps`, `vcvtps2pd`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn round_trip<T: Element>(r: __m256d) -> __m256d {
-        if is::<T, f32>() {
-            _mm256_cvtps_pd(_mm256_cvtpd_ps(r))
-        } else {
-            r
-        }
+    fn round_trip(r: __m256d) -> __m256d {
+        _mm256_cvtps_pd(_mm256_cvtpd_ps(r))
     }
 
     /// The body of [`sweep`](crate::compressor::sweep) on four rows at
@@ -291,7 +265,7 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    fn point<T: Element, const D: usize>(
+    fn point<const D: usize>(
         k: &Consts,
         xv: __m256d,
         x: __m256d,
@@ -319,8 +293,8 @@ mod x86 {
         // are 0, and normalizes `-0.0` as `+ up` does.
         let qf = _mm256_add_pd(t, _mm256_sub_pd(up, down));
         let r64 = _mm256_add_pd(pred, _mm256_mul_pd(qf, k.twice_eb));
-        // Round through the storage type, as the decoder will.
-        let rt = round_trip::<T>(r64);
+        // Round through `f32`, as the decoder will.
+        let rt = round_trip(r64);
         let within = |r| _mm256_cmp_pd::<_CMP_LE_OQ>(abs(k, _mm256_sub_pd(xv, r)), k.eb);
         let ok = _mm256_and_pd(in_range, _mm256_and_pd(within(r64), within(rt)));
         let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(abs(k, xv), k.inf);
@@ -344,7 +318,7 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    fn restore<T: Element, const D: usize>(
+    fn restore<const D: usize>(
         k: &Consts,
         code: __m256d,
         x: __m256d,
@@ -357,7 +331,7 @@ mod x86 {
     ) -> __m256d {
         let pred = predict::<D>(k, x, y, z, xy, xz, yz, xyz);
         let q = _mm256_sub_pd(code, k.radius);
-        round_trip::<T>(_mm256_add_pd(pred, _mm256_mul_pd(q, k.twice_eb)))
+        round_trip(_mm256_add_pd(pred, _mm256_mul_pd(q, k.twice_eb)))
     }
 
     /// `[first[0], v[0], v[1], v[2]]`: each lane's `y − 1` neighbor is
@@ -376,44 +350,29 @@ mod x86 {
     }
 
     /// The elements of `data` at `at[first..first + 4]`, widened:
-    /// `vcvtps2pd` for `f32`.
+    /// `vcvtps2pd`.
     ///
     /// # Safety
     ///
     /// Those four points are inside `data`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn widen<T: Element>(data: *const T, at: &[usize; ROWS], first: usize) -> __m256d {
+    unsafe fn widen(data: *const f32, at: &[usize; ROWS], first: usize) -> __m256d {
         // SAFETY: the caller's.
-        unsafe {
-            if is::<T, f32>() {
-                let v = |j: usize| *data.cast::<f32>().add(at[first + j]);
-                _mm256_cvtps_pd(_mm_set_ps(v(3), v(2), v(1), v(0)))
-            } else {
-                let v = |j: usize| *data.cast::<f64>().add(at[first + j]);
-                _mm256_set_pd(v(3), v(2), v(1), v(0))
-            }
-        }
+        let v = |j: usize| unsafe { *data.add(at[first + j]) };
+        _mm256_cvtps_pd(_mm_set_ps(v(3), v(2), v(1), v(0)))
     }
 
     /// The values of lanes whose reconstructions are `rv`, which for a
-    /// plain code are `T::from_f64(r).to_f64()` and narrow back to the
-    /// value bit for bit, NaN included: `vcvtpd2ps` for `f32`.
+    /// plain code are `f64::from(r as f32)` and narrow back to the value
+    /// bit for bit, NaN included: `vcvtpd2ps`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn values<T: Element>(rv: [__m256d; 2]) -> [T; ROWS] {
-        let mut out = [T::from_f64(0.0); ROWS];
-        // SAFETY: `out` is 8 writable `T`, and `T` is `f32` or `f64`,
-        // the only types `has_round_trip` admits.
-        unsafe {
-            if is::<T, f32>() {
-                let v = _mm256_set_m128(_mm256_cvtpd_ps(rv[1]), _mm256_cvtpd_ps(rv[0]));
-                _mm256_storeu_ps(out.as_mut_ptr().cast(), v);
-            } else {
-                _mm256_storeu_pd(out.as_mut_ptr().cast(), rv[0]);
-                _mm256_storeu_pd(out.as_mut_ptr().cast::<f64>().add(4), rv[1]);
-            }
-        }
+    fn values(rv: [__m256d; 2]) -> [f32; ROWS] {
+        let mut out = [0.0; ROWS];
+        let v = _mm256_set_m128(_mm256_cvtpd_ps(rv[1]), _mm256_cvtpd_ps(rv[0]));
+        // SAFETY: `out` is 8 writable `f32`.
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
         out
     }
 
@@ -444,18 +403,18 @@ mod x86 {
     /// data at `at`, each code stored at its point and counted for the
     /// lanes `inside` the blocks. Yields the reconstructions.
     macro_rules! quantize_lanes {
-        ($T:ty, $D:expr, $k:expr, $n:expr, $p:expr, ($at:expr, $inside:expr), $side:expr) => {{
+        ($D:expr, $k:expr, $n:expr, $p:expr, ($at:expr, $inside:expr), $side:expr) => {{
             let (k, [x, y, z, xy, xz, yz, xyz]): (&Consts, [[__m256d; 2]; 7]) = ($k, $n);
             let (at, inside): (&[usize; ROWS], &[bool; ROWS]) = ($at, $inside);
-            let (p, tally): (&mut Plane<'_, $T, u32>, &mut Tally<'_>) = ($p, $side);
+            let (p, tally): (&mut Plane<'_, f32, u32>, &mut Tally<'_>) = ($p, $side);
             let (data, codes) = (p.input.as_ptr(), p.output.as_mut_ptr());
             // SAFETY (each access through these pointers): `wavefront!`
             // asserted that `input` and `output` hold the blocks' points,
             // and a lane's point is inside them, or 0.
-            let xv = unsafe { [widen::<$T>(data, at, 0), widen::<$T>(data, at, 4)] };
+            let xv = unsafe { [widen(data, at, 0), widen(data, at, 4)] };
             let pt = [
-                point::<$T, { $D }>(k, xv[0], x[0], y[0], z[0], xy[0], xz[0], yz[0], xyz[0]),
-                point::<$T, { $D }>(k, xv[1], x[1], y[1], z[1], xy[1], xz[1], yz[1], xyz[1]),
+                point::<{ $D }>(k, xv[0], x[0], y[0], z[0], xy[0], xz[0], yz[0], xyz[0]),
+                point::<{ $D }>(k, xv[1], x[1], y[1], z[1], xy[1], xz[1], yz[1], xyz[1]),
             ];
             let mut code = [0u32; ROWS];
             // SAFETY: as above, and `code` is 8 writable `u32`; a code
@@ -496,10 +455,10 @@ mod x86 {
     /// `at`, each value stored at its point for the lanes `inside` the
     /// blocks. Yields the reconstructions.
     macro_rules! restore_lanes {
-        ($T:ty, $D:expr, $k:expr, $n:expr, $p:expr, ($at:expr, $inside:expr), $side:expr) => {{
+        ($D:expr, $k:expr, $n:expr, $p:expr, ($at:expr, $inside:expr), $side:expr) => {{
             let (k, [x, y, z, xy, xz, yz, xyz]): (&Consts, [[__m256d; 2]; 7]) = ($k, $n);
             let (at, inside): (&[usize; ROWS], &[bool; ROWS]) = ($at, $inside);
-            let (p, ()): (&mut Plane<'_, u32, $T>, ()) = ($p, $side);
+            let (p, ()): (&mut Plane<'_, u32, f32>, ()) = ($p, $side);
             let (cs, out) = (p.input.as_ptr(), p.output.as_mut_ptr());
             // SAFETY: as in `quantize_lanes!`.
             let code = unsafe {
@@ -510,12 +469,12 @@ mod x86 {
                 ]
             };
             let rv = [
-                restore::<$T, { $D }>(k, code[0], x[0], y[0], z[0], xy[0], xz[0], yz[0], xyz[0]),
-                restore::<$T, { $D }>(k, code[1], x[1], y[1], z[1], xy[1], xz[1], yz[1], xyz[1]),
+                restore::<{ $D }>(k, code[0], x[0], y[0], z[0], xy[0], xz[0], yz[0], xyz[0]),
+                restore::<{ $D }>(k, code[1], x[1], y[1], z[1], xy[1], xz[1], yz[1], xyz[1]),
             ];
             // SAFETY: as above.
             unsafe {
-                for (j, v) in values::<$T>(rv).into_iter().enumerate() {
+                for (j, v) in values(rv).into_iter().enumerate() {
                     if inside[j] {
                         *out.add(at[j]) = v;
                     }
@@ -545,7 +504,7 @@ mod x86 {
     // forced inline, and a call per iteration passes the carried
     // vectors through memory.
     macro_rules! step {
-        ($lanes:ident, $T:ty, $D:expr, $MODE:expr, ($k:expr, $c:expr, $t:expr, $kb:expr), $zp:expr, $p:expr, $side:expr) => {{
+        ($lanes:ident, $D:expr, $MODE:expr, ($k:expr, $c:expr, $t:expr, $kb:expr), $zp:expr, $p:expr, $side:expr) => {{
             let (k, c, t, kb): (&Consts, &mut Carry, usize, usize) = ($k, $c, $t, $kb);
             let (zp, p): (&[f64], &mut Plane<'_, _, _>) = ($zp, $p);
             let nx = p.nx;
@@ -595,7 +554,7 @@ mod x86 {
             }
             let [x, xy, xz, xyz] = own;
             let n = [x, ry, rz, xy, xz, rzy, xyz];
-            let mut rv = $lanes!($T, $D, k, n, &mut *p, (&at, &inside), $side);
+            let mut rv = $lanes!($D, k, n, &mut *p, (&at, &inside), $side);
             if $MODE == EDGE && t < ROWS - 1 {
                 let t = _mm256_set1_epi64x(t as i64);
                 for (v, j) in rv.iter_mut().zip(lane) {
@@ -615,7 +574,7 @@ mod x86 {
     /// each lane's work done by `$lanes!`: the schedule of both vector
     /// kernels. Bounds are checked here, once per plane.
     macro_rules! wavefront {
-        ($lanes:ident, $T:ty, $D:expr, $q:expr, $zp:expr, $p:expr, $side:expr) => {{
+        ($lanes:ident, $D:expr, $q:expr, $zp:expr, $p:expr, $side:expr) => {{
             let (zp, p): (&[f64], &mut Plane<'_, _, _>) = ($zp, $p);
             let (nx, blocks) = (p.nx, p.blocks);
             let end = blocks * nx + ROWS - 1;
@@ -627,30 +586,30 @@ mod x86 {
             // The carried vectors as a local, so that they stay in registers.
             let mut c: Carry = [[k.zero; 2]; 4];
             for t in 0..ROWS {
-                step!($lanes, $T, $D, EDGE, (&k, &mut c, t, 0), zp, p, $side);
+                step!($lanes, $D, EDGE, (&k, &mut c, t, 0), zp, p, $side);
             }
             for kb in 0..blocks {
                 let k0 = kb * nx;
                 if kb > 0 {
                     for t in k0..k0 + ROWS {
-                        step!($lanes, $T, $D, HEAD, (&k, &mut c, t, kb), zp, p, $side);
+                        step!($lanes, $D, HEAD, (&k, &mut c, t, kb), zp, p, $side);
                     }
                 }
                 for t in k0 + ROWS..k0 + nx {
-                    step!($lanes, $T, $D, BODY, (&k, &mut c, t, kb), zp, p, $side);
+                    step!($lanes, $D, BODY, (&k, &mut c, t, kb), zp, p, $side);
                 }
             }
             for t in blocks * nx..end {
-                step!($lanes, $T, $D, EDGE, (&k, &mut c, t, blocks), zp, p, $side);
+                step!($lanes, $D, EDGE, (&k, &mut c, t, blocks), zp, p, $side);
             }
         }};
     }
 
     /// See [`Avx2::quantize_plane`](super::Avx2::quantize_plane).
     #[target_feature(enable = "avx2")]
-    pub(super) fn quantize_plane<T: Element, const D: usize>(
+    pub(super) fn quantize_plane<const D: usize>(
         zp: &[f64],
-        mut p: Plane<'_, T, u32>,
+        mut p: Plane<'_, f32, u32>,
         q: Steps,
         counts: &mut Counts<'_>,
     ) -> usize {
@@ -664,7 +623,7 @@ mod x86 {
             freqs: counts.freqs.as_mut_ptr(),
             present: &mut *counts.present,
         };
-        wavefront!(quantize_lanes, T, D, q, zp, &mut p, &mut tally);
+        wavefront!(quantize_lanes, D, q, zp, &mut p, &mut tally);
         #[cfg(test)]
         super::COMPRESSED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         (counts.freqs[UNPREDICTABLE as usize] - before) as usize
@@ -672,12 +631,8 @@ mod x86 {
 
     /// See [`Avx2::decode_plane`](super::Avx2::decode_plane).
     #[target_feature(enable = "avx2")]
-    pub(super) fn decode_plane<T: Element, const D: usize>(
-        zp: &[f64],
-        mut p: Plane<'_, u32, T>,
-        q: Steps,
-    ) {
-        wavefront!(restore_lanes, T, D, q, zp, &mut p, ());
+    pub(super) fn decode_plane<const D: usize>(zp: &[f64], mut p: Plane<'_, u32, f32>, q: Steps) {
+        wavefront!(restore_lanes, D, q, zp, &mut p, ());
         #[cfg(test)]
         super::DECODED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
@@ -687,7 +642,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::compressor::{
-        compress_into, compress_into_scalar, compress_reference, Scratch, MAGIC, VERSION,
+        compress_into, compress_into_scalar, compress_reference, Scratch, DTYPE, MAGIC, VERSION,
     };
     use crate::config::{Config, Dims, ErrorBound};
     use crate::decompressor::{decompress_into, decompress_into_scalar, DecompressScratch};
@@ -698,19 +653,18 @@ mod tests {
     /// True when this host runs the vector kernel (printed, so that a CI
     /// runner that only tests the scalar arm shows in its log).
     fn detected() -> bool {
-        Avx2::select::<f32>(2).is_some()
+        Avx2::select(2).is_some()
     }
 
     /// `n` values in one of three textures — 0 a smooth field with
     /// noise, 1 a ramp just under `f32::MAX` (so a reconstruction can
     /// overflow the `f32` round trip), 2 a walk over multiples of ½
     /// (under `Abs(0.5)` residuals are exact rounding ties) — with every
-    /// 11th value replaced by, in turn, NaN, ±Inf, `-0.0`, a subnormal
-    /// of `T`, `±1e30`; or, `coded_only`, by `-0.0` and the subnormal
-    /// alone, which quantize like any value, so that escape-free blocks
-    /// occur.
-    fn field<T: Element>(n: usize, texture: u8, coded_only: bool) -> Vec<T> {
-        let subnormal = T::from_f64(if T::BYTES == 4 { 3e-45 } else { 5e-324 });
+    /// 11th value replaced by, in turn, NaN, ±Inf, `-0.0`, a subnormal,
+    /// `±1e30`; or, `coded_only`, by `-0.0` and the subnormal alone,
+    /// which quantize like any value, so that escape-free blocks occur.
+    fn field(n: usize, texture: u8, coded_only: bool) -> Vec<f32> {
+        let subnormal = 3e-45;
         let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ n as u64;
         let mut walk = 0.0f64;
         (0..n)
@@ -721,28 +675,25 @@ mod tests {
                 let noise = (rng % 1000) as f64 * 1e-3;
                 walk += ((rng >> 12) % 9) as f64 * 0.5 - 2.0;
                 if i % 11 == 3 && coded_only {
-                    return if (i / 11) % 2 == 0 {
-                        T::from_f64(-0.0)
-                    } else {
-                        subnormal
-                    };
+                    return if (i / 11) % 2 == 0 { -0.0 } else { subnormal };
                 }
                 if i % 11 == 3 {
                     return match (i / 11) % 7 {
-                        0 => T::from_f64(f64::NAN),
-                        1 => T::from_f64(f64::INFINITY),
-                        2 => T::from_f64(f64::NEG_INFINITY),
-                        3 => T::from_f64(-0.0),
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => f32::NEG_INFINITY,
+                        3 => -0.0,
                         4 => subnormal,
-                        5 => T::from_f64(1e30),
-                        _ => T::from_f64(-1e30),
+                        5 => 1e30,
+                        _ => -1e30,
                     };
                 }
-                T::from_f64(match texture {
+                let v = match texture {
                     0 => (i as f64 * 0.37).sin() + 0.05 * noise,
                     2 => walk,
                     _ => 3.4e38 - 1e35 * (i % 97) as f64 - 1e33 * noise,
-                })
+                };
+                v as f32
             })
             .collect()
     }
@@ -763,10 +714,10 @@ mod tests {
     const PIN_FIELDS: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
 
     /// [`field`] as [`PIN_FIELDS`] says.
-    fn pin_field<T: Element>(dims: &Dims, texture: u8, (coded_only, nan): (bool, bool)) -> Vec<T> {
-        let mut data = field::<T>(dims.len(), texture, coded_only);
+    fn pin_field(dims: &Dims, texture: u8, (coded_only, nan): (bool, bool)) -> Vec<f32> {
+        let mut data = field(dims.len(), texture, coded_only);
         if nan {
-            data[dims.len() / 2] = T::from_f64(f64::NAN);
+            data[dims.len() / 2] = f32::NAN;
         }
         data
     }
@@ -806,11 +757,11 @@ mod tests {
 
     /// Vector arm (where the host has one), scalar arm and the
     /// reference, byte for byte; returns the cases compared.
-    fn pin_both_arms<T: Element>(scratch: &mut Scratch) -> usize {
+    fn pin_both_arms(scratch: &mut Scratch) -> usize {
         let mut cases = 0;
         let (mut vector, mut scalar) = (Vec::new(), Vec::new());
         pin_cases(|dims, cfg, fields, texture, what| {
-            let data = pin_field::<T>(dims, texture, fields);
+            let data = pin_field(dims, texture, fields);
             let want = compress_reference(&data, dims, &cfg).expect(&what);
             let vs = compress_into(&data, dims, &cfg, scratch, &mut vector);
             let ss = compress_into_scalar(&data, dims, &cfg, scratch, &mut scalar);
@@ -827,8 +778,7 @@ mod tests {
         // On a host without AVX2 the first arm is the scalar one too.
         println!("avx2 vector kernel selected: {}", detected());
         let mut scratch = Scratch::new();
-        let cases = pin_both_arms::<f32>(&mut scratch) + pin_both_arms::<f64>(&mut scratch);
-        assert_eq!(cases, 2 * PIN_CASES);
+        assert_eq!(pin_both_arms(&mut scratch), PIN_CASES);
         let planes = COMPRESSED.load(std::sync::atomic::Ordering::Relaxed);
         println!("avx2 planes compressed as one wavefront: {planes}");
         assert_eq!(planes > 0, detected());
@@ -841,13 +791,13 @@ mod tests {
     /// of the scalar arm between two of the vector arm), planes of order
     /// 2 and 3 — value for value, bit for bit; returns the cases
     /// compared.
-    fn pin_both_decode_arms<T: Element>(scratch: &mut Scratch) -> usize {
-        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+    fn pin_both_decode_arms(scratch: &mut Scratch) -> usize {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut dscratch = DecompressScratch::new();
         let mut cases = 0;
         let (mut stream, mut vector, mut scalar) = (Vec::new(), Vec::new(), Vec::new());
         pin_cases(|dims, cfg, fields, texture, what| {
-            let data = pin_field::<T>(dims, texture, fields);
+            let data = pin_field(dims, texture, fields);
             compress_into(&data, dims, &cfg, scratch, &mut stream).expect(&what);
             let vd = decompress_into(&stream, &mut dscratch, &mut vector);
             let sd = decompress_into_scalar(&stream, &mut dscratch, &mut scalar);
@@ -881,7 +831,7 @@ mod tests {
         put_varint(&mut payload, 0);
         let mut out = Vec::new();
         put_u32(&mut out, MAGIC);
-        out.extend([VERSION, f32::DTYPE, dims.ndims() as u8]);
+        out.extend([VERSION, DTYPE, dims.ndims() as u8]);
         for &d in dims.extents() {
             put_varint(&mut out, d as u64);
         }
@@ -897,9 +847,7 @@ mod tests {
     fn vector_arm_equals_scalar_arm_in_the_decoder() {
         println!("avx2 decode kernel selected: {}", detected());
         let mut scratch = Scratch::new();
-        let cases =
-            pin_both_decode_arms::<f32>(&mut scratch) + pin_both_decode_arms::<f64>(&mut scratch);
-        assert_eq!(cases, 2 * PIN_CASES);
+        assert_eq!(pin_both_decode_arms(&mut scratch), PIN_CASES);
         let planes = DECODED.load(std::sync::atomic::Ordering::Relaxed);
         println!("avx2 planes decoded as one wavefront: {planes}");
         assert_eq!(planes > 0, detected());
@@ -944,11 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn selection_needs_a_type_with_a_round_trip_and_a_radius_that_fits_i32() {
+    fn selection_needs_a_radius_that_fits_i32() {
         let max = i64::from(MAX_RADIUS);
-        assert!(Avx2::select::<f32>(max + 1).is_none());
-        assert!(Avx2::select::<f64>(max + 1).is_none());
-        assert_eq!(Avx2::select::<f32>(max).is_some(), detected());
-        assert_eq!(Avx2::select::<f64>(2).is_some(), detected());
+        assert!(Avx2::select(max + 1).is_none());
+        assert_eq!(Avx2::select(max).is_some(), detected());
     }
 }

@@ -19,7 +19,6 @@
 
 use crate::avx2::{self, Avx2};
 use crate::config::{Config, Dims};
-use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
@@ -31,6 +30,11 @@ use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 pub const MAGIC: u32 = 0x314C5A53;
 /// Current stream version.
 pub const VERSION: u8 = 1;
+/// Stream-header element type: `f32`, the only one. A stream that
+/// names another (`1` was `f64`) is refused by [`stream_info`].
+///
+/// [`stream_info`]: crate::stream_info
+pub const DTYPE: u8 = 0;
 
 /// Summary of one compression run, used by benchmarks and the ratio
 /// model validation experiments.
@@ -101,13 +105,13 @@ impl Scratch {
 }
 
 /// Compress `data` of shape `dims` under configuration `cfg`.
-pub fn compress<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
+pub fn compress(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
     compress_with_stats(data, dims, cfg).map(|(bytes, _)| bytes)
 }
 
 /// Compress and also return run statistics.
-pub fn compress_with_stats<T: Element>(
-    data: &[T],
+pub fn compress_with_stats(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
 ) -> Result<(Vec<u8>, CompressStats)> {
@@ -137,8 +141,8 @@ pub(crate) struct Steps {
 /// [`Planes::block`] views — lane `j` reads rows `j` and `j + 1` of
 /// `zp`. Rows outside the grid are zero rows, which keeps the Lorenzo
 /// stencil uniform.
-pub(crate) struct Block<'a, T> {
-    pub(crate) data: &'a [T],
+pub(crate) struct Block<'a> {
+    pub(crate) data: &'a [f32],
     pub(crate) nx: usize,
     pub(crate) above: &'a [f64],
     pub(crate) rows: &'a mut [f64],
@@ -213,10 +217,10 @@ impl<const L: usize> Wave<L> {
 /// with select-based writes — so codes and reconstructions are
 /// bit-identical.
 #[inline(always)]
-pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
+pub(crate) fn sweep<const L: usize, const D: usize>(
     ts: std::ops::Range<usize>,
     w: &mut Wave<L>,
-    b: &mut Block<'_, T>,
+    b: &mut Block<'_>,
     q: Steps,
     counts: &mut Counts<'_>,
 ) -> usize {
@@ -245,7 +249,7 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
                 (0.0, 0.0)
             };
             let pred = stencil::<D>(w.cx[j], ry, rz, w.pyx[j], w.pzx[j], rzy, w.pzyx[j]);
-            let xv = b.data[i].to_f64();
+            let xv = f64::from(b.data[i]);
             let d = xv - pred;
             // Branch-free validity: a non-finite value or prediction
             // rounds to `None` and lands in the escape lane.
@@ -253,9 +257,9 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
             let in_range = r.is_some();
             let qi = r.unwrap_or(0);
             let r64 = pred + qi as f64 * q.twice_eb;
-            // Round through the storage type so the decoder (which
-            // emits T) sees exactly this value.
-            let rt = T::from_f64(r64).to_f64();
+            // Round through `f32` so the decoder (which emits `f32`)
+            // sees exactly this value.
+            let rt = f64::from(r64 as f32);
             let ok = in_range & ((xv - r64).abs() <= q.eb) & ((xv - rt).abs() <= q.eb);
             let code = if ok {
                 (qi + q.radius) as u32
@@ -285,18 +289,18 @@ pub(crate) fn sweep<T: Element, const L: usize, const D: usize>(
 }
 
 /// A whole block of `L` rows through [`sweep`].
-fn quantize_rows<T: Element, const L: usize, const D: usize>(
-    b: &mut Block<'_, T>,
+fn quantize_rows<const L: usize, const D: usize>(
+    b: &mut Block<'_>,
     q: Steps,
     counts: &mut Counts<'_>,
 ) -> usize {
-    sweep::<T, L, D>(0..b.nx + L - 1, &mut Wave::new(), b, q, counts)
+    sweep::<L, D>(0..b.nx + L - 1, &mut Wave::new(), b, q, counts)
 }
 
 /// Compress `data`, writing the stream into `out` (cleared first) and
 /// reusing `scratch` for all transient compressor state.
-pub fn compress_into<T: Element>(
-    data: &[T],
+pub fn compress_into(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     scratch: &mut Scratch,
@@ -309,8 +313,8 @@ pub fn compress_into<T: Element>(
 /// the CPU is — the arm a host without AVX2 runs, for the tests that
 /// pin both arms to the same bytes.
 #[cfg(test)]
-pub(crate) fn compress_into_scalar<T: Element>(
-    data: &[T],
+pub(crate) fn compress_into_scalar(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     scratch: &mut Scratch,
@@ -319,9 +323,9 @@ pub(crate) fn compress_into_scalar<T: Element>(
     compress_on(false, data, dims, cfg, scratch, out)
 }
 
-fn compress_on<T: Element>(
+fn compress_on(
     may_vectorize: bool,
-    data: &[T],
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     scratch: &mut Scratch,
@@ -395,12 +399,11 @@ fn compress_on<T: Element>(
     };
     // The one place a block's kernel is chosen, from what the host and
     // the input are (see the crate docs): the vector kernel over a
-    // plane's whole 8-row blocks, as one wavefront, where the CPU, the
-    // element type and the radius allow it and the rows are at least 8
-    // long; otherwise 4 scalar lanes, or one for leftover rows and 1-D
-    // data.
+    // plane's whole 8-row blocks, as one wavefront, where the CPU and
+    // the radius allow it and the rows are at least 8 long; otherwise 4
+    // scalar lanes, or one for leftover rows and 1-D data.
     let vector =
-        Avx2::select::<T>(radius).filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
+        Avx2::select(radius).filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
     let blocks = ny / avx2::ROWS;
     let whole = blocks * avx2::ROWS * nx;
     if vector.is_some() {
@@ -411,7 +414,7 @@ fn compress_on<T: Element>(
     let mut literals_of = |at: std::ops::Range<usize>, codes: &[u32]| {
         let escaped = codes[at.clone()].iter().map(|&c| c == UNPREDICTABLE);
         for (v, _) in data[at].iter().zip(escaped).filter(|(_, e)| *e) {
-            v.write_le(literals);
+            literals.extend_from_slice(&v.to_le_bytes());
         }
     };
     for z in 0..nz {
@@ -432,8 +435,8 @@ fn compress_on<T: Element>(
                 blocks,
             };
             let escapes = match order {
-                3 => v.quantize_plane::<T, 3>(zp, p, steps, &mut counts),
-                _ => v.quantize_plane::<T, 2>(zp, p, steps, &mut counts),
+                3 => v.quantize_plane::<3>(zp, p, steps, &mut counts),
+                _ => v.quantize_plane::<2>(zp, p, steps, &mut counts),
             };
             skewed.unskew_last(planes);
             if escapes > 0 {
@@ -457,11 +460,11 @@ fn compress_on<T: Element>(
                 codes: &mut codes[at.clone()],
             };
             let escapes = match (lanes, order) {
-                (LANES, 3) => quantize_rows::<T, LANES, 3>(&mut block, steps, &mut counts),
-                (LANES, _) => quantize_rows::<T, LANES, 2>(&mut block, steps, &mut counts),
-                (_, 3) => quantize_rows::<T, 1, 3>(&mut block, steps, &mut counts),
-                (_, 2) => quantize_rows::<T, 1, 2>(&mut block, steps, &mut counts),
-                (_, _) => quantize_rows::<T, 1, 1>(&mut block, steps, &mut counts),
+                (LANES, 3) => quantize_rows::<LANES, 3>(&mut block, steps, &mut counts),
+                (LANES, _) => quantize_rows::<LANES, 2>(&mut block, steps, &mut counts),
+                (_, 3) => quantize_rows::<1, 3>(&mut block, steps, &mut counts),
+                (_, 2) => quantize_rows::<1, 2>(&mut block, steps, &mut counts),
+                (_, _) => quantize_rows::<1, 1>(&mut block, steps, &mut counts),
             };
             if escapes > 0 {
                 literals_of(at, codes);
@@ -511,7 +514,7 @@ fn compress_on<T: Element>(
     out.reserve(body.len() + 64);
     put_u32(out, MAGIC);
     out.push(VERSION);
-    out.push(T::DTYPE);
+    out.push(DTYPE);
     out.push(dims.ndims() as u8);
     for &d in dims.extents() {
         put_varint(out, d as u64);
@@ -524,7 +527,7 @@ fn compress_on<T: Element>(
 
     let stats = CompressStats {
         n_points: n,
-        raw_bytes: n * T::BYTES,
+        raw_bytes: std::mem::size_of_val(data),
         compressed_bytes: out.len(),
         n_unpredictable: n_unpred,
         eb,
@@ -541,7 +544,7 @@ fn compress_on<T: Element>(
 /// the byte-identity test suite: [`compress_into`] must produce exactly
 /// these bytes on every input. It is not a hot path — it allocates per
 /// call and makes three data passes.
-pub fn compress_reference<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
+pub fn compress_reference(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec<u8>> {
     if data.is_empty() {
         return Err(SzError::EmptyInput);
     }
@@ -566,14 +569,14 @@ pub fn compress_reference<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> 
     for z in 0..st.ext[0] {
         for y in 0..st.ext[1] {
             for x in 0..st.ext[2] {
-                let xv = data[idx].to_f64();
+                let xv = f64::from(data[idx]);
                 let pred = lorenzo.predict(&recon, z, y, x);
                 let mut stored = false;
                 if xv.is_finite() {
                     if let Some((code, r64)) = quant.quantize(xv, pred) {
-                        // Round through the storage type so the decoder
-                        // (which emits T) sees exactly this value.
-                        let rt = T::from_f64(r64).to_f64();
+                        // Round through `f32` so the decoder (which
+                        // emits `f32`) sees exactly this value.
+                        let rt = f64::from(r64 as f32);
                         if (xv - rt).abs() <= eb {
                             codes.push(code);
                             recon[idx] = rt;
@@ -583,7 +586,7 @@ pub fn compress_reference<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> 
                 }
                 if !stored {
                     codes.push(UNPREDICTABLE);
-                    data[idx].write_le(&mut literals);
+                    literals.extend_from_slice(&data[idx].to_le_bytes());
                     recon[idx] = if xv.is_finite() { xv } else { 0.0 };
                     n_unpred += 1;
                 }
@@ -622,7 +625,7 @@ pub fn compress_reference<T: Element>(data: &[T], dims: &Dims, cfg: &Config) -> 
     let mut out = Vec::with_capacity(body.len() + 64);
     put_u32(&mut out, MAGIC);
     out.push(VERSION);
-    out.push(T::DTYPE);
+    out.push(DTYPE);
     out.push(dims.ndims() as u8);
     for &d in dims.extents() {
         put_varint(&mut out, d as u64);

@@ -1,6 +1,5 @@
 //! Compression configuration: dimensionality, error bounds, codebook size.
 
-use crate::element::Element;
 use crate::error::{Result, SzError};
 
 /// Grid dimensions of the array being compressed.
@@ -120,7 +119,7 @@ impl ErrorBound {
     /// through without touching the data; relative bounds scan the
     /// finite min/max, with all-non-finite input falling back to the
     /// constant-array rule of [`ErrorBound::resolve`].
-    pub fn resolve_for<T: Element>(&self, data: &[T]) -> Result<f64> {
+    pub fn resolve_for(&self, data: &[f32]) -> Result<f64> {
         match self {
             ErrorBound::Abs(_) => self.resolve(0.0, 0.0),
             ErrorBound::Rel(_) => {
@@ -137,20 +136,19 @@ impl ErrorBound {
 ///
 /// The scan touches every cache line of the partition; eight
 /// accumulators keep a serial `min`/`max` chain from making it
-/// latency-bound on top, and they compare in the element's own type —
-/// widening to `f64` is monotone, so only the eight survivors are
-/// widened. The comparisons skip NaN by themselves; skipping ±∞ costs
+/// latency-bound on top, and they compare in `f32` — widening to `f64`
+/// is monotone, so only the eight survivors are widened. The comparisons skip NaN by themselves; skipping ±∞ costs
 /// two more per value, which made the loop several times slower, so
 /// that is left to a second scan when the first one's extremes show an
 /// infinity took part. (Which of `±0.0` wins a tie depends on the
 /// accumulator; the bound resolved from the range does not.)
-pub(crate) fn finite_range<T: Element>(data: &[T], stride: usize) -> (f64, f64) {
+pub(crate) fn finite_range(data: &[f32], stride: usize) -> (f64, f64) {
     const ACC: usize = 8;
-    let (below, above) = (T::from_f64(f64::NEG_INFINITY), T::from_f64(f64::INFINITY));
+    let (below, above) = (f32::NEG_INFINITY, f32::INFINITY);
     let scan = |skip_infinite: bool| {
         let mut min = [above; ACC];
         let mut max = [below; ACC];
-        let mut fold = |k: usize, v: T| {
+        let mut fold = |k: usize, v: f32| {
             let (lo, hi) = if skip_infinite {
                 (
                     if v > below { v } else { above },
@@ -172,8 +170,9 @@ pub(crate) fn finite_range<T: Element>(data: &[T], stride: usize) -> (f64, f64) 
             fold(k, v);
         }
         (
-            min.iter().fold(f64::INFINITY, |m, v| m.min(v.to_f64())),
-            max.iter().fold(f64::NEG_INFINITY, |m, v| m.max(v.to_f64())),
+            min.iter().fold(f64::INFINITY, |m, &v| m.min(f64::from(v))),
+            max.iter()
+                .fold(f64::NEG_INFINITY, |m, &v| m.max(f64::from(v))),
         )
     };
     let (mut min, mut max) = scan(false);
@@ -316,9 +315,9 @@ mod tests {
 
     /// The bound `resolve_for` resolved from a one-accumulator serial
     /// fold, which is what the eight-accumulator scan replaced.
-    fn serial_bound<T: Element>(bound: ErrorBound, data: &[T]) -> Result<f64> {
+    fn serial_bound(bound: ErrorBound, data: &[f32]) -> Result<f64> {
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for v in data.iter().map(|v| v.to_f64()).filter(|v| v.is_finite()) {
+        for v in data.iter().map(|&v| f64::from(v)).filter(|v| v.is_finite()) {
             min = min.min(v);
             max = max.max(v);
         }
@@ -328,7 +327,8 @@ mod tests {
         bound.resolve(min, max)
     }
 
-    fn bound_equals_the_serial_fold<T: Element>() {
+    #[test]
+    fn resolved_bound_equals_the_serial_fold_bit_for_bit() {
         let (nan, inf) = (f64::NAN, f64::INFINITY);
         let wave = |n: usize| (0..n).map(|i| (i as f64 * 0.7).sin() * 40.0 - 3.0);
         let mut inputs: Vec<Vec<f64>> = vec![
@@ -362,19 +362,13 @@ mod tests {
             }
         }
         for input in &inputs {
-            let data: Vec<T> = input.iter().map(|&v| T::from_f64(v)).collect();
+            let data: Vec<f32> = input.iter().map(|&v| v as f32).collect();
             for bound in [ErrorBound::Rel(1e-3), ErrorBound::Rel(0.5)] {
                 let got = bound.resolve_for(&data).map(f64::to_bits);
                 let want = serial_bound(bound, &data).map(f64::to_bits);
                 assert_eq!(got, want, "{bound:?} over {input:?}");
             }
         }
-    }
-
-    #[test]
-    fn resolved_bound_equals_the_serial_fold_bit_for_bit() {
-        bound_equals_the_serial_fold::<f32>();
-        bound_equals_the_serial_fold::<f64>();
     }
 
     #[test]
@@ -387,6 +381,6 @@ mod tests {
         data[902] = 1e9; // not visited
         assert_eq!(finite_range(&data, 3), (-50.0, 16.0));
         assert_eq!(finite_range(&data, 1), (-99.0, 1e9));
-        assert_eq!(finite_range(&[f64::NAN, f64::NEG_INFINITY], 1), (0.0, 0.0));
+        assert_eq!(finite_range(&[f32::NAN, f32::NEG_INFINITY], 1), (0.0, 0.0));
     }
 }

@@ -33,9 +33,8 @@
 //! convenience entry points.
 
 use crate::avx2::{self, Avx2};
-use crate::compressor::{Wave, LANES, MAGIC, VERSION};
+use crate::compressor::{Wave, DTYPE, LANES, MAGIC, VERSION};
 use crate::config::{Dims, MAX_RADIUS};
-use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
@@ -51,8 +50,6 @@ const MAX_POINTS: u64 = 1 << 48;
 /// Parsed stream header, available without decompressing the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamInfo {
-    /// Element type tag (0 = f32, 1 = f64).
-    pub dtype: u8,
     /// Grid shape.
     pub dims: Dims,
     /// Resolved absolute error bound the stream was produced with.
@@ -70,9 +67,9 @@ pub struct StreamInfo {
 /// Parse the header of an szlite stream.
 ///
 /// Never panics: truncation at any header boundary yields
-/// [`SzError::Truncated`] and implausible field values (overflowing
-/// dimension products, absurd payload lengths) yield
-/// [`SzError::Corrupt`].
+/// [`SzError::Truncated`] and implausible field values (an element
+/// type other than `f32`, overflowing dimension products, absurd
+/// payload lengths) yield [`SzError::Corrupt`].
 pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     let mut pos = 0usize;
     if get_u32(bytes, &mut pos)? != MAGIC {
@@ -83,7 +80,9 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     if version != VERSION {
         return Err(SzError::UnsupportedVersion(version));
     }
-    let dtype = *bytes.get(pos).ok_or(SzError::Truncated("dtype"))?;
+    if *bytes.get(pos).ok_or(SzError::Truncated("dtype"))? != DTYPE {
+        return Err(SzError::Corrupt("dtype"));
+    }
     pos += 1;
     let ndims = *bytes.get(pos).ok_or(SzError::Truncated("ndims"))? as usize;
     pos += 1;
@@ -122,7 +121,6 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
         return Err(SzError::Truncated("payload"));
     }
     Ok(StreamInfo {
-        dtype,
         dims,
         eb,
         radius,
@@ -161,11 +159,8 @@ impl DecompressScratch {
     }
 }
 
-/// Decompress a stream into elements of type `T`.
-///
-/// Fails with [`SzError::Corrupt`] if the stream's element type does
-/// not match `T`.
-pub fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
+/// Decompress a stream.
+pub fn decompress(bytes: &[u8]) -> Result<(Vec<f32>, Dims)> {
     let mut scratch = DecompressScratch::new();
     let mut out = Vec::new();
     let dims = decompress_into(bytes, &mut scratch, &mut out)?;
@@ -174,10 +169,10 @@ pub fn decompress<T: Element>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
 
 /// Decompress a stream into `out`, reusing `scratch` for all transient
 /// decoder state. Returns the grid shape; on error `out` is left empty.
-pub fn decompress_into<T: Element>(
+pub fn decompress_into(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    out: &mut Vec<T>,
+    out: &mut Vec<f32>,
 ) -> Result<Dims> {
     decompress_on(true, bytes, scratch, out)
 }
@@ -187,26 +182,26 @@ pub fn decompress_into<T: Element>(
 /// arm and the one-pass line decode are pinned to. Test support, public
 /// only for the workspace's integration tests and not part of the API.
 #[doc(hidden)]
-pub fn decompress_into_scalar<T: Element>(
+pub fn decompress_into_scalar(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    out: &mut Vec<T>,
+    out: &mut Vec<f32>,
 ) -> Result<Dims> {
     decompress_on(false, bytes, scratch, out)
 }
 
-fn decompress_on<T: Element>(
+fn decompress_on(
     may_vectorize: bool,
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    out: &mut Vec<T>,
+    out: &mut Vec<f32>,
 ) -> Result<Dims> {
     // Every element of `out` is written before it is read, so the
     // buffer is not cleared: `resize` only fills what a longer stream
     // adds.
     let dst = &mut *out;
     let decoded = decode_stream(may_vectorize, bytes, scratch, move |n| {
-        dst.resize(n, T::from_f64(0.0));
+        dst.resize(n, 0.0);
         Ok(&mut dst[..])
     });
     if decoded.is_err() {
@@ -220,10 +215,10 @@ fn decompress_on<T: Element>(
 /// exactly the header's point count — any other length is
 /// [`SzError::DimMismatch`] with `out` untouched. A later error (a bad
 /// symbol or 1-D code, short literals) leaves `out` partly written.
-pub fn decompress_to_slice<T: Element>(
+pub fn decompress_to_slice(
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    out: &mut [T],
+    out: &mut [f32],
 ) -> Result<Dims> {
     decode_stream(true, bytes, scratch, move |n| {
         if out.len() == n {
@@ -241,17 +236,14 @@ pub fn decompress_to_slice<T: Element>(
 /// header's point count once every stream check short of the replay
 /// itself has passed, and before any element is written.
 /// `may_vectorize` is false only for the tests' scalar, two-pass arm.
-fn decode_stream<'o, T: Element>(
+fn decode_stream<'o>(
     may_vectorize: bool,
     bytes: &[u8],
     scratch: &mut DecompressScratch,
-    dest: impl FnOnce(usize) -> Result<&'o mut [T]>,
+    dest: impl FnOnce(usize) -> Result<&'o mut [f32]>,
 ) -> Result<Dims> {
     let _span = obs::span_arg("sz.decompress", bytes.len() as u64);
     let info = stream_info(bytes)?;
-    if info.dtype != T::DTYPE {
-        return Err(SzError::Corrupt("element type mismatch"));
-    }
     let DecompressScratch {
         payload,
         huffman,
@@ -297,7 +289,7 @@ fn decode_stream<'o, T: Element>(
     let lits = get_varint(payload_ref, &mut pos).and_then(|n_literals| {
         let bytes = &payload_ref[pos..];
         let needed = (n_literals as usize)
-            .checked_mul(T::BYTES)
+            .checked_mul(LITERAL)
             .ok_or(SzError::Corrupt("literal count"))?;
         if bytes.len() < needed {
             return Err(SzError::Truncated("literal bytes"));
@@ -330,10 +322,10 @@ fn decode_stream<'o, T: Element>(
     let is_plain = |c: &[u32]| all_plain || c.iter().fold(true, |ok, c| ok & plain.contains(c));
     // The kernel choice mirrors `compress_into`'s: the vector kernel
     // over a plane's whole 8-row blocks, as one wavefront, where the
-    // host, the element type and the radius allow it, the rows are at
-    // least 8 long and the blocks hold plain codes only; otherwise 4
-    // scalar lanes, or one for leftover rows and blocks with an escape.
-    let vector = Avx2::select::<T>(i64::from(info.radius))
+    // host and the radius allow it, the rows are at least 8 long and
+    // the blocks hold plain codes only; otherwise 4 scalar lanes, or
+    // one for leftover rows and blocks with an escape.
+    let vector = Avx2::select(i64::from(info.radius))
         .filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
     let blocks = ny / avx2::ROWS;
     let whole = blocks * avx2::ROWS * nx;
@@ -368,8 +360,8 @@ fn decode_stream<'o, T: Element>(
                 blocks,
             };
             match order {
-                3 => v.decode_plane::<T, 3>(zp, p, quant.steps()),
-                _ => v.decode_plane::<T, 2>(zp, p, quant.steps()),
+                3 => v.decode_plane::<3>(zp, p, quant.steps()),
+                _ => v.decode_plane::<2>(zp, p, quant.steps()),
             }
             skewed.unskew_last(planes);
             y = blocks * avx2::ROWS;
@@ -396,11 +388,11 @@ fn decode_stream<'o, T: Element>(
             };
             let (b, q, l) = (&mut block, &quant, &mut lits);
             match (lanes, order) {
-                (LANES, 3) => decode_rows::<T, LANES, 3>(b, q, l),
-                (LANES, _) => decode_rows::<T, LANES, 2>(b, q, l),
-                (_, 3) => decode_rows::<T, 1, 3>(b, q, l),
-                (_, 2) => decode_rows::<T, 1, 2>(b, q, l),
-                (_, _) => decode_rows::<T, 1, 1>(b, q, l),
+                (LANES, 3) => decode_rows::<LANES, 3>(b, q, l),
+                (LANES, _) => decode_rows::<LANES, 2>(b, q, l),
+                (_, 3) => decode_rows::<1, 3>(b, q, l),
+                (_, 2) => decode_rows::<1, 2>(b, q, l),
+                (_, _) => decode_rows::<1, 1>(b, q, l),
             }?;
             y += lanes;
         }
@@ -415,12 +407,12 @@ fn decode_stream<'o, T: Element>(
 /// error comes first, as in two passes. The prediction is [`stencil`]'s
 /// order-1 `0.0 + x` without the `0.0 +`, which changes only `x = −0.0`:
 /// the quantizer's `+ q·2eb` (`+0.0`, nonzero or NaN) sums alike with `±0`.
-fn decode_line<T: Element>(
+fn decode_line(
     huffman: &HuffmanDecoder,
     br: &mut BitReader<'_>,
     n: usize,
     quant: &Quantizer,
-    ready: Result<(Literals<'_>, &mut [T])>,
+    ready: Result<(Literals<'_>, &mut [f32])>,
 ) -> Result<()> {
     let (mut lits, out) = match ready {
         Ok(ready) => ready,
@@ -443,15 +435,18 @@ fn decode_line<T: Element>(
 /// A block of consecutive rows of one plane, as the replay sees it: the
 /// decoder's [`Block`](crate::compressor::Block), with the block's
 /// codes in and its restored values out.
-struct Replay<'a, T> {
+struct Replay<'a> {
     codes: &'a [u32],
     nx: usize,
     above: &'a [f64],
     rows: &'a mut [f64],
     zp: &'a [f64],
     zs: usize,
-    out: &'a mut [T],
+    out: &'a mut [f32],
 }
+
+/// Bytes of one escape's literal: the `f32`, little-endian.
+const LITERAL: usize = 4;
 
 /// The stream's literal bytes and the read position in them.
 struct Literals<'a> {
@@ -462,16 +457,20 @@ struct Literals<'a> {
 impl Literals<'_> {
     /// The value `code` restores against prediction `pred`, and what a
     /// later prediction reads of it: an escape's literal (0 if it is not
-    /// finite), or the quantizer's reconstruction through `T`.
+    /// finite), or the quantizer's reconstruction through `f32`.
     #[inline(always)]
-    fn restore<T: Element>(&mut self, code: u32, pred: f64, q: &Quantizer) -> Result<(T, f64)> {
+    fn restore(&mut self, code: u32, pred: f64, q: &Quantizer) -> Result<(f32, f64)> {
         if code == UNPREDICTABLE {
-            let v = T::read_le(self.bytes, &mut self.pos)?;
-            let r = v.to_f64();
-            Ok((v, if r.is_finite() { r } else { 0.0 }))
+            let at = self.pos..self.pos + LITERAL;
+            let Some(&[b0, b1, b2, b3]) = self.bytes.get(at) else {
+                return Err(SzError::Truncated("f32 literal"));
+            };
+            self.pos += LITERAL;
+            let v = f32::from_le_bytes([b0, b1, b2, b3]);
+            Ok((v, if v.is_finite() { f64::from(v) } else { 0.0 }))
         } else if (code as usize) < q.alphabet() {
-            let v = T::from_f64(q.reconstruct(code, pred));
-            Ok((v, v.to_f64()))
+            let v = q.reconstruct(code, pred) as f32;
+            Ok((v, f64::from(v)))
         } else {
             Err(SzError::Corrupt("symbol out of alphabet"))
         }
@@ -492,10 +491,10 @@ impl Literals<'_> {
 /// oracle. Literals are consumed in visit order, which is stream order only for
 /// `L = 1`: the caller runs `L > 1` on escape-free blocks only.
 #[inline(always)]
-fn replay<T: Element, const L: usize, const D: usize>(
+fn replay<const L: usize, const D: usize>(
     ts: std::ops::Range<usize>,
     w: &mut Wave<L>,
-    b: &mut Replay<'_, T>,
+    b: &mut Replay<'_>,
     quant: &Quantizer,
     lits: &mut Literals<'_>,
 ) -> Result<()> {
@@ -537,12 +536,12 @@ fn replay<T: Element, const L: usize, const D: usize>(
 }
 
 /// A whole block of `L` rows through [`replay`].
-fn decode_rows<T: Element, const L: usize, const D: usize>(
-    b: &mut Replay<'_, T>,
+fn decode_rows<const L: usize, const D: usize>(
+    b: &mut Replay<'_>,
     quant: &Quantizer,
     lits: &mut Literals<'_>,
 ) -> Result<()> {
-    replay::<T, L, D>(0..b.nx + L - 1, &mut Wave::new(), b, quant, lits)
+    replay::<L, D>(0..b.nx + L - 1, &mut Wave::new(), b, quant, lits)
 }
 
 #[cfg(test)]
@@ -556,16 +555,16 @@ mod tests {
     /// point (destination sized from the header when it parses — the
     /// tests here forge no extents — empty otherwise): same values or
     /// the same error.
-    fn decode_both<T: Element + std::fmt::Debug>(bytes: &[u8]) -> Result<(Vec<T>, Dims)> {
-        let by_vec = decompress::<T>(bytes);
+    fn decode_both(bytes: &[u8]) -> Result<(Vec<f32>, Dims)> {
+        let by_vec = decompress(bytes);
         let n = stream_info(bytes).map_or(0, |info| info.dims.len());
-        let mut dst = vec![T::from_f64(0.0); n];
+        let mut dst = vec![0.0; n];
         let by_slice = decompress_to_slice(bytes, &mut DecompressScratch::new(), &mut dst);
         match (&by_vec, by_slice) {
             (Ok((values, dims)), Ok(slice_dims)) => {
                 assert_eq!(*dims, slice_dims);
                 // Bit for bit: a corrupted stream may decode to NaN.
-                let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(values), bits(&dst));
             }
             (Err(e), Err(slice_e)) => assert_eq!(*e, slice_e),
@@ -578,15 +577,7 @@ mod tests {
         let dims = Dims::d3(6, 5, 4);
         let data: Vec<f32> = (0..120).map(|i| (i as f32 * 0.13).sin()).collect();
         let cfg = Config::abs(1e-3).with_lossless(lossless);
-        let bytes = compress::<f32>(&data, &dims, &cfg).unwrap();
-        (data, dims, bytes)
-    }
-
-    fn sample_stream_f64(lossless: bool) -> (Vec<f64>, Dims, Vec<u8>) {
-        let dims = Dims::d3(6, 5, 4);
-        let data: Vec<f64> = (0..120).map(|i| (i as f64 * 0.13).sin()).collect();
-        let cfg = Config::abs(1e-9).with_lossless(lossless);
-        let bytes = compress::<f64>(&data, &dims, &cfg).unwrap();
+        let bytes = compress(&data, &dims, &cfg).unwrap();
         (data, dims, bytes)
     }
 
@@ -602,7 +593,7 @@ mod tests {
         for cut in 0..info.payload_offset {
             let err = stream_info(&bytes[..cut]);
             assert!(err.is_err(), "header cut at {cut} accepted");
-            let err = decode_both::<f32>(&bytes[..cut]);
+            let err = decode_both(&bytes[..cut]);
             assert!(err.is_err(), "decode of header cut at {cut} accepted");
         }
         // Inside the payload: stream_info and decompress both reject.
@@ -611,51 +602,61 @@ mod tests {
                 stream_info(&bytes[..cut]),
                 Err(SzError::Truncated(_))
             ));
-            assert!(
-                decode_both::<f32>(&bytes[..cut]).is_err(),
-                "payload cut {cut}"
-            );
+            assert!(decode_both(&bytes[..cut]).is_err(), "payload cut {cut}");
         }
+    }
+
+    /// [`sample_stream`] with the element type of its header (byte 5)
+    /// set to 1, which was `f64`'s.
+    fn f64_stream(lossless: bool) -> Vec<u8> {
+        let (_, _, mut bytes) = sample_stream(lossless);
+        assert_eq!(bytes[5], DTYPE);
+        bytes[5] = 1;
+        bytes
     }
 
     #[test]
     fn f64_truncation_at_every_header_boundary_is_typed() {
-        // Mirror of the f32 test on a dtype=1 stream: the wider literal
-        // width (8-byte escapes) and f64 header eb must not open any
-        // panic path at header or payload cuts.
-        let (_, _, bytes) = sample_stream_f64(true);
-        let info = stream_info(&bytes).unwrap();
-        assert_eq!(info.dtype, 1);
-        for cut in 0..info.payload_offset {
-            assert!(stream_info(&bytes[..cut]).is_err(), "header cut at {cut}");
-            assert!(
-                decode_both::<f64>(&bytes[..cut]).is_err(),
-                "decode of header cut at {cut} accepted"
-            );
-        }
-        for cut in info.payload_offset..bytes.len() {
-            assert!(matches!(
-                stream_info(&bytes[..cut]),
-                Err(SzError::Truncated(_))
-            ));
-            assert!(
-                decode_both::<f64>(&bytes[..cut]).is_err(),
-                "payload cut {cut}"
-            );
+        // A stream tagged `f64`, cut anywhere or whole: the header
+        // parser and every decode entry point agree on a typed error,
+        // the tag's own once byte 5 is in.
+        for lossless in [true, false] {
+            let bytes = f64_stream(lossless);
+            for cut in 0..=bytes.len() {
+                let err = stream_info(&bytes[..cut]).expect_err("accepted");
+                if cut > 5 {
+                    assert_eq!(err, SzError::Corrupt("dtype"), "cut {cut}");
+                } else {
+                    assert!(matches!(err, SzError::Truncated(_)), "cut {cut}: {err:?}");
+                }
+                assert_eq!(decode_both(&bytes[..cut]), Err(err.clone()), "cut {cut}");
+                let got = decompress_into_scalar(
+                    &bytes[..cut],
+                    &mut DecompressScratch::new(),
+                    &mut vec![],
+                );
+                assert_eq!(got, Err(err), "cut {cut}");
+            }
         }
     }
 
     #[test]
     fn f64_corrupt_payload_never_panics() {
-        // Mirror of `corrupt_payload_counts_rejected` for dtype=1
-        // without the lossless stage, so flips land directly in the
-        // Huffman payload and literal stream.
-        let (_, _, bytes) = sample_stream_f64(false);
-        let info = stream_info(&bytes).unwrap();
-        for i in info.payload_offset..bytes.len() {
-            let mut b = bytes.clone();
-            b[i] ^= 0xFF;
-            let _ = decode_both::<f64>(&b); // must not panic
+        // Byte flips anywhere past the magic and the version of a stream
+        // tagged `f64` leave the tag's typed error: it is checked before
+        // any later field is read.
+        for lossless in [true, false] {
+            let bytes = f64_stream(lossless);
+            for i in 0..bytes.len() {
+                let mut b = bytes.clone();
+                b[i] ^= 0xFF;
+                let want = match i {
+                    0..=3 => SzError::BadMagic,
+                    4 => SzError::UnsupportedVersion(VERSION ^ 0xFF),
+                    _ => SzError::Corrupt("dtype"),
+                };
+                assert_eq!(decode_both(&b), Err(want), "byte {i}");
+            }
         }
     }
 
@@ -708,7 +709,7 @@ mod tests {
                 Err(e) => {
                     assert!(!ok, "radius {radius} rejected");
                     assert_eq!(e, SzError::Corrupt("header radius"));
-                    assert_eq!(decode_both::<f32>(&b), Err(e));
+                    assert_eq!(decode_both(&b), Err(e));
                 }
             }
         }
@@ -738,7 +739,7 @@ mod tests {
         put_varint(&mut forged, u64::MAX);
         forged.extend_from_slice(&bytes[info.payload_offset..]);
         assert!(stream_info(&forged).is_err());
-        assert!(decode_both::<f32>(&forged).is_err());
+        assert!(decode_both(&forged).is_err());
     }
 
     #[test]
@@ -750,7 +751,7 @@ mod tests {
         for i in info.payload_offset..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xFF;
-            let _ = decode_both::<f32>(&b); // must not panic
+            let _ = decode_both(&b); // must not panic
         }
     }
 
@@ -776,12 +777,7 @@ mod tests {
             decompress_to_slice(&bytes, &mut scratch, &mut dst),
             Ok(dims)
         );
-        assert_eq!(dst, decompress::<f32>(&bytes).unwrap().0);
-        // The destination's type is checked like the `Vec`'s.
-        assert_eq!(
-            decompress_to_slice(&bytes, &mut scratch, &mut vec![0.0f64; n]),
-            Err(SzError::Corrupt("element type mismatch"))
-        );
+        assert_eq!(dst, decompress(&bytes).unwrap().0);
     }
 
     /// A stream decoded by the readers' entry points ([`decode_both`],
@@ -790,20 +786,15 @@ mod tests {
     /// error. A destination one element too long gets the error the
     /// two-pass decode reports before it asks for a destination — any
     /// but a replay error — or the length mismatch, and is not written.
-    fn pin_one_pass<T: Element + std::fmt::Debug>(
-        bytes: &[u8],
-        scratch: &mut DecompressScratch,
-        what: &str,
-    ) -> Result<Dims> {
-        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+    fn pin_one_pass(bytes: &[u8], scratch: &mut DecompressScratch, what: &str) -> Result<Dims> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut oracle = Vec::new();
-        let two_pass =
-            decompress_into_scalar::<T>(bytes, &mut DecompressScratch::new(), &mut oracle);
-        let mut warm = vec![T::from_f64(1.5); 3];
+        let two_pass = decompress_into_scalar(bytes, &mut DecompressScratch::new(), &mut oracle);
+        let mut warm = vec![1.5; 3];
         let one_pass = decompress_into(bytes, scratch, &mut warm);
         assert_eq!(one_pass, two_pass, "{what}: warm scratch");
         assert!(bits(&warm) == bits(&oracle), "{what}: warm scratch values");
-        match (decode_both::<T>(bytes), &two_pass) {
+        match (decode_both(bytes), &two_pass) {
             (Ok((values, dims)), Ok(d)) => {
                 assert_eq!(dims, *d, "{what}");
                 assert!(bits(&values) == bits(&oracle), "{what}: values differ");
@@ -815,17 +806,17 @@ mod tests {
             let n = info.dims.len();
             let want = match &two_pass {
                 Err(SzError::Corrupt("symbol out of alphabet"))
-                | Err(SzError::Truncated("f32 literal" | "f64 literal"))
+                | Err(SzError::Truncated("f32 literal"))
                 | Ok(_) => SzError::DimMismatch {
                     expected: n,
                     actual: n + 1,
                 },
                 Err(e) => e.clone(),
             };
-            let mut dst = vec![T::from_f64(7.5); n + 1];
+            let mut dst = vec![7.5; n + 1];
             let got = decompress_to_slice(bytes, scratch, &mut dst);
             assert_eq!(got, Err(want), "{what}: long destination");
-            assert!(dst.iter().all(|v| v.to_f64() == 7.5), "{what}: written");
+            assert!(dst.iter().all(|&v| v == 7.5), "{what}: written");
         }
         two_pass
     }
@@ -834,14 +825,13 @@ mod tests {
     /// alphabet, codes past the table width), 2 (escapes: every 11th
     /// value NaN, ±Inf or a ±1e30 spike, each followed by `-0.0`, which
     /// a spike turns into a `-0.0` literal) or 3 (smooth, with `-0.0`,
-    /// subnormals and negatives that the `f32` round trip flushes to
+    /// subnormals and negatives that the `f32` conversion flushes to
     /// `-0.0` planted).
-    fn line<T: Element>(n: usize, texture: u8, vpic: &[f32]) -> Vec<T> {
-        let subnormal = if T::BYTES == 4 { 3e-45 } else { 5e-324 };
+    fn line(n: usize, texture: u8, vpic: &[f32]) -> Vec<f32> {
         (0..n)
             .map(|i| {
                 let smooth = (i as f64 * 0.37).sin() + 0.01 * (i as f64 * 1.7).cos();
-                T::from_f64(match (texture, i % 11, i / 11 % 5) {
+                let v = match (texture, i % 11, i / 11 % 5) {
                     (1, ..) => f64::from(vpic[i]),
                     (2, 3, 0) => f64::NAN,
                     (2, 3, 1) => f64::INFINITY,
@@ -849,10 +839,11 @@ mod tests {
                     (2, 3, 3) => 1e30,
                     (2, 3, _) => -1e30,
                     (2 | 3, 4, _) => -0.0,
-                    (3, 7, _) => subnormal,
+                    (3, 7, _) => 3e-45,
                     (3, 9, _) => -1e-300,
                     _ => smooth,
-                })
+                };
+                v as f32
             })
             .collect()
     }
@@ -902,7 +893,7 @@ mod tests {
             let info = &self.info;
             let mut out = Vec::new();
             put_u32(&mut out, MAGIC);
-            out.extend([VERSION, info.dtype, info.dims.ndims() as u8]);
+            out.extend([VERSION, DTYPE, info.dims.ndims() as u8]);
             for &d in info.dims.extents() {
                 put_varint(&mut out, d as u64);
             }
@@ -917,15 +908,11 @@ mod tests {
 
     /// Every kind of forged 1-D stream, each with the error both paths
     /// must agree on; returns the cases compared.
-    fn pin_forged_lines<T: Element + std::fmt::Debug>(scratch: &mut DecompressScratch) -> usize {
-        let lit_err = SzError::Truncated(if T::BYTES == 4 {
-            "f32 literal"
-        } else {
-            "f64 literal"
-        });
+    fn pin_forged_lines(scratch: &mut DecompressScratch) -> usize {
+        let lit_err = SzError::Truncated("f32 literal");
         let cut_err = SzError::Truncated("huffman bits");
         let cfg = Config::rel(1e-3).with_lossless(false);
-        let escapes = Parts::of(&compress(&line::<T>(512, 2, &[]), &Dims::d1(512), &cfg).unwrap());
+        let escapes = Parts::of(&compress(&line(512, 2, &[]), &Dims::d1(512), &cfg).unwrap());
         let mut cases = Vec::new();
         // A symbol out of the alphabet: the same codes under a radius
         // 16 header, whose alphabet is 32 symbols.
@@ -968,7 +955,7 @@ mod tests {
         // In the last byte fewer bits are left than any code past the
         // table's width needs: the walk runs out of bits first.
         let cfg = Config::abs(1e-3).with_lossless(false);
-        let zeros = Parts::of(&compress(&[T::from_f64(0.0); 200], &Dims::d1(200), &cfg).unwrap());
+        let zeros = Parts::of(&compress(&[0.0; 200], &Dims::d1(200), &cfg).unwrap());
         for radius in [zeros.info.radius, 16] {
             for (byte, want) in [
                 (0, SzError::Corrupt("invalid huffman code")),
@@ -983,7 +970,7 @@ mod tests {
         }
         for (i, (bytes, want)) in cases.iter().enumerate() {
             let what = format!("forged case {i}");
-            assert_eq!(pin_one_pass::<T>(bytes, scratch, &what), *want, "{what}");
+            assert_eq!(pin_one_pass(bytes, scratch, &what), *want, "{what}");
         }
         cases.len()
     }
@@ -1020,27 +1007,18 @@ mod tests {
                             let cfg = Config::rel(1e-3).with_radius(radius);
                             let what =
                                 format!("{dims:?} texture {texture} field {field} radius {radius}");
-                            let f32s = line::<f32>(dims.len(), texture, &src);
-                            let bytes = compress(&f32s, &dims, &cfg).unwrap();
-                            assert_eq!(
-                                pin_one_pass::<f32>(&bytes, &mut scratch, &what),
-                                Ok(dims.clone())
-                            );
-                            let f64s = line::<f64>(dims.len(), texture, &src);
-                            let bytes = compress(&f64s, &dims, &cfg).unwrap();
-                            assert_eq!(
-                                pin_one_pass::<f64>(&bytes, &mut scratch, &what),
-                                Ok(dims.clone())
-                            );
-                            cases += 2;
+                            let data = line(dims.len(), texture, &src);
+                            let bytes = compress(&data, &dims, &cfg).unwrap();
+                            assert_eq!(pin_one_pass(&bytes, &mut scratch, &what), Ok(dims.clone()));
+                            cases += 1;
                         }
                     }
                 }
             }
         }
-        assert!(cases > 300, "{cases} cases");
-        let forged = pin_forged_lines::<f32>(&mut scratch) + pin_forged_lines::<f64>(&mut scratch);
-        assert!(forged > 100, "{forged} forged cases");
+        assert!(cases >= 288, "{cases} cases");
+        let forged = pin_forged_lines(&mut scratch);
+        assert!(forged > 50, "{forged} forged cases");
     }
 
     #[test]
@@ -1075,7 +1053,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_value_identical() {
         // One DecompressScratch reused across streams of different
-        // shapes, bounds, types and lossless modes must reproduce the
+        // shapes, bounds and lossless modes must reproduce the
         // fresh-scratch output exactly.
         let mut scratch = DecompressScratch::new();
         let mut out32: Vec<f32> = vec![1.0; 7]; // dirty on purpose
@@ -1098,8 +1076,8 @@ mod tests {
             (vec![3.25; 27], Dims::d3(3, 3, 3), Config::rel(1e-3)),
         ];
         for (data, dims, cfg) in &cases {
-            let bytes = compress::<f32>(data, dims, cfg).unwrap();
-            let (fresh, fresh_dims) = decompress::<f32>(&bytes).unwrap();
+            let bytes = compress(data, dims, cfg).unwrap();
+            let (fresh, fresh_dims) = decompress(&bytes).unwrap();
             let rdims = decompress_into(&bytes, &mut scratch, &mut out32).unwrap();
             assert_eq!(rdims, fresh_dims);
             assert_eq!(out32, fresh);

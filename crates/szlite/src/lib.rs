@@ -30,12 +30,13 @@
 //! Prediction, quantization, the bound re-check and code counting are
 //! one fused pass over blocks of consecutive rows. Which kernel a plane
 //! runs is decided at one place in [`compress_into`], from what the
-//! host and the input are — **CPU feature × element type × plane
-//! shape** — and by nothing else: there is no environment variable,
-//! `Config` field or cargo feature to set.
+//! host and the input are — **CPU feature × plane shape** — and by
+//! nothing else: there is no environment variable, `Config` field or
+//! cargo feature to set. The element type is `f32`, the type of every
+//! field the paper's applications checkpoint.
 //!
-//! * On x86-64 with AVX2 (detected at run time), for `f32` and `f64`
-//!   elements, a plane of at least 8 rows of at least 8 points runs its
+//! * On x86-64 with AVX2 (detected at run time), a plane of at least 8
+//!   rows of at least 8 points runs its
 //!   whole 8-row blocks through the vector kernel: lane *j* of the row
 //!   wavefront is element *j mod 4* of a `__m256d`, two vectors per
 //!   iteration, and all the blocks of the plane are one wavefront (the
@@ -64,9 +65,9 @@
 //!
 //! let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
 //! let dims = Dims::d3(16, 16, 16);
-//! let bytes = compress::<f32>(&data, &dims, &Config::abs(1e-3)).unwrap();
+//! let bytes = compress(&data, &dims, &Config::abs(1e-3)).unwrap();
 //! assert!(bytes.len() < 4096 * 4);
-//! let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
+//! let (restored, rdims) = decompress(&bytes).unwrap();
 //! assert_eq!(rdims, dims);
 //! for (a, b) in data.iter().zip(&restored) {
 //!     assert!((a - b).abs() <= 1e-3);
@@ -74,7 +75,6 @@
 //! ```
 
 pub mod config;
-pub mod element;
 pub mod error;
 pub mod huffman;
 pub mod lossless;
@@ -97,7 +97,6 @@ pub use decompressor::decompress_into_scalar;
 pub use decompressor::{
     decompress, decompress_into, decompress_to_slice, stream_info, DecompressScratch, StreamInfo,
 };
-pub use element::Element;
 pub use error::{Result, SzError};
 pub use sampling::{
     sample_quantization, sample_quantization_into, SampleCodes, SampleScratch, MIN_SAMPLE_POINTS,
@@ -126,21 +125,10 @@ mod tests {
         let dims = Dims::d3(12, 10, 14);
         let data = wave3d(12, 10, 14);
         let eb = 1e-3;
-        let bytes = compress::<f32>(&data, &dims, &Config::abs(eb)).unwrap();
-        let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
+        let bytes = compress(&data, &dims, &Config::abs(eb)).unwrap();
+        let (restored, rdims) = decompress(&bytes).unwrap();
         assert_eq!(rdims, dims);
         assert!(stats::max_abs_err(&data, &restored) <= eb);
-    }
-
-    #[test]
-    fn roundtrip_f64() {
-        let dims = Dims::from_slice(&[32, 32]).unwrap();
-        let data: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.03).sin() * 100.0).collect();
-        let bytes = compress::<f64>(&data, &dims, &Config::abs(1e-6)).unwrap();
-        let (restored, _) = decompress::<f64>(&bytes).unwrap();
-        for (a, b) in data.iter().zip(&restored) {
-            assert!((a - b).abs() <= 1e-6);
-        }
     }
 
     #[test]
@@ -166,8 +154,8 @@ mod tests {
         let mut data: Vec<f32> = (0..16).map(|i| i as f32).collect();
         data[5] = f32::NAN;
         data[9] = f32::INFINITY;
-        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.1)).unwrap();
-        let (restored, _) = decompress::<f32>(&bytes).unwrap();
+        let bytes = compress(&data, &dims, &Config::abs(0.1)).unwrap();
+        let (restored, _) = decompress(&bytes).unwrap();
         assert!(restored[5].is_nan());
         assert_eq!(restored[9], f32::INFINITY);
         assert!((restored[0] - 0.0).abs() <= 0.1);
@@ -175,22 +163,33 @@ mod tests {
 
     #[test]
     fn type_mismatch_rejected() {
+        // Header byte 5 is the element type: 0, `f32`. The retired
+        // `f64` tag (1) and any other value are typed errors, before
+        // any payload byte is read.
         let dims = Dims::d1(8);
         let data: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.1)).unwrap();
-        assert!(decompress::<f64>(&bytes).is_err());
+        let mut bytes = compress(&data, &dims, &Config::abs(0.1)).unwrap();
+        assert_eq!(bytes[5], 0);
+        for tag in [1, 2, 0xFF] {
+            bytes[5] = tag;
+            assert_eq!(stream_info(&bytes), Err(SzError::Corrupt("dtype")));
+            let mut out = vec![7.5; 3];
+            let got = decompress_into(&bytes, &mut DecompressScratch::new(), &mut out);
+            assert_eq!(got, Err(SzError::Corrupt("dtype")));
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
     fn empty_input_rejected() {
-        assert!(compress::<f32>(&[], &Dims::d1(1), &Config::abs(0.1)).is_err());
+        assert!(compress(&[], &Dims::d1(1), &Config::abs(0.1)).is_err());
     }
 
     #[test]
     fn dim_mismatch_rejected() {
         let data = vec![0.0f32; 10];
         assert!(matches!(
-            compress::<f32>(&data, &Dims::d1(11), &Config::abs(0.1)),
+            compress(&data, &Dims::d1(11), &Config::abs(0.1)),
             Err(SzError::DimMismatch { .. })
         ));
     }
@@ -223,10 +222,9 @@ mod tests {
     fn stream_info_reports_header() {
         let dims = Dims::d3(4, 5, 6);
         let data = wave3d(4, 5, 6);
-        let bytes = compress::<f32>(&data, &dims, &Config::abs(0.25)).unwrap();
+        let bytes = compress(&data, &dims, &Config::abs(0.25)).unwrap();
         let info = stream_info(&bytes).unwrap();
         assert_eq!(info.dims, dims);
-        assert_eq!(info.dtype, 0);
         assert!((info.eb - 0.25).abs() < 1e-12);
         assert!(info.lossless);
     }
@@ -235,17 +233,17 @@ mod tests {
     fn truncated_stream_rejected() {
         let dims = Dims::d1(256);
         let data: Vec<f32> = (0..256).map(|i| (i as f32).sin()).collect();
-        let bytes = compress::<f32>(&data, &dims, &Config::abs(1e-3)).unwrap();
+        let bytes = compress(&data, &dims, &Config::abs(1e-3)).unwrap();
         for cut in [0, 3, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decompress::<f32>(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(decompress(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(decompress::<f32>(&[0u8; 64]).is_err());
+        assert!(decompress(&[0u8; 64]).is_err());
         assert!(matches!(
-            decompress::<f32>(b"not a stream at all"),
+            decompress(b"not a stream at all"),
             Err(SzError::BadMagic)
         ));
     }
@@ -256,7 +254,7 @@ mod tests {
         let data = vec![42.0f32; 4096];
         let (bytes, st) = compress_with_stats(&data, &dims, &Config::rel(1e-3)).unwrap();
         assert!(st.ratio() > 50.0, "ratio {}", st.ratio());
-        let (restored, _) = decompress::<f32>(&bytes).unwrap();
+        let (restored, _) = decompress(&bytes).unwrap();
         assert!(restored.iter().all(|&v| (v - 42.0).abs() < 1e-2));
     }
 
@@ -294,10 +292,10 @@ mod tests {
         let dims = Dims::d1(512);
         let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.1).cos()).collect();
         let cfg = Config::abs(1e-3).with_lossless(false);
-        let bytes = compress::<f32>(&data, &dims, &cfg).unwrap();
+        let bytes = compress(&data, &dims, &cfg).unwrap();
         let info = stream_info(&bytes).unwrap();
         assert!(!info.lossless);
-        let (restored, _) = decompress::<f32>(&bytes).unwrap();
+        let (restored, _) = decompress(&bytes).unwrap();
         assert!(stats::max_abs_err(&data, &restored) <= 1e-3);
     }
 }

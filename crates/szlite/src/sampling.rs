@@ -13,7 +13,6 @@
 //! possible.
 
 use crate::config::{finite_range, Config, Dims, ErrorBound};
-use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::predictor::{stencil, stencil_order, Strides};
 use crate::quantizer::{round_within, Quantizer, UNPREDICTABLE};
@@ -167,8 +166,8 @@ impl SampleScratch {
 /// reconstructions as it goes) and over the predecessor layer, `0.0`
 /// where that layer lies outside the grid. Only the layers an order-`D`
 /// stencil reads are filled.
-fn gather<T: Element, const D: usize>(
-    data: &[T],
+fn gather<const D: usize>(
+    data: &[f32],
     st: &Strides,
     org: [usize; 3],
     ext: [usize; 3],
@@ -188,12 +187,12 @@ fn gather<T: Element, const D: usize>(
             }
             let at = (org[0] + lz - 1) * st.stride[0] + (org[1] + ly - 1) * st.stride[1] + org[2];
             h[row][lane] = if org[2] > 0 {
-                data[at - 1].to_f64()
+                f64::from(data[at - 1])
             } else {
                 0.0
             };
             for (cell, v) in h[row + 1..].iter_mut().zip(&data[at..at + ext[2]]) {
-                cell[lane] = v.to_f64();
+                cell[lane] = f64::from(*v);
             }
         }
     }
@@ -283,8 +282,8 @@ fn quantize_blocks<const D: usize>(
 
 /// Visit every `step`-th block of the `nb` blocks of the grid in
 /// block-scan order, `LANES` at a time, with the order-`D` stencil.
-fn sample_blocks<T: Element, const D: usize>(
-    data: &[T],
+fn sample_blocks<const D: usize>(
+    data: &[f32],
     st: &Strides,
     nb: [usize; 3],
     step: usize,
@@ -309,7 +308,7 @@ fn sample_blocks<T: Element, const D: usize>(
     for b in (0..nb[0] * nb[1] * nb[2]).step_by(step) {
         let org = [b / (nb[1] * nb[2]), b / nb[2] % nb[1], b % nb[2]].map(|i| i * BLOCK);
         let ext = [0, 1, 2].map(|d| BLOCK.min(st.ext[d] - org[d]));
-        gather::<T, D>(data, st, org, ext, filled, &mut h);
+        gather::<D>(data, st, org, ext, filled, &mut h);
         exts[filled] = ext;
         filled += 1;
         if filled == LANES {
@@ -328,8 +327,8 @@ fn sample_blocks<T: Element, const D: usize>(
 /// A fraction of `1.0` visits every block (still cheaper than full
 /// compression — no Huffman or lossless stage). Allocates nothing once
 /// the scratch has seen the radius and a sample as varied as this one.
-pub fn sample_quantization_into<T: Element>(
-    data: &[T],
+pub fn sample_quantization_into(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     sample_fraction: f64,
@@ -368,9 +367,9 @@ pub fn sample_quantization_into<T: Element>(
     let nb = st.ext.map(|e| e.div_ceil(BLOCK));
     let step = ((1.0 / frac).round() as usize).clamp(1, nb[0] * nb[1] * nb[2]);
     let sample = match stencil_order(st.ext[0] - 1, st.ext[1]) {
-        1 => sample_blocks::<T, 1>,
-        2 => sample_blocks::<T, 2>,
-        _ => sample_blocks::<T, 3>,
+        1 => sample_blocks::<1>,
+        2 => sample_blocks::<2>,
+        _ => sample_blocks::<3>,
     };
     sample(data, &st, nb, step, eb, radius, scratch);
 
@@ -382,8 +381,8 @@ pub fn sample_quantization_into<T: Element>(
 
 /// [`sample_quantization_into`] through a fresh scratch, returning the
 /// dense histogram.
-pub fn sample_quantization<T: Element>(
-    data: &[T],
+pub fn sample_quantization(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     sample_fraction: f64,
@@ -498,7 +497,7 @@ mod tests {
     /// random, bit 1 every point at one block-local coordinate, which
     /// all lanes of a group reach in the same iteration. Escapes cycle
     /// through NaN, ±Inf, spikes beyond any radius and `-0.0`.
-    fn field<T: Element>(dims: &[usize], seed: u64, texture: u8, escapes: u8) -> Vec<T> {
+    fn field(dims: &[usize], seed: u64, texture: u8, escapes: u8) -> Vec<f32> {
         let st = Strides::new(&Dims::from_slice(dims).unwrap());
         let mut rng = seed | 1;
         let mut next = move || {
@@ -526,7 +525,7 @@ mod tests {
                 };
                 let sparse = escapes & 1 != 0 && r % 13 == 0;
                 let aligned = escapes & 2 != 0 && (0..3).all(|d| at[d] as u64 % 8 == local[d]);
-                T::from_f64(if sparse || aligned {
+                let v = if sparse || aligned {
                     match (r >> 20) % 6 {
                         0 => f64::NAN,
                         1 => f64::INFINITY,
@@ -537,7 +536,8 @@ mod tests {
                     }
                 } else {
                     v
-                })
+                };
+                v as f32
             })
             .collect()
     }
@@ -545,8 +545,8 @@ mod tests {
     /// Every field of the sample in `scratch` against the oracle's, and
     /// `used` against the histogram it indexes; the first difference
     /// comes back as the error.
-    fn check_against_oracle<T: Element>(
-        data: &[T],
+    fn check_against_oracle(
+        data: &[f32],
         dims: &Dims,
         cfg: &Config,
         fraction: f64,
@@ -638,7 +638,6 @@ mod tests {
             texture in 0u8..4,
             escapes in 0u8..4,
             picks in (0usize..BOUNDS.len(), 0usize..RADII.len(), 0usize..FRACTIONS.len()),
-            wide in any::<bool>(),
         ) {
             let cfg = Config {
                 error_bound: BOUNDS[picks.0],
@@ -646,14 +645,9 @@ mod tests {
                 ..Config::default()
             };
             let d = Dims::from_slice(&dims).unwrap();
+            let data = field(&dims, seed, texture, escapes);
             let checked = DIRTY.with_borrow_mut(|scratch| {
-                if wide {
-                    let data = field::<f64>(&dims, seed, texture, escapes);
-                    check_against_oracle(&data, &d, &cfg, FRACTIONS[picks.2], scratch)
-                } else {
-                    let data = field::<f32>(&dims, seed, texture, escapes);
-                    check_against_oracle(&data, &d, &cfg, FRACTIONS[picks.2], scratch)
-                }
+                check_against_oracle(&data, &d, &cfg, FRACTIONS[picks.2], scratch)
             });
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
@@ -667,7 +661,7 @@ mod tests {
         let n = 3 * 65536 + 1234;
         let mut scratch = SampleScratch::default();
         for (lo, hi) in [(300, 3 * 8 * 1000 + 9), (301, n - 1), (n - 2, 7)] {
-            let mut data = field::<f32>(&[n], 77, 1, 0);
+            let mut data = field(&[n], 77, 1, 0);
             data[lo] = -5e4;
             data[hi] = 7e4;
             data[600] = f32::NAN;
@@ -681,7 +675,7 @@ mod tests {
                 check_against_oracle(&data, &Dims::d1(n), &cfg, 0.05, &mut scratch).unwrap();
             }
         }
-        let nothing_finite = vec![f64::NAN; 1000];
+        let nothing_finite = vec![f32::NAN; 1000];
         check_against_oracle(
             &nothing_finite,
             &Dims::from_slice(&[10, 100]).unwrap(),

@@ -11,13 +11,12 @@
 
 use super::{SampleCodes, BLOCK, MIN_SAMPLE_POINTS};
 use crate::config::{Config, Dims};
-use crate::element::Element;
 use crate::error::{Result, SzError};
 use crate::predictor::{Lorenzo, Strides};
 use crate::quantizer::Quantizer;
 
-pub fn sample_quantization<T: Element>(
-    data: &[T],
+pub fn sample_quantization(
+    data: &[f32],
     dims: &Dims,
     cfg: &Config,
     sample_fraction: f64,
@@ -38,7 +37,7 @@ pub fn sample_quantization<T: Element>(
     // Range scan over a stride to keep the pre-pass cheap on huge arrays.
     let range_stride = (data.len() / 65536).max(1);
     for i in (0..data.len()).step_by(range_stride) {
-        let v = data[i].to_f64();
+        let v = f64::from(data[i]);
         if v.is_finite() {
             min = min.min(v);
             max = max.max(v);
@@ -54,7 +53,7 @@ pub fn sample_quantization<T: Element>(
     let st: Strides = *lorenzo.strides();
 
     // Widen data to f64 lazily via closure on index.
-    let at = |i: usize| data[i].to_f64();
+    let at = |i: usize| f64::from(data[i]);
 
     let mut histogram = vec![0u64; quant.alphabet()];
     let mut n_sampled = 0usize;

@@ -8,7 +8,7 @@ use szlite::{
     predictor::Lorenzo,
     quantizer::{Quantizer, UNPREDICTABLE},
     stream::{get_varint, put_varint, BitReader, BitWriter},
-    stream_info, Config, DecompressScratch, Dims, Element, Scratch,
+    stream_info, Config, DecompressScratch, Dims, Scratch,
 };
 
 /// Arbitrary small 1-3D shapes with matching data lengths.
@@ -125,7 +125,7 @@ fn skewed_symbols(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
 /// several of them escape together — 3 both. Escapes cycle through
 /// NaN, ±Inf, spikes far outside the quantizer radius and `-0.0` (which
 /// escapes, and then *is* a reconstruction, next to a spike).
-fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
+fn escape_field(dims: &[usize], seed: u64, density: u8) -> Vec<f32> {
     let nx = *dims.last().unwrap();
     let ny = if dims.len() >= 2 {
         dims[dims.len() - 2]
@@ -147,7 +147,7 @@ fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
             let smooth = (i as f64 * 0.37).sin() + (r % 1000) as f64 * 1e-4;
             let sparse = density & 1 != 0 && r % 11 == 0;
             let striped = density & 2 != 0 && (x + y) as u64 % 3 == diagonal;
-            T::from_f64(if sparse || striped {
+            let v = if sparse || striped {
                 match (r >> 20) % 6 {
                     0 => f64::NAN,
                     1 => f64::INFINITY,
@@ -158,7 +158,8 @@ fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
                 }
             } else {
                 smooth
-            })
+            };
+            v as f32
         })
         .collect()
 }
@@ -166,7 +167,7 @@ fn escape_field<T: Element>(dims: &[usize], seed: u64, density: u8) -> Vec<T> {
 /// Per-point replay of a stream from public pieces only: bit-at-a-time
 /// Huffman walk, branchy [`Lorenzo::predict`] over a full-grid
 /// reconstruction, literals pulled in raster order.
-fn replay_per_point<T: Element>(bytes: &[u8]) -> Vec<T> {
+fn replay_per_point(bytes: &[u8]) -> Vec<f32> {
     let info = stream_info(bytes).unwrap();
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
     let payload = if info.lossless {
@@ -192,11 +193,15 @@ fn replay_per_point<T: Element>(bytes: &[u8]) -> Vec<T> {
                 let pred = lorenzo.predict(&recon, z, y, x);
                 let code = dec.decode_one_reference(&mut bits).unwrap();
                 let (v, r) = if code == UNPREDICTABLE {
-                    let v = T::read_le(&payload, &mut pos).unwrap();
-                    (v, Some(v.to_f64()).filter(|r| r.is_finite()).unwrap_or(0.0))
+                    let v = f32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap());
+                    pos += 4;
+                    (
+                        v,
+                        Some(f64::from(v)).filter(|r| r.is_finite()).unwrap_or(0.0),
+                    )
                 } else {
-                    let v = T::from_f64(quant.reconstruct(code, pred));
-                    (v, v.to_f64())
+                    let v = quant.reconstruct(code, pred) as f32;
+                    (v, f64::from(v))
                 };
                 recon[out.len()] = r;
                 out.push(v);
@@ -206,12 +211,8 @@ fn replay_per_point<T: Element>(bytes: &[u8]) -> Vec<T> {
     out
 }
 
-fn le_bytes<T: Element>(values: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for &v in values {
-        v.write_le(&mut out);
-    }
-    out
+fn le_bytes(values: &[f32]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// The fused row-block compressor must emit exactly the reference
@@ -222,19 +223,19 @@ fn le_bytes<T: Element>(values: &[T]) -> Vec<u8> {
 /// multiple of it, so reconstructions stay multiples of `2·eb`, every
 /// other quotient is an exact `k + ½` tie and its reconstruction sits
 /// exactly on the bound.
-fn assert_schedule_equivalence<T: Element>(
+fn assert_schedule_equivalence(
     dims: &[usize],
     seed: u64,
     density: u8,
     lossless: bool,
     ties: bool,
 ) -> Result<(), TestCaseError> {
-    let mut data: Vec<T> = escape_field(dims, seed, density);
+    let mut data = escape_field(dims, seed, density);
     let d = Dims::from_slice(dims).unwrap();
     let eb = if ties { 1.0 / 64.0 } else { 1e-2 };
     if ties {
         for v in &mut data {
-            *v = T::from_f64((v.to_f64() / eb).round() * eb);
+            *v = ((f64::from(*v) / eb).round() * eb) as f32;
         }
     }
     // A small radius turns the ±1e9 spikes (and their neighbors'
@@ -243,8 +244,8 @@ fn assert_schedule_equivalence<T: Element>(
     let mut scratch = Scratch::new();
     let mut dscratch = DecompressScratch::new();
     let mut fused = vec![0xAAu8; 5];
-    let mut decoded: Vec<T> = Vec::new();
-    let dirty: Vec<T> = escape_field(&[3, 7, 5], seed ^ 0x9E37, 1);
+    let mut decoded = Vec::new();
+    let dirty = escape_field(&[3, 7, 5], seed ^ 0x9E37, 1);
     compress_into(&dirty, &Dims::d3(3, 7, 5), &cfg, &mut scratch, &mut fused).unwrap();
     decompress_into(&fused, &mut dscratch, &mut decoded).unwrap();
 
@@ -253,7 +254,7 @@ fn assert_schedule_equivalence<T: Element>(
     prop_assert_eq!(&fused, &reference, "stream diverged, dims {:?}", dims);
     let rdims = decompress_into(&fused, &mut dscratch, &mut decoded).unwrap();
     prop_assert_eq!(rdims, d);
-    let replayed: Vec<T> = replay_per_point(&fused);
+    let replayed = replay_per_point(&fused);
     prop_assert_eq!(
         le_bytes(&decoded),
         le_bytes(&replayed),
@@ -261,10 +262,10 @@ fn assert_schedule_equivalence<T: Element>(
         dims
     );
     // Escapes round-trip bit-exactly, in place.
-    let escaped = data.iter().filter(|v| !v.to_f64().is_finite()).count();
+    let escaped = data.iter().filter(|v| !v.is_finite()).count();
     prop_assert!(stats.n_unpredictable >= escaped);
     for (a, b) in data.iter().zip(&decoded) {
-        if !a.to_f64().is_finite() {
+        if !a.is_finite() {
             prop_assert_eq!(le_bytes(&[*a]), le_bytes(&[*b]));
         }
     }
@@ -298,8 +299,9 @@ fn low_order_stencils_match_oracles() {
         for density in 0..4 {
             for ties in [false, true] {
                 let seed = 0x5EED ^ ((k as u64) << 8 | u64::from(density));
-                assert_schedule_equivalence::<f32>(dims, seed, density, ties, ties).unwrap();
-                assert_schedule_equivalence::<f64>(dims, seed, density, !ties, ties).unwrap();
+                for lossless in [false, true] {
+                    assert_schedule_equivalence(dims, seed, density, lossless, ties).unwrap();
+                }
             }
         }
     }
@@ -316,18 +318,7 @@ proptest! {
         lossless in any::<bool>(),
         ties in any::<bool>(),
     ) {
-        assert_schedule_equivalence::<f32>(&dims, seed, density, lossless, ties)?;
-    }
-
-    #[test]
-    fn row_block_schedule_matches_oracles_f64(
-        dims in schedule_shape(),
-        seed in any::<u64>(),
-        density in 0u8..4,
-        lossless in any::<bool>(),
-        ties in any::<bool>(),
-    ) {
-        assert_schedule_equivalence::<f64>(&dims, seed, density, lossless, ties)?;
+        assert_schedule_equivalence(&dims, seed, density, lossless, ties)?;
     }
 
     #[test]
@@ -376,8 +367,8 @@ proptest! {
     #[test]
     fn error_bound_invariant_abs((dims, data) in shape_and_data(), eb in 1e-4f64..10.0) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress::<f32>(&data, &d, &Config::abs(eb)).unwrap();
-        let (restored, rdims) = decompress::<f32>(&bytes).unwrap();
+        let bytes = compress(&data, &d, &Config::abs(eb)).unwrap();
+        let (restored, rdims) = decompress(&bytes).unwrap();
         prop_assert_eq!(rdims, d);
         prop_assert_eq!(restored.len(), data.len());
         for (i, (&a, &b)) in data.iter().zip(&restored).enumerate() {
@@ -391,21 +382,11 @@ proptest! {
     #[test]
     fn error_bound_invariant_rel((dims, data) in shape_and_data(), r in 1e-5f64..1e-1) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress::<f32>(&data, &d, &Config::rel(r)).unwrap();
+        let bytes = compress(&data, &d, &Config::rel(r)).unwrap();
         let info = szlite::stream_info(&bytes).unwrap();
-        let (restored, _) = decompress::<f32>(&bytes).unwrap();
+        let (restored, _) = decompress(&bytes).unwrap();
         for (&a, &b) in data.iter().zip(&restored) {
             prop_assert!((f64::from(a) - f64::from(b)).abs() <= info.eb);
-        }
-    }
-
-    #[test]
-    fn f64_roundtrip_bound(data in proptest::collection::vec(-1e12f64..1e12, 1..500), eb in 1e-6f64..1e3) {
-        let d = Dims::d1(data.len());
-        let bytes = compress::<f64>(&data, &d, &Config::abs(eb)).unwrap();
-        let (restored, _) = decompress::<f64>(&bytes).unwrap();
-        for (&a, &b) in data.iter().zip(&restored) {
-            prop_assert!((a - b).abs() <= eb);
         }
     }
 
@@ -515,14 +496,14 @@ proptest! {
     #[test]
     fn decompressor_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Must return an error or a valid result, never panic.
-        let _ = decompress::<f32>(&data);
+        let _ = decompress(&data);
     }
 
     #[test]
     fn truncation_never_panics((dims, data) in shape_and_data(), frac in 0.0f64..1.0) {
         let d = Dims::from_slice(&dims).unwrap();
-        let bytes = compress::<f32>(&data, &d, &Config::rel(1e-3)).unwrap();
+        let bytes = compress(&data, &d, &Config::rel(1e-3)).unwrap();
         let cut = ((bytes.len() as f64) * frac) as usize;
-        let _ = decompress::<f32>(&bytes[..cut.min(bytes.len().saturating_sub(1))]);
+        let _ = decompress(&bytes[..cut.min(bytes.len().saturating_sub(1))]);
     }
 }

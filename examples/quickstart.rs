@@ -36,7 +36,7 @@ fn main() {
     );
 
     // 3. Verify the point-wise error bound.
-    let (restored, _) = decompress::<f32>(&stream).unwrap();
+    let (restored, _) = decompress(&stream).unwrap();
     let max_err = stats::max_abs_err(&field.data, &restored);
     let psnr = stats::psnr(&field.data, &restored);
     println!(

@@ -7,17 +7,22 @@
 //! nothing per tile; a 1-D read keeps no code list, plane or payload
 //! copy per chunk. The write path: a second compress on the same
 //! scratch and output allocates nothing, and a 1-D compress keeps no
-//! reconstruction plane.
+//! reconstruction plane. The parsers of disk bytes: a forged record
+//! count allocates nothing in proportion to itself.
 
+use repro_suite::h5lite::meta::deserialize_table;
 use repro_suite::h5lite::{
-    DatasetSpec, Dtype, FilterSpec, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
+    DatasetSpec, Dtype, FilterSpec, H5Error, H5File, H5Reader, SzFilterParams, SZLITE_FILTER_ID,
 };
 use repro_suite::pfsim::BandwidthModel;
 use repro_suite::predwrite::{
     run_real_with, ExtraSpacePolicy, Method, ModelSource, PredictionSource, RankFieldData,
     RealConfig, RealError, ReservationTopology, SourceEstimate,
 };
-use repro_suite::ratiomodel::{estimate_partition_with, EstimateScratch, Models};
+use repro_suite::ratiomodel::{
+    estimate_partition_with, EstimateScratch, Models, OnlineConfig, OnlinePredictor,
+};
+use repro_suite::szlite::stream::put_varint;
 use repro_suite::szlite::{
     compress, compress_into, decompress_into, Config, DecompressScratch, Dims, Scratch,
 };
@@ -32,6 +37,8 @@ use testutil::TempPath;
 thread_local! {
     /// Allocations (and growing reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations made and bytes asked for by every thread of the
@@ -46,6 +53,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn count(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
     ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     ALL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
@@ -53,7 +61,7 @@ fn count(bytes: usize) {
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters
-// are a const-initialised thread-local `Cell` without a destructor and
+// are const-initialised thread-local `Cell`s without a destructor and
 // two atomics, so touching them neither allocates nor runs after their
 // own teardown.
 unsafe impl GlobalAlloc for Counting {
@@ -124,7 +132,7 @@ fn warm_decompress_allocates_nothing() {
         (&vpic.fields[0].data, &Dims::d1(vpic.fields[0].data.len())),
     ];
     for (data, dims) in streams {
-        let stream = compress::<f32>(data, dims, &cfg).unwrap();
+        let stream = compress(data, dims, &cfg).unwrap();
         let mut scratch = DecompressScratch::new();
         let mut out = Vec::<f32>::new();
         decompress_into(&stream, &mut scratch, &mut out).unwrap();
@@ -159,10 +167,10 @@ fn warm_compress_allocates_nothing() {
     for (data, dims) in inputs {
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
-        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+        compress_into(data, dims, &cfg, &mut scratch, &mut out).unwrap();
         let first = out.clone();
         let before = allocs_here();
-        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+        compress_into(data, dims, &cfg, &mut scratch, &mut out).unwrap();
         assert_eq!(allocs_here() - before, 0, "{dims:?}");
         assert!(first == out);
         firsts.push(first);
@@ -173,12 +181,12 @@ fn warm_compress_allocates_nothing() {
     // same.
     let (mut scratch, mut out) = (Scratch::new(), Vec::new());
     for (data, dims) in inputs {
-        compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+        compress_into(data, dims, &cfg, &mut scratch, &mut out).unwrap();
     }
     let before = allocs_here();
     for _ in 0..2 {
         for ((data, dims), first) in inputs.iter().zip(&firsts) {
-            compress_into::<f32>(data, dims, &cfg, &mut scratch, &mut out).unwrap();
+            compress_into(data, dims, &cfg, &mut scratch, &mut out).unwrap();
             assert!(out == *first, "{dims:?}");
         }
     }
@@ -195,7 +203,7 @@ fn first_compress_of_a_line_keeps_no_reconstruction_plane() {
     let input = (field.data.len() * 4) as f64;
     let dims = Dims::d1(field.data.len());
     let asked = ALL_BYTES.load(Ordering::Relaxed);
-    compress_into::<f32>(
+    compress_into(
         &field.data,
         &dims,
         &Config::rel(1e-3),
@@ -362,4 +370,38 @@ fn typed_read_of_a_line_allocates_no_plane_and_no_code_list() {
         println!("typed read allocated {ratio:.2} x output ({workers} workers, 1-D)");
         assert!(ratio < 1.5, "{asked} bytes for a {output}-byte output");
     }
+}
+
+#[test]
+fn forged_counts_allocate_in_proportion_to_their_input() {
+    // A record count read from disk sizes nothing beyond a small
+    // multiple of the bytes that came with it: a forged count in an
+    // h5lite table or in a predictor's saved state is a typed error
+    // that costs a few bytes, not a reservation of count × record.
+    let asked = |parse: &dyn Fn() -> bool| {
+        let before = BYTES.with(Cell::get);
+        assert!(parse(), "forged count accepted or refused untyped");
+        BYTES.with(Cell::get) - before
+    };
+    let n = 1_000_000;
+    // One 1-D `f32` dataset, contiguous, no filter, `n` chunks of which
+    // one 15-byte record is there, no attribute.
+    let mut table = vec![1, 1, b'd', 0, 1, 4, 0, 0];
+    put_varint(&mut table, n);
+    table.extend([0; 16]);
+    let table_cost = asked(&|| {
+        matches!(
+            deserialize_table(&table),
+            Err(H5Error::Corrupt("chunk count"))
+        )
+    });
+    // Two saved cells under a count of `n`.
+    let state = OnlinePredictor::new(2, OnlineConfig::default()).to_state_bytes();
+    let (head, cells) = state.split_at(state.len() - 2 * 18 - 1);
+    let mut forged = head.to_vec();
+    put_varint(&mut forged, n);
+    forged.extend_from_slice(&cells[1..]);
+    let state_cost = asked(&|| OnlinePredictor::from_state_bytes(&forged).is_err());
+    println!("forged counts allocated {table_cost} B (table), {state_cost} B (predictor state)");
+    assert!(table_cost < 1024 && state_cost < 1024);
 }

@@ -48,7 +48,7 @@ fn ratio_prediction_transfers_to_rtm() {
     let dims = Dims::d3(side, side, side);
     let cfg = Config::rel(1e-3);
     let s = sample_quantization(&ds.fields[0].data, &dims, &cfg, 0.2).unwrap();
-    let pred = predict_default(&s, 32);
+    let pred = predict_default(&s);
     let (_, st) = compress_with_stats(&ds.fields[0].data, &dims, &cfg).unwrap();
     let err = (pred.bytes as f64 - st.compressed_bytes as f64).abs() / st.compressed_bytes as f64;
     assert!(err < 0.3, "rtm size prediction error {err:.3}");

@@ -7,8 +7,8 @@
 //! dataset as (`read_full_pipelined` is its byte instance, `read_raw`
 //! that at one worker). These tests pin that on real-ish workload
 //! tiles (Nyx, VPIC, RTM) across worker counts; a matrix over layouts
-//! × filter chains × element types × worker counts requires the typed
-//! read to equal the byte read folded element by element, and forged
+//! × filter chains × worker counts requires the typed read to equal
+//! the byte read folded element by element, and forged
 //! containers to end in typed errors on both of the reader's arms; a
 //! seeded property test pushes random grids through the full
 //! pipelined round trip (pipelined compress → pipelined read → error
@@ -17,10 +17,10 @@
 use proptest::prelude::*;
 use repro_suite::h5lite::chunk::gather_tile_into;
 use repro_suite::h5lite::{
-    DatasetSpec, Dtype, EventSet, FilterSpec, H5Error, H5File, H5Reader, ReadElement,
-    SzFilterParams, LZSS_FILTER_ID, SZLITE_FILTER_ID,
+    DatasetSpec, Dtype, EventSet, FilterSpec, H5Error, H5File, H5Reader, SzFilterParams,
+    LZSS_FILTER_ID, SZLITE_FILTER_ID,
 };
-use repro_suite::szlite::{self, Config, Dims, Element};
+use repro_suite::szlite::{self, Config, Dims};
 use repro_suite::workloads::{nyx, rtm, vpic, NyxParams, RtmParams, VpicParams};
 use testutil::TempPath;
 
@@ -136,40 +136,17 @@ const CHAINS: [(bool, usize); 6] = [
 ];
 const BOUND: f64 = 1e-3;
 
-/// An element type of the matrix.
-trait Float: Element + ReadElement + std::fmt::Debug {
-    const H5_DTYPE: Dtype;
-    const WRONG_TYPE: &'static str;
-}
-impl Float for f32 {
-    const H5_DTYPE: Dtype = Dtype::F32;
-    const WRONG_TYPE: &'static str = "dataset is not f32";
-}
-impl Float for f64 {
-    const H5_DTYPE: Dtype = Dtype::F64;
-    const WRONG_TYPE: &'static str = "dataset is not f64";
-}
-
-fn le_bytes<T: Float>(v: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * T::BYTES);
-    v.iter().for_each(|x| x.write_le(&mut out));
-    out
-}
-
 /// The conversion the reader used to run over the whole byte buffer,
 /// kept as the reference the typed read is held to.
-fn fold_le<T: Float>(raw: &[u8]) -> Vec<T> {
-    let mut out = Vec::with_capacity(raw.len() / T::BYTES);
-    let mut pos = 0usize;
-    while pos < raw.len() {
-        out.push(T::read_le(raw, &mut pos).unwrap());
-    }
-    out
+fn fold_le(raw: &[u8]) -> Vec<f32> {
+    (raw.chunks_exact(4))
+        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+        .collect()
 }
 
-fn wave<T: Float>(n: usize) -> Vec<T> {
+fn wave(n: usize) -> Vec<f32> {
     (0..n)
-        .map(|i| T::from_f64(1000.0 + (i as f64 * 0.07).sin() * 3.0 + (i / 13) as f64 * 0.01))
+        .map(|i| (1000.0 + (i as f64 * 0.07).sin() * 3.0 + (i / 13) as f64 * 0.01) as f32)
         .collect()
 }
 
@@ -190,16 +167,16 @@ enum Forge {
 /// filtered by hand, the stored bytes placed with `write_chunk_at` —
 /// so ragged tiles can carry szlite streams of their own shape and a
 /// container can be forged with valid checksums.
-fn write_chunks<T: Float>(
+fn write_chunks(
     path: &std::path::Path,
     dims: &[u64],
     chunk: Option<&[u64]>,
     (sz, lzss): (bool, usize),
-    data: &[T],
+    data: &[f32],
     forge: Forge,
 ) {
     let f = H5File::create(path).unwrap();
-    let mut spec = DatasetSpec::new("m", T::H5_DTYPE, dims);
+    let mut spec = DatasetSpec::new("m", Dtype::F32, dims);
     if let Some(c) = chunk {
         spec = spec.chunked(c);
     }
@@ -221,16 +198,16 @@ fn write_chunks<T: Float>(
         });
     }
     let id = f.create_dataset(spec).unwrap();
-    let bytes = le_bytes(data);
+    let bytes = f32_bytes(data);
     let cd = chunk.unwrap_or(dims);
     let full_tile: usize = cd.iter().product::<u64>() as usize;
     let n_chunks: u64 = dims.iter().zip(cd).map(|(d, c)| d.div_ceil(*c)).product();
     let mut raw = Vec::new();
     for c in 0..n_chunks {
         let last = c + 1 == n_chunks;
-        gather_tile_into(&bytes, dims, T::BYTES, cd, c, &mut raw).unwrap();
-        let mut tile: Vec<T> = fold_le(&raw);
-        let raw_len = (tile.len() * T::BYTES) as u64;
+        gather_tile_into(&bytes, dims, 4, cd, c, &mut raw).unwrap();
+        let mut tile = fold_le(&raw);
+        let raw_len = (tile.len() * 4) as u64;
         if last && forge == Forge::ShortLastChunk {
             tile.pop();
         }
@@ -255,7 +232,7 @@ fn write_chunks<T: Float>(
             .unwrap();
             out
         } else {
-            le_bytes(&tile)
+            f32_bytes(&tile)
         };
         for _ in 0..lzss {
             stored = szlite::lossless::compress(&stored);
@@ -300,74 +277,54 @@ const LAYOUTS: [Layout; 9] = [
     ("ragged-3d", &[9, 10, 11], Some(&[4, 4, 4])),
 ];
 
-fn typed_read_equals_folded_byte_read<T: Float>() {
+#[test]
+fn typed_read_equals_folded_byte_read_f32() {
     for (layout, dims, chunk) in LAYOUTS {
         let n: usize = dims.iter().product::<u64>() as usize;
-        let data = wave::<T>(n);
+        let data = wave(n);
         for chain in CHAINS {
-            let tag = format!("{layout} chain {chain:?} {:?}", T::H5_DTYPE);
-            let t = TempPath::new(&format!("read-matrix-{}", T::BYTES), "h5l");
+            let tag = format!("{layout} chain {chain:?}");
+            let t = TempPath::new("read-matrix", "h5l");
             write_chunks(t.path(), dims, chunk, chain, &data, Forge::Nothing);
             let r = H5Reader::open(t.path()).unwrap();
-            let reference: Vec<T> = fold_le(&r.read_raw("m").unwrap());
+            let reference = fold_le(&r.read_raw("m").unwrap());
             assert_eq!(reference.len(), n, "{tag}");
             for (a, b) in data.iter().zip(&reference) {
-                let err = (a.to_f64() - b.to_f64()).abs();
+                let err = (f64::from(*a) - f64::from(*b)).abs();
                 assert!(
                     if chain.0 { err <= BOUND } else { err == 0.0 },
                     "{tag}: {a:?} -> {b:?}"
                 );
             }
-            let bits = |v: &[T]| le_bytes(v);
             for workers in [1usize, 2, 8] {
-                let typed = r.read_pipelined::<T>("m", workers).unwrap();
-                assert_eq!(bits(&typed), bits(&reference), "{tag} workers={workers}");
+                let typed = r.read_pipelined::<f32>("m", workers).unwrap();
+                assert_eq!(
+                    f32_bytes(&typed),
+                    f32_bytes(&reference),
+                    "{tag} workers={workers}"
+                );
                 let raw = r.read_full_pipelined("m", workers).unwrap();
-                assert_eq!(raw, bits(&reference), "{tag} workers={workers} (bytes)");
+                assert_eq!(
+                    raw,
+                    f32_bytes(&reference),
+                    "{tag} workers={workers} (bytes)"
+                );
             }
         }
     }
-}
-
-#[test]
-fn typed_read_equals_folded_byte_read_f32() {
-    typed_read_equals_folded_byte_read::<f32>();
-    // The other element type is refused before anything is read.
-    let t = TempPath::new("read-wrong-type-f32", "h5l");
-    write_chunks(
-        t.path(),
-        &[64],
-        None,
-        (true, 0),
-        &wave::<f32>(64),
-        Forge::Nothing,
-    );
-    let r = H5Reader::open(t.path()).unwrap();
-    for workers in [1usize, 2] {
-        assert!(matches!(
-            r.read_pipelined::<f64>("m", workers),
-            Err(H5Error::Corrupt(<f64 as Float>::WRONG_TYPE))
-        ));
-    }
-}
-
-#[test]
-fn typed_read_equals_folded_byte_read_f64() {
-    typed_read_equals_folded_byte_read::<f64>();
-    let t = TempPath::new("read-wrong-type-f64", "h5l");
-    write_chunks(
-        t.path(),
-        &[64],
-        None,
-        (true, 0),
-        &wave::<f64>(64),
-        Forge::Nothing,
-    );
+    // A dataset of bytes is refused as `f32` before anything is read.
+    let t = TempPath::new("read-wrong-type", "h5l");
+    let f = H5File::create(t.path()).unwrap();
+    let id = f
+        .create_dataset(DatasetSpec::new("m", Dtype::U8, &[64]))
+        .unwrap();
+    f.write_full(id, &[7; 64]).unwrap();
+    f.close().unwrap();
     let r = H5Reader::open(t.path()).unwrap();
     for workers in [1usize, 2] {
         assert!(matches!(
             r.read_pipelined::<f32>("m", workers),
-            Err(H5Error::Corrupt(<f32 as Float>::WRONG_TYPE))
+            Err(H5Error::Corrupt("dataset is not f32"))
         ));
     }
 }
@@ -378,7 +335,7 @@ fn overflow_segments_read_through_the_slab_arm() {
     // and a tail elsewhere in the file: the segments are checked and
     // concatenated before the chunk decodes into its sub-slice.
     let dims = [3 * 2048 + 100u64];
-    let data = wave::<f32>(dims[0] as usize);
+    let data = wave(dims[0] as usize);
     let whole = TempPath::new("read-overflow-whole", "h5l");
     let split = TempPath::new("read-overflow-split", "h5l");
     for chain in CHAINS {
@@ -404,8 +361,8 @@ fn overflow_segments_read_through_the_slab_arm() {
         for workers in [1usize, 2, 8] {
             let got = r.read_pipelined::<f32>("m", workers).unwrap();
             assert_eq!(
-                le_bytes(&got),
-                le_bytes(&expected),
+                f32_bytes(&got),
+                f32_bytes(&expected),
                 "{chain:?} workers={workers}"
             );
         }
@@ -418,7 +375,7 @@ fn forged_containers_end_in_typed_errors_on_both_arms() {
     let arms: [(&[u64], &[u64]); 2] = [(&[4 * 512], &[512]), (&[16, 16], &[8, 8])];
     for (dims, chunk) in arms {
         let n: usize = dims.iter().product::<u64>() as usize;
-        let data = wave::<f32>(n);
+        let data = wave(n);
         for chain in CHAINS {
             let tag = format!("{dims:?} chain {chain:?}");
             let t = TempPath::new("read-forged", "h5l");
@@ -488,73 +445,40 @@ fn forged_containers_end_in_typed_errors_on_both_arms() {
 
 #[test]
 fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
-    // 4096 doubles around 1000.0 in chunks of 1024: the filter's
-    // extents must describe 1024 points. Extents of 2048 match the
-    // chunk's bytes read as floats — a chunk written that way used to
-    // come back `Ok` and off by more than 1.0.
-    let data: Vec<f64> = (0..4096)
-        .map(|i| 1000.0 + (i as f64 * 0.01).sin())
-        .collect();
-    let bytes = le_bytes(&data);
-    let spec = |sz_dims: usize| {
-        DatasetSpec::new("d", Dtype::F64, &[4096])
-            .chunked(&[1024])
-            .with_filter(FilterSpec {
-                id: SZLITE_FILTER_ID,
-                params: SzFilterParams {
-                    absolute: true,
-                    bound: BOUND,
-                    dims: vec![sz_dims],
-                }
-                .to_bytes(),
-            })
-    };
-    let t = TempPath::new("read-f64-sz", "h5l");
-    let f = H5File::create(t.path()).unwrap();
-    let id = f.create_dataset(spec(2048)).unwrap();
-    assert!(matches!(f.write_full(id, &bytes), Err(H5Error::Filter(_))));
-
-    let f = H5File::create(t.path()).unwrap();
-    let id = f.create_dataset(spec(1024)).unwrap();
-    f.write_full(id, &bytes).unwrap();
-    f.close().unwrap();
-    let r = H5Reader::open(t.path()).unwrap();
-    let restored = r.read::<f64>("d").unwrap();
-    assert_eq!(restored.len(), data.len());
-    for (a, b) in data.iter().zip(&restored) {
-        assert!((a - b).abs() <= BOUND, "{a} -> {b}");
-    }
-    assert_eq!(r.read_raw("d").unwrap(), le_bytes(&restored));
-
-    // A chunk whose stream holds the other float type is corrupt for
-    // the dataset, whatever its length works out to.
-    let floats = wave::<f32>(1024);
+    // A chunk whose szlite stream names `f64` (header byte 5 = 1, a
+    // type no longer written) in an `f32` dataset: a typed error from
+    // both views, never its bytes decoded as `f32`.
     let mut stream = Vec::new();
     szlite::compress_into(
-        &floats,
+        &wave(1024),
         &Dims::d1(1024),
         &Config::abs(BOUND),
         &mut szlite::Scratch::new(),
         &mut stream,
     )
     .unwrap();
+    stream[5] = 1;
+    let t = TempPath::new("read-f64-sz", "h5l");
     let f = H5File::create(t.path()).unwrap();
     let id = f
         .create_dataset(
-            DatasetSpec::new("d", Dtype::F64, &[1024]).with_filter(FilterSpec {
+            DatasetSpec::new("d", Dtype::F32, &[1024]).with_filter(FilterSpec {
                 id: SZLITE_FILTER_ID,
                 params: vec![],
             }),
         )
         .unwrap();
     let at = f.reserve(stream.len() as u64);
-    f.write_chunk_at(id, 0, at, &stream, 8 * 1024).unwrap();
+    f.write_chunk_at(id, 0, at, &stream, 4 * 1024).unwrap();
     f.close().unwrap();
     let r = H5Reader::open(t.path()).unwrap();
-    for res in [r.read::<f64>("d").map(|_| ()), r.read_raw("d").map(|_| ())] {
-        match res {
-            Err(H5Error::Filter(msg)) => assert!(msg.contains("element type mismatch"), "{msg}"),
-            other => panic!("{other:?}"),
+    for workers in [1usize, 2] {
+        let typed = r.read_pipelined::<f32>("d", workers).map(|_| ());
+        for res in [typed, r.read_full_pipelined("d", workers).map(|_| ())] {
+            match res {
+                Err(H5Error::Filter(msg)) => assert!(msg.ends_with("dtype"), "{msg}"),
+                other => panic!("{other:?}"),
+            }
         }
     }
 }
