@@ -58,12 +58,11 @@ impl ExtraSpacePolicy {
         ((predicted_bytes as f64) * self.effective(predicted_ratio)).ceil() as u64
     }
 
-    /// The reservation rule both engines apply: a per-partition
-    /// `headroom` multiplier (from an adaptive prediction source) wins
-    /// when it is positive — `ceil(bytes · h)` — and anything else
-    /// (`None`, or the non-positive / NaN values that encode `None` on
-    /// the reservation wire) falls back to
-    /// [`ExtraSpacePolicy::reserve_bytes`].
+    /// The reservation rule both engines apply to each partition: a
+    /// rank's `headroom` multiplier (from an adaptive prediction
+    /// source) wins when it is positive — `ceil(bytes · h)` — and
+    /// anything else (`None`, a non-positive or NaN value) falls back
+    /// to [`ExtraSpacePolicy::reserve_bytes`].
     pub fn reserve_for(
         &self,
         predicted_bytes: u64,

@@ -39,8 +39,9 @@
 //!
 //! The real engine's predict phase is pluggable
 //! ([`real::PredictionSource`]): [`real::run_real_with`] swaps the
-//! prediction source, accepts per-partition extra-space headroom, and
-//! returns per-partition [`real::FieldObservation`]s.
+//! prediction source, lets it pool each rank's reservations into one
+//! region ([`plan::Pooling`]), and returns per-partition
+//! [`real::FieldObservation`]s.
 //! [`real::StreamSource`] is the source a checkpoint stream predicts
 //! with; [`step::StreamState`] carries its history from step to step,
 //! for `timeline` (real I/O) and [`sim::simulate_stream`] alike.
@@ -61,7 +62,7 @@ pub use metrics::{
 };
 pub use plan::{
     fit_split, plan_overflow, reservation_wire_bytes, FitSplit, PartitionPrediction, PartitionSlot,
-    RankPlanView, WritePlan,
+    Pooling, RankPlanView, Regions, WritePlan,
 };
 pub use profile::{
     profile_partition, profile_partition_with, replicate_profiles, PartitionProfile,

@@ -1,6 +1,6 @@
 //! Result records shared by the real and simulated engines.
 
-use crate::real::RunObservations;
+use crate::real::{FieldObservation, RunObservations};
 use ratiomodel::OnlinePredictor;
 
 /// The four parallel-write methods of the paper's Figure 4.
@@ -169,7 +169,8 @@ pub struct StepMetrics {
     pub result: RunResult,
     /// Bytes reserved across all partitions.
     pub reserved_bytes: u64,
-    /// Reserved bytes left unused — the extra-space waste the
+    /// Reserved bytes left unused, per rank its reserved total less
+    /// what it placed in its regions — the extra-space waste the
     /// adaptive headroom exists to shrink.
     pub waste_bytes: u64,
     /// Sum of predicted compressed sizes.
@@ -195,13 +196,17 @@ impl StepMetrics {
         let mut waste = 0u64;
         let mut predicted = 0u64;
         let mut actual = 0u64;
-        for o in obs.iter().flatten() {
-            reserved += o.reserved;
-            // Bytes of the reservation the partition did not fill (an
-            // overflowing partition fills it exactly).
-            waste += o.reserved.saturating_sub(o.in_slot());
-            predicted += o.predicted;
-            actual += o.actual;
+        for row in obs {
+            let rank_reserved: u64 = row.iter().map(|o| o.reserved).sum();
+            // Bytes of the rank's reservation its streams did not fill
+            // (a region something overflowed from is full). One-slot
+            // regions never hold more than their own slot, so there it
+            // is the sum of each partition's unused bytes.
+            let placed: u64 = row.iter().map(FieldObservation::in_slot).sum();
+            waste += rank_reserved.saturating_sub(placed);
+            reserved += rank_reserved;
+            predicted += row.iter().map(|o| o.predicted).sum::<u64>();
+            actual += row.iter().map(|o| o.actual).sum::<u64>();
         }
         StepMetrics {
             step,
@@ -257,8 +262,8 @@ impl TimelineReport {
 }
 
 /// Fold one completed step's observations into `online`, cell
-/// `rank · nfields + field` per partition — the feedback half of the
-/// predict → observe loop of every stream
+/// `rank · nfields + field` per partition and each rank's totals — the
+/// feedback half of the predict → observe loop of every stream
 /// ([`crate::step::StreamState::step`]).
 pub fn fold_observations(online: &mut OnlinePredictor, obs: &RunObservations) {
     let nfields = obs.first().map_or(0, Vec::len);
@@ -266,13 +271,14 @@ pub fn fold_observations(online: &mut OnlinePredictor, obs: &RunObservations) {
         for (f, o) in row.iter().enumerate() {
             online.observe(r * nfields + f, o.model_bytes, o.predicted, o.actual);
         }
+        let predicted = row.iter().map(|o| o.predicted).sum();
+        online.observe_rank(r, predicted, row.iter().map(|o| o.actual).sum());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::real::FieldObservation;
 
     fn rr(total: f64, raw: u64, comp: u64, file: u64) -> RunResult {
         RunResult {
@@ -345,6 +351,26 @@ mod tests {
         assert_eq!(m.waste_bytes, 50);
         assert_eq!(m.predicted_bytes, 200);
         assert_eq!(m.actual_bytes, 300);
+
+        // The same reservations pooled: the second stream fills the
+        // first one's 50 spare bytes before it spills, so the rank's
+        // region ends full; another rank's second field comes in over
+        // its own 120 and still fits the region, 10 bytes to spare.
+        let pooled = |actual: [u64; 2], overflow: u64| {
+            (0..2)
+                .map(|f| FieldObservation {
+                    predicted: 100,
+                    model_bytes: 100,
+                    reserved: [150, 120][f],
+                    actual: actual[f],
+                    overflow: [0, overflow][f],
+                })
+                .collect()
+        };
+        let obs: RunObservations = vec![pooled([100, 200], 30), pooled([100, 160], 0)];
+        let m = StepMetrics::collect(0, rr(1.0, 4000, 560, 600), &obs, 0.25);
+        assert_eq!((m.reserved_bytes, m.actual_bytes), (540, 560));
+        assert_eq!(m.waste_bytes, 10);
     }
 
     #[test]

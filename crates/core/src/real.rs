@@ -5,8 +5,11 @@
 //! prediction, all-gather, layout with extra space, (optionally
 //! reordered) overlapped compress/async-write, overflow redirection,
 //! metadata close — and the produced file decodes back within the
-//! error bound. It is used by the integration tests and examples at
-//! 4–64 ranks; scale sweeps use [`crate::sim`] with the same planner.
+//! error bound. An adaptive stream's ranks pool their reservations
+//! ([`crate::plan::Pooling`]); the paper's per-partition slots are the
+//! one-slot case of the same placement. It is used by the integration
+//! tests and examples at 4–64 ranks; scale sweeps use [`crate::sim`]
+//! with the same planner.
 
 // Index-based loops below address several parallel arrays (data,
 // plans, dataset ids) by the same field index; iterator zipping would
@@ -15,8 +18,8 @@
 
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{Breakdown, Method, RunResult};
-use crate::plan::{plan_overflow, reservation_wire_bytes, WritePlan};
-use crate::step::{compression_order, reservations};
+use crate::plan::{plan_overflow, reservation_wire_bytes, Pooling, RankPlanView, WritePlan};
+use crate::step::{compression_order, pooling, rank_reservations};
 use commsim::World;
 use h5lite::{
     ordered_fanout, AttrValue, BufferPool, DatasetSpec, Dtype, EventSet, FilterSpec, H5File,
@@ -63,12 +66,12 @@ impl AdaptMode {
 }
 
 /// Topology of the phase-2 reservation collective: one world-wide
-/// all-gather of per-partition triples (the paper's).
+/// all-gather of each rank's reserved total.
 ///
 /// A one-variant enum because `benchmark/API.md` pins
 /// `ReservationTopology::Flat` and the `reservation` field of
 /// [`RealConfig`], `TimelineConfig` and `StreamSimConfig`; nothing
-/// reads the value (ROADMAP item 1's benchmark-only PR removes all
+/// reads the value (ROADMAP item 2's benchmark-only PR removes all
 /// four).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReservationTopology {
@@ -246,8 +249,8 @@ impl From<commsim::WorldPoisoned> for RealError {
 pub struct SourceEstimate {
     /// Predicted compressed size the planner reserves for, bytes.
     pub bytes: u64,
-    /// Predicted compression ratio (drives Eq. 3 when `headroom` is
-    /// `None`).
+    /// Predicted compression ratio (drives Eq. 3 unless the rank pools
+    /// at an adapted headroom).
     pub ratio: f64,
     /// Predicted compression time, seconds (Algorithm 1 input).
     pub comp_time: f64,
@@ -258,19 +261,14 @@ pub struct SourceEstimate {
     /// [`FieldObservation`] so streaming callers can update bias
     /// corrections against the model, not against themselves.
     pub model_bytes: u64,
-    /// Per-partition extra-space multiplier override. `None` applies
-    /// the engine-wide [`ExtraSpacePolicy`]; `Some(h)` with `h > 0`
-    /// reserves `ceil(bytes · h)` for this partition. A non-positive
-    /// or NaN `h` is treated like `None`, so sources wanting a minimal
-    /// reservation should return a small positive multiplier, not 0.
-    pub headroom: Option<f64>,
 }
 
 /// Pluggable prediction phase of the predictive-write pipeline.
 ///
 /// [`run_real_with`] calls `estimate` once per (rank, field) inside
-/// the rank threads (implementations must be `Sync`); the resulting
-/// sizes are all-gathered so every rank plans the identical layout.
+/// the rank threads (implementations must be `Sync`), then `pooling`
+/// once per rank; each rank's reserved total is all-gathered so every
+/// rank plans the identical layout.
 /// After the run, the actual compressed sizes come back as
 /// [`RunObservations`] — a streaming caller feeds them into its next
 /// step's source, closing the predict → observe loop the paper's
@@ -287,6 +285,13 @@ pub trait PredictionSource: Sync {
         cfg: &Config,
         scratch: &mut EstimateScratch,
     ) -> Result<SourceEstimate, RealError>;
+
+    /// How rank `rank` reserves the partitions it estimated as
+    /// `estimates`: by default in the paper's per-partition slots at
+    /// the engine's extra-space policy.
+    fn pooling(&self, _rank: usize, _estimates: &[SourceEstimate]) -> Pooling {
+        Pooling::Slots
+    }
 }
 
 /// Default source: the offline-fitted [`Models`] with the engine-wide
@@ -313,7 +318,6 @@ impl PredictionSource for ModelSource<'_> {
             comp_time: est.comp_time,
             write_time: est.write_time,
             model_bytes: est.bytes,
-            headroom: None,
         })
     }
 }
@@ -321,9 +325,10 @@ impl PredictionSource for ModelSource<'_> {
 /// The source of a checkpoint stream's step: the offline [`Models`],
 /// blended per partition with the stream's online history when it has
 /// one ([`SourceEstimate::for_cell`], cell `rank · nfields + field`) —
-/// per-partition bias correction plus adaptive headroom. The rank
-/// threads read the predictor during the step; the stream
-/// ([`crate::step::StreamState`]) feeds the observations back after it.
+/// per-partition bias correction, plus one region per rank at the
+/// rank's adaptive headroom. The rank threads read the predictor
+/// during the step; the stream ([`crate::step::StreamState`]) feeds
+/// the observations back after it.
 pub struct StreamSource<'a> {
     /// The fitted models to sample-predict with.
     pub models: &'a Models,
@@ -349,6 +354,10 @@ impl PredictionSource for StreamSource<'_> {
         let cell = rank * self.nfields + field;
         Ok(model.for_cell((data.len() * 4) as u64, self.online, cell))
     }
+
+    fn pooling(&self, rank: usize, estimates: &[SourceEstimate]) -> Pooling {
+        pooling(self.online, rank, estimates)
+    }
 }
 
 /// What actually happened to one (rank, field) partition — the
@@ -359,12 +368,13 @@ pub struct FieldObservation {
     pub predicted: u64,
     /// Raw offline-model estimate ([`SourceEstimate::model_bytes`]).
     pub model_bytes: u64,
-    /// Bytes reserved in the shared file.
+    /// Bytes reserved in the shared file for this partition (in a
+    /// pooled region, its share of the rank's).
     pub reserved: u64,
     /// Actual compressed size, bytes.
     pub actual: u64,
     /// Bytes redirected to the overflow region (0 when the partition
-    /// fit its reservation).
+    /// fit its region).
     pub overflow: u64,
 }
 
@@ -567,15 +577,18 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                             &mut est_scratch,
                         )?);
                     }
+                    let pooling = source.pooling(r, &my_ests);
                     out.phases.predict = predict.stop();
 
-                    // Phases 2–3: all-gather every rank's row, derive
-                    // the identical full layout on every rank, project
-                    // this rank's row.
+                    // Phases 2–3: all-gather every rank's reserved
+                    // total; each rank's run of the file starts after
+                    // the lower ranks', so every rank derives the
+                    // identical layout and its own row of it.
                     let allgather = obs::timed("real.allgather");
-                    let gathered = rk.try_all_gather(my_ests.clone())?;
-                    let (preds, reserves) = reservations(&gathered, &cfg.policy);
-                    let view = WritePlan::build_reserved(&preds, &reserves, base).rank_view(r);
+                    let (preds, reserves) = rank_reservations(&my_ests, pooling, &cfg.policy);
+                    let totals = rk.try_all_gather(reserves.iter().sum::<u64>())?;
+                    let view = RankPlanView::new(&preds, &reserves, &totals, r, base);
+                    let mut regions = view.regions(pooling);
                     out.phases.allgather = allgather.stop();
 
                     // Phase 4: compression order.
@@ -588,7 +601,8 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     // write queue in scheduled order — compression of
                     // field k+1 overlaps the write of field k, and at
                     // sz_threads = 1 this runs inline, matching the
-                    // paper's single-threaded overlap exactly.
+                    // paper's single-threaded overlap exactly. Each
+                    // stream is placed as it arrives, in write order.
                     let es = EventSet::new(1);
                     let mut overflow_parts: Vec<(usize, Vec<u8>)> = Vec::new();
                     let fanout = obs::timed("real.compress");
@@ -613,15 +627,14 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         |pos, (mut stream, secs): (Vec<u8>, f64)| {
                             let f = order[pos as usize];
                             comp_total += secs;
-                            let slot = view.slots[f];
-                            let settled =
-                                FieldObservation::settle(&my_ests[f], slot, stream.len() as u64);
-                            let tail = stream.split_off(settled.in_slot() as usize);
-                            out.fields[f] = settled;
+                            let (offset, split) = regions.place(f, stream.len() as u64);
+                            let reserved = view.slots[f].reserved;
+                            out.fields[f] = FieldObservation::settle(&my_ests[f], reserved, split);
+                            let tail = stream.split_off(split.in_slot as usize);
                             file.write_chunk_at_async(
                                 dataset_ids[f],
                                 r as u64,
-                                slot.offset,
+                                offset,
                                 stream,
                                 (data[r][f].data.len() * 4) as u64,
                                 &es,

@@ -12,7 +12,7 @@ use crate::profile::PartitionProfile;
 use crate::real::{
     AdaptMode, FieldObservation, ReservationTopology, RunObservations, SourceEstimate,
 };
-use crate::step::{compression_order, reservations, StreamState};
+use crate::step::{compression_order, pooling, rank_reservations, StreamState};
 use pfsim::{
     collective_write_time, simulate, simulate_concurrent_writes, BandwidthModel, PipelineTask,
     RankPipeline,
@@ -161,9 +161,11 @@ fn sim_overlap(profiles: &[Vec<PartitionProfile>], params: &SimParams, reorder: 
 }
 
 /// One simulated overlap step: estimates from what the profiles
-/// recorded (blended with `online`'s history when the stream adapts),
-/// reservations and layout from the estimates, then the per-rank
-/// compress→write pipelines and the overflow round. Returns what
+/// recorded (blended with `online`'s history when the stream adapts,
+/// whose ranks then pool), reservations and layout from the estimates,
+/// then the per-rank compress→write pipelines — each rank placing its
+/// streams in its compression order, as the real engine's ranks do —
+/// and the overflow round. Returns what
 /// [`crate::real::run_real_with`] returns: the aggregate result plus
 /// what happened to each partition.
 fn sim_overlap_step(
@@ -187,8 +189,12 @@ fn sim_overlap_step(
                 .collect()
         })
         .collect();
-    let (preds, reserves) = reservations(&estimates, &params.policy);
-
+    let poolings: Vec<_> = (estimates.iter().enumerate())
+        .map(|(r, row)| pooling(online, r, row))
+        .collect();
+    let (preds, reserves): (Vec<_>, Vec<_>) = (estimates.iter().zip(&poolings))
+        .map(|(row, &pooling)| rank_reservations(row, pooling, &params.policy))
+        .unzip();
     let plan = WritePlan::build_reserved(&preds, &reserves, 0);
 
     // Phase 1: prediction (sampling) on every rank, then the
@@ -201,33 +207,24 @@ fn sim_overlap_step(
     let release = predict + ag;
 
     // Phase 3: per-rank ordered compress→write pipelines.
-    let observations: RunObservations = profiles
-        .iter()
-        .enumerate()
-        .map(|(r, fields)| {
-            fields
-                .iter()
-                .enumerate()
-                .map(|(f, p)| {
-                    FieldObservation::settle(&estimates[r][f], plan.slots[r][f], p.actual_bytes)
-                })
-                .collect()
-        })
-        .collect();
-    let ranks: Vec<RankPipeline> = profiles
-        .iter()
-        .enumerate()
-        .map(|(r, fields)| RankPipeline {
-            release,
-            tasks: compression_order(reorder, &estimates[r])
-                .into_iter()
-                .map(|f| PipelineTask {
-                    compute: fields[f].comp_time,
-                    write_bytes: observations[r][f].in_slot() as f64,
-                })
-                .collect(),
-        })
-        .collect();
+    let mut observations: RunObservations = Vec::with_capacity(nranks);
+    let mut ranks: Vec<RankPipeline> = Vec::with_capacity(nranks);
+    for (r, fields) in profiles.iter().enumerate() {
+        let view = plan.rank_view(r);
+        let mut regions = view.regions(poolings[r]);
+        let mut row = vec![FieldObservation::default(); fields.len()];
+        let mut tasks = Vec::with_capacity(fields.len());
+        for f in compression_order(reorder, &estimates[r]) {
+            let (_, split) = regions.place(f, fields[f].actual_bytes);
+            row[f] = FieldObservation::settle(&estimates[r][f], view.slots[f].reserved, split);
+            tasks.push(PipelineTask {
+                compute: fields[f].comp_time,
+                write_bytes: split.in_slot as f64,
+            });
+        }
+        observations.push(row);
+        ranks.push(RankPipeline { release, tasks });
+    }
     let out = simulate(&ranks, &params.bandwidth);
     let compress_end = out.last_compute_done();
     let makespan = out.makespan;
@@ -298,8 +295,8 @@ pub struct StreamSimConfig {
 /// ([`StreamState`]): static mode replays the offline predictions with
 /// the engine-wide extra-space policy every step; adaptive mode
 /// threads an [`OnlinePredictor`] through the steps — per-partition
-/// bias correction plus adaptive headroom, fed back from each step's
-/// actual sizes.
+/// bias correction plus one region per rank at its adaptive headroom,
+/// fed back from each step's actual sizes.
 ///
 /// Returns the report the real stream returns, so every sum over a
 /// stream is [`TimelineReport`]'s.
@@ -568,13 +565,53 @@ mod tests {
         let r = simulate_stream(&stream_cfg(AdaptMode::Static, 3), |_| &profiles);
         assert_eq!(r.steps.len(), 3);
         assert_eq!(r.mode, "static");
-        // One (bytes, ratio, headroom) triple per partition to every
-        // rank, in every step's record (summed over ranks).
+        // One reserved total from every rank to every rank, in every
+        // step's record (summed over ranks).
         let wire = reservation_wire_bytes(512, 4, None) * 512;
         assert!(r
             .steps
             .iter()
             .all(|s| s.result.reservation_wire_bytes == wire));
+    }
+
+    #[test]
+    fn a_pooled_rank_spills_from_the_field_it_writes_last() {
+        // One rank, two fields, its region exactly its 1 100 predicted
+        // bytes; the streams come to 1 160. Algorithm 1 writes field 1
+        // first (it writes longer than it compresses), so field 0 is
+        // the one the region cannot hold; in field order it is field 1.
+        let profile = |pred: u64, actual: u64, comp_time: f64, write_time: f64| PartitionProfile {
+            n_points: 1000,
+            raw_bytes: 4000,
+            pred_bytes: pred,
+            pred_ratio: 4000.0 / pred as f64,
+            pred_comp_time: comp_time,
+            pred_write_time: write_time,
+            actual_bytes: actual,
+            comp_time,
+        };
+        let profiles = vec![vec![
+            profile(1000, 1000, 1.0, 0.1),
+            profile(100, 160, 0.1, 1.0),
+        ]];
+        let tight = ratiomodel::OnlineConfig {
+            err_margin: 0.0,
+            min_headroom: 1.0,
+            ..ratiomodel::OnlineConfig::default()
+        };
+        let mut online = OnlinePredictor::for_stream(1, 2, tight);
+        for _ in 0..2 {
+            online.observe_rank(0, 1100, 1100);
+        }
+        for (reorder, spills) in [(false, [0, 60]), (true, [60, 0])] {
+            let (r, obs) = sim_overlap_step(&profiles, Some(&online), &params(), reorder);
+            assert_eq!(
+                [obs[0][0].overflow, obs[0][1].overflow],
+                spills,
+                "{reorder}"
+            );
+            assert_eq!((r.n_overflow, r.overflow_bytes), (1, 60));
+        }
     }
 
     #[test]

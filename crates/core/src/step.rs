@@ -3,20 +3,21 @@
 //!
 //! Between the shared planner functions ([`crate::plan`],
 //! [`crate::scheduler`], [`crate::extraspace`]) a step turns a model
-//! estimate into the estimate it plans with, the estimate into a
-//! reservation, a rank's estimates into a compression order, an actual
-//! size into an observation, and the observations into the run's and
-//! the step's record. [`crate::real`] and [`crate::sim`] differ in how
-//! they *execute* a step (threads, collectives and throttled I/O vs.
-//! one whole-matrix plan and the event queue); every byte they plan
-//! and account for comes from the functions here, and a stream of
-//! steps — real (`timeline`) or simulated — is one [`StreamState`].
+//! estimate into the estimate it plans with, a rank's estimates into
+//! its pooling, its reservations and its compression order, a placed
+//! stream into an observation, and the observations into the run's
+//! and the step's record. [`crate::real`] and [`crate::sim`] differ
+//! in how they *execute* a step (threads, collectives and throttled
+//! I/O vs. one whole-matrix plan and the event queue); every byte they
+//! plan and account for comes from the functions here, and a stream
+//! of steps — real (`timeline`) or simulated — is one
+//! [`StreamState`].
 
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{
     fold_observations, mean_rel_size_err, Breakdown, Method, RunResult, StepMetrics,
 };
-use crate::plan::{fit_split, PartitionPrediction, PartitionSlot};
+use crate::plan::{FitSplit, PartitionPrediction, Pooling};
 use crate::profile::PartitionProfile;
 use crate::real::{AdaptMode, FieldObservation, RealError, RunObservations, SourceEstimate};
 use crate::scheduler::{identity_order, optimize_order};
@@ -31,7 +32,6 @@ impl From<&PartitionProfile> for SourceEstimate {
             comp_time: p.pred_comp_time,
             write_time: p.pred_write_time,
             model_bytes: p.pred_bytes,
-            headroom: None,
         }
     }
 }
@@ -48,7 +48,6 @@ impl SourceEstimate {
             bytes: p.bytes,
             ratio: raw_bytes as f64 / p.bytes.max(1) as f64,
             write_time: self.write_time * scale,
-            headroom: p.headroom,
             ..self
         }
     }
@@ -63,32 +62,47 @@ impl SourceEstimate {
             Some(online) => self.blended(raw_bytes, online.predict(cell, self.model_bytes)),
         }
     }
+}
 
-    /// What the planner is told about this partition and the bytes it
-    /// reserves: the estimate's own headroom when it carries a usable
-    /// one, the engine-wide `policy` (Eq. 3) otherwise — see
-    /// [`ExtraSpacePolicy::reserve_for`].
-    fn reservation(&self, policy: &ExtraSpacePolicy) -> (PartitionPrediction, u64) {
-        let prediction = PartitionPrediction {
-            bytes: self.bytes,
-            ratio: self.ratio,
-        };
-        let reserve = policy.reserve_for(self.bytes, self.ratio, self.headroom);
-        (prediction, reserve)
+/// How rank `rank`, whose partitions are estimated at `estimates`,
+/// reserves: in the paper's per-partition slots when the stream does
+/// not adapt (`online` is `None`), otherwise in one region at the
+/// rank's headroom over its estimates' sum.
+pub(crate) fn pooling(
+    online: Option<&OnlinePredictor>,
+    rank: usize,
+    estimates: &[SourceEstimate],
+) -> Pooling {
+    match online {
+        None => Pooling::Slots,
+        Some(online) => {
+            let predicted = estimates.iter().map(|e| e.bytes).sum();
+            Pooling::Region(online.region_headroom(rank, predicted))
+        }
     }
 }
 
-/// [`SourceEstimate::reservation`] over gathered rows
-/// (`estimates[rank][field]`, the whole world's or one group's), in
-/// the two matrices the layout builders take.
-pub(crate) fn reservations(
-    estimates: &[Vec<SourceEstimate>],
+/// What the planner is told about a rank's partitions and the bytes
+/// each reserves under `pooling`: the rank's headroom when it carries
+/// a usable one, the engine-wide `policy` (Eq. 3) otherwise — see
+/// [`ExtraSpacePolicy::reserve_for`].
+pub(crate) fn rank_reservations(
+    estimates: &[SourceEstimate],
+    pooling: Pooling,
     policy: &ExtraSpacePolicy,
-) -> (Vec<Vec<PartitionPrediction>>, Vec<Vec<u64>>) {
-    estimates
-        .iter()
-        .map(|row| row.iter().map(|e| e.reservation(policy)).unzip())
-        .unzip()
+) -> (Vec<PartitionPrediction>, Vec<u64>) {
+    let headroom = match pooling {
+        Pooling::Slots => None,
+        Pooling::Region(headroom) => headroom,
+    };
+    let reserve = |e: &SourceEstimate| {
+        let prediction = PartitionPrediction {
+            bytes: e.bytes,
+            ratio: e.ratio,
+        };
+        (prediction, policy.reserve_for(e.bytes, e.ratio, headroom))
+    };
+    estimates.iter().map(reserve).unzip()
 }
 
 /// One rank's compression order over its fields: Algorithm 1 on the
@@ -105,17 +119,17 @@ pub(crate) fn compression_order(reorder: bool, estimates: &[SourceEstimate]) -> 
 }
 
 impl FieldObservation {
-    /// What happened to a partition planned with `estimate` into
-    /// `slot` once its stream turned out `actual` bytes long: the
-    /// fitting prefix stays in the slot, the excess is overflow
-    /// (Fig. 8).
-    pub fn settle(estimate: &SourceEstimate, slot: PartitionSlot, actual: u64) -> Self {
+    /// What happened to a partition planned with `estimate` and
+    /// `reserved` bytes once its stream was placed as `split`
+    /// ([`crate::plan::Regions::place`]): the prefix stays in the
+    /// rank's region, the excess is overflow (Fig. 8).
+    pub fn settle(estimate: &SourceEstimate, reserved: u64, split: FitSplit) -> Self {
         FieldObservation {
             predicted: estimate.bytes,
             model_bytes: estimate.model_bytes,
-            reserved: slot.reserved,
-            actual,
-            overflow: fit_split(actual, slot.reserved).overflow,
+            reserved,
+            actual: split.in_slot + split.overflow,
+            overflow: split.overflow,
         }
     }
 
@@ -131,7 +145,8 @@ impl FieldObservation {
         }
     }
 
-    /// Bytes that went into the reserved slot.
+    /// Bytes that went into the rank's region — in a pooled region
+    /// possibly more than this partition's own `reserved`.
     pub fn in_slot(&self) -> u64 {
         self.actual - self.overflow
     }
@@ -233,11 +248,12 @@ impl StreamState {
         if let AdaptMode::Adaptive(cfg) = self.mode {
             let online = self
                 .online
-                .get_or_insert_with(|| OnlinePredictor::new(nranks * nfields, cfg));
-            if online.n_cells() != nranks * nfields {
+                .get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, cfg));
+            if (online.n_cells(), online.n_ranks()) != (nranks * nfields, nranks) {
                 return Err(RealError::Shape(format!(
-                    "online state tracks {} cells, stream shape is {nranks}×{nfields}",
-                    online.n_cells()
+                    "online state tracks {} cells of {} ranks, stream shape is {nranks}×{nfields}",
+                    online.n_cells(),
+                    online.n_ranks()
                 )));
             }
         }
@@ -276,7 +292,6 @@ mod tests {
             comp_time: 2.0,
             write_time: 0.5,
             model_bytes: bytes,
-            headroom: None,
         }
     }
 
@@ -300,8 +315,9 @@ mod tests {
 
     #[test]
     fn settle_splits_actual_between_slot_and_overflow() {
-        // (reserved, actual); the first two are the fitting and the
-        // overflowing partition `StepMetrics`' waste is pinned on.
+        // (reserved, actual) of one-slot regions; the first two are the
+        // fitting and the overflowing partition `StepMetrics`' waste is
+        // pinned on.
         let cases = [
             (150, 100),
             (120, 200),
@@ -314,14 +330,10 @@ mod tests {
         let obs: RunObservations = vec![cases
             .iter()
             .map(|&(reserved, actual)| {
-                let slot = PartitionSlot {
-                    offset: 0,
-                    reserved,
-                    predicted: 100,
-                };
                 let mut est = estimate(100);
                 est.model_bytes = 90;
-                let o = FieldObservation::settle(&est, slot, actual);
+                let split = crate::plan::fit_split(actual, reserved);
+                let o = FieldObservation::settle(&est, reserved, split);
                 assert_eq!((o.predicted, o.model_bytes), (100, 90));
                 assert_eq!((o.reserved, o.actual), (reserved, actual));
                 assert_eq!(o.in_slot() + o.overflow, actual);
@@ -350,49 +362,56 @@ mod tests {
     #[test]
     fn blended_rescales_size_and_write_time_only() {
         let model = estimate(1000);
-        let p = OnlinePrediction {
-            bytes: 1500,
-            headroom: Some(1.2),
-            band: 1.2,
-        };
-        let b = model.blended(6000, p);
+        let b = model.blended(6000, OnlinePrediction { bytes: 1500 });
         assert_eq!(b.bytes, 1500);
         assert_eq!(b.model_bytes, 1000, "feedback is against the model");
         assert_eq!(b.ratio, 4.0);
         assert_eq!(b.write_time, 0.75);
         assert_eq!(b.comp_time, model.comp_time);
-        assert_eq!(b.headroom, Some(1.2));
         // No predictor, no blend; a predictor without history predicts
-        // the model's size and leaves the headroom to the policy.
+        // the model's size.
         assert_eq!(model.for_cell(6000, None, 3), model);
         let cold = OnlinePredictor::new(4, OnlineConfig::default());
         let c = model.for_cell(6000, Some(&cold), 3);
-        assert_eq!((c.bytes, c.headroom, c.ratio), (1000, None, 6.0));
+        assert_eq!((c.bytes, c.ratio), (1000, 6.0));
     }
 
     #[test]
     fn reservation_uses_headroom_only_when_positive() {
         let policy = ExtraSpacePolicy::new(1.25);
-        let mut est = estimate(100);
-        for unusable in [None, Some(0.0), Some(-1.0), Some(f64::NAN)] {
-            est.headroom = unusable;
-            let (p, reserve) = est.reservation(&policy);
-            assert_eq!(
-                (p.bytes, p.ratio, reserve),
-                (100, 10.0, 125),
-                "{unusable:?}"
-            );
-        }
-        est.headroom = Some(1.5);
-        assert_eq!(est.reservation(&policy).1, 150);
-        // Eq. 3 widens the fallback above ratio 32.
-        est = SourceEstimate {
+        // Eq. 3 widens the policy's reservation above ratio 32.
+        let wide = SourceEstimate {
             ratio: 40.0,
             ..estimate(100)
         };
-        assert_eq!(est.reservation(&policy).1, 200);
-        let (preds, reserves) = reservations(&[vec![est, estimate(8)]], &policy);
-        assert_eq!((preds[0][1].bytes, &reserves[0][..]), (8, &[200, 10][..]));
+        let ests = [estimate(100), wide, estimate(8)];
+        let reserves = |pooling| rank_reservations(&ests, pooling, &policy).1;
+        for unusable in [None, Some(0.0), Some(-1.0), Some(f64::NAN)] {
+            let pooling = Pooling::Region(unusable);
+            assert_eq!(reserves(pooling), [125, 200, 10], "{unusable:?}");
+        }
+        assert_eq!(reserves(Pooling::Slots), [125, 200, 10]);
+        assert_eq!(reserves(Pooling::Region(Some(1.5))), [150, 150, 12]);
+        let (preds, _) = rank_reservations(&ests, Pooling::Slots, &policy);
+        assert_eq!((preds[1].bytes, preds[1].ratio), (100, 40.0));
+    }
+
+    #[test]
+    fn only_an_adaptive_stream_pools_and_only_warm_ranks_adapt() {
+        let ests = [estimate(600), estimate(400)];
+        assert_eq!(pooling(None, 0, &ests), Pooling::Slots);
+        let mut online = OnlinePredictor::for_stream(2, 2, OnlineConfig::default());
+        assert_eq!(pooling(Some(&online), 1, &ests), Pooling::Region(None));
+        // Rank 1's totals came in at 1 200 twice: its region covers
+        // that whatever its fields are estimated at now.
+        for _ in 0..2 {
+            online.observe_rank(1, 1000, 1200);
+        }
+        assert_eq!(pooling(Some(&online), 0, &ests), Pooling::Region(None));
+        let Pooling::Region(Some(h)) = pooling(Some(&online), 1, &ests) else {
+            panic!("a warm rank pools at its headroom");
+        };
+        assert!((1000.0 * h).ceil() >= 1200.0, "headroom {h}");
     }
 
     #[test]
@@ -429,6 +448,7 @@ mod tests {
         let m = state.step(0, 2, 3, |_| ran(2, 3)).unwrap();
         assert_eq!(m.actual_bytes, 6 * 1000 + 15);
         let online = state.online().expect("created by the first step");
+        assert_eq!((online.n_cells(), online.n_ranks()), (6, 2));
         for cell in 0..6 {
             let st = online.stats(cell);
             assert_eq!((st.n_obs, st.last_observed), (1, 1000 + cell as u64));
@@ -436,6 +456,12 @@ mod tests {
         // Adaptive steps report the predictor's EWMA after feedback,
         // static ones the step's own error.
         assert_eq!(m.mean_rel_err, online.mean_rel_err());
+        // And each rank its total: rank 1 wrote 1003 + 1004 + 1005, and
+        // one more such step warms it up to cover exactly that.
+        state.step(1, 2, 3, |_| ran(2, 3)).unwrap();
+        let online = state.online().unwrap();
+        assert_eq!(online.region_headroom(1, 3012), Some(1.01));
+        assert_eq!(online.region_headroom(1, 2000), Some(3012.0 / 2000.0));
         let mut fixed = StreamState::new(AdaptMode::Static, None).unwrap();
         let m = fixed.step(0, 2, 3, |_| ran(2, 3)).unwrap();
         assert_eq!(m.mean_rel_err, 0.0);
@@ -452,7 +478,11 @@ mod tests {
         // Resumed history of another stream.
         let history = OnlinePredictor::new(5, OnlineConfig::default());
         let mut state = StreamState::new(adaptive(), Some(history.clone())).unwrap();
-        shape_err(state.step(4, 2, 3, never), "tracks 5 cells");
+        shape_err(state.step(4, 2, 3, never), "tracks 5 cells of 0 ranks");
+        // Cells enough, but tracked without ranks.
+        let cells_only = OnlinePredictor::new(6, OnlineConfig::default());
+        let mut state = StreamState::new(adaptive(), Some(cells_only)).unwrap();
+        shape_err(state.step(4, 2, 3, never), "tracks 6 cells of 0 ranks");
         // History handed to a stream that cannot use it.
         assert!(matches!(
             StreamState::new(AdaptMode::Static, Some(history)),

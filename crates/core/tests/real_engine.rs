@@ -4,7 +4,7 @@
 
 use pfsim::BandwidthModel;
 use predwrite::{
-    run_real, run_real_with, ExtraSpacePolicy, Method, ModelSource, PredictionSource,
+    run_real, run_real_with, ExtraSpacePolicy, Method, ModelSource, Pooling, PredictionSource,
     RankFieldData, RealConfig, RealError, ReservationTopology, RunResult, SourceEstimate,
 };
 use ratiomodel::{EstimateScratch, Models};
@@ -292,6 +292,95 @@ fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'stati
         Ok(v) => v,
         Err(RecvTimeoutError::Disconnected) => panic::resume_unwind(t.join().unwrap_err()),
         Err(RecvTimeoutError::Timeout) => panic!("no result within {secs} s: hung"),
+    }
+}
+
+/// Predicts each partition at its exact compressed size (`sizes`)
+/// shifted by `skew[field]` bytes, and pools each rank's region at
+/// exactly its estimates' sum.
+struct Skewed {
+    sizes: Vec<Vec<u64>>,
+    skew: [i64; 3],
+}
+
+impl PredictionSource for Skewed {
+    fn estimate(
+        &self,
+        rank: usize,
+        field: usize,
+        data: &[f32],
+        _dims: &Dims,
+        _cfg: &Config,
+        _scratch: &mut EstimateScratch,
+    ) -> Result<SourceEstimate, RealError> {
+        let bytes = (self.sizes[rank][field] as i64 + self.skew[field]).max(1) as u64;
+        Ok(SourceEstimate {
+            bytes,
+            ratio: (data.len() * 4) as f64 / bytes as f64,
+            comp_time: 1.0,
+            write_time: 1.0,
+            model_bytes: bytes,
+        })
+    }
+
+    fn pooling(&self, _rank: usize, _estimates: &[SourceEstimate]) -> Pooling {
+        Pooling::Region(Some(1.0))
+    }
+}
+
+#[test]
+fn a_pooled_rank_spills_only_what_its_region_cannot_hold() {
+    // Three fields a rank writes in field order: the first predicted 50
+    // bytes over, the second 100 under, the third at 1 byte. The region
+    // is the sum, 49 bytes short of the first two streams: the first
+    // lands whole, the second spills only those 49 (its own slot was
+    // 100 short), and the third finds the region full and goes to the
+    // overflow region whole — and every field decodes within bound.
+    let (mut data, _) = nyx_rank_data(16, 2);
+    for rank in &mut data {
+        rank.truncate(3);
+    }
+    let cfg = Config::rel(1e-3);
+    let sizes: Vec<Vec<u64>> = (data.iter())
+        .map(|rank| {
+            (rank.iter())
+                .map(|f| szlite::compress(&f.data, &f.dims, &cfg).unwrap().len() as u64)
+                .collect()
+        })
+        .collect();
+    let guard = tmp("pooled-spill");
+    let mut rc = config(Method::Overlap, guard.path().to_path_buf());
+    (rc.configs, rc.verify) = (vec![cfg; 3], true);
+    let source = Skewed {
+        sizes: sizes.clone(),
+        skew: [50, -100, -(1 << 40)],
+    };
+    let (res, obs) = run_real_with(&data, &rc, &source).unwrap();
+    let regions: Vec<u64> = (sizes.iter()).map(|s| s[0] + s[1] - 49).collect();
+    for (r, row) in obs.iter().enumerate() {
+        let spills: Vec<u64> = row.iter().map(|o| o.overflow).collect();
+        assert_eq!(spills, [0, 49, sizes[r][2]], "rank {r}");
+        assert_eq!(row[1].in_slot(), row[1].reserved + 51, "rank {r}");
+        assert_eq!(row[2].in_slot(), 0, "rank {r}");
+    }
+    assert_eq!(res.n_overflow, 4);
+    assert_eq!(res.overflow_bytes, 98 + sizes[0][2] + sizes[1][2]);
+
+    // In the file: rank 1's run starts after rank 0's region, each
+    // second stream's prefix right after its first, its tail past the
+    // reserved area.
+    let reader = h5lite::H5Reader::open(guard.path()).unwrap();
+    let base = h5lite::SUPERBLOCK;
+    let data_end = base + regions.iter().sum::<u64>();
+    let second = &reader.meta(&data[0][1].name).unwrap().chunks;
+    for (r, start) in [(0, base), (1, base + regions[0])] {
+        let segments: Vec<(u64, u64)> = (second.iter())
+            .filter(|c| c.index == r as u64)
+            .map(|c| (c.offset, c.stored))
+            .collect();
+        assert_eq!(segments.len(), 2, "rank {r}");
+        assert_eq!(segments[0], (start + sizes[r][0], sizes[r][1] - 49));
+        assert!(segments[1].0 >= data_end && segments[1].1 == 49);
     }
 }
 

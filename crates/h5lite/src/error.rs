@@ -59,8 +59,12 @@ pub enum H5Error {
     DuplicateDataset(String),
     /// A filter id has no registered implementation.
     UnknownFilter(u32),
-    /// Filter failed to encode/decode.
-    Filter(String),
+    /// The szlite stage failed to encode or decode, with szlite's own
+    /// typed error.
+    Filter(szlite::SzError),
+    /// A filter stage the chain cannot run where it stands: the szlite
+    /// stage on data other than `f32`, or behind another stage.
+    FilterChain(&'static str),
     /// Data length does not match dataset extents.
     ShapeMismatch { expected: u64, actual: u64 },
     /// Operation invalid in the file's current state.
@@ -98,7 +102,8 @@ impl fmt::Display for H5Error {
             H5Error::NoSuchDataset(n) => write!(f, "no such dataset: {n}"),
             H5Error::DuplicateDataset(n) => write!(f, "dataset already exists: {n}"),
             H5Error::UnknownFilter(id) => write!(f, "unknown filter id {id}"),
-            H5Error::Filter(m) => write!(f, "filter error: {m}"),
+            H5Error::Filter(e) => write!(f, "filter error: {e}"),
+            H5Error::FilterChain(m) => write!(f, "filter chain: {m}"),
             H5Error::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected} bytes, got {actual}")
             }
@@ -111,6 +116,7 @@ impl std::error::Error for H5Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             H5Error::Io(e) => Some(e),
+            H5Error::Filter(e) => Some(e),
             _ => None,
         }
     }
@@ -124,7 +130,7 @@ impl From<std::io::Error> for H5Error {
 
 impl From<szlite::SzError> for H5Error {
     fn from(e: szlite::SzError) -> Self {
-        H5Error::Filter(e.to_string())
+        H5Error::Filter(e)
     }
 }
 

@@ -50,7 +50,9 @@ proptest! {
             Err(obs::FlightError::Io(_)) => {}
             Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
         }
-        std::fs::remove_file(&path).ok();
+        // The directory goes with the file, or every run leaves one.
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert!(!dir.exists(), "{} left behind", dir.display());
     }
 }
 

@@ -6,9 +6,9 @@
 //! 1. predictions stay finite and ≥ 1 byte whatever the stream;
 //! 2. on a stationary stream the blended prediction converges to the
 //!    observed size (the whole point of the bias correction);
-//! 3. the adapted headroom's reservation never drops below the last
-//!    observed requirement, so a partition that just overflowed is
-//!    always covered on the next step.
+//! 3. a rank's adapted region never drops below its last observed
+//!    total, so a rank that just overflowed is always covered on the
+//!    next step.
 
 use proptest::prelude::*;
 use ratiomodel::{OnlineConfig, OnlinePredictor};
@@ -23,15 +23,15 @@ proptest! {
         warmup in 1u64..5,
     ) {
         let cfg = OnlineConfig { alpha, warmup, ..OnlineConfig::default() };
-        let mut p = OnlinePredictor::new(1, cfg);
+        let mut p = OnlinePredictor::for_stream(1, 1, cfg);
         for &(model, observed) in &steps {
             let pr = p.predict(0, model);
             prop_assert!(pr.bytes >= 1);
-            prop_assert!(pr.band.is_finite() && pr.band >= 1.0);
-            if let Some(h) = pr.headroom {
+            if let Some(h) = p.region_headroom(0, pr.bytes) {
                 prop_assert!(h.is_finite() && h >= 1.0, "headroom {h}");
             }
             p.observe(0, model, pr.bytes, observed);
+            p.observe_rank(0, pr.bytes, observed);
             let st = p.stats(0);
             prop_assert!(st.correction.is_finite() && st.correction > 0.0);
             prop_assert!(st.rel_err.is_finite() && st.rel_err >= 0.0);
@@ -48,17 +48,18 @@ proptest! {
         // blended prediction must land on the observed size and the
         // tracked error must collapse.
         let observed = ((model as f64 * ratio) as u64).max(1);
-        let mut p = OnlinePredictor::new(1, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(1, 1, OnlineConfig::default());
         for _ in 0..12 {
             let pr = p.predict(0, model);
             p.observe(0, model, pr.bytes, observed);
+            p.observe_rank(0, pr.bytes, observed);
         }
         let pr = p.predict(0, model);
         let err = (pr.bytes as f64 - observed as f64).abs() / observed as f64;
         prop_assert!(err < 0.01, "prediction {} vs observed {observed}", pr.bytes);
         prop_assert!(p.stats(0).rel_err < 0.05, "residual err {}", p.stats(0).rel_err);
         // …and the adapted headroom sits at the floor on stable history.
-        let h = pr.headroom.unwrap();
+        let h = p.region_headroom(0, pr.bytes).unwrap();
         prop_assert!(h <= p.config().min_headroom + 0.05, "headroom {h}");
     }
 
@@ -68,19 +69,19 @@ proptest! {
         alpha in 0.05f64..1.0,
         err_margin in 0.0f64..6.0,
     ) {
+        // `model` is the rank's predicted total, `observed` its actual.
         let cfg = OnlineConfig { alpha, err_margin, ..OnlineConfig::default() };
-        let mut p = OnlinePredictor::new(1, cfg);
+        let mut p = OnlinePredictor::for_stream(1, 1, cfg);
         let mut last_observed = 0u64;
-        for &(model, observed) in &steps {
-            let pr = p.predict(0, model);
-            if let Some(h) = pr.headroom {
-                let reserve = (pr.bytes as f64 * h).ceil() as u64;
+        for &(predicted, observed) in &steps {
+            if let Some(h) = p.region_headroom(0, predicted) {
+                let region = (predicted as f64 * h).ceil() as u64;
                 prop_assert!(
-                    reserve >= last_observed,
-                    "reserve {reserve} < last observed {last_observed}"
+                    region >= last_observed,
+                    "region {region} < last observed {last_observed}"
                 );
             }
-            p.observe(0, model, pr.bytes, observed);
+            p.observe_rank(0, predicted, observed);
             last_observed = observed;
         }
     }

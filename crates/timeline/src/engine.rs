@@ -7,8 +7,8 @@
 //! policy — the paper's single-shot configuration replayed per step.
 //! In [`AdaptMode::Adaptive`] the stream's [`OnlinePredictor`] blends
 //! the offline model with the ratios observed in prior steps and
-//! adapts each partition's headroom from its prediction-error band
-//! ([`StreamSource`]); the step's observed chunk sizes are fed back
+//! sizes each rank's one reserved region from the error band of its
+//! predicted total ([`StreamSource`]); the step's observed chunk sizes are fed back
 //! afterwards, so prediction sharpens (and reservations tighten) as
 //! history accumulates. The loop that does this is
 //! [`predwrite::StreamState`] — the simulated stream's too.

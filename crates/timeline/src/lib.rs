@@ -14,10 +14,11 @@
 //!   In [`AdaptMode::Adaptive`] each step predicts through
 //!   [`predwrite::StreamSource`], which plugs the stream's
 //!   [`ratiomodel::OnlinePredictor`] into the engine's predict phase:
-//!   per-partition EWMA bias correction over observed ratios, plus
-//!   error-band-driven extra-space headroom (tight when history is
-//!   stable, wide after drift, floored at the last observed size so a
-//!   misprediction is recovered from on the very next step). The step
+//!   per-partition EWMA bias correction over observed ratios, plus one
+//!   region per rank at an error-band-driven extra-space headroom
+//!   (tight when history is stable, wide after drift, floored at the
+//!   rank's last observed total so a misprediction is recovered from
+//!   on the very next step). The step
 //!   loop itself — shape check, predictor, feedback, step record — is
 //!   [`predwrite::StreamState`], shared with the simulated stream.
 //! * [`StepMetrics`] / [`TimelineReport`] (from `predwrite`) — per-step

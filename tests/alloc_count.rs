@@ -31,7 +31,7 @@ use repro_suite::workloads::SnapshotStream;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use testutil::TempPath;
 
 thread_local! {
@@ -50,6 +50,14 @@ static ALL_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Held by every test of this file, so that the process-wide counters
 /// see one test at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// [`SERIAL`], also after a test failed holding it: the mutex guards
+/// no data, so a poisoned lock is only a test's failure, which must
+/// not fail every later test with a `PoisonError` instead of its own
+/// verdict.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn count(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
@@ -92,7 +100,7 @@ fn allocs_here() -> u64 {
 
 #[test]
 fn warm_estimate_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let models = Models::with_cthr(50e6);
     let cfg = Config::rel(1e-3);
     let nyx = partition_3d(&SnapshotStream::nyx(32).seed(3).snapshot(0), 2);
@@ -111,7 +119,7 @@ fn warm_estimate_allocates_nothing() {
 
 #[test]
 fn warm_decompress_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let cfg = Config::rel(1e-3);
     // A Nyx 3-D partition and the first 32³ tile of an RTM 64³ field,
     // whose planes run the vector replay where the host has one (its
@@ -146,7 +154,7 @@ fn warm_decompress_allocates_nothing() {
 
 #[test]
 fn warm_compress_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let cfg = Config::rel(1e-3);
     // The first 32³ tile of an RTM 64³ field, the chunk the chunked
     // write compresses (a payload the lossless stage's bound decides
@@ -195,7 +203,7 @@ fn warm_compress_allocates_nothing() {
 
 #[test]
 fn first_compress_of_a_line_keeps_no_reconstruction_plane() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     // A rank's 2^18-point VPIC chunk on a fresh scratch: the code list,
     // the count table, the matcher's tables and the stream, and no
     // plane of `2·nx` reconstructions (another 4 x the input).
@@ -243,7 +251,7 @@ impl PredictionSource for CountedSource<'_> {
 
 #[test]
 fn predict_phase_allocates_per_field_not_per_block() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     // 2 ranks × 8 fields of 2^17 particles: 5 % of 16 Ki blocks is
     // ≈ 820 sampled blocks a field, 13 000 over the step.
     let data: Vec<Vec<RankFieldData>> =
@@ -321,7 +329,7 @@ fn warm_read_costs(data: &[f32], dims: &[u64], chunk: &[u64]) -> [(u64, u64); 2]
 
 #[test]
 fn typed_read_allocates_its_output_once_and_nothing_per_tile() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let field = &SnapshotStream::rtm(96).seed(7).snapshot(0).fields[0];
     let output = (field.data.len() * 4) as f64;
     // 8 and 64 chunks of the same points: cubes, which the reader
@@ -356,7 +364,7 @@ fn typed_read_allocates_its_output_once_and_nothing_per_tile() {
 
 #[test]
 fn typed_read_of_a_line_allocates_no_plane_and_no_code_list() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     // One VPIC field in the engine's layout: 2^19 points, a chunk of
     // 2^18 per rank.
     let field = &SnapshotStream::vpic(1 << 19).seed(1).snapshot(0).fields[3];

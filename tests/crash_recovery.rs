@@ -217,6 +217,64 @@ fn sidecar_of_another_stream_is_a_shape_error() {
     }
 }
 
+/// A sidecar as the previous predictor state (version 4) framed it,
+/// warm, for an `nranks × nfields` stream: config, then per cell its
+/// bias correction, error EWMA, last observed size and observation
+/// count — and no rank bands.
+fn v4_sidecar(nranks: usize, nfields: usize) -> Vec<u8> {
+    use repro_suite::szlite::stream::{put_f64, put_u32, put_varint};
+    let mut payload = vec![4];
+    put_f64(&mut payload, 0.5);
+    put_varint(&mut payload, 2);
+    put_f64(&mut payload, 4.0);
+    put_f64(&mut payload, 1.05);
+    put_varint(&mut payload, (nranks * nfields) as u64);
+    for _ in 0..nranks * nfields {
+        put_f64(&mut payload, 1.1);
+        put_f64(&mut payload, 0.01);
+        put_varint(&mut payload, 40_000);
+        put_varint(&mut payload, 5);
+    }
+    let mut out = b"TLSC".to_vec();
+    out.push(1);
+    put_varint(&mut out, nranks as u64);
+    put_varint(&mut out, nfields as u64);
+    put_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+    let crc = repro_suite::h5lite::crc32c(&out);
+    put_u32(&mut out, crc);
+    out
+}
+
+#[test]
+fn a_sidecar_of_the_previous_state_version_resumes_cold() {
+    // Version 4 tracked cells only: a stream resumed from it would pool
+    // without its ranks' history. Its framing is intact, so the
+    // payload's version alone refuses it, and the resumed step reserves
+    // what a fresh stream's first step reserves.
+    let stream = SnapshotStream::nyx(16);
+    let nranks = 4;
+    let data = |s: usize| partition_stream_step(&stream, s, nranks);
+    let dir = TempDir::new("sidecar-v4");
+    let mut cfg = config(&stream, 2, dir.path().to_path_buf());
+    run_timeline(&cfg, data).unwrap();
+    for step in 0..2 {
+        let forged = v4_sidecar(nranks, cfg.configs.len());
+        std::fs::write(cfg.sidecar_path(step), forged).unwrap();
+    }
+    cfg.steps = 3;
+    let res = resume_timeline(&cfg, data).unwrap();
+    assert_eq!((res.resume_from, res.sidecar_step), (2, None));
+
+    let fresh_dir = TempDir::new("sidecar-v4-fresh");
+    let fresh = config(&stream, 1, fresh_dir.path().to_path_buf());
+    let first = run_timeline(&fresh, |_| data(2)).unwrap();
+    assert_eq!(
+        res.report.steps[0].reserved_bytes,
+        first.steps[0].reserved_bytes
+    );
+}
+
 /// The seeded schedule on one workload: a transient EIO (retried) at
 /// step 1, a silent bit flip (caught by checksum) at step 2 and a torn
 /// write at step 4. Recovery must quarantine exactly the damaged steps,

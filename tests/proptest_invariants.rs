@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use repro_suite::pfsim::{simulate, BandwidthModel, PipelineTask, RankPipeline};
 use repro_suite::predwrite::{
-    fit_split, optimize_order, plan_overflow, queue_time, ExtraSpacePolicy, PartitionPrediction,
-    WritePlan,
+    fit_split, optimize_order, plan_overflow, queue_time, Breakdown, ExtraSpacePolicy,
+    FieldObservation, Method, PartitionPrediction, Pooling, RunObservations, RunResult,
+    StepMetrics, WritePlan,
 };
 
 fn predictions() -> impl Strategy<Value = Vec<Vec<PartitionPrediction>>> {
@@ -16,6 +17,18 @@ fn predictions() -> impl Strategy<Value = Vec<Vec<PartitionPrediction>>> {
                     .prop_map(|(bytes, ratio)| PartitionPrediction { bytes, ratio }),
                 nf..=nf,
             ),
+            nr..=nr,
+        )
+    })
+}
+
+/// `(reserved, actual, write-order key)` per partition, `[rank][field]`:
+/// nranks 1..6, nfields 1..6, reservations that may be 0, actual sizes
+/// from well under to well over them.
+fn placements() -> impl Strategy<Value = Vec<Vec<(u64, u64, u64)>>> {
+    ((1usize..6), (1usize..6)).prop_flat_map(|(nr, nf)| {
+        proptest::collection::vec(
+            proptest::collection::vec(((0u64..5_000), (0u64..8_000), (0u64..1_000)), nf..=nf),
             nr..=nr,
         )
     })
@@ -61,6 +74,88 @@ proptest! {
                 prop_assert!(s.offset + s.reserved <= plan.data_end);
             }
         }
+    }
+
+    #[test]
+    fn placed_streams_land_in_their_rank_or_the_overflow_region(
+        parts in placements(),
+        pooled in any::<bool>(),
+        base in 0u64..1_000_000,
+    ) {
+        let pooling = if pooled { Pooling::Region(Some(1.01)) } else { Pooling::Slots };
+        let preds: Vec<Vec<PartitionPrediction>> = (parts.iter())
+            .map(|row| row.iter().map(|&(bytes, ..)| PartitionPrediction { bytes, ratio: 8.0 }).collect())
+            .collect();
+        let reserved: Vec<Vec<u64>> = (parts.iter())
+            .map(|row| row.iter().map(|&(r, ..)| r).collect())
+            .collect();
+        let plan = WritePlan::build_reserved(&preds, &reserved, base);
+        let mut extents: Vec<(u64, u64)> = Vec::new();
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        let mut observations: RunObservations = Vec::new();
+        let mut wastes = 0u64;
+        for (r, row) in parts.iter().enumerate() {
+            let view = plan.rank_view(r);
+            // The rank's run of the file: its one region when pooled.
+            let run = (view.slots[0].offset, view.slots[0].offset + reserved[r].iter().sum::<u64>());
+            runs.push(run);
+            let mut order: Vec<usize> = (0..row.len()).collect();
+            order.sort_by_key(|&f| row[f].2);
+            let mut regions = view.regions(pooling);
+            let mut obs = vec![FieldObservation::default(); row.len()];
+            for f in order {
+                let (_, actual, _) = row[f];
+                let (offset, split) = regions.place(f, actual);
+                prop_assert_eq!(split.in_slot + split.overflow, actual);
+                let slot = view.slots[f];
+                if !pooled {
+                    // A one-slot region is `fit_split` at the slot.
+                    prop_assert_eq!((offset, split), (slot.offset, fit_split(actual, slot.reserved)));
+                }
+                // Every in-region byte lies in the rank's run, and in
+                // the partition's own slot unless the rank pools.
+                let (lo, hi) = if pooled { run } else { (slot.offset, slot.offset + slot.reserved) };
+                prop_assert!(lo <= offset && offset + split.in_slot <= hi, "{offset}+{split:?} outside [{lo}, {hi})");
+                extents.push((offset, split.in_slot));
+                obs[f] = FieldObservation {
+                    predicted: slot.predicted,
+                    model_bytes: slot.predicted,
+                    reserved: slot.reserved,
+                    actual,
+                    overflow: split.overflow,
+                };
+            }
+            let in_region: u64 = obs.iter().map(FieldObservation::in_slot).sum();
+            prop_assert!(in_region <= run.1 - run.0);
+            // Only a full region spills.
+            if obs.iter().any(|o| o.overflow > 0) && pooled {
+                prop_assert_eq!(in_region, run.1 - run.0);
+            }
+            wastes += run.1 - run.0 - in_region;
+            observations.push(obs);
+        }
+        // Ranks' runs, and the streams placed in them, never overlap.
+        prop_assert!(plan.is_disjoint());
+        runs.sort_unstable();
+        prop_assert!(runs.windows(2).all(|w| w[0].1 <= w[1].0));
+        extents.retain(|e| e.1 > 0);
+        extents.sort_unstable();
+        prop_assert!(extents.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+        // The excess lands past `data_end`, disjoint too.
+        let overflow: Vec<Vec<u64>> = (observations.iter())
+            .map(|row| row.iter().map(|o| o.overflow).collect())
+            .collect();
+        let offsets = plan_overflow(&overflow, plan.data_end);
+        let mut tails: Vec<(u64, u64)> = (offsets.iter().flatten().zip(overflow.iter().flatten()))
+            .filter(|&(_, &len)| len > 0)
+            .map(|(&at, &len)| (at, len))
+            .collect();
+        tails.sort_unstable();
+        prop_assert!(tails.iter().all(|&(at, _)| at >= plan.data_end));
+        prop_assert!(tails.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+        // Waste is what each rank's region did not take in.
+        let result = RunResult::collect(Method::Overlap, 1.0, Breakdown::default(), 0, 0, &observations);
+        prop_assert_eq!(StepMetrics::collect(0, result, &observations, 0.0).waste_bytes, wastes);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use repro_suite::h5lite::{
     DatasetSpec, Dtype, EventSet, FilterSpec, H5Error, H5File, H5Reader, SzFilterParams,
     LZSS_FILTER_ID, SZLITE_FILTER_ID,
 };
-use repro_suite::szlite::{self, Config, Dims};
+use repro_suite::szlite::{self, Config, Dims, SzError};
 use repro_suite::workloads::{nyx, rtm, vpic, NyxParams, RtmParams, VpicParams};
 use testutil::TempPath;
 
@@ -476,7 +476,7 @@ fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
         let typed = r.read_pipelined::<f32>("d", workers).map(|_| ());
         for res in [typed, r.read_full_pipelined("d", workers).map(|_| ())] {
             match res {
-                Err(H5Error::Filter(msg)) => assert!(msg.ends_with("dtype"), "{msg}"),
+                Err(H5Error::Filter(SzError::Corrupt("dtype"))) => {}
                 other => panic!("{other:?}"),
             }
         }

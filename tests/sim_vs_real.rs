@@ -4,7 +4,10 @@
 //! reservations, waste, predictions, actual sizes, overflow and the
 //! reservation collective's wire bytes — and on
 //! the prediction error they report, step for step, in both adaptation
-//! modes, with and without Algorithm 1 reordering.
+//! modes, with and without Algorithm 1 reordering. An adaptive stream's
+//! ranks pool their reservations and place their streams in write
+//! order, so where a region runs full the two engines must also agree
+//! on which field spills how much.
 
 use bench::partition_stream_step;
 use repro_suite::predwrite::{
@@ -14,6 +17,7 @@ use repro_suite::predwrite::{
 use repro_suite::ratiomodel::{EstimateScratch, OnlineConfig};
 use repro_suite::timeline::{run_timeline, TimelineConfig};
 use repro_suite::workloads::SnapshotStream;
+use std::path::Path;
 use testutil::TempDir;
 
 const STEPS: usize = 3;
@@ -32,13 +36,13 @@ fn assert_streams_agree(
             params: SimParams::new(cfg.bandwidth).with_policy(cfg.policy),
             mode: cfg.mode,
             reservation: cfg.reservation,
-            steps: STEPS,
+            steps: cfg.steps,
             reorder: cfg.method == Method::OverlapReorder,
         },
         |s| &profiles[s],
     );
-    assert_eq!(real.steps.len(), STEPS, "{what}");
-    assert_eq!(sim.steps.len(), STEPS, "{what}");
+    assert_eq!(real.steps.len(), cfg.steps, "{what}");
+    assert_eq!(sim.steps.len(), cfg.steps, "{what}");
     for (r, s) in real.steps.iter().zip(&sim.steps) {
         let what = format!("{what}, step {}", r.step);
         assert_eq!(r.step, s.step, "{what}");
@@ -51,7 +55,9 @@ fn assert_streams_agree(
         assert_eq!(r.overflow_bytes, s.overflow_bytes, "{what}: overflow bytes");
         assert_eq!(r.n_overflow, s.n_overflow, "{what}: overflows");
         assert_eq!(r.compressed_bytes, s.compressed_bytes, "{what}: compressed");
-        assert!(r.reservation_wire_bytes > 0, "{what}");
+        // One reserved total from every rank to every rank.
+        let nranks = data[0].len() as u64;
+        assert_eq!(r.reservation_wire_bytes, 8 * nranks * nranks, "{what}");
         assert_eq!(
             r.reservation_wire_bytes, s.reservation_wire_bytes,
             "{what}: reservation wire bytes"
@@ -64,6 +70,51 @@ fn assert_streams_agree(
     real.total_overflows()
 }
 
+/// `steps` steps of `stream` on `nranks` ranks, and the simulator's
+/// input from the very data the real engine writes: the same estimate,
+/// the same compressor. The config streams it statically into `dir`.
+#[allow(clippy::type_complexity)]
+fn inputs(
+    stream: &SnapshotStream,
+    nranks: usize,
+    steps: usize,
+    dir: &Path,
+) -> (
+    TimelineConfig,
+    Vec<Vec<Vec<RankFieldData>>>,
+    Vec<Vec<Vec<PartitionProfile>>>,
+) {
+    let data: Vec<_> = (0..steps)
+        .map(|s| partition_stream_step(stream, s, nranks))
+        .collect();
+    let nfields = data[0][0].len();
+    let mut cfg = TimelineConfig::quick(steps, nfields, AdaptMode::Static, dir.to_path_buf());
+    cfg.verify = false; // bytes are compared, not decoded
+    let mut scratch = EstimateScratch::new();
+    let mut profile = |fd: &RankFieldData, f: usize| {
+        profile_partition_with(
+            &fd.data,
+            &fd.dims,
+            &cfg.configs[f],
+            &cfg.models,
+            &mut scratch,
+        )
+        .unwrap()
+    };
+    let profiles = (data.iter())
+        .map(|step| {
+            (step.iter())
+                .map(|rank| {
+                    (rank.iter().enumerate())
+                        .map(|(f, fd)| profile(fd, f))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    (cfg, data, profiles)
+}
+
 #[test]
 fn simulated_and_real_streams_agree_on_every_planned_byte() {
     let dir = TempDir::new("sim-vs-real");
@@ -73,41 +124,7 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
     // under-predicted past their extra space and overflow.
     for stream in [SnapshotStream::nyx(32), SnapshotStream::vpic(8192)] {
         for nranks in [2, 4] {
-            let data: Vec<_> = (0..STEPS)
-                .map(|s| partition_stream_step(&stream, s, nranks))
-                .collect();
-            let nfields = data[0][0].len();
-            let mut cfg =
-                TimelineConfig::quick(STEPS, nfields, AdaptMode::Static, dir.path().to_path_buf());
-            cfg.verify = false; // bytes are compared, not decoded
-
-            // The simulator's input, from the very data the real
-            // engine writes: the same estimate, the same compressor.
-            let mut scratch = EstimateScratch::new();
-            let mut profile = |fd: &RankFieldData, f: usize| {
-                profile_partition_with(
-                    &fd.data,
-                    &fd.dims,
-                    &cfg.configs[f],
-                    &cfg.models,
-                    &mut scratch,
-                )
-                .unwrap()
-            };
-            let profiles: Vec<Vec<Vec<PartitionProfile>>> = data
-                .iter()
-                .map(|step| {
-                    step.iter()
-                        .map(|rank| {
-                            rank.iter()
-                                .enumerate()
-                                .map(|(f, fd)| profile(fd, f))
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-
+            let (mut cfg, data, profiles) = inputs(&stream, nranks, STEPS, dir.path());
             for mode in [
                 AdaptMode::Static,
                 AdaptMode::Adaptive(OnlineConfig::default()),
@@ -124,4 +141,29 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
         }
     }
     assert!(overflows > 0, "the overflow path was never exercised");
+}
+
+#[test]
+fn pooled_regions_run_full_alike_in_both_engines() {
+    // Two ranks, no cushion on a rank's total: from the first adapted
+    // step on, a region is the rank's predicted total or its last
+    // observed one, whichever is more, so regions run full and the
+    // streams written last spill — the same bytes of the same fields in
+    // both engines, in field order and in Algorithm 1's.
+    let dir = TempDir::new("sim-vs-real-pooled");
+    let mut overflows = 0;
+    for stream in [SnapshotStream::nyx(32), SnapshotStream::vpic(8192)] {
+        let (mut cfg, data, profiles) = inputs(&stream, 2, 6, dir.path());
+        cfg.mode = AdaptMode::Adaptive(OnlineConfig {
+            err_margin: 0.0,
+            min_headroom: 1.0,
+            ..OnlineConfig::default()
+        });
+        for method in [Method::Overlap, Method::OverlapReorder] {
+            cfg.method = method;
+            let what = format!("{} × 2 ranks, pooled, {}", stream.label(), method.label());
+            overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
+        }
+    }
+    assert!(overflows > 0, "no region ever ran full");
 }
