@@ -13,13 +13,13 @@
 //! workloads no bytes: `compress_reference` runs the same stage, so
 //! the comparison above cannot see it. Each lossless-on stream must
 //! carry exactly the body the exhaustive matcher (szlite's own test
-//! oracle, included by path) would have produced from the lossless-off
-//! payload — token stream if smaller than the payload, stored
+//! oracle, included by path) would have produced from the payload that
+//! body holds — token stream if smaller than the payload, stored
 //! otherwise. The same holds tile by tile at the benchmark's chunk
 //! shape, where the stage stores a payload by its can't-shrink bound
 //! without running the matcher at all.
 
-use szlite::lossless::{cannot_shrink, LzScratch, WINDOW};
+use szlite::lossless::{self, cannot_shrink, LzScratch, WINDOW};
 use szlite::stream::put_varint;
 use szlite::{compress_into, compress_reference, stream_info, Config, Dims, Scratch};
 use workloads::{nyx, rtm, vpic, Dataset, Field, NyxParams, RtmParams, SnapshotStream, VpicParams};
@@ -31,6 +31,12 @@ mod lzss_oracle;
 fn body(stream: &[u8]) -> &[u8] {
     let info = stream_info(stream).unwrap();
     &stream[info.payload_offset..info.payload_offset + info.payload_len]
+}
+
+/// What the lossless stage of an szlite stream was given: its stored
+/// body, expanded (`lossless::decompress` undoes a stored body too).
+fn payload(stream: &[u8]) -> Vec<u8> {
+    lossless::decompress(body(stream)).unwrap()
 }
 
 /// The lossless stage as it was before it could give up: mode byte 1 +
@@ -51,7 +57,7 @@ fn exhaustive_lossless(payload: &[u8]) -> Vec<u8> {
 fn assert_identical(ds: &Dataset, scratch: &mut Scratch) {
     for field in &ds.fields {
         let dims = Dims::from_slice(&field.dims).unwrap();
-        for cfg in [Config::rel(1e-2), Config::rel(1e-4).with_lossless(false)] {
+        for cfg in [Config::rel(1e-2), Config::rel(1e-4)] {
             let reference = compress_reference(&field.data, &dims, &cfg).unwrap();
             let mut fused = Vec::new();
             compress_into(&field.data, &dims, &cfg, scratch, &mut fused).unwrap();
@@ -75,14 +81,12 @@ fn assert_give_up_is_free(ds: &Dataset, scratch: &mut Scratch) {
     for field in &ds.fields {
         let dims = Dims::from_slice(&field.dims).unwrap();
         let cfg = Config::rel(1e-3);
-        let (mut with, mut without) = (Vec::new(), Vec::new());
+        let mut with = Vec::new();
         compress_into(&field.data, &dims, &cfg, scratch, &mut with).unwrap();
-        let plain = cfg.with_lossless(false);
-        compress_into(&field.data, &dims, &plain, scratch, &mut without).unwrap();
-        let payload = body(&without);
+        let payload = payload(&with);
         judged += usize::from(payload.len() > 2 * GIVE_UP_WINDOW);
         assert!(
-            body(&with) == exhaustive_lossless(payload),
+            body(&with) == exhaustive_lossless(&payload),
             "give-up changed the stored bytes of field '{}' ({} payload bytes)",
             field.name,
             payload.len()
@@ -154,20 +158,11 @@ fn tiles<const T: usize>(field: &Field) -> Vec<Vec<f32>> {
     out
 }
 
-/// The lossless-on and lossless-off streams of one 32³ tile at `cfg`.
-fn tile_streams(tile: &[f32], cfg: &Config, scratch: &mut Scratch) -> (Vec<u8>, Vec<u8>) {
-    let dims = Dims::d3(32, 32, 32);
-    let (mut with, mut without) = (Vec::new(), Vec::new());
-    compress_into(tile, &dims, cfg, scratch, &mut with).unwrap();
-    compress_into(
-        tile,
-        &dims,
-        &cfg.clone().with_lossless(false),
-        scratch,
-        &mut without,
-    )
-    .unwrap();
-    (with, without)
+/// The stream of one 32³ tile at `cfg`.
+fn tile_stream(tile: &[f32], cfg: &Config, scratch: &mut Scratch) -> Vec<u8> {
+    let mut with = Vec::new();
+    compress_into(tile, &Dims::d3(32, 32, 32), cfg, scratch, &mut with).unwrap();
+    with
 }
 
 /// The benchmark's chunk shape: every 32³ tile of an RTM 64³ field,
@@ -182,11 +177,11 @@ fn rtm_tiles_cost_no_bytes() {
     let cfg = Config::rel(1e-3);
     let mut decided = 0;
     for (t, tile) in tiles::<32>(&ds.fields[0]).iter().enumerate() {
-        let (with, without) = tile_streams(tile, &cfg, &mut scratch);
-        let payload = body(&without);
-        decided += usize::from(cannot_shrink(payload, &mut lz));
+        let with = tile_stream(tile, &cfg, &mut scratch);
+        let payload = payload(&with);
+        decided += usize::from(cannot_shrink(&payload, &mut lz));
         assert!(
-            body(&with) == exhaustive_lossless(payload),
+            body(&with) == exhaustive_lossless(&payload),
             "tile {t} ({} payload bytes) stored other bytes",
             payload.len()
         );
@@ -208,16 +203,16 @@ fn nyx_density_tile_is_still_matched() {
         .find(|f| f.name == "dark_matter_density")
         .unwrap();
     let tile = &tiles::<32>(field)[0];
-    let (with, without) = tile_streams(tile, &cfg, &mut scratch);
-    let payload = body(&without);
+    let with = tile_stream(tile, &cfg, &mut scratch);
+    let payload = payload(&with);
     let lossless = body(&with);
     assert!(
-        lossless == exhaustive_lossless(payload),
+        lossless == exhaustive_lossless(&payload),
         "field '{}'",
         field.name
     );
     assert!(payload.len() <= WINDOW);
-    assert!(!cannot_shrink(payload, &mut LzScratch::default()));
+    assert!(!cannot_shrink(&payload, &mut LzScratch::default()));
     assert_eq!(
         lossless[0], 1,
         "the matcher did not win on '{}'",

@@ -57,10 +57,27 @@ impl SimParams {
     }
 }
 
-fn totals(profiles: &[Vec<PartitionProfile>]) -> (u64, u64) {
+/// A method that does not predict: each partition written at its known
+/// size, `written(p)`, into a file of exactly those bytes.
+fn exact_run(
+    method: Method,
+    total_time: f64,
+    breakdown: Breakdown,
+    profiles: &[Vec<PartitionProfile>],
+    written: fn(&PartitionProfile) -> u64,
+) -> RunResult {
+    let observations: RunObservations = profiles
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|p| FieldObservation::exact(written(p)))
+                .collect()
+        })
+        .collect();
     let raw = profiles.iter().flatten().map(|p| p.raw_bytes).sum();
-    let comp = profiles.iter().flatten().map(|p| p.actual_bytes).sum();
-    (raw, comp)
+    let mut result = RunResult::collect(method, total_time, breakdown, raw, 0, &observations);
+    result.file_bytes = result.compressed_bytes;
+    result
 }
 
 /// Simulate one method over `profiles[rank][field]`.
@@ -100,22 +117,17 @@ fn sim_nocomp(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
         })
         .collect();
     let out = simulate(&ranks, &params.bandwidth);
-    let (raw, _) = totals(profiles);
-    RunResult {
-        method: Method::NoCompression,
-        total_time: out.makespan,
-        breakdown: Breakdown {
-            write: out.makespan,
-            ..Default::default()
-        },
-        raw_bytes: raw,
-        compressed_bytes: raw,
-        file_bytes: raw,
-        n_overflow: 0,
-        overflow_bytes: 0,
-        reservation_wire_bytes: 0,
-        queue_depth_max: 0,
-    }
+    let breakdown = Breakdown {
+        write: out.makespan,
+        ..Default::default()
+    };
+    exact_run(
+        Method::NoCompression,
+        out.makespan,
+        breakdown,
+        profiles,
+        |p| p.raw_bytes,
+    )
 }
 
 fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResult {
@@ -135,24 +147,19 @@ fn sim_filter(profiles: &[Vec<PartitionProfile>], params: &SimParams) -> RunResu
         let sizes: Vec<f64> = profiles.iter().map(|r| r[f].actual_bytes as f64).collect();
         write += collective_write_time(&sizes, &params.bandwidth);
     }
-    let (raw, comp) = totals(profiles);
-    RunResult {
-        method: Method::FilterCollective,
-        total_time: compress + ag + write,
-        breakdown: Breakdown {
-            allgather: ag,
-            compress,
-            write,
-            ..Default::default()
-        },
-        raw_bytes: raw,
-        compressed_bytes: comp,
-        file_bytes: comp,
-        n_overflow: 0,
-        overflow_bytes: 0,
-        reservation_wire_bytes: 0,
-        queue_depth_max: 0,
-    }
+    let breakdown = Breakdown {
+        allgather: ag,
+        compress,
+        write,
+        ..Default::default()
+    };
+    exact_run(
+        Method::FilterCollective,
+        compress + ag + write,
+        breakdown,
+        profiles,
+        |p| p.actual_bytes,
+    )
 }
 
 fn sim_overlap(profiles: &[Vec<PartitionProfile>], params: &SimParams, reorder: bool) -> RunResult {

@@ -122,7 +122,6 @@ impl SzFilterParams {
             } else {
                 ErrorBound::Rel(self.bound)
             },
-            ..Config::default()
         }
     }
 }

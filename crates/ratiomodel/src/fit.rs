@@ -29,10 +29,7 @@ pub fn observe(data: &[f32], dims: &Dims, bounds: &[ErrorBound]) -> Vec<Observat
     bounds
         .iter()
         .filter_map(|&eb| {
-            let cfg = Config {
-                error_bound: eb,
-                ..Config::default()
-            };
+            let cfg = Config { error_bound: eb };
             let timer = obs::timed("fit.observe");
             let st = compress_into(data, dims, &cfg, &mut scratch, &mut stream).ok()?;
             let secs = timer.stop().max(1e-9);

@@ -35,8 +35,8 @@
 //!
 //! Two details keep the compressor's iteration on its latency chain.
 //! The count table is indexed without a check per lane: a code is 0 for
-//! an escape and `q + radius` with `|q| < radius` otherwise, below the
-//! `2·radius` entries the plane asserted. And an iteration whose 8
+//! an escape and `q + RADIUS` with `|q| < RADIUS` otherwise, below the
+//! `2·RADIUS` entries the plane asserted. And an iteration whose 8
 //! lanes are all coded — all but the rare one — carries the storage
 //! round trip `rt` on as its reconstructions, behind one branch on the
 //! checks, so that the checks and the blend with an escape's value are
@@ -61,7 +61,7 @@
 //! contracted), `vcvtpd2ps`/`vcvtps2pd` as the `f32` storage round
 //! trip, both `≤ eb` checks and the finite test as masks; the replay
 //! the stencil in the same order, then `Quantizer::reconstruct` —
-//! `code − radius`, exact in `f64`, times `2·eb` and added as a
+//! `code − RADIUS`, exact in `f64`, times `2·eb` and added as a
 //! separate multiply and add — and the round trip. Codes,
 //! reconstructions and therefore the stream are bit-identical to the
 //! scalar kernels' and to `compress_reference`, and so are the decoded
@@ -69,11 +69,11 @@
 //!
 //! Whether a plane runs here is decided by
 //! [`compress_into`](crate::compress_into) and by the decoder's plane
-//! loop alone, from [`Avx2::select`] (CPU feature, radius), the plane's
-//! shape and, when decoding, its codes; there is no switch to set.
+//! loop alone, from [`Avx2::select`] (CPU feature), the plane's shape
+//! and, when decoding, its codes; there is no switch to set.
 
-use crate::compressor::{Counts, Steps};
-use crate::config::MAX_RADIUS;
+use crate::compressor::Counts;
+use crate::quantizer::Quantizer;
 
 /// Rows a vector block advances together: two `__m256d` of four lanes.
 /// (Four vectors spill the sixteen `ymm` registers and measured slower.)
@@ -86,15 +86,14 @@ pub(crate) const ROWS: usize = 8;
 pub(crate) struct Avx2(());
 
 impl Avx2 {
-    /// The token, when the CPU has AVX2 and `radius ≤ 2^30`, so that
-    /// `q + radius` converts through `i32`, and so does a code below
-    /// `2·radius` on the way back.
-    pub(crate) fn select(radius: i64) -> Option<Self> {
+    /// The token, when the CPU has AVX2. (`q + RADIUS` converts
+    /// through `i32`, and so does a code below `2·RADIUS` on the way
+    /// back.)
+    pub(crate) fn select() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if radius <= i64::from(MAX_RADIUS) && std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") {
             return Some(Avx2(()));
         }
-        let _ = radius;
         None
     }
 
@@ -110,7 +109,7 @@ impl Avx2 {
         self,
         zp: &[f64],
         p: Plane<'_, f32, u32>,
-        q: Steps,
+        q: Quantizer,
         counts: &mut Counts<'_>,
     ) -> usize {
         #[cfg(target_arch = "x86_64")]
@@ -129,9 +128,14 @@ impl Avx2 {
     }
 
     /// The blocks of [`quantize_plane`](Self::quantize_plane)'s shape,
-    /// every code in `1..2·radius`: the values of
+    /// every code in `1..2·RADIUS`: the values of
     /// `decode_rows::<1, D>` on each row in turn.
-    pub(crate) fn decode_plane<const D: usize>(self, zp: &[f64], p: Plane<'_, u32, f32>, q: Steps) {
+    pub(crate) fn decode_plane<const D: usize>(
+        self,
+        zp: &[f64],
+        p: Plane<'_, u32, f32>,
+        q: Quantizer,
+    ) {
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: as in `quantize_plane`.
@@ -168,12 +172,17 @@ pub(crate) static COMPRESSED: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(0);
 #[cfg(test)]
 pub(crate) static DECODED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// Escaped points the vector kernel compressed inside its wavefront
+/// planes in this test process: what shows the escape lanes ran.
+#[cfg(test)]
+pub(crate) static ESCAPES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Plane, ROWS};
-    use crate::compressor::{Counts, Steps};
-    use crate::quantizer::UNPREDICTABLE;
+    use crate::compressor::Counts;
+    use crate::config::RADIUS;
+    use crate::quantizer::{Quantizer, UNPREDICTABLE};
     use std::arch::x86_64::*;
 
     /// The constants of a block, broadcast once.
@@ -187,14 +196,14 @@ mod x86 {
         eb: __m256d,
         twice_eb: __m256d,
         radius: __m256d,
-        /// `radius − ½`: `|u|` below it rounds to inside `±radius`.
+        /// `RADIUS − ½`: `|u|` below it rounds to inside `±RADIUS`.
         edge: __m256d,
     }
 
     impl Consts {
         #[inline]
         #[target_feature(enable = "avx2")]
-        fn new(q: Steps) -> Self {
+        fn new(q: Quantizer) -> Self {
             Consts {
                 zero: _mm256_setzero_pd(),
                 half: _mm256_set1_pd(0.5),
@@ -204,15 +213,15 @@ mod x86 {
                 inf: _mm256_set1_pd(f64::INFINITY),
                 eb: _mm256_set1_pd(q.eb),
                 twice_eb: _mm256_set1_pd(q.twice_eb),
-                radius: _mm256_set1_pd(q.radius as f64),
-                edge: _mm256_set1_pd(q.radius as f64 - 0.5),
+                radius: _mm256_set1_pd(f64::from(RADIUS)),
+                edge: _mm256_set1_pd(f64::from(RADIUS) - 0.5),
             }
         }
     }
 
     /// What [`point`] decides for four rows.
     struct Point {
-        /// `q + radius`, or 0 (`UNPREDICTABLE`) for an escape.
+        /// `q + RADIUS`, or 0 (`UNPREDICTABLE`) for an escape.
         code: __m128i,
         /// The reconstruction the neighbors predict from where the
         /// point is coded.
@@ -313,7 +322,7 @@ mod x86 {
 
     /// The body of the decoder's `replay` on four rows of plain codes at
     /// once, operation for operation: `Quantizer::reconstruct` (the code
-    /// minus the radius is exact in `f64`), then the storage round trip.
+    /// minus `RADIUS` is exact in `f64`), then the storage round trip.
     /// Returns the reconstructions.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -610,13 +619,13 @@ mod x86 {
     pub(super) fn quantize_plane<const D: usize>(
         zp: &[f64],
         mut p: Plane<'_, f32, u32>,
-        q: Steps,
+        q: Quantizer,
         counts: &mut Counts<'_>,
     ) -> usize {
-        // Escapes are 0, and a coded point's `q + radius` is in
-        // `1..2·radius` (`point`'s range test): no code is counted
+        // Escapes are 0, and a coded point's `q + RADIUS` is in
+        // `1..2·RADIUS` (`point`'s range test): no code is counted
         // outside the table.
-        assert!(counts.freqs.len() >= 2 * q.radius as usize);
+        assert!(counts.freqs.len() >= 2 * RADIUS as usize);
         // An escape is a count of code 0.
         let before = counts.freqs[UNPREDICTABLE as usize];
         let mut tally = Tally {
@@ -624,14 +633,23 @@ mod x86 {
             present: &mut *counts.present,
         };
         wavefront!(quantize_lanes, D, q, zp, &mut p, &mut tally);
+        let escapes = (counts.freqs[UNPREDICTABLE as usize] - before) as usize;
         #[cfg(test)]
-        super::COMPRESSED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (counts.freqs[UNPREDICTABLE as usize] - before) as usize
+        {
+            use std::sync::atomic::Ordering::Relaxed;
+            super::COMPRESSED.fetch_add(1, Relaxed);
+            super::ESCAPES.fetch_add(escapes, Relaxed);
+        }
+        escapes
     }
 
     /// See [`Avx2::decode_plane`](super::Avx2::decode_plane).
     #[target_feature(enable = "avx2")]
-    pub(super) fn decode_plane<const D: usize>(zp: &[f64], mut p: Plane<'_, u32, f32>, q: Steps) {
+    pub(super) fn decode_plane<const D: usize>(
+        zp: &[f64],
+        mut p: Plane<'_, u32, f32>,
+        q: Quantizer,
+    ) {
         wavefront!(restore_lanes, D, q, zp, &mut p, ());
         #[cfg(test)]
         super::DECODED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -642,24 +660,28 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::compressor::{
-        compress_into, compress_into_scalar, compress_reference, Scratch, DTYPE, MAGIC, VERSION,
+        compress_into, compress_into_scalar, compress_reference, Scratch, DTYPE, LOSSLESS, MAGIC,
+        VERSION,
     };
-    use crate::config::{Config, Dims, ErrorBound};
+    use crate::config::{Config, Dims, ErrorBound, RADIUS};
     use crate::decompressor::{decompress_into, decompress_into_scalar, DecompressScratch};
     use crate::error::SzError;
     use crate::huffman::HuffmanEncoder;
+    use crate::lossless;
     use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
     /// True when this host runs the vector kernel (printed, so that a CI
     /// runner that only tests the scalar arm shows in its log).
     fn detected() -> bool {
-        Avx2::select(2).is_some()
+        Avx2::select().is_some()
     }
 
-    /// `n` values in one of three textures — 0 a smooth field with
+    /// `n` values in one of four textures — 0 a smooth field with
     /// noise, 1 a ramp just under `f32::MAX` (so a reconstruction can
     /// overflow the `f32` round trip), 2 a walk over multiples of ½
-    /// (under `Abs(0.5)` residuals are exact rounding ties) — with every
+    /// (under `Abs(0.5)` residuals are exact rounding ties), 3 noise
+    /// whose residuals under `Abs(1e-6)` pass the codebook's
+    /// `RADIUS · 2eb` about as often as not (dense escapes) — with every
     /// 11th value replaced by, in turn, NaN, ±Inf, `-0.0`, a subnormal,
     /// `±1e30`; or, `coded_only`, by `-0.0` and the subnormal alone,
     /// which quantize like any value, so that escape-free blocks occur.
@@ -691,6 +713,7 @@ mod tests {
                 let v = match texture {
                     0 => (i as f64 * 0.37).sin() + 0.05 * noise,
                     2 => walk,
+                    3 => 0.15 * noise,
                     _ => 3.4e38 - 1e35 * (i % 97) as f64 - 1e33 * noise,
                 };
                 v as f32
@@ -722,9 +745,9 @@ mod tests {
         data
     }
 
-    /// The shapes × textures × bounds × fields × radii of both pins:
-    /// 2-D, and 3-D whose first plane is order 2; dense escapes, and
-    /// the default codebook.
+    /// The shapes × textures × bounds × fields of both pins: 2-D, and
+    /// 3-D whose first plane is order 2; sparse escapes, and dense ones
+    /// (texture 3).
     fn pin_cases(mut case: impl FnMut(&Dims, Config, (bool, bool), u8, String)) {
         for ny in PIN_NY {
             for nx in PIN_NX {
@@ -734,17 +757,12 @@ mod tests {
                         (0, ErrorBound::Rel(1e-5)),
                         (1, ErrorBound::Abs(1e33)),
                         (2, ErrorBound::Abs(0.5)),
+                        (3, ErrorBound::Abs(1e-6)),
                     ] {
                         for fields in PIN_FIELDS {
-                            for radius in [16, 32768] {
-                                let cfg = Config {
-                                    error_bound: bound,
-                                    radius,
-                                    lossless: true,
-                                };
-                                let what = format!("{dims:?} {bound:?} radius {radius} {fields:?}");
-                                case(&dims, cfg, fields, texture, what);
-                            }
+                            let cfg = Config { error_bound: bound };
+                            let what = format!("{dims:?} {bound:?} texture {texture} {fields:?}");
+                            case(&dims, cfg, fields, texture, what);
                         }
                     }
                 }
@@ -753,7 +771,7 @@ mod tests {
     }
 
     /// Cases each pin compares.
-    const PIN_CASES: usize = PIN_NY.len() * PIN_NX.len() * 2 * 4 * PIN_FIELDS.len() * 2;
+    const PIN_CASES: usize = PIN_NY.len() * PIN_NX.len() * 2 * 5 * PIN_FIELDS.len();
 
     /// Vector arm (where the host has one), scalar arm and the
     /// reference, byte for byte; returns the cases compared.
@@ -782,6 +800,9 @@ mod tests {
         let planes = COMPRESSED.load(std::sync::atomic::Ordering::Relaxed);
         println!("avx2 planes compressed as one wavefront: {planes}");
         assert_eq!(planes > 0, detected());
+        let escapes = ESCAPES.load(std::sync::atomic::Ordering::Relaxed);
+        println!("avx2 escapes compressed in wavefront planes: {escapes}");
+        assert_eq!(escapes > 0, detected());
     }
 
     /// The decode arms on the streams of [`pin_both_arms`]'s matrix:
@@ -809,13 +830,12 @@ mod tests {
         cases
     }
 
-    /// An `f32` stream of a `dims` grid without the lossless stage and
-    /// without literals, whose codes are all `radius` (residual 0) but
-    /// `bad` at point `at`.
-    fn forged(dims: &Dims, radius: u32, at: usize, bad: u32) -> Vec<u8> {
-        let mut codes = vec![radius; dims.len()];
+    /// An `f32` stream of a `dims` grid without literals, whose codes
+    /// are all `RADIUS` (residual 0) but `bad` at point `at`.
+    fn forged(dims: &Dims, at: usize, bad: u32) -> Vec<u8> {
+        let mut codes = vec![RADIUS; dims.len()];
         codes[at] = bad;
-        let mut freqs = vec![0u64; 2 * radius as usize + 1];
+        let mut freqs = vec![0u64; 2 * RADIUS as usize + 1];
         for &code in &codes {
             freqs[code as usize] += 1;
         }
@@ -829,6 +849,7 @@ mod tests {
         put_varint(&mut payload, code_bytes.len() as u64);
         payload.extend_from_slice(&code_bytes);
         put_varint(&mut payload, 0);
+        let body = lossless::compress(&payload);
         let mut out = Vec::new();
         put_u32(&mut out, MAGIC);
         out.extend([VERSION, DTYPE, dims.ndims() as u8]);
@@ -836,10 +857,10 @@ mod tests {
             put_varint(&mut out, d as u64);
         }
         put_f64(&mut out, 1e-3);
-        put_u32(&mut out, radius);
-        out.push(0);
-        put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        put_u32(&mut out, RADIUS);
+        out.push(LOSSLESS);
+        put_varint(&mut out, body.len() as u64);
+        out.extend_from_slice(&body);
         out
     }
 
@@ -871,17 +892,17 @@ mod tests {
             (Dims::d3(3, 24, 40), 2 * 24 * 40 + 9 * 40 + 1),
         ] {
             for (bad, want) in [
-                (64, SzError::Corrupt("symbol out of alphabet")),
+                (2 * RADIUS, SzError::Corrupt("symbol out of alphabet")),
                 (0, SzError::Truncated("f32 literal")),
             ] {
-                let stream = forged(&dims, 32, at, bad);
+                let stream = forged(&dims, at, bad);
                 let vd = decompress_into(&stream, &mut dscratch, &mut vector);
                 let sd = decompress_into_scalar(&stream, &mut dscratch, &mut scalar);
                 assert_eq!(vd, Err(want.clone()), "symbol {bad} at {at}");
                 assert_eq!(sd, vd, "symbol {bad} at {at}");
             }
             // The same stream with the plain symbol decodes alike.
-            let stream = forged(&dims, 32, at, 33);
+            let stream = forged(&dims, at, RADIUS + 1);
             let vd = decompress_into(&stream, &mut dscratch, &mut vector);
             assert_eq!(
                 vd,
@@ -889,12 +910,5 @@ mod tests {
             );
             assert!(vd.is_ok() && vector == scalar);
         }
-    }
-
-    #[test]
-    fn selection_needs_a_radius_that_fits_i32() {
-        let max = i64::from(MAX_RADIUS);
-        assert!(Avx2::select(max + 1).is_none());
-        assert_eq!(Avx2::select(max).is_some(), detected());
     }
 }

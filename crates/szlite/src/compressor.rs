@@ -18,12 +18,12 @@
 //! input.
 
 use crate::avx2::{self, Avx2};
-use crate::config::{Config, Dims};
+use crate::config::{Config, Dims, RADIUS};
 use crate::error::{Result, SzError};
 use crate::huffman::{EncoderWorkspace, HuffmanEncoder};
 use crate::lossless;
 use crate::predictor::{stencil, stencil_order, Lorenzo, Planes, Skewed};
-use crate::quantizer::{round_within, Quantizer, UNPREDICTABLE};
+use crate::quantizer::{round_within, Quantizer, RADIUS_I64, UNPREDICTABLE};
 use crate::stream::{put_f64, put_u32, put_varint, BitWriter};
 
 /// Stream magic: "SZL1".
@@ -35,6 +35,10 @@ pub const VERSION: u8 = 1;
 ///
 /// [`stream_info`]: crate::stream_info
 pub const DTYPE: u8 = 0;
+/// Stream-header mode byte: the payload went through the LZSS stage, as
+/// every stream's does; [`stream_info`](crate::stream_info) refuses any
+/// other (`0` was a stream without it).
+pub const LOSSLESS: u8 = 1;
 
 /// Summary of one compression run, used by benchmarks and the ratio
 /// model validation experiments.
@@ -125,15 +129,6 @@ pub fn compress_with_stats(
 /// [`sweep`]); shared with the decoder's mirror kernel.
 pub(crate) const LANES: usize = 4;
 
-/// What one compress call quantizes against: the resolved bound, the
-/// quantization step `2·eb` and the codebook half-size.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Steps {
-    pub(crate) eb: f64,
-    pub(crate) twice_eb: f64,
-    pub(crate) radius: i64,
-}
-
 /// A block of consecutive rows of one plane, as its kernel sees it.
 ///
 /// `data` and `codes` hold the block's rows of `nx` points; `above`,
@@ -221,7 +216,7 @@ pub(crate) fn sweep<const L: usize, const D: usize>(
     ts: std::ops::Range<usize>,
     w: &mut Wave<L>,
     b: &mut Block<'_>,
-    q: Steps,
+    q: Quantizer,
     counts: &mut Counts<'_>,
 ) -> usize {
     let nx = b.nx;
@@ -253,7 +248,7 @@ pub(crate) fn sweep<const L: usize, const D: usize>(
             let d = xv - pred;
             // Branch-free validity: a non-finite value or prediction
             // rounds to `None` and lands in the escape lane.
-            let r = round_within(d / q.twice_eb, q.radius);
+            let r = round_within(d / q.twice_eb, RADIUS_I64);
             let in_range = r.is_some();
             let qi = r.unwrap_or(0);
             let r64 = pred + qi as f64 * q.twice_eb;
@@ -262,7 +257,7 @@ pub(crate) fn sweep<const L: usize, const D: usize>(
             let rt = f64::from(r64 as f32);
             let ok = in_range & ((xv - r64).abs() <= q.eb) & ((xv - rt).abs() <= q.eb);
             let code = if ok {
-                (qi + q.radius) as u32
+                (qi + RADIUS_I64) as u32
             } else {
                 UNPREDICTABLE
             };
@@ -291,7 +286,7 @@ pub(crate) fn sweep<const L: usize, const D: usize>(
 /// A whole block of `L` rows through [`sweep`].
 fn quantize_rows<const L: usize, const D: usize>(
     b: &mut Block<'_>,
-    q: Steps,
+    q: Quantizer,
     counts: &mut Counts<'_>,
 ) -> usize {
     sweep::<L, D>(0..b.nx + L - 1, &mut Wave::new(), b, q, counts)
@@ -342,10 +337,6 @@ fn compress_on(
             actual: data.len(),
         });
     }
-    // Before anything is sized by it: the count table is `2·radius`
-    // entries.
-    let radius = cfg.checked_radius()?;
-
     // Resolve the error bound. Only range-relative bounds scan for
     // min/max inside resolve_for; with an absolute bound the
     // prediction pass below is the single data traversal.
@@ -354,7 +345,7 @@ fn compress_on(
     drop(range_span);
 
     let quantize_span = obs::span("sz.quantize");
-    let quant = Quantizer::new(eb, cfg.radius);
+    let quant = Quantizer::new(eb);
     let lorenzo = Lorenzo::new(dims);
     let st = *lorenzo.strides();
     let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
@@ -388,22 +379,16 @@ fn compress_on(
     present.clear();
     let mut n_unpred = 0usize;
 
-    let steps = Steps {
-        eb,
-        twice_eb: 2.0 * eb,
-        radius,
-    };
     let mut counts = Counts {
         freqs: &mut freqs[..alphabet],
         present: &mut *present,
     };
     // The one place a block's kernel is chosen, from what the host and
     // the input are (see the crate docs): the vector kernel over a
-    // plane's whole 8-row blocks, as one wavefront, where the CPU and
-    // the radius allow it and the rows are at least 8 long; otherwise 4
-    // scalar lanes, or one for leftover rows and 1-D data.
-    let vector =
-        Avx2::select(radius).filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
+    // plane's whole 8-row blocks, as one wavefront, where the CPU
+    // allows it and the rows are at least 8 long; otherwise 4 scalar
+    // lanes, or one for leftover rows and 1-D data.
+    let vector = Avx2::select().filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
     let blocks = ny / avx2::ROWS;
     let whole = blocks * avx2::ROWS * nx;
     if vector.is_some() {
@@ -435,8 +420,8 @@ fn compress_on(
                 blocks,
             };
             let escapes = match order {
-                3 => v.quantize_plane::<3>(zp, p, steps, &mut counts),
-                _ => v.quantize_plane::<2>(zp, p, steps, &mut counts),
+                3 => v.quantize_plane::<3>(zp, p, quant, &mut counts),
+                _ => v.quantize_plane::<2>(zp, p, quant, &mut counts),
             };
             skewed.unskew_last(planes);
             if escapes > 0 {
@@ -460,11 +445,11 @@ fn compress_on(
                 codes: &mut codes[at.clone()],
             };
             let escapes = match (lanes, order) {
-                (LANES, 3) => quantize_rows::<LANES, 3>(&mut block, steps, &mut counts),
-                (LANES, _) => quantize_rows::<LANES, 2>(&mut block, steps, &mut counts),
-                (_, 3) => quantize_rows::<1, 3>(&mut block, steps, &mut counts),
-                (_, 2) => quantize_rows::<1, 2>(&mut block, steps, &mut counts),
-                (_, _) => quantize_rows::<1, 1>(&mut block, steps, &mut counts),
+                (LANES, 3) => quantize_rows::<LANES, 3>(&mut block, quant, &mut counts),
+                (LANES, _) => quantize_rows::<LANES, 2>(&mut block, quant, &mut counts),
+                (_, 3) => quantize_rows::<1, 3>(&mut block, quant, &mut counts),
+                (_, 2) => quantize_rows::<1, 2>(&mut block, quant, &mut counts),
+                (_, _) => quantize_rows::<1, 1>(&mut block, quant, &mut counts),
             };
             if escapes > 0 {
                 literals_of(at, codes);
@@ -502,16 +487,11 @@ fn compress_on(
 
     // Lossless stage.
     let lzss_span = obs::span("sz.lzss");
-    let (mode, body): (u8, &[u8]) = if cfg.lossless {
-        lossless::compress_into(payload, lz_out, lz);
-        (1u8, lz_out)
-    } else {
-        (0u8, payload)
-    };
+    lossless::compress_into(payload, lz_out, lz);
     drop(lzss_span);
 
     // Header.
-    out.reserve(body.len() + 64);
+    out.reserve(lz_out.len() + 64);
     put_u32(out, MAGIC);
     out.push(VERSION);
     out.push(DTYPE);
@@ -520,10 +500,10 @@ fn compress_on(
         put_varint(out, d as u64);
     }
     put_f64(out, eb);
-    put_u32(out, cfg.radius);
-    out.push(mode);
-    put_varint(out, body.len() as u64);
-    out.extend_from_slice(body);
+    put_u32(out, RADIUS);
+    out.push(LOSSLESS);
+    put_varint(out, lz_out.len() as u64);
+    out.extend_from_slice(lz_out);
 
     let stats = CompressStats {
         n_points: n,
@@ -555,7 +535,7 @@ pub fn compress_reference(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec
         });
     }
     let eb = cfg.error_bound.resolve_for(data)?;
-    let quant = Quantizer::new(eb, cfg.radius);
+    let quant = Quantizer::new(eb);
     let lorenzo = Lorenzo::new(dims);
     let st = *lorenzo.strides();
 
@@ -613,13 +593,7 @@ pub fn compress_reference(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec
     payload.extend_from_slice(&literals);
 
     // Lossless stage.
-    let lz;
-    let (mode, body): (u8, &[u8]) = if cfg.lossless {
-        lz = lossless::compress(&payload);
-        (1u8, &lz)
-    } else {
-        (0u8, &payload)
-    };
+    let body = lossless::compress(&payload);
 
     // Header.
     let mut out = Vec::with_capacity(body.len() + 64);
@@ -631,9 +605,9 @@ pub fn compress_reference(data: &[f32], dims: &Dims, cfg: &Config) -> Result<Vec
         put_varint(&mut out, d as u64);
     }
     put_f64(&mut out, eb);
-    put_u32(&mut out, cfg.radius);
-    out.push(mode);
+    put_u32(&mut out, RADIUS);
+    out.push(LOSSLESS);
     put_varint(&mut out, body.len() as u64);
-    out.extend_from_slice(body);
+    out.extend_from_slice(&body);
     Ok(out)
 }

@@ -186,34 +186,24 @@ pub(crate) fn finite_range(data: &[f32], stride: usize) -> (f64, f64) {
     }
 }
 
-/// Largest accepted [`Config::radius`]: every code `q + radius` then
-/// fits an `i32`, which the vector kernel converts through and the
-/// scalar kernels' `as u32` relies on.
-pub const MAX_RADIUS: u32 = 1 << 30;
+/// Half-size of the quantization codebook, SZ's default: codes `q` in
+/// `±(RADIUS−1)` are stored as `q + RADIUS`, anything outside as a raw
+/// literal. The bounded codebook caps the Huffman tree, the source of
+/// the throughput floor the paper models (Eq. 1, Fig. 6). A stream
+/// header naming another radius is [`SzError::Corrupt`]`("header radius")`.
+pub const RADIUS: u32 = 32768;
 
-/// Full compressor configuration.
+/// Full compressor configuration: the error bound. The codebook is
+/// [`RADIUS`] and the trailing LZSS stage always runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Error bound specification.
     pub error_bound: ErrorBound,
-    /// Half-size of the quantization codebook. Codes live in
-    /// `[-radius+1, radius-1]`; anything outside is stored as a raw
-    /// literal ("unpredictable" point). SZ uses 32768 by default,
-    /// capping the Huffman tree size — the source of the compression
-    /// throughput lower bound discussed in the paper (Fig. 6).
-    pub radius: u32,
-    /// Apply the trailing lossless stage (LZSS). Disabling it is useful
-    /// for throughput experiments that isolate prediction + Huffman.
-    pub lossless: bool,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            error_bound: ErrorBound::Rel(1e-3),
-            radius: 32768,
-            lossless: true,
-        }
+        Config::rel(1e-3)
     }
 }
 
@@ -222,7 +212,6 @@ impl Config {
     pub fn abs(eb: f64) -> Self {
         Config {
             error_bound: ErrorBound::Abs(eb),
-            ..Default::default()
         }
     }
 
@@ -230,30 +219,7 @@ impl Config {
     pub fn rel(eb: f64) -> Self {
         Config {
             error_bound: ErrorBound::Rel(eb),
-            ..Default::default()
         }
-    }
-
-    /// Override the quantization radius (codebook half-size).
-    pub fn with_radius(mut self, radius: u32) -> Self {
-        self.radius = radius.max(2);
-        self
-    }
-
-    /// Enable/disable the trailing lossless stage.
-    pub fn with_lossless(mut self, on: bool) -> Self {
-        self.lossless = on;
-        self
-    }
-
-    /// The radius the quantizer runs with (floored at 2), or the typed
-    /// error for one above [`MAX_RADIUS`] — `radius` is a public field,
-    /// and past 2^31 codes would wrap silently.
-    pub(crate) fn checked_radius(&self) -> Result<i64> {
-        if self.radius > MAX_RADIUS {
-            return Err(SzError::RadiusTooLarge(self.radius));
-        }
-        Ok(i64::from(self.radius.max(2)))
     }
 }
 
@@ -292,25 +258,6 @@ mod tests {
         assert!(ErrorBound::Abs(0.0).resolve(0.0, 1.0).is_err());
         assert!(ErrorBound::Abs(-1.0).resolve(0.0, 1.0).is_err());
         assert!(ErrorBound::Abs(f64::NAN).resolve(0.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn radius_floor() {
-        assert_eq!(Config::abs(1.0).with_radius(0).radius, 2);
-    }
-
-    #[test]
-    fn radius_above_the_maximum_is_a_typed_error() {
-        let mut cfg = Config::abs(1.0);
-        for (radius, want) in [
-            (0, Ok(2)),
-            (MAX_RADIUS, Ok(i64::from(MAX_RADIUS))),
-            (MAX_RADIUS + 1, Err(SzError::RadiusTooLarge(MAX_RADIUS + 1))),
-            (u32::MAX, Err(SzError::RadiusTooLarge(u32::MAX))),
-        ] {
-            cfg.radius = radius;
-            assert_eq!(cfg.checked_radius(), want);
-        }
     }
 
     /// The bound `resolve_for` resolved from a one-accumulator serial

@@ -33,8 +33,8 @@
 //! convenience entry points.
 
 use crate::avx2::{self, Avx2};
-use crate::compressor::{Wave, DTYPE, LANES, MAGIC, VERSION};
-use crate::config::{Dims, MAX_RADIUS};
+use crate::compressor::{Wave, DTYPE, LANES, LOSSLESS, MAGIC, VERSION};
+use crate::config::{Dims, RADIUS};
 use crate::error::{Result, SzError};
 use crate::huffman::HuffmanDecoder;
 use crate::lossless;
@@ -54,10 +54,6 @@ pub struct StreamInfo {
     pub dims: Dims,
     /// Resolved absolute error bound the stream was produced with.
     pub eb: f64,
-    /// Quantizer radius.
-    pub radius: u32,
-    /// Whether the LZSS stage was applied.
-    pub lossless: bool,
     /// Offset of the payload within the stream.
     pub payload_offset: usize,
     /// Payload length in bytes.
@@ -68,7 +64,8 @@ pub struct StreamInfo {
 ///
 /// Never panics: truncation at any header boundary yields
 /// [`SzError::Truncated`] and implausible field values (an element
-/// type other than `f32`, overflowing dimension products, absurd
+/// type other than `f32`, overflowing dimension products, a codebook
+/// radius other than [`RADIUS`], a mode byte other than LZSS's, absurd
 /// payload lengths) yield [`SzError::Corrupt`].
 pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     let mut pos = 0usize;
@@ -104,15 +101,13 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     if !(eb.is_finite() && eb > 0.0) {
         return Err(SzError::Corrupt("header eb"));
     }
-    let radius = get_u32(bytes, &mut pos)?;
-    if !(2..=MAX_RADIUS).contains(&radius) {
+    if get_u32(bytes, &mut pos)? != RADIUS {
         return Err(SzError::Corrupt("header radius"));
     }
-    let mode = *bytes.get(pos).ok_or(SzError::Truncated("lossless mode"))?;
-    pos += 1;
-    if mode > 1 {
+    if *bytes.get(pos).ok_or(SzError::Truncated("lossless mode"))? != LOSSLESS {
         return Err(SzError::Corrupt("lossless mode"));
     }
+    pos += 1;
     let payload_len = get_varint(bytes, &mut pos)? as usize;
     let payload_end = pos
         .checked_add(payload_len)
@@ -123,8 +118,6 @@ pub fn stream_info(bytes: &[u8]) -> Result<StreamInfo> {
     Ok(StreamInfo {
         dims,
         eb,
-        radius,
-        lossless: mode == 1,
         payload_offset: pos,
         payload_len,
     })
@@ -252,10 +245,9 @@ fn decode_stream<'o>(
         skewed,
     } = scratch;
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
-    let payload_ref: &[u8] = match (info.lossless, body.split_first()) {
-        (false, _) => body,
-        (true, Some((&lossless::MODE_RAW, stored))) => stored,
-        (true, _) => {
+    let payload_ref: &[u8] = match body.split_first() {
+        Some((&lossless::MODE_RAW, stored)) => stored,
+        _ => {
             lossless::decompress_into(body, payload)?;
             payload
         }
@@ -297,7 +289,7 @@ fn decode_stream<'o>(
         Ok(Literals { bytes, pos: 0 })
     });
 
-    let quant = Quantizer::new(info.eb, info.radius);
+    let quant = Quantizer::new(info.eb);
     let st = *Lorenzo::new(&info.dims).strides();
     let (nz, ny, nx) = (st.ext[0], st.ext[1], st.ext[2]);
     let mut br = BitReader::new(code_bytes);
@@ -322,11 +314,10 @@ fn decode_stream<'o>(
     let is_plain = |c: &[u32]| all_plain || c.iter().fold(true, |ok, c| ok & plain.contains(c));
     // The kernel choice mirrors `compress_into`'s: the vector kernel
     // over a plane's whole 8-row blocks, as one wavefront, where the
-    // host and the radius allow it, the rows are at least 8 long and
-    // the blocks hold plain codes only; otherwise 4 scalar lanes, or
-    // one for leftover rows and blocks with an escape.
-    let vector = Avx2::select(i64::from(info.radius))
-        .filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
+    // host allows it, the rows are at least 8 long and the blocks hold
+    // plain codes only; otherwise 4 scalar lanes, or one for leftover
+    // rows and blocks with an escape.
+    let vector = Avx2::select().filter(|_| may_vectorize && nx >= avx2::ROWS && ny >= avx2::ROWS);
     let blocks = ny / avx2::ROWS;
     let whole = blocks * avx2::ROWS * nx;
     let wide_at = |z: usize| vector.filter(|_| is_plain(&codes[z * plane..z * plane + whole]));
@@ -360,8 +351,8 @@ fn decode_stream<'o>(
                 blocks,
             };
             match order {
-                3 => v.decode_plane::<3>(zp, p, quant.steps()),
-                _ => v.decode_plane::<2>(zp, p, quant.steps()),
+                3 => v.decode_plane::<3>(zp, p, quant),
+                _ => v.decode_plane::<2>(zp, p, quant),
             }
             skewed.unskew_last(planes);
             y = blocks * avx2::ROWS;
@@ -548,7 +539,7 @@ fn decode_rows<const L: usize, const D: usize>(
 mod tests {
     use super::*;
     use crate::compressor::compress;
-    use crate::config::Config;
+    use crate::config::{Config, ErrorBound};
     use crate::stream::{put_f64, put_u32, put_varint};
 
     /// Decode through the `Vec` entry point and through the slice entry
@@ -573,11 +564,10 @@ mod tests {
         by_vec
     }
 
-    fn sample_stream(lossless: bool) -> (Vec<f32>, Dims, Vec<u8>) {
+    fn sample_stream() -> (Vec<f32>, Dims, Vec<u8>) {
         let dims = Dims::d3(6, 5, 4);
         let data: Vec<f32> = (0..120).map(|i| (i as f32 * 0.13).sin()).collect();
-        let cfg = Config::abs(1e-3).with_lossless(lossless);
-        let bytes = compress(&data, &dims, &cfg).unwrap();
+        let bytes = compress(&data, &dims, &Config::abs(1e-3)).unwrap();
         (data, dims, bytes)
     }
 
@@ -588,7 +578,7 @@ mod tests {
         // never a panic. The header spans magic(4) + version(1) +
         // dtype(1) + ndims(1) + 3 dim varints + eb(8) + radius(4) +
         // mode(1) + payload-length varint.
-        let (_, _, bytes) = sample_stream(true);
+        let (_, _, bytes) = sample_stream();
         let info = stream_info(&bytes).unwrap();
         for cut in 0..info.payload_offset {
             let err = stream_info(&bytes[..cut]);
@@ -608,8 +598,8 @@ mod tests {
 
     /// [`sample_stream`] with the element type of its header (byte 5)
     /// set to 1, which was `f64`'s.
-    fn f64_stream(lossless: bool) -> Vec<u8> {
-        let (_, _, mut bytes) = sample_stream(lossless);
+    fn f64_stream() -> Vec<u8> {
+        let (_, _, mut bytes) = sample_stream();
         assert_eq!(bytes[5], DTYPE);
         bytes[5] = 1;
         bytes
@@ -620,23 +610,18 @@ mod tests {
         // A stream tagged `f64`, cut anywhere or whole: the header
         // parser and every decode entry point agree on a typed error,
         // the tag's own once byte 5 is in.
-        for lossless in [true, false] {
-            let bytes = f64_stream(lossless);
-            for cut in 0..=bytes.len() {
-                let err = stream_info(&bytes[..cut]).expect_err("accepted");
-                if cut > 5 {
-                    assert_eq!(err, SzError::Corrupt("dtype"), "cut {cut}");
-                } else {
-                    assert!(matches!(err, SzError::Truncated(_)), "cut {cut}: {err:?}");
-                }
-                assert_eq!(decode_both(&bytes[..cut]), Err(err.clone()), "cut {cut}");
-                let got = decompress_into_scalar(
-                    &bytes[..cut],
-                    &mut DecompressScratch::new(),
-                    &mut vec![],
-                );
-                assert_eq!(got, Err(err), "cut {cut}");
+        let bytes = f64_stream();
+        for cut in 0..=bytes.len() {
+            let err = stream_info(&bytes[..cut]).expect_err("accepted");
+            if cut > 5 {
+                assert_eq!(err, SzError::Corrupt("dtype"), "cut {cut}");
+            } else {
+                assert!(matches!(err, SzError::Truncated(_)), "cut {cut}: {err:?}");
             }
+            assert_eq!(decode_both(&bytes[..cut]), Err(err.clone()), "cut {cut}");
+            let got =
+                decompress_into_scalar(&bytes[..cut], &mut DecompressScratch::new(), &mut vec![]);
+            assert_eq!(got, Err(err), "cut {cut}");
         }
     }
 
@@ -645,24 +630,22 @@ mod tests {
         // Byte flips anywhere past the magic and the version of a stream
         // tagged `f64` leave the tag's typed error: it is checked before
         // any later field is read.
-        for lossless in [true, false] {
-            let bytes = f64_stream(lossless);
-            for i in 0..bytes.len() {
-                let mut b = bytes.clone();
-                b[i] ^= 0xFF;
-                let want = match i {
-                    0..=3 => SzError::BadMagic,
-                    4 => SzError::UnsupportedVersion(VERSION ^ 0xFF),
-                    _ => SzError::Corrupt("dtype"),
-                };
-                assert_eq!(decode_both(&b), Err(want), "byte {i}");
-            }
+        let bytes = f64_stream();
+        for i in 0..bytes.len() {
+            let mut b = bytes.clone();
+            b[i] ^= 0xFF;
+            let want = match i {
+                0..=3 => SzError::BadMagic,
+                4 => SzError::UnsupportedVersion(VERSION ^ 0xFF),
+                _ => SzError::Corrupt("dtype"),
+            };
+            assert_eq!(decode_both(&b), Err(want), "byte {i}");
         }
     }
 
     #[test]
     fn corrupt_header_fields_are_typed() {
-        let (_, _, bytes) = sample_stream(true);
+        let (_, _, bytes) = sample_stream();
 
         // Version byte.
         let mut b = bytes.clone();
@@ -691,27 +674,26 @@ mod tests {
             Err(SzError::Corrupt("dims overflow"))
         ));
 
-        // Radius outside what the compressor accepts: magic(4) +
-        // version + dtype + ndims + three one-byte dims + eb(8), then
-        // the radius, little-endian.
+        // The radius and the mode byte are constants the header
+        // records: magic(4) + version + dtype + ndims + three one-byte
+        // dims + eb(8), then the radius, little-endian, then the mode.
+        // Any other value is refused, a radius once accepted included.
         let at = 4 + 3 + 3 + 8;
-        for (radius, ok) in [
-            (1u32, false),
-            (2, true),
-            (MAX_RADIUS, true),
-            (MAX_RADIUS + 1, false),
-            (u32::MAX, false),
-        ] {
+        assert_eq!(bytes[at..at + 4], RADIUS.to_le_bytes());
+        assert_eq!(bytes[at + 4], LOSSLESS);
+        for radius in [1u32, 2, 16, RADIUS - 1, RADIUS + 1, 1 << 30, u32::MAX] {
             let mut b = bytes.clone();
             b[at..at + 4].copy_from_slice(&radius.to_le_bytes());
-            match stream_info(&b) {
-                Ok(info) => assert!(ok && info.radius == radius, "radius {radius} accepted"),
-                Err(e) => {
-                    assert!(!ok, "radius {radius} rejected");
-                    assert_eq!(e, SzError::Corrupt("header radius"));
-                    assert_eq!(decode_both(&b), Err(e));
-                }
-            }
+            let want = Err(SzError::Corrupt("header radius"));
+            assert_eq!(stream_info(&b).map(drop), want, "radius {radius}");
+            assert_eq!(decode_both(&b).map(drop), want, "radius {radius}");
+        }
+        for mode in [0, 2, 0xFF] {
+            let mut b = bytes.clone();
+            b[at + 4] = mode;
+            let want = Err(SzError::Corrupt("lossless mode"));
+            assert_eq!(stream_info(&b).map(drop), want, "mode {mode}");
+            assert_eq!(decode_both(&b).map(drop), want, "mode {mode}");
         }
     }
 
@@ -719,7 +701,7 @@ mod tests {
     fn absurd_payload_length_rejected_without_allocation() {
         // Rewrite the payload-length varint to a huge value; the parser
         // must reject it (truncated) instead of wrapping or allocating.
-        let (_, _, bytes) = sample_stream(false);
+        let (_, _, bytes) = sample_stream();
         let info = stream_info(&bytes).unwrap();
         // Rebuild the header with a forged payload-length varint (the
         // last header field before payload_offset).
@@ -744,10 +726,17 @@ mod tests {
 
     #[test]
     fn corrupt_payload_counts_rejected() {
-        // Flip bits across the (uncompressed-mode) payload; decode must
-        // error or produce output, never panic.
-        let (_, _, bytes) = sample_stream(false);
+        // Flip bits across the payload under the LZSS stage, and across
+        // the stored LZSS body; decode must error or produce output,
+        // never panic.
+        let (_, _, bytes) = sample_stream();
         let info = stream_info(&bytes).unwrap();
+        let payload = Parts::payload_of(&bytes);
+        for i in 0..payload.len() {
+            let mut p = payload.clone();
+            p[i] ^= 0xFF;
+            let _ = decode_both(&Parts::stream(&info, &p)); // must not panic
+        }
         for i in info.payload_offset..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xFF;
@@ -757,7 +746,7 @@ mod tests {
 
     #[test]
     fn slice_destination_of_the_wrong_length_is_typed_and_untouched() {
-        let (_, dims, bytes) = sample_stream(true);
+        let (_, dims, bytes) = sample_stream();
         let n = dims.len();
         let mut scratch = DecompressScratch::new();
         for len in [0, n - 1, n + 1, 2 * n] {
@@ -848,8 +837,9 @@ mod tests {
             .collect()
     }
 
-    /// A stream without the lossless stage, taken apart so that a test
-    /// can forge any field and put it back together.
+    /// A stream's payload, taken out from under the LZSS stage and
+    /// apart so that a test can forge any field and put it back
+    /// together.
     struct Parts {
         info: StreamInfo,
         table: Vec<u8>,
@@ -860,10 +850,34 @@ mod tests {
     }
 
     impl Parts {
+        /// The payload of `bytes`, recovered by `lossless::decompress`,
+        /// which undoes a stored (`MODE_RAW`) body too.
+        fn payload_of(bytes: &[u8]) -> Vec<u8> {
+            let info = stream_info(bytes).unwrap();
+            lossless::decompress(&bytes[info.payload_offset..]).unwrap()
+        }
+
+        /// The stream of header `info` around `payload`, through the
+        /// LZSS stage.
+        fn stream(info: &StreamInfo, payload: &[u8]) -> Vec<u8> {
+            let body = lossless::compress(payload);
+            let mut out = Vec::new();
+            put_u32(&mut out, MAGIC);
+            out.extend([VERSION, DTYPE, info.dims.ndims() as u8]);
+            for &d in info.dims.extents() {
+                put_varint(&mut out, d as u64);
+            }
+            put_f64(&mut out, info.eb);
+            put_u32(&mut out, RADIUS);
+            out.push(LOSSLESS);
+            put_varint(&mut out, body.len() as u64);
+            out.extend_from_slice(&body);
+            out
+        }
+
         fn of(bytes: &[u8]) -> Parts {
             let info = stream_info(bytes).unwrap();
-            assert!(!info.lossless);
-            let payload = &bytes[info.payload_offset..];
+            let payload = &Parts::payload_of(bytes)[..];
             let mut pos = 0;
             HuffmanDecoder::deserialize(payload, &mut pos).unwrap();
             let table = payload[..pos].to_vec();
@@ -890,20 +904,33 @@ mod tests {
             payload.extend_from_slice(&self.code);
             put_varint(&mut payload, self.n_literals);
             payload.extend_from_slice(&self.literals);
-            let info = &self.info;
-            let mut out = Vec::new();
-            put_u32(&mut out, MAGIC);
-            out.extend([VERSION, DTYPE, info.dims.ndims() as u8]);
-            for &d in info.dims.extents() {
-                put_varint(&mut out, d as u64);
-            }
-            put_f64(&mut out, info.eb);
-            put_u32(&mut out, info.radius);
-            out.push(0);
-            put_varint(&mut out, payload.len() as u64);
-            out.extend_from_slice(&payload);
-            out
+            Parts::stream(&self.info, &payload)
         }
+    }
+
+    /// Huffman `table` with every symbol but the escape moved past the
+    /// quantizer's alphabet, at the same code lengths and in the same
+    /// canonical order: each code that decoded to a plain symbol now
+    /// decodes to one out of the alphabet.
+    fn past_the_alphabet(table: &[u8]) -> Vec<u8> {
+        let shift = 2 * u64::from(RADIUS);
+        let mut pos = 0;
+        let alphabet = get_varint(table, &mut pos).unwrap();
+        let n_present = get_varint(table, &mut pos).unwrap();
+        let mut out = Vec::new();
+        put_varint(&mut out, alphabet + shift);
+        put_varint(&mut out, n_present);
+        let (mut sym, mut prev) = (0, 0);
+        for _ in 0..n_present {
+            sym += get_varint(table, &mut pos).unwrap();
+            let moved = if sym == 0 { 0 } else { sym + shift };
+            put_varint(&mut out, moved - prev);
+            out.push(table[pos]);
+            pos += 1;
+            prev = moved;
+        }
+        assert_eq!(pos, table.len());
+        out
     }
 
     /// Every kind of forged 1-D stream, each with the error both paths
@@ -911,13 +938,13 @@ mod tests {
     fn pin_forged_lines(scratch: &mut DecompressScratch) -> usize {
         let lit_err = SzError::Truncated("f32 literal");
         let cut_err = SzError::Truncated("huffman bits");
-        let cfg = Config::rel(1e-3).with_lossless(false);
+        let cfg = Config::rel(1e-3);
         let escapes = Parts::of(&compress(&line(512, 2, &[]), &Dims::d1(512), &cfg).unwrap());
         let mut cases = Vec::new();
-        // A symbol out of the alphabet: the same codes under a radius
-        // 16 header, whose alphabet is 32 symbols.
+        // A symbol out of the alphabet: the same codes, every plain one
+        // decoding past the alphabet.
         let mut narrow = Parts::of(&escapes.bytes());
-        narrow.info.radius = 16;
+        narrow.table = past_the_alphabet(&narrow.table);
         cases.push((
             narrow.bytes(),
             Err(SzError::Corrupt("symbol out of alphabet")),
@@ -954,16 +981,16 @@ mod tests {
         // behind an out-of-alphabet symbol and without one.
         // In the last byte fewer bits are left than any code past the
         // table's width needs: the walk runs out of bits first.
-        let cfg = Config::abs(1e-3).with_lossless(false);
+        let cfg = Config::abs(1e-3);
         let zeros = Parts::of(&compress(&[0.0; 200], &Dims::d1(200), &cfg).unwrap());
-        for radius in [zeros.info.radius, 16] {
+        for table in [zeros.table.clone(), past_the_alphabet(&zeros.table)] {
             for (byte, want) in [
                 (0, SzError::Corrupt("invalid huffman code")),
                 (7, SzError::Corrupt("invalid huffman code")),
                 (24, cut_err.clone()),
             ] {
                 let mut p = Parts::of(&zeros.bytes());
-                p.info.radius = radius;
+                p.table = table.clone();
                 p.code[byte] = 0x08;
                 cases.push((p.bytes(), Err(want)));
             }
@@ -1003,10 +1030,13 @@ mod tests {
                         }
                         let src = &vpic.fields[field].data;
                         let src: Vec<f32> = src.iter().cycle().take(dims.len()).copied().collect();
-                        for radius in [16, 32768] {
-                            let cfg = Config::rel(1e-3).with_radius(radius);
+                        // The default bound, and one under which the
+                        // residuals of most textures pass the codebook's
+                        // `RADIUS · 2eb`: dense escapes.
+                        for bound in [ErrorBound::Rel(1e-3), ErrorBound::Abs(1e-6)] {
+                            let cfg = Config { error_bound: bound };
                             let what =
-                                format!("{dims:?} texture {texture} field {field} radius {radius}");
+                                format!("{dims:?} texture {texture} field {field} {bound:?}");
                             let data = line(dims.len(), texture, &src);
                             let bytes = compress(&data, &dims, &cfg).unwrap();
                             assert_eq!(pin_one_pass(&bytes, &mut scratch, &what), Ok(dims.clone()));
@@ -1027,7 +1057,7 @@ mod tests {
         // on `−0.0`, NaNs, infinities and with a step `2·eb` that
         // overflows (`0·∞` is NaN), at every kind of code.
         for eb in [1e-3, 5e-324, f64::MAX] {
-            let quant = Quantizer::new(eb, 32768);
+            let quant = Quantizer::new(eb);
             for x in [
                 -0.0,
                 0.0,
@@ -1053,8 +1083,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_value_identical() {
         // One DecompressScratch reused across streams of different
-        // shapes, bounds and lossless modes must reproduce the
-        // fresh-scratch output exactly.
+        // shapes and bounds must reproduce the fresh-scratch output
+        // exactly.
         let mut scratch = DecompressScratch::new();
         let mut out32: Vec<f32> = vec![1.0; 7]; // dirty on purpose
         let cases: Vec<(Vec<f32>, Dims, Config)> = vec![
@@ -1071,7 +1101,7 @@ mod tests {
             (
                 (0..777).map(|i| (i as f32).cos() * 40.0).collect(),
                 Dims::d1(777),
-                Config::abs(1e-4).with_lossless(false),
+                Config::abs(1e-4),
             ),
             (vec![3.25; 27], Dims::d3(3, 3, 3), Config::rel(1e-3)),
         ];

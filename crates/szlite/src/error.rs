@@ -20,9 +20,6 @@ pub enum SzError {
     InvalidErrorBound,
     /// Empty input data.
     EmptyInput,
-    /// The configured quantization radius is above
-    /// [`MAX_RADIUS`](crate::config::MAX_RADIUS).
-    RadiusTooLarge(u32),
 }
 
 impl fmt::Display for SzError {
@@ -37,13 +34,6 @@ impl fmt::Display for SzError {
             }
             SzError::InvalidErrorBound => write!(f, "error bound must be positive and finite"),
             SzError::EmptyInput => write!(f, "input data is empty"),
-            SzError::RadiusTooLarge(r) => {
-                write!(
-                    f,
-                    "quantization radius {r} exceeds {}",
-                    crate::config::MAX_RADIUS
-                )
-            }
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Canonical Huffman coding over quantization codes.
 //!
 //! SZ-style compressors Huffman-encode the quantization-code stream. The
-//! codebook is bounded (`2 * radius` symbols), which bounds tree-build
-//! time — the mechanism behind the compression-throughput floor the
-//! paper observes (Fig. 6).
+//! codebook is bounded (`2 · RADIUS` symbols, [`crate::config::RADIUS`]),
+//! which bounds tree-build time — the mechanism behind the
+//! compression-throughput floor the paper observes (Fig. 6).
 //!
 //! Codes are canonical so the table serializes as `(symbol, length)`
 //! pairs only; both sides reconstruct identical codes.

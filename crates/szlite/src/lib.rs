@@ -12,11 +12,13 @@
 //! 3. **canonical Huffman coding** of the code stream ([`huffman`]),
 //! 4. a trailing **LZSS lossless stage** ([`lossless`]).
 //!
-//! The bounded codebook (default radius 32768) caps Huffman tree size
-//! and yields the bounded min/max compression throughput the paper's
-//! prediction model (its Eq. 1) relies on; unpredictable points escape
-//! to raw literals, which produces the throughput floor at tiny error
-//! bounds.
+//! The bounded codebook (the constant [`config::RADIUS`], SZ's 32768)
+//! caps Huffman tree size and yields the bounded min/max compression
+//! throughput the paper's prediction model (its Eq. 1) relies on;
+//! unpredictable points escape to raw literals, which produces the
+//! throughput floor at tiny error bounds. A [`Config`] is its error
+//! bound and nothing else: every stream runs that codebook and the
+//! LZSS stage.
 //!
 //! ## Guarantee
 //!
@@ -31,8 +33,8 @@
 //! one fused pass over blocks of consecutive rows. Which kernel a plane
 //! runs is decided at one place in [`compress_into`], from what the
 //! host and the input are — **CPU feature × plane shape** — and by
-//! nothing else: there is no environment variable, `Config` field or
-//! cargo feature to set. The element type is `f32`, the type of every
+//! nothing else: there is no environment variable or cargo feature to
+//! set, and `Config`'s one field, the error bound, picks no kernel. The element type is `f32`, the type of every
 //! field the paper's applications checkpoint.
 //!
 //! * On x86-64 with AVX2 (detected at run time), a plane of at least 8
@@ -194,27 +196,47 @@ mod tests {
         ));
     }
 
+    /// A stream of a few points, and the offset of its header's
+    /// radius: magic(4) + version + dtype + ndims + one one-byte dim +
+    /// eb(8). The mode byte follows the radius's four.
+    fn short_stream() -> (Vec<u8>, usize) {
+        let data: Vec<f32> = (0..8).map(|i| i as f32).collect();
+        let bytes = compress(&data, &Dims::d1(8), &Config::abs(0.1)).unwrap();
+        (bytes, 4 + 3 + 1 + 8)
+    }
+
+    /// `bytes` refused with `want` by the header parser and by every
+    /// decode entry point, before any element is written.
+    fn assert_refused(bytes: &[u8], want: SzError) {
+        assert_eq!(stream_info(bytes), Err(want.clone()));
+        let mut out = vec![7.5; 3];
+        let got = decompress_into(bytes, &mut DecompressScratch::new(), &mut out);
+        assert_eq!(got, Err(want.clone()));
+        assert!(out.is_empty());
+        let mut dst = vec![7.5; 8];
+        let got = decompress_to_slice(bytes, &mut DecompressScratch::new(), &mut dst);
+        assert_eq!(got, Err(want));
+        assert!(dst.iter().all(|&v| v == 7.5));
+    }
+
     #[test]
-    fn oversized_radius_rejected_before_anything_is_sized_by_it() {
-        // Past 2^31 codes would wrap, and the count table would be a
-        // 16–64 GiB allocation Linux overcommits rather than refuses.
-        let data = vec![1.0f32; 64];
-        let dims = Dims::from_slice(&[8, 8]).unwrap();
-        for radius in [config::MAX_RADIUS + 1, 1 << 31, u32::MAX] {
-            let cfg = Config {
-                radius,
-                ..Config::abs(0.1)
-            };
-            let mut out = vec![7u8; 3];
-            let got = compress_into(&data, &dims, &cfg, &mut Scratch::new(), &mut out);
-            assert_eq!(got, Err(SzError::RadiusTooLarge(radius)));
-            assert!(out.is_empty());
-            let mut sampler = SampleScratch::default();
-            assert_eq!(
-                sample_quantization_into(&data, &dims, &cfg, 1.0, &mut sampler),
-                Err(SzError::RadiusTooLarge(radius))
-            );
-            assert!(sampler.sample().histogram.is_empty());
+    fn header_radius_other_than_the_codebook_is_refused() {
+        // The header records the codebook's half-size, which is always
+        // `RADIUS`; any other value, a once-valid one included, is a
+        // typed refusal.
+        let (mut bytes, at) = short_stream();
+        assert_eq!(bytes[at..at + 4], config::RADIUS.to_le_bytes());
+        for radius in [
+            0,
+            2,
+            16,
+            config::RADIUS - 1,
+            config::RADIUS + 1,
+            1 << 30,
+            u32::MAX,
+        ] {
+            bytes[at..at + 4].copy_from_slice(&radius.to_le_bytes());
+            assert_refused(&bytes, SzError::Corrupt("header radius"));
         }
     }
 
@@ -226,7 +248,6 @@ mod tests {
         let info = stream_info(&bytes).unwrap();
         assert_eq!(info.dims, dims);
         assert!((info.eb - 0.25).abs() < 1e-12);
-        assert!(info.lossless);
     }
 
     #[test]
@@ -270,7 +291,7 @@ mod tests {
             (
                 (0..777).map(|i| (i as f32).sin() * 50.0).collect(),
                 Dims::d1(777),
-                Config::abs(1e-4).with_lossless(false),
+                Config::abs(1e-4),
             ),
             (
                 vec![3.25; 64],
@@ -288,14 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn no_lossless_mode_roundtrip() {
-        let dims = Dims::d1(512);
-        let data: Vec<f32> = (0..512).map(|i| (i as f32 * 0.1).cos()).collect();
-        let cfg = Config::abs(1e-3).with_lossless(false);
-        let bytes = compress(&data, &dims, &cfg).unwrap();
-        let info = stream_info(&bytes).unwrap();
-        assert!(!info.lossless);
-        let (restored, _) = decompress(&bytes).unwrap();
-        assert!(stats::max_abs_err(&data, &restored) <= 1e-3);
+    fn lossless_off_mode_is_refused() {
+        // Every stream runs the LZSS stage: mode byte 1. The retired
+        // mode 0 (no lossless stage) and any other value are typed
+        // refusals, before any payload byte is read.
+        let (mut bytes, at) = short_stream();
+        assert_eq!(bytes[at + 4], 1);
+        for mode in [0, 2, 0xFF] {
+            bytes[at + 4] = mode;
+            assert_refused(&bytes, SzError::Corrupt("lossless mode"));
+        }
     }
 }

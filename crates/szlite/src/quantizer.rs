@@ -2,19 +2,23 @@
 //!
 //! Residual `d = x − pred` maps to the integer code
 //! `q = round(d / (2·eb))`; the reconstruction `pred + q·2·eb` is then
-//! within `eb` of `x`. Codes are offset by `radius` so they are
+//! within `eb` of `x`. Codes are offset by [`RADIUS`] so they are
 //! non-negative; code `0` is reserved for *unpredictable* points whose
-//! raw value is stored verbatim (either because `|q| ≥ radius` or
+//! raw value is stored verbatim (either because `|q| ≥ RADIUS` or
 //! because rounding to the storage type would break the bound).
 
-use crate::compressor::Steps;
+use crate::config::RADIUS;
 
-/// Linear quantizer with a bounded codebook.
+/// [`RADIUS`] in the kernels' integer type.
+pub(crate) const RADIUS_I64: i64 = RADIUS as i64;
+
+/// Linear quantizer with the bounded codebook of [`RADIUS`]: the
+/// resolved bound and the quantization step `2·eb`, as every kernel
+/// takes them.
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
-    eb: f64,
-    twice_eb: f64,
-    radius: i64,
+    pub(crate) eb: f64,
+    pub(crate) twice_eb: f64,
 }
 
 /// Symbol reserved for unpredictable (literal) points.
@@ -49,21 +53,19 @@ pub(crate) fn round_within(u: f64, radius: i64) -> Option<i64> {
 }
 
 impl Quantizer {
-    /// Create a quantizer for absolute bound `eb` (> 0) and codebook
-    /// half-size `radius` (≥ 2).
-    pub fn new(eb: f64, radius: u32) -> Self {
+    /// Create a quantizer for absolute bound `eb` (> 0).
+    pub fn new(eb: f64) -> Self {
         debug_assert!(eb > 0.0 && eb.is_finite());
         Quantizer {
             eb,
             twice_eb: 2.0 * eb,
-            radius: i64::from(radius.max(2)),
         }
     }
 
     /// Alphabet size (number of distinct symbols including the
     /// unpredictable escape).
     pub fn alphabet(&self) -> usize {
-        (2 * self.radius) as usize
+        2 * RADIUS as usize
     }
 
     /// Quantize `x` against prediction `pred`. Returns the symbol and
@@ -73,7 +75,7 @@ impl Quantizer {
     pub fn quantize(&self, x: f64, pred: f64) -> Option<(u32, f64)> {
         let d = x - pred;
         let q = (d / self.twice_eb).round();
-        if !q.is_finite() || q.abs() >= self.radius as f64 {
+        if !q.is_finite() || q.abs() >= f64::from(RADIUS) {
             return None;
         }
         let q = q as i64;
@@ -82,22 +84,13 @@ impl Quantizer {
             // Rare: accumulated floating error pushed us out of bound.
             return None;
         }
-        Some(((q + self.radius) as u32, recon))
-    }
-
-    /// The bound, step and radius, as the vector replay takes them.
-    pub(crate) fn steps(&self) -> Steps {
-        Steps {
-            eb: self.eb,
-            twice_eb: self.twice_eb,
-            radius: self.radius,
-        }
+        Some(((q + RADIUS_I64) as u32, recon))
     }
 
     /// Invert a symbol produced by [`Self::quantize`].
     #[inline]
     pub fn reconstruct(&self, code: u32, pred: f64) -> f64 {
-        let q = i64::from(code) - self.radius;
+        let q = i64::from(code) - RADIUS_I64;
         pred + q as f64 * self.twice_eb
     }
 }
@@ -108,7 +101,7 @@ mod tests {
 
     #[test]
     fn quantize_within_bound() {
-        let q = Quantizer::new(0.5, 16);
+        let q = Quantizer::new(0.5);
         for (x, pred) in [(1.0, 0.0), (-3.7, 2.1), (0.0, 0.49), (7.2, 7.1)] {
             let (code, recon) = q.quantize(x, pred).unwrap();
             assert!((x - recon).abs() <= 0.5, "x={x} recon={recon}");
@@ -119,21 +112,23 @@ mod tests {
 
     #[test]
     fn far_point_is_unpredictable() {
-        let q = Quantizer::new(0.5, 16);
-        // |q| = 100 / 1.0 = 100 >= 16
-        assert!(q.quantize(100.0, 0.0).is_none());
+        let q = Quantizer::new(0.5);
+        // |q| = 1e5 / 1.0 = 1e5 >= RADIUS; one step inside, it codes.
+        assert!(q.quantize(1e5, 0.0).is_none());
+        assert!(q.quantize(f64::from(RADIUS), 0.0).is_none());
+        assert!(q.quantize(f64::from(RADIUS) - 1.0, 0.0).is_some());
     }
 
     #[test]
     fn nan_is_unpredictable() {
-        let q = Quantizer::new(0.5, 16);
+        let q = Quantizer::new(0.5);
         assert!(q.quantize(f64::NAN, 0.0).is_none());
         assert!(q.quantize(f64::INFINITY, 0.0).is_none());
     }
 
     #[test]
     fn codes_are_in_alphabet() {
-        let q = Quantizer::new(1e-3, 512);
+        let q = Quantizer::new(1e-3);
         for i in -400..400 {
             let x = i as f64 * 1.9e-3;
             if let Some((code, _)) = q.quantize(x, 0.0) {
@@ -202,9 +197,9 @@ mod tests {
 
     #[test]
     fn zero_residual_maps_to_radius() {
-        let q = Quantizer::new(0.1, 8);
+        let q = Quantizer::new(0.1);
         let (code, recon) = q.quantize(5.0, 5.0).unwrap();
-        assert_eq!(code, 8);
+        assert_eq!(code, RADIUS);
         assert_eq!(recon, 5.0);
     }
 }

@@ -15,7 +15,7 @@
 use crate::config::{finite_range, Config, Dims, ErrorBound};
 use crate::error::{Result, SzError};
 use crate::predictor::{stencil, stencil_order, Strides};
-use crate::quantizer::{round_within, Quantizer, UNPREDICTABLE};
+use crate::quantizer::{round_within, Quantizer, RADIUS_I64, UNPREDICTABLE};
 
 /// Histogram of quantization codes over a sampled subset.
 #[derive(Debug, Clone, Default)]
@@ -90,11 +90,10 @@ const HALO: usize = BLOCK + 1;
 /// Reusable sampler state: the code-count table of the last sample and
 /// the list of codes it counted.
 ///
-/// The table is as wide as the quantizer alphabet (512 KiB at the
-/// default radius) but a sample touches a few hundred entries of it, so
-/// it is cleared through [`SampleScratch::used`] at the start of the
-/// next call — never re-zeroed, never re-allocated while the radius
-/// stays the same. A rank that samples many partitions keeps one
+/// The table is as wide as the quantizer alphabet (512 KiB) but a
+/// sample touches a few hundred entries of it, so it is cleared through
+/// [`SampleScratch::used`] at the start of the next call — never
+/// re-zeroed, never re-allocated after the first. A rank that samples many partitions keeps one
 /// scratch and calls [`sample_quantization_into`]; the result is the
 /// same [`SampleCodes`] a fresh scratch produces.
 #[derive(Debug, Default)]
@@ -223,7 +222,6 @@ fn quantize_blocks<const D: usize>(
     ext: [usize; 3],
     eb: f64,
     twice_eb: f64,
-    radius: i64,
 ) {
     const ZERO: [f64; LANES] = [0.0; LANES];
     let (dz, dy) = (HALO * HALO, HALO);
@@ -253,12 +251,12 @@ fn quantize_blocks<const D: usize>(
                     let pred = stencil::<D>(cx[l], ry[l], rz[l], pyx[l], pzx[l], rzy[l], pzyx[l]);
                     // A non-finite value or prediction rounds to
                     // `None` and escapes.
-                    let q = round_within((xv[l] - pred) / twice_eb, radius);
+                    let q = round_within((xv[l] - pred) / twice_eb, RADIUS_I64);
                     let qi = q.unwrap_or(0);
                     let recon = pred + qi as f64 * twice_eb;
                     let ok = q.is_some() & ((xv[l] - recon).abs() <= eb);
                     point_codes[l] = if ok {
-                        (qi + radius) as u32
+                        (qi + RADIUS_I64) as u32
                     } else {
                         UNPREDICTABLE
                     };
@@ -288,7 +286,6 @@ fn sample_blocks<const D: usize>(
     nb: [usize; 3],
     step: usize,
     eb: f64,
-    radius: i64,
     scratch: &mut SampleScratch,
 ) {
     let twice_eb = 2.0 * eb;
@@ -299,7 +296,7 @@ fn sample_blocks<const D: usize>(
     let mut last_code = None;
     let mut flush = |exts: &[[usize; 3]], h: &mut [[f64; LANES]]| {
         let max = [0, 1, 2].map(|d| exts.iter().map(|e| e[d]).max().unwrap_or(0));
-        quantize_blocks::<D>(h, &mut codes, max, eb, twice_eb, radius);
+        quantize_blocks::<D>(h, &mut codes, max, eb, twice_eb);
         // Lane order is block-scan order.
         for (lane, &ext) in exts.iter().enumerate() {
             scratch.commit(&codes, lane, ext, &mut last_code);
@@ -326,7 +323,7 @@ fn sample_blocks<const D: usize>(
 /// `sample_fraction` in (0, 1]: approximate fraction of blocks visited.
 /// A fraction of `1.0` visits every block (still cheaper than full
 /// compression — no Huffman or lossless stage). Allocates nothing once
-/// the scratch has seen the radius and a sample as varied as this one.
+/// the scratch has seen a sample as varied as this one.
 pub fn sample_quantization_into(
     data: &[f32],
     dims: &Dims,
@@ -354,12 +351,10 @@ pub fn sample_quantization_into(
         ErrorBound::Rel(_) => finite_range(data, (data.len() / 65536).max(1)),
     };
     let eb = cfg.error_bound.resolve(min, max)?;
-    // Before the count table is sized by it.
-    let radius = cfg.checked_radius()?;
-    let alphabet = Quantizer::new(eb, cfg.radius).alphabet();
+    let alphabet = Quantizer::new(eb).alphabet();
     let st = Strides::new(dims);
     let s = &mut scratch.sample;
-    // All-zero on entry, so a radius change costs the difference only.
+    // All-zero on entry: sized once, by the first sample.
     s.histogram.resize(alphabet, 0);
     (s.n_total, s.eb, s.alphabet) = (data.len(), eb, alphabet);
 
@@ -371,7 +366,7 @@ pub fn sample_quantization_into(
         2 => sample_blocks::<2>,
         _ => sample_blocks::<3>,
     };
-    sample(data, &st, nb, step, eb, radius, scratch);
+    sample(data, &st, nb, step, eb, scratch);
 
     scratch.used.sort_unstable();
     // Code 0 is the escape, and only escapes get it.
@@ -496,7 +491,7 @@ mod tests {
     /// 3 constant — with escapes planted by `escapes`: bit 0 sparse
     /// random, bit 1 every point at one block-local coordinate, which
     /// all lanes of a group reach in the same iteration. Escapes cycle
-    /// through NaN, ±Inf, spikes beyond any radius and `-0.0`.
+    /// through NaN, ±Inf, spikes beyond the codebook and `-0.0`.
     fn field(dims: &[usize], seed: u64, texture: u8, escapes: u8) -> Vec<f32> {
         let st = Strides::new(&Dims::from_slice(dims).unwrap());
         let mut rng = seed | 1;
@@ -612,7 +607,6 @@ mod tests {
         ErrorBound::Abs(0.0),
         ErrorBound::Rel(f64::NAN),
     ];
-    const RADII: [u32; 6] = [0, 2, 3, 16, 512, 32768];
     const FRACTIONS: [f64; 3] = [1.0, 0.05, 1e-4];
 
     proptest! {
@@ -637,17 +631,15 @@ mod tests {
             seed in any::<u64>(),
             texture in 0u8..4,
             escapes in 0u8..4,
-            picks in (0usize..BOUNDS.len(), 0usize..RADII.len(), 0usize..FRACTIONS.len()),
+            picks in (0usize..BOUNDS.len(), 0usize..FRACTIONS.len()),
         ) {
             let cfg = Config {
                 error_bound: BOUNDS[picks.0],
-                radius: RADII[picks.1],
-                ..Config::default()
             };
             let d = Dims::from_slice(&dims).unwrap();
             let data = field(&dims, seed, texture, escapes);
             let checked = DIRTY.with_borrow_mut(|scratch| {
-                check_against_oracle(&data, &d, &cfg, FRACTIONS[picks.2], scratch)
+                check_against_oracle(&data, &d, &cfg, FRACTIONS[picks.1], scratch)
             });
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
@@ -668,10 +660,7 @@ mod tests {
             data[603] = f32::INFINITY;
             data[n - 1 - (n - 1) % 3] = f32::NEG_INFINITY;
             for bound in [ErrorBound::Rel(1e-4), ErrorBound::Abs(0.02)] {
-                let cfg = Config {
-                    error_bound: bound,
-                    ..Config::default()
-                };
+                let cfg = Config { error_bound: bound };
                 check_against_oracle(&data, &Dims::d1(n), &cfg, 0.05, &mut scratch).unwrap();
             }
         }

@@ -48,7 +48,7 @@ pub fn sample_quantization(
         max = 0.0;
     }
     let eb = cfg.error_bound.resolve(min, max)?;
-    let quant = Quantizer::new(eb, cfg.radius);
+    let quant = Quantizer::new(eb);
     let lorenzo = Lorenzo::new(dims);
     let st: Strides = *lorenzo.strides();
 

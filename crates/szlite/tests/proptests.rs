@@ -170,11 +170,7 @@ fn escape_field(dims: &[usize], seed: u64, density: u8) -> Vec<f32> {
 fn replay_per_point(bytes: &[u8]) -> Vec<f32> {
     let info = stream_info(bytes).unwrap();
     let body = &bytes[info.payload_offset..info.payload_offset + info.payload_len];
-    let payload = if info.lossless {
-        lossless::decompress(body).unwrap()
-    } else {
-        body.to_vec()
-    };
+    let payload = lossless::decompress(body).unwrap();
     let mut pos = 0;
     let dec = HuffmanDecoder::deserialize(&payload, &mut pos).unwrap();
     let n = get_varint(&payload, &mut pos).unwrap() as usize;
@@ -182,7 +178,7 @@ fn replay_per_point(bytes: &[u8]) -> Vec<f32> {
     let mut bits = BitReader::new(&payload[pos..pos + code_len]);
     pos += code_len;
     let _n_literals = get_varint(&payload, &mut pos).unwrap();
-    let quant = Quantizer::new(info.eb, info.radius);
+    let quant = Quantizer::new(info.eb);
     let lorenzo = Lorenzo::new(&info.dims);
     let [nz, ny, nx] = lorenzo.strides().ext;
     let mut recon = vec![0.0f64; n];
@@ -227,7 +223,6 @@ fn assert_schedule_equivalence(
     dims: &[usize],
     seed: u64,
     density: u8,
-    lossless: bool,
     ties: bool,
 ) -> Result<(), TestCaseError> {
     let mut data = escape_field(dims, seed, density);
@@ -238,9 +233,9 @@ fn assert_schedule_equivalence(
             *v = ((f64::from(*v) / eb).round() * eb) as f32;
         }
     }
-    // A small radius turns the ±1e9 spikes (and their neighbors'
-    // predictions) into escapes.
-    let cfg = Config::abs(eb).with_radius(64).with_lossless(lossless);
+    // The ±1e9 spikes (and their neighbors' predictions) are residuals
+    // far past the codebook's `RADIUS · 2eb`: escapes.
+    let cfg = Config::abs(eb);
     let mut scratch = Scratch::new();
     let mut dscratch = DecompressScratch::new();
     let mut fused = vec![0xAAu8; 5];
@@ -299,9 +294,7 @@ fn low_order_stencils_match_oracles() {
         for density in 0..4 {
             for ties in [false, true] {
                 let seed = 0x5EED ^ ((k as u64) << 8 | u64::from(density));
-                for lossless in [false, true] {
-                    assert_schedule_equivalence(dims, seed, density, lossless, ties).unwrap();
-                }
+                assert_schedule_equivalence(dims, seed, density, ties).unwrap();
             }
         }
     }
@@ -315,10 +308,9 @@ proptest! {
         dims in schedule_shape(),
         seed in any::<u64>(),
         density in 0u8..4,
-        lossless in any::<bool>(),
         ties in any::<bool>(),
     ) {
-        assert_schedule_equivalence(&dims, seed, density, lossless, ties)?;
+        assert_schedule_equivalence(&dims, seed, density, ties)?;
     }
 
     #[test]

@@ -96,8 +96,10 @@ pub fn load_sidecar(path: &Path) -> Result<(usize, usize, OnlinePredictor), Stri
     }
     let predictor = OnlinePredictor::from_state_bytes(&body[pos..])
         .map_err(|e| format!("sidecar {}: {e}", path.display()))?;
-    if predictor.n_cells() != nranks * nfields {
-        return Err(err("cell count does not match recorded shape"));
+    // A stream's predictor has a cell per partition and an error band
+    // per rank; anything else would fail the resumed step instead.
+    if predictor.n_cells() != nranks * nfields || predictor.n_ranks() != nranks {
+        return Err(err("cell or rank-band count does not match recorded shape"));
     }
     Ok((nranks, nfields, predictor))
 }
@@ -109,7 +111,7 @@ mod tests {
     use testutil::TempPath;
 
     fn warmed(nranks: usize, nfields: usize) -> OnlinePredictor {
-        let mut p = OnlinePredictor::new(nranks * nfields, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(nranks, nfields, OnlineConfig::default());
         for step in 0..4u64 {
             for cell in 0..nranks * nfields {
                 p.observe(cell, 1000, 990 + step, 970 + 3 * cell as u64 + step);

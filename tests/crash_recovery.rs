@@ -208,13 +208,33 @@ fn sidecar_of_another_stream_is_a_shape_error() {
     let data = |s: usize| partition_stream_step(&stream, s, nranks);
     run_timeline(&cfg, data).unwrap();
 
-    let foreign = OnlinePredictor::new(3, OnlineConfig::default());
+    let foreign = OnlinePredictor::for_stream(3, 1, OnlineConfig::default());
     save_sidecar(&cfg.sidecar_path(0), 3, 1, &foreign).unwrap();
     cfg.steps = 2;
     match resume_timeline(&cfg, data) {
         Err(RealError::Shape(m)) => assert!(m.contains("tracks 3 cells"), "{m}"),
         other => panic!("expected a shape error, got {other:?}"),
     }
+}
+
+#[test]
+fn a_sidecar_without_rank_bands_falls_back_to_the_older_one() {
+    // Intact framing, the stream's own shape and cell count, but no
+    // rank band (a predictor of cells only): it cannot seed a stream
+    // that pools per rank, so loading refuses it and the resume takes
+    // the older step's sidecar, as for any damaged sidecar.
+    let stream = SnapshotStream::nyx(16);
+    let nranks = 4;
+    let data = |s: usize| partition_stream_step(&stream, s, nranks);
+    let dir = TempDir::new("sidecar-no-bands");
+    let mut cfg = config(&stream, 2, dir.path().to_path_buf());
+    let nfields = cfg.configs.len();
+    run_timeline(&cfg, data).unwrap();
+    let cells_only = OnlinePredictor::new(nranks * nfields, OnlineConfig::default());
+    save_sidecar(&cfg.sidecar_path(1), nranks, nfields, &cells_only).unwrap();
+    cfg.steps = 3;
+    let res = resume_timeline(&cfg, data).expect("resumed from the older sidecar");
+    assert_eq!((res.resume_from, res.sidecar_step), (2, Some(0)));
 }
 
 /// A sidecar as the previous predictor state (version 4) framed it,

@@ -221,7 +221,7 @@ fn write_chunks(
                 Dims::d1(tile.len())
             };
             let mut out = Vec::new();
-            let cfg = Config::abs(BOUND).with_lossless(false);
+            let cfg = Config::abs(BOUND);
             szlite::compress_into(
                 &tile,
                 &tile_dims,
@@ -443,11 +443,8 @@ fn forged_containers_end_in_typed_errors_on_both_arms() {
     }
 }
 
-#[test]
-fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
-    // A chunk whose szlite stream names `f64` (header byte 5 = 1, a
-    // type no longer written) in an `f32` dataset: a typed error from
-    // both views, never its bytes decoded as `f32`.
+/// The szlite stream of 1024 points of [`wave`], its header intact.
+fn wave_stream() -> Vec<u8> {
     let mut stream = Vec::new();
     szlite::compress_into(
         &wave(1024),
@@ -457,8 +454,14 @@ fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
         &mut stream,
     )
     .unwrap();
-    stream[5] = 1;
-    let t = TempPath::new("read-f64-sz", "h5l");
+    stream
+}
+
+/// `stream` as the one chunk of an `f32` dataset through the szlite
+/// filter: both views of a read, at 1 and 2 workers, end in
+/// `H5Error::Filter(want)`.
+fn assert_filter_refuses(stream: &[u8], want: SzError) {
+    let t = TempPath::new("read-refused-sz", "h5l");
     let f = H5File::create(t.path()).unwrap();
     let id = f
         .create_dataset(
@@ -469,17 +472,48 @@ fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
         )
         .unwrap();
     let at = f.reserve(stream.len() as u64);
-    f.write_chunk_at(id, 0, at, &stream, 4 * 1024).unwrap();
+    f.write_chunk_at(id, 0, at, stream, 4 * 1024).unwrap();
     f.close().unwrap();
     let r = H5Reader::open(t.path()).unwrap();
     for workers in [1usize, 2] {
         let typed = r.read_pipelined::<f32>("d", workers).map(|_| ());
         for res in [typed, r.read_full_pipelined("d", workers).map(|_| ())] {
             match res {
-                Err(H5Error::Filter(SzError::Corrupt("dtype"))) => {}
-                other => panic!("{other:?}"),
+                Err(H5Error::Filter(e)) if e == want => {}
+                other => panic!("want {want:?}, got {other:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn f64_through_the_szlite_filter_is_typed_not_reinterpreted() {
+    // A chunk whose szlite stream names `f64` (header byte 5 = 1, a
+    // type no longer written) in an `f32` dataset: a typed error from
+    // both views, never its bytes decoded as `f32`.
+    let mut stream = wave_stream();
+    stream[5] = 1;
+    assert_filter_refuses(&stream, SzError::Corrupt("dtype"));
+}
+
+#[test]
+fn retired_codebooks_and_lossless_modes_through_the_szlite_filter_are_typed() {
+    // The header's radius (bytes 17..21: magic, version, dtype, ndims,
+    // a two-byte dim, the bound) and mode byte (21) are constants; a
+    // chunk holding any other value, such as a radius or the
+    // lossless-off mode once written, is refused with the typed error.
+    let at = 4 + 3 + 2 + 8;
+    let intact = wave_stream();
+    assert_eq!(intact[at..at + 5], [0, 0x80, 0, 0, 1]);
+    for radius in [16u32, 32767, 32769] {
+        let mut stream = intact.clone();
+        stream[at..at + 4].copy_from_slice(&radius.to_le_bytes());
+        assert_filter_refuses(&stream, SzError::Corrupt("header radius"));
+    }
+    for mode in [0, 2] {
+        let mut stream = intact.clone();
+        stream[at + 4] = mode;
+        assert_filter_refuses(&stream, SzError::Corrupt("lossless mode"));
     }
 }
 
