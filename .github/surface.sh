@@ -9,6 +9,10 @@
 #      and every `pub` struct field of crates/*/src that has no reader;
 #   3. every `pub fn` of an `impl` block of crates/*/src that no reader
 #      calls on its type, with path or method syntax;
+#   4. every `pub mod` of crates/*/src that no reader refers to by path
+#      (`name::`, in a `use` list too — it is how a module is named),
+#      as a report only: a module read only through its crate's
+#      re-exports could be private;
 #
 # and a non-zero exit when 2 or 3 finds one.
 #
@@ -38,8 +42,8 @@
 # of an item or field is never reported; a method whose name only std
 # types share (`.push(`) counts as called; an untyped receiver in a
 # file that names none of a method's namesakes calls each of them whose
-# crate the file sees. Only `pub` items, `pub` fields and `pub` methods
-# of column-0 `impl` blocks are audited (not `pub mod`s, enum variants
+# crate the file sees. Only `pub` items, `pub` fields, `pub` methods of
+# column-0 `impl` blocks and `pub mod`s are audited (not enum variants
 # or `pub(crate)` items). So what is reported has no reader, except a
 # method called only on untyped receivers in files that name another
 # type with a method of its name; and what is not reported may still
@@ -48,14 +52,14 @@ set -eu
 
 # The part of a file before its trailing test module (part=code) or
 # from it on (part=tests); with strip=1, without comment lines and
-# `use` lists.
+# `use` lists; with strip=2, without comment lines.
 part() {
   awk -v want="$1" -v strip="$2" '
     function emit(line) { if ((want == "tests") == (tests == 1)) print line }
     /^#\[cfg\(test\)\]/ { held = $0; next }
     held != "" { if ($0 ~ /^mod tests/) tests = 1; else emit(held); held = "" }
     strip && /^[[:space:]]*\/\// { next }
-    strip && /^[[:space:]]*(pub(\([a-z]+\))? )?use / { in_use = 1 }
+    strip == 1 && /^[[:space:]]*(pub(\([a-z]+\))? )?use / { in_use = 1 }
     in_use { if ($0 ~ /;/) in_use = 0; next }
     { emit($0) }
   ' "$3"
@@ -72,15 +76,20 @@ echo "  total $total"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/code" "$tmp/tests"
+# $tmp/paths holds the same copies with their `use` lists, for 4.
+mkdir -p "$tmp/code" "$tmp/tests" "$tmp/paths/code" "$tmp/paths/tests"
 find crates/*/src shims/*/src src -name '*.rs' | while read -r f; do
   flat=$(echo "$f" | tr / %)
   part code 1 "$f" > "$tmp/code/$flat"
   part tests 1 "$f" > "$tmp/tests/$flat"
+  part code 2 "$f" > "$tmp/paths/code/$flat"
+  part tests 2 "$f" > "$tmp/paths/tests/$flat"
 done
 find benchmark/src benchmark/tests examples tests crates/*/tests -name '*.rs' |
   while read -r f; do
-    { part code 1 "$f"; part tests 1 "$f"; } > "$tmp/code/ext%$(echo "$f" | tr / %)"
+    flat=ext%$(echo "$f" | tr / %)
+    { part code 1 "$f"; part tests 1 "$f"; } > "$tmp/code/$flat"
+    { part code 2 "$f"; part tests 2 "$f"; } > "$tmp/paths/code/$flat"
   done
 
 # `Type method` for every fn of a column-0 `impl` block (for
@@ -167,6 +176,7 @@ is_called() {
 unread=0
 fields=0
 uncalled=0
+mods=0
 for f in $(find crates/*/src -name '*.rs' ! -name oracle.rs); do
   own="$tmp/code/$(echo "$f" | tr / %)"
   crate=$(echo "$f" | cut -d/ -f1-2 | tr / %)
@@ -211,8 +221,19 @@ for f in $(find crates/*/src -name '*.rs' ! -name oracle.rs); do
     echo "no reader: $f: pub fn ${item%%:*}::$name (no call on its type)"
     uncalled=$((uncalled + 1))
   done
+  paths="$tmp/paths/code/$(echo "$f" | tr / %)"
+  for name in $(sed -nE 's/^[[:space:]]*pub mod ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' "$own"); do
+    re="(^|[^A-Za-z0-9_])$name::"
+    if grep -lE -- "$re" "$tmp"/paths/code/* | grep -qvxF "$paths" ||
+      grep -lE -- "$re" "$tmp"/paths/tests/* | grep -qvF "/$crate%"; then
+      continue
+    fi
+    echo "no path reader: $f: pub mod $name"
+    mods=$((mods + 1))
+  done
 done
 echo "pub items without a reader: $unread"
 echo "pub fields without a reader: $fields"
 echo "pub methods without a call: $uncalled"
+echo "pub mods without a path reader (report only): $mods"
 [ "$unread" -eq 0 ] && [ "$fields" -eq 0 ] && [ "$uncalled" -eq 0 ]

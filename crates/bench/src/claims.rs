@@ -698,10 +698,7 @@ fn improvement_holds(v: &Json) -> bool {
 /// A stream's two runs: the offline model replayed every step, then
 /// the online-adaptive predictor.
 fn adapt_modes() -> [AdaptMode; 2] {
-    [
-        AdaptMode::Static,
-        AdaptMode::Adaptive(OnlineConfig::default()),
-    ]
+    [AdaptMode::Static, AdaptMode::Adaptive(OnlineConfig)]
 }
 
 /// What a stream's two runs are compared on.

@@ -10,9 +10,9 @@
 //!
 //! 1. **Predict** ratio + compression/write time per partition
 //!    (`ratiomodel`), ~5 % of compression cost.
-//! 2. **All-gather** predicted sizes; every rank then derives the
-//!    *same* file layout independently ([`plan::WritePlan`]), each
-//!    slot padded by the extra-space policy ([`extraspace`], Eq. 3).
+//! 2. **All-gather** each rank's reserved total; every rank then
+//!    derives the *same* file layout independently ([`plan::WritePlan`]),
+//!    each slot padded by the extra-space policy ([`extraspace`], Eq. 3).
 //! 3. **Reorder** each rank's compression queue to maximize
 //!    compute/write overlap ([`scheduler`], Algorithm 1): a rank's queue
 //!    is the flow shop F2‖C_max, ordered exactly by Johnson's rule (1954).
@@ -21,7 +21,8 @@
 //!    pre-computed offset.
 //! 5. **Redirect overflow**: partitions larger than their reservation
 //!    write a fitting prefix in place; the excess is appended past the
-//!    reserved region after an all-gather of overflow sizes (Fig. 8).
+//!    reserved region after an all-gather of each rank's overflow total
+//!    (Fig. 8). Every collective of a step carries one `u64` per rank.
 //! 6. **Verify (opt-in)**: re-open the closed file, decode every field
 //!    through the pipelined reader and check each element against its
 //!    resolved error bound ([`verify`]), timed as its own phase.

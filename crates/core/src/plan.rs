@@ -281,6 +281,22 @@ pub fn plan_overflow(overflow: &[Vec<u64>], data_end: u64) -> Vec<Vec<u64>> {
     plan.slots.iter().map(offsets).collect()
 }
 
+/// Rank `rank`'s offsets for partitions of `sizes` bytes (field order)
+/// in a rank-major layout from `base` whose every rank's partitions
+/// total `totals[rank]` bytes: row `rank` of [`plan_overflow`] and of
+/// `WritePlan::exact`, from one `u64` per rank instead of the whole
+/// matrix.
+pub(crate) fn rank_offsets(sizes: &[u64], totals: &[u64], rank: usize, base: u64) -> Vec<u64> {
+    debug_assert_eq!(sizes.iter().sum::<u64>(), totals[rank]);
+    let mut offset = base + totals[..rank].iter().sum::<u64>();
+    let place = |&size: &u64| {
+        let at = offset;
+        offset += size;
+        at
+    };
+    sizes.iter().map(place).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +480,44 @@ mod tests {
             cursor += len;
         }
         assert_eq!(cursor, 100 + total);
+    }
+
+    #[test]
+    fn a_rank_places_from_the_totals_as_plan_overflow_does() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let mut matrices = vec![
+            vec![],
+            vec![vec![], vec![]],
+            vec![vec![0; 3]; 4],
+            vec![vec![7, 0, 19]],
+        ];
+        for _ in 0..64 {
+            let (nranks, nfields) = (1 + next(6) as usize, next(5) as usize);
+            // Mostly zeros, as overflow is: a quarter of the entries spill.
+            let mut entry = || if next(4) == 0 { 1 + next(1000) } else { 0 };
+            matrices.push(
+                (0..nranks)
+                    .map(|_| (0..nfields).map(|_| entry()).collect())
+                    .collect(),
+            );
+        }
+        for m in &matrices {
+            let want = plan_overflow(m, 4096);
+            let totals: Vec<u64> = m.iter().map(|row| row.iter().sum()).collect();
+            for (r, row) in m.iter().enumerate() {
+                assert_eq!(
+                    rank_offsets(row, &totals, r, 4096),
+                    want[r],
+                    "{m:?} rank {r}"
+                );
+            }
+        }
     }
 
     #[test]

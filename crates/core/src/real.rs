@@ -18,7 +18,7 @@
 
 use crate::extraspace::ExtraSpacePolicy;
 use crate::metrics::{Breakdown, Method, RunResult};
-use crate::plan::{plan_overflow, reservation_wire_bytes, Pooling, RankPlanView, WritePlan};
+use crate::plan::{rank_offsets, reservation_wire_bytes, Pooling, RankPlanView, WritePlan};
 use crate::step::{compression_order, pooling, rank_reservations};
 use commsim::World;
 use h5lite::{
@@ -51,7 +51,7 @@ pub enum AdaptMode {
     /// Offline models + engine-wide extra-space policy every step.
     Static,
     /// Online bias correction + adaptive headroom
-    /// ([`ratiomodel::OnlinePredictor`]).
+    /// ([`ratiomodel::OnlinePredictor`]; its rule has no settings).
     Adaptive(ratiomodel::OnlineConfig),
 }
 
@@ -539,12 +539,13 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         streams.push(s);
                     }
                     out.phases.compress = compress.stop();
-                    // All-gather the actual sizes.
+                    // All-gather each rank's total: its streams go one
+                    // after another, after the lower ranks' streams.
                     let allgather = obs::timed("real.allgather");
                     let my_sizes: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-                    let all_sizes = rk.try_all_gather(my_sizes)?;
+                    let totals = rk.try_all_gather(my_sizes.iter().sum::<u64>())?;
                     out.phases.allgather = allgather.stop();
-                    let plan = WritePlan::exact(&all_sizes, base);
+                    let offsets = rank_offsets(&my_sizes, &totals, r, base);
                     // Collective write: one synchronized round per field.
                     let write = obs::timed("real.write");
                     for f in 0..nfields {
@@ -553,7 +554,7 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                         file.write_chunk_at(
                             dataset_ids[f],
                             r as u64,
-                            plan.slots[r][f].offset,
+                            offsets[f],
                             &streams[f],
                             (data[r][f].data.len() * 4) as u64,
                         )?;
@@ -662,22 +663,17 @@ pub fn run_real_with<S: PredictionSource + ?Sized>(
                     out.queue_depth_max = es.high_water();
                     out.phases.write = fanout_secs - out.phases.compress + drain.stop();
 
-                    // Phase 6: overflow redirection.
+                    // Phase 6: overflow redirection. All-gather each
+                    // rank's spilled total: its tails go past
+                    // `data_end` in field order, after the lower ranks'.
                     let overflow = obs::timed("real.overflow");
                     let my_ovf: Vec<u64> = out.fields.iter().map(|o| o.overflow).collect();
-                    let all_ovf = rk.try_all_gather(my_ovf)?;
-                    let any_overflow = all_ovf.iter().flatten().any(|&b| b > 0);
-                    if any_overflow {
-                        let offsets = plan_overflow(&all_ovf, view.data_end);
+                    let totals = rk.try_all_gather(my_ovf.iter().sum::<u64>())?;
+                    if totals.iter().any(|&b| b > 0) {
+                        let offsets = rank_offsets(&my_ovf, &totals, r, view.data_end);
                         for (f, bytes) in overflow_parts {
                             throttle.acquire(bytes.len() as u64);
-                            file.write_chunk_at(
-                                dataset_ids[f],
-                                r as u64,
-                                offsets[r][f],
-                                &bytes,
-                                0,
-                            )?;
+                            file.write_chunk_at(dataset_ids[f], r as u64, offsets[f], &bytes, 0)?;
                             pool.put(bytes);
                         }
                     }

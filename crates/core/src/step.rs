@@ -245,10 +245,10 @@ impl StreamState {
                  (stream started at {r0}×{f0})"
             )));
         }
-        if let AdaptMode::Adaptive(cfg) = self.mode {
+        if let AdaptMode::Adaptive(_) = self.mode {
             let online = self
                 .online
-                .get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields, cfg));
+                .get_or_insert_with(|| OnlinePredictor::for_stream(nranks, nfields));
             if (online.n_cells(), online.n_ranks()) != (nranks * nfields, nranks) {
                 return Err(RealError::Shape(format!(
                     "online state tracks {} cells of {} ranks, stream shape is {nranks}×{nfields}",
@@ -296,7 +296,7 @@ mod tests {
     }
 
     fn adaptive() -> AdaptMode {
-        AdaptMode::Adaptive(OnlineConfig::default())
+        AdaptMode::Adaptive(OnlineConfig)
     }
 
     /// The outcome of a step whose partition `cell` was written at
@@ -371,7 +371,7 @@ mod tests {
         // No predictor, no blend; a predictor without history predicts
         // the model's size.
         assert_eq!(model.for_cell(6000, None, 3), model);
-        let cold = OnlinePredictor::new(4, OnlineConfig::default());
+        let cold = OnlinePredictor::new(4, OnlineConfig);
         let c = model.for_cell(6000, Some(&cold), 3);
         assert_eq!((c.bytes, c.ratio), (1000, 6.0));
     }
@@ -400,7 +400,7 @@ mod tests {
     fn only_an_adaptive_stream_pools_and_only_warm_ranks_adapt() {
         let ests = [estimate(600), estimate(400)];
         assert_eq!(pooling(None, 0, &ests), Pooling::Slots);
-        let mut online = OnlinePredictor::for_stream(2, 2, OnlineConfig::default());
+        let mut online = OnlinePredictor::for_stream(2, 2);
         assert_eq!(pooling(Some(&online), 1, &ests), Pooling::Region(None));
         // Rank 1's totals came in at 1 200 twice: its region covers
         // that whatever its fields are estimated at now.
@@ -476,11 +476,11 @@ mod tests {
             other => panic!("expected a shape error, got {other:?}"),
         };
         // Resumed history of another stream.
-        let history = OnlinePredictor::new(5, OnlineConfig::default());
+        let history = OnlinePredictor::new(5, OnlineConfig);
         let mut state = StreamState::new(adaptive(), Some(history.clone())).unwrap();
         shape_err(state.step(4, 2, 3, never), "tracks 5 cells of 0 ranks");
         // Cells enough, but tracked without ranks.
-        let cells_only = OnlinePredictor::new(6, OnlineConfig::default());
+        let cells_only = OnlinePredictor::new(6, OnlineConfig);
         let mut state = StreamState::new(adaptive(), Some(cells_only)).unwrap();
         shape_err(state.step(4, 2, 3, never), "tracks 6 cells of 0 ranks");
         // History handed to a stream that cannot use it.

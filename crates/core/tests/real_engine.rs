@@ -138,21 +138,46 @@ fn no_compression_end_to_end() {
     verify_within_bound(&path, &data, 0.0, false);
 }
 
+/// The fitted models' predictions at half their size: every partition
+/// under-predicted, as an optimistic size model would.
+struct Optimistic {
+    models: Models,
+}
+
+impl PredictionSource for Optimistic {
+    fn estimate(
+        &self,
+        rank: usize,
+        field: usize,
+        data: &[f32],
+        dims: &Dims,
+        cfg: &Config,
+        scratch: &mut EstimateScratch,
+    ) -> Result<SourceEstimate, RealError> {
+        let models = &self.models;
+        let est = ModelSource { models }.estimate(rank, field, data, dims, cfg, scratch)?;
+        let bytes = (est.bytes / 2).max(1);
+        Ok(SourceEstimate {
+            bytes,
+            ratio: (data.len() * 4) as f64 / bytes as f64,
+            model_bytes: bytes,
+            ..est
+        })
+    }
+}
+
 #[test]
 fn tight_reservation_forces_overflow_and_data_survives() {
-    // Failure injection: an (artificially) optimistic lossless-gain
-    // model under-predicts sizes, and rspace = 1.0 leaves no slack →
-    // partitions overflow; the file must still decode (Fig. 8 path).
+    // Failure injection: an optimistic source under-predicts sizes, and
+    // rspace = 1.0 leaves no slack → partitions overflow; the file must
+    // still decode (Fig. 8 path).
     let (data, _) = nyx_rank_data(16, 8);
     let guard = tmp("overflow");
     let path = guard.path().to_path_buf();
     let mut cfg = config(Method::Overlap, path.clone());
     cfg.policy = ExtraSpacePolicy::new(1.0);
-    cfg.models.gain = ratiomodel::LosslessGain {
-        floor: 0.02,
-        half_run: 0.05,
-    };
-    let res = run_real(&data, &cfg).unwrap();
+    let source = Optimistic { models: cfg.models };
+    let (res, _) = run_real_with(&data, &cfg, &source).unwrap();
     assert!(
         res.n_overflow > 0,
         "expected overflows with rspace=1.0 (got {})",
@@ -192,13 +217,10 @@ fn engine_verification_survives_overflow_redirection() {
     let path = guard.path().to_path_buf();
     let mut cfg = config(Method::Overlap, path.clone());
     cfg.policy = ExtraSpacePolicy::new(1.0);
-    cfg.models.gain = ratiomodel::LosslessGain {
-        floor: 0.02,
-        half_run: 0.05,
-    };
     cfg.verify = true;
     cfg.sz_threads = 4;
-    let res = run_real(&data, &cfg).unwrap();
+    let source = Optimistic { models: cfg.models };
+    let (res, _) = run_real_with(&data, &cfg, &source).unwrap();
     assert!(res.n_overflow > 0, "setup must force overflow");
     assert!(res.breakdown.verify > 0.0);
 }

@@ -27,7 +27,7 @@ pub mod writetime;
 
 pub use fit::{observe, paper_bound_sweep, Observation};
 pub use online::{CellStats, OnlineConfig, OnlinePrediction, OnlinePredictor};
-pub use ratio::{predict, predict_default, LosslessGain, RatioPrediction};
+pub use ratio::{predict, RatioPrediction};
 pub use throughput::{fit as fit_throughput, ThroughputModel};
 pub use writetime::{fit as fit_writetime, WriteTimeModel};
 
@@ -41,8 +41,6 @@ pub struct Models {
     pub throughput: ThroughputModel,
     /// Write-time model (Eq. 2).
     pub write: WriteTimeModel,
-    /// Lossless-stage correction constants for the ratio model.
-    pub gain: LosslessGain,
     /// Fraction of blocks sampled by the ratio prediction (≈ 0.05
     /// keeps the overhead below 10 % of compression time, as in \[25\]).
     ///
@@ -62,7 +60,6 @@ impl Models {
         Models {
             throughput: ThroughputModel::paper_reference(),
             write: WriteTimeModel::new(cthr),
-            gain: LosslessGain::default(),
             sample_fraction: 0.05,
         }
     }
@@ -113,7 +110,7 @@ pub fn estimate_partition_with(
 ) -> Result<PartitionEstimate> {
     let EstimateScratch { sample, enc, ws } = scratch;
     sample_quantization_into(data, dims, cfg, models.sample_fraction, sample)?;
-    let p = ratio::predict_sparse(sample.sample(), sample.used(), &models.gain, enc, ws);
+    let p = ratio::predict_sparse(sample.sample(), sample.used(), enc, ws);
     let raw_bytes = std::mem::size_of_val(data) as f64;
     Ok(PartitionEstimate {
         bytes: p.bytes,

@@ -10,7 +10,7 @@
 //!   `observed / model` — the systematic error of the sampling-based
 //!   model on *this* partition's data — and predictions blend the
 //!   fresh offline estimate with that correction, ramping trust in
-//!   over [`OnlineConfig::warmup`] observations;
+//!   over a warm-up of two observations;
 //! * each rank keeps an EWMA of the relative error of its partitions'
 //!   predicted *total*, which forms an **error band** from which the
 //!   headroom of the rank's one reserved region is derived — tight
@@ -20,61 +20,37 @@
 //!   than any one of its fields, so the region needs a smaller cushion
 //!   than per-partition slots would.
 //!
-//! The state is a pure fold over the observation sequence, so
-//! streaming runs replay deterministically at any worker count.
+//! The rule has no settings: its EWMA weight, warm-up, error-band
+//! multiplier and headroom band are this module's constants. The state
+//! is a pure fold over the observation sequence, so streaming runs
+//! replay deterministically at any worker count.
 
-/// Tunables of the online blend and adaptive headroom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineConfig {
-    /// EWMA weight of the newest observation, in (0, 1].
-    pub alpha: f64,
-    /// Observations before the blend fully trusts history and the
-    /// adaptive headroom activates (≥ 1; earlier reservations fall back
-    /// to the engine's static policy).
-    pub warmup: u64,
-    /// Error-band multiplier: a rank's headroom is
-    /// `1 + err_margin · ewma_err` of its predicted total.
-    pub err_margin: f64,
-    /// Floor on a rank's adapted headroom (keeps a minimum cushion on
-    /// the rank's total even on perfectly stable history).
-    pub min_headroom: f64,
-}
+/// The online blend and adaptive headroom of [`OnlinePredictor`]: it
+/// has no setting — its rule is this module's constants — and stays a
+/// type so that callers can name the adaptive mode
+/// (`AdaptMode::Adaptive(OnlineConfig)`).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct OnlineConfig;
 
-/// Cap on the error-band part of the headroom, unless `min_headroom`
-/// is higher (the last-observed floor may exceed it — recovery from a
-/// misprediction takes precedence over the cap).
+/// EWMA weight of the newest observation.
+const ALPHA: f64 = 0.5;
+
+/// Observations before the blend fully trusts history and the adaptive
+/// headroom activates (earlier reservations fall back to the engine's
+/// static policy).
+const WARMUP: u64 = 2;
+
+/// Error-band multiplier: a rank's headroom is
+/// `1 + ERR_MARGIN · ewma_err` of its predicted total.
+const ERR_MARGIN: f64 = 4.0;
+
+/// Floor on a rank's error band (a minimum cushion on the rank's total
+/// even on perfectly stable history).
+const MIN_HEADROOM: f64 = 1.01;
+
+/// Cap on a rank's error band (the last-observed floor may exceed it —
+/// recovery from a misprediction takes precedence over the cap).
 const MAX_HEADROOM: f64 = 1.43;
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        OnlineConfig {
-            alpha: 0.5,
-            warmup: 2,
-            err_margin: 4.0,
-            min_headroom: 1.01,
-        }
-    }
-}
-
-impl OnlineConfig {
-    /// Copy with every field forced into its supported range.
-    fn sanitized(self) -> Self {
-        OnlineConfig {
-            alpha: if self.alpha.is_finite() {
-                self.alpha.clamp(1e-3, 1.0)
-            } else {
-                0.5
-            },
-            warmup: self.warmup.max(1),
-            err_margin: if self.err_margin.is_finite() {
-                self.err_margin.max(0.0)
-            } else {
-                4.0
-            },
-            min_headroom: self.min_headroom.max(1.0),
-        }
-    }
-}
 
 /// The error-tracking state of one unit — a cell's or a rank's.
 #[derive(Debug, Clone, Copy, Default)]
@@ -88,8 +64,8 @@ struct Band {
 }
 
 impl Band {
-    /// Fold in one `(predicted, observed)` pair with EWMA weight `a`.
-    fn observe(&mut self, a: f64, predicted: u64, observed: u64) {
+    /// Fold in one `(predicted, observed)` pair.
+    fn observe(&mut self, predicted: u64, observed: u64) {
         let obs = observed.max(1) as f64;
         // The clamp keeps a degenerate observation (corrupt sizes) from
         // poisoning the EWMA with inf.
@@ -97,7 +73,7 @@ impl Band {
         self.err = if self.n_obs == 0 {
             e
         } else {
-            (1.0 - a) * self.err + a * e
+            (1.0 - ALPHA) * self.err + ALPHA * e
         };
         self.last_observed = observed;
         self.n_obs += 1;
@@ -169,13 +145,12 @@ pub struct OnlinePrediction {
 }
 
 /// Version byte of [`OnlinePredictor::to_state_bytes`]'s encoding.
-const STATE_VERSION: u8 = 5;
+const STATE_VERSION: u8 = 6;
 
 /// Streaming predictor: offline model × per-partition online bias
 /// correction, with adaptive per-rank extra-space headroom.
 #[derive(Debug, Clone)]
 pub struct OnlinePredictor {
-    cfg: OnlineConfig,
     cells: Vec<Cell>,
     ranks: Vec<Band>,
 }
@@ -184,10 +159,10 @@ impl OnlinePredictor {
     /// Predictor tracking `n_cells` partitions (callers index cells
     /// however they like), each with its own bias correction, and no
     /// rank: [`OnlinePredictor::region_headroom`] is for the predictor
-    /// of a stream ([`OnlinePredictor::for_stream`]).
-    pub fn new(n_cells: usize, cfg: OnlineConfig) -> Self {
+    /// of a stream ([`OnlinePredictor::for_stream`]). `OnlineConfig`
+    /// carries nothing.
+    pub fn new(n_cells: usize, _cfg: OnlineConfig) -> Self {
         OnlinePredictor {
-            cfg: cfg.sanitized(),
             cells: vec![Cell::default(); n_cells],
             ranks: Vec::new(),
         }
@@ -196,10 +171,10 @@ impl OnlinePredictor {
     /// Predictor of an `nranks × nfields` checkpoint stream: cell
     /// `rank · nfields + field` per partition, plus one error band per
     /// rank.
-    pub fn for_stream(nranks: usize, nfields: usize, cfg: OnlineConfig) -> Self {
+    pub fn for_stream(nranks: usize, nfields: usize) -> Self {
         OnlinePredictor {
             ranks: vec![Band::default(); nranks],
-            ..OnlinePredictor::new(nranks * nfields, cfg)
+            ..OnlinePredictor::new(nranks * nfields, OnlineConfig)
         }
     }
 
@@ -213,18 +188,13 @@ impl OnlinePredictor {
         self.ranks.len()
     }
 
-    /// The (sanitized) configuration in effect.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.cfg
-    }
-
     /// Blend the fresh offline estimate `model_bytes` with the cell's
     /// history. Always finite, never below 1 byte.
     pub fn predict(&self, cell: usize, model_bytes: u64) -> OnlinePrediction {
         let c = &self.cells[cell];
         let model = model_bytes.max(1);
-        // Trust ramp: 0 with no history, 1 from `warmup` observations.
-        let w = (c.band.n_obs as f64 / self.cfg.warmup as f64).min(1.0);
+        // Trust ramp: 0 with no history, 1 from `WARMUP` observations.
+        let w = (c.band.n_obs as f64 / WARMUP as f64).min(1.0);
         let corr = 1.0 + w * (c.correction - 1.0);
         OnlinePrediction {
             bytes: ((model as f64 * corr).ceil() as u64).max(1),
@@ -233,17 +203,14 @@ impl OnlinePredictor {
 
     /// The headroom of rank `rank`'s region when its partitions are
     /// predicted at `predicted` bytes in total: the rank's error band
-    /// `1 + err_margin · ewma_err` within `[min_headroom, 1.43]`,
+    /// `1 + ERR_MARGIN · ewma_err` within `[MIN_HEADROOM, MAX_HEADROOM]`,
     /// raised to the rank's last observed total where that is more,
     /// so that `ceil(predicted · h) ≥ last_observed`. `None` during
     /// warm-up (the caller falls back to its static policy).
     pub fn region_headroom(&self, rank: usize, predicted: u64) -> Option<f64> {
         let b = &self.ranks[rank];
-        let band = (1.0 + self.cfg.err_margin * b.err)
-            .min(MAX_HEADROOM)
-            .max(self.cfg.min_headroom);
-        (b.n_obs >= self.cfg.warmup)
-            .then(|| band.max(b.last_observed as f64 / predicted.max(1) as f64))
+        let band = (1.0 + ERR_MARGIN * b.err).clamp(MIN_HEADROOM, MAX_HEADROOM);
+        (b.n_obs >= WARMUP).then(|| band.max(b.last_observed as f64 / predicted.max(1) as f64))
     }
 
     /// Fold in one observation: `model_bytes` is the raw offline
@@ -256,23 +223,21 @@ impl OnlinePredictor {
         predicted_bytes: u64,
         observed_bytes: u64,
     ) {
-        let a = self.cfg.alpha;
         let c = &mut self.cells[cell];
         // The clamp keeps a zero model from poisoning the EWMA.
         let g = (observed_bytes.max(1) as f64 / model_bytes.max(1) as f64).clamp(1e-3, 1e3);
         c.correction = if c.band.n_obs == 0 {
             g
         } else {
-            (1.0 - a) * c.correction + a * g
+            (1.0 - ALPHA) * c.correction + ALPHA * g
         };
-        c.band.observe(a, predicted_bytes, observed_bytes);
+        c.band.observe(predicted_bytes, observed_bytes);
     }
 
     /// Fold in one step of rank `rank`: its partitions were predicted
     /// at `predicted` bytes in total and came out `observed` bytes.
     pub fn observe_rank(&mut self, rank: usize, predicted: u64, observed: u64) {
-        let a = self.cfg.alpha;
-        self.ranks[rank].observe(a, predicted, observed);
+        self.ranks[rank].observe(predicted, observed);
     }
 
     /// Statistics of one cell.
@@ -286,19 +251,15 @@ impl OnlinePredictor {
         }
     }
 
-    /// Serialize the full adaptation state (config, every rank, every
-    /// cell) to a compact byte stream — the payload of the timeline's
-    /// per-step sidecar, so a restarted stream resumes with warmed
-    /// predictions instead of re-running warm-up. Framing (magic,
-    /// checksum) is the caller's job.
+    /// Serialize the full adaptation state (every rank, every cell) to
+    /// a compact byte stream — the payload of the timeline's per-step
+    /// sidecar, so a restarted stream resumes with warmed predictions
+    /// instead of re-running warm-up. Framing (magic, checksum) is the
+    /// caller's job.
     pub fn to_state_bytes(&self) -> Vec<u8> {
         use szlite::stream::{put_f64, put_varint};
-        let mut out = Vec::with_capacity(40 + (self.cells.len() + self.ranks.len()) * 24);
+        let mut out = Vec::with_capacity(8 + (self.cells.len() + self.ranks.len()) * 24);
         out.push(STATE_VERSION);
-        put_f64(&mut out, self.cfg.alpha);
-        put_varint(&mut out, self.cfg.warmup);
-        put_f64(&mut out, self.cfg.err_margin);
-        put_f64(&mut out, self.cfg.min_headroom);
         put_varint(&mut out, self.ranks.len() as u64);
         for b in &self.ranks {
             b.put(&mut out);
@@ -312,9 +273,7 @@ impl OnlinePredictor {
     }
 
     /// Rebuild a predictor from [`OnlinePredictor::to_state_bytes`]
-    /// output. The config is re-sanitized on load, so a state written
-    /// with wider ranges still comes up safe. A state of another
-    /// version is refused.
+    /// output. A state of another version is refused.
     pub fn from_state_bytes(bytes: &[u8]) -> Result<Self, String> {
         use szlite::stream::{get_f64, get_varint};
         let err = |what: &str| format!("online predictor state: truncated {what}");
@@ -326,10 +285,6 @@ impl OnlinePredictor {
             ));
         }
         pos += 1;
-        let alpha = get_f64(bytes, &mut pos).map_err(|_| err("alpha"))?;
-        let warmup = get_varint(bytes, &mut pos).map_err(|_| err("warmup"))?;
-        let err_margin = get_f64(bytes, &mut pos).map_err(|_| err("err_margin"))?;
-        let min_headroom = get_f64(bytes, &mut pos).map_err(|_| err("min_headroom"))?;
         // A count the bytes left cannot hold at `least` bytes a record
         // is refused before it sizes anything.
         let count = |pos: &mut usize, what: &str, least: usize| {
@@ -359,17 +314,7 @@ impl OnlinePredictor {
         if pos != bytes.len() {
             return Err("online predictor state: trailing bytes".into());
         }
-        Ok(OnlinePredictor {
-            cfg: OnlineConfig {
-                alpha,
-                warmup,
-                err_margin,
-                min_headroom,
-            }
-            .sanitized(),
-            cells,
-            ranks,
-        })
+        Ok(OnlinePredictor { cells, ranks })
     }
 
     /// Mean EWMA relative error over cells with history (0 when none
@@ -397,8 +342,8 @@ mod tests {
 
     /// A stream predictor whose rank 0 has seen `totals` as its
     /// (predicted, observed) totals.
-    fn rank_history(cfg: OnlineConfig, totals: &[(u64, u64)]) -> OnlinePredictor {
-        let mut p = OnlinePredictor::for_stream(2, 3, cfg);
+    fn rank_history(totals: &[(u64, u64)]) -> OnlinePredictor {
+        let mut p = OnlinePredictor::for_stream(2, 3);
         for &(predicted, observed) in totals {
             p.observe_rank(0, predicted, observed);
         }
@@ -407,7 +352,7 @@ mod tests {
 
     #[test]
     fn warmup_falls_back_to_static_policy() {
-        let mut p = OnlinePredictor::for_stream(1, 1, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(1, 1);
         assert_eq!(p.predict(0, 1000).bytes, 1000, "no history: pure model");
         assert!(p.region_headroom(0, 1000).is_none(), "no history");
         p.observe(0, 1000, 1000, 1200);
@@ -420,7 +365,7 @@ mod tests {
 
     #[test]
     fn stationary_stream_converges_to_observed() {
-        let mut p = OnlinePredictor::for_stream(1, 1, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(1, 1);
         for _ in 0..12 {
             let pr = p.predict(0, 1000);
             p.observe(0, 1000, pr.bytes, 1300);
@@ -439,7 +384,7 @@ mod tests {
 
     #[test]
     fn misprediction_widens_then_recovers() {
-        let mut p = rank_history(OnlineConfig::default(), &[(1000, 1000); 4]);
+        let mut p = rank_history(&[(1000, 1000); 4]);
         let calm = p.region_headroom(0, 1000).unwrap();
         assert_eq!(calm, 1.01, "the floor on exact history");
         // A 60 % spike of the rank's total: the next headroom must
@@ -460,16 +405,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_stay_finite() {
-        let mut p = OnlinePredictor::for_stream(
-            1,
-            1,
-            OnlineConfig {
-                alpha: f64::NAN,
-                warmup: 0,
-                err_margin: f64::INFINITY,
-                min_headroom: 0.0,
-            },
-        );
+        let mut p = OnlinePredictor::for_stream(1, 1);
         p.observe(0, 0, 0, 0);
         p.observe(0, u64::MAX, 1, u64::MAX);
         p.observe_rank(0, 0, 0);
@@ -481,7 +417,7 @@ mod tests {
 
     #[test]
     fn state_roundtrips_exactly() {
-        let mut p = OnlinePredictor::for_stream(2, 3, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(2, 3);
         for step in 0..5u64 {
             for cell in 0..6 {
                 let pr = p.predict(cell, 1000 + cell as u64 * 37);
@@ -492,7 +428,6 @@ mod tests {
         let bytes = p.to_state_bytes();
         let q = OnlinePredictor::from_state_bytes(&bytes).unwrap();
         assert_eq!((q.n_cells(), q.n_ranks()), (6, 2));
-        assert_eq!(q.config(), p.config());
         for cell in 0..6 {
             assert_eq!(q.stats(cell), p.stats(cell), "cell {cell}");
             // Bit-identical state must yield bit-identical predictions.
@@ -506,14 +441,14 @@ mod tests {
 
     #[test]
     fn corrupt_state_rejected() {
-        let p = OnlinePredictor::for_stream(2, 1, OnlineConfig::default());
+        let p = OnlinePredictor::for_stream(2, 1);
         let bytes = p.to_state_bytes();
         assert!(OnlinePredictor::from_state_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(OnlinePredictor::from_state_bytes(&[]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(OnlinePredictor::from_state_bytes(&trailing).is_err());
-        // Any other version is refused, the one before this too.
+        // Any other version is refused, an older one too.
         for version in [4, 99] {
             let mut vers = bytes.clone();
             vers[0] = version;
@@ -523,12 +458,29 @@ mod tests {
     }
 
     #[test]
+    fn a_state_of_version_5_is_refused() {
+        // Version 5 framed one rank band and one cell like this one,
+        // after the four settings the predictor then had: EWMA weight,
+        // warm-up, error-band multiplier and headroom floor.
+        use szlite::stream::{put_f64, put_varint};
+        let mut v5 = vec![5];
+        put_f64(&mut v5, 0.5);
+        put_varint(&mut v5, 2);
+        put_f64(&mut v5, 4.0);
+        put_f64(&mut v5, 1.01);
+        let rest = OnlinePredictor::for_stream(1, 1).to_state_bytes();
+        v5.extend_from_slice(&rest[1..]);
+        let e = OnlinePredictor::from_state_bytes(&v5).unwrap_err();
+        assert_eq!(e, "online predictor state: unsupported version 5");
+    }
+
+    #[test]
     fn forged_cell_count_is_refused_before_it_sizes_anything() {
         // A fresh cell is 18 bytes (two `f64`s, two one-byte varints):
         // two of them follow the count. A count the rest cannot hold is
         // refused as such, not found truncated after a reservation of
         // 32 bytes a cell.
-        let bytes = OnlinePredictor::new(2, OnlineConfig::default()).to_state_bytes();
+        let bytes = OnlinePredictor::new(2, OnlineConfig).to_state_bytes();
         let (head, cells) = bytes.split_at(bytes.len() - 2 * 18 - 1);
         assert_eq!(cells[0], 2);
         for count in [2, 3, 100_000_000, 1_000_000_000_000, u64::MAX] {
@@ -541,7 +493,7 @@ mod tests {
             }
         }
         // So is a rank count: the state of 1 rank claiming a billion.
-        let bytes = OnlinePredictor::for_stream(1, 0, OnlineConfig::default()).to_state_bytes();
+        let bytes = OnlinePredictor::for_stream(1, 0).to_state_bytes();
         let (head, rest) = bytes.split_at(bytes.len() - 10 - 1 - 1);
         assert_eq!(rest[0], 1);
         let mut forged = head.to_vec();
@@ -553,7 +505,7 @@ mod tests {
 
     #[test]
     fn warmup_and_floor_are_per_rank() {
-        let mut p = rank_history(OnlineConfig::default(), &[(1000, 1500); 2]);
+        let mut p = rank_history(&[(1000, 1500); 2]);
         // Only rank 0 has history: rank 1, still in warm-up, must keep
         // reporting no headroom.
         assert!(p.region_headroom(0, 1000).is_some());
@@ -575,7 +527,7 @@ mod tests {
 
     #[test]
     fn mean_rel_err_ignores_untouched_cells() {
-        let mut p = OnlinePredictor::new(3, OnlineConfig::default());
+        let mut p = OnlinePredictor::new(3, OnlineConfig);
         assert_eq!(p.mean_rel_err(), 0.0);
         p.observe(1, 1000, 1000, 1500); // rel err 500/1500 = 1/3
         assert!((p.mean_rel_err() - 1.0 / 3.0).abs() < 1e-12);

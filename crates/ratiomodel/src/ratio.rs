@@ -19,35 +19,24 @@
 use szlite::huffman::{EncoderWorkspace, HuffmanEncoder};
 use szlite::SampleCodes;
 
-/// Tunable constants of the lossless-stage correction.
+/// Fraction of Huffman output that survives LZSS at infinite run
+/// length (floor of the lossless-stage gain curve).
 ///
-/// Defaults were calibrated once against `szlite` on synthetic Nyx/RTM
-/// fields (see `tests/model_accuracy.rs`); they are data-independent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LosslessGain {
-    /// Fraction of Huffman output that survives LZSS at infinite run
-    /// length (floor of the gain curve).
-    pub floor: f64,
-    /// Run length at which half the possible gain is realized.
-    pub half_run: f64,
-}
+/// This and [`GAIN_HALF_RUN`] were calibrated once against `szlite` on
+/// synthetic Nyx/RTM fields (see `tests/model_accuracy.rs`); they are
+/// data-independent.
+const GAIN_FLOOR: f64 = 0.08;
 
-impl Default for LosslessGain {
-    fn default() -> Self {
-        LosslessGain {
-            floor: 0.08,
-            half_run: 12.0,
-        }
-    }
-}
+/// Run length at which half the possible lossless-stage gain is
+/// realized.
+const GAIN_HALF_RUN: f64 = 12.0;
 
-impl LosslessGain {
-    /// Multiplicative factor applied to the Huffman-stage bits.
-    fn factor(&self, mean_run_length: f64) -> f64 {
-        let r = mean_run_length.max(1.0) - 1.0;
-        // 1.0 at r = 0, approaching `floor` as r → ∞.
-        self.floor + (1.0 - self.floor) / (1.0 + r / self.half_run)
-    }
+/// Multiplicative factor the lossless stage applies to the
+/// Huffman-stage bits of a code stream with this mean run length.
+fn lossless_gain(mean_run_length: f64) -> f64 {
+    let r = mean_run_length.max(1.0) - 1.0;
+    // 1.0 at r = 0, approaching `GAIN_FLOOR` as r → ∞.
+    GAIN_FLOOR + (1.0 - GAIN_FLOOR) / (1.0 + r / GAIN_HALF_RUN)
 }
 
 /// A predicted partition size.
@@ -72,12 +61,12 @@ const ELEM_BITS: f64 = 32.0;
 
 /// Predict the compressed size of a partition of `n_total` `f32`
 /// elements from its sampled code statistics.
-pub fn predict(s: &SampleCodes, gain: &LosslessGain) -> RatioPrediction {
+pub fn predict(s: &SampleCodes) -> RatioPrediction {
     let used: Vec<u32> = (0..s.histogram.len() as u32)
         .filter(|&c| s.histogram[c as usize] > 0)
         .collect();
     let (mut enc, mut ws) = (HuffmanEncoder::default(), EncoderWorkspace::default());
-    predict_sparse(s, &used, gain, &mut enc, &mut ws)
+    predict_sparse(s, &used, &mut enc, &mut ws)
 }
 
 /// [`predict`] given the codes `used` by the histogram (ascending), as
@@ -87,7 +76,6 @@ pub fn predict(s: &SampleCodes, gain: &LosslessGain) -> RatioPrediction {
 pub(crate) fn predict_sparse(
     s: &SampleCodes,
     used: &[u32],
-    gain: &LosslessGain,
     enc: &mut HuffmanEncoder,
     ws: &mut EncoderWorkspace,
 ) -> RatioPrediction {
@@ -113,7 +101,7 @@ pub(crate) fn predict_sparse(
 
     // Lossless correction applies to the Huffman-coded stream only;
     // literals are near-incompressible floats.
-    let lz = gain.factor(s.mean_run_length());
+    let lz = lossless_gain(s.mean_run_length());
     let bits_pp = huff_bits * lz + literal_bits + table_bits;
 
     let bytes = ((bits_pp * n_total / 8.0).ceil() as u64 + STREAM_OVERHEAD).max(1);
@@ -124,11 +112,6 @@ pub(crate) fn predict_sparse(
         ratio,
         unpredictable_fraction: unpred,
     }
-}
-
-/// Convenience: predict with default lossless-gain constants.
-pub fn predict_default(s: &SampleCodes) -> RatioPrediction {
-    predict(s, &LosslessGain::default())
 }
 
 #[cfg(test)]
@@ -142,7 +125,7 @@ mod tests {
     /// every Huffman quantity taken over the whole alphabet — code
     /// lengths summed symbol by symbol, the table measured by
     /// serialising it.
-    fn predict_dense(s: &SampleCodes, elem_bits: u32, gain: &LosslessGain) -> RatioPrediction {
+    fn predict_dense(s: &SampleCodes, elem_bits: u32) -> RatioPrediction {
         let n_total = s.n_total as f64;
         let enc = HuffmanEncoder::from_freqs(&s.histogram);
         let sampled: u64 = s.histogram.iter().sum();
@@ -159,7 +142,7 @@ mod tests {
         let table_bits = table.len() as f64 * 8.0 * 1.5 / n_total;
         let unpred = s.unpredictable_fraction();
         let literal_bits = unpred * f64::from(elem_bits);
-        let lz = gain.factor(s.mean_run_length());
+        let lz = lossless_gain(s.mean_run_length());
         let bits_pp = huff_bits * lz + literal_bits + table_bits;
         let bytes = ((bits_pp * n_total / 8.0).ceil() as u64 + STREAM_OVERHEAD).max(1);
         let ratio = (n_total * f64::from(elem_bits) / 8.0) / bytes as f64;
@@ -237,8 +220,8 @@ mod tests {
                 models: &Models,
             ) -> Result<(), String> {
                 let s = sample_quantization(data, dims, cfg, models.sample_fraction).unwrap();
-                let want = predict_dense(&s, 32, &models.gain);
-                let compat = predict(&s, &models.gain);
+                let want = predict_dense(&s, 32);
+                let compat = predict(&s);
                 if bits(&compat) != bits(&want) {
                     return Err(format!("predict {compat:?}, dense {want:?}"));
                 }
@@ -276,7 +259,7 @@ mod tests {
     #[test]
     fn smooth_data_predicts_high_ratio() {
         let data: Vec<f32> = (0..100_000).map(|i| i as f32 * 1e-4).collect();
-        let p = predict_default(&sample(&data, 0.01));
+        let p = predict(&sample(&data, 0.01));
         assert!(p.ratio > 20.0, "ratio {}", p.ratio);
     }
 
@@ -289,23 +272,22 @@ mod tests {
                 (x >> 8) as f32 / 1e4
             })
             .collect();
-        let p = predict_default(&sample(&data, 1e-3));
+        let p = predict(&sample(&data, 1e-3));
         assert!(p.ratio < 4.0, "ratio {}", p.ratio);
     }
 
     #[test]
     fn gain_factor_monotone() {
-        let g = LosslessGain::default();
-        assert!(g.factor(1.0) > g.factor(5.0));
-        assert!(g.factor(5.0) > g.factor(100.0));
-        assert!((g.factor(1.0) - 1.0).abs() < 1e-9);
-        assert!(g.factor(1e9) >= g.floor);
+        assert!(lossless_gain(1.0) > lossless_gain(5.0));
+        assert!(lossless_gain(5.0) > lossless_gain(100.0));
+        assert!((lossless_gain(1.0) - 1.0).abs() < 1e-9);
+        assert!(lossless_gain(1e9) >= GAIN_FLOOR);
     }
 
     #[test]
     fn prediction_internally_consistent() {
         let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
-        let p = predict_default(&sample(&data, 1e-3));
+        let p = predict(&sample(&data, 1e-3));
         let implied = 10_000.0 * 32.0 / 8.0 / p.bytes as f64;
         assert!((p.ratio - implied).abs() < 1e-9);
         assert!(p.bits_per_point > 0.0);

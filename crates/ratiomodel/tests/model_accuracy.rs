@@ -3,14 +3,14 @@
 //! the paper's design assumption (3): "the accuracy of the
 //! compression-ratio estimation is consistently above 90 %".
 
-use ratiomodel::{predict_default, Models};
+use ratiomodel::{predict, Models};
 use szlite::{compress_with_stats, sample_quantization, Config, Dims};
 use workloads::{nyx, rtm, Decomposition, NyxParams, RtmParams};
 
 /// Relative error of predicted vs. actual compressed size.
 fn size_error(data: &[f32], dims: &Dims, cfg: &Config, frac: f64) -> f64 {
     let s = sample_quantization(data, dims, cfg, frac).unwrap();
-    let pred = predict_default(&s);
+    let pred = predict(&s);
     let (_, st) = compress_with_stats(data, dims, cfg).unwrap();
     (pred.bytes as f64 - st.compressed_bytes as f64).abs() / st.compressed_bytes as f64
 }
@@ -56,8 +56,8 @@ fn sampled_prediction_close_to_full_prediction() {
     let cfg = Config::rel(1e-3);
     let s_full = sample_quantization(&f.data, &dims, &cfg, 1.0).unwrap();
     let s_frac = sample_quantization(&f.data, &dims, &cfg, 0.05).unwrap();
-    let p_full = predict_default(&s_full);
-    let p_frac = predict_default(&s_frac);
+    let p_full = predict(&s_full);
+    let p_frac = predict(&s_frac);
     let rel = (p_full.bytes as f64 - p_frac.bytes as f64).abs() / p_full.bytes as f64;
     assert!(rel < 0.15, "sampled vs full prediction differ by {rel:.3}");
 }

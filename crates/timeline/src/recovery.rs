@@ -20,6 +20,7 @@
 use crate::engine::{run_timeline_resumed, AdaptMode, TimelineConfig};
 use crate::sidecar;
 use h5lite::scrub::{quarantine, scrub};
+use h5lite::H5Reader;
 use predwrite::{verify_file, RankFieldData, RealError, TimelineReport};
 use std::path::PathBuf;
 
@@ -114,17 +115,27 @@ where
         }
     }
 
-    // Reload adaptation history from the newest valid sidecar among
-    // the surviving steps. A missing or damaged sidecar just falls
-    // back to the next-older one, and finally to a cold start — the
-    // predictor re-converges within a couple of steps either way.
+    // Reload adaptation history from the newest valid sidecar of this
+    // stream's shape among the surviving steps. A missing, damaged or
+    // foreign sidecar just falls back to the next-older one, and
+    // finally to a cold start — the predictor re-converges within a
+    // couple of steps either way. The shape is read from the scrubbed
+    // container beside the sidecar: a dataset per field, a chunk per
+    // rank.
+    let shape_of = |step: usize| -> Option<(usize, usize)> {
+        let reader = H5Reader::open(cfg.step_path(step)).ok()?;
+        let names = reader.names();
+        let nranks = reader.meta(names.first()?).ok()?.n_chunks();
+        Some((usize::try_from(nranks).ok()?, names.len()))
+    };
     let (sidecar_step, online) = surviving
         .iter()
         .rev()
         .filter(|_| matches!(cfg.mode, AdaptMode::Adaptive(_)))
         .find_map(|&step| {
-            let (_, _, predictor) = sidecar::load_sidecar(&cfg.sidecar_path(step)).ok()?;
-            Some((step, predictor))
+            let (nranks, nfields, predictor) =
+                sidecar::load_sidecar(&cfg.sidecar_path(step)).ok()?;
+            (shape_of(step)? == (nranks, nfields)).then_some((step, predictor))
         })
         .unzip();
 

@@ -107,11 +107,10 @@ pub fn load_sidecar(path: &Path) -> Result<(usize, usize, OnlinePredictor), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ratiomodel::OnlineConfig;
     use testutil::TempPath;
 
     fn warmed(nranks: usize, nfields: usize) -> OnlinePredictor {
-        let mut p = OnlinePredictor::for_stream(nranks, nfields, OnlineConfig::default());
+        let mut p = OnlinePredictor::for_stream(nranks, nfields);
         for step in 0..4u64 {
             for cell in 0..nranks * nfields {
                 p.observe(cell, 1000, 990 + step, 970 + 3 * cell as u64 + step);

@@ -32,10 +32,7 @@ fn main() {
     let nfields = data[0][0].len();
 
     let mut reports: Vec<TimelineReport> = Vec::new();
-    for mode in [
-        AdaptMode::Static,
-        AdaptMode::Adaptive(OnlineConfig::default()),
-    ] {
+    for mode in [AdaptMode::Static, AdaptMode::Adaptive(OnlineConfig)] {
         let dir = std::env::temp_dir().join(format!(
             "timeline-example-{}-{}",
             std::process::id(),

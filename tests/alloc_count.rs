@@ -404,7 +404,7 @@ fn forged_counts_allocate_in_proportion_to_their_input() {
         )
     });
     // Two saved cells under a count of `n`.
-    let state = OnlinePredictor::new(2, OnlineConfig::default()).to_state_bytes();
+    let state = OnlinePredictor::new(2, OnlineConfig).to_state_bytes();
     let (head, cells) = state.split_at(state.len() - 2 * 18 - 1);
     let mut forged = head.to_vec();
     put_varint(&mut forged, n);

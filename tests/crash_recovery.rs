@@ -11,7 +11,7 @@
 
 use bench::partition_stream_step;
 use repro_suite::pfsim::{Fault, FaultFs, FaultPlan};
-use repro_suite::predwrite::{verify_file, RealError};
+use repro_suite::predwrite::verify_file;
 use repro_suite::ratiomodel::{OnlineConfig, OnlinePredictor};
 use repro_suite::timeline::{
     resume_timeline, run_timeline, save_sidecar, AdaptMode, StepFaults, TimelineConfig,
@@ -31,12 +31,7 @@ fn streams() -> [(SnapshotStream, usize); 3] {
 
 fn config(stream: &SnapshotStream, steps: usize, dir: PathBuf) -> TimelineConfig {
     let nfields = stream.snapshot(0).fields.len();
-    let mut cfg = TimelineConfig::quick(
-        steps,
-        nfields,
-        AdaptMode::Adaptive(OnlineConfig::default()),
-        dir,
-    );
+    let mut cfg = TimelineConfig::quick(steps, nfields, AdaptMode::Adaptive(OnlineConfig), dir);
     cfg.keep_files = true; // recovery needs the step history on disk
     cfg
 }
@@ -197,24 +192,24 @@ fn downgraded_superblock_version_is_quarantined_not_trusted() {
 }
 
 #[test]
-fn sidecar_of_another_stream_is_a_shape_error() {
-    // A sidecar that is intact but tracks another number of cells (a
-    // different stream's, copied into place) cannot seed this stream's
-    // predictor: the resumed tail refuses to run, with the typed error.
+fn a_sidecar_of_another_stream_falls_back() {
+    // A sidecar that is intact but of another stream's shape (copied
+    // into place) cannot seed this stream's predictor: the resume
+    // passes over it as over a damaged one, takes the older step's
+    // sidecar and runs to the end.
     let stream = SnapshotStream::nyx(16);
     let nranks = 8;
     let dir = TempDir::new("sidecar-shape");
-    let mut cfg = config(&stream, 1, dir.path().to_path_buf());
+    let mut cfg = config(&stream, 2, dir.path().to_path_buf());
     let data = |s: usize| partition_stream_step(&stream, s, nranks);
     run_timeline(&cfg, data).unwrap();
 
-    let foreign = OnlinePredictor::for_stream(3, 1, OnlineConfig::default());
-    save_sidecar(&cfg.sidecar_path(0), 3, 1, &foreign).unwrap();
-    cfg.steps = 2;
-    match resume_timeline(&cfg, data) {
-        Err(RealError::Shape(m)) => assert!(m.contains("tracks 3 cells"), "{m}"),
-        other => panic!("expected a shape error, got {other:?}"),
-    }
+    let foreign = OnlinePredictor::for_stream(3, 1);
+    save_sidecar(&cfg.sidecar_path(1), 3, 1, &foreign).unwrap();
+    cfg.steps = 3;
+    let res = resume_timeline(&cfg, data).expect("resumed from the older sidecar");
+    assert_eq!((res.resume_from, res.sidecar_step), (2, Some(0)));
+    assert_eq!(res.report.steps.len(), 1);
 }
 
 #[test]
@@ -230,19 +225,33 @@ fn a_sidecar_without_rank_bands_falls_back_to_the_older_one() {
     let mut cfg = config(&stream, 2, dir.path().to_path_buf());
     let nfields = cfg.configs.len();
     run_timeline(&cfg, data).unwrap();
-    let cells_only = OnlinePredictor::new(nranks * nfields, OnlineConfig::default());
+    let cells_only = OnlinePredictor::new(nranks * nfields, OnlineConfig);
     save_sidecar(&cfg.sidecar_path(1), nranks, nfields, &cells_only).unwrap();
     cfg.steps = 3;
     let res = resume_timeline(&cfg, data).expect("resumed from the older sidecar");
     assert_eq!((res.resume_from, res.sidecar_step), (2, Some(0)));
 }
 
-/// A sidecar as the previous predictor state (version 4) framed it,
-/// warm, for an `nranks × nfields` stream: config, then per cell its
-/// bias correction, error EWMA, last observed size and observation
-/// count — and no rank bands.
+/// `payload` framed as a sidecar of an `nranks × nfields` stream.
+fn framed(nranks: usize, nfields: usize, payload: &[u8]) -> Vec<u8> {
+    use repro_suite::szlite::stream::{put_u32, put_varint};
+    let mut out = b"TLSC".to_vec();
+    out.push(1);
+    put_varint(&mut out, nranks as u64);
+    put_varint(&mut out, nfields as u64);
+    put_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(payload);
+    let crc = repro_suite::h5lite::crc32c(&out);
+    put_u32(&mut out, crc);
+    out
+}
+
+/// A sidecar as predictor state version 4 framed it, warm, for an
+/// `nranks × nfields` stream: config, then per cell its bias
+/// correction, error EWMA, last observed size and observation count —
+/// and no rank bands.
 fn v4_sidecar(nranks: usize, nfields: usize) -> Vec<u8> {
-    use repro_suite::szlite::stream::{put_f64, put_u32, put_varint};
+    use repro_suite::szlite::stream::{put_f64, put_varint};
     let mut payload = vec![4];
     put_f64(&mut payload, 0.5);
     put_varint(&mut payload, 2);
@@ -255,44 +264,68 @@ fn v4_sidecar(nranks: usize, nfields: usize) -> Vec<u8> {
         put_varint(&mut payload, 40_000);
         put_varint(&mut payload, 5);
     }
-    let mut out = b"TLSC".to_vec();
-    out.push(1);
-    put_varint(&mut out, nranks as u64);
-    put_varint(&mut out, nfields as u64);
-    put_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    let crc = repro_suite::h5lite::crc32c(&out);
-    put_u32(&mut out, crc);
-    out
+    framed(nranks, nfields, &payload)
+}
+
+/// A sidecar as predictor state version 5 framed it, warm, for an
+/// `nranks × nfields` stream: config, then per rank its error band
+/// (error EWMA, last observed total, observation count), then per cell
+/// its bias correction and band.
+fn v5_sidecar(nranks: usize, nfields: usize) -> Vec<u8> {
+    use repro_suite::szlite::stream::{put_f64, put_varint};
+    let mut payload = vec![5];
+    put_f64(&mut payload, 0.5);
+    put_varint(&mut payload, 2);
+    put_f64(&mut payload, 4.0);
+    put_f64(&mut payload, 1.01);
+    put_varint(&mut payload, nranks as u64);
+    for _ in 0..nranks {
+        put_f64(&mut payload, 0.01);
+        put_varint(&mut payload, 240_000);
+        put_varint(&mut payload, 5);
+    }
+    put_varint(&mut payload, (nranks * nfields) as u64);
+    for _ in 0..nranks * nfields {
+        put_f64(&mut payload, 1.1);
+        put_f64(&mut payload, 0.01);
+        put_varint(&mut payload, 40_000);
+        put_varint(&mut payload, 5);
+    }
+    framed(nranks, nfields, &payload)
 }
 
 #[test]
 fn a_sidecar_of_the_previous_state_version_resumes_cold() {
     // Version 4 tracked cells only: a stream resumed from it would pool
-    // without its ranks' history. Its framing is intact, so the
-    // payload's version alone refuses it, and the resumed step reserves
-    // what a fresh stream's first step reserves.
+    // without its ranks' history. Version 5 carried the predictor's
+    // settings, which it no longer has. Their framing is intact, so the
+    // payload's version alone refuses them, and the resumed step
+    // reserves what a fresh stream's first step reserves.
     let stream = SnapshotStream::nyx(16);
     let nranks = 4;
     let data = |s: usize| partition_stream_step(&stream, s, nranks);
-    let dir = TempDir::new("sidecar-v4");
-    let mut cfg = config(&stream, 2, dir.path().to_path_buf());
-    run_timeline(&cfg, data).unwrap();
-    for step in 0..2 {
-        let forged = v4_sidecar(nranks, cfg.configs.len());
-        std::fs::write(cfg.sidecar_path(step), forged).unwrap();
-    }
-    cfg.steps = 3;
-    let res = resume_timeline(&cfg, data).unwrap();
-    assert_eq!((res.resume_from, res.sidecar_step), (2, None));
-
-    let fresh_dir = TempDir::new("sidecar-v4-fresh");
+    let fresh_dir = TempDir::new("sidecar-old-fresh");
     let fresh = config(&stream, 1, fresh_dir.path().to_path_buf());
     let first = run_timeline(&fresh, |_| data(2)).unwrap();
-    assert_eq!(
-        res.report.steps[0].reserved_bytes,
-        first.steps[0].reserved_bytes
-    );
+    for (version, sidecar) in [
+        (4, v4_sidecar as fn(usize, usize) -> Vec<u8>),
+        (5, v5_sidecar),
+    ] {
+        let dir = TempDir::new(&format!("sidecar-v{version}"));
+        let mut cfg = config(&stream, 2, dir.path().to_path_buf());
+        run_timeline(&cfg, data).unwrap();
+        for step in 0..2 {
+            let forged = sidecar(nranks, cfg.configs.len());
+            std::fs::write(cfg.sidecar_path(step), forged).unwrap();
+        }
+        cfg.steps = 3;
+        let res = resume_timeline(&cfg, data).unwrap();
+        assert_eq!((res.resume_from, res.sidecar_step), (2, None), "v{version}");
+        assert_eq!(
+            res.report.steps[0].reserved_bytes, first.steps[0].reserved_bytes,
+            "v{version}"
+        );
+    }
 }
 
 /// The seeded schedule on one workload: a transient EIO (retried) at

@@ -4,7 +4,7 @@
 //! (That a calibration on one field transfers across fields — the
 //! paper's §IV-B claim — is `repro fig11` / `fig12`.)
 
-use repro_suite::ratiomodel::predict_default;
+use repro_suite::ratiomodel::predict;
 use repro_suite::szlite::{compress_with_stats, sample_quantization, Config, Dims};
 use repro_suite::workloads::{nyx, rtm, NyxParams, RtmParams};
 use std::time::Instant;
@@ -48,7 +48,7 @@ fn ratio_prediction_transfers_to_rtm() {
     let dims = Dims::d3(side, side, side);
     let cfg = Config::rel(1e-3);
     let s = sample_quantization(&ds.fields[0].data, &dims, &cfg, 0.2).unwrap();
-    let pred = predict_default(&s);
+    let pred = predict(&s);
     let (_, st) = compress_with_stats(&ds.fields[0].data, &dims, &cfg).unwrap();
     let err = (pred.bytes as f64 - st.compressed_bytes as f64).abs() / st.compressed_bytes as f64;
     assert!(err < 0.3, "rtm size prediction error {err:.3}");

@@ -75,7 +75,7 @@ fn spans_are_free_when_off_and_traces_and_flight_records_are_true_when_on() {
         .map(|s| partition_stream_step(&stream, s, nranks))
         .collect();
     let nfields = data[0][0].len();
-    let adaptive = AdaptMode::Adaptive(OnlineConfig::default());
+    let adaptive = AdaptMode::Adaptive(OnlineConfig);
 
     // 1. The disabled fast path: one guard per compress call is what
     // an instrumented hot loop pays, so a guard (timed over 2 M of

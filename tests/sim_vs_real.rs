@@ -70,22 +70,23 @@ fn assert_streams_agree(
     real.total_overflows()
 }
 
-/// `steps` steps of `stream` on `nranks` ranks, and the simulator's
-/// input from the very data the real engine writes: the same estimate,
-/// the same compressor. The config streams it statically into `dir`.
+/// One step per entry of `streams`, step `s` drawn from `streams[s]`,
+/// on `nranks` ranks, and the simulator's input from the very data the
+/// real engine writes: the same estimate, the same compressor. The
+/// config streams it statically into `dir`.
 #[allow(clippy::type_complexity)]
 fn inputs(
-    stream: &SnapshotStream,
+    streams: &[SnapshotStream],
     nranks: usize,
-    steps: usize,
     dir: &Path,
 ) -> (
     TimelineConfig,
     Vec<Vec<Vec<RankFieldData>>>,
     Vec<Vec<Vec<PartitionProfile>>>,
 ) {
-    let data: Vec<_> = (0..steps)
-        .map(|s| partition_stream_step(stream, s, nranks))
+    let steps = streams.len();
+    let data: Vec<_> = (streams.iter().enumerate())
+        .map(|(s, stream)| partition_stream_step(stream, s, nranks))
         .collect();
     let nfields = data[0][0].len();
     let mut cfg = TimelineConfig::quick(steps, nfields, AdaptMode::Static, dir.to_path_buf());
@@ -124,11 +125,8 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
     // under-predicted past their extra space and overflow.
     for stream in [SnapshotStream::nyx(32), SnapshotStream::vpic(8192)] {
         for nranks in [2, 4] {
-            let (mut cfg, data, profiles) = inputs(&stream, nranks, STEPS, dir.path());
-            for mode in [
-                AdaptMode::Static,
-                AdaptMode::Adaptive(OnlineConfig::default()),
-            ] {
+            let (mut cfg, data, profiles) = inputs(&[stream; STEPS], nranks, dir.path());
+            for mode in [AdaptMode::Static, AdaptMode::Adaptive(OnlineConfig)] {
                 cfg.mode = mode;
                 let what = format!("{} × {nranks} ranks, {}", stream.label(), mode.label());
                 overflows += assert_streams_agree(&cfg, &data, &profiles, &what);
@@ -145,20 +143,22 @@ fn simulated_and_real_streams_agree_on_every_planned_byte() {
 
 #[test]
 fn pooled_regions_run_full_alike_in_both_engines() {
-    // Two ranks, no cushion on a rank's total: from the first adapted
-    // step on, a region is the rank's predicted total or its last
-    // observed one, whichever is more, so regions run full and the
-    // streams written last spill — the same bytes of the same fields in
-    // both engines, in field order and in Algorithm 1's.
+    // Two ranks whose history has settled when the stream jumps: the
+    // last two of six steps are drawn at ten times the stream's time
+    // step, far ahead in the run, so a rank's fields can come out
+    // larger than its calm region holds (a Nyx rank's do) and the
+    // streams written last spill — the same bytes of the same fields
+    // in both engines, in field order and in Algorithm 1's.
     let dir = TempDir::new("sim-vs-real-pooled");
     let mut overflows = 0;
     for stream in [SnapshotStream::nyx(32), SnapshotStream::vpic(8192)] {
-        let (mut cfg, data, profiles) = inputs(&stream, 2, 6, dir.path());
-        cfg.mode = AdaptMode::Adaptive(OnlineConfig {
-            err_margin: 0.0,
-            min_headroom: 1.0,
-            ..OnlineConfig::default()
-        });
+        let jump = SnapshotStream {
+            dt: 10.0 * stream.dt,
+            ..stream
+        };
+        let streams = [stream, stream, stream, stream, jump, jump];
+        let (mut cfg, data, profiles) = inputs(&streams, 2, dir.path());
+        cfg.mode = AdaptMode::Adaptive(OnlineConfig);
         for method in [Method::Overlap, Method::OverlapReorder] {
             cfg.method = method;
             let what = format!("{} × 2 ranks, pooled, {}", stream.label(), method.label());

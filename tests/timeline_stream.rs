@@ -42,7 +42,7 @@ fn adaptive_stream_decodes_every_step_on_all_workloads() {
         let cfg = TimelineConfig::quick(
             20,
             nfields,
-            AdaptMode::Adaptive(OnlineConfig::default()),
+            AdaptMode::Adaptive(OnlineConfig),
             dir.path().to_path_buf(),
         );
         assert!(cfg.verify, "quick config must verify every step");
@@ -76,7 +76,7 @@ fn adaptive_beats_static_on_waste_at_no_more_overflows() {
         run_timeline(&cfg, |s| &data[s]).unwrap()
     };
     let stat = run(AdaptMode::Static, "static");
-    let adap = run(AdaptMode::Adaptive(OnlineConfig::default()), "adaptive");
+    let adap = run(AdaptMode::Adaptive(OnlineConfig), "adaptive");
     assert!(
         adap.total_waste() < stat.total_waste(),
         "adaptive waste {} must be below static {}",
@@ -110,7 +110,7 @@ fn stream_is_deterministic_across_worker_counts() {
         let mut cfg = TimelineConfig::quick(
             steps,
             6,
-            AdaptMode::Adaptive(OnlineConfig::default()),
+            AdaptMode::Adaptive(OnlineConfig),
             dir.path().to_path_buf(),
         );
         cfg.sz_threads = workers;
@@ -160,7 +160,7 @@ fn adaptive_prediction_error_shrinks_with_history() {
         run_timeline(&cfg, |s| &data[s]).unwrap()
     };
     let stat = run(AdaptMode::Static, "static");
-    let adap = run(AdaptMode::Adaptive(OnlineConfig::default()), "adaptive");
+    let adap = run(AdaptMode::Adaptive(OnlineConfig), "adaptive");
     let static_err = stat.steps.last().unwrap().mean_rel_err;
     let adaptive_err = adap.steps.last().unwrap().mean_rel_err;
     assert!(
