@@ -11,8 +11,14 @@
 //! Everything but the two wall-clock artifacts (Fig. 11/12) is
 //! deterministic: seeded generators, real compressed sizes,
 //! discrete-event simulation.
+//!
+//! [`trajectory`] keeps the other committed record,
+//! `BENCH_trajectory.json`: per measured change, the frozen harness's
+//! parent and change runs folded into medians, quartiles and pairs won
+//! (the `trajectory` binary folds and checks it).
 
 pub mod claims;
 pub mod setup;
+pub mod trajectory;
 
 pub use setup::{demo_real_config, partition_1d, partition_3d, partition_stream_step};

@@ -7,15 +7,17 @@
 //! ([`obs::json`], which also backs the flight recorder and the
 //! `scrub` CLI's report), and checks:
 //!
-//! - `REPRO.json` is the only such file (the end-to-end and per-layer
-//!   numbers live in `benchmark/`, every other record is a row of the
-//!   claims table),
-//! - it is valid JSON and a non-empty object, every number finite,
-//! - `host_parallelism` is present at the top level and ≥ 1 — the
+//! - `REPRO.json` and `BENCH_trajectory.json` are the only such files
+//!   (the end-to-end and per-layer numbers live in `benchmark/`, every
+//!   other record is a row of the claims table or of the trajectory),
+//! - each is valid JSON and a non-empty object, every number finite,
+//! - `REPRO.json` has `host_parallelism` at the top level, ≥ 1 — the
 //!   record of whether the wall-clock entries came from a multi-core or
-//!   a 1-core host,
+//!   a 1-core host (a trajectory row carries its own),
 //! - it holds one entry per claim with its text, verdict and value, and
-//!   the extension rows keep the shape their predicates read.
+//!   the extension rows keep the shape their predicates read,
+//! - every trajectory row is the fold of the result files it names,
+//!   and a row that departs from them is refused.
 
 use obs::{json, Json};
 use std::path::{Path, PathBuf};
@@ -48,20 +50,26 @@ fn bench_files() -> Vec<(String, Json)> {
 fn every_committed_bench_artifact_is_valid() {
     let files = bench_files();
     let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, ["REPRO.json"], "the golden is the only artifact");
+    assert_eq!(
+        names,
+        ["BENCH_trajectory.json", "REPRO.json"],
+        "the golden and the trajectory are the only artifacts"
+    );
     for (name, json) in &files {
         match json {
             Json::Obj(m) => assert!(!m.is_empty(), "{name}: empty top-level object"),
             _ => panic!("{name}: top level is not an object"),
         }
-        // Multi-core vs 1-core provenance of the numbers.
-        let par = json
-            .num("host_parallelism")
-            .unwrap_or_else(|| panic!("{name}: missing host_parallelism"));
-        assert!(
-            par >= 1.0 && par.fract() == 0.0,
-            "{name}: bad host_parallelism {par}"
-        );
+        if name == "REPRO.json" {
+            // Multi-core vs 1-core provenance of the numbers.
+            let par = json
+                .num("host_parallelism")
+                .unwrap_or_else(|| panic!("{name}: missing host_parallelism"));
+            assert!(
+                par >= 1.0 && par.fract() == 0.0,
+                "{name}: bad host_parallelism {par}"
+            );
+        }
         let mut nums = Vec::new();
         json.numbers(&mut nums);
         assert!(!nums.is_empty(), "{name}: no numeric fields");
@@ -123,4 +131,37 @@ fn the_golden_file_holds_every_claim_with_its_verdict_and_value() {
     for workload in workloads {
         assert_eq!(modes(workload), [Some("static"), Some("adaptive")]);
     }
+}
+
+#[test]
+fn every_trajectory_row_is_the_fold_of_its_result_files() {
+    let rows = bench::trajectory::check(&repo_root()).unwrap_or_else(|e| panic!("{e}"));
+    assert!(rows >= 1);
+
+    // A copy whose first row claims one more pair won is refused.
+    let dir = testutil::TempDir::new("trajectory");
+    let root = dir.path();
+    let text = std::fs::read_to_string(repo_root().join("BENCH_trajectory.json")).unwrap();
+    let doc = json::parse(&text).unwrap();
+    let first = &doc.arr("rows").unwrap()[0];
+    for key in ["parent_runs", "change_runs"] {
+        let file = Path::new(first.str_of(key).unwrap());
+        std::fs::create_dir_all(root.join(file.parent().unwrap())).unwrap();
+        std::fs::copy(repo_root().join(file), root.join(file)).unwrap();
+    }
+    std::fs::copy(
+        repo_root().join("BENCHMARK.json"),
+        root.join("BENCHMARK.json"),
+    )
+    .unwrap();
+    std::fs::write(root.join("BENCH_trajectory.json"), &text).unwrap();
+    assert_eq!(bench::trajectory::check(root), Ok(rows));
+    let won = "\"pairs_won\": ";
+    let at = text.find(won).expect("a pairs_won count") + won.len();
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let n: u32 = text[at..end].parse().unwrap();
+    let forged = format!("{}{}{}", &text[..at], n + 1, &text[end..]);
+    std::fs::write(root.join("BENCH_trajectory.json"), forged).unwrap();
+    let err = bench::trajectory::check(root).unwrap_err();
+    assert!(err.contains("departs"), "{err}");
 }

@@ -1,9 +1,19 @@
 //! Deterministic lattice value-noise and fractal Brownian motion.
 //!
 //! All generators in this crate build fields out of this noise: it is
-//! seeded, allocation-free, and produces smooth-but-heterogeneous data
-//! whose per-region compressibility varies — the property (paper
-//! Fig. 1) the predictive-write design exploits.
+//! seeded and produces smooth-but-heterogeneous data whose per-region
+//! compressibility varies — the property (paper Fig. 1) the
+//! predictive-write design exploits.
+//!
+//! The grid generators evaluate it a row at a time: [`value_noise_row`]
+//! and [`fbm_row`] fill a caller's row buffer from a caller's buffer of
+//! x coordinates at one (y, z). They hash each lattice corner once per
+//! cell the row crosses instead of once per point, and return exactly
+//! the bits of [`value_noise`] / [`fbm`] at every point: each value goes
+//! through the same `f64` operations on the same operands in the same
+//! order, and Rust neither contracts `a + b * c` into a fused
+//! multiply-add nor reassociates. The per-point functions stay as the
+//! definition and as the row kernels' test oracle.
 
 /// 64-bit mix hash (splitmix64 finalizer) of lattice coordinates.
 #[inline]
@@ -76,6 +86,93 @@ pub fn fbm(x: f64, y: f64, z: f64, seed: u64, octaves: u32, persistence: f64) ->
         freq *= 2.0;
     }
     sum / norm
+}
+
+/// One octave along a row: `emit(i, value_noise(xs[i] * freq, y * freq,
+/// z * freq, seed))` for every `i`, in order.
+///
+/// `yi, zi, ty, tz` are the row's; the four corners at `xi` and the four
+/// at `xi + 1` are kept while `xi` stays, slide over when it steps by
+/// one, and are hashed afresh only on a larger jump.
+#[inline]
+fn octave_row(xs: &[f64], freq: f64, y: f64, z: f64, seed: u64, mut emit: impl FnMut(usize, f64)) {
+    let (y, z) = (y * freq, z * freq);
+    let yi = y.floor() as i64;
+    let zi = z.floor() as i64;
+    let ty = fade(y - yi as f64);
+    let tz = fade(z - zi as f64);
+    // The corners (dy, dz) = (0, 0), (1, 0), (0, 1), (1, 1) at one x.
+    let column = |xi: i64| {
+        [
+            lattice(xi, yi, zi, seed),
+            lattice(xi, yi + 1, zi, seed),
+            lattice(xi, yi, zi + 1, seed),
+            lattice(xi, yi + 1, zi + 1, seed),
+        ]
+    };
+    let mut cell: Option<i64> = None;
+    let (mut lo, mut hi) = ([0.0f64; 4], [0.0f64; 4]);
+    for (i, &x) in xs.iter().enumerate() {
+        let x = x * freq;
+        let xi = x.floor() as i64;
+        match cell {
+            Some(c) if c == xi => {}
+            Some(c) if c.wrapping_add(1) == xi => {
+                lo = hi;
+                hi = column(xi + 1);
+            }
+            _ => {
+                lo = column(xi);
+                hi = column(xi + 1);
+            }
+        }
+        cell = Some(xi);
+        let tx = fade(x - xi as f64);
+        let x00 = lerp(lo[0], hi[0], tx);
+        let x10 = lerp(lo[1], hi[1], tx);
+        let x01 = lerp(lo[2], hi[2], tx);
+        let x11 = lerp(lo[3], hi[3], tx);
+        let y0 = lerp(x00, x10, ty);
+        let y1 = lerp(x01, x11, ty);
+        emit(i, lerp(y0, y1, tz));
+    }
+}
+
+/// [`value_noise`] along a row: `out[i] = value_noise(xs[i], y, z, seed)`
+/// (bit for bit; the kernel's `* 1.0` changes no value).
+pub fn value_noise_row(xs: &[f64], y: f64, z: f64, seed: u64, out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "row buffers differ in length");
+    octave_row(xs, 1.0, y, z, seed, |i, v| out[i] = v);
+}
+
+/// [`fbm`] along a row: `out[i] = fbm(xs[i], y, z, seed, octaves,
+/// persistence)` (bit for bit: octaves accumulate per point in `fbm`'s
+/// order).
+pub fn fbm_row(
+    xs: &[f64],
+    y: f64,
+    z: f64,
+    seed: u64,
+    octaves: u32,
+    persistence: f64,
+    out: &mut [f64],
+) {
+    assert_eq!(xs.len(), out.len(), "row buffers differ in length");
+    out.fill(0.0);
+    let mut amp = 1.0;
+    let mut freq = 1.0;
+    let mut norm = 0.0;
+    for o in 0..octaves {
+        octave_row(xs, freq, y, z, seed.wrapping_add(o as u64), |i, v| {
+            out[i] += amp * v;
+        });
+        norm += amp;
+        amp *= persistence;
+        freq *= 2.0;
+    }
+    for v in out.iter_mut() {
+        *v /= norm;
+    }
 }
 
 /// Uniform f64 in [0, 1) derived from an index (for jittered sampling).

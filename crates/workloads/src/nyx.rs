@@ -17,7 +17,7 @@
 //! makes some sub-volumes much harder to predict than others.
 
 use crate::field::{Dataset, Field};
-use crate::noise::{fbm, value_noise};
+use crate::noise::{fbm_row, value_noise_row};
 
 /// Parameters of a synthetic Nyx snapshot.
 #[derive(Debug, Clone, Copy)]
@@ -81,16 +81,88 @@ fn contrast(redshift: f64) -> f64 {
     2.4 / (1.0 + 0.35 * redshift.max(0.0))
 }
 
-fn gen_grid(side: usize, drift: [f64; 3], f: impl Fn(f64, f64, f64) -> f64 + Sync) -> Vec<f32> {
-    let mut out = Vec::with_capacity(side * side * side);
-    for z in 0..side {
-        for y in 0..side {
-            for x in 0..side {
-                out.push(f(
-                    x as f64 + drift[0],
-                    y as f64 + drift[1],
-                    z as f64 + drift[2],
-                ) as f32);
+/// The six fields of a snapshot, each generated only where `want`
+/// names it (an unwanted field is left empty).
+///
+/// Built a row of x at a time through the row kernels, which return
+/// the bits of the per-point definition: for the grid point
+/// `(x, y, z) + drift` (each coordinate `i as f64 + drift`), with
+/// `s = FEATURE_SCALE`, `web = fbm(·/s, seed, 5, 0.55)` and
+/// `halos(·) = spike(value_noise(·/(s·0.25), seed ^ 0xA5))`:
+/// * baryon density `1e8 · exp(clamp(web·c + halos·c, ±5.5))`;
+/// * dark matter `3.2e9 · exp(clamp(fbm(·/s, seed ^ 0x11, 5, 0.6)·1.2c
+///   + halos(· + (3, 7, 11))·1.4c, ±6))`;
+/// * temperature `1e4 · exp((web·0.8 + fbm(·/s, seed ^ 0x22, 4,
+///   0.5)·0.4)·c·0.9)`;
+/// * velocities `2e7 · fbm(·/(s·1.5), seed ^ 0x100 | 0x200 | 0x300, 4, 0.5)`.
+///
+/// `web` is computed once per row for the two fields that read it.
+fn fields(p: NyxParams, want: [bool; 6]) -> [Vec<f32>; 6] {
+    let n = p.side;
+    let s = FEATURE_SCALE;
+    let c = contrast(p.redshift);
+    let seed = p.seed;
+    let [dx, dy, dz] = p.drift;
+    let at = |i: usize, d: f64| i as f64 + d;
+    // Halo spikes: sparse high-frequency peaks, sharpened by contrast.
+    let spike = |v: f64| {
+        let v = ((v - 0.55) * 8.0).max(0.0); // only the top tail survives
+        v * v
+    };
+    let xs = |f: &dyn Fn(f64) -> f64| -> Vec<f64> { (0..n).map(|x| f(at(x, dx))).collect() };
+    let x_web = xs(&|x| x / s);
+    let x_halo = xs(&|x| x / (s * 0.25));
+    let x_halo_dm = xs(&|x| (x + 3.0) / (s * 0.25));
+    let x_vel = xs(&|x| x / (s * 1.5));
+    let (mut web, mut halo, mut row) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut out: [Vec<f32>; 6] =
+        std::array::from_fn(|k| Vec::with_capacity(if want[k] { n * n * n } else { 0 }));
+    let [baryon, dm, temp, vx, vy, vz] = &mut out;
+
+    for z in 0..n {
+        let zf = at(z, dz);
+        for y in 0..n {
+            let yf = at(y, dy);
+            if want[0] || want[2] {
+                fbm_row(&x_web, yf / s, zf / s, seed, 5, 0.55, &mut web);
+            }
+            // Log-density exponents are clamped to keep the dynamic
+            // range near real Nyx snapshots (~5 decades), not runaway
+            // halo peaks.
+            if want[0] {
+                let (yh, zh) = (yf / (s * 0.25), zf / (s * 0.25));
+                value_noise_row(&x_halo, yh, zh, seed ^ 0xA5, &mut halo);
+                baryon.extend(web.iter().zip(&halo).map(|(&w, &h)| {
+                    let g = (w * c + spike(h) * c).clamp(-5.5, 5.5);
+                    (1.0e8 * g.exp()) as f32
+                }));
+            }
+            if want[1] {
+                fbm_row(&x_web, yf / s, zf / s, seed ^ 0x11, 5, 0.6, &mut row);
+                let (yh, zh) = ((yf + 7.0) / (s * 0.25), (zf + 11.0) / (s * 0.25));
+                value_noise_row(&x_halo_dm, yh, zh, seed ^ 0xA5, &mut halo);
+                dm.extend(row.iter().zip(&halo).map(|(&f, &h)| {
+                    let g = (f * (c * 1.2) + spike(h) * (c * 1.4)).clamp(-6.0, 6.0);
+                    (3.2e9 * g.exp()) as f32
+                }));
+            }
+            if want[2] {
+                fbm_row(&x_web, yf / s, zf / s, seed ^ 0x22, 4, 0.5, &mut row);
+                temp.extend(web.iter().zip(&row).map(|(&w, &f)| {
+                    let g = w * 0.8 + f * 0.4;
+                    (1.0e4 * (g * c * 0.9).exp()) as f32
+                }));
+            }
+            for (k, vel, axis_seed) in [
+                (3, &mut *vx, 0x100),
+                (4, &mut *vy, 0x200),
+                (5, &mut *vz, 0x300),
+            ] {
+                if want[k] {
+                    let (yv, zv) = (yf / (s * 1.5), zf / (s * 1.5));
+                    fbm_row(&x_vel, yv, zv, seed ^ axis_seed, 4, 0.5, &mut row);
+                    vel.extend(row.iter().map(|&f| (2.0e7 * f) as f32));
+                }
             }
         }
     }
@@ -100,81 +172,27 @@ fn gen_grid(side: usize, drift: [f64; 3], f: impl Fn(f64, f64, f64) -> f64 + Syn
 /// Generate a full snapshot with the six standard fields.
 pub fn snapshot(p: NyxParams) -> Dataset {
     let dims = vec![p.side, p.side, p.side];
-    let s = FEATURE_SCALE;
-    let c = contrast(p.redshift);
-    let seed = p.seed;
-
-    // Shared "web" field correlating density and temperature.
-    let web = |x: f64, y: f64, z: f64| fbm(x / s, y / s, z / s, seed, 5, 0.55);
-    // Halo spikes: sparse high-frequency peaks, sharpened by contrast.
-    let halos = |x: f64, y: f64, z: f64| {
-        let v = value_noise(x / (s * 0.25), y / (s * 0.25), z / (s * 0.25), seed ^ 0xA5);
-        let v = ((v - 0.55) * 8.0).max(0.0); // only the top tail survives
-        v * v
-    };
-
-    // Log-density exponents are clamped to keep the dynamic range near
-    // real Nyx snapshots (~5 decades), not runaway halo peaks.
-    let baryon = gen_grid(p.side, p.drift, |x, y, z| {
-        let g = (web(x, y, z) * c + halos(x, y, z) * c).clamp(-5.5, 5.5);
-        1.0e8 * g.exp()
-    });
-    let dm = gen_grid(p.side, p.drift, |x, y, z| {
-        let g = (fbm(x / s, y / s, z / s, seed ^ 0x11, 5, 0.6) * (c * 1.2)
-            + halos(x + 3.0, y + 7.0, z + 11.0) * (c * 1.4))
-            .clamp(-6.0, 6.0);
-        3.2e9 * g.exp()
-    });
-    let temp = gen_grid(p.side, p.drift, |x, y, z| {
-        let g = web(x, y, z) * 0.8 + fbm(x / s, y / s, z / s, seed ^ 0x22, 4, 0.5) * 0.4;
-        1.0e4 * (g * c * 0.9).exp()
-    });
-    let vel = |axis_seed: u64| {
-        gen_grid(p.side, p.drift, move |x, y, z| {
-            2.0e7
-                * fbm(
-                    x / (s * 1.5),
-                    y / (s * 1.5),
-                    z / (s * 1.5),
-                    seed ^ axis_seed,
-                    4,
-                    0.5,
-                )
-        })
-    };
-
     Dataset {
         name: format!("nyx-{}", p.side),
-        fields: vec![
-            Field::new(NYX_FIELDS[0], baryon, dims.clone()),
-            Field::new(NYX_FIELDS[1], dm, dims.clone()),
-            Field::new(NYX_FIELDS[2], temp, dims.clone()),
-            Field::new(NYX_FIELDS[3], vel(0x100), dims.clone()),
-            Field::new(NYX_FIELDS[4], vel(0x200), dims.clone()),
-            Field::new(NYX_FIELDS[5], vel(0x300), dims),
-        ],
+        fields: NYX_FIELDS
+            .iter()
+            .zip(fields(p, [true; 6]))
+            .map(|(&name, data)| Field::new(name, data, dims.clone()))
+            .collect(),
     }
 }
 
-/// Generate a single field (cheaper when only one is needed).
+/// Generate a single field, evaluating only the noise it reads; its
+/// values are those of the same field of [`snapshot`].
 pub fn single_field(p: NyxParams, name: &str) -> Field {
-    let ds = snapshot_subset(p, &[name]);
-    ds.fields.into_iter().next().expect("unknown field name")
-}
-
-/// Generate only the named fields.
-fn snapshot_subset(p: NyxParams, names: &[&str]) -> Dataset {
-    let full = snapshot(p);
-    let fields: Vec<Field> = full
-        .fields
-        .into_iter()
-        .filter(|f| names.contains(&f.name.as_str()))
-        .collect();
-    assert!(!fields.is_empty(), "no matching field names");
-    Dataset {
-        name: full.name,
-        fields,
-    }
+    let k = NYX_FIELDS
+        .iter()
+        .position(|&f| f == name)
+        .expect("unknown field name");
+    let mut want = [false; 6];
+    want[k] = true;
+    let data = std::mem::take(&mut fields(p, want)[k]);
+    Field::new(NYX_FIELDS[k], data, vec![p.side; 3])
 }
 
 #[cfg(test)]
@@ -238,8 +256,20 @@ mod tests {
 
     #[test]
     fn subset_selects_fields() {
-        let ds = snapshot_subset(NyxParams::with_side(8), &["temperature"]);
-        assert_eq!(ds.fields.len(), 1);
-        assert_eq!(ds.fields[0].name, "temperature");
+        // Each field alone is the same field of the full snapshot, bit
+        // for bit, at a drift that puts the grid off the lattice.
+        let p = NyxParams {
+            seed: 7,
+            drift: [0.83, -1.47, 2.29],
+            ..NyxParams::with_side(12).redshift(2.7)
+        };
+        let full = snapshot(p);
+        for want in &full.fields {
+            let one = single_field(p, &want.name);
+            assert_eq!(one.name, want.name);
+            assert_eq!(one.dims, want.dims);
+            let bits = |f: &Field| f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one), bits(want), "{}", want.name);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! low-amplitude background noise.
 
 use crate::field::{Dataset, Field};
-use crate::noise::{fbm, uniform01};
+use crate::noise::{fbm_row, uniform01};
 
 /// Parameters of a synthetic RTM wavefield snapshot.
 #[derive(Debug, Clone, Copy)]
@@ -65,10 +65,24 @@ pub fn snapshot(p: RtmParams) -> Dataset {
         .collect();
 
     let mut data = Vec::with_capacity(n * n * n);
+    // Smooth background (velocity-model imprint), one row at a time:
+    // `background[x] = fbm(x / 20, y / 20, z / 20, seed ^ 0x9, 3, 0.5)`.
+    let xs: Vec<f64> = (0..n).map(|x| x as f64 / 20.0).collect();
+    let mut background = vec![0.0; n];
     for z in 0..n {
         for y in 0..n {
-            for x in 0..n {
-                let (xf, yf, zf) = (x as f64, y as f64, z as f64);
+            let (yf, zf) = (y as f64, z as f64);
+            fbm_row(
+                &xs,
+                yf / 20.0,
+                zf / 20.0,
+                p.seed ^ 0x9,
+                3,
+                0.5,
+                &mut background,
+            );
+            for (x, &bg) in background.iter().enumerate() {
+                let xf = x as f64;
                 let mut v = 0.0;
                 for &(sx, sy, sz, ph) in &sources {
                     let r = ((xf - sx).powi(2) + (yf - sy).powi(2) + (zf - sz).powi(2))
@@ -78,8 +92,7 @@ pub fn snapshot(p: RtmParams) -> Dataset {
                     // envelope, travelling outward at unit phase speed.
                     v += (k * (r - p.time) + ph).sin() * (-r / (n as f64 * 0.6)).exp() / r.sqrt();
                 }
-                // Smooth background (velocity-model imprint) + v.
-                v += 0.05 * fbm(xf / 20.0, yf / 20.0, zf / 20.0, p.seed ^ 0x9, 3, 0.5);
+                v += 0.05 * bg;
                 data.push(v as f32);
             }
         }

@@ -1,6 +1,7 @@
 //! Property tests for the workload generators and domain decomposition.
 
 use proptest::prelude::*;
+use workloads::noise::{fbm, fbm_row, value_noise, value_noise_row};
 use workloads::{factor3, field::Field, nyx, split_1d, vpic, Decomposition, NyxParams, VpicParams};
 
 proptest! {
@@ -69,5 +70,36 @@ proptest! {
         let ds = vpic::snapshot(VpicParams { n_particles: 256, seed, ..Default::default() });
         let e = &ds.field("energy").unwrap().data;
         prop_assert!(e.iter().all(|&v| v >= 0.0));
+    }
+
+    /// The row kernels return the per-point definition's bits along a
+    /// random walk in x: steps inside a cell, onto the next cell, across
+    /// several cells and backwards, from negative and positive starts.
+    #[test]
+    fn row_kernels_match_the_per_point_noise(
+        start in -60.0f64..60.0,
+        steps in proptest::collection::vec(-1.5f64..3.5, 1..48),
+        (y, z) in (-60.0f64..60.0, -60.0f64..60.0),
+        seed in any::<u64>(),
+        octaves in 1u32..7,
+        persistence in 0.01f64..0.99,
+    ) {
+        let xs: Vec<f64> = steps
+            .iter()
+            .scan(start, |x, &d| {
+                *x += d;
+                Some(*x)
+            })
+            .collect();
+        let mut row = vec![0.0; xs.len()];
+        value_noise_row(&xs, y, z, seed, &mut row);
+        for (&x, &v) in xs.iter().zip(&row) {
+            prop_assert_eq!(v.to_bits(), value_noise(x, y, z, seed).to_bits(), "x {}", x);
+        }
+        fbm_row(&xs, y, z, seed, octaves, persistence, &mut row);
+        for (&x, &v) in xs.iter().zip(&row) {
+            let want = fbm(x, y, z, seed, octaves, persistence);
+            prop_assert_eq!(v.to_bits(), want.to_bits(), "x {}", x);
+        }
     }
 }
